@@ -22,7 +22,8 @@ from pathlib import Path
 
 from repro.pattern import build_from_path, decompose
 from repro.physical import merged_scan
-from repro.physical.parallel_scan import parallel_merged_scan, shared_scan_executor
+from repro.engine.backend import ExecutionBackend
+from repro.physical.parallel_scan import parallel_merged_scan
 from repro.xmlkit.partition import partition_document
 from repro.xmlkit.tree import Document, DocumentBuilder
 from repro.xpath import parse_xpath
@@ -68,7 +69,7 @@ def nid_lists(results: dict) -> dict[int, list[int]]:
 
 def test_single_partition_overhead_within_5pct_and_record_sweep():
     doc = build_corpus()
-    executor = shared_scan_executor()
+    backend = ExecutionBackend("threads", 4)
 
     serial_s, serial_results = best_of(
         REPEATS, lambda: merged_scan(noks_for(QUERY), doc))
@@ -81,7 +82,7 @@ def test_single_partition_overhead_within_5pct_and_record_sweep():
         def run_parallel(partitions=partitions):
             return parallel_merged_scan(noks_for(QUERY), doc,
                                         partitions=partitions,
-                                        executor=executor)
+                                        backend=backend)
 
         par_s, par_results = best_of(REPEATS, run_parallel)
         # Theorem 1: partition-order concatenation is bit-identical to

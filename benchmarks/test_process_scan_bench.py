@@ -25,11 +25,8 @@ from pathlib import Path
 
 from repro.pattern import build_from_path, decompose
 from repro.physical import merged_scan
-from repro.physical.parallel_scan import (
-    parallel_merged_scan,
-    shared_scan_executor,
-)
-from repro.physical.process_scan import ProcessScanBackend
+from repro.engine.backend import ExecutionBackend
+from repro.physical.parallel_scan import ScanPools, parallel_merged_scan
 from repro.xmlkit.arena import release_arena
 from repro.xmlkit.partition import partition_document
 from repro.xmlkit.tree import Document, DocumentBuilder
@@ -76,7 +73,7 @@ def nid_lists(results: dict) -> dict[int, list[int]]:
 def test_process_backend_speedup_recorded_and_gated():
     doc = build_corpus()
     cpu_count = os.cpu_count() or 1
-    backend = ProcessScanBackend(max_workers=min(4, cpu_count))
+    pools = ScanPools(process_workers=min(4, cpu_count))
     partitions = partition_document(doc, 4)
     try:
         # Warm the interpreter and the document (method caches, lazily
@@ -97,19 +94,19 @@ def test_process_backend_speedup_recorded_and_gated():
         threads_s, thread_results = best_of(
             REPEATS, lambda: parallel_merged_scan(
                 noks_for(QUERY), doc, partitions=partitions,
-                executor=shared_scan_executor()))
+                backend=ExecutionBackend("threads", 4), pools=pools))
         assert nid_lists(thread_results) == serial_nids
 
         def run_processes():
             return parallel_merged_scan(
                 noks_for(QUERY), doc, partitions=partitions,
-                backend="processes", process_backend=backend)
+                backend=ExecutionBackend("processes", 4), pools=pools)
 
         run_processes()                        # warm: fork + arena write
         processes_s, process_results = best_of(REPEATS, run_processes)
         assert nid_lists(process_results) == serial_nids
     finally:
-        backend.close(wait=True)
+        pools.close(wait=True)
         release_arena(doc)
 
     serial_drift_pct = (serial_again_s / serial_s - 1) * 100

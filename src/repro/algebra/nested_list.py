@@ -114,7 +114,7 @@ def project_entries(entry: NLEntry, target: BlossomVertex) -> list[NLEntry]:
         edge = node.parent_edge
         if edge is None:
             raise KeyError(f"V{target.vid} is not below V{entry.vertex.vid}")
-        if getattr(edge, "cut", False):
+        if edge.cut:
             raise KeyError(
                 f"projection from V{entry.vertex.vid} to V{target.vid} crosses a "
                 "NoK boundary; use the join adjacency instead")

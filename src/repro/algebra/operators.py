@@ -89,7 +89,7 @@ def _is_on_path(vertex: BlossomVertex, target: BlossomVertex) -> bool:
         if node is vertex:
             return True
         edge = node.parent_edge
-        if edge is None or getattr(edge, "cut", False):
+        if edge is None or edge.cut:
             return False
         node = edge.parent
     return False

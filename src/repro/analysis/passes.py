@@ -205,7 +205,7 @@ def _check_edge_modes(tree: BlossomTree, report: AnalysisReport) -> None:
                        f"axis {edge.axis!r} is outside the pattern-matching "
                        "subset")
     for vertex in tree.vertices:
-        after = getattr(vertex, "after_vid", None)
+        after = vertex.after_vid
         if after is None:
             continue
         loc = f"blossom:V{vertex.vid}"
@@ -274,16 +274,12 @@ def decomposition_pass(dec: Decomposition, report: AnalysisReport) -> None:
     _check_inter_forest(dec, report)
 
 
-def _is_cut(edge: object) -> bool:
-    return bool(getattr(edge, "cut", False))
-
-
 def _check_cut_coverage(tree: BlossomTree, dec: Decomposition,
                         report: AnalysisReport) -> None:
     inter_pairs = {(id(e.parent), id(e.child)) for e in dec.inter_edges}
     for edge in tree.tree_edges:
         loc = f"nok-edge:V{edge.parent.vid}->V{edge.child.vid}"
-        if _is_cut(edge):
+        if edge.cut:
             if edge.axis in _LOCAL_AXES:
                 report.add("NK001", loc,
                            f"local-axis edge ({edge.axis!r}) was cut — NoK "
@@ -326,7 +322,7 @@ def _check_partition(tree: BlossomTree, dec: Decomposition,
         while stack:
             vertex = stack.pop()
             for edge in vertex.child_edges:
-                if not _is_cut(edge) and id(edge.child) not in reached:
+                if not edge.cut and id(edge.child) not in reached:
                     reached.add(id(edge.child))
                     stack.append(edge.child)
         for vertex in nok.vertices:
@@ -669,7 +665,7 @@ def tree_quick_clean(tree: BlossomTree) -> bool:
         parent_edge = vertex.parent_edge
         if parent_edge is not None:
             n_parented += 1
-        after = getattr(vertex, "after_vid", None)
+        after = vertex.after_vid
         if after is not None:
             if not 0 <= after < n:
                 return False
@@ -755,7 +751,7 @@ def artifacts_quick_clean(artifacts: object, strategy: str | None = None,
     # passes, never skip them.
     inter_pairs = {(e.parent.vid, e.child.vid) for e in dec.inter_edges}
     for edge in tree.tree_edges:
-        if getattr(edge, "cut", False):
+        if edge.cut:
             if edge.axis in _LOCAL_AXES:
                 return False
             if (edge.parent.vid, edge.child.vid) not in inter_pairs:
@@ -820,7 +816,7 @@ def artifacts_quick_clean(artifacts: object, strategy: str | None = None,
         parent_edge = nok.root.parent_edge
         if parent_edge is None:
             continue
-        if not getattr(parent_edge, "cut", False):
+        if not parent_edge.cut:
             return False
     # Pattern roots anchor their NoKs (parentless vertices are exactly
     # tree.roots on a tree that passed the conjoined tree check).

@@ -165,7 +165,7 @@ def _foreign_vids(tree: BlossomTree,
         return frozenset()
     vids: set[int] = set()
     for root in tree.roots:
-        if getattr(root, "doc_uri", "") in foreign_uris:
+        if (root.doc_uri or "") in foreign_uris:
             vids.update(v.vid for v in tree.iter_subtree(root))
     return frozenset(vids)
 

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING
 from repro.errors import UsageError
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Tracer
+from repro.physical.parallel_scan import ScanPools
 from repro.xmlkit.binary import dump, load
 from repro.xmlkit.parser import parse
 from repro.xmlkit.stats import DocumentStats, compute_stats
@@ -75,9 +76,7 @@ class Database:
         #: Lazily-spawned scan executors (thread pool + process backend)
         #: owned by this database; every parallel plan of ``self.engine``
         #: rides them, and :meth:`close` shuts them down deterministically.
-        from repro.physical.process_scan import ScanPools
-
-        self._scan_pools = ScanPools()
+        self._scan_pools = self.engine.scan_pools = ScanPools()
         self._updater: DocumentUpdater | None = None
         self._service: QueryService | None = None
         self._server: Server | None = None
@@ -144,7 +143,6 @@ class Database:
         When the slow-query log is enabled the call is timed and,
         past the threshold, recorded with plan and counters.
         """
-        self._wire_pools()
         if self.slow_log is None:
             return self.engine.query(text, strategy=strategy,
                                      counters=counters,
@@ -174,21 +172,8 @@ class Database:
                 executor: ExecutionBackend | str | None = None
                 ) -> PreparedQuery:
         """Compile once for repeated execution (see :meth:`Engine.prepare`)."""
-        self._wire_pools()
         return self.engine.prepare(text, strategy=strategy,
                                    executor=executor)
-
-    def _wire_pools(self) -> None:
-        """Point the engine's scan executors at the database-owned pools.
-
-        The pools themselves stay lazy — nothing is spawned until a
-        parallel plan actually submits a partition task — but ownership
-        is fixed here so :meth:`close` can shut down whatever was used.
-        """
-        if self.engine.scan_executor is None:
-            self.engine.scan_executor = self._scan_pools.thread_pool()
-        if self.engine.process_executor is None:
-            self.engine.process_executor = self._scan_pools.process_backend()
 
     def explain_analyze(self, text: str, strategy: str = "auto",
                         work_budget: int | None = None, *,
@@ -373,8 +358,7 @@ class Database:
         # executors this database owns, and release the document's
         # arena file if process-backend queries materialized one.
         self._scan_pools.close(wait=True)
-        self.engine.scan_executor = None
-        self.engine.process_executor = None
+        self.engine.scan_pools = None
         from repro.xmlkit.arena import release_arena
 
         release_arena(self.doc)

@@ -49,11 +49,12 @@ from repro.physical.nested_loop import (
     naive_nested_loop_join,
 )
 from repro.physical.nok_merge import merged_scan
-from repro.physical.parallel_scan import parallel_merged_scan
+from repro.physical.parallel_scan import ScanPools, parallel_merged_scan
 from repro.physical.pipelined_join import caching_desc_join, pipelined_desc_join
 from repro.physical.stack_join import stack_desc_join
 from repro.physical.structural import JoinResult, left_projection
 from repro.physical.twigstack import TwigStackOperator, twig_supported
+from repro.engine.backend import ExecutionBackend
 from repro.engine.construct import DirectEvaluator
 from repro.engine.result import Item
 
@@ -93,23 +94,15 @@ class FLWORExecutor:
         Optional shared :class:`~repro.xmlkit.index.TagIndex` over
         ``doc`` (serving snapshots cache one per version); passed to
         the TwigStack operator instead of letting it build its own.
-    parallelism:
-        Partition count for the match phase.  With ``parallelism > 1``
-        the merged NoK scan runs partition-parallel
+    backend:
+        Run the match phase partition-parallel on this
+        :class:`~repro.engine.backend.ExecutionBackend`
         (:func:`~repro.physical.parallel_scan.parallel_merged_scan`);
-        the default of 1 keeps the serial scan.
-    scan_executor:
-        Executor for partition scan tasks (``None`` uses the shared
-        process-wide pool; the query service passes its own).
-    scan_backend:
-        ``"threads"`` (default) or ``"processes"`` — which execution
-        backend the parallel match phase runs on.  ``"processes"``
-        replays the dispatch loop in worker processes over the
-        mmap-shared arena (:mod:`repro.physical.process_scan`).
-    process_executor:
+        ``None``, the default, keeps the serial merged scan.
+    scan_pools:
         The owning stack's
-        :class:`~repro.physical.process_scan.ProcessScanBackend`
-        (``None`` uses the shared process-wide pool).
+        :class:`~repro.physical.parallel_scan.ScanPools` (``None`` uses
+        the process-wide fallback).
     doc_stats:
         Precomputed statistics of ``doc``, used to size partitions.
     """
@@ -120,9 +113,9 @@ class FLWORExecutor:
                  counters: ScanCounters | None = None,
                  recursive_hint: bool | None = None,
                  tracer: Tracer | None = None,
-                 *, index=None, parallelism: int = 1,
-                 scan_executor=None, scan_backend: str = "threads",
-                 process_executor=None, doc_stats=None) -> None:
+                 *, index=None, backend: ExecutionBackend | None = None,
+                 scan_pools: ScanPools | None = None,
+                 doc_stats=None) -> None:
         self.doc = doc
         self.resolve_doc = resolve_doc if resolve_doc is not None else (lambda uri: doc)
         if join_algorithm != "auto" and join_algorithm not in JOIN_ALGORITHMS:
@@ -133,10 +126,8 @@ class FLWORExecutor:
         self._tracing = self.tracer is not NULL_TRACER
         self._recursive_hint = recursive_hint
         self.index = index
-        self.parallelism = max(1, parallelism)
-        self.scan_executor = scan_executor
-        self.scan_backend = scan_backend
-        self.process_executor = process_executor
+        self.backend = backend
+        self.scan_pools = scan_pools
         self._doc_stats = doc_stats
         self._direct = DirectEvaluator(doc, self.resolve_doc)
         #: (parent_vid, child_vid) -> JoinResult, filled during execute()
@@ -248,28 +239,26 @@ class FLWORExecutor:
             doc = self._doc_for_nok(dec, nok)
             by_doc.setdefault(id(doc), (doc, []))[1].append(nok)
         matches: dict[int, list[NLEntry]] = {}
-        parallel = self.parallelism > 1
+        backend = self.backend
+        parallelism = backend.parallelism if backend is not None else 1
         for doc, noks in by_doc.values():
             self.plan_notes.append(
-                f"{'partition-parallel' if parallel else 'merged'} scan: "
+                f"{'partition-parallel' if backend else 'merged'} scan: "
                 f"{len(noks)} NoK(s) in one pass over "
                 f"{len(doc.nodes)} nodes")
             with self.tracer.span("merged-scan", noks=len(noks),
                                   doc_nodes=len(doc.nodes),
-                                  parallelism=self.parallelism) as scan_span:
+                                  parallelism=parallelism) as scan_span:
                 before_nodes = self.counters.nodes_scanned
                 before_cmp = self.counters.comparisons
                 per_nok: dict[int, ScanCounters] | None = (
                     {} if self._tracing else None)
                 started = time.perf_counter_ns()
-                if parallel:
+                if backend is not None:
                     result = parallel_merged_scan(
                         noks, doc, self.counters, per_nok,
-                        parallelism=self.parallelism,
+                        backend=backend, pools=self.scan_pools,
                         stats=self._doc_stats if doc is self.doc else None,
-                        executor=self.scan_executor,
-                        backend=self.scan_backend,
-                        process_backend=self.process_executor,
                         tracer=self.tracer if self._tracing else None)
                 else:
                     result = merged_scan(noks, doc, self.counters, per_nok)
@@ -316,10 +305,9 @@ class FLWORExecutor:
         return self._doc_for_root(dec.tree.pattern_root_of(nok.root))
 
     def _doc_for_root(self, root: BlossomVertex) -> Document:
-        uri = getattr(root, "doc_uri", "")
-        if uri == "":
+        if not root.doc_uri:
             return self.doc
-        return self.resolve_doc(uri)
+        return self.resolve_doc(root.doc_uri)
 
     # ------------------------------------------------------------------
     # Phase 2: structural joins + bottom-up semi-join reduction.
@@ -475,7 +463,7 @@ class FLWORExecutor:
 
         for edge in chain:
             next_frontier: list[NLEntry] = []
-            if getattr(edge, "cut", False):
+            if edge.cut:
                 adjacency = self._adjacency.get((edge.parent.vid, edge.child.vid))
                 for entry in frontier:
                     node = entry.node

@@ -59,6 +59,7 @@ from repro.errors import CompileError, DNFError, QueryTimeoutError, UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.statstore import STATS_RECOSTS, StatsStore
 from repro.obs.trace import NULL_TRACER, QueryTrace, Tracer
+from repro.physical.parallel_scan import ScanPools
 from repro.pattern.artifact import prepare_artifacts
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.stats import DocumentStats, compute_stats
@@ -87,11 +88,6 @@ from repro.engine.result import Item, QueryResult
 __all__ = ["Engine"]
 
 _BLOSSOM_STRATEGIES = {"pipelined", "caching", "stack", "bnlj", "nl"}
-
-#: Partition count used when ``strategy="parallel"`` is requested
-#: explicitly without an ``executor=`` spec (kept as a public alias of
-#: :data:`repro.engine.backend.DEFAULT_PARALLEL_WORKERS`).
-DEFAULT_PARALLELISM = 4
 
 #: The serial backend singleton (the default for every query surface).
 _SERIAL = ExecutionBackend()
@@ -200,14 +196,11 @@ class Engine:
             if self.documents else _NO_FOREIGN)
         self.work_budget = work_budget
         self.index = TagIndex(doc)
-        #: Executor used for partition scan tasks of parallel plans
-        #: (``None`` = the shared process-wide pool; the query service
-        #: installs its own so partition tasks ride the serve workers).
-        self.scan_executor = None
-        #: Process backend for ``executor="processes"`` plans (``None``
-        #: = the shared process-wide pool; Database / QueryService
-        #: install their owned pools here).
-        self.process_executor = None
+        #: :class:`~repro.physical.parallel_scan.ScanPools` the partition
+        #: tasks of parallel plans run on (``None`` = the process-wide
+        #: fallback; Database / QueryService install the one they own,
+        #: so their ``close()`` shuts it down).
+        self.scan_pools: ScanPools | None = None
         self._stats: DocumentStats | None = None
         #: Run the structural-summary query lint (QL rules) at compile
         #: time and apply its pruning rewrites.  ``False`` is the escape
@@ -795,12 +788,13 @@ class Engine:
             recursive_hint=self.stats.recursive,
             tracer=tracer,
             index=self.index,
-            parallelism=(max(2, backend.parallelism)
-                         if choice.strategy == "parallel" else 1),
-            scan_executor=self.scan_executor,
-            scan_backend=("processes" if backend.kind == "processes"
-                          else "threads"),
-            process_executor=self.process_executor,
+            # A parallel plan always partitions: under the serial spec
+            # (or one worker) it still cuts two ways, on threads.
+            backend=(ExecutionBackend(
+                "processes" if backend.kind == "processes" else "threads",
+                max(2, backend.parallelism))
+                if choice.strategy == "parallel" else None),
+            scan_pools=self.scan_pools,
             doc_stats=self.stats)
         try:
             with tracer.span("execute", plan=choice.strategy):

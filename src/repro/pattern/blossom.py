@@ -69,6 +69,12 @@ class BlossomVertex:
         Whether matches of this vertex must be kept in the NestedList
         output (blossoms, join endpoints and output vertices are
         returning; purely existential vertices are not).
+    after_vid:
+        For a ``following-sibling`` step: the vid of the sibling vertex
+        that must match first among the same parent's children.
+    doc_uri:
+        On a ``#root`` vertex: the ``doc(...)`` uri the pattern tree
+        reads (``""`` is the default document); ``None`` elsewhere.
     """
 
     vid: int
@@ -77,6 +83,8 @@ class BlossomVertex:
     variables: list[str] = field(default_factory=list)
     var_kinds: dict[str, str] = field(default_factory=dict)
     returning: bool = False
+    after_vid: int | None = None
+    doc_uri: str | None = None
 
     # Filled in by BlossomTree bookkeeping:
     parent_edge: TreeEdge | None = None
@@ -112,6 +120,9 @@ class TreeEdge:
     child: BlossomVertex
     axis: str          # "child", "descendant", "following-sibling", ...
     mode: str          # MODE_MANDATORY or MODE_OPTIONAL
+    #: Set by NoK decomposition (Algorithm 1): the edge was cut, its
+    #: endpoints live in different NoK trees and a join evaluates it.
+    cut: bool = False
 
     @property
     def is_local(self) -> bool:

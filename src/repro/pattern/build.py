@@ -155,7 +155,7 @@ class _Builder:
         if vertex is None:
             vertex = self.tree.new_root("#root")
             vertex.returning = True
-            setattr(vertex, "doc_uri", uri)
+            vertex.doc_uri = uri
             self._doc_roots[uri] = vertex
         return vertex
 
@@ -197,7 +197,7 @@ class _Builder:
             grand = edge_in.parent
             vertex = self.tree.new_vertex(step.test.name)
             self.tree.add_edge(grand, vertex, "child", mode)
-            setattr(vertex, "after_vid", parent.vid)
+            vertex.after_vid = parent.vid
         else:
             vertex = self.tree.new_vertex(step.test.name)
             self.tree.add_edge(parent, vertex, axis, mode)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pattern.blossom import BlossomTree, BlossomVertex, TreeEdge
+from repro.pattern.blossom import BlossomTree, BlossomVertex
 
 __all__ = ["NoKTree", "InterEdge", "Decomposition", "decompose"]
 
@@ -35,10 +35,6 @@ class NoKTree:
     root: BlossomVertex
     vertices: list[BlossomVertex] = field(default_factory=list)
     doc_uri: str | None = None
-
-    def local_children(self, vertex: BlossomVertex) -> list[TreeEdge]:
-        """Uncut child edges of a member vertex."""
-        return [e for e in vertex.child_edges if not getattr(e, "cut", False)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<NoK{self.nok_id} root=V{self.root.vid} |V|={len(self.vertices)}>"
@@ -80,9 +76,6 @@ class Decomposition:
     def nok_of(self, vertex: BlossomVertex) -> NoKTree:
         return self.noks[self.nok_of_vertex[vertex.vid]]
 
-    def children_noks(self, nok: NoKTree) -> list[InterEdge]:
-        return [e for e in self.inter_edges if e.nok_from == nok.nok_id]
-
     def root_noks(self) -> list[NoKTree]:
         """NoKs whose root is a pattern-tree root (scan anchors)."""
         return [n for n in self.noks if n.root.is_root]
@@ -112,7 +105,7 @@ def decompose(tree: BlossomTree) -> Decomposition:
 
     while pending_roots:
         root = pending_roots.pop(0)
-        nok = NoKTree(len(result.noks), root, doc_uri=getattr(root, "doc_uri", None))
+        nok = NoKTree(len(result.noks), root, doc_uri=root.doc_uri)
         result.noks.append(nok)
 
         members: list[BlossomVertex] = [root]  # the set T, in DFS order
@@ -122,11 +115,11 @@ def decompose(tree: BlossomTree) -> Decomposition:
             local_children: list[BlossomVertex] = []
             for edge in vertex.child_edges:
                 if edge.is_local:
-                    setattr(edge, "cut", False)
+                    edge.cut = False
                     members.append(edge.child)
                     local_children.append(edge.child)
                 else:
-                    setattr(edge, "cut", True)
+                    edge.cut = True
                     if edge.child.vid not in seen_roots:
                         seen_roots.add(edge.child.vid)
                         pending_roots.append(edge.child)
@@ -138,7 +131,7 @@ def decompose(tree: BlossomTree) -> Decomposition:
 
     # Inter edges can only be resolved once every vertex has a NoK id.
     for edge in tree.tree_edges:
-        if getattr(edge, "cut", False):
+        if edge.cut:
             result.inter_edges.append(InterEdge(
                 edge.parent, edge.child, edge.axis, edge.mode,
                 result.nok_of_vertex[edge.parent.vid],

@@ -111,7 +111,7 @@ def match_subtree(vertex: BlossomVertex, node: Node,
 
     entry = NLEntry(vertex, node, len(vertex.child_edges))
     local = [(index, edge) for index, edge in enumerate(vertex.child_edges)
-             if not getattr(edge, "cut", False)]
+             if not edge.cut]
     if not local:
         return entry
 
@@ -124,7 +124,7 @@ def match_subtree(vertex: BlossomVertex, node: Node,
             continue
         for index, edge in local:
             child_vertex = edge.child
-            after = getattr(child_vertex, "after_vid", None)
+            after = child_vertex.after_vid
             if after is not None and after not in matched_vids:
                 continue
             if not child_vertex.matches_tag(child_node.tag):

@@ -15,19 +15,25 @@ by one document pass instead of one pass per NoK.
 from __future__ import annotations
 
 from repro.obs.metrics import REGISTRY
+from repro.pattern.blossom import BlossomVertex
 from repro.pattern.decompose import NoKTree
 from repro.physical.nok import match_subtree
+from repro.xmlkit.arena import ArenaDocument
 from repro.xmlkit.storage import ScanCounters, SequentialScan
 from repro.xmlkit.tree import Document
 from repro.xpath.evaluator import XPathEvaluator
 from repro.algebra.nested_list import NLEntry
 
-__all__ = ["merged_scan"]
+__all__ = ["count_operator", "merged_scan", "scan_range"]
 
 _INVOCATIONS = REGISTRY.counter("repro_operator_invocations_total",
                                 "Physical operator invocations")
 _OUTPUT = REGISTRY.counter("repro_operator_output_total",
                            "Items emitted by physical operators")
+
+#: One dispatch-table entry: a NoK's root vertex, the list its matches
+#: go to, and the counters its match work is charged to.
+_Target = tuple[BlossomVertex, list[NLEntry], ScanCounters]
 
 
 def merged_scan(noks: list[NoKTree], doc: Document,
@@ -49,60 +55,81 @@ def merged_scan(noks: list[NoKTree], doc: Document,
     """
     if counters is None:
         counters = ScanCounters()
+    results = scan_range(noks, doc, counters, per_nok)
+    count_operator("merged_scan", results)
+    return results
+
+
+def count_operator(operator: str, results: dict[int, list[NLEntry]]) -> None:
+    """The operator metrics epilogue of a completed match phase."""
+    _INVOCATIONS.inc(operator=operator)
+    _OUTPUT.inc(sum(len(v) for v in results.values()), operator=operator)
+
+
+def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
+               per_nok: dict[int, ScanCounters] | None = None,
+               start_nid: int = 0, stop_nid: int | None = None
+               ) -> dict[int, list[NLEntry]]:
+    """The match phase's only dispatch loop, over ``[start_nid, stop_nid)``.
+
+    :func:`merged_scan` runs it over the whole document; a partition of
+    the parallel scan — thread or worker process — runs it over its own
+    nid range, and Theorem 1 makes the per-range lists concatenate to
+    the whole-document answer.  Over an :class:`ArenaDocument` the
+    nodes come from its column pre-filter instead of
+    :class:`SequentialScan`; nothing else differs.
+    """
     evaluator = XPathEvaluator()
     results: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
-
-    def counters_for(nok: NoKTree) -> ScanCounters:
-        if per_nok is None:
-            return counters
-        return per_nok.setdefault(nok.nok_id, ScanCounters())
-
-    # Pattern-tree-root NoKs match the document node directly; they do
-    # not need the element scan at all.
-    scannable: list[NoKTree] = []
-    for nok in noks:
-        if nok.root.name == "#root":
-            entry = match_subtree(nok.root, doc.document_node,
-                                  counters_for(nok), evaluator)
-            if entry is not None:
-                results[nok.nok_id].append(entry)
-        else:
-            scannable.append(nok)
 
     # Dispatch table: plain-name roots are looked up by the scanned
     # node's tag instead of testing every NoK against every node;
     # wildcard roots must still see each element.  Same matches, same
     # counters (the tag test never touched ScanCounters), fewer inner
     # loop iterations — this scan runs once per warm-path execution.
-    by_tag: dict[str, list[NoKTree]] = {}
-    wildcard: list[NoKTree] = []
-    for nok in scannable:
-        if nok.root.name == "*":
-            wildcard.append(nok)
-        else:
-            by_tag.setdefault(nok.root.name, []).append(nok)
-
+    by_tag: dict[str, list[_Target]] = {}
+    wildcard: list[_Target] = []
     try:
-        if scannable:
-            scan = SequentialScan(doc, counters)
-            for node in scan:
+        for nok in noks:
+            root = nok.root
+            charged = (counters if per_nok is None
+                       else per_nok.setdefault(nok.nok_id, ScanCounters()))
+            if root.name == "#root":
+                # Pattern-tree-root NoKs match the document node, not a
+                # scanned element.  It is slot 0, so the range starting
+                # there owns it — once per document however it is cut.
+                if start_nid == 0:
+                    entry = match_subtree(root, doc.document_node, charged,
+                                          evaluator)
+                    if entry is not None:
+                        results[nok.nok_id].append(entry)
+            elif root.name == "*":
+                wildcard.append((root, results[nok.nok_id], charged))
+            else:
+                by_tag.setdefault(root.name, []).append(
+                    (root, results[nok.nok_id], charged))
+
+        if by_tag or wildcard:
+            if stop_nid is None:
+                stop_nid = len(doc.nodes)
+            nodes = (doc.element_scan(counters, start_nid, stop_nid,
+                                      None if wildcard else by_tag.keys())
+                     if isinstance(doc, ArenaDocument)
+                     else SequentialScan(doc, counters, start_nid, stop_nid))
+            for node in nodes:
                 named = by_tag.get(node.tag)
                 candidates = (named + wildcard if named and wildcard
                               else named or wildcard)
                 if not candidates:
                     continue
-                for nok in candidates:
-                    entry = match_subtree(nok.root, node, counters_for(nok),
-                                          evaluator)
+                for root, matched, charged in candidates:
+                    entry = match_subtree(root, node, charged, evaluator)
                     if entry is not None:
-                        results[nok.nok_id].append(entry)
+                        matched.append(entry)
     finally:
         # Fold private per-NoK work back into the shared totals even when
         # the scan aborts on a budget trip (DNF).
         if per_nok is not None:
             for private in per_nok.values():
                 counters.merge(private)
-
-    _INVOCATIONS.inc(operator="merged_scan")
-    _OUTPUT.inc(sum(len(v) for v in results.values()), operator="merged_scan")
     return results

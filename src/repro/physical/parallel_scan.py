@@ -1,10 +1,10 @@
-"""Partition-parallel merged NoK evaluation.
+"""Partition-parallel merged NoK evaluation: one kernel, three drivers.
 
-The parallel twin of :func:`~repro.physical.nok_merge.merged_scan`:
-the document is cut into Dewey-contiguous subtree partitions
-(:mod:`repro.xmlkit.partition`), each partition is scanned by an
-executor task running the same dispatch loop as the serial merged scan,
-and the per-NoK match lists are concatenated in partition order.
+The document is cut into Dewey-contiguous subtree partitions
+(:mod:`repro.xmlkit.partition`); every partition runs
+:func:`~repro.physical.nok_merge.scan_range` — the serial merged scan's
+own dispatch loop — on its nid range, and the per-NoK match lists are
+concatenated in partition order.
 
 Correctness rests on Theorem 1's order argument: the serial scan emits
 matches in document order, each partition is a contiguous slice of that
@@ -12,63 +12,67 @@ order, and the partitions tile the arena — so concatenation in
 partition order *is* the serial output, bit for bit.  The differential
 test suite asserts exactly that, match list by match list.
 
+The drivers differ only in where a partition runs — the calling thread
+(one partition: the serial scan), a thread of a
+:class:`~concurrent.futures.ThreadPoolExecutor` over the live object
+tree, or a worker process over the mmap-shared arena
+(:mod:`repro.physical.process_scan`).  Each hands back one
+:class:`PartitionOutcome` per partition; everything after that — the
+counter fold, the first-error-in-partition-order raise, the
+``partition-scan`` spans, the operator metrics — is this module's
+coordinator, once.
+
 Deviations from the serial operator, by design:
 
-* ``counters.scans_started`` grows by one per partition (each partition
-  opens its own :class:`~repro.xmlkit.storage.SequentialScan`);
-  ``nodes_scanned`` still counts every arena slot exactly once.
+* ``counters.scans_started`` grows by one per partition (each opens its
+  own scan); ``nodes_scanned`` still counts every arena slot once.
 * The work ``budget`` is an approximate **global** cap: partitions fold
-  their scanned count into one shared cell every
-  :data:`~repro.physical.parallel_scan._BUDGET_STRIDE` nodes and abort
-  once the total exceeds the budget.  Keeping the synchronized counter
-  off the hottest loop means the cap can overshoot by at most
-  ``partitions × stride`` nodes — bounded, unlike the old per-partition
-  cap, which could overshoot by ``partitions × budget``.
-* Pattern-tree-root (``#root``) NoKs are matched once on the document
-  node by the coordinator, never inside a partition task.  Plans that
-  reach this operator through the ``parallel`` strategy are refused by
-  analyzer rule PL004 when they contain ``#root``-rooted NoKs; calling
-  the operator directly with them is still correct.
+  their scanned count into one shared cell once per
+  :class:`PartitionToken` stride and abort once the total exceeds the
+  budget.  Keeping the synchronized counter off the hottest loop means
+  the cap can overshoot by at most ``partitions × stride`` nodes —
+  bounded, unlike a per-partition cap, which could overshoot by
+  ``partitions × budget``.
+* Plans that reach this operator through the ``parallel`` strategy are
+  refused by analyzer rule PL004 when they contain ``#root``-rooted
+  NoKs; calling the operator directly with them is still correct (the
+  partition that starts at slot 0 matches them).
 
-Cancellation stays cooperative: the shared
-:class:`~repro.xmlkit.storage.CancellationToken` is checkpointed from
-every partition's scan loop, so a deadline or cancel is observed within
-one stride in every task.
-
-Two execution backends share this contract: ``backend="threads"`` runs
-the partition tasks on a :class:`~concurrent.futures.ThreadPoolExecutor`
-over the live object tree, while ``backend="processes"`` delegates to
-:mod:`repro.physical.process_scan`, which replays the same dispatch
-loop in worker processes over an mmap-shared flat arena
-(:mod:`repro.xmlkit.arena`).
+Cancellation stays cooperative: a deadline or cancel is observed within
+one stride in every partition.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from collections.abc import Callable, MutableSequence
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import AbstractContextManager
+from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING
 
-from repro.errors import DNFError
+from repro.errors import DNFError, QueryCancelledError, ReproError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Span, Tracer
 from repro.pattern.decompose import NoKTree
-from repro.physical.nok import match_subtree
-from repro.physical.nok_merge import merged_scan
+from repro.physical.nok_merge import count_operator, merged_scan, scan_range
 from repro.xmlkit.partition import Partition, partition_document
 from repro.xmlkit.stats import DocumentStats
-from repro.xmlkit.storage import ScanCounters, SequentialScan
+from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xmlkit.tree import Document
-from repro.xpath.evaluator import XPathEvaluator
 from repro.algebra.nested_list import NLEntry
 
-__all__ = ["parallel_merged_scan", "shared_scan_executor"]
+if TYPE_CHECKING:
+    from repro.engine.backend import ExecutionBackend
+    from repro.physical.process_scan import ProcessScanBackend
 
-_INVOCATIONS = REGISTRY.counter("repro_operator_invocations_total",
-                                "Physical operator invocations")
-_OUTPUT = REGISTRY.counter("repro_operator_output_total",
-                           "Items emitted by physical operators")
+__all__ = ["PartitionOutcome", "PartitionToken", "ScanPools", "SharedAbort",
+           "parallel_merged_scan", "run_partition"]
+
 _PARTITION_SCANS = REGISTRY.counter(
     "repro_partition_scans_total",
     "Partition scan tasks executed by the parallel merged scan")
@@ -77,39 +81,209 @@ _PARTITION_FALLBACKS = REGISTRY.counter(
     "Parallel scan requests that collapsed to a single-partition "
     "serial scan")
 
-#: Nodes a partition scans between folds into the shared budget cell.
-_BUDGET_STRIDE = 256
 
-_shared_lock = threading.Lock()
-_shared_executor: ThreadPoolExecutor | None = None
+# ----------------------------------------------------------------------
+# One partition: the kernel on a nid range, paced by a PartitionToken;
+# and the threads driver, which needs nothing more.
+# ----------------------------------------------------------------------
+
+@dataclass
+class SharedAbort:
+    """What the partitions of one query run share, wherever they run."""
+
+    budget: int | None
+    deadline: float | None
+    timeout_ms: float | None
+    #: True once the query was cancelled (threads: the caller's token)
+    #: or the process driver raised the slot's cancel byte.
+    cancelled: Callable[[], bool]
+    #: The query-wide scanned-node total is ``cells[index]``, guarded by
+    #: ``lock``: a one-element list for threads, one slot of the pool's
+    #: shared array for worker processes.
+    cells: MutableSequence[int]
+    index: int
+    lock: AbstractContextManager
 
 
-def shared_scan_executor() -> ThreadPoolExecutor:
-    """The process-wide scan pool, created lazily on first parallel scan.
+class PartitionToken(CancellationToken):
+    """One partition's view of its query's :class:`SharedAbort` state.
 
-    Serving stacks (``QueryService``) pass their own pool instead, so
-    partition tasks ride the same workers as the queries themselves.
+    The scan checkpoints it like any token; every stride :meth:`check`
+    looks at the shared cancel flag and the absolute deadline
+    (CLOCK_MONOTONIC is system-wide on Linux, so the coordinator's
+    deadline transfers verbatim to a worker process) and folds the
+    nodes this partition scanned since the last check into the shared
+    total — the approximate global work budget.  Constructing it
+    installs it as ``counters.cancellation``.
     """
-    global _shared_executor
-    if _shared_executor is None:
-        with _shared_lock:
-            if _shared_executor is None:
-                _shared_executor = ThreadPoolExecutor(
-                    max_workers=min(8, os.cpu_count() or 4),
-                    thread_name_prefix="repro-scan")
-    return _shared_executor
 
+    __slots__ = ("_counters", "_shared", "_folded")
+
+    def __init__(self, counters: ScanCounters, shared: SharedAbort) -> None:
+        super().__init__()
+        self.deadline = shared.deadline
+        self.timeout_ms = shared.timeout_ms
+        self._counters = counters
+        self._shared = shared
+        self._folded = 0
+        counters.cancellation = self
+
+    def check(self) -> None:
+        shared = self._shared
+        if shared.cancelled():
+            raise QueryCancelledError()
+        super().check()
+        delta = self._counters.nodes_scanned - self._folded
+        if shared.budget is not None and delta:
+            self._folded += delta
+            with shared.lock:
+                shared.cells[shared.index] += delta
+                total = shared.cells[shared.index]
+            if total > shared.budget:
+                self._counters.trip_budget()
+                raise DNFError("parallel scan exceeded the global "
+                               "work budget", budget=shared.budget)
+
+
+@dataclass
+class PartitionOutcome:
+    """What a driver hands the coordinator for one partition."""
+
+    #: ``{nok_id: matches}`` over the coordinator's document (empty
+    #: when the partition aborted).
+    matches: dict[int, list[NLEntry]] = field(default_factory=dict)
+    #: The partition's private work, per-NoK work already folded in.
+    counters: ScanCounters = field(default_factory=ScanCounters)
+    per_nok: dict[int, ScanCounters] | None = None
+    #: ``perf_counter_ns`` at start and end of the partition task.
+    times: tuple[int, int] = (0, 0)
+    #: Set when the partition aborted, or its task died without
+    #: reporting (then everything else is empty).
+    error: BaseException | None = None
+
+
+def run_partition(noks: list[NoKTree], doc: Document, start_nid: int,
+                  stop_nid: int, shared: SharedAbort | None,
+                  want_per_nok: bool) -> PartitionOutcome:
+    """Scan ``[start_nid, stop_nid)`` — the body of every partition task.
+
+    Query-level aborts (DNF, deadline, cancel, evaluation errors) come
+    back in the outcome rather than raising, so the coordinator can fold
+    the partial counters of an aborted partition exactly like the serial
+    operator's ``finally``.  ``shared`` is ``None`` when the query has
+    nothing to enforce, and the scan then runs without a token.
+    """
+    outcome = PartitionOutcome(per_nok={} if want_per_nok else None)
+    token = (PartitionToken(outcome.counters, shared)
+             if shared is not None else None)
+    started = time.perf_counter_ns()
+    try:
+        outcome.matches = scan_range(noks, doc, outcome.counters,
+                                     outcome.per_nok, start_nid, stop_nid)
+        # The tail shorter than a stride still counts against the
+        # budget, and a query already cancelled must not report success.
+        if token is not None:
+            token.check()
+    except ReproError as exc:
+        outcome.error = exc
+    outcome.times = (started, time.perf_counter_ns())
+    return outcome
+
+
+def _scan_on_threads(pool: ThreadPoolExecutor, noks: list[NoKTree],
+                     doc: Document, partitions: list[Partition],
+                     counters: ScanCounters, want_per_nok: bool
+                     ) -> list[PartitionOutcome]:
+    """The threads driver: every partition on ``pool``, outcomes in order."""
+    token = counters.cancellation
+    shared = None
+    # No budget and no token: nothing can abort the query, so the
+    # partitions skip the per-node checkpoint altogether.
+    if counters.budget is not None or token is not None:
+        shared = SharedAbort(
+            counters.budget, token.deadline if token else None,
+            token.timeout_ms if token else None,
+            cancelled=lambda: token is not None and token.cancelled,
+            cells=[counters.nodes_scanned], index=0, lock=threading.Lock())
+    futures = [pool.submit(run_partition, noks, doc, part.start_nid,
+                           part.stop_nid, shared, want_per_nok)
+               for part in partitions]
+    wait(futures)
+    outcomes = []
+    for future in futures:
+        error = future.exception()
+        outcomes.append(future.result() if error is None
+                        else PartitionOutcome(error=error))
+    return outcomes
+
+
+# ----------------------------------------------------------------------
+# Pools: one lazy owner object per stack, one process-wide fallback.
+# ----------------------------------------------------------------------
+
+class ScanPools:
+    """Owner object for one stack's scan executors, both lazy.
+
+    Engines, databases and query services each hold one; ``close()``
+    drains and shuts down whatever was actually spawned (satisfying the
+    deterministic-cleanup contract without paying for pools that were
+    never used).
+    """
+
+    def __init__(self, thread_workers: int | None = None,
+                 process_workers: int | None = None) -> None:
+        self._thread_workers = thread_workers
+        self._process_workers = process_workers
+        self._lock = threading.Lock()
+        self._threads: ThreadPoolExecutor | None = None
+        self._processes: ProcessScanBackend | None = None
+
+    def thread_pool(self) -> ThreadPoolExecutor:
+        with self._lock:
+            if self._threads is None:
+                workers = self._thread_workers or min(8, os.cpu_count() or 4)
+                self._threads = ThreadPoolExecutor(
+                    max_workers=workers, thread_name_prefix="repro-scan")
+            return self._threads
+
+    def process_backend(self) -> ProcessScanBackend:
+        from repro.physical.process_scan import ProcessScanBackend
+
+        with self._lock:
+            if self._processes is None:
+                workers = self._process_workers or min(4, os.cpu_count() or 1)
+                self._processes = ProcessScanBackend(max_workers=workers)
+            return self._processes
+
+    def close(self, wait: bool = True) -> None:
+        with self._lock:
+            threads, self._threads = self._threads, None
+            processes, self._processes = self._processes, None
+        if threads is not None:
+            threads.shutdown(wait=wait, cancel_futures=True)
+        if processes is not None:
+            processes.close(wait=wait)
+
+
+#: Process-wide fallback for engines without an owner stack.  Serving
+#: stacks (``Database``, ``QueryService``) pass their own instead, so
+#: their ``close()`` is deterministic.
+_SHARED_POOLS = ScanPools()
+atexit.register(_SHARED_POOLS.close)
+
+
+# ----------------------------------------------------------------------
+# The coordinator.
+# ----------------------------------------------------------------------
 
 def parallel_merged_scan(noks: list[NoKTree], doc: Document,
                          counters: ScanCounters | None = None,
                          per_nok: dict[int, ScanCounters] | None = None,
                          *,
-                         parallelism: int = 2,
+                         backend: ExecutionBackend,
+                         pools: ScanPools | None = None,
                          stats: DocumentStats | None = None,
                          partitions: list[Partition] | None = None,
-                         executor: Executor | None = None,
-                         backend: str = "threads",
-                         process_backend: object | None = None,
                          tracer: Tracer | None = None,
                          ) -> dict[int, list[NLEntry]]:
     """Evaluate several NoK pattern trees over partition-parallel scans.
@@ -117,9 +291,10 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
     Same contract as :func:`~repro.physical.nok_merge.merged_scan`
     (per-NoK match lists in document order; optional ``per_nok`` work
     attribution folded back into the shared ``counters``), evaluated as
-    one scan task per partition on ``executor`` (``backend="threads"``)
-    or on a :class:`~repro.physical.process_scan.ProcessScanBackend`
-    worker pool over the mmap-shared arena (``backend="processes"``).
+    one scan task per partition.  ``backend`` names the driver and the
+    fan-out — ``backend.parallelism`` partitions on the process pool
+    for ``kind="processes"``, on the thread pool otherwise — and
+    ``pools`` owns those pools (``None``: the process-wide fallback).
 
     ``partitions`` overrides the stats-driven partitioning (tests use
     this to force fine-grained cuts on small documents); with a single
@@ -128,202 +303,58 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
     if counters is None:
         counters = ScanCounters()
     if partitions is None:
-        partitions = partition_document(doc, parallelism, stats=stats)
+        partitions = partition_document(doc, backend.parallelism,
+                                        stats=stats)
     if len(partitions) <= 1:
         _PARTITION_FALLBACKS.inc()
         return merged_scan(noks, doc, counters, per_nok)
 
-    results: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
-
-    def counters_for(nok: NoKTree) -> ScanCounters:
-        if per_nok is None:
-            return counters
-        return per_nok.setdefault(nok.nok_id, ScanCounters())
-
-    # #root NoKs match the document node directly, exactly once, in the
-    # coordinator — they are independent of the element scan.
-    evaluator = XPathEvaluator()
-    scannable: list[NoKTree] = []
-    for nok in noks:
-        if nok.root.name == "#root":
-            entry = match_subtree(nok.root, doc.document_node,
-                                  counters_for(nok), evaluator)
-            if entry is not None:
-                results[nok.nok_id].append(entry)
-        else:
-            scannable.append(nok)
-
-    if not scannable:
-        _INVOCATIONS.inc(operator="parallel_scan")
-        _OUTPUT.inc(sum(len(v) for v in results.values()),
-                    operator="parallel_scan")
-        return results
-
-    if backend == "processes":
-        from repro.physical import process_scan
-
-        pool_backend = (process_backend if process_backend is not None
-                        else process_scan.shared_process_backend())
-        assert isinstance(pool_backend, process_scan.ProcessScanBackend)
-        results = process_scan.run_process_scan(
-            pool_backend, doc, scannable, partitions, counters, per_nok,
-            results, tracer)
-        _INVOCATIONS.inc(operator="parallel_scan")
-        _OUTPUT.inc(sum(len(v) for v in results.values()),
-                    operator="parallel_scan")
-        return results
-
-    # Shared read-only dispatch table (same as the serial merged scan).
-    by_tag: dict[str, list[NoKTree]] = {}
-    wildcard: list[NoKTree] = []
-    for nok in scannable:
-        if nok.root.name == "*":
-            wildcard.append(nok)
-        else:
-            by_tag.setdefault(nok.root.name, []).append(nok)
-
-    # Per-partition private state, indexed by partition order so the
-    # coordinator can merge deterministically even after an abort.
-    n_parts = len(partitions)
-    part_results: list[dict[int, list[NLEntry]] | None] = [None] * n_parts
-    part_counters: list[ScanCounters | None] = [None] * n_parts
-    part_per_nok: list[dict[int, ScanCounters] | None] = [None] * n_parts
-    part_times: list[tuple[int, int]] = [(0, 0)] * n_parts
-
-    # The work budget is enforced globally: partitions run with no local
-    # budget and instead fold their scanned count into this shared cell
-    # every _BUDGET_STRIDE nodes, aborting once the total is over.
-    budget = counters.budget
-    budget_lock = threading.Lock()
-    budget_cell = [counters.nodes_scanned]
-
-    def run_partition(part: Partition) -> None:
-        local_counters = ScanCounters(cancellation=counters.cancellation)
-        local_per_nok: dict[int, ScanCounters] | None = (
-            {} if per_nok is not None else None)
-        local: dict[int, list[NLEntry]] = {
-            nok.nok_id: [] for nok in scannable}
-        part_results[part.index] = local
-        part_counters[part.index] = local_counters
-        part_per_nok[part.index] = local_per_nok
-        local_eval = XPathEvaluator()
-
-        def local_counters_for(nok: NoKTree) -> ScanCounters:
-            if local_per_nok is None:
-                return local_counters
-            return local_per_nok.setdefault(nok.nok_id, ScanCounters())
-
-        flushed = 0
-
-        def flush_budget(enforce: bool) -> None:
-            nonlocal flushed
-            delta = local_counters.nodes_scanned - flushed
-            if not delta:
-                return
-            flushed = local_counters.nodes_scanned
-            with budget_lock:
-                budget_cell[0] += delta
-                total = budget_cell[0]
-            if enforce and budget is not None and total > budget:
-                local_counters.trip_budget()
-                raise DNFError("parallel scan exceeded the global "
-                               "work budget", budget=budget)
-
-        started = time.perf_counter_ns()
-        try:
-            scan = SequentialScan(doc, local_counters,
-                                  part.start_nid, part.stop_nid)
-            for node in scan:
-                if (budget is not None
-                        and local_counters.nodes_scanned - flushed
-                        >= _BUDGET_STRIDE):
-                    flush_budget(True)
-                named = by_tag.get(node.tag)
-                candidates = (named + wildcard if named and wildcard
-                              else named or wildcard)
-                if not candidates:
-                    continue
-                for nok in candidates:
-                    entry = match_subtree(nok.root, node,
-                                          local_counters_for(nok),
-                                          local_eval)
-                    if entry is not None:
-                        local[nok.nok_id].append(entry)
-            if budget is not None:
-                flush_budget(True)
-        finally:
-            flush_budget(False)
-            part_times[part.index] = (started, time.perf_counter_ns())
-            _PARTITION_SCANS.inc()
-
-    pool = executor if executor is not None else shared_scan_executor()
-    futures = [pool.submit(run_partition, part) for part in partitions]
-    wait(futures)
+    # A token tripped before dispatch must fail the query up front —
+    # the serial scan would raise at its first checkpoint.
+    if counters.cancellation is not None:
+        counters.cancellation.check()
+    if pools is None:
+        pools = _SHARED_POOLS
+    driver = (pools.process_backend().scan if backend.kind == "processes"
+              else partial(_scan_on_threads, pools.thread_pool()))
+    outcomes = driver(noks, doc, partitions, counters, per_nok is not None)
 
     try:
         # Surface the first failure in partition order (deterministic
-        # regardless of thread scheduling); DNF/timeout/cancel all
-        # propagate exactly as they do from the serial scan.
-        for future in futures:
-            exc = future.exception()
-            if exc is not None:
-                raise exc
+        # regardless of scheduling); DNF/timeout/cancel all propagate
+        # exactly as they do from the serial scan.
+        for outcome in outcomes:
+            if outcome.error is not None:
+                raise outcome.error
     finally:
         # Fold every partition's work into the shared totals — aborted
         # partitions included, mirroring the serial operator's
         # ``finally`` merge of private per-NoK counters.
-        for index in range(n_parts):
-            local_counters = part_counters[index]
-            if local_counters is None:
-                continue
-            local_per_nok = part_per_nok[index]
-            if local_per_nok is not None:
-                for nok_id, private in local_per_nok.items():
-                    assert per_nok is not None
+        for outcome in outcomes:
+            counters.merge(outcome.counters)
+            if per_nok is not None and outcome.per_nok is not None:
+                for nok_id, private in outcome.per_nok.items():
                     per_nok.setdefault(nok_id, ScanCounters()).merge(private)
-                    local_counters.merge(private)
-            counters.merge(local_counters)
-        _emit_partition_spans(tracer, partitions, part_times, part_results)
+            _PARTITION_SCANS.inc()
+        # The tracer's stack is owned by this thread, so partition tasks
+        # only record raw timestamps; their spans are materialised here,
+        # after the barrier, preserving measured wall time.
+        parent = tracer.current() if tracer is not None else None
+        if parent is not None:
+            for part, outcome in zip(partitions, outcomes):
+                span = Span("partition-scan", {
+                    "partition": part.index,
+                    "start_nid": part.start_nid,
+                    "stop_nid": part.stop_nid,
+                    "backend": backend.kind,
+                    "matches": sum(len(v) for v in outcome.matches.values()),
+                })
+                span.start_ns, span.end_ns = outcome.times
+                parent.children.append(span)
 
-    for index in range(n_parts):
-        local = part_results[index]
-        if local is None:
-            continue
-        for nok_id, entries in local.items():
+    results: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
+    for outcome in outcomes:
+        for nok_id, entries in outcome.matches.items():
             results[nok_id].extend(entries)
-
-    _INVOCATIONS.inc(operator="parallel_scan")
-    _OUTPUT.inc(sum(len(v) for v in results.values()),
-                operator="parallel_scan")
+    count_operator("parallel_scan", results)
     return results
-
-
-def _emit_partition_spans(tracer: Tracer | None,
-                          partitions: list[Partition],
-                          part_times: list[tuple[int, int]],
-                          part_results: list[dict[int, list[NLEntry]] | None],
-                          ) -> None:
-    """Attach one child span per partition to the open tracer span.
-
-    The tracer's stack is owned by the coordinating thread, so worker
-    tasks only record raw timestamps; the coordinator materialises the
-    spans after the barrier, preserving measured wall time.
-    """
-    if tracer is None:
-        return
-    parent = tracer.current()
-    if parent is None:
-        return
-    for part in partitions:
-        started, ended = part_times[part.index]
-        local = part_results[part.index]
-        span = Span("partition-scan", {
-            "partition": part.index,
-            "start_nid": part.start_nid,
-            "stop_nid": part.stop_nid,
-            "matches": (sum(len(v) for v in local.values())
-                        if local is not None else 0),
-        })
-        span.start_ns = started
-        span.end_ns = ended
-        parent.children.append(span)

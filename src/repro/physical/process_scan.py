@@ -1,9 +1,10 @@
-"""Process execution backend for the partition-parallel merged scan.
+"""Process driver for the partition-parallel merged scan.
 
 Threads bought the Theorem-1 architecture but not the speed — the GIL
-serializes the per-node dispatch loop.  This module runs the same loop
-in **worker processes** over the mmap-shared flat arena
-(:mod:`repro.xmlkit.arena`):
+serializes the per-node dispatch loop.  This module runs the same
+partition body (:func:`~repro.physical.parallel_scan.run_partition`) in
+**worker processes** over the mmap-shared flat arena
+(:mod:`repro.xmlkit.arena`), and holds only what is specific to that:
 
 * a persistent :class:`~concurrent.futures.ProcessPoolExecutor` is kept
   warm per :class:`ProcessScanBackend` owner (engine, database or query
@@ -12,11 +13,11 @@ in **worker processes** over the mmap-shared flat arena
   pickled NoK trees and four integers per partition;
 * results come back as **compact nid arrays** (a pre-order flattening of
   each NestedList: root nid, then per-child-group counts and entries,
-  recursively).  The coordinator decodes them against the *real*
-  document's nodes in partition order, so downstream joins see ordinary
-  identity-stable :class:`~repro.xmlkit.tree.Node` objects and the
-  concatenated output is bit-identical to the serial scan (Theorem 1 —
-  the order argument is representation-independent);
+  recursively).  They are decoded against the *real* document's nodes,
+  so downstream joins see ordinary identity-stable
+  :class:`~repro.xmlkit.tree.Node` objects and the concatenated output
+  is bit-identical to the serial scan (Theorem 1 — the order argument
+  is representation-independent);
 * cancellation stays cooperative across the process boundary: each
   query run owns a **slot** in two small shared arrays created with the
   pool — a cancel byte the coordinator sets on deadline expiry, failure
@@ -25,50 +26,37 @@ in **worker processes** over the mmap-shared flat arena
 * a worker crash surfaces as a clean
   :class:`~repro.errors.ExecutionError` — never a hang — and the pool
   is rebuilt for the next query.
-
-Counter semantics mirror the thread backend exactly: workers run real
-:class:`~repro.xmlkit.storage.ScanCounters` (plus per-NoK attribution
-when requested) and return snapshots the coordinator folds into the
-shared totals, aborted partitions included.
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
 import mmap
 import multiprocessing
-import os
 import pickle
 import threading
 import time
 from array import array
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro.algebra.nested_list import NLEntry
-from repro.errors import (DNFError, ExecutionError, QueryCancelledError,
-                          QueryTimeoutError, ReproError)
+from repro.errors import ExecutionError
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import Tracer
 from repro.pattern.decompose import NoKTree
-from repro.physical.nok import match_subtree
+from repro.physical.parallel_scan import (PartitionOutcome, SharedAbort,
+                                          run_partition)
 from repro.xmlkit.arena import ArenaDocument, DocumentArena, arena_file_for
 from repro.xmlkit.partition import Partition
 from repro.xmlkit.storage import ScanCounters
-from repro.xmlkit.tree import ELEMENT, Document
-from repro.xpath.evaluator import XPathEvaluator
+from repro.xmlkit.tree import Document
 
-__all__ = ["ProcessScanBackend", "ScanPools", "run_process_scan",
-           "shared_process_backend", "shutdown_shared_process_backend"]
+__all__ = ["ProcessScanBackend"]
 
-_PARTITION_SCANS = REGISTRY.counter(
-    "repro_partition_scans_total",
-    "Partition scan tasks executed by the parallel merged scan")
 _WORKER_CRASHES = REGISTRY.counter(
     "repro_scan_worker_crashes_total",
     "Process-backend scan pools rebuilt after a worker crash")
@@ -76,9 +64,6 @@ _WORKER_CRASHES = REGISTRY.counter(
 #: Concurrent process-parallel queries one pool can track; each running
 #: query owns one slot in the shared cancel/budget arrays.
 _SLOT_COUNT = 64
-#: Worker-side checkpoint stride (nodes between shared-state checks),
-#: matching the CancellationToken default.
-_STRIDE = 256
 
 
 def _fork_context() -> multiprocessing.context.BaseContext:
@@ -126,11 +111,6 @@ class ProcessScanBackend:
                     initargs=(self._cancel, self._budget))
             return self._pool
 
-    def alive(self) -> bool:
-        """True when a pool exists (spawned and not shut down)."""
-        with self._lock:
-            return self._pool is not None
-
     def _discard_broken(self) -> None:
         """Drop a crashed pool so the next query spawns a fresh one."""
         with self._lock:
@@ -175,235 +155,88 @@ class ProcessScanBackend:
             if self._cancel is not None:
                 self._cancel[index] = 1
 
-    def submit(self, *args: Any) -> Future:
-        return self._ensure().submit(_scan_partition_task, *args)
+    # -- one query run --------------------------------------------------
 
+    def scan(self, noks: list[NoKTree], doc: Document,
+             partitions: list[Partition], counters: ScanCounters,
+             want_per_nok: bool) -> list[PartitionOutcome]:
+        """Fan the partitions out to the workers; outcomes in order.
 
-class ScanPools:
-    """Owner object for one stack's scan executors, both lazy.
+        Matches come back decoded against ``doc``'s own nodes.  A
+        partition whose worker died reports the crash as its error; the
+        first failure of any kind raises the slot's cancel byte, so the
+        surviving partitions stop within one stride instead of scanning
+        to completion.
+        """
+        path = arena_file_for(doc)
+        blob = pickle.dumps(noks, protocol=pickle.HIGHEST_PROTOCOL)
+        roots = {nok.nok_id: nok.root for nok in noks}
+        token = counters.cancellation
+        deadline = token.deadline if token is not None else None
+        timeout_ms = token.timeout_ms if token is not None else None
+        outcomes: dict[int, PartitionOutcome] = {}
+        crashed: BrokenProcessPool | None = None
 
-    Engines, databases and query services each hold one; ``close()``
-    drains and shuts down whatever was actually spawned (satisfying the
-    deterministic-cleanup contract without paying for pools that were
-    never used).
-    """
+        with self.slot(initial_scanned=counters.nodes_scanned) as slot:
+            try:
+                pool = self._ensure()
+                futures = {
+                    pool.submit(_scan_partition_task, path, blob,
+                                part.start_nid, part.stop_nid, slot,
+                                counters.budget, deadline, timeout_ms,
+                                want_per_nok): part.index
+                    for part in partitions}
+            except BrokenProcessPool as exc:
+                self._discard_broken()
+                raise ExecutionError(
+                    "parallel scan worker pool is broken; restarting it "
+                    f"for the next query ({exc})") from exc
+            pending = set(futures)
+            while pending:
+                done, pending = futures_wait(pending, timeout=0.05)
+                for future in done:
+                    exc = future.exception()
+                    if isinstance(exc, BrokenProcessPool):
+                        crashed = exc
+                        continue
+                    if exc is None:
+                        # Matches travel as nid arrays; rebuild them on
+                        # the real document's nodes.
+                        outcome = future.result()
+                        outcome.matches = {
+                            nok_id: _decode_match_list(roots[nok_id], data,
+                                                       doc.nodes)
+                            for nok_id, data in outcome.matches.items()}
+                    else:
+                        # A task that died of a bug has its traceback in
+                        # another process; never drop its partition.
+                        error = ExecutionError(
+                            f"parallel scan worker task failed: {exc!r}")
+                        error.__cause__ = exc
+                        outcome = PartitionOutcome(error=error)
+                    outcomes[futures[future]] = outcome
+                    if outcome.error is not None:
+                        self.cancel_slot(slot)
+                if crashed is not None:
+                    # A dead worker can leave siblings queued forever on a
+                    # broken pool; everything left fails with the same error.
+                    for future in pending:
+                        future.cancel()
+                    break
+                if token is not None and (token.cancelled
+                                          or token.expired()):
+                    self.cancel_slot(slot)
 
-    def __init__(self, thread_workers: int | None = None,
-                 process_workers: int | None = None,
-                 thread_name_prefix: str = "repro-scan") -> None:
-        self._thread_workers = thread_workers
-        self._process_workers = process_workers
-        self._prefix = thread_name_prefix
-        self._lock = threading.Lock()
-        self._threads: ThreadPoolExecutor | None = None
-        self._processes: ProcessScanBackend | None = None
-
-    def thread_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._threads is None:
-                workers = self._thread_workers or min(8, os.cpu_count() or 4)
-                self._threads = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix=self._prefix)
-            return self._threads
-
-    def process_backend(self) -> ProcessScanBackend:
-        with self._lock:
-            if self._processes is None:
-                workers = self._process_workers or min(4, os.cpu_count() or 1)
-                self._processes = ProcessScanBackend(max_workers=workers)
-            return self._processes
-
-    def close(self, wait: bool = True) -> None:
-        with self._lock:
-            threads, self._threads = self._threads, None
-            processes, self._processes = self._processes, None
-        if threads is not None:
-            threads.shutdown(wait=wait, cancel_futures=True)
-        if processes is not None:
-            processes.close(wait=wait)
-
-
-_shared_lock = threading.Lock()
-_shared_backend: ProcessScanBackend | None = None
-
-
-def shared_process_backend() -> ProcessScanBackend:
-    """Process-wide fallback pool for engines without an owner stack
-    (mirrors :func:`repro.physical.parallel_scan.shared_scan_executor`)."""
-    global _shared_backend
-    with _shared_lock:
-        if _shared_backend is None:
-            _shared_backend = ProcessScanBackend(
-                max_workers=min(4, os.cpu_count() or 1))
-        return _shared_backend
-
-
-def shutdown_shared_process_backend() -> None:
-    global _shared_backend
-    with _shared_lock:
-        backend, _shared_backend = _shared_backend, None
-    if backend is not None:
-        backend.close(wait=True)
-
-
-atexit.register(shutdown_shared_process_backend)
-
-
-# ----------------------------------------------------------------------
-# Coordinator side.
-# ----------------------------------------------------------------------
-
-def run_process_scan(backend: ProcessScanBackend, doc: Document,
-                     scannable: list[NoKTree],
-                     partitions: list[Partition],
-                     counters: ScanCounters,
-                     per_nok: dict[int, ScanCounters] | None,
-                     results: dict[int, list[NLEntry]],
-                     tracer: Tracer | None) -> dict[int, list[NLEntry]]:
-    """Fan the partitions out to worker processes and merge in order.
-
-    ``results`` arrives pre-seeded with the coordinator-matched ``#root``
-    NoKs; this function extends it with the decoded worker matches in
-    partition order and folds every partition's counters back, mirroring
-    the thread backend's ``finally`` semantics exactly.
-    """
-    path = arena_file_for(doc)
-    blob = pickle.dumps(scannable, protocol=pickle.HIGHEST_PROTOCOL)
-    by_id = {nok.nok_id: nok for nok in scannable}
-    token = counters.cancellation
-    # A token tripped before dispatch must fail the query up front —
-    # the serial scan would raise at its first checkpoint, and small
-    # partitions can finish before the poll loop below ever observes
-    # the token and raises the shared cancel flag.
-    if token is not None:
-        if token.cancelled:
-            raise QueryCancelledError()
-        if token.expired():
-            raise QueryTimeoutError(timeout_ms=token.timeout_ms)
-    deadline = token.deadline if token is not None else None
-    timeout_ms = token.timeout_ms if token is not None else None
-    n_parts = len(partitions)
-    payloads: list[tuple | None] = [None] * n_parts
-    crashed: BrokenProcessPool | None = None
-
-    with backend.slot(initial_scanned=counters.nodes_scanned) as slot:
-        try:
-            futures = {
-                backend.submit(path, blob, part.start_nid, part.stop_nid,
-                               slot, counters.budget, deadline, timeout_ms,
-                               per_nok is not None): part.index
-                for part in partitions}
-        except BrokenProcessPool as exc:
-            backend._discard_broken()
-            raise ExecutionError(
-                "parallel scan worker pool is broken; restarting it "
-                f"for the next query ({exc})") from exc
-        pending = set(futures)
-        cancelled_slot = False
-        while pending:
-            done, pending = futures_wait(pending, timeout=0.05)
-            for future in done:
-                exc = future.exception()
-                if isinstance(exc, BrokenProcessPool):
-                    crashed = exc
-                payload = future.result() if exc is None else None
-                if payload is not None:
-                    payloads[futures[future]] = payload
-                failed = exc is not None or (payload is not None
-                                             and payload[0] != "ok")
-                if failed and not cancelled_slot:
-                    # Tell the surviving partitions to stop within one
-                    # stride instead of scanning to completion.
-                    backend.cancel_slot(slot)
-                    cancelled_slot = True
-            if crashed is not None and pending:
-                # A dead worker can leave siblings queued forever on a
-                # broken pool; everything left fails with the same error.
-                for future in pending:
-                    future.cancel()
-                break
-            if (not cancelled_slot and token is not None
-                    and (token.cancelled or token.expired())):
-                backend.cancel_slot(slot)
-                cancelled_slot = True
-
-    first_error: ReproError | None = None
-    try:
         if crashed is not None:
-            backend._discard_broken()
-            raise ExecutionError(
+            self._discard_broken()
+            error = ExecutionError(
                 "parallel scan worker process crashed mid-scan; the "
-                f"process pool was rebuilt ({crashed})") from crashed
-        for index in range(n_parts):
-            payload = payloads[index]
-            if payload is None:
-                continue
-            status, body = payload[0], payload[1]
-            if status != "ok" and first_error is None:
-                first_error = body if isinstance(body, ReproError) \
-                    else ExecutionError(str(body))
-        if first_error is not None:
-            raise first_error
-    finally:
-        # Fold every partition's work into the shared totals — aborted
-        # partitions included, exactly like the thread backend.
-        for index in range(n_parts):
-            payload = payloads[index]
-            if payload is None:
-                continue
-            local_counters = _counters_from(payload[2])
-            local_per_nok = payload[3]
-            if local_per_nok is not None and per_nok is not None:
-                for nok_id, snap in local_per_nok.items():
-                    private = _counters_from(snap)
-                    per_nok.setdefault(nok_id,
-                                       ScanCounters()).merge(private)
-                    local_counters.merge(private)
-            counters.merge(local_counters)
-            _PARTITION_SCANS.inc()
-        _emit_spans(tracer, partitions, payloads)
-
-    for index in range(n_parts):
-        payload = payloads[index]
-        if payload is None:
-            continue
-        for nok_id, data in payload[1].items():
-            results[nok_id].extend(
-                _decode_match_list(by_id[nok_id].root, data, doc.nodes))
-    return results
-
-
-def _counters_from(snapshot: dict[str, int]) -> ScanCounters:
-    counters = ScanCounters()
-    for name, value in snapshot.items():
-        setattr(counters, name, value)
-    return counters
-
-
-def _emit_spans(tracer: Tracer | None, partitions: list[Partition],
-                payloads: list[tuple | None]) -> None:
-    if tracer is None:
-        return
-    parent = tracer.current()
-    if parent is None:
-        return
-    from repro.obs.trace import Span
-
-    for part in partitions:
-        payload = payloads[part.index]
-        started, ended = payload[4] if payload is not None else (0, 0)
-        span = Span("partition-scan", {
-            "partition": part.index,
-            "start_nid": part.start_nid,
-            "stop_nid": part.stop_nid,
-            "backend": "processes",
-            "matches": (sum(v[0] for v in payload[1].values())
-                        if payload is not None and payload[0] == "ok"
-                        else 0),
-        })
-        span.start_ns = started
-        span.end_ns = ended
-        parent.children.append(span)
+                f"process pool was rebuilt ({crashed})")
+            error.__cause__ = crashed
+            for part in partitions:
+                outcomes.setdefault(part.index,
+                                    PartitionOutcome(error=error))
+        return [outcomes[part.index] for part in partitions]
 
 
 # ----------------------------------------------------------------------
@@ -488,96 +321,27 @@ def _attached_document(path: str) -> ArenaDocument:
 def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
                          stop_nid: int, slot: int, budget: int | None,
                          deadline: float | None, timeout_ms: float | None,
-                         want_per_nok: bool) -> tuple:
-    """One partition's merged-scan dispatch loop, worker-side.
+                         want_per_nok: bool) -> PartitionOutcome:
+    """One partition, worker-side: attach, scan, flatten for the pipe.
 
-    Mirrors the thread backend's ``run_partition`` over the arena
-    columns: every slot in range charges ``nodes_scanned``, elements are
-    dispatched to their candidate NoKs by tag id, and
-    :func:`~repro.physical.nok.match_subtree` does the (identical)
-    recursive matching on lazily-materialized node views.  Shared-state
-    checks run once per stride: cancel flag, absolute monotonic deadline
-    (CLOCK_MONOTONIC is system-wide on Linux, so the coordinator's
-    deadline transfers verbatim), and the global budget cell.
-
-    Failures return as ``("error", exc, ...)`` payloads rather than
-    raising, so the coordinator can fold the partial counters of an
-    aborted partition exactly like the serial operator's ``finally``.
+    The scan itself is :func:`~repro.physical.parallel_scan.run_partition`
+    over the attached :class:`ArenaDocument`, whose column pre-filter
+    materializes node views only for elements a NoK is rooted at.  The
+    outcome goes back small and picklable: the matches as nid arrays,
+    the counters without their token (it holds the shared arrays), the
+    wall-clock bounds widened to the whole task.
     """
     started = time.perf_counter_ns()
-    adoc = _attached_document(path)
-    arena = adoc.arena
-    noks: list[NoKTree] = pickle.loads(noks_blob)
-
-    by_tid: dict[int, list[NoKTree]] = {}
-    wildcard: list[NoKTree] = []
-    for nok in noks:
-        if nok.root.name == "*":
-            wildcard.append(nok)
-        else:
-            tid = arena.tag_ids.get(nok.root.name)
-            if tid is not None:
-                by_tid.setdefault(tid, []).append(nok)
-
-    local = ScanCounters()
-    local_per_nok: dict[int, ScanCounters] | None = (
-        {} if want_per_nok else None)
-    matches: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
-    evaluator = XPathEvaluator()
-    kinds, tags = arena.kind, arena.tag_id
-    nodes = adoc.nodes
-    flushed = 0
-
-    def checkpoint() -> None:
-        nonlocal flushed
-        if _worker_cancel is not None and _worker_cancel[slot]:
-            raise QueryCancelledError()
-        if deadline is not None and time.monotonic() >= deadline:
-            raise QueryTimeoutError(timeout_ms=timeout_ms)
-        delta = local.nodes_scanned - flushed
-        flushed = local.nodes_scanned
-        if budget is not None and delta and _worker_budget is not None:
-            with _worker_budget.get_lock():
-                _worker_budget[slot] += delta
-                total = _worker_budget[slot]
-            if total > budget:
-                local.trip_budget()
-                raise DNFError("parallel scan exceeded the global "
-                               "work budget", budget=budget)
-
-    failure: ReproError | None = None
-    try:
-        local.scans_started += 1
-        for nid in range(start_nid, min(stop_nid, arena.n_nodes)):
-            local.nodes_scanned += 1
-            if local.nodes_scanned - flushed >= _STRIDE:
-                checkpoint()
-            if kinds[nid] != ELEMENT:
-                continue
-            named = by_tid.get(tags[nid])
-            candidates = (named + wildcard if named and wildcard
-                          else named or wildcard)
-            if not candidates:
-                continue
-            node = nodes[nid]
-            for nok in candidates:
-                nok_counters = (local if local_per_nok is None
-                                else local_per_nok.setdefault(
-                                    nok.nok_id, ScanCounters()))
-                entry = match_subtree(nok.root, node, nok_counters,
-                                      evaluator)
-                if entry is not None:
-                    matches[nok.nok_id].append(entry)
-        checkpoint()
-    except ReproError as exc:
-        failure = exc
-
-    per_nok_snaps = ({nok_id: c.snapshot()
-                      for nok_id, c in local_per_nok.items()}
-                     if local_per_nok is not None else None)
-    times = (started, time.perf_counter_ns())
-    if failure is not None:
-        return ("error", failure, local.snapshot(), per_nok_snaps, times)
-    encoded = {nok_id: _encode_match_list(entries)
-               for nok_id, entries in matches.items()}
-    return ("ok", encoded, local.snapshot(), per_nok_snaps, times)
+    outcome = run_partition(
+        pickle.loads(noks_blob), _attached_document(path), start_nid,
+        stop_nid,
+        SharedAbort(budget, deadline, timeout_ms,
+                    cancelled=lambda: bool(_worker_cancel[slot]),
+                    cells=_worker_budget, index=slot,
+                    lock=_worker_budget.get_lock()),
+        want_per_nok)
+    outcome.matches = {nok_id: _encode_match_list(entries)  # type: ignore[misc]
+                       for nok_id, entries in outcome.matches.items()}
+    outcome.counters.cancellation = None
+    outcome.times = (started, time.perf_counter_ns())
+    return outcome

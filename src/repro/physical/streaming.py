@@ -107,7 +107,7 @@ class _OpenMatch:
 
     def satisfied(self) -> bool:
         for edge in self.vertex.child_edges:
-            if getattr(edge, "cut", False):
+            if edge.cut:
                 continue
             if edge.mode == MODE_MANDATORY and \
                     edge.child.vid not in self.matched_children:
@@ -131,7 +131,7 @@ class StreamingNoKMatcher(ContentHandler):
             raise CompileError("streaming matches element-rooted NoKs; "
                                "the #root pattern is the trivial document match")
         for vertex in nok.vertices:
-            if getattr(vertex, "after_vid", None) is not None:
+            if vertex.after_vid is not None:
                 raise CompileError("following-sibling constraints are not "
                                    "supported by the streaming matcher")
         self.nok = nok
@@ -171,7 +171,7 @@ class StreamingNoKMatcher(ContentHandler):
         if self._frames:
             for parent in self._frames[-1]:
                 for edge in parent.vertex.child_edges:
-                    if not getattr(edge, "cut", False):
+                    if not edge.cut:
                         try_open(edge.child, parent)
 
         self._frames.append(new_frame)

@@ -60,7 +60,7 @@ def twig_supported(tree: BlossomTree) -> bool:
             return False
         if edge.mode != "f":
             return False
-        if getattr(edge.child, "after_vid", None) is not None:
+        if edge.child.after_vid is not None:
             return False
     return True
 

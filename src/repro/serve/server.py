@@ -85,18 +85,6 @@ _REQUEST_TYPES = frozenset(
     {"query", "prepare", "execute", "stats", "ping"})
 
 
-def _frame_executor(frame: dict[str, Any]) -> str | None:
-    """Resolve a frame's execution-backend spec.
-
-    v1 frames carry ``executor`` as the canonical backend key string
-    (``"serial"`` / ``"threads:4"`` / ``"processes:4"``).  The legacy
-    ``parallelism`` integer field served its one-release deprecation
-    window and is no longer mapped — pre-redesign clients must send
-    ``executor`` keys.
-    """
-    return frame.get("executor")
-
-
 class _Connection:
     """Per-connection state: id, writer, pipelined request tasks."""
 
@@ -394,7 +382,7 @@ class Server:
         if not isinstance(text, str):
             raise ProtocolError("prepare frame carries no query text")
         strategy = frame.get("strategy", "auto")
-        executor = _frame_executor(frame)
+        executor = frame.get("executor")
         doc = frame.get("doc") or self.service.default_document
         # Validate the query and learn its external parameters by
         # compiling once against the current snapshot; executions go
@@ -432,14 +420,14 @@ class Server:
                         "statements are scoped to their connection)")
                 text = spec["text"]
                 strategy = frame.get("strategy", spec["strategy"])
-                executor = _frame_executor(frame)
+                executor = frame.get("executor")
                 if executor is None:
                     executor = spec["executor"]
                 doc = frame.get("doc", spec["doc"])
             else:
                 text = frame.get("text")
                 strategy = frame.get("strategy", "auto")
-                executor = _frame_executor(frame)
+                executor = frame.get("executor")
                 doc = frame.get("doc")
             if not isinstance(text, str):
                 raise ProtocolError("query frame carries no query text")

@@ -51,6 +51,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import REGISTRY
 from repro.obs.slowlog import SlowQueryLog
+from repro.physical.parallel_scan import ScanPools
 from repro.serve.cachepolicy import (
     ENTRY_OVERHEAD_BYTES,
     ResultCacheStorage,
@@ -248,11 +249,7 @@ class QueryService:
         #: partition tasks onto the bounded request pool could deadlock
         #: (every worker blocked waiting for partitions no worker is
         #: free to run).
-        from repro.physical.process_scan import ScanPools
-
-        self._scan_pools = ScanPools(
-            thread_workers=max(2, workers),
-            thread_name_prefix="repro-scan")
+        self._scan_pools = ScanPools(thread_workers=max(2, workers))
 
         #: Policy/storage result cache (``None`` when disabled).  The
         #: catalog's retire hook invalidates synchronously, so a retired
@@ -674,10 +671,7 @@ class QueryService:
                         return ServeResult(cached, snapshot, wait_ms, run_ms,
                                            attempts, cached=True)
                 engine = self.catalog.engine_for(snapshot)
-                if request.executor.parallelism > 1:
-                    engine.scan_executor = self._scan_pools.thread_pool()
-                    engine.process_executor = \
-                        self._scan_pools.process_backend()
+                engine.scan_pools = self._scan_pools
                 try:
                     result = engine.query(
                         request.text, strategy=request.strategy,

@@ -34,6 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 
 from repro.errors import UsageError
 from repro.obs.metrics import REGISTRY
@@ -83,12 +84,17 @@ class AdmissionController:
         Refractory period between back-offs, so one burst of failures
         counts as a single congestion event (the cut itself drains the
         stragglers admitted under the old window).
+    clock:
+        Monotonic seconds source (injectable so tests can start it at
+        any epoch — a host booted a minute ago has ``time.monotonic()``
+        below any long refractory period).
     """
 
     def __init__(self, *, target_ms: float = 50.0, start_window: int = 2,
                  min_window: int = 1, max_window: int = 64,
                  adjust_every: int = 8, backoff_factor: float = 0.5,
-                 backoff_interval_s: float = 0.25) -> None:
+                 backoff_interval_s: float = 0.25,
+                 clock: Callable[[], float] = time.monotonic) -> None:
         if target_ms <= 0:
             raise UsageError(f"target_ms must be > 0, got {target_ms}")
         if not (1 <= min_window <= start_window <= max_window):
@@ -105,6 +111,7 @@ class AdmissionController:
         self.adjust_every = max(1, adjust_every)
         self.backoff_factor = backoff_factor
         self.backoff_interval_s = backoff_interval_s
+        self.clock = clock
 
         self._lock = threading.Lock()
         self._window = float(start_window)
@@ -113,7 +120,9 @@ class AdmissionController:
         self._samples: deque[float] = deque(maxlen=4 * self.adjust_every)
         self._since_adjust = 0
         self._failed_since_adjust = False
-        self._last_backoff = 0.0
+        #: ``None`` until the first back-off: the clock's epoch is
+        #: arbitrary (boot time on Linux), so no number means "never".
+        self._last_backoff: float | None = None
         self._admitted = 0
         self._rejected = 0
         self._backoffs = 0
@@ -179,8 +188,9 @@ class AdmissionController:
     # ------------------------------------------------------------------
 
     def _backoff_locked(self) -> None:
-        now = time.monotonic()
-        if now - self._last_backoff < self.backoff_interval_s:
+        now = self.clock()
+        if (self._last_backoff is not None
+                and now - self._last_backoff < self.backoff_interval_s):
             return
         self._last_backoff = now
         self._ssthresh = max(float(self.min_window), self._window / 2.0)

@@ -40,10 +40,11 @@ import struct
 import tempfile
 import threading
 from array import array
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 
 from repro.errors import ReproError
-from repro.xmlkit.tree import DOCUMENT, ELEMENT, TEXT, Document, Node
+from repro.xmlkit.storage import ScanCounters
+from repro.xmlkit.tree import ELEMENT, TEXT, Document, Node
 
 __all__ = [
     "ArenaDocument",
@@ -382,6 +383,40 @@ class ArenaDocument(Document):
                 self.root = self.nodes[root]  # type: ignore[assignment]
                 break
             root = arena.next_sibling[root]
+
+    def element_scan(self, counters: ScanCounters, start_nid: int,
+                     stop_nid: int, tags: Collection[str] | None
+                     ) -> Iterator[Node]:
+        """The arena's :class:`~repro.xmlkit.storage.SequentialScan`:
+        the elements of ``[start_nid, stop_nid)`` in document order,
+        filtered on the ``kind``/``tag_id`` columns.
+
+        Every slot in range is charged to ``counters.nodes_scanned``
+        exactly as the object-tree scan charges it, but a node view is
+        materialized only for elements named in ``tags`` (``None``:
+        every element) — the rest of the range never leaves the columns.
+        Slots are charged a stride at a time, followed by one full
+        ``counters.cancellation.check()``; a work budget is that token's
+        business (``counters.budget`` is not consulted here).
+        """
+        arena = self.arena
+        kinds, tag_ids, nodes = arena.kind, arena.tag_id, self.nodes
+        wanted = (None if tags is None else
+                  {arena.tag_ids[tag] for tag in tags
+                   if tag in arena.tag_ids})
+        token = counters.cancellation
+        stop = min(stop_nid, arena.n_nodes)
+        stride = token.stride if token is not None else max(1, stop - start_nid)
+        counters.scans_started += 1
+        for low in range(start_nid, stop, stride):
+            high = min(low + stride, stop)
+            counters.nodes_scanned += high - low
+            if token is not None:
+                token.check()
+            for nid in range(low, high):
+                if kinds[nid] == ELEMENT and (wanted is None
+                                              or tag_ids[nid] in wanted):
+                    yield nodes[nid]  # type: ignore[misc]
 
     def materialized(self) -> int:
         """Node views built so far (tests/introspection)."""

@@ -185,20 +185,3 @@ class SequentialScan:
                 token.checkpoint()
             if node.kind == ELEMENT:
                 yield node
-
-    def all_nodes(self) -> Iterator[Node]:
-        """Yield every node kind (elements and text) within the range."""
-        self.counters.scans_started += 1
-        nodes = self.doc.nodes
-        counters = self.counters
-        budget = counters.budget
-        token = counters.cancellation
-        for nid in range(self.start_nid, min(self.stop_nid, len(nodes))):
-            counters.nodes_scanned += 1
-            if budget is not None and counters.nodes_scanned > budget:
-                counters.trip_budget()
-                raise DNFError("sequential scan exceeded the work budget",
-                               budget=budget)
-            if token is not None:
-                token.checkpoint()
-            yield nodes[nid]

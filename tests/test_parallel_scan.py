@@ -1,25 +1,29 @@
 """Partition-parallel merged scans: partitioning, bit-identity, edges.
 
-The differential tests here are the PR's acceptance gate: for every
-generated document (including skewed single-subtree shapes) and every
-query, the parallel operator's per-NoK match lists must equal the
-serial merged scan's — order included — because Theorem 1 makes
-partition-order concatenation reproduce the serial scan exactly.
+The differential tests here are the operator's acceptance gate: for
+every generated document (including skewed single-subtree shapes),
+every query and either parallel driver — threads over the object tree,
+worker processes over the mmap-shared arena — the per-NoK match lists
+must equal the serial merged scan's, order and nested groups included,
+because Theorem 1 makes partition-order concatenation reproduce the
+serial scan exactly.
 """
 
 import pytest
 
-from repro.errors import DNFError, PlanInvariantError
+from repro.engine.backend import ExecutionBackend
+from repro.errors import (DNFError, PlanInvariantError, QueryCancelledError,
+                          QueryTimeoutError)
 from repro.pattern import build_from_path, decompose
-from repro.physical import merged_scan
-from repro.physical.parallel_scan import parallel_merged_scan
+from repro.physical import NoKMatcher, merged_scan
+from repro.physical.parallel_scan import ScanPools, parallel_merged_scan
 from repro.xmlkit import parse
 from repro.xmlkit.partition import (
     DEFAULT_MIN_PARTITION_NODES,
     Partition,
     partition_document,
 )
-from repro.xmlkit.storage import ScanCounters
+from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xpath import parse_xpath
 
 
@@ -98,106 +102,204 @@ QUERIES = ["//book", "//book/author", "//shelf//title",
 SKEW_QUERIES = ["//item", "//item/name", "//item[price = 3]", "//giant//name"]
 
 
-class TestDifferentialBitIdentity:
-    """Parallel output == serial output, match list by match list."""
+def nested(entry):
+    """An entry's full NestedList shape as plain data (nids, by group)."""
+    return (entry.node.nid,
+            [[nested(sub) for sub in group] for group in entry.groups])
 
-    def assert_identical(self, doc, path_text, k):
+
+class LateToken(CancellationToken):
+    """Passes the coordinator's up-front check, then behaves normally —
+    a token that trips just after the partitions were dispatched."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.armed = False
+
+    def check(self):
+        if not self.armed:
+            self.armed = True
+            return
+        super().check()
+
+
+@pytest.fixture(scope="module")
+def pools():
+    owned = ScanPools(thread_workers=2, process_workers=2)
+    yield owned
+    owned.close(wait=True)
+
+
+def partitioned(driver, pools, doc, path_text, k=4, counters=None,
+                per_nok=None, partitions=None):
+    return parallel_merged_scan(
+        noks_for(path_text), doc, counters, per_nok,
+        backend=ExecutionBackend(driver, k), pools=pools,
+        partitions=(partitions if partitions is not None
+                    else fine_partitions(doc, k)))
+
+
+@pytest.mark.parametrize("driver", ["threads", "processes"])
+class TestDriverBitIdentity:
+    """Either parallel driver's output == the serial merged scan's,
+    match list by match list, counter by counter."""
+
+    def assert_identical(self, driver, pools, doc, path_text, k):
         noks = noks_for(path_text)
         serial = merged_scan(noks, doc)
-        noks2 = noks_for(path_text)
-        parallel = parallel_merged_scan(noks2, doc,
-                                        partitions=fine_partitions(doc, k))
-        assert set(serial) == {n.nok_id for n in noks}
+        parallel = partitioned(driver, pools, doc, path_text, k)
+        assert set(serial) == set(parallel) == {n.nok_id for n in noks}
         for nok_id, entries in serial.items():
-            got = parallel[nok_id]
-            # nid sequences compare order as well as membership.
-            assert [e.node.nid for e in got] == \
-                [e.node.nid for e in entries], (path_text, nok_id, k)
+            # Sequences compare order as well as membership, and the
+            # nested groups under every root match.
+            assert [nested(e) for e in parallel[nok_id]] == \
+                [nested(e) for e in entries], (path_text, nok_id, k)
 
     @pytest.mark.parametrize("path_text", QUERIES)
-    def test_wide_document(self, path_text):
+    def test_wide_document(self, driver, pools, path_text):
         doc = parse(wide_doc(150))
         for k in (2, 3, 5):
-            self.assert_identical(doc, path_text, k)
+            self.assert_identical(driver, pools, doc, path_text, k)
 
     @pytest.mark.parametrize("path_text", SKEW_QUERIES)
-    def test_skewed_single_subtree_document(self, path_text):
+    def test_skewed_single_subtree_document(self, driver, pools, path_text):
         doc = parse(skewed_doc(250))
         for k in (2, 4):
-            self.assert_identical(doc, path_text, k)
+            self.assert_identical(driver, pools, doc, path_text, k)
 
-    def test_recursive_document(self, recursive_doc):
-        self.assert_identical(recursive_doc, "//section", 3)
+    def test_recursive_document(self, driver, pools, recursive_doc):
+        self.assert_identical(driver, pools, recursive_doc, "//section", 3)
 
-    def test_counters_match_serial_totals(self):
+    def test_counters_match_serial_totals(self, driver, pools):
         doc = parse(wide_doc(150))
-        noks = noks_for("//book/author")
         serial = ScanCounters()
-        merged_scan(noks, doc, serial)
+        merged_scan(noks_for("//book/author"), doc, serial)
         parallel = ScanCounters()
         parts = fine_partitions(doc, 4)
-        parallel_merged_scan(noks_for("//book/author"), doc, parallel,
-                             partitions=parts)
+        partitioned(driver, pools, doc, "//book/author", counters=parallel,
+                    partitions=parts)
         # Every arena slot is charged exactly once either way; only the
-        # scan count differs (one SequentialScan per partition).
+        # scan count differs (one scan per partition).
         assert parallel.nodes_scanned == serial.nodes_scanned
         assert parallel.comparisons == serial.comparisons
         assert parallel.scans_started == len(parts)
 
-    def test_single_partition_degenerates_to_serial(self):
+    def test_single_partition_degenerates_to_serial(self, driver, pools):
         doc = parse(wide_doc(20))
         counters = ScanCounters()
-        results = parallel_merged_scan(noks_for("//book"), doc, counters,
-                                       parallelism=4)
-        assert counters.scans_started == 1     # fallback path
         noks = noks_for("//book")
+        results = parallel_merged_scan(
+            noks, doc, counters, backend=ExecutionBackend(driver, 4),
+            pools=pools)
+        assert counters.scans_started == 1     # fallback path
         serial = merged_scan(noks, doc)
         book_id = next(n.nok_id for n in noks if n.root.name == "book")
         assert [e.node.nid for e in results[book_id]] == \
             [e.node.nid for e in serial[book_id]]
 
-    def test_per_nok_attribution_folds_into_shared(self):
+    def test_per_nok_attribution_folds_into_shared(self, driver, pools):
         doc = parse(wide_doc(150))
         counters = ScanCounters()
         per_nok = {}
-        parallel_merged_scan(noks_for("//book[price > 25]/title"), doc,
-                             counters, per_nok,
-                             partitions=fine_partitions(doc, 3))
+        partitioned(driver, pools, doc, "//book[price > 25]/title", 3,
+                    counters=counters, per_nok=per_nok)
         assert per_nok
         assert counters.comparisons == \
             sum(c.comparisons for c in per_nok.values())
+        serial_per_nok = {}
+        merged_scan(noks_for("//book[price > 25]/title"), doc,
+                    ScanCounters(), serial_per_nok)
+        assert sorted(c.comparisons for c in per_nok.values()) == \
+            sorted(c.comparisons for c in serial_per_nok.values())
 
-    def test_budget_is_enforced_globally(self):
+    def test_partial_counters_fold_after_abort(self, driver, pools):
         doc = parse(wide_doc(150))
         counters = ScanCounters(budget=10)
         with pytest.raises(DNFError):
-            parallel_merged_scan(noks_for("//book"), doc, counters,
-                                 partitions=fine_partitions(doc, 3))
+            partitioned(driver, pools, doc, "//book", 3, counters=counters)
         assert counters.budget_trips >= 1
+        assert counters.nodes_scanned > 0      # aborted work still counted
 
-    def test_global_budget_is_a_shared_cap_not_per_partition(self):
+    def test_global_budget_is_a_shared_cap_not_per_partition(self, driver,
+                                                             pools):
         """Regression for the per-partition budget bug: each of k
         partitions used to receive the *full* budget, so total work
         could reach k x budget before any task tripped.  The cap is now
         a shared counter: a budget below the document size must trip
         even when every individual partition is comfortably under it."""
-        doc = parse(wide_doc(150))
-        n_nodes = len(doc.nodes)
-        parts = fine_partitions(doc, 3)
+        doc = parse(wide_doc(300))
+        parts = fine_partitions(doc, 4)
         per_partition = max(p.n_nodes for p in parts)
         # Generous for any single partition, insufficient globally.
         budget = per_partition + 50
-        assert budget < n_nodes
+        assert budget < len(doc.nodes)
         counters = ScanCounters(budget=budget)
         with pytest.raises(DNFError):
-            parallel_merged_scan(noks_for("//book"), doc, counters,
-                                 partitions=parts)
+            partitioned(driver, pools, doc, "//book", counters=counters,
+                        partitions=parts)
         assert counters.budget_trips >= 1
         # Overshoot is bounded by partitions x stride, not by
         # partitions x budget as under the old semantics.
-        from repro.physical.parallel_scan import _BUDGET_STRIDE
+        stride = CancellationToken().stride
+        assert counters.nodes_scanned <= budget + len(parts) * stride
 
-        assert counters.nodes_scanned <= budget + len(parts) * _BUDGET_STRIDE
+    def test_expired_deadline_fails_up_front(self, driver, pools):
+        doc = parse(wide_doc(400))
+        counters = ScanCounters(
+            cancellation=CancellationToken(timeout_ms=0.0))
+        with pytest.raises(QueryTimeoutError):
+            partitioned(driver, pools, doc, "//book", counters=counters)
+
+    def test_cancelled_token_fails_up_front(self, driver, pools):
+        doc = parse(wide_doc(400))
+        token = CancellationToken()
+        token.cancel()
+        with pytest.raises(QueryCancelledError):
+            partitioned(driver, pools, doc, "//book",
+                        counters=ScanCounters(cancellation=token))
+
+    def test_mid_scan_deadline_expires_in_partitions(self, driver, pools):
+        doc = parse(wide_doc(400))
+        counters = ScanCounters(cancellation=LateToken(timeout_ms=0.0))
+        with pytest.raises(QueryTimeoutError):
+            partitioned(driver, pools, doc, "//book", counters=counters)
+        assert counters.cancellation.armed     # raised by a partition
+        assert counters.nodes_scanned > 0
+
+
+def test_mid_scan_cancel_stops_thread_partitions(pools):
+    # Threads only: a worker process sees cancel() through the byte the
+    # coordinator's poll loop raises, which small partitions can outrun.
+    doc = parse(wide_doc(400))
+    token = LateToken()
+    token.cancel()
+    counters = ScanCounters(cancellation=token)
+    with pytest.raises(QueryCancelledError):
+        partitioned("threads", pools, doc, "//book", counters=counters)
+    assert token.armed
+    assert counters.nodes_scanned > 0
+
+
+@pytest.mark.parametrize("driver", ["serial", "threads", "processes"])
+def test_root_named_and_wildcard_noks_share_one_scan(driver, pools):
+    """``//book//*`` decomposes into a ``#root``, a named and a wildcard
+    NoK; every driver must agree with the single-NoK reference matcher
+    on each of them."""
+    doc = parse(wide_doc(60))
+    noks = noks_for("//book//*")
+    assert sorted(n.root.name for n in noks) == ["#root", "*", "book"]
+    counters = ScanCounters()
+    if driver == "serial":
+        results = merged_scan(noks, doc, counters)
+    else:
+        results = parallel_merged_scan(
+            noks, doc, counters, backend=ExecutionBackend(driver, 3),
+            pools=pools, partitions=fine_partitions(doc, 3))
+    assert counters.nodes_scanned == len(doc.nodes)
+    for nok in noks:
+        want = NoKMatcher(nok, doc).matches()
+        assert [nested(e) for e in results[nok.nok_id]] == \
+            [nested(e) for e in want], nok.root.name
 
 
 class TestMergedScanEdges:
@@ -275,6 +377,20 @@ class TestEngineParallelStrategy:
         result = engine.query("//book", strategy="parallel")
         assert "parallel" in engine.last_plan
         assert len(result.items) == 100
+
+    def test_explicit_parallel_under_the_serial_executor(self):
+        # strategy="parallel" always partitions: the serial spec still
+        # cuts the scan two ways, on threads.
+        engine = self.make_engine(wide_doc(600))
+        serial = engine.query("//book/title").items
+        result = engine.query("//book/title", strategy="parallel",
+                              executor="serial", trace=True)
+        assert "2 partitions" in engine.last_plan
+        assert [n.nid for n in result.items] == [n.nid for n in serial]
+        spans = [span for _, span in result.trace.walk()
+                 if span.name == "partition-scan"]
+        assert len(spans) == 2
+        assert {span.attrs["backend"] for span in spans} == {"threads"}
 
     def test_auto_withdraws_for_partition_unsafe_plan(self):
         engine = self.make_engine(wide_doc(600))

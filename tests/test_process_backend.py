@@ -1,13 +1,13 @@
-"""The process execution backend: differential bit-identity across all
-three backends, cancellation, crash containment, resource lifecycle.
+"""The process execution backend: end-to-end differential across all
+three backends, crash containment, resource lifecycle.
 
-``executor="processes"`` replays the merged-scan dispatch loop in worker
-processes over the mmap-shared arena (:mod:`repro.xmlkit.arena`), so
-every test here is ultimately a Theorem-1 claim: partition-order
-concatenation of per-process match lists must reproduce the serial
-object-tree scan bit for bit — across every datagen workload, skewed
-shapes included — and failure modes (deadline, budget, a dying worker)
-must surface as the same clean errors the thread backend raises.
+``executor="processes"`` runs the merged-scan kernel in worker
+processes over the mmap-shared arena (:mod:`repro.xmlkit.arena`).  The
+operator-level contract it shares with the thread driver — match lists,
+counters, budget, deadline — is ``tests/test_parallel_scan.py``'s
+driver-parametrised suite; what is here is only what a process pool
+adds: a dying or failing worker must surface as a clean error, and
+pools, fds and arena files must not outlive their owner.
 """
 
 import multiprocessing
@@ -17,15 +17,14 @@ import pytest
 
 from repro.datagen.workload import DATASETS
 from repro.engine import Engine
-from repro.errors import DNFError, ExecutionError, QueryTimeoutError
+from repro.engine.backend import ExecutionBackend
+from repro.errors import ExecutionError
 from repro.pattern import build_from_path, decompose
 from repro.physical import process_scan
 from repro.physical.nok_merge import merged_scan
-from repro.physical.parallel_scan import parallel_merged_scan
-from repro.physical.process_scan import ProcessScanBackend, ScanPools
+from repro.physical.parallel_scan import ScanPools, parallel_merged_scan
 from repro.xmlkit import parse
 from repro.xmlkit.partition import partition_document
-from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xpath import parse_xpath
 
 
@@ -36,12 +35,6 @@ def wide_doc(n_books: int = 300) -> str:
         for i in range(n_books)) + "</bib>"
 
 
-def skewed_doc(n_items: int = 400) -> str:
-    giant = "".join(f"<item><name>n{i}</name><price>{i % 9}</price></item>"
-                    for i in range(n_items))
-    return f"<root><tiny/><giant>{giant}</giant><tail><item/></tail></root>"
-
-
 def noks_for(path_text: str):
     return decompose(build_from_path(parse_xpath(path_text))).noks
 
@@ -50,74 +43,12 @@ def fine_partitions(doc, k: int):
     return partition_document(doc, k, min_nodes=1)
 
 
-@pytest.fixture(scope="module")
-def backend():
-    pool = ProcessScanBackend(max_workers=2)
-    yield pool
-    pool.close(wait=True)
-
-
-def scan_with(doc, path_text, *, backend=None, k=4,
-              counters=None, per_nok=None):
-    if backend is None:
-        return parallel_merged_scan(noks_for(path_text), doc,
-                                    counters, per_nok,
-                                    partitions=fine_partitions(doc, k))
+def scan_on(pools, doc, path_text, k=4):
+    """``path_text`` over ``k`` fine partitions on the process pool."""
     return parallel_merged_scan(noks_for(path_text), doc,
-                                counters, per_nok,
-                                partitions=fine_partitions(doc, k),
-                                backend="processes",
-                                process_backend=backend)
-
-
-OPERATOR_QUERIES = ["//book", "//book/author", "//shelf//title",
-                    "//book[@year = '1995']", "//book[price > 25]/title",
-                    "//*"]
-
-
-class TestOperatorBitIdentity:
-    """Process output == thread output == serial output, per match list."""
-
-    @pytest.mark.parametrize("path_text", OPERATOR_QUERIES)
-    def test_wide_document(self, backend, path_text):
-        doc = parse(wide_doc(200))
-        self.assert_identical(backend, doc, path_text)
-
-    @pytest.mark.parametrize("path_text",
-                             ["//item", "//item/name", "//item[price = 3]",
-                              "//giant//name"])
-    def test_skewed_single_subtree_document(self, backend, path_text):
-        doc = parse(skewed_doc(300))
-        self.assert_identical(backend, doc, path_text)
-
-    def assert_identical(self, backend, doc, path_text):
-        noks = noks_for(path_text)
-        serial = merged_scan(noks, doc)
-        threaded = scan_with(doc, path_text)
-        processed = scan_with(doc, path_text, backend=backend)
-        for nok_id, entries in serial.items():
-            want = [e.node.nid for e in entries]
-            assert [e.node.nid for e in threaded[nok_id]] == want
-            assert [e.node.nid for e in processed[nok_id]] == want
-
-    def test_counters_are_bit_identical_too(self, backend):
-        doc = parse(wide_doc(200))
-        serial = ScanCounters()
-        merged_scan(noks_for("//book/author"), doc, serial)
-        processed = ScanCounters()
-        scan_with(doc, "//book/author", backend=backend, counters=processed)
-        assert processed.nodes_scanned == serial.nodes_scanned
-        assert processed.comparisons == serial.comparisons
-
-    def test_per_nok_attribution_crosses_the_process_boundary(self, backend):
-        doc = parse(wide_doc(200))
-        counters = ScanCounters()
-        per_nok = {}
-        scan_with(doc, "//book[price > 25]/title", backend=backend,
-                  counters=counters, per_nok=per_nok)
-        assert per_nok
-        assert counters.comparisons == \
-            sum(c.comparisons for c in per_nok.values())
+                                backend=ExecutionBackend("processes", k),
+                                pools=pools,
+                                partitions=fine_partitions(doc, k))
 
 
 class TestWorkloadDifferential:
@@ -133,8 +64,7 @@ class TestWorkloadDifferential:
         try:
             for spec in dataset.queries:
                 engine = Engine(doc)
-                engine.scan_executor = pools.thread_pool()
-                engine.process_executor = pools.process_backend()
+                engine.scan_pools = pools
                 serial = engine.query(spec.text).serialize()
                 threads = engine.query(
                     spec.text, executor="threads:2").serialize()
@@ -145,70 +75,48 @@ class TestWorkloadDifferential:
             pools.close(wait=True)
 
 
-class TestCancellationAndBudget:
-    def test_mid_scan_deadline_expires_in_workers(self, backend):
-        doc = parse(wide_doc(400))
-        token = CancellationToken(timeout_ms=0.0)
-        counters = ScanCounters(cancellation=token)
-        with pytest.raises(QueryTimeoutError):
-            scan_with(doc, "//book", backend=backend, counters=counters)
-
-    def test_cancel_flag_stops_the_scan(self, backend):
-        doc = parse(wide_doc(400))
-        token = CancellationToken()
-        token.cancel()
-        counters = ScanCounters(cancellation=token)
-        from repro.errors import QueryCancelledError
-
-        with pytest.raises(QueryCancelledError):
-            scan_with(doc, "//book", backend=backend, counters=counters)
-
-    def test_global_budget_caps_work_across_processes(self, backend):
-        doc = parse(wide_doc(300))
-        parts = fine_partitions(doc, 4)
-        per_partition = max(p.n_nodes for p in parts)
-        budget = per_partition + 50            # fine per task, not globally
-        assert budget < len(doc.nodes)
-        counters = ScanCounters(budget=budget)
-        with pytest.raises(DNFError):
-            parallel_merged_scan(noks_for("//book"), doc, counters,
-                                 partitions=parts, backend="processes",
-                                 process_backend=backend)
-        assert counters.budget_trips >= 1
-        assert counters.nodes_scanned <= budget + len(parts) * 256
-
-    def test_partial_counters_fold_after_abort(self, backend):
-        doc = parse(wide_doc(300))
-        counters = ScanCounters(budget=10)
-        with pytest.raises(DNFError):
-            scan_with(doc, "//book", backend=backend, counters=counters)
-        assert counters.nodes_scanned > 0      # aborted work still counted
-
-
 def _crash_task(*args, **kwargs):
     os._exit(13)
+
+
+def _buggy_task(*args, **kwargs):
+    raise ValueError("bug in the worker")
 
 
 class TestWorkerCrash:
     def test_crash_raises_clean_error_and_pool_recovers(self):
         doc = parse(wide_doc(200))
-        pool = ProcessScanBackend(max_workers=2)
+        pools = ScanPools(process_workers=2)
         original = process_scan._scan_partition_task
         # Patch BEFORE the pool forks so the workers inherit the crash.
         process_scan._scan_partition_task = _crash_task
         try:
             with pytest.raises(ExecutionError, match="crashed"):
-                scan_with(doc, "//book", backend=pool)
+                scan_on(pools, doc, "//book")
         finally:
             process_scan._scan_partition_task = original
         # The broken pool was discarded; the next scan rebuilds and runs.
-        results = scan_with(doc, "//book", backend=pool)
+        results = scan_on(pools, doc, "//book")
         noks = noks_for("//book")
         serial = merged_scan(noks, doc)
         book_id = next(n.nok_id for n in noks if n.root.name == "book")
         assert [e.node.nid for e in results[book_id]] == \
             [e.node.nid for e in serial[book_id]]
-        pool.close(wait=True)
+        pools.close(wait=True)
+
+    def test_task_that_raises_fails_the_query(self):
+        # A worker-side bug must fail the query, not drop its partition
+        # from the answer.
+        doc = parse(wide_doc(200))
+        pools = ScanPools(process_workers=2)
+        original = process_scan._scan_partition_task
+        process_scan._scan_partition_task = _buggy_task
+        try:
+            with pytest.raises(ExecutionError, match="bug in the worker"):
+                scan_on(pools, doc, "//book")
+        finally:
+            process_scan._scan_partition_task = original
+            pools.close(wait=True)
 
 
 class TestResourceLifecycle:

@@ -416,6 +416,28 @@ class TestAdmissionController:
         assert ctl.stats()["backoffs"] == 1
         assert ctl.window == 8           # one cut, not five
 
+    def test_first_backoff_is_honoured_on_a_clock_starting_at_zero(self):
+        # time.monotonic() counts from boot on Linux: on a fresh host it
+        # is smaller than a long refractory period, and "0.0 = never"
+        # would swallow the first overload signal.
+        now = [0.0]
+        ctl = AdmissionController(start_window=16,
+                                  backoff_interval_s=3600.0,
+                                  clock=lambda: now[0])
+        ctl.try_acquire()
+        ctl.release(overloaded=True)
+        assert ctl.stats()["backoffs"] == 1      # first: honoured
+        assert ctl.window == 8
+        now[0] = 1800.0
+        ctl.try_acquire()
+        ctl.release(overloaded=True)
+        assert ctl.stats()["backoffs"] == 1      # inside: coalesced
+        now[0] = 3600.0
+        ctl.try_acquire()
+        ctl.release(overloaded=True)
+        assert ctl.stats()["backoffs"] == 2      # interval over
+        assert ctl.window == 4
+
     def test_bad_knobs_are_usage_errors(self):
         with pytest.raises(UsageError):
             AdmissionController(target_ms=0.0)
