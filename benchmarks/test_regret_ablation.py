@@ -115,8 +115,8 @@ def run_feedback_policy(doc: Document, queries,
     choices: dict[str, list[str]] = {query: [] for query in queries}
     for _ in range(FEEDBACK_ROUNDS):
         for query in queries:
-            engine.query(query, executor=executor)
-            choices[query].append(engine._last_strategy)
+            choices[query].append(
+                engine.query(query, executor=executor).strategy)
     return engine, choices
 
 

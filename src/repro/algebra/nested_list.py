@@ -22,7 +22,7 @@ The textual ``(a1,[(b1,()),...])`` rendering of Figure 4 is produced by
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from repro.xmlkit.tree import Node
 from repro.pattern.blossom import BlossomVertex
@@ -59,12 +59,6 @@ class NLEntry:
             if child is child_vertex:
                 return self.groups[index]
         raise KeyError(f"V{child_vertex.vid} is not a child of V{self.vertex.vid}")
-
-    def iter_group_entries(self) -> Iterator[NLEntry]:
-        for group in self.groups:
-            for entry in group:
-                if entry is not None:
-                    yield entry
 
     # ------------------------------------------------------------------
     # Rendering (paper notation).

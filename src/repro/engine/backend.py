@@ -1,12 +1,10 @@
 """The execution-backend spec shared by every query surface.
 
-PR 9 replaces the ad-hoc ``parallelism: int`` kwarg with one
-``executor=`` argument accepted (keyword-only) by ``Engine.query``,
-``Database.query``, ``PreparedQuery.execute``, ``QueryService.submit``
-and ``Client.query``.  The spec names *how* the scan phase executes —
-``"serial"``, ``"threads"`` or ``"processes"`` — and with how many
-workers, instead of leaking a thread count through every layer and
-leaving the backend choice implicit.
+The ``executor=`` option (:class:`~repro.engine.request.QueryOptions`)
+names *how* the scan phase executes — ``"serial"``, ``"threads"`` or
+``"processes"`` — and with how many workers, instead of leaking a
+thread count through every layer and leaving the backend choice
+implicit.
 
 :class:`ExecutionBackend` is a frozen dataclass so it can sit directly
 in plan-cache, result-cache and stats-store keys; :attr:`ExecutionBackend.key`
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ReproError
+from repro.errors import UsageError
 
 __all__ = ["ExecutionBackend", "BACKEND_KINDS", "DEFAULT_PARALLEL_WORKERS",
            "resolve_backend"]
@@ -45,11 +43,11 @@ class ExecutionBackend:
 
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
-            raise ReproError(
+            raise UsageError(
                 f"unknown execution backend {self.kind!r}; expected one "
                 f"of {', '.join(BACKEND_KINDS)}")
         if self.workers < 1:
-            raise ReproError(
+            raise UsageError(
                 f"execution backend needs at least one worker, "
                 f"got {self.workers}")
 
@@ -76,9 +74,14 @@ class ExecutionBackend:
         try:
             workers = int(count)
         except ValueError:
-            raise ReproError(
+            raise UsageError(
                 f"malformed execution backend key {key!r}") from None
         return cls(kind=kind, workers=workers)
+
+
+#: The two ``executor=None`` defaults (frozen, so safely shared).
+_SERIAL = ExecutionBackend()
+_PARALLEL_DEFAULT = ExecutionBackend("threads", DEFAULT_PARALLEL_WORKERS)
 
 
 def resolve_backend(executor: "ExecutionBackend | str | None",
@@ -92,13 +95,11 @@ def resolve_backend(executor: "ExecutionBackend | str | None",
     serial otherwise.
     """
     if executor is None:
-        if strategy == "parallel":
-            return ExecutionBackend("threads", DEFAULT_PARALLEL_WORKERS)
-        return ExecutionBackend()
+        return _PARALLEL_DEFAULT if strategy == "parallel" else _SERIAL
     if isinstance(executor, ExecutionBackend):
         return executor
     if isinstance(executor, str):
         return ExecutionBackend.from_key(executor)
-    raise ReproError(
+    raise UsageError(
         f"executor= expects an ExecutionBackend or backend name, "
         f"got {type(executor).__name__}")

@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.errors import UsageError
+from repro.errors import ExecutionError, UsageError
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Tracer
 from repro.physical.parallel_scan import ScanPools
@@ -47,6 +47,7 @@ from repro.xmlkit.tree import Document
 from repro.xmlkit.update import DocumentUpdater
 from repro.engine.backend import ExecutionBackend
 from repro.engine.prepared import PreparedQuery
+from repro.engine.request import QueryOptions
 from repro.engine.result import QueryResult
 from repro.engine.session import Engine
 
@@ -132,41 +133,34 @@ class Database:
               params: dict | None = None,
               timeout_ms: float | None = None,
               executor: ExecutionBackend | str | None = None) -> QueryResult:
-        """Evaluate a query (see :meth:`Engine.query` for the options —
-        the signatures are identical: the same keyword-only
-        ``strategy`` / ``params`` / ``timeout_ms`` / ``executor``
-        spelling works here, on the engine, on
-        :meth:`QueryService.submit <repro.serve.service.QueryService.submit>`
-        and on the network
-        :meth:`Client.query <repro.serve.client.Client.query>`).
+        """Evaluate a query — the signature of :meth:`Engine.query`
+        (options: :class:`~repro.engine.request.QueryOptions`).
 
         When the slow-query log is enabled the call is timed and,
         past the threshold, recorded with plan and counters.
         """
-        if self.slow_log is None:
-            return self.engine.query(text, strategy=strategy,
-                                     counters=counters,
-                                     work_budget=work_budget,
-                                     trace=trace, tracer=tracer,
-                                     params=params, timeout_ms=timeout_ms,
-                                     executor=executor)
-        counters = counters if counters is not None else ScanCounters()
-        before = counters.snapshot()
-        started = time.perf_counter_ns()
+        log = self.slow_log
+        if log is not None:
+            counters = counters if counters is not None else ScanCounters()
+            before = counters.snapshot()
+            started = time.perf_counter_ns()
+        plan = None
         try:
-            result = self.engine.query(text, strategy=strategy,
-                                       counters=counters,
-                                       work_budget=work_budget,
-                                       trace=trace, tracer=tracer,
-                                       params=params, timeout_ms=timeout_ms,
-                                       executor=executor)
+            result = self.engine._run(
+                text, QueryOptions(strategy, params, timeout_ms, executor,
+                                   work_budget, trace),
+                counters=counters, tracer=tracer)
+            plan = result.plan
+            return result
+        except ExecutionError as exc:
+            plan = exc.plan     # budget trips / expiries keep their plan
+            raise
         finally:
-            elapsed_ms = (time.perf_counter_ns() - started) / 1e6
-            snapshot = counters.snapshot()
-            delta = {k: snapshot[k] - before[k] for k in snapshot}
-            self.slow_log.observe(text, strategy, self.engine.last_plan or "?",
-                                  elapsed_ms, delta)
-        return result
+            if log is not None:
+                elapsed_ms = (time.perf_counter_ns() - started) / 1e6
+                snapshot = counters.snapshot()
+                delta = {k: snapshot[k] - before[k] for k in snapshot}
+                log.observe(text, strategy, plan or "?", elapsed_ms, delta)
 
     def prepare(self, text: str, *, strategy: str = "auto",
                 executor: ExecutionBackend | str | None = None
@@ -277,8 +271,7 @@ class Database:
     def serve(self, workers: int = 4, *,
               max_queue: int = 64,
               default_timeout_ms: float | None = None,
-              result_cache=None,
-              result_cache_size: int | None = None) -> QueryService:
+              result_cache=None) -> QueryService:
         """Start (or return) the concurrent query service for this
         database.
 
@@ -288,9 +281,8 @@ class Database:
         admission control and per-query deadlines, and updates through
         copy-on-write snapshot batches — see :mod:`repro.serve`.
         ``result_cache`` configures the byte-accounted result cache
-        (see :func:`repro.serve.cachepolicy.resolve_result_cache`; the
-        deprecated entry-count ``result_cache_size=`` still maps for
-        one release).  The service is owned by the database:
+        (see :func:`repro.serve.cachepolicy.resolve_result_cache`).
+        The service is owned by the database:
         :meth:`close` drains and stops it.  Calling ``serve()`` again
         while the service runs returns the same instance (the knobs of
         the first call win).
@@ -299,7 +291,6 @@ class Database:
             raise UsageError("database is closed")
         if self._service is not None and not self._service.closed:
             return self._service
-        from repro.engine._compat import absorb_result_cache
         from repro.serve.catalog import Catalog
         from repro.serve.service import QueryService
 
@@ -309,9 +300,7 @@ class Database:
         self._service = QueryService(
             catalog, workers=workers, max_queue=max_queue,
             default_timeout_ms=default_timeout_ms,
-            result_cache=absorb_result_cache("Database.serve", result_cache,
-                                             result_cache_size),
-            slow_log=self.slow_log)
+            result_cache=result_cache, slow_log=self.slow_log)
         return self._service
 
     def listen(self, host: str = "127.0.0.1", port: int = 0, *,

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import BindingError
-from repro.engine.backend import ExecutionBackend, resolve_backend
+from repro.engine.backend import ExecutionBackend
 from repro.engine.compiler import CompiledQuery
 from repro.engine.optimizer import PlanChoice
+from repro.engine.request import QueryKey, QueryOptions
 from repro.pattern.artifact import PatternArtifacts
 from repro.xmlkit.tree import Node
 from repro.xpath.evaluator import AttrNode
@@ -124,23 +125,17 @@ class PreparedQuery:
     not constructed directly.
     """
 
-    def __init__(self, engine, source: str, strategy: str,
-                 plan: CachedPlan, fingerprint: tuple,
-                 executor: ExecutionBackend | None = None) -> None:
+    def __init__(self, engine, source: str, options: QueryOptions,
+                 key: QueryKey, plan: CachedPlan, fingerprint: tuple) -> None:
         self._engine = engine
         self.source = source
-        self.strategy = strategy
-        self._plan = plan
-        self._fingerprint = fingerprint
+        self.strategy = options.strategy
         #: Execution backend pinned at prepare() time; ``execute()`` may
         #: override it per call (which re-plans through the plan cache).
-        self.executor = executor if executor is not None \
-            else ExecutionBackend()
-
-    @property
-    def parallelism(self) -> int:
-        """Partition budget of the pinned backend (legacy read alias)."""
-        return self.executor.parallelism
+        self.executor = options.executor
+        self._key = key
+        self._plan = plan
+        self._fingerprint = fingerprint
 
     @property
     def parameters(self) -> frozenset[str]:
@@ -157,21 +152,21 @@ class PreparedQuery:
                 trace: bool = False, tracer=None,
                 timeout_ms: float | None = None,
                 executor: ExecutionBackend | str | None = None):
-        """Run the prepared plan; see :meth:`Engine.query` for the
-        tracing/budget/deadline knobs.  ``params`` maps parameter names
-        (without ``$``) to values — strictly keyword-only, the unified
-        spelling shared by every query surface (positional options and
-        the pre-serving ``bindings=`` alias raise :class:`TypeError`).
-        ``executor`` overrides the backend pinned at prepare() time for
-        this call (which re-plans through the plan cache).
+        """Run the prepared plan; the options are those of
+        :class:`~repro.engine.request.QueryOptions` minus the pinned
+        ``strategy``.  ``params`` maps parameter names (without ``$``)
+        to values.  ``executor`` overrides the backend pinned at
+        prepare() time for this call (which re-plans through the plan
+        cache).
         """
-        backend = None
-        if executor is not None:
-            backend = resolve_backend(executor, self.strategy)
-        return self._engine._execute_prepared(
-            self, bindings=params, counters=counters,
-            work_budget=work_budget, trace=trace, tracer=tracer,
-            timeout_ms=timeout_ms, backend=backend)
+        pinned = executor is None
+        options = QueryOptions(self.strategy, params, timeout_ms,
+                               self.executor if pinned else executor,
+                               work_budget, trace)
+        return self._engine._run(
+            self.source, options,
+            self._key if pinned else QueryKey(self.source, options),
+            counters=counters, tracer=tracer, prepared=self)
 
     def explain(self) -> str:
         """Describe the plan this prepared query runs."""

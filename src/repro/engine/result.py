@@ -111,13 +111,18 @@ class QueryResult:
     When the query ran with ``trace=True``, ``trace`` holds the
     finished :class:`~repro.obs.trace.QueryTrace`; ``counters`` holds
     the run's :class:`~repro.xmlkit.storage.ScanCounters` whenever the
-    session had them (all non-naive paths).
+    session had them (all non-naive paths).  ``plan`` is the text of
+    the plan that produced the items and ``strategy`` the strategy that
+    actually executed — this run's own, whatever else the engine was
+    serving meanwhile.
     """
 
     def __init__(self, items: Sequence[Item]) -> None:
         self.items = list(items)
         self.trace = None       # QueryTrace | None, set by the session
         self.counters = None    # ScanCounters | None, set by the session
+        self.plan = None        # str | None, set by the session
+        self.strategy = None    # str | None, set by the session
 
     def __len__(self) -> int:
         return len(self.items)

@@ -51,25 +51,32 @@ from __future__ import annotations
 import sys
 import time
 from collections import OrderedDict
+from dataclasses import dataclass, field
 
 from repro.analysis import verify_plan
 from repro.analysis.analyzer import VERIFY_RUNS
+from repro.analysis.passes import partition_unsafe_noks
 from repro.analysis.query import QueryLintResult, analyze_query
 from repro.errors import CompileError, DNFError, QueryTimeoutError, UsageError
+from repro.obs.export import format_table
 from repro.obs.metrics import REGISTRY
 from repro.obs.statstore import STATS_RECOSTS, StatsStore
-from repro.obs.trace import NULL_TRACER, QueryTrace, Tracer
+from repro.obs.trace import NULL_TRACER, NullTracer, QueryTrace, Tracer
 from repro.physical.parallel_scan import ScanPools
 from repro.pattern.artifact import prepare_artifacts
+from repro.pattern.decompose import decompose
+from repro.physical.twigstack import twig_supported
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.stats import DocumentStats, compute_stats
 from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xmlkit.summary import StructuralSummary, build_summary
 from repro.xmlkit.tree import Document
 from repro.xquery.ast import FLWOR, QueryExpr
-from repro.engine.backend import ExecutionBackend, resolve_backend
+from repro.xquery.semantics import analyze
+from repro.engine.backend import ExecutionBackend
 from repro.engine.compiler import CompiledQuery, compile_query
 from repro.engine.construct import DirectEvaluator
+from repro.engine.cost import CostModel
 from repro.engine.executor import FLWORExecutor
 from repro.engine.optimizer import (
     PlanChoice,
@@ -77,20 +84,21 @@ from repro.engine.optimizer import (
     choose_strategy,
     prune_pattern,
 )
-from repro.engine.plancache import PlanCache, normalize_query_text
+from repro.engine.plancache import PlanCache
 from repro.engine.prepared import (
     CachedPlan,
     PreparedQuery,
     normalize_bindings,
 )
+from repro.engine.request import QueryKey, QueryOptions
 from repro.engine.result import Item, QueryResult
 
 __all__ = ["Engine"]
 
 _BLOSSOM_STRATEGIES = {"pipelined", "caching", "stack", "bnlj", "nl"}
-
-#: The serial backend singleton (the default for every query surface).
-_SERIAL = ExecutionBackend()
+#: The baselines stay lint- and artifact-free so they remain faithful
+#: differential oracles for the rewrites.
+_BASELINES = ("naive", "xhive")
 
 _QUERIES = REGISTRY.counter("repro_queries_total", "Queries executed")
 #: Plan verifications skipped because the identical plan-cache key
@@ -135,6 +143,35 @@ class _SubstitutingEvaluator(DirectEvaluator):
         return super().eval_query_expr(expr, bindings)
 
 
+@dataclass(slots=True)
+class _Run:
+    """The per-call run context the stage functions read and fill.
+
+    It lives on the stack of one :meth:`Engine._run` call, never on the
+    engine: the serving catalog hands *one* engine per snapshot to
+    every worker, so request-scoped state kept on ``self`` would be
+    another request's by the time the record stage read it.
+    """
+
+    source: str | QueryExpr
+    options: QueryOptions
+    key: QueryKey
+    counters: ScanCounters | None = None
+    tracer: Tracer | NullTracer = NULL_TRACER
+    budget: int | None = None
+    cache_status: str | None = None
+    #: The strategy that *executed* (the requested one until a plan is
+    #: chosen) and its plan text; both leave on the result.
+    strategy: str = ""
+    plan_text: str | None = None
+    #: Observed NoK selectivities (``(root tag, matches)`` pairs), fed
+    #: to the stats store.
+    match_summary: list[tuple[str, int]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.strategy = self.options.strategy
+
+
 class Engine:
     """A query engine bound to one primary document.
 
@@ -173,6 +210,14 @@ class Engine:
         default: feedback deliberately *probes* a slower alternative a
         few times per query shape, which callers must opt into.
     """
+
+    #: Plan text and trace of the most recently *finished* call —
+    #: single-caller conveniences (the trace is also set when the query
+    #: aborted on a budget trip, so DNFs stay diagnosable).  Under
+    #: concurrency they are whichever request finished last: read
+    #: ``result.plan`` / ``result.trace`` instead.
+    last_plan: str | None = None
+    last_trace: QueryTrace | None = None
 
     def __init__(self, doc: Document,
                  documents: dict[str, Document] | None = None,
@@ -218,12 +263,6 @@ class Engine:
         #: Memoized :meth:`stats_fingerprint` tuple; dropped with the
         #: stats/summary it derives from (:meth:`notify_update`).
         self._fingerprint_cache: tuple | None = None
-        self.last_plan: str | None = None
-        #: Trace of the most recent ``trace=True`` query (also populated
-        #: when the query aborted on a budget trip, so DNFs stay
-        #: diagnosable).
-        self.last_trace: QueryTrace | None = None
-        self._last_strategy: str = "?"
         #: LRU of compiled plans; keys include the statistics
         #: fingerprint, so a mutated document never matches old entries.
         self.plan_cache = (plan_cache if plan_cache is not None
@@ -237,9 +276,6 @@ class Engine:
         self.record_stats = record_stats
         self.feedback = feedback
         self._advisor = StrategyAdvisor(self.stats_store)
-        #: Observed NoK selectivities of the most recent execution
-        #: (``(root tag, matches)`` pairs), fed to the stats store.
-        self._last_match_summary: list[tuple[str, int]] = []
         #: Optional hook called with every plan served from the cache
         #: *before* execution; the serving catalog installs the SV001
         #: dropped-snapshot gate here.  Raise to refuse the plan.
@@ -272,40 +308,15 @@ class Engine:
               executor: ExecutionBackend | str | None = None) -> QueryResult:
         """Evaluate a query and return its result sequence.
 
-        All options are strictly keyword-only — the unified spelling
-        shared by :meth:`Database.query`, :meth:`PreparedQuery.execute`,
-        :meth:`QueryService.submit
-        <repro.serve.service.QueryService.submit>` and the network
-        :meth:`Client.query <repro.serve.client.Client.query>`
-        (positional options and the pre-PR 9 ``parallelism=`` integer
-        now raise :class:`TypeError`).
-
-        ``params`` binds the query's external ``$parameters`` (free
-        variables) for this call — the same mapping
-        :meth:`PreparedQuery.execute` takes.
-
-        ``executor`` names the execution backend for the match phase —
-        ``"serial"``, ``"threads"``, ``"processes"``, a
-        ``"<kind>:<workers>"`` key, or an
-        :class:`~repro.engine.backend.ExecutionBackend`.  A parallel
-        backend offers the optimizer a partition budget: under
-        ``strategy="auto"`` large non-recursive documents upgrade to
-        the ``parallel`` strategy (partition-parallel merged scans,
-        bit-identical to the serial scan by Theorem 1);
-        ``strategy="parallel"`` forces it.  The backend key joins the
-        plan-cache key.
-
-        ``timeout_ms`` sets a cooperative deadline: the physical
-        operators checkpoint a
-        :class:`~repro.xmlkit.storage.CancellationToken` in their scan
-        loops and the call raises
-        :class:`~repro.errors.QueryTimeoutError` once it expires.
-
-        ``trace=True`` records a span tree over the whole pipeline
-        (compile → optimize → match/join/bind/finish, one child span
-        per NoK scan and per inter-NoK join) and attaches it to the
-        result as ``result.trace`` (also kept as ``self.last_trace``).
-        ``tracer`` supplies an external tracer instead.
+        The options are the fields of
+        :class:`~repro.engine.request.QueryOptions` — strictly
+        keyword-only and spelled identically on every query surface —
+        plus ``counters`` (accumulate work into the caller's
+        :class:`~repro.xmlkit.storage.ScanCounters`) and ``tracer`` (an
+        external tracer instead of ``trace=True``'s own).  The traced
+        span tree covers the whole pipeline (compile → optimize →
+        match/join/bind/finish, one child span per NoK scan and per
+        inter-NoK join) and leaves on the result as ``result.trace``.
 
         Plans are served from :attr:`plan_cache` when an identical
         (normalized) query was compiled before against the same
@@ -313,11 +324,9 @@ class Engine:
         says whether this call ``hit``, ``miss``-ed, or ``bypass``-ed
         the cache (pre-parsed expressions are never cached).
         """
-        backend = resolve_backend(executor, strategy)
-        return self._shell(
-            lambda tr: self._plan_for(text, strategy, tr, backend),
-            text, strategy, counters, work_budget, trace, tracer,
-            bindings=params, timeout_ms=timeout_ms, backend=backend)
+        return self._run(text, QueryOptions(strategy, params, timeout_ms,
+                                            executor, work_budget, trace),
+                         counters=counters, tracer=tracer)
 
     def prepare(self, text: str | QueryExpr, *,
                 strategy: str = "auto",
@@ -333,11 +342,10 @@ class Engine:
         ``executor`` is pinned into the prepared plan (same semantics
         as :meth:`query`).
         """
-        backend = resolve_backend(executor, strategy)
-        plan, _status = self._plan_for(text, strategy, NULL_TRACER, backend)
-        return PreparedQuery(self, text, strategy, plan,
-                             self.stats_fingerprint(),
-                             executor=backend)
+        options = QueryOptions(strategy, executor=executor)
+        run = _Run(text, options, QueryKey(text, options))
+        return PreparedQuery(self, text, options, run.key, self._plan(run),
+                             self.stats_fingerprint())
 
     def notify_update(self, report: object = None) -> None:
         """Invalidate derived state after a document mutation.
@@ -391,55 +399,52 @@ class Engine:
         query service uses it to answer provably-empty queries inline
         instead of occupying a worker slot.
         """
+        options = QueryOptions(strategy, executor=executor)
+        return self._static_empty(QueryKey(text, options))
+
+    def _static_empty(self, key: QueryKey) -> bool:
+        """:meth:`cached_static_empty` for an identity already built."""
         if not self.analyze_queries:
             return False
-        backend = (executor if isinstance(executor, ExecutionBackend)
-                   else ExecutionBackend.from_key(executor))
-        key = (normalize_query_text(text), strategy, backend.key,
-               self.stats_fingerprint())
-        plan = self.plan_cache.peek(key)
-        return plan is not None and bool(getattr(plan, "static_empty",
-                                                 False))
+        plan = self.plan_cache.peek(key.plan(self.stats_fingerprint()))
+        return plan is not None and plan.static_empty
 
     # ------------------------------------------------------------------
-    # Serving shell (shared by query() and PreparedQuery.execute()).
+    # The request path: one run context through a short stage list —
+    # plan (cached → gate → recost, or compile → choose → artifacts →
+    # verify) → execute → record.  Every surface enters through _run.
     # ------------------------------------------------------------------
 
-    def _shell(self, plan_source, source, strategy: str,
-               counters: ScanCounters | None,
-               work_budget: int | None, trace: bool,
-               tracer: Tracer | None,
-               bindings: dict | None = None,
-               timeout_ms: float | None = None,
-               backend: ExecutionBackend = _SERIAL) -> QueryResult:
+    def _run(self, source: str | QueryExpr, options: QueryOptions,
+             key: QueryKey | None = None, *,
+             counters: ScanCounters | None = None,
+             tracer: Tracer | None = None,
+             prepared: PreparedQuery | None = None) -> QueryResult:
         """Counters/budget/tracing/metrics shell around one execution.
 
-        ``plan_source(tracer) -> (CachedPlan, cache_status)`` supplies
-        the plan — from the cache, a fresh compile, or a prepared
-        query's pinned plan.
+        ``key`` is the identity the caller already built (the service
+        and prepared queries have one; ``None`` builds it here);
+        ``prepared`` supplies a pinned plan instead of the plan cache.
         """
         counters = counters if counters is not None else ScanCounters()
-        budget = work_budget if work_budget is not None else self.work_budget
+        budget = (options.work_budget if options.work_budget is not None
+                  else self.work_budget)
         if budget is not None:
             counters.budget = budget
         previous_token = counters.cancellation
-        if timeout_ms is not None:
-            counters.cancellation = CancellationToken(timeout_ms)
-
-        tracer = tracer if tracer is not None else (
-            Tracer() if trace else NULL_TRACER)
-        tracing = tracer is not NULL_TRACER
-        self.last_trace = None
-        self._last_strategy = strategy
-        self._last_match_summary = []
-        cache_status: str | None = None
+        if options.timeout_ms is not None:
+            counters.cancellation = CancellationToken(options.timeout_ms)
+        if tracer is None:
+            tracer = Tracer() if options.trace else NULL_TRACER
+        run = _Run(source, options, key or QueryKey(source, options),
+                   counters, tracer, budget)
         items: int | None = None
         before = counters.snapshot()
         started = time.perf_counter_ns()
         try:
-            with tracer.span("query", strategy=strategy) as qspan:
-                if isinstance(source, str):
-                    qspan.set(source=" ".join(source.split())[:160])
+            with tracer.span("query", strategy=options.strategy) as qspan:
+                if run.key.text is not None:
+                    qspan.set(source=run.key.text[:160])
                 if counters.cancellation is not None:
                     # An exhausted deadline must fail deterministically
                     # even for queries too small to reach a checkpoint.
@@ -449,200 +454,116 @@ class Engine:
                         qspan.set(timed_out=True)
                         _TIMEOUTS.inc()
                         raise
-                plan, cache_status = plan_source(tracer)
-                qspan.set(**{"plan-cache": cache_status})
+                plan = (self._plan(run) if prepared is None
+                        else self._prepared_plan(run, prepared))
+                qspan.set(**{"plan-cache": run.cache_status})
                 try:
-                    result = self._execute_plan(plan, counters, budget,
-                                                tracer, bindings,
-                                                backend=backend)
+                    result = self._execute(run, plan)
                     if counters.cancellation is not None:
                         counters.cancellation.check()
                 except DNFError as exc:
                     qspan.set(budget_tripped=True, budget=exc.budget,
                               nodes_scanned=counters.nodes_scanned)
-                    _DNF.inc(strategy=self._last_strategy)
+                    _DNF.inc(strategy=run.strategy)
+                    exc.plan = run.plan_text
                     raise
-                except QueryTimeoutError:
+                except QueryTimeoutError as exc:
                     qspan.set(timed_out=True,
                               nodes_scanned=counters.nodes_scanned)
                     _TIMEOUTS.inc()
+                    exc.plan = run.plan_text
                     raise
                 items = len(result)
-                qspan.set(plan=self.last_plan, items=items)
+                qspan.set(plan=run.plan_text, items=items)
         finally:
             counters.cancellation = previous_token
             elapsed_ms = (time.perf_counter_ns() - started) / 1e6
-            self._publish_metrics(counters, before, elapsed_ms)
-            if self.record_stats:
-                self._record_run(source, counters, before, elapsed_ms,
-                                 backend, cache_status, items)
-            if tracing:
-                self.last_trace = tracer.finish()
-        result.trace = self.last_trace
+            self._record(run, before, elapsed_ms, items)
+            trace = tracer.finish() if tracer is not NULL_TRACER else None
+            self.last_plan = run.plan_text
+            self.last_trace = trace
+        result.trace = trace
         result.counters = counters
+        result.plan = run.plan_text
+        result.strategy = run.strategy
         return result
 
-    def _execute_prepared(self, prepared: PreparedQuery,
-                          bindings: dict | None,
-                          counters: ScanCounters | None,
-                          work_budget: int | None, trace: bool,
-                          tracer: Tracer | None,
-                          timeout_ms: float | None = None,
-                          backend: ExecutionBackend | None = None,
-                          ) -> QueryResult:
-        """Run a prepared query, re-planning only if the document moved."""
-        effective = backend if backend is not None else prepared.executor
-
-        def plan_source(tr):
-            fingerprint = self.stats_fingerprint()
-            if prepared._fingerprint == fingerprint \
-                    and effective == prepared.executor:
-                return prepared._plan, "prepared"
-            # The document mutated since prepare() (or the caller asked
-            # for a different execution backend): the pinned plan is
-            # still *correct* (plans are document-independent) but its
-            # strategy choice may be stale — re-plan through the cache.
-            plan, status = self._plan_for(prepared.source,
-                                          prepared.strategy, tr, effective)
-            if effective == prepared.executor:
-                prepared._plan = plan
-                prepared._fingerprint = fingerprint
-            return plan, f"prepared-{status}"
-
-        return self._shell(plan_source, prepared.source, prepared.strategy,
-                           counters, work_budget, trace, tracer,
-                           bindings=bindings, timeout_ms=timeout_ms,
-                           backend=effective)
-
     # ------------------------------------------------------------------
-    # Planning.
+    # Plan stage.
     # ------------------------------------------------------------------
 
-    def _plan_for(self, text: str | QueryExpr, strategy: str,
-                  tracer, backend: ExecutionBackend = _SERIAL,
-                  ) -> tuple[CachedPlan, str]:
-        """Get a plan from the cache or compile one; returns
-        ``(plan, "hit" | "miss" | "bypass")``."""
-        if not isinstance(text, str):
-            return self._build_plan(text, strategy, tracer,
-                                    backend=backend), "bypass"
-        key = (normalize_query_text(text), strategy, backend.key,
-               self.stats_fingerprint())
-        plan = self.plan_cache.get(key)
+    def _plan(self, run: _Run) -> CachedPlan:
+        """Get a plan from the cache or compile one; sets
+        ``run.cache_status`` to ``hit`` / ``recost`` / ``miss`` /
+        ``bypass`` (pre-parsed expressions are never cached)."""
+        key = run.key
+        if key.text is None:
+            plan = self._build(run)
+            run.cache_status = "bypass"
+            return plan
+        memo_key = key.plan(self.stats_fingerprint())
+        plan = self.plan_cache.get(memo_key)
+        status = "miss"
         if plan is not None:
             if self.plan_gate is not None:
                 # Serving gate (SV001): refuse plans compiled against a
                 # snapshot that raced retirement between key lookup and
                 # execution.  Raises PlanInvariantError.
                 self.plan_gate(plan)
-            if self.feedback and strategy == "auto":
-                advised = self._advised_choice(plan, key[0], backend)
-                if advised is not None \
-                        and advised.strategy != plan.choice.strategy:
-                    # Re-cost on hit: the measured history now points at
-                    # a different strategy than the cached plan runs, so
-                    # rebuild (deterministically landing on the advised
-                    # choice) and replace the entry in place.
-                    STATS_RECOSTS.inc()
-                    plan = self._build_plan(text, strategy, tracer,
-                                            memo_key=key,
-                                            backend=backend)
-                    self.plan_cache.put(key, plan)
-                    return plan, "recost"
-            return plan, "hit"
-        plan = self._build_plan(text, strategy, tracer, memo_key=key,
-                                backend=backend)
-        self.plan_cache.put(key, plan)
-        return plan, "miss"
+            advised = (self._choose(plan.compiled, key, run.options.executor,
+                                    artifacts=plan.artifacts)[0]
+                       if self.feedback and key.strategy == "auto"
+                       else plan.choice)
+            if advised.strategy == plan.choice.strategy:
+                run.cache_status = "hit"
+                return plan
+            # Re-cost on hit: the measured history now points at a
+            # different strategy than the cached plan runs, so rebuild
+            # (deterministically landing on the advised choice) and
+            # replace the entry in place.
+            STATS_RECOSTS.inc()
+            status = "recost"
+        plan = self._build(run, memo_key)
+        self.plan_cache.put(memo_key, plan)
+        run.cache_status = status
+        return plan
 
-    def _build_plan(self, text: str | QueryExpr, strategy: str,
-                    tracer, memo_key: object = None,
-                    backend: ExecutionBackend = _SERIAL) -> CachedPlan:
+    def _prepared_plan(self, run: _Run, prepared: PreparedQuery) -> CachedPlan:
+        """A prepared query's pinned plan, re-planned only if the
+        document moved (or the call overrides the pinned backend)."""
+        fingerprint = self.stats_fingerprint()
+        pinned = run.options.executor == prepared.executor
+        if pinned and prepared._fingerprint == fingerprint:
+            run.cache_status = "prepared"
+            return prepared._plan
+        # The pinned plan is still *correct* (plans are document-
+        # independent) but its strategy choice may be stale — re-plan
+        # through the cache.
+        plan = self._plan(run)
+        run.cache_status = f"prepared-{run.cache_status}"
+        if pinned:
+            prepared._plan, prepared._fingerprint = plan, fingerprint
+        return plan
+
+    def _build(self, run: _Run, memo_key: object = None) -> CachedPlan:
         """The full compile pipeline: parse → analyze → BlossomTree →
-        strategy choice → reusable pattern artifacts.
+        choose → verify.
 
         ``memo_key`` is the plan-cache key; when it already verified
         clean this process, validate-on-compile is skipped (compilation
         is deterministic, so the rebuild produces structurally
         identical artifacts — see :attr:`_verified_keys`).
         """
+        tracer = run.tracer
         memoized = memo_key is not None and memo_key in self._verified_keys
-        compiled = compile_query(text, tracer=tracer, verify=not memoized)
+        compiled = compile_query(run.source, tracer=tracer,
+                                 verify=not memoized)
         if compiled.flwor is not None and not compiled.is_bare_path:
-            from repro.xquery.semantics import analyze
-
             analyze(compiled.flwor,
                     external=compiled.parameters).raise_errors(compiled.source)
-        choice = self._resolve_strategy(compiled, strategy, tracer,
-                                        backend.parallelism)
-        # Query lint (QL rules): check the pattern against the document's
-        # structural summary and rewrite provably-empty work away.  The
-        # naive/xhive baselines stay lint-free so they remain faithful
-        # differential oracles for the rewrites.
-        lint: QueryLintResult | None = None
-        rewrites: tuple[str, ...] = ()
-        exec_tree = compiled.tree
-        if self.analyze_queries and compiled.tree is not None \
-                and strategy not in ("naive", "xhive") \
-                and choice.strategy not in ("naive", "xhive"):
-            # Memo hit inline (the warm-compile common case): one dict
-            # lookup, no method call.  Falls back to the full path on a
-            # miss or when there is no plan-cache key to derive it from.
-            norm = memo_key[0] if memo_key else None
-            fp = self._fingerprint_cache
-            if norm is not None and fp is not None:
-                lint = self._lint_memo.get((norm, fp[-1], self._foreign))
-            if lint is None:
-                lint = self._lint_compiled(compiled, norm_text=norm)
-            if tracer is not NULL_TRACER:
-                with tracer.span("query-lint") as span:
-                    span.set(findings=len(lint.report.findings),
-                             rules=",".join(lint.rules) or "-",
-                             static_empty=lint.static_empty)
-            if lint.static_empty:
-                choice = PlanChoice(
-                    "static-empty",
-                    f"query lint: {lint.static_empty_reason()}")
-                rewrites = ("short-circuit to static empty result: "
-                            f"{lint.static_empty_reason()}",)
-            else:
-                vids = lint.prune_vids()
-                if vids:
-                    pruned, notes = prune_pattern(compiled.tree, vids)
-                    if pruned is not None:
-                        exec_tree = pruned
-                        rewrites = notes
-        artifacts = None
-        if exec_tree is not None \
-                and choice.strategy not in ("naive", "xhive",
-                                            "static-empty"):
-            with tracer.span("prepare-artifacts") as span:
-                artifacts = prepare_artifacts(exec_tree)
-                span.set(noks=len(artifacts.decomposition.noks))
-        if choice.strategy == "parallel" and strategy == "auto" \
-                and artifacts is not None:
-            from repro.analysis.passes import partition_unsafe_noks
-
-            if partition_unsafe_noks(artifacts.decomposition):
-                # The decomposition (only now available) revealed a NoK
-                # whose match work bypasses the partitioned scan (rule
-                # PL004), so the auto upgrade quietly steps back to the
-                # serial plan.  An *explicit* strategy="parallel"
-                # request keeps the choice and lets the verifier refuse
-                # it with PL004.
-                choice = PlanChoice(
-                    "pipelined",
-                    "parallel upgrade withdrawn: plan has non-partition-"
-                    "safe NoKs (PL004); serial merged scan instead")
-        if self.feedback and strategy == "auto" and isinstance(text, str) \
-                and compiled.tree is not None \
-                and choice.strategy != "static-empty":
-            # The advisor only ever moves between pattern strategies
-            # (pipelined/stack/twigstack/parallel), whose artifacts were
-            # built above regardless of which of them was static.
-            choice = self._advise(compiled, choice,
-                                  normalize_query_text(text), backend)
-        plan = CachedPlan(compiled, choice, artifacts, strategy,
+        choice, lint, exec_tree, rewrites, artifacts = self._choose(
+            compiled, run.key, run.options.executor, tracer)
+        plan = CachedPlan(compiled, choice, artifacts, run.key.strategy,
                           snapshot_id=self.snapshot_id,
                           static_empty=choice.strategy == "static-empty",
                           rewrites=rewrites,
@@ -672,46 +593,80 @@ class Engine:
         plan.verified = True
         return plan
 
-    # ------------------------------------------------------------------
-    # Feedback (measured strategy selection; opt-in via feedback=True).
-    # ------------------------------------------------------------------
+    def _choose(self, compiled: CompiledQuery, key: QueryKey,
+                backend: ExecutionBackend, tracer=NULL_TRACER,
+                artifacts=None):
+        """The decision sequence, in its one copy: strategy rules →
+        query lint (static-empty / pruning rewrite) → pattern artifacts
+        → PL004 withdrawal → measured advice.
 
-    def _advise(self, compiled: CompiledQuery, static: PlanChoice,
-                norm_text: str, backend: ExecutionBackend) -> PlanChoice:
-        """Let measured history adjust the static choice for one build."""
-        alternative = StrategyAdvisor.alternative(
-            static.strategy, self.stats, compiled.tree,
-            compiled.is_bare_path, has_index=True)
-        return self._advisor.advise(norm_text, self.stats_fingerprint(),
-                                    backend.key, static, alternative)
-
-    def _advised_choice(self, plan: CachedPlan, norm_text: str,
-                        backend: ExecutionBackend) -> PlanChoice | None:
-        """What feedback would choose *now* for a cached plan's query.
-
-        Mirrors the decision sequence of :meth:`_build_plan` (static
-        rules → PL004 withdrawal → advisor) against the cached plan's
-        compiled artifacts, without rebuilding anything — the cheap
-        check that decides whether a cache hit must be re-costed.
+        The build path runs it on a fresh compilation, ``explain``
+        reads it without executing, and the re-cost check on a cache
+        hit replays it over the cached plan's ``compiled`` and
+        ``artifacts`` (nothing is rebuilt, no span is opened).  Returns
+        ``(choice, lint, executed tree, rewrite notes, artifacts)``.
         """
-        compiled = plan.compiled
-        if compiled.tree is None:
-            return None
-        static = choose_strategy(self.stats, compiled.tree,
-                                 compiled.is_bare_path, has_index=True,
-                                 parallelism=backend.parallelism)
-        if static.strategy == "parallel" and plan.artifacts is not None:
-            from repro.analysis.passes import partition_unsafe_noks
+        strategy = key.strategy
+        choice = self._resolve_strategy(compiled, strategy, tracer,
+                                        backend.parallelism)
+        # Query lint (QL rules): check the pattern against the document's
+        # structural summary and rewrite provably-empty work away.
+        lint: QueryLintResult | None = None
+        rewrites: tuple[str, ...] = ()
+        tree = compiled.tree
+        if self.analyze_queries and tree is not None \
+                and strategy not in _BASELINES \
+                and choice.strategy not in _BASELINES:
+            lint = self._lint(compiled, key)
+            if tracer is not NULL_TRACER:
+                with tracer.span("query-lint") as span:
+                    span.set(findings=len(lint.report.findings),
+                             rules=",".join(lint.rules) or "-",
+                             static_empty=lint.static_empty)
+            if lint.static_empty:
+                reason = lint.static_empty_reason()
+                choice = PlanChoice("static-empty", f"query lint: {reason}")
+                rewrites = (f"short-circuit to static empty result: {reason}",)
+            else:
+                vids = lint.prune_vids()
+                if vids:
+                    pruned, notes = prune_pattern(tree, vids)
+                    if pruned is not None:
+                        tree, rewrites = pruned, notes
+        if artifacts is None and tree is not None \
+                and choice.strategy not in (*_BASELINES, "static-empty"):
+            with tracer.span("prepare-artifacts") as span:
+                artifacts = prepare_artifacts(tree)
+                span.set(noks=len(artifacts.decomposition.noks))
+        if choice.strategy == "parallel" and strategy == "auto" \
+                and artifacts is not None \
+                and partition_unsafe_noks(artifacts.decomposition):
+            # The decomposition (only now available) revealed a NoK
+            # whose match work bypasses the partitioned scan (rule
+            # PL004), so the auto upgrade quietly steps back to the
+            # serial plan.  An *explicit* strategy="parallel" request
+            # keeps the choice and lets the verifier refuse it with
+            # PL004.
+            choice = PlanChoice(
+                "pipelined",
+                "parallel upgrade withdrawn: plan has non-partition-"
+                "safe NoKs (PL004); serial merged scan instead")
+        if self.feedback and strategy == "auto" and key.text is not None \
+                and compiled.tree is not None \
+                and choice.strategy != "static-empty":
+            # Feedback (opt-in): measured history may adjust the static
+            # choice.  The advisor only ever moves between pattern
+            # strategies (pipelined/stack/twigstack/parallel), whose
+            # artifacts exist regardless of which of them was static.
+            alternative = StrategyAdvisor.alternative(
+                choice.strategy, self.stats, compiled.tree,
+                compiled.is_bare_path, has_index=True)
+            choice = self._advisor.advise(
+                key.text, self.stats_fingerprint(), key.executor, choice,
+                alternative)
+        return choice, lint, tree, rewrites, artifacts
 
-            if partition_unsafe_noks(plan.artifacts.decomposition):
-                static = PlanChoice(
-                    "pipelined",
-                    "parallel upgrade withdrawn: plan has non-partition-"
-                    "safe NoKs (PL004); serial merged scan instead")
-        return self._advise(compiled, static, norm_text, backend)
-
-    def recost(self, text: str | QueryExpr, *,
-               parallelism: int | None = None) -> list:
+    def recost(self, text: str | QueryExpr) -> list:
         """Rank the strategies against *observed* selectivities.
 
         Like the ``strategy="cost"`` ranking, but with every tag
@@ -722,8 +677,6 @@ class Engine:
         falls back to purely static estimates when nothing was observed
         yet.
         """
-        from repro.engine.cost import CostModel
-
         compiled = compile_query(text)
         if compiled.tree is None:
             raise CompileError(
@@ -736,18 +689,15 @@ class Engine:
         return model.rank(compiled.tree)
 
     # ------------------------------------------------------------------
-    # Execution.
+    # Execute stage.
     # ------------------------------------------------------------------
 
-    def _execute_plan(self, plan: CachedPlan, counters: ScanCounters,
-                      budget: int | None, tracer,
-                      bindings: dict | None,
-                      backend: ExecutionBackend = _SERIAL) -> QueryResult:
+    def _execute(self, run: _Run, plan: CachedPlan) -> QueryResult:
         """Run one compiled plan (the execution half of the pipeline)."""
         compiled, choice = plan.compiled, plan.choice
-        self.last_plan = str(choice)
-        self._last_strategy = choice.strategy
-        values = normalize_bindings(compiled.parameters, bindings)
+        counters, tracer = run.counters, run.tracer
+        run.strategy, run.plan_text = choice.strategy, str(choice)
+        values = normalize_bindings(compiled.parameters, run.options.params)
 
         if plan.static_empty:
             # Query lint proved the pattern matches nothing on this
@@ -759,18 +709,9 @@ class Engine:
                 # The FLWOR core is empty but it sits inside a larger
                 # expression (e.g. element construction): substitute []
                 # for the core and evaluate the rest normally.
-                wrapper = _SubstitutingEvaluator(self.doc,
-                                                 self._resolve_doc,
-                                                 compiled.flwor, [])
-                return QueryResult(
-                    wrapper.eval_query_expr(compiled.query, dict(values)))
-
+                return self._wrap(compiled, [], values)
         if choice.strategy == "naive":
-            with tracer.span("execute", plan="naive"):
-                evaluator = DirectEvaluator(self.doc, self._resolve_doc,
-                                            work_budget=budget)
-                return QueryResult(
-                    evaluator.eval_query_expr(compiled.query, dict(values)))
+            return self._execute_naive(run, compiled, values, "naive")
         if choice.strategy == "xhive":
             from repro.baseline.xhive import XHiveSimulator
 
@@ -779,6 +720,7 @@ class Engine:
                 return simulator.run(compiled.query, values)
 
         assert compiled.flwor is not None and compiled.tree is not None
+        backend = run.options.executor
         executor = FLWORExecutor(
             self.doc, self._resolve_doc,
             join_algorithm=("auto" if choice.strategy in ("twigstack",
@@ -809,67 +751,70 @@ class Engine:
                 raise
             # Late compile failure under auto: fall back to direct
             # evaluation rather than surfacing an internal limitation.
-            with tracer.span("execute", plan="naive (late fallback)"):
-                evaluator = DirectEvaluator(self.doc, self._resolve_doc,
-                                            work_budget=budget)
-                self.last_plan = "naive (late fallback)"
-                self._last_strategy = "naive"
-                return QueryResult(
-                    evaluator.eval_query_expr(compiled.query, dict(values)))
-        self.last_plan = str(choice) + "; " + "; ".join(executor.plan_notes)
-        self._last_match_summary = executor.match_summary
+            run.strategy, run.plan_text = "naive", "naive (late fallback)"
+            return self._execute_naive(run, compiled, values, run.plan_text)
+        run.plan_text = str(choice) + "; " + "; ".join(executor.plan_notes)
+        run.match_summary = executor.match_summary
 
         if compiled.query is compiled.flwor:
             return QueryResult(items)
         with tracer.span("construct-wrapper"):
-            wrapper = _SubstitutingEvaluator(self.doc, self._resolve_doc,
-                                             compiled.flwor, items)
+            return self._wrap(compiled, items, values)
+
+    def _execute_naive(self, run: _Run, compiled: CompiledQuery,
+                       values: dict, label: str) -> QueryResult:
+        """Direct per-iteration evaluation (the Section-1 strawman)."""
+        with run.tracer.span("execute", plan=label):
+            evaluator = DirectEvaluator(self.doc, self._resolve_doc,
+                                        work_budget=run.budget)
             return QueryResult(
-                wrapper.eval_query_expr(compiled.query, dict(values)))
+                evaluator.eval_query_expr(compiled.query, dict(values)))
 
-    def _publish_metrics(self, counters: ScanCounters,
-                         before: dict[str, int], elapsed_ms: float) -> None:
-        """Feed the registry with this run's counter deltas.
+    def _wrap(self, compiled: CompiledQuery, items: list[Item],
+              values: dict) -> QueryResult:
+        """Evaluate the expression enclosing the FLWOR core around the
+        core's precomputed ``items``."""
+        wrapper = _SubstitutingEvaluator(self.doc, self._resolve_doc,
+                                         compiled.flwor, items)
+        return QueryResult(
+            wrapper.eval_query_expr(compiled.query, dict(values)))
 
-        Deltas (not absolutes) because callers may reuse one
-        :class:`ScanCounters` across several queries.
+    # ------------------------------------------------------------------
+    # Record stage.
+    # ------------------------------------------------------------------
+
+    def _record(self, run: _Run, before: dict[str, int], elapsed_ms: float,
+                items: int | None) -> None:
+        """Feed the registry and the stats store with this run's actuals.
+
+        Counter *deltas* (not absolutes) because callers may reuse one
+        :class:`ScanCounters` across several queries.  The stats-store
+        row is keyed like the plan cache but under the *executed*
+        strategy, so the feedback loop can compare strategies of the
+        same query like the cache compares plans; pre-parsed expressions
+        (they bypass the cache too) share the ``<expr>`` pseudo-text.
         """
-        strategy = self._last_strategy
+        counters, strategy, key = run.counters, run.strategy, run.key
         _QUERIES.inc(strategy=strategy)
         _LATENCY.observe(elapsed_ms, strategy=strategy)
-        _NODES.inc(counters.nodes_scanned - before["nodes_scanned"])
+        delta = {name: getattr(counters, name) - before[name]
+                 for name in ("nodes_scanned", "comparisons",
+                              "intermediate_results")}
+        _NODES.inc(delta["nodes_scanned"])
         _SCANS.inc(counters.scans_started - before["scans_started"])
-        _COMPARISONS.inc(counters.comparisons - before["comparisons"])
-        _INTERMEDIATE.inc(counters.intermediate_results
-                          - before["intermediate_results"])
+        _COMPARISONS.inc(delta["comparisons"])
+        _INTERMEDIATE.inc(delta["intermediate_results"])
         _PEAK.max(counters.peak_buffered)
-
-    def _record_run(self, source, counters: ScanCounters,
-                    before: dict[str, int], elapsed_ms: float,
-                    backend: ExecutionBackend, cache_status: str | None,
-                    items: int | None) -> None:
-        """Feed the stats store with this run's actuals (never raises).
-
-        Recorded under the plan-cache key shape — (normalized text,
-        *executed* strategy, fingerprint, executor backend key) — so the
-        feedback loop can compare strategies of the same query like the
-        cache compares plans.  Runs for pre-parsed expressions record
-        under the ``<expr>`` pseudo-text (they bypass the cache too).
-        """
+        if not self.record_stats:
+            return
         error = sys.exc_info()[0]
         try:
-            text = (normalize_query_text(source) if isinstance(source, str)
-                    else "<expr>")
-            after = counters.snapshot()
             self.stats_store.record(
-                text, self._last_strategy, self.stats_fingerprint(),
-                backend.key, elapsed_ms=elapsed_ms,
-                counters={name: after[name] - before[name]
-                          for name in ("nodes_scanned", "comparisons",
-                                       "intermediate_results")},
-                items=items,
-                nok_matches=self._last_match_summary or None,
-                cache_status=cache_status,
+                "<expr>" if key.text is None else key.text, strategy,
+                self.stats_fingerprint(), key.executor,
+                elapsed_ms=elapsed_ms, counters=delta, items=items,
+                nok_matches=run.match_summary or None,
+                cache_status=run.cache_status,
                 error=error.__name__ if error is not None else None)
         except Exception:
             # Statistics are an observer: a recording failure must not
@@ -880,23 +825,9 @@ class Engine:
     def explain(self, text: str | QueryExpr, strategy: str = "auto") -> str:
         """Describe the plan that ``query`` would run (without running it)."""
         compiled = compile_query(text)
-        choice = self._resolve_strategy(compiled, strategy)
-        lint: QueryLintResult | None = None
-        rewrites: list[str] = []
-        if self.analyze_queries and compiled.tree is not None \
-                and strategy not in ("naive", "xhive") \
-                and choice.strategy not in ("naive", "xhive"):
-            lint = self._lint_compiled(compiled)
-            if lint.static_empty:
-                choice = PlanChoice(
-                    "static-empty",
-                    f"query lint: {lint.static_empty_reason()}")
-                rewrites = ["short-circuit to static empty result: "
-                            f"{lint.static_empty_reason()}"]
-            elif lint.prune_vids():
-                _pruned, notes = prune_pattern(compiled.tree,
-                                               lint.prune_vids())
-                rewrites = list(notes)
+        options = QueryOptions(strategy)
+        choice, lint, _tree, rewrites, _artifacts = self._choose(
+            compiled, QueryKey(text, options), options.executor)
         lines = [f"strategy: {choice}"]
         if lint is not None and lint.report.findings:
             lines.append("query lint:")
@@ -904,8 +835,6 @@ class Engine:
         for note in rewrites:
             lines.append(f"rewrite: {note}")
         if compiled.flwor is not None and not compiled.is_bare_path:
-            from repro.xquery.semantics import analyze
-
             report = analyze(compiled.flwor)
             if report.correlations:
                 lines.append("correlations:")
@@ -916,12 +845,8 @@ class Engine:
         if compiled.tree is not None:
             lines.append("BlossomTree:")
             lines.append(compiled.tree.describe())
-            from repro.pattern.decompose import decompose
-
             lines.append("decomposition:")
             lines.append(decompose(compiled.tree).describe())
-            from repro.engine.cost import CostModel
-
             lines.append("cost estimates (expected nodes touched):")
             model = CostModel(self.doc, self.stats, self.index)
             for estimate in model.rank(compiled.tree):
@@ -952,16 +877,9 @@ class Engine:
         model's currency, expected nodes touched), so the optimizer's
         predictions are directly auditable against the run.
         """
-        from repro.engine.cost import CostModel
-        from repro.obs.export import format_table
-
-        counters = ScanCounters()
-        tracer = Tracer()
-        result = self.query(text, strategy=strategy, counters=counters,
-                            work_budget=work_budget, tracer=tracer,
-                            params=params, timeout_ms=timeout_ms)
-        trace = self.last_trace
-        assert trace is not None
+        result = self.query(text, strategy=strategy, work_budget=work_budget,
+                            trace=True, params=params, timeout_ms=timeout_ms)
+        trace, counters = result.trace, result.counters
         model = CostModel(self.doc, self.stats, self.index)
 
         rows: list[dict[str, object]] = []
@@ -1012,7 +930,7 @@ class Engine:
         root = trace.root
         if root is not None and "source" in root.attrs:
             lines.append(f"query: {root.attrs['source']}")
-        lines.append(f"plan: {self.last_plan}")
+        lines.append(f"plan: {result.plan}")
         lines.append(f"total: {trace.total_ms:.3f} ms, {len(result)} item(s)")
         lines.append("")
         if rows:
@@ -1065,62 +983,44 @@ class Engine:
     #: enough that an adversarial stream of distinct texts stays O(1).
     _LINT_MEMO_MAX = 512
 
-    def _lint_compiled(self, compiled: CompiledQuery,
-                       norm_text: str | None = None) -> QueryLintResult:
+    def _lint(self, compiled: CompiledQuery, key: QueryKey) -> QueryLintResult:
         """Run (or recall) the QL lint for one compilation.
 
-        Memoized on (normalized text, summary digest, foreign-doc set):
-        the lint reads nothing else, and deterministic compilation
-        guarantees the memoized prune vertex-ids line up with any fresh
-        BlossomTree built from the same text.  This keeps the lint's
-        share of a warm compile at dictionary-lookup cost — the ≤2%
-        overhead budget the PR-8 benchmark pins.  ``norm_text`` lets
-        callers that already normalized the text (the plan-cache key)
-        skip re-normalizing it here.
+        Memoized on :meth:`QueryKey.lint` — (normalized text, summary
+        digest, foreign-doc set): the lint reads nothing else, and
+        deterministic compilation guarantees the memoized prune
+        vertex-ids line up with any fresh BlossomTree built from the
+        same text.  This keeps the lint's share of a warm compile at
+        dictionary-lookup cost — the ≤2% overhead budget the PR-8
+        benchmark pins.
         """
-        source = compiled.source
-        key = None
-        if norm_text is None and isinstance(source, str) and source:
-            norm_text = normalize_query_text(source)
-        if norm_text:
-            # With lint enabled the cached stats fingerprint ends with
-            # the summary digest — reuse it instead of re-deriving.
-            fp = self._fingerprint_cache
-            key = (norm_text,
-                   fp[-1] if fp is not None else self.summary.fingerprint(),
-                   self._foreign)
-            cached = self._lint_memo.get(key)
+        memo_key = None
+        if key.text:
+            memo_key = key.lint(self.summary.fingerprint(), self._foreign)
+            cached = self._lint_memo.get(memo_key)
             if cached is not None:
                 return cached
+        source = compiled.source
         lint = analyze_query(
             compiled.tree, self.summary,
             flwor=None if compiled.is_bare_path else compiled.flwor,
             source=source if isinstance(source, str) else "<query>",
             foreign_uris=self._foreign)
-        if key is not None:
-            self._lint_memo[key] = lint
+        if memo_key is not None:
+            self._lint_memo[memo_key] = lint
             if len(self._lint_memo) > self._LINT_MEMO_MAX:
                 self._lint_memo.popitem(last=False)
         return lint
 
     def _resolve_strategy(self, compiled: CompiledQuery, strategy: str,
-                          tracer: Tracer | None = None,
-                          parallelism: int = 1) -> PlanChoice:
+                          tracer, parallelism: int) -> PlanChoice:
         if strategy == "auto":
             return choose_strategy(self.stats, compiled.tree,
                                    compiled.is_bare_path, has_index=True,
                                    tracer=tracer, parallelism=parallelism)
-        if strategy == "parallel":
-            if compiled.tree is None or compiled.flwor is None:
-                raise CompileError(
-                    f"parallel strategy unavailable: "
-                    f"{compiled.compile_error or 'no FLWOR core'}")
-            return PlanChoice(
-                "parallel",
-                f"explicitly requested ({max(2, parallelism)} partitions)")
         if strategy == "cost":
             return self._cost_based_choice(compiled)
-        if strategy in ("naive", "xhive"):
+        if strategy in _BASELINES:
             return PlanChoice(strategy, "explicitly requested")
         if strategy == "twigstack":
             if compiled.tree is None:
@@ -1129,20 +1029,21 @@ class Engine:
             # Reject inapplicable patterns here, not deep in the executor:
             # the invariant analyzer (rule PL002) refuses to verify a
             # twigstack plan over a non-twig tree.
-            from repro.physical.twigstack import twig_supported
-
             if not twig_supported(compiled.tree):
                 raise CompileError(
                     "twigstack strategy unavailable: pattern is not a "
                     "single //-twig (crossing edges, optional modes or "
                     "sibling constraints present)")
             return PlanChoice("twigstack", "explicitly requested")
-        if strategy in _BLOSSOM_STRATEGIES:
+        if strategy == "parallel" or strategy in _BLOSSOM_STRATEGIES:
             if compiled.tree is None or compiled.flwor is None:
                 raise CompileError(
                     f"{strategy} strategy unavailable: "
                     f"{compiled.compile_error or 'no FLWOR core'}")
-            return PlanChoice(strategy, "explicitly requested")
+            reason = "explicitly requested"
+            if strategy == "parallel":
+                reason += f" ({max(2, parallelism)} partitions)"
+            return PlanChoice(strategy, reason)
         raise UsageError(f"unknown strategy {strategy!r}")
 
     def _cost_based_choice(self, compiled: CompiledQuery) -> PlanChoice:
@@ -1150,8 +1051,6 @@ class Engine:
         if compiled.tree is None:
             return PlanChoice("naive",
                               compiled.compile_error or "no pattern tree")
-        from repro.engine.cost import CostModel
-
         model = CostModel(self.doc, self.stats, self.index)
         for estimate in model.rank(compiled.tree):
             if estimate.cost == float("inf"):

@@ -134,6 +134,10 @@ class UpdateError(ReproError):
 class ExecutionError(ReproError):
     """Raised when a physical operator fails at run time."""
 
+    #: Text of the plan that was executing, stamped by the engine on
+    #: budget trips and deadline expiries (no result carries it then).
+    plan: str | None = None
+
 
 class QueryTimeoutError(ExecutionError):
     """Raised when a query exceeds its ``timeout_ms`` deadline.

@@ -5,7 +5,7 @@ module the two never met: actuals were computed, printed, and thrown
 away while the optimizer kept deciding from static
 :mod:`repro.xmlkit.stats` summaries.  :class:`StatsStore` is the
 missing memory.  Every execution that flows through
-:meth:`Engine._shell <repro.engine.session.Engine>` records, keyed like
+:meth:`Engine._run <repro.engine.session.Engine>` records, keyed like
 the plan cache —
 
 ``(normalized query text, executed strategy, stats fingerprint,

@@ -298,15 +298,6 @@ class BlossomTree:
     def blossoms(self) -> list[BlossomVertex]:
         return [v for v in self.vertices if v.is_blossom]
 
-    def mandatory_path_to_root(self, vertex: BlossomVertex) -> bool:
-        """True iff every edge from the vertex up to its root is mode f."""
-        node = vertex
-        while node.parent_edge is not None:
-            if node.parent_edge.mode != MODE_MANDATORY:
-                return False
-            node = node.parent_edge.parent
-        return True
-
     def describe(self) -> str:
         """Multi-line textual rendering (tests and the examples use it)."""
         lines: list[str] = []

@@ -34,7 +34,7 @@ from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, Node
 from repro.xpath.evaluator import EvalContext, XPathEvaluator, boolean_value
 from repro.algebra.nested_list import NLEntry
 
-__all__ = ["NoKMatcher", "match_subtree"]
+__all__ = ["NoKMatcher", "match_subtree", "value_constraints_hold"]
 
 
 class NoKMatcher:
@@ -106,7 +106,7 @@ def match_subtree(vertex: BlossomVertex, node: Node,
     if evaluator is None:
         evaluator = XPathEvaluator()
 
-    if not _value_constraints_hold(vertex, node, counters, evaluator):
+    if not value_constraints_hold(vertex, node, counters, evaluator):
         return None
 
     entry = NLEntry(vertex, node, len(vertex.child_edges))
@@ -145,9 +145,15 @@ def match_subtree(vertex: BlossomVertex, node: Node,
     return entry
 
 
-def _value_constraints_hold(vertex: BlossomVertex, node: Node,
-                            counters: ScanCounters,
-                            evaluator: XPathEvaluator) -> bool:
+def value_constraints_hold(vertex: BlossomVertex, node: Node,
+                           counters: ScanCounters,
+                           evaluator: XPathEvaluator) -> bool:
+    """Whether ``node`` satisfies every value predicate of ``vertex``.
+
+    The one vertex-predicate check: the NoK matcher, TwigStack and
+    PathStack stream filters all call it, so every engine counts one
+    comparison per predicate evaluated and stops at the first failure.
+    """
     if not vertex.value_predicates:
         return True
     if node.kind == DOCUMENT:

@@ -17,10 +17,11 @@ from __future__ import annotations
 from repro.errors import ExecutionError
 from repro.obs.metrics import REGISTRY
 from repro.pattern.blossom import BlossomTree, BlossomVertex
+from repro.physical.nok import value_constraints_hold
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
-from repro.xpath.evaluator import EvalContext, XPathEvaluator, boolean_value
+from repro.xpath.evaluator import XPathEvaluator
 from repro.physical.twigstack import twig_supported
 
 __all__ = ["PathStackOperator", "chain_supported"]
@@ -93,18 +94,9 @@ class PathStackOperator:
         self.counters.nodes_scanned += len(nodes)
         if not vertex.value_predicates:
             return nodes
-        kept = []
-        for node in nodes:
-            context = EvalContext(node)
-            ok = True
-            for predicate in vertex.value_predicates:
-                self.counters.comparisons += 1
-                if not boolean_value(self._evaluator.evaluate(predicate, context)):
-                    ok = False
-                    break
-            if ok:
-                kept.append(node)
-        return kept
+        return [node for node in nodes
+                if value_constraints_hold(vertex, node, self.counters,
+                                          self._evaluator)]
 
     # ------------------------------------------------------------------
     # The merge.

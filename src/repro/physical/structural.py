@@ -37,9 +37,6 @@ class JoinResult:
     def partners(self, u: Node) -> list[NLEntry]:
         return self.adjacency.get(u.nid, [])
 
-    def has_partner(self, u: Node) -> bool:
-        return u.nid in self.adjacency
-
     def add(self, u: Node, entry: NLEntry) -> None:
         self.adjacency.setdefault(u.nid, []).append(entry)
 

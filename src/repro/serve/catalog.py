@@ -274,9 +274,6 @@ class Catalog:
         with self._lock:
             return frozenset(self._entry(name).dropped)
 
-    def is_live(self, name: str, snapshot_id: int) -> bool:
-        return snapshot_id in self.live_ids(name)
-
     def on_retire(self, callback: Callable[[Snapshot], None]) -> None:
         """Register a callback fired (outside the lock) per retirement.
 

@@ -2,10 +2,9 @@
 
 :func:`connect` opens a TCP connection to a :class:`~repro.serve.server.Server`
 and returns a :class:`Client` whose surface deliberately mirrors
-:class:`~repro.serve.service.QueryService` — the same keyword-only
-``strategy`` / ``params`` / ``timeout_ms`` / ``executor`` spelling
-as every other query surface (the contract test pins this), so moving
-a workload from in-process to remote serving is a one-line change::
+:class:`~repro.serve.service.QueryService` (one options carrier,
+:class:`~repro.engine.request.QueryOptions`, spells both), so moving a
+workload from in-process to remote serving is a one-line change::
 
     import repro.serve.client
 
@@ -36,7 +35,8 @@ import socket
 import threading
 from typing import Any
 
-from repro.engine.backend import ExecutionBackend, resolve_backend
+from repro.engine.backend import ExecutionBackend
+from repro.engine.request import QueryOptions
 from repro.engine.result import atom_text
 from repro.errors import ProtocolError, error_for_code
 from repro.serve.protocol import (
@@ -128,9 +128,12 @@ class RemotePrepared:
     """A server-side prepared statement, scoped to its connection."""
 
     def __init__(self, client: Client, handle: int, source: str,
-                 parameters: list[str]) -> None:
+                 parameters: list[str],
+                 options: QueryOptions | None = None) -> None:
         self._client = client
         self._handle = handle
+        #: The prepare-time strategy and executor every execute pins.
+        self._options = options if options is not None else QueryOptions()
         self.source = source
         #: External ``$parameter`` names ``execute`` must bind.
         self.parameters = frozenset(parameters)
@@ -141,15 +144,13 @@ class RemotePrepared:
                 ) -> ClientResult:
         """Run the prepared statement (kwargs mirror every other
         query surface)."""
-        frame: dict[str, Any] = {"type": "execute",
-                                 "prepared": self._handle}
-        if params is not None:
-            frame["params"] = params
-        if timeout_ms is not None:
-            frame["timeout_ms"] = timeout_ms
-        if executor is not None:
-            frame["executor"] = resolve_backend(executor).key
-        return self._client._roundtrip_result(frame)
+        pinned = self._options
+        options = QueryOptions(
+            pinned.strategy, params, timeout_ms,
+            executor if executor is not None else pinned.executor)
+        return self._client._roundtrip_result(
+            {"type": "execute", "prepared": self._handle,
+             **options.to_frame()})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         params = ", ".join(f"${p}" for p in sorted(self.parameters))
@@ -193,31 +194,20 @@ class Client:
         """Evaluate a query on the server — the remote twin of
         :meth:`QueryService.query <repro.serve.service.QueryService.query>`
         (identical keyword-only kwargs)."""
-        frame: dict[str, Any] = {"type": "query", "text": text}
-        if doc is not None:
-            frame["doc"] = doc
-        if strategy != "auto":
-            frame["strategy"] = strategy
-        if params is not None:
-            frame["params"] = params
-        if timeout_ms is not None:
-            frame["timeout_ms"] = timeout_ms
-        if executor is not None:
-            frame["executor"] = resolve_backend(executor, strategy).key
-        return self._roundtrip_result(frame)
+        options = QueryOptions(strategy, params, timeout_ms, executor)
+        return self._roundtrip_result(
+            {"type": "query", "text": text, **options.to_frame(doc)})
 
     def prepare(self, text: str, *, strategy: str = "auto",
                 executor: ExecutionBackend | str | None = None
                 ) -> RemotePrepared:
         """Prepare a statement server-side; returns its handle object."""
-        frame: dict[str, Any] = {"type": "prepare", "text": text}
-        if strategy != "auto":
-            frame["strategy"] = strategy
-        if executor is not None:
-            frame["executor"] = resolve_backend(executor, strategy).key
-        reply = self._roundtrip(frame, expect="prepared")
+        options = QueryOptions(strategy, executor=executor)
+        reply = self._roundtrip(
+            {"type": "prepare", "text": text, **options.to_frame()},
+            expect="prepared")
         return RemotePrepared(self, reply["prepared"], text,
-                              list(reply.get("parameters", [])))
+                              list(reply.get("parameters", [])), options)
 
     def stats(self, top: int = 10) -> dict:
         """The server's versioned ``service.stats()`` payload

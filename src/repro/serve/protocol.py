@@ -11,7 +11,9 @@ Request types (client → server)
         One-shot evaluation: ``text`` plus the unified optional kwargs
         (``doc`` / ``strategy`` / ``params`` / ``timeout_ms`` /
         ``executor``) — the exact spelling of
-        :meth:`QueryService.submit <repro.serve.service.QueryService.submit>`.
+        :meth:`QueryService.submit <repro.serve.service.QueryService.submit>`,
+        encoded, decoded and type-checked only by
+        :class:`~repro.engine.request.QueryOptions`.
         ``executor`` travels as the canonical backend key string
         (``"serial"`` / ``"threads:4"`` / ``"processes:4"``, see
         :class:`~repro.engine.backend.ExecutionBackend`).  The
@@ -51,7 +53,6 @@ import json
 import struct
 from typing import Any, BinaryIO
 
-from repro.engine.result import atom_text
 from repro.errors import ProtocolError
 from repro.xmlkit.serialize import serialize
 from repro.xmlkit.tree import Node
@@ -221,8 +222,3 @@ def decode_item(payload: dict[str, Any]) -> tuple[str, Any]:
             return "atom", float(value)
         raise ProtocolError("malformed atom item")
     raise ProtocolError(f"unknown item kind {kind!r}")
-
-
-def atom_wire_text(value: Any) -> str:
-    """Render a decoded atom exactly like the in-process engine."""
-    return atom_text(value)

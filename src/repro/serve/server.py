@@ -48,6 +48,7 @@ from repro.errors import (
     UsageError,
     wire_code,
 )
+from repro.engine.request import QueryOptions
 from repro.obs.metrics import REGISTRY
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -96,8 +97,9 @@ class _Connection:
         self.writer = writer
         self.send_lock = asyncio.Lock()
         self.tasks: set[asyncio.Task] = set()
-        #: prepared-statement handles live for the connection's lifetime.
-        self.prepared: dict[int, dict[str, Any]] = {}
+        #: prepared-statement handles — ``(text, options, doc)`` — live
+        #: for the connection's lifetime.
+        self.prepared: dict[int, tuple[str, QueryOptions, str | None]] = {}
         self.next_prepared = 1
 
 
@@ -381,25 +383,22 @@ class Server:
         text = frame.get("text")
         if not isinstance(text, str):
             raise ProtocolError("prepare frame carries no query text")
-        strategy = frame.get("strategy", "auto")
-        executor = frame.get("executor")
-        doc = frame.get("doc") or self.service.default_document
+        options, doc = QueryOptions.from_frame(frame)
         # Validate the query and learn its external parameters by
         # compiling once against the current snapshot; executions go
         # through the service (and hit the shared plan cache).
-        snapshot = self.service.catalog.pin(doc)
+        snapshot = self.service.catalog.pin(
+            doc or self.service.default_document)
         try:
             engine = self.service.catalog.engine_for(snapshot)
-            prepared = engine.prepare(text, strategy=strategy,
-                                      executor=executor)
+            prepared = engine.prepare(text, strategy=options.strategy,
+                                      executor=options.executor)
             parameters = sorted(prepared.parameters)
         finally:
             self.service.catalog.unpin(snapshot)
         handle = conn.next_prepared
         conn.next_prepared += 1
-        conn.prepared[handle] = {
-            "text": text, "strategy": strategy,
-            "executor": executor, "doc": frame.get("doc")}
+        conn.prepared[handle] = (text, options, doc)
         await self._send(conn, {
             "type": "prepared", "id": request_id, "prepared": handle,
             "parameters": parameters})
@@ -411,36 +410,24 @@ class Server:
         outcome_timed_out = False
         latency_ms: float | None = None
         try:
+            spec = (frame.get("text"), None, None)
             if frame["type"] == "execute":
                 handle = frame.get("prepared")
-                spec = conn.prepared.get(handle)
+                spec = (conn.prepared.get(handle)
+                        if isinstance(handle, int) else None)
                 if spec is None:
                     raise UsageError(
                         f"unknown prepared handle {handle!r} (prepared "
                         "statements are scoped to their connection)")
-                text = spec["text"]
-                strategy = frame.get("strategy", spec["strategy"])
-                executor = frame.get("executor")
-                if executor is None:
-                    executor = spec["executor"]
-                doc = frame.get("doc", spec["doc"])
-            else:
-                text = frame.get("text")
-                strategy = frame.get("strategy", "auto")
-                executor = frame.get("executor")
-                doc = frame.get("doc")
+            text, pinned, doc = spec
             if not isinstance(text, str):
                 raise ProtocolError("query frame carries no query text")
-            timeout_ms = frame.get("timeout_ms", self.default_timeout_ms)
-            deadline = (started + timeout_ms / 1000.0
-                        if timeout_ms is not None else None)
-            params = frame.get("params")
-            if params is not None and not isinstance(params, dict):
-                raise ProtocolError("params must be a JSON object")
-            future = self.service.submit(
-                text, doc=doc, strategy=strategy, params=params,
-                timeout_ms=timeout_ms, executor=executor,
-                client=f"{conn.cid}#{request_id}")
+            options, doc = QueryOptions.from_frame(
+                frame, pinned, doc, self.default_timeout_ms)
+            deadline = (started + options.timeout_ms / 1000.0
+                        if options.timeout_ms is not None else None)
+            future = self.service._submit(text, doc, options,
+                                          f"{conn.cid}#{request_id}")
             served: ServeResult = await asyncio.wrap_future(future)
             await self._stream_result(conn, request_id, served, deadline,
                                       started)

@@ -38,9 +38,8 @@ from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import Future
 from dataclasses import dataclass
 
-from repro.engine._compat import absorb_result_cache
-from repro.engine.backend import ExecutionBackend, resolve_backend
-from repro.engine.plancache import normalize_query_text
+from repro.engine.backend import ExecutionBackend
+from repro.engine.request import QueryKey, QueryOptions
 from repro.engine.result import QueryResult
 from repro.errors import (
     PlanInvariantError,
@@ -143,38 +142,27 @@ class ServeResult:
 class _Request:
     """One queued execution (one future; possibly many submitters)."""
 
-    __slots__ = ("text", "norm_text", "doc", "strategy", "params", "trace",
-                 "timeout_ms", "deadline", "submitted", "future", "key",
-                 "executor", "client")
+    __slots__ = ("text", "doc", "options", "key", "client", "slot",
+                 "deadline", "submitted", "future")
 
-    def __init__(self, text: str, doc: str, strategy: str,
-                 params: Mapping | None, trace: bool,
-                 timeout_ms: float | None,
-                 executor: ExecutionBackend | None = None,
-                 client: str | None = None) -> None:
+    def __init__(self, text: str, doc: str, options: QueryOptions,
+                 key: QueryKey, client: str | None = None) -> None:
         self.text = text
-        self.norm_text = normalize_query_text(text)
         self.doc = doc
-        self.strategy = strategy
-        self.params = dict(params) if params else None
-        self.trace = trace
-        self.timeout_ms = timeout_ms
-        self.executor = executor if executor is not None \
-            else ExecutionBackend()
+        self.options = options
+        self.key = key
         #: Caller identity (network connection + request id); tags the
         #: slow-query log so remote offenders are attributable.
         self.client = client
         self.submitted = time.perf_counter()
-        self.deadline = (self.submitted + timeout_ms / 1000.0
-                         if timeout_ms is not None else None)
+        self.deadline = (self.submitted + options.timeout_ms / 1000.0
+                         if options.timeout_ms is not None else None)
         self.future: Future = Future()
-        #: Coalescing identity; ``None`` disables coalescing and result
+        #: Coalescing slot; ``None`` disables coalescing and result
         #: caching (parameterized or traced requests are never shared).
-        #: The executor backend key is part of the identity: a serial
-        #: and a parallel run of one query return identical items but
-        #: differ in trace/counters, so they never share an execution.
-        self.key = ((doc, self.norm_text, strategy, self.executor.key)
-                    if params is None and not trace else None)
+        self.slot = (key.coalescing(doc)
+                     if options.params is None and not options.trace
+                     else None)
 
 
 class QueryService:
@@ -201,9 +189,7 @@ class QueryService:
         (``max_bytes`` / ``max_entries`` / ``ttl_s`` /
         ``max_entry_bytes`` / ``adaptive``), a
         :class:`~repro.serve.cachepolicy.CachePolicy` or a prebuilt
-        :class:`~repro.serve.cachepolicy.ResultCacheStorage`.  The
-        deprecated ``result_cache_size=N`` (entry count) still maps for
-        one release.
+        :class:`~repro.serve.cachepolicy.ResultCacheStorage`.
     default_document:
         Name used when calls omit ``doc`` (and for registering a
         non-catalog ``source``).
@@ -221,7 +207,6 @@ class QueryService:
                  workers: int = 4, max_queue: int = 64,
                  default_timeout_ms: float | None = None,
                  result_cache=None,
-                 result_cache_size: int | None = None,
                  default_document: str = "main",
                  slow_query_ms: float | None = None,
                  slow_log: SlowQueryLog | None = None,
@@ -254,9 +239,8 @@ class QueryService:
         #: Policy/storage result cache (``None`` when disabled).  The
         #: catalog's retire hook invalidates synchronously, so a retired
         #: snapshot's entries are gone before ``commit`` returns.
-        self.result_cache: ResultCacheStorage | None = resolve_result_cache(
-            absorb_result_cache("QueryService", result_cache,
-                                result_cache_size))
+        self.result_cache: ResultCacheStorage | None = \
+            resolve_result_cache(result_cache)
         self.catalog.on_retire(self._purge_results)
 
         self.slow_log = (slow_log if slow_log is not None
@@ -308,10 +292,14 @@ class QueryService:
         *inline* on the submitting thread — no queue slot, no worker:
         provably-empty traffic can never crowd out real work.
         """
-        request = self._request(text, doc, strategy, params,
-                                timeout_ms, trace,
-                                resolve_backend(executor, strategy),
-                                client)
+        return self._submit(text, doc, QueryOptions(
+            strategy, params, timeout_ms, executor, trace=trace), client)
+
+    def _submit(self, text: str, doc: str | None, options: QueryOptions,
+                client: str | None = None) -> Future:
+        """:meth:`submit` for options already built and validated (the
+        network server decodes them from the request frame)."""
+        request = self._request(text, doc, options, client)
         fast = self._try_static_empty(request)
         if fast is not None:
             return fast
@@ -349,11 +337,10 @@ class QueryService:
             if isinstance(spec, str):
                 spec = {"text": spec}
             requests.append(self._request(
-                spec["text"], spec.get("doc", doc),
-                spec.get("strategy", strategy), spec.get("params"),
-                spec.get("timeout_ms", timeout_ms), False,
-                resolve_backend(spec.get("executor", executor),
-                                spec.get("strategy", strategy))))
+                spec["text"], spec.get("doc", doc), QueryOptions(
+                    spec.get("strategy", strategy), spec.get("params"),
+                    spec.get("timeout_ms", timeout_ms),
+                    spec.get("executor", executor))))
         futures = self._enqueue(requests)
         return [future.result() for future in futures]
 
@@ -498,14 +485,14 @@ class QueryService:
     # Admission.
     # ------------------------------------------------------------------
 
-    def _request(self, text: str, doc: str | None, strategy: str,
-                 params: Mapping | None, timeout_ms: float | None,
-                 trace: bool, executor: ExecutionBackend | None = None,
+    def _request(self, text: str, doc: str | None, options: QueryOptions,
                  client: str | None = None) -> _Request:
-        if timeout_ms is None:
-            timeout_ms = self.default_timeout_ms
-        return _Request(text, doc or self.default_document, strategy,
-                        params, trace, timeout_ms, executor, client)
+        """Apply the service defaults and build the request identity —
+        once; the engine is handed both instead of re-deriving them."""
+        if options.timeout_ms is None and self.default_timeout_ms is not None:
+            options = options.with_timeout(self.default_timeout_ms)
+        return _Request(text, doc or self.default_document, options,
+                        QueryKey(text, options), client)
 
     def _try_static_empty(self, request: _Request) -> Future | None:
         """Answer a provably-empty query inline, if it is known to be.
@@ -520,7 +507,7 @@ class QueryService:
         queue/worker handoff it replaces.  Any surprise (a racing
         publish, a failed lookup) falls back to normal admission.
         """
-        if request.params is not None or request.trace:
+        if request.slot is None:
             return None
         with self._cond:
             if self._closed:
@@ -536,11 +523,9 @@ class QueryService:
             # takes the queue path; constructing one here would stall
             # the submitting thread on stats/index/summary builds.
             engine = self.catalog.cached_engine(snapshot)
-            if engine is None or not engine.cached_static_empty(
-                    request.text, request.strategy, request.executor):
+            if engine is None or not engine._static_empty(request.key):
                 return None
-            result = engine.query(request.text, strategy=request.strategy,
-                                  executor=request.executor)
+            result = engine._run(request.text, request.options, request.key)
         except Exception:
             return None   # let the worker path surface the real error
         finally:
@@ -565,9 +550,9 @@ class QueryService:
             batch_keys: dict[tuple, Future] = {}
             for request in requests:
                 shared = None
-                if request.key is not None:
-                    shared = (self._inflight.get(request.key)
-                              or batch_keys.get(request.key))
+                if request.slot is not None:
+                    shared = (self._inflight.get(request.slot)
+                              or batch_keys.get(request.slot))
                 if shared is not None:
                     _COALESCED.inc()
                     self._count("submitted")
@@ -576,8 +561,8 @@ class QueryService:
                     continue
                 fresh.append(request)
                 futures.append(request.future)
-                if request.key is not None:
-                    batch_keys[request.key] = request.future
+                if request.slot is not None:
+                    batch_keys[request.slot] = request.future
             if len(self._queue) + len(fresh) > self.max_queue:
                 _REJECTIONS.inc(len(fresh))
                 self._count("rejections", len(fresh))
@@ -585,8 +570,8 @@ class QueryService:
             for request in fresh:
                 self._count("submitted")
                 self._queue.append(request)
-                if request.key is not None:
-                    self._inflight[request.key] = request.future
+                if request.slot is not None:
+                    self._inflight[request.slot] = request.future
             _QUEUE_DEPTH.set(len(self._queue))
             self._cond.notify_all()
             return futures
@@ -615,9 +600,9 @@ class QueryService:
                     self._busy_ns += busy
                     self._inflight_count -= 1
                     _INFLIGHT.set(self._inflight_count)
-                    if request.key is not None and \
-                            self._inflight.get(request.key) is request.future:
-                        del self._inflight[request.key]
+                    if request.slot is not None and \
+                            self._inflight.get(request.slot) is request.future:
+                        del self._inflight[request.slot]
                     self._cond.notify_all()
 
     def _serve(self, request: _Request) -> None:
@@ -633,12 +618,12 @@ class QueryService:
             self._count("timeouts")
             if self.slow_log is not None:
                 self.slow_log.observe(
-                    request.text, request.strategy, "(expired in queue)",
+                    request.text, request.key.strategy, "(expired in queue)",
                     wait_ms, deadline_state="expired",
                     client=request.client)
             future.set_exception(QueryTimeoutError(
                 "query expired in the service queue",
-                timeout_ms=request.timeout_ms))
+                timeout_ms=request.options.timeout_ms))
             return
         try:
             served = self._execute(request, wait_ms)
@@ -661,10 +646,9 @@ class QueryService:
             started = time.perf_counter()
             try:
                 cache_key = None
-                if request.key is not None and self.result_cache is not None:
-                    cache_key = (request.doc, snapshot.snapshot_id,
-                                 request.norm_text, request.strategy,
-                                 request.executor.key)
+                if request.slot is not None and self.result_cache is not None:
+                    cache_key = request.key.result(request.doc,
+                                                   snapshot.snapshot_id)
                     cached = self._result_get(cache_key)
                     if cached is not None:
                         run_ms = (time.perf_counter() - started) * 1e3
@@ -672,12 +656,14 @@ class QueryService:
                                            attempts, cached=True)
                 engine = self.catalog.engine_for(snapshot)
                 engine.scan_pools = self._scan_pools
+                options = request.options
+                if request.deadline is not None:
+                    # Deadlines are measured from submission: the engine
+                    # gets what the queue wait left of the budget.
+                    options = options.with_timeout(max(
+                        (request.deadline - time.perf_counter()) * 1e3, 0.0))
                 try:
-                    result = engine.query(
-                        request.text, strategy=request.strategy,
-                        trace=request.trace, params=request.params,
-                        timeout_ms=self._remaining_ms(request),
-                        executor=request.executor)
+                    result = engine._run(request.text, options, request.key)
                 except PlanInvariantError as exc:
                     if attempts == 1 and "SV001" in exc.rule_ids:
                         # A cached plan raced a snapshot flip: purge the
@@ -686,16 +672,16 @@ class QueryService:
                         self.catalog.purge_stale_plans(request.doc)
                         continue
                     raise
-                except QueryTimeoutError:
-                    self._observe_slow(request, engine, snapshot,
+                except QueryTimeoutError as exc:
+                    self._observe_slow(request, exc.plan, snapshot,
                                        (time.perf_counter() - started) * 1e3,
                                        None, deadline_state="expired")
                     raise
                 if cache_key is not None:
-                    self._result_put(cache_key, result)
+                    self._result_put(request.doc, cache_key, result)
                 run_ms = (time.perf_counter() - started) * 1e3
                 self._observe_slow(
-                    request, engine, snapshot, run_ms,
+                    request, result.plan, snapshot, run_ms,
                     result.counters.snapshot() if result.counters else None,
                     deadline_state=("none" if request.deadline is None
                                     else "ok"))
@@ -704,20 +690,15 @@ class QueryService:
             finally:
                 self.catalog.unpin(snapshot)
 
-    def _remaining_ms(self, request: _Request) -> float | None:
-        """Deadline budget left for execution (measured from submit)."""
-        if request.deadline is None:
-            return None
-        return max((request.deadline - time.perf_counter()) * 1e3, 0.0)
-
-    def _observe_slow(self, request: _Request, engine, snapshot: Snapshot,
-                      elapsed_ms: float, counters: dict | None, *,
-                      deadline_state: str) -> None:
-        """Route one served execution through the slow-query log."""
+    def _observe_slow(self, request: _Request, plan: str | None,
+                      snapshot: Snapshot, elapsed_ms: float,
+                      counters: dict | None, *, deadline_state: str) -> None:
+        """Route one served execution through the slow-query log, with
+        the plan of *this* execution (from its result or its error)."""
         if self.slow_log is None:
             return
         record = self.slow_log.observe(
-            request.text, request.strategy, engine.last_plan or "?",
+            request.text, request.key.strategy, plan or "?",
             elapsed_ms, counters,
             snapshot_id=snapshot.snapshot_id,
             deadline_state=deadline_state,
@@ -739,13 +720,13 @@ class QueryService:
         self._count("result_cache_hits")
         return result
 
-    def _result_put(self, key: tuple, result: QueryResult) -> None:
+    def _result_put(self, doc: str, key: tuple, result: QueryResult) -> None:
         storage = self.result_cache
         nbytes = storage.sizer(result) + ENTRY_OVERHEAD_BYTES
         # Feed the entry-size distribution the adaptive policy reads
         # back; the document's stats store outlives snapshot churn.
         try:
-            self.catalog.stats_store(key[0]).record_result_bytes(nbytes)
+            self.catalog.stats_store(doc).record_result_bytes(nbytes)
         except UsageError:
             pass    # document dropped while the request was in flight
         storage.put(key, result, nbytes=nbytes)

@@ -126,12 +126,6 @@ class Node:
                 return siblings[mid + 1] if mid + 1 < len(siblings) else None
         return None
 
-    def element_children(self) -> Iterator[Node]:
-        """Iterate child *elements* only (skipping text nodes)."""
-        for child in self.children:
-            if child.kind == ELEMENT:
-                yield child
-
     def next_in_document(self) -> Node | None:
         """Return the next node in document order (pre-order successor)."""
         nxt = self.nid + 1
@@ -145,10 +139,6 @@ class Node:
     def is_ancestor_of(self, other: Node) -> bool:
         """True iff ``self`` is a proper ancestor of ``other``."""
         return self.start < other.start and other.end < self.end
-
-    def is_descendant_of(self, other: Node) -> bool:
-        """True iff ``self`` is a proper descendant of ``other``."""
-        return other.is_ancestor_of(self)
 
     def is_parent_of(self, other: Node) -> bool:
         """True iff ``self`` is the parent of ``other``."""

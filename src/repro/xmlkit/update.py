@@ -45,9 +45,6 @@ class UpdateReport:
     nodes_relabeled: int = 0      # existing nodes whose (nid/start/end) changed
     indexes_invalidated: int = 0
 
-    def total_touched(self) -> int:
-        return self.nodes_added + self.nodes_removed + self.nodes_relabeled
-
 
 class DocumentUpdater:
     """Applies structural updates to a document, maintaining labels.

@@ -157,12 +157,6 @@ class TokenCursor:
             return True
         return False
 
-    def accept_name(self, text: str) -> bool:
-        if self.current.is_name(text):
-            self.advance()
-            return True
-        return False
-
     def expect_symbol(self, text: str) -> Token:
         if not self.current.is_symbol(text):
             raise self.error(f"expected {text!r}, got {self.current.value!r}")

@@ -8,11 +8,8 @@ is covered in ``test_serve_service.py``; everything here drives the
 storage directly with a fake clock and fake results.
 """
 
-import warnings
-
 import pytest
 
-from repro.engine._compat import absorb_result_cache
 from repro.errors import UsageError
 from repro.obs.statstore import StatsStore
 from repro.serve.cachepolicy import (
@@ -434,22 +431,16 @@ class TestAdaptivePolicy:
 
 
 class TestResultCacheSizeShim:
-    def test_maps_to_max_entries_with_a_warning(self):
-        with pytest.warns(DeprecationWarning, match="result_cache_size"):
-            spec = absorb_result_cache("QueryService", None, 64)
-        assert spec == {"max_entries": 64}
+    def test_result_cache_size_is_a_type_error(self):
+        # The entry-count ``result_cache_size=`` shim completed its
+        # one-release deprecation cycle: like any unknown keyword it is
+        # a plain TypeError now (``result_cache={"max_entries": N}`` is
+        # the spelling).
+        import repro
+        from repro.serve.service import QueryService
 
-    def test_zero_still_disables(self):
-        with pytest.warns(DeprecationWarning):
-            spec = absorb_result_cache("QueryService", None, 0)
-        assert resolve_result_cache(spec) is None
-
-    def test_both_knobs_is_an_error(self):
-        with pytest.raises(UsageError, match="both"):
-            absorb_result_cache("QueryService", "16mb", 64)
-
-    def test_absent_knob_passes_through_untouched(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert absorb_result_cache("QueryService", "16mb", None) \
-                == "16mb"
+        with pytest.raises(TypeError, match="result_cache_size"):
+            QueryService("<a/>", result_cache_size=64)
+        with repro.connect("<a/>") as db:
+            with pytest.raises(TypeError, match="result_cache_size"):
+                db.serve(result_cache_size=64)

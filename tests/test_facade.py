@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.engine.database import Database
+from repro.engine.request import QueryOptions
 from repro.engine.session import Engine
 from repro.errors import UsageError
 from repro.xmlkit.parser import parse
@@ -120,41 +121,75 @@ def _five_surfaces():
 
 
 class TestUnifiedKeywords:
-    """One spelling everywhere: the contract test pinning the redesigned
-    v1 call surface.  ``strategy`` / ``params`` / ``timeout_ms`` /
-    ``executor`` must be spelled identically — and be keyword-only —
-    on all five query surfaces: ``Engine.query``, ``Database.query``,
-    ``PreparedQuery.execute``, ``QueryService.submit`` and the network
-    ``Client.query``.  The one-release shims are gone: positional
-    options and ``parallelism=`` now raise a plain :class:`TypeError`
-    on every surface."""
+    """One spelling everywhere: the contract test pinning the v1 call
+    surface.  Every option is a field of the one carrier,
+    :class:`~repro.engine.request.QueryOptions`, and must be spelled
+    identically — and be keyword-only — on all five query surfaces:
+    ``Engine.query``, ``Database.query``, ``PreparedQuery.execute``,
+    ``QueryService.submit`` and the network ``Client.query``.  The
+    one-release shims are gone: positional options and ``parallelism=``
+    now raise a plain :class:`TypeError` on every surface."""
 
-    UNIFIED = ("params", "timeout_ms", "executor")
+    #: What each surface accepts *besides* the QueryOptions fields...
+    EXTRAS = {
+        "Engine.query": {"counters", "tracer"},
+        "Database.query": {"counters", "tracer"},
+        "PreparedQuery.execute": {"counters", "tracer"},
+        "QueryService.submit": {"doc", "client"},
+        "Client.query": {"doc"},
+    }
+    #: ...and the fields it leaves out, with the reason.
+    OMITS = {
+        "PreparedQuery.execute": {"strategy"},      # pinned by prepare()
+        "QueryService.submit": {"work_budget"},     # in-process only
+        "Client.query": {"work_budget", "trace"},   # not on the v1 wire
+    }
 
     @pytest.mark.parametrize("owner, method",
                              _five_surfaces(),
                              ids=[f"{o.__name__}.{m}"
                                   for o, m in _five_surfaces()])
     def test_unified_kwargs_are_keyword_only_everywhere(self, owner, method):
+        """The keyword set is *derived* from the one options carrier:
+        adding a field to QueryOptions fails here until every surface
+        (and, below, the frame codec) carries it."""
         sig = inspect.signature(getattr(owner, method))
-        # PreparedQuery pins strategy at prepare() time; every other
-        # surface takes it per call, spelled identically.
-        wanted = self.UNIFIED if method == "execute" \
-            else self.UNIFIED + ("strategy",)
         where = f"{owner.__name__}.{method}"
-        for name in wanted:
-            assert name in sig.parameters, f"{where} is missing {name}"
-            assert sig.parameters[name].kind is inspect.Parameter.KEYWORD_ONLY, \
-                f"{where}({name}=...) must be keyword-only"
-        # The PR 9 parallelism= shim completed its deprecation cycle.
-        assert "parallelism" not in sig.parameters, \
-            f"{where} still accepts the removed parallelism= kwarg"
-        # No *args escape hatch either: stray positionals must be a
-        # TypeError, not silently absorbed.
+        keywords = {name for name, p in sig.parameters.items()
+                    if p.kind is inspect.Parameter.KEYWORD_ONLY}
+        assert keywords == (set(QueryOptions.__slots__)
+                            - self.OMITS.get(where, set())) \
+            | self.EXTRAS[where], where
+        # Nothing but ``self`` and the query text may be positional, and
+        # there is no *args escape hatch: stray positionals (and the
+        # long-removed parallelism= kwarg) are a plain TypeError.
+        assert len(sig.parameters) - len(keywords) <= 2, where
         assert not any(
             p.kind is inspect.Parameter.VAR_POSITIONAL
             for p in sig.parameters.values()), \
             f"{where} still absorbs positional options"
+
+    def test_the_wire_carries_every_option_the_client_accepts(self):
+        wire = set(QueryOptions(params={"p": 1}, timeout_ms=5).to_frame("d"))
+        assert wire == (set(QueryOptions.__slots__)
+                        - self.OMITS["Client.query"]) \
+            | self.EXTRAS["Client.query"]
+
+    def test_the_other_entry_points_spell_the_same_options(self):
+        from repro.serve.client import Client, RemotePrepared
+        from repro.serve.service import QueryService
+
+        fields = set(QueryOptions.__slots__)
+        for function, extras in (
+                (QueryService.query, {"doc", "client"}),
+                (QueryService.query_batch, {"doc"}),
+                (Engine.prepare, set()), (Database.prepare, set()),
+                (Client.prepare, set()), (RemotePrepared.execute, set())):
+            keywords = {
+                name for name, p in
+                inspect.signature(function).parameters.items()
+                if p.kind is inspect.Parameter.KEYWORD_ONLY}
+            assert keywords - extras <= fields, function.__qualname__
 
     @pytest.mark.parametrize("owner, method", [
         (Database, "explain_analyze"), (Engine, "explain_analyze")])

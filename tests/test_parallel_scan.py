@@ -417,7 +417,7 @@ class TestEngineParallelStrategy:
         engine = self.make_engine(wide_doc(600))
         prepared = engine.prepare("//book", executor="threads:4")
         assert prepared.executor.key == "threads:4"
-        assert prepared.parallelism == 4
+        assert prepared.executor.parallelism == 4
         parallel = prepared.execute().items
         assert "parallel" in engine.last_plan
         serial = prepared.execute(executor="serial").items

@@ -1,0 +1,250 @@
+"""One request, one key, one options carrier
+(:mod:`repro.engine.request`): per-request state never lives on the
+shared engine, options are validated once with typed errors, the frame
+codec round-trips, and every cache keys one request the same way."""
+
+import contextlib
+
+import pytest
+from hypothesis import given, strategies as st
+
+import repro
+from repro.engine.backend import ExecutionBackend, resolve_backend
+from repro.engine.plancache import normalize_query_text
+from repro.engine.request import QueryKey, QueryOptions
+from repro.engine.session import Engine
+from repro.errors import ProtocolError, ReproError, UsageError
+from repro.obs.metrics import REGISTRY
+from repro.obs.trace import Tracer
+from repro.serve import client as client_mod
+from repro.xmlkit.parser import parse
+
+LIBRARY = """
+<library>
+  <book id="b1"><author>Gray</author><title>Transaction</title></book>
+  <book id="b2"><author>Codd</author><title>Relational</title></book>
+  <book id="b3"><title>Automata</title></book>
+</library>
+"""
+
+
+class ReenteringTracer(Tracer):
+    """Runs ``reenter()`` as the first ``execute`` span closes — a second
+    request on the same engine between another's execution and its
+    record stage, without threads or timing."""
+
+    def __init__(self, reenter):
+        super().__init__()
+        self._reenter = reenter
+        self.inner = None
+
+    @contextlib.contextmanager
+    def span(self, name, **attrs):
+        with super().span(name, **attrs) as span:
+            yield span
+        if name == "execute" and self.inner is None:
+            self.inner = self._reenter()
+
+
+class TestPerRequestState:
+    OUTER, INNER = "//book[author]/title", "//book/author"
+
+    def test_reentrant_query_keeps_each_runs_own_state(self):
+        """Regression: the engine used to keep the executed strategy,
+        plan and match summary in instance fields, so the inner request
+        below made the outer one record (and count, and report) itself
+        as ``naive``."""
+        engine = Engine(parse(LIBRARY))
+        queries = REGISTRY.get("repro_queries_total")
+        before = {s: queries.value(strategy=s) for s in ("pipelined", "naive")}
+        tracer = ReenteringTracer(
+            lambda: engine.query(self.INNER, strategy="naive"))
+        outer = engine.query(self.OUTER, strategy="pipelined", tracer=tracer)
+        inner = tracer.inner
+
+        fp = engine.stats_fingerprint()
+        store = engine.stats_store
+
+        def row(text, strategy):
+            return store.get(normalize_query_text(text), strategy, fp,
+                             "serial")
+
+        assert row(self.OUTER, "pipelined").executions == 1
+        assert row(self.OUTER, "naive") is None
+        assert row(self.INNER, "naive").executions == 1
+        for strategy in ("pipelined", "naive"):
+            assert queries.value(strategy=strategy) == before[strategy] + 1
+        assert outer.strategy == "pipelined" and "pipelined" in outer.plan
+        assert inner.strategy == "naive" and "naive" in inner.plan
+        # A traced outer result carries its own trace, an untraced inner
+        # one none — whatever ``engine.last_trace`` says by now.
+        assert outer.trace.root.attrs["strategy"] == "pipelined"
+        assert outer.trace.root.attrs["plan"] == outer.plan
+        assert inner.trace is None
+
+    def test_failed_runs_carry_their_plan_on_the_error(self):
+        engine = Engine(parse(LIBRARY))
+        with pytest.raises(repro.DNFError) as info:
+            engine.query("//book/title", strategy="pipelined", work_budget=1)
+        assert "pipelined" in info.value.plan
+
+
+# ----------------------------------------------------------------------
+# Options are validated once, with typed errors, on every surface.
+# ----------------------------------------------------------------------
+
+BAD_OPTIONS = [
+    {"executor": "gpu"}, {"executor": "threads:x"},
+    {"executor": "threads:0"}, {"executor": 7},
+    {"timeout_ms": "soon"}, {"timeout_ms": float("nan")},
+    {"timeout_ms": float("inf")}, {"timeout_ms": -1}, {"timeout_ms": True},
+    {"params": [("who", "Gray")]}, {"strategy": ["naive"]},
+]
+
+
+@pytest.fixture(scope="module")
+def surfaces():
+    """The five query surfaces as ``call(**options)`` closures."""
+    text = "//book/title"
+    with repro.connect(LIBRARY) as db:
+        server = db.listen()
+        with client_mod.connect(*server.address) as client:
+            yield {
+                "Engine.query": lambda **o: db.engine.query(text, **o),
+                "Database.query": lambda **o: db.query(text, **o),
+                "PreparedQuery.execute":
+                    lambda **o: db.prepare(text).execute(**o),
+                "QueryService.submit":
+                    lambda **o: db.serve().submit(text, **o).result(),
+                "Client.query": lambda **o: client.query(text, **o),
+            }
+
+
+SURFACES = ["Engine.query", "Database.query", "PreparedQuery.execute",
+            "QueryService.submit", "Client.query"]
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize("bad", BAD_OPTIONS, ids=repr)
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_bad_option_is_a_usage_error_everywhere(self, surfaces, surface,
+                                                    bad):
+        if surface == "PreparedQuery.execute" and "strategy" in bad:
+            pytest.skip("strategy is pinned at prepare() time")
+        with pytest.raises(UsageError):
+            surfaces[surface](**bad)
+        # ...and the surface (the client's connection included) survives.
+        assert len(surfaces[surface]()) == 3
+
+    @pytest.mark.parametrize("executor", ["gpu", "threads:x", "threads:0", 7])
+    def test_backend_argument_errors_are_usage_errors(self, executor):
+        with pytest.raises(UsageError) as info:
+            resolve_backend(executor)
+        assert isinstance(info.value, ReproError)
+
+    def test_work_budget_is_checked_too(self):
+        for bad in (-1, 1.5, True, "lots"):
+            with pytest.raises(UsageError, match="work_budget"):
+                QueryOptions(work_budget=bad)
+
+
+OPTIONS = st.builds(
+    QueryOptions,
+    strategy=st.sampled_from(["auto", "naive", "pipelined", "parallel"]),
+    params=st.none() | st.dictionaries(
+        st.text(min_size=1, max_size=4),
+        st.text(max_size=4) | st.floats(allow_nan=False) | st.booleans(),
+        max_size=3),
+    timeout_ms=st.none() | st.floats(min_value=0, max_value=1e9)
+    | st.integers(min_value=0, max_value=10**6),
+    executor=st.none() | st.sampled_from(
+        ["serial", "threads", "threads:2", "processes:3",
+         ExecutionBackend("threads", 8)]))
+
+
+class TestFrameCodec:
+    @given(options=OPTIONS, doc=st.none() | st.text(min_size=1, max_size=8))
+    def test_round_trip(self, options, doc):
+        import json
+
+        frame = json.loads(json.dumps(options.to_frame(doc)))
+        decoded, decoded_doc = QueryOptions.from_frame(frame)
+        assert decoded_doc == doc
+        for name in ("strategy", "params", "timeout_ms", "executor"):
+            assert getattr(decoded, name) == getattr(options, name)
+
+    def test_absent_fields_fall_back_to_the_pinned_handle(self):
+        pinned = QueryOptions("parallel", executor="processes:2")
+        options, doc = QueryOptions.from_frame(
+            {"params": {"p": 1}}, pinned, "main", 250.0)
+        assert (options.strategy, options.executor.key, doc,
+                options.timeout_ms) == ("parallel", "processes:2", "main",
+                                        250.0)
+        override, _ = QueryOptions.from_frame({"executor": "serial"}, pinned)
+        assert override.executor.key == "serial"
+
+    @pytest.mark.parametrize("field, value", [
+        ("timeout_ms", "soon"), ("strategy", ["x"]), ("executor", 7),
+        ("doc", 5), ("params", [1])])
+    def test_wrongly_typed_field_is_a_protocol_error(self, field, value):
+        with pytest.raises(ProtocolError, match=field):
+            QueryOptions.from_frame({field: value})
+
+
+# ----------------------------------------------------------------------
+# One identity: every cache and memo keys a request the same way.
+# ----------------------------------------------------------------------
+
+class TestOneIdentity:
+    VARIANTS = ("//book[author]/title", "  //book[author]/title ",
+                "//book[author]/title\n")
+
+    def test_key_views_have_the_documented_contents(self):
+        options = QueryOptions("auto", executor="threads:2")
+        key = QueryKey(" //a  /b ", options)
+        assert key.plan(("fp",)) == ("//a /b", "auto", "threads:2", ("fp",))
+        assert key.lint("d", frozenset()) == ("//a /b", "d", frozenset())
+        assert (key.text, key.strategy, key.executor) == (
+            "//a /b", "auto", "threads:2")
+        assert key.coalescing("main") == ("main", "//a /b", "auto",
+                                          "threads:2")
+        assert key.result("main", 3) == ("main", 3, "//a /b", "auto",
+                                         "threads:2")
+        assert QueryKey(object(), options).text is None     # bypasses caches
+
+    def test_whitespace_variants_share_and_executor_separates(self):
+        with repro.connect(LIBRARY) as db:
+            service = db.serve(workers=1)
+            for text in self.VARIANTS:
+                service.query(text)
+            engine = service.catalog.engine_for(
+                service.catalog.current("main"))
+            store = service.catalog.stats_store("main")
+            assert len(engine.plan_cache) == 1
+            assert len(engine._lint_memo) == 1
+            assert len(store) == 1
+            assert len(service.result_cache) == 1
+            assert service.stats()["counters"]["result_cache_hits"] == 2
+
+            service.query(self.VARIANTS[0], executor="threads:2")
+            assert len(engine.plan_cache) == 2
+            assert len(store) == 2
+            assert len(service.result_cache) == 2
+            # The lint reads neither strategy nor executor: still one.
+            assert len(engine._lint_memo) == 1
+
+    def test_coalescing_slot_follows_the_same_identity(self):
+        from repro.serve.service import QueryService
+
+        service = QueryService(LIBRARY, workers=1)
+        try:
+            slots = {service._request(text, None, QueryOptions()).slot
+                     for text in self.VARIANTS}
+            assert len(slots) == 1
+            other = service._request(
+                self.VARIANTS[0], None, QueryOptions(executor="threads:2"))
+            assert other.slot not in slots
+            assert service._request(
+                self.VARIANTS[0], None, QueryOptions(trace=True)).slot is None
+        finally:
+            service.close()

@@ -298,6 +298,49 @@ class TestRobustness:
         finally:
             sock.close()
 
+    @pytest.mark.parametrize("frame_type", ["query", "prepare", "execute"])
+    @pytest.mark.parametrize("field, value, code", [
+        ("timeout_ms", "soon", "PROTOCOL"),
+        ("timeout_ms", float("nan"), "USAGE"),
+        ("timeout_ms", float("inf"), "USAGE"),
+        ("timeout_ms", True, "USAGE"),
+        ("strategy", ["x"], "PROTOCOL"),
+        ("strategy", "bogus", "USAGE"),
+        ("executor", 7, "PROTOCOL"),
+        ("executor", "gpu", "USAGE"),
+        ("executor", "threads:0", "USAGE"),
+        ("doc", 5, "PROTOCOL"),
+        ("params", [1], "PROTOCOL"),
+    ], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+    def test_malformed_option_field_keeps_the_connection(
+            self, served, frame_type, field, value, code):
+        """Options are validated once, in the frame codec: a wrong JSON
+        type is PROTOCOL, a well-typed invalid value USAGE — never
+        INTERNAL, never a raw Python operator message."""
+        _db, server, _cl = served
+        sock, stream = _raw_connection(server)
+        try:
+            frame = {"type": frame_type, "id": 2, "text": "//book",
+                     field: value}
+            if frame_type == "execute":
+                stream.write(encode_frame(
+                    {"type": "prepare", "id": 1, "text": "//book"}))
+                stream.flush()
+                frame["prepared"] = read_frame(stream)["prepared"]
+            stream.write(encode_frame(frame))
+            stream.write(encode_frame({"type": "ping", "id": 3}))
+            stream.flush()
+            # Pipelined requests answer in completion order.
+            reply, pong = sorted((read_frame(stream), read_frame(stream)),
+                                 key=lambda f: f["id"])
+            assert (reply["type"], reply["id"]) == ("error", 2)
+            assert reply["code"] == code, reply
+            assert "unsupported operand" not in reply["message"]
+            assert "unhashable" not in reply["message"]
+            assert (pong["type"], pong["id"]) == ("pong", 3)
+        finally:
+            sock.close()
+
     def test_mid_stream_disconnect_leaves_server_healthy(self, served):
         _db, server, cl = served
         sock, stream = _raw_connection(server)

@@ -148,6 +148,30 @@ class TestServiceBasics:
         assert second.snapshot_id == 2 and len(second) == 1
 
 
+class TestSlowLogOnASharedEngine:
+    def test_each_record_logs_its_own_requests_plan(self):
+        """The serving twin of the re-entrant engine regression: two
+        workers share one snapshot engine, so a slow-log record built
+        from ``engine.last_plan`` could show the *other* worker's plan.
+        Each record's plan comes from its own result, so the assertion
+        holds under any interleaving."""
+        with make_service(workers=2, slow_query_ms=0.0,
+                          result_cache=0) as service:
+            futures = [service.submit(f'//book[author != "a{i}"]/title',
+                                      strategy=strategy)
+                       for i in range(20)
+                       for strategy in ("naive", "pipelined")]
+            results = [future.result() for future in futures]
+            assert {r.snapshot_id for r in results} == {1}
+            records = service.slow_log.entries
+            assert len(records) == len(futures)
+            for record in records:
+                assert record.plan.startswith(record.strategy), record
+            for served, strategy in zip(results, ("naive", "pipelined") * 20):
+                assert served.result.strategy == strategy
+                assert served.result.plan.startswith(strategy)
+
+
 class TestDeadlines:
     def test_queue_expired_request_times_out_and_counts(self):
         before = _TIMEOUTS.value()

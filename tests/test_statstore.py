@@ -331,7 +331,7 @@ class TestEngineRecording:
                               "<author>a</author></book></bib>"))
         result = engine.query("//book[author]/title")
         key = (normalize_query_text("//book[author]/title"),
-               engine._last_strategy, engine.stats_fingerprint(), "serial")
+               result.strategy, engine.stats_fingerprint(), "serial")
         entry = engine.stats_store.get(*key)
         assert entry is not None
         assert entry.executions == 1
@@ -408,7 +408,7 @@ class TestParallelDemotionRegression:
                                       elapsed_ms=25.3)
         result = engine.query(text, executor="threads:4")
         assert len(result) == 2500
-        assert engine._last_strategy == "pipelined"
+        assert result.strategy == "pipelined"
         assert engine.stats_store.settled_strategy(norm, fp, "threads:4") == "pipelined"
         [demotion] = engine.stats_store.demotions
         assert demotion.from_strategy == "parallel"
@@ -422,16 +422,16 @@ class TestParallelDemotionRegression:
         text = "//item/val"
         norm = normalize_query_text(text)
         fp = engine.stats_fingerprint()
-        engine.query(text, executor="threads:4")     # caches the parallel plan
-        assert engine._last_strategy == "parallel"
+        # caches the parallel plan
+        assert engine.query(text, executor="threads:4").strategy == "parallel"
         engine.stats_store.clear()            # seed a clean measured history
         for _ in range(MIN_FEEDBACK_SAMPLES):
             engine.stats_store.record(norm, "parallel", fp, "threads:4",
                                       elapsed_ms=26.3)
             engine.stats_store.record(norm, "pipelined", fp, "threads:4",
                                       elapsed_ms=25.3)
-        engine.query(text, executor="threads:4")     # hit -> advised -> recost
-        assert engine._last_strategy == "pipelined"
+        # hit -> advised -> recost
+        assert engine.query(text, executor="threads:4").strategy == "pipelined"
         assert engine.stats_store.demotions
 
 
