@@ -21,16 +21,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.analysis.passes import (
-    artifacts_quick_clean,
     ast_pass,
     blossom_pass,
     decomposition_pass,
     dewey_pass,
     plan_pass,
     snapshot_pass,
-    tree_quick_clean,
 )
 from repro.analysis.report import AnalysisReport
+from repro.analysis.rules import Severity
 from repro.errors import PlanInvariantError
 from repro.obs.metrics import REGISTRY
 from repro.pattern.blossom import BlossomTree
@@ -84,12 +83,20 @@ def analyze_artifacts(artifacts: PatternArtifacts,
                       tree_verified: bool = False) -> AnalysisReport:
     """Run every pattern-stage pass over one artifacts bundle.
 
-    ``tree_verified`` skips the BlossomTree pass: the engine sets it on
-    its hot path because :func:`verify_tree` already ran over the same
-    tree object at compile time and the tree is not mutated in between.
+    ``tree_verified`` skips the BlossomTree pass: the engine sets it
+    because :func:`verify_tree` already ran over the same tree object
+    at compile time and the tree is not mutated in between.
     External callers (CLI, fixtures) leave it off for full coverage.
     """
     report = AnalysisReport(source=source)
+    _artifact_passes(artifacts, report, strategy, recursive_document,
+                     tree_verified)
+    return report
+
+
+def _artifact_passes(artifacts: PatternArtifacts, report: AnalysisReport,
+                     strategy: str | None, recursive_document: bool | None,
+                     tree_verified: bool) -> None:
     if not tree_verified:
         blossom_pass(artifacts.tree, report)
     decomposition_pass(artifacts.decomposition, report)
@@ -97,7 +104,6 @@ def analyze_artifacts(artifacts: PatternArtifacts,
     plan_pass(artifacts.tree, artifacts.decomposition, artifacts.dewey,
               report, strategy=strategy,
               recursive_document=recursive_document)
-    return report
 
 
 def analyze_plan(plan: CachedPlan, source: str | None = None,
@@ -106,21 +112,17 @@ def analyze_plan(plan: CachedPlan, source: str | None = None,
     """Analyze a cached plan end to end (AST through strategy choice).
 
     ``tree_verified`` skips the AST and BlossomTree passes, which
-    :func:`verify_tree` already ran at compile time (see
-    :func:`analyze_artifacts`).
+    already ran at compile time (see :func:`analyze_artifacts`).
     """
     compiled = plan.compiled
-    name = source if source is not None else compiled.source
-    report = AnalysisReport(source=name)
+    report = AnalysisReport(
+        source=source if source is not None else compiled.source)
     if compiled.flwor is not None and not tree_verified:
         ast_pass(compiled.flwor, report, external=compiled.parameters)
     strategy = plan.choice.strategy
     if plan.artifacts is not None:
-        sub = analyze_artifacts(plan.artifacts, source=name,
-                                strategy=strategy,
-                                recursive_document=recursive_document,
-                                tree_verified=tree_verified)
-        report.extend(sub)
+        _artifact_passes(plan.artifacts, report, strategy,
+                         recursive_document, tree_verified)
     elif strategy in _ARTIFACT_STRATEGIES:
         report.passes_run.append("plan")
         report.add("PL002", "plan",
@@ -148,45 +150,23 @@ def analyze_snapshot(plan: CachedPlan, live_snapshots: Collection[int],
 # ----------------------------------------------------------------------
 
 def _enforce(report: AnalysisReport) -> AnalysisReport:
+    outcome = "ok"
     for finding in report.findings:
         VERIFY_FINDINGS.inc(rule=finding.rule_id)
-    if report.errors:
-        VERIFY_RUNS.inc(outcome="error")
+        if finding.severity is Severity.ERROR:
+            outcome = "error"
+        elif outcome == "ok":
+            outcome = "warning"
+    VERIFY_RUNS.inc(outcome=outcome)
+    if outcome == "error":
         raise PlanInvariantError(report)
-    VERIFY_RUNS.inc(outcome="warning" if report.warnings else "ok")
     return report
-
-
-_VERIFY_OK_INC = VERIFY_RUNS.bound(outcome="ok")
-
-
-def _quick_ok(source: str, passes: list[str]) -> AnalysisReport:
-    """The clean-verdict report of a fast-path verification."""
-    _VERIFY_OK_INC()
-    report = AnalysisReport(source=source)
-    report.passes_run.extend(passes)
-    return report
-
-
-def _ast_clean(flwor: FLWOR, external: frozenset[str]) -> bool:
-    from repro.xquery.semantics import analyze
-
-    return not analyze(flwor, external=external).errors
 
 
 def verify_tree(tree: BlossomTree, source: str = "<query>",
                 flwor: FLWOR | None = None,
                 external: frozenset[str] = frozenset()) -> AnalysisReport:
-    """Gate form of :func:`analyze_tree`; raises on error findings.
-
-    The clean case takes a fused fast path
-    (:func:`~repro.analysis.passes.tree_quick_clean`); the full
-    reporting passes run only when something is dirty.
-    """
-    if tree_quick_clean(tree) \
-            and (flwor is None or _ast_clean(flwor, external)):
-        return _quick_ok(source, ["ast", "blossom"] if flwor is not None
-                         else ["blossom"])
+    """Gate form of :func:`analyze_tree`; raises on error findings."""
     return _enforce(analyze_tree(tree, source=source, flwor=flwor,
                                  external=external))
 
@@ -197,13 +177,6 @@ def verify_artifacts(artifacts: PatternArtifacts,
                      recursive_document: bool | None = None,
                      tree_verified: bool = False) -> AnalysisReport:
     """Gate form of :func:`analyze_artifacts`; raises on error findings."""
-    if artifacts_quick_clean(artifacts, strategy=strategy,
-                             recursive_document=recursive_document) \
-            and (tree_verified or tree_quick_clean(artifacts.tree)):
-        passes = ["decomposition", "dewey", "plan"]
-        if not tree_verified:
-            passes.insert(0, "blossom")
-        return _quick_ok(source, passes)
     return _enforce(analyze_artifacts(
         artifacts, source=source, strategy=strategy,
         recursive_document=recursive_document, tree_verified=tree_verified))
@@ -213,27 +186,6 @@ def verify_plan(plan: CachedPlan, source: str | None = None,
                 recursive_document: bool | None = None,
                 tree_verified: bool = False) -> AnalysisReport:
     """Gate form of :func:`analyze_plan`; raises on error findings."""
-    compiled = plan.compiled
-    name = source if source is not None else compiled.source
-    strategy = plan.choice.strategy
-    if plan.artifacts is not None:
-        quick = artifacts_quick_clean(plan.artifacts, strategy=strategy,
-                                      recursive_document=recursive_document) \
-            and (tree_verified or tree_quick_clean(plan.artifacts.tree))
-    else:
-        quick = strategy not in _ARTIFACT_STRATEGIES
-    if quick and not tree_verified and compiled.flwor is not None:
-        quick = _ast_clean(compiled.flwor, compiled.parameters)
-    if quick:
-        passes = []
-        if not tree_verified:
-            if compiled.flwor is not None:
-                passes.append("ast")
-            if plan.artifacts is not None:
-                passes.append("blossom")
-        if plan.artifacts is not None:
-            passes.extend(["decomposition", "dewey", "plan"])
-        return _quick_ok(name, passes)
     return _enforce(analyze_plan(plan, source=source,
                                  recursive_document=recursive_document,
                                  tree_verified=tree_verified))
@@ -248,7 +200,4 @@ def verify_snapshot(plan: CachedPlan, live_snapshots: Collection[int],
     full rule metadata (and feeds the verify counters) instead of an
     ad-hoc exception.
     """
-    if plan.snapshot_id is None or plan.snapshot_id in live_snapshots:
-        return _quick_ok(source if source is not None
-                         else plan.compiled.source, ["serve"])
     return _enforce(analyze_snapshot(plan, live_snapshots, source=source))

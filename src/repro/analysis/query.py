@@ -85,10 +85,9 @@ class PruneDecision:
 class QueryLintResult:
     """Findings plus the rewrites they license, for one compilation.
 
-    Constructed once per (text, summary) and then memoized on the
-    engine's hot compile path, so the summaries below (``static_empty``,
-    ``rules``, the prune list) are precomputed — reading them must cost
-    nothing per compile.
+    Constructed once per compile and kept on the cached plan
+    (``CachedPlan.lint``); the summaries below (``static_empty``,
+    ``rules``, the prune list) are precomputed for its readers.
     """
 
     report: AnalysisReport

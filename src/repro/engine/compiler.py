@@ -21,7 +21,7 @@ from repro.pattern.build import build_blossom_tree, path_as_flwor
 from repro.xpath.ast import LocationPath, RootContext
 from repro.xquery.ast import ElementConstructor, Enclosed, FLWOR, QueryExpr
 from repro.xquery.parser import parse_query
-from repro.xquery.semantics import free_variables
+from repro.xquery.semantics import StaticReport, analyze, free_variables
 
 __all__ = ["CompiledQuery", "compile_query"]
 
@@ -39,6 +39,9 @@ class CompiledQuery:
     #: External ``$parameters`` — variables the query references but never
     #: binds; execution requires a binding for each (prepared queries).
     parameters: frozenset[str] = frozenset()
+    #: The static analysis of a user-written FLWOR (``None`` for bare
+    #: paths and static queries); ``explain`` reads its correlations.
+    static: StaticReport | None = None
 
     @property
     def optimizable(self) -> bool:
@@ -46,8 +49,7 @@ class CompiledQuery:
 
 
 def compile_query(text: str | QueryExpr,
-                  tracer: Tracer | None = None,
-                  verify: bool = True) -> CompiledQuery:
+                  tracer: Tracer | None = None) -> CompiledQuery:
     """Parse and compile a query string (or pre-parsed expression).
 
     Free variables are detected and recorded as the query's external
@@ -55,13 +57,12 @@ def compile_query(text: str | QueryExpr,
     mention them to the residual where clause, so the compiled plan has
     execution-time slots instead of baked-in values.
 
+    A user-written FLWOR is statically analyzed *before* its pattern is
+    built: a scoping error (e.g. a variable bound twice) raises
+    :class:`~repro.errors.StaticError` here, whatever strategy will run.
+
     ``tracer`` (optional) records a ``compile`` span covering parse and
     BlossomTree construction, with the outcome as attributes.
-
-    ``verify=False`` skips validate-on-compile; the engine passes it
-    when an identical (query, strategy, statistics) triple already
-    verified clean this process — compilation is deterministic, so the
-    rebuild produces structurally identical artifacts.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span("compile") as span:
@@ -81,6 +82,12 @@ def compile_query(text: str | QueryExpr,
             flwor = _locate_single_flwor(query)
 
         parameters = free_variables(query)
+        static: StaticReport | None = None
+        if flwor is not None and not is_bare_path:
+            # Bare paths skip this: their FLWOR is synthesized right
+            # here, so user-variable scoping cannot be violated.
+            static = analyze(flwor, external=parameters)
+            static.raise_errors(source)
         tree: BlossomTree | None = None
         error: str | None = None
         if flwor is not None:
@@ -88,16 +95,10 @@ def compile_query(text: str | QueryExpr,
                 tree = build_blossom_tree(flwor, external=parameters)
             except CompileError as exc:
                 error = str(exc)
-        if tree is not None and verify:
+        if tree is not None:
             # Validate-on-compile: a malformed tree is an internal bug,
             # not a fallback condition — PlanInvariantError propagates.
-            # Bare paths skip the AST pass: their FLWOR is synthesized
-            # right here, so user-variable scoping (AST001/AST002)
-            # cannot be violated.
-            verify_report = verify_tree(
-                tree, source=source,
-                flwor=None if is_bare_path else flwor,
-                external=parameters)
+            verify_report = verify_tree(tree, source=source)
             span.set(verify_findings=len(verify_report.findings))
         span.set(bare_path=is_bare_path, optimizable=tree is not None)
         if parameters:
@@ -105,7 +106,7 @@ def compile_query(text: str | QueryExpr,
         if error:
             span.set(compile_error=error)
     return CompiledQuery(source, query, flwor, is_bare_path, tree, error,
-                         parameters)
+                         parameters, static)
 
 
 def _absolutize(path: LocationPath) -> LocationPath:

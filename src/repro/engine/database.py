@@ -41,7 +41,7 @@ from repro.obs.trace import Tracer
 from repro.physical.parallel_scan import ScanPools
 from repro.xmlkit.binary import dump, load
 from repro.xmlkit.parser import parse
-from repro.xmlkit.stats import DocumentStats, compute_stats
+from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document
 from repro.xmlkit.update import DocumentUpdater
@@ -361,9 +361,11 @@ class Database:
         self.close()
 
     def refresh_stats(self) -> DocumentStats:
-        """Recompute statistics after updates (the optimizer reads them)."""
-        self.engine._stats = compute_stats(self.doc, with_size=False)
-        return self.engine._stats
+        """Re-derive everything the engine caches about the document
+        (statistics, structural summary, tag index, fingerprint, plans)
+        after a mutation that bypassed :meth:`updater`."""
+        self.engine.notify_update()
+        return self.engine.stats
 
     def __repr__(self) -> str:  # pragma: no cover
         stats = self.doc_stats

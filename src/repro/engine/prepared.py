@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.analysis.query import QueryLintResult
 from repro.errors import BindingError
 from repro.engine.backend import ExecutionBackend
 from repro.engine.compiler import CompiledQuery
@@ -65,9 +66,17 @@ class CachedPlan:
     #: building this plan (empty when the plan runs the tree as
     #: compiled); surfaced by ``explain``/``explain_analyze``.
     rewrites: tuple[str, ...] = ()
-    #: QL rule IDs the lint pass reported for this query (findings,
-    #: whether or not they led to a rewrite).
-    lint_rules: tuple[str, ...] = ()
+    #: The query lint's result for this compilation (findings and the
+    #: rewrites they licensed); ``None`` when the lint did not run.
+    lint: QueryLintResult | None = None
+    #: The rule-based choice before measured advice (``choice`` itself
+    #: unless feedback moved it): the re-cost check on a cache hit
+    #: re-advises from here instead of re-deriving it.
+    static_choice: PlanChoice | None = None
+
+    def __post_init__(self) -> None:
+        if self.static_choice is None:
+            self.static_choice = self.choice
 
 
 def normalize_bindings(parameters: frozenset[str],

@@ -167,12 +167,8 @@ class QueryKey:
         self.executor = options.executor.key
 
     def plan(self, fingerprint: tuple[Any, ...]) -> tuple[Any, ...]:
-        """Plan-cache entry and verification-memo key."""
+        """Plan-cache entry."""
         return (self.text, self.strategy, self.executor, fingerprint)
-
-    def lint(self, digest: str, foreign: frozenset[str]) -> tuple[Any, ...]:
-        """Lint-memo key (the lint reads nothing else)."""
-        return (self.text, digest, foreign)
 
     def coalescing(self, doc: str) -> tuple[Any, ...]:
         """The service's in-flight slot.  The executor is part of it: a

@@ -50,11 +50,9 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.analysis import verify_plan
-from repro.analysis.analyzer import VERIFY_RUNS
+from repro.analysis import verify_plan, verify_tree
 from repro.analysis.passes import partition_unsafe_noks
 from repro.analysis.query import QueryLintResult, analyze_query
 from repro.errors import CompileError, DNFError, QueryTimeoutError, UsageError
@@ -72,7 +70,6 @@ from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xmlkit.summary import StructuralSummary, build_summary
 from repro.xmlkit.tree import Document
 from repro.xquery.ast import FLWOR, QueryExpr
-from repro.xquery.semantics import analyze
 from repro.engine.backend import ExecutionBackend
 from repro.engine.compiler import CompiledQuery, compile_query
 from repro.engine.construct import DirectEvaluator
@@ -101,9 +98,6 @@ _BLOSSOM_STRATEGIES = {"pipelined", "caching", "stack", "bnlj", "nl"}
 _BASELINES = ("naive", "xhive")
 
 _QUERIES = REGISTRY.counter("repro_queries_total", "Queries executed")
-#: Plan verifications skipped because the identical plan-cache key
-#: already verified clean this process (outcome="memoized").
-VERIFY_MEMO_HITS = VERIFY_RUNS.bound(outcome="memoized")
 _LATENCY = REGISTRY.histogram("repro_query_latency_ms",
                               "Query wall time in milliseconds")
 _DNF = REGISTRY.counter("repro_dnf_total",
@@ -253,13 +247,6 @@ class Engine:
         #: its unrewritten plan.
         self.analyze_queries = analyze_queries
         self._summary: StructuralSummary | None = None
-        #: Lint results memoized by (normalized text, summary digest,
-        #: foreign-doc set).  The lint is a pure function of that key —
-        #: compilation is deterministic, so vertex ids line up across
-        #: rebuilds of the same text — which keeps recompiles (plan-
-        #: cache evictions, per-strategy plan variants) at dict-lookup
-        #: cost instead of a fresh pattern walk.
-        self._lint_memo: OrderedDict[tuple, QueryLintResult] = OrderedDict()
         #: Memoized :meth:`stats_fingerprint` tuple; dropped with the
         #: stats/summary it derives from (:meth:`notify_update`).
         self._fingerprint_cache: tuple | None = None
@@ -284,14 +271,6 @@ class Engine:
         #: document versions never alias even if their summary
         #: statistics happen to coincide.
         self._doc_version = 0
-        #: Plan-cache keys whose compiled artifacts already verified
-        #: clean this process.  Compilation is deterministic, so
-        #: rebuilding an identical (query, strategy, statistics) triple
-        #: yields structurally identical artifacts; re-verifying them
-        #: on every plan-cache miss would tax the serving path for no
-        #: new information.  Keys include the stats fingerprint, so a
-        #: mutated document never matches a stale verification.
-        self._verified_keys: dict[object, None] = {}
 
     # ------------------------------------------------------------------
     # Public API.
@@ -361,7 +340,6 @@ class Engine:
         self._stats = None
         self._summary = None
         self._fingerprint_cache = None
-        self._lint_memo.clear()
         self.index.invalidate()
         self.plan_cache.invalidate("update")
 
@@ -501,8 +479,8 @@ class Engine:
             plan = self._build(run)
             run.cache_status = "bypass"
             return plan
-        memo_key = key.plan(self.stats_fingerprint())
-        plan = self.plan_cache.get(memo_key)
+        cache_key = key.plan(self.stats_fingerprint())
+        plan = self.plan_cache.get(cache_key)
         status = "miss"
         if plan is not None:
             if self.plan_gate is not None:
@@ -510,10 +488,8 @@ class Engine:
                 # snapshot that raced retirement between key lookup and
                 # execution.  Raises PlanInvariantError.
                 self.plan_gate(plan)
-            advised = (self._choose(plan.compiled, key, run.options.executor,
-                                    artifacts=plan.artifacts)[0]
-                       if self.feedback and key.strategy == "auto"
-                       else plan.choice)
+            advised = (self._advise(plan.compiled, key, plan.static_choice)
+                       if self.feedback else plan.choice)
             if advised.strategy == plan.choice.strategy:
                 run.cache_status = "hit"
                 return plan
@@ -523,8 +499,8 @@ class Engine:
             # replace the entry in place.
             STATS_RECOSTS.inc()
             status = "recost"
-        plan = self._build(run, memo_key)
-        self.plan_cache.put(memo_key, plan)
+        plan = self._build(run)
+        self.plan_cache.put(cache_key, plan)
         run.cache_status = status
         return plan
 
@@ -545,66 +521,47 @@ class Engine:
             prepared._plan, prepared._fingerprint = plan, fingerprint
         return plan
 
-    def _build(self, run: _Run, memo_key: object = None) -> CachedPlan:
+    def _build(self, run: _Run) -> CachedPlan:
         """The full compile pipeline: parse → analyze → BlossomTree →
-        choose → verify.
-
-        ``memo_key`` is the plan-cache key; when it already verified
-        clean this process, validate-on-compile is skipped (compilation
-        is deterministic, so the rebuild produces structurally
-        identical artifacts — see :attr:`_verified_keys`).
-        """
+        choose → verify.  Every static check runs exactly once here:
+        the semantic analysis and the tree verifier inside
+        ``compile_query``, the lint inside ``_choose``, the
+        decomposition/Dewey/plan passes below."""
         tracer = run.tracer
-        memoized = memo_key is not None and memo_key in self._verified_keys
-        compiled = compile_query(run.source, tracer=tracer,
-                                 verify=not memoized)
-        if compiled.flwor is not None and not compiled.is_bare_path:
-            analyze(compiled.flwor,
-                    external=compiled.parameters).raise_errors(compiled.source)
-        choice, lint, exec_tree, rewrites, artifacts = self._choose(
+        compiled = compile_query(run.source, tracer=tracer)
+        static_choice, lint, exec_tree, rewrites, artifacts = self._choose(
             compiled, run.key, run.options.executor, tracer)
+        choice = self._advise(compiled, run.key, static_choice)
         plan = CachedPlan(compiled, choice, artifacts, run.key.strategy,
                           snapshot_id=self.snapshot_id,
                           static_empty=choice.strategy == "static-empty",
-                          rewrites=rewrites,
-                          lint_rules=lint.rules if lint is not None else ())
+                          rewrites=rewrites, lint=lint,
+                          static_choice=static_choice)
         # Validate-on-compile: every stage of the compiled artifact is
         # checked against the invariant catalogue before the plan can be
         # cached or executed; error findings raise PlanInvariantError.
-        if memoized:
-            VERIFY_MEMO_HITS()
-        else:
-            with tracer.span("verify-plan") as span:
-                # tree_verified: compile_query already ran the AST and
-                # BlossomTree passes over these exact objects.  A pruned
-                # tree is a *new* object the compiler never saw, so the
-                # rewrite forfeits the shortcut and gets the full check.
-                tree_verified = (compiled.tree is not None
-                                 and exec_tree is compiled.tree)
-                report = verify_plan(plan,
-                                     recursive_document=self.stats.recursive,
-                                     tree_verified=tree_verified)
-                span.set(findings=len(report.findings),
-                         rules=",".join(report.rule_ids()) or "-")
-            if memo_key is not None:
-                if len(self._verified_keys) >= 1024:
-                    self._verified_keys.pop(next(iter(self._verified_keys)))
-                self._verified_keys[memo_key] = None
+        with tracer.span("verify-plan") as span:
+            if exec_tree is not compiled.tree:
+                # A pruned tree is a *new* object the compiler never
+                # saw, so it gets its own tree check; every other tree
+                # was verified by compile_query right after its build.
+                verify_tree(exec_tree, source=compiled.source)
+            report = verify_plan(plan,
+                                 recursive_document=self.stats.recursive,
+                                 tree_verified=True)
+            span.set(findings=len(report.findings),
+                     rules=",".join(report.rule_ids()) or "-")
         plan.verified = True
         return plan
 
     def _choose(self, compiled: CompiledQuery, key: QueryKey,
-                backend: ExecutionBackend, tracer=NULL_TRACER,
-                artifacts=None):
-        """The decision sequence, in its one copy: strategy rules →
-        query lint (static-empty / pruning rewrite) → pattern artifacts
-        → PL004 withdrawal → measured advice.
-
-        The build path runs it on a fresh compilation, ``explain``
-        reads it without executing, and the re-cost check on a cache
-        hit replays it over the cached plan's ``compiled`` and
-        ``artifacts`` (nothing is rebuilt, no span is opened).  Returns
-        ``(choice, lint, executed tree, rewrite notes, artifacts)``.
+                backend: ExecutionBackend, tracer=NULL_TRACER):
+        """The static decision sequence, in its one copy: strategy rules
+        → query lint (static-empty / pruning rewrite) → pattern
+        artifacts → PL004 withdrawal.  The build path follows it with
+        :meth:`_advise`; ``explain`` reads it without executing.
+        Returns ``(choice, lint, executed tree, rewrite notes,
+        artifacts)``.
         """
         strategy = key.strategy
         choice = self._resolve_strategy(compiled, strategy, tracer,
@@ -613,16 +570,19 @@ class Engine:
         # structural summary and rewrite provably-empty work away.
         lint: QueryLintResult | None = None
         rewrites: tuple[str, ...] = ()
+        artifacts = None
         tree = compiled.tree
         if self.analyze_queries and tree is not None \
                 and strategy not in _BASELINES \
                 and choice.strategy not in _BASELINES:
-            lint = self._lint(compiled, key)
-            if tracer is not NULL_TRACER:
-                with tracer.span("query-lint") as span:
-                    span.set(findings=len(lint.report.findings),
-                             rules=",".join(lint.rules) or "-",
-                             static_empty=lint.static_empty)
+            with tracer.span("query-lint") as span:
+                lint = analyze_query(
+                    tree, self.summary,
+                    flwor=None if compiled.is_bare_path else compiled.flwor,
+                    source=compiled.source, foreign_uris=self._foreign)
+                span.set(findings=len(lint.report.findings),
+                         rules=",".join(lint.rules) or "-",
+                         static_empty=lint.static_empty)
             if lint.static_empty:
                 reason = lint.static_empty_reason()
                 choice = PlanChoice("static-empty", f"query lint: {reason}")
@@ -633,7 +593,7 @@ class Engine:
                     pruned, notes = prune_pattern(tree, vids)
                     if pruned is not None:
                         tree, rewrites = pruned, notes
-        if artifacts is None and tree is not None \
+        if tree is not None \
                 and choice.strategy not in (*_BASELINES, "static-empty"):
             with tracer.span("prepare-artifacts") as span:
                 artifacts = prepare_artifacts(tree)
@@ -651,20 +611,25 @@ class Engine:
                 "pipelined",
                 "parallel upgrade withdrawn: plan has non-partition-"
                 "safe NoKs (PL004); serial merged scan instead")
-        if self.feedback and strategy == "auto" and key.text is not None \
-                and compiled.tree is not None \
-                and choice.strategy != "static-empty":
-            # Feedback (opt-in): measured history may adjust the static
-            # choice.  The advisor only ever moves between pattern
-            # strategies (pipelined/stack/twigstack/parallel), whose
-            # artifacts exist regardless of which of them was static.
-            alternative = StrategyAdvisor.alternative(
-                choice.strategy, self.stats, compiled.tree,
-                compiled.is_bare_path, has_index=True)
-            choice = self._advisor.advise(
-                key.text, self.stats_fingerprint(), key.executor, choice,
-                alternative)
         return choice, lint, tree, rewrites, artifacts
+
+    def _advise(self, compiled: CompiledQuery, key: QueryKey,
+                choice: PlanChoice) -> PlanChoice:
+        """Feedback (opt-in): measured history may adjust the static
+        ``choice``.  The advisor only ever moves between pattern
+        strategies (pipelined/stack/twigstack/parallel), whose artifacts
+        exist regardless of which of them was static.  The re-cost
+        check on a cache hit replays only this step, over the plan's
+        stored ``static_choice``."""
+        if not self.feedback or key.strategy != "auto" or key.text is None \
+                or compiled.tree is None or choice.strategy == "static-empty":
+            return choice
+        alternative = StrategyAdvisor.alternative(
+            choice.strategy, self.stats, compiled.tree,
+            compiled.is_bare_path, has_index=True)
+        return self._advisor.advise(
+            key.text, self.stats_fingerprint(), key.executor, choice,
+            alternative)
 
     def recost(self, text: str | QueryExpr) -> list:
         """Rank the strategies against *observed* selectivities.
@@ -826,22 +791,23 @@ class Engine:
         """Describe the plan that ``query`` would run (without running it)."""
         compiled = compile_query(text)
         options = QueryOptions(strategy)
+        key = QueryKey(text, options)
         choice, lint, _tree, rewrites, _artifacts = self._choose(
-            compiled, QueryKey(text, options), options.executor)
-        lines = [f"strategy: {choice}"]
+            compiled, key, options.executor)
+        lines = [f"strategy: {self._advise(compiled, key, choice)}"]
         if lint is not None and lint.report.findings:
             lines.append("query lint:")
             lines.extend(f"  {line}" for line in lint.describe())
         for note in rewrites:
             lines.append(f"rewrite: {note}")
-        if compiled.flwor is not None and not compiled.is_bare_path:
-            report = analyze(compiled.flwor)
-            if report.correlations:
-                lines.append("correlations:")
-                for corr in report.correlations:
-                    variables = ", ".join(f"${v}" for v in corr.variables)
-                    lines.append(f"  [{corr.relation}] {variables}: "
-                                 f"{corr.description}")
+        correlations = (compiled.static.correlations
+                        if compiled.static is not None else ())
+        if correlations:
+            lines.append("correlations:")
+            for corr in correlations:
+                variables = ", ".join(f"${v}" for v in corr.variables)
+                lines.append(f"  [{corr.relation}] {variables}: "
+                             f"{corr.description}")
         if compiled.tree is not None:
             lines.append("BlossomTree:")
             lines.append(compiled.tree.describe())
@@ -978,39 +944,6 @@ class Engine:
 
     def _resolve_doc(self, uri: str) -> Document:
         return self.documents.get(uri, self.doc)
-
-    #: Bound on the lint memo — generous for any real query mix, tight
-    #: enough that an adversarial stream of distinct texts stays O(1).
-    _LINT_MEMO_MAX = 512
-
-    def _lint(self, compiled: CompiledQuery, key: QueryKey) -> QueryLintResult:
-        """Run (or recall) the QL lint for one compilation.
-
-        Memoized on :meth:`QueryKey.lint` — (normalized text, summary
-        digest, foreign-doc set): the lint reads nothing else, and
-        deterministic compilation guarantees the memoized prune
-        vertex-ids line up with any fresh BlossomTree built from the
-        same text.  This keeps the lint's share of a warm compile at
-        dictionary-lookup cost — the ≤2% overhead budget the PR-8
-        benchmark pins.
-        """
-        memo_key = None
-        if key.text:
-            memo_key = key.lint(self.summary.fingerprint(), self._foreign)
-            cached = self._lint_memo.get(memo_key)
-            if cached is not None:
-                return cached
-        source = compiled.source
-        lint = analyze_query(
-            compiled.tree, self.summary,
-            flwor=None if compiled.is_bare_path else compiled.flwor,
-            source=source if isinstance(source, str) else "<query>",
-            foreign_uris=self._foreign)
-        if memo_key is not None:
-            self._lint_memo[memo_key] = lint
-            if len(self._lint_memo) > self._LINT_MEMO_MAX:
-                self._lint_memo.popitem(last=False)
-        return lint
 
     def _resolve_strategy(self, compiled: CompiledQuery, strategy: str,
                           tracer, parallelism: int) -> PlanChoice:

@@ -70,9 +70,13 @@ The plan-cache family is registered by :mod:`repro.engine.plancache`
 (imported with the engine), and the ``query`` span carries a
 ``plan-cache`` attribute (``hit`` / ``miss`` / ``bypass`` /
 ``prepared``) tying individual traces to the counters.  The
-plan-verify family is registered by :mod:`repro.analysis.analyzer`;
-each compile opens a ``verify-plan`` span whose ``findings``/``rules``
-attributes tie a trace to the analyzer's counters.  The serving
+plan-verify family is registered by :mod:`repro.analysis.analyzer`:
+every ``verify_*`` gate run moves exactly one ``outcome`` cell —
+``ok``, ``warning`` (findings, none blocking) or ``error`` (the gate
+raised) — and each compile opens a ``verify-plan`` span whose
+``findings``/``rules`` attributes tie a trace to the analyzer's
+counters.  The operator pair is declared once, beside ``JoinResult``
+in :mod:`repro.physical.structural` (``count_operator``).  The serving
 families (``repro_snapshot_*`` / ``repro_service_*`` /
 ``repro_result_cache_*`` plus the timeout and retry counters) are
 registered by :mod:`repro.serve` — the wait/run histograms split a
@@ -110,6 +114,9 @@ DEFAULT_BUCKETS = (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0)
 def _label_key(labels: dict[str, Any]) -> LabelKey:
     if not labels:          # unlabeled metrics dominate the hot path
         return ()
+    if len(labels) == 1:    # ...then one label, which needs no sort
+        (item,) = labels.items()
+        return ((item[0], str(item[1])),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -148,23 +155,6 @@ class Counter(_Metric):
         key = _label_key(labels)
         with self._lock:
             self._cells[key] = self._cells.get(key, 0.0) + amount
-
-    def bound(self, **labels: Any):
-        """A zero-argument incrementer with the label key precomputed.
-
-        ``inc(**labels)`` rebuilds and sorts the label key on every
-        call; hot paths that bump one fixed label set (e.g. the plan
-        verifier's ``outcome="ok"``) bind it once instead.
-        """
-        key = _label_key(labels)
-        lock = self._lock
-        cells = self._cells
-
-        def inc_bound() -> None:
-            with lock:
-                cells[key] = cells.get(key, 0.0) + 1.0
-
-        return inc_bound
 
 
 class Gauge(_Metric):

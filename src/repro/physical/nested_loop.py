@@ -26,10 +26,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from typing import TypeVar
 
-from repro.obs.metrics import REGISTRY
 from repro.pattern.decompose import InterEdge, NoKTree
 from repro.physical.nok import NoKMatcher
-from repro.physical.structural import JoinResult, axis_test
+from repro.physical.structural import JoinResult, axis_test, count_operator
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
 from repro.algebra.nested_list import NLEntry
@@ -42,11 +41,6 @@ __all__ = [
 
 L = TypeVar("L")
 R = TypeVar("R")
-
-_INVOCATIONS = REGISTRY.counter("repro_operator_invocations_total",
-                                "Physical operator invocations")
-_OUTPUT = REGISTRY.counter("repro_operator_output_total",
-                           "Items emitted by physical operators")
 
 
 def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
@@ -83,8 +77,7 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
             entry = _reconcile(entry, canonical)
             if entry is not None:
                 result.add(outer, entry)
-    _INVOCATIONS.inc(operator="bnlj")
-    _OUTPUT.inc(result.pair_count(), operator="bnlj")
+    count_operator("bnlj", result.pair_count())
     return result
 
 
@@ -116,8 +109,7 @@ def naive_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
             reconciled = _reconcile(entry, canonical)
             if reconciled is not None:
                 result.add(outer, reconciled)
-    _INVOCATIONS.inc(operator="nl")
-    _OUTPUT.inc(result.pair_count(), operator="nl")
+    count_operator("nl", result.pair_count())
     return result
 
 
@@ -151,6 +143,5 @@ def nested_loop_pairs(left_items: Iterable[L], right_items: Iterable[R],
             counters.comparisons += 1
             if predicate(litem, ritem):
                 out.append((litem, ritem))
-    _INVOCATIONS.inc(operator="nl_pairs")
-    _OUTPUT.inc(len(out), operator="nl_pairs")
+    count_operator("nl_pairs", len(out))
     return out

@@ -14,22 +14,17 @@ by one document pass instead of one pass per NoK.
 
 from __future__ import annotations
 
-from repro.obs.metrics import REGISTRY
 from repro.pattern.blossom import BlossomVertex
 from repro.pattern.decompose import NoKTree
 from repro.physical.nok import match_subtree
+from repro.physical.structural import count_operator
 from repro.xmlkit.arena import ArenaDocument
 from repro.xmlkit.storage import ScanCounters, SequentialScan
 from repro.xmlkit.tree import Document
 from repro.xpath.evaluator import XPathEvaluator
 from repro.algebra.nested_list import NLEntry
 
-__all__ = ["count_operator", "merged_scan", "scan_range"]
-
-_INVOCATIONS = REGISTRY.counter("repro_operator_invocations_total",
-                                "Physical operator invocations")
-_OUTPUT = REGISTRY.counter("repro_operator_output_total",
-                           "Items emitted by physical operators")
+__all__ = ["merged_scan", "scan_range"]
 
 #: One dispatch-table entry: a NoK's root vertex, the list its matches
 #: go to, and the counters its match work is charged to.
@@ -56,14 +51,8 @@ def merged_scan(noks: list[NoKTree], doc: Document,
     if counters is None:
         counters = ScanCounters()
     results = scan_range(noks, doc, counters, per_nok)
-    count_operator("merged_scan", results)
+    count_operator("merged_scan", sum(map(len, results.values())))
     return results
-
-
-def count_operator(operator: str, results: dict[int, list[NLEntry]]) -> None:
-    """The operator metrics epilogue of a completed match phase."""
-    _INVOCATIONS.inc(operator=operator)
-    _OUTPUT.inc(sum(len(v) for v in results.values()), operator=operator)
 
 
 def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,

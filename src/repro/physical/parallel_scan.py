@@ -59,7 +59,8 @@ from repro.errors import DNFError, QueryCancelledError, ReproError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Span, Tracer
 from repro.pattern.decompose import NoKTree
-from repro.physical.nok_merge import count_operator, merged_scan, scan_range
+from repro.physical.nok_merge import merged_scan, scan_range
+from repro.physical.structural import count_operator
 from repro.xmlkit.partition import Partition, partition_document
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.storage import CancellationToken, ScanCounters
@@ -356,5 +357,5 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
     for outcome in outcomes:
         for nok_id, entries in outcome.matches.items():
             results[nok_id].extend(entries)
-    count_operator("parallel_scan", results)
+    count_operator("parallel_scan", sum(map(len, results.values())))
     return results

@@ -15,9 +15,9 @@ with less machinery on chains.
 from __future__ import annotations
 
 from repro.errors import ExecutionError
-from repro.obs.metrics import REGISTRY
 from repro.pattern.blossom import BlossomTree, BlossomVertex
 from repro.physical.nok import value_constraints_hold
+from repro.physical.structural import count_operator
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
@@ -27,11 +27,6 @@ from repro.physical.twigstack import twig_supported
 __all__ = ["PathStackOperator", "chain_supported"]
 
 _INF = float("inf")
-
-_INVOCATIONS = REGISTRY.counter("repro_operator_invocations_total",
-                                "Physical operator invocations")
-_OUTPUT = REGISTRY.counter("repro_operator_output_total",
-                           "Items emitted by physical operators")
 
 
 def chain_supported(tree: BlossomTree) -> bool:
@@ -180,6 +175,5 @@ class PathStackOperator:
         for entry in stacks[level]:
             if entry[2]:
                 results.add(entry[0].nid)
-        _INVOCATIONS.inc(operator="pathstack")
-        _OUTPUT.inc(len(results), operator="pathstack")
+        count_operator("pathstack", len(results))
         return [self.doc.nodes[nid] for nid in sorted(results)]

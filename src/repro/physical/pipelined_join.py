@@ -24,19 +24,13 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.errors import ExecutionError
-from repro.obs.metrics import REGISTRY
 from repro.pattern.decompose import InterEdge
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Node
 from repro.algebra.nested_list import NLEntry
-from repro.physical.structural import JoinResult
+from repro.physical.structural import JoinResult, count_operator
 
 __all__ = ["pipelined_desc_join", "caching_desc_join"]
-
-_INVOCATIONS = REGISTRY.counter("repro_operator_invocations_total",
-                                "Physical operator invocations")
-_OUTPUT = REGISTRY.counter("repro_operator_output_total",
-                           "Items emitted by physical operators")
 
 
 def pipelined_desc_join(left_nodes: Iterable[Node],
@@ -81,8 +75,7 @@ def pipelined_desc_join(left_nodes: Iterable[Node],
         # else: node precedes the current candidate; skip it (the
         # n << m branch — advance the right side).
     counters.note_buffer(1)
-    _INVOCATIONS.inc(operator="pipelined_join")
-    _OUTPUT.inc(result.pair_count(), operator="pipelined_join")
+    count_operator("pipelined_join", result.pair_count())
     return result
 
 
@@ -126,6 +119,5 @@ def caching_desc_join(left_nodes: Iterable[Node],
             counters.comparisons += 1
             if ancestor.start < node.start and node.end < ancestor.end:
                 result.add(ancestor, entry)
-    _INVOCATIONS.inc(operator="caching_join")
-    _OUTPUT.inc(result.pair_count(), operator="caching_join")
+    count_operator("caching_join", result.pair_count())
     return result

@@ -15,19 +15,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.obs.metrics import REGISTRY
 from repro.pattern.decompose import InterEdge
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Node
 from repro.algebra.nested_list import NLEntry
-from repro.physical.structural import JoinResult
+from repro.physical.structural import JoinResult, count_operator
 
 __all__ = ["stack_desc_join", "stack_join_pairs"]
-
-_INVOCATIONS = REGISTRY.counter("repro_operator_invocations_total",
-                                "Physical operator invocations")
-_OUTPUT = REGISTRY.counter("repro_operator_output_total",
-                           "Items emitted by physical operators")
 
 
 def stack_desc_join(left_nodes: Iterable[Node],
@@ -52,8 +46,7 @@ def stack_desc_join(left_nodes: Iterable[Node],
         counters)
     for ancestor, (_, entry) in pairs:
         result.add(ancestor, entry)
-    _INVOCATIONS.inc(operator="stack_join")
-    _OUTPUT.inc(result.pair_count(), operator="stack_join")
+    count_operator("stack_join", result.pair_count())
     return result
 
 

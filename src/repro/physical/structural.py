@@ -14,11 +14,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
+from repro.obs.metrics import REGISTRY
 from repro.pattern.decompose import InterEdge
 from repro.xmlkit.tree import Node
 from repro.algebra.nested_list import NLEntry, project
 
-__all__ = ["JoinResult", "left_projection", "axis_test"]
+__all__ = ["JoinResult", "count_operator", "left_projection", "axis_test"]
+
+_INVOCATIONS = REGISTRY.counter("repro_operator_invocations_total",
+                                "Physical operator invocations")
+_OUTPUT = REGISTRY.counter("repro_operator_output_total",
+                           "Items emitted by physical operators")
+
+
+def count_operator(operator: str, emitted: int) -> None:
+    """The metrics epilogue of one completed physical operator (a scan,
+    a structural join, a holistic twig join) that emitted ``emitted``
+    items."""
+    _INVOCATIONS.inc(operator=operator)
+    _OUTPUT.inc(emitted, operator=operator)
 
 
 @dataclass

@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError
-from repro.obs.metrics import REGISTRY
 from repro.pattern.blossom import BlossomTree, BlossomVertex
 from repro.physical.nok import value_constraints_hold
+from repro.physical.structural import count_operator
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
@@ -39,11 +39,6 @@ from repro.xpath.evaluator import XPathEvaluator
 __all__ = ["TwigStackOperator", "twig_supported"]
 
 _INF = float("inf")
-
-_INVOCATIONS = REGISTRY.counter("repro_operator_invocations_total",
-                                "Physical operator invocations")
-_OUTPUT = REGISTRY.counter("repro_operator_output_total",
-                           "Items emitted by physical operators")
 
 
 def twig_supported(tree: BlossomTree) -> bool:
@@ -283,8 +278,7 @@ class TwigStackOperator:
         reachable = self._top_down_reachable(valid)
         nids = reachable.get(output.vid, set())
         nodes = [self.doc.nodes[nid] for nid in sorted(nids)]
-        _INVOCATIONS.inc(operator="twigstack")
-        _OUTPUT.inc(len(nodes), operator="twigstack")
+        count_operator("twigstack", len(nodes))
         return nodes
 
     def _bottom_up_valid(self) -> dict[int, set[int]]:

@@ -577,7 +577,7 @@ def _parse_bytes(text: str) -> int:
             number = cleaned[:-len(suffix)].strip()
             try:
                 return int(float(number) * _UNITS[suffix])
-            except ValueError:
+            except (ValueError, OverflowError):     # "xkb", "infkb"
                 break
     try:
         return int(cleaned)
@@ -593,7 +593,7 @@ def resolve_result_cache(spec: Any) -> ResultCacheStorage | None:
     ============================  =====================================
     spec                          meaning
     ============================  =====================================
-    ``None``                      default 16 MiB byte-LRU, no TTL
+    ``None`` / ``True``           default 16 MiB byte-LRU, no TTL
     ``0`` / ``False`` / ``"off"`` caching disabled (returns ``None``)
     ``int``                       byte budget
     ``"64kb"`` / ``"16mb"``       byte budget, unit-suffixed
@@ -604,7 +604,7 @@ def resolve_result_cache(spec: Any) -> ResultCacheStorage | None:
     :class:`ResultCacheStorage`   used as-is
     ============================  =====================================
     """
-    if spec is None:
+    if spec is None or spec is True:
         return ResultCacheStorage()
     if isinstance(spec, ResultCacheStorage):
         return spec

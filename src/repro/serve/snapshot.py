@@ -84,10 +84,6 @@ class Snapshot:
     doc: Document
     stats: DocumentStats
 
-    def fingerprint(self) -> tuple:
-        """Plan-cache key component: identity plus summary statistics."""
-        return ("snapshot", self.snapshot_id) + self.stats.fingerprint()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Snapshot {self.name!r} id={self.snapshot_id} "
                 f"{self.stats.n_nodes} nodes>")

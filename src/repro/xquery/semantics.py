@@ -65,11 +65,21 @@ class StaticReport:
     errors: list[str] = field(default_factory=list)
     bound_variables: list[str] = field(default_factory=list)
     unused_variables: list[str] = field(default_factory=list)
-    correlations: list[Correlation] = field(default_factory=list)
+    #: The analyzed FLWOR's where clause, kept for :attr:`correlations`.
+    where: Expr | None = None
 
     @property
     def ok(self) -> bool:
         return not self.errors
+
+    @property
+    def correlations(self) -> list[Correlation]:
+        """Each where-conjunct's variable footprint — classified on
+        demand: every compile builds a report, only tooling
+        (``Engine.explain``) reads this."""
+        if self.where is None:
+            return []
+        return [_classify(conjunct) for conjunct in _conjuncts(self.where)]
 
     def raise_errors(self, query: str = "") -> None:
         if self.errors:
@@ -98,8 +108,7 @@ def analyze(flwor: FLWOR,
 
     if flwor.where is not None:
         _check_expr(flwor.where, bound, used, report, external)
-        for conjunct in _conjuncts(flwor.where):
-            report.correlations.append(_classify(conjunct))
+        report.where = flwor.where
     for spec in flwor.order_by:
         _check_expr(spec.key, bound, used, report, external)
     _check_query_expr(flwor.return_expr, bound, used, report, external)

@@ -21,24 +21,12 @@ def _verify_every_compiled_plan(monkeypatch):
     """
     import repro.engine.executor as executor_mod
     import repro.engine.session as session_mod
-    from repro.analysis import analyze_artifacts, analyze_tree
-    from repro.analysis.passes import artifacts_quick_clean, tree_quick_clean
-    from repro.errors import PlanInvariantError
+    from repro.analysis import verify_artifacts
     from repro.pattern.artifact import prepare_artifacts
 
     def prepare_and_verify(tree):
         artifacts = prepare_artifacts(tree)
-        # Full reporting passes AND the verify gates' fused fast path:
-        # the two implementations must agree on every artifact bundle
-        # the suite ever builds, or the fast path has drifted.
-        report = analyze_tree(artifacts.tree)
-        report.extend(analyze_artifacts(artifacts, tree_verified=True))
-        quick = tree_quick_clean(artifacts.tree) \
-            and artifacts_quick_clean(artifacts)
-        assert quick == report.clean, (
-            "fast-path/full-pass disagreement:\n" + report.format())
-        if not report.clean:
-            raise PlanInvariantError(report)
+        verify_artifacts(artifacts)     # raises PlanInvariantError
         return artifacts
 
     monkeypatch.setattr(session_mod, "prepare_artifacts", prepare_and_verify)

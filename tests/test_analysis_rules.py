@@ -16,6 +16,7 @@ from repro.analysis import (
     analyze_plan,
     analyze_tree,
     verify_artifacts,
+    verify_plan,
     verify_tree,
 )
 from repro.analysis.analyzer import VERIFY_RUNS
@@ -42,6 +43,29 @@ def artifacts_for(text: str) -> PatternArtifacts:
     return prepare_artifacts(compiled.tree)
 
 
+#: Each reporting entry point and the enforcement gate built on it.
+GATES = {analyze_tree: verify_tree, analyze_artifacts: verify_artifacts,
+         analyze_plan: verify_plan}
+
+
+def gated(analyze, *args, **kwargs) -> AnalysisReport:
+    """``analyze(...)``'s report, after checking that the matching
+    ``verify_*`` gate reaches the same verdict over the same input:
+    :class:`PlanInvariantError` carrying exactly the reported rule ids
+    when an error fired, the same (warning-only or clean) report
+    otherwise.  Every corruption fixture below goes through here, so
+    each one pins the gate as well as the pass."""
+    report = analyze(*args, **kwargs)
+    verify = GATES[analyze]
+    if report.errors:
+        with pytest.raises(PlanInvariantError) as excinfo:
+            verify(*args, **kwargs)
+        assert excinfo.value.rule_ids == report.rule_ids()
+    else:
+        assert verify(*args, **kwargs).rule_ids() == report.rule_ids()
+    return report
+
+
 class TestAstRules:
     def test_ast001_unbound_variable(self):
         flwor = parse_query("for $a in //book return $b")
@@ -49,6 +73,8 @@ class TestAstRules:
         ast_pass(flwor, report, external=frozenset())
         assert report.rule_ids() == ["AST001"]
         assert "$b" in report.findings[0].message
+        assert gated(analyze_tree, artifacts_for(TWIG).tree,
+                     flwor=flwor).rule_ids() == ["AST001"]
 
     def test_ast001_suppressed_by_external_declaration(self):
         flwor = parse_query("for $a in //book return $b")
@@ -61,6 +87,8 @@ class TestAstRules:
         report = AnalysisReport()
         ast_pass(flwor, report)
         assert "AST002" in report.rule_ids()
+        assert gated(analyze_tree, artifacts_for(TWIG).tree,
+                     flwor=flwor).rule_ids() == report.rule_ids()
 
 
 class TestBlossomRules:
@@ -69,13 +97,13 @@ class TestBlossomRules:
         # The tree maps $a to a vertex that no longer lists it — the
         # bijection is broken (an "unbound blossom").
         tree.var_vertex["a"].variables.remove("a")
-        report = analyze_tree(tree)
+        report = gated(analyze_tree, tree)
         assert report.rule_ids() == ["BT001"]
 
     def test_bt001_blossom_not_returning(self):
         tree = artifacts_for(TWIG).tree
         tree.var_vertex["a"].returning = False
-        report = analyze_tree(tree)
+        report = gated(analyze_tree, tree)
         assert "BT001" in report.rule_ids()
 
     def test_bt002_illegal_mode_on_cut_edge(self):
@@ -83,33 +111,33 @@ class TestBlossomRules:
         edge = next(e for e in artifacts.tree.tree_edges
                     if getattr(e, "cut", False))
         edge.mode = "x"
-        report = analyze_artifacts(artifacts)
+        report = gated(analyze_artifacts, artifacts)
         assert "BT002" in report.rule_ids()
 
     def test_bt002_illegal_axis(self):
         tree = artifacts_for(TWIG).tree
         tree.tree_edges[0].axis = "preceding"
-        report = analyze_tree(tree)
+        report = gated(analyze_tree, tree)
         assert "BT002" in report.rule_ids()
 
     def test_bt003_orphan_vertex(self):
         tree = artifacts_for(TWIG).tree
         tree.new_vertex("orphan")
-        report = analyze_tree(tree)
+        report = gated(analyze_tree, tree)
         assert "BT003" in report.rule_ids()
 
     def test_bt003_parent_child_disagreement(self):
         tree = artifacts_for(CHAIN).tree
         # The child stops pointing back at its registered parent edge.
         tree.tree_edges[-1].child.parent_edge = None
-        report = analyze_tree(tree)
+        report = gated(analyze_tree, tree)
         assert "BT003" in report.rule_ids()
 
     def test_bt004_illegal_crossing_relation(self):
         tree = artifacts_for(CROSS).tree
         assert tree.crossing_edges, "fixture query must produce a crossing"
         tree.crossing_edges[0].relation = "~~"
-        report = analyze_tree(tree)
+        report = gated(analyze_tree, tree)
         assert "BT004" in report.rule_ids()
 
     def test_bt005_returning_not_upward_closed(self):
@@ -117,14 +145,14 @@ class TestBlossomRules:
         title = tree.var_vertex["a"]
         book = title.parent_edge.parent
         book.returning = False
-        report = analyze_tree(tree)
+        report = gated(analyze_tree, tree)
         assert "BT005" in report.rule_ids()
 
     def test_bt006_inert_optional_leaf(self):
         tree = artifacts_for(TWIG).tree
         leaf = tree.new_vertex("dead")
         tree.add_edge(tree.var_vertex["a"], leaf, "child", MODE_OPTIONAL)
-        report = analyze_tree(tree)
+        report = gated(analyze_tree, tree)
         assert report.rule_ids() == ["BT006"]
 
 
@@ -134,7 +162,7 @@ class TestDecompositionRules:
         local = next(e for e in artifacts.tree.tree_edges
                      if e.axis == "child")
         local.cut = True
-        report = analyze_artifacts(artifacts)
+        report = gated(analyze_artifacts, artifacts)
         assert "NK001" in report.rule_ids()
 
     def test_nk001_global_axis_edge_kept(self):
@@ -142,20 +170,20 @@ class TestDecompositionRules:
         cut = next(e for e in artifacts.tree.tree_edges
                    if e.axis == "descendant")
         cut.cut = False
-        report = analyze_artifacts(artifacts)
+        report = gated(analyze_artifacts, artifacts)
         assert "NK001" in report.rule_ids()
 
     def test_nk002_vertex_mapped_to_wrong_nok(self):
         artifacts = artifacts_for(CHAIN)
         title = artifacts.tree.var_vertex["a"]
         artifacts.decomposition.nok_of_vertex[title.vid] = 99
-        report = analyze_artifacts(artifacts)
+        report = gated(analyze_artifacts, artifacts)
         assert "NK002" in report.rule_ids()
 
     def test_nk003_inter_edge_wrong_source_nok(self):
         artifacts = artifacts_for(TWIG)
         artifacts.decomposition.inter_edges[0].nok_from = 7
-        report = analyze_artifacts(artifacts)
+        report = gated(analyze_artifacts, artifacts)
         assert "NK003" in report.rule_ids()
 
 
@@ -166,7 +194,7 @@ class TestDeweyRules:
         ident = artifacts.dewey.of_vertex.pop(book.vid)
         del artifacts.dewey.vertex_of[ident]
         artifacts.dewey.returning_parent.pop(book.vid, None)
-        report = analyze_artifacts(artifacts)
+        report = gated(analyze_artifacts, artifacts)
         assert "DW001" in report.rule_ids()
 
     def test_dw001_non_dense_sibling_ordinals(self):
@@ -176,7 +204,7 @@ class TestDeweyRules:
         skewed = old[:-1] + (old[-1] + 5,)
         artifacts.dewey.of_vertex[book.vid] = skewed
         artifacts.dewey.vertex_of[skewed] = artifacts.dewey.vertex_of.pop(old)
-        report = analyze_artifacts(artifacts)
+        report = gated(analyze_artifacts, artifacts)
         assert "DW001" in report.rule_ids()
 
     def test_dw002_stale_assignment_after_simulated_update(self):
@@ -188,7 +216,7 @@ class TestDeweyRules:
         stale = PatternArtifacts(tree=new.tree,
                                  decomposition=new.decomposition,
                                  dewey=old.dewey)
-        report = analyze_artifacts(stale)
+        report = gated(analyze_artifacts, stale)
         assert "DW002" in report.rule_ids()
 
 
@@ -201,6 +229,7 @@ class TestPlanRules:
         plan_pass(artifacts.tree, artifacts.decomposition, artifacts.dewey,
                   report)
         assert report.rule_ids() == ["PL001"]
+        assert "PL001" in gated(analyze_artifacts, artifacts).rule_ids()
 
     def test_pl001_join_parent_without_id(self):
         artifacts = artifacts_for(TWIG)
@@ -210,35 +239,36 @@ class TestPlanRules:
         plan_pass(artifacts.tree, artifacts.decomposition, artifacts.dewey,
                   report)
         assert report.rule_ids() == ["PL001"]
+        assert "PL001" in gated(analyze_artifacts, artifacts).rule_ids()
 
     def test_pl002_twigstack_on_non_twig(self):
         artifacts = artifacts_for(CROSS)
-        report = analyze_artifacts(artifacts, strategy="twigstack")
+        report = gated(analyze_artifacts, artifacts, strategy="twigstack")
         assert "PL002" in report.rule_ids()
 
     def test_pl002_unknown_strategy(self):
         artifacts = artifacts_for(TWIG)
-        report = analyze_artifacts(artifacts, strategy="warp")
+        report = gated(analyze_artifacts, artifacts, strategy="warp")
         assert report.rule_ids() == ["PL002"]
 
     def test_pl002_pattern_strategy_without_artifacts(self):
         compiled = compile_query(TWIG)
         plan = CachedPlan(compiled, PlanChoice("pipelined", "test"),
                           None, "pipelined")
-        report = analyze_plan(plan)
+        report = gated(analyze_plan, plan)
         assert "PL002" in report.rule_ids()
 
     def test_pl003_pipelined_on_recursive_document_warns(self):
         artifacts = artifacts_for(TWIG)
-        report = analyze_artifacts(artifacts, strategy="pipelined",
-                                   recursive_document=True)
+        report = gated(analyze_artifacts, artifacts, strategy="pipelined",
+                       recursive_document=True)
         assert report.rule_ids() == ["PL003"]
         assert report.ok and not report.clean   # warnings never block
 
     def test_pl003_silent_on_non_recursive_document(self):
         artifacts = artifacts_for(TWIG)
-        report = analyze_artifacts(artifacts, strategy="pipelined",
-                                   recursive_document=False)
+        report = gated(analyze_artifacts, artifacts, strategy="pipelined",
+                       recursive_document=False)
         assert report.clean
 
     def test_pl004_parallel_on_partition_unsafe_plan(self):
@@ -246,8 +276,8 @@ class TestPlanRules:
         # (matched navigationally, never by the sequential scan), so the
         # parallel strategy must be refused with exactly PL004.
         artifacts = artifacts_for("for $a in /bib/book return $a")
-        report = analyze_artifacts(artifacts, strategy="parallel",
-                                   recursive_document=False)
+        report = gated(analyze_artifacts, artifacts, strategy="parallel",
+                       recursive_document=False)
         assert report.rule_ids() == ["PL004"]
         assert not report.ok    # error severity: validate-on-compile blocks
 
@@ -255,8 +285,8 @@ class TestPlanRules:
         # //book decomposes into a trivial #root anchor plus a scannable
         # book NoK — the coordinator matches the anchor once; clean.
         artifacts = artifacts_for(TWIG)
-        report = analyze_artifacts(artifacts, strategy="parallel",
-                                   recursive_document=False)
+        report = gated(analyze_artifacts, artifacts, strategy="parallel",
+                       recursive_document=False)
         assert report.clean
 
     def test_pl004_verify_gate_raises(self):
@@ -339,7 +369,7 @@ class TestCatalogue:
     def test_finding_format_is_lint_style(self):
         tree = artifacts_for(TWIG).tree
         tree.new_vertex("orphan")
-        report = analyze_tree(tree, source="q.xq")
+        report = gated(analyze_tree, tree, source="q.xq")
         line = report.findings[0].format("q.xq")
         assert line.startswith("q.xq:BT003: error: [blossom:")
         assert "hint:" in line

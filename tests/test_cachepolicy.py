@@ -310,6 +310,7 @@ class TestResolveSpec:
         ("2gb", 2 * 1024 ** 3),
         ("4096", 4096),
         ("512b", 512),
+        (True, DEFAULT_RESULT_CACHE_BYTES),     # "on", not a one-byte cache
     ])
     def test_byte_budget_spellings(self, spec, expected):
         assert resolve_result_cache(spec).max_bytes == expected
@@ -348,8 +349,9 @@ class TestResolveSpec:
     def test_bad_specs_are_usage_errors(self):
         with pytest.raises(UsageError, match="byte budget"):
             resolve_result_cache(-1)
-        with pytest.raises(UsageError, match="cannot parse"):
-            resolve_result_cache("sixty-four kb")
+        for text in ("sixty-four kb", "infkb", "nankb", "1e999mb"):
+            with pytest.raises(UsageError, match="cannot parse"):
+                resolve_result_cache(text)
         with pytest.raises(UsageError, match="cannot interpret"):
             resolve_result_cache(3.14)
 

@@ -54,6 +54,28 @@ class TestUpdateIntegration:
         db.query("for $x in //a, $y in $x//a return $y")
         assert "stack" in db.engine.last_plan or "twigstack" in db.engine.last_plan
 
+    def test_refresh_stats_after_an_unwired_update_refreshes_everything(self):
+        """Regression: ``refresh_stats`` used to replace the statistics
+        only, so the fingerprint, the structural summary and the plan
+        cache still described the old document — and the QL001
+        static-empty plan cached for ``//magazine`` kept answering."""
+        from repro.xmlkit import parse
+        from repro.xmlkit.update import DocumentUpdater
+
+        db = Database.from_xml(SMALL_BIB)
+        assert len(db.query("//magazine")) == 0
+        assert "static-empty" in db.engine.last_plan
+        before = db.engine.stats_fingerprint()
+        # An updater the database never wired: nothing is invalidated.
+        DocumentUpdater(db.doc).insert_subtree(
+            db.doc.root, parse("<magazine><title>m</title></magazine>").root)
+        stats = db.refresh_stats()
+        assert stats is db.doc_stats and stats.n_elements == 19
+        assert db.engine.stats_fingerprint() != before
+        assert len(db.query("//magazine")) == 1
+        assert len(db.query("//magazine", strategy="naive")) == 1
+        assert len(db.query("//magazine/title", strategy="twigstack")) == 1
+
     def test_explain_passthrough(self):
         db = Database.from_xml(SMALL_BIB)
         assert "strategy:" in db.explain("//book//last")

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import repro
+from repro.analysis.query import analyze_query
+from repro.engine import session as session_mod
 from repro.engine.backend import ExecutionBackend, resolve_backend
 from repro.engine.plancache import normalize_query_text
 from repro.engine.request import QueryKey, QueryOptions
@@ -203,7 +205,6 @@ class TestOneIdentity:
         options = QueryOptions("auto", executor="threads:2")
         key = QueryKey(" //a  /b ", options)
         assert key.plan(("fp",)) == ("//a /b", "auto", "threads:2", ("fp",))
-        assert key.lint("d", frozenset()) == ("//a /b", "d", frozenset())
         assert (key.text, key.strategy, key.executor) == (
             "//a /b", "auto", "threads:2")
         assert key.coalescing("main") == ("main", "//a /b", "auto",
@@ -212,7 +213,12 @@ class TestOneIdentity:
                                          "threads:2")
         assert QueryKey(object(), options).text is None     # bypasses caches
 
-    def test_whitespace_variants_share_and_executor_separates(self):
+    def test_whitespace_variants_share_and_executor_separates(self,
+                                                              monkeypatch):
+        lints = []
+        monkeypatch.setattr(
+            session_mod, "analyze_query",
+            lambda *a, **kw: lints.append(a) or analyze_query(*a, **kw))
         with repro.connect(LIBRARY) as db:
             service = db.serve(workers=1)
             for text in self.VARIANTS:
@@ -221,7 +227,7 @@ class TestOneIdentity:
                 service.catalog.current("main"))
             store = service.catalog.stats_store("main")
             assert len(engine.plan_cache) == 1
-            assert len(engine._lint_memo) == 1
+            assert len(lints) == 1      # three variants, one compile
             assert len(store) == 1
             assert len(service.result_cache) == 1
             assert service.stats()["counters"]["result_cache_hits"] == 2
@@ -230,8 +236,12 @@ class TestOneIdentity:
             assert len(engine.plan_cache) == 2
             assert len(store) == 2
             assert len(service.result_cache) == 2
-            # The lint reads neither strategy nor executor: still one.
-            assert len(engine._lint_memo) == 1
+            # A new plan-cache key is a new compile and lints once — and
+            # replaying either key does not lint again.
+            assert len(lints) == 2
+            for executor in ("serial", "threads:2"):
+                engine.query(self.VARIANTS[1], executor=executor)
+            assert len(lints) == 2
 
     def test_coalescing_slot_follows_the_same_identity(self):
         from repro.serve.service import QueryService

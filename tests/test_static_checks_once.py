@@ -1,0 +1,193 @@
+"""Every static check runs exactly once per compile, through its one
+implementation: the semantic analysis ahead of pattern build, the tree
+verifier right after it, the query lint, and the decomposition / Dewey /
+plan passes over the chosen plan.  Nothing is memoized behind the plan
+cache, so a plan-cache hit, a prepared ``execute`` and a feedback hit
+run none of them."""
+
+import pytest
+
+import repro
+from repro.analysis import analyzer as analyzer_mod
+from repro.engine import compiler as compiler_mod
+from repro.engine import executor as executor_mod
+from repro.engine import session as session_mod
+from repro.engine.session import Engine
+from repro.errors import StaticError
+from repro.pattern.artifact import prepare_artifacts
+from repro.pattern.build import build_blossom_tree
+from repro.serve import client as client_mod
+from repro.xmlkit.parser import parse
+from repro.xquery import semantics as semantics_mod
+from tests.conftest import SMALL_BIB
+
+FLWOR = "for $b in //book where $b/price > 30 return $b/title"
+BARE = "//book/title"
+STATIC_EMPTY = "for $b in //book where 1 = 2 return $b/title"
+#: The lint licenses a prune here (``zzz`` exists nowhere), so the
+#: engine's own control flow reaches the rewriter.
+PRUNABLE = "for $b in //book let $z := $b/zzz/qqq return $b/title"
+
+CHECKS = ("analyze", "blossom_pass", "decomposition_pass", "dewey_pass",
+          "plan_pass", "analyze_query")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """``{check name: [first positional argument of each call]}`` over
+    every name the compile path resolves the six checks through."""
+    seen = {name: [] for name in CHECKS}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name].append(args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    analyze = counted("analyze", semantics_mod.analyze)
+    monkeypatch.setattr(semantics_mod, "analyze", analyze)   # ast_pass
+    monkeypatch.setattr(compiler_mod, "analyze", analyze)
+    for name in CHECKS[1:5]:
+        monkeypatch.setattr(analyzer_mod, name,
+                            counted(name, getattr(analyzer_mod, name)))
+    monkeypatch.setattr(session_mod, "analyze_query",
+                        counted("analyze_query", session_mod.analyze_query))
+    # The suite-wide fixture verifies every artifact bundle once more
+    # on purpose; this test counts what the engine itself runs.
+    monkeypatch.setattr(session_mod, "prepare_artifacts", prepare_artifacts)
+    monkeypatch.setattr(executor_mod, "prepare_artifacts", prepare_artifacts)
+    return seen
+
+
+def counts(calls):
+    return {name: len(args) for name, args in calls.items()}
+
+
+def reset(calls):
+    for args in calls.values():
+        args.clear()
+
+
+ONCE = dict.fromkeys(CHECKS, 1)
+NONE = dict.fromkeys(CHECKS, 0)
+
+
+class TestOncePerCompile:
+    def test_cold_flwor_runs_every_check_once(self, calls):
+        Engine(parse(SMALL_BIB)).query(FLWOR)
+        assert counts(calls) == ONCE
+
+    def test_cold_bare_path_has_no_user_scoping_to_analyze(self, calls):
+        Engine(parse(SMALL_BIB)).query(BARE)
+        assert counts(calls) == {**ONCE, "analyze": 0}
+
+    def test_static_empty_plan_has_no_artifacts_to_verify(self, calls):
+        result = Engine(parse(SMALL_BIB)).query(STATIC_EMPTY)
+        assert "static-empty" in result.plan
+        assert counts(calls) == {**NONE, "analyze": 1, "blossom_pass": 1,
+                                 "analyze_query": 1}
+
+    def test_pruned_tree_is_verified_once_as_its_own_object(
+            self, calls, monkeypatch):
+        """A rewrite builds a tree the compiler never saw: it gets the
+        tree pass once — and the compiled tree is not checked again."""
+        def rebuild(tree, vids):
+            assert vids, "fixture query must reach the rewriter"
+            flwor = calls["analyze"][0]     # what the compiler analyzed
+            return build_blossom_tree(flwor), ("rebuilt by a test double",)
+
+        monkeypatch.setattr(session_mod, "prune_pattern", rebuild)
+        Engine(parse(SMALL_BIB)).query(PRUNABLE)
+        assert counts(calls) == {**ONCE, "blossom_pass": 2}
+        compiled_tree, rewritten_tree = calls["blossom_pass"]
+        assert compiled_tree is not rewritten_tree
+        # Decomposition and Dewey ran over the rewritten tree only.
+        assert calls["decomposition_pass"][0].tree is rewritten_tree
+        assert calls["dewey_pass"] == [rewritten_tree]
+
+    def test_a_new_cache_key_is_a_new_compile(self, calls):
+        engine = Engine(parse(SMALL_BIB))
+        engine.query(FLWOR)
+        engine.query(FLWOR, strategy="stack")
+        assert counts(calls) == dict.fromkeys(CHECKS, 2)
+
+
+class TestNothingBehindThePlanCache:
+    def test_repeat_is_a_plan_cache_hit_and_checks_nothing(self, calls):
+        engine = Engine(parse(SMALL_BIB))
+        for text in (FLWOR, BARE, STATIC_EMPTY):
+            engine.query(text)
+        reset(calls)
+        for text in (FLWOR, BARE, STATIC_EMPTY, "  " + FLWOR + "\n"):
+            result = engine.query(text, trace=True)
+            assert result.trace.root.attrs["plan-cache"] == "hit"
+        assert counts(calls) == NONE
+
+    def test_prepared_execute_checks_nothing(self, calls):
+        engine = Engine(parse(SMALL_BIB))
+        prepared = engine.prepare(FLWOR)
+        assert counts(calls) == ONCE
+        reset(calls)
+        for _ in range(3):
+            assert len(prepared.execute()) == 2
+        assert counts(calls) == NONE
+
+    def test_feedback_hit_consults_only_the_advisor(self, calls,
+                                                    monkeypatch):
+        engine = Engine(parse(SMALL_BIB), feedback=True)
+        advised = []
+        advise = engine._advisor.advise
+        monkeypatch.setattr(
+            engine._advisor, "advise",
+            lambda *a, **kw: advised.append(a) or advise(*a, **kw))
+        engine.query(BARE)
+        assert counts(calls) == {**ONCE, "analyze": 0}
+        reset(calls)
+        advised.clear()
+        hit = engine.query(BARE, trace=True)
+        assert hit.trace.root.attrs["plan-cache"] == "hit"
+        assert len(advised) == 1 and counts(calls) == NONE
+        # Two measured runs of the static arm later the advisor probes
+        # the alternative: a re-cost rebuild is one compile, once each.
+        recost = engine.query(BARE, trace=True)
+        assert recost.trace.root.attrs["plan-cache"] == "recost"
+        assert recost.strategy != hit.strategy
+        assert counts(calls) == {**ONCE, "analyze": 0}
+
+
+# ----------------------------------------------------------------------
+# With the analysis ahead of pattern build, a duplicate binding is a
+# typed StaticError on every surface (it used to escape as the pattern
+# builder's bare ValueError: INTERNAL on the wire).
+# ----------------------------------------------------------------------
+
+DUPLICATES = ["for $a in //book, $a in //title return $a",
+              "for $a in //book let $a := $a/title return $a"]
+
+
+@pytest.fixture(scope="module")
+def surfaces():
+    with repro.connect(SMALL_BIB) as db:
+        server = db.listen()
+        with client_mod.connect(*server.address) as client:
+            yield {
+                "Engine.query": db.engine.query,
+                "Engine.prepare": db.engine.prepare,
+                "Database.query": db.query,
+                "QueryService.query": db.serve().query,
+                "Client.query": client.query,
+            }
+
+
+@pytest.mark.parametrize("text", DUPLICATES)
+@pytest.mark.parametrize("surface", ["Engine.query", "Engine.prepare",
+                                     "Database.query", "QueryService.query",
+                                     "Client.query"])
+def test_duplicate_binding_is_a_static_error(surfaces, surface, text):
+    call = surfaces[surface]
+    for options in ({}, {"strategy": "naive"}):
+        with pytest.raises(StaticError, match=r"\$a bound twice") as info:
+            call(text, **options)
+        assert text in str(info.value)      # carries the query text
+    # ...and the surface (the client's connection included) survives.
+    assert len(surfaces["Client.query"]("//book/title")) == 3
