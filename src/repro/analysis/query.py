@@ -42,7 +42,7 @@ from repro.xmlkit.summary import DOC_LABEL, StructuralSummary
 from repro.xpath.ast import (BooleanExpr, Comparison, Conditional, Expr,
                              FunctionCall, Literal, LocationPath, NameTest,
                              NotExpr, NumberLiteral, RootContext, RootDoc,
-                             RootVariable)
+                             RootVariable, conjuncts)
 from repro.xquery.ast import FLWOR
 
 __all__ = ["PruneDecision", "QueryLintResult", "analyze_query"]
@@ -255,7 +255,7 @@ def _predicate_unsat(vertex: BlossomVertex, summary: StructuralSummary,
     positional = [p for p in vertex.value_predicates
                   if not isinstance(p, NumberLiteral)]
     for predicate in positional:
-        for conjunct in _conjuncts(predicate):
+        for conjunct in conjuncts(predicate):
             _collect_attr_constraint(conjunct, constraints)
     for attr, constraint in sorted(constraints.items()):
         if not summary.attr_occurs(vertex.name, attr):
@@ -377,15 +377,6 @@ def _fmt(value: float) -> str:
     return str(int(value)) if value == int(value) else str(value)
 
 
-def _conjuncts(expr: Expr) -> list[Expr]:
-    if isinstance(expr, BooleanExpr) and expr.op == "and":
-        out: list[Expr] = []
-        for operand in expr.operands:
-            out.extend(_conjuncts(operand))
-        return out
-    return [expr]
-
-
 def _attr_name(expr: Expr) -> str | None:
     """``@name`` as a relative single-step path, else None."""
     if not isinstance(expr, LocationPath):
@@ -407,7 +398,7 @@ def _collect_attr_constraint(conjunct: Expr,
                              ) -> None:
     """Record what one positive conjunct requires of an attribute.
 
-    Only *positive* occurrences count (``_conjuncts`` never descends
+    Only *positive* occurrences count (``conjuncts`` never descends
     into ``or`` / ``not``): in XPath 1.0 both a bare ``[@a]`` and any
     comparison over ``@a`` are existential, so each requires the
     attribute to be present.

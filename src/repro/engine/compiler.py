@@ -19,9 +19,9 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.pattern.blossom import BlossomTree
 from repro.pattern.build import build_blossom_tree, path_as_flwor
 from repro.xpath.ast import LocationPath, RootContext
-from repro.xquery.ast import ElementConstructor, Enclosed, FLWOR, QueryExpr
+from repro.xquery.ast import FLWOR, QueryExpr, locate_flwor
 from repro.xquery.parser import parse_query
-from repro.xquery.semantics import StaticReport, analyze, free_variables
+from repro.xquery.semantics import StaticReport, scope
 
 __all__ = ["CompiledQuery", "compile_query"]
 
@@ -57,7 +57,8 @@ def compile_query(text: str | QueryExpr,
     mention them to the residual where clause, so the compiled plan has
     execution-time slots instead of baked-in values.
 
-    A user-written FLWOR is statically analyzed *before* its pattern is
+    One scoping walk over the query yields both those parameters and the
+    static report of a user-written FLWOR, *before* its pattern is
     built: a scoping error (e.g. a variable bound twice) raises
     :class:`~repro.errors.StaticError` here, whatever strategy will run.
 
@@ -79,14 +80,16 @@ def compile_query(text: str | QueryExpr,
             # The query to evaluate IS the synthetic wrapper.
             query = flwor
         else:
-            flwor = _locate_single_flwor(query)
+            # Nested or multiple FLWORs are left to direct evaluation.
+            flwor = locate_flwor(query)
 
-        parameters = free_variables(query)
+        facts = scope(query)
+        parameters = facts.free
         static: StaticReport | None = None
         if flwor is not None and not is_bare_path:
             # Bare paths skip this: their FLWOR is synthesized right
             # here, so user-variable scoping cannot be violated.
-            static = analyze(flwor, external=parameters)
+            static = facts.report(flwor, external=parameters)
             static.raise_errors(source)
         tree: BlossomTree | None = None
         error: str | None = None
@@ -113,31 +116,3 @@ def _absolutize(path: LocationPath) -> LocationPath:
     if isinstance(path.root, RootContext) and not path.root.absolute:
         return LocationPath(RootContext(absolute=True), path.steps)
     return path
-
-
-def _locate_single_flwor(expr: QueryExpr) -> FLWOR | None:
-    """Find exactly one FLWOR to optimize inside the query expression.
-
-    Nested or multiple FLWORs are left to direct evaluation (returning
-    ``None`` here means "static / fallback", not an error).
-    """
-    if isinstance(expr, FLWOR):
-        return expr
-    if isinstance(expr, ElementConstructor):
-        found: FLWOR | None = None
-        for item in expr.content:
-            if isinstance(item, Enclosed):
-                for sub in item.exprs:
-                    inner = _locate_single_flwor(sub)
-                    if inner is not None:
-                        if found is not None:
-                            return None
-                        found = inner
-            elif isinstance(item, ElementConstructor):
-                inner = _locate_single_flwor(item)
-                if inner is not None:
-                    if found is not None:
-                        return None
-                    found = inner
-        return found
-    return None

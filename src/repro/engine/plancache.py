@@ -27,6 +27,7 @@ Counters (all exported through ``repro.obs``):
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 from collections.abc import Hashable
@@ -52,8 +53,29 @@ CACHE_INVALIDATIONS = REGISTRY.counter(
 DEFAULT_CAPACITY = 128
 
 
+#: ``<name`` may open a direct constructor, whose text content is data.
+_TAG_OPEN = re.compile("<[A-Za-z_]")
+#: A character ``str.split`` treats as blank but the lexer rejects.
+_FOREIGN_BLANK = re.compile(r"[^\S \t\r\n]")
+
+
 def normalize_query_text(text: str) -> str:
-    """Collapse whitespace so trivially reformatted queries share plans."""
+    """The request identity of a query text: trivially reformatted
+    queries share plans, distinct queries never do.
+
+    Two texts may share an identity only if they tokenize identically
+    and agree byte for byte inside string literals and constructor
+    content.  Collapsing the blank runs between tokens is safe exactly
+    when the text has neither; whether a quote or a ``<name`` really
+    opens one cannot be told without parsing, so a text containing
+    either is only stripped at its ends (always safe).  The checks are
+    substring scans, cheap enough for every request to pay.
+    """
+    if ('"' in text or "'" in text
+            or "<" in text and _TAG_OPEN.search(text) is not None
+            or not text.isprintable()       # a newline, a tab, or worse
+            and _FOREIGN_BLANK.search(text) is not None):
+        return text.strip(" \t\r\n")
     return " ".join(text.split())
 
 

@@ -31,10 +31,7 @@ from __future__ import annotations
 
 from repro.errors import CompileError
 from repro.xpath.ast import (
-    Arithmetic,
-    BooleanExpr,
     Comparison,
-    Conditional,
     Expr,
     FunctionCall,
     Literal,
@@ -42,12 +39,13 @@ from repro.xpath.ast import (
     NameTest,
     NotExpr,
     NumberLiteral,
-    Quantified,
     RootContext,
     RootDoc,
     RootVariable,
     Step,
     TextTest,
+    conjuncts,
+    walk,
 )
 from repro.xquery.ast import FLWOR, ForClause, LetClause
 from repro.pattern.blossom import (
@@ -175,8 +173,7 @@ class _Builder:
         axis = step.axis
         if axis == "self":
             # ``.`` — predicates attach to the current vertex.
-            for predicate in step.predicates:
-                self._attach_predicate(parent, predicate, mode)
+            self._attach_predicates(parent, step.predicates)
             return parent
         if axis not in ("child", "descendant", "following-sibling"):
             raise CompileError(f"axis {axis!r} is outside the pattern-matching "
@@ -202,26 +199,27 @@ class _Builder:
             vertex = self.tree.new_vertex(step.test.name)
             self.tree.add_edge(parent, vertex, axis, mode)
 
-        for predicate in step.predicates:
-            self._attach_predicate(vertex, predicate, mode)
+        self._attach_predicates(vertex, step.predicates)
         return vertex
 
     # ------------------------------------------------------------------
     # Step predicates.
     # ------------------------------------------------------------------
 
-    def _attach_predicate(self, vertex: BlossomVertex, predicate: Expr,
-                          mode: str) -> None:
-        """Translate one step predicate onto ``vertex``.
+    def _attach_predicates(self, vertex: BlossomVertex,
+                           predicates: tuple[Expr, ...]) -> None:
+        for predicate in predicates:
+            for conjunct in conjuncts(predicate):
+                self._attach_predicate(vertex, conjunct)
+
+    def _attach_predicate(self, vertex: BlossomVertex, predicate: Expr) -> None:
+        """Translate one step predicate (or ``and``-conjunct of one) onto
+        ``vertex``.
 
         The predicate was written in a context where ``vertex``'s match
         is the context node; existence requirements inside it are always
         mandatory relative to the vertex regardless of the clause mode.
         """
-        if isinstance(predicate, BooleanExpr) and predicate.op == "and":
-            for operand in predicate.operands:
-                self._attach_predicate(vertex, operand, mode)
-            return
         if isinstance(predicate, LocationPath):
             # Existential: [p] requires a match of p below the vertex.
             self._build_existential(vertex, predicate, value_pred=None)
@@ -287,7 +285,7 @@ class _Builder:
     # ------------------------------------------------------------------
 
     def add_where(self, where: Expr) -> None:
-        for conjunct in _flatten_and(where):
+        for conjunct in conjuncts(where):
             self._add_conjunct(conjunct)
 
     def _add_conjunct(self, conjunct: Expr) -> None:
@@ -419,15 +417,6 @@ class _Builder:
 # Expression shape helpers.
 # ----------------------------------------------------------------------
 
-def _flatten_and(expr: Expr) -> list[Expr]:
-    if isinstance(expr, BooleanExpr) and expr.op == "and":
-        out: list[Expr] = []
-        for operand in expr.operands:
-            out.extend(_flatten_and(operand))
-        return out
-    return [expr]
-
-
 def _strip_not(expr: Expr) -> tuple[Expr, bool]:
     negated = False
     while True:
@@ -457,88 +446,12 @@ def _path_is_left(cmp: Comparison) -> bool:
 
 
 def _mentions_position(expr: Expr) -> bool:
-    if isinstance(expr, Quantified):
-        return _mentions_position(expr.source) or _mentions_position(expr.satisfies)
-    if isinstance(expr, Conditional):
-        return any(_mentions_position(e) for e in
-                   (expr.condition, expr.then_branch, expr.else_branch))
-    return _mentions_position_core(expr)
-
-
-def _mentions_position_core(expr: Expr) -> bool:
-    if isinstance(expr, FunctionCall):
-        if expr.name in ("position", "last"):
-            return True
-        return any(_mentions_position(a) for a in expr.args)
-    if isinstance(expr, (BooleanExpr,)):
-        return any(_mentions_position(o) for o in expr.operands)
-    if isinstance(expr, NotExpr):
-        return _mentions_position(expr.operand)
-    if isinstance(expr, (Comparison, Arithmetic)):
-        return _mentions_position(expr.left) or _mentions_position(expr.right)
-    if isinstance(expr, LocationPath):
-        return any(any(_mentions_position(p) for p in s.predicates) for s in expr.steps)
-    return False
-
-
-def _mentions_variable_ext(expr: Expr) -> bool:
-    if isinstance(expr, Quantified):
-        # The quantifier binds its own variable; references to it are
-        # fine, but its source/satisfies may still leak outer variables.
-        return _mentions_variable(expr.source) or _mentions_variable(expr.satisfies)
-    if isinstance(expr, Conditional):
-        return any(_mentions_variable(e) for e in
-                   (expr.condition, expr.then_branch, expr.else_branch))
-    return False
+    return any(isinstance(node, FunctionCall)
+               and node.name in ("position", "last") for node in walk(expr))
 
 
 def _mentions_variable(expr: Expr) -> bool:
-    if isinstance(expr, (Quantified, Conditional)):
-        return _mentions_variable_ext(expr)
-    if isinstance(expr, LocationPath):
-        if isinstance(expr.root, RootVariable):
-            return True
-        return any(any(_mentions_variable(p) for p in s.predicates) for s in expr.steps)
-    if isinstance(expr, FunctionCall):
-        return any(_mentions_variable(a) for a in expr.args)
-    if isinstance(expr, BooleanExpr):
-        return any(_mentions_variable(o) for o in expr.operands)
-    if isinstance(expr, NotExpr):
-        return _mentions_variable(expr.operand)
-    if isinstance(expr, (Comparison, Arithmetic)):
-        return _mentions_variable(expr.left) or _mentions_variable(expr.right)
-    return False
-
-
-def _is_local_value_expr(expr: Expr) -> bool:
-    """True when the expression only inspects the context element's own
-    text, attributes or direct text children — safe to evaluate as a
-    vertex value predicate during NoK matching."""
-    if isinstance(expr, (Literal, NumberLiteral)):
-        return True
-    if isinstance(expr, LocationPath):
-        if not isinstance(expr.root, RootContext) or expr.root.absolute:
-            return False
-        for step in expr.steps:
-            if step.predicates:
-                return False
-            if step.axis == "attribute":
-                continue
-            if step.axis in ("child", "self") and isinstance(step.test, TextTest):
-                continue
-            if step.axis == "self" and isinstance(step.test, NameTest):
-                continue
-            return False
-        return True
-    if isinstance(expr, (Comparison, Arithmetic)):
-        return _is_local_value_expr(expr.left) and _is_local_value_expr(expr.right)
-    if isinstance(expr, BooleanExpr):
-        return all(_is_local_value_expr(o) for o in expr.operands)
-    if isinstance(expr, NotExpr):
-        return _is_local_value_expr(expr.operand)
-    if isinstance(expr, FunctionCall):
-        if expr.name in ("contains", "starts-with", "string-length", "normalize-space",
-                         "string", "number", "true", "false", "concat"):
-            return all(_is_local_value_expr(a) for a in expr.args)
-        return False
-    return False
+    """Any variable reference at all — a quantifier's own variable
+    included: the matcher evaluates predicates without bindings."""
+    return any(isinstance(node, LocationPath)
+               and isinstance(node.root, RootVariable) for node in walk(expr))

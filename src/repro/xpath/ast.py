@@ -21,7 +21,10 @@ descendant (W3C would restart at the document root).
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 
 __all__ = [
     "AXIS_NAMES",
@@ -36,6 +39,7 @@ __all__ = [
     "RootDoc",
     "RootContext",
     "RootVariable",
+    "PathRoot",
     "Literal",
     "NumberLiteral",
     "FunctionCall",
@@ -46,6 +50,9 @@ __all__ = [
     "Quantified",
     "Conditional",
     "Expr",
+    "subexpressions",
+    "walk",
+    "conjuncts",
 ]
 
 #: All axes the parser accepts.
@@ -118,7 +125,7 @@ class RootDoc:
     uri: str
 
     def __str__(self) -> str:
-        return f'doc("{self.uri}")'
+        return f"doc({_quoted(self.uri)})"
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,7 @@ class Literal:
     value: str
 
     def __str__(self) -> str:
-        return f'"{self.value}"'
+        return _quoted(self.value)
 
 
 @dataclass(frozen=True)
@@ -202,9 +209,11 @@ class NumberLiteral:
     value: float
 
     def __str__(self) -> str:
-        if self.value == int(self.value):
+        if math.isfinite(self.value) and self.value == int(self.value):
             return str(int(self.value))
-        return str(self.value)
+        text = repr(self.value)
+        # The lexer has no exponent form: spell 1e-07 out positionally.
+        return format(Decimal(text), "f") if "e" in text else text
 
 
 @dataclass(frozen=True)
@@ -228,7 +237,8 @@ class Comparison:
     right: Expr
 
     def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
+        return (f"{_operand(self.left, _COMPARISON)} {self.op} "
+                f"{_operand(self.right, _COMPARISON)}")
 
 
 @dataclass(frozen=True)
@@ -239,8 +249,7 @@ class BooleanExpr:
     operands: tuple[Expr, ...]
 
     def __str__(self) -> str:
-        return f" {self.op} ".join(
-            f"({o})" if isinstance(o, BooleanExpr) else str(o) for o in self.operands)
+        return f" {self.op} ".join(_operand(o, _BOOLEAN) for o in self.operands)
 
 
 @dataclass(frozen=True)
@@ -263,7 +272,11 @@ class Arithmetic:
     right: Expr
 
     def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
+        # Left-associative: an equal-precedence operand needs its
+        # parentheses on the right only.
+        level = _precedence(self)
+        return (f"{_operand(self.left, level - 1)} {self.op} "
+                f"{_operand(self.right, level)}")
 
 
 @dataclass(frozen=True)
@@ -300,3 +313,75 @@ class Conditional:
 
 Expr = (LocationPath | Literal | NumberLiteral | FunctionCall | Comparison
         | BooleanExpr | NotExpr | Arithmetic | Quantified | Conditional)
+
+
+# ----------------------------------------------------------------------
+# Printing: str(expr) re-parses to an equal expression.
+# ----------------------------------------------------------------------
+
+#: Binding strength of the operator forms, loosest first; everything
+#: else (paths, literals, calls, ``not(...)``) is a primary.
+_LOOSEST, _BOOLEAN, _COMPARISON, _ADDITIVE, _MULTIPLICATIVE, _PRIMARY = range(6)
+
+
+def _precedence(expr: Expr) -> int:
+    if isinstance(expr, Arithmetic):
+        return _ADDITIVE if expr.op in "+-" else _MULTIPLICATIVE
+    if isinstance(expr, Comparison):
+        return _COMPARISON
+    if isinstance(expr, BooleanExpr):
+        return _BOOLEAN
+    if isinstance(expr, (Quantified, Conditional)):
+        return _LOOSEST
+    return _PRIMARY
+
+
+def _operand(expr: Expr, level: int) -> str:
+    """``expr`` as an operand of an operator binding at ``level``:
+    parenthesised unless it binds tighter."""
+    return str(expr) if _precedence(expr) > level else f"({expr})"
+
+
+def _quoted(value: str) -> str:
+    """A string literal in the quote it does not contain (the lexer
+    has no escapes, so a value holding both kinds cannot be written)."""
+    return f"'{value}'" if '"' in value else f'"{value}"'
+
+
+# ----------------------------------------------------------------------
+# Traversal: the one child iterator and the one ``and``-flattener.
+# ----------------------------------------------------------------------
+
+def subexpressions(expr: Expr) -> Sequence[Expr]:
+    """The direct sub-expressions of ``expr`` in source order — a path's
+    are the predicates of its steps."""
+    if isinstance(expr, LocationPath):
+        return [p for step in expr.steps for p in step.predicates]
+    if isinstance(expr, (Comparison, Arithmetic)):
+        return (expr.left, expr.right)
+    if isinstance(expr, BooleanExpr):
+        return expr.operands
+    if isinstance(expr, NotExpr):
+        return (expr.operand,)
+    if isinstance(expr, FunctionCall):
+        return expr.args
+    if isinstance(expr, Quantified):
+        return (expr.source, expr.satisfies)
+    if isinstance(expr, Conditional):
+        return (expr.condition, expr.then_branch, expr.else_branch)
+    return ()
+
+
+def walk(expr: Expr) -> Iterator[Expr]:
+    """``expr`` and every expression below it, in source (pre-)order."""
+    yield expr
+    for sub in subexpressions(expr):
+        yield from walk(sub)
+
+
+def conjuncts(expr: Expr) -> list[Expr]:
+    """The operands of the top-level ``and`` (nested ``and``s flattened);
+    anything else is its own single conjunct."""
+    if isinstance(expr, BooleanExpr) and expr.op == "and":
+        return [c for operand in expr.operands for c in conjuncts(operand)]
+    return [expr]

@@ -21,6 +21,12 @@ Grammar (see :mod:`repro.xpath.ast` for the semantic notes)::
 Paths inside predicates are relative to the context node even when they
 start with ``/`` or ``//`` (the convention the paper's Appendix A
 queries use).
+
+Every production reads the shared :class:`~repro.xpath.lexer.TokenCursor`
+and simply stops at the first token it cannot use, so an expression
+embedded in a FLWOR ends where this grammar ends: at a name in operator
+position that is not an operator (``return``, ``order``, ...), at ``,``,
+``)``, ``}`` or at the end of input.
 """
 
 from __future__ import annotations
@@ -37,8 +43,10 @@ from repro.xpath.ast import (
     Literal,
     LocationPath,
     NameTest,
+    NodeTest,
     NotExpr,
     NumberLiteral,
+    PathRoot,
     RootContext,
     RootDoc,
     Quantified,
@@ -53,10 +61,22 @@ from repro.xpath.lexer import (
     SYMBOL,
     VARIABLE,
     TokenCursor,
-    tokenize_query,
 )
 
-__all__ = ["parse_xpath", "parse_expr", "KNOWN_FUNCTIONS", "XPathParser"]
+__all__ = ["parse_xpath", "parse_expr", "KNOWN_FUNCTIONS", "MAX_NESTING",
+           "XPathParser"]
+
+#: How deep expressions may nest (parentheses, predicates, function
+#: arguments, ``not``, quantifier / conditional bodies, and — through
+#: the FLWOR parser that shares the counter — nested FLWORs, sequences
+#: and constructors).  The parser is recursive descent, at most ten
+#: Python frames per level, so this bound is what turns hostile nesting
+#: into a :class:`~repro.errors.QuerySyntaxError` instead of a
+#: ``RecursionError``; it leaves room under the interpreter's default
+#: 1000-frame limit for the caller's own stack and for the recursive
+#: walks that later run over the AST.  Hand-written queries nest three
+#: or four levels.
+MAX_NESTING = 48
 
 #: Functions the evaluator implements.  ``text``/``node`` are node tests,
 #: not functions, and are excluded deliberately.
@@ -74,33 +94,44 @@ _COMPARISON_OPS = ("=", "!=", "<=", ">=", "<", ">", "<<", ">>")
 
 def parse_xpath(text: str) -> LocationPath:
     """Parse a complete XPath string; raises ``QuerySyntaxError``."""
-    cursor = TokenCursor(tokenize_query(text), text)
-    parser = XPathParser(cursor)
+    parser = XPathParser(TokenCursor(text))
     path = parser.parse_path(top_level=True)
-    if not cursor.at_eof():
-        raise cursor.error(f"unexpected trailing input {cursor.current.value!r}")
+    parser.expect_end()
     return path
 
 
 def parse_expr(text: str) -> Expr:
     """Parse a standalone boolean/value expression (e.g. a where clause)."""
-    cursor = TokenCursor(tokenize_query(text), text)
-    parser = XPathParser(cursor)
+    parser = XPathParser(TokenCursor(text))
     expr = parser.parse_or_expr()
-    if not cursor.at_eof():
-        raise cursor.error(f"unexpected trailing input {cursor.current.value!r}")
+    parser.expect_end()
     return expr
 
 
 class XPathParser:
     """Parses XPath constructs from a shared :class:`TokenCursor`.
 
-    The FLWOR parser instantiates this class on its own cursor to parse
-    the path expressions embedded in for/let/where/order-by clauses.
+    The FLWOR parser extends this class, so the path and boolean
+    expressions embedded in for/let/where/order-by/return clauses are
+    parsed by these productions, on the one cursor over the whole query.
     """
 
     def __init__(self, cursor: TokenCursor) -> None:
         self.cursor = cursor
+        self._depth = 0
+
+    def expect_end(self) -> None:
+        if not self.cursor.at_eof():
+            raise self.cursor.error(
+                f"unexpected trailing input {self.cursor.current.value!r}")
+
+    def _descend(self, pos: int | None = None) -> None:
+        """Enter one nesting level (callers decrement on the way out; a
+        syntax error abandons the parser, so no unwinding is needed)."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise self.cursor.error(
+                f"expression nests deeper than {MAX_NESTING} levels", pos)
 
     # ------------------------------------------------------------------
     # Paths.
@@ -114,7 +145,7 @@ class XPathParser:
         """
         cur = self.cursor
         steps: list[Step] = []
-        root = RootContext(absolute=False)
+        root: PathRoot = RootContext(absolute=False)
 
         if cur.current.is_name("doc") and cur.peek().is_symbol("("):
             cur.advance()
@@ -178,8 +209,8 @@ class XPathParser:
             return Step("parent", AnyKindTest(), self._parse_predicates())
         if token.is_symbol("@"):
             cur.advance()
-            test = self._parse_name_or_star()
-            return Step("attribute", test, self._parse_predicates())
+            return Step("attribute", self._parse_name_or_star(),
+                        self._parse_predicates())
         if token.is_symbol("*"):
             cur.advance()
             return Step("child", NameTest("*"), self._parse_predicates())
@@ -202,7 +233,7 @@ class XPathParser:
         test = self._parse_node_test()
         return Step("child", test, self._parse_predicates())
 
-    def _parse_node_test(self):
+    def _parse_node_test(self) -> NodeTest:
         cur = self.cursor
         if cur.current.is_symbol("*"):
             cur.advance()
@@ -218,7 +249,7 @@ class XPathParser:
             return AnyKindTest()
         return NameTest(token.value)
 
-    def _parse_name_or_star(self):
+    def _parse_name_or_star(self) -> NameTest:
         cur = self.cursor
         if cur.current.is_symbol("*"):
             cur.advance()
@@ -237,19 +268,25 @@ class XPathParser:
     # Expressions.
     # ------------------------------------------------------------------
 
-    def parse_or_expr(self) -> Expr:
+    def parse_or_expr(self, left: Expr | None = None) -> Expr:
+        """Parse one expression.  ``left``, when given, is its first
+        operand, already parsed: the FLWOR parser opens a ``(`` before it
+        can know whether a sequence or a grouped operand follows."""
         cur = self.cursor
+        self._descend()
+        expr: Expr
         # Quantified and conditional expressions bind loosest.
-        if (cur.current.kind == NAME and cur.current.value in ("some", "every")
+        if (left is None and cur.current.kind == NAME
+                and cur.current.value in ("some", "every")
                 and cur.peek().kind == VARIABLE):
             kind = cur.advance().value
             var = cur.expect_kind(VARIABLE).value
             cur.expect_name("in")
             source = self.parse_path(top_level=False)
             cur.expect_name("satisfies")
-            satisfies = self.parse_or_expr()
-            return Quantified(kind, var, source, satisfies)
-        if cur.current.is_name("if") and cur.peek().is_symbol("("):
+            expr = Quantified(kind, var, source, self.parse_or_expr())
+        elif (left is None and cur.current.is_name("if")
+                and cur.peek().is_symbol("(")):
             cur.advance()
             cur.expect_symbol("(")
             condition = self.parse_or_expr()
@@ -257,18 +294,19 @@ class XPathParser:
             cur.expect_name("then")
             then_branch = self.parse_or_expr()
             cur.expect_name("else")
-            else_branch = self.parse_or_expr()
-            return Conditional(condition, then_branch, else_branch)
-        operands = [self.parse_and_expr()]
-        while self.cursor.current.is_name("or"):
-            self.cursor.advance()
-            operands.append(self.parse_and_expr())
-        if len(operands) == 1:
-            return operands[0]
-        return BooleanExpr("or", tuple(operands))
+            expr = Conditional(condition, then_branch, self.parse_or_expr())
+        else:
+            operands = [self.parse_and_expr(left)]
+            while cur.current.is_name("or"):
+                cur.advance()
+                operands.append(self.parse_and_expr())
+            expr = (operands[0] if len(operands) == 1
+                    else BooleanExpr("or", tuple(operands)))
+        self._depth -= 1
+        return expr
 
-    def parse_and_expr(self) -> Expr:
-        operands = [self.parse_comparison()]
+    def parse_and_expr(self, left: Expr | None = None) -> Expr:
+        operands = [self.parse_comparison(left)]
         while self.cursor.current.is_name("and"):
             self.cursor.advance()
             operands.append(self.parse_comparison())
@@ -276,44 +314,35 @@ class XPathParser:
             return operands[0]
         return BooleanExpr("and", tuple(operands))
 
-    def parse_comparison(self) -> Expr:
-        left = self.parse_additive()
-        cur = self.cursor
-        for op in _COMPARISON_OPS:
-            if cur.current.is_symbol(op):
-                cur.advance()
-                return Comparison(op, left, self.parse_additive())
-        if cur.current.is_name("is"):
-            cur.advance()
-            return Comparison("is", left, self.parse_additive())
-        if cur.current.is_name("isnot"):
-            cur.advance()
-            return Comparison("isnot", left, self.parse_additive())
+    def parse_comparison(self, left: Expr | None = None) -> Expr:
+        left = self.parse_additive(left)
+        token = self.cursor.current
+        if (token.value in _COMPARISON_OPS and token.kind == SYMBOL
+                or token.value in ("is", "isnot") and token.kind == NAME):
+            self.cursor.advance()
+            return Comparison(token.value, left, self.parse_additive())
         return left
 
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
+    def parse_additive(self, left: Expr | None = None) -> Expr:
+        left = self.parse_multiplicative(left)
         cur = self.cursor
         while cur.current.is_symbol("+") or cur.current.is_symbol("-"):
             op = cur.advance().value
             left = Arithmetic(op, left, self.parse_multiplicative())
         return left
 
-    def parse_multiplicative(self) -> Expr:
-        left = self.parse_value()
+    def parse_multiplicative(self, left: Expr | None = None) -> Expr:
+        if left is None:
+            left = self.parse_value()
         cur = self.cursor
-        while (cur.current.is_symbol("*") and not self._star_is_name_test()) \
-                or cur.current.is_name("div") or cur.current.is_name("mod"):
+        # Paths are parsed greedily by parse_value, so a ``*`` seen here
+        # always follows a complete operand: multiplication, never a
+        # wildcard step.
+        while cur.current.is_symbol("*") or cur.current.is_name("div") \
+                or cur.current.is_name("mod"):
             op = cur.advance().value
             left = Arithmetic(op, left, self.parse_value())
         return left
-
-    def _star_is_name_test(self) -> bool:
-        """Heuristic: ``*`` right after ``/`` or ``[`` or at expression
-        start is a wildcard step, not multiplication.  Since paths are
-        parsed greedily by parse_value, a ``*`` seen *here* always
-        follows a complete operand and is multiplication."""
-        return False
 
     def parse_value(self) -> Expr:
         cur = self.cursor

@@ -15,6 +15,7 @@ inside enclosed expressions.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.xpath.ast import Expr, LocationPath
@@ -30,6 +31,7 @@ __all__ = [
     "Sequence",
     "QueryExpr",
     "iter_clause_paths",
+    "locate_flwor",
 ]
 
 
@@ -95,6 +97,15 @@ class ElementConstructor:
     attrs: tuple[tuple[str, str], ...] = ()
     content: tuple[TextItem | ElementConstructor | Enclosed, ...] = ()
 
+    def subqueries(self) -> Iterator[QueryExpr]:
+        """The query expressions inside, in order: every enclosed
+        expression and every directly nested constructor."""
+        for item in self.content:
+            if isinstance(item, Enclosed):
+                yield from item.exprs
+            elif isinstance(item, ElementConstructor):
+                yield item
+
     def __str__(self) -> str:
         attrs = "".join(f' {k}="{v}"' for k, v in self.attrs)
         return f"<{self.tag}{attrs}>...</{self.tag}>"
@@ -139,3 +150,24 @@ QueryExpr = FLWOR | ElementConstructor | Sequence | Expr
 def iter_clause_paths(flwor: FLWOR) -> list[tuple[str, LocationPath]]:
     """All (variable, path) pairs bound by for/let clauses, in order."""
     return [(c.var, c.source) for c in flwor.clauses]
+
+
+def locate_flwor(expr: QueryExpr) -> FLWOR | None:
+    """The one FLWOR a query is built around: the query itself, or the
+    only FLWOR enclosed in its (possibly nested) constructors.
+
+    ``None`` — a query with no FLWOR, or with several — means "nothing
+    to optimize" to the compiler (direct evaluation), not an error.
+    """
+    if isinstance(expr, FLWOR):
+        return expr
+    if not isinstance(expr, ElementConstructor):
+        return None
+    found: FLWOR | None = None
+    for sub in expr.subqueries():
+        inner = locate_flwor(sub)
+        if inner is not None:
+            if found is not None:
+                return None
+            found = inner
+    return found

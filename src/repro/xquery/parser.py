@@ -1,10 +1,19 @@
 """Parser for the restricted FLWOR subset.
 
-The XQuery-level parser is character driven because direct element
-constructors switch the lexical ground rules (arbitrary text content).
-Embedded path and boolean expressions are carved out of the source by
-bracket-depth scanning and handed to the XPath parser, which is the
-single definition of expression syntax in the repository.
+The FLWOR, sequence and enclosed-expression productions drive the same
+:class:`~repro.xpath.lexer.TokenCursor` as the XPath productions they
+extend: the whole query is lexed once, lazily, in one position space,
+and an embedded path or boolean expression ends where the XPath grammar
+stops consuming — so ``for``, ``let``, ``where``, ``order`` and
+``return`` are keywords only where a clause may start and ordinary
+element names everywhere a step is expected.
+
+Only direct element constructors are read at character level: their
+content is arbitrary text (``it's`` is not an unterminated string), so
+it must never reach the lexer.  The constructor production scans from
+the ``<`` token's offset, re-seats the cursor after each ``{`` for the
+enclosed expressions, resumes scanning after the ``}`` and re-seats the
+cursor once more after the end tag.
 
 Supported query forms::
 
@@ -23,8 +32,8 @@ from __future__ import annotations
 import re
 
 from repro.errors import QuerySyntaxError
-from repro.xpath.ast import Expr, LocationPath
-from repro.xpath.lexer import TokenCursor, tokenize_query
+from repro.xpath.ast import Expr
+from repro.xpath.lexer import NAME, VARIABLE, TokenCursor, skip_trivia
 from repro.xpath.parser import XPathParser
 from repro.xquery.ast import (
     ElementConstructor,
@@ -36,397 +45,187 @@ from repro.xquery.ast import (
     QueryExpr,
     Sequence,
     TextItem,
+    locate_flwor,
 )
 
 __all__ = ["parse_query", "parse_flwor"]
 
 _NAME_RE = re.compile(r"[A-Za-z_][\w.-]*")
-_KEYWORDS_AFTER_CLAUSE = ("for", "let", "where", "order", "return")
 
 
 def parse_query(text: str) -> QueryExpr:
     """Parse a complete query (constructor, FLWOR, or XPath expression)."""
-    parser = _QueryParser(text)
+    parser = _QueryParser(TokenCursor(text))
     expr = parser.parse_expr_single()
-    parser.skip_ws()
-    if not parser.at_end():
-        raise parser.error("unexpected trailing input")
+    parser.expect_end()
     return expr
 
 
 def parse_flwor(text: str) -> FLWOR:
     """Parse a query that must be (or wrap exactly one) FLWOR expression."""
-    expr = parse_query(text)
-    flwor = _find_flwor(expr)
+    flwor = locate_flwor(parse_query(text))
     if flwor is None:
         raise QuerySyntaxError("query contains no FLWOR expression", 0, text)
     return flwor
 
 
-def _find_flwor(expr: QueryExpr) -> FLWOR | None:
-    if isinstance(expr, FLWOR):
-        return expr
-    if isinstance(expr, ElementConstructor):
-        found = None
-        for item in expr.content:
-            if isinstance(item, Enclosed):
-                for sub in item.exprs:
-                    inner = _find_flwor(sub)
-                    if inner is not None:
-                        if found is not None:
-                            return None  # ambiguous: more than one
-                        found = inner
-        return found
-    return None
+class _QueryParser(XPathParser):
+    """The XQuery-level productions, on the XPath parser's cursor."""
 
-
-class _QueryParser:
-    """Character cursor with mode-switching for constructors."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    # -- low-level helpers ------------------------------------------------
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self) -> None:
-        while not self.at_end():
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif self.text.startswith("(:", self.pos):
-                depth = 0
-                while self.pos < len(self.text):
-                    if self.text.startswith("(:", self.pos):
-                        depth += 1
-                        self.pos += 2
-                    elif self.text.startswith(":)", self.pos):
-                        depth -= 1
-                        self.pos += 2
-                        if depth == 0:
-                            break
-                    else:
-                        self.pos += 1
-                if depth != 0:
-                    raise self.error("unterminated comment")
-            else:
-                return
-
-    def error(self, message: str) -> QuerySyntaxError:
-        return QuerySyntaxError(message, self.pos, self.text)
-
-    def keyword_ahead(self, word: str) -> bool:
-        """True iff ``word`` starts at the cursor as a whole word."""
-        if not self.text.startswith(word, self.pos):
-            return False
-        end = self.pos + len(word)
-        return end >= len(self.text) or not (self.text[end].isalnum()
-                                             or self.text[end] in "_-.")
-
-    def take_keyword(self, word: str) -> None:
-        if not self.keyword_ahead(word):
-            raise self.error(f"expected keyword {word!r}")
-        self.pos += len(word)
-
-    def take_name(self) -> str:
-        match = _NAME_RE.match(self.text, self.pos)
-        if not match:
-            raise self.error("expected a name")
-        self.pos = match.end()
-        return match.group()
-
-    def expect_char(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    # -- expression dispatch ----------------------------------------------
+    def _at_clause(self) -> bool:
+        """``for`` / ``let`` are clause keywords only before a ``$var``."""
+        token = self.cursor.current
+        return (token.kind == NAME and token.value in ("for", "let")
+                and self.cursor.peek().kind == VARIABLE)
 
     def parse_expr_single(self) -> QueryExpr:
-        self.skip_ws()
-        if self.at_end():
-            raise self.error("expected an expression")
-        if self.keyword_ahead("for") or self.keyword_ahead("let"):
-            return self.parse_flwor()
-        if self.peek() == "<" and _NAME_RE.match(self.text, self.pos + 1):
-            return self.parse_constructor()
-        if self.peek() == "(" and not self.text.startswith("(:", self.pos):
-            # Ambiguous: "(a, b)" is a sequence, "(a = b) and c" is one
-            # XPath expression.  Try the expression reading first and
-            # fall back to the sequence reading.
-            start = self.pos
-            try:
-                return self._parse_xpath_expr(
-                    self._scan_expr_extent(stop_chars=(",",)))
-            except QuerySyntaxError:
-                self.pos = start
-                return self._parse_parenthesized()
-        return self._parse_xpath_expr(self._scan_expr_extent(stop_chars=(",",)))
+        cur = self.cursor
+        token = cur.current
+        self._descend()
+        expr: QueryExpr
+        if self._at_clause():
+            expr = self.parse_flwor()
+        elif token.is_symbol("<") and _NAME_RE.match(cur.source, token.pos + 1):
+            expr, end = self._parse_constructor(token.pos)
+            cur.seek(end)
+        elif token.is_symbol("("):
+            expr = self._parse_parenthesized()
+        else:
+            expr = self.parse_or_expr()
+        self._depth -= 1
+        return expr
 
     def _parse_parenthesized(self) -> QueryExpr:
-        start = self.pos
-        self.expect_char("(")
-        items: list[QueryExpr] = []
-        self.skip_ws()
-        if self.peek() == ")":
-            self.pos += 1
+        """``(a, b)`` is a sequence, ``(a = b) and c`` one XPath
+        expression: the token after the first item decides."""
+        cur = self.cursor
+        cur.expect_symbol("(")
+        if cur.accept_symbol(")"):
             return Sequence(())
-        while True:
-            items.append(self.parse_expr_single())
-            self.skip_ws()
-            if self.peek() == ",":
-                self.pos += 1
-                continue
-            if self.peek() == ")":
-                self.pos += 1
-                break
-            # Not a sequence after all (e.g. "(a = b) and c"): re-parse the
-            # whole parenthesized region as one XPath expression.
-            self.pos = start
-            return self._parse_xpath_expr(self._scan_expr_extent())
-        if len(items) == 1:
-            return items[0]
-        return Sequence(tuple(items))
+        first = self.parse_expr_single()
+        if cur.current.is_symbol(","):
+            items = [first]
+            while cur.accept_symbol(","):
+                items.append(self.parse_expr_single())
+            cur.expect_symbol(")")
+            return Sequence(tuple(items))
+        cur.expect_symbol(")")
+        if isinstance(first, (FLWOR, ElementConstructor, Sequence)):
+            return first
+        # A grouped XPath operand: the operators after it, if any,
+        # continue the same expression.
+        return self.parse_or_expr(first)
 
     # -- FLWOR -------------------------------------------------------------
 
     def parse_flwor(self) -> FLWOR:
+        cur = self.cursor
         clauses: list[ForClause | LetClause] = []
-        while True:
-            self.skip_ws()
-            if self.keyword_ahead("for"):
-                self.take_keyword("for")
-                clauses.extend(self._parse_for_bindings())
-            elif self.keyword_ahead("let"):
-                self.take_keyword("let")
-                clauses.extend(self._parse_let_bindings())
-            else:
-                break
-        if not clauses:
-            raise self.error("FLWOR requires at least one for/let clause")
+        while self._at_clause():
+            iterating = cur.advance().value == "for"
+            while True:
+                var = cur.expect_kind(VARIABLE).value
+                if iterating:
+                    cur.expect_name("in")
+                else:
+                    cur.expect_symbol(":=")
+                source = self.parse_path(top_level=True)
+                clauses.append(ForClause(var, source) if iterating
+                               else LetClause(var, source))
+                if not cur.accept_symbol(","):
+                    break
 
         where: Expr | None = None
-        self.skip_ws()
-        if self.keyword_ahead("where"):
-            self.take_keyword("where")
-            where = self._parse_xpath_boolean(
-                self._scan_expr_extent(stop_keywords=("order", "return")))
+        if cur.current.is_name("where"):
+            cur.advance()
+            where = self.parse_or_expr()
 
         order_by: list[OrderSpec] = []
-        self.skip_ws()
-        if self.keyword_ahead("order"):
-            self.take_keyword("order")
-            self.skip_ws()
-            self.take_keyword("by")
+        if cur.current.is_name("order"):
+            cur.advance()
+            cur.expect_name("by")
             while True:
-                chunk = self._scan_expr_extent(
-                    stop_keywords=("ascending", "descending", "return"),
-                    stop_chars=(",",))
-                key = self._parse_xpath_expr(chunk)
-                descending = False
-                self.skip_ws()
-                if self.keyword_ahead("ascending"):
-                    self.take_keyword("ascending")
-                elif self.keyword_ahead("descending"):
-                    self.take_keyword("descending")
-                    descending = True
+                key = self.parse_or_expr()
+                descending = cur.current.is_name("descending")
+                if descending or cur.current.is_name("ascending"):
+                    cur.advance()
                 order_by.append(OrderSpec(key, descending))
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
-                break
+                if not cur.accept_symbol(","):
+                    break
 
-        self.skip_ws()
-        self.take_keyword("return")
-        return_expr = self.parse_expr_single()
-        return FLWOR(tuple(clauses), where, tuple(order_by), return_expr)
-
-    def _parse_for_bindings(self) -> list[ForClause]:
-        bindings: list[ForClause] = []
-        while True:
-            self.skip_ws()
-            self.expect_char("$")
-            var = self.take_name()
-            self.skip_ws()
-            self.take_keyword("in")
-            chunk = self._scan_expr_extent(stop_chars=(",",))
-            path = self._parse_xpath_path(chunk)
-            bindings.append(ForClause(var, path))
-            self.skip_ws()
-            if self.peek() == ",":
-                self.pos += 1
-                continue
-            return bindings
-
-    def _parse_let_bindings(self) -> list[LetClause]:
-        bindings: list[LetClause] = []
-        while True:
-            self.skip_ws()
-            self.expect_char("$")
-            var = self.take_name()
-            self.skip_ws()
-            if not self.text.startswith(":=", self.pos):
-                raise self.error("expected ':=' in let clause")
-            self.pos += 2
-            chunk = self._scan_expr_extent(stop_chars=(",",))
-            path = self._parse_xpath_path(chunk)
-            bindings.append(LetClause(var, path))
-            self.skip_ws()
-            if self.peek() == ",":
-                self.pos += 1
-                continue
-            return bindings
+        cur.expect_name("return")
+        return FLWOR(tuple(clauses), where, tuple(order_by),
+                     self.parse_expr_single())
 
     # -- element constructors ----------------------------------------------
 
-    def parse_constructor(self) -> ElementConstructor:
-        self.expect_char("<")
-        tag = self.take_name()
+    def _parse_constructor(self, pos: int) -> tuple[ElementConstructor, int]:
+        """Parse the constructor whose ``<`` is at ``pos``, at character
+        level; returns it with the offset just past its end tag."""
+        cur = self.cursor
+        text = cur.source
+        tag, pos = self._take_name(pos + 1)
         attrs: list[tuple[str, str]] = []
         while True:
-            self.skip_ws()
-            if self.text.startswith("/>", self.pos):
-                self.pos += 2
-                return ElementConstructor(tag, tuple(attrs), ())
-            if self.peek() == ">":
-                self.pos += 1
+            pos = skip_trivia(text, pos)
+            if text.startswith("/>", pos):
+                return ElementConstructor(tag, tuple(attrs), ()), pos + 2
+            if text.startswith(">", pos):
+                pos += 1
                 break
-            name = self.take_name()
-            self.skip_ws()
-            self.expect_char("=")
-            self.skip_ws()
-            quote = self.peek()
-            if quote not in "\"'":
-                raise self.error("attribute value must be quoted")
-            self.pos += 1
-            end = self.text.find(quote, self.pos)
+            name, pos = self._take_name(pos)
+            pos = self._expect_char("=", skip_trivia(text, pos))
+            pos = skip_trivia(text, pos)
+            quote = text[pos:pos + 1]
+            if not quote or quote not in "\"'":
+                raise cur.error("attribute value must be quoted", pos)
+            end = text.find(quote, pos + 1)
             if end < 0:
-                raise self.error("unterminated attribute value")
-            attrs.append((name, self.text[self.pos:end]))
-            self.pos = end + 1
+                raise cur.error("unterminated attribute value", pos + 1)
+            attrs.append((name, text[pos + 1:end]))
+            pos = end + 1
 
         content: list[TextItem | ElementConstructor | Enclosed] = []
         while True:
-            if self.at_end():
-                raise self.error(f"unterminated constructor <{tag}>")
-            if self.text.startswith("</", self.pos):
-                self.pos += 2
-                closing = self.take_name()
+            if pos >= len(text):
+                raise cur.error(f"unterminated constructor <{tag}>", pos)
+            if text.startswith("</", pos):
+                closing, end = self._take_name(pos + 2)
                 if closing != tag:
-                    raise self.error(
-                        f"mismatched constructor end tag </{closing}> for <{tag}>")
-                self.skip_ws()
-                self.expect_char(">")
-                return ElementConstructor(tag, tuple(attrs), tuple(content))
-            if self.peek() == "<":
-                content.append(self.parse_constructor())
-            elif self.peek() == "{":
-                self.pos += 1
-                exprs: list[QueryExpr] = [self.parse_expr_single()]
-                self.skip_ws()
-                while self.peek() == ",":
-                    self.pos += 1
+                    raise cur.error(f"mismatched constructor end tag "
+                                    f"</{closing}> for <{tag}>", pos + 2)
+                return (ElementConstructor(tag, tuple(attrs), tuple(content)),
+                        self._expect_char(">", skip_trivia(text, end)))
+            if text[pos] == "<":
+                self._descend(pos)
+                nested, pos = self._parse_constructor(pos)
+                self._depth -= 1
+                content.append(nested)
+            elif text[pos] == "{":
+                cur.seek(pos + 1)
+                exprs = [self.parse_expr_single()]
+                while cur.accept_symbol(","):
                     exprs.append(self.parse_expr_single())
-                    self.skip_ws()
-                self.expect_char("}")
+                if not cur.current.is_symbol("}"):
+                    raise cur.error(f"expected '}}', got {cur.current.value!r}")
+                # Not advanced past: what follows the brace is content.
+                pos = cur.current.pos + 1
                 content.append(Enclosed(tuple(exprs)))
             else:
-                start = self.pos
-                while (not self.at_end()
-                       and self.peek() not in "<{"):
-                    self.pos += 1
-                raw = self.text[start:self.pos]
+                start = pos
+                while pos < len(text) and text[pos] not in "<{":
+                    pos += 1
+                raw = text[start:pos]
                 if raw.strip():
                     content.append(TextItem(raw))
 
-    # -- expression extraction ----------------------------------------------
+    def _take_name(self, pos: int) -> tuple[str, int]:
+        match = _NAME_RE.match(self.cursor.source, pos)
+        if not match:
+            raise self.cursor.error("expected a name", pos)
+        return match.group(), match.end()
 
-    def _scan_expr_extent(self, stop_keywords: tuple[str, ...] = _KEYWORDS_AFTER_CLAUSE,
-                          stop_chars: tuple[str, ...] = ()) -> str:
-        """Carve out the source text of one embedded XPath expression.
-
-        Scans forward tracking bracket depth and string literals; stops at
-        a depth-0 stop character, a depth-0 whole-word stop keyword, an
-        unbalanced closing bracket (``)``, ``]``, ``}`` belonging to an
-        enclosing construct) or end of input.
-        """
-        self.skip_ws()
-        start = self.pos
-        depth = 0
-        text = self.text
-        n = len(text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch in "\"'":
-                end = text.find(ch, self.pos + 1)
-                if end < 0:
-                    raise self.error("unterminated string literal")
-                self.pos = end + 1
-                continue
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif ch == "{" or ch == "}":
-                if depth == 0:
-                    break
-                # braces inside expressions are not in the subset
-            elif depth == 0:
-                if ch in stop_chars:
-                    break
-                if ch.isalpha():
-                    for keyword in stop_keywords:
-                        if self.keyword_ahead(keyword) and self._is_word_start():
-                            chunk = text[start:self.pos].rstrip()
-                            if chunk:
-                                return chunk
-                            raise self.error("expected an expression")
-                    # skip the whole word so names containing keywords
-                    # (e.g. 'information') are not split
-                    match = _NAME_RE.match(text, self.pos)
-                    if match:
-                        self.pos = match.end()
-                        continue
-            self.pos += 1
-        chunk = text[start:self.pos].rstrip()
-        if not chunk:
-            raise self.error("expected an expression")
-        return chunk
-
-    def _is_word_start(self) -> bool:
-        """True iff the previous character cannot continue a name."""
-        if self.pos == 0:
-            return True
-        prev = self.text[self.pos - 1]
-        return not (prev.isalnum() or prev in "_-.$@")
-
-    def _parse_xpath_path(self, chunk: str) -> LocationPath:
-        cursor = TokenCursor(tokenize_query(chunk), chunk)
-        path = XPathParser(cursor).parse_path(top_level=True)
-        if not cursor.at_eof():
-            raise QuerySyntaxError(
-                f"unexpected input after path: {cursor.current.value!r}",
-                cursor.current.pos, chunk)
-        return path
-
-    def _parse_xpath_expr(self, chunk: str) -> Expr:
-        cursor = TokenCursor(tokenize_query(chunk), chunk)
-        parser = XPathParser(cursor)
-        expr = parser.parse_or_expr()
-        if not cursor.at_eof():
-            raise QuerySyntaxError(
-                f"unexpected input after expression: {cursor.current.value!r}",
-                cursor.current.pos, chunk)
-        return expr
-
-    def _parse_xpath_boolean(self, chunk: str) -> Expr:
-        return self._parse_xpath_expr(chunk)
+    def _expect_char(self, ch: str, pos: int) -> int:
+        if not self.cursor.source.startswith(ch, pos):
+            raise self.cursor.error(f"expected {ch!r}", pos)
+        return pos + 1

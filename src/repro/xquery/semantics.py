@@ -11,8 +11,13 @@ otherwise surface as mid-query execution failures:
   the same classification the BlossomTree builder uses to place
   crossing edges, exposed here for tooling (``Engine.explain`` shows it).
 
-The analyzer is purely syntactic — no document needed — and returns a
-:class:`StaticReport`; callers may raise ``report.raise_errors()``.
+The analyzer is purely syntactic — no document needed.  One traversal,
+:func:`scope`, gathers every scoping fact of a query at once
+(:class:`ScopeFacts`: names used, unbound references, duplicate
+bindings); the external ``$parameters`` (:func:`free_variables`) and
+the :class:`StaticReport` (:func:`analyze`) are two readings of it, and
+the compiler takes both from a single walk.  Callers may raise
+``report.raise_errors()``.
 """
 
 from __future__ import annotations
@@ -21,27 +26,21 @@ from dataclasses import dataclass, field
 
 from repro.errors import StaticError
 from repro.xpath.ast import (
-    Arithmetic,
-    BooleanExpr,
     Comparison,
-    Conditional,
     Expr,
     FunctionCall,
     LocationPath,
     NotExpr,
     Quantified,
     RootVariable,
+    conjuncts,
+    subexpressions,
+    walk,
 )
-from repro.xquery.ast import (
-    ElementConstructor,
-    Enclosed,
-    FLWOR,
-    QueryExpr,
-    Sequence,
-    TextItem,
-)
+from repro.xquery.ast import ElementConstructor, FLWOR, QueryExpr, Sequence
 
-__all__ = ["StaticReport", "Correlation", "analyze", "free_variables"]
+__all__ = ["StaticReport", "Correlation", "ScopeFacts", "scope", "analyze",
+           "free_variables"]
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,53 @@ class StaticReport:
         (``Engine.explain``) reads this."""
         if self.where is None:
             return []
-        return [_classify(conjunct) for conjunct in _conjuncts(self.where)]
+        return [_classify(conjunct) for conjunct in conjuncts(self.where)]
 
     def raise_errors(self, query: str = "") -> None:
         if self.errors:
             raise StaticError("; ".join(self.errors), query=query)
+
+
+@dataclass
+class ScopeFacts:
+    """Everything one scoping walk over a query learns."""
+
+    #: Every variable name referenced anywhere.
+    used: set[str] = field(default_factory=set)
+    #: Scoping violations in source order: ``("unbound", name)`` for a
+    #: reference no enclosing clause or quantifier binds, ``("duplicate",
+    #: name)`` for a for/let binding of an already bound name.
+    issues: list[tuple[str, str]] = field(default_factory=list)
+
+    @property
+    def free(self) -> frozenset[str]:
+        """The variables referenced but never bound — a query's external
+        ``$parameters``, which a caller must supply at execution time."""
+        return frozenset(name for kind, name in self.issues
+                         if kind == "unbound")
+
+    def report(self, flwor: FLWOR,
+               external: frozenset[str] = frozenset()) -> StaticReport:
+        """The findings as a report on ``flwor`` (the query walked, or
+        the one FLWOR it wraps); references to ``external`` names are
+        legal."""
+        errors = [f"variable ${name} bound twice" if kind == "duplicate"
+                  else f"reference to unbound variable ${name}"
+                  for kind, name in self.issues
+                  if kind == "duplicate" or name not in external]
+        bound = list(dict.fromkeys(clause.var for clause in flwor.clauses))
+        return StaticReport(errors, bound,
+                            [v for v in bound if v not in self.used],
+                            flwor.where)
+
+
+def scope(expr: QueryExpr) -> ScopeFacts:
+    """The one scoping walk: bound, used, free and duplicate-binding
+    facts of a whole query, gathered together.  FLWOR clauses and
+    quantifiers bind their own variables; everything else just refers."""
+    facts = ScopeFacts()
+    _scope_query(expr, [], facts)
+    return facts
 
 
 def analyze(flwor: FLWOR,
@@ -95,171 +136,65 @@ def analyze(flwor: FLWOR,
     everywhere a bound variable is; everything else about the analysis
     (duplicate bindings, correlations) is unchanged.
     """
-    report = StaticReport()
-    bound: list[str] = []
-    used: set[str] = set()
-
-    for clause in flwor.clauses:
-        _check_expr(clause.source, bound, used, report, external)
-        if clause.var in bound:
-            report.errors.append(f"variable ${clause.var} bound twice")
-        else:
-            bound.append(clause.var)
-
-    if flwor.where is not None:
-        _check_expr(flwor.where, bound, used, report, external)
-        report.where = flwor.where
-    for spec in flwor.order_by:
-        _check_expr(spec.key, bound, used, report, external)
-    _check_query_expr(flwor.return_expr, bound, used, report, external)
-
-    report.bound_variables = list(bound)
-    report.unused_variables = [v for v in bound if v not in used]
-    return report
+    return scope(flwor).report(flwor, external)
 
 
 def free_variables(expr: QueryExpr) -> frozenset[str]:
-    """All variables an expression references but does not bind.
-
-    These are a query's external ``$parameters``: the names a caller
-    must supply bindings for at execution time.  FLWOR clauses and
-    quantifiers bind their own variables; everything else just refers.
-    """
-    report = StaticReport()
-    used: set[str] = set()
-    _check_query_expr(expr, [], used, report, frozenset())
-    prefix = "reference to unbound variable $"
-    return frozenset(e[len(prefix):] for e in report.errors
-                     if e.startswith(prefix))
+    """All variables an expression references but does not bind."""
+    return scope(expr).free
 
 
 # ----------------------------------------------------------------------
 # Traversal.
 # ----------------------------------------------------------------------
 
-def _check_query_expr(expr: QueryExpr, bound: list[str], used: set[str],
-                      report: StaticReport,
-                      external: frozenset[str] = frozenset()) -> None:
+def _scope_query(expr: QueryExpr, bound: list[str],
+                 facts: ScopeFacts) -> None:
     if isinstance(expr, FLWOR):
-        inner_bound = list(bound)
+        bound = list(bound)
         for clause in expr.clauses:
-            _check_expr(clause.source, inner_bound, used, report, external)
-            if clause.var in inner_bound:
-                report.errors.append(f"variable ${clause.var} bound twice")
+            _scope_expr(clause.source, bound, facts)
+            if clause.var in bound:
+                facts.issues.append(("duplicate", clause.var))
             else:
-                inner_bound.append(clause.var)
+                bound.append(clause.var)
         if expr.where is not None:
-            _check_expr(expr.where, inner_bound, used, report, external)
+            _scope_expr(expr.where, bound, facts)
         for spec in expr.order_by:
-            _check_expr(spec.key, inner_bound, used, report, external)
-        _check_query_expr(expr.return_expr, inner_bound, used, report, external)
-        return
-    if isinstance(expr, ElementConstructor):
-        for item in expr.content:
-            if isinstance(item, TextItem):
-                continue
-            if isinstance(item, Enclosed):
-                for sub in item.exprs:
-                    _check_query_expr(sub, bound, used, report, external)
-            else:
-                _check_query_expr(item, bound, used, report, external)
-        return
-    if isinstance(expr, Sequence):
-        for sub in expr.exprs:
-            _check_query_expr(sub, bound, used, report, external)
-        return
-    _check_expr(expr, bound, used, report, external)
+            _scope_expr(spec.key, bound, facts)
+        _scope_query(expr.return_expr, bound, facts)
+    elif isinstance(expr, (ElementConstructor, Sequence)):
+        subs = (expr.exprs if isinstance(expr, Sequence)
+                else expr.subqueries())
+        for sub in subs:
+            _scope_query(sub, bound, facts)
+    else:
+        _scope_expr(expr, bound, facts)
 
 
-def _check_expr(expr: Expr, bound: list[str], used: set[str],
-                report: StaticReport,
-                external: frozenset[str] = frozenset()) -> None:
-    if isinstance(expr, LocationPath):
-        if isinstance(expr.root, RootVariable):
-            name = expr.root.name
-            used.add(name)
-            if name not in bound and name not in external:
-                report.errors.append(f"reference to unbound variable ${name}")
-        for step in expr.steps:
-            for predicate in step.predicates:
-                _check_expr(predicate, bound, used, report, external)
-        return
-    if isinstance(expr, (Comparison, Arithmetic)):
-        _check_expr(expr.left, bound, used, report, external)
-        _check_expr(expr.right, bound, used, report, external)
-        return
-    if isinstance(expr, (BooleanExpr,)):
-        for operand in expr.operands:
-            _check_expr(operand, bound, used, report, external)
-        return
-    if isinstance(expr, NotExpr):
-        _check_expr(expr.operand, bound, used, report, external)
-        return
-    if isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            _check_expr(arg, bound, used, report, external)
-        return
+def _scope_expr(expr: Expr, bound: list[str], facts: ScopeFacts) -> None:
+    if isinstance(expr, LocationPath) and isinstance(expr.root, RootVariable):
+        name = expr.root.name
+        facts.used.add(name)
+        if name not in bound:
+            facts.issues.append(("unbound", name))
     if isinstance(expr, Quantified):
-        _check_expr(expr.source, bound, used, report, external)
-        inner = bound + [expr.var]
-        _check_expr(expr.satisfies, inner, used, report, external)
-        return
-    if isinstance(expr, Conditional):
-        for sub in (expr.condition, expr.then_branch, expr.else_branch):
-            _check_expr(sub, bound, used, report, external)
-        return
-    # literals: nothing to check
+        _scope_expr(expr.source, bound, facts)
+        _scope_expr(expr.satisfies, bound + [expr.var], facts)
+    else:
+        for sub in subexpressions(expr):
+            _scope_expr(sub, bound, facts)
 
 
 # ----------------------------------------------------------------------
 # Correlation classification.
 # ----------------------------------------------------------------------
 
-def _conjuncts(expr: Expr) -> list[Expr]:
-    if isinstance(expr, BooleanExpr) and expr.op == "and":
-        out: list[Expr] = []
-        for operand in expr.operands:
-            out.extend(_conjuncts(operand))
-        return out
-    return [expr]
-
-
-def _variables_of(expr: Expr) -> tuple[str, ...]:
-    found: list[str] = []
-
-    def visit(node: Expr) -> None:
-        if isinstance(node, LocationPath):
-            if isinstance(node.root, RootVariable) and \
-                    node.root.name not in found:
-                found.append(node.root.name)
-            for step in node.steps:
-                for predicate in step.predicates:
-                    visit(predicate)
-        elif isinstance(node, (Comparison, Arithmetic)):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, BooleanExpr):
-            for operand in node.operands:
-                visit(operand)
-        elif isinstance(node, NotExpr):
-            visit(node.operand)
-        elif isinstance(node, FunctionCall):
-            for arg in node.args:
-                visit(arg)
-        elif isinstance(node, Quantified):
-            visit(node.source)
-            visit(node.satisfies)
-        elif isinstance(node, Conditional):
-            visit(node.condition)
-            visit(node.then_branch)
-            visit(node.else_branch)
-
-    visit(expr)
-    return tuple(found)
-
-
 def _classify(conjunct: Expr) -> Correlation:
-    variables = _variables_of(conjunct)
+    variables = tuple(dict.fromkeys(
+        node.root.name for node in walk(conjunct)
+        if isinstance(node, LocationPath)
+        and isinstance(node.root, RootVariable)))
     inner = conjunct
     while isinstance(inner, NotExpr):
         inner = inner.operand

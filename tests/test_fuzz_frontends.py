@@ -25,8 +25,23 @@ FUZZ_SETTINGS = settings(max_examples=150, deadline=None,
 _xmlish = st.text(
     alphabet=st.sampled_from(list("<>/=&;'\"ab1 \n![CDATA-?")), max_size=60)
 _queryish = st.lists(
-    st.sampled_from(list("/[]@$.*()=<>! abfor") + ["//", "::", "and", "$x"]),
-    max_size=30).map("".join)
+    st.sampled_from(list("/[]@$.*()=<>! abfor0123456789\"'{},:+-\n")
+                    + ["//", "::", "and", "$x", "not(", "for $x in ",
+                       " return ", "<k>", "</k>", "(:", ":)", "1.5"]),
+    max_size=120).map("".join)
+
+#: Inputs that used to escape as ValueError (from ``float``) or
+#: RecursionError: both are QuerySyntaxError now.
+_HOSTILE = ["//b[t=1.2.3]", "1..2", "(" * 400, "not(" * 400, "//a" + "[b" * 400,
+            "(" * 400 + "a" + ")" * 400, "<k>" * 400,
+            "for $x in //a return " * 400 + "$x",
+            "//a[" + "9" * 400 + "]"]
+
+
+def _hostile(test):
+    for text in _HOSTILE:
+        test = example(text)(test)
+    return test
 
 
 class TestTokenizerFuzz:
@@ -76,6 +91,7 @@ class TestQueryParserFuzz:
     @example("a[")
     @example("//a[//b")
     @example("for $x in")
+    @_hostile
     def test_xpath_never_crashes(self, text):
         try:
             parse_xpath(text)
@@ -87,6 +103,8 @@ class TestQueryParserFuzz:
     @example("<a>{")
     @example("for $x in //a return <b>")
     @example("(: unterminated")
+    @example("<k>it's {1.2.3}</k>")
+    @_hostile
     def test_query_never_crashes(self, text):
         try:
             parse_query(text)

@@ -258,3 +258,62 @@ class TestOneIdentity:
                 self.VARIANTS[0], None, QueryOptions(trace=True)).slot is None
         finally:
             service.close()
+
+
+# ----------------------------------------------------------------------
+# The identity may merge reformatted texts, never distinct queries.  It
+# used to collapse every blank run — inside string literals and
+# constructor content too — so the second query of each pair below was
+# answered with the first one's plan (and, from the service, the first
+# one's cached result).
+# ----------------------------------------------------------------------
+
+SPACED = "<r><b><t>a  b</t></b><b><t>a b</t></b></r>"
+
+ALIASING_PAIRS = {
+    "literal": ('//b[t = "a  b"]', '//b[t = "a b"]'),
+    "constructor": ("for $b in //b[t = 'a b'] return <k>x  y</k>",
+                    "for $b in //b[t = 'a b'] return <k>x y</k>"),
+}
+
+
+def _oracle(text):
+    return Engine(parse(SPACED)).query(text, strategy="naive").serialize()
+
+
+@pytest.mark.parametrize("pair", ALIASING_PAIRS.values(),
+                         ids=ALIASING_PAIRS.keys())
+@pytest.mark.parametrize("surface", ["Engine.query", "Database.prepare",
+                                     "QueryService.query", "Client.query"])
+def test_distinct_queries_never_share_an_identity(surface, pair):
+    assert _oracle(pair[0]) != _oracle(pair[1])
+    with repro.connect(SPACED) as db:
+        service = db.serve(workers=1)
+
+        def via_service(text):
+            reply = service.query(text)
+            assert not reply.cached     # asked once each: nothing to replay
+            return reply.result
+
+        with client_mod.connect(*db.listen().address) as client:
+            ask = {
+                "Engine.query": db.engine.query,
+                "Database.prepare": lambda text: db.prepare(text).execute(),
+                "QueryService.query": via_service,
+                "Client.query": client.query,
+            }[surface]
+            for text in pair:
+                assert ask(text).serialize() == _oracle(text)
+
+
+def test_the_merge_rule_is_decided_without_parsing():
+    same = normalize_query_text
+    assert same(" //a  /b\n[c] ") == same("//a /b [c]") == "//a /b [c]"
+    # A quote or a ``<name`` may open text whose blanks are data: such
+    # texts are stripped at the ends and otherwise left alone.
+    for text in ('//b[t = "a  b"]', "//b[t = 'a  b']",
+                 "for $b in //b  return <k>x  y</k>"):
+        assert same(f"  {text}\n") == text
+    assert same("$a/price <  30") == "$a/price < 30"    # a comparison merges
+    # What ``str.split`` calls blank but the lexer rejects stays visible.
+    assert same("//a\x0c/b") != same("//a /b")

@@ -341,6 +341,35 @@ class TestRobustness:
         finally:
             sock.close()
 
+    @pytest.mark.parametrize("text", [
+        "//book[price = 1.2.3]",
+        "(" * 400 + "//book" + ")" * 400,
+        "//book[" + "not(" * 400 + "author" + ")" * 400 + "]",
+        "//book" + "[title" * 400 + "]" * 400,
+    ], ids=["numeral", "parens", "not", "predicates"])
+    def test_hostile_text_is_a_syntax_error_and_keeps_the_connection(
+            self, served, text):
+        """A 1 KB frame of malformed numerals or deep nesting used to
+        escape the parser as ValueError / RecursionError: INTERNAL on
+        the wire, a bare ReproError in the client."""
+        _db, server, cl = served
+        sock, stream = _raw_connection(server)
+        try:
+            stream.write(encode_frame({"type": "query", "id": 1,
+                                       "text": text}))
+            stream.flush()
+            reply = read_frame(stream)
+            assert (reply["type"], reply["code"]) == ("error", "QUERY_SYNTAX")
+            stream.write(encode_frame({"type": "ping", "id": 2}))
+            stream.flush()
+            assert read_frame(stream)["type"] == "pong"
+        finally:
+            sock.close()
+        with pytest.raises(QuerySyntaxError) as info:
+            cl.query(text)
+        assert type(info.value) is QuerySyntaxError
+        assert len(cl.query("//book")) == 3
+
     def test_mid_stream_disconnect_leaves_server_healthy(self, served):
         _db, server, cl = served
         sock, stream = _raw_connection(server)

@@ -1,5 +1,6 @@
 """Every static check runs exactly once per compile, through its one
-implementation: the semantic analysis ahead of pattern build, the tree
+implementation: the scoping walk ahead of pattern build (one traversal
+yields the external parameters *and* the static report), the tree
 verifier right after it, the query lint, and the decomposition / Dewey /
 plan passes over the chosen plan.  Nothing is memoized behind the plan
 cache, so a plan-cache hit, a prepared ``execute`` and a feedback hit
@@ -28,7 +29,7 @@ STATIC_EMPTY = "for $b in //book where 1 = 2 return $b/title"
 #: engine's own control flow reaches the rewriter.
 PRUNABLE = "for $b in //book let $z := $b/zzz/qqq return $b/title"
 
-CHECKS = ("analyze", "blossom_pass", "decomposition_pass", "dewey_pass",
+CHECKS = ("scope", "blossom_pass", "decomposition_pass", "dewey_pass",
           "plan_pass", "analyze_query")
 
 
@@ -44,9 +45,11 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    analyze = counted("analyze", semantics_mod.analyze)
-    monkeypatch.setattr(semantics_mod, "analyze", analyze)   # ast_pass
-    monkeypatch.setattr(compiler_mod, "analyze", analyze)
+    # The one traversal behind ``analyze`` and ``free_variables`` (which
+    # resolve it through the module) and behind ``compile_query``.
+    scope = counted("scope", semantics_mod.scope)
+    monkeypatch.setattr(semantics_mod, "scope", scope)
+    monkeypatch.setattr(compiler_mod, "scope", scope)
     for name in CHECKS[1:5]:
         monkeypatch.setattr(analyzer_mod, name,
                             counted(name, getattr(analyzer_mod, name)))
@@ -78,13 +81,17 @@ class TestOncePerCompile:
         assert counts(calls) == ONCE
 
     def test_cold_bare_path_has_no_user_scoping_to_analyze(self, calls):
+        """One walk all the same (it finds the ``$parameters``), but no
+        static report: the wrapper FLWOR is the compiler's own."""
         Engine(parse(SMALL_BIB)).query(BARE)
-        assert counts(calls) == {**ONCE, "analyze": 0}
+        assert counts(calls) == ONCE
+        assert compiler_mod.compile_query(BARE).static is None
+        assert compiler_mod.compile_query(FLWOR).static is not None
 
     def test_static_empty_plan_has_no_artifacts_to_verify(self, calls):
         result = Engine(parse(SMALL_BIB)).query(STATIC_EMPTY)
         assert "static-empty" in result.plan
-        assert counts(calls) == {**NONE, "analyze": 1, "blossom_pass": 1,
+        assert counts(calls) == {**NONE, "scope": 1, "blossom_pass": 1,
                                  "analyze_query": 1}
 
     def test_pruned_tree_is_verified_once_as_its_own_object(
@@ -93,7 +100,7 @@ class TestOncePerCompile:
         tree pass once — and the compiled tree is not checked again."""
         def rebuild(tree, vids):
             assert vids, "fixture query must reach the rewriter"
-            flwor = calls["analyze"][0]     # what the compiler analyzed
+            flwor = calls["scope"][0]       # what the compiler analyzed
             return build_blossom_tree(flwor), ("rebuilt by a test double",)
 
         monkeypatch.setattr(session_mod, "prune_pattern", rebuild)
@@ -141,7 +148,7 @@ class TestNothingBehindThePlanCache:
             engine._advisor, "advise",
             lambda *a, **kw: advised.append(a) or advise(*a, **kw))
         engine.query(BARE)
-        assert counts(calls) == {**ONCE, "analyze": 0}
+        assert counts(calls) == ONCE
         reset(calls)
         advised.clear()
         hit = engine.query(BARE, trace=True)
@@ -152,7 +159,7 @@ class TestNothingBehindThePlanCache:
         recost = engine.query(BARE, trace=True)
         assert recost.trace.root.attrs["plan-cache"] == "recost"
         assert recost.strategy != hit.strategy
-        assert counts(calls) == {**ONCE, "analyze": 0}
+        assert counts(calls) == ONCE
 
 
 # ----------------------------------------------------------------------
