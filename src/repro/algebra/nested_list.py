@@ -46,7 +46,8 @@ class NLEntry:
                  n_groups: int) -> None:
         self.vertex = vertex
         self.node = node
-        self.groups: list[list[NLEntry | None]] = [[] for _ in range(n_groups)]
+        self.groups: list[list[NLEntry | None]] = (
+            [[] for _ in range(n_groups)] if n_groups else [])
 
     # ------------------------------------------------------------------
     # Navigation.

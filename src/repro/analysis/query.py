@@ -39,6 +39,7 @@ from repro.obs.metrics import REGISTRY
 from repro.pattern.blossom import (MODE_MANDATORY, BlossomTree,
                                    BlossomVertex)
 from repro.xmlkit.summary import DOC_LABEL, StructuralSummary
+from repro.xmlkit.tree import parse_number
 from repro.xpath.ast import (BooleanExpr, Comparison, Conditional, Expr,
                              FunctionCall, Literal, LocationPath, NameTest,
                              NotExpr, NumberLiteral, RootContext, RootDoc,
@@ -453,11 +454,7 @@ def _as_number(value: float | str | None) -> float | None:
     if isinstance(value, float):
         return value
     if isinstance(value, str):
-        try:
-            number = float(value)
-        except ValueError:
-            return None
-        return number
+        return parse_number(value)
     return None
 
 

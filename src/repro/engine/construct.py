@@ -1,10 +1,13 @@
 """Shared query-expression evaluation: construction, ordering, where checks.
 
-Both the naive oracle interpreter and the BlossomTree executor funnel
-their per-tuple work — return-clause construction, order-by keys,
-where-clause (re-)verification — through :class:`DirectEvaluator`, so
-the two engines cannot drift apart in anything except how they find the
-binding tuples.
+:class:`DirectEvaluator` is the per-tuple reference: the naive oracle
+runs clause expansion, where checks, order-by keys and return-clause
+construction through it, on the XPath interpreter.  The BlossomTree
+executor runs the same finish steps as closures compiled once per FLWOR
+(:func:`compile_emitter`); both sides share :func:`order_key`,
+:func:`sort_tuples`, the :class:`ResultBuilder` and every comparison
+rule, so the engines cannot drift apart in anything except how they
+find the binding tuples.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.errors import DNFError
-from repro.xmlkit.tree import Document, Node
+from repro.xmlkit.tree import Document, Node, parse_number
 from repro.xpath.ast import Expr
+from repro.xpath.compile import compile_expr
 from repro.xpath.evaluator import EvalContext, XPathEvaluator, boolean_value
 from repro.xquery.ast import (
     ElementConstructor,
@@ -28,7 +32,8 @@ from repro.xquery.ast import (
 )
 from repro.engine.result import Item, ResultBuilder
 
-__all__ = ["DirectEvaluator", "order_key"]
+__all__ = ["DirectEvaluator", "Emitter", "compile_emitter", "order_key",
+           "sort_tuples"]
 
 
 class DirectEvaluator:
@@ -125,14 +130,9 @@ class DirectEvaluator:
         """Stable order-by over binding tuples (no-op without specs)."""
         if not specs:
             return tuples
-        decorated = []
-        for index, bindings in enumerate(tuples):
-            keys = [order_key(self.xpath.evaluate(s.key, self.context(bindings)),
-                              s.descending)
-                    for s in specs]
-            decorated.append((keys, index, bindings))
-        decorated.sort(key=lambda entry: (entry[0], entry[1]))
-        return [entry[2] for entry in decorated]
+        return sort_tuples(tuples, lambda bindings: [
+            order_key(self.xpath.evaluate(s.key, self.context(bindings)),
+                      s.descending) for s in specs])
 
     # ------------------------------------------------------------------
     # Construction.
@@ -163,12 +163,37 @@ class DirectEvaluator:
         builder.end_element()
 
 
+def sort_tuples(tuples: list[dict],
+                keys_of: Callable[[dict], list]) -> list[dict]:
+    """``tuples`` ordered by their key lists; ties keep their place."""
+    keys = [keys_of(bindings) for bindings in tuples]
+    order = sorted(range(len(tuples)), key=lambda index: (keys[index], index))
+    return [tuples[index] for index in order]
+
+
+class _Descending:
+    """An order key under the reversed comparison: ``descending`` is the
+    exact mirror of the ascending order, whatever the key holds."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+
+    def __lt__(self, other: _Descending) -> bool:
+        return other.key < self.key
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Descending) and self.key == other.key
+
+
 def order_key(value, descending: bool):
     """Sortable key for one order-by value.
 
-    Numbers sort numerically, other strings lexicographically; a leading
-    type tag keeps mixed keys comparable.  Descending numeric keys
-    negate; descending strings invert per-character codes.
+    Numbers sort numerically and before other strings, which sort
+    lexicographically (the empty key first among them); a leading type
+    tag keeps mixed keys comparable.  A descending key is the same key
+    under the reversed comparison.
     """
     if isinstance(value, list):
         text = value[0].string_value() if value else ""
@@ -177,10 +202,51 @@ def order_key(value, descending: bool):
     else:
         text = str(value)
     text = text.strip()
-    try:
-        number = float(text)
-    except ValueError:
-        if descending:
-            return (1, 0.0, tuple(-ord(c) for c in text))
-        return (1, 0.0, text)
-    return (0, -number if descending else number, "")
+    number = parse_number(text)
+    key = (1, 0.0, text) if number is None else (0, number, "")
+    return _Descending(key) if descending else key
+
+
+#: A compiled return expression: ``emit(direct, bindings)`` is the items
+#: one binding tuple contributes.  The evaluator supplies the context
+#: document, the ``doc()`` resolver and, for a nested FLWOR, iteration.
+Emitter = Callable[[DirectEvaluator, dict], list[Item]]
+
+
+def compile_emitter(expr: QueryExpr) -> Emitter:
+    """:meth:`DirectEvaluator.eval_query_expr` with the dispatch done
+    once, over compiled XPath expressions."""
+    if isinstance(expr, FLWOR):
+        return lambda direct, bindings: direct.eval_flwor(expr, bindings)
+    if isinstance(expr, Sequence):
+        parts = [compile_emitter(sub) for sub in expr.exprs]
+        return parts[0] if len(parts) == 1 else lambda direct, bindings: [
+            item for part in parts for item in part(direct, bindings)]
+    if isinstance(expr, ElementConstructor):
+        tag, attrs = expr.tag, dict(expr.attrs) or None
+        # Text stays text.  One enclosed expression is one content
+        # sequence (its comma-separated parts flatten together, so
+        # adjacent atoms get the XQuery space separator); a nested
+        # constructor is a sequence of the one node it builds.
+        content = [item.text if isinstance(item, TextItem) else
+                   compile_emitter(Sequence(item.exprs)
+                                   if isinstance(item, Enclosed) else item)
+                   for item in expr.content]
+
+        def construct(direct: DirectEvaluator, bindings: dict) -> list[Item]:
+            builder = ResultBuilder()
+            builder.start_element(tag, attrs)
+            for piece in content:
+                if isinstance(piece, str):
+                    builder.text(piece)
+                else:
+                    builder.add_items(piece(direct, bindings))
+            builder.end_element()
+            return [builder.finish()]
+        return construct
+    value = compile_expr(expr)
+
+    def items(direct: DirectEvaluator, bindings: dict) -> list[Item]:
+        result = value(direct.doc.document_node, bindings, direct.resolve_doc)
+        return list(result) if isinstance(result, list) else [result]
+    return items

@@ -22,25 +22,33 @@ Execution pipeline (Figure 2's data flow, made concrete):
 4. **Finish** — the original where clause is re-verified per tuple
    (crossing-edge relationships like ``<<``/``deep-equal`` are checked
    here, which *is* the paper's nested-loop value join), then order by
-   and return-clause construction run through the same
-   :class:`~repro.engine.construct.DirectEvaluator` the oracle uses.
+   and return-clause construction run.
+
+Nothing in the loops of phases 1, 3 and 4 interprets the plan: the NoK
+matchers (:func:`~repro.physical.nok.matcher_for`), each variable's
+bind walk and the finish are compiled on the plan's first execution and
+kept with its pattern, for every later execution, binding and thread.
+The oracle's :class:`~repro.engine.construct.DirectEvaluator` shares
+the comparison rules, order key and result builder with them.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
+from typing import NamedTuple, cast
 
 from repro.errors import CompileError, UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
-from repro.pattern.blossom import MODE_MANDATORY, BlossomTree, BlossomVertex, TreeEdge
+from repro.pattern.blossom import MODE_MANDATORY, BlossomTree, BlossomVertex
 from repro.pattern.build import RESULT_VAR, build_blossom_tree
 from repro.pattern.decompose import Decomposition, InterEdge, NoKTree
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document
-from repro.xquery.ast import FLWOR, ForClause, LetClause
+from repro.xpath.compile import Compiled, Test, compile_expr, compile_test
+from repro.xquery.ast import FLWOR, ForClause
 from repro.algebra.env import Env
 from repro.algebra.nested_list import NLEntry
 from repro.algebra.operators import select
@@ -55,7 +63,8 @@ from repro.physical.stack_join import stack_desc_join
 from repro.physical.structural import JoinResult, left_projection
 from repro.physical.twigstack import TwigStackOperator, twig_supported
 from repro.engine.backend import ExecutionBackend
-from repro.engine.construct import DirectEvaluator
+from repro.engine.construct import (DirectEvaluator, Emitter, compile_emitter,
+                                    order_key, sort_tuples)
 from repro.engine.result import Item
 
 __all__ = ["FLWORExecutor", "JOIN_ALGORITHMS"]
@@ -66,6 +75,52 @@ JOIN_ALGORITHMS = ("pipelined", "caching", "stack", "bnlj", "nl")
 _JOIN_SELECTED = REGISTRY.counter(
     "repro_join_selected_total",
     "Per-edge physical join algorithm selections")
+
+
+#: One clause variable's candidate walk ``(var, iterates, anchor, hops)``,
+#: resolved from the pattern: ``iterates`` tells ``for`` from ``let``;
+#: the walk starts at the entries of the earlier variable ``anchor`` (a
+#: name) or at the root NoK matches of vertex ``anchor`` (a vid), then
+#: takes one ``(group, edge)`` hop per chain vertex — through NestedList
+#: group ``group``, or (``None``: a cut edge) through the adjacency of
+#: the join keyed ``edge`` = (parent vid, child vid).
+_Bind = tuple[str, bool, str | int,
+              tuple[tuple[int | None, tuple[int, int]], ...]]
+
+
+class _Program(NamedTuple):
+    """What :attr:`BlossomTree.compiled` holds: the bind walk and the
+    finish of the FLWOR the tree was built from."""
+
+    binds: tuple[_Bind, ...]
+    where: Test | None
+    order: tuple[tuple[Compiled, bool], ...]
+    emit: Emitter
+
+
+def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
+    binds: list[_Bind] = []
+    for clause in flwor.clauses:
+        chain = []
+        anchor = tree.var_vertex[clause.var]
+        while anchor.parent_edge is not None:
+            chain.append(anchor.parent_edge)
+            anchor = anchor.parent_edge.parent
+            if anchor.variables:
+                break
+        binds.append((
+            clause.var, isinstance(clause, ForClause),
+            anchor.variables[0] if anchor.variables else anchor.vid,
+            tuple((None if edge.cut else
+                   next(i for i, e in enumerate(edge.parent.child_edges)
+                        if e is edge),
+                   (edge.parent.vid, edge.child.vid))
+                  for edge in reversed(chain))))
+    return _Program(
+        tuple(binds),
+        None if flwor.where is None else compile_test(flwor.where),
+        tuple((compile_expr(s.key), s.descending) for s in flwor.order_by),
+        compile_emitter(flwor.return_expr))
 
 
 class FLWORExecutor:
@@ -168,6 +223,12 @@ class FLWORExecutor:
         tree = artifacts.tree
         dec = artifacts.decomposition
         base = dict(bindings) if bindings else {}
+        program = cast("_Program | None", tree.compiled)
+        if program is None:
+            # First execution of this plan: compile the bind walk and
+            # the finish once; later executions, bindings and threads
+            # reuse them (a race only compiles an equal program twice).
+            program = tree.compiled = _compile(flwor, tree)
 
         with self.tracer.span("match-phase") as span:
             matches = self._match_phase(dec)
@@ -177,23 +238,27 @@ class FLWORExecutor:
             matches = self._join_phase(dec, matches)
             span.set(edges=len(dec.inter_edges))
         with self.tracer.span("bind-phase") as span:
-            envs = self._bind_phase(flwor, tree, dec, matches)
+            envs = self._bind_phase(program.binds, dec, matches)
             span.set(tuples=len(envs))
 
         # Finish: where re-verification, order by, return construction.
         with self.tracer.span("finish-phase") as span:
+            where, order, emit = program.where, program.order, program.emit
+            item, resolve = self.doc.document_node, self.resolve_doc
             surviving: list[dict] = []
             for env in envs:
                 self.counters.comparisons += 1
                 merged = {**base, **env.as_variables()} if base \
                     else env.as_variables()
-                if self._direct.check_where(flwor.where, merged):
+                if where is None or where(item, merged, resolve):
                     surviving.append(merged)
-            surviving = self._direct.order_tuples(flwor.order_by, surviving)
+            if order:
+                surviving = sort_tuples(surviving, lambda merged: [
+                    order_key(key(item, merged, resolve), descending)
+                    for key, descending in order])
             items: list[Item] = []
-            for bindings in surviving:
-                items.extend(self._direct.eval_query_expr(flwor.return_expr,
-                                                          bindings))
+            for merged in surviving:
+                items.extend(emit(self._direct, merged))
             span.set(surviving=len(surviving), items=len(items))
         return items
 
@@ -410,69 +475,51 @@ class FLWORExecutor:
     # Phase 3: tuple enumeration (variable binding).
     # ------------------------------------------------------------------
 
-    def _bind_phase(self, flwor: FLWOR, tree: BlossomTree, dec: Decomposition,
+    def _bind_phase(self, binds: tuple[_Bind, ...], dec: Decomposition,
                     matches: dict[int, list[NLEntry]]) -> list[Env]:
         root_entries: dict[int, list[NLEntry]] = {}
         for nok in dec.root_noks():
             root_entries[nok.root.vid] = matches.get(nok.nok_id, [])
 
         envs: list[Env] = []
-        self._enumerate(flwor, tree, root_entries, 0, Env(), envs)
+        self._enumerate(binds, root_entries, 0, Env(), envs)
         return envs
 
-    def _enumerate(self, flwor: FLWOR, tree: BlossomTree,
+    def _enumerate(self, binds: tuple[_Bind, ...],
                    root_entries: dict[int, list[NLEntry]], index: int,
                    env: Env, out: list[Env]) -> None:
-        if index == len(flwor.clauses):
+        if index == len(binds):
             out.append(env)
             return
-        clause = flwor.clauses[index]
-        candidates = self._candidates(tree, root_entries, clause.var, env)
-        if isinstance(clause, ForClause):
+        var, iterates, anchor, hops = binds[index]
+        candidates = self._candidates(anchor, hops, root_entries, env)
+        if iterates:
             for entry in candidates:
-                self._enumerate(flwor, tree, root_entries, index + 1,
-                                env.bind_for(clause.var, entry), out)
+                self._enumerate(binds, root_entries, index + 1,
+                                env.bind_for(var, entry), out)
         else:
-            assert isinstance(clause, LetClause)
-            self._enumerate(flwor, tree, root_entries, index + 1,
-                            env.bind_let(clause.var, candidates), out)
+            self._enumerate(binds, root_entries, index + 1,
+                            env.bind_let(var, candidates), out)
 
-    def _candidates(self, tree: BlossomTree,
-                    root_entries: dict[int, list[NLEntry]], var: str,
+    def _candidates(self, anchor: str | int, hops: tuple,
+                    root_entries: dict[int, list[NLEntry]],
                     env: Env) -> list[NLEntry]:
         """Walk the variable's vertex chain from its anchor, producing the
         document-ordered, deduplicated candidate entries."""
-        vertex = tree.var_vertex[var]
-        chain: list[TreeEdge] = []
-        anchor = vertex
-        while True:
-            edge = anchor.parent_edge
-            if edge is None:
-                break
-            chain.append(edge)
-            anchor = edge.parent
-            if anchor.variables or anchor.parent_edge is None:
-                break
-        chain.reverse()
-
-        if anchor.variables:
-            anchor_var = anchor.variables[0]
-            frontier = list(env.anchors.get(anchor_var, []))
-        else:
-            frontier = list(root_entries.get(anchor.vid, []))
-
-        for edge in chain:
+        frontier = (env.anchors if isinstance(anchor, str)
+                    else root_entries).get(anchor, [])  # type: ignore[arg-type]
+        for group, edge in hops:
             next_frontier: list[NLEntry] = []
-            if edge.cut:
-                adjacency = self._adjacency.get((edge.parent.vid, edge.child.vid))
-                for entry in frontier:
-                    node = entry.node
-                    if node is None or adjacency is None:
-                        continue
-                    next_frontier.extend(adjacency.partners(node))
+            if group is None:
+                adjacency = self._adjacency.get(edge)
+                if adjacency is not None:
+                    for entry in frontier:
+                        if entry.node is not None:
+                            next_frontier.extend(
+                                adjacency.partners(entry.node))
             else:
                 for entry in frontier:
-                    for sub in entry.group_for(edge.child):
+                    for sub in entry.groups[group]:
                         if sub is not None:
                             next_frontier.append(sub)
             frontier = next_frontier
@@ -486,7 +533,8 @@ class FLWORExecutor:
             if node is not None and node.nid not in seen:
                 seen.add(node.nid)
                 unique.append(entry)
-        unique.sort(key=lambda e: e.node.nid)  # type: ignore[union-attr]
+        if len(unique) > 1:
+            unique.sort(key=lambda e: e.node.nid)  # type: ignore[union-attr]
         return unique
 
 

@@ -28,7 +28,7 @@ def atom_text(item: Item) -> str:
     if isinstance(item, bool):
         return "true" if item else "false"
     if isinstance(item, float):
-        return str(int(item)) if item == int(item) else str(item)
+        return str(int(item)) if item.is_integer() else str(item)
     if isinstance(item, str):
         return item
     return item.string_value()

@@ -89,6 +89,12 @@ class BlossomVertex:
     # Filled in by BlossomTree bookkeeping:
     parent_edge: TreeEdge | None = None
     child_edges: list[TreeEdge] = field(default_factory=list)
+    #: ``value_predicates`` compiled, lazily, by :mod:`repro.physical.nok`
+    #: (closures over the expressions alone; never pickled).
+    tests: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict[str, object]:
+        return {**self.__dict__, "tests": None}
 
     @property
     def is_root(self) -> bool:
@@ -198,6 +204,8 @@ class BlossomTree:
         #: where-clause conjuncts not captured by crossing edges or
         #: value predicates; re-checked per tuple by the executor.
         self.residual_where: list[Expr] = []
+        #: The executor's lazily compiled bind walk and finish.
+        self.compiled: object | None = None
 
     # ------------------------------------------------------------------
     # Construction API (used by the builder).

@@ -35,6 +35,13 @@ class NoKTree:
     root: BlossomVertex
     vertices: list[BlossomVertex] = field(default_factory=list)
     doc_uri: str | None = None
+    #: The root's lazily compiled matcher (:mod:`repro.physical.nok`):
+    #: kept here, not on the vertices it closes over, so it is freed
+    #: with the plan, not by the cycle collector; never pickled.
+    matcher: object | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict[str, object]:
+        return {**self.__dict__, "matcher": None}
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<NoK{self.nok_id} root=V{self.root.vid} |V|={len(self.vertices)}>"

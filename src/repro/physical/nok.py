@@ -17,24 +17,41 @@ Differences from the pseudo-code, for exactness:
 * ``following-sibling`` edges are handled as the frontier mechanism
   does: a sibling-constrained child only becomes eligible after its
   predecessor has matched among the same parent's children.
-* Value constraints evaluate through the full XPath evaluator with the
-  candidate element as context node, so constraints like
-  ``[. = "Smith"]``, ``[@year = "2000"]`` or ``[not(author)]`` behave
-  identically in every engine in this repository.
+* Value constraints run as closures compiled once per vertex
+  (:mod:`repro.xpath.compile`, which delegates what it does not
+  specialise to the XPath interpreter) with the candidate element as
+  context node, so constraints like ``[. = "Smith"]``,
+  ``[@year = "2000"]`` or ``[not(author)]`` behave identically in every
+  engine in this repository.
+* The per-candidate work is a closure built once per NoK
+  (:func:`matcher_for`): per vertex the compiled predicates, a ``tag ->
+  applicable pattern edges`` table and the mandatory-edge mask are
+  resolved when the plan first executes, not per scanned node.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from typing import cast
 
 from repro.pattern.blossom import MODE_MANDATORY, BlossomVertex
 from repro.pattern.decompose import NoKTree
 from repro.xmlkit.storage import ScanCounters, SequentialScan
 from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, Node
-from repro.xpath.evaluator import EvalContext, XPathEvaluator, boolean_value
+from repro.xpath.compile import Test, compile_test
+from repro.xpath.evaluator import Value
 from repro.algebra.nested_list import NLEntry
 
-__all__ = ["NoKMatcher", "match_subtree", "value_constraints_hold"]
+__all__ = ["Matcher", "NoKMatcher", "compile_matcher", "match_subtree",
+           "matcher_for", "value_constraints_hold"]
+
+#: A compiled pattern vertex: ``fn(node, counters)`` is the NestedList
+#: entry of the vertex's NoK subtree matched at ``node`` (whose tag the
+#: caller has tested), or ``None``.
+Matcher = Callable[[Node, ScanCounters], "NLEntry | None"]
+
+#: Vertex predicates see no variables (shared, never written).
+_NO_VARIABLES: dict[str, Value] = {}
 
 
 class NoKMatcher:
@@ -62,7 +79,6 @@ class NoKMatcher:
         self.counters = counters if counters is not None else ScanCounters()
         self.start_nid = start_nid
         self.stop_nid = stop_nid
-        self._evaluator = XPathEvaluator()
 
     # ------------------------------------------------------------------
     # Evaluation.
@@ -76,10 +92,10 @@ class NoKMatcher:
         """Pipelined form: the GetNext interface of Section 4.2 is
         ``next()`` on this generator."""
         root = self.nok.root
+        match = matcher_for(self.nok)
         if root.name == "#root":
             # Pattern-tree roots match the document node itself.
-            entry = match_subtree(root, self.doc.document_node,
-                                  self.counters, self._evaluator)
+            entry = match(self.doc.document_node, self.counters)
             if entry is not None:
                 yield entry
             return
@@ -88,79 +104,119 @@ class NoKMatcher:
         for node in scan:
             if not root.matches_tag(node.tag):
                 continue
-            entry = match_subtree(root, node, self.counters, self._evaluator)
+            entry = match(node, self.counters)
             if entry is not None:
                 yield entry
 
 
 def match_subtree(vertex: BlossomVertex, node: Node,
-                  counters: ScanCounters,
-                  evaluator: XPathEvaluator | None = None) -> NLEntry | None:
+                  counters: ScanCounters) -> NLEntry | None:
     """Match a NoK pattern subtree rooted at ``vertex`` against ``node``.
 
     The caller must have verified the tag-name test (scan-level
     filtering); this function checks value constraints and children.
     Returns the NestedList entry, or ``None`` when a mandatory child has
-    no match or a value constraint fails.
+    no match or a value constraint fails.  A one-off: scans fetch their
+    NoK's matcher once (:func:`matcher_for`) and call that per node.
     """
-    if evaluator is None:
-        evaluator = XPathEvaluator()
-
-    if not value_constraints_hold(vertex, node, counters, evaluator):
-        return None
-
-    entry = NLEntry(vertex, node, len(vertex.child_edges))
-    local = [(index, edge) for index, edge in enumerate(vertex.child_edges)
-             if not edge.cut]
-    if not local:
-        return entry
-
-    # matched_vids drives both the mandatory check and the
-    # following-sibling eligibility rule (a child with an ``after_vid``
-    # constraint joins the frontier only once its predecessor matched).
-    matched_vids: set[int] = set()
-    for child_node in node.children:
-        if child_node.kind != ELEMENT:
-            continue
-        for index, edge in local:
-            child_vertex = edge.child
-            after = child_vertex.after_vid
-            if after is not None and after not in matched_vids:
-                continue
-            if not child_vertex.matches_tag(child_node.tag):
-                continue
-            counters.comparisons += 1
-            sub = match_subtree(child_vertex, child_node, counters, evaluator)
-            if sub is None:
-                continue
-            matched_vids.add(child_vertex.vid)
-            if child_vertex.returning:
-                entry.groups[index].append(sub)
-            # Non-kept (purely existential) children record only the
-            # fact of the match; their subtrees are discarded.
-
-    for index, edge in local:
-        if edge.mode == MODE_MANDATORY and edge.child.vid not in matched_vids:
-            return None
-    return entry
+    return compile_matcher(vertex)(node, counters)
 
 
 def value_constraints_hold(vertex: BlossomVertex, node: Node,
-                           counters: ScanCounters,
-                           evaluator: XPathEvaluator) -> bool:
+                           counters: ScanCounters) -> bool:
     """Whether ``node`` satisfies every value predicate of ``vertex``.
 
-    The one vertex-predicate check: the NoK matcher, TwigStack and
-    PathStack stream filters all call it, so every engine counts one
-    comparison per predicate evaluated and stops at the first failure.
+    The TwigStack and PathStack stream filters call it per stream node;
+    like the NoK matchers they count one comparison per predicate
+    evaluated and stop at the first failure.  The compiled predicates
+    are kept on the vertex — the stream operators know no NoK.
     """
-    if not vertex.value_predicates:
-        return True
+    if vertex.tests is None:  # a race compiles an equal tuple twice
+        vertex.tests = _compile_tests(vertex)
     if node.kind == DOCUMENT:
         return True
-    context = EvalContext(node)
-    for predicate in vertex.value_predicates:
+    for test in vertex.tests:
         counters.comparisons += 1
-        if not boolean_value(evaluator.evaluate(predicate, context)):
+        if not test(node, _NO_VARIABLES, None):
             return False
     return True
+
+
+def _compile_tests(vertex: BlossomVertex) -> tuple[Test, ...]:
+    return tuple(compile_test(p) for p in vertex.value_predicates)
+
+
+def matcher_for(nok: NoKTree) -> Matcher:
+    """The NoK's compiled root matcher, built on first use and kept on
+    the NoK — fetch it once per scan, call it per candidate."""
+    if nok.matcher is None:  # a race compiles an equal matcher twice
+        nok.matcher = compile_matcher(nok.root)
+    return cast(Matcher, nok.matcher)
+
+
+def compile_matcher(vertex: BlossomVertex) -> Matcher:
+    """Compile ``vertex`` and the NoK subtree below it (uncut edges).
+
+    The closure alone holds what is compiled here (the tests too), so
+    all of it is freed with the closure's owner.
+    """
+    tests = _compile_tests(vertex)
+    n_groups = len(vertex.child_edges)
+    local = [(index, edge) for index, edge in enumerate(vertex.child_edges)
+             if not edge.cut]
+    if not local and not tests:
+        return lambda node, counters: NLEntry(vertex, node, n_groups)
+
+    # The matched mask drives both the mandatory check and the
+    # following-sibling eligibility rule (a child with an ``after_vid``
+    # constraint joins the frontier only once its predecessor matched).
+    bit_of = {edge.child.vid: 1 << position
+              for position, (_, edge) in enumerate(local)}
+    never = 1 << len(local)  # a predecessor that is no local sibling
+    mandatory = 0
+    # Per edge: tag, (group index, child matcher, its bit, the bit that
+    # must be set first, returning).
+    edges = []
+    for index, edge in local:
+        child = edge.child
+        if edge.mode == MODE_MANDATORY:
+            mandatory |= bit_of[child.vid]
+        edges.append((child.name, (
+            index, compile_matcher(child), bit_of[child.vid],
+            0 if child.after_vid is None
+            else bit_of.get(child.after_vid, never), child.returning)))
+    # One lookup per child element instead of a loop over the pattern
+    # edges: per tag, the edges that apply to it, in edge order (a
+    # wildcard edge applies to every tag, in its place among the named
+    # ones; a ``#root`` vertex matches no element).
+    anywhere = tuple(e for name, e in edges if name == "*")
+    table = {tag: tuple(e for name, e in edges if name in (tag, "*"))
+             for tag, _ in edges if tag not in ("*", "#root")}
+
+    def match(node: Node, counters: ScanCounters) -> NLEntry | None:
+        if node.kind != DOCUMENT:
+            for test in tests:
+                counters.comparisons += 1
+                if not test(node, _NO_VARIABLES, None):
+                    return None
+        entry = NLEntry(vertex, node, n_groups)
+        groups = entry.groups
+        matched = 0
+        for child_node in node.children:
+            applicable = table.get(child_node.tag, anywhere)
+            if not applicable or child_node.kind != ELEMENT:
+                continue
+            for index, child_match, bit, after, returning in applicable:
+                if after and not matched & after:
+                    continue
+                counters.comparisons += 1
+                sub = child_match(child_node, counters)
+                if sub is None:
+                    continue
+                matched |= bit
+                # Non-kept (purely existential) children record only the
+                # fact of the match; their subtrees are discarded.
+                if returning:
+                    groups[index].append(sub)
+        return entry if matched & mandatory == mandatory else None
+    return match

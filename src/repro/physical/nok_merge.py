@@ -14,21 +14,19 @@ by one document pass instead of one pass per NoK.
 
 from __future__ import annotations
 
-from repro.pattern.blossom import BlossomVertex
 from repro.pattern.decompose import NoKTree
-from repro.physical.nok import match_subtree
+from repro.physical.nok import Matcher, matcher_for
 from repro.physical.structural import count_operator
 from repro.xmlkit.arena import ArenaDocument
 from repro.xmlkit.storage import ScanCounters, SequentialScan
 from repro.xmlkit.tree import Document
-from repro.xpath.evaluator import XPathEvaluator
 from repro.algebra.nested_list import NLEntry
 
 __all__ = ["merged_scan", "scan_range"]
 
-#: One dispatch-table entry: a NoK's root vertex, the list its matches
-#: go to, and the counters its match work is charged to.
-_Target = tuple[BlossomVertex, list[NLEntry], ScanCounters]
+#: One dispatch-table entry: a NoK's compiled root matcher, the list
+#: its matches go to, and the counters its match work is charged to.
+_Target = tuple[Matcher, list[NLEntry], ScanCounters]
 
 
 def merged_scan(noks: list[NoKTree], doc: Document,
@@ -68,7 +66,6 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
     nodes come from its column pre-filter instead of
     :class:`SequentialScan`; nothing else differs.
     """
-    evaluator = XPathEvaluator()
     results: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
 
     # Dispatch table: plain-name roots are looked up by the scanned
@@ -81,6 +78,7 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
     try:
         for nok in noks:
             root = nok.root
+            match = matcher_for(nok)
             charged = (counters if per_nok is None
                        else per_nok.setdefault(nok.nok_id, ScanCounters()))
             if root.name == "#root":
@@ -88,15 +86,14 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
                 # scanned element.  It is slot 0, so the range starting
                 # there owns it — once per document however it is cut.
                 if start_nid == 0:
-                    entry = match_subtree(root, doc.document_node, charged,
-                                          evaluator)
+                    entry = match(doc.document_node, charged)
                     if entry is not None:
                         results[nok.nok_id].append(entry)
             elif root.name == "*":
-                wildcard.append((root, results[nok.nok_id], charged))
+                wildcard.append((match, results[nok.nok_id], charged))
             else:
                 by_tag.setdefault(root.name, []).append(
-                    (root, results[nok.nok_id], charged))
+                    (match, results[nok.nok_id], charged))
 
         if by_tag or wildcard:
             if stop_nid is None:
@@ -111,8 +108,8 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
                               else named or wildcard)
                 if not candidates:
                     continue
-                for root, matched, charged in candidates:
-                    entry = match_subtree(root, node, charged, evaluator)
+                for match, matched, charged in candidates:
+                    entry = match(node, charged)
                     if entry is not None:
                         matched.append(entry)
     finally:

@@ -21,7 +21,6 @@ from repro.physical.structural import count_operator
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
-from repro.xpath.evaluator import XPathEvaluator
 from repro.physical.twigstack import twig_supported
 
 __all__ = ["PathStackOperator", "chain_supported"]
@@ -67,7 +66,6 @@ class PathStackOperator:
         self.doc = doc
         self.index = index if index is not None else TagIndex(doc)
         self.counters = counters if counters is not None else ScanCounters()
-        self._evaluator = XPathEvaluator()
 
         # The chain of query vertices, root-of-chain first.
         self.chain: list[BlossomVertex] = []
@@ -90,8 +88,7 @@ class PathStackOperator:
         if not vertex.value_predicates:
             return nodes
         return [node for node in nodes
-                if value_constraints_hold(vertex, node, self.counters,
-                                          self._evaluator)]
+                if value_constraints_hold(vertex, node, self.counters)]
 
     # ------------------------------------------------------------------
     # The merge.

@@ -294,7 +294,10 @@ _worker_budget: Any = None
 #: path -> attached ArenaDocument; the mapping is the expensive part,
 #: so a small LRU keeps recent snapshots warm across queries.
 _worker_arenas: OrderedDict[str, ArenaDocument] = OrderedDict()
-_WORKER_ARENA_CAP = 8
+#: plan blob -> its unpickled NoK trees, which carry their compiled
+#: matchers: a worker compiles once per plan, not per partition.
+_worker_noks: OrderedDict[bytes, list[NoKTree]] = OrderedDict()
+_WORKER_CACHE_CAP = 8
 
 
 def _attach_shared(cancel: Any, budget: Any) -> None:
@@ -304,18 +307,21 @@ def _attach_shared(cancel: Any, budget: Any) -> None:
     _worker_budget = budget
 
 
-def _attached_document(path: str) -> ArenaDocument:
-    adoc = _worker_arenas.get(path)
-    if adoc is not None:
-        _worker_arenas.move_to_end(path)
-        return adoc
+def _cached(cache: OrderedDict, key: Any, load: Any) -> Any:
+    """``cache[key]``, loading it on a miss; a small LRU either way."""
+    if key in cache:
+        cache.move_to_end(key)
+    else:
+        cache[key] = load(key)
+        while len(cache) > _WORKER_CACHE_CAP:
+            cache.popitem(last=False)
+    return cache[key]
+
+
+def _attach(path: str) -> ArenaDocument:
     with open(path, "rb") as handle:
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    adoc = DocumentArena.from_buffer(mapped).document()
-    _worker_arenas[path] = adoc
-    while len(_worker_arenas) > _WORKER_ARENA_CAP:
-        _worker_arenas.popitem(last=False)
-    return adoc
+    return DocumentArena.from_buffer(mapped).document()
 
 
 def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
@@ -333,8 +339,8 @@ def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
     """
     started = time.perf_counter_ns()
     outcome = run_partition(
-        pickle.loads(noks_blob), _attached_document(path), start_nid,
-        stop_nid,
+        _cached(_worker_noks, noks_blob, pickle.loads),
+        _cached(_worker_arenas, path, _attach), start_nid, stop_nid,
         SharedAbort(budget, deadline, timeout_ms,
                     cancelled=lambda: bool(_worker_cancel[slot]),
                     cells=_worker_budget, index=slot,

@@ -24,6 +24,7 @@ Streamability restrictions (checked up front, raising
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import CompileError
@@ -31,47 +32,28 @@ from repro.pattern.blossom import MODE_MANDATORY, BlossomVertex
 from repro.pattern.decompose import NoKTree
 from repro.xmlkit.sax import ContentHandler, parse_string
 from repro.xpath.ast import Comparison, Literal, LocationPath, NumberLiteral, RootContext, TextTest
+from repro.xpath.compile import literal_test
 
 __all__ = ["StreamingNoKMatcher", "stream_count"]
 
 
-def _atoms_equal(expected: str | float, observed: str) -> bool:
-    """XPath ``=`` between a literal and an observed string.
+#: ``observed string = literal``, from the expression compiler.
+_Accepts = Callable[[str], bool]
 
-    Mirrors the tree evaluator's comparison semantics: a numeric
-    literal (``NumberLiteral.value`` is a float) coerces the observed
-    string to a number, and a string that does not parse is simply
-    unequal — never an error.  String literals keep the exact
-    comparison the stream tests always used.
+
+def _compile_predicate(vertex: BlossomVertex
+                       ) -> tuple[list[tuple[str, _Accepts]], list[_Accepts]]:
+    """Translate value predicates to stream-decidable tests: those on a
+    named attribute (decidable at the start event) and those on the
+    element's accumulated text (at the end event).
+
+    This decides *when* a test is decidable and which shapes stream;
+    *how* an observed string compares to the literal is the expression
+    compiler's ``observed-string op literal`` primitive, the same one
+    the tree matchers run.
     """
-    if isinstance(expected, float):
-        try:
-            return float(observed.strip()) == expected
-        except ValueError:
-            return False
-    return expected == observed
-
-
-@dataclass
-class _AttrTest:
-    name: str
-    value: str | float
-
-    def matches(self, observed: str | None) -> bool:
-        return observed is not None and _atoms_equal(self.value, observed)
-
-
-@dataclass
-class _TextTest:
-    value: str | float
-
-    def matches(self, text: str) -> bool:
-        return _atoms_equal(self.value, text.strip())
-
-
-def _compile_predicate(vertex: BlossomVertex):
-    """Translate value predicates to stream-decidable tests."""
-    tests: list[object] = []
+    on_attrs: list[tuple[str, _Accepts]] = []
+    on_text: list[_Accepts] = []
     for predicate in vertex.value_predicates:
         if not isinstance(predicate, Comparison) or predicate.op != "=":
             raise CompileError(f"predicate {predicate} is not streamable")
@@ -83,16 +65,17 @@ def _compile_predicate(vertex: BlossomVertex):
             raise CompileError(f"predicate {predicate} is not streamable")
         if not isinstance(path.root, RootContext) or path.root.absolute:
             raise CompileError(f"predicate {predicate} is not streamable")
+        accepts = literal_test("=", literal.value)
         if len(path.steps) == 1 and path.steps[0].axis == "attribute":
-            tests.append(_AttrTest(path.steps[0].test.name, literal.value))
+            on_attrs.append((path.steps[0].test.name, accepts))
         elif not path.steps or (
                 len(path.steps) == 1
                 and (isinstance(path.steps[0].test, TextTest)
                      or path.steps[0].axis == "self")):
-            tests.append(_TextTest(literal.value))
+            on_text.append(accepts)
         else:
             raise CompileError(f"predicate {predicate} is not streamable")
-    return tests
+    return on_attrs, on_text
 
 
 @dataclass
@@ -103,7 +86,7 @@ class _OpenMatch:
     parent: _OpenMatch | None
     text_parts: list[str] = field(default_factory=list)
     matched_children: set[int] = field(default_factory=set)
-    text_tests: list[_TextTest] = field(default_factory=list)
+    text_tests: list[_Accepts] = field(default_factory=list)
 
     def satisfied(self) -> bool:
         for edge in self.vertex.child_edges:
@@ -113,7 +96,7 @@ class _OpenMatch:
                     edge.child.vid not in self.matched_children:
                 return False
         text = "".join(self.text_parts)
-        return all(test.matches(text) for test in self.text_tests)
+        return all(accepts(text) for accepts in self.text_tests)
 
 
 class StreamingNoKMatcher(ContentHandler):
@@ -139,12 +122,8 @@ class StreamingNoKMatcher(ContentHandler):
         self.count = 0
         self.root_values: list[str] = []
         self.max_open = 0
-        self._attr_tests = {v.vid: [t for t in _compile_predicate(v)
-                                    if isinstance(t, _AttrTest)]
-                            for v in nok.vertices}
-        self._text_tests = {v.vid: [t for t in _compile_predicate(v)
-                                    if isinstance(t, _TextTest)]
-                            for v in nok.vertices}
+        #: vid -> (attribute tests, text tests)
+        self._tests = {v.vid: _compile_predicate(v) for v in nok.vertices}
         #: one list of open matches per open element (stack of frames)
         self._frames: list[list[_OpenMatch]] = []
         self._open_total = 0
@@ -159,11 +138,11 @@ class StreamingNoKMatcher(ContentHandler):
         def try_open(vertex: BlossomVertex, parent: _OpenMatch | None) -> None:
             if not vertex.matches_tag(tag):
                 return
-            for test in self._attr_tests[vertex.vid]:
-                if not test.matches(attrs.get(test.name)):
+            on_attrs, on_text = self._tests[vertex.vid]
+            for name, accepts in on_attrs:
+                if name not in attrs or not accepts(attrs[name]):
                     return
-            new_frame.append(_OpenMatch(vertex, parent,
-                                        text_tests=self._text_tests[vertex.vid]))
+            new_frame.append(_OpenMatch(vertex, parent, text_tests=on_text))
 
         # The NoK root may start matching at any element.
         try_open(self.nok.root, None)

@@ -34,7 +34,6 @@ from repro.physical.structural import count_operator
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
-from repro.xpath.evaluator import XPathEvaluator
 
 __all__ = ["TwigStackOperator", "twig_supported"]
 
@@ -122,7 +121,6 @@ class TwigStackOperator:
         self.doc = doc
         self.index = index if index is not None else TagIndex(doc)
         self.counters = counters if counters is not None else ScanCounters()
-        self._evaluator = XPathEvaluator()
         self.root_q = self._build_query_tree()
         #: (parent_vid, child_vid) -> set of (parent_nid, child_nid) pairs
         self._pairs: dict[tuple[int, int], set[tuple[int, int]]] = {}
@@ -164,8 +162,7 @@ class TwigStackOperator:
         if not vertex.value_predicates:
             return nodes
         return [node for node in nodes
-                if value_constraints_hold(vertex, node, self.counters,
-                                          self._evaluator)]
+                if value_constraints_hold(vertex, node, self.counters)]
 
     # ------------------------------------------------------------------
     # The TwigStack main loop.

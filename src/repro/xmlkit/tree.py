@@ -31,6 +31,7 @@ __all__ = [
     "Node",
     "Document",
     "DocumentBuilder",
+    "parse_number",
 ]
 
 # Node kinds.  Plain ints (not an Enum) because kind checks sit on the
@@ -40,6 +41,28 @@ ELEMENT = 1
 TEXT = 2
 
 _KIND_NAMES = {DOCUMENT: "document", ELEMENT: "element", TEXT: "text"}
+
+
+def parse_number(text: str) -> float | None:
+    """The one numeric lexical rule: ``text`` as a number, else ``None``.
+
+    A number is an optional sign, digits with an optional fraction (or a
+    leading-dot fraction), an optional exponent, and surrounding blanks.
+    Every comparison, ``number()`` and ``order by`` coerces through
+    here, so ``"Nan"``, ``"inf"`` and ``"1_0"`` are text everywhere.
+    """
+    try:
+        number = float(text)
+    except ValueError:
+        return None
+    # float() reads more: the words nan / inf / infinity (non-finite from
+    # a leading letter; an overflowing decimal is still a number),
+    # digit-group underscores and non-ASCII digits.
+    if number - number != 0.0 and text.strip().lstrip("+-")[:1] in "nNiI":
+        return None
+    if "_" in text or not (text.isascii() or text.strip().isascii()):
+        return None
+    return number
 
 
 class Node:
@@ -196,10 +219,8 @@ class Node:
         1.0-style untyped comparison without dragging in a schema system.
         """
         raw = self.string_value().strip()
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
+        number = parse_number(raw)
+        return raw if number is None else number
 
     def dewey(self) -> tuple[int, ...]:
         """Dewey label of this node: 1-based child ordinals from the root.

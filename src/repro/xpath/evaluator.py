@@ -20,6 +20,7 @@ non-zero number / the bool itself.
 from __future__ import annotations
 
 import math
+import operator
 
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable
@@ -44,9 +45,11 @@ from repro.xpath.ast import (
     Step,
     TextTest,
 )
-from repro.xmlkit.tree import ELEMENT, TEXT, Document, Node, deep_equal_sequences
+from repro.xmlkit.tree import (ELEMENT, TEXT, Document, Node,
+                               deep_equal_sequences, parse_number)
 
-__all__ = ["AttrNode", "EvalContext", "XPathEvaluator", "evaluate_xpath", "boolean_value"]
+__all__ = ["AttrNode", "EvalContext", "XPathEvaluator", "evaluate_xpath",
+           "boolean_value", "parse_number"]
 
 Value = list | str | float | bool
 
@@ -75,10 +78,8 @@ class AttrNode:
         return self.value
 
     def typed_value(self) -> object:
-        try:
-            return float(self.value)
-        except ValueError:
-            return self.value
+        number = parse_number(self.value)
+        return self.value if number is None else number
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<AttrNode {self.name}={self.value!r} of {self.owner.tag}>"
@@ -367,11 +368,8 @@ class XPathEvaluator:
         if name == "string":
             return string_value(self.evaluate(args[0], context) if args else [context.item])
         if name == "number":
-            raw = string_value(self.evaluate(args[0], context) if args else [context.item])
-            try:
-                return float(raw.strip())
-            except ValueError:
-                return float("nan")
+            return _to_number(string_value(
+                self.evaluate(args[0], context) if args else [context.item]))
         if name == "name" or name == "local-name":
             value = self.evaluate(args[0], context) if args else [context.item]
             _require_nodes(value, name)
@@ -497,7 +495,7 @@ def string_value(value: Value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if value == int(value):
+        if value.is_integer():  # never NaN or an infinity
             return str(int(value))
         return str(value)
     if isinstance(value, str):
@@ -528,15 +526,12 @@ def _compare_atoms(op: str, a: object, b: object) -> bool:
             return bool(a) != bool(b)
         a, b = float(bool(a)), float(bool(b))
     if isinstance(a, float) or isinstance(b, float):
-        try:
-            fa = a if isinstance(a, float) else float(str(a).strip())
-            fb = b if isinstance(b, float) else float(str(b).strip())
-        except ValueError:
-            if op == "=":
-                return False
-            if op == "!=":
-                return True
-            return False
+        fa = a if isinstance(a, float) else parse_number(str(a))
+        fb = b if isinstance(b, float) else parse_number(str(b))
+        if fa is None or fb is None:
+            # Text that is not a number differs from every number and
+            # orders against none.
+            return op == "!="
         return _numeric_compare(op, fa, fb)
     sa, sb = str(a).strip(), str(b).strip()
     if op == "=":
@@ -544,24 +539,22 @@ def _compare_atoms(op: str, a: object, b: object) -> bool:
     if op == "!=":
         return sa != sb
     # Order comparison on strings: numeric when both parse, else lexicographic.
-    try:
-        return _numeric_compare(op, float(sa), float(sb))
-    except ValueError:
-        return _numeric_compare(op, sa, sb)  # type: ignore[arg-type]
+    fa, fb = parse_number(sa), parse_number(sb)
+    if fa is None or fb is None:
+        return _numeric_compare(op, sa, sb)
+    return _numeric_compare(op, fa, fb)
+
+
+#: The six value comparison operators (the compiler binds one at
+#: compile time; the interpreter looks it up per comparison).
+VALUE_OPERATORS: dict[str, Callable[[object, object], bool]] = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 def _numeric_compare(op: str, a, b) -> bool:
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
+    return VALUE_OPERATORS[op](a, b)
 
 
 def _single_node(value: Value, op: str) -> AnyNode | None:
@@ -590,10 +583,8 @@ class _StringItem(str):
         return str(self)
 
     def typed_value(self) -> object:
-        try:
-            return float(self)
-        except ValueError:
-            return str(self)
+        number = parse_number(self)
+        return str(self) if number is None else number
 
     @property
     def nid(self) -> int:
@@ -607,10 +598,8 @@ def _to_number(value) -> float:
         return 1.0 if value else 0.0
     if isinstance(value, list):
         value = value[0].string_value() if value else ""
-    try:
-        return float(str(value).strip())
-    except ValueError:
-        return float("nan")
+    number = parse_number(str(value))
+    return float("nan") if number is None else number
 
 
 def _require_nodes(value: Value, fn: str) -> None:

@@ -75,6 +75,64 @@ class TestWorkloadDifferential:
             pools.close(wait=True)
 
 
+class TestCompiledPlansCrossTheProcessBoundary:
+    """A plan's compiled matchers live on its NoK trees; the NoKs still
+    pickle for the workers after the parent process compiled (and ran)
+    them, and every driver answers the same."""
+
+    def test_compiled_noks_still_pickle(self):
+        import pickle
+
+        doc = parse(wide_doc(60))
+        noks = noks_for("//shelf/book[price < 20][author != 'a3']/title")
+        pools = ScanPools(process_workers=2)
+        try:
+            outputs = []
+            for _ in range(2):
+                serial = merged_scan(noks, doc)
+                assert all(nok.matcher is not None for nok in noks)
+                shipped = parallel_merged_scan(
+                    noks, doc, backend=ExecutionBackend("processes", 2),
+                    pools=pools, partitions=fine_partitions(doc, 4))
+                outputs += [serial, shipped]
+            rendered = [{nok_id: [e.sexpr(lambda n: str(n.nid))
+                                  for e in entries]
+                         for nok_id, entries in out.items()}
+                        for out in outputs]
+            assert rendered == [rendered[0]] * 4
+            assert len(rendered[0][1]) > 5
+            copies = pickle.loads(pickle.dumps(noks))
+            assert all(nok.matcher is None for nok in copies)
+            assert all(v.tests is None for nok in copies
+                       for v in nok.vertices)
+        finally:
+            pools.close(wait=True)
+
+    def test_one_plan_alternating_serial_and_processes(self):
+        doc = parse(wide_doc(120))
+        text = ("for $s in //shelf, $b in $s//book[price < 20] "
+                "where $b/@year = '1995' or $b/author = 'a3' "
+                "return <hit>{$b/title}</hit>")
+        engine = Engine(doc)
+        engine.scan_pools = pools = ScanPools(process_workers=2)
+        try:
+            expected = engine.query(text, strategy="naive").serialize()
+            prepared = engine.prepare(text, strategy="parallel")
+            runs = []
+            for _ in range(2):
+                for executor in ("serial", "processes:2") * 2:
+                    result = prepared.execute(executor=executor)
+                    runs.append((result.serialize(),
+                                 result.counters.comparisons))
+                # A nested-loop run matches the inner NoK in this
+                # process, through the same NoK objects' matchers.
+                assert engine.query(text, strategy="bnlj").serialize() \
+                    == expected
+            assert runs == [(expected, runs[0][1])] * 8
+        finally:
+            pools.close(wait=True)
+
+
 def _crash_task(*args, **kwargs):
     os._exit(13)
 

@@ -1,6 +1,7 @@
 """Unit tests for result construction, QueryResult and order keys."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.engine.construct import DirectEvaluator, order_key
 from repro.engine.result import QueryResult, ResultBuilder, atom_text, copy_into
@@ -102,6 +103,12 @@ class TestAtomText:
         assert atom_text(small_bib.elements_by_tag("last")[0]) == "Stevens"
 
 
+ORDER_VALUES = st.one_of(
+    st.sampled_from(["", "a", "ab", "b", "B", "10", "9", " 9 ", "-1", "1e1",
+                     "Nan", "inf", "1_0", True, False, 2.5]),
+    st.text(alphabet="ab1. ", max_size=4), st.floats(allow_nan=False))
+
+
 class TestOrderKey:
     def test_numeric_before_textual(self):
         assert order_key("10", False) < order_key("banana", False)
@@ -121,6 +128,47 @@ class TestOrderKey:
     def test_empty_sequence(self):
         key = order_key([], False)
         assert key == order_key("", False)
+
+    def test_descending_mirrors_ascending_on_prefixes_and_empty(self):
+        # Regression: descending strings were inverted per character,
+        # which sorts a prefix before its extension and "" first.
+        keys = ["a", "ab", "b", "", "10", "9", "Nan"]
+        ascending = sorted(keys, key=lambda k: order_key(k, False))
+        assert ascending == ["9", "10", "", "Nan", "a", "ab", "b"]
+        assert sorted(keys, key=lambda k: order_key(k, True)) == \
+            ascending[::-1]
+
+    @given(s=ORDER_VALUES, t=ORDER_VALUES)
+    def test_descending_is_the_reversed_comparison(self, s, t):
+        assert (order_key(s, True) < order_key(t, True)) == \
+            (order_key(t, False) < order_key(s, False))
+        assert (order_key(s, True) == order_key(t, True)) == \
+            (order_key(s, False) == order_key(t, False))
+
+
+DESCENDING_DOC = "<r><b><a>a</a></b><b><a>ab</a></b><b><a>b</a></b><b><a/></b></r>"
+
+
+@pytest.mark.parametrize("strategy", ["auto", "pipelined", "naive"])
+def test_order_by_descending_strings(strategy):
+    from repro import Engine, parse
+
+    result = Engine(parse(DESCENDING_DOC)).query(
+        "for $b in //b order by $b/a descending return $b/a",
+        strategy=strategy)
+    assert result.serialize() == "<a>b</a><a>ab</a><a>a</a><a/>"
+
+
+@pytest.mark.parametrize("strategy", ["auto", "naive"])
+def test_order_by_descending_then_ascending(strategy):
+    from repro import Engine, parse
+
+    doc = parse("<r><b><x>m</x><y>2</y></b><b><x>m</x><y>1</y></b>"
+                "<b><x>mm</x><y>3</y></b><b><x/><y>0</y></b></r>")
+    result = Engine(doc).query(
+        "for $b in //b order by $b/x descending, $b/y return $b/y",
+        strategy=strategy)
+    assert result.string_values() == ["3", "1", "2", "0"]
 
 
 class TestDirectEvaluatorUnits:

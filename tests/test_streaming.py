@@ -139,3 +139,24 @@ class TestNumericPredicates:
             nok = nok_for(pattern)
             assert stream_count(xml, nok) == 1
             assert tree_count(parse(xml), nok_for(pattern)) == 1
+
+
+class TestOneComparison:
+    """The stream matcher compares the way the tree engines do: the
+    literal is stripped, and coerced when it spells a number
+    (regression: a private ``_atoms_equal`` compared string literals
+    exactly and never coerced them)."""
+
+    XML = '<r><a k=" v ">x</a><a k="v"> x </a><a k="1.0">1</a></r>'
+    CASES = [('//a[. = " x "]', 2), ('//a[@k = " v "]', 2),
+             ('//a[@k = "v"]', 2), ('//a[@k = "1"]', 1),
+             ('//a[. = "1.0"]', 1), ("//a[@k = 1]", 1)]
+
+    @pytest.mark.parametrize("pattern,count", CASES)
+    def test_stream_agrees_with_tree(self, pattern, count):
+        from repro.xmlkit import parse
+
+        nok = nok_for(pattern)
+        assert stream_count(self.XML, nok) == count
+        assert tree_count(parse(self.XML), nok) == count
+

@@ -1,0 +1,444 @@
+"""The plan compiler: compiled closures agree with the interpreter, the
+compiled matchers with Definition 1, and the hot path runs neither the
+interpreter nor a second compile.
+
+(a) ``compile_expr(e)`` ≡ ``XPathEvaluator().evaluate(e)`` — same value
+    or same error — over every expression of the query corpus and over
+    generated expressions on generated documents;
+(b) compiled NoK matchers: NestedLists and ``counters.comparisons``
+    pinned to the constants the per-candidate interpreter produced, on
+    the object tree and on an arena view;
+(c) executing the benchmark's query shapes through ``auto`` enters the
+    interpreter zero times (one entry per candidate where a predicate
+    delegates), and ``naive`` enters nothing of the compiler;
+(d) compiled forms are built once per plan;
+(e) one plan's closures serve concurrent executions.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro
+from repro.analysis.corpus import EXAMPLE_QUERIES
+from repro.engine import Engine
+from repro.engine.compiler import compile_query
+from repro.errors import QuerySyntaxError
+from repro.pattern.artifact import prepare_artifacts
+from repro.physical.nok_merge import merged_scan
+from repro.xmlkit import parse
+from repro.xmlkit.arena import DocumentArena
+from repro.xmlkit.storage import ScanCounters
+from repro.xmlkit.tree import ELEMENT, DocumentBuilder, Node
+from repro.xpath.ast import LocationPath, RootVariable, walk
+from repro.xpath.compile import compile_expr, literal_test
+from repro.xpath.evaluator import (AttrNode, EvalContext, XPathEvaluator,
+                                   _compare_atoms)
+from repro.xpath.parser import parse_expr
+from repro.xquery.parser import parse_query
+from tests.test_frontend import GOLDEN_TEXTS, _xpath_parts
+
+# The five benchmark workloads' templates (bench/workloads.py), as
+# literals: the benchmark directory is not importable from here.
+F1 = "for $b in //book where $b/price < {} return $b/title"
+F2L = ("for $s in //shelf, $b in $s/book where $s/@genre = 'g3' "
+       "and $b/price < 30 return <hit>{$b/title}</hit>")
+F3L = ("for $a in //book[price < 2], $b in //book[price < 2] "
+       "where $a/author = $b/author and $a << $b "
+       "return <pair>{$a/title}{$b/title}</pair>")
+F4P = ("for $b in //book let $t := $b/title where $b/price < $p "
+       "order by $b/author return <r>{$t}</r>")
+F5L = "for $b in //book where $b/@id = 'b777' return $b/title"
+FLWOR_SHAPES = [(F1.format("$p"), {"p": 35}), (F1.format(35), None),
+                (F2L, None), (F3L, None), (F4P, {"p": 35}), (F5L, None)]
+COLD_TEMPLATES = [
+    'for $b in //book where $b/price < 40 return <r n="7">{$b/title}</r>',
+    "//shelf[@genre = 'g3']/book[price > 40][author != 'x7']/title",
+    "//shelf/magazine[issue = 7]/title",
+    ("for $b in //book let $t := $b/title where $b/price > 40 "
+     "and $b/@id != 'x7' order by $b/author return $t"),
+]
+SMALL_PATHS = ["//shelf[@genre = 'g3']/book[price > 90]/title",
+               "//book[@id = 'b777']/title",
+               "//shelf[@genre = 'g5']/book[price < 2]/author",
+               "//book/title", "//shelf/book[price > 50]/title"]
+CORPUS = (GOLDEN_TEXTS + sorted(EXAMPLE_QUERIES.values())
+          + [text for text, _ in FLWOR_SHAPES] + COLD_TEMPLATES + SMALL_PATHS)
+
+
+def library(shelves: int = 8, books: int = 12) -> str:
+    parts = ["<library>"]
+    for s in range(shelves):
+        parts.append(f"<shelf genre='g{s % 7}'>")
+        for b in range(books):
+            n = s * books + b
+            parts.append(
+                f"<book id='b{770 + n}'><author>author-{n % 5}</author>"
+                f"<title>t{n}</title><price>{(n * 37) % 100}</price></book>")
+        parts.append("</shelf>")
+    return "".join(parts) + "</library>"
+
+
+# ----------------------------------------------------------------------
+# (a) compiled ≡ interpreted.
+# ----------------------------------------------------------------------
+
+def canonical(value):
+    if isinstance(value, list):
+        return [("attr", item.owner.nid, item.name, item.value)
+                if isinstance(item, AttrNode)
+                else ("node", item.nid) if isinstance(item, Node)
+                else ("item", str(item)) for item in value]
+    return (type(value).__name__, repr(value))
+
+
+def outcome(thunk):
+    try:
+        return "value", canonical(thunk())
+    except Exception as exc:  # same error on both sides is agreement
+        return type(exc).__name__, str(exc)
+
+
+def assert_agree(expr, contexts, bindings, resolve=None):
+    """``expr`` compiled once, against the interpreter on every context
+    item under every binding set."""
+    compiled = compile_expr(expr)
+    interpreter = XPathEvaluator()
+    for variables in bindings:
+        for item in contexts:
+            assert outcome(lambda: compiled(item, variables, resolve)) == \
+                outcome(lambda: interpreter.evaluate(expr, EvalContext(
+                    item, variables=variables, resolve_doc=resolve))), \
+                (str(expr), item, variables)
+
+
+def variable_names(expr) -> set[str]:
+    names = set()
+    for sub in walk(expr):
+        if isinstance(sub, LocationPath) and isinstance(sub.root,
+                                                        RootVariable):
+            names.add(sub.root.name)
+    return names
+
+
+def corpus_expressions():
+    seen = {}
+    for text in CORPUS:
+        for expr, _ in _xpath_parts(parse_query(text)):
+            seen.setdefault(expr)
+        tree = compile_query(text).tree
+        for vertex in (tree.vertices if tree is not None else ()):
+            for predicate in vertex.value_predicates:
+                for sub in walk(predicate):
+                    seen.setdefault(sub)
+    return list(seen)
+
+
+CORPUS_EXPRESSIONS = corpus_expressions()
+
+
+def test_corpus_is_covered():
+    assert len(GOLDEN_TEXTS) == 76
+    assert len(CORPUS_EXPRESSIONS) > 200
+
+
+@pytest.mark.parametrize("xml", ["bib", "library"])
+def test_corpus_expressions_agree(xml, small_bib):
+    doc = small_bib if xml == "bib" else parse(library(3, 4))
+    elements = [n for n in doc.nodes if n.kind == ELEMENT]
+    resolve = lambda uri: doc  # noqa: E731
+    for expr in CORPUS_EXPRESSIONS:
+        names = sorted(variable_names(expr))
+        bindings = [
+            {name: [elements[(7 * i + 3) % len(elements)]]
+             for i, name in enumerate(names)},
+            {name: elements[i + 1::3] for i, name in enumerate(names)},
+            {name: 35.0 for name in names},
+            {},
+        ] if names else [{}]
+        assert_agree(expr, [doc.document_node, *elements], bindings, resolve)
+
+
+VALUES = ["x", "y", " x ", "1", "1.0", " 1 ", "10", "2.5", "nan", "Nan",
+          "inf", "1_0", "", "-1", "1e1"]
+
+
+@st.composite
+def documents(draw):
+    """Small documents over tags a-d with ``k`` attributes and texts
+    that look like numbers, almost-numbers and blanks."""
+    builder = DocumentBuilder()
+
+    def element(depth):
+        attrs = ({"k": draw(st.sampled_from(VALUES))}
+                 if draw(st.booleans()) else None)
+        builder.start_element(draw(st.sampled_from("abcd")), attrs)
+        if draw(st.booleans()):
+            builder.text(draw(st.sampled_from(VALUES)))
+        if depth < 3:
+            for _ in range(draw(st.integers(0, 3 - depth))):
+                element(depth + 1)
+        builder.end_element()
+
+    builder.start_element("r")
+    for _ in range(draw(st.integers(1, 3))):
+        element(1)
+    builder.end_element()
+    return builder.finish()
+
+
+OPERANDS = st.sampled_from(
+    [".", "@k", "text()", "c", "c/d", "*", "*/@k", "$v/c", "$v/@k", "$v",
+     "$s/c", "$s/*/d", "$s", "$p", "$u/c", "$p/c", "1", "2.5", "10",
+     "'x'", "' x '", "' 1 '", "'nan'", "'1_0'", "''", "'10'", '"inf"'])
+COMPARISONS = st.tuples(
+    OPERANDS, st.sampled_from(["=", "!=", "<", "<=", ">", ">=",
+                               "<<", ">>", "is", "isnot"]),
+    OPERANDS).map(" ".join)
+DELEGATED = st.sampled_from(
+    ["count(c) = 2", "contains(., 'x')", "position() = 1", "c[1]",
+     "some $q in c satisfies $q = 'x'", "every $q in * satisfies $q/@k",
+     "if (c) then @k else 'z'", "c[@k = 'x']/d", "..", "//d", "c + 1",
+     "count($s) > 1", "number(.) < 5", "string(@k)", "/r/a"])
+EXPRESSION_TEXTS = st.recursive(
+    st.one_of(COMPARISONS, COMPARISONS, DELEGATED, OPERANDS),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["and", "or"]), inner).map(
+            lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        inner.map("not({})".format),
+        st.tuples(inner, st.sampled_from(["=", "!=", "<"]), inner).map(
+            lambda t: f"({t[0]}) {t[1]} ({t[2]})")),
+    max_leaves=4)
+
+
+@settings(max_examples=2000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=documents(), text=EXPRESSION_TEXTS,
+       atom=st.sampled_from([35.0, 1.0, "x", " 1 ", "nan", "", True, False]),
+       pick=st.integers(0, 1000))
+def test_generated_expressions_agree(doc, text, atom, pick):
+    try:
+        expr = parse_expr(text)
+    except QuerySyntaxError:
+        return
+    assert parse_expr(str(expr)) == expr
+    elements = [n for n in doc.nodes if n.kind == ELEMENT]
+    node = elements[pick % len(elements)]
+    # $v a node, $s a sequence (out of order, with a duplicate), $p an
+    # atomic, $u unbound.
+    sequence = elements[::-2] + elements[:1]
+    if pick % 3 == 0 and "k" in node.attrs:
+        sequence.append(AttrNode(node, "k", node.attrs["k"]))
+    variables = {"v": [node], "s": sequence, "p": atom}
+    contexts = [doc.document_node, *elements]
+    if "k" in node.attrs:
+        contexts.append(AttrNode(node, "k", node.attrs["k"]))
+    assert_agree(expr, contexts, [variables])
+
+
+@pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+def test_literal_test_is_compare_atoms(op):
+    literals = [*VALUES, " 10 ", 1.0, 10.0, 2.5, -1.0]
+    for literal in literals:
+        test = literal_test(op, literal)
+        for observed in VALUES + [" 10 ", "\t1\n"]:
+            typed = parse(f"<a>{observed}</a>").root.typed_value()
+            assert test(observed) == _compare_atoms(op, typed, literal), \
+                (observed, op, literal)
+
+
+# ----------------------------------------------------------------------
+# (b) compiled matcher ≡ Definition 1, constants from the interpreter.
+# ----------------------------------------------------------------------
+
+MATCH_DOC = ("<r><x><a>1</a><b>u</b><a>2</a><a>3</a><opt/></x>"
+             "<x><a>4</a></x><x><b>v</b><c/><a>2</a></x><x><c/></x></r>")
+ROOT = ["(#document0,())"]
+#: text -> ({nok_id: sexprs}, comparisons), as the per-candidate
+#: interpreter of the parent commit produced them.
+MATCH_CASES = {
+    # following-sibling (after_vid) with two same-tag pattern children
+    "//x/a/following-sibling::a": ({0: ROOT, 1: [
+        "(x2,(),[(a3),(a7),(a9)])", "(x12,(),(a13))", "(x15,(),(a19))"]},
+        10),
+    # a ``*`` child next to a named child
+    "//x[a]/*": ({0: ROOT, 1: [
+        "(x2,(),[(a3),(b5),(a7),(a9),(opt11)])", "(x12,(),(a13))",
+        "(x15,(),[(b16),(c18),(a19)])"]}, 15),
+    # optional + mandatory edges under one vertex
+    "for $x in //x let $o := $x/opt for $m in $x/a return $m": (
+        {0: ROOT, 1: ["(x2,(opt11),[(a3),(a7),(a9)])", "(x12,(),(a13))",
+                      "(x15,(),(a19))"]}, 6),
+    # a value predicate on a non-returning existential leaf
+    '//x[a = "2"]/b': ({0: ROOT, 1: ["(x2,(),(b5))", "(x15,(),(b16))"]},
+                       12),
+}
+
+
+@pytest.mark.parametrize("view", ["tree", "arena"])
+@pytest.mark.parametrize("text", MATCH_CASES)
+def test_compiled_matcher_matches_definition_1(text, view):
+    doc = parse(MATCH_DOC)
+    if view == "arena":
+        doc = DocumentArena.from_document(doc).document()
+    noks = prepare_artifacts(compile_query(text).tree).decomposition.noks
+    counters = ScanCounters()
+    result = merged_scan(noks, doc, counters)
+    rendered = {nok.nok_id: [entry.sexpr(lambda n: f"{n.tag}{n.nid}")
+                             for entry in result[nok.nok_id]]
+                for nok in noks}
+    assert (rendered, counters.comparisons) == MATCH_CASES[text]
+    assert counters.nodes_scanned == 23
+
+
+# ----------------------------------------------------------------------
+# (c), (d): what runs, and how often it is built.
+# ----------------------------------------------------------------------
+
+@contextmanager
+def counting_calls():
+    """Counts Python-level calls while active: ``calls[name]`` per
+    function of ``xpath/compile.py`` (every closure it built included),
+    plus the matcher and program compiles; ``calls["interpreter"]`` is
+    the non-reentrant entries of ``XPathEvaluator.evaluate``."""
+    calls: dict[str, int] = {}
+    depth = [0]
+    original = XPathEvaluator.evaluate
+
+    def evaluate(self, expr, context):
+        if depth[0] == 0:
+            calls["interpreter"] = calls.get("interpreter", 0) + 1
+        depth[0] += 1
+        try:
+            return original(self, expr, context)
+        finally:
+            depth[0] -= 1
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            name = code.co_filename.replace("\\", "/")
+            if name.endswith("repro/xpath/compile.py") or (
+                    code.co_name in ("compile_matcher", "_compile")
+                    and name.endswith(("physical/nok.py",
+                                       "engine/executor.py"))):
+                calls[code.co_name] = calls.get(code.co_name, 0) + 1
+
+    XPathEvaluator.evaluate = evaluate
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+        XPathEvaluator.evaluate = original
+
+
+def compiles(calls) -> dict[str, int]:
+    return {name: calls.get(name, 0)
+            for name in ("compile_expr", "compile_matcher", "_compile")}
+
+
+def test_hot_path_never_enters_the_interpreter():
+    doc = parse(library())
+    engine = Engine(doc)
+    oracle = Engine(doc)
+    hot = FLWOR_SHAPES + [(text, None) for text in COLD_TEMPLATES] \
+        + [(SMALL_PATHS[0], None)]
+    for text, params in hot:
+        with counting_calls() as calls:
+            result = engine.query(text, params=params)
+            answer = result.serialize()
+        assert result.strategy not in ("naive", "xhive"), text
+        assert calls.get("interpreter", 0) == 0, text
+        assert answer == oracle.query(text, strategy="naive",
+                                      params=params).serialize(), text
+    # The static-empty template compiles nothing at all.
+    with counting_calls() as calls:
+        engine.query(COLD_TEMPLATES[2])
+    assert calls == {}
+
+
+def test_delegation_is_per_sub_expression():
+    doc = parse(library())
+    n_books = len(doc.elements_by_tag("book"))
+    text = "//book[contains(title, 't1') and price < 50]/author"
+    engine = Engine(doc)
+    with counting_calls() as calls:
+        result = engine.query(text, strategy="pipelined")
+    assert calls["interpreter"] == n_books      # contains(), once each
+    assert result.serialize() == Engine(doc).query(
+        text, strategy="naive").serialize()
+
+
+@pytest.mark.parametrize("strategy", ["naive", "xhive"])
+def test_the_oracle_runs_nothing_compiled(strategy):
+    engine = Engine(parse(library(3, 4)))
+    with counting_calls() as calls:
+        for text, params in FLWOR_SHAPES:
+            engine.query(text, strategy=strategy, params=params)
+    assert set(calls) == {"interpreter"}
+
+
+def test_compiled_forms_are_built_once_per_plan():
+    engine = Engine(parse(library()))
+    text = F4P
+    prepared = engine.prepare(text)
+    with counting_calls() as calls:
+        first = prepared.execute(params={"p": 50}).serialize()
+        built = compiles(calls)
+        assert all(built.values()), built
+        answers = {p: prepared.execute(params={"p": p}).serialize()
+                   for p in range(50)}
+        for p in range(40, 60):     # the same text, plan-cache hits
+            assert engine.query(text, params={"p": p}).strategy != "naive"
+        assert compiles(calls) == built
+    assert answers[49] != answers[3] and first
+    naive = Engine(engine.doc)
+    assert all(answer == naive.query(text, strategy="naive",
+                                     params={"p": p}).serialize()
+               for p, answer in answers.items())
+
+
+def test_a_static_empty_plan_compiles_nothing():
+    engine = Engine(parse(library()))
+    with counting_calls() as calls:
+        prepared = engine.prepare(COLD_TEMPLATES[2])
+        assert prepared.execute().serialize() == ""
+    assert calls == {}
+
+
+# ----------------------------------------------------------------------
+# (e) one plan, many threads.
+# ----------------------------------------------------------------------
+
+def test_one_prepared_plan_serves_eight_threads():
+    xml = library()
+    text = F1.format("$p")
+    oracle = Engine(parse(xml))
+    expected = {p: oracle.query(text, strategy="naive",
+                                params={"p": p}).serialize()
+                for p in range(100)}
+    failures: list[tuple] = []
+    with repro.connect(xml) as db, db.serve(workers=4) as service:
+        def worker(lane: int) -> None:
+            for i in range(200):
+                p = (lane * 13 + i) % 100
+                # Distinct per request, so no reply comes from a cache.
+                # (prices are whole numbers, so the bound still means p).
+                answer = service.query(text, params={"p": p - lane / 1000
+                                                     - i / 1e6})
+                if answer.serialize() != expected[p]:
+                    failures.append((lane, i, p))
+        threads = [threading.Thread(target=worker, args=(lane,))
+                   for lane in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

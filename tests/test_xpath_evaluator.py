@@ -205,3 +205,68 @@ class TestValueCoercion:
         evaluator.evaluate_path(parse_xpath("//book"), context)
         # One descendant step from the document node examines every node.
         assert sum(charged) == len(small_bib.nodes) - 1
+
+
+class TestNumericLexicalRule:
+    """One rule decides "is this text a number?" — Python's ``float``
+    also reads ``nan`` / ``inf`` / ``infinity`` and ``1_0``, which made
+    ``"Nan"`` unequal to itself and ``"1_0"`` equal to ``"10"`` on
+    every strategy, the oracle included."""
+
+    DOC = "<r><b><a>Nan</a></b><b><a>1_0</a></b><b><a>10</a></b></r>"
+    PATHS = [('//b[a = "Nan"]', ["Nan"]), ('//b[a != "Nan"]', ["1_0", "10"]),
+             ('//b[a = "10"]', ["10"]), ("//b[a = 10]", ["10"])]
+
+    @pytest.mark.parametrize("strategy",
+                             ["auto", "pipelined", "twigstack", "naive"])
+    @pytest.mark.parametrize("path,expected", PATHS)
+    def test_almost_numbers_are_strings(self, path, expected, strategy):
+        from repro import Engine
+
+        result = Engine(parse(self.DOC)).query(path, strategy=strategy)
+        assert result.string_values() == expected
+
+    @pytest.mark.parametrize("strategy", ["auto", "pipelined", "naive"])
+    def test_order_by_files_them_among_the_strings(self, strategy):
+        from repro import Engine
+
+        doc = parse("<r><b><a>inf</a></b><b><a>Nan</a></b><b><a>2</a></b>"
+                    "<b><a>1_0</a></b><b><a>10</a></b></r>")
+        result = Engine(doc).query(
+            "for $b in //b order by $b/a return $b/a", strategy=strategy)
+        assert result.string_values() == ["2", "10", "1_0", "Nan", "inf"]
+
+    @pytest.mark.parametrize("text,number", [
+        ("1", 1.0), ("-1.5", -1.5), ("+2", 2.0), (" 2 ", 2.0), ("\t3\n", 3.0),
+        ("1.", 1.0), (".5", 0.5), ("-.5e1", -5.0), ("1e3", 1000.0),
+        ("1E-2", 0.01), ("007", 7.0), ("1e400", float("inf")),
+        ("", None), (" ", None), (".", None), ("e5", None), ("1e", None),
+        ("1 2", None), ("--1", None), ("0x10", None), ("1,5", None),
+        ("abc", None), ("nan", None), ("NaN", None), (" Nan ", None),
+        ("inf", None), ("-inf", None), ("+Infinity", None),
+        ("INFINITY", None), ("1_0", None), ("1_000.5", None),
+        ("\u0661\u0662", None), ("\uff11", None),
+    ])
+    def test_the_helper(self, text, number):
+        from repro.xpath.evaluator import parse_number
+
+        assert parse_number(text) == number
+
+    def test_computed_nan_and_infinity_are_unchanged(self, small_bib):
+        evaluator = XPathEvaluator()
+        context = EvalContext(small_bib.document_node)
+
+        def run(text):
+            return evaluator.evaluate(parse_expr(text), context)
+        assert math.isnan(run('number("abc")'))
+        assert run("1 div 0") == math.inf and math.isnan(run("0 div 0"))
+        assert run('number("inf") = number("inf")') is False   # NaN now
+        assert run('number(" 12 ")') == 12.0
+        # Printing them used to raise OverflowError / ValueError.
+        assert run('string(number("abc"))') == "nan"
+        assert run("string((0 - 1) div 0)") == "-inf"
+        from repro import Engine
+        assert Engine(small_bib).query(
+            "for $b in //book[1] return (1 div 0, 0 div 0, 4 div 2)"
+        ).serialize() == "inf nan 2"
+
