@@ -32,9 +32,10 @@ def join_inputs(prepared, query):
     tree = build_from_path(parse_xpath(query))
     dec = decompose(tree)
     edge = next(e for e in dec.inter_edges if e.parent.name != "#root")
-    left = NoKMatcher(dec.noks[edge.nok_from], prepared.doc).matches()
+    left = NoKMatcher(dec.noks[edge.nok_from], prepared.doc,
+                      variables={}).matches()
     right_nok = dec.noks[edge.nok_to]
-    right = NoKMatcher(right_nok, prepared.doc).matches()
+    right = NoKMatcher(right_nok, prepared.doc, variables={}).matches()
     return left_projection(left, edge), right, right_nok, edge
 
 
@@ -48,10 +49,10 @@ def test_bnlj_beats_naive_io(benchmark, name, query):
 
         bounded = ScanCounters()
         bnlj = bounded_nested_loop_join(projection, right_nok, prepared.doc,
-                                        edge, bounded)
+                                        edge, bounded, variables={})
         naive = ScanCounters()
         nl = naive_nested_loop_join(projection, right_nok, prepared.doc,
-                                    edge, naive)
+                                    edge, naive, variables={})
 
         # identical output
         assert {k: sorted(e.node.nid for e in v) for k, v in bnlj.adjacency.items()} \
@@ -78,7 +79,8 @@ def test_nested_loop_timing(benchmark, variant):
 
     def run():
         counters = ScanCounters()
-        join(projection, right_nok, prepared.doc, edge, counters)
+        join(projection, right_nok, prepared.doc, edge, counters,
+             variables={})
         return counters.nodes_scanned
 
     scanned = benchmark(run)

@@ -41,7 +41,7 @@ def test_merged_scan_halves_io(benchmark, name, query):
         separate_results = {}
         for nok in noks:
             separate_results[nok.nok_id] = NoKMatcher(
-                nok, prepared.doc, separate).matches()
+                nok, prepared.doc, separate, variables={}).matches()
 
         together = ScanCounters()
         merged_results = merged_scan(noks, prepared.doc, together)
@@ -69,7 +69,7 @@ def test_scan_mode_timing(benchmark, mode):
         def run():
             counters = ScanCounters()
             for nok in noks:
-                NoKMatcher(nok, prepared.doc, counters).matches()
+                NoKMatcher(nok, prepared.doc, counters, variables={}).matches()
             return counters.nodes_scanned
     else:
         def run():

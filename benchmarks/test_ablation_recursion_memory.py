@@ -33,8 +33,8 @@ def join_inputs(doc):
     tree = build_from_path(parse_xpath("//a//b"))
     dec = decompose(tree)
     edge = next(e for e in dec.inter_edges if e.parent.name == "a")
-    left = NoKMatcher(dec.noks[edge.nok_from], doc).matches()
-    right = NoKMatcher(dec.noks[edge.nok_to], doc).matches()
+    left = NoKMatcher(dec.noks[edge.nok_from], doc, variables={}).matches()
+    right = NoKMatcher(dec.noks[edge.nok_to], doc, variables={}).matches()
     return left_projection(left, edge), right, edge
 
 

@@ -82,7 +82,7 @@ def test_single_partition_overhead_within_5pct_and_record_sweep():
         def run_parallel(partitions=partitions):
             return parallel_merged_scan(noks_for(QUERY), doc,
                                         partitions=partitions,
-                                        backend=backend)
+                                        backend=backend, variables={})
 
         par_s, par_results = best_of(REPEATS, run_parallel)
         # Theorem 1: partition-order concatenation is bit-identical to

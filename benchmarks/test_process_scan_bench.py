@@ -94,13 +94,13 @@ def test_process_backend_speedup_recorded_and_gated():
         threads_s, thread_results = best_of(
             REPEATS, lambda: parallel_merged_scan(
                 noks_for(QUERY), doc, partitions=partitions,
-                backend=ExecutionBackend("threads", 4), pools=pools))
+                backend=ExecutionBackend("threads", 4), pools=pools, variables={}))
         assert nid_lists(thread_results) == serial_nids
 
         def run_processes():
             return parallel_merged_scan(
                 noks_for(QUERY), doc, partitions=partitions,
-                backend=ExecutionBackend("processes", 4), pools=pools)
+                backend=ExecutionBackend("processes", 4), pools=pools, variables={})
 
         run_processes()                        # warm: fork + arena write
         processes_s, process_results = best_of(REPEATS, run_processes)

@@ -41,7 +41,7 @@ def main() -> None:
     print(tree.describe())
 
     dec = decompose(tree)
-    [match] = NoKMatcher(dec.noks[0], doc).matches()
+    [match] = NoKMatcher(dec.noks[0], doc, variables={}).matches()
     a_entry = match.group_for(tree.var_vertex["a"])[0]
 
     print("\n== Figure 4: the NestedList in the paper's notation ==")

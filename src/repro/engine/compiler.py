@@ -53,9 +53,10 @@ def compile_query(text: str | QueryExpr,
     """Parse and compile a query string (or pre-parsed expression).
 
     Free variables are detected and recorded as the query's external
-    ``parameters`` — the BlossomTree builder routes conjuncts that
-    mention them to the residual where clause, so the compiled plan has
-    execution-time slots instead of baked-in values.
+    ``parameters`` — the BlossomTree builder turns a where-conjunct on
+    one into a late-bound vertex test (or leaves it to the per-tuple
+    test), so the compiled plan has execution-time slots instead of
+    baked-in values.
 
     One scoping walk over the query yields both those parameters and the
     static report of a user-written FLWOR, *before* its pattern is

@@ -5,7 +5,8 @@ Execution pipeline (Figure 2's data flow, made concrete):
 1. **Match** — every NoK pattern tree is evaluated with the merged
    sequential scan (one document pass per distinct document, Section
    4.2 technique 1), producing per-NoK NestedList sequences in document
-   order.
+   order.  The request's bindings go with every scan and re-scan:
+   pushed ``$v/path op $p`` where-conjuncts are decided here.
 2. **Join** — every inter-NoK edge is evaluated with the physical join
    the optimizer picked (pipelined merge, stack merge, or bounded
    nested loop), producing ancestor→matches adjacency.  Mandatory
@@ -19,10 +20,11 @@ Execution pipeline (Figure 2's data flow, made concrete):
    edges; a let-variable binds the whole candidate sequence.  This
    walk-based enumeration deduplicates by node, reproducing XPath's
    set semantics exactly.
-4. **Finish** — the original where clause is re-verified per tuple
-   (crossing-edge relationships like ``<<``/``deep-equal`` are checked
-   here, which *is* the paper's nested-loop value join), then order by
-   and return-clause construction run.
+4. **Finish** — the where-conjuncts the scan did not decide exactly
+   are verified per tuple (crossing-edge relationships like
+   ``<<``/``deep-equal`` are checked here, which *is* the paper's
+   nested-loop value join; ``pushed-exact`` conjuncts are not
+   evaluated again), then order by and return-clause construction run.
 
 Nothing in the loops of phases 1, 3 and 4 interprets the plan: the NoK
 matchers (:func:`~repro.physical.nok.matcher_for`), each variable's
@@ -47,7 +49,9 @@ from repro.pattern.build import RESULT_VAR, build_blossom_tree
 from repro.pattern.decompose import Decomposition, InterEdge, NoKTree
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document
-from repro.xpath.compile import Compiled, Test, compile_expr, compile_test
+from repro.xpath.ast import BooleanExpr
+from repro.xpath.compile import (Bindings, Compiled, Test, compile_expr,
+                                 compile_test)
 from repro.xquery.ast import FLWOR, ForClause
 from repro.algebra.env import Env
 from repro.algebra.nested_list import NLEntry
@@ -93,7 +97,9 @@ class _Program(NamedTuple):
     finish of the FLWOR the tree was built from."""
 
     binds: tuple[_Bind, ...]
+    #: The conjuncts the scan did not decide exactly; ``None``: none.
     where: Test | None
+    where_conjuncts: int
     order: tuple[tuple[Compiled, bool], ...]
     emit: Emitter
 
@@ -116,9 +122,13 @@ def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
                         if e is edge),
                    (edge.parent.vid, edge.child.vid))
                   for edge in reversed(chain))))
+    verify = [c.expr for c in tree.where if c.disposition != "pushed-exact"]
     return _Program(
         tuple(binds),
-        None if flwor.where is None else compile_test(flwor.where),
+        None if not verify else compile_test(
+            verify[0] if len(verify) == 1
+            else BooleanExpr("and", tuple(verify))),
+        len(verify),
         tuple((compile_expr(s.key), s.descending) for s in flwor.order_by),
         compile_emitter(flwor.return_expr))
 
@@ -136,8 +146,8 @@ class FLWORExecutor:
     join_algorithm:
         One of :data:`JOIN_ALGORITHMS`, or ``"auto"`` to let the
         executor pick per edge (pipelined on non-recursive documents,
-        stack merge on recursive ones — the optimizer policy Section
-        5.2's analysis suggests).
+        stack merge on recursive ones and under a ``*`` left vertex —
+        the optimizer policy Section 5.2's analysis suggests).
     counters:
         Shared work counters (created if omitted; exposed as
         ``self.counters``).
@@ -187,6 +197,9 @@ class FLWORExecutor:
         self._direct = DirectEvaluator(doc, self.resolve_doc)
         #: (parent_vid, child_vid) -> JoinResult, filled during execute()
         self._adjacency: dict[tuple[int, int], JoinResult] = {}
+        #: The request's bindings, as every scan and re-scan is given them
+        #: (late-bound vertex tests read them); set by execute().
+        self._variables: Bindings = {}
         #: filled during execute(), for explain()
         self.plan_notes: list[str] = []
         #: Observed NoK selectivities of this run — one
@@ -209,10 +222,11 @@ class FLWORExecutor:
         ``artifacts`` replays a precomputed pattern compilation (tree +
         NoK decomposition + Dewey IDs) instead of rebuilding it — the
         prepared-query / plan-cache hot path.  ``bindings`` supplies
-        values for the query's external ``$parameters``; they are merged
-        under every tuple's own bindings for where re-verification,
-        order by and return construction (query variables shadow
-        externals, matching static scoping).
+        values for the query's external ``$parameters``; the scans read
+        them for late-bound vertex tests, and they are merged under
+        every tuple's own bindings for where verification, order by and
+        return construction (query variables shadow externals, matching
+        static scoping).
         """
         if artifacts is None:
             external = frozenset(bindings) if bindings else frozenset()
@@ -223,6 +237,7 @@ class FLWORExecutor:
         tree = artifacts.tree
         dec = artifacts.decomposition
         base = dict(bindings) if bindings else {}
+        self._variables = base
         program = cast("_Program | None", tree.compiled)
         if program is None:
             # First execution of this plan: compile the bind walk and
@@ -241,7 +256,7 @@ class FLWORExecutor:
             envs = self._bind_phase(program.binds, dec, matches)
             span.set(tuples=len(envs))
 
-        # Finish: where re-verification, order by, return construction.
+        # Finish: where verification, order by, return construction.
         with self.tracer.span("finish-phase") as span:
             where, order, emit = program.where, program.order, program.emit
             item, resolve = self.doc.document_node, self.resolve_doc
@@ -259,7 +274,8 @@ class FLWORExecutor:
             items: list[Item] = []
             for merged in surviving:
                 items.extend(emit(self._direct, merged))
-            span.set(surviving=len(surviving), items=len(items))
+            span.set(surviving=len(surviving), items=len(items),
+                     where_conjuncts=program.where_conjuncts)
         return items
 
     def execute_twigstack(self, flwor: FLWOR,
@@ -322,11 +338,13 @@ class FLWORExecutor:
                 if backend is not None:
                     result = parallel_merged_scan(
                         noks, doc, self.counters, per_nok,
+                        variables=self._variables,
                         backend=backend, pools=self.scan_pools,
                         stats=self._doc_stats if doc is self.doc else None,
                         tracer=self.tracer if self._tracing else None)
                 else:
-                    result = merged_scan(noks, doc, self.counters, per_nok)
+                    result = merged_scan(noks, doc, self.counters, per_nok,
+                                         self._variables)
                 wall_ms = (time.perf_counter_ns() - started) / 1e6
                 scan_nodes = self.counters.nodes_scanned - before_nodes
                 scan_span.set(
@@ -352,7 +370,8 @@ class FLWORExecutor:
         The driving scan is shared across the NoKs (that is the point of
         merging), so each span reports the shared scan's node count and
         wall time with ``shared_scan=True``, plus the per-NoK work
-        (comparisons, matches) attributed privately by ``merged_scan``.
+        (comparisons, matches) attributed privately by ``merged_scan``
+        — none for a twin, whose list is its ``shared_with`` NoK's.
         """
         for nok in noks:
             entries = result.get(nok.nok_id, [])
@@ -365,6 +384,8 @@ class FLWORExecutor:
                          comparisons=private.comparisons if private else 0,
                          shared_scan=True,
                          wall_ms=round(wall_ms, 3))
+                if nok.twin_of is not None:
+                    span.set(shared_with=nok.twin_of)
 
     def _doc_for_nok(self, dec: Decomposition, nok: NoKTree) -> Document:
         return self._doc_for_root(dec.tree.pattern_root_of(nok.root))
@@ -454,10 +475,12 @@ class FLWORExecutor:
         canonical = {e.node.nid: e for e in right if e.node is not None}
         if algorithm == "bnlj":
             return bounded_nested_loop_join(projection, inner_nok, doc, edge,
-                                            self.counters, canonical)
+                                            self.counters, canonical,
+                                            variables=self._variables)
         assert algorithm == "nl"
         return naive_nested_loop_join(projection, inner_nok, doc, edge,
-                                      self.counters, canonical)
+                                      self.counters, canonical,
+                                      variables=self._variables)
 
     def _pick_algorithm(self, dec: Decomposition, edge: InterEdge) -> str:
         if self.join_algorithm != "auto":
@@ -469,7 +492,11 @@ class FLWORExecutor:
             doc = self._doc_for_nok(dec, dec.noks[edge.nok_from])
             recursive = compute_stats(doc, with_size=False).recursive
             self._recursive_hint = recursive
-        return "stack" if recursive else "pipelined"
+        # Theorem 2 needs a left input that cannot nest: no tag inside
+        # itself — and no ``*``, which nests on any document.
+        if recursive or edge.parent.name == "*":
+            return "stack"
+        return "pipelined"
 
     # ------------------------------------------------------------------
     # Phase 3: tuple enumeration (variable binding).

@@ -28,7 +28,7 @@ auto-selected yet measurably slower than the serial pipelined scan).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.obs.statstore import DemotionRecord, StatsStore
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -298,8 +298,8 @@ def prune_pattern(tree: BlossomTree, prune_vids: list[int]
     Returns ``(pruned copy, notes)`` — the input tree is never mutated
     (cached compilations share it) — or ``(None, ())`` when no anchor
     is removable.  The copy renumbers vertex ids densely and preserves
-    root order, variable bindings, crossing edges and residual
-    where-conjuncts, so it passes the same BT/NK/DW verification as a
+    root order, variable bindings, crossing edges and where-conjunct
+    dispositions, so it passes the same BT/NK/DW verification as a
     freshly built tree.
     """
     by_vid = {v.vid: v for v in tree.vertices}
@@ -362,5 +362,11 @@ def prune_pattern(tree: BlossomTree, prune_vids: list[int]
     for vertex in tree.vertices:          # returning flags last (upward
         if vertex.vid in mapping:         # closure already held)
             mapping[vertex.vid].returning = vertex.returning
-    pruned.residual_where = list(tree.residual_where)
+    # Each where-conjunct keeps its disposition, re-pointed at the copy.
+    moved: dict[int, object] = {
+        id(old): new for old, new in zip(tree.crossing_edges,
+                                         pruned.crossing_edges)}
+    moved.update((id(by_vid[vid]), copy) for vid, copy in mapping.items())
+    pruned.where = [replace(conjunct, target=moved.get(id(conjunct.target)))
+                    for conjunct in tree.where]
     return pruned, tuple(notes)

@@ -6,7 +6,8 @@ strategy choice — and hands back a :class:`PreparedQuery` whose
 ``execute(params=None)`` replays the compiled plan any number of
 times.  External ``$parameters`` (variables the query references but
 never binds) get their values from ``params`` at execution time; the
-compiled plan carries slots for them (residual where-conjuncts), so no
+compiled plan carries slots for them (late-bound vertex tests for
+pushed where-conjuncts, per-tuple tests for the rest), so no
 recompilation happens between executions.
 
 A prepared query pins the document-statistics fingerprint it was

@@ -686,11 +686,15 @@ class Engine:
 
         assert compiled.flwor is not None and compiled.tree is not None
         backend = run.options.executor
+        # Only a *requested* ``pipelined`` pins the strict merge join.
+        # Chosen (auto, cost, feedback), it names the merge-join family
+        # and the executor picks per edge: a ``*`` left vertex nests on
+        # any document and takes the stack variant.
+        pinned = choice.strategy not in ("twigstack", "parallel") and (
+            choice.strategy != "pipelined" or plan.requested == "pipelined")
         executor = FLWORExecutor(
             self.doc, self._resolve_doc,
-            join_algorithm=("auto" if choice.strategy in ("twigstack",
-                                                          "parallel")
-                            else choice.strategy),
+            join_algorithm=choice.strategy if pinned else "auto",
             counters=counters,
             recursive_hint=self.stats.recursive,
             tracer=tracer,
@@ -854,6 +858,8 @@ class Engine:
             est_nodes, est_rows = model.nok_estimate(
                 str(attrs.get("root_tag", "*")))
             shared = " (shared scan)" if attrs.get("shared_scan") else ""
+            if "shared_with" in attrs:  # a twin: not matched, relabelled
+                shared = f" (= NoK#{attrs['shared_with']})"
             rows.append({
                 "operator": f"scan NoK#{attrs.get('nok_id')} "
                             f"[{attrs.get('root_tag')}]{shared}",
@@ -913,7 +919,9 @@ class Engine:
             lines.append("")
             lines.append("phases: " + "  ".join(
                 f"{s.name.removesuffix('-phase')}={s.duration_ms:.3f}ms"
-                for s in phases))
+                for s in phases) + "".join(
+                f"  where_conjuncts={s.attrs['where_conjuncts']}"
+                for s in phases if "where_conjuncts" in s.attrs))
         lines.append("counters: " + " ".join(
             f"{k}={v}" for k, v in counters.snapshot().items()))
         return "\n".join(lines)

@@ -33,6 +33,7 @@ __all__ = [
     "BlossomVertex",
     "TreeEdge",
     "CrossingEdge",
+    "WhereConjunct",
     "BlossomTree",
     "TreeCheckpoint",
 ]
@@ -148,9 +149,9 @@ class CrossingEdge:
     over the two projected sequences) or ``deep-equal`` (mixed).
     ``negated`` wraps the relation in ``not(...)``.
 
-    Crossing edges are *pruning* devices: the executor re-verifies the
-    full where clause per tuple, so a crossing edge may be conservative
-    (keep when unsure) without affecting correctness.
+    Crossing edges are *pruning* devices: the executor re-verifies
+    their where-conjuncts per tuple, so a crossing edge may be
+    conservative (keep when unsure) without affecting correctness.
     """
 
     u: BlossomVertex
@@ -172,6 +173,31 @@ class CrossingEdge:
 
 
 @dataclass(frozen=True)
+class WhereConjunct:
+    """One top-level where-conjunct and what the builder did with it
+    (the dispositions are defined in :mod:`repro.pattern.build`)."""
+
+    expr: Expr
+    disposition: str   # "crossing" | "pushed-exact" | "pushed" | "residual"
+    #: The crossing edge, or the vertex that took the pushed ``predicate``.
+    target: CrossingEdge | BlossomVertex | None = None
+    predicate: Expr | None = None
+    reason: str = ""   # pushed: why it is verified per tuple all the same
+
+    def __str__(self) -> str:
+        target = self.target
+        if isinstance(target, CrossingEdge):
+            op = (f"not({target.relation})" if target.negated
+                  else target.relation)
+            return f"crossing V{target.u.vid} {op} V{target.v.vid}"
+        if target is None:
+            return self.disposition
+        why = f" ({self.reason}: re-verified)" if self.reason else ""
+        return (f"{self.disposition} \u2192 "
+                f"V{target.vid}[{self.predicate}]{why}")
+
+
+@dataclass(frozen=True)
 class TreeCheckpoint:
     """A snapshot of a BlossomTree's construction state.
 
@@ -185,7 +211,6 @@ class TreeCheckpoint:
     n_vertices: int
     n_tree_edges: int
     n_crossing_edges: int
-    n_residual: int
     #: value-predicate count per then-existing vertex (a ``self`` step
     #: can attach predicates to a pre-checkpoint vertex).
     predicate_counts: tuple[int, ...]
@@ -201,9 +226,10 @@ class BlossomTree:
         self.crossing_edges: list[CrossingEdge] = []
         #: variable name -> vertex bound to it
         self.var_vertex: dict[str, BlossomVertex] = {}
-        #: where-clause conjuncts not captured by crossing edges or
-        #: value predicates; re-checked per tuple by the executor.
-        self.residual_where: list[Expr] = []
+        #: One entry per distinct top-level where-conjunct, in clause
+        #: order; the executor compiles its per-tuple test from those
+        #: that are not ``pushed-exact``.
+        self.where: list[WhereConjunct] = []
         #: The executor's lazily compiled bind walk and finish.
         self.compiled: object | None = None
 
@@ -256,17 +282,17 @@ class BlossomTree:
         """Snapshot the tree before a speculative chain build."""
         return TreeCheckpoint(
             len(self.vertices), len(self.tree_edges),
-            len(self.crossing_edges), len(self.residual_where),
+            len(self.crossing_edges),
             tuple(len(v.value_predicates) for v in self.vertices))
 
     def rollback(self, mark: TreeCheckpoint) -> None:
         """Undo everything added since ``mark`` was taken.
 
-        Removes the vertices, tree edges, crossing edges, residual
-        conjuncts and value predicates created after the checkpoint and
-        restores parent/child bookkeeping, so an abandoned speculative
-        build leaves no trace (vertex ids stay dense because builds
-        only append).
+        Removes the vertices, tree edges, crossing edges and value
+        predicates created after the checkpoint and restores
+        parent/child bookkeeping, so an abandoned speculative build
+        leaves no trace (vertex ids stay dense because builds only
+        append; a conjunct's disposition is recorded after its build).
         """
         for edge in self.tree_edges[mark.n_tree_edges:]:
             edge.parent.child_edges = [
@@ -279,7 +305,6 @@ class BlossomTree:
         self.var_vertex = {name: v for name, v in self.var_vertex.items()
                            if id(v) not in dropped}
         del self.crossing_edges[mark.n_crossing_edges:]
-        del self.residual_where[mark.n_residual:]
         for vertex, count in zip(self.vertices, mark.predicate_counts,
                                  strict=True):
             del vertex.value_predicates[count:]
@@ -311,11 +336,8 @@ class BlossomTree:
         lines: list[str] = []
         for root in self.roots:
             self._describe_vertex(root, 0, lines)
-        for edge in self.crossing_edges:
-            op = f"not({edge.relation})" if edge.negated else edge.relation
-            lines.append(f"crossing: V{edge.u.vid} {op} V{edge.v.vid}")
-        for expr in self.residual_where:
-            lines.append(f"residual: {expr}")
+        for conjunct in self.where:
+            lines.append(f"where {conjunct.expr}: {conjunct}")
         return "\n".join(lines)
 
     def _describe_vertex(self, vertex: BlossomVertex, depth: int,

@@ -18,13 +18,30 @@ Construction rules
   ``or``-expressions over paths, functions) is unsupported by the
   pattern matcher and raises :class:`~repro.errors.CompileError`; the
   engine then falls back to the navigational evaluator.
-* Top-level ``and``-conjuncts of the where clause become crossing edges
-  (``<<``, ``>>``, value comparisons, ``deep-equal``, their negations)
-  when both sides are variable-rooted paths; single-variable comparisons
-  against literals become mandatory pruning chains when the variable is
-  for-bound.  Remaining conjuncts go to ``residual_where``.  The
-  executor re-verifies the complete where clause per tuple, so all of
-  this is sound pruning, never a semantic shortcut.
+* Every distinct top-level ``and``-conjunct of the where clause gets one
+  disposition (``BlossomTree.where``).  ``crossing``: both sides are
+  variable-rooted paths (``<<``, ``>>``, value comparisons,
+  ``deep-equal``, their negations) — a crossing edge, which only prunes.
+  ``pushed-exact`` / ``pushed``: ``$v/steps op X`` (either operand
+  order; ``X`` a literal or a bare external ``$p``) over a for-bound
+  ``$v`` is attached to ``$v``'s vertex by the routine that attaches the
+  step predicate ``[steps op X]``.  ``residual``: everything else —
+  negated and let-bound conjuncts (pruning a let sequence would change
+  it), ``or``, functions, quantifiers, and paths with a step the pattern
+  subset rejects (the half-built chain is rolled back, rule BT006).
+
+Why the finish does not evaluate a ``pushed-exact`` conjunct
+------------------------------------------------------------
+The interpreter's general comparison is existential over the atom pairs
+of both sides, so ``$v/steps op X`` holds for a tuple iff *some* match
+of ``steps`` below ``$v``'s node satisfies ``. op X`` — the Definition-1
+reading of the mandatory chain with that test on its leaf, decided in
+the NoK scan by the same compiled comparison (for ``$p``: against the
+request's bindings, whatever their type).  The exceptions stay
+``pushed``, pruned in the scan *and* verified per tuple: a chain with a
+``following-sibling`` step (the NoK matcher over-approximates sibling
+order, ROADMAP item 1) and a vertex that binds several variables.
+Crossing and residual conjuncts are verified per tuple as ever.
 """
 
 from __future__ import annotations
@@ -45,6 +62,7 @@ from repro.xpath.ast import (
     Step,
     TextTest,
     conjuncts,
+    mentions_variable,
     walk,
 )
 from repro.xquery.ast import FLWOR, ForClause, LetClause
@@ -53,6 +71,7 @@ from repro.pattern.blossom import (
     MODE_OPTIONAL,
     BlossomTree,
     BlossomVertex,
+    WhereConjunct,
 )
 
 __all__ = ["build_blossom_tree", "build_from_path", "path_as_flwor"]
@@ -61,6 +80,8 @@ __all__ = ["build_blossom_tree", "build_from_path", "path_as_flwor"]
 RESULT_VAR = "#result"
 
 _VALUE_OPS = ("=", "!=", "<", "<=", ">", ">=")
+#: The context node, as a path: what a leaf's own value test compares.
+_HERE = LocationPath(RootContext(False), ())
 _ORDER_OPS = ("<<", ">>", "is", "isnot")
 
 
@@ -80,12 +101,11 @@ def build_blossom_tree(flwor: FLWOR,
     """Translate a FLWOR expression into a BlossomTree.
 
     ``external`` names the query's external ``$parameters`` (values
-    supplied at execution time, unknown at compile time).  Where-clause
-    conjuncts that mention them cannot become crossing edges or pruning
-    chains — their values do not exist yet — so they are routed to
-    ``residual_where``, which the executor re-verifies per tuple with
-    the actual bindings merged in.  A *clause* rooted at an external
-    parameter has no pattern-tree anchor at all and raises
+    supplied at execution time, unknown at compile time).  A bare
+    ``$p`` may be the operand of a pushed where-conjunct — the vertex
+    test then reads the request's bindings during the scan — but it is
+    never a crossing-edge endpoint, and a *clause* rooted at one has no
+    pattern-tree anchor at all and raises
     :class:`~repro.errors.CompileError` (navigational fallback).
 
     Raises :class:`~repro.errors.CompileError` when the expression uses
@@ -225,8 +245,11 @@ class _Builder:
             self._build_existential(vertex, predicate, value_pred=None)
             return
         if isinstance(predicate, Comparison) and predicate.op in _VALUE_OPS:
-            handled = self._attach_comparison(vertex, predicate)
-            if handled:
+            # Literal operands only: a step predicate on a variable is
+            # outside the subset (the stream operators have no bindings).
+            path = _tested_path(predicate)
+            if path is not None and path.root == _HERE.root:
+                self._attach_comparison(vertex, predicate, path)
                 return
         if isinstance(predicate, NumberLiteral):
             raise CompileError("positional predicates are outside the "
@@ -234,7 +257,7 @@ class _Builder:
         if _mentions_position(predicate):
             raise CompileError("position()/last() predicates are outside the "
                                "pattern-matching subset")
-        if _mentions_variable(predicate):
+        if mentions_variable(predicate):
             raise CompileError("variable references inside step predicates are "
                                "outside the pattern-matching subset")
         # Anything else (boolean mixes, functions, negated existence) is
@@ -242,35 +265,27 @@ class _Builder:
         # the full XPath evaluator runs with the candidate as context.
         vertex.value_predicates.append(predicate)
 
-    def _attach_comparison(self, vertex: BlossomVertex, cmp: Comparison) -> bool:
-        """Handle ``path op literal`` predicates; returns True if consumed."""
-        path, literal, op = _split_path_literal(cmp)
-        if path is None or literal is None:
-            return False
-        if not isinstance(path.root, RootContext) or path.root.absolute:
-            return False
-        if not path.steps:
-            # [. op literal]
+    def _attach_comparison(self, vertex: BlossomVertex, cmp: Comparison,
+                          path: LocationPath) -> BlossomVertex:
+        """Attach ``path op X`` (either operand order; ``path`` the side
+        of ``cmp`` relative to ``vertex``'s match); returns the vertex
+        that took the constraint."""
+        steps = path.steps
+        if not steps or (len(steps) == 1 and not steps[0].predicates and (
+                steps[0].axis in ("attribute", "self")
+                or (steps[0].axis == "child"
+                    and isinstance(steps[0].test, TextTest)))):
+            # [. op X], [@attr op X], [text() op X]: tested on the vertex.
             vertex.value_predicates.append(cmp)
-            return True
-        if len(path.steps) == 1 and path.steps[0].axis in ("attribute", "self") \
-                and not path.steps[0].predicates:
-            vertex.value_predicates.append(cmp)
-            return True
-        if len(path.steps) == 1 and isinstance(path.steps[0].test, TextTest) \
-                and path.steps[0].axis == "child" and not path.steps[0].predicates:
-            vertex.value_predicates.append(cmp)
-            return True
-        # [a/b op literal] — existential subtree with a value-constrained leaf.
-        leaf_pred = Comparison(op, LocationPath(RootContext(False), ()), literal) \
-            if _path_is_left(cmp) else \
-            Comparison(op, literal, LocationPath(RootContext(False), ()))
-        self._build_existential(vertex, path, value_pred=leaf_pred)
-        return True
+            return vertex
+        # [a/b op X] — existential subtree with a value-constrained leaf.
+        return self._build_existential(vertex, path,
+                                       _with_path(cmp, path, _HERE))
 
     def _build_existential(self, vertex: BlossomVertex, path: LocationPath,
-                           value_pred: Expr | None) -> None:
-        """Build a mandatory, non-returning subtree below ``vertex``."""
+                           value_pred: Expr | None) -> BlossomVertex:
+        """Build a mandatory, non-returning subtree below ``vertex``;
+        returns its leaf."""
         if not isinstance(path.root, RootContext) or path.root.absolute:
             raise CompileError("predicate paths must be relative to the "
                                "context node")
@@ -279,54 +294,43 @@ class _Builder:
             raise CompileError("empty predicate path")
         if value_pred is not None:
             leaf.value_predicates.append(value_pred)
+        return leaf
 
     # ------------------------------------------------------------------
     # Where clause.
     # ------------------------------------------------------------------
 
     def add_where(self, where: Expr) -> None:
-        for conjunct in conjuncts(where):
-            self._add_conjunct(conjunct)
+        # A repeated conjunct is one conjunct ([p and p] is [p]).
+        for conjunct in dict.fromkeys(conjuncts(where)):
+            self.tree.where.append(self._place_conjunct(conjunct))
 
-    def _add_conjunct(self, conjunct: Expr) -> None:
+    def _place_conjunct(self, conjunct: Expr) -> WhereConjunct:
         tree = self.tree
         inner, negated = _strip_not(conjunct)
-
-        if isinstance(inner, FunctionCall) and inner.name == "deep-equal" \
-                and len(inner.args) == 2:
-            if isinstance(inner.args[0], LocationPath) \
-                    and isinstance(inner.args[1], LocationPath):
-                # One endpoint may resolve (building its chain) while the
-                # other does not; abandon the pair atomically or the
-                # half-built chain stays behind (rule BT006).
-                mark = tree.checkpoint()
-                u = self._where_endpoint(inner.args[0])
-                v = self._where_endpoint(inner.args[1])
-                if u is not None and v is not None:
-                    tree.add_crossing(u, v, "deep-equal", negated)
-                    return
-                tree.rollback(mark)
-            tree.residual_where.append(conjunct)
-            return
-
-        if isinstance(inner, Comparison):
-            op = inner.op
-            if (op in _ORDER_OPS or op in _VALUE_OPS) \
-                    and isinstance(inner.left, LocationPath) \
-                    and isinstance(inner.right, LocationPath):
-                mark = tree.checkpoint()
-                u = self._where_endpoint(inner.left)
-                v = self._where_endpoint(inner.right)
-                if u is not None and v is not None:
-                    tree.add_crossing(u, v, op, negated)
-                    return
-                tree.rollback(mark)
-            if op in _VALUE_OPS and not negated:
-                if self._try_prune_literal(inner):
-                    # Conjunct kept in residual_where too: the crossing
-                    # machinery only prunes, the executor re-verifies.
-                    return
-        tree.residual_where.append(conjunct)
+        pair: tuple[Expr, ...] = ()
+        relation = ""
+        if isinstance(inner, FunctionCall) and inner.name == "deep-equal":
+            pair, relation = inner.args, inner.name
+        elif isinstance(inner, Comparison) \
+                and (inner.op in _ORDER_OPS or inner.op in _VALUE_OPS):
+            pair, relation = (inner.left, inner.right), inner.op
+        if len(pair) == 2 and isinstance(pair[0], LocationPath) \
+                and isinstance(pair[1], LocationPath):
+            # One endpoint may resolve (building its chain) while the
+            # other does not; abandon the pair atomically or the
+            # half-built chain stays behind (rule BT006).
+            mark = tree.checkpoint()
+            u = self._where_endpoint(pair[0])
+            v = self._where_endpoint(pair[1])
+            if u is not None and v is not None:
+                return WhereConjunct(conjunct, "crossing", tree.add_crossing(
+                    u, v, relation, negated))
+            tree.rollback(mark)
+        if isinstance(inner, Comparison) and inner.op in _VALUE_OPS \
+                and not negated:
+            return self._push_selection(conjunct, inner)
+        return WhereConjunct(conjunct, "residual")
 
     def _where_endpoint(self, expr: Expr) -> BlossomVertex | None:
         """Resolve a where-side expression to a vertex (building an
@@ -336,12 +340,8 @@ class _Builder:
             return None
         if not isinstance(expr.root, RootVariable):
             return None
-        anchor = self.tree.var_vertex.get(expr.root.name)
-        if anchor is None:
-            if expr.root.name in self._external:
-                return None    # value unknown until execute(): residual
-            raise CompileError(f"where references unbound variable ${expr.root.name}")
-        if not expr.steps:
+        anchor = self._where_anchor(expr.root.name)
+        if anchor is None or not expr.steps:
             return anchor
         mark = self.tree.checkpoint()
         try:
@@ -355,45 +355,44 @@ class _Builder:
         leaf.returning = True
         return leaf
 
-    def _try_prune_literal(self, cmp: Comparison) -> bool:
-        """``$v/steps op literal`` where $v is for-bound: add a mandatory
-        pruning chain with the value constraint on its leaf."""
-        path, literal, _ = _split_path_literal(cmp)
-        if path is None or literal is None:
-            return False
-        if not isinstance(path.root, RootVariable):
-            return False
-        anchor = self.tree.var_vertex.get(path.root.name)
-        if anchor is None:
-            if path.root.name in self._external:
-                return False   # value unknown until execute(): residual
-            raise CompileError(f"where references unbound variable ${path.root.name}")
-        if anchor.var_kinds.get(path.root.name) != "for":
-            return False  # pruning a let-bound sequence would change it
-        if not path.steps:
-            anchor.value_predicates.append(
-                Comparison(cmp.op,
-                           LocationPath(RootContext(False), ()) if _path_is_left(cmp)
-                           else literal,
-                           literal if _path_is_left(cmp)
-                           else LocationPath(RootContext(False), ())))
-            self.tree.residual_where.append(cmp)
-            return True
-        leaf_pred = (Comparison(cmp.op, LocationPath(RootContext(False), ()), literal)
-                     if _path_is_left(cmp)
-                     else Comparison(cmp.op, literal, LocationPath(RootContext(False), ())))
+    def _where_anchor(self, name: str) -> BlossomVertex | None:
+        """The vertex ``$name`` is bound to; ``None`` for an external
+        parameter (its value is unknown until ``execute()``)."""
+        anchor = self.tree.var_vertex.get(name)
+        if anchor is None and name not in self._external:
+            raise CompileError(f"where references unbound variable ${name}")
+        return anchor
+
+    def _push_selection(self, conjunct: Expr,
+                        cmp: Comparison) -> WhereConjunct:
+        """``$v/steps op X`` over a for-bound ``$v`` becomes the step
+        predicate ``[steps op X]`` on ``$v``'s vertex."""
+        residual = WhereConjunct(conjunct, "residual")
+        path = _tested_path(cmp, self._external)
+        if path is None or not isinstance(path.root, RootVariable):
+            return residual
+        anchor = self._where_anchor(path.root.name)
+        if anchor is None or anchor.var_kinds[path.root.name] != "for":
+            return residual  # pruning a let-bound sequence would change it
+        relative = LocationPath(_HERE.root, path.steps)
         mark = self.tree.checkpoint()
         try:
-            self._build_existential(anchor, LocationPath(RootContext(False), path.steps),
-                                    value_pred=leaf_pred)
+            target = self._attach_comparison(
+                anchor, _with_path(cmp, path, relative), relative)
         except CompileError:
             # A partially built *mandatory* chain would keep pruning
-            # tuples even though the conjunct fell back to residual
-            # re-verification; roll it back (rule BT006).
+            # tuples although the conjunct is only checked per tuple;
+            # roll it back (rule BT006).
             self.tree.rollback(mark)
-            return False
-        self.tree.residual_where.append(cmp)
-        return True
+            return residual
+        reason = ""
+        if any(v.after_vid is not None
+               for v in self.tree.vertices[mark.n_vertices:]):
+            reason = "following-sibling"
+        elif len(anchor.variables) > 1:
+            reason = "shared vertex"
+        return WhereConjunct(conjunct, "pushed" if reason else "pushed-exact",
+                             target, target.value_predicates[-1], reason)
 
     # ------------------------------------------------------------------
     # Finalization.
@@ -430,28 +429,32 @@ def _strip_not(expr: Expr) -> tuple[Expr, bool]:
             return expr, negated
 
 
-def _split_path_literal(cmp: Comparison):
-    """Return (path, literal, op) when one side is a path and the other a
-    literal; (None, None, op) otherwise."""
-    literal_types = (Literal, NumberLiteral)
-    if isinstance(cmp.left, LocationPath) and isinstance(cmp.right, literal_types):
-        return cmp.left, cmp.right, cmp.op
-    if isinstance(cmp.right, LocationPath) and isinstance(cmp.left, literal_types):
-        return cmp.right, cmp.left, cmp.op
-    return None, None, cmp.op
+def _tested_path(cmp: Comparison, late: frozenset[str] = frozenset()
+                 ) -> LocationPath | None:
+    """The path side of ``path op X`` / ``X op path``, ``X`` a literal or
+    a bare ``$name`` with ``name`` in ``late``; ``None`` for any other
+    comparison."""
+    for path, operand in ((cmp.left, cmp.right), (cmp.right, cmp.left)):
+        if isinstance(path, LocationPath) and not _is_parameter(path, late) \
+                and (isinstance(operand, (Literal, NumberLiteral))
+                     or _is_parameter(operand, late)):
+            return path
+    return None
 
 
-def _path_is_left(cmp: Comparison) -> bool:
-    return isinstance(cmp.left, LocationPath)
+def _with_path(cmp: Comparison, path: LocationPath,
+               other: LocationPath) -> Comparison:
+    """``cmp`` with its side ``path`` replaced by ``other``."""
+    return Comparison(cmp.op, other, cmp.right) if path is cmp.left \
+        else Comparison(cmp.op, cmp.left, other)
+
+
+def _is_parameter(expr: Expr, late: frozenset[str]) -> bool:
+    return (isinstance(expr, LocationPath) and not expr.steps
+            and isinstance(expr.root, RootVariable)
+            and expr.root.name in late)
 
 
 def _mentions_position(expr: Expr) -> bool:
     return any(isinstance(node, FunctionCall)
                and node.name in ("position", "last") for node in walk(expr))
-
-
-def _mentions_variable(expr: Expr) -> bool:
-    """Any variable reference at all — a quantifier's own variable
-    included: the matcher evaluates predicates without bindings."""
-    return any(isinstance(node, LocationPath)
-               and isinstance(node.root, RootVariable) for node in walk(expr))

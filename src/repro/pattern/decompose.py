@@ -39,9 +39,29 @@ class NoKTree:
     #: kept here, not on the vertices it closes over, so it is freed
     #: with the plan, not by the cycle collector; never pickled.
     matcher: object | None = field(default=None, repr=False, compare=False)
+    #: The first NoK of the decomposition under the same pattern root —
+    #: so scanned with this one, over the same document — that has the
+    #: same :meth:`shape`: a merged scan matches the pair once.
+    twin_of: int | None = None
 
     def __getstate__(self) -> dict[str, object]:
         return {**self.__dict__, "matcher": None}
+
+    def shape(self) -> object:
+        """The NoK's structural identity: NoKs of equal shape have the
+        same matches on any document, vertex for vertex.  Edges compare
+        by position, a vertex's predicates as a set of ASTs (``[p][q]``
+        is ``[q][p]``, ``[p][p]`` is ``[p]``; a late-bound one names its
+        ``$parameter``)."""
+        place = {v.vid: i for i, v in enumerate(self.vertices)}
+
+        def of(vertex: BlossomVertex) -> object:
+            return (vertex.name, frozenset(vertex.value_predicates),
+                    vertex.returning, place.get(vertex.after_vid, -1)
+                    if vertex.after_vid is not None else None,
+                    tuple((e.axis, e.mode, None if e.cut else of(e.child))
+                          for e in vertex.child_edges))
+        return of(self.root)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<NoK{self.nok_id} root=V{self.root.vid} |V|={len(self.vertices)}>"
@@ -157,4 +177,14 @@ def decompose(tree: BlossomTree) -> Decomposition:
             if edge.child.returning and not edge.parent.returning:
                 edge.parent.returning = True
                 changed = True
+
+    # Twins (the shapes are final only now: ``returning`` is part of
+    # one).  Distinct root tags leave nothing to compare.
+    if len({nok.root.name for nok in result.noks}) < len(result.noks):
+        first: dict[object, int] = {}
+        for nok in result.noks:
+            original = first.setdefault(
+                (tree.pattern_root_of(nok.root).vid, nok.shape()), nok.nok_id)
+            if original != nok.nok_id:
+                nok.twin_of = original
     return result

@@ -6,7 +6,7 @@ from repro.physical.nested_loop import (
     naive_nested_loop_join,
     nested_loop_pairs,
 )
-from repro.physical.nok import NoKMatcher, match_subtree
+from repro.physical.nok import NoKMatcher
 from repro.physical.nok_merge import merged_scan
 from repro.physical.pathstack import PathStackOperator, chain_supported
 from repro.physical.pipelined_join import caching_desc_join, pipelined_desc_join
@@ -25,7 +25,6 @@ __all__ = [
     "caching_desc_join",
     "chain_supported",
     "left_projection",
-    "match_subtree",
     "merged_scan",
     "naive_nested_loop_join",
     "nested_loop_pairs",

@@ -31,6 +31,7 @@ from repro.physical.nok import NoKMatcher
 from repro.physical.structural import JoinResult, axis_test, count_operator
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
+from repro.xpath.compile import Bindings
 from repro.algebra.nested_list import NLEntry
 
 __all__ = [
@@ -46,8 +47,8 @@ R = TypeVar("R")
 def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
                              doc: Document, edge: InterEdge,
                              counters: ScanCounters | None = None,
-                             canonical: dict[int, NLEntry] | None = None
-                             ) -> JoinResult:
+                             canonical: dict[int, NLEntry] | None = None,
+                             *, variables: Bindings) -> JoinResult:
     """BNLJ: per outer node, re-match the inner NoK within its subtree.
 
     The outer NoK "piggybacks the range (p1, p2)" — here the pre-order
@@ -62,6 +63,8 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
     a rematch whose root is absent there was eliminated by a deeper
     mandatory join and must not resurface, and present ones must map to
     the *filtered* entry so downstream navigation sees reduced groups.
+    ``variables`` are the request's bindings, for the inner NoK's
+    late-bound vertex tests.
     """
     if counters is None:
         counters = ScanCounters()
@@ -72,7 +75,8 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
             token.checkpoint()
         start = outer.nid + 1
         stop = outer.nid + outer.subtree_size()
-        matcher = NoKMatcher(inner_nok, doc, counters, start_nid=start, stop_nid=stop)
+        matcher = NoKMatcher(inner_nok, doc, counters, start, stop,
+                             variables=variables)
         for entry in matcher.iter_matches():
             entry = _reconcile(entry, canonical)
             if entry is not None:
@@ -84,13 +88,13 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
 def naive_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
                            doc: Document, edge: InterEdge,
                            counters: ScanCounters | None = None,
-                           canonical: dict[int, NLEntry] | None = None
-                           ) -> JoinResult:
+                           canonical: dict[int, NLEntry] | None = None,
+                           *, variables: Bindings) -> JoinResult:
     """Unbounded nested loop: full inner scan per outer node.
 
     The ablation baseline for BNLJ's range optimization and the
     harness's "NL" system.  See :func:`bounded_nested_loop_join` for
-    the ``canonical`` reconciliation contract.
+    the ``canonical`` reconciliation contract and ``variables``.
     """
     if counters is None:
         counters = ScanCounters()
@@ -99,7 +103,7 @@ def naive_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
     for outer in left_nodes:
         if token is not None:
             token.checkpoint()
-        matcher = NoKMatcher(inner_nok, doc, counters)
+        matcher = NoKMatcher(inner_nok, doc, counters, variables=variables)
         for entry in matcher.iter_matches():
             node = entry.node
             assert node is not None

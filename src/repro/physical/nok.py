@@ -27,6 +27,11 @@ Differences from the pseudo-code, for exactness:
   (:func:`matcher_for`): per vertex the compiled predicates, a ``tag ->
   applicable pattern edges`` table and the mandatory-edge mask are
   resolved when the plan first executes, not per scanned node.
+* A predicate that mentions a variable is *late-bound* (a pushed
+  where-conjunct ``. op $p``): it reads the request's bindings, an
+  argument of every matcher call and never state of the shared plan.
+  Without bindings — no request: a tool scanning a decomposition — a
+  matcher skips those tests and yields the structural superset.
 """
 
 from __future__ import annotations
@@ -38,20 +43,21 @@ from repro.pattern.blossom import MODE_MANDATORY, BlossomVertex
 from repro.pattern.decompose import NoKTree
 from repro.xmlkit.storage import ScanCounters, SequentialScan
 from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, Node
-from repro.xpath.compile import Test, compile_test
-from repro.xpath.evaluator import Value
+from repro.xpath.ast import mentions_variable
+from repro.xpath.compile import Bindings, ScanBindings, Test, compile_test
 from repro.algebra.nested_list import NLEntry
 
-__all__ = ["Matcher", "NoKMatcher", "compile_matcher", "match_subtree",
-           "matcher_for", "value_constraints_hold"]
+__all__ = ["Matcher", "NoKMatcher", "compile_matcher", "matcher_for",
+           "value_constraints_hold"]
 
-#: A compiled pattern vertex: ``fn(node, counters)`` is the NestedList
-#: entry of the vertex's NoK subtree matched at ``node`` (whose tag the
-#: caller has tested), or ``None``.
-Matcher = Callable[[Node, ScanCounters], "NLEntry | None"]
+#: A compiled pattern vertex: ``fn(node, counters, variables)`` is the
+#: NestedList entry of the vertex's NoK subtree matched at ``node``
+#: (whose tag the caller has tested) under the request's bindings, or
+#: ``None``.
+Matcher = Callable[[Node, ScanCounters, "Bindings | None"], "NLEntry | None"]
 
-#: Vertex predicates see no variables (shared, never written).
-_NO_VARIABLES: dict[str, Value] = {}
+#: What a predicate that mentions no variable is given (never written).
+_NO_VARIABLES: Bindings = {}
 
 
 class NoKMatcher:
@@ -69,16 +75,21 @@ class NoKMatcher:
     start_nid, stop_nid:
         Optional scan range (pre-order ranks).  The bounded nested-loop
         join re-runs matchers over subtree ranges through these.
+    variables:
+        The request's bindings, for late-bound vertex tests (``{}``
+        outside a request: a plan with such a test then fails loudly).
     """
 
     def __init__(self, nok: NoKTree, doc: Document,
                  counters: ScanCounters | None = None,
-                 start_nid: int = 0, stop_nid: int | None = None) -> None:
+                 start_nid: int = 0, stop_nid: int | None = None,
+                 *, variables: Bindings) -> None:
         self.nok = nok
         self.doc = doc
         self.counters = counters if counters is not None else ScanCounters()
         self.start_nid = start_nid
         self.stop_nid = stop_nid
+        self.variables = ScanBindings(variables)
 
     # ------------------------------------------------------------------
     # Evaluation.
@@ -95,7 +106,8 @@ class NoKMatcher:
         match = matcher_for(self.nok)
         if root.name == "#root":
             # Pattern-tree roots match the document node itself.
-            entry = match(self.doc.document_node, self.counters)
+            entry = match(self.doc.document_node, self.counters,
+                          self.variables)
             if entry is not None:
                 yield entry
             return
@@ -104,22 +116,9 @@ class NoKMatcher:
         for node in scan:
             if not root.matches_tag(node.tag):
                 continue
-            entry = match(node, self.counters)
+            entry = match(node, self.counters, self.variables)
             if entry is not None:
                 yield entry
-
-
-def match_subtree(vertex: BlossomVertex, node: Node,
-                  counters: ScanCounters) -> NLEntry | None:
-    """Match a NoK pattern subtree rooted at ``vertex`` against ``node``.
-
-    The caller must have verified the tag-name test (scan-level
-    filtering); this function checks value constraints and children.
-    Returns the NestedList entry, or ``None`` when a mandatory child has
-    no match or a value constraint fails.  A one-off: scans fetch their
-    NoK's matcher once (:func:`matcher_for`) and call that per node.
-    """
-    return compile_matcher(vertex)(node, counters)
 
 
 def value_constraints_hold(vertex: BlossomVertex, node: Node,
@@ -129,10 +128,11 @@ def value_constraints_hold(vertex: BlossomVertex, node: Node,
     The TwigStack and PathStack stream filters call it per stream node;
     like the NoK matchers they count one comparison per predicate
     evaluated and stop at the first failure.  The compiled predicates
-    are kept on the vertex — the stream operators know no NoK.
+    are kept on the vertex — the stream operators know no NoK, and run
+    bare paths only: no where clause, so no late-bound test.
     """
     if vertex.tests is None:  # a race compiles an equal tuple twice
-        vertex.tests = _compile_tests(vertex)
+        vertex.tests = _compile_tests(vertex)[0]
     if node.kind == DOCUMENT:
         return True
     for test in vertex.tests:
@@ -142,8 +142,15 @@ def value_constraints_hold(vertex: BlossomVertex, node: Node,
     return True
 
 
-def _compile_tests(vertex: BlossomVertex) -> tuple[Test, ...]:
-    return tuple(compile_test(p) for p in vertex.value_predicates)
+def _compile_tests(vertex: BlossomVertex
+                   ) -> tuple[tuple[Test, ...], tuple[Test, ...]]:
+    """The vertex's predicates compiled: (static, late-bound)."""
+    static: list[Test] = []
+    late: list[Test] = []
+    for predicate in vertex.value_predicates:
+        (late if mentions_variable(predicate) else static).append(
+            compile_test(predicate))
+    return tuple(static), tuple(late)
 
 
 def matcher_for(nok: NoKTree) -> Matcher:
@@ -160,12 +167,13 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
     The closure alone holds what is compiled here (the tests too), so
     all of it is freed with the closure's owner.
     """
-    tests = _compile_tests(vertex)
+    tests, late = _compile_tests(vertex)
     n_groups = len(vertex.child_edges)
     local = [(index, edge) for index, edge in enumerate(vertex.child_edges)
              if not edge.cut]
-    if not local and not tests:
-        return lambda node, counters: NLEntry(vertex, node, n_groups)
+    if not local and not tests and not late:
+        return lambda node, counters, variables: \
+            NLEntry(vertex, node, n_groups)
 
     # The matched mask drives both the mandatory check and the
     # following-sibling eligibility rule (a child with an ``after_vid``
@@ -193,12 +201,18 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
     table = {tag: tuple(e for name, e in edges if name in (tag, "*"))
              for tag, _ in edges if tag not in ("*", "#root")}
 
-    def match(node: Node, counters: ScanCounters) -> NLEntry | None:
+    def match(node: Node, counters: ScanCounters,
+              variables: Bindings | None) -> NLEntry | None:
         if node.kind != DOCUMENT:
             for test in tests:
                 counters.comparisons += 1
                 if not test(node, _NO_VARIABLES, None):
                     return None
+            if late and variables is not None:
+                for test in late:
+                    counters.comparisons += 1
+                    if not test(node, variables, None):
+                        return None
         entry = NLEntry(vertex, node, n_groups)
         groups = entry.groups
         matched = 0
@@ -210,7 +224,7 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                 if after and not matched & after:
                     continue
                 counters.comparisons += 1
-                sub = child_match(child_node, counters)
+                sub = child_match(child_node, counters, variables)
                 if sub is None:
                     continue
                 matched |= bit

@@ -10,28 +10,66 @@ The per-NoK match lists that come out are identical to what the
 individual :class:`~repro.physical.nok.NoKMatcher` scans produce (the
 ablation benchmark asserts this), but ``counters.nodes_scanned`` grows
 by one document pass instead of one pass per NoK.
+
+NoKs of one scan that are structurally identical (``for $a in
+//book[price < 2], $b in //book[price < 2]``) are matched once: see
+:func:`matched_once`.
 """
 
 from __future__ import annotations
 
+from repro.pattern.blossom import BlossomVertex
 from repro.pattern.decompose import NoKTree
 from repro.physical.nok import Matcher, matcher_for
 from repro.physical.structural import count_operator
 from repro.xmlkit.arena import ArenaDocument
 from repro.xmlkit.storage import ScanCounters, SequentialScan
 from repro.xmlkit.tree import Document
+from repro.xpath.compile import Bindings, ScanBindings
 from repro.algebra.nested_list import NLEntry
 
-__all__ = ["merged_scan", "scan_range"]
+__all__ = ["matched_once", "merged_scan", "relabel_twins", "scan_range"]
 
 #: One dispatch-table entry: a NoK's compiled root matcher, the list
 #: its matches go to, and the counters its match work is charged to.
 _Target = tuple[Matcher, list[NLEntry], ScanCounters]
 
 
+def matched_once(noks: list[NoKTree]
+                 ) -> tuple[list[NoKTree], list[NoKTree]]:
+    """``noks`` split into those a scan matches and their twins
+    (:attr:`~repro.pattern.decompose.NoKTree.twin_of` names one of the
+    former).  A twin is not matched — by no partition either: the scan's
+    caller gives it the first's list afterwards (:func:`relabel_twins`)."""
+    scanned = {nok.nok_id for nok in noks}
+    return ([nok for nok in noks if nok.twin_of not in scanned],
+            [nok for nok in noks if nok.twin_of in scanned])
+
+
+def relabel_twins(twins: list[NoKTree],
+                  results: dict[int, list[NLEntry]]) -> None:
+    """Each twin's list: the first's, re-labelled onto its own vertices
+    (π, σ and the joins find ``entry.vertex`` by identity and reduce each
+    list separately, so the two lists share no entry)."""
+    for nok in twins:
+        assert nok.twin_of is not None
+        results[nok.nok_id] = [_relabel(entry, nok.root)
+                               for entry in results[nok.twin_of]]
+
+
+def _relabel(entry: NLEntry, vertex: BlossomVertex) -> NLEntry:
+    """A copy of ``entry`` over the equal-shaped subtree at ``vertex``."""
+    copy = NLEntry(vertex, entry.node, 0)
+    copy.groups = [[None if sub is None else _relabel(sub, edge.child)
+                    for sub in group]
+                   for group, edge in zip(entry.groups, vertex.child_edges)]
+    return copy
+
+
 def merged_scan(noks: list[NoKTree], doc: Document,
                 counters: ScanCounters | None = None,
-                per_nok: dict[int, ScanCounters] | None = None
+                per_nok: dict[int, ScanCounters] | None = None,
+                variables: Bindings | None = None
                 ) -> dict[int, list[NLEntry]]:
     """Evaluate several NoK pattern trees over one document in one scan.
 
@@ -45,17 +83,25 @@ def merged_scan(noks: list[NoKTree], doc: Document,
     scan to individual pattern trees.  The private counters are folded
     back into ``counters`` before returning, keeping the shared totals
     identical either way.
+
+    ``variables`` are the request's bindings, read by late-bound vertex
+    tests (pushed ``$v/path op $p`` where-conjuncts); every engine path
+    passes them.  Without a request (``None``) those tests are not
+    applied: such a plan yields the structural superset of its lists.
     """
     if counters is None:
         counters = ScanCounters()
-    results = scan_range(noks, doc, counters, per_nok)
+    noks, twins = matched_once(noks)
+    results = scan_range(noks, doc, counters, per_nok, variables=variables)
+    relabel_twins(twins, results)
     count_operator("merged_scan", sum(map(len, results.values())))
     return results
 
 
 def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
                per_nok: dict[int, ScanCounters] | None = None,
-               start_nid: int = 0, stop_nid: int | None = None
+               start_nid: int = 0, stop_nid: int | None = None,
+               variables: Bindings | None = None
                ) -> dict[int, list[NLEntry]]:
     """The match phase's only dispatch loop, over ``[start_nid, stop_nid)``.
 
@@ -67,6 +113,10 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
     :class:`SequentialScan`; nothing else differs.
     """
     results: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
+    if variables is not None:
+        # This scan's own view: what its late-bound tests coerce a
+        # scalar into is kept beside the bindings, never in the request's.
+        variables = ScanBindings(variables)
 
     # Dispatch table: plain-name roots are looked up by the scanned
     # node's tag instead of testing every NoK against every node;
@@ -86,7 +136,7 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
                 # scanned element.  It is slot 0, so the range starting
                 # there owns it — once per document however it is cut.
                 if start_nid == 0:
-                    entry = match(doc.document_node, charged)
+                    entry = match(doc.document_node, charged, variables)
                     if entry is not None:
                         results[nok.nok_id].append(entry)
             elif root.name == "*":
@@ -109,7 +159,7 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
                 if not candidates:
                     continue
                 for match, matched, charged in candidates:
-                    entry = match(node, charged)
+                    entry = match(node, charged, variables)
                     if entry is not None:
                         matched.append(entry)
     finally:

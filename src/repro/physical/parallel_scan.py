@@ -59,12 +59,14 @@ from repro.errors import DNFError, QueryCancelledError, ReproError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Span, Tracer
 from repro.pattern.decompose import NoKTree
-from repro.physical.nok_merge import merged_scan, scan_range
+from repro.physical.nok_merge import (matched_once, merged_scan,
+                                      relabel_twins, scan_range)
 from repro.physical.structural import count_operator
 from repro.xmlkit.partition import Partition, partition_document
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xmlkit.tree import Document
+from repro.xpath.compile import Bindings
 from repro.algebra.nested_list import NLEntry
 
 if TYPE_CHECKING:
@@ -165,7 +167,8 @@ class PartitionOutcome:
 
 def run_partition(noks: list[NoKTree], doc: Document, start_nid: int,
                   stop_nid: int, shared: SharedAbort | None,
-                  want_per_nok: bool) -> PartitionOutcome:
+                  want_per_nok: bool, variables: Bindings
+                  ) -> PartitionOutcome:
     """Scan ``[start_nid, stop_nid)`` — the body of every partition task.
 
     Query-level aborts (DNF, deadline, cancel, evaluation errors) come
@@ -173,6 +176,8 @@ def run_partition(noks: list[NoKTree], doc: Document, start_nid: int,
     the partial counters of an aborted partition exactly like the serial
     operator's ``finally``.  ``shared`` is ``None`` when the query has
     nothing to enforce, and the scan then runs without a token.
+    ``variables`` are the request's bindings (a worker process is sent
+    their atoms) — an argument like the range, since the NoKs are shared.
     """
     outcome = PartitionOutcome(per_nok={} if want_per_nok else None)
     token = (PartitionToken(outcome.counters, shared)
@@ -180,7 +185,8 @@ def run_partition(noks: list[NoKTree], doc: Document, start_nid: int,
     started = time.perf_counter_ns()
     try:
         outcome.matches = scan_range(noks, doc, outcome.counters,
-                                     outcome.per_nok, start_nid, stop_nid)
+                                     outcome.per_nok, start_nid, stop_nid,
+                                     variables)
         # The tail shorter than a stride still counts against the
         # budget, and a query already cancelled must not report success.
         if token is not None:
@@ -193,8 +199,8 @@ def run_partition(noks: list[NoKTree], doc: Document, start_nid: int,
 
 def _scan_on_threads(pool: ThreadPoolExecutor, noks: list[NoKTree],
                      doc: Document, partitions: list[Partition],
-                     counters: ScanCounters, want_per_nok: bool
-                     ) -> list[PartitionOutcome]:
+                     counters: ScanCounters, want_per_nok: bool,
+                     variables: Bindings) -> list[PartitionOutcome]:
     """The threads driver: every partition on ``pool``, outcomes in order."""
     token = counters.cancellation
     shared = None
@@ -207,7 +213,7 @@ def _scan_on_threads(pool: ThreadPoolExecutor, noks: list[NoKTree],
             cancelled=lambda: token is not None and token.cancelled,
             cells=[counters.nodes_scanned], index=0, lock=threading.Lock())
     futures = [pool.submit(run_partition, noks, doc, part.start_nid,
-                           part.stop_nid, shared, want_per_nok)
+                           part.stop_nid, shared, want_per_nok, variables)
                for part in partitions]
     wait(futures)
     outcomes = []
@@ -281,6 +287,7 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
                          counters: ScanCounters | None = None,
                          per_nok: dict[int, ScanCounters] | None = None,
                          *,
+                         variables: Bindings,
                          backend: ExecutionBackend,
                          pools: ScanPools | None = None,
                          stats: DocumentStats | None = None,
@@ -291,11 +298,13 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
 
     Same contract as :func:`~repro.physical.nok_merge.merged_scan`
     (per-NoK match lists in document order; optional ``per_nok`` work
-    attribution folded back into the shared ``counters``), evaluated as
-    one scan task per partition.  ``backend`` names the driver and the
-    fan-out — ``backend.parallelism`` partitions on the process pool
-    for ``kind="processes"``, on the thread pool otherwise — and
-    ``pools`` owns those pools (``None``: the process-wide fallback).
+    attribution folded back into the shared ``counters``; ``variables``
+    the request's bindings, required here: a partitioned scan always
+    serves a request), evaluated as one scan task per partition.
+    ``backend`` names the driver and the fan-out —
+    ``backend.parallelism`` partitions on the process pool for
+    ``kind="processes"``, on the thread pool otherwise — and ``pools``
+    owns those pools (``None``: the process-wide fallback).
 
     ``partitions`` overrides the stats-driven partitioning (tests use
     this to force fine-grained cuts on small documents); with a single
@@ -308,7 +317,7 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
                                         stats=stats)
     if len(partitions) <= 1:
         _PARTITION_FALLBACKS.inc()
-        return merged_scan(noks, doc, counters, per_nok)
+        return merged_scan(noks, doc, counters, per_nok, variables)
 
     # A token tripped before dispatch must fail the query up front —
     # the serial scan would raise at its first checkpoint.
@@ -316,9 +325,11 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
         counters.cancellation.check()
     if pools is None:
         pools = _SHARED_POOLS
+    noks, twins = matched_once(noks)    # no partition matches a twin
     driver = (pools.process_backend().scan if backend.kind == "processes"
               else partial(_scan_on_threads, pools.thread_pool()))
-    outcomes = driver(noks, doc, partitions, counters, per_nok is not None)
+    outcomes = driver(noks, doc, partitions, counters, per_nok is not None,
+                      variables)
 
     try:
         # Surface the first failure in partition order (deterministic
@@ -357,5 +368,6 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
     for outcome in outcomes:
         for nok_id, entries in outcome.matches.items():
             results[nok_id].extend(entries)
+    relabel_twins(twins, results)
     count_operator("parallel_scan", sum(map(len, results.values())))
     return results

@@ -21,7 +21,8 @@ Two variants:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from itertools import pairwise
 
 from repro.errors import ExecutionError
 from repro.pattern.decompose import InterEdge
@@ -33,22 +34,30 @@ from repro.physical.structural import JoinResult, count_operator
 __all__ = ["pipelined_desc_join", "caching_desc_join"]
 
 
-def pipelined_desc_join(left_nodes: Iterable[Node],
+def pipelined_desc_join(left_nodes: Sequence[Node],
                         right_entries: Iterable[NLEntry],
                         edge: InterEdge,
                         counters: ScanCounters | None = None) -> JoinResult:
     """Strict merge join for a ``//`` inter edge on non-nesting input.
 
-    ``left_nodes`` must be document-ordered and non-nesting (the
-    optimizer guarantees this by only choosing the pipelined join on
-    non-recursive documents); ``right_entries`` must be document-ordered
-    by root.  Raises :class:`~repro.errors.ExecutionError` if nesting is
-    detected, because silently producing partial output here is exactly
-    the Example-5 trap the paper warns about.
+    ``left_nodes`` (``left_projection``'s list: it is read twice) must
+    be document-ordered and non-nesting — a chosen plan only runs this
+    join on a non-recursive document under a left vertex that is not
+    ``*``; ``right_entries`` must be document-ordered by root.  Raises
+    :class:`~repro.errors.ExecutionError` if the left input nests
+    anywhere — also behind the last right entry, where the merge itself
+    never looks — because silently producing partial output here is
+    exactly the Example-5 trap the paper warns about.
     """
     if counters is None:
         counters = ScanCounters()
     result = JoinResult(edge)
+    # In document order some pair nests iff an adjacent pair does.
+    if any(inner.start < outer.end
+           for outer, inner in pairwise(left_nodes)):
+        raise ExecutionError(
+            "pipelined //-join received nesting left input; use the "
+            "caching variant or a nested-loop join on recursive data")
     left_iter = iter(left_nodes)
     current: Node | None = next(left_iter, None)
     token = counters.cancellation
@@ -61,12 +70,7 @@ def pipelined_desc_join(left_nodes: Iterable[Node],
         # Advance the left cursor past ancestors that end before the
         # right node starts (the m << n branch of the GetNext code).
         while current is not None and current.end < node.start:
-            nxt = next(left_iter, None)
-            if nxt is not None and nxt.start < current.end:
-                raise ExecutionError(
-                    "pipelined //-join received nesting left input; use the "
-                    "caching variant or a nested-loop join on recursive data")
-            current = nxt
+            current = next(left_iter, None)
         if current is None:
             break
         counters.comparisons += 1

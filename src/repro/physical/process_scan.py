@@ -10,7 +10,9 @@ partition body (:func:`~repro.physical.parallel_scan.run_partition`) in
   warm per :class:`ProcessScanBackend` owner (engine, database or query
   service); workers attach a snapshot's arena file **once** and keep the
   read-only mapping cached, so steady-state queries ship only the
-  pickled NoK trees and four integers per partition;
+  pickled NoK trees, four integers per partition and the atoms of the
+  request's bindings (never a pickled node; the NoK blob, which the
+  workers cache their compiled matchers under, does not depend on them);
 * results come back as **compact nid arrays** (a pre-order flattening of
   each NestedList: root nid, then per-child-group counts and entries,
   recursively).  They are decoded against the *real* document's nodes,
@@ -54,6 +56,7 @@ from repro.xmlkit.arena import ArenaDocument, DocumentArena, arena_file_for
 from repro.xmlkit.partition import Partition
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document
+from repro.xpath.compile import Bindings, atomized
 
 __all__ = ["ProcessScanBackend"]
 
@@ -159,7 +162,8 @@ class ProcessScanBackend:
 
     def scan(self, noks: list[NoKTree], doc: Document,
              partitions: list[Partition], counters: ScanCounters,
-             want_per_nok: bool) -> list[PartitionOutcome]:
+             want_per_nok: bool, variables: Bindings
+             ) -> list[PartitionOutcome]:
         """Fan the partitions out to the workers; outcomes in order.
 
         Matches come back decoded against ``doc``'s own nodes.  A
@@ -171,6 +175,7 @@ class ProcessScanBackend:
         path = arena_file_for(doc)
         blob = pickle.dumps(noks, protocol=pickle.HIGHEST_PROTOCOL)
         roots = {nok.nok_id: nok.root for nok in noks}
+        atoms = atomized(variables)
         token = counters.cancellation
         deadline = token.deadline if token is not None else None
         timeout_ms = token.timeout_ms if token is not None else None
@@ -184,7 +189,7 @@ class ProcessScanBackend:
                     pool.submit(_scan_partition_task, path, blob,
                                 part.start_nid, part.stop_nid, slot,
                                 counters.budget, deadline, timeout_ms,
-                                want_per_nok): part.index
+                                want_per_nok, atoms): part.index
                     for part in partitions}
             except BrokenProcessPool as exc:
                 self._discard_broken()
@@ -327,7 +332,8 @@ def _attach(path: str) -> ArenaDocument:
 def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
                          stop_nid: int, slot: int, budget: int | None,
                          deadline: float | None, timeout_ms: float | None,
-                         want_per_nok: bool) -> PartitionOutcome:
+                         want_per_nok: bool, variables: Bindings
+                         ) -> PartitionOutcome:
     """One partition, worker-side: attach, scan, flatten for the pipe.
 
     The scan itself is :func:`~repro.physical.parallel_scan.run_partition`
@@ -345,7 +351,7 @@ def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
                     cancelled=lambda: bool(_worker_cancel[slot]),
                     cells=_worker_budget, index=slot,
                     lock=_worker_budget.get_lock()),
-        want_per_nok)
+        want_per_nok, variables)
     outcome.matches = {nok_id: _encode_match_list(entries)  # type: ignore[misc]
                        for nok_id, entries in outcome.matches.items()}
     outcome.counters.cancellation = None

@@ -48,7 +48,7 @@ def twig_supported(tree: BlossomTree) -> bool:
     information is ignored: TwigStack treats every branch as required,
     which matches bare-path queries where all edges are mandatory.)
     """
-    if len(tree.roots) != 1 or tree.crossing_edges or tree.residual_where:
+    if len(tree.roots) != 1 or tree.crossing_edges or tree.where:
         return False
     for edge in tree.tree_edges:
         if edge.axis not in ("child", "descendant"):

@@ -53,6 +53,7 @@ __all__ = [
     "subexpressions",
     "walk",
     "conjuncts",
+    "mentions_variable",
 ]
 
 #: All axes the parser accepts.
@@ -385,3 +386,9 @@ def conjuncts(expr: Expr) -> list[Expr]:
     if isinstance(expr, BooleanExpr) and expr.op == "and":
         return [c for operand in expr.operands for c in conjuncts(operand)]
     return [expr]
+
+
+def mentions_variable(expr: Expr) -> bool:
+    """Any variable reference at all — a quantifier's own included."""
+    return any(isinstance(node, LocationPath)
+               and isinstance(node.root, RootVariable) for node in walk(expr))

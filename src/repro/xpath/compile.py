@@ -17,6 +17,9 @@ interpreter, not re-spelled; it stays the reference semantics and runs
 nothing from this module.  The closures hold no per-call state (the
 item, bindings and resolver are arguments; position and size are 1, as
 for every top-level predicate): one serves all threads and bindings.
+The one thing kept between calls is kept by the scan, beside its view of
+the bindings (:class:`ScanBindings`), not here: the test a vertex
+predicate ``. op $p`` coerces a scalar ``$p`` into.
 """
 
 from __future__ import annotations
@@ -31,16 +34,19 @@ from repro.xpath.evaluator import (VALUE_OPERATORS, AnyNode, AttrNode,
                                    EvalContext, Value, XPathEvaluator,
                                    _atomize, _compare_atoms,
                                    _document_order_key, _single_node,
-                                   boolean_value, parse_number)
+                                   _StringItem, boolean_value, parse_number)
 
-__all__ = ["Compiled", "Resolver", "Test", "compile_expr", "compile_test",
-           "literal_test"]
+__all__ = ["Bindings", "Compiled", "Resolver", "ScanBindings", "Test",
+           "atomized", "compile_expr", "compile_test", "literal_test"]
 
 Resolver = Callable[[str], Document]
+#: One evaluation's variables: the request's parameters, and under them
+#: the tuple's own.
+Bindings = dict[str, Value]
 #: A compiled expression: ``fn(context item, variables, resolve_doc)``.
-Compiled = Callable[[AnyNode, dict[str, Value], Resolver | None], Value]
+Compiled = Callable[[AnyNode, Bindings, Resolver | None], Value]
 #: A compiled expression reduced to its effective boolean value.
-Test = Callable[[AnyNode, dict[str, Value], Resolver | None], bool]
+Test = Callable[[AnyNode, Bindings, Resolver | None], bool]
 #: One predicate-free step applied to one non-attribute node.
 _Select = Callable[[Node], list[AnyNode]]
 
@@ -188,6 +194,11 @@ def literal_test(op: str, literal: str | float) -> Callable[[str], bool]:
     compare = VALUE_OPERATORS[op]
     text = None if isinstance(literal, float) else literal.strip()
     number = parse_number(text) if text is not None else literal
+    if number is None and op in ("=", "!="):
+        # Text that is no number equals its own trimmed spelling only
+        # (an id, a genre): the observed string need not be parsed.
+        equal = op == "="
+        return lambda observed: (observed.strip() == text) is equal
 
     def test(observed: str) -> bool:
         seen = parse_number(observed)
@@ -201,6 +212,26 @@ def literal_test(op: str, literal: str | float) -> Callable[[str], bool]:
     return test
 
 
+class ScanBindings(Bindings):
+    """One scan's view of the request's bindings, and beside them —
+    never in them: the request's dict is not written — the tests its
+    late-bound predicates coerced a scalar ``$name`` into, by
+    ``(name, op)``: a scan coerces once, not once per candidate."""
+
+    def __init__(self, variables: Bindings) -> None:
+        super().__init__(variables)
+        self.coerced: dict[tuple[str, str], Callable[[str], bool]] = {}
+
+
+def atomized(variables: Bindings) -> Bindings:
+    """``variables`` with every node replaced by its atom — all a value
+    comparison reads of a binding — so a scan in another process is
+    sent strings, never a pickled tree."""
+    return {name: [_StringItem(node.string_value()) for node in value]
+            if isinstance(value, list) else value
+            for name, value in variables.items()}
+
+
 def _any_node(test: Callable[[str], bool], nodes: list[AnyNode]) -> bool:
     """Existential ``test`` over the nodes' string values (a node's
     typed value is a function of its string value)."""
@@ -208,6 +239,29 @@ def _any_node(test: Callable[[str], bool], nodes: list[AnyNode]) -> bool:
         if test(node.string_value()):
             return True
     return False
+
+
+def _late_bound(name: str, op: str, nodes: Compiled, own: bool,
+                general: Compiled) -> Compiled:
+    """``path op $name`` (``$name op path`` flipped), ``path`` relative
+    to the context node (``own``: the node itself): the vertex test of a
+    where-conjunct pushed on a parameter, which a scan calls per
+    candidate with one :class:`ScanBindings`.  Bound to one string or
+    number it is the literal primitive, coerced once per scan."""
+    key = (name, op)
+
+    def late_bound(item: AnyNode, variables: Bindings,
+                   resolve: Resolver | None) -> Value:
+        value = variables.get(name)
+        if not (isinstance(variables, ScanBindings)
+                and isinstance(value, (float, str))):
+            return general(item, variables, resolve)
+        test = variables.coerced.get(key)
+        if test is None:
+            test = variables.coerced[key] = literal_test(op, value)
+        return test(item.string_value()) if own else _any_node(
+            test, nodes(item, variables, resolve))  # type: ignore[arg-type]
+    return late_bound
 
 
 def _compile_comparison(expr: Comparison) -> Compiled:
@@ -225,11 +279,12 @@ def _compile_comparison(expr: Comparison) -> Compiled:
                     and relate(lnode, rnode))
         return node_comparison
 
+    flipped = _FLIPPED[op]
+    sides = ((expr.left, expr.right, left, op),
+             (expr.right, expr.left, right, flipped))
     # path op literal / literal op path: the literal is coerced here,
     # once.  (A bare ``$v`` may be bound to an atomic: not this shape.)
-    for path, literal, nodes, test_op in (
-            (expr.left, expr.right, left, op),
-            (expr.right, expr.left, right, _FLIPPED[op])):
+    for path, literal, nodes, test_op in sides:
         if isinstance(literal, (Literal, NumberLiteral)) \
                 and isinstance(path, LocationPath) \
                 and (path.steps or isinstance(path.root, RootContext)):
@@ -240,8 +295,6 @@ def _compile_comparison(expr: Comparison) -> Compiled:
                     test(item.string_value())
             return lambda item, variables, resolve: _any_node(
                 test, nodes(item, variables, resolve))  # type: ignore[arg-type]
-
-    flipped = _FLIPPED[op]
 
     def comparison(item: AnyNode, variables: dict[str, Value],
                    resolve: Resolver | None) -> bool:
@@ -260,4 +313,12 @@ def _compile_comparison(expr: Comparison) -> Compiled:
                 if _compare_atoms(op, a, b):
                     return True
         return False
+
+    for path, operand, nodes, test_op in sides:
+        if isinstance(path, LocationPath) and path.root == _SELF.root \
+                and isinstance(operand, LocationPath) \
+                and isinstance(operand.root, RootVariable) \
+                and not operand.steps:
+            return _late_bound(operand.root.name, test_op, nodes,
+                               not path.steps, comparison)
     return comparison

@@ -1,8 +1,8 @@
 """Builder rollback: abandoned speculative chains leave no trace.
 
 Regression tests for the BT006 class of latent violations the analyzer
-surfaced: ``_where_endpoint`` and ``_try_prune_literal`` used to catch
-``CompileError`` *after* partially extending the tree, leaving inert
+surfaced: ``_where_endpoint`` and the where-conjunct pushdown used to
+catch ``CompileError`` *after* partially extending the tree, leaving inert
 optional leaves (and, worse, mandatory pruning stubs) behind.
 """
 
@@ -39,8 +39,11 @@ class TestRollback:
         assert compiled.tree is not None, compiled.compile_error
         report = analyze_tree(compiled.tree)
         assert report.clean, report.format()
-        # The untranslatable conjunct fell back to residual checking.
-        assert compiled.tree.residual_where
+        dispositions = [c.disposition for c in compiled.tree.where]
+        assert dispositions == ["residual"], (
+            "a conjunct whose path has a step outside the pattern subset "
+            "is rolled back atomically (BT006) and only checked per "
+            f"tuple, got {dispositions}")
 
     @pytest.mark.parametrize("query", LEAKY_QUERIES)
     def test_results_match_naive(self, query, small_bib):

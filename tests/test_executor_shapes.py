@@ -8,7 +8,7 @@ mandatory semi-joins, crossing-edge mixes, empty intermediates).
 
 import pytest
 
-from repro.engine import Engine
+from repro.engine import Engine, compile_query
 from repro.xmlkit import parse
 
 DOC = """
@@ -111,10 +111,14 @@ class TestCorrelationShapes:
                          "where $a isnot $b return <p/>")
 
     def test_or_in_where_goes_residual(self, engine):
-        assert_all_agree(engine,
-                         "for $i in //item "
-                         'where $i/price < 25 or $i/name = "ai" '
-                         "return $i/name")
+        query = ("for $i in //item "
+                 'where $i/price < 25 or $i/name = "ai" '
+                 "return $i/name")
+        assert_all_agree(engine, query)
+        dispositions = [c.disposition for c in compile_query(query).tree.where]
+        assert dispositions == ["residual"], (
+            "an or is one conjunct no single vertex test expresses: "
+            f"nothing is pushed, the finish decides it; got {dispositions}")
 
     def test_quantifier_with_join(self, engine):
         assert_all_agree(engine,

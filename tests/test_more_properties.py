@@ -28,7 +28,7 @@ class TestStreamingEquivalence:
         tree = build_from_path(parse_xpath(path))
         dec = decompose(tree)
         [nok] = [n for n in dec.noks if n.root.name != "#root"]
-        tree_matches = len(NoKMatcher(nok, doc).matches())
+        tree_matches = len(NoKMatcher(nok, doc, variables={}).matches())
         handler = StreamingNoKMatcher(nok)
         parse_string(serialize(doc.root), handler)
         assert handler.count == tree_matches

@@ -15,7 +15,7 @@ def match_all(doc, path_text):
     dec = decompose(tree)
     matches = {}
     for nok in dec.noks:
-        matches[nok.nok_id] = NoKMatcher(nok, doc).matches()
+        matches[nok.nok_id] = NoKMatcher(nok, doc, variables={}).matches()
     return tree, dec, matches
 
 

@@ -22,7 +22,7 @@ class TestMatching:
     def test_root_pattern_matches_document_node(self, small_bib):
         tree, dec = single_nok("/bib/book")
         [nok] = dec.noks
-        matches = NoKMatcher(nok, small_bib).matches()
+        matches = NoKMatcher(nok, small_bib, variables={}).matches()
         assert len(matches) == 1  # one document-node match
         book_vertex = tree.var_vertex["#result"]
         assert len(project(matches[0], book_vertex)) == 3
@@ -30,21 +30,21 @@ class TestMatching:
     def test_mandatory_child_prunes(self, small_bib):
         tree, dec = single_nok("//book/author")
         nok = next(n for n in dec.noks if n.root.name == "book")
-        matches = NoKMatcher(nok, small_bib).matches()
+        matches = NoKMatcher(nok, small_bib, variables={}).matches()
         # Economics has no author: only two book matches.
         assert len(matches) == 2
 
     def test_value_predicate_filters(self, small_bib):
         tree, dec = single_nok('//book[@year = "2000"]')
         nok = next(n for n in dec.noks if n.root.name == "book")
-        matches = NoKMatcher(nok, small_bib).matches()
+        matches = NoKMatcher(nok, small_bib, variables={}).matches()
         assert len(matches) == 1
         assert matches[0].node.attrs["year"] == "2000"
 
     def test_multiple_matches_grouped(self, small_bib):
         tree, dec = single_nok("//book/author/last")
         nok = next(n for n in dec.noks if n.root.name == "book")
-        matches = NoKMatcher(nok, small_bib).matches()
+        matches = NoKMatcher(nok, small_bib, variables={}).matches()
         last_vertex = tree.var_vertex["#result"]
         per_book = [ [n.string_value() for n in project(m, last_vertex)]
                      for m in matches ]
@@ -53,7 +53,7 @@ class TestMatching:
     def test_matches_emitted_in_document_order(self, recursive_doc):
         tree, dec = single_nok("//section")
         nok = next(n for n in dec.noks if n.root.name == "section")
-        matches = NoKMatcher(nok, recursive_doc).matches()
+        matches = NoKMatcher(nok, recursive_doc, variables={}).matches()
         nids = [m.node.nid for m in matches]
         assert nids == sorted(nids)
         assert len(matches) == 4  # nested sections matched too
@@ -62,7 +62,7 @@ class TestMatching:
         counters = ScanCounters()
         tree, dec = single_nok("//book")
         nok = next(n for n in dec.noks if n.root.name == "book")
-        NoKMatcher(nok, small_bib, counters).matches()
+        NoKMatcher(nok, small_bib, counters, variables={}).matches()
         assert counters.nodes_scanned == len(small_bib.nodes)
         assert counters.scans_started == 1
 
@@ -71,13 +71,13 @@ class TestMatching:
         nok = next(n for n in dec.noks if n.root.name == "author")
         book2 = small_bib.elements_by_tag("book")[1]
         matcher = NoKMatcher(nok, small_bib, start_nid=book2.nid + 1,
-                             stop_nid=book2.nid + book2.subtree_size())
+                             stop_nid=book2.nid + book2.subtree_size(), variables={})
         assert len(matcher.matches()) == 2  # only book 2's authors
 
     def test_iterator_form_is_lazy(self, small_bib):
         tree, dec = single_nok("//book")
         nok = next(n for n in dec.noks if n.root.name == "book")
-        iterator = NoKMatcher(nok, small_bib).iter_matches()
+        iterator = NoKMatcher(nok, small_bib, variables={}).iter_matches()
         first = next(iterator)
         assert first.node.tag == "book"
 
@@ -88,7 +88,7 @@ class TestMatching:
         tree = build_blossom_tree(flwor)
         dec = decompose(tree)
         nok = next(n for n in dec.noks if n.root.name == "book")
-        matches = NoKMatcher(nok, paper_bib).matches()
+        matches = NoKMatcher(nok, paper_bib, variables={}).matches()
         assert len(matches) == 4
         author_vertex = tree.var_vertex["a"]
         per_book = [len(project(m, author_vertex)) for m in matches]
@@ -101,7 +101,7 @@ class TestMatching:
         tree = build_from_path(parse_xpath("//x/a/following-sibling::b"))
         dec = decompose(tree)
         nok = next(n for n in dec.noks if n.root.name == "x")
-        matches = NoKMatcher(nok, doc).matches()
+        matches = NoKMatcher(nok, doc, variables={}).matches()
         # Only the second x has a b AFTER an a.
         assert len(matches) == 1
         b_vertex = tree.var_vertex["#result"]
@@ -115,7 +115,7 @@ class TestMatching:
     def test_wildcard_tag(self, small_bib):
         tree, dec = single_nok("//book/*")
         nok = next(n for n in dec.noks if n.root.name == "book")
-        matches = NoKMatcher(nok, small_bib).matches()
+        matches = NoKMatcher(nok, small_bib, variables={}).matches()
         star_vertex = tree.var_vertex["#result"]
         assert sum(len(project(m, star_vertex)) for m in matches) == 9
 
@@ -137,7 +137,7 @@ class TestMergedScan:
             dec = decompose(tree)
             merged = merged_scan(dec.noks, doc)
             for nok in dec.noks:
-                individual = NoKMatcher(nok, doc).matches()
+                individual = NoKMatcher(nok, doc, variables={}).matches()
                 got = merged[nok.nok_id]
                 assert [m.node.nid for m in got] == \
                     [m.node.nid for m in individual]
@@ -148,7 +148,7 @@ class TestMergedScan:
         assert len(element_noks) == 2
         separate = ScanCounters()
         for nok in element_noks:
-            NoKMatcher(nok, small_bib, separate).matches()
+            NoKMatcher(nok, small_bib, separate, variables={}).matches()
         together = ScanCounters()
         merged_scan(element_noks, small_bib, together)
         assert separate.nodes_scanned == 2 * together.nodes_scanned

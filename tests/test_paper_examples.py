@@ -81,7 +81,7 @@ class TestExample3And4:
         tree2 = build_blossom_tree(flwor2)
         dec = decompose(tree2)
         nok = next(n for n in dec.noks if n.root.name == "a")
-        matches = NoKMatcher(nok, figure3_doc).matches()
+        matches = NoKMatcher(nok, figure3_doc, variables={}).matches()
         assert len(matches) == 2
         # Second a: three b's grouped, two c's... our figure encodes
         # b-d-c shape; check the grouping notation of Figure 4.
@@ -99,7 +99,7 @@ class TestExample3And4:
         tree = build_blossom_tree(flwor)
         dec = decompose(tree)
         nok = dec.noks[0]
-        [match] = NoKMatcher(nok, doc).matches()
+        [match] = NoKMatcher(nok, doc, variables={}).matches()
         a_entry = match.group_for(tree.var_vertex["a"])[0]
 
         counters = {}

@@ -136,7 +136,7 @@ def partitioned(driver, pools, doc, path_text, k=4, counters=None,
         noks_for(path_text), doc, counters, per_nok,
         backend=ExecutionBackend(driver, k), pools=pools,
         partitions=(partitions if partitions is not None
-                    else fine_partitions(doc, k)))
+                    else fine_partitions(doc, k)), variables={})
 
 
 @pytest.mark.parametrize("driver", ["threads", "processes"])
@@ -190,7 +190,7 @@ class TestDriverBitIdentity:
         noks = noks_for("//book")
         results = parallel_merged_scan(
             noks, doc, counters, backend=ExecutionBackend(driver, 4),
-            pools=pools)
+            pools=pools, variables={})
         assert counters.scans_started == 1     # fallback path
         serial = merged_scan(noks, doc)
         book_id = next(n.nok_id for n in noks if n.root.name == "book")
@@ -294,10 +294,10 @@ def test_root_named_and_wildcard_noks_share_one_scan(driver, pools):
     else:
         results = parallel_merged_scan(
             noks, doc, counters, backend=ExecutionBackend(driver, 3),
-            pools=pools, partitions=fine_partitions(doc, 3))
+            pools=pools, partitions=fine_partitions(doc, 3), variables={})
     assert counters.nodes_scanned == len(doc.nodes)
     for nok in noks:
-        want = NoKMatcher(nok, doc).matches()
+        want = NoKMatcher(nok, doc, variables={}).matches()
         assert [nested(e) for e in results[nok.nok_id]] == \
             [nested(e) for e in want], nok.root.name
 

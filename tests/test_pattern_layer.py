@@ -93,8 +93,12 @@ class TestBuildFromFLWOR:
         price_edges = [e for e in book.child_edges if e.child.name == "price"]
         assert price_edges and price_edges[0].mode == MODE_MANDATORY
         assert price_edges[0].child.value_predicates
-        # The conjunct is still re-verified (kept in residual).
-        assert tree.residual_where
+        (conjunct,) = tree.where
+        assert conjunct.disposition == "pushed-exact", (
+            "the chain IS the conjunct for a for-bound variable (general "
+            "comparison is existential), so the finish does not evaluate "
+            f"it again; got {conjunct.disposition}")
+        assert conjunct.target is price_edges[0].child
 
     def test_literal_prune_not_applied_to_let(self):
         flwor = parse_flwor(

@@ -48,7 +48,7 @@ def scan_on(pools, doc, path_text, k=4):
     return parallel_merged_scan(noks_for(path_text), doc,
                                 backend=ExecutionBackend("processes", k),
                                 pools=pools,
-                                partitions=fine_partitions(doc, k))
+                                partitions=fine_partitions(doc, k), variables={})
 
 
 class TestWorkloadDifferential:
@@ -93,7 +93,7 @@ class TestCompiledPlansCrossTheProcessBoundary:
                 assert all(nok.matcher is not None for nok in noks)
                 shipped = parallel_merged_scan(
                     noks, doc, backend=ExecutionBackend("processes", 2),
-                    pools=pools, partitions=fine_partitions(doc, 4))
+                    pools=pools, partitions=fine_partitions(doc, 4), variables={})
                 outputs += [serial, shipped]
             rendered = [{nok_id: [e.sexpr(lambda n: str(n.nid))
                                   for e in entries]

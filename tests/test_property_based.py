@@ -166,7 +166,7 @@ class TestStructuralInvariants:
         tree = build_from_path(parse_xpath(f"//{tag}/a"))
         dec = decompose(tree)
         nok = next(n for n in dec.noks if n.root.name == tag)
-        matches = NoKMatcher(nok, doc).matches()
+        matches = NoKMatcher(nok, doc, variables={}).matches()
         a_vertex = tree.var_vertex["#result"]
         roots_nest = any(m1.node.is_ancestor_of(m2.node)
                          for m1 in matches for m2 in matches)
@@ -189,8 +189,8 @@ class TestStructuralInvariants:
         edge = next(e for e in dec.inter_edges if e.parent.name == outer)
         left_nok = dec.noks[edge.nok_from]
         right_nok = dec.noks[edge.nok_to]
-        left = NoKMatcher(left_nok, doc).matches()
-        right = NoKMatcher(right_nok, doc).matches()
+        left = NoKMatcher(left_nok, doc, variables={}).matches()
+        right = NoKMatcher(right_nok, doc, variables={}).matches()
         projection = left_projection(left, edge)
 
         def norm(result):
@@ -199,5 +199,6 @@ class TestStructuralInvariants:
 
         cached = norm(caching_desc_join(projection, right, edge))
         stacked = norm(stack_desc_join(projection, right, edge))
-        bounded = norm(bounded_nested_loop_join(projection, right_nok, doc, edge))
+        bounded = norm(bounded_nested_loop_join(projection, right_nok, doc, edge,
+                                                variables={}))
         assert cached == stacked == bounded

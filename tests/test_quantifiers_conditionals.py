@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Engine
+from repro.engine import Engine, compile_query
 from repro.errors import QuerySyntaxError
 from repro.xpath import parse_expr
 from repro.xpath.ast import Conditional, Quantified
@@ -93,7 +93,10 @@ class TestInFLWOR:
                  "return $b/title")
         reference = engine.query(query, strategy="naive")
         assert reference.string_values() == ["Data on the Web"]
-        # The quantifier lands in residual_where: every strategy agrees.
+        dispositions = [c.disposition for c in compile_query(query).tree.where]
+        assert dispositions == ["residual"], (
+            "a quantifier binds its own variable, so it is no vertex test "
+            f"and is decided per tuple; got {dispositions}")
         for strategy in ("pipelined", "stack", "bnlj"):
             assert engine.query(query, strategy=strategy).string_values() == \
                 reference.string_values(), strategy

@@ -21,7 +21,7 @@ def nok_for(path_text):
 
 
 def tree_count(doc, nok):
-    return len(NoKMatcher(nok, doc).matches())
+    return len(NoKMatcher(nok, doc, variables={}).matches())
 
 
 class TestAgainstTreeMatcher:
