@@ -9,18 +9,12 @@ than our defaults; all shape assertions are scale-invariant.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import pytest
 
-from repro.bench import recording
 from repro.bench.harness import PreparedDataset, prepare_dataset
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
-
-#: Machine-readable dump of every run_cell measurement made by the
-#: benchmark session (query, strategy, wall ms, counters snapshot).
-BENCH_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR2.json"
 
 
 @pytest.fixture(scope="session")
@@ -31,24 +25,3 @@ def scale() -> float:
 def dataset(name: str) -> PreparedDataset:
     return prepare_dataset(name, BENCH_SCALE)
 
-
-def pytest_sessionfinish(session, exitstatus):
-    """Dump the session's benchmark records to ``BENCH_PR2.json``.
-
-    pytest-benchmark replays each cell many times while timing; only
-    the latest record per (dataset, query, strategy, system) cell is
-    kept, so the artifact stays one row per table cell.
-    """
-    if not recording.RECORDS:
-        return
-    total = len(recording.RECORDS)
-    cells = {(r.get("dataset"), r["query"], r["strategy"], r.get("system"),
-              r.get("mode")): r
-             for r in recording.RECORDS}
-    recording.RECORDS[:] = list(cells.values())
-    recording.write_json(BENCH_RECORD_PATH, meta={
-        "scale": BENCH_SCALE,
-        "n_cells": len(recording.RECORDS),
-        "n_runs": total,
-        "exit_status": int(exitstatus),
-    })

@@ -30,6 +30,7 @@ from repro.analysis.passes import (
 )
 from repro.analysis.report import AnalysisReport
 from repro.analysis.rules import Severity
+from repro.strategy import STRATEGIES
 from repro.errors import PlanInvariantError
 from repro.obs.metrics import REGISTRY
 from repro.pattern.blossom import BlossomTree
@@ -51,11 +52,6 @@ __all__ = [
     "verify_plan",
     "verify_snapshot",
 ]
-
-#: Strategies that execute through the BlossomTree pipeline and
-#: therefore need pattern artifacts in their cached plan.
-_ARTIFACT_STRATEGIES = ("pipelined", "caching", "stack", "bnlj", "nl",
-                        "twigstack", "parallel")
 
 VERIFY_RUNS = REGISTRY.counter(
     "repro_plan_verify_total",
@@ -123,7 +119,7 @@ def analyze_plan(plan: CachedPlan, source: str | None = None,
     if plan.artifacts is not None:
         _artifact_passes(plan.artifacts, report, strategy,
                          recursive_document, tree_verified)
-    elif strategy in _ARTIFACT_STRATEGIES:
+    elif strategy in STRATEGIES and STRATEGIES[strategy].patterned:
         report.passes_run.append("plan")
         report.add("PL002", "plan",
                    f"strategy {strategy!r} executes through the BlossomTree "

@@ -21,6 +21,7 @@ from collections.abc import Collection
 from typing import TYPE_CHECKING
 
 from repro.analysis.report import AnalysisReport
+from repro.strategy import STRATEGIES, Strategy
 from repro.pattern.blossom import (
     MODE_MANDATORY,
     MODE_OPTIONAL,
@@ -53,9 +54,6 @@ _LOCAL_AXES = ("child", "self", "attribute", "following-sibling")
 #: Crossing-edge relations the finish phase can re-verify.
 _LEGAL_RELATIONS = ("<<", ">>", "is", "isnot", "=", "!=", "<", "<=", ">",
                     ">=", "deep-equal")
-#: Strategies the engine can execute.
-_KNOWN_STRATEGIES = ("pipelined", "caching", "stack", "bnlj", "nl",
-                     "twigstack", "naive", "xhive", "parallel")
 
 
 def _at(vertex: BlossomVertex) -> str:
@@ -572,8 +570,8 @@ def plan_pass(tree: BlossomTree, dec: Decomposition, dewey: DeweyAssignment,
                            f"parent's ({dewey.format(parent_id)}) — the "
                            "merge cannot nest their NestedLists")
     if strategy is not None:
-        _check_strategy(tree, report, strategy, recursive_document)
-        if strategy == "parallel":
+        row = _check_strategy(tree, report, strategy, recursive_document)
+        if row is not None and row.partitions:
             for nok in partition_unsafe_noks(dec):
                 report.add("PL004", f"nok:{nok.nok_id}",
                            f"parallel strategy chosen, but NoK {nok.nok_id} "
@@ -584,21 +582,24 @@ def plan_pass(tree: BlossomTree, dec: Decomposition, dewey: DeweyAssignment,
 
 
 def _check_strategy(tree: BlossomTree, report: AnalysisReport, strategy: str,
-                    recursive_document: bool | None) -> None:
+                    recursive_document: bool | None) -> Strategy | None:
+    """PL002 / PL003 against the strategy's row (``None``: unknown)."""
     from repro.physical.twigstack import twig_supported
 
-    if strategy not in _KNOWN_STRATEGIES:
+    row = STRATEGIES.get(strategy)
+    if row is None or not row.executable:
         report.add("PL002", "plan", f"unknown strategy {strategy!r}")
-        return
-    if strategy == "twigstack" and not twig_supported(tree):
+        return None
+    if "twig" in row.requires and not twig_supported(tree):
         report.add("PL002", "plan",
-                   "twigstack strategy chosen for a pattern that is not a "
+                   f"{strategy} strategy chosen for a pattern that is not a "
                    "single //-twig")
-    if strategy in ("pipelined", "caching") and recursive_document:
+    if row.theorem2 and recursive_document:
         report.add("PL003", "plan",
                    f"{strategy} merge join on a recursive document: "
                    "Theorem 2's non-containment precondition may fail "
                    "(Example 5) — ordered output is not guaranteed")
+    return row
 
 
 # ----------------------------------------------------------------------

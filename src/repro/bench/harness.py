@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from repro.errors import DNFError
 from repro.xmlkit.stats import compute_stats
 from repro.xmlkit.storage import ScanCounters
-from repro.bench.recording import record_run
 from repro.engine.session import Engine
+from repro.strategy import STRATEGIES
 from repro.datagen.workload import DATASETS, DatasetSpec, measure_selectivity
 
 __all__ = [
@@ -43,13 +43,8 @@ __all__ = [
     "table3_rows",
 ]
 
-#: system label -> engine strategy
-SYSTEMS = {
-    "XH": "xhive",
-    "TS": "twigstack",
-    "NL": "nl",
-    "PL": "pipelined",
-}
+#: system label -> engine strategy (the rows that carry a Table-3 label)
+SYSTEMS = {row.label: row.name for row in STRATEGIES.values() if row.label}
 
 #: Work budget per run, as a multiple of the document's node count —
 #: i.e. "how many document scans' worth of work before we call it DNF".
@@ -139,15 +134,9 @@ def run_cell(prepared: PreparedDataset, query: str, system: str,
                                            counters=counters,
                                            work_budget=budget)
         except DNFError:
-            record_run(query, strategy, None, counters.snapshot(),
-                       dataset=prepared.spec.name, system=system, dnf=True)
             return CellResult(system, None, counters.snapshot())
         total += time.perf_counter() - started
         n_results = len(result)
-    wall_ms = total / repeat * 1000.0
-    record_run(query, strategy, wall_ms, counters.snapshot(),
-               dataset=prepared.spec.name, system=system, dnf=False,
-               n_results=n_results)
     return CellResult(system, total / repeat, counters.snapshot(), n_results)
 
 

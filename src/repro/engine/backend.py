@@ -11,8 +11,9 @@ in plan-cache, result-cache and stats-store keys; :attr:`ExecutionBackend.key`
 is its canonical string form (``"serial"``, ``"threads:4"``,
 ``"processes:4"``) and is what the v1 wire protocol carries.
 
-This module deliberately imports nothing from the rest of the engine so
-the serving layer can use it without cycles.
+This module deliberately imports nothing from the rest of the engine
+(the strategy table, a leaf itself, aside) so the serving layer can use
+it without cycles.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import UsageError
+from repro.strategy import STRATEGIES
 
 __all__ = ["ExecutionBackend", "BACKEND_KINDS", "DEFAULT_PARALLEL_WORKERS",
            "resolve_backend"]
@@ -90,12 +92,14 @@ def resolve_backend(executor: "ExecutionBackend | str | None",
 
     Accepts the dataclass itself, a kind name (``"threads"``), a full
     key (``"processes:8"``), or ``None`` — which defaults to a
-    four-worker thread backend when the caller explicitly asked for the
-    ``parallel`` strategy (preserving the pre-redesign default) and to
-    serial otherwise.
+    four-worker thread backend when the caller explicitly asked for a
+    partitioning strategy (``parallel``; preserving the pre-redesign
+    default) and to serial otherwise.
     """
     if executor is None:
-        return _PARALLEL_DEFAULT if strategy == "parallel" else _SERIAL
+        row = STRATEGIES.get(strategy)
+        return (_PARALLEL_DEFAULT if row is not None and row.partitions
+                else _SERIAL)
     if isinstance(executor, ExecutionBackend):
         return executor
     if isinstance(executor, str):

@@ -33,7 +33,7 @@ from repro.xquery.ast import (
 from repro.engine.result import Item, ResultBuilder
 
 __all__ = ["DirectEvaluator", "Emitter", "compile_emitter", "order_key",
-           "sort_tuples"]
+           "sort_tuples", "SubstitutingEvaluator"]
 
 
 class DirectEvaluator:
@@ -161,6 +161,23 @@ class DirectEvaluator:
                     sequence.extend(self.eval_query_expr(sub, bindings))
                 builder.add_items(sequence)
         builder.end_element()
+
+
+class SubstitutingEvaluator(DirectEvaluator):
+    """DirectEvaluator that substitutes a precomputed value for one
+    specific FLWOR node (the one the BlossomTree executor ran) while it
+    evaluates the expression around it."""
+
+    def __init__(self, doc: Document, resolve_doc: Callable[[str], Document],
+                 target: FLWOR | None, items: list[Item]) -> None:
+        super().__init__(doc, resolve_doc)
+        self._target = target
+        self._items = items
+
+    def eval_query_expr(self, expr: QueryExpr, bindings: dict) -> list[Item]:
+        if expr is self._target:
+            return list(self._items)
+        return super().eval_query_expr(expr, bindings)
 
 
 def sort_tuples(tuples: list[dict],

@@ -42,6 +42,7 @@ from repro.physical.twigstack import twig_supported
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.tree import Document
+from repro.strategy import STRATEGIES
 
 __all__ = ["CostEstimate", "CostModel"]
 
@@ -90,7 +91,7 @@ class CostModel:
         """All applicable strategies, cheapest first."""
         dec = decompose(tree)
         estimates = [
-            self._merge_joins(tree, dec),
+            self._merge_joins(dec),
             self._twigstack(tree),
             self._bnlj(dec),
             self._naive_nl(dec),
@@ -128,25 +129,25 @@ class CostModel:
                       algorithm: str) -> tuple[float, float]:
         """(expected nodes touched, expected output pairs) of one join.
 
-        Per-edge version of the whole-plan estimators above, in the same
-        currency, so EXPLAIN ANALYZE can put the model's prediction next
-        to each join's measured work.  Output pairs are estimated as the
+        The per-edge term the whole-plan join estimators sum, so EXPLAIN
+        ANALYZE can put the model's prediction next to each join's
+        measured work.  What the join costs is read off the strategy
+        row that pins it (a merge pass, or what it rescans per outer
+        match).  Output pairs are estimated as the
         child cardinality: on tree-shaped data most descendants have one
         matching ancestor.
         """
         out_rows = float(self._cardinality(child_tag))
-        if parent_tag == "#root":
+        row = STRATEGIES.get(algorithm)
+        if parent_tag == "#root" or row is None or row.join is None:
+            # vacuous / empty-input joins do no per-node work
             return 0.0, out_rows
-        if algorithm in ("pipelined", "caching", "stack"):
-            cost = float(self._cardinality(parent_tag)
-                         + self._cardinality(child_tag))
-        elif algorithm == "bnlj":
-            cost = self._cardinality(parent_tag) * self._avg_subtree(parent_tag)
-        elif algorithm == "nl":
-            cost = float(self._cardinality(parent_tag) * self.n_nodes)
-        else:  # vacuous / empty-input joins do no per-node work
-            cost = 0.0
-        return cost, out_rows
+        outer = self._cardinality(parent_tag)
+        if row.rescans is None:     # a merge pass over both streams
+            return float(outer + self._cardinality(child_tag)), out_rows
+        return outer * (self._avg_subtree(parent_tag)
+                        if row.rescans == "subtree"
+                        else float(self.n_nodes)), out_rows
 
     # ------------------------------------------------------------------
     # Per-strategy estimators.
@@ -180,14 +181,17 @@ class CostModel:
             base *= self.stats.recursion_degree
         return base
 
-    def _merge_joins(self, tree: BlossomTree, dec: Decomposition) -> CostEstimate:
+    def _joins(self, dec: Decomposition, algorithm: str,
+               scan: float = 0.0) -> float:
+        """``scan`` plus the :meth:`edge_estimate` cost of every
+        ``//``-join of the plan under ``algorithm``."""
+        return sum((self.edge_estimate(edge.parent.name, edge.child.name,
+                                       algorithm)[0]
+                    for edge in dec.inter_edges), scan)
+
+    def _merge_joins(self, dec: Decomposition) -> CostEstimate:
         scan = self.n_nodes
-        merge = 0
-        for edge in dec.inter_edges:
-            if edge.parent.name == "#root":
-                continue  # vacuous join
-            merge += self._cardinality(edge.parent.name)
-            merge += self._cardinality(edge.child.name)
+        merge = int(self._joins(dec, "stack"))
         if self.stats.recursive:
             return CostEstimate(
                 "stack", scan + merge,
@@ -210,22 +214,12 @@ class CostModel:
                             f"sum of tag-stream cardinalities {streams}")
 
     def _bnlj(self, dec: Decomposition) -> CostEstimate:
-        cost = float(self.n_nodes)
-        for edge in dec.inter_edges:
-            if edge.parent.name == "#root":
-                continue
-            outer = self._cardinality(edge.parent.name)
-            cost += outer * self._avg_subtree(edge.parent.name)
-        return CostEstimate("bnlj", cost,
+        return CostEstimate("bnlj", self._joins(dec, "bnlj", float(self.n_nodes)),
                             "scan + bounded per-outer subtree rescans")
 
     def _naive_nl(self, dec: Decomposition) -> CostEstimate:
-        cost = float(self.n_nodes)
-        for edge in dec.inter_edges:
-            if edge.parent.name == "#root":
-                continue
-            cost += self._cardinality(edge.parent.name) * self.n_nodes
-        return CostEstimate("nl", cost, "scan + full rescan per outer match")
+        return CostEstimate("nl", self._joins(dec, "nl", float(self.n_nodes)),
+                            "scan + full rescan per outer match")
 
     def _navigational(self, tree: BlossomTree) -> CostEstimate:
         # One traversal per tree edge from the root, a coarse stand-in

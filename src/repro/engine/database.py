@@ -31,11 +31,10 @@ versions.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.errors import ExecutionError, UsageError
+from repro.errors import UsageError
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Tracer
 from repro.physical.parallel_scan import ScanPools
@@ -136,31 +135,18 @@ class Database:
         """Evaluate a query — the signature of :meth:`Engine.query`
         (options: :class:`~repro.engine.request.QueryOptions`).
 
-        When the slow-query log is enabled the call is timed and,
-        past the threshold, recorded with plan and counters.
+        When the slow-query log is enabled, the run's own measurement
+        (its record stage: elapsed time, plan, counter deltas — budget
+        trips and expiries included) is recorded past the threshold.
         """
         log = self.slow_log
-        if log is not None:
-            counters = counters if counters is not None else ScanCounters()
-            before = counters.snapshot()
-            started = time.perf_counter_ns()
-        plan = None
-        try:
-            result = self.engine._run(
-                text, QueryOptions(strategy, params, timeout_ms, executor,
-                                   work_budget, trace),
-                counters=counters, tracer=tracer)
-            plan = result.plan
-            return result
-        except ExecutionError as exc:
-            plan = exc.plan     # budget trips / expiries keep their plan
-            raise
-        finally:
-            if log is not None:
-                elapsed_ms = (time.perf_counter_ns() - started) / 1e6
-                snapshot = counters.snapshot()
-                delta = {k: snapshot[k] - before[k] for k in snapshot}
-                log.observe(text, strategy, plan or "?", elapsed_ms, delta)
+        return self.engine._run(
+            text, QueryOptions(strategy, params, timeout_ms, executor,
+                               work_budget, trace),
+            counters=counters, tracer=tracer,
+            slow=None if log is None else (
+                lambda plan, elapsed_ms, delta, error: log.observe(
+                    text, strategy, plan or "?", elapsed_ms, delta)))
 
     def prepare(self, text: str, *, strategy: str = "auto",
                 executor: ExecutionBackend | str | None = None

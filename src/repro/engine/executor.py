@@ -69,12 +69,22 @@ from repro.physical.twigstack import TwigStackOperator, twig_supported
 from repro.engine.backend import ExecutionBackend
 from repro.engine.construct import (DirectEvaluator, Emitter, compile_emitter,
                                     order_key, sort_tuples)
+from repro.engine.optimizer import edge_join
 from repro.engine.result import Item
+from repro.strategy import STRATEGIES
 
-__all__ = ["FLWORExecutor", "JOIN_ALGORITHMS"]
+__all__ = ["FLWORExecutor"]
 
-#: Join-algorithm names the optimizer / harness may request per edge.
-JOIN_ALGORITHMS = ("pipelined", "caching", "stack", "bnlj", "nl")
+#: The physical operator behind each join a strategy row can pin
+#: (``Strategy.join``; the table test holds the two in step).  Merge
+#: joins take the two ordered streams, rescanning joins the inner NoK.
+_JOIN_OPERATORS: dict[str, Callable[..., JoinResult]] = {
+    "pipelined": pipelined_desc_join,
+    "caching": caching_desc_join,
+    "stack": stack_desc_join,
+    "bnlj": bounded_nested_loop_join,
+    "nl": naive_nested_loop_join,
+}
 
 _JOIN_SELECTED = REGISTRY.counter(
     "repro_join_selected_total",
@@ -144,10 +154,15 @@ class FLWORExecutor:
     resolve_doc:
         Optional URI resolver for multi-document queries.
     join_algorithm:
-        One of :data:`JOIN_ALGORITHMS`, or ``"auto"`` to let the
-        executor pick per edge (pipelined on non-recursive documents,
-        stack merge on recursive ones and under a ``*`` left vertex —
-        the optimizer policy Section 5.2's analysis suggests).
+        The join a strategy row pins on every ``//``-edge, or ``"auto"``
+        to ask the optimizer per edge
+        (:func:`~repro.engine.optimizer.edge_join`: pipelined where the
+        left input cannot nest, stack merge otherwise).
+    recursive_hint:
+        Whether a tag of the document may nest in itself
+        (``DocumentStats.recursive``), for the per-edge pick; without
+        the statistic, assume it may — the stack merge is sound on any
+        input.
     counters:
         Shared work counters (created if omitted; exposed as
         ``self.counters``).
@@ -176,20 +191,20 @@ class FLWORExecutor:
                  resolve_doc: Callable[[str], Document] | None = None,
                  join_algorithm: str = "auto",
                  counters: ScanCounters | None = None,
-                 recursive_hint: bool | None = None,
+                 recursive_hint: bool = True,
                  tracer: Tracer | None = None,
                  *, index=None, backend: ExecutionBackend | None = None,
                  scan_pools: ScanPools | None = None,
                  doc_stats=None) -> None:
         self.doc = doc
         self.resolve_doc = resolve_doc if resolve_doc is not None else (lambda uri: doc)
-        if join_algorithm != "auto" and join_algorithm not in JOIN_ALGORITHMS:
+        if join_algorithm != "auto" and join_algorithm not in _JOIN_OPERATORS:
             raise UsageError(f"unknown join algorithm {join_algorithm!r}")
         self.join_algorithm = join_algorithm
+        self.recursive = recursive_hint
         self.counters = counters if counters is not None else ScanCounters()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._tracing = self.tracer is not NULL_TRACER
-        self._recursive_hint = recursive_hint
         self.index = index
         self.backend = backend
         self.scan_pools = scan_pools
@@ -454,49 +469,24 @@ class FLWORExecutor:
                 span.set(algorithm="vacuous")
             return result
 
-        algorithm = self._pick_algorithm(dec, edge)
+        algorithm = edge_join(self.join_algorithm, self.recursive, edge)
         self.plan_notes.append(
             f"join V{edge.parent.vid}->V{edge.child.vid}: {algorithm}")
         _JOIN_SELECTED.inc(algorithm=algorithm)
         if span is not None:
             span.set(algorithm=algorithm)
         projection = left_projection(left, edge)
-        if algorithm == "pipelined":
-            return pipelined_desc_join(projection, right, edge, self.counters)
-        if algorithm == "caching":
-            return caching_desc_join(projection, right, edge, self.counters)
-        if algorithm == "stack":
-            return stack_desc_join(projection, right, edge, self.counters)
+        operator = _JOIN_OPERATORS[algorithm]
+        if STRATEGIES[algorithm].rescans is None:
+            return operator(projection, right, edge, self.counters)
         inner_nok = dec.nok_of(edge.child)
         doc = self._doc_for_nok(dec, dec.noks[edge.nok_from])
         # The nested loops re-discover inner matches by scanning; the
         # canonical map reconciles them with the bottom-up-reduced right
         # entries so deeper mandatory joins stay enforced.
         canonical = {e.node.nid: e for e in right if e.node is not None}
-        if algorithm == "bnlj":
-            return bounded_nested_loop_join(projection, inner_nok, doc, edge,
-                                            self.counters, canonical,
-                                            variables=self._variables)
-        assert algorithm == "nl"
-        return naive_nested_loop_join(projection, inner_nok, doc, edge,
-                                      self.counters, canonical,
-                                      variables=self._variables)
-
-    def _pick_algorithm(self, dec: Decomposition, edge: InterEdge) -> str:
-        if self.join_algorithm != "auto":
-            return self.join_algorithm
-        recursive = self._recursive_hint
-        if recursive is None:
-            from repro.xmlkit.stats import compute_stats
-
-            doc = self._doc_for_nok(dec, dec.noks[edge.nok_from])
-            recursive = compute_stats(doc, with_size=False).recursive
-            self._recursive_hint = recursive
-        # Theorem 2 needs a left input that cannot nest: no tag inside
-        # itself — and no ``*``, which nests on any document.
-        if recursive or edge.parent.name == "*":
-            return "stack"
-        return "pipelined"
+        return operator(projection, inner_nok, doc, edge, self.counters,
+                        canonical, variables=self._variables)
 
     # ------------------------------------------------------------------
     # Phase 3: tuple enumeration (variable binding).

@@ -1,4 +1,4 @@
-"""Rule-based physical-operator selection.
+"""The chooser: the whole static plan decision, in its one copy.
 
 The paper leaves full cost-based optimization to future work but states
 the decision rules its experiments support (Section 5.2):
@@ -14,29 +14,53 @@ the decision rules its experiments support (Section 5.2):
 * the naive per-iteration interpreter is the fallback for constructs
   outside the pattern-matching subset.
 
-:func:`choose_strategy` encodes those rules; the engine session calls
-it when the caller asks for ``strategy="auto"``.
+:func:`choose_strategy` encodes those rules.  :func:`plan_query` is the
+one function the engine calls per compile: it validates an explicitly
+requested strategy against its row of the strategy table
+(:mod:`repro.strategy`), or runs the rules / the Section-6 cost
+model; lets the query lint rewrite the pattern (static-empty, pruning);
+prepares the pattern artifacts; withdraws a parallel upgrade the
+decomposition cannot carry (PL004); applies measured feedback; and
+settles which join each ``//``-edge runs (:func:`edge_join` is the
+per-edge half the executor asks).  ``explain`` reads the same decision
+without executing it.
 
 :class:`StrategyAdvisor` layers measurement on top of the rules: when
 the engine runs with feedback enabled, the advisor probes the static
 choice against one plausible alternative (a few executions each, read
 from the runtime :class:`~repro.obs.statstore.StatsStore`), then
 settles on whichever measured faster — demoting the static choice with
-hysteresis when the alternative wins (the BENCH_PR5 case: ``parallel``
-auto-selected yet measurably slower than the serial pipelined scan).
+hysteresis when the alternative wins (``parallel`` auto-selected yet
+measurably slower than the serial pipelined scan: the benchmark's
+``physical.scan_threads2_ms`` against ``physical.scan_serial_ms``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
+from repro.analysis.passes import partition_unsafe_noks
+from repro.analysis.query import QueryLintResult, analyze_query
+from repro.errors import CompileError, UsageError
 from repro.obs.statstore import DemotionRecord, StatsStore
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
 from repro.pattern.blossom import MODE_OPTIONAL, BlossomTree, BlossomVertex
+from repro.pattern.decompose import InterEdge
 from repro.physical.twigstack import twig_supported
 from repro.xmlkit.stats import DocumentStats
+from repro.engine.backend import ExecutionBackend
+from repro.engine.request import QueryKey
+from repro.strategy import STRATEGIES, Strategy
 
-__all__ = ["PlanChoice", "StrategyAdvisor", "choose_strategy",
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session -> optimizer)
+    from repro.engine.compiler import CompiledQuery
+    from repro.engine.cost import CostModel
+    from repro.engine.session import Engine
+
+__all__ = ["CachedPlan", "PlanChoice", "StrategyAdvisor",
+           "advise", "choose_strategy", "edge_join", "plan_query",
            "prune_pattern", "PARALLEL_SCAN_THRESHOLD",
            "MIN_FEEDBACK_SAMPLES", "DEMOTE_MARGIN", "REPROMOTE_MARGIN"]
 
@@ -52,7 +76,7 @@ PARALLEL_SCAN_THRESHOLD = 4_096
 class PlanChoice:
     """The optimizer's decision and its reasoning (for ``explain``)."""
 
-    strategy: str        # "pipelined" | "stack" | "bnlj" | "twigstack" | "naive" | "parallel"
+    strategy: str        # an executable row of the strategy table, or static-empty
     reason: str
 
     def __str__(self) -> str:
@@ -61,7 +85,7 @@ class PlanChoice:
 
 def choose_strategy(stats: DocumentStats, tree: BlossomTree | None,
                     is_bare_path: bool, has_index: bool,
-                    tracer: Tracer | None = None,
+                    tracer: Tracer | NullTracer | None = None,
                     parallelism: int = 1) -> PlanChoice:
     """Pick the physical strategy for a compiled query.
 
@@ -91,15 +115,15 @@ def choose_strategy(stats: DocumentStats, tree: BlossomTree | None,
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span("optimize") as span:
-        choice = _choose(stats, tree, is_bare_path, has_index, parallelism)
+        choice = _rules(stats, tree, is_bare_path, has_index, parallelism)
         span.set(strategy=choice.strategy, reason=choice.reason,
                  recursive=stats.recursive)
     return choice
 
 
-def _choose(stats: DocumentStats, tree: BlossomTree | None,
-            is_bare_path: bool, has_index: bool,
-            parallelism: int = 1) -> PlanChoice:
+def _rules(stats: DocumentStats, tree: BlossomTree | None,
+           is_bare_path: bool, has_index: bool,
+           parallelism: int = 1) -> PlanChoice:
     if tree is None:
         return PlanChoice("naive", "query outside the pattern-matching subset")
     if stats.recursive:
@@ -124,6 +148,225 @@ def _choose(stats: DocumentStats, tree: BlossomTree | None,
         "NoK streams (Theorem 2)")
 
 
+def edge_join(pinned: str, nests: bool, edge: InterEdge) -> str:
+    """The join one ``//``-edge runs: the plan's pinned algorithm, or
+    (``"auto"``) the merge join that is sound for this edge's left
+    input.  Theorem 2 needs a left input that cannot nest: no tag inside
+    itself (``nests``: the document is recursive) — and no ``*``, which
+    nests on any document."""
+    if pinned != "auto":
+        return pinned
+    return "stack" if nests or edge.parent.name == "*" else "pipelined"
+
+
+# ----------------------------------------------------------------------
+# The static decision, start to finish.
+# ----------------------------------------------------------------------
+
+@dataclass
+class CachedPlan:
+    """Everything one execution needs, compiled once.
+
+    This is the plan cache's value type: the compiled query (AST +
+    BlossomTree + parameters), the optimizer's choice, and the reusable
+    pattern artifacts (``None`` when the plan runs outside the
+    BlossomTree pipeline — naive, xhive, or a static query).
+    """
+
+    compiled: CompiledQuery
+    choice: PlanChoice
+    artifacts: PatternArtifacts | None
+    #: The strategy the caller asked for (``auto`` enables the late
+    #: naive fallback; explicit strategies surface CompileError).
+    requested: str
+    #: Set by the engine once the invariant analyzer accepted the plan;
+    #: the plan cache refuses to store plans that never passed it.
+    verified: bool = False
+    #: The serving snapshot this plan was compiled against (``None``
+    #: outside the serving layer).  The catalog's SV001 gate compares
+    #: it against the dropped-snapshot set before reusing the plan.
+    snapshot_id: int | None = None
+    #: Query lint proved the pattern matches nothing on this document
+    #: shape: execution short-circuits to the empty sequence without
+    #: scanning (the artifacts slot is ``None``).
+    static_empty: bool = False
+    #: Human-readable notes of the pruning rewrites applied while
+    #: building this plan (empty when the plan runs the tree as
+    #: compiled); surfaced by ``explain``/``explain_analyze``.
+    rewrites: tuple[str, ...] = ()
+    #: The query lint's result for this compilation (findings and the
+    #: rewrites they licensed); ``None`` when the lint did not run.
+    lint: QueryLintResult | None = None
+    #: The rule-based choice before measured advice (``choice`` itself
+    #: unless feedback moved it): the re-cost check on a cache hit
+    #: re-advises from here instead of re-deriving it.
+    static_choice: PlanChoice | None = None
+    #: The join algorithm every ``//``-edge is pinned to; ``"auto"``
+    #: lets each edge take the merge join sound for its left input
+    #: (:func:`~repro.engine.optimizer.edge_join`).
+    join: str = "auto"
+
+    def __post_init__(self) -> None:
+        if self.static_choice is None:
+            self.static_choice = self.choice
+
+
+def plan_query(compiled: CompiledQuery, key: QueryKey,
+               backend: ExecutionBackend, env: Engine,
+               tracer: Tracer | NullTracer = NULL_TRACER) -> CachedPlan:
+    """The static decision sequence: requested strategy (validated,
+    ruled or costed) → query lint (static-empty / pruning rewrite) →
+    pattern artifacts → PL004 withdrawal → feedback → join pinning.
+    The plan comes back unverified: the engine runs the invariant
+    passes over it before it may be cached or executed.
+
+    ``env`` is the engine planned for; the chooser reads its document
+    statistics, structural summary (only when the lint runs), cost
+    model (only for ``cost``), lint/feedback switches and advisor."""
+    requested = STRATEGIES.get(key.strategy)
+    if requested is None or requested.family == "internal":
+        raise UsageError(f"unknown strategy {key.strategy!r}")
+    choice = _requested(compiled, requested, backend.parallelism, env, tracer)
+    # Query lint (QL rules): check the pattern against the document's
+    # structural summary and rewrite provably-empty work away.
+    lint: QueryLintResult | None = None
+    rewrites: tuple[str, ...] = ()
+    artifacts = None
+    tree = compiled.tree
+    if env.analyze_queries and tree is not None and requested.lints \
+            and STRATEGIES[choice.strategy].lints:
+        with tracer.span("query-lint") as span:
+            lint = analyze_query(
+                tree, env.summary,
+                flwor=None if compiled.is_bare_path else compiled.flwor,
+                source=compiled.source, foreign_uris=env.foreign_uris)
+            span.set(findings=len(lint.report.findings),
+                     rules=",".join(lint.rules) or "-",
+                     static_empty=lint.static_empty)
+        if lint.static_empty:
+            reason = lint.static_empty_reason()
+            choice = PlanChoice("static-empty", f"query lint: {reason}")
+            rewrites = (f"short-circuit to static empty result: {reason}",)
+        else:
+            vids = lint.prune_vids()
+            if vids:
+                pruned, notes = prune_pattern(tree, vids)
+                if pruned is not None:
+                    tree, rewrites = pruned, notes
+    chosen = STRATEGIES[choice.strategy]
+    if tree is not None and chosen.patterned:
+        with tracer.span("prepare-artifacts") as span:
+            artifacts = prepare_artifacts(tree)
+            span.set(noks=len(artifacts.decomposition.noks))
+    if chosen.partitions and chosen is not requested \
+            and artifacts is not None \
+            and partition_unsafe_noks(artifacts.decomposition):
+        # The decomposition (only now available) revealed a NoK whose
+        # match work bypasses the partitioned scan (rule PL004), so the
+        # upgrade quietly steps back to the serial plan.  An *explicit*
+        # strategy="parallel" request keeps the choice and lets the
+        # verifier refuse it with PL004.
+        choice = PlanChoice(
+            "pipelined",
+            "parallel upgrade withdrawn: plan has non-partition-"
+            "safe NoKs (PL004); serial merged scan instead")
+    static_choice = choice
+    choice = advise(compiled, key, static_choice, env)
+    # Only a *requested* Theorem-2 merge is pinned.  Chosen (rules, cost,
+    # feedback), ``pipelined`` names the merge-join family and every edge
+    # takes the member that is sound for its left input.
+    row = STRATEGIES[choice.strategy]
+    join = (row.join if row.join is not None
+            and (row is requested or not row.theorem2) else "auto")
+    return CachedPlan(compiled, choice, artifacts, key.strategy,
+                      snapshot_id=env.snapshot_id,
+                      static_empty=choice.strategy == "static-empty",
+                      rewrites=rewrites, lint=lint,
+                      static_choice=static_choice, join=join)
+
+
+def _requested(compiled: CompiledQuery, row: Strategy, parallelism: int,
+               env: Engine, tracer: Tracer | NullTracer) -> PlanChoice:
+    """The choice a ``strategy=`` request stands for, or the typed
+    refusal when the name does not apply to this query."""
+    if row.name == "auto":
+        return choose_strategy(env.stats, compiled.tree,
+                               compiled.is_bare_path, has_index=True,
+                               tracer=tracer, parallelism=parallelism)
+    if row.name == "cost":
+        return _cheapest(compiled, env.cost_model())
+    tree = compiled.tree
+    if "tree" in row.requires and tree is None:
+        reason = compiled.compile_error
+        if "flwor" in row.requires:
+            reason = reason or "no FLWOR core"
+        raise CompileError(f"{row.name} strategy unavailable: {reason}")
+    # Reject inapplicable patterns here, not deep in the executor: the
+    # invariant analyzer (rule PL002) refuses to verify a twigstack
+    # plan over a non-twig tree.
+    if "twig" in row.requires and tree is not None \
+            and not twig_supported(tree):
+        raise CompileError(
+            f"{row.name} strategy unavailable: pattern is not a "
+            "single //-twig (crossing edges, optional modes or "
+            "sibling constraints present)")
+    reason = "explicitly requested"
+    if row.partitions:
+        reason += f" ({max(2, parallelism)} partitions)"
+    return PlanChoice(row.name, reason)
+
+
+def _cheapest(compiled: CompiledQuery, model: CostModel) -> PlanChoice:
+    """Pick by the Section-6 cost model (expected nodes touched)."""
+    if compiled.tree is None:
+        return PlanChoice("naive",
+                          compiled.compile_error or "no pattern tree")
+    for estimate in model.rank(compiled.tree):
+        if estimate.cost == float("inf"):
+            continue
+        if STRATEGIES[estimate.strategy].family == "holistic" \
+                and not compiled.is_bare_path:
+            continue  # holistic execution only covers bare paths
+        return PlanChoice(estimate.strategy, f"cost model: {estimate}")
+    return PlanChoice("naive", "cost model found no applicable strategy")
+
+
+def advise(compiled: CompiledQuery, key: QueryKey, choice: PlanChoice,
+           env: Engine) -> PlanChoice:
+    """Feedback (opt-in): measured history may adjust the static
+    ``choice``.  The advisor only ever moves between pattern strategies
+    (pipelined/stack/twigstack/parallel), whose artifacts exist
+    regardless of which of them was static.  The engine's re-cost check
+    on a cache hit replays only this step, over the plan's stored
+    ``static_choice``."""
+    tree, static = compiled.tree, STRATEGIES[choice.strategy]
+    if not env.feedback or key.strategy != "auto" or key.text is None \
+            or tree is None or not static.patterned:
+        return choice
+    return env.advisor.advise(
+        key.text, env.stats_fingerprint(), key.executor, choice,
+        _alternative(static, env.stats, tree, compiled.is_bare_path))
+
+
+def _alternative(static: Strategy, stats: DocumentStats, tree: BlossomTree,
+                 is_bare_path: bool) -> str | None:
+    """The one strategy worth measuring against the static choice.
+
+    A partitioned plan probes the serial pipelined scan it upgraded
+    from (the partition overhead question); on bare twig-supported
+    paths the merge-join choices probe TwigStack and vice versa (the
+    Table-3 selectivity question).  ``None`` means the rules have no
+    credible contender and feedback stays out of the way.
+    """
+    if static.partitions:
+        return "pipelined"
+    if not (is_bare_path and twig_supported(tree)):
+        return None
+    if static.family == "holistic":
+        return "stack" if stats.recursive else "pipelined"
+    return "twigstack"
+
+
 # ----------------------------------------------------------------------
 # Feedback: measured strategy selection over the static rules.
 # ----------------------------------------------------------------------
@@ -132,9 +375,10 @@ def _choose(stats: DocumentStats, tree: BlossomTree | None,
 MIN_FEEDBACK_SAMPLES = 2
 
 #: The alternative must measure at least this factor faster before the
-#: static choice is demoted.  BENCH_PR5's parallel/serial ratio is
-#: ~1.04, so 2% keeps that regression demotable while absorbing timer
-#: noise on genuinely-equal arms.
+#: static choice is demoted.  The partition-parallel scan measured ~1.04x
+#: the serial one (``physical.scan_threads2_ms`` over
+#: ``physical.scan_serial_ms``), so 2% keeps that regression demotable
+#: while absorbing timer noise on genuinely-equal arms.
 DEMOTE_MARGIN = 1.02
 
 #: Hysteresis: once settled, the decision only flips if the settled arm's
@@ -161,31 +405,6 @@ class StrategyAdvisor:
 
     def __init__(self, store: StatsStore) -> None:
         self.store = store
-
-    @staticmethod
-    def alternative(static: str, stats: DocumentStats,
-                    tree: BlossomTree | None, is_bare_path: bool,
-                    has_index: bool) -> str | None:
-        """The one strategy worth measuring against the static choice.
-
-        ``parallel`` probes the serial pipelined scan it upgraded from
-        (the partition overhead question); on bare twig-supported paths
-        the merge-join choices probe TwigStack and vice versa (the
-        Table-3 selectivity question).  ``None`` means the rules have
-        no credible contender and feedback stays out of the way.
-        """
-        if tree is None:
-            return None
-        if static == "parallel":
-            return "pipelined"
-        twig_ok = is_bare_path and has_index and twig_supported(tree)
-        if not twig_ok:
-            return None
-        if static in ("pipelined", "stack"):
-            return "twigstack"
-        if static == "twigstack":
-            return "stack" if stats.recursive else "pipelined"
-        return None
 
     def advise(self, text: str, fingerprint: tuple, executor: str,
                static: PlanChoice, alternative: str | None) -> PlanChoice:

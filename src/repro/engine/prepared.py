@@ -20,64 +20,19 @@ but the *strategy* could have gone stale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.analysis.query import QueryLintResult
 from repro.errors import BindingError
 from repro.engine.backend import ExecutionBackend
-from repro.engine.compiler import CompiledQuery
-from repro.engine.optimizer import PlanChoice
+from repro.engine.optimizer import CachedPlan
 from repro.engine.request import QueryKey, QueryOptions
-from repro.pattern.artifact import PatternArtifacts
 from repro.xmlkit.tree import Node
 from repro.xpath.evaluator import AttrNode
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session -> prepared)
+    from repro.engine.session import _Run
+
 __all__ = ["CachedPlan", "PreparedQuery", "normalize_bindings"]
-
-
-@dataclass
-class CachedPlan:
-    """Everything one execution needs, compiled once.
-
-    This is the plan cache's value type: the compiled query (AST +
-    BlossomTree + parameters), the optimizer's choice, and the reusable
-    pattern artifacts (``None`` when the plan runs outside the
-    BlossomTree pipeline — naive, xhive, or a static query).
-    """
-
-    compiled: CompiledQuery
-    choice: PlanChoice
-    artifacts: PatternArtifacts | None
-    #: The strategy the caller asked for (``auto`` enables the late
-    #: naive fallback; explicit strategies surface CompileError).
-    requested: str
-    #: Set by the engine once the invariant analyzer accepted the plan;
-    #: the plan cache refuses to store plans that never passed it.
-    verified: bool = False
-    #: The serving snapshot this plan was compiled against (``None``
-    #: outside the serving layer).  The catalog's SV001 gate compares
-    #: it against the dropped-snapshot set before reusing the plan.
-    snapshot_id: int | None = None
-    #: Query lint proved the pattern matches nothing on this document
-    #: shape: execution short-circuits to the empty sequence without
-    #: scanning (the artifacts slot is ``None``).
-    static_empty: bool = False
-    #: Human-readable notes of the pruning rewrites applied while
-    #: building this plan (empty when the plan runs the tree as
-    #: compiled); surfaced by ``explain``/``explain_analyze``.
-    rewrites: tuple[str, ...] = ()
-    #: The query lint's result for this compilation (findings and the
-    #: rewrites they licensed); ``None`` when the lint did not run.
-    lint: QueryLintResult | None = None
-    #: The rule-based choice before measured advice (``choice`` itself
-    #: unless feedback moved it): the re-cost check on a cache hit
-    #: re-advises from here instead of re-deriving it.
-    static_choice: PlanChoice | None = None
-
-    def __post_init__(self) -> None:
-        if self.static_choice is None:
-            self.static_choice = self.choice
 
 
 def normalize_bindings(parameters: frozenset[str],
@@ -177,6 +132,25 @@ class PreparedQuery:
             self.source, options,
             self._key if pinned else QueryKey(self.source, options),
             counters=counters, tracer=tracer, prepared=self)
+
+    def current_plan(self, run: _Run) -> CachedPlan:
+        """The plan stage of one ``execute`` (the engine's run loop asks):
+        the pinned plan, re-planned only if the document moved (or the
+        call overrides the pinned backend)."""
+        engine = self._engine
+        fingerprint = engine.stats_fingerprint()
+        pinned = run.options.executor == self.executor
+        if pinned and self._fingerprint == fingerprint:
+            run.cache_status = "prepared"
+            return self._plan
+        # The pinned plan is still *correct* (plans are document-
+        # independent) but its strategy choice may be stale — re-plan
+        # through the cache.
+        plan = engine._plan(run)
+        run.cache_status = f"prepared-{run.cache_status}"
+        if pinned:
+            self._plan, self._fingerprint = plan, fingerprint
+        return plan
 
     def explain(self) -> str:
         """Describe the plan this prepared query runs."""

@@ -25,21 +25,25 @@ statistics fingerprint also keys stale plans out even without explicit
 invalidation.
 
 ``Engine.query`` accepts bare path expressions, FLWOR expressions, and
-constructor-wrapped FLWORs; ``strategy`` selects the physical plan:
+constructor-wrapped FLWORs; ``strategy`` selects the physical plan (the
+rows of :data:`repro.strategy.STRATEGIES`, which this table is
+checked against):
 
-========== ==========================================================
-strategy    meaning
-========== ==========================================================
-``auto``    optimizer picks per the Section-5.2 rules (default)
+============= =========================================================
+strategy      meaning
+============= =========================================================
+``auto``      optimizer picks per the Section-5.2 rules (default)
 ``pipelined`` BlossomTree with pipelined merge ``//``-joins (PL)
-``stack``   BlossomTree with stack-based merge joins
-``bnlj``    BlossomTree with bounded nested-loop joins (the paper's NL)
+``caching``   BlossomTree with the caching variant of the pipelined merge
+``stack``     BlossomTree with stack-based merge joins
+``bnlj``      BlossomTree with bounded nested-loop joins (the paper's NL)
+``nl``        BlossomTree with naive nested-loop joins (Table 3's NL column)
 ``twigstack`` holistic twig join over the tag index (TS)
-``parallel`` BlossomTree with partition-parallel merged NoK scans
-``naive``   direct per-iteration FLWOR semantics (the Section-1 strawman)
-``xhive``   simulated commercial navigational engine (XH stand-in)
-``cost``    pick by the Section-6 cost model (expected nodes touched)
-========== ==========================================================
+``parallel``  BlossomTree with partition-parallel merged NoK scans
+``naive``     direct per-iteration FLWOR semantics (the Section-1 strawman)
+``xhive``     simulated commercial navigational engine (XH stand-in)
+``cost``      pick by the Section-6 cost model (expected nodes touched)
+============= =========================================================
 
 Strategies that do not apply to a query (e.g. ``twigstack`` on a FLWOR
 with crossing edges) raise :class:`~repro.errors.CompileError`;
@@ -50,37 +54,28 @@ from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from repro.analysis import verify_plan, verify_tree
-from repro.analysis.passes import partition_unsafe_noks
-from repro.analysis.query import QueryLintResult, analyze_query
-from repro.errors import CompileError, DNFError, QueryTimeoutError, UsageError
-from repro.obs.export import format_table
+from repro.errors import CompileError, DNFError, QueryTimeoutError
 from repro.obs.metrics import REGISTRY
 from repro.obs.statstore import STATS_RECOSTS, StatsStore
 from repro.obs.trace import NULL_TRACER, NullTracer, QueryTrace, Tracer
 from repro.physical.parallel_scan import ScanPools
-from repro.pattern.artifact import prepare_artifacts
-from repro.pattern.decompose import decompose
-from repro.physical.twigstack import twig_supported
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.stats import DocumentStats, compute_stats
 from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xmlkit.summary import StructuralSummary, build_summary
 from repro.xmlkit.tree import Document
-from repro.xquery.ast import FLWOR, QueryExpr
+from repro.xquery.ast import QueryExpr
 from repro.engine.backend import ExecutionBackend
 from repro.engine.compiler import CompiledQuery, compile_query
-from repro.engine.construct import DirectEvaluator
+from repro.engine.construct import DirectEvaluator, SubstitutingEvaluator
 from repro.engine.cost import CostModel
 from repro.engine.executor import FLWORExecutor
-from repro.engine.optimizer import (
-    PlanChoice,
-    StrategyAdvisor,
-    choose_strategy,
-    prune_pattern,
-)
+from repro.engine.explain import render_explain, render_explain_analyze
+from repro.engine.optimizer import StrategyAdvisor, advise, plan_query
 from repro.engine.plancache import PlanCache
 from repro.engine.prepared import (
     CachedPlan,
@@ -89,13 +84,17 @@ from repro.engine.prepared import (
 )
 from repro.engine.request import QueryKey, QueryOptions
 from repro.engine.result import Item, QueryResult
+from repro.strategy import STRATEGIES
 
 __all__ = ["Engine"]
 
-_BLOSSOM_STRATEGIES = {"pipelined", "caching", "stack", "bnlj", "nl"}
-#: The baselines stay lint- and artifact-free so they remain faithful
-#: differential oracles for the rewrites.
-_BASELINES = ("naive", "xhive")
+#: What :meth:`Engine._run` hands the slow-query log from its record
+#: stage: ``(plan text, elapsed ms, work-counter deltas, error class)``
+#: of the one measurement the run takes.  The owner of the log (a
+#: :class:`~repro.engine.database.Database`, the query service) adds
+#: what only it knows — client, snapshot, deadline state.
+SlowObserver = Callable[[str | None, float, Mapping[str, int],
+                         type[BaseException] | None], None]
 
 _QUERIES = REGISTRY.counter("repro_queries_total", "Queries executed")
 _LATENCY = REGISTRY.histogram("repro_query_latency_ms",
@@ -118,24 +117,6 @@ _QUERYLINT_EMPTY = REGISTRY.counter(
     "repro_querylint_static_empty_total",
     "Queries answered by the static-empty rewrite (no scan executed)")
 
-#: Shared empty foreign-uri set (the common no-extra-documents case).
-_NO_FOREIGN: frozenset[str] = frozenset()
-
-
-class _SubstitutingEvaluator(DirectEvaluator):
-    """DirectEvaluator that substitutes a precomputed value for one
-    specific FLWOR node (the one the BlossomTree executor ran)."""
-
-    def __init__(self, doc, resolve_doc, target: FLWOR, items: list[Item]) -> None:
-        super().__init__(doc, resolve_doc)
-        self._target = target
-        self._items = items
-
-    def eval_query_expr(self, expr, bindings):  # type: ignore[override]
-        if expr is self._target:
-            return list(self._items)
-        return super().eval_query_expr(expr, bindings)
-
 
 @dataclass(slots=True)
 class _Run:
@@ -153,6 +134,8 @@ class _Run:
     counters: ScanCounters | None = None
     tracer: Tracer | NullTracer = NULL_TRACER
     budget: int | None = None
+    #: Where the record stage reports to, when a slow log listens.
+    slow: SlowObserver | None = None
     cache_status: str | None = None
     #: The strategy that *executed* (the requested one until a plan is
     #: chosen) and its plan text; both leave on the result.
@@ -229,10 +212,8 @@ class Engine:
         #: document map is fixed for an engine's lifetime) — the query
         #: lint must not judge paths into these against the primary
         #: document's structural summary.
-        self._foreign: frozenset[str] = (
-            frozenset(uri for uri, d in self.documents.items()
-                      if d is not doc)
-            if self.documents else _NO_FOREIGN)
+        self.foreign_uris: frozenset[str] = frozenset(
+            uri for uri, d in self.documents.items() if d is not doc)
         self.work_budget = work_budget
         self.index = TagIndex(doc)
         #: :class:`~repro.physical.parallel_scan.ScanPools` the partition
@@ -262,7 +243,7 @@ class Engine:
                             else StatsStore())
         self.record_stats = record_stats
         self.feedback = feedback
-        self._advisor = StrategyAdvisor(self.stats_store)
+        self.advisor = StrategyAdvisor(self.stats_store)
         #: Optional hook called with every plan served from the cache
         #: *before* execution; the serving catalog installs the SV001
         #: dropped-snapshot gate here.  Raise to refuse the plan.
@@ -389,7 +370,7 @@ class Engine:
 
     # ------------------------------------------------------------------
     # The request path: one run context through a short stage list —
-    # plan (cached → gate → recost, or compile → choose → artifacts →
+    # plan (cached → gate → recost, or compile → optimizer.plan_query →
     # verify) → execute → record.  Every surface enters through _run.
     # ------------------------------------------------------------------
 
@@ -397,12 +378,15 @@ class Engine:
              key: QueryKey | None = None, *,
              counters: ScanCounters | None = None,
              tracer: Tracer | None = None,
-             prepared: PreparedQuery | None = None) -> QueryResult:
+             prepared: PreparedQuery | None = None,
+             slow: SlowObserver | None = None) -> QueryResult:
         """Counters/budget/tracing/metrics shell around one execution.
 
         ``key`` is the identity the caller already built (the service
         and prepared queries have one; ``None`` builds it here);
-        ``prepared`` supplies a pinned plan instead of the plan cache.
+        ``prepared`` supplies a pinned plan instead of the plan cache;
+        ``slow`` receives this run's one measurement (a slow-query log
+        is listening).
         """
         counters = counters if counters is not None else ScanCounters()
         budget = (options.work_budget if options.work_budget is not None
@@ -415,7 +399,7 @@ class Engine:
         if tracer is None:
             tracer = Tracer() if options.trace else NULL_TRACER
         run = _Run(source, options, key or QueryKey(source, options),
-                   counters, tracer, budget)
+                   counters, tracer, budget, slow)
         items: int | None = None
         before = counters.snapshot()
         started = time.perf_counter_ns()
@@ -433,7 +417,7 @@ class Engine:
                         _TIMEOUTS.inc()
                         raise
                 plan = (self._plan(run) if prepared is None
-                        else self._prepared_plan(run, prepared))
+                        else prepared.current_plan(run))
                 qspan.set(**{"plan-cache": run.cache_status})
                 try:
                     result = self._execute(run, plan)
@@ -488,7 +472,7 @@ class Engine:
                 # snapshot that raced retirement between key lookup and
                 # execution.  Raises PlanInvariantError.
                 self.plan_gate(plan)
-            advised = (self._advise(plan.compiled, key, plan.static_choice)
+            advised = (advise(plan.compiled, key, plan.static_choice, self)
                        if self.feedback else plan.choice)
             if advised.strategy == plan.choice.strategy:
                 run.cache_status = "hit"
@@ -504,48 +488,28 @@ class Engine:
         run.cache_status = status
         return plan
 
-    def _prepared_plan(self, run: _Run, prepared: PreparedQuery) -> CachedPlan:
-        """A prepared query's pinned plan, re-planned only if the
-        document moved (or the call overrides the pinned backend)."""
-        fingerprint = self.stats_fingerprint()
-        pinned = run.options.executor == prepared.executor
-        if pinned and prepared._fingerprint == fingerprint:
-            run.cache_status = "prepared"
-            return prepared._plan
-        # The pinned plan is still *correct* (plans are document-
-        # independent) but its strategy choice may be stale — re-plan
-        # through the cache.
-        plan = self._plan(run)
-        run.cache_status = f"prepared-{run.cache_status}"
-        if pinned:
-            prepared._plan, prepared._fingerprint = plan, fingerprint
-        return plan
-
     def _build(self, run: _Run) -> CachedPlan:
         """The full compile pipeline: parse → analyze → BlossomTree →
         choose → verify.  Every static check runs exactly once here:
         the semantic analysis and the tree verifier inside
-        ``compile_query``, the lint inside ``_choose``, the
-        decomposition/Dewey/plan passes below."""
+        ``compile_query``, the lint inside the chooser
+        (:func:`~repro.engine.optimizer.plan_query` — the whole static
+        decision is that one call), the decomposition/Dewey/plan passes
+        below."""
         tracer = run.tracer
         compiled = compile_query(run.source, tracer=tracer)
-        static_choice, lint, exec_tree, rewrites, artifacts = self._choose(
-            compiled, run.key, run.options.executor, tracer)
-        choice = self._advise(compiled, run.key, static_choice)
-        plan = CachedPlan(compiled, choice, artifacts, run.key.strategy,
-                          snapshot_id=self.snapshot_id,
-                          static_empty=choice.strategy == "static-empty",
-                          rewrites=rewrites, lint=lint,
-                          static_choice=static_choice)
+        plan = plan_query(compiled, run.key, run.options.executor, self,
+                          tracer)
         # Validate-on-compile: every stage of the compiled artifact is
         # checked against the invariant catalogue before the plan can be
         # cached or executed; error findings raise PlanInvariantError.
         with tracer.span("verify-plan") as span:
-            if exec_tree is not compiled.tree:
+            if plan.artifacts is not None \
+                    and plan.artifacts.tree is not compiled.tree:
                 # A pruned tree is a *new* object the compiler never
                 # saw, so it gets its own tree check; every other tree
                 # was verified by compile_query right after its build.
-                verify_tree(exec_tree, source=compiled.source)
+                verify_tree(plan.artifacts.tree, source=compiled.source)
             report = verify_plan(plan,
                                  recursive_document=self.stats.recursive,
                                  tree_verified=True)
@@ -554,82 +518,12 @@ class Engine:
         plan.verified = True
         return plan
 
-    def _choose(self, compiled: CompiledQuery, key: QueryKey,
-                backend: ExecutionBackend, tracer=NULL_TRACER):
-        """The static decision sequence, in its one copy: strategy rules
-        → query lint (static-empty / pruning rewrite) → pattern
-        artifacts → PL004 withdrawal.  The build path follows it with
-        :meth:`_advise`; ``explain`` reads it without executing.
-        Returns ``(choice, lint, executed tree, rewrite notes,
-        artifacts)``.
-        """
-        strategy = key.strategy
-        choice = self._resolve_strategy(compiled, strategy, tracer,
-                                        backend.parallelism)
-        # Query lint (QL rules): check the pattern against the document's
-        # structural summary and rewrite provably-empty work away.
-        lint: QueryLintResult | None = None
-        rewrites: tuple[str, ...] = ()
-        artifacts = None
-        tree = compiled.tree
-        if self.analyze_queries and tree is not None \
-                and strategy not in _BASELINES \
-                and choice.strategy not in _BASELINES:
-            with tracer.span("query-lint") as span:
-                lint = analyze_query(
-                    tree, self.summary,
-                    flwor=None if compiled.is_bare_path else compiled.flwor,
-                    source=compiled.source, foreign_uris=self._foreign)
-                span.set(findings=len(lint.report.findings),
-                         rules=",".join(lint.rules) or "-",
-                         static_empty=lint.static_empty)
-            if lint.static_empty:
-                reason = lint.static_empty_reason()
-                choice = PlanChoice("static-empty", f"query lint: {reason}")
-                rewrites = (f"short-circuit to static empty result: {reason}",)
-            else:
-                vids = lint.prune_vids()
-                if vids:
-                    pruned, notes = prune_pattern(tree, vids)
-                    if pruned is not None:
-                        tree, rewrites = pruned, notes
-        if tree is not None \
-                and choice.strategy not in (*_BASELINES, "static-empty"):
-            with tracer.span("prepare-artifacts") as span:
-                artifacts = prepare_artifacts(tree)
-                span.set(noks=len(artifacts.decomposition.noks))
-        if choice.strategy == "parallel" and strategy == "auto" \
-                and artifacts is not None \
-                and partition_unsafe_noks(artifacts.decomposition):
-            # The decomposition (only now available) revealed a NoK
-            # whose match work bypasses the partitioned scan (rule
-            # PL004), so the auto upgrade quietly steps back to the
-            # serial plan.  An *explicit* strategy="parallel" request
-            # keeps the choice and lets the verifier refuse it with
-            # PL004.
-            choice = PlanChoice(
-                "pipelined",
-                "parallel upgrade withdrawn: plan has non-partition-"
-                "safe NoKs (PL004); serial merged scan instead")
-        return choice, lint, tree, rewrites, artifacts
-
-    def _advise(self, compiled: CompiledQuery, key: QueryKey,
-                choice: PlanChoice) -> PlanChoice:
-        """Feedback (opt-in): measured history may adjust the static
-        ``choice``.  The advisor only ever moves between pattern
-        strategies (pipelined/stack/twigstack/parallel), whose artifacts
-        exist regardless of which of them was static.  The re-cost
-        check on a cache hit replays only this step, over the plan's
-        stored ``static_choice``."""
-        if not self.feedback or key.strategy != "auto" or key.text is None \
-                or compiled.tree is None or choice.strategy == "static-empty":
-            return choice
-        alternative = StrategyAdvisor.alternative(
-            choice.strategy, self.stats, compiled.tree,
-            compiled.is_bare_path, has_index=True)
-        return self._advisor.advise(
-            key.text, self.stats_fingerprint(), key.executor, choice,
-            alternative)
+    def cost_model(self, observed: Mapping[str, float] | None = None
+                   ) -> CostModel:
+        """The Section-6 cost model over this engine's document,
+        statistics and tag index; ``observed`` (measured matches per
+        tag) overrides the static cardinalities."""
+        return CostModel(self.doc, self.stats, self.index, observed=observed)
 
     def recost(self, text: str | QueryExpr) -> list:
         """Rank the strategies against *observed* selectivities.
@@ -646,12 +540,9 @@ class Engine:
         if compiled.tree is None:
             raise CompileError(
                 f"recost unavailable: {compiled.compile_error or 'no tree'}")
-        observed = self.stats_store.observed_cardinalities(
-            self.stats_fingerprint())
         STATS_RECOSTS.inc()
-        model = CostModel(self.doc, self.stats, self.index,
-                          observed=observed)
-        return model.rank(compiled.tree)
+        return self.cost_model(self.stats_store.observed_cardinalities(
+            self.stats_fingerprint())).rank(compiled.tree)
 
     # ------------------------------------------------------------------
     # Execute stage.
@@ -685,31 +576,26 @@ class Engine:
                 return simulator.run(compiled.query, values)
 
         assert compiled.flwor is not None and compiled.tree is not None
+        row = STRATEGIES[choice.strategy]
         backend = run.options.executor
-        # Only a *requested* ``pipelined`` pins the strict merge join.
-        # Chosen (auto, cost, feedback), it names the merge-join family
-        # and the executor picks per edge: a ``*`` left vertex nests on
-        # any document and takes the stack variant.
-        pinned = choice.strategy not in ("twigstack", "parallel") and (
-            choice.strategy != "pipelined" or plan.requested == "pipelined")
         executor = FLWORExecutor(
             self.doc, self._resolve_doc,
-            join_algorithm=choice.strategy if pinned else "auto",
+            join_algorithm=plan.join,
             counters=counters,
             recursive_hint=self.stats.recursive,
             tracer=tracer,
             index=self.index,
-            # A parallel plan always partitions: under the serial spec
-            # (or one worker) it still cuts two ways, on threads.
+            # A partitioned plan always partitions: under the serial
+            # spec (or one worker) it still cuts two ways, on threads.
             backend=(ExecutionBackend(
                 "processes" if backend.kind == "processes" else "threads",
                 max(2, backend.parallelism))
-                if choice.strategy == "parallel" else None),
+                if row.partitions else None),
             scan_pools=self.scan_pools,
             doc_stats=self.stats)
         try:
             with tracer.span("execute", plan=choice.strategy):
-                if choice.strategy == "twigstack":
+                if row.family == "holistic":
                     items = executor.execute_twigstack(compiled.flwor,
                                                        plan.artifacts)
                 else:
@@ -743,8 +629,8 @@ class Engine:
               values: dict) -> QueryResult:
         """Evaluate the expression enclosing the FLWOR core around the
         core's precomputed ``items``."""
-        wrapper = _SubstitutingEvaluator(self.doc, self._resolve_doc,
-                                         compiled.flwor, items)
+        wrapper = SubstitutingEvaluator(self.doc, self._resolve_doc,
+                                        compiled.flwor, items)
         return QueryResult(
             wrapper.eval_query_expr(compiled.query, dict(values)))
 
@@ -774,65 +660,30 @@ class Engine:
         _COMPARISONS.inc(delta["comparisons"])
         _INTERMEDIATE.inc(delta["intermediate_results"])
         _PEAK.max(counters.peak_buffered)
-        if not self.record_stats:
-            return
         error = sys.exc_info()[0]
-        try:
-            self.stats_store.record(
-                "<expr>" if key.text is None else key.text, strategy,
-                self.stats_fingerprint(), key.executor,
-                elapsed_ms=elapsed_ms, counters=delta, items=items,
-                nok_matches=run.match_summary or None,
-                cache_status=run.cache_status,
-                error=error.__name__ if error is not None else None)
-        except Exception:
-            # Statistics are an observer: a recording failure must not
-            # mask the query's own outcome (we may already be unwinding
-            # a user-visible exception here).
-            pass
+        if self.record_stats:
+            try:
+                self.stats_store.record(
+                    "<expr>" if key.text is None else key.text, strategy,
+                    self.stats_fingerprint(), key.executor,
+                    elapsed_ms=elapsed_ms, counters=delta, items=items,
+                    nok_matches=run.match_summary or None,
+                    cache_status=run.cache_status,
+                    error=error.__name__ if error is not None else None)
+            except Exception:
+                # Statistics are an observer: a recording failure must
+                # not mask the query's own outcome (we may already be
+                # unwinding a user-visible exception here).
+                pass
+        if run.slow is not None:
+            after = counters.snapshot()
+            run.slow(run.plan_text, elapsed_ms,
+                     {name: after[name] - before[name] for name in after},
+                     error)
 
     def explain(self, text: str | QueryExpr, strategy: str = "auto") -> str:
         """Describe the plan that ``query`` would run (without running it)."""
-        compiled = compile_query(text)
-        options = QueryOptions(strategy)
-        key = QueryKey(text, options)
-        choice, lint, _tree, rewrites, _artifacts = self._choose(
-            compiled, key, options.executor)
-        lines = [f"strategy: {self._advise(compiled, key, choice)}"]
-        if lint is not None and lint.report.findings:
-            lines.append("query lint:")
-            lines.extend(f"  {line}" for line in lint.describe())
-        for note in rewrites:
-            lines.append(f"rewrite: {note}")
-        correlations = (compiled.static.correlations
-                        if compiled.static is not None else ())
-        if correlations:
-            lines.append("correlations:")
-            for corr in correlations:
-                variables = ", ".join(f"${v}" for v in corr.variables)
-                lines.append(f"  [{corr.relation}] {variables}: "
-                             f"{corr.description}")
-        if compiled.tree is not None:
-            lines.append("BlossomTree:")
-            lines.append(compiled.tree.describe())
-            lines.append("decomposition:")
-            lines.append(decompose(compiled.tree).describe())
-            lines.append("cost estimates (expected nodes touched):")
-            model = CostModel(self.doc, self.stats, self.index)
-            for estimate in model.rank(compiled.tree):
-                lines.append(f"  {estimate}")
-            observed = self.stats_store.observed_cardinalities(
-                self.stats_fingerprint())
-            if observed:
-                lines.append("re-cost against observed selectivities "
-                             "(measured NoK matches):")
-                measured = CostModel(self.doc, self.stats, self.index,
-                                     observed=observed)
-                for estimate in measured.rank(compiled.tree):
-                    lines.append(f"  {estimate}")
-        elif compiled.compile_error:
-            lines.append(f"fallback reason: {compiled.compile_error}")
-        return "\n".join(lines)
+        return render_explain(self, text, strategy)
 
     def explain_analyze(self, text: str | QueryExpr,
                         strategy: str = "auto",
@@ -847,84 +698,9 @@ class Engine:
         model's currency, expected nodes touched), so the optimizer's
         predictions are directly auditable against the run.
         """
-        result = self.query(text, strategy=strategy, work_budget=work_budget,
-                            trace=True, params=params, timeout_ms=timeout_ms)
-        trace, counters = result.trace, result.counters
-        model = CostModel(self.doc, self.stats, self.index)
-
-        rows: list[dict[str, object]] = []
-        for span in trace.find_all("nok-scan"):
-            attrs = span.attrs
-            est_nodes, est_rows = model.nok_estimate(
-                str(attrs.get("root_tag", "*")))
-            shared = " (shared scan)" if attrs.get("shared_scan") else ""
-            if "shared_with" in attrs:  # a twin: not matched, relabelled
-                shared = f" (= NoK#{attrs['shared_with']})"
-            rows.append({
-                "operator": f"scan NoK#{attrs.get('nok_id')} "
-                            f"[{attrs.get('root_tag')}]{shared}",
-                "time ms": f"{attrs.get('wall_ms', span.duration_ms):.3f}",
-                "nodes": attrs.get("nodes_scanned", 0),
-                "est.nodes": f"{est_nodes:,.0f}",
-                "cmp": attrs.get("comparisons", 0),
-                "rows": attrs.get("matches", 0),
-                "est.rows": f"{est_rows:,.0f}",
-            })
-        for span in trace.find_all("inter-join"):
-            attrs = span.attrs
-            algorithm = str(attrs.get("algorithm", "?"))
-            est_nodes, est_rows = model.edge_estimate(
-                str(attrs.get("parent_tag", "*")),
-                str(attrs.get("child_tag", "*")), algorithm)
-            rows.append({
-                "operator": f"join V{attrs.get('parent_vid')}->"
-                            f"V{attrs.get('child_vid')} [{algorithm}]",
-                "time ms": f"{span.duration_ms:.3f}",
-                "nodes": attrs.get("nodes_scanned", 0),
-                "est.nodes": f"{est_nodes:,.0f}",
-                "cmp": attrs.get("comparisons", 0),
-                "rows": attrs.get("pairs", 0),
-                "est.rows": f"{est_rows:,.0f}",
-            })
-        for span in trace.find_all("twigstack"):
-            attrs = span.attrs
-            rows.append({
-                "operator": "twigstack (holistic)",
-                "time ms": f"{span.duration_ms:.3f}",
-                "nodes": attrs.get("nodes_scanned", 0),
-                "est.nodes": "-",
-                "cmp": attrs.get("comparisons", 0),
-                "rows": attrs.get("matches", 0),
-                "est.rows": "-",
-            })
-
-        lines = ["EXPLAIN ANALYZE"]
-        root = trace.root
-        if root is not None and "source" in root.attrs:
-            lines.append(f"query: {root.attrs['source']}")
-        lines.append(f"plan: {result.plan}")
-        lines.append(f"total: {trace.total_ms:.3f} ms, {len(result)} item(s)")
-        lines.append("")
-        if rows:
-            lines.append(format_table(
-                rows, right_align=("time ms", "nodes", "est.nodes", "cmp",
-                                   "rows", "est.rows")))
-        else:
-            lines.append("(no per-operator spans: plan ran outside the "
-                         "BlossomTree pipeline)")
-        phases = [s for name in ("match-phase", "join-phase", "bind-phase",
-                                 "finish-phase")
-                  for s in trace.find_all(name)]
-        if phases:
-            lines.append("")
-            lines.append("phases: " + "  ".join(
-                f"{s.name.removesuffix('-phase')}={s.duration_ms:.3f}ms"
-                for s in phases) + "".join(
-                f"  where_conjuncts={s.attrs['where_conjuncts']}"
-                for s in phases if "where_conjuncts" in s.attrs))
-        lines.append("counters: " + " ".join(
-            f"{k}={v}" for k, v in counters.snapshot().items()))
-        return "\n".join(lines)
+        return render_explain_analyze(self, self.query(
+            text, strategy=strategy, work_budget=work_budget, trace=True,
+            params=params, timeout_ms=timeout_ms))
 
     @property
     def stats(self) -> DocumentStats:
@@ -952,51 +728,3 @@ class Engine:
 
     def _resolve_doc(self, uri: str) -> Document:
         return self.documents.get(uri, self.doc)
-
-    def _resolve_strategy(self, compiled: CompiledQuery, strategy: str,
-                          tracer, parallelism: int) -> PlanChoice:
-        if strategy == "auto":
-            return choose_strategy(self.stats, compiled.tree,
-                                   compiled.is_bare_path, has_index=True,
-                                   tracer=tracer, parallelism=parallelism)
-        if strategy == "cost":
-            return self._cost_based_choice(compiled)
-        if strategy in _BASELINES:
-            return PlanChoice(strategy, "explicitly requested")
-        if strategy == "twigstack":
-            if compiled.tree is None:
-                raise CompileError(
-                    f"twigstack strategy unavailable: {compiled.compile_error}")
-            # Reject inapplicable patterns here, not deep in the executor:
-            # the invariant analyzer (rule PL002) refuses to verify a
-            # twigstack plan over a non-twig tree.
-            if not twig_supported(compiled.tree):
-                raise CompileError(
-                    "twigstack strategy unavailable: pattern is not a "
-                    "single //-twig (crossing edges, optional modes or "
-                    "sibling constraints present)")
-            return PlanChoice("twigstack", "explicitly requested")
-        if strategy == "parallel" or strategy in _BLOSSOM_STRATEGIES:
-            if compiled.tree is None or compiled.flwor is None:
-                raise CompileError(
-                    f"{strategy} strategy unavailable: "
-                    f"{compiled.compile_error or 'no FLWOR core'}")
-            reason = "explicitly requested"
-            if strategy == "parallel":
-                reason += f" ({max(2, parallelism)} partitions)"
-            return PlanChoice(strategy, reason)
-        raise UsageError(f"unknown strategy {strategy!r}")
-
-    def _cost_based_choice(self, compiled: CompiledQuery) -> PlanChoice:
-        """Pick by the Section-6 cost model (expected nodes touched)."""
-        if compiled.tree is None:
-            return PlanChoice("naive",
-                              compiled.compile_error or "no pattern tree")
-        model = CostModel(self.doc, self.stats, self.index)
-        for estimate in model.rank(compiled.tree):
-            if estimate.cost == float("inf"):
-                continue
-            if estimate.strategy == "twigstack" and not compiled.is_bare_path:
-                continue  # holistic execution only covers bare paths
-            return PlanChoice(estimate.strategy, f"cost model: {estimate}")
-        return PlanChoice("naive", "cost model found no applicable strategy")

@@ -37,11 +37,11 @@ of both sides, so ``$v/steps op X`` holds for a tuple iff *some* match
 of ``steps`` below ``$v``'s node satisfies ``. op X`` — the Definition-1
 reading of the mandatory chain with that test on its leaf, decided in
 the NoK scan by the same compiled comparison (for ``$p``: against the
-request's bindings, whatever their type).  The exceptions stay
-``pushed``, pruned in the scan *and* verified per tuple: a chain with a
-``following-sibling`` step (the NoK matcher over-approximates sibling
-order, ROADMAP item 1) and a vertex that binds several variables.
-Crossing and residual conjuncts are verified per tuple as ever.
+request's bindings, whatever their type; a ``following-sibling`` step
+in the chain included, now that the matcher decides sibling order by
+position).  The exception stays ``pushed``, pruned in the scan *and*
+verified per tuple: a vertex that binds several variables.  Crossing and
+residual conjuncts are verified per tuple as ever.
 """
 
 from __future__ import annotations
@@ -211,6 +211,20 @@ class _Builder:
                 # a-ancestor", which is not a NoK-expressible shape.
                 raise CompileError("following-sibling is only supported "
                                    "after a child step")
+            if parent.variables:
+                # NestedList groups keep the *sets* of predecessor and
+                # successor matches; a successor per bound predecessor
+                # would need the pairs.
+                raise CompileError("following-sibling from a bound variable "
+                                   "pairs siblings, which the pattern "
+                                   "matcher does not model")
+            if mode == MODE_MANDATORY and edge_in.mode == MODE_OPTIONAL:
+                # The sibling hangs under the grandparent: a mandatory
+                # one would escape its predecessor's optional branch and
+                # prune the grandparent instead of emptying the branch.
+                raise CompileError("a required following-sibling of an "
+                                   "optional step is outside the "
+                                   "pattern-matching subset")
             grand = edge_in.parent
             vertex = self.tree.new_vertex(step.test.name)
             self.tree.add_edge(grand, vertex, "child", mode)
@@ -385,12 +399,7 @@ class _Builder:
             # roll it back (rule BT006).
             self.tree.rollback(mark)
             return residual
-        reason = ""
-        if any(v.after_vid is not None
-               for v in self.tree.vertices[mark.n_vertices:]):
-            reason = "following-sibling"
-        elif len(anchor.variables) > 1:
-            reason = "shared vertex"
+        reason = "shared vertex" if len(anchor.variables) > 1 else ""
         return WhereConjunct(conjunct, "pushed" if reason else "pushed-exact",
                              target, target.value_predicates[-1], reason)
 

@@ -36,6 +36,7 @@ Differences from the pseudo-code, for exactness:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from typing import cast
 
@@ -175,8 +176,8 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
         return lambda node, counters, variables: \
             NLEntry(vertex, node, n_groups)
 
-    # The matched mask drives both the mandatory check and the
-    # following-sibling eligibility rule (a child with an ``after_vid``
+    # The matched mask drives the mandatory check and the first half of
+    # the following-sibling rule (a child with an ``after_vid``
     # constraint joins the frontier only once its predecessor matched).
     bit_of = {edge.child.vid: 1 << position
               for position, (_, edge) in enumerate(local)}
@@ -220,9 +221,7 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
             applicable = table.get(child_node.tag, anywhere)
             if not applicable or child_node.kind != ELEMENT:
                 continue
-            for index, child_match, bit, after, returning in applicable:
-                if after and not matched & after:
-                    continue
+            for index, child_match, bit, _after, returning in applicable:
                 counters.comparisons += 1
                 sub = child_match(child_node, counters, variables)
                 if sub is None:
@@ -233,4 +232,64 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                 if returning:
                     groups[index].append(sub)
         return entry if matched & mandatory == mandatory else None
-    return match
+
+    if not any(after for _, (_, _, _, after, _) in edges):
+        return match
+
+    # Sibling order.  Definition 1 needs positions, not bits: a successor
+    # match counts only after a predecessor match, a predecessor match
+    # only before the last successor match that itself survived.  Per
+    # mandatory successor edge, (its predecessor's bit, its own bit);
+    # a successor's edge is built after its predecessor's, so in reverse
+    # edge order successors of successors come first and chains compose.
+    ordered = tuple((after, bit) for _, (_, _, bit, after, _)
+                    in reversed(edges)
+                    if after and after != never and mandatory & bit)
+    group_of = {bit: index for _, (index, _, bit, _, returning) in edges
+                if returning}
+
+    def match_in_sibling_order(node: Node, counters: ScanCounters,
+                               variables: Bindings | None) -> NLEntry | None:
+        if node.kind != DOCUMENT:
+            bound = _NO_VARIABLES if variables is None else variables
+            for test in tests if variables is None else tests + late:
+                counters.comparisons += 1
+                if not test(node, bound, None):
+                    return None
+        entry = NLEntry(vertex, node, n_groups)
+        groups = entry.groups
+        matched = 0
+        #: edge bit -> child positions of its matches, ascending
+        positions: dict[int, list[int]] = {}
+        for position, child_node in enumerate(node.children):
+            applicable = table.get(child_node.tag, anywhere)
+            if not applicable or child_node.kind != ELEMENT:
+                continue
+            # A successor is eligible against the mask as it stood
+            # *before* this child: never on the very child that set its
+            # predecessor's bit.
+            before = matched
+            for index, child_match, bit, after, returning in applicable:
+                if after and not before & after:
+                    continue
+                counters.comparisons += 1
+                sub = child_match(child_node, counters, variables)
+                if sub is None:
+                    continue
+                matched |= bit
+                positions.setdefault(bit, []).append(position)
+                if returning:
+                    groups[index].append(sub)
+        if matched & mandatory != mandatory:
+            return None
+        for predecessor, successor in ordered:
+            # The successor matched (it is mandatory) and its first
+            # match had a predecessor match before it: the cut keeps
+            # at least that one.
+            kept = positions[predecessor]
+            keep = bisect_left(kept, positions[successor][-1])
+            del kept[keep:]
+            if predecessor in group_of:
+                del groups[group_of[predecessor]][keep:]
+        return entry
+    return match_in_sibling_order

@@ -37,6 +37,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 
 from repro.engine.backend import ExecutionBackend
 from repro.engine.request import QueryKey, QueryOptions
@@ -663,7 +664,10 @@ class QueryService:
                     options = options.with_timeout(max(
                         (request.deadline - time.perf_counter()) * 1e3, 0.0))
                 try:
-                    result = engine._run(request.text, options, request.key)
+                    result = engine._run(
+                        request.text, options, request.key,
+                        slow=None if self.slow_log is None else partial(
+                            self._observe_slow, request, snapshot))
                 except PlanInvariantError as exc:
                     if attempts == 1 and "SV001" in exc.rule_ids:
                         # A cached plan raced a snapshot flip: purge the
@@ -672,36 +676,30 @@ class QueryService:
                         self.catalog.purge_stale_plans(request.doc)
                         continue
                     raise
-                except QueryTimeoutError as exc:
-                    self._observe_slow(request, exc.plan, snapshot,
-                                       (time.perf_counter() - started) * 1e3,
-                                       None, deadline_state="expired")
-                    raise
                 if cache_key is not None:
                     self._result_put(request.doc, cache_key, result)
                 run_ms = (time.perf_counter() - started) * 1e3
-                self._observe_slow(
-                    request, result.plan, snapshot, run_ms,
-                    result.counters.snapshot() if result.counters else None,
-                    deadline_state=("none" if request.deadline is None
-                                    else "ok"))
                 return ServeResult(result, snapshot, wait_ms, run_ms,
                                    attempts, cached=False)
             finally:
                 self.catalog.unpin(snapshot)
 
-    def _observe_slow(self, request: _Request, plan: str | None,
-                      snapshot: Snapshot, elapsed_ms: float,
-                      counters: dict | None, *, deadline_state: str) -> None:
-        """Route one served execution through the slow-query log, with
-        the plan of *this* execution (from its result or its error)."""
-        if self.slow_log is None:
+    def _observe_slow(self, request: _Request, snapshot: Snapshot,
+                      plan: str | None, elapsed_ms: float,
+                      counters: Mapping[str, int],
+                      error: type[BaseException] | None) -> None:
+        """The engine's record stage reporting one served execution (its
+        own plan, time and counter deltas) to the slow-query log.  Only
+        answers and expiries are logged; other failures never were."""
+        expired = error is not None and issubclass(error, QueryTimeoutError)
+        if self.slow_log is None or (error is not None and not expired):
             return
         record = self.slow_log.observe(
             request.text, request.key.strategy, plan or "?",
             elapsed_ms, counters,
             snapshot_id=snapshot.snapshot_id,
-            deadline_state=deadline_state,
+            deadline_state=("expired" if expired else
+                            "none" if request.deadline is None else "ok"),
             client=request.client)
         if record is not None:
             self._count("slow_queries")

@@ -20,7 +20,7 @@ def _verify_every_compiled_plan(monkeypatch):
     source instead of as a wrong query result three layers later.
     """
     import repro.engine.executor as executor_mod
-    import repro.engine.session as session_mod
+    import repro.engine.optimizer as optimizer_mod
     from repro.analysis import verify_artifacts
     from repro.pattern.artifact import prepare_artifacts
 
@@ -29,7 +29,7 @@ def _verify_every_compiled_plan(monkeypatch):
         verify_artifacts(artifacts)     # raises PlanInvariantError
         return artifacts
 
-    monkeypatch.setattr(session_mod, "prepare_artifacts", prepare_and_verify)
+    monkeypatch.setattr(optimizer_mod, "prepare_artifacts", prepare_and_verify)
     monkeypatch.setattr(executor_mod, "prepare_artifacts", prepare_and_verify)
 
 #: The document of the paper's Example 2 (whitespace matters for

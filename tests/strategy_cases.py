@@ -1,0 +1,96 @@
+"""The observation grid behind ``tests/data/strategy_golden.json``.
+
+One observation is what a caller can see of the plan decision: the
+``explain`` text, then — from one execution on a fresh engine — the
+executed strategy, the plan text and the answer, or the error's type and
+message.  ``test_strategy_table.py`` replays the grid over every row of
+the strategy table and compares with the golden, which was captured at
+the commit *before* the table existed (PR 21) by running this module
+with that commit's ``src`` on the path::
+
+    PYTHONPATH=<parent>/src python tests/strategy_cases.py name... > golden
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+from repro import Engine, parse
+
+#: No tag nests in itself / ``a`` nests in ``a``.
+DOCUMENTS = {
+    "flat": ('<r><a k="1"><b>1</b><c>x</c></a><a k="2"><b>2</b><c>y</c>'
+             '<c>z</c></a><a k="3"><b>3</b></a></r>'),
+    "recursive": ('<r><a k="1"><b>1</b><a k="2"><b>2</b><c>x</c></a></a>'
+                  '<a k="3"><b>3</b><c>y</c></a></r>'),
+}
+
+SHAPES = {
+    "bare path": "//a[b]/c",
+    "twig path": "//a[//b]//c",
+    "flwor": "for $a in //a where $a/b > 1 return $a/c",
+    "crossing flwor": ("for $x in //a, $y in //a where $x << $y "
+                       "return <p>{$x/b}{$y/b}</p>"),
+    "outside the subset": "for $a in //a[2] return $a/b",
+    "no FLWOR core": "count(//a)",
+    "provably empty": "//a/zzz",
+}
+
+#: Decisions the small grid cannot reach: (label, document, engine
+#: options, query, query options).  ``wide`` is past the parallel-scan
+#: threshold, so ``auto`` upgrades under a parallel executor — and
+#: withdraws when the root NoK navigates (PL004).
+WIDE = "<r>" + "<a><b>1</b></a>" * 1400 + "</r>"
+EXTRAS = [
+    ("auto upgrades to parallel", WIDE, {}, "//a/b",
+     {"executor": "threads:2"}),
+    ("auto withdraws the upgrade (PL004)", WIDE, {}, "/r/a/b",
+     {"executor": "threads:2"}),
+    ("requested parallel is refused (PL004)", WIDE, {}, "/r/a/b",
+     {"strategy": "parallel", "executor": "threads:2"}),
+    ("lint off: no static-empty plan", DOCUMENTS["flat"],
+     {"analyze_queries": False}, "//a/zzz", {}),
+    ("lint reports an optional branch it cannot prune", DOCUMENTS["flat"],
+     {}, "for $a in //a let $z := $a/zzz/q return $a/b", {}),
+    ("auto takes stack under a * left vertex", "<r><a><c/></a></r>", {},
+     "for $x in //* for $y in $x//c return $y", {}),
+    ("cost picks the cheapest bare path", DOCUMENTS["flat"], {},
+     "//a//c", {"strategy": "cost"}),
+]
+
+
+def observe(xml: str, text: str, engine_options: dict | None = None,
+            **options) -> dict:
+    """What ``explain`` says and what one execution did."""
+    seen: dict = {}
+    explain_options = {k: v for k, v in options.items() if k == "strategy"}
+    try:
+        seen["explain"] = Engine(parse(xml), **(engine_options or {})
+                                 ).explain(text, **explain_options)
+    except Exception as exc:
+        seen["explain_error"] = [type(exc).__name__, str(exc)]
+    try:
+        result = Engine(parse(xml), **(engine_options or {})
+                        ).query(text, **options)
+    except Exception as exc:
+        seen["error"] = [type(exc).__name__, str(exc)]
+    else:
+        seen.update(strategy=result.strategy, plan=result.plan,
+                    answer=result.serialize())
+    return seen
+
+
+def grid(names: list[str]) -> dict:
+    """``{row: {document: {shape: observation}}}`` plus the extras."""
+    rows = {name: {doc: {shape: observe(xml, text, strategy=name)
+                         for shape, text in SHAPES.items()}
+                   for doc, xml in DOCUMENTS.items()}
+            for name in names}
+    extras = {label: observe(xml, text, engine_options, **options)
+              for label, xml, engine_options, text, options in EXTRAS}
+    return {"rows": rows, "extras": extras}
+
+
+if __name__ == "__main__":
+    json.dump(grid(sys.argv[1:]), sys.stdout, indent=1, sort_keys=True)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import repro
 from repro.analysis.query import analyze_query
-from repro.engine import session as session_mod
+from repro.engine import optimizer as optimizer_mod
 from repro.engine.backend import ExecutionBackend, resolve_backend
 from repro.engine.plancache import normalize_query_text
 from repro.engine.request import QueryKey, QueryOptions
@@ -217,7 +217,7 @@ class TestOneIdentity:
                                                               monkeypatch):
         lints = []
         monkeypatch.setattr(
-            session_mod, "analyze_query",
+            optimizer_mod, "analyze_query",
             lambda *a, **kw: lints.append(a) or analyze_query(*a, **kw))
         with repro.connect(LIBRARY) as db:
             service = db.serve(workers=1)

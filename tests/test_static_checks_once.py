@@ -12,7 +12,7 @@ import repro
 from repro.analysis import analyzer as analyzer_mod
 from repro.engine import compiler as compiler_mod
 from repro.engine import executor as executor_mod
-from repro.engine import session as session_mod
+from repro.engine import optimizer as optimizer_mod
 from repro.engine.session import Engine
 from repro.errors import StaticError
 from repro.pattern.artifact import prepare_artifacts
@@ -53,11 +53,11 @@ def calls(monkeypatch):
     for name in CHECKS[1:5]:
         monkeypatch.setattr(analyzer_mod, name,
                             counted(name, getattr(analyzer_mod, name)))
-    monkeypatch.setattr(session_mod, "analyze_query",
-                        counted("analyze_query", session_mod.analyze_query))
+    monkeypatch.setattr(optimizer_mod, "analyze_query",
+                        counted("analyze_query", optimizer_mod.analyze_query))
     # The suite-wide fixture verifies every artifact bundle once more
     # on purpose; this test counts what the engine itself runs.
-    monkeypatch.setattr(session_mod, "prepare_artifacts", prepare_artifacts)
+    monkeypatch.setattr(optimizer_mod, "prepare_artifacts", prepare_artifacts)
     monkeypatch.setattr(executor_mod, "prepare_artifacts", prepare_artifacts)
     return seen
 
@@ -103,7 +103,7 @@ class TestOncePerCompile:
             flwor = calls["scope"][0]       # what the compiler analyzed
             return build_blossom_tree(flwor), ("rebuilt by a test double",)
 
-        monkeypatch.setattr(session_mod, "prune_pattern", rebuild)
+        monkeypatch.setattr(optimizer_mod, "prune_pattern", rebuild)
         Engine(parse(SMALL_BIB)).query(PRUNABLE)
         assert counts(calls) == {**ONCE, "blossom_pass": 2}
         compiled_tree, rewritten_tree = calls["blossom_pass"]
@@ -143,9 +143,9 @@ class TestNothingBehindThePlanCache:
                                                     monkeypatch):
         engine = Engine(parse(SMALL_BIB), feedback=True)
         advised = []
-        advise = engine._advisor.advise
+        advise = engine.advisor.advise
         monkeypatch.setattr(
-            engine._advisor, "advise",
+            engine.advisor, "advise",
             lambda *a, **kw: advised.append(a) or advise(*a, **kw))
         engine.query(BARE)
         assert counts(calls) == ONCE

@@ -3,7 +3,7 @@
 Covers the tentpole surface end to end: :class:`StatsStore` recording
 semantics, histogram quantiles (including the exposition lines), the
 :class:`StrategyAdvisor` explore-then-commit sequence, the engine's
-recording/feedback wiring, the BENCH_PR5 demotion regression
+recording/feedback wiring, the parallel-upgrade demotion regression
 (``parallel`` measured slower than the serial scan must be demoted
 within the first few executions), the ``Database.stats()`` /
 ``QueryService.stats()`` snapshots, and the ``python -m repro.obs``
@@ -390,7 +390,7 @@ class TestEngineRecording:
 
 
 class TestParallelDemotionRegression:
-    """The BENCH_PR5 case: ``parallel`` auto-upgraded yet measured
+    """The PR-5 benchmark's case: ``parallel`` auto-upgraded yet measured
     slower than the serial scan must be demoted within the first few
     executions."""
 
@@ -399,7 +399,7 @@ class TestParallelDemotionRegression:
         text = "//item/val"
         norm = normalize_query_text(text)
         fp = engine.stats_fingerprint()
-        # Seed the two measured arms with BENCH_PR5's shape: the
+        # Seed the two measured arms with that benchmark's shape: the
         # parallel upgrade costs ~4% over the serial merged scan.
         for _ in range(MIN_FEEDBACK_SAMPLES):
             engine.stats_store.record(norm, "parallel", fp, "threads:4",

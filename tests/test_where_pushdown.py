@@ -63,6 +63,14 @@ TEMPLATES = [
            "order by $b/author return <r>{{$t}}</r>"),
     ("sbt", "for $s in //shelf for $b in $s/book let $t := $b/title "
             "where {W} and $b/price > 1 return <p>{{$t}}{{$s/@genre}}</p>"),
+    # ``following-sibling`` steps in the binding path: a same-tag
+    # successor, a ``*`` chain, and a predecessor kept by a predicate.
+    ("b", "for $b in //shelf/book/following-sibling::book where {W} "
+          "return $b"),
+    ("bt", "for $b in //shelf/*/following-sibling::*/following-sibling::* "
+           "let $t := $b/title where {W} return <r>{{$t}}</r>"),
+    ("sb", "for $s in //shelf, $b in $s/book[following-sibling::book] "
+           "where {W} return <hit>{{$b/title}}</hit>"),
 ]
 
 STRATEGIES = ["auto", "pipelined", "stack", "caching", "bnlj", "nl"]
@@ -268,8 +276,18 @@ class TestVerifyOnce:
         assert [c.disposition for c in tree.where] == ["crossing"] * 2
         assert compiled_where(text, library.doc) is not None
 
+    def test_sibling_chain_conjunct_is_discharged(self, library):
+        """The matcher decides sibling order by position, so a chain
+        with a ``following-sibling`` step is as exact as any other (it
+        was ``pushed``: pruned in the scan *and* verified per tuple)."""
+        text = ("for $b in //book let $t := $b/title "
+                "where $b/author/following-sibling::price < 5 "
+                "return $b/title")
+        (conjunct,) = compile_query(text).tree.where
+        assert conjunct.disposition == "pushed-exact"
+        assert compiled_where(text, library.doc) is None
+
     @pytest.mark.parametrize("where, disposition", [
-        ("$b/author/following-sibling::price < 5", "pushed"),
         ("$t/text() = 1", "residual"),
         ("not($b/price < 5)", "residual"),
     ])
@@ -310,7 +328,7 @@ class TestVerifyOnce:
             "where $a/author = $b/author: crossing V3 = V4",
             'where $b/@id = "b777": pushed-exact → V2[/@id = "b777"]',
             "where $a/title/following-sibling::price < $p: "
-            "pushed → V6[. < $p] (following-sibling: re-verified)",
+            "pushed-exact → V6[. < $p]",
             "where $a/price < 1 or $b/price < 1: residual",
         ]
 
