@@ -61,7 +61,6 @@ def test_join_pipeline_pays_maintenance_scan_pipeline_does_not():
     assert engine.query(query, strategy="twigstack").serialize() == reference
 
     updater = DocumentUpdater(doc)
-    updater.register_index(engine.index)
     report = updater.insert_subtree(
         doc.elements_by_tag("item")[0],
         parse("<street_address>1 new way</street_address>").root)

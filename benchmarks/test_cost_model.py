@@ -47,7 +47,7 @@ def measured_work(prepared, query, system):
 def test_cost_model_regret(benchmark, name):
     def check():
         prepared = dataset(name)
-        model = CostModel(prepared.doc, prepared.stats, prepared.engine.index)
+        model = CostModel(prepared.doc)
         regrets = []
         for query in prepared.spec.queries:
             compiled = compile_query(query.text)

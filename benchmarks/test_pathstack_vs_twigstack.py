@@ -54,7 +54,7 @@ def test_chain_join_timing(benchmark, operator, name, query):
     def run():
         tree = build_from_path(parse_xpath(query))
         cls = PathStackOperator if operator == "pathstack" else TwigStackOperator
-        op = cls(tree, prepared.doc, index=prepared.engine.index)
+        op = cls(tree, prepared.doc)
         return len(op.matching_nodes(tree.var_vertex["#result"]))
 
     count = benchmark(run)

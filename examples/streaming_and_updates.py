@@ -48,7 +48,6 @@ def main() -> None:
     print("== 2. The update problem, quantified ==")
     engine = Engine(doc)
     updater = DocumentUpdater(doc)
-    updater.register_index(engine.index)
     engine.index.build()
 
     query = "//item//street_address"

@@ -3,7 +3,7 @@
 Where the AST/BT/NK/DW/PL passes verify that a compiled plan is
 *well-formed*, this pass asks a different question: can the query match
 anything **on this document**?  It runs at compile time against the
-per-snapshot :class:`~repro.xmlkit.summary.StructuralSummary` and finds
+document's :class:`~repro.xmlkit.summary.StructuralSummary` and finds
 
 * steps whose label never occurs, or never occurs in the structural
   relationship the pattern requires (``QL001``/``QL002``),

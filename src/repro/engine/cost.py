@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from repro.pattern.blossom import BlossomTree
 from repro.pattern.decompose import Decomposition, decompose
 from repro.physical.twigstack import twig_supported
-from repro.xmlkit.index import TagIndex
-from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.tree import Document
 from repro.strategy import STRATEGIES
 
@@ -63,7 +61,9 @@ class CostEstimate:
 
 
 class CostModel:
-    """Ranks the physical strategies for one compiled query.
+    """Ranks the physical strategies for one compiled query over
+    ``doc``, reading its statistics and tag-index cardinalities
+    (``doc.derived``).
 
     ``observed`` is the feedback loop's entry point: a mapping of tag →
     measured match cardinality (what the runtime statistics store
@@ -74,12 +74,11 @@ class CostModel:
     is selectivity-dependent, closed into a loop.
     """
 
-    def __init__(self, doc: Document, stats: DocumentStats,
-                 index: TagIndex | None = None,
+    def __init__(self, doc: Document,
                  observed: Mapping[str, float] | None = None) -> None:
         self.doc = doc
-        self.stats = stats
-        self.index = index if index is not None else TagIndex(doc)
+        self.stats = doc.derived.stats
+        self.index = doc.derived.index
         self.n_nodes = len(doc.nodes)
         self.observed = dict(observed) if observed else {}
 

@@ -19,10 +19,10 @@ Typical use::
         service = db.serve(workers=8)
         service.query("//book[author]//title", timeout_ms=100)
 
-Updates go through :meth:`updater`, which keeps the index registered
-for invalidation — the Section-2.1 maintenance story, wired in — and
-the engine's plan cache subscribed: every structural update drops all
-cached plans and bumps the document version, so repeated queries never
+Updates go through :meth:`updater`: every structural update drops the
+document's derived state (statistics, summary, tag index, arena file —
+the Section-2.1 maintenance story, wired in — and bumps its version),
+and the engine's plan cache is subscribed, so repeated queries never
 run against a stale strategy choice.  Once :meth:`serve` is active,
 in-place updates are refused: all mutations must go through the
 service's snapshot updaters, so concurrent readers keep their isolated
@@ -230,9 +230,9 @@ class Database:
 
     def updater(self) -> DocumentUpdater:
         """The document updater, wired for cache coherence: structural
-        updates invalidate the engine's tag index (rebuilt lazily on
-        the next join-based query) and its plan cache (stale statistics
-        must not steer strategy choice).
+        updates drop the document's derived state (the tag index is
+        rebuilt lazily on the next join-based query) and the engine's
+        plan cache (stale statistics must not steer strategy choice).
 
         Refused while :meth:`serve` is active: the service's readers
         hold snapshots of this document, and an in-place mutation would
@@ -245,9 +245,7 @@ class Database:
                 "use service.updater() for copy-on-write batches")
         if self._updater is None:
             self._updater = DocumentUpdater(self.doc)
-            self._updater.register_index(self.engine.index)
-            self._updater.register_listener(
-                lambda report: self.engine.notify_update(report))
+            self._updater.register_listener(self.engine.notify_update)
         return self._updater
 
     # ------------------------------------------------------------------
@@ -318,10 +316,10 @@ class Database:
     def close(self) -> None:
         """Drain and stop the network server and query service (if
         any), shut down the database-owned scan executors (thread and
-        process pools), release the document's arena file, and close
-        the slow-query log.  Idempotent; the database refuses new
-        serving after close, but plain serial :meth:`query` calls keep
-        working (they hold no external resources)."""
+        process pools), drop the document's derived state (its arena
+        file), and close the slow-query log.  Idempotent; the database
+        refuses new serving after close, but plain serial :meth:`query`
+        calls keep working (they hold no external resources)."""
         if self._closed:
             return
         self._closed = True
@@ -330,13 +328,11 @@ class Database:
         if self._service is not None:
             self._service.close(drain=True)
         # Deterministic worker-pool cleanup: drain and stop the scan
-        # executors this database owns, and release the document's
-        # arena file if process-backend queries materialized one.
+        # executors this database owns, and unlink the document's arena
+        # file if process-backend queries materialized one.
         self._scan_pools.close(wait=True)
         self.engine.scan_pools = None
-        from repro.xmlkit.arena import release_arena
-
-        release_arena(self.doc)
+        self.doc.drop_derived()
         if self.slow_log is not None:
             self.slow_log.close()
 
@@ -347,8 +343,8 @@ class Database:
         self.close()
 
     def refresh_stats(self) -> DocumentStats:
-        """Re-derive everything the engine caches about the document
-        (statistics, structural summary, tag index, fingerprint, plans)
+        """Re-derive everything computed from the document (statistics,
+        structural summary, tag index, arena file, fingerprint, plans)
         after a mutation that bypassed :meth:`updater`."""
         self.engine.notify_update()
         return self.engine.stats

@@ -44,7 +44,7 @@ from repro.errors import CompileError, UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
-from repro.pattern.blossom import MODE_MANDATORY, BlossomTree, BlossomVertex
+from repro.pattern.blossom import MODE_MANDATORY, BlossomTree
 from repro.pattern.build import RESULT_VAR, build_blossom_tree
 from repro.pattern.decompose import Decomposition, InterEdge, NoKTree
 from repro.xmlkit.storage import ScanCounters
@@ -152,17 +152,14 @@ class FLWORExecutor:
         Default document (``doc(uri)`` resolves to it unless
         ``resolve_doc`` is given).
     resolve_doc:
-        Optional URI resolver for multi-document queries.
+        Optional URI resolver for multi-document queries (``None``, a
+        pattern root without ``doc()``, resolves to ``doc`` too).
     join_algorithm:
         The join a strategy row pins on every ``//``-edge, or ``"auto"``
         to ask the optimizer per edge
         (:func:`~repro.engine.optimizer.edge_join`: pipelined where the
-        left input cannot nest, stack merge otherwise).
-    recursive_hint:
-        Whether a tag of the document may nest in itself
-        (``DocumentStats.recursive``), for the per-edge pick; without
-        the statistic, assume it may — the stack merge is sound on any
-        input.
+        left input cannot nest — by the statistics of the document the
+        edge's NoKs scan — stack merge otherwise).
     counters:
         Shared work counters (created if omitted; exposed as
         ``self.counters``).
@@ -170,10 +167,6 @@ class FLWORExecutor:
         Optional :class:`~repro.obs.trace.Tracer`.  When given, each of
         the four pipeline phases opens a span, with one child span per
         NoK scan and per inter-NoK join; defaults to the no-op tracer.
-    index:
-        Optional shared :class:`~repro.xmlkit.index.TagIndex` over
-        ``doc`` (serving snapshots cache one per version); passed to
-        the TwigStack operator instead of letting it build its own.
     backend:
         Run the match phase partition-parallel on this
         :class:`~repro.engine.backend.ExecutionBackend`
@@ -183,32 +176,25 @@ class FLWORExecutor:
         The owning stack's
         :class:`~repro.physical.parallel_scan.ScanPools` (``None`` uses
         the process-wide fallback).
-    doc_stats:
-        Precomputed statistics of ``doc``, used to size partitions.
     """
 
     def __init__(self, doc: Document,
-                 resolve_doc: Callable[[str], Document] | None = None,
+                 resolve_doc: Callable[[str | None], Document] | None = None,
                  join_algorithm: str = "auto",
                  counters: ScanCounters | None = None,
-                 recursive_hint: bool = True,
                  tracer: Tracer | None = None,
-                 *, index=None, backend: ExecutionBackend | None = None,
-                 scan_pools: ScanPools | None = None,
-                 doc_stats=None) -> None:
+                 *, backend: ExecutionBackend | None = None,
+                 scan_pools: ScanPools | None = None) -> None:
         self.doc = doc
         self.resolve_doc = resolve_doc if resolve_doc is not None else (lambda uri: doc)
         if join_algorithm != "auto" and join_algorithm not in _JOIN_OPERATORS:
             raise UsageError(f"unknown join algorithm {join_algorithm!r}")
         self.join_algorithm = join_algorithm
-        self.recursive = recursive_hint
         self.counters = counters if counters is not None else ScanCounters()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._tracing = self.tracer is not NULL_TRACER
-        self.index = index
         self.backend = backend
         self.scan_pools = scan_pools
-        self._doc_stats = doc_stats
         self._direct = DirectEvaluator(doc, self.resolve_doc)
         #: (parent_vid, child_vid) -> JoinResult, filled during execute()
         self._adjacency: dict[tuple[int, int], JoinResult] = {}
@@ -310,10 +296,8 @@ class FLWORExecutor:
             raise CompileError("TwigStack strategy only runs bare path queries")
         with self.tracer.span("twigstack") as span:
             before = self.counters.snapshot()
-            target = self._doc_for_root(tree.roots[0])
             operator = TwigStackOperator(
-                tree, target,
-                index=self.index if target is self.doc else None,
+                tree, self.resolve_doc(tree.roots[0].doc_uri),
                 counters=self.counters)
             output = tree.var_vertex[RESULT_VAR]
             nodes = list(operator.matching_nodes(output))
@@ -355,7 +339,6 @@ class FLWORExecutor:
                         noks, doc, self.counters, per_nok,
                         variables=self._variables,
                         backend=backend, pools=self.scan_pools,
-                        stats=self._doc_stats if doc is self.doc else None,
                         tracer=self.tracer if self._tracing else None)
                 else:
                     result = merged_scan(noks, doc, self.counters, per_nok,
@@ -403,12 +386,7 @@ class FLWORExecutor:
                     span.set(shared_with=nok.twin_of)
 
     def _doc_for_nok(self, dec: Decomposition, nok: NoKTree) -> Document:
-        return self._doc_for_root(dec.tree.pattern_root_of(nok.root))
-
-    def _doc_for_root(self, root: BlossomVertex) -> Document:
-        if not root.doc_uri:
-            return self.doc
-        return self.resolve_doc(root.doc_uri)
+        return self.resolve_doc(dec.tree.pattern_root_of(nok.root).doc_uri)
 
     # ------------------------------------------------------------------
     # Phase 2: structural joins + bottom-up semi-join reduction.
@@ -469,7 +447,8 @@ class FLWORExecutor:
                 span.set(algorithm="vacuous")
             return result
 
-        algorithm = edge_join(self.join_algorithm, self.recursive, edge)
+        doc = self._doc_for_nok(dec, dec.noks[edge.nok_from])
+        algorithm = edge_join(self.join_algorithm, doc, edge)
         self.plan_notes.append(
             f"join V{edge.parent.vid}->V{edge.child.vid}: {algorithm}")
         _JOIN_SELECTED.inc(algorithm=algorithm)
@@ -480,7 +459,6 @@ class FLWORExecutor:
         if STRATEGIES[algorithm].rescans is None:
             return operator(projection, right, edge, self.counters)
         inner_nok = dec.nok_of(edge.child)
-        doc = self._doc_for_nok(dec, dec.noks[edge.nok_from])
         # The nested loops re-discover inner matches by scanning; the
         # canonical map reconciles them with the bottom-up-reduced right
         # entries so deeper mandatory joins stay enforced.

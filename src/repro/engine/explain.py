@@ -16,7 +16,7 @@ from repro.pattern.decompose import decompose
 from repro.xquery.ast import QueryExpr
 from repro.engine.compiler import compile_query
 from repro.engine.cost import CostModel
-from repro.engine.optimizer import plan_query
+from repro.engine.optimizer import pattern_document, plan_query
 from repro.engine.request import QueryKey, QueryOptions
 from repro.engine.result import QueryResult
 
@@ -52,15 +52,16 @@ def render_explain(engine: Engine, text: str | QueryExpr,
         lines.append(compiled.tree.describe())
         lines.append("decomposition:")
         lines.append(decompose(compiled.tree).describe())
+        target = pattern_document(compiled.tree, engine)
         lines.append("cost estimates (expected nodes touched):")
-        for estimate in engine.cost_model().rank(compiled.tree):
+        for estimate in CostModel(target).rank(compiled.tree):
             lines.append(f"  {estimate}")
         observed = engine.stats_store.observed_cardinalities(
             engine.stats_fingerprint())
         if observed:
             lines.append("re-cost against observed selectivities "
                          "(measured NoK matches):")
-            for estimate in engine.cost_model(observed).rank(compiled.tree):
+            for estimate in CostModel(target, observed).rank(compiled.tree):
                 lines.append(f"  {estimate}")
     elif compiled.compile_error:
         lines.append(f"fallback reason: {compiled.compile_error}")
@@ -100,7 +101,7 @@ def render_explain_analyze(engine: Engine, result: QueryResult) -> str:
     """The text of :meth:`Engine.explain_analyze` for one traced run."""
     trace, counters = result.trace, result.counters
     assert trace is not None and counters is not None
-    model = engine.cost_model()
+    model = CostModel(engine.doc)
     rows: list[dict[str, object]] = []
     for name, label, estimate, cardinality in _OPERATOR_SPANS:
         for span in trace.find_all(name):

@@ -50,18 +50,19 @@ from repro.pattern.blossom import MODE_OPTIONAL, BlossomTree, BlossomVertex
 from repro.pattern.decompose import InterEdge
 from repro.physical.twigstack import twig_supported
 from repro.xmlkit.stats import DocumentStats
+from repro.xmlkit.tree import Document
 from repro.engine.backend import ExecutionBackend
+from repro.engine.cost import CostModel
 from repro.engine.request import QueryKey
 from repro.strategy import STRATEGIES, Strategy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session -> optimizer)
     from repro.engine.compiler import CompiledQuery
-    from repro.engine.cost import CostModel
     from repro.engine.session import Engine
 
 __all__ = ["CachedPlan", "PlanChoice", "StrategyAdvisor",
-           "advise", "choose_strategy", "edge_join", "plan_query",
-           "prune_pattern", "PARALLEL_SCAN_THRESHOLD",
+           "advise", "choose_strategy", "edge_join", "pattern_document",
+           "plan_query", "prune_pattern", "PARALLEL_SCAN_THRESHOLD",
            "MIN_FEEDBACK_SAMPLES", "DEMOTE_MARGIN", "REPROMOTE_MARGIN"]
 
 #: Minimum arena size (in nodes) before ``auto`` trades the serial
@@ -92,7 +93,7 @@ def choose_strategy(stats: DocumentStats, tree: BlossomTree | None,
     Parameters
     ----------
     stats:
-        Statistics of the (primary) input document.
+        Statistics of the document the pattern runs on.
     tree:
         The BlossomTree, or ``None`` when compilation failed (forces the
         naive fallback).
@@ -148,15 +149,26 @@ def _rules(stats: DocumentStats, tree: BlossomTree | None,
         "NoK streams (Theorem 2)")
 
 
-def edge_join(pinned: str, nests: bool, edge: InterEdge) -> str:
+def edge_join(pinned: str, doc: Document, edge: InterEdge) -> str:
     """The join one ``//``-edge runs: the plan's pinned algorithm, or
     (``"auto"``) the merge join that is sound for this edge's left
-    input.  Theorem 2 needs a left input that cannot nest: no tag inside
-    itself (``nests``: the document is recursive) — and no ``*``, which
-    nests on any document."""
+    input.  Theorem 2 needs a left input that cannot nest: no ``*``,
+    which nests on any document — and no tag inside itself (``doc``,
+    the document the edge's NoKs scan, is recursive)."""
     if pinned != "auto":
         return pinned
-    return "stack" if nests or edge.parent.name == "*" else "pipelined"
+    nests = edge.parent.name == "*" or doc.derived.stats.recursive
+    return "stack" if nests else "pipelined"
+
+
+def pattern_document(tree: BlossomTree | None, env: Engine) -> Document:
+    """The document whose statistics and postings decide a plan for
+    ``tree``: the one its roots resolve to — of several, a recursive
+    one, since a plan sound for it is sound for the others."""
+    docs = [env.resolve_doc(root.doc_uri)
+            for root in (tree.roots if tree is not None else ())]
+    return next((doc for doc in docs if doc.derived.stats.recursive),
+                docs[0] if docs else env.doc)
 
 
 # ----------------------------------------------------------------------
@@ -220,9 +232,10 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
     The plan comes back unverified: the engine runs the invariant
     passes over it before it may be cached or executed.
 
-    ``env`` is the engine planned for; the chooser reads its document
-    statistics, structural summary (only when the lint runs), cost
-    model (only for ``cost``), lint/feedback switches and advisor."""
+    ``env`` is the engine planned for; the chooser reads the statistics
+    (for ``cost``, the postings too) of the document the pattern
+    resolves to, the primary document's summary (only when the lint
+    runs), and the engine's lint/feedback switches and advisor."""
     requested = STRATEGIES.get(key.strategy)
     if requested is None or requested.family == "internal":
         raise UsageError(f"unknown strategy {key.strategy!r}")
@@ -289,12 +302,13 @@ def _requested(compiled: CompiledQuery, row: Strategy, parallelism: int,
                env: Engine, tracer: Tracer | NullTracer) -> PlanChoice:
     """The choice a ``strategy=`` request stands for, or the typed
     refusal when the name does not apply to this query."""
-    if row.name == "auto":
-        return choose_strategy(env.stats, compiled.tree,
+    if row.name in ("auto", "cost"):
+        target = pattern_document(compiled.tree, env)
+        if row.name == "cost":
+            return _cheapest(compiled, CostModel(target))
+        return choose_strategy(target.derived.stats, compiled.tree,
                                compiled.is_bare_path, has_index=True,
                                tracer=tracer, parallelism=parallelism)
-    if row.name == "cost":
-        return _cheapest(compiled, env.cost_model())
     tree = compiled.tree
     if "tree" in row.requires and tree is None:
         reason = compiled.compile_error
@@ -345,7 +359,8 @@ def advise(compiled: CompiledQuery, key: QueryKey, choice: PlanChoice,
         return choice
     return env.advisor.advise(
         key.text, env.stats_fingerprint(), key.executor, choice,
-        _alternative(static, env.stats, tree, compiled.is_bare_path))
+        _alternative(static, pattern_document(tree, env).derived.stats, tree,
+                     compiled.is_bare_path))
 
 
 def _alternative(static: Strategy, stats: DocumentStats, tree: BlossomTree,

@@ -91,7 +91,7 @@ class PreparedQuery:
     """
 
     def __init__(self, engine, source: str, options: QueryOptions,
-                 key: QueryKey, plan: CachedPlan, fingerprint: tuple) -> None:
+                 key: QueryKey, plan: CachedPlan) -> None:
         self._engine = engine
         self.source = source
         self.strategy = options.strategy
@@ -100,7 +100,7 @@ class PreparedQuery:
         self.executor = options.executor
         self._key = key
         self._plan = plan
-        self._fingerprint = fingerprint
+        self._fingerprint = engine.stats_fingerprint()
 
     @property
     def parameters(self) -> frozenset[str]:

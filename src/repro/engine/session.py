@@ -64,9 +64,9 @@ from repro.obs.statstore import STATS_RECOSTS, StatsStore
 from repro.obs.trace import NULL_TRACER, NullTracer, QueryTrace, Tracer
 from repro.physical.parallel_scan import ScanPools
 from repro.xmlkit.index import TagIndex
-from repro.xmlkit.stats import DocumentStats, compute_stats
+from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.storage import CancellationToken, ScanCounters
-from repro.xmlkit.summary import StructuralSummary, build_summary
+from repro.xmlkit.summary import StructuralSummary
 from repro.xmlkit.tree import Document
 from repro.xquery.ast import QueryExpr
 from repro.engine.backend import ExecutionBackend
@@ -75,7 +75,8 @@ from repro.engine.construct import DirectEvaluator, SubstitutingEvaluator
 from repro.engine.cost import CostModel
 from repro.engine.executor import FLWORExecutor
 from repro.engine.explain import render_explain, render_explain_analyze
-from repro.engine.optimizer import StrategyAdvisor, advise, plan_query
+from repro.engine.optimizer import (StrategyAdvisor, advise,
+                                    pattern_document, plan_query)
 from repro.engine.plancache import PlanCache
 from repro.engine.prepared import (
     CachedPlan,
@@ -215,22 +216,19 @@ class Engine:
         self.foreign_uris: frozenset[str] = frozenset(
             uri for uri, d in self.documents.items() if d is not doc)
         self.work_budget = work_budget
-        self.index = TagIndex(doc)
         #: :class:`~repro.physical.parallel_scan.ScanPools` the partition
         #: tasks of parallel plans run on (``None`` = the process-wide
         #: fallback; Database / QueryService install the one they own,
         #: so their ``close()`` shuts it down).
         self.scan_pools: ScanPools | None = None
-        self._stats: DocumentStats | None = None
         #: Run the structural-summary query lint (QL rules) at compile
         #: time and apply its pruning rewrites.  ``False`` is the escape
         #: hatch (and the differential-testing oracle): every query runs
         #: its unrewritten plan.
         self.analyze_queries = analyze_queries
-        self._summary: StructuralSummary | None = None
-        #: Memoized :meth:`stats_fingerprint` tuple; dropped with the
-        #: stats/summary it derives from (:meth:`notify_update`).
-        self._fingerprint_cache: tuple | None = None
+        #: :meth:`stats_fingerprint`, memoized beside the derived object
+        #: it was read from (a new version has a new object).
+        self._fingerprint: tuple[object, tuple] | None = None
         #: LRU of compiled plans; keys include the statistics
         #: fingerprint, so a mutated document never matches old entries.
         self.plan_cache = (plan_cache if plan_cache is not None
@@ -248,10 +246,6 @@ class Engine:
         #: *before* execution; the serving catalog installs the SV001
         #: dropped-snapshot gate here.  Raise to refuse the plan.
         self.plan_gate = None
-        #: Monotonic mutation counter; part of the fingerprint so two
-        #: document versions never alias even if their summary
-        #: statistics happen to coincide.
-        self._doc_version = 0
 
     # ------------------------------------------------------------------
     # Public API.
@@ -304,8 +298,7 @@ class Engine:
         """
         options = QueryOptions(strategy, executor=executor)
         run = _Run(text, options, QueryKey(text, options))
-        return PreparedQuery(self, text, options, run.key, self._plan(run),
-                             self.stats_fingerprint())
+        return PreparedQuery(self, text, options, run.key, self._plan(run))
 
     def notify_update(self, report: object = None) -> None:
         """Invalidate derived state after a document mutation.
@@ -313,22 +306,18 @@ class Engine:
         :meth:`Database.updater` wires this into the
         :class:`~repro.xmlkit.update.DocumentUpdater` listener hook;
         call it directly when mutating the document through other
-        means.  Drops cached statistics and every cached plan, and
-        bumps the document version so fingerprints of old plans can
-        never match again.
+        means.  Drops every cached plan and the document's derived
+        state (:meth:`Document.drop_derived`, which bumps its version:
+        fingerprints of old plans can never match again).
         """
-        self._doc_version += 1
-        self._stats = None
-        self._summary = None
-        self._fingerprint_cache = None
-        self.index.invalidate()
+        self.doc.drop_derived()
         self.plan_cache.invalidate("update")
 
     def stats_fingerprint(self) -> tuple:
         """The plan-cache key component tied to the document state.
 
         A snapshot-bound engine keys by its (catalog-unique) snapshot id
-        instead of the local mutation counter, so engines sharing one
+        instead of the document's version counter, so engines sharing one
         plan cache across document versions never alias entries — the
         atomic-invalidation contract of the serving layer.
 
@@ -336,17 +325,13 @@ class Engine:
         the tuple: a QL-pruned plan is only valid for the exact document
         shape it was pruned against, so the shape must key the cache.
         """
-        cached = self._fingerprint_cache
-        if cached is not None:
-            return cached
-        if self.snapshot_id is not None:
-            base = ("snapshot", self.snapshot_id) + self.stats.fingerprint()
-        else:
-            base = (self._doc_version,) + self.stats.fingerprint()
-        if self.analyze_queries:
-            base = base + (self.summary.fingerprint(),)
-        self._fingerprint_cache = base
-        return base
+        derived, memo = self.doc.derived, self._fingerprint
+        if memo is None or memo[0] is not derived:
+            version = (("snapshot", self.snapshot_id)
+                       if self.snapshot_id is not None else (self.doc.version,))
+            memo = self._fingerprint = (
+                derived, version + derived.fingerprint(self.analyze_queries))
+        return memo[1]
 
     def cached_static_empty(self, text: str, strategy: str = "auto",
                             executor: ExecutionBackend | str = "serial",
@@ -510,20 +495,14 @@ class Engine:
                 # saw, so it gets its own tree check; every other tree
                 # was verified by compile_query right after its build.
                 verify_tree(plan.artifacts.tree, source=compiled.source)
-            report = verify_plan(plan,
-                                 recursive_document=self.stats.recursive,
-                                 tree_verified=True)
+            report = verify_plan(
+                plan, recursive_document=pattern_document(
+                    compiled.tree, self).derived.stats.recursive,
+                tree_verified=True)
             span.set(findings=len(report.findings),
                      rules=",".join(report.rule_ids()) or "-")
         plan.verified = True
         return plan
-
-    def cost_model(self, observed: Mapping[str, float] | None = None
-                   ) -> CostModel:
-        """The Section-6 cost model over this engine's document,
-        statistics and tag index; ``observed`` (measured matches per
-        tag) overrides the static cardinalities."""
-        return CostModel(self.doc, self.stats, self.index, observed=observed)
 
     def recost(self, text: str | QueryExpr) -> list:
         """Rank the strategies against *observed* selectivities.
@@ -541,8 +520,10 @@ class Engine:
             raise CompileError(
                 f"recost unavailable: {compiled.compile_error or 'no tree'}")
         STATS_RECOSTS.inc()
-        return self.cost_model(self.stats_store.observed_cardinalities(
-            self.stats_fingerprint())).rank(compiled.tree)
+        observed = self.stats_store.observed_cardinalities(
+            self.stats_fingerprint())
+        return CostModel(pattern_document(compiled.tree, self),
+                         observed).rank(compiled.tree)
 
     # ------------------------------------------------------------------
     # Execute stage.
@@ -572,27 +553,22 @@ class Engine:
             from repro.baseline.xhive import XHiveSimulator
 
             with tracer.span("execute", plan="xhive"):
-                simulator = XHiveSimulator(self.doc, self._resolve_doc, counters)
+                simulator = XHiveSimulator(self.doc, self.resolve_doc, counters)
                 return simulator.run(compiled.query, values)
 
         assert compiled.flwor is not None and compiled.tree is not None
         row = STRATEGIES[choice.strategy]
         backend = run.options.executor
         executor = FLWORExecutor(
-            self.doc, self._resolve_doc,
-            join_algorithm=plan.join,
-            counters=counters,
-            recursive_hint=self.stats.recursive,
-            tracer=tracer,
-            index=self.index,
+            self.doc, self.resolve_doc, join_algorithm=plan.join,
+            counters=counters, tracer=tracer,
             # A partitioned plan always partitions: under the serial
             # spec (or one worker) it still cuts two ways, on threads.
             backend=(ExecutionBackend(
                 "processes" if backend.kind == "processes" else "threads",
                 max(2, backend.parallelism))
                 if row.partitions else None),
-            scan_pools=self.scan_pools,
-            doc_stats=self.stats)
+            scan_pools=self.scan_pools)
         try:
             with tracer.span("execute", plan=choice.strategy):
                 if row.family == "holistic":
@@ -620,7 +596,7 @@ class Engine:
                        values: dict, label: str) -> QueryResult:
         """Direct per-iteration evaluation (the Section-1 strawman)."""
         with run.tracer.span("execute", plan=label):
-            evaluator = DirectEvaluator(self.doc, self._resolve_doc,
+            evaluator = DirectEvaluator(self.doc, self.resolve_doc,
                                         work_budget=run.budget)
             return QueryResult(
                 evaluator.eval_query_expr(compiled.query, dict(values)))
@@ -629,7 +605,7 @@ class Engine:
               values: dict) -> QueryResult:
         """Evaluate the expression enclosing the FLWOR core around the
         core's precomputed ``items``."""
-        wrapper = SubstitutingEvaluator(self.doc, self._resolve_doc,
+        wrapper = SubstitutingEvaluator(self.doc, self.resolve_doc,
                                         compiled.flwor, items)
         return QueryResult(
             wrapper.eval_query_expr(compiled.query, dict(values)))
@@ -704,27 +680,19 @@ class Engine:
 
     @property
     def stats(self) -> DocumentStats:
-        """Statistics of the primary document (computed once)."""
-        if self._stats is None:
-            self._stats = compute_stats(self.doc, with_size=False)
-        return self._stats
+        """Read-through: the primary document's ``derived.stats``."""
+        return self.doc.derived.stats
 
     @property
     def summary(self) -> StructuralSummary:
-        """Structural summary of the primary document (computed once).
+        """Read-through: the primary document's ``derived.summary``."""
+        return self.doc.derived.summary
 
-        Like :attr:`stats`, dropped by :meth:`notify_update`; a
-        snapshot-bound engine gets the catalog's per-snapshot instance
-        injected instead (see :meth:`Catalog.engine_for
-        <repro.serve.catalog.Catalog.engine_for>`).
-        """
-        if self._summary is None:
-            self._summary = build_summary(self.doc)
-        return self._summary
+    @property
+    def index(self) -> TagIndex:
+        """Read-through: the primary document's ``derived.index``."""
+        return self.doc.derived.index
 
-    # ------------------------------------------------------------------
-    # Internals.
-    # ------------------------------------------------------------------
-
-    def _resolve_doc(self, uri: str) -> Document:
+    def resolve_doc(self, uri: str | None) -> Document:
+        """The document ``doc(uri)`` names (the primary one by default)."""
         return self.documents.get(uri, self.doc)

@@ -87,8 +87,8 @@ partition family comes from :mod:`repro.xmlkit.partition` (subtree
 splits of skewed documents) and :mod:`repro.physical.parallel_scan`
 (per-partition scan tasks and single-partition fallbacks to the serial
 scan); ``repro_tag_index_builds_total`` counts full-document tag-index
-materializations — the serving catalog caches one index per snapshot,
-so this should rise at most once per version.  The statistics family
+materializations — a document version owns one index
+(``doc.derived``), so this should rise at most once per version.  The statistics family
 (``repro_stats_*`` and the demotion counter) is registered by
 :mod:`repro.obs.statstore`: every execution recorded into a
 :class:`~repro.obs.statstore.StatsStore`, every re-costing against

@@ -63,7 +63,6 @@ from repro.physical.nok_merge import (matched_once, merged_scan,
                                       relabel_twins, scan_range)
 from repro.physical.structural import count_operator
 from repro.xmlkit.partition import Partition, partition_document
-from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xmlkit.tree import Document
 from repro.xpath.compile import Bindings
@@ -290,7 +289,6 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
                          variables: Bindings,
                          backend: ExecutionBackend,
                          pools: ScanPools | None = None,
-                         stats: DocumentStats | None = None,
                          partitions: list[Partition] | None = None,
                          tracer: Tracer | None = None,
                          ) -> dict[int, list[NLEntry]]:
@@ -306,15 +304,14 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
     ``kind="processes"``, on the thread pool otherwise — and ``pools``
     owns those pools (``None``: the process-wide fallback).
 
-    ``partitions`` overrides the stats-driven partitioning (tests use
+    ``partitions`` overrides the size-driven partitioning (tests use
     this to force fine-grained cuts on small documents); with a single
     partition the call degenerates to the serial merged scan.
     """
     if counters is None:
         counters = ScanCounters()
     if partitions is None:
-        partitions = partition_document(doc, backend.parallelism,
-                                        stats=stats)
+        partitions = partition_document(doc, backend.parallelism)
     if len(partitions) <= 1:
         _PARTITION_FALLBACKS.inc()
         return merged_scan(noks, doc, counters, per_nok, variables)

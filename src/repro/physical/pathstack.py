@@ -18,7 +18,6 @@ from repro.errors import ExecutionError
 from repro.pattern.blossom import BlossomTree, BlossomVertex
 from repro.physical.nok import value_constraints_hold
 from repro.physical.structural import count_operator
-from repro.xmlkit.index import TagIndex
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
 from repro.physical.twigstack import twig_supported
@@ -58,13 +57,12 @@ class PathStackOperator:
     """
 
     def __init__(self, tree: BlossomTree, doc: Document,
-                 index: TagIndex | None = None,
                  counters: ScanCounters | None = None) -> None:
         if not chain_supported(tree):
             raise ExecutionError("PathStack requires a single //-chain query")
         self.tree = tree
         self.doc = doc
-        self.index = index if index is not None else TagIndex(doc)
+        self.index = doc.derived.index
         self.counters = counters if counters is not None else ScanCounters()
 
         # The chain of query vertices, root-of-chain first.

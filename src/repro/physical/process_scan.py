@@ -52,7 +52,7 @@ from repro.obs.metrics import REGISTRY
 from repro.pattern.decompose import NoKTree
 from repro.physical.parallel_scan import (PartitionOutcome, SharedAbort,
                                           run_partition)
-from repro.xmlkit.arena import ArenaDocument, DocumentArena, arena_file_for
+from repro.xmlkit.arena import ArenaDocument, DocumentArena
 from repro.xmlkit.partition import Partition
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document
@@ -172,7 +172,7 @@ class ProcessScanBackend:
         surviving partitions stop within one stride instead of scanning
         to completion.
         """
-        path = arena_file_for(doc)
+        path = doc.derived.arena_file()
         blob = pickle.dumps(noks, protocol=pickle.HIGHEST_PROTOCOL)
         roots = {nok.nok_id: nok.root for nok in noks}
         atoms = atomized(variables)

@@ -31,7 +31,6 @@ from repro.errors import ExecutionError
 from repro.pattern.blossom import BlossomTree, BlossomVertex
 from repro.physical.nok import value_constraints_hold
 from repro.physical.structural import count_operator
-from repro.xmlkit.index import TagIndex
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
 
@@ -104,22 +103,22 @@ class TwigStackOperator:
     ----------
     tree:
         A BlossomTree accepted by :func:`twig_supported`.
-    doc / index:
-        The document and its tag-name index (built on demand).
+    doc:
+        The document; streams come from its one tag-name index
+        (``doc.derived.index``, built on demand).
     counters:
         Work counters; stream construction charges ``nodes_scanned``
         (index I/O) and predicate checks charge ``comparisons``.
     """
 
     def __init__(self, tree: BlossomTree, doc: Document,
-                 index: TagIndex | None = None,
                  counters: ScanCounters | None = None) -> None:
         if not twig_supported(tree):
             raise ExecutionError("BlossomTree is not a single twig; "
                                  "TwigStack is not applicable")
         self.tree = tree
         self.doc = doc
-        self.index = index if index is not None else TagIndex(doc)
+        self.index = doc.derived.index
         self.counters = counters if counters is not None else ScanCounters()
         self.root_q = self._build_query_tree()
         #: (parent_vid, child_vid) -> set of (parent_nid, child_nid) pairs

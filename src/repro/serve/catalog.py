@@ -9,13 +9,15 @@ id — the serving layer's unit of isolation:
   pinned snapshot survives any number of publishes;
 * **writers** run copy-on-write batches via ``updater()``; commit
   publishes the fork as the next snapshot atomically under the catalog
-  lock — the only synchronization point, never held during query
-  execution;
+  lock — the only synchronization point; it covers dictionary work
+  and is never held during query execution or an O(n) pass (statistics,
+  summary, tag index: ``snapshot.doc.derived``, built by first reader);
 * a snapshot with no pins that is no longer current is **retired**: its
   id joins the dropped set (the SV001 rule's ground truth), its engine
   is released, its plans are purged from the shared per-document
-  :class:`~repro.engine.plancache.PlanCache`, and retire listeners fire
-  (the query service uses this to purge its result cache).
+  :class:`~repro.engine.plancache.PlanCache`, its document's derived
+  state is dropped, and retire listeners fire (the query service uses
+  this to purge its result cache).
 
 All engines of one document share one plan cache; entries are keyed by
 the snapshot fingerprint (id + statistics), so plans compiled against
@@ -25,6 +27,7 @@ over to multi-version serving.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections.abc import Callable, Iterator
 
@@ -35,10 +38,7 @@ from repro.errors import UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.statstore import StatsStore
 from repro.serve.snapshot import Snapshot, SnapshotUpdater
-from repro.xmlkit.index import TagIndex
 from repro.xmlkit.parser import parse
-from repro.xmlkit.summary import StructuralSummary
-from repro.xmlkit.stats import compute_stats
 from repro.xmlkit.tree import Document
 from repro.xmlkit.update import UpdateReport
 
@@ -59,7 +59,7 @@ class _Entry:
     """Per-document state; all fields guarded by the catalog lock."""
 
     __slots__ = ("name", "current", "pins", "dropped", "plan_cache",
-                 "engines", "tag_indexes", "stats_store", "summaries")
+                 "engines", "stats_store")
 
     def __init__(self, name: str, snapshot: Snapshot,
                  plan_cache_capacity: int) -> None:
@@ -77,17 +77,6 @@ class _Entry:
         self.stats_store = StatsStore()
         #: snapshot_id -> Engine bound to that version.
         self.engines: dict[int, Engine] = {}
-        #: snapshot_id -> the version's one TagIndex.  Snapshots are
-        #: immutable, so the index never needs invalidation — it is
-        #: built at most once per version and dropped with it.  Cached
-        #: here (not only on the engine) so cost-model and twigstack
-        #: paths share the materialized lists however the engine is
-        #: (re)created.
-        self.tag_indexes: dict[int, TagIndex] = {}
-        #: snapshot_id -> the version's structural summary (query-lint
-        #: oracle).  Cached like the tag index: snapshots are immutable,
-        #: so it is built at most once per version and dropped with it.
-        self.summaries: dict[int, StructuralSummary] = {}
 
 
 class Catalog:
@@ -98,7 +87,7 @@ class Catalog:
                  analyze_queries: bool = True) -> None:
         self._lock = threading.Lock()
         self._entries: dict[str, _Entry] = {}
-        self._next_id = 1
+        self._ids = itertools.count(1)
         self._plan_cache_capacity = plan_cache_capacity
         #: Feedback-driven strategy selection for every snapshot engine
         #: this catalog creates (see :class:`repro.engine.session.Engine`).
@@ -123,7 +112,7 @@ class Catalog:
         with self._lock:
             if name in self._entries:
                 raise UsageError(f"document {name!r} is already registered")
-            snapshot = self._make_snapshot(name, doc)
+            snapshot = Snapshot(name, next(self._ids), doc)
             self._entries[name] = _Entry(name, snapshot,
                                          self._plan_cache_capacity)
             _LIVE.set(self._live_count())
@@ -178,9 +167,9 @@ class Catalog:
     def engine_for(self, snapshot: Snapshot) -> Engine:
         """The engine bound to one snapshot (created once per version).
 
-        The engine shares the document's plan cache, carries the
-        snapshot id (stamped into every plan it compiles), and reuses
-        the snapshot's precomputed statistics.
+        The engine shares the document's plan cache and carries the
+        snapshot id (stamped into every plan it compiles); what it reads
+        of the document it reads through ``snapshot.doc.derived``.
         """
         with self._lock:
             entry = self._entry(snapshot.name)
@@ -195,21 +184,7 @@ class Catalog:
                                 stats_store=entry.stats_store,
                                 feedback=self.feedback,
                                 analyze_queries=self.analyze_queries)
-                engine._stats = snapshot.stats
                 engine.plan_gate = self._make_gate(entry)
-                index = entry.tag_indexes.get(sid)
-                if index is None:
-                    index = entry.tag_indexes[sid] = engine.index
-                else:
-                    engine.index = index
-                summary = entry.summaries.get(sid)
-                if self.analyze_queries:
-                    # Share one summary per immutable snapshot however
-                    # the engine is (re)created, like the tag index.
-                    if summary is None:
-                        summary = entry.summaries[sid] = engine.summary
-                    else:
-                        engine._summary = summary
                 entry.engines[sid] = engine
             return engine
 
@@ -217,8 +192,8 @@ class Catalog:
         """Pure peek: the snapshot's engine if one was already built.
 
         Never constructs anything — the serve fast path uses this on
-        the submitting thread, where creating an engine (statistics,
-        tag index, summary) would stall the caller.
+        the submitting thread, which must not be the first reader of a
+        version's statistics or summary.
         """
         with self._lock:
             entry = self._entries.get(snapshot.name)
@@ -246,7 +221,7 @@ class Catalog:
         retired: Snapshot | None = None
         with self._lock:
             entry = self._entry(name)
-            snapshot = self._make_snapshot(name, doc)
+            snapshot = Snapshot(name, next(self._ids), doc)
             previous = entry.current
             entry.current = snapshot
             if entry.pins.get(previous.snapshot_id, 0) == 0:
@@ -333,18 +308,10 @@ class Catalog:
                              f"(registered: {sorted(self._entries) or '-'})")
         return entry
 
-    def _make_snapshot(self, name: str, doc: Document) -> Snapshot:
-        snapshot = Snapshot(name, self._next_id, doc,
-                            compute_stats(doc, with_size=False))
-        self._next_id += 1
-        return snapshot
-
     def _retire(self, entry: _Entry, snapshot: Snapshot) -> Snapshot:
         sid = snapshot.snapshot_id
         entry.dropped.add(sid)
         entry.engines.pop(sid, None)
-        entry.tag_indexes.pop(sid, None)
-        entry.summaries.pop(sid, None)
         _RETIRES.inc()
         _LIVE.set(self._live_count())
         return snapshot
@@ -352,12 +319,9 @@ class Catalog:
     def _notify_retired(self, snapshot: Snapshot) -> None:
         """Purge plans and fire listeners — outside the catalog lock."""
         self.purge_snapshot_plans(snapshot.name, snapshot.snapshot_id)
-        # A retired snapshot's arena file (the mmap-shared scan image
-        # used by the process execution backend) is dead weight once no
-        # query can pin the snapshot again — unlink it eagerly.
-        from repro.xmlkit.arena import release_arena
-
-        release_arena(snapshot.doc)
+        # No query can pin the snapshot again: its statistics, summary,
+        # tag index and arena file (processes-backend scan image) go.
+        snapshot.doc.drop_derived()
         for listener in self._retire_listeners:
             listener(snapshot)
 

@@ -521,8 +521,8 @@ class QueryService:
         try:
             # Pure peek: an engine the workers already built.  A first
             # submission (no engine yet, so no cached plan either) just
-            # takes the queue path; constructing one here would stall
-            # the submitting thread on stats/index/summary builds.
+            # takes the queue path: this thread must not be the first
+            # reader of the version's statistics and summary.
             engine = self.catalog.cached_engine(snapshot)
             if engine is None or not engine._static_empty(request.key):
                 return None

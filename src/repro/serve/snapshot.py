@@ -8,8 +8,9 @@ point onward — so a reader racing a writer could observe a half-applied
 tree.  Instead of locking, the serving layer never mutates a published
 document at all:
 
-* a :class:`Snapshot` is an immutable-by-convention ``(document,
-  statistics)`` pair with a catalog-unique id;
+* a :class:`Snapshot` is an immutable-by-convention document with a
+  name and a catalog-unique id (what is computed from it hangs off the
+  document, ``snapshot.doc.derived``, until the snapshot retires);
 * an update batch forks the current snapshot's document once
   (:func:`fork_document`, copy-on-first-write), applies every operation
   to the private fork, and publishes the fork as a *new* snapshot on
@@ -82,11 +83,15 @@ class Snapshot:
     name: str
     snapshot_id: int
     doc: Document
-    stats: DocumentStats
+
+    @property
+    def stats(self) -> DocumentStats:
+        """Statistics of this version's document (``doc.derived``)."""
+        return self.doc.derived.stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Snapshot {self.name!r} id={self.snapshot_id} "
-                f"{self.stats.n_nodes} nodes>")
+                f"{len(self.doc.nodes)} nodes>")
 
 
 @dataclass

@@ -35,10 +35,7 @@ from __future__ import annotations
 
 import json
 import mmap
-import os
 import struct
-import tempfile
-import threading
 from array import array
 from collections.abc import Collection, Iterator
 
@@ -50,8 +47,6 @@ __all__ = [
     "ArenaDocument",
     "ArenaNode",
     "DocumentArena",
-    "arena_file_for",
-    "release_arena",
 ]
 
 #: Magic prefix of the serialized arena — the columnar sibling of the
@@ -375,7 +370,6 @@ class ArenaDocument(Document):
         self.arena = arena
         self.nodes = _LazyNodeList(  # type: ignore[assignment]
             self, arena.n_nodes)
-        self._tag_lists = None
         self.root = None
         root = arena.first_child[0] if arena.n_nodes else -1
         while root >= 0:
@@ -423,57 +417,3 @@ class ArenaDocument(Document):
         nodes = self.nodes
         assert isinstance(nodes, _LazyNodeList)
         return sum(1 for node in nodes._cache if node is not None)
-
-
-# ----------------------------------------------------------------------
-# Snapshot file lifecycle: one arena file per Document, shared by every
-# worker that attaches it; released when the owning database closes or
-# the serving snapshot retires.
-# ----------------------------------------------------------------------
-
-_ARENA_ATTR = "_arena_path"
-_arena_lock = threading.Lock()
-
-
-def arena_file_for(doc: Document) -> str:
-    """Serialize ``doc``'s arena to a temp file once; return its path.
-
-    The path is cached on the document, so every query against the same
-    snapshot shares one file (workers attach it by path and keep the
-    mapping for the snapshot's lifetime).
-    """
-    path = getattr(doc, _ARENA_ATTR, None)
-    if path is not None:
-        return path  # type: ignore[return-value]
-    with _arena_lock:
-        path = getattr(doc, _ARENA_ATTR, None)
-        if path is not None:
-            return path  # type: ignore[return-value]
-        fd, new_path = tempfile.mkstemp(prefix="repro-arena-",
-                                        suffix=".btra")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(DocumentArena.from_document(doc).to_bytes())
-        except BaseException:
-            os.unlink(new_path)
-            raise
-        setattr(doc, _ARENA_ATTR, new_path)
-        return new_path
-
-
-def release_arena(doc: Document) -> None:
-    """Unlink the document's arena file, if one was ever written.
-
-    Workers still holding the mapping keep reading safely (the inode
-    lives until the last map drops); new attaches are impossible, which
-    is the point — the snapshot is gone.
-    """
-    with _arena_lock:
-        path = getattr(doc, _ARENA_ATTR, None)
-        if path is None:
-            return
-        setattr(doc, _ARENA_ATTR, None)
-    try:
-        os.unlink(path)
-    except OSError:
-        pass

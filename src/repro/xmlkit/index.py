@@ -7,13 +7,13 @@ document order.  TwigStack consumes these lists through
 to decide whether a holistic join is applicable at all.
 
 The index also demonstrates the *update problem* the paper attributes
-to join-based evaluation: :meth:`TagIndex.invalidate` must be called
-whenever the underlying document changes, because region labels are a
-materialization of structural relationships.
+to join-based evaluation: region labels are a materialization of
+structural relationships, so an index serves one document version.
+That version's index is ``doc.derived.index``, dropped with the rest of
+the derived state by :meth:`Document.drop_derived`.
 """
 
 from __future__ import annotations
-
 
 from repro.obs.metrics import REGISTRY
 from repro.xmlkit.tree import Document, Node
@@ -22,8 +22,8 @@ __all__ = ["TagIndex", "TagStream"]
 
 _BUILDS = REGISTRY.counter(
     "repro_tag_index_builds_total",
-    "Tag-index materializations (full document passes); one engine/"
-    "snapshot should pay this at most once between invalidations")
+    "Tag-index materializations (full document passes); one document "
+    "version should pay this at most once")
 
 
 class TagIndex:
@@ -32,23 +32,24 @@ class TagIndex:
     def __init__(self, doc: Document) -> None:
         self.doc = doc
         self._lists: dict[str, list[Node]] = {}
-        self._built = False
+        #: Whether the lists are materialized (what an update throws away).
+        self.built = False
 
     def build(self) -> TagIndex:
         """Materialize all per-tag lists (idempotent)."""
-        if not self._built:
+        if not self.built:
             _BUILDS.inc()
             table: dict[str, list[Node]] = {}
             for node in self.doc.elements():
                 table.setdefault(node.tag, []).append(node)  # type: ignore[arg-type]
             self._lists = table
-            self._built = True
+            self.built = True
         return self
 
-    def invalidate(self) -> None:
-        """Drop the materialized lists after a document update."""
-        self._lists = {}
-        self._built = False
+    def tags(self) -> list[str]:
+        """The distinct element tag names, in first-occurrence order."""
+        self.build()
+        return list(self._lists)
 
     def has(self, tag: str) -> bool:
         """True iff at least one element with this tag exists."""

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.metrics import REGISTRY
-from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.tree import Document, Node
 
 __all__ = ["Partition", "partition_document", "DEFAULT_MIN_PARTITION_NODES"]
@@ -68,26 +67,21 @@ class Partition:
 
 
 def partition_document(doc: Document, parallelism: int,
-                       stats: DocumentStats | None = None,
                        min_nodes: int = DEFAULT_MIN_PARTITION_NODES,
                        ) -> list[Partition]:
     """Cut ``doc`` into at most ``parallelism`` contiguous partitions.
 
-    The target partition size is stats-driven: ``n_nodes`` comes from
-    the precomputed :class:`~repro.xmlkit.stats.DocumentStats` when
-    available (serving snapshots carry them), falling back to the arena
-    length.  Runs are subtree-aligned; a run larger than the target is
-    split into the subtree root's own slot plus its child runs
-    (recursively), which handles skewed documents whose root has one
-    dominant child.
+    The target partition size is the arena length over ``parallelism``.
+    Runs are subtree-aligned; a run larger than the target is split
+    into the subtree root's own slot plus its child runs (recursively),
+    which handles skewed documents whose root has one dominant child.
 
     Always returns at least one partition; with ``parallelism <= 1`` or
     a document smaller than ``min_nodes`` the single partition covers
     the whole arena, making the parallel operator degenerate to the
     serial scan.
     """
-    n_nodes = len(doc.nodes) if stats is None else max(stats.n_nodes,
-                                                       len(doc.nodes))
+    n_nodes = len(doc.nodes)
     if parallelism <= 1 or doc.root is None or n_nodes <= min_nodes:
         return [Partition(0, 0, len(doc.nodes))]
 

@@ -18,9 +18,8 @@ distinct paths answers ``True`` for everything — soundness over
 precision, because an over-approximation only costs a wasted scan
 while an under-approximation would drop answers.
 
-Per-snapshot caching lives in :class:`repro.serve.Catalog` (alongside
-the ``TagIndex``); single-document engines cache one instance and drop
-it on mutation, keyed out of the plan cache by :meth:`fingerprint`.
+A document version's one summary is ``doc.derived.summary``, keyed out
+of the plan cache by :meth:`fingerprint`.
 """
 
 from __future__ import annotations

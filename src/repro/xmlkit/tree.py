@@ -23,6 +23,10 @@ Design notes
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - this module stays an import leaf
+    from repro.xmlkit.derived import DerivedState
 
 __all__ = [
     "DOCUMENT",
@@ -285,7 +289,12 @@ def _ignorable(node: Node) -> bool:
 
 
 class Document:
-    """An XML document: node arena plus derived access structures."""
+    """An XML document: the node arena, plus everything computed from
+    this version of it (:attr:`derived`)."""
+
+    #: Bumped by :meth:`drop_derived`; keys plan caches across versions.
+    version = 0
+    _derived: DerivedState | None = None
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
@@ -293,7 +302,6 @@ class Document:
         doc_node = Node(self, 0, DOCUMENT, "#document")
         doc_node.level = 0
         self.nodes.append(doc_node)
-        self._tag_lists: dict[str, list[Node]] | None = None
 
     @property
     def document_node(self) -> Node:
@@ -307,27 +315,39 @@ class Document:
         """All element nodes in document order."""
         return (n for n in self.nodes if n.kind == ELEMENT)
 
-    def elements_by_tag(self, tag: str) -> list[Node]:
-        """Document-ordered list of elements with the given tag (cached).
+    @property
+    def derived(self) -> DerivedState:
+        """This version's statistics, summary, tag index and arena file
+        (:mod:`repro.xmlkit.derived`), each built on first read."""
+        state = self._derived
+        if state is None:
+            from repro.xmlkit.derived import DerivedState
 
-        This is the access path the tag-name index (:mod:`repro.xmlkit.index`)
-        wraps; building it lazily keeps pure-navigation workloads free of
-        index construction cost.
-        """
-        if self._tag_lists is None:
-            table: dict[str, list[Node]] = {}
-            for node in self.nodes:
-                if node.kind == ELEMENT:
-                    table.setdefault(node.tag, []).append(node)  # type: ignore[arg-type]
-            self._tag_lists = table
-        return self._tag_lists.get(tag, [])
+            # Atomic: racing first readers all get the one stored object
+            # (two owners would mean two arena files).
+            state = vars(self).setdefault("_derived", DerivedState(self))
+        return state
+
+    def drop_derived(self) -> bool:
+        """The one invalidation call (the document changed, or will not
+        be read again): bumps :attr:`version`, unlinks the arena file,
+        forgets :attr:`derived`.  ``True`` iff a materialised tag index
+        went with it — the Section-2.1 maintenance cost of an update."""
+        state = vars(self).pop("_derived", None)
+        self.version += 1
+        if state is None:
+            return False
+        state.unlink_arena()
+        return state.index.built
+
+    def elements_by_tag(self, tag: str) -> list[Node]:
+        """Document-ordered list of elements with the given tag — the
+        postings of this version's one tag index."""
+        return self.derived.index.nodes(tag)
 
     def distinct_tags(self) -> list[str]:
         """Sorted list of distinct element tag names."""
-        if self._tag_lists is None:
-            self.elements_by_tag("")  # force table construction
-        assert self._tag_lists is not None
-        return sorted(self._tag_lists)
+        return sorted(self.derived.index.tags())
 
 
 class DocumentBuilder:

@@ -15,7 +15,9 @@ model, with exact accounting of the relabeling work:
   labels from the update point onward;
 * each operation returns an :class:`UpdateReport` with the number of
   nodes whose labels changed — the quantity the update-cost ablation
-  measures — and invalidates any registered tag index.
+  measures — and drops everything derived from the old version
+  (:meth:`Document.drop_derived`: statistics, summary, tag index, arena
+  file), so no holder can read a stale view and none has to be told.
 
 The implementation recomputes labels with a single pass from the
 splice point (labels before it are provably unchanged), which is the
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.errors import UpdateError
-from repro.xmlkit.index import TagIndex
 from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, Node
 
 __all__ = ["UpdateReport", "DocumentUpdater", "UpdateError"]
@@ -43,33 +44,29 @@ class UpdateReport:
     nodes_added: int = 0
     nodes_removed: int = 0
     nodes_relabeled: int = 0      # existing nodes whose (nid/start/end) changed
+    #: 1 when the replaced version had materialised its tag index (a
+    #: join-based query must rebuild it), else 0.
     indexes_invalidated: int = 0
 
 
 class DocumentUpdater:
     """Applies structural updates to a document, maintaining labels.
 
-    Registered tag indexes are invalidated on every update (they must
+    Every update drops the document's derived state; its tag index must
     be rebuilt before the next join-based query — the materialized-view
-    maintenance cost).
+    maintenance cost.
     """
 
     def __init__(self, doc: Document) -> None:
         self.doc = doc
-        self._indexes: list[TagIndex] = []
         self._listeners: list[Callable[[UpdateReport], None]] = []
-
-    def register_index(self, index: TagIndex) -> None:
-        """Track an index that must be invalidated on updates."""
-        self._indexes.append(index)
 
     def register_listener(self, callback: Callable[[UpdateReport], None]) -> None:
         """Register a callback fired after every structural update.
 
-        The engine layer uses this to invalidate derived state that the
-        updater cannot know about (cached document statistics, the plan
-        cache); the callback receives the operation's
-        :class:`UpdateReport`.
+        The engine layer uses this to invalidate what is keyed on the
+        document but not owned by it (the plan cache); the callback
+        receives the operation's :class:`UpdateReport`.
         """
         self._listeners.append(callback)
 
@@ -152,16 +149,13 @@ class DocumentUpdater:
         visit(doc.nodes[0], 0)
         doc.nodes = nodes
         doc.root = next((c for c in nodes[0].children if c.kind == ELEMENT), None)
-        doc._tag_lists = None
+        report.indexes_invalidated = int(doc.drop_derived())
 
         for node in nodes:
             old = old_labels.get(id(node))
             if old is not None and old != (node.nid, node.start, node.end):
                 report.nodes_relabeled += 1
 
-        for index in self._indexes:
-            index.invalidate()
-            report.indexes_invalidated += 1
         for listener in self._listeners:
             listener(report)
 

@@ -17,8 +17,6 @@ from repro.xmlkit import parse
 from repro.xmlkit.arena import (
     ArenaDocument,
     DocumentArena,
-    arena_file_for,
-    release_arena,
 )
 from repro.xmlkit.tree import ELEMENT, TEXT
 
@@ -118,29 +116,29 @@ class TestZeroCopy:
 class TestSnapshotFiles:
     def test_arena_file_written_once_and_cached(self):
         doc = parse("<a><b/></a>")
-        path = arena_file_for(doc)
+        path = doc.derived.arena_file()
         try:
             assert os.path.exists(path)
-            assert arena_file_for(doc) == path
+            assert doc.derived.arena_file() == path
             with open(path, "rb") as handle:
                 arena = DocumentArena.from_buffer(handle.read())
             assert arena.n_nodes == len(doc.nodes)
         finally:
-            release_arena(doc)
+            doc.drop_derived()
 
     def test_release_unlinks_and_is_idempotent(self):
         doc = parse("<a><b/></a>")
-        path = arena_file_for(doc)
-        release_arena(doc)
+        path = doc.derived.arena_file()
+        doc.drop_derived()
         assert not os.path.exists(path)
-        release_arena(doc)                     # no-op, no error
-        # A fresh request after release writes a new file.
-        path2 = arena_file_for(doc)
+        doc.drop_derived()                     # no-op, no error
+        # A fresh request after the drop writes a new file.
+        path2 = doc.derived.arena_file()
         try:
             assert path2 != path
             assert os.path.exists(path2)
         finally:
-            release_arena(doc)
+            doc.drop_derived()
 
     def test_text_payloads_slice_the_heap(self):
         doc = parse("<a>alpha<b>beta</b></a>")

@@ -27,7 +27,7 @@ def deep():
 class TestEstimates:
     def test_twigstack_wins_on_selective_queries(self, flat):
         doc, stats = flat
-        model = CostModel(doc, stats)
+        model = CostModel(doc)
         tree = build_from_path(parse_xpath("//address//country_id"))
         best = model.choose(tree)
         assert best.strategy == "twigstack"
@@ -36,7 +36,7 @@ class TestEstimates:
 
     def test_scan_wins_on_unselective_queries(self, flat):
         doc, stats = flat
-        model = CostModel(doc, stats)
+        model = CostModel(doc)
         # address + street_address streams cover most of the document.
         tree = build_from_path(parse_xpath(
             "//address[//street_address][//zip_code][//name_of_city]"))
@@ -48,14 +48,14 @@ class TestEstimates:
 
     def test_pipelined_inapplicable_on_recursive(self, deep):
         doc, stats = deep
-        model = CostModel(doc, stats)
+        model = CostModel(doc)
         tree = build_from_path(parse_xpath("//VP//NP"))
         names = {e.strategy for e in model.rank(tree)}
         assert "stack" in names and "pipelined" not in names
 
     def test_twigstack_infinite_for_non_twig(self, flat):
         doc, stats = flat
-        model = CostModel(doc, stats)
+        model = CostModel(doc)
         tree = build_blossom_tree(parse_flwor(
             "for $a in //address let $z := $a/zip_code return $a"))
         twig = next(e for e in model.rank(tree) if e.strategy == "twigstack")
@@ -66,23 +66,23 @@ class TestEstimates:
         deep_doc, deep_stats = deep
         flat_tree = build_from_path(parse_xpath("//address//zip_code"))
         deep_tree = build_from_path(parse_xpath("//VP//NP"))
-        flat_cost = next(e for e in CostModel(flat_doc, flat_stats).rank(flat_tree)
+        flat_cost = next(e for e in CostModel(flat_doc).rank(flat_tree)
                          if e.strategy == "bnlj").cost
-        deep_cost = next(e for e in CostModel(deep_doc, deep_stats).rank(deep_tree)
+        deep_cost = next(e for e in CostModel(deep_doc).rank(deep_tree)
                          if e.strategy == "bnlj").cost
         # per-node rescan volume is far larger on the deep recursive data
         assert deep_cost / len(deep_doc.nodes) > flat_cost / len(flat_doc.nodes)
 
     def test_estimates_sorted(self, flat):
         doc, stats = flat
-        model = CostModel(doc, stats)
+        model = CostModel(doc)
         ranked = model.rank(build_from_path(parse_xpath("//address//zip_code")))
         costs = [e.cost for e in ranked]
         assert costs == sorted(costs)
 
     def test_str_rendering(self, flat):
         doc, stats = flat
-        estimate = CostModel(doc, stats).choose(
+        estimate = CostModel(doc).choose(
             build_from_path(parse_xpath("//address//country_id")))
         assert "twigstack" in str(estimate)
 
@@ -134,7 +134,7 @@ class TestExactSubtreeStatistics:
         doc, stats = deep
         from repro.pattern import build_from_path
         from repro.xpath import parse_xpath
-        model = CostModel(doc, stats)
+        model = CostModel(doc)
         tree = build_from_path(parse_xpath("//VP//NN"))
         bnlj = next(e for e in model.rank(tree) if e.strategy == "bnlj")
         # predicted rescan volume = |VP| * avg_subtree(VP) + scan

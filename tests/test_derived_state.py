@@ -1,0 +1,152 @@
+"""One owner for a document version's derived state.
+
+Statistics, structural summary, tag index and arena file hang off
+``doc.derived`` (:mod:`repro.xmlkit.derived`): built by their first
+reader, at most once per version, outside every shared lock, and
+dropped by :meth:`Document.drop_derived` alone.  The per-surface halves
+of that contract live with their surfaces (arena file across updates:
+``test_process_backend``; retirement: ``test_update_fingerprint``; the
+plan reading the right document: ``test_engine``); here are the
+cross-cutting ones.
+"""
+
+import ast
+import threading
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.serve import Catalog
+from repro.xmlkit import derived as derived_module
+from repro.xmlkit import parse
+from repro.xmlkit.index import TagIndex
+
+SRC = Path(repro.__file__).parent
+
+LIBRARY = "<library>" + "".join(
+    f'<shelf genre="g{shelf}">' + "".join(
+        f'<book id="b{shelf * 20 + i}"><author>a{i % 5}</author>'
+        f"<title>t{shelf * 20 + i}</title><price>{(shelf * 20 + i) % 97}"
+        "</price></book>" for i in range(20)) + "</shelf>"
+    for shelf in range(5)) + "</library>"
+#: The four texts one ``snapshot_churn`` operation reads after a commit.
+READS = ("//book/title",
+         "//shelf[@genre = 'g3']/book[price > 60]/title",
+         "for $b in //book where $b/price < 30 return $b/title",
+         "//book[@id = 'b77']/title")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every O(n) build of a derived structure, as ``(kind, doc)``."""
+    log = []
+
+    def counting(kind, builder):
+        def wrapper(doc, *args, **kwargs):
+            log.append((kind, doc))
+            return builder(doc, *args, **kwargs)
+        return wrapper
+
+    for kind, name in (("stats", "compute_stats"),
+                       ("summary", "build_summary")):
+        monkeypatch.setattr(derived_module, name,
+                            counting(kind, getattr(derived_module, name)))
+    real_build = TagIndex.build
+
+    def build(index):
+        if not index.built:
+            log.append(("index", index.doc))
+        return real_build(index)
+
+    monkeypatch.setattr(TagIndex, "build", build)
+    return log
+
+
+def test_built_once_per_version_and_never_after_retirement(builds):
+    with repro.connect(LIBRARY) as db:
+        service = db.serve(workers=1)
+        for text in READS:
+            service.query(text)
+        retired = db.doc
+        batch = service.updater()
+        batch.insert_subtree(
+            batch.doc.root.children[0],
+            parse("<book id='fresh'><title>fresh</title><price>5</price>"
+                  "</book>").root)
+        batch.commit()
+        del builds[:]
+        for text in READS:
+            for _ in range(2):          # fresh snapshot, then result cache
+                served = service.query(text)
+        assert served.snapshot.doc is batch.doc
+        assert retired._derived is None
+        by_kind = {kind: [doc for k, doc in builds if k == kind]
+                   for kind in ("stats", "summary", "index")}
+        assert by_kind["stats"] == by_kind["summary"] == [batch.doc]
+        assert by_kind["index"] in ([], [batch.doc])
+
+
+@pytest.mark.parametrize("builder", ["compute_stats", "build_summary"])
+def test_catalog_lock_is_not_held_during_an_o_n_build(monkeypatch, builder):
+    started, release = threading.Event(), threading.Event()
+    real = getattr(derived_module, builder)
+
+    def blocking(doc, *args, **kwargs):
+        started.set()
+        assert release.wait(30)
+        return real(doc, *args, **kwargs)
+
+    monkeypatch.setattr(derived_module, builder, blocking)
+    catalog = Catalog()
+    first = catalog.register("one", "<r><a/></r>")
+    catalog.register("two", "<r><b/></r>")
+    answers, done = [], threading.Event()
+
+    def pin_unpin():
+        catalog.unpin(catalog.pin("two"))
+        done.set()
+
+    reader = threading.Thread(
+        target=lambda: answers.append(
+            catalog.engine_for(first).query("//a").serialize()))
+    other = threading.Thread(target=pin_unpin, daemon=True)
+    reader.start()
+    try:
+        assert started.wait(30)
+        other.start()
+        assert done.wait(10), "pin/unpin of another document waited " \
+            "behind a statistics or summary pass"
+    finally:
+        release.set()
+        reader.join(30)
+    assert not reader.is_alive() and answers == ["<a/>"]
+
+
+def _terminal_name(node: ast.AST) -> str:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def test_engine_serve_and_physical_keep_no_copy_of_derived_state():
+    """Under ``engine/``, ``serve/`` and ``physical/`` nothing builds a
+    derived structure itself and nothing writes a private attribute of
+    an engine it does not own: the one owner is ``doc.derived``."""
+    offenders = []
+    for package in ("engine", "serve", "physical"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            where = f"{path.relative_to(SRC)}:"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and _terminal_name(node.func) \
+                        in ("compute_stats", "build_summary", "TagIndex"):
+                    offenders.append(f"{where}{node.lineno} builds "
+                                     f"{_terminal_name(node.func)}")
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(
+                               node, (ast.AugAssign, ast.AnnAssign)) else [])
+                for target in targets:
+                    if isinstance(target, ast.Attribute) \
+                            and target.attr.startswith("_") \
+                            and "engine" in _terminal_name(target.value):
+                        offenders.append(f"{where}{node.lineno} writes "
+                                         f"engine.{target.attr}")
+    assert not offenders, offenders

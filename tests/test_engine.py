@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import CompileError, DNFError
 from repro.engine import Engine, compile_query
+from repro.obs.metrics import REGISTRY
+from repro.xmlkit import parse
 from repro.xmlkit.storage import ScanCounters
 
 ALL_BLOSSOM = ["pipelined", "caching", "stack", "bnlj", "nl"]
@@ -197,6 +199,37 @@ class TestSessionMachinery:
             '$s in doc("sections.xml")//section '
             'return <p/>', strategy="stack")
         assert len(result) == 3 * 4
+
+    @pytest.mark.parametrize("primary,other", [("flat", "rec"),
+                                               ("rec", "flat")])
+    def test_plan_reads_the_document_the_pattern_resolves_to(
+            self, primary, other):
+        """The Section-5.2 rule is about the document a NoK scans, not
+        the engine's primary one: ``auto`` / ``cost`` neither raise nor
+        pin the wrong merge on ``doc("other.xml")``."""
+        docs = {"flat": parse("<r><a><b>y</b></a><a><c/><b>x</b></a></r>"),
+                "rec": parse("<r><a><a><b>y</b></a><b>x</b></a></r>")}
+        engine = Engine(docs[primary], documents={"other.xml": docs[other]})
+        merge = "stack" if other == "rec" else "pipelined"
+        for query in ('doc("other.xml")//a//b',
+                      'for $a in doc("other.xml")//a for $b in $a//b '
+                      'return $b',
+                      'for $a in doc("other.xml")//a where $a//b = "y" '
+                      'return $a'):
+            expected = engine.query(query, strategy="naive").serialize()
+            for strategy in ("auto", "cost"):
+                result = engine.query(query, strategy=strategy)
+                assert result.serialize() == expected, (query, strategy)
+                assert (f"V2: {merge}" in result.plan
+                        or result.strategy == "twigstack"), result.plan
+        # TwigStack reads the other document's own index: built once.
+        builds = REGISTRY.counter("repro_tag_index_builds_total", "")
+        docs[other].drop_derived()
+        before = builds.value()
+        for _ in range(2):
+            assert len(engine.query('doc("other.xml")//a//b',
+                                    strategy="twigstack")) == 2
+        assert builds.value() == before + 1
 
     def test_compile_query_classification(self):
         compiled = compile_query("//a//b")

@@ -48,12 +48,14 @@ class TestPhases:
                 algorithm
 
     def test_auto_algorithm_uses_recursion_hint(self, doc):
-        executor = FLWORExecutor(doc, join_algorithm="auto",
-                                 recursive_hint=True)
+        """The hint is the scanned document's own statistic."""
+        nested = parse("<r><a><a><b/></a></a></r>")
+        assert nested.derived.stats.recursive
+        executor = FLWORExecutor(nested, join_algorithm="auto")
         executor.execute(parse_flwor("for $x in //a//b return $x"))
         assert any("stack" in note for note in executor.plan_notes)
-        executor = FLWORExecutor(doc, join_algorithm="auto",
-                                 recursive_hint=False)
+        assert not doc.derived.stats.recursive
+        executor = FLWORExecutor(doc, join_algorithm="auto")
         executor.execute(parse_flwor("for $x in //a//b return $x"))
         assert any("pipelined" in note for note in executor.plan_notes)
 

@@ -85,17 +85,6 @@ class TestPartitioner:
         assert parts[-1].stop_nid == len(doc.nodes)
         assert sum(p.n_nodes for p in parts) == len(doc.nodes)
 
-    def test_stats_drive_the_target_size(self):
-        from repro.xmlkit.stats import compute_stats
-
-        doc = parse(wide_doc(200))
-        with_stats = partition_document(doc, 4, min_nodes=1,
-                                        stats=compute_stats(doc,
-                                                            with_size=False))
-        without = partition_document(doc, 4, min_nodes=1)
-        assert [(p.start_nid, p.stop_nid) for p in with_stats] == \
-            [(p.start_nid, p.stop_nid) for p in without]
-
 
 QUERIES = ["//book", "//book/author", "//shelf//title",
            "//book[@year = '1995']", "//book[price > 25]/title", "//*"]

@@ -10,8 +10,10 @@ adds: a dying or failing worker must surface as a clean error, and
 pools, fds and arena files must not outlive their owner.
 """
 
+import glob
 import multiprocessing
 import os
+import tempfile
 
 import pytest
 
@@ -33,6 +35,11 @@ def wide_doc(n_books: int = 300) -> str:
         f"<shelf><book year='{1990 + i % 20}'><author>a{i % 7}</author>"
         f"<title>t{i}</title><price>{i % 50}</price></book></shelf>"
         for i in range(n_books)) + "</bib>"
+
+
+def arena_files() -> set[str]:
+    return set(glob.glob(os.path.join(tempfile.gettempdir(),
+                                      "repro-arena-*.btra")))
 
 
 def noks_for(path_text: str):
@@ -202,13 +209,53 @@ class TestResourceLifecycle:
 
     def test_database_close_releases_the_arena_file(self):
         import repro
-        from repro.xmlkit.arena import arena_file_for
 
         db = repro.connect(wide_doc(30))
-        path = arena_file_for(db.doc)
+        path = db.doc.derived.arena_file()
         assert os.path.exists(path)
         db.close()
         assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("mutation", ["insert", "delete", "bypass"])
+    def test_update_replaces_the_arena_file_workers_map(self, mutation):
+        """The arena file is a view of one document version: after an
+        update the workers must map the new version's file, and the old
+        one is unlinked at the update, not at ``close()``."""
+        import repro
+
+        query = "//book[price = 3]/title"
+        before = arena_files()
+        db = repro.connect(wide_doc(600))
+
+        def scanned() -> str:
+            return db.query(query, strategy="parallel",
+                            executor="processes:2").serialize()
+
+        assert scanned() == db.query(query).serialize()
+        (stale,) = arena_files() - before
+        shelf = db.doc.root.children[0]
+        if mutation == "insert":
+            db.updater().insert_subtree(shelf, parse(
+                "<book><title>fresh</title><price>3</price></book>").root, 0)
+            moved = "<title>fresh</title>"
+        elif mutation == "delete":
+            db.updater().delete_subtree(db.doc.root.children[3])
+            moved = "<title>t3</title>"
+        else:   # a mutation the updater never saw, then refresh_stats()
+            node = db.doc.root.children[4].children[0].children[2].children[0]
+            node.text = "3"
+            while node is not None:
+                node._string_value = None
+                node = node.parent
+            db.refresh_stats()
+            moved = "<title>t4</title>"
+        unlinked_by_the_update = not os.path.exists(stale)
+        after = scanned()
+        assert after == db.query(query, strategy="naive").serialize()
+        assert (moved in after) == (mutation != "delete")
+        assert unlinked_by_the_update and len(arena_files() - before) == 1
+        db.close()
+        assert arena_files() <= before
 
     def test_scan_pools_close_is_idempotent(self):
         pools = ScanPools()

@@ -99,15 +99,19 @@ class TestDelete:
 
 class TestIndexInvalidation:
     def test_registered_index_invalidated(self, doc):
-        index = TagIndex(doc)
+        index = doc.derived.index
         assert index.cardinality("y") == 1
         updater = DocumentUpdater(doc)
-        updater.register_index(index)
         report = updater.insert_subtree(doc.elements_by_tag("c")[0],
                                         parse("<y/>").root)
         assert report.indexes_invalidated == 1
-        # Rebuilt on demand with fresh content.
-        assert index.cardinality("y") == 2
+        # The document's index is a new one, rebuilt on demand with
+        # fresh content; an update that finds none built drops none.
+        assert doc.derived.index is not index
+        assert doc.derived.index.cardinality("y") == 2
+        doc.drop_derived()
+        report = updater.delete_subtree(doc.root.children[-1])
+        assert report.indexes_invalidated == 0
 
     def test_stale_index_is_the_update_problem(self, doc):
         """The Section-2.1 argument: an unregistered (stale) index keeps
@@ -121,4 +125,4 @@ class TestIndexInvalidation:
         assert stale_nodes[0] is fresh[0]
         # The node object survived but its labels moved: a join using
         # the stale list's cached order could now be wrong.
-        assert index._built  # noqa: SLF001 - asserting staleness itself
+        assert index.built      # asserting staleness itself

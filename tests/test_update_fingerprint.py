@@ -9,6 +9,8 @@ rewritten to a static-empty plan) and then inserted is the sharpest
 version, because serving the stale plan would silently drop answers.
 """
 
+import os
+
 from repro.engine import Engine
 from repro.engine.database import Database
 from repro.serve import Catalog, QueryService
@@ -101,14 +103,36 @@ class TestSnapshotInvalidation:
             service.close()
 
     def test_retire_drops_cached_summary(self):
+        """A retired snapshot's engine, derived state and arena file are
+        gone; a pinned one keeps all three until its last unpin."""
         catalog = Catalog()
         snap = catalog.register("lib", SMALL_BIB)
-        catalog.engine_for(snap)       # populates the summary cache
         entry = catalog._entries["lib"]
-        assert snap.snapshot_id in entry.summaries
+
+        def warm(snapshot):
+            catalog.engine_for(snapshot).stats_fingerprint()
+            derived = snapshot.doc.derived
+            return derived, derived.summary, derived.arena_file()
+
+        derived, summary, arena = warm(snap)
+        assert snap.snapshot_id in entry.engines
 
         with catalog.updater("lib") as up:
             up.insert_subtree(up.doc.root, parse("<x/>").root)
 
         # The base snapshot is unpinned: retired on publish.
-        assert snap.snapshot_id not in entry.summaries
+        assert snap.snapshot_id not in entry.engines
+        assert snap.doc._derived is None and not os.path.exists(arena)
+        assert snap.doc.derived is not derived        # nothing survived
+
+        pinned = catalog.pin("lib")
+        derived, summary, arena = warm(pinned)
+        with catalog.updater("lib") as up:
+            up.insert_subtree(up.doc.root, parse("<y/>").root)
+        assert pinned.snapshot_id in entry.engines
+        assert pinned.doc.derived is derived and derived.summary is summary
+        assert os.path.exists(arena)
+        catalog.unpin(pinned)
+        assert pinned.snapshot_id not in entry.engines
+        assert pinned.doc._derived is None and not os.path.exists(arena)
+        catalog.current("lib").doc.drop_derived()

@@ -135,10 +135,13 @@ class TestTagIndex:
         assert stream.eof()
 
     def test_invalidate(self, small_bib):
-        index = TagIndex(small_bib)
-        assert index.has("book")
-        index.invalidate()
-        assert index.has("book")  # rebuilt on demand
+        index = small_bib.derived.index
+        assert index.has("book") and index.built
+        assert small_bib.elements_by_tag("book") is index.nodes("book")
+        assert small_bib.drop_derived()     # the built index went with it
+        fresh = small_bib.derived.index
+        assert fresh is not index and not fresh.built
+        assert fresh.has("book")  # rebuilt on demand
 
     def test_clone_is_independent(self, small_bib):
         index = TagIndex(small_bib)
