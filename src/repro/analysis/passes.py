@@ -263,11 +263,14 @@ def _check_returning_closure(tree: BlossomTree, report: AnalysisReport) -> None:
 
 
 def _check_inert_optionals(tree: BlossomTree, report: AnalysisReport) -> None:
+    # A ``following-sibling`` predecessor constrains its successor.
+    predecessors = {vertex.after_vid for vertex in tree.vertices}
     for vertex in tree.vertices:
         edge = vertex.parent_edge
         if (edge is not None and edge.mode == MODE_OPTIONAL
                 and not vertex.child_edges and not vertex.returning
-                and not vertex.variables and not vertex.value_predicates):
+                and not vertex.variables and not vertex.value_predicates
+                and vertex.vid not in predecessors):
             report.add("BT006", _at(vertex),
                        f"optional leaf V{vertex.vid} ({vertex.name!r}) binds "
                        "nothing, constrains nothing and is not returning")

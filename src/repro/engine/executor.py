@@ -19,11 +19,13 @@ Execution pipeline (Figure 2's data flow, made concrete):
    NestedList groups on local edges and through join adjacency on cut
    edges; a let-variable binds the whole candidate sequence.  This
    walk-based enumeration deduplicates by node, reproducing XPath's
-   set semantics exactly.
+   set semantics exactly.  An ``=`` crossing edge between two
+   for-variables is a hash value join here (:class:`_ValueJoin`), so
+   only joined pairs are bound.
 4. **Finish** — the where-conjuncts the scan did not decide exactly
-   are verified per tuple (crossing-edge relationships like
-   ``<<``/``deep-equal`` are checked here, which *is* the paper's
-   nested-loop value join; ``pushed-exact`` conjuncts are not
+   are verified per tuple (every crossing edge is, joined or not:
+   ``<<``/``!=``/``deep-equal`` pairs are found by enumeration, the
+   paper's nested-loop value join; ``pushed-exact`` conjuncts are not
    evaluated again), then order by and return-clause construction run.
 
 Nothing in the loops of phases 1, 3 and 4 interprets the plan: the NoK
@@ -44,7 +46,8 @@ from repro.errors import CompileError, UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
-from repro.pattern.blossom import MODE_MANDATORY, BlossomTree
+from repro.pattern.blossom import (MODE_MANDATORY, BlossomTree,
+                                   BlossomVertex, CrossingEdge)
 from repro.pattern.build import RESULT_VAR, build_blossom_tree
 from repro.pattern.decompose import Decomposition, InterEdge, NoKTree
 from repro.xmlkit.storage import ScanCounters
@@ -54,7 +57,7 @@ from repro.xpath.compile import (Bindings, Compiled, Test, compile_expr,
                                  compile_test)
 from repro.xquery.ast import FLWOR, ForClause
 from repro.algebra.env import Env
-from repro.algebra.nested_list import NLEntry
+from repro.algebra.nested_list import NLEntry, project
 from repro.algebra.operators import select
 from repro.physical.nested_loop import (
     bounded_nested_loop_join,
@@ -102,11 +105,28 @@ _Bind = tuple[str, bool, str | int,
               tuple[tuple[int | None, tuple[int, int]], ...]]
 
 
+class _ValueJoin(NamedTuple):
+    """A non-negated ``=`` crossing edge, hash-joined while the later of
+    its two for-variables — root-anchored: one candidate list per
+    execution, the build side — is bound.  A side's atoms are the typed
+    values of its endpoint's matches inside its variable's entry; key
+    equality is ``=`` on such atoms and general comparison is
+    existential, so a candidate sharing no key cannot satisfy the
+    conjunct (which the finish verifies all the same)."""
+
+    text: str
+    probe: str                  # the earlier variable
+    probe_side: BlossomVertex   # the edge's endpoint under it
+    build_side: BlossomVertex
+
+
 class _Program(NamedTuple):
     """What :attr:`BlossomTree.compiled` holds: the bind walk and the
     finish of the FLWOR the tree was built from."""
 
     binds: tuple[_Bind, ...]
+    #: bind index of the build variable -> the join run there.
+    joins: dict[int, _ValueJoin]
     #: The conjuncts the scan did not decide exactly; ``None``: none.
     where: Test | None
     where_conjuncts: int
@@ -132,15 +152,47 @@ def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
                         if e is edge),
                    (edge.parent.vid, edge.child.vid))
                   for edge in reversed(chain))))
+    position = {bind[0]: at for at, bind in enumerate(binds)}
+    joins: dict[int, _ValueJoin] = {}
+    for conjunct in tree.where:
+        edge = conjunct.target
+        if isinstance(edge, CrossingEdge) and edge.relation == "=" \
+                and not edge.negated:
+            sides = sorted((position[var], var, side.vid, side)
+                           for side in (edge.u, edge.v)
+                           for var in (_owner(side),) if var)
+            if len(sides) == 2 and sides[0][0] < sides[1][0] \
+                    and isinstance(binds[sides[1][0]][2], int):
+                (_, probe, _, probe_side), (at, _, _, build_side) = sides
+                joins.setdefault(at, _ValueJoin(
+                    str(conjunct.expr), probe, probe_side, build_side))
     verify = [c.expr for c in tree.where if c.disposition != "pushed-exact"]
     return _Program(
-        tuple(binds),
+        tuple(binds), joins,
         None if not verify else compile_test(
             verify[0] if len(verify) == 1
             else BooleanExpr("and", tuple(verify))),
         len(verify),
         tuple((compile_expr(s.key), s.descending) for s in flwor.order_by),
         compile_emitter(flwor.return_expr))
+
+
+def _owner(vertex: BlossomVertex) -> str | None:
+    """The for-variable ``vertex`` hangs under by uncut edges, if any
+    (``None`` past a cut edge, under a let, or under no variable)."""
+    while not vertex.variables:
+        edge = vertex.parent_edge
+        if edge is None or edge.cut:
+            return None
+        vertex = edge.parent
+    var = vertex.variables[0]
+    return var if len(vertex.variables) == 1 \
+        and vertex.var_kinds[var] == "for" else None
+
+
+def _join_keys(entry: NLEntry, side: BlossomVertex) -> set[object]:
+    """The atoms a value-join side compares, for one entry of its variable."""
+    return {node.typed_value() for node in project(entry, side)}
 
 
 class FLWORExecutor:
@@ -254,8 +306,7 @@ class FLWORExecutor:
             matches = self._join_phase(dec, matches)
             span.set(edges=len(dec.inter_edges))
         with self.tracer.span("bind-phase") as span:
-            envs = self._bind_phase(program.binds, dec, matches)
-            span.set(tuples=len(envs))
+            envs = self._bind_phase(program, dec, matches, span)
 
         # Finish: where verification, order by, return construction.
         with self.tracer.span("finish-phase") as span:
@@ -348,6 +399,16 @@ class FLWORExecutor:
                 scan_span.set(
                     nodes_scanned=scan_nodes,
                     comparisons=self.counters.comparisons - before_cmp)
+                roots = sorted({nok.root.name for nok in noks} - {"#root"})
+                if roots and "*" not in roots:
+                    # Every root a name test: the scan walked postings,
+                    # and over the whole document delivered all of them.
+                    found = [doc.derived.index.cardinality(tag)
+                             for tag in roots]
+                    scan_span.set(candidates=sum(found))
+                    self.plan_notes.append(
+                        "candidates from postings: " + ", ".join(
+                            f"{tag}\u00d7{n}" for tag, n in zip(roots, found)))
                 matches.update(result)
                 if self._tracing:
                     self._trace_noks(noks, result, per_nok or {},
@@ -470,39 +531,55 @@ class FLWORExecutor:
     # Phase 3: tuple enumeration (variable binding).
     # ------------------------------------------------------------------
 
-    def _bind_phase(self, binds: tuple[_Bind, ...], dec: Decomposition,
-                    matches: dict[int, list[NLEntry]]) -> list[Env]:
-        root_entries: dict[int, list[NLEntry]] = {}
-        for nok in dec.root_noks():
-            root_entries[nok.root.vid] = matches.get(nok.nok_id, [])
-
-        envs: list[Env] = []
-        self._enumerate(binds, root_entries, 0, Env(), envs)
+    def _bind_phase(self, program: _Program, dec: Decomposition,
+                    matches: dict[int, list[NLEntry]], span: Span
+                    ) -> list[Env]:
+        """Tuples in clause order, one clause variable per level."""
+        roots = {nok.root.vid: matches.get(nok.nok_id, [])
+                 for nok in dec.root_noks()}
+        tallies = []
+        envs = [Env()]
+        for at, (var, iterates, anchor, hops) in enumerate(program.binds):
+            # A root-anchored variable has one candidate list, whatever
+            # the outer tuple; a value join hashes it once, by atom.
+            fixed = (self._candidates(roots.get(anchor, []), hops)
+                     if isinstance(anchor, int) else None)
+            join = program.joins.get(at)
+            table: dict[object, list[int]] = {}
+            if join is not None:
+                assert fixed is not None    # _compile's condition
+                for position, entry in enumerate(fixed):
+                    for key in _join_keys(entry, join.build_side):
+                        table.setdefault(key, []).append(position)
+            outer, envs = envs, []
+            for env in outer:
+                candidates = fixed if fixed is not None else self._candidates(
+                    env.anchors.get(anchor, []), hops)  # type: ignore[arg-type]
+                if join is not None:
+                    hits = [table[key] for key in _join_keys(
+                        env.anchors[join.probe][0], join.probe_side)
+                        if key in table]
+                    candidates = [candidates[position] for position in (
+                        hits[0] if len(hits) == 1
+                        else sorted(set().union(*hits)))]
+                if iterates:
+                    envs.extend(env.bind_for(var, entry)
+                                for entry in candidates)
+                else:
+                    envs.append(env.bind_let(var, candidates))
+            if join is not None:
+                tallies.append({"build": len(fixed or ()),
+                                "probe": len(outer), "pairs": len(envs)})
+                self.plan_notes.append(
+                    "value join {}: hash (build {build}, probe {probe}, "
+                    "pairs {pairs})".format(join.text, **tallies[-1]))
+        span.set(tuples=len(envs), value_joins=tallies)
         return envs
 
-    def _enumerate(self, binds: tuple[_Bind, ...],
-                   root_entries: dict[int, list[NLEntry]], index: int,
-                   env: Env, out: list[Env]) -> None:
-        if index == len(binds):
-            out.append(env)
-            return
-        var, iterates, anchor, hops = binds[index]
-        candidates = self._candidates(anchor, hops, root_entries, env)
-        if iterates:
-            for entry in candidates:
-                self._enumerate(binds, root_entries, index + 1,
-                                env.bind_for(var, entry), out)
-        else:
-            self._enumerate(binds, root_entries, index + 1,
-                            env.bind_let(var, candidates), out)
-
-    def _candidates(self, anchor: str | int, hops: tuple,
-                    root_entries: dict[int, list[NLEntry]],
-                    env: Env) -> list[NLEntry]:
-        """Walk the variable's vertex chain from its anchor, producing the
-        document-ordered, deduplicated candidate entries."""
-        frontier = (env.anchors if isinstance(anchor, str)
-                    else root_entries).get(anchor, [])  # type: ignore[arg-type]
+    def _candidates(self, frontier: list[NLEntry], hops: tuple
+                    ) -> list[NLEntry]:
+        """Walk a variable's vertex chain from its anchor's entries,
+        producing the document-ordered, deduplicated candidate entries."""
         for group, edge in hops:
             next_frontier: list[NLEntry] = []
             if group is None:

@@ -324,6 +324,9 @@ class Engine:
         With query lint enabled the structural summary's digest joins
         the tuple: a QL-pruned plan is only valid for the exact document
         shape it was pruned against, so the shape must key the cache.
+        So do the versions of the other documents ``doc(uri)`` can
+        resolve to: the chooser reads the statistics of whichever one a
+        pattern scans (:func:`~repro.engine.optimizer.pattern_document`).
         """
         derived, memo = self.doc.derived, self._fingerprint
         if memo is None or memo[0] is not derived:
@@ -331,7 +334,8 @@ class Engine:
                        if self.snapshot_id is not None else (self.doc.version,))
             memo = self._fingerprint = (
                 derived, version + derived.fingerprint(self.analyze_queries))
-        return memo[1]
+        return memo[1] + tuple((uri, other.version) for uri, other
+                               in self.documents.items() if other is not self.doc)
 
     def cached_static_empty(self, text: str, strategy: str = "auto",
                             executor: ExecutionBackend | str = "serial",

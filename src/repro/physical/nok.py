@@ -42,7 +42,7 @@ from typing import cast
 
 from repro.pattern.blossom import MODE_MANDATORY, BlossomVertex
 from repro.pattern.decompose import NoKTree
-from repro.xmlkit.storage import ScanCounters, SequentialScan
+from repro.xmlkit.storage import ScanCounters, SequentialScan, postings_scan
 from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, Node
 from repro.xpath.ast import mentions_variable
 from repro.xpath.compile import Bindings, ScanBindings, Test, compile_test
@@ -112,11 +112,11 @@ class NoKMatcher:
             if entry is not None:
                 yield entry
             return
-        scan = SequentialScan(self.doc, self.counters,
-                              self.start_nid, self.stop_nid)
-        for node in scan:
-            if not root.matches_tag(node.tag):
-                continue
+        for node in (SequentialScan(self.doc, self.counters,
+                                    self.start_nid, self.stop_nid)
+                     if root.name == "*" else
+                     postings_scan(self.doc, self.counters, (root.name,),
+                                   self.start_nid, self.stop_nid)):
             entry = match(node, self.counters, self.variables)
             if entry is not None:
                 yield entry

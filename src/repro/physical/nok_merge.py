@@ -22,8 +22,7 @@ from repro.pattern.blossom import BlossomVertex
 from repro.pattern.decompose import NoKTree
 from repro.physical.nok import Matcher, matcher_for
 from repro.physical.structural import count_operator
-from repro.xmlkit.arena import ArenaDocument
-from repro.xmlkit.storage import ScanCounters, SequentialScan
+from repro.xmlkit.storage import ScanCounters, SequentialScan, postings_scan
 from repro.xmlkit.tree import Document
 from repro.xpath.compile import Bindings, ScanBindings
 from repro.algebra.nested_list import NLEntry
@@ -108,9 +107,10 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
     :func:`merged_scan` runs it over the whole document; a partition of
     the parallel scan — thread or worker process — runs it over its own
     nid range, and Theorem 1 makes the per-range lists concatenate to
-    the whole-document answer.  Over an :class:`ArenaDocument` the
-    nodes come from its column pre-filter instead of
-    :class:`SequentialScan`; nothing else differs.
+    the whole-document answer.  Where every root is a name test the
+    candidates come from the document's tag postings
+    (:func:`~repro.xmlkit.storage.postings_scan`), else from
+    :class:`SequentialScan`; the pass charged is the same.
     """
     results: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
     if variables is not None:
@@ -118,11 +118,10 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
         # scalar into is kept beside the bindings, never in the request's.
         variables = ScanBindings(variables)
 
-    # Dispatch table: plain-name roots are looked up by the scanned
-    # node's tag instead of testing every NoK against every node;
-    # wildcard roots must still see each element.  Same matches, same
-    # counters (the tag test never touched ScanCounters), fewer inner
-    # loop iterations — this scan runs once per warm-path execution.
+    # Dispatch table, by the scanned node's tag.  Wildcard roots must
+    # see each element; named roots see only their own tag's postings.
+    # Same matches and the same counters either way (finding the
+    # candidates never touched ScanCounters beyond the pass itself).
     by_tag: dict[str, list[_Target]] = {}
     wildcard: list[_Target] = []
     try:
@@ -146,19 +145,13 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
                     (match, results[nok.nok_id], charged))
 
         if by_tag or wildcard:
-            if stop_nid is None:
-                stop_nid = len(doc.nodes)
-            nodes = (doc.element_scan(counters, start_nid, stop_nid,
-                                      None if wildcard else by_tag.keys())
-                     if isinstance(doc, ArenaDocument)
-                     else SequentialScan(doc, counters, start_nid, stop_nid))
-            for node in nodes:
-                named = by_tag.get(node.tag)
-                candidates = (named + wildcard if named and wildcard
-                              else named or wildcard)
-                if not candidates:
-                    continue
-                for match, matched, charged in candidates:
+            for targets in by_tag.values():
+                targets += wildcard
+            for node in (SequentialScan(doc, counters, start_nid, stop_nid)
+                         if wildcard else
+                         postings_scan(doc, counters, by_tag,
+                                       start_nid, stop_nid)):
+                for match, matched, charged in by_tag.get(node.tag, wildcard):
                     entry = match(node, charged, variables)
                     if entry is not None:
                         matched.append(entry)

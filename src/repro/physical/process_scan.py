@@ -337,8 +337,8 @@ def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
     """One partition, worker-side: attach, scan, flatten for the pipe.
 
     The scan itself is :func:`~repro.physical.parallel_scan.run_partition`
-    over the attached :class:`ArenaDocument`, whose column pre-filter
-    materializes node views only for elements a NoK is rooted at.  The
+    over the attached :class:`ArenaDocument`, whose column postings
+    materialize node views only for elements a NoK is rooted at.  The
     outcome goes back small and picklable: the matches as nid arrays,
     the counters without their token (it holds the shared arrays), the
     wall-clock bounds widened to the whole task.

@@ -390,8 +390,11 @@ class QueryService:
         # Deterministic cleanup: drain and stop the service-owned scan
         # executors (thread and process pools).  Arena files of retired
         # snapshots were already released by the catalog's retire hook;
-        # live snapshots release theirs when the catalog drops them.
+        # the current ones (forks, after a commit, that no Database
+        # owns) go here — a later reader rebuilds what it needs.
         self._scan_pools.close(wait=True)
+        for snapshot in self.catalog.snapshots():
+            snapshot.doc.drop_derived()
 
     @property
     def closed(self) -> bool:

@@ -37,10 +37,10 @@ import json
 import mmap
 import struct
 from array import array
-from collections.abc import Collection, Iterator
+from bisect import bisect_left
+from collections.abc import Iterator
 
 from repro.errors import ReproError
-from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import ELEMENT, TEXT, Document, Node
 
 __all__ = [
@@ -371,6 +371,8 @@ class ArenaDocument(Document):
         self.nodes = _LazyNodeList(  # type: ignore[assignment]
             self, arena.n_nodes)
         self.root = None
+        #: tag -> its elements' nids in document order (lazy, per tag).
+        self._postings: dict[str, array] = {}
         root = arena.first_child[0] if arena.n_nodes else -1
         while root >= 0:
             if arena.kind[root] == ELEMENT:
@@ -378,39 +380,22 @@ class ArenaDocument(Document):
                 break
             root = arena.next_sibling[root]
 
-    def element_scan(self, counters: ScanCounters, start_nid: int,
-                     stop_nid: int, tags: Collection[str] | None
-                     ) -> Iterator[Node]:
-        """The arena's :class:`~repro.xmlkit.storage.SequentialScan`:
-        the elements of ``[start_nid, stop_nid)`` in document order,
-        filtered on the ``kind``/``tag_id`` columns.
-
-        Every slot in range is charged to ``counters.nodes_scanned``
-        exactly as the object-tree scan charges it, but a node view is
-        materialized only for elements named in ``tags`` (``None``:
-        every element) — the rest of the range never leaves the columns.
-        Slots are charged a stride at a time, followed by one full
-        ``counters.cancellation.check()``; a work budget is that token's
-        business (``counters.budget`` is not consulted here).
-        """
-        arena = self.arena
-        kinds, tag_ids, nodes = arena.kind, arena.tag_id, self.nodes
-        wanted = (None if tags is None else
-                  {arena.tag_ids[tag] for tag in tags
-                   if tag in arena.tag_ids})
-        token = counters.cancellation
-        stop = min(stop_nid, arena.n_nodes)
-        stride = token.stride if token is not None else max(1, stop - start_nid)
-        counters.scans_started += 1
-        for low in range(start_nid, stop, stride):
-            high = min(low + stride, stop)
-            counters.nodes_scanned += high - low
-            if token is not None:
-                token.check()
-            for nid in range(low, high):
-                if kinds[nid] == ELEMENT and (wanted is None
-                                              or tag_ids[nid] in wanted):
-                    yield nodes[nid]  # type: ignore[misc]
+    def postings(self, tag: str, start_nid: int, stop_nid: int) -> list[Node]:
+        """The object tree's :meth:`Document.postings` read off the
+        columns: per tag, the element nids are collected once per
+        attached arena, and a node view is materialized only for the
+        postings inside the range asked for."""
+        nids = self._postings.get(tag)
+        if nids is None:
+            arena = self.arena
+            wanted, kinds = arena.tag_ids.get(tag), arena.kind
+            nids = self._postings[tag] = array("i", [
+                nid for nid, tid in enumerate(arena.tag_id)
+                if tid == wanted and kinds[nid] == ELEMENT])
+        nodes = self.nodes
+        return [nodes[nid] for nid in  # type: ignore[misc]
+                nids[bisect_left(nids, start_nid):
+                     bisect_left(nids, stop_nid)]]
 
     def materialized(self) -> int:
         """Node views built so far (tests/introspection)."""

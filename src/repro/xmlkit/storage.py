@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from collections.abc import Iterator
+from collections.abc import Collection, Iterable, Iterator
+from itertools import chain
+from operator import attrgetter
 
 from repro.errors import DNFError, QueryCancelledError, QueryTimeoutError
 from repro.obs.metrics import REGISTRY
 from repro.xmlkit.tree import ELEMENT, Document, Node
 
-__all__ = ["CancellationToken", "ScanCounters", "SequentialScan"]
+__all__ = ["CancellationToken", "ScanCounters", "SequentialScan",
+           "postings_scan"]
 
 _BUDGET_TRIPS = REGISTRY.counter(
     "repro_budget_trips_total",
@@ -74,11 +77,12 @@ class CancellationToken:
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise QueryTimeoutError(timeout_ms=self.timeout_ms)
 
-    def checkpoint(self) -> None:
-        """Cheap per-iteration check: full :meth:`check` every stride."""
-        self._ticks += 1
+    def checkpoint(self, slots: int = 1) -> None:
+        """Cheap per-iteration check: full :meth:`check` every stride
+        (``slots``: how many iterations' worth this call stands for)."""
+        self._ticks += slots
         if self._ticks >= self.stride:
-            self._ticks = 0
+            self._ticks %= self.stride
             self.check()
 
 
@@ -185,3 +189,51 @@ class SequentialScan:
                 token.checkpoint()
             if node.kind == ELEMENT:
                 yield node
+
+
+def postings_scan(doc: Document, counters: ScanCounters,
+                  tags: Collection[str], start_nid: int = 0,
+                  stop_nid: int | None = None) -> Iterable[Node]:
+    """The named-root access method: the elements of ``[start_nid,
+    stop_nid)`` named in ``tags``, in document order, from the
+    document's tag postings (:meth:`Document.postings`).
+
+    The I/O model is :class:`SequentialScan`'s, one pass over the range:
+    every slot is charged to ``nodes_scanned`` whether or not a posting
+    names it — a stride at a time, one token checkpoint per stride — and
+    the budget trips at the slot the pass would trip at, after the
+    candidates before that slot were delivered.
+    """
+    counters.scans_started += 1
+    stop = len(doc.nodes) if stop_nid is None \
+        else min(stop_nid, len(doc.nodes))
+    runs = [doc.postings(tag, start_nid, stop) for tag in tags]
+    found = (runs[0] if len(runs) == 1 else
+             sorted(chain.from_iterable(runs), key=attrgetter("nid")))
+    if counters.budget is None and counters.cancellation is None:
+        counters.nodes_scanned += max(0, stop - start_nid)
+        return found
+    return _paced(found, counters, start_nid, stop)
+
+
+def _paced(found: list[Node], counters: ScanCounters, start: int,
+           stop: int) -> Iterator[Node]:
+    token, budget = counters.cancellation, counters.budget
+    stride = token.stride if token is not None else max(1, stop - start)
+    delivered = 0
+    for low in range(start, stop, stride):
+        size = min(stride, stop - low)
+        room = size if budget is None else budget - counters.nodes_scanned
+        charged = max(0, min(size, room))
+        counters.nodes_scanned += charged
+        if token is not None:
+            token.checkpoint(charged)
+        while delivered < len(found) \
+                and found[delivered].nid < low + charged:
+            yield found[delivered]
+            delivered += 1
+        if room < size:     # the next slot's charge exceeds the budget
+            counters.nodes_scanned += 1
+            counters.trip_budget()
+            raise DNFError("sequential scan exceeded the work budget",
+                           budget=budget)

@@ -22,7 +22,9 @@ Design notes
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - this module stays an import leaf
@@ -45,6 +47,7 @@ ELEMENT = 1
 TEXT = 2
 
 _KIND_NAMES = {DOCUMENT: "document", ELEMENT: "element", TEXT: "text"}
+_NID = attrgetter("nid")
 
 
 def parse_number(text: str) -> float | None:
@@ -344,6 +347,14 @@ class Document:
         """Document-ordered list of elements with the given tag — the
         postings of this version's one tag index."""
         return self.derived.index.nodes(tag)
+
+    def postings(self, tag: str, start_nid: int, stop_nid: int) -> list[Node]:
+        """:meth:`elements_by_tag` within node ids ``[start_nid,
+        stop_nid)`` — what a named-root scan walks
+        (:func:`~repro.xmlkit.storage.postings_scan`)."""
+        nodes = self.derived.index.nodes(tag)
+        return nodes[bisect_left(nodes, start_nid, key=_NID):
+                     bisect_left(nodes, stop_nid, key=_NID)]
 
     def distinct_tags(self) -> list[str]:
         """Sorted list of distinct element tag names."""

@@ -115,3 +115,256 @@ def test_demotion_counter_carries_strategy_labels():
         from_mean_ms=2.0, to_mean_ms=1.0, executions=4, reason="r"))
     after = demotions.value(from_strategy="twigstack", to_strategy="stack")
     assert after == before + 1
+
+
+# ----------------------------------------------------------------------
+# The access-method contract: a named-root scan walks tag postings, and
+# everything a caller can count about it is what the SequentialScan
+# dispatch it replaced would have counted.
+# ----------------------------------------------------------------------
+
+import random  # noqa: E402
+
+import pytest  # noqa: E402
+
+from repro.engine import compile_query  # noqa: E402
+from repro.errors import (DNFError, QueryCancelledError,  # noqa: E402
+                          QueryTimeoutError)
+from repro.pattern.artifact import prepare_artifacts  # noqa: E402
+from repro.physical.nested_loop import (  # noqa: E402
+    bounded_nested_loop_join)
+from repro.physical.nok import NoKMatcher, matcher_for  # noqa: E402
+from repro.physical.nok_merge import scan_range  # noqa: E402
+from repro.xmlkit import parse  # noqa: E402
+from repro.xmlkit.arena import DocumentArena  # noqa: E402
+from repro.xmlkit.storage import (CancellationToken,  # noqa: E402
+                                  SequentialScan)
+
+STRIDE = 16
+ROOT_SETS = [
+    "for $x in //a return $x",
+    "for $x in //b[c] return $x",
+    "for $x in //a/b, $y in //c[. = 2] return $x",
+    "for $x in //a, $y in //b[a], $z in //c/a return $x",
+    "for $x in //zzz, $y in //b return $x",
+]
+
+
+def generated_document(seed: int) -> str:
+    rng = random.Random(f"access-method:{seed}")
+
+    def element(depth: int) -> str:
+        tag = rng.choice("abc")
+        if depth >= 5 or rng.random() < 0.25:
+            return f"<{tag}>{rng.randint(0, 3)}</{tag}>"
+        return (f"<{tag}>" + "".join(element(depth + 1)
+                                     for _ in range(rng.randint(1, 4)))
+                + f"</{tag}>")
+    return "<r>" + "".join(element(1) for _ in range(12)) + "</r>"
+
+
+def named_noks(text: str):
+    noks = prepare_artifacts(compile_query(text).tree).decomposition.noks
+    return [nok for nok in noks if nok.root.name != "#root"]
+
+
+def sequential_dispatch(noks, doc, counters, start=0, stop=None):
+    """The loop the postings walk replaced: every slot of the range
+    through ``SequentialScan``, a tag test per element and NoK."""
+    results = {nok.nok_id: [] for nok in noks}
+    for node in SequentialScan(doc, counters, start, stop):
+        for nok in noks:
+            if nok.root.matches_tag(node.tag):
+                entry = matcher_for(nok)(node, counters, {})
+                if entry is not None:
+                    results[nok.nok_id].append(entry)
+    return results
+
+
+def nids(results):
+    return {nok_id: [entry.node.nid for entry in entries]
+            for nok_id, entries in results.items()}
+
+
+def counted(counters):
+    return (counters.nodes_scanned, counters.scans_started,
+            counters.comparisons, counters.budget_trips)
+
+
+def ranges(doc, rng):
+    n = len(doc.nodes)
+    yield 0, None
+    for _ in range(6):
+        start = rng.randrange(n)
+        yield start, rng.randrange(start, n + 3)
+
+
+def run(scan, noks, doc, counters, start, stop):
+    """``(match nids, error class)`` of one scan."""
+    try:
+        return nids(scan(noks, doc, counters, start, stop)), None
+    except (DNFError, QueryCancelledError, QueryTimeoutError) as exc:
+        return None, type(exc)
+
+
+def postings_walk(noks, doc, counters, start, stop):
+    return scan_range(noks, doc, counters, None, start, stop, {})
+
+
+@pytest.fixture(params=["tree", "arena"])
+def flavour(request):
+    """The walked document as the object tree, or as the column view a
+    worker process attaches (the reference always reads the tree)."""
+    def view(doc):
+        if request.param == "tree":
+            return doc
+        return DocumentArena.from_buffer(
+            DocumentArena.from_document(doc).to_bytes()).document()
+    return view
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_postings_walk_counts_what_the_sequential_dispatch_counts(
+        seed, flavour):
+    doc = parse(generated_document(seed))
+    walked = flavour(doc)
+    rng = random.Random(seed)
+    for text in ROOT_SETS:
+        noks = named_noks(text)
+        for start, stop in ranges(doc, rng):
+            span = (len(doc.nodes) if stop is None else stop) - start
+            for budget in (None, 0, 1, STRIDE - 1, STRIDE, span - 1, span,
+                           span + 5):
+                for token in (False, True):
+                    expect, got = ScanCounters(budget=budget), \
+                        ScanCounters(budget=budget)
+                    if token:
+                        expect.cancellation = CancellationToken(stride=STRIDE)
+                        got.cancellation = CancellationToken(stride=STRIDE)
+                    where = (seed, text, start, stop, budget, token)
+                    assert run(postings_walk, noks, walked, got, start,
+                               stop) == \
+                        run(sequential_dispatch, noks, doc, expect, start,
+                            stop), where
+                    assert counted(got) == counted(expect), where
+                    if got.budget_trips:
+                        assert got.nodes_scanned == budget + 1, where
+
+
+class CountingToken(CancellationToken):
+    checks = 0
+
+    def check(self):
+        self.checks += 1
+        super().check()
+
+
+def test_token_is_checked_once_per_stride_charged(flavour):
+    doc = parse(generated_document(1))
+    walked = flavour(doc)
+    noks = named_noks(ROOT_SETS[3])
+    rng = random.Random(7)
+    expect, got = ScanCounters(), ScanCounters()
+    expect.cancellation = CountingToken(stride=STRIDE)
+    got.cancellation = CountingToken(stride=STRIDE)
+    # The ticks carry over from scan to scan, short ranges included.
+    for start, stop in list(ranges(doc, rng)) * 3:
+        sequential_dispatch(noks, doc, expect, start, stop)
+        postings_walk(noks, walked, got, start, stop)
+    assert got.nodes_scanned == expect.nodes_scanned > 10 * STRIDE
+    assert got.cancellation.checks == expect.cancellation.checks \
+        == got.nodes_scanned // STRIDE
+
+
+@pytest.mark.parametrize("how", ["cancelled", "expired"])
+def test_tripped_token_is_seen_within_one_stride(how, flavour):
+    doc = flavour(parse(generated_document(2)))
+    (nok,) = named_noks(ROOT_SETS[0])
+    assert len(doc.nodes) > 6 * STRIDE
+    counters = ScanCounters()
+    token = counters.cancellation = CancellationToken(stride=STRIDE)
+    seen = []
+    compiled = matcher_for(nok)
+
+    def tripping(node, charged, variables):
+        if len(seen) == 3:
+            if how == "cancelled":
+                token.cancel()
+            else:
+                token.deadline = 0.0
+        seen.append(counters.nodes_scanned)
+        return compiled(node, charged, variables)
+    nok.matcher = tripping
+    with pytest.raises(QueryCancelledError if how == "cancelled"
+                       else QueryTimeoutError):
+        scan_range([nok], doc, counters, None, 0, None, {})
+    # Candidates of the stride already charged are still delivered; the
+    # next stride's checkpoint ends the scan.
+    assert counters.nodes_scanned - seen[3] <= STRIDE
+    assert counters.nodes_scanned < len(doc.nodes)
+
+
+def test_bounded_nested_loop_rescans_count_the_same(flavour):
+    doc = parse(generated_document(3))
+    walked = flavour(doc)
+    dec = prepare_artifacts(compile_query("//a//b[c]").tree).decomposition
+    edge = next(e for e in dec.inter_edges if e.parent.name == "a")
+    inner = dec.noks[edge.nok_to]
+    outers = [node for node in doc.nodes if node.tag == "a"]
+    assert len(outers) > 20
+    for budget in (None, 40, 10 ** 6):
+        expect, got = ScanCounters(budget=budget), ScanCounters(budget=budget)
+        expect.cancellation = CancellationToken(stride=STRIDE)
+        got.cancellation = CancellationToken(stride=STRIDE)
+        pairs: dict = {}
+        try:
+            for outer in outers:
+                expect.cancellation.checkpoint()
+                found = sequential_dispatch(
+                    [inner], doc, expect, outer.nid + 1,
+                    outer.nid + outer.subtree_size())[inner.nok_id]
+                if found:
+                    pairs[outer.nid] = [e.node.nid for e in found]
+        except DNFError:
+            pairs = None
+        try:
+            joined = bounded_nested_loop_join(
+                [walked.nodes[o.nid] for o in outers], inner, walked, edge,
+                got, variables={})
+            joined = {nid: [e.node.nid for e in entries]
+                      for nid, entries in joined.adjacency.items()}
+        except DNFError:
+            joined = None
+        assert joined == pairs, budget
+        assert (pairs is None) == (budget == 40)
+        assert counted(got) == counted(expect), budget
+
+
+def test_single_nok_matcher_walks_postings_too(flavour):
+    doc = parse(generated_document(4))
+    walked = flavour(doc)
+    for text in ROOT_SETS[:2]:
+        (nok,) = named_noks(text)
+        expect, got = ScanCounters(), ScanCounters()
+        reference = sequential_dispatch([nok], doc, expect, 5, 90)
+        matches = NoKMatcher(nok, walked, got, 5, 90, variables={}).matches()
+        assert [e.node.nid for e in matches] == \
+            nids(reference)[nok.nok_id]
+        assert counted(got) == counted(expect)
+
+
+def test_a_document_version_builds_its_postings_once():
+    from repro.obs.metrics import REGISTRY
+
+    builds = REGISTRY.get("repro_tag_index_builds_total")
+    doc = parse(generated_document(5))
+    before = builds.value()
+    noks = named_noks(ROOT_SETS[3])
+    for start, stop in ((0, None), (10, 50), (3, 4)):
+        scan_range(noks, doc, ScanCounters(), None, start, stop, {})
+    assert builds.value() == before + 1
+    # A wildcard root reads no postings at all.
+    fresh = parse(generated_document(5))
+    scan_range(named_noks("for $x in //*, $y in //a return $x"), fresh,
+               ScanCounters(), None, 0, None, {})
+    assert builds.value() == before + 1

@@ -87,6 +87,26 @@ def test_built_once_per_version_and_never_after_retirement(builds):
         assert by_kind["index"] in ([], [batch.doc])
 
 
+def test_service_close_releases_the_current_snapshots_arena_file(
+        monkeypatch, tmp_path):
+    """After a commit the current snapshot is a fork no ``Database``
+    owns: the arena file a ``processes:N`` scan wrote for it must go
+    when the service closes (``Database.close`` drops the base only)."""
+    monkeypatch.setattr(derived_module.tempfile, "tempdir", str(tmp_path))
+    with repro.connect(LIBRARY) as db:
+        service = db.serve(workers=1)
+        batch = service.updater()
+        batch.insert_subtree(batch.doc.root.children[0],
+                             parse("<book><title>fresh</title></book>").root)
+        batch.commit()
+        served = service.query("//book/title", strategy="parallel",
+                               executor="processes:2")
+        assert served.snapshot.doc is batch.doc and len(served.items) == 101
+        assert len(list(tmp_path.glob("repro-arena-*.btra"))) == 1
+        service.close()
+        assert not list(tmp_path.glob("repro-arena-*.btra"))
+
+
 @pytest.mark.parametrize("builder", ["compute_stats", "build_summary"])
 def test_catalog_lock_is_not_held_during_an_o_n_build(monkeypatch, builder):
     started, release = threading.Event(), threading.Event()

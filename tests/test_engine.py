@@ -231,6 +231,34 @@ class TestSessionMachinery:
                                     strategy="twigstack")) == 2
         assert builds.value() == before + 1
 
+    def test_cached_plan_follows_an_update_of_the_other_document(self):
+        """The plan-cache key's document part fingerprinted the primary
+        document only; it also carries the versions of the other
+        documents a pattern can resolve to: a merge-vs-twigstack choice
+        made on a flat ``other.xml`` must not survive the update that
+        makes it recursive (text and prepared alike)."""
+        from repro.xmlkit.update import DocumentUpdater
+
+        other = parse("<r><a><b>y</b></a><a><c/><b>x</b></a></r>")
+        engine = Engine(parse("<r/>"), documents={"other.xml": other})
+        query = 'doc("other.xml")//a//b'
+        prepared = engine.prepare(query)
+        assert engine.query(query, trace=True).trace.root.attrs[
+            "plan-cache"] == "hit"
+        assert engine.query(query).strategy == "pipelined"
+        DocumentUpdater(other).insert_subtree(
+            other.elements_by_tag("c")[0], parse("<a><b>z</b></a>").root)
+        fresh = Engine(parse("<r/>"), documents={"other.xml": other})
+        assert fresh.query(query).strategy == "twigstack"
+        moved = engine.query(query, trace=True)
+        assert moved.trace.root.attrs["plan-cache"] == "miss"
+        assert moved.strategy == prepared.execute().strategy == "twigstack"
+        assert moved.serialize() == prepared.execute().serialize() \
+            == engine.query(query, strategy="naive").serialize()
+        # Re-planned once: the new plan is a hit while the version stands.
+        assert engine.query(query, trace=True).trace.root.attrs[
+            "plan-cache"] == "hit"
+
     def test_compile_query_classification(self):
         compiled = compile_query("//a//b")
         assert compiled.is_bare_path and compiled.optimizable

@@ -7,7 +7,10 @@ navigational oracle (``strategy="naive"``, which runs none of the
 pushdown code) on documents and operands built to hit the coercion
 corners — missing, repeated, blank, padded, non-numeric and exponent
 prices, repeated ids, and ``$p`` bound to every type
-``normalize_bindings`` admits.  The *deterministic guards* pin what the
+``normalize_bindings`` admits; and on two-variable value conjuncts
+(``$a/x = $b/y``: the bind phase's hash join on ``=`` crossing edges,
+next to every shape that must *not* join) over numeric and text
+spellings of one value.  The *deterministic guards* pin what the
 tentpole moved on the benchmark's own shapes: every bound tuple
 survives, the compiled where is gone, twin NoKs are matched once, and
 no engine path scans a late-bound plan without the request's bindings.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import pickle
 import random
 import threading
+from collections import Counter
 
 import pytest
 
@@ -73,13 +77,48 @@ TEMPLATES = [
            "where {W} return <hit>{{$b/title}}</hit>"),
 ]
 
+#: One number spelled six ways, its neighbour, text and blank: ``=`` on
+#: atoms from nodes is numeric when both sides parse, textual (after
+#: trimming) when neither does, false across.
+SPELLINGS = ["1", "1.0", " 1 ", "01", "1e0", "-0", "0", "a", " a", ""]
+
+#: Sides of a two-variable conjunct over ``{v}``: those that hang under
+#: ``{v}`` by uncut edges (what a join may hash), and those that must
+#: keep the per-tuple path — a cut edge, an attribute, a function.
+JOIN_SIDES = ["{v}/x", "{v}/y", "{v}/x", "{v}/y", "{v}/author",
+              "{v}/price", "{v}/info/price", "{v}", "{v}/y[. != 0]",
+              "{v}/x/following-sibling::y"]
+KEPT_SIDES = ["{v}//price", "{v}/@id", "{v}/x/text()", "string({v}/x)"]
+
+#: (the two compared variables, text with a ``{W}`` hole): both clause
+#: orders, a selective outer, each side variable-anchored in turn, a
+#: let-bound side, a third variable in between.
+JOIN_TEMPLATES = [
+    ("ab", "for $a in //book[x], $b in //shelf[@genre = 'g1']/book "
+           "where {W} return <p>{{$a/title}}{{$b/@id}}</p>"),
+    ("ba", "for $a in //shelf[@genre = 'g2']/book, $b in //book[y] "
+           "where {W} return <p>{{$a/@id}}{{$b/title}}</p>"),
+    ("ab", "for $s in //shelf[@genre != 'x'], $a in $s/book, "
+           "$b in //book[price > 1] where {W} "
+           "return <p>{{$s/@genre}}{{$a/@id}}{{$b/@id}}</p>"),
+    ("ab", "for $a in //book[x], $s in //shelf[@genre = 'g1'], "
+           "$b in $s/book where {W} return <p>{{$a/@id}}{{$b/@id}}</p>"),
+    ("at", "for $a in //book[y], $b in //shelf[@genre = 'g2']/book "
+           "let $t := $b/x where {W} order by $a/title "
+           "return <p>{{$a/@id}}{{$t}}</p>"),
+    ("ab", "for $a in //shelf[@genre = 'g1']/book, $b in //book[x][y] "
+           "where {W} order by $b/price, $a/@id "
+           "return <p>{{$a/@id}}{{$b/@id}}</p>"),
+]
+
 STRATEGIES = ["auto", "pipelined", "stack", "caching", "bnlj", "nl"]
 PARALLEL_EXECUTORS = ["threads:2", "processes:2"]
 
 
 def generate_document(rng: random.Random) -> str:
     """A small library: 0–2 ``price`` children per book (plus a nested
-    ``info/price``), 0–2 authors, repeated ids; > 256 nodes, so the
+    ``info/price``), 0–2 authors, 0–2 ``x`` and ``y`` (multi-valued and
+    empty join sides), repeated ids; > 256 nodes, so the
     ``parallel`` strategy really cuts it in two."""
     shelves = []
     for _ in range(rng.randint(6, 7)):
@@ -94,6 +133,8 @@ def generate_document(rng: random.Random) -> str:
             if rng.random() < 0.4:
                 parts.append(
                     f"<info><price>{rng.choice(PRICES)}</price></info>")
+            parts += [f"<{tag}>{rng.choice(SPELLINGS)}</{tag}>"
+                      for tag in "xy" for _ in range(rng.randint(0, 2))]
             rng.shuffle(parts)
             books.append(f'<book id="{rng.choice(IDS)}">{"".join(parts)}'
                          "</book>")
@@ -118,6 +159,35 @@ def generate_query(rng: random.Random, late: bool) -> str:
         where = (f"{where} and {other}" if rng.random() < 0.5
                  else f"{other} and {where}")
     return template.format(W=where)
+
+
+def generate_join(rng: random.Random) -> tuple[str, str | None]:
+    """A query whose where holds a two-variable value conjunct, and —
+    where that must not change the answer — the same query with the
+    conjunct's operands swapped."""
+    (u, v), template = rng.choice(JOIN_TEMPLATES)
+
+    def side(var: str) -> str:
+        return "$t" if var == "t" else rng.choice(
+            KEPT_SIDES if rng.random() < 0.15 else JOIN_SIDES
+        ).format(v=f"${var}")
+    left, right = side(u), side(v)
+    if rng.random() < 0.5:
+        left, right = right, left
+    op = rng.choice(["="] * 8 + ["!=", "<"])
+    shape = "not({})" if rng.random() < 0.15 else "{}"
+    others = [other for other, chance in (
+        ("$a << $b", 0.3), ("$a/price > 1", 0.3),
+        ("$a/y = $b/x", 0.2))
+        if rng.random() < chance]
+    at = rng.randint(0, len(others))
+
+    def where(one: str, two: str) -> str:
+        return template.format(W=" and ".join(
+            others[:at] + [shape.format(f"{one} {op} {two}")] + others[at:]))
+    # ``=`` and ``!=`` on data values are symmetric (general comparison
+    # is existential over both atom sets); ``<`` is not.
+    return where(left, right), None if op == "<" else where(right, left)
 
 
 def bindings_for(doc) -> list[dict]:
@@ -155,9 +225,10 @@ def check_example(db, text: str, params: dict | None) -> None:
     assert got == expected, f"prepared {where}"
 
 
-#: Per document: literal texts, and parameterised texts (each run under
-#: all ten bindings) — 24 × (14 + 7 × 10) = 2,016 examples.
-N_DOCUMENTS, N_LITERAL, N_LATE = 24, 14, 7
+#: Per document: literal texts, parameterised texts (each run under all
+#: ten bindings) and two-variable texts — 24 × (14 + 7 × 10 + 6) =
+#: 2,160 examples.
+N_DOCUMENTS, N_LITERAL, N_LATE, N_JOIN = 24, 14, 7, 6
 
 
 @pytest.mark.parametrize("seed", range(N_DOCUMENTS))
@@ -172,6 +243,12 @@ def test_generated_where_differential(seed):
             text = generate_query(rng, late=True)
             for params in bindings:
                 check_example(db, text, params)
+        for _ in range(N_JOIN):
+            text, swapped = generate_join(rng)
+            check_example(db, text, None)
+            if swapped is not None:
+                assert outcome(lambda: db.query(swapped)) == \
+                    outcome(lambda: db.query(text)), (text, swapped)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +325,18 @@ class TestEveryBoundTupleSurvives:
                 bind, finish = phases(db, label)
                 assert bind["tuples"] == finish["surviving"] == count, label
             bind, finish = phases(db, "F3l")
-            assert bind["tuples"] == 1681    # the value join is a later issue
+            # Was 41 x 41 = 1,681: the hash join on ``$a/author =
+            # $b/author`` binds the 41 self pairs and both orders of
+            # every same-author pair; ``<<`` is still found per tuple.
+            cheap = Counter(
+                book.children[0].string_value() for book in db.doc.nodes
+                if book.tag == "book"
+                and float(book.children[2].string_value()) < 2)
+            assert sum(cheap.values()) == 41
+            assert bind["tuples"] == sum(n * n for n in cheap.values())
+            assert 41 < bind["tuples"] <= 100
+            assert bind["value_joins"] == [
+                {"build": 41, "probe": 41, "pairs": bind["tuples"]}]
             assert finish["where_conjuncts"] == 2
 
 
@@ -286,6 +374,23 @@ class TestVerifyOnce:
         (conjunct,) = compile_query(text).tree.where
         assert conjunct.disposition == "pushed-exact"
         assert compiled_where(text, library.doc) is None
+
+    @pytest.mark.parametrize("text", [
+        "for $a in //book, $b in //book[price < 2] where $a/price = "
+        "$b/author/following-sibling::price return $a/title",
+        "for $b in //book[price < 2] let $p := "
+        "$b/author/following-sibling::price return <r>{$p}</r>",
+    ])
+    def test_optional_sibling_chain_is_a_plan(self, library, text):
+        """Found by the grown differential: the predecessor of an
+        *optional* ``following-sibling`` step is a non-returning leaf,
+        but it constrains its successor — rule BT006 refused the tree,
+        on every strategy, ``naive`` included."""
+        expected = library.query(text, strategy="naive").serialize()
+        assert expected
+        for strategy in STRATEGIES:
+            assert library.query(text, strategy=strategy).serialize() \
+                == expected, strategy
 
     @pytest.mark.parametrize("where, disposition", [
         ("$t/text() = 1", "residual"),
