@@ -9,8 +9,9 @@ surface the :mod:`repro.obs` package offers:
   cost model's estimates,
 * the process-wide metrics registry in Prometheus text exposition,
 * the slow-query log on a :class:`~repro.engine.database.Database`,
-* the runtime statistics store and the feedback loop it powers
-  (``db.stats()``, strategy demotions, ``python -m repro.obs``).
+* the runtime statistics store, which records every execution and is
+  read only by the introspection surface (``db.stats()``, the
+  per-strategy win/loss table, ``python -m repro.obs``).
 
 Run with::
 
@@ -55,22 +56,24 @@ def main() -> None:
     for record in db.slow_log.entries:
         print(f"  {record.describe()}")
 
-    print("\n== 6. The runtime statistics store & feedback ==")
-    fb = Database(doc, feedback=True)
-    for _ in range(6):                      # probe both arms, then settle
-        fb.query("//book[author]/title")
-    store = fb.engine.stats_store
+    print("\n== 6. The runtime statistics store ==")
+    observed = Database(doc)
+    for _ in range(3):                      # auto, then one rival strategy
+        observed.query("//book[author]/title")
+        observed.query("//book[author]/title", strategy="twigstack")
+    store = observed.engine.stats_store
     for entry in store.top_queries(3):
         print(f"  {entry['strategy']:<10} n={entry['executions']}"
               f" mean={entry['mean_ms']:.3f}ms  {entry['query']}")
-    snapshot = fb.stats(top=3)
+    snapshot = observed.stats(top=3)
     plan_cache = snapshot["plan_cache"]
     print(f"  plan cache: {plan_cache['hits']} hits,"
           f" {plan_cache['misses']} misses")
-    settled = sorted(set(snapshot["statstore"]["settled"].values()))
-    print(f"  demotions so far: {len(store.demotions)}"
-          f" (settled on: {', '.join(settled)})")
-    print("  (try `python -m repro.obs demo` for the full rendered view)")
+    for row in snapshot["statstore"]["by_strategy"]:
+        print(f"  {row['strategy']:<10} wins={row['wins']}"
+              f" losses={row['losses']}")
+    print("  (the plan `auto` runs never reads these numbers; try"
+          " `python -m repro.obs demo` for the full rendered view)")
 
 
 if __name__ == "__main__":

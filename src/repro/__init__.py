@@ -137,8 +137,7 @@ def __getattr__(name):
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
-def connect(source, *, slow_query_ms: float | None = None,
-            feedback: bool = False):
+def connect(source, *, slow_query_ms: float | None = None):
     """Open a :class:`Database` from whatever the caller has.
 
     ``source`` may be
@@ -152,11 +151,7 @@ def connect(source, *, slow_query_ms: float | None = None,
     The returned database is a context manager: leaving the ``with``
     block drains any running query service and closes the slow-query
     log.  ``slow_query_ms`` enables the slow-query log at the given
-    threshold from the start.  ``feedback=True`` turns on
-    feedback-driven strategy selection: under ``strategy="auto"`` the
-    engine probes a measured alternative and demotes the static choice
-    when observed latencies say it loses (see ``db.stats()`` and
-    ``python -m repro.obs``).
+    threshold from the start.
     """
     from pathlib import Path
 
@@ -165,8 +160,7 @@ def connect(source, *, slow_query_ms: float | None = None,
     from repro.xmlkit.tree import Document
 
     if isinstance(source, Document):
-        db = Database(source, slow_query_ms=slow_query_ms,
-                      feedback=feedback)
+        db = Database(source, slow_query_ms=slow_query_ms)
     elif isinstance(source, Path) or (isinstance(source, str)
                                       and "<" not in source):
         path = Path(source)
@@ -180,13 +174,11 @@ def connect(source, *, slow_query_ms: float | None = None,
             db = Database.open(path)
             db.slow_log = None if slow_query_ms is None else \
                 db.configure_slow_log(slow_query_ms)
-            db.engine.feedback = feedback
         else:
             db = Database(parse(path.read_text(encoding="utf-8")),
-                          slow_query_ms=slow_query_ms, feedback=feedback)
+                          slow_query_ms=slow_query_ms)
     elif isinstance(source, str):
-        db = Database(parse(source), slow_query_ms=slow_query_ms,
-                      feedback=feedback)
+        db = Database(parse(source), slow_query_ms=slow_query_ms)
     else:
         raise UsageError(
             f"connect(): expected XML text, a path or a Document, "

@@ -33,7 +33,6 @@ measurement.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.pattern.blossom import BlossomTree
@@ -64,23 +63,13 @@ class CostModel:
     """Ranks the physical strategies for one compiled query over
     ``doc``, reading its statistics and tag-index cardinalities
     (``doc.derived``).
-
-    ``observed`` is the feedback loop's entry point: a mapping of tag →
-    measured match cardinality (what the runtime statistics store
-    aggregates from executed NoK scans).  When present it overrides the
-    tag-index cardinalities, so re-costing a cached plan ranks the
-    strategies against observed selectivities instead of the static
-    estimates — the paper's Table-3 observation that algorithm choice
-    is selectivity-dependent, closed into a loop.
     """
 
-    def __init__(self, doc: Document,
-                 observed: Mapping[str, float] | None = None) -> None:
+    def __init__(self, doc: Document) -> None:
         self.doc = doc
         self.stats = doc.derived.stats
         self.index = doc.derived.index
         self.n_nodes = len(doc.nodes)
-        self.observed = dict(observed) if observed else {}
 
     # ------------------------------------------------------------------
     # Public API.
@@ -153,9 +142,6 @@ class CostModel:
     # ------------------------------------------------------------------
 
     def _cardinality(self, tag: str) -> int:
-        observed = self.observed.get(tag)
-        if observed is not None:
-            return max(1, round(observed))
         if tag == "*" or tag == "#root":
             return max(1, self.stats.n_elements)
         return self.index.cardinality(tag)

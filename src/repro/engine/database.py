@@ -68,11 +68,9 @@ class Database:
 
     def __init__(self, doc: Document,
                  slow_query_ms: float | None = None,
-                 feedback: bool = False,
                  analyze_queries: bool = True) -> None:
         self.doc = doc
-        self.engine = Engine(doc, feedback=feedback,
-                             analyze_queries=analyze_queries)
+        self.engine = Engine(doc, analyze_queries=analyze_queries)
         #: Lazily-spawned scan executors (thread pool + process backend)
         #: owned by this database; every parallel plan of ``self.engine``
         #: rides them, and :meth:`close` shuts them down deterministically.
@@ -179,8 +177,8 @@ class Database:
         One call, one dict — what an operator (or ``python -m
         repro.obs report``) needs to see where time goes: the document
         summary, plan-cache hit ratios, the runtime statistics store
-        (top ``top`` plans by accumulated time, per-strategy win/loss,
-        feedback demotions), the slow-query log, and the serving
+        (top ``top`` plans by accumulated time, per-strategy win/loss),
+        the slow-query log, and the serving
         layer's own :meth:`QueryService.stats
         <repro.serve.service.QueryService.stats>` when :meth:`serve` is
         active.
@@ -217,7 +215,6 @@ class Database:
             "service": (self._service.stats()
                         if self._service is not None
                         and not self._service.closed else None),
-            "feedback": self.engine.feedback,
             "querylint": {
                 "enabled": self.engine.analyze_queries,
                 "summary_paths": (len(self.engine.summary)
@@ -278,8 +275,7 @@ class Database:
         from repro.serve.catalog import Catalog
         from repro.serve.service import QueryService
 
-        catalog = Catalog(feedback=self.engine.feedback,
-                          analyze_queries=self.engine.analyze_queries)
+        catalog = Catalog(analyze_queries=self.engine.analyze_queries)
         catalog.register("main", self.doc)
         self._service = QueryService(
             catalog, workers=workers, max_queue=max_queue,

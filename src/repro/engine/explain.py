@@ -56,13 +56,6 @@ def render_explain(engine: Engine, text: str | QueryExpr,
         lines.append("cost estimates (expected nodes touched):")
         for estimate in CostModel(target).rank(compiled.tree):
             lines.append(f"  {estimate}")
-        observed = engine.stats_store.observed_cardinalities(
-            engine.stats_fingerprint())
-        if observed:
-            lines.append("re-cost against observed selectivities "
-                         "(measured NoK matches):")
-            for estimate in CostModel(target, observed).rank(compiled.tree):
-                lines.append(f"  {estimate}")
     elif compiled.compile_error:
         lines.append(f"fallback reason: {compiled.compile_error}")
     return "\n".join(lines)

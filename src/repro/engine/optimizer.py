@@ -20,19 +20,14 @@ requested strategy against its row of the strategy table
 (:mod:`repro.strategy`), or runs the rules / the Section-6 cost
 model; lets the query lint rewrite the pattern (static-empty, pruning);
 prepares the pattern artifacts; withdraws a parallel upgrade the
-decomposition cannot carry (PL004); applies measured feedback; and
-settles which join each ``//``-edge runs (:func:`edge_join` is the
-per-edge half the executor asks).  ``explain`` reads the same decision
-without executing it.
+decomposition cannot carry (PL004); and pins which join each
+``//``-edge runs (:func:`edge_join` is the per-edge half the executor
+asks).  ``explain`` reads the same decision without executing it.
 
-:class:`StrategyAdvisor` layers measurement on top of the rules: when
-the engine runs with feedback enabled, the advisor probes the static
-choice against one plausible alternative (a few executions each, read
-from the runtime :class:`~repro.obs.statstore.StatsStore`), then
-settles on whichever measured faster — demoting the static choice with
-hysteresis when the alternative wins (``parallel`` auto-selected yet
-measurably slower than the serial pipelined scan: the benchmark's
-``physical.scan_threads2_ms`` against ``physical.scan_serial_ms``).
+The decision is static, as in the paper: it reads document statistics
+and the query, never the runtime
+:class:`~repro.obs.statstore.StatsStore`, so the same query over the
+same document version always gets the same plan.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ from typing import TYPE_CHECKING
 from repro.analysis.passes import partition_unsafe_noks
 from repro.analysis.query import QueryLintResult, analyze_query
 from repro.errors import CompileError, UsageError
-from repro.obs.statstore import DemotionRecord, StatsStore
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
 from repro.pattern.blossom import MODE_OPTIONAL, BlossomTree, BlossomVertex
@@ -60,10 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session -> optimizer
     from repro.engine.compiler import CompiledQuery
     from repro.engine.session import Engine
 
-__all__ = ["CachedPlan", "PlanChoice", "StrategyAdvisor",
-           "advise", "choose_strategy", "edge_join", "pattern_document",
-           "plan_query", "prune_pattern", "PARALLEL_SCAN_THRESHOLD",
-           "MIN_FEEDBACK_SAMPLES", "DEMOTE_MARGIN", "REPROMOTE_MARGIN"]
+__all__ = ["CachedPlan", "PlanChoice", "choose_strategy", "edge_join",
+           "pattern_document", "plan_query", "prune_pattern",
+           "PARALLEL_SCAN_THRESHOLD"]
 
 #: Minimum arena size (in nodes) before ``auto`` trades the serial
 #: merged scan for partition-parallel scans when the caller offers
@@ -209,18 +202,10 @@ class CachedPlan:
     #: The query lint's result for this compilation (findings and the
     #: rewrites they licensed); ``None`` when the lint did not run.
     lint: QueryLintResult | None = None
-    #: The rule-based choice before measured advice (``choice`` itself
-    #: unless feedback moved it): the re-cost check on a cache hit
-    #: re-advises from here instead of re-deriving it.
-    static_choice: PlanChoice | None = None
     #: The join algorithm every ``//``-edge is pinned to; ``"auto"``
     #: lets each edge take the merge join sound for its left input
     #: (:func:`~repro.engine.optimizer.edge_join`).
     join: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.static_choice is None:
-            self.static_choice = self.choice
 
 
 def plan_query(compiled: CompiledQuery, key: QueryKey,
@@ -228,14 +213,14 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
                tracer: Tracer | NullTracer = NULL_TRACER) -> CachedPlan:
     """The static decision sequence: requested strategy (validated,
     ruled or costed) → query lint (static-empty / pruning rewrite) →
-    pattern artifacts → PL004 withdrawal → feedback → join pinning.
+    pattern artifacts → PL004 withdrawal → join pinning.
     The plan comes back unverified: the engine runs the invariant
     passes over it before it may be cached or executed.
 
     ``env`` is the engine planned for; the chooser reads the statistics
     (for ``cost``, the postings too) of the document the pattern
     resolves to, the primary document's summary (only when the lint
-    runs), and the engine's lint/feedback switches and advisor."""
+    runs), and the engine's lint switch."""
     requested = STRATEGIES.get(key.strategy)
     if requested is None or requested.family == "internal":
         raise UsageError(f"unknown strategy {key.strategy!r}")
@@ -283,10 +268,8 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
             "pipelined",
             "parallel upgrade withdrawn: plan has non-partition-"
             "safe NoKs (PL004); serial merged scan instead")
-    static_choice = choice
-    choice = advise(compiled, key, static_choice, env)
-    # Only a *requested* Theorem-2 merge is pinned.  Chosen (rules, cost,
-    # feedback), ``pipelined`` names the merge-join family and every edge
+    # Only a *requested* Theorem-2 merge is pinned.  Chosen (rules or
+    # cost), ``pipelined`` names the merge-join family and every edge
     # takes the member that is sound for its left input.
     row = STRATEGIES[choice.strategy]
     join = (row.join if row.join is not None
@@ -294,8 +277,7 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
     return CachedPlan(compiled, choice, artifacts, key.strategy,
                       snapshot_id=env.snapshot_id,
                       static_empty=choice.strategy == "static-empty",
-                      rewrites=rewrites, lint=lint,
-                      static_choice=static_choice, join=join)
+                      rewrites=rewrites, lint=lint, join=join)
 
 
 def _requested(compiled: CompiledQuery, row: Strategy, parallelism: int,
@@ -343,173 +325,6 @@ def _cheapest(compiled: CompiledQuery, model: CostModel) -> PlanChoice:
             continue  # holistic execution only covers bare paths
         return PlanChoice(estimate.strategy, f"cost model: {estimate}")
     return PlanChoice("naive", "cost model found no applicable strategy")
-
-
-def advise(compiled: CompiledQuery, key: QueryKey, choice: PlanChoice,
-           env: Engine) -> PlanChoice:
-    """Feedback (opt-in): measured history may adjust the static
-    ``choice``.  The advisor only ever moves between pattern strategies
-    (pipelined/stack/twigstack/parallel), whose artifacts exist
-    regardless of which of them was static.  The engine's re-cost check
-    on a cache hit replays only this step, over the plan's stored
-    ``static_choice``."""
-    tree, static = compiled.tree, STRATEGIES[choice.strategy]
-    if not env.feedback or key.strategy != "auto" or key.text is None \
-            or tree is None or not static.patterned:
-        return choice
-    return env.advisor.advise(
-        key.text, env.stats_fingerprint(), key.executor, choice,
-        _alternative(static, pattern_document(tree, env).derived.stats, tree,
-                     compiled.is_bare_path))
-
-
-def _alternative(static: Strategy, stats: DocumentStats, tree: BlossomTree,
-                 is_bare_path: bool) -> str | None:
-    """The one strategy worth measuring against the static choice.
-
-    A partitioned plan probes the serial pipelined scan it upgraded
-    from (the partition overhead question); on bare twig-supported
-    paths the merge-join choices probe TwigStack and vice versa (the
-    Table-3 selectivity question).  ``None`` means the rules have no
-    credible contender and feedback stays out of the way.
-    """
-    if static.partitions:
-        return "pipelined"
-    if not (is_bare_path and twig_supported(tree)):
-        return None
-    if static.family == "holistic":
-        return "stack" if stats.recursive else "pipelined"
-    return "twigstack"
-
-
-# ----------------------------------------------------------------------
-# Feedback: measured strategy selection over the static rules.
-# ----------------------------------------------------------------------
-
-#: Observations of an arm before its mean is trusted for a decision.
-MIN_FEEDBACK_SAMPLES = 2
-
-#: The alternative must measure at least this factor faster before the
-#: static choice is demoted.  The partition-parallel scan measured ~1.04x
-#: the serial one (``physical.scan_threads2_ms`` over
-#: ``physical.scan_serial_ms``), so 2% keeps that regression demotable
-#: while absorbing timer noise on genuinely-equal arms.
-DEMOTE_MARGIN = 1.02
-
-#: Hysteresis: once settled, the decision only flips if the settled arm's
-#: measured mean degrades past this factor of the other arm — a much
-#: wider band than the demotion margin, so the choice cannot flap on
-#: run-to-run noise.
-REPROMOTE_MARGIN = 1.25
-
-
-class StrategyAdvisor:
-    """Explore-then-commit strategy selection from measured latencies.
-
-    For each plan-cache key the advisor compares the static rule-based
-    choice against **one** alternative strategy (the pair the paper's
-    experiments show is workload-dependent): it runs each arm
-    :data:`MIN_FEEDBACK_SAMPLES` times, then settles on the measured
-    winner.  Settling *against* the static choice is a demotion —
-    counted in ``repro_strategy_demotions_total`` and recorded on the
-    store for the introspection surface.  All state lives in the
-    :class:`~repro.obs.statstore.StatsStore`, so advice is a pure
-    function of recorded history: deterministic, and shared across the
-    serving layer's snapshot engines exactly like the observations.
-    """
-
-    def __init__(self, store: StatsStore) -> None:
-        self.store = store
-
-    def advise(self, text: str, fingerprint: tuple, executor: str,
-               static: PlanChoice, alternative: str | None) -> PlanChoice:
-        """The strategy to execute now, given the measured history.
-
-        Phases per key: settled decision (with hysteresis re-check) →
-        probe the static arm → probe the alternative arm → settle on
-        the measured winner.  Safe to call repeatedly for one
-        execution — nothing is recorded here, only read (and a settle
-        written once both arms are measured).
-        """
-        if alternative is None or alternative == static.strategy:
-            return static
-        settled = self.store.settled_strategy(text, fingerprint, executor)
-        arms = self.store.arms(text, fingerprint, executor)
-        if settled is not None:
-            return self._hold_or_flip(text, fingerprint, executor,
-                                      static, alternative, settled, arms)
-        static_arm = arms.get(static.strategy)
-        static_n = static_arm.successes if static_arm else 0
-        if static_n < MIN_FEEDBACK_SAMPLES:
-            return PlanChoice(static.strategy, static.reason)
-        alt_arm = arms.get(alternative)
-        alt_n = alt_arm.successes if alt_arm else 0
-        if alt_n < MIN_FEEDBACK_SAMPLES:
-            return PlanChoice(
-                alternative,
-                f"feedback probe {alt_n + 1}/{MIN_FEEDBACK_SAMPLES} of "
-                f"{alternative} vs static {static.strategy} "
-                f"({static_arm.mean_ms:.3f} ms measured)")
-        return self._settle(text, fingerprint, executor, static,
-                            static_arm, alt_arm)
-
-    # -- decision phases ---------------------------------------------------
-
-    def _settle(self, text: str, fingerprint: tuple, executor: str,
-                static: PlanChoice, static_arm, alt_arm) -> PlanChoice:
-        """Both arms measured: commit to the winner (maybe demoting)."""
-        static_ms = static_arm.mean_ms
-        alt_ms = alt_arm.mean_ms
-        if alt_ms * DEMOTE_MARGIN < static_ms:
-            reason = (f"feedback: demoted {static.strategy} "
-                      f"({static_ms:.3f} ms measured) to "
-                      f"{alt_arm.strategy} ({alt_ms:.3f} ms)")
-            record = DemotionRecord(
-                query=text, fingerprint="/".join(map(str, fingerprint)),
-                executor=executor, from_strategy=static.strategy,
-                to_strategy=alt_arm.strategy, from_mean_ms=static_ms,
-                to_mean_ms=alt_ms,
-                executions=static_arm.executions + alt_arm.executions,
-                reason=reason)
-            self.store.settle(text, fingerprint, executor,
-                              alt_arm.strategy, record)
-            return PlanChoice(alt_arm.strategy, reason)
-        self.store.settle(text, fingerprint, executor, static.strategy)
-        return PlanChoice(
-            static.strategy,
-            f"{static.reason}; feedback confirmed ({static_ms:.3f} ms vs "
-            f"{alt_arm.strategy} {alt_ms:.3f} ms)")
-
-    def _hold_or_flip(self, text: str, fingerprint: tuple, executor: str,
-                      static: PlanChoice, alternative: str, settled: str,
-                      arms: dict) -> PlanChoice:
-        """Settled decision: hold unless it degraded past the hysteresis."""
-        other = alternative if settled == static.strategy else static.strategy
-        settled_arm = arms.get(settled)
-        other_arm = arms.get(other)
-        if (settled_arm and other_arm
-                and settled_arm.successes >= MIN_FEEDBACK_SAMPLES
-                and other_arm.successes >= MIN_FEEDBACK_SAMPLES
-                and settled_arm.mean_ms > other_arm.mean_ms * REPROMOTE_MARGIN):
-            reason = (f"feedback: settled {settled} degraded to "
-                      f"{settled_arm.mean_ms:.3f} ms vs {other} "
-                      f"{other_arm.mean_ms:.3f} ms; flipping")
-            record = None
-            if other != static.strategy:   # flip away from static = demotion
-                record = DemotionRecord(
-                    query=text, fingerprint="/".join(map(str, fingerprint)),
-                    executor=executor, from_strategy=settled,
-                    to_strategy=other, from_mean_ms=settled_arm.mean_ms,
-                    to_mean_ms=other_arm.mean_ms,
-                    executions=settled_arm.executions + other_arm.executions,
-                    reason=reason)
-            self.store.settle(text, fingerprint, executor, other, record)
-            return PlanChoice(other, reason)
-        if settled == static.strategy:
-            return PlanChoice(settled, f"{static.reason}; feedback holds")
-        return PlanChoice(
-            settled,
-            f"feedback: measured winner over static {static.strategy}")
 
 
 # ----------------------------------------------------------------------

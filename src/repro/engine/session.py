@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from repro.analysis import verify_plan, verify_tree
 from repro.errors import CompileError, DNFError, QueryTimeoutError
 from repro.obs.metrics import REGISTRY
-from repro.obs.statstore import STATS_RECOSTS, StatsStore
+from repro.obs.statstore import StatsStore
 from repro.obs.trace import NULL_TRACER, NullTracer, QueryTrace, Tracer
 from repro.physical.parallel_scan import ScanPools
 from repro.xmlkit.index import TagIndex
@@ -72,11 +72,9 @@ from repro.xquery.ast import QueryExpr
 from repro.engine.backend import ExecutionBackend
 from repro.engine.compiler import CompiledQuery, compile_query
 from repro.engine.construct import DirectEvaluator, SubstitutingEvaluator
-from repro.engine.cost import CostModel
 from repro.engine.executor import FLWORExecutor
 from repro.engine.explain import render_explain, render_explain_analyze
-from repro.engine.optimizer import (StrategyAdvisor, advise,
-                                    pattern_document, plan_query)
+from repro.engine.optimizer import pattern_document, plan_query
 from repro.engine.plancache import PlanCache
 from repro.engine.prepared import (
     CachedPlan,
@@ -173,20 +171,10 @@ class Engine:
         the shared plan cache (instead of the mutation counter) and is
         stamped into every plan this engine compiles.
     stats_store:
-        An externally owned :class:`~repro.obs.statstore.StatsStore` to
-        record into (the serving catalog shares one per document,
-        exactly like the plan cache); by default the engine owns a
-        private store.
-    record_stats:
-        Record per-plan actuals (latency, work counters, observed NoK
-        selectivities) into the store on every execution.  On by
-        default — the recording cost is a dictionary update per query.
-    feedback:
-        Let measured latencies override the static strategy rules for
-        ``strategy="auto"`` queries (see
-        :class:`~repro.engine.optimizer.StrategyAdvisor`).  Off by
-        default: feedback deliberately *probes* a slower alternative a
-        few times per query shape, which callers must opt into.
+        The :class:`~repro.obs.statstore.StatsStore` every execution
+        records into (the serving catalog shares one per document, like
+        the plan cache; no plan decision reads it back); by default the
+        engine owns a private store.
     """
 
     #: Plan text and trace of the most recently *finished* call —
@@ -204,8 +192,6 @@ class Engine:
                  plan_cache: PlanCache | None = None,
                  snapshot_id: int | None = None,
                  stats_store: StatsStore | None = None,
-                 record_stats: bool = True,
-                 feedback: bool = False,
                  analyze_queries: bool = True) -> None:
         self.doc = doc
         self.documents = dict(documents or {})
@@ -235,13 +221,8 @@ class Engine:
                            else PlanCache(plan_cache_capacity))
         #: Snapshot binding (serving layer); ``None`` for a plain engine.
         self.snapshot_id = snapshot_id
-        #: Runtime statistics: per-plan actuals recorded on every
-        #: execution, keyed like the plan cache.
         self.stats_store = (stats_store if stats_store is not None
                             else StatsStore())
-        self.record_stats = record_stats
-        self.feedback = feedback
-        self.advisor = StrategyAdvisor(self.stats_store)
         #: Optional hook called with every plan served from the cache
         #: *before* execution; the serving catalog installs the SV001
         #: dropped-snapshot gate here.  Raise to refuse the plan.
@@ -359,8 +340,8 @@ class Engine:
 
     # ------------------------------------------------------------------
     # The request path: one run context through a short stage list —
-    # plan (cached → gate → recost, or compile → optimizer.plan_query →
-    # verify) → execute → record.  Every surface enters through _run.
+    # plan (cached → gate, or compile → optimizer.plan_query → verify)
+    # → execute → record.  Every surface enters through _run.
     # ------------------------------------------------------------------
 
     def _run(self, source: str | QueryExpr, options: QueryOptions,
@@ -445,8 +426,8 @@ class Engine:
 
     def _plan(self, run: _Run) -> CachedPlan:
         """Get a plan from the cache or compile one; sets
-        ``run.cache_status`` to ``hit`` / ``recost`` / ``miss`` /
-        ``bypass`` (pre-parsed expressions are never cached)."""
+        ``run.cache_status`` to ``hit`` / ``miss`` / ``bypass``
+        (pre-parsed expressions are never cached)."""
         key = run.key
         if key.text is None:
             plan = self._build(run)
@@ -454,27 +435,17 @@ class Engine:
             return plan
         cache_key = key.plan(self.stats_fingerprint())
         plan = self.plan_cache.get(cache_key)
-        status = "miss"
         if plan is not None:
             if self.plan_gate is not None:
                 # Serving gate (SV001): refuse plans compiled against a
                 # snapshot that raced retirement between key lookup and
                 # execution.  Raises PlanInvariantError.
                 self.plan_gate(plan)
-            advised = (advise(plan.compiled, key, plan.static_choice, self)
-                       if self.feedback else plan.choice)
-            if advised.strategy == plan.choice.strategy:
-                run.cache_status = "hit"
-                return plan
-            # Re-cost on hit: the measured history now points at a
-            # different strategy than the cached plan runs, so rebuild
-            # (deterministically landing on the advised choice) and
-            # replace the entry in place.
-            STATS_RECOSTS.inc()
-            status = "recost"
+            run.cache_status = "hit"
+            return plan
         plan = self._build(run)
         self.plan_cache.put(cache_key, plan)
-        run.cache_status = status
+        run.cache_status = "miss"
         return plan
 
     def _build(self, run: _Run) -> CachedPlan:
@@ -507,27 +478,6 @@ class Engine:
                      rules=",".join(report.rule_ids()) or "-")
         plan.verified = True
         return plan
-
-    def recost(self, text: str | QueryExpr) -> list:
-        """Rank the strategies against *observed* selectivities.
-
-        Like the ``strategy="cost"`` ranking, but with every tag
-        cardinality the stats store has measured (mean NoK matches per
-        pattern root tag, this document version) overriding the static
-        estimate.  Returns the
-        :class:`~repro.engine.cost.CostEstimate` list, cheapest first;
-        falls back to purely static estimates when nothing was observed
-        yet.
-        """
-        compiled = compile_query(text)
-        if compiled.tree is None:
-            raise CompileError(
-                f"recost unavailable: {compiled.compile_error or 'no tree'}")
-        STATS_RECOSTS.inc()
-        observed = self.stats_store.observed_cardinalities(
-            self.stats_fingerprint())
-        return CostModel(pattern_document(compiled.tree, self),
-                         observed).rank(compiled.tree)
 
     # ------------------------------------------------------------------
     # Execute stage.
@@ -625,9 +575,8 @@ class Engine:
         Counter *deltas* (not absolutes) because callers may reuse one
         :class:`ScanCounters` across several queries.  The stats-store
         row is keyed like the plan cache but under the *executed*
-        strategy, so the feedback loop can compare strategies of the
-        same query like the cache compares plans; pre-parsed expressions
-        (they bypass the cache too) share the ``<expr>`` pseudo-text.
+        strategy; pre-parsed expressions (they bypass the cache too)
+        share the ``<expr>`` pseudo-text.
         """
         counters, strategy, key = run.counters, run.strategy, run.key
         _QUERIES.inc(strategy=strategy)
@@ -641,20 +590,19 @@ class Engine:
         _INTERMEDIATE.inc(delta["intermediate_results"])
         _PEAK.max(counters.peak_buffered)
         error = sys.exc_info()[0]
-        if self.record_stats:
-            try:
-                self.stats_store.record(
-                    "<expr>" if key.text is None else key.text, strategy,
-                    self.stats_fingerprint(), key.executor,
-                    elapsed_ms=elapsed_ms, counters=delta, items=items,
-                    nok_matches=run.match_summary or None,
-                    cache_status=run.cache_status,
-                    error=error.__name__ if error is not None else None)
-            except Exception:
-                # Statistics are an observer: a recording failure must
-                # not mask the query's own outcome (we may already be
-                # unwinding a user-visible exception here).
-                pass
+        try:
+            self.stats_store.record(
+                "<expr>" if key.text is None else key.text, strategy,
+                self.stats_fingerprint(), key.executor,
+                elapsed_ms=elapsed_ms, counters=delta, items=items,
+                nok_matches=run.match_summary or None,
+                cache_status=run.cache_status,
+                error=error.__name__ if error is not None else None)
+        except Exception:
+            # Statistics are an observer: a recording failure must
+            # not mask the query's own outcome (we may already be
+            # unwinding a user-visible exception here).
+            pass
         if run.slow is not None:
             after = counters.snapshot()
             run.slow(run.plan_text, elapsed_ms,

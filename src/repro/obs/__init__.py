@@ -18,9 +18,9 @@ executor stack and the physical operators:
 * :mod:`repro.obs.slowlog` — a configurable slow-query log used by
   :class:`~repro.engine.database.Database`.
 * :mod:`repro.obs.statstore` — the runtime statistics store: per-plan
-  observed latencies, work counters and NoK selectivities, the raw
-  material for feedback-driven re-costing (``python -m repro.obs``
-  renders it).
+  observed latencies, work counters and NoK selectivities, recorded on
+  every execution and read only by ``stats()`` and ``python -m
+  repro.obs``.
 
 Nothing in here imports from the engine or operator layers, so every
 layer may depend on ``repro.obs`` without cycles.
@@ -30,11 +30,10 @@ from repro.obs.metrics import REGISTRY, Counter, Gauge, Histogram, MetricsRegist
 from repro.obs.trace import NULL_TRACER, NullTracer, QueryTrace, Span, Tracer
 from repro.obs.export import prometheus_text, render_span_tree, trace_to_jsonl
 from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
-from repro.obs.statstore import DemotionRecord, PlanStats, StatsStore
+from repro.obs.statstore import PlanStats, StatsStore
 
 __all__ = [
     "Counter",
-    "DemotionRecord",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

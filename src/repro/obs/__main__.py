@@ -12,10 +12,11 @@ Two subcommands over the runtime statistics surface:
     <repro.obs.statstore.StatsStore.to_jsonl>`.
 
 ``demo``
-    Build a small in-memory corpus, run a feedback-enabled workload
-    against it, and render the resulting report — a self-contained tour
-    of the observe → re-cost → demote loop.  ``--export FILE`` saves
-    the ``Database.stats()`` snapshot as JSON, ``--jsonl FILE`` the
+    Build a small in-memory corpus, run a workload against it (each
+    query under ``auto``; each bare path once more under an explicit
+    second strategy, so the win/loss table has contested rows), and
+    render the resulting report.  ``--export FILE`` saves the
+    ``Database.stats()`` snapshot as JSON, ``--jsonl FILE`` the
     per-plan JSON-lines export.
 
 Run with::
@@ -33,16 +34,16 @@ from pathlib import Path
 
 from repro.obs.export import format_table
 
-_PLAN_COLUMNS = ("query", "strategy", "par", "execs", "errors", "mean_ms",
-                 "p50_ms", "p99_ms", "total_ms", "items", "cache_hits")
-_RIGHT = ("par", "execs", "errors", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
+_RIGHT = ("execs", "errors", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
           "total_ms", "items", "cache_hits", "wins", "losses", "executions")
 _QUERY_WIDTH = 48
 
 #: The ``stats()`` schema version this CLI understands.  Both
 #: ``Database.stats()`` and ``QueryService.stats()`` stamp their
 #: payloads with ``"schema": 1``; ``report`` rejects anything newer
-#: (or otherwise unknown) instead of silently mis-rendering it.
+#: (or otherwise unknown) instead of silently mis-rendering it.  Keys
+#: this reader does not render (older payloads carried strategy
+#: demotions and a result-size histogram) are ignored.
 STATS_SCHEMA = 1
 
 
@@ -110,13 +111,11 @@ def _result_cache_line(cache: dict) -> str:
     """Render the byte-accounted result-cache section of ``stats()``."""
     if not cache.get("enabled", True) and "size" not in cache:
         return "disabled"
-    window = cache.get("window") or {}
     audit = cache.get("audit") or {}
     return (f"{cache.get('size', 0)} entries  "
             f"{cache.get('bytes', 0)}/{cache.get('capacity_bytes', '?')} B  "
             f"hits {cache.get('hits', 0)}  misses {cache.get('misses', 0)}  "
-            f"hit ratio {_ratio_text(cache.get('hit_ratio'))} "
-            f"(window {_ratio_text(window.get('hit_ratio'))})  "
+            f"hit ratio {_ratio_text(cache.get('hit_ratio'))}  "
             f"evictions {cache.get('evictions', 0)}  "
             f"expirations {cache.get('expirations', 0)}  "
             f"invalidated {cache.get('invalidated', 0)} "
@@ -140,23 +139,6 @@ def render_statstore(snapshot: dict, top: int = 10) -> str:
                      "a contested query):")
         lines.append(format_table(_strategy_rows(by_strategy),
                                   right_align=_RIGHT))
-    demotions = snapshot.get("demotions") or []
-    if demotions:
-        lines.append("")
-        lines.append(f"feedback demotions ({len(demotions)}):")
-        for record in demotions:
-            lines.append(
-                f"  {_clip(record.get('query', '?'))}: "
-                f"{record.get('from_strategy')} "
-                f"({record.get('from_mean_ms')} ms) -> "
-                f"{record.get('to_strategy')} "
-                f"({record.get('to_mean_ms')} ms)")
-    settled = snapshot.get("settled") or {}
-    if settled:
-        lines.append("")
-        lines.append(f"settled feedback decisions ({len(settled)}):")
-        for key, strategy in sorted(settled.items()):
-            lines.append(f"  {_clip(key, 64)} -> {strategy}")
     return "\n".join(lines)
 
 
@@ -201,9 +183,6 @@ def render_report(payload: dict, top: int = 10) -> str:
             f"{document.get('max_depth', '?')}, "
             f"{'recursive' if document.get('recursive') else 'flat'} "
             f"(fingerprint {document.get('fingerprint', '?')})")
-    if "feedback" in payload:
-        lines.append("feedback-driven strategy selection: "
-                     + ("on" if payload.get("feedback") else "off"))
     if "plan_cache" in payload:
         lines.append(f"plan cache: {_cache_line(payload.get('plan_cache'))}")
     slow = payload.get("slow_queries")
@@ -240,21 +219,14 @@ def _load_payload(path: str) -> dict:
         payload = None
     if isinstance(payload, dict) and "kind" not in payload:
         return payload
-    # JSON-lines export: one dict per line, tagged with "kind".
-    plans, demotions = [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        if record.get("kind") == "demotion":
-            demotions.append(record)
-        else:
-            plans.append(record)
+    # JSON-lines export: one dict per line, tagged with "kind"; only
+    # "plan" lines are rendered.
+    records = [json.loads(line) for line in text.splitlines() if line.strip()]
+    plans = [record for record in records if record.get("kind") == "plan"]
     plans.sort(key=lambda p: p.get("total_ms", 0.0), reverse=True)
     return {"plans": plans, "n_plans": len(plans),
             "records": sum(p.get("executions", 0) for p in plans),
-            "by_strategy": [], "demotions": demotions, "settled": {}}
+            "by_strategy": []}
 
 
 # ----------------------------------------------------------------------
@@ -279,24 +251,27 @@ def _demo_document() -> str:
     return "<bib>" + "".join(books) + "</bib>"
 
 
+#: ``(query, explicit second strategy or None)``: each query runs under
+#: ``auto``; a bare path runs once more under TwigStack, so the
+#: per-strategy win/loss table has contested rows.
 _DEMO_QUERIES = (
-    "//book[author]/title",
-    "//book//last",
-    "for $b in //book where $b/price > 40 return $b/title",
+    ("//book[author]/title", "twigstack"),
+    ("//book//last", "twigstack"),
+    ("for $b in //book where $b/price > 40 return $b/title", None),
 )
 
 
 def _run_demo(args: argparse.Namespace) -> int:
     import repro
 
-    print("building demo corpus and running the feedback workload "
+    print("building demo corpus and running the workload "
           f"({args.rounds} rounds x {len(_DEMO_QUERIES)} queries)...\n")
-    with repro.connect(_demo_document(), slow_query_ms=250.0,
-                       feedback=True) as db:
-        db.engine.index.build()     # twig alternatives need the tag index
+    with repro.connect(_demo_document(), slow_query_ms=250.0) as db:
         for _ in range(args.rounds):
-            for query in _DEMO_QUERIES:
+            for query, second in _DEMO_QUERIES:
                 db.query(query)
+                if second is not None:
+                    db.query(query, strategy=second)
         stats = db.stats(top=args.top)
         if args.export:
             Path(args.export).write_text(json.dumps(stats, indent=2),
@@ -351,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="echo the normalized payload as JSON instead "
                              "of tables")
 
-    demo = sub.add_parser("demo", help="run a feedback workload and "
+    demo = sub.add_parser("demo", help="run a demo workload and "
                                        "render its report (default)")
     demo.add_argument("--rounds", type=int, default=8,
                       help="workload rounds (default 8)")

@@ -60,8 +60,6 @@ name                                           type       labels
 ``repro_partition_fallbacks_total``            counter    —
 ``repro_tag_index_builds_total``               counter    —
 ``repro_stats_records_total``                  counter    —
-``repro_stats_recost_total``                   counter    —
-``repro_strategy_demotions_total``             counter    ``from_strategy``, ``to_strategy``
 ``repro_service_worker_utilization``           gauge      —
 ``repro_service_timeouts_total``               counter    —
 =============================================  =========  ==============================
@@ -82,18 +80,16 @@ families (``repro_snapshot_*`` / ``repro_service_*`` /
 registered by :mod:`repro.serve` — the wait/run histograms split a
 served query's latency into queue time and execution time, and the
 result-cache byte/eviction/expiration/invalidation family is owned by
-the policy/storage split in :mod:`repro.serve.cachepolicy`.  The
+the storage in :mod:`repro.serve.cachepolicy`.  The
 partition family comes from :mod:`repro.xmlkit.partition` (subtree
 splits of skewed documents) and :mod:`repro.physical.parallel_scan`
 (per-partition scan tasks and single-partition fallbacks to the serial
 scan); ``repro_tag_index_builds_total`` counts full-document tag-index
 materializations — a document version owns one index
-(``doc.derived``), so this should rise at most once per version.  The statistics family
-(``repro_stats_*`` and the demotion counter) is registered by
-:mod:`repro.obs.statstore`: every execution recorded into a
-:class:`~repro.obs.statstore.StatsStore`, every re-costing against
-observed selectivities, and every strategy the feedback loop demoted
-after a measured latency regression.
+(``doc.derived``), so this should rise at most once per version.
+``repro_stats_records_total`` is registered by
+:mod:`repro.obs.statstore` and counts every execution recorded into a
+:class:`~repro.obs.statstore.StatsStore`.
 """
 
 from __future__ import annotations

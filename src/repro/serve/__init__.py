@@ -23,12 +23,7 @@ Most callers reach this through the top-level facade::
                            timeout_ms=100).serialize())
 """
 
-from repro.serve.cachepolicy import (
-    AdaptiveCachePolicy,
-    CachePolicy,
-    ResultCacheStorage,
-    resolve_result_cache,
-)
+from repro.serve.cachepolicy import ResultCacheStorage, resolve_result_cache
 from repro.serve.catalog import Catalog
 from repro.serve.client import Client, ClientResult, RemotePrepared
 from repro.serve.server import Server, listen
@@ -37,9 +32,7 @@ from repro.serve.snapshot import Snapshot, SnapshotUpdater, fork_document
 from repro.serve.throttle import AdmissionController
 
 __all__ = [
-    "AdaptiveCachePolicy",
     "AdmissionController",
-    "CachePolicy",
     "Catalog",
     "Client",
     "ClientResult",

@@ -1,40 +1,30 @@
-"""Result-cache policy/storage split: a byte-accounted TTL cache.
+"""The result cache: a byte-accounted, snapshot-indexed TTL cache.
 
 PR 4's result cache was a bare ``OrderedDict`` capped by *entry count*
 — no time-to-live, no size accounting (a scalar aggregate and a whole
 serialized subtree cost the same slot), and no proof that a retired
-snapshot's entries actually left.  This module replaces it with the
-policy/storage split scrapy uses for its HTTP cache: a dumb, auditable
-:class:`ResultCacheStorage` holding the bytes, driven by a pluggable
-:class:`CachePolicy` making the decisions.
+snapshot's entries actually left.  :class:`ResultCacheStorage`
+replaces it:
 
-**Storage** (:class:`ResultCacheStorage`)
-    * every entry is charged its *serialized byte size* (plus a fixed
-      per-entry overhead, so a million empty results still account) —
-      the tree-pattern survey's observation that XML query results
-      range from scalars to whole subtrees is exactly why entries, not
-      bytes, was the wrong unit;
-    * eviction is LRU **by bytes**: inserts evict least-recently-used
-      entries until the byte budget fits (expired entries go first);
-    * a per-snapshot index maps ``(document, snapshot id)`` to the
-      entry keys under it, so :meth:`invalidate_snapshot` is
-      proportional to the snapshot's entries, not the cache — and every
-      invalidation *audits*: after the indexed drop it scans for
-      survivors and counts them (the count must be zero; the serving
-      tests pin it);
-    * hit/miss counters come in two horizons — process-lifetime and a
-      *window* that resets on :meth:`resize`/:meth:`clear`, so a
-      resized cache reports a ratio about its current configuration,
-      not about a configuration that no longer exists.
+* every entry is charged its *serialized byte size* (plus a fixed
+  per-entry overhead, so a million empty results still account) — the
+  tree-pattern survey's observation that XML query results range from
+  scalars to whole subtrees is exactly why entries, not bytes, was the
+  wrong unit;
+* admission is bounded: a result larger than ``max_entry_bytes`` (or
+  than the whole budget) is never cached, so one giant, rarely
+  repeated result cannot flush many small reusable ones;
+* every entry may carry a time-to-live (``ttl_s``);
+* eviction is LRU **by bytes**: inserts evict least-recently-used
+  entries until the byte budget fits (expired entries go first);
+* a per-snapshot index maps ``(document, snapshot id)`` to the entry
+  keys under it, so :meth:`~ResultCacheStorage.invalidate_snapshot` is
+  proportional to the snapshot's entries, not the cache — and every
+  invalidation *audits*: after the indexed drop it scans for survivors
+  and counts them (the count must be zero; the serving tests pin it).
 
-**Policy** (:class:`CachePolicy` / :class:`AdaptiveCachePolicy`)
-    decides ``should_cache`` (admission — oversized results are never
-    admitted), ``ttl_for`` (expiry) and, for the adaptive variant, how
-    the byte budget itself moves: fed by the storage's windowed hit
-    ratio and the entry-size histogram the serving layer records into
-    the document's :class:`~repro.obs.statstore.StatsStore`, it grows
-    the budget while hits are being lost to byte-pressure evictions and
-    shrinks it when the window says the cache is not earning its keep.
+Every knob is fixed when the storage is built; nothing resizes it at
+run time.
 
 Metric families (process-wide, ``repro_result_cache_*``):
 
@@ -50,7 +40,7 @@ Metric families (process-wide, ``repro_result_cache_*``):
 The facade spells all of this as the ``result_cache=`` spec (see
 :func:`resolve_result_cache`): ``None`` for defaults, ``0``/``"off"``
 to disable, an int/``"64kb"``/``"16mb"`` byte budget, a mapping of
-knobs, a :class:`CachePolicy`, or a prebuilt storage.
+knobs, or a prebuilt storage.
 """
 
 from __future__ import annotations
@@ -62,16 +52,12 @@ from collections.abc import Callable, Mapping
 from typing import Any
 
 from repro.errors import UsageError
-from repro.obs.metrics import REGISTRY, bucket_quantile
-from repro.obs.statstore import RESULT_SIZE_BUCKETS
+from repro.obs.metrics import REGISTRY
 
 __all__ = [
     "DEFAULT_RESULT_CACHE_BYTES",
     "ENTRY_OVERHEAD_BYTES",
-    "ENTRY_SIZE_BUCKETS",
-    "AdaptiveCachePolicy",
     "CacheEntry",
-    "CachePolicy",
     "ResultCacheStorage",
     "default_result_sizer",
     "resolve_result_cache",
@@ -96,11 +82,6 @@ DEFAULT_RESULT_CACHE_BYTES = 16 * 1024 * 1024
 #: Fixed per-entry charge on top of the serialized payload (key tuple,
 #: dict slot, index membership) so zero-byte results still account.
 ENTRY_OVERHEAD_BYTES = 256
-
-#: Entry-size histogram buckets (bytes) — the serving layer records
-#: entry sizes into each document's StatsStore under these buckets and
-#: the adaptive policy reads the distribution back.
-ENTRY_SIZE_BUCKETS = RESULT_SIZE_BUCKETS
 
 _UNITS = {"b": 1, "kb": 1024, "mb": 1024 ** 2, "gb": 1024 ** 3}
 
@@ -129,177 +110,34 @@ class CacheEntry:
         return self.expires_at is not None and now >= self.expires_at
 
 
-class CachePolicy:
-    """The decision half of the split: admission, TTL, sizing.
+class ResultCacheStorage:
+    """Byte-accounted entries, snapshot index, LRU, TTL.
+
+    Thread-safe; one instance is owned by each
+    :class:`~repro.serve.service.QueryService`.
 
     Parameters
     ----------
+    max_bytes:
+        The byte budget (``0`` admits nothing).
+    max_entries:
+        Optional cap on the entry count, on top of the byte budget.
     ttl_s:
         Time-to-live in seconds for every admitted entry (``None``
         disables expiry — snapshot immutability already guarantees
         correctness; TTL is a freshness/footprint knob, not a
         correctness one).
     max_entry_bytes:
-        Admission bound: results serializing larger than this are never
-        cached (they would evict many small, reusable entries for one
-        giant, rarely-repeated one).  ``None`` admits any size that
-        fits the budget.
-    """
-
-    def __init__(self, *, ttl_s: float | None = None,
-                 max_entry_bytes: int | None = None) -> None:
-        if ttl_s is not None and ttl_s <= 0:
-            raise UsageError(f"ttl_s must be > 0, got {ttl_s}")
-        if max_entry_bytes is not None and max_entry_bytes <= 0:
-            raise UsageError(
-                f"max_entry_bytes must be > 0, got {max_entry_bytes}")
-        self.ttl_s = ttl_s
-        self.max_entry_bytes = max_entry_bytes
-
-    def should_cache(self, key: tuple, result: Any, nbytes: int) -> bool:
-        """Admission decision for one freshly computed result."""
-        return self.max_entry_bytes is None or nbytes <= self.max_entry_bytes
-
-    def ttl_for(self, key: tuple, result: Any, nbytes: int) -> float | None:
-        """Per-entry TTL (seconds); ``None`` means no expiry."""
-        return self.ttl_s
-
-    def adapt(self, storage: ResultCacheStorage,
-              stats_stores: Callable[[], list] | None = None) -> int | None:
-        """Sizing hook: return a new byte budget, or ``None`` to keep.
-
-        The base policy never moves the budget; see
-        :class:`AdaptiveCachePolicy`.
-        """
-        return None
-
-    def describe(self) -> dict:
-        """JSON-able policy summary for the ``stats()`` payload."""
-        return {
-            "policy": type(self).__name__,
-            "ttl_s": self.ttl_s,
-            "max_entry_bytes": self.max_entry_bytes,
-        }
-
-
-class AdaptiveCachePolicy(CachePolicy):
-    """Hit-ratio-driven byte-budget sizing over the base policy.
-
-    Every ``interval`` window lookups the policy re-decides the budget
-    from two observed signals:
-
-    * the storage's **windowed hit ratio** (the window resets on every
-      resize, so each decision is measured against the budget it set);
-    * the **entry-size histogram** recorded into the documents'
-      :class:`~repro.obs.statstore.StatsStore` by the serving layer
-      (observed p95 entry bytes — how big this workload's results
-      actually are).
-
-    Budget moves: while the ratio is at least ``grow_ratio`` *and* the
-    window lost entries to byte-pressure evictions, the budget doubles
-    (hits are being evicted away); while the ratio is at most
-    ``shrink_ratio``, it halves (the cache is not earning its bytes).
-    Both directions are clamped to ``[min_bytes, max_bytes]``, and the
-    admission bound ``max_entry_bytes`` follows the observed sizes
-    (``entry_headroom`` × p95) so one outlier subtree cannot flush the
-    working set.
-    """
-
-    def __init__(self, *, ttl_s: float | None = None,
-                 max_entry_bytes: int | None = None,
-                 min_bytes: int = 1024 * 1024,
-                 max_bytes: int = 256 * 1024 * 1024,
-                 grow_ratio: float = 0.6, shrink_ratio: float = 0.1,
-                 interval: int = 128, entry_headroom: float = 8.0) -> None:
-        super().__init__(ttl_s=ttl_s, max_entry_bytes=max_entry_bytes)
-        if min_bytes <= 0 or max_bytes < min_bytes:
-            raise UsageError(
-                f"need 0 < min_bytes <= max_bytes, got {min_bytes}"
-                f"/{max_bytes}")
-        if not 0.0 <= shrink_ratio < grow_ratio <= 1.0:
-            raise UsageError(
-                "need 0 <= shrink_ratio < grow_ratio <= 1, got "
-                f"{shrink_ratio}/{grow_ratio}")
-        if interval < 1:
-            raise UsageError(f"interval must be >= 1, got {interval}")
-        self.min_bytes = min_bytes
-        self.max_bytes = max_bytes
-        self.grow_ratio = grow_ratio
-        self.shrink_ratio = shrink_ratio
-        self.interval = interval
-        self.entry_headroom = entry_headroom
-        #: (grew, shrank, entry-bound updates) — auditable in stats().
-        self.decisions = {"grown": 0, "shrunk": 0, "entry_bound": 0}
-
-    def adapt(self, storage: ResultCacheStorage,
-              stats_stores: Callable[[], list] | None = None) -> int | None:
-        window = storage.window_snapshot()
-        if window["lookups"] < self.interval:
-            return None
-        # Follow the observed entry sizes before judging the ratio: the
-        # admission bound shapes what the next window can even hold.
-        if stats_stores is not None:
-            p95 = _observed_entry_p95(stats_stores())
-            if p95 is not None:
-                bound = max(ENTRY_OVERHEAD_BYTES * 4,
-                            int(p95 * self.entry_headroom))
-                if bound != self.max_entry_bytes:
-                    self.max_entry_bytes = bound
-                    self.decisions["entry_bound"] += 1
-        ratio = window["hit_ratio"]
-        budget = storage.max_bytes
-        if ratio is None:
-            return None
-        if ratio >= self.grow_ratio and window["evictions"] > 0 \
-                and budget < self.max_bytes:
-            self.decisions["grown"] += 1
-            return min(budget * 2, self.max_bytes)
-        if ratio <= self.shrink_ratio and budget > self.min_bytes:
-            self.decisions["shrunk"] += 1
-            return max(budget // 2, self.min_bytes)
-        # Verdict reached, budget stands: restart the measurement window
-        # so the next decision is not diluted by this one's samples.
-        storage.reset_window()
-        return None
-
-    def describe(self) -> dict:
-        payload = super().describe()
-        payload.update({
-            "min_bytes": self.min_bytes, "max_bytes": self.max_bytes,
-            "grow_ratio": self.grow_ratio, "shrink_ratio": self.shrink_ratio,
-            "interval": self.interval, "decisions": dict(self.decisions),
-        })
-        return payload
-
-
-def _observed_entry_p95(stores: list) -> float | None:
-    """Pooled p95 of the result-size histograms across stats stores."""
-    pooled = [0] * len(ENTRY_SIZE_BUCKETS)
-    n = 0
-    for store in stores:
-        histogram = getattr(store, "result_bytes", None)
-        if histogram is None:
-            continue
-        for counts, _total, cell_n in histogram.cells().values():
-            for index, count in enumerate(counts):
-                pooled[index] += count
-            n += cell_n
-    if n == 0:
-        return None
-    return bucket_quantile(ENTRY_SIZE_BUCKETS, pooled, n, 0.95)
-
-
-class ResultCacheStorage:
-    """The mechanics half: byte-accounted entries, snapshot index, LRU.
-
-    Thread-safe; one instance is owned by each
-    :class:`~repro.serve.service.QueryService`.  ``clock`` is
-    injectable for deterministic TTL tests.
+        Admission bound: results charged more than this are never
+        cached.  ``None`` admits any size that fits the budget.
+    clock:
+        Injectable for deterministic TTL tests.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_RESULT_CACHE_BYTES, *,
                  max_entries: int | None = None,
-                 policy: CachePolicy | None = None,
+                 ttl_s: float | None = None,
+                 max_entry_bytes: int | None = None,
                  sizer: Callable[[Any], int] = default_result_sizer,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if max_bytes < 0:
@@ -307,7 +145,13 @@ class ResultCacheStorage:
         if max_entries is not None and max_entries < 0:
             raise UsageError(
                 f"max_entries must be >= 0, got {max_entries}")
-        self.policy = policy if policy is not None else CachePolicy()
+        if ttl_s is not None and not ttl_s > 0:
+            raise UsageError(f"ttl_s must be > 0, got {ttl_s}")
+        if max_entry_bytes is not None and max_entry_bytes <= 0:
+            raise UsageError(
+                f"max_entry_bytes must be > 0, got {max_entry_bytes}")
+        self.ttl_s = ttl_s
+        self.max_entry_bytes = max_entry_bytes
         self.sizer = sizer
         self.clock = clock
         self._lock = threading.Lock()
@@ -324,12 +168,6 @@ class ResultCacheStorage:
         self.expirations = 0
         self.invalidated = 0
         self.rejected = 0
-        # Window counters: reset on resize()/clear() — satellite fix
-        # for the stale post-resize hit ratio.
-        self._window_hits = 0
-        self._window_misses = 0
-        self._window_evictions = 0
-        self._window_started = self.clock()
         # The snapshot-invalidation audit ledger.
         self.snapshots_invalidated = 0
         self.audit_survivors = 0
@@ -347,39 +185,17 @@ class ResultCacheStorage:
         with self._lock:
             return len(self._entries)
 
-    def window_snapshot(self) -> dict:
-        with self._lock:
-            lookups = self._window_hits + self._window_misses
-            return {
-                "hits": self._window_hits,
-                "misses": self._window_misses,
-                "lookups": lookups,
-                "evictions": self._window_evictions,
-                "hit_ratio": (self._window_hits / lookups
-                              if lookups else None),
-                "age_s": round(self.clock() - self._window_started, 3),
-            }
-
-    def reset_window(self) -> None:
-        with self._lock:
-            self._reset_window_locked()
-
-    def _reset_window_locked(self) -> None:
-        self._window_hits = 0
-        self._window_misses = 0
-        self._window_evictions = 0
-        self._window_started = self.clock()
-
     def stats(self) -> dict:
         """The ``result_cache`` section of ``service.stats()``."""
-        window = self.window_snapshot()
         with self._lock:
             lookups = self.hits + self.misses
-            payload = {
+            return {
                 "size": len(self._entries),
                 "bytes": self.current_bytes,
                 "capacity_bytes": self.max_bytes,
                 "max_entries": self.max_entries,
+                "max_entry_bytes": self.max_entry_bytes,
+                "ttl_s": self.ttl_s,
                 "hits": self.hits,
                 "misses": self.misses,
                 "hit_ratio": (round(self.hits / lookups, 4)
@@ -393,11 +209,6 @@ class ResultCacheStorage:
                     "survivors": self.audit_survivors,
                 },
             }
-        if window["hit_ratio"] is not None:
-            window["hit_ratio"] = round(window["hit_ratio"], 4)
-        payload["window"] = window
-        payload.update(self.policy.describe())
-        return payload
 
     # ------------------------------------------------------------------
     # The data path.
@@ -415,36 +226,34 @@ class ResultCacheStorage:
                 entry = None
             if entry is None:
                 self.misses += 1
-                self._window_misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            self._window_hits += 1
             return entry.result
 
     def put(self, key: tuple, result: Any,
             nbytes: int | None = None) -> bool:
-        """Admit one result under the policy; returns whether it cached.
+        """Size one result, then admit it if it fits; returns whether
+        it cached.
 
         ``key[0]`` / ``key[1]`` are the document name and snapshot id
         (the serving layer's key layout) — they index the entry for
-        per-snapshot invalidation.  ``nbytes`` lets the caller pass a
-        pre-computed byte charge (the serving layer sizes once, records
-        the size into the stats store, then admits).
+        per-snapshot invalidation.  ``nbytes`` overrides the sizer's
+        byte charge.
         """
         if not self.enabled:
             return False
         if nbytes is None:
             nbytes = self.sizer(result) + ENTRY_OVERHEAD_BYTES
-        if nbytes > self.max_bytes \
-                or not self.policy.should_cache(key, result, nbytes):
+        if nbytes > self.max_bytes or (self.max_entry_bytes is not None
+                                       and nbytes > self.max_entry_bytes):
             with self._lock:
                 self.rejected += 1
             return False
-        ttl = self.policy.ttl_for(key, result, nbytes)
         now = self.clock()
         entry = CacheEntry(key, result, nbytes, (key[0], key[1]),
-                           now + ttl if ttl is not None else None)
+                           now + self.ttl_s if self.ttl_s is not None
+                           else None)
         with self._lock:
             old = self._entries.get(key)
             if old is not None:
@@ -464,7 +273,7 @@ class ResultCacheStorage:
             return entry.nbytes if entry is not None else None
 
     # ------------------------------------------------------------------
-    # Lifecycle: invalidation, resize, clear.
+    # Lifecycle: invalidation, clear.
     # ------------------------------------------------------------------
 
     def invalidate_snapshot(self, name: str, snapshot_id: int) -> int:
@@ -504,29 +313,14 @@ class ResultCacheStorage:
             _INVALIDATED.inc(dropped)
         return dropped
 
-    def resize(self, max_bytes: int | None = None,
-               max_entries: int | None = None) -> None:
-        """Move the budget; evicts down to it and resets the window."""
-        with self._lock:
-            if max_bytes is not None:
-                if max_bytes < 0:
-                    raise UsageError(
-                        f"max_bytes must be >= 0, got {max_bytes}")
-                self.max_bytes = max_bytes
-            if max_entries is not None:
-                self.max_entries = max_entries
-            self._evict_for_locked(0, self.clock())
-            self._reset_window_locked()
-            _CACHE_BYTES.set(self.current_bytes)
-
     def clear(self) -> int:
-        """Drop everything; resets the window; returns entries dropped."""
+        """Drop every entry (the lifetime counters stay); returns
+        entries dropped."""
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
             self._by_snapshot.clear()
             self.current_bytes = 0
-            self._reset_window_locked()
             _CACHE_BYTES.set(0)
             return dropped
 
@@ -564,7 +358,6 @@ class ResultCacheStorage:
                     del self._by_snapshot[entry.snapshot_key]
             self.current_bytes -= entry.nbytes
             self.evictions += 1
-            self._window_evictions += 1
             _EVICTIONS.inc()
         _CACHE_BYTES.set(self.current_bytes)
 
@@ -587,6 +380,24 @@ def _parse_bytes(text: str) -> int:
             "(expected e.g. 65536, \"64kb\", \"16mb\")") from None
 
 
+#: The knobs a ``result_cache=`` mapping may set.
+_KNOBS = frozenset({"max_bytes", "max_entries", "ttl_s", "max_entry_bytes"})
+
+
+def _byte_size(name: str, value: Any) -> int:
+    """A byte-size knob: a count, or a unit-suffixed string."""
+    if isinstance(value, str):
+        value = _parse_bytes(value)
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(
+            f"result_cache {name} must be a byte budget (e.g. 65536, "
+            f"\"64kb\", \"16mb\"), got {value!r}")
+    if value < 0:
+        raise UsageError(
+            f"result_cache {name} byte budget must be >= 0, got {value}")
+    return value
+
+
 def resolve_result_cache(spec: Any) -> ResultCacheStorage | None:
     """Resolve the facade's ``result_cache=`` spec into a storage.
 
@@ -598,54 +409,53 @@ def resolve_result_cache(spec: Any) -> ResultCacheStorage | None:
     ``int``                       byte budget
     ``"64kb"`` / ``"16mb"``       byte budget, unit-suffixed
     mapping                       knobs: ``max_bytes``, ``max_entries``,
-                                  ``ttl_s``, ``max_entry_bytes``,
-                                  ``adaptive`` (bool or knob mapping)
-    :class:`CachePolicy`          default budget under that policy
+                                  ``ttl_s``, ``max_entry_bytes`` (both
+                                  byte knobs take the unit spellings)
     :class:`ResultCacheStorage`   used as-is
     ============================  =====================================
+
+    A budget of zero bytes or zero entries, however spelled, disables
+    the cache.  Every knob is type-checked here: a wrong type is a
+    :class:`~repro.errors.UsageError`, like a bad value.
     """
-    if spec is None or spec is True:
-        return ResultCacheStorage()
     if isinstance(spec, ResultCacheStorage):
         return spec
-    if isinstance(spec, CachePolicy):
-        return ResultCacheStorage(policy=spec)
-    if spec is False or (isinstance(spec, int) and spec == 0):
+    if spec is False:
         return None
-    if isinstance(spec, str):
-        if spec.strip().lower() in ("off", "none", "disabled", "0"):
-            return None
-        return ResultCacheStorage(max_bytes=_parse_bytes(spec))
-    if isinstance(spec, int):
-        if spec < 0:
-            raise UsageError(f"result_cache byte budget must be >= 0, "
-                             f"got {spec}")
-        return ResultCacheStorage(max_bytes=spec)
-    if isinstance(spec, Mapping):
+    if spec is None or spec is True:
+        knobs: dict[str, Any] = {}
+    elif isinstance(spec, str) and spec.strip().lower() in (
+            "off", "none", "disabled"):
+        return None
+    elif isinstance(spec, (int, str)):
+        knobs = {"max_bytes": spec}
+    elif isinstance(spec, Mapping):
         knobs = dict(spec)
-        max_bytes = knobs.pop("max_bytes", DEFAULT_RESULT_CACHE_BYTES)
-        if isinstance(max_bytes, str):
-            max_bytes = _parse_bytes(max_bytes)
-        max_entries = knobs.pop("max_entries", None)
-        if max_entries == 0 or max_bytes == 0:
-            return None
-        adaptive = knobs.pop("adaptive", False)
-        ttl_s = knobs.pop("ttl_s", None)
-        max_entry_bytes = knobs.pop("max_entry_bytes", None)
-        if knobs:
-            raise UsageError(
-                "unknown result_cache knobs: "
-                + ", ".join(sorted(map(str, knobs))))
-        if adaptive:
-            extra = dict(adaptive) if isinstance(adaptive, Mapping) else {}
-            policy: CachePolicy = AdaptiveCachePolicy(
-                ttl_s=ttl_s, max_entry_bytes=max_entry_bytes, **extra)
-        else:
-            policy = CachePolicy(ttl_s=ttl_s,
-                                 max_entry_bytes=max_entry_bytes)
-        return ResultCacheStorage(max_bytes=max_bytes,
-                                  max_entries=max_entries, policy=policy)
-    raise UsageError(
-        f"cannot interpret result_cache spec {spec!r} (expected None, "
-        "0/\"off\", a byte budget, a knob mapping, a CachePolicy or a "
-        "ResultCacheStorage)")
+        unknown = knobs.keys() - _KNOBS
+        if unknown:
+            raise UsageError("unknown result_cache knobs: "
+                             + ", ".join(sorted(map(str, unknown))))
+    else:
+        raise UsageError(
+            f"cannot interpret result_cache spec {spec!r} (expected None, "
+            "0/\"off\", a byte budget, a knob mapping or a "
+            "ResultCacheStorage)")
+    max_bytes = _byte_size("max_bytes",
+                           knobs.get("max_bytes", DEFAULT_RESULT_CACHE_BYTES))
+    max_entries = knobs.get("max_entries")
+    if max_entries is not None and (isinstance(max_entries, bool)
+                                    or not isinstance(max_entries, int)):
+        raise UsageError(
+            f"result_cache max_entries must be an int, got {max_entries!r}")
+    ttl_s = knobs.get("ttl_s")
+    if ttl_s is not None and (isinstance(ttl_s, bool)
+                              or not isinstance(ttl_s, (int, float))):
+        raise UsageError(
+            f"result_cache ttl_s must be a number of seconds, got {ttl_s!r}")
+    max_entry_bytes = knobs.get("max_entry_bytes")
+    if max_entry_bytes is not None:
+        max_entry_bytes = _byte_size("max_entry_bytes", max_entry_bytes)
+    if max_bytes == 0 or max_entries == 0:
+        return None
+    return ResultCacheStorage(max_bytes, max_entries=max_entries,
+                              ttl_s=ttl_s, max_entry_bytes=max_entry_bytes)

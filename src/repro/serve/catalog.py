@@ -72,8 +72,8 @@ class _Entry:
         #: one plan cache shared by every version's engine.
         self.plan_cache = PlanCache(plan_cache_capacity)
         #: one runtime statistics store shared the same way: recorded
-        #: actuals (and feedback decisions) survive snapshot churn —
-        #: entries are keyed by fingerprint, so versions never mix.
+        #: actuals survive snapshot churn — entries are keyed by
+        #: fingerprint, so versions never mix.
         self.stats_store = StatsStore()
         #: snapshot_id -> Engine bound to that version.
         self.engines: dict[int, Engine] = {}
@@ -83,15 +83,11 @@ class Catalog:
     """A registry of named documents with snapshot-isolated versions."""
 
     def __init__(self, plan_cache_capacity: int = 128,
-                 feedback: bool = False,
                  analyze_queries: bool = True) -> None:
         self._lock = threading.Lock()
         self._entries: dict[str, _Entry] = {}
         self._ids = itertools.count(1)
         self._plan_cache_capacity = plan_cache_capacity
-        #: Feedback-driven strategy selection for every snapshot engine
-        #: this catalog creates (see :class:`repro.engine.session.Engine`).
-        self.feedback = feedback
         #: Query lint + pruning rewrites for every snapshot engine this
         #: catalog creates; ``False`` is the differential escape hatch.
         self.analyze_queries = analyze_queries
@@ -182,7 +178,6 @@ class Catalog:
                 engine = Engine(snapshot.doc, plan_cache=entry.plan_cache,
                                 snapshot_id=sid,
                                 stats_store=entry.stats_store,
-                                feedback=self.feedback,
                                 analyze_queries=self.analyze_queries)
                 engine.plan_gate = self._make_gate(entry)
                 entry.engines[sid] = engine

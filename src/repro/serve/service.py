@@ -52,11 +52,7 @@ from repro.errors import (
 from repro.obs.metrics import REGISTRY
 from repro.obs.slowlog import SlowQueryLog
 from repro.physical.parallel_scan import ScanPools
-from repro.serve.cachepolicy import (
-    ENTRY_OVERHEAD_BYTES,
-    ResultCacheStorage,
-    resolve_result_cache,
-)
+from repro.serve.cachepolicy import ResultCacheStorage, resolve_result_cache
 from repro.serve.catalog import Catalog
 from repro.serve.snapshot import Snapshot, SnapshotUpdater
 from repro.xmlkit.tree import Document
@@ -188,8 +184,7 @@ class QueryService:
         ``None`` for the default byte-budgeted LRU, ``0``/``"off"`` to
         disable, a byte budget (``int`` or ``"16mb"``), a knob mapping
         (``max_bytes`` / ``max_entries`` / ``ttl_s`` /
-        ``max_entry_bytes`` / ``adaptive``), a
-        :class:`~repro.serve.cachepolicy.CachePolicy` or a prebuilt
+        ``max_entry_bytes``) or a prebuilt
         :class:`~repro.serve.cachepolicy.ResultCacheStorage`.
     default_document:
         Name used when calls omit ``doc`` (and for registering a
@@ -237,7 +232,7 @@ class QueryService:
         #: free to run).
         self._scan_pools = ScanPools(thread_workers=max(2, workers))
 
-        #: Policy/storage result cache (``None`` when disabled).  The
+        #: Byte-accounted result cache (``None`` when disabled).  The
         #: catalog's retire hook invalidates synchronously, so a retired
         #: snapshot's entries are gone before ``commit`` returns.
         self.result_cache: ResultCacheStorage | None = \
@@ -680,7 +675,7 @@ class QueryService:
                         continue
                     raise
                 if cache_key is not None:
-                    self._result_put(request.doc, cache_key, result)
+                    self.result_cache.put(cache_key, result)
                 run_ms = (time.perf_counter() - started) * 1e3
                 return ServeResult(result, snapshot, wait_ms, run_ms,
                                    attempts, cached=False)
@@ -720,24 +715,6 @@ class QueryService:
         _RESULT_HITS.inc()
         self._count("result_cache_hits")
         return result
-
-    def _result_put(self, doc: str, key: tuple, result: QueryResult) -> None:
-        storage = self.result_cache
-        nbytes = storage.sizer(result) + ENTRY_OVERHEAD_BYTES
-        # Feed the entry-size distribution the adaptive policy reads
-        # back; the document's stats store outlives snapshot churn.
-        try:
-            self.catalog.stats_store(doc).record_result_bytes(nbytes)
-        except UsageError:
-            pass    # document dropped while the request was in flight
-        storage.put(key, result, nbytes=nbytes)
-        new_budget = storage.policy.adapt(storage, self._stats_stores)
-        if new_budget is not None and new_budget != storage.max_bytes:
-            storage.resize(max_bytes=new_budget)
-
-    def _stats_stores(self) -> list:
-        return [self.catalog.stats_store(name)
-                for name in self.catalog.names()]
 
     def _purge_results(self, snapshot: Snapshot) -> None:
         """Catalog retire hook: eagerly drop the snapshot's results.

@@ -1,7 +1,7 @@
-"""Unit tests for the result-cache policy/storage split
+"""Unit tests for the result-cache storage
 (:mod:`repro.serve.cachepolicy`): byte accounting, LRU-by-bytes
-eviction, TTL, the snapshot-invalidation audit, window semantics, the
-``result_cache=`` spec grammar and the adaptive policy's budget moves.
+eviction, TTL, admission, the snapshot-invalidation audit, ``clear()``
+and the ``result_cache=`` spec grammar.
 
 The serving-layer integration (retire hooks, service stats threading)
 is covered in ``test_serve_service.py``; everything here drives the
@@ -11,12 +11,9 @@ storage directly with a fake clock and fake results.
 import pytest
 
 from repro.errors import UsageError
-from repro.obs.statstore import StatsStore
 from repro.serve.cachepolicy import (
     DEFAULT_RESULT_CACHE_BYTES,
     ENTRY_OVERHEAD_BYTES,
-    AdaptiveCachePolicy,
-    CachePolicy,
     ResultCacheStorage,
     resolve_result_cache,
 )
@@ -125,12 +122,23 @@ class TestEviction:
         assert not storage.put(key(1), FakeResult("x"))
         assert storage.get(key(1)) is None
 
+    def test_clear_drops_entries_and_keeps_lifetime_counters(self):
+        storage = make_storage()
+        storage.put(key(1), FakeResult("x"))
+        storage.get(key(1))                               # hit
+        storage.get(key(2))                               # miss
+        assert storage.clear() == 1
+        stats = storage.stats()
+        assert stats["size"] == 0 and stats["bytes"] == 0
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats["hit_ratio"] == 0.5
+        assert storage.get(key(1)) is None
+
 
 class TestTTL:
     def test_entries_expire_lazily_on_get(self):
         clock = FakeClock()
-        storage = ResultCacheStorage(policy=CachePolicy(ttl_s=10.0),
-                                     clock=clock)
+        storage = ResultCacheStorage(ttl_s=10.0, clock=clock)
         storage.put(key(1), FakeResult("x"))
         clock.now = 9.0
         assert storage.get(key(1)) is not None
@@ -143,8 +151,7 @@ class TestTTL:
     def test_eviction_purges_expired_before_lru(self):
         clock = FakeClock()
         storage = ResultCacheStorage(
-            max_bytes=3 * ENTRY_OVERHEAD_BYTES,
-            policy=CachePolicy(ttl_s=5.0), clock=clock)
+            max_bytes=3 * ENTRY_OVERHEAD_BYTES, ttl_s=5.0, clock=clock)
         storage.put(key(1), FakeResult(""))
         clock.now = 6.0                                   # 1 is now stale
         storage.put(key(2), FakeResult(""))
@@ -166,28 +173,17 @@ class TestTTL:
 
 class TestAdmissionPolicy:
     def test_max_entry_bytes_bounds_admission(self):
-        storage = make_storage(
-            policy=CachePolicy(max_entry_bytes=ENTRY_OVERHEAD_BYTES + 10))
+        storage = make_storage(max_entry_bytes=ENTRY_OVERHEAD_BYTES + 10)
         assert storage.put(key(1), FakeResult("x" * 10))
         assert not storage.put(key(2), FakeResult("x" * 11))
         assert storage.stats()["rejected"] == 1
 
-    def test_custom_should_cache_hook(self):
-        class NeverAggregates(CachePolicy):
-            def should_cache(self, key, result, nbytes):
-                return "agg" not in key[2]
-
-        storage = make_storage(policy=NeverAggregates())
-        assert storage.put(("main", 1, "//q", "auto", "serial"),
-                           FakeResult("x"))
-        assert not storage.put(("main", 1, "//agg", "auto", "serial"),
-                               FakeResult("x"))
-
     def test_policy_knob_validation(self):
-        with pytest.raises(UsageError, match="ttl_s"):
-            CachePolicy(ttl_s=0)
+        for ttl_s in (0, -1.0, float("nan")):
+            with pytest.raises(UsageError, match="ttl_s"):
+                ResultCacheStorage(ttl_s=ttl_s)
         with pytest.raises(UsageError, match="max_entry_bytes"):
-            CachePolicy(max_entry_bytes=-1)
+            ResultCacheStorage(max_entry_bytes=-1)
 
 
 class TestSnapshotInvalidation:
@@ -237,68 +233,16 @@ class TestSnapshotInvalidation:
         assert stats["size"] == 1
 
 
-class TestWindowSemantics:
-    def test_window_tracks_alongside_lifetime(self):
-        storage = make_storage()
-        storage.put(key(1), FakeResult("x"))
-        storage.get(key(1))                               # hit
-        storage.get(key(2))                               # miss
-        stats = storage.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["window"]["hits"] == 1
-        assert stats["window"]["misses"] == 1
-        assert stats["window"]["hit_ratio"] == 0.5
-
-    def test_resize_resets_window_not_lifetime(self):
-        storage = make_storage()
-        storage.put(key(1), FakeResult("x"))
-        storage.get(key(1))
-        storage.resize(max_bytes=8192)
-        stats = storage.stats()
-        assert stats["capacity_bytes"] == 8192
-        assert stats["hits"] == 1                         # lifetime kept
-        assert stats["window"]["lookups"] == 0            # window reset
-        assert stats["window"]["hit_ratio"] is None
-
-    def test_resize_down_evicts_to_the_new_budget(self):
-        storage = make_storage()
-        for n in range(4):
-            storage.put(key(n), FakeResult("x" * 100))
-        storage.resize(max_bytes=ENTRY_OVERHEAD_BYTES + 100)
-        stats = storage.stats()
-        assert stats["size"] == 1
-        assert stats["bytes"] <= stats["capacity_bytes"]
-
-    def test_clear_drops_entries_and_window_keeps_lifetime(self):
-        storage = make_storage()
-        storage.put(key(1), FakeResult("x"))
-        storage.get(key(1))
-        assert storage.clear() == 1
-        stats = storage.stats()
-        assert stats["size"] == 0 and stats["bytes"] == 0
-        assert stats["hits"] == 1
-        assert stats["window"]["lookups"] == 0
-
-    def test_window_age_follows_the_clock(self):
-        clock = FakeClock()
-        storage = ResultCacheStorage(clock=clock)
-        clock.now = 7.5
-        assert storage.window_snapshot()["age_s"] == 7.5
-        storage.reset_window()
-        clock.now = 9.0
-        assert storage.window_snapshot()["age_s"] == 1.5
-
-
 class TestResolveSpec:
     def test_none_builds_the_default(self):
         storage = resolve_result_cache(None)
         assert storage.max_bytes == DEFAULT_RESULT_CACHE_BYTES
         assert storage.max_entries is None
-        assert type(storage.policy) is CachePolicy
-        assert storage.policy.ttl_s is None
+        assert storage.ttl_s is None and storage.max_entry_bytes is None
 
     @pytest.mark.parametrize(
-        "spec", [0, False, "off", "none", "disabled", "0", " OFF "])
+        "spec", [0, False, "off", "none", "disabled", "0", " OFF ", "0kb",
+                 "0 mb", "0b", {"max_bytes": "0kb"}, {"max_bytes": "0 MB"}])
     def test_disabling_spellings(self, spec):
         assert resolve_result_cache(spec) is None
 
@@ -321,24 +265,17 @@ class TestResolveSpec:
             "ttl_s": 2.5, "max_entry_bytes": 1024})
         assert storage.max_bytes == 1024 ** 2
         assert storage.max_entries == 32
-        assert storage.policy.ttl_s == 2.5
-        assert storage.policy.max_entry_bytes == 1024
+        assert storage.ttl_s == 2.5
+        assert storage.max_entry_bytes == 1024
+        # Both byte knobs take the same unit spellings.
+        assert resolve_result_cache(
+            {"max_entry_bytes": "1kb"}).max_entry_bytes == 1024
 
     def test_mapping_zeroes_disable(self):
         assert resolve_result_cache({"max_entries": 0}) is None
         assert resolve_result_cache({"max_bytes": 0}) is None
 
-    def test_adaptive_knob(self):
-        storage = resolve_result_cache({"adaptive": True, "ttl_s": 1.0})
-        assert isinstance(storage.policy, AdaptiveCachePolicy)
-        assert storage.policy.ttl_s == 1.0
-        tuned = resolve_result_cache(
-            {"adaptive": {"interval": 16, "grow_ratio": 0.5}})
-        assert tuned.policy.interval == 16
-
-    def test_policy_and_storage_specs(self):
-        policy = CachePolicy(ttl_s=3.0)
-        assert resolve_result_cache(policy).policy is policy
+    def test_storage_spec_is_used_as_is(self):
         storage = ResultCacheStorage(1024)
         assert resolve_result_cache(storage) is storage
 
@@ -354,82 +291,15 @@ class TestResolveSpec:
                 resolve_result_cache(text)
         with pytest.raises(UsageError, match="cannot interpret"):
             resolve_result_cache(3.14)
-
-
-class TestAdaptivePolicy:
-    @staticmethod
-    def drive(storage, hits, misses):
-        """Feed the window ``hits``/``misses`` lookups."""
-        storage.put(key(0), FakeResult("x"))
-        for _ in range(hits):
-            assert storage.get(key(0)) is not None
-        for n in range(misses):
-            storage.get(("main", 1, f"//absent{n}", "auto", "serial"))
-
-    def test_grows_when_hot_and_evicting(self):
-        policy = AdaptiveCachePolicy(interval=8, min_bytes=1024)
-        storage = make_storage(max_bytes=2048, policy=policy)
-        self.drive(storage, hits=8, misses=0)
-        storage.evictions += 1                            # byte pressure
-        storage._window_evictions += 1
-        assert policy.adapt(storage) == 4096
-        assert policy.decisions["grown"] == 1
-
-    def test_never_grows_without_evictions(self):
-        policy = AdaptiveCachePolicy(interval=8, min_bytes=1024)
-        storage = make_storage(max_bytes=2048, policy=policy)
-        self.drive(storage, hits=8, misses=0)
-        assert policy.adapt(storage) is None              # no pressure
-        # The verdict consumed the window: a fresh measurement starts.
-        assert storage.window_snapshot()["lookups"] == 0
-
-    def test_shrinks_when_cold(self):
-        policy = AdaptiveCachePolicy(interval=8, min_bytes=1024)
-        storage = make_storage(max_bytes=4096, policy=policy)
-        self.drive(storage, hits=0, misses=8)
-        assert policy.adapt(storage) == 2048
-        assert policy.decisions["shrunk"] == 1
-
-    def test_clamped_at_min_bytes(self):
-        policy = AdaptiveCachePolicy(interval=8, min_bytes=2048)
-        storage = make_storage(max_bytes=2048, policy=policy)
-        self.drive(storage, hits=0, misses=8)
-        assert policy.adapt(storage) is None              # at the floor
-
-    def test_interval_gates_decisions(self):
-        policy = AdaptiveCachePolicy(interval=100)
-        storage = make_storage(policy=policy)
-        self.drive(storage, hits=0, misses=8)
-        assert policy.adapt(storage) is None
-        assert policy.decisions["shrunk"] == 0            # not enough data
-
-    def test_entry_bound_follows_observed_p95(self):
-        policy = AdaptiveCachePolicy(interval=4, entry_headroom=2.0)
-        storage = make_storage(policy=policy)
-        store = StatsStore()
-        for _ in range(50):
-            store.record_result_bytes(60_000)
-        self.drive(storage, hits=2, misses=2)
-        policy.adapt(storage, lambda: [store])
-        assert policy.decisions["entry_bound"] == 1
-        # p95 lands in the 64 KiB bucket; headroom doubles it.
-        assert policy.max_entry_bytes is not None
-        assert policy.max_entry_bytes >= 60_000
-
-    def test_knob_validation(self):
-        with pytest.raises(UsageError, match="min_bytes"):
-            AdaptiveCachePolicy(min_bytes=0)
-        with pytest.raises(UsageError, match="shrink_ratio"):
-            AdaptiveCachePolicy(grow_ratio=0.2, shrink_ratio=0.5)
-        with pytest.raises(UsageError, match="interval"):
-            AdaptiveCachePolicy(interval=0)
-
-    def test_describe_carries_the_decision_ledger(self):
-        policy = AdaptiveCachePolicy()
-        payload = policy.describe()
-        assert payload["policy"] == "AdaptiveCachePolicy"
-        assert payload["decisions"] == {
-            "grown": 0, "shrunk": 0, "entry_bound": 0}
+        # Wrong-typed knobs are usage errors, not a bare TypeError from
+        # a comparison; ``bool`` is not a count.
+        for knobs in ({"max_entries": "5"}, {"max_entries": True},
+                      {"ttl_s": "10"}, {"ttl_s": True},
+                      {"max_bytes": None}, {"max_bytes": True},
+                      {"max_bytes": 1.5}, {"max_entry_bytes": 2.0},
+                      {"max_entry_bytes": "0kb"}):
+            with pytest.raises(UsageError, match="result_cache|must be"):
+                resolve_result_cache(knobs)
 
 
 class TestResultCacheSizeShim:

@@ -70,7 +70,7 @@ def test_trip_budget_increments_field_and_metric():
 
 
 # ----------------------------------------------------------------------
-# The registry-metric contract of the statistics/feedback family: the
+# The registry-metric contract of the statistics family: the
 # names are API (scrape configs and dashboards bind to them), so they
 # are pinned here next to the counter-field contract.
 # ----------------------------------------------------------------------
@@ -82,8 +82,6 @@ def test_stats_family_registered_with_stable_names():
 
     expected = {
         "repro_stats_records_total": "counter",
-        "repro_stats_recost_total": "counter",
-        "repro_strategy_demotions_total": "counter",
         "repro_service_worker_utilization": "gauge",
         "repro_service_timeouts_total": "counter",
     }
@@ -101,20 +99,6 @@ def test_recording_feeds_the_records_counter():
     before = records.value()
     StatsStore().record("q", "pipelined", ("fp",), 1, elapsed_ms=1.0)
     assert records.value() == before + 1
-
-
-def test_demotion_counter_carries_strategy_labels():
-    from repro.obs.metrics import REGISTRY
-    from repro.obs.statstore import DemotionRecord, StatsStore
-
-    demotions = REGISTRY.get("repro_strategy_demotions_total")
-    before = demotions.value(from_strategy="twigstack", to_strategy="stack")
-    StatsStore().settle("q", ("fp",), "serial", "stack", DemotionRecord(
-        query="q", fingerprint="fp", executor="serial",
-        from_strategy="twigstack", to_strategy="stack",
-        from_mean_ms=2.0, to_mean_ms=1.0, executions=4, reason="r"))
-    after = demotions.value(from_strategy="twigstack", to_strategy="stack")
-    assert after == before + 1
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.errors import (
 )
 from repro.obs.metrics import REGISTRY
 from repro.serve import (
-    CachePolicy,
     Catalog,
     QueryService,
     ResultCacheStorage,
@@ -316,7 +315,7 @@ class TestCoalescingAndResultCache:
 
 class TestCacheLifecycle:
     """Storage-backed cache semantics: the retire audit, TTL expiry with
-    an injected clock, and the windowed-vs-lifetime hit ratio."""
+    an injected clock, and the lifetime hit ratio across ``clear()``."""
 
     def test_retire_drops_entries_eagerly_with_audit(self):
         """The lifecycle bugfix regression: a publish retires the old
@@ -355,8 +354,7 @@ class TestCacheLifecycle:
 
     def test_ttl_expiry_with_injected_clock(self):
         clock = {"now": 0.0}
-        storage = ResultCacheStorage(policy=CachePolicy(ttl_s=5.0),
-                                     clock=lambda: clock["now"])
+        storage = ResultCacheStorage(ttl_s=5.0, clock=lambda: clock["now"])
         with make_service(workers=1, result_cache=storage) as service:
             first = service.query("//book/title")
             clock["now"] = 4.0
@@ -368,33 +366,21 @@ class TestCacheLifecycle:
         assert stats["expirations"] == 1
         assert stats["size"] == 1                     # the re-admitted run
 
-    def test_hit_ratio_window_resets_on_resize_and_clear(self):
-        """The stale-ratio bugfix: after a resize the windowed ratio
-        speaks only for the new configuration, while the lifetime ratio
-        keeps the full history."""
+    def test_hit_ratio_is_lifetime_and_survives_clear(self):
         with make_service(workers=1) as service:
             storage = service.result_cache
             service.query("//book/title")             # miss
             service.query("//book/title")             # hit
-            stats = storage.stats()
-            assert stats["hit_ratio"] == 0.5
-            assert stats["window"]["hit_ratio"] == 0.5
-
-            storage.resize(max_bytes=storage.max_bytes)
-            stats = storage.stats()
-            assert stats["hit_ratio"] == 0.5          # lifetime survives
-            assert stats["window"]["lookups"] == 0    # window starts over
-
-            service.query("//book/title")             # entry survived: hit
-            stats = storage.stats()
-            assert stats["window"]["hit_ratio"] == 1.0
-            assert stats["hit_ratio"] == pytest.approx(2 / 3, abs=1e-4)
+            assert storage.stats()["hit_ratio"] == 0.5
+            service.query("//book/title")             # hit
+            assert storage.stats()["hit_ratio"] == pytest.approx(
+                2 / 3, abs=1e-4)
 
             storage.clear()
             stats = storage.stats()
             assert stats["size"] == 0
-            assert stats["window"]["lookups"] == 0
             assert stats["hits"] == 2 and stats["misses"] == 1
+            assert not service.query("//book/title").cached
 
     def test_oversized_results_are_rejected_not_admitted(self):
         with make_service(

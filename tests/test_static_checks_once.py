@@ -3,8 +3,8 @@ implementation: the scoping walk ahead of pattern build (one traversal
 yields the external parameters *and* the static report), the tree
 verifier right after it, the query lint, and the decomposition / Dewey /
 plan passes over the chosen plan.  Nothing is memoized behind the plan
-cache, so a plan-cache hit, a prepared ``execute`` and a feedback hit
-run none of them."""
+cache, so a plan-cache hit and a prepared ``execute`` run none of
+them."""
 
 import pytest
 
@@ -138,28 +138,6 @@ class TestNothingBehindThePlanCache:
         for _ in range(3):
             assert len(prepared.execute()) == 2
         assert counts(calls) == NONE
-
-    def test_feedback_hit_consults_only_the_advisor(self, calls,
-                                                    monkeypatch):
-        engine = Engine(parse(SMALL_BIB), feedback=True)
-        advised = []
-        advise = engine.advisor.advise
-        monkeypatch.setattr(
-            engine.advisor, "advise",
-            lambda *a, **kw: advised.append(a) or advise(*a, **kw))
-        engine.query(BARE)
-        assert counts(calls) == ONCE
-        reset(calls)
-        advised.clear()
-        hit = engine.query(BARE, trace=True)
-        assert hit.trace.root.attrs["plan-cache"] == "hit"
-        assert len(advised) == 1 and counts(calls) == NONE
-        # Two measured runs of the static arm later the advisor probes
-        # the alternative: a re-cost rebuild is one compile, once each.
-        recost = engine.query(BARE, trace=True)
-        assert recost.trace.root.attrs["plan-cache"] == "recost"
-        assert recost.strategy != hit.strategy
-        assert counts(calls) == ONCE
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,8 @@
-"""The runtime statistics store and the feedback loop on top of it.
+"""The runtime statistics store: an observer, read only by ``stats()``.
 
-Covers the tentpole surface end to end: :class:`StatsStore` recording
-semantics, histogram quantiles (including the exposition lines), the
-:class:`StrategyAdvisor` explore-then-commit sequence, the engine's
-recording/feedback wiring, the parallel-upgrade demotion regression
-(``parallel`` measured slower than the serial scan must be demoted
-within the first few executions), the ``Database.stats()`` /
+Covers :class:`StatsStore` recording semantics, histogram quantiles
+(including the exposition lines), the engine's recording on every run
+(and that no recorded history moves a plan), the ``Database.stats()`` /
 ``QueryService.stats()`` snapshots, and the ``python -m repro.obs``
 CLI.
 """
@@ -16,22 +13,11 @@ import json
 
 import pytest
 
-from repro.engine.optimizer import (
-    DEMOTE_MARGIN,
-    MIN_FEEDBACK_SAMPLES,
-    PlanChoice,
-    StrategyAdvisor,
-)
 from repro.engine.plancache import normalize_query_text
 from repro.engine.session import Engine
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import Histogram, MetricsRegistry, bucket_quantile
-from repro.obs.statstore import (
-    STRATEGY_DEMOTIONS,
-    WORK_COUNTERS,
-    DemotionRecord,
-    StatsStore,
-)
+from repro.obs.statstore import StatsStore
 from repro.xmlkit.parser import parse
 
 FP = (0, "fp")
@@ -85,7 +71,7 @@ class TestStatsStore:
         assert entry.nok_matches == {}        # failed run: no selectivity
         entry = store.record("q", "pipelined", FP, "serial", elapsed_ms=1.0,
                              nok_matches=[("book", 7), ("book", 9)])
-        assert entry.observed_cardinality("book") == pytest.approx(8.0)
+        assert entry.to_dict()["nok_selectivity"] == {"book": 8.0}
 
     def test_keys_separate_strategy_and_executor(self):
         store = StatsStore()
@@ -94,8 +80,8 @@ class TestStatsStore:
         store.record("q", "pipelined", FP, "threads:4", elapsed_ms=3.0)
         assert len(store) == 3
         assert store.get("q", "pipelined", FP, "serial").mean_ms == pytest.approx(1.0)
-        arms = store.arms("q", FP, "threads:4")
-        assert set(arms) == {"parallel", "pipelined"}
+        assert store.get("q", "parallel", FP, "threads:4").mean_ms == pytest.approx(2.0)
+        assert store.get("q", "pipelined", FP, "threads:4").mean_ms == pytest.approx(3.0)
 
     def test_lru_eviction_bounds_the_store(self):
         store = StatsStore(max_plans=2)
@@ -106,17 +92,6 @@ class TestStatsStore:
         assert store.get("b", "s", FP, "serial") is None
         assert store.get("a", "s", FP, "serial") is not None
         assert store.get("c", "s", FP, "serial") is not None
-
-    def test_observed_cardinalities_pool_across_strategies(self):
-        store = StatsStore()
-        store.record("q", "pipelined", FP, "serial", elapsed_ms=1.0,
-                     nok_matches=[("book", 10)])
-        store.record("q", "twigstack", FP, "serial", elapsed_ms=1.0,
-                     nok_matches=[("book", 20)])
-        store.record("q", "pipelined", ("other",), 1, elapsed_ms=1.0,
-                     nok_matches=[("book", 999)])     # other version: excluded
-        observed = store.observed_cardinalities(FP)
-        assert observed == {"book": pytest.approx(15.0)}
 
     def test_top_queries_orders_by_total_time(self):
         store = StatsStore()
@@ -148,47 +123,26 @@ class TestStatsStore:
         assert snap["n_plans"] == 3
         assert snap["records"] == 3
         assert len(snap["plans"]) == 2
-        assert {"plans", "n_plans", "records", "by_strategy", "demotions",
-                "settled"} <= set(snap)
+        assert set(snap) == {"plans", "n_plans", "records", "by_strategy"}
         json.dumps(snap)                      # JSON-able end to end
-
-    def test_settle_and_demotion_ring(self):
-        store = StatsStore(max_demotions=2)
-        before = STRATEGY_DEMOTIONS.value(from_strategy="parallel",
-                                          to_strategy="pipelined")
-        for i in range(3):
-            store.settle(f"q{i}", FP, "serial", "pipelined", DemotionRecord(
-                query=f"q{i}", fingerprint="fp", executor="serial",
-                from_strategy="parallel", to_strategy="pipelined",
-                from_mean_ms=2.0, to_mean_ms=1.0, executions=4, reason="r"))
-        assert store.settled_strategy("q0", FP, "serial") == "pipelined"
-        assert len(store.demotions) == 2      # bounded ring
-        assert store.demotions[-1].query == "q2"
-        after = STRATEGY_DEMOTIONS.value(from_strategy="parallel",
-                                         to_strategy="pipelined")
-        assert after == before + 3
 
     def test_jsonl_round_trip(self, tmp_path):
         store = StatsStore()
         store.record("q", "pipelined", FP, "serial", elapsed_ms=1.0)
-        store.settle("q", FP, "serial", "pipelined", DemotionRecord(
-            query="q", fingerprint="fp", executor="serial",
-            from_strategy="parallel", to_strategy="pipelined",
-            from_mean_ms=2.0, to_mean_ms=1.0, executions=4, reason="r"))
+        store.record("q", "stack", FP, "serial", elapsed_ms=2.0)
         path = tmp_path / "stats.jsonl"
         assert store.export_jsonl(path) == 2
-        kinds = [json.loads(line)["kind"]
+        lines = [json.loads(line)
                  for line in path.read_text().splitlines() if line]
-        assert kinds == ["plan", "demotion"]
+        assert [(line["kind"], line["strategy"]) for line in lines] == \
+            [("plan", "stack"), ("plan", "pipelined")]
 
     def test_clear_resets_everything(self):
         store = StatsStore()
         store.record("q", "s", FP, "serial", elapsed_ms=1.0)
-        store.settle("q", FP, "serial", "s")
         store.clear()
         assert len(store) == 0 and store.records == 0
-        assert store.settled_strategy("q", FP, "serial") is None
-        assert store.demotions == []
+        assert store.snapshot()["by_strategy"] == []
 
 
 # ----------------------------------------------------------------------
@@ -249,80 +203,7 @@ class TestHistogramQuantile:
 
 
 # ----------------------------------------------------------------------
-# The advisor's explore-then-commit sequence (pure store-driven).
-# ----------------------------------------------------------------------
-
-class TestStrategyAdvisor:
-    STATIC = PlanChoice("parallel", "static rules")
-
-    def advise(self, store, text="q", executor="threads:4"):
-        return StrategyAdvisor(store).advise(text, FP, executor,
-                                             self.STATIC, "pipelined")
-
-    def test_no_history_runs_the_static_choice(self):
-        assert self.advise(StatsStore()).strategy == "parallel"
-
-    def test_probes_alternative_after_static_is_measured(self):
-        store = StatsStore()
-        for _ in range(MIN_FEEDBACK_SAMPLES):
-            store.record("q", "parallel", FP, "threads:4", elapsed_ms=5.0)
-        choice = self.advise(store)
-        assert choice.strategy == "pipelined"
-        assert "probe" in choice.reason
-
-    def test_settles_on_static_when_it_wins(self):
-        store = StatsStore()
-        for _ in range(MIN_FEEDBACK_SAMPLES):
-            store.record("q", "parallel", FP, "threads:4", elapsed_ms=1.0)
-            store.record("q", "pipelined", FP, "threads:4", elapsed_ms=5.0)
-        choice = self.advise(store)
-        assert choice.strategy == "parallel"
-        assert store.settled_strategy("q", FP, "threads:4") == "parallel"
-        assert store.demotions == []          # confirming is not a demotion
-
-    def test_demotes_static_when_alternative_wins(self):
-        store = StatsStore()
-        for _ in range(MIN_FEEDBACK_SAMPLES):
-            store.record("q", "parallel", FP, "threads:4", elapsed_ms=26.3)
-            store.record("q", "pipelined", FP, "threads:4", elapsed_ms=25.3)
-        choice = self.advise(store)
-        assert choice.strategy == "pipelined"
-        [demotion] = store.demotions
-        assert demotion.from_strategy == "parallel"
-        assert demotion.to_strategy == "pipelined"
-
-    def test_demote_margin_is_hysteresis_not_a_coin_flip(self):
-        store = StatsStore()
-        for _ in range(MIN_FEEDBACK_SAMPLES):
-            store.record("q", "parallel", FP, "threads:4", elapsed_ms=1.0)
-            # faster, but within the margin: not worth flapping over
-            store.record("q", "pipelined", FP, "threads:4",
-                         elapsed_ms=1.0 / DEMOTE_MARGIN * 1.001)
-        assert self.advise(store).strategy == "parallel"
-
-    def test_settled_decision_holds_then_flips_on_degradation(self):
-        store = StatsStore()
-        for _ in range(MIN_FEEDBACK_SAMPLES):
-            store.record("q", "parallel", FP, "threads:4", elapsed_ms=26.3)
-            store.record("q", "pipelined", FP, "threads:4", elapsed_ms=25.3)
-        assert self.advise(store).strategy == "pipelined"   # settles
-        assert self.advise(store).strategy == "pipelined"   # holds
-        # The settled arm degrades far past the re-promotion margin...
-        for _ in range(20):
-            store.record("q", "pipelined", FP, "threads:4", elapsed_ms=200.0)
-        choice = self.advise(store)
-        assert choice.strategy == "parallel"                # ...and flips
-        assert "flip" in choice.reason
-
-    def test_no_alternative_means_static(self):
-        store = StatsStore()
-        advisor = StrategyAdvisor(store)
-        choice = advisor.advise("q", FP, "serial", PlanChoice("naive", "r"), None)
-        assert choice.strategy == "naive"
-
-
-# ----------------------------------------------------------------------
-# Engine wiring: recording on every run, feedback on demand.
+# Engine wiring: recording on every run, and nothing reads it back.
 # ----------------------------------------------------------------------
 
 class TestEngineRecording:
@@ -339,13 +220,6 @@ class TestEngineRecording:
         assert entry.work["nodes_scanned"] > 0
         # the match phase reported per-NoK observed cardinalities
         assert entry.nok_matches
-        assert engine.stats_store.observed_cardinalities(
-            engine.stats_fingerprint())
-
-    def test_record_stats_false_records_nothing(self):
-        engine = Engine(parse("<a><b/></a>"), record_stats=False)
-        engine.query("//b")
-        assert len(engine.stats_store) == 0
 
     def test_failed_runs_record_the_error(self):
         from repro.errors import DNFError
@@ -358,81 +232,32 @@ class TestEngineRecording:
         assert entries and entries[0]["errors"] == 1
         assert entries[0]["last_error"] == "DNFError"
 
-    def test_feedback_probes_both_arms_and_settles(self):
-        engine = Engine(parse(make_flat_doc(200)), feedback=True)
-        engine.index.build()
-        text = "//item/val"
-        for _ in range(2 * MIN_FEEDBACK_SAMPLES + 2):
-            engine.query(text)
-        norm = normalize_query_text(text)
-        fp = engine.stats_fingerprint()
-        arms = engine.stats_store.arms(norm, fp, "serial")
-        assert len(arms) == 2                 # static + probed alternative
-        assert engine.stats_store.settled_strategy(norm, fp, "serial") is not None
-
-    def test_feedback_off_by_default_never_probes(self):
-        engine = Engine(parse(make_flat_doc(200)))
-        engine.index.build()
-        for _ in range(6):
-            engine.query("//item/val")
-        arms = engine.stats_store.arms(
-            normalize_query_text("//item/val"),
-            engine.stats_fingerprint(), "serial")
-        assert len(arms) == 1                 # only the static strategy ran
-
-    def test_recost_ranks_against_observed_cardinalities(self):
-        engine = Engine(parse(make_flat_doc(64)))
-        engine.query("//item/val")
-        ranked = engine.recost("//item/val")
-        assert ranked                          # non-empty ranking
-        explain = engine.explain("//item/val")
-        assert "observed" in explain
-
-
-class TestParallelDemotionRegression:
-    """The PR-5 benchmark's case: ``parallel`` auto-upgraded yet measured
-    slower than the serial scan must be demoted within the first few
-    executions."""
-
-    def test_parallel_demoted_to_serial_after_measured_regression(self):
-        engine = Engine(parse(make_flat_doc(2500)), feedback=True)
-        text = "//item/val"
-        norm = normalize_query_text(text)
-        fp = engine.stats_fingerprint()
-        # Seed the two measured arms with that benchmark's shape: the
-        # parallel upgrade costs ~4% over the serial merged scan.
-        for _ in range(MIN_FEEDBACK_SAMPLES):
-            engine.stats_store.record(norm, "parallel", fp, "threads:4",
-                                      elapsed_ms=26.3)
-            engine.stats_store.record(norm, "pipelined", fp, "threads:4",
-                                      elapsed_ms=25.3)
-        result = engine.query(text, executor="threads:4")
-        assert len(result) == 2500
-        assert result.strategy == "pipelined"
-        assert engine.stats_store.settled_strategy(norm, fp, "threads:4") == "pipelined"
-        [demotion] = engine.stats_store.demotions
-        assert demotion.from_strategy == "parallel"
-        assert demotion.to_strategy == "pipelined"
-        assert "demoted" in demotion.reason
-
-    def test_demotion_survives_the_plan_cache(self):
-        """A cached ``parallel`` plan is re-cost on hit once the
-        measured history points elsewhere."""
-        engine = Engine(parse(make_flat_doc(2500)), feedback=True)
-        text = "//item/val"
-        norm = normalize_query_text(text)
-        fp = engine.stats_fingerprint()
-        # caches the parallel plan
-        assert engine.query(text, executor="threads:4").strategy == "parallel"
-        engine.stats_store.clear()            # seed a clean measured history
-        for _ in range(MIN_FEEDBACK_SAMPLES):
-            engine.stats_store.record(norm, "parallel", fp, "threads:4",
-                                      elapsed_ms=26.3)
-            engine.stats_store.record(norm, "pipelined", fp, "threads:4",
-                                      elapsed_ms=25.3)
-        # hit -> advised -> recost
-        assert engine.query(text, executor="threads:4").strategy == "pipelined"
-        assert engine.stats_store.demotions
+    @pytest.mark.parametrize("items, executor, static, faster", [
+        (200, "serial", "pipelined", "twigstack"),
+        # The parallel upgrade measured slower than the serial scan it
+        # replaced is still what ``auto`` runs: the rules decide.
+        (2500, "threads:2", "parallel", "pipelined"),
+    ], ids=["serial", "parallel"])
+    def test_recorded_history_never_moves_the_plan(self, items, executor,
+                                                   static, faster):
+        xml, text = make_flat_doc(items), "//item/val"
+        engine = Engine(parse(xml))
+        assert engine.query(text, executor=executor).strategy == static
+        norm, fp = normalize_query_text(text), engine.stats_fingerprint()
+        for _ in range(5):            # another strategy measured faster
+            engine.stats_store.record(norm, faster, fp, executor,
+                                      elapsed_ms=0.01)
+            engine.stats_store.record(norm, static, fp, executor,
+                                      elapsed_ms=50.0)
+        again = engine.query(text, executor=executor, trace=True)
+        assert again.strategy == static
+        assert again.trace.root.attrs["plan-cache"] == "hit"
+        assert again.serialize() == \
+            Engine(parse(xml)).query(text, executor=executor).serialize()
+        # ...while the store still reports what it saw.
+        rows = {row["strategy"]: row
+                for row in engine.stats_store.strategy_table()}
+        assert rows[faster]["wins"] == 1 and rows[static]["losses"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +277,6 @@ class TestDatabaseStats:
         assert stats["statstore"]["records"] >= 1
         assert stats["slow_queries"] is None
         assert stats["service"] is None
-        assert stats["feedback"] is False
         json.dumps(stats)
 
     def test_doc_stats_still_exposes_document_statistics(self):
@@ -460,15 +284,6 @@ class TestDatabaseStats:
 
         db = Database.from_xml("<a><b/></a>")
         assert db.doc_stats.n_elements == 2
-
-    def test_connect_feedback_flag_reaches_the_engine(self):
-        import repro
-
-        with repro.connect("<a><b/></a>", feedback=True) as db:
-            assert db.engine.feedback is True
-        with repro.connect("<a><b/></a>") as db:
-            assert db.engine.feedback is False
-
 
 class TestServiceStats:
     def test_service_stats_and_slow_log_tagging(self):
@@ -531,6 +346,58 @@ class TestObsCli:
         assert main(["report", "--stats", str(path)]) == 0
         out = capsys.readouterr().out
         assert "//a//b" in out and "pipelined" in out
+
+    def test_report_ignores_keys_of_older_dumps(self, tmp_path, capsys):
+        """Dumps written before the store became a pure observer carry
+        feedback decisions, a result-size histogram and a cache window:
+        the report skips them, and the schema is still 1."""
+        from repro.obs.__main__ import main
+
+        plan = {"query": "//a//b", "strategy": "pipelined",
+                "executor": "serial", "executions": 2, "total_ms": 3.0}
+        demotion = {"query": "//a//b", "from_strategy": "parallel",
+                    "to_strategy": "pipelined", "from_mean_ms": 2.0,
+                    "to_mean_ms": 1.0}
+        store = {"plans": [plan], "n_plans": 1, "records": 2,
+                 "by_strategy": [], "demotions": [demotion],
+                 "settled": {"//a//b | 1 | serial": "pipelined"},
+                 "result_bytes": {"observations": 2, "p50": 900.0,
+                                  "p95": 1000.0}}
+        service = {"schema": 1, "counters": {}, "documents": {
+                       "main": {"snapshot_id": 1, "statstore": store}},
+                   "result_cache": {"size": 0, "hits": 1, "misses": 1,
+                                    "window": {"hit_ratio": 0.5},
+                                    "policy": "AdaptiveCachePolicy"}}
+        dump = {"schema": 1, "feedback": True, "statstore": store,
+                "service": service}
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(dump), encoding="utf-8")
+        assert main(["report", "--stats", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "//a//b" in out and "pipelined" in out
+        assert "result cache:" in out
+        assert "feedback" not in out and "demot" not in out
+        assert "window" not in out
+        jsonl = tmp_path / "stats.jsonl"
+        jsonl.write_text(json.dumps({"kind": "plan", **plan}) + "\n"
+                         + json.dumps({"kind": "demotion", **demotion})
+                         + "\n", encoding="utf-8")
+        assert main(["report", "--stats", str(jsonl)]) == 0
+        out = capsys.readouterr().out
+        assert "1 plans" in out and "demot" not in out
+
+    def test_demo_runs_auto_plus_a_contested_strategy(self, tmp_path,
+                                                      capsys):
+        from repro.obs.__main__ import main
+
+        path = tmp_path / "demo.json"
+        assert main(["demo", "--rounds", "1", "--export", str(path)]) == 0
+        assert "per-strategy win/loss" in capsys.readouterr().out
+        rows = {row["strategy"]: row for row in json.loads(
+            path.read_text(encoding="utf-8"))["statstore"]["by_strategy"]}
+        assert set(rows) == {"pipelined", "twigstack"}   # auto + explicit
+        assert sum(row["wins"] + row["losses"]
+                   for row in rows.values()) == 4         # two contests
 
     def test_report_rejects_unreadable_input(self, tmp_path, capsys):
         from repro.obs.__main__ import main
