@@ -9,7 +9,7 @@ from repro.engine.executor import FLWORExecutor
 from repro.engine.optimizer import PlanChoice, choose_strategy
 from repro.engine.plancache import PlanCache, normalize_query_text
 from repro.engine.prepared import CachedPlan, PreparedQuery, normalize_bindings
-from repro.engine.result import QueryResult, ResultBuilder
+from repro.engine.result import QueryResult
 from repro.engine.session import Engine
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "PlanChoice",
     "PreparedQuery",
     "QueryResult",
-    "ResultBuilder",
     "choose_strategy",
     "compile_query",
     "normalize_bindings",

@@ -5,9 +5,9 @@ runs clause expansion, where checks, order-by keys and return-clause
 construction through it, on the XPath interpreter.  The BlossomTree
 executor runs the same finish steps as closures compiled once per FLWOR
 (:func:`compile_emitter`); both sides share :func:`order_key`,
-:func:`sort_tuples`, the :class:`ResultBuilder` and every comparison
-rule, so the engines cannot drift apart in anything except how they
-find the binding tuples.
+:func:`sort_tuples`, :func:`~repro.engine.result.content_pieces` and
+every comparison rule, so the engines cannot drift apart in anything
+except how they find the binding tuples.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.errors import DNFError
-from repro.xmlkit.tree import Document, Node, parse_number
+from repro.xmlkit.tree import Constructed, Document, DocumentBuilder, Node, parse_number
 from repro.xpath.ast import Expr
 from repro.xpath.compile import compile_expr
 from repro.xpath.evaluator import EvalContext, XPathEvaluator, boolean_value
@@ -30,7 +30,7 @@ from repro.xquery.ast import (
     Sequence,
     TextItem,
 )
-from repro.engine.result import Item, ResultBuilder
+from repro.engine.result import Item, content_pieces
 
 __all__ = ["DirectEvaluator", "Emitter", "compile_emitter", "order_key",
            "sort_tuples", "SubstitutingEvaluator"]
@@ -98,7 +98,7 @@ class DirectEvaluator:
             items.extend(self.eval_query_expr(flwor.return_expr, bindings))
         return items
 
-    def _expand_clauses(self, clauses, index: int, bindings: dict,
+    def _expand_clauses(self, clauses: tuple, index: int, bindings: dict,
                         out: list[dict], where: Expr | None) -> None:
         if index == len(clauses):
             self.tuples_examined += 1
@@ -139,28 +139,11 @@ class DirectEvaluator:
     # ------------------------------------------------------------------
 
     def construct(self, ctor: ElementConstructor, bindings: dict) -> Node:
-        builder = ResultBuilder()
-        self._construct_into(builder, ctor, bindings)
-        return builder.finish()
-
-    def _construct_into(self, builder: ResultBuilder, ctor: ElementConstructor,
-                        bindings: dict) -> None:
-        builder.start_element(ctor.tag, dict(ctor.attrs) if ctor.attrs else None)
-        for item in ctor.content:
-            if isinstance(item, TextItem):
-                builder.text(item.text)
-            elif isinstance(item, ElementConstructor):
-                self._construct_into(builder, item, bindings)
-            else:
-                assert isinstance(item, Enclosed)
-                # One enclosed expression is one content sequence: its
-                # comma-separated parts flatten together so adjacent
-                # atoms get the XQuery space separator.
-                sequence: list[Item] = []
-                for sub in item.exprs:
-                    sequence.extend(self.eval_query_expr(sub, bindings))
-                builder.add_items(sequence)
-        builder.end_element()
+        """The constructed element, copied at once (the oracle is eager)."""
+        builder = DocumentBuilder()
+        builder.append(_constructor(ctor, lambda sub: lambda direct, env:
+                                    direct.eval_query_expr(sub, env))(self, bindings))
+        return builder.finish().nodes[1]
 
 
 class SubstitutingEvaluator(DirectEvaluator):
@@ -204,7 +187,7 @@ class _Descending:
         return isinstance(other, _Descending) and self.key == other.key
 
 
-def order_key(value, descending: bool):
+def order_key(value: object, descending: bool) -> object:
     """Sortable key for one order-by value.
 
     Numbers sort numerically and before other strings, which sort
@@ -240,30 +223,32 @@ def compile_emitter(expr: QueryExpr) -> Emitter:
         return parts[0] if len(parts) == 1 else lambda direct, bindings: [
             item for part in parts for item in part(direct, bindings)]
     if isinstance(expr, ElementConstructor):
-        tag, attrs = expr.tag, dict(expr.attrs) or None
-        # Text stays text.  One enclosed expression is one content
-        # sequence (its comma-separated parts flatten together, so
-        # adjacent atoms get the XQuery space separator); a nested
-        # constructor is a sequence of the one node it builds.
-        content = [item.text if isinstance(item, TextItem) else
-                   compile_emitter(Sequence(item.exprs)
-                                   if isinstance(item, Enclosed) else item)
-                   for item in expr.content]
-
-        def construct(direct: DirectEvaluator, bindings: dict) -> list[Item]:
-            builder = ResultBuilder()
-            builder.start_element(tag, attrs)
-            for piece in content:
-                if isinstance(piece, str):
-                    builder.text(piece)
-                else:
-                    builder.add_items(piece(direct, bindings))
-            builder.end_element()
-            return [builder.finish()]
-        return construct
+        construct = _constructor(expr, compile_emitter)
+        return lambda direct, bindings: [construct(direct, bindings)]
     value = compile_expr(expr)
 
     def items(direct: DirectEvaluator, bindings: dict) -> list[Item]:
         result = value(direct.doc.document_node, bindings, direct.resolve_doc)
         return list(result) if isinstance(result, list) else [result]
     return items
+
+
+def _constructor(expr: ElementConstructor, part: Callable[[QueryExpr], Emitter]
+                 ) -> Callable[[DirectEvaluator, dict], Constructed]:
+    """The element ``expr`` builds, by reference; ``part`` emits each
+    enclosed expression as one content sequence (atoms space-separated)."""
+    tag, attrs = expr.tag, dict(expr.attrs)
+    content = [item.text if isinstance(item, TextItem) else
+               part(Sequence(item.exprs) if isinstance(item, Enclosed) else item)
+               for item in expr.content
+               if not isinstance(item, TextItem) or item.text]
+
+    def construct(direct: DirectEvaluator, bindings: dict) -> Constructed:
+        pieces: list[str | Node] = []
+        for piece in content:
+            if isinstance(piece, str):
+                pieces.append(piece)
+            else:
+                content_pieces(piece(direct, bindings), pieces)
+        return Constructed(tag, dict(attrs), pieces)
+    return construct

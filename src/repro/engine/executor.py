@@ -51,7 +51,7 @@ from repro.pattern.blossom import (MODE_MANDATORY, BlossomTree,
 from repro.pattern.build import RESULT_VAR, build_blossom_tree
 from repro.pattern.decompose import Decomposition, InterEdge, NoKTree
 from repro.xmlkit.storage import ScanCounters
-from repro.xmlkit.tree import Document
+from repro.xmlkit.tree import Constructed, Document
 from repro.xpath.ast import BooleanExpr
 from repro.xpath.compile import (Bindings, Compiled, Test, compile_expr,
                                  compile_test)
@@ -327,7 +327,9 @@ class FLWORExecutor:
             for merged in surviving:
                 items.extend(emit(self._direct, merged))
             span.set(surviving=len(surviving), items=len(items),
-                     where_conjuncts=program.where_conjuncts)
+                     where_conjuncts=program.where_conjuncts,
+                     constructed=sum(type(item) is Constructed
+                                     for item in items))
         return items
 
     def execute_twigstack(self, flwor: FLWOR,

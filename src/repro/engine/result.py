@@ -1,104 +1,58 @@
-"""Result construction: turning bound variables into output XML.
+"""Query results: the items a query returns, and the content rule that
+fills a constructed element.
 
-Both the BlossomTree engine and the naive oracle interpreter construct
-results with these helpers, so any disagreement between them in tests is
-a disagreement about *matching*, never about output formatting.
+Both the BlossomTree engine and the naive oracle interpreter fill their
+constructed elements (:class:`~repro.xmlkit.tree.Constructed`) through
+:func:`content_pieces`, so any disagreement between them in tests is a
+disagreement about *matching*, never about output formatting.
 
-Construction copies matched nodes into a fresh result document (XQuery
-constructor semantics: constructed content is a copy, detached from the
-input document).
+A constructed element references its content and is copied into a
+document of its own (XQuery constructor semantics: constructed content
+is a copy, detached from the input document) only when navigated or
+before a source it reads changes in place.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
-from repro.errors import ExecutionError
 from repro.xmlkit.serialize import pretty, serialize
-from repro.xmlkit.tree import ELEMENT, TEXT, DocumentBuilder, Node
-from repro.xpath.evaluator import AttrNode
+from repro.xmlkit.tree import DOCUMENT, TEXT, Node
+from repro.xpath.evaluator import AttrNode, string_value
 
-__all__ = ["QueryResult", "ResultBuilder", "copy_into", "atom_text"]
+__all__ = ["QueryResult", "atom_text", "content_pieces"]
 
 Item = Node | AttrNode | str | float | bool
 
 
 def atom_text(item: Item) -> str:
     """Render a non-node item (or a node's string value) as text."""
-    if isinstance(item, bool):
-        return "true" if item else "false"
-    if isinstance(item, float):
-        return str(int(item)) if item.is_integer() else str(item)
-    if isinstance(item, str):
-        return item
-    return item.string_value()
+    if isinstance(item, (Node, AttrNode)):
+        return item.string_value()
+    return string_value(item)
 
 
-def copy_into(builder: DocumentBuilder, node: Node | AttrNode) -> None:
-    """Deep-copy a source node into the document being built."""
-    if isinstance(node, AttrNode):
-        # Attributes selected as items serialize as their value text.
-        builder.text(node.value)
-        return
-    if node.kind == TEXT:
-        builder.text(node.text or "")
-        return
-    if node.kind == ELEMENT:
-        builder.start_element(node.tag, node.attrs or None)  # type: ignore[arg-type]
-        for child in node.children:
-            copy_into(builder, child)
-        builder.end_element()
-        return
-    # Document node: copy its element children.
-    for child in node.children:
-        copy_into(builder, child)
-
-
-class ResultBuilder:
-    """Builds one constructed element tree (constructor semantics)."""
-
-    def __init__(self) -> None:
-        self._builder = DocumentBuilder()
-        self._depth = 0
-
-    def start_element(self, tag: str, attrs: dict[str, str] | None = None) -> None:
-        self._builder.start_element(tag, attrs)
-        self._depth += 1
-
-    def end_element(self) -> None:
-        if self._depth == 0:
-            raise ExecutionError("unbalanced result construction")
-        self._builder.end_element()
-        self._depth -= 1
-
-    def text(self, content: str) -> None:
-        self._builder.text(content)
-
-    def add_item(self, item: Item) -> None:
-        """Add one sequence item inside the current element."""
-        if isinstance(item, (Node, AttrNode)):
-            copy_into(self._builder, item)
+def content_pieces(items: Iterable[Item], pieces: list[str | Node]) -> None:
+    """Append one enclosed sequence's content to ``pieces`` (XQuery 3.1
+    §3.9.1.3): adjacent atoms joined by a space, an attribute or text
+    node as its text, a document node as its children, other nodes by
+    reference; zero-length text dropped."""
+    previous_was_atom = False
+    for item in items:
+        text = ""
+        if isinstance(item, AttrNode):
+            text = item.value
+        elif not isinstance(item, Node):
+            text = (" " if previous_was_atom else "") + atom_text(item)
+        elif item.kind == TEXT:
+            text = item.text or ""
+        elif item.kind == DOCUMENT:
+            pieces.extend(item.children)
         else:
-            self._builder.text(atom_text(item))
-
-    def add_items(self, items: Iterable[Item]) -> None:
-        """Add a sequence of items, space-separating adjacent atoms
-        (XQuery content-sequence rule)."""
-        previous_was_atom = False
-        for item in items:
-            is_atom = not isinstance(item, (Node, AttrNode))
-            if is_atom and previous_was_atom:
-                self._builder.text(" ")
-            self.add_item(item)
-            previous_was_atom = is_atom
-
-    def finish(self) -> Node:
-        """Return the constructed root element."""
-        if self._depth != 0:
-            raise ExecutionError("unbalanced result construction")
-        doc = self._builder.finish()
-        assert doc.root is not None
-        return doc.root
+            pieces.append(item)
+        if text:
+            pieces.append(text)
+        previous_was_atom = not isinstance(item, (Node, AttrNode))
 
 
 class QueryResult:
@@ -127,10 +81,10 @@ class QueryResult:
     def __len__(self) -> int:
         return len(self.items)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Item]:
         return iter(self.items)
 
-    def __getitem__(self, index):
+    def __getitem__(self, index: int) -> Item:
         return self.items[index]
 
     def nodes(self) -> list[Node]:

@@ -22,6 +22,7 @@ just those where the optional nodes happen to exist.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 
@@ -88,14 +89,27 @@ class BlossomVertex:
     doc_uri: str | None = None
 
     # Filled in by BlossomTree bookkeeping:
-    parent_edge: TreeEdge | None = None
     child_edges: list[TreeEdge] = field(default_factory=list)
     #: ``value_predicates`` compiled, lazily, by :mod:`repro.physical.nok`
     #: (closures over the expressions alone; never pickled).
     tests: tuple | None = field(default=None, repr=False, compare=False)
+    #: :attr:`parent_edge`, held weakly (see :class:`TreeEdge`).
+    _up: weakref.ref[TreeEdge] | None = field(default=None, repr=False,
+                                              compare=False)
 
     def __getstate__(self) -> dict[str, object]:
-        return {**self.__dict__, "tests": None}
+        # Without ``_up``: the parent's edge restores it when unpickled.
+        return {k: v for k, v in self.__dict__.items() if k != "_up"} | {"tests": None}
+
+    @property
+    def parent_edge(self) -> TreeEdge | None:
+        """The tree edge from the parent; ``None`` on a pattern root."""
+        up = self._up
+        return None if up is None else up()
+
+    @parent_edge.setter
+    def parent_edge(self, edge: TreeEdge | None) -> None:
+        self._up = None if edge is None else weakref.ref(edge)
 
     @property
     def is_root(self) -> bool:
@@ -119,17 +133,37 @@ class BlossomVertex:
         return f"<V{self.vid} {self.name}{mark}>"
 
 
-@dataclass
 class TreeEdge:
-    """A tree edge ``parent --axis,mode--> child``."""
+    """A tree edge ``parent --axis,mode--> child``.  Only the downward
+    links are strong: ``parent`` and the child's ``parent_edge`` are weak,
+    so a pattern tree is acyclic and is freed with its plan by reference
+    counting, not at the cycle collector's next full pass."""
 
-    parent: BlossomVertex
-    child: BlossomVertex
-    axis: str          # "child", "descendant", "following-sibling", ...
-    mode: str          # MODE_MANDATORY or MODE_OPTIONAL
-    #: Set by NoK decomposition (Algorithm 1): the edge was cut, its
-    #: endpoints live in different NoK trees and a join evaluates it.
-    cut: bool = False
+    __slots__ = ("_parent", "child", "axis", "mode", "cut", "__weakref__")
+
+    def __init__(self, parent: BlossomVertex, child: BlossomVertex,
+                 axis: str, mode: str, cut: bool = False) -> None:
+        self._parent = weakref.ref(parent)
+        self.child = child
+        self.axis = axis   # "child", "descendant", "following-sibling", ...
+        self.mode = mode   # MODE_MANDATORY or MODE_OPTIONAL
+        #: Set by NoK decomposition (Algorithm 1): the edge was cut, its
+        #: endpoints live in different NoK trees and a join evaluates it.
+        self.cut = cut
+
+    @property
+    def parent(self) -> BlossomVertex:
+        parent = self._parent()
+        assert parent is not None, "pattern vertex outlived its parent"
+        return parent
+
+    def __getstate__(self) -> tuple[BlossomVertex, BlossomVertex, str, str, bool]:
+        return self.parent, self.child, self.axis, self.mode, self.cut
+
+    def __setstate__(self, state: tuple[BlossomVertex, BlossomVertex, str, str, bool]) -> None:
+        parent, self.child, self.axis, self.mode, self.cut = state
+        self._parent = weakref.ref(parent)
+        self.child.parent_edge = self
 
     @property
     def is_local(self) -> bool:

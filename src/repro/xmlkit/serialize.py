@@ -39,12 +39,21 @@ def _write(node: Node, out: list[str]) -> None:
     out.append(f"<{node.tag}")
     for name, value in node.attrs.items():
         out.append(f' {name}="{escape_attribute(value)}"')
-    if not node.children:
+    content = node.content      # a Constructed's pending str / Node pieces
+    children = node.children if content is None else content
+    if not children:
         out.append("/>")
         return
     out.append(">")
-    for child in node.children:
-        _write(child, out)
+    if content is None:
+        for child in children:
+            _write(child, out)
+    else:
+        for piece in content:
+            if isinstance(piece, str):
+                out.append(escape_text(piece))
+            else:
+                _write(piece, out)
     out.append(f"</{node.tag}>")
 
 

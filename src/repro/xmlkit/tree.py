@@ -22,12 +22,16 @@ Design notes
 
 from __future__ import annotations
 
+import threading
+import weakref
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - this module stays an import leaf
+from repro.obs.metrics import REGISTRY     # repro.obs imports no xmlkit
+
+if TYPE_CHECKING:  # pragma: no cover - xmlkit.derived imports this module
     from repro.xmlkit.derived import DerivedState
 
 __all__ = [
@@ -35,6 +39,7 @@ __all__ = [
     "ELEMENT",
     "TEXT",
     "Node",
+    "Constructed",
     "Document",
     "DocumentBuilder",
     "parse_number",
@@ -48,6 +53,12 @@ TEXT = 2
 
 _KIND_NAMES = {DOCUMENT: "document", ELEMENT: "element", TEXT: "text"}
 _NID = attrgetter("nid")
+_MATERIALISED = REGISTRY.counter(
+    "repro_constructed_materialised_total",
+    "Constructed elements copied when navigated or before an in-place "
+    "update (the copies deferral did not avoid; never the oracle's)")
+_MATERIALISE = threading.RLock()
+_PENDING = frozenset(("doc", "parent", "children", "end"))
 
 
 def parse_number(text: str) -> float | None:
@@ -114,6 +125,9 @@ class Node:
         "level",
         "_string_value",
     )
+
+    #: A :class:`Constructed` element's pending content, else ``None``.
+    content: list[str | Node] | None = None
 
     def __init__(self, doc: Document, nid: int, kind: int, tag: str | None,
                  text: str | None = None):
@@ -252,6 +266,63 @@ class Node:
         return f"<Node {kind} {self.tag} nid={self.nid} region=({self.start},{self.end},{self.level})>"
 
 
+class Constructed(Node):
+    """A constructed element whose ``content`` is text and *references*
+    to source nodes (the paper's NestedList, Figure 6, in construction).
+
+    Serialization and string values read that list.  The first read of
+    a ``_PENDING`` slot copies it, once, under a lock, into a document
+    whose root is this node; ``<<`` and ``is`` read the preset label.
+    """
+
+    __slots__ = ("content", "__weakref__")
+
+    def __init__(self, tag: str, attrs: dict[str, str], content: list[str | Node]) -> None:
+        # Not Node.__init__: the _PENDING slots stay unset until read.
+        self.nid = self.start = self.level = 1
+        self.kind, self.tag, self.text, self.attrs = ELEMENT, tag, None, attrs
+        self._string_value, self.content = None, content
+        read: Document | None = None
+        for piece in content:
+            if type(piece) is not str and piece.content is None \
+                    and piece.doc is not read:
+                read = piece.doc
+                read.add_reader(self)
+
+    def __getattr__(self, name: str) -> object:
+        if name not in _PENDING:
+            raise AttributeError(name)
+        self.materialise()
+        return object.__getattribute__(self, name)
+
+    def string_value(self) -> str:
+        content = self.content
+        if self._string_value is None and content is not None:
+            self._string_value = "".join(
+                piece if type(piece) is str else piece.string_value()
+                for piece in content)
+        return Node.string_value(self)
+
+    def materialise(self) -> None:
+        """Copy the pending content into this node's own document."""
+        with _MATERIALISE:
+            if self.content is None:
+                return
+            builder = DocumentBuilder()
+            builder.append(self)
+            doc = builder.finish()
+            copy = doc.nodes[1]
+            for child in copy.children:
+                child.parent = self
+            doc.nodes[1] = doc.root = self
+            doc.document_node.children = [self]
+            # ``children`` last: until then, lock-free reads wait here.
+            self.end, self.parent, self.doc = copy.end, copy.parent, doc
+            self.content = None
+            self.children = copy.children
+        _MATERIALISED.inc()
+
+
 def deep_equal(a: Node | None, b: Node | None) -> bool:
     """XQuery ``fn:deep-equal`` over single nodes or ``None``.
 
@@ -298,6 +369,7 @@ class Document:
     #: Bumped by :meth:`drop_derived`; keys plan caches across versions.
     version = 0
     _derived: DerivedState | None = None
+    _readers: set[weakref.ref[Constructed]] | None = None
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
@@ -342,6 +414,20 @@ class Document:
             return False
         state.unlink_arena()
         return state.index.built
+
+    def add_reader(self, node: Constructed) -> None:
+        """Note, weakly, a constructed node that reads this document."""
+        readers = self._readers
+        if readers is None:
+            readers = vars(self).setdefault("_readers", set())
+        readers.add(weakref.ref(node, readers.discard))
+
+    def materialise_readers(self) -> None:
+        """Copy out every live reader (before an in-place change)."""
+        for ref in tuple(vars(self).pop("_readers", ())):
+            node = ref()
+            if node is not None:
+                node.materialise()
 
     def elements_by_tag(self, tag: str) -> list[Node]:
         """Document-ordered list of elements with the given tag — the
@@ -432,6 +518,19 @@ class DocumentBuilder:
         parent.children.append(node)
         self.doc.nodes.append(node)
         return node
+
+    def append(self, piece: str | Node) -> None:
+        """Deep-copy ``piece`` (text, or any node) under the open element."""
+        if isinstance(piece, str) or piece.kind == TEXT:
+            self.text(piece if isinstance(piece, str) else piece.text or "")
+            return
+        if piece.kind == ELEMENT:
+            self.start_element(piece.tag or "", piece.attrs or None)
+        content = piece.content
+        for child in piece.children if content is None else content:
+            self.append(child)
+        if piece.kind == ELEMENT:
+            self.end_element()
 
     def element(self, tag: str, text: str | None = None,
                 attrs: dict[str, str] | None = None) -> Node:

@@ -13,6 +13,8 @@ model, with exact accounting of the relabeling work:
 * ``insert_subtree`` / ``delete_subtree`` splice a subtree in or out,
   rebuild the node arena, and reassign pre-order ranks and region
   labels from the update point onward;
+* before the splice, constructed results that still read this document
+  by reference are copied out (:meth:`Document.materialise_readers`);
 * each operation returns an :class:`UpdateReport` with the number of
   nodes whose labels changed — the quantity the update-cost ablation
   measures — and drops everything derived from the old version
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.errors import UpdateError
-from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, Node
+from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, DocumentBuilder, Node
 
 __all__ = ["UpdateReport", "DocumentUpdater", "UpdateError"]
 
@@ -89,14 +91,19 @@ class DocumentUpdater:
                 and self.doc.root is not None:
             raise UpdateError("document already has a root element")
 
-        copied = _copy_detached(subtree_root)
+        holder = DocumentBuilder()
+        holder.start_element("")
+        holder.append(subtree_root)
+        holder.end_element()
+        (copied,) = holder.finish().nodes[1].children
         index = len(parent.children) if position is None else position
         if not 0 <= index <= len(parent.children):
             raise UpdateError(f"child position {position} out of range")
+        self.doc.materialise_readers()
         parent.children.insert(index, copied)
         copied.parent = parent
 
-        report = UpdateReport(nodes_added=_count(copied))
+        report = UpdateReport(nodes_added=copied.subtree_size())
         self._rebuild(report, first_dirty=parent)
         return report
 
@@ -108,6 +115,7 @@ class DocumentUpdater:
             raise UpdateError("cannot delete the document node")
         if node is self.doc.root:
             raise UpdateError("cannot delete the document element")
+        self.doc.materialise_readers()
         node.parent.children.remove(node)
 
         report = UpdateReport(nodes_removed=node.subtree_size())
@@ -158,21 +166,3 @@ class DocumentUpdater:
 
         for listener in self._listeners:
             listener(report)
-
-
-def _copy_detached(source: Node) -> Node:
-    """Deep-copy a node into a parentless skeleton (labels unset)."""
-    copy = Node(source.doc, -1, source.kind, source.tag, source.text)
-    copy.attrs = dict(source.attrs)
-    for child in source.children:
-        child_copy = _copy_detached(child)
-        child_copy.parent = copy
-        copy.children.append(child_copy)
-    return copy
-
-
-def _count(node: Node) -> int:
-    total = 1
-    for child in node.children:
-        total += _count(child)
-    return total

@@ -49,7 +49,7 @@ from repro.xmlkit.tree import (ELEMENT, TEXT, Document, Node,
                                deep_equal_sequences, parse_number)
 
 __all__ = ["AttrNode", "EvalContext", "XPathEvaluator", "evaluate_xpath",
-           "boolean_value", "parse_number"]
+           "boolean_value", "parse_number", "string_value"]
 
 Value = list | str | float | bool
 
@@ -491,13 +491,20 @@ def boolean_value(value: Value) -> bool:
 
 
 def string_value(value: Value) -> str:
-    """String value of any expression result (first node for lists)."""
+    """String value of any expression result (first node for lists).
+
+    The one float-to-text rule, for every surface: XQuery's ``NaN``,
+    ``INF``, ``-INF`` and ``-0``; an integral value without a fraction.
+    """
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if value.is_integer():  # never NaN or an infinity
-            return str(int(value))
-        return str(value)
+        if math.isnan(value):
+            return "NaN"
+        if math.isinf(value) or value == 0:
+            return ("-" if math.copysign(1.0, value) < 0 else "") + (
+                "INF" if value else "0")
+        return str(int(value)) if value.is_integer() else str(value)
     if isinstance(value, str):
         return value
     if not value:

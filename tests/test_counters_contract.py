@@ -91,6 +91,25 @@ def test_stats_family_registered_with_stable_names():
         assert metric.kind == kind, name
 
 
+def test_materialisation_counter_registered_with_its_consumer():
+    """``repro_constructed_materialised_total`` counts the copies that
+    construction by reference still makes: on navigation or before an
+    in-place update, never the oracle's eager copies.  Its consumer is
+    the copy-count contract in ``tests/test_construct_by_reference.py``:
+    a serialize-only run counts 0, navigating one result root counts 1,
+    navigating it again still 1, a naive run counts 0."""
+    from repro.obs.metrics import REGISTRY
+    from repro.xmlkit.tree import Constructed
+
+    metric = REGISTRY.get("repro_constructed_materialised_total")
+    assert metric is not None and metric.kind == "counter"
+    before = metric.value()
+    node = Constructed("r", {}, ["x"])
+    node.materialise()
+    node.materialise()
+    assert metric.value() == before + 1
+
+
 def test_recording_feeds_the_records_counter():
     from repro.obs.metrics import REGISTRY
     from repro.obs.statstore import StatsStore

@@ -1,5 +1,9 @@
 """Unit tests for BlossomTree construction, decomposition and Dewey IDs."""
 
+import gc
+import pickle
+import weakref
+
 import pytest
 
 from repro.errors import CompileError
@@ -121,6 +125,28 @@ class TestBuildFromFLWOR:
         assert b.name == "b" and not b.returning
         assert b.parent_edge.mode == MODE_MANDATORY
         assert b.children()[0].name == "c"
+
+    def test_tree_is_freed_without_the_cycle_collector(self):
+        # Upward links are weak: a dropped tree leaves no cyclic garbage.
+        flwor = parse_flwor(EXAMPLE1)
+        gc.collect()
+        gc.disable()
+        try:
+            tree = build_blossom_tree(flwor)
+            vertex = weakref.ref(tree.var_vertex["aut1"])
+            del tree
+            assert vertex() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_pickled_noks_keep_their_edges(self):
+        tree = build_from_path(parse_xpath("//a[b/c]//d"))
+        noks = pickle.loads(pickle.dumps(decompose(tree).noks))
+        a = next(nok.root for nok in noks if nok.root.name == "a")
+        b = a.children()[0]
+        assert b.parent_edge.parent is a and b.parent_edge is a.child_edges[0]
+        assert b.children()[0].parent_edge.parent is b
 
 
 class TestDecompose:

@@ -4,61 +4,55 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.engine.construct import DirectEvaluator, order_key
-from repro.engine.result import QueryResult, ResultBuilder, atom_text, copy_into
-from repro.errors import ExecutionError
+from repro.engine.result import QueryResult, atom_text, content_pieces
 from repro.xmlkit import serialize
-from repro.xmlkit.tree import DocumentBuilder
+from repro.xmlkit.tree import Constructed, DocumentBuilder
 from repro.xpath.evaluator import AttrNode
 
 
+def construct(tag, *items):
+    """``<tag>{items}</tag>`` through the one content rule."""
+    pieces = []
+    content_pieces(items, pieces)
+    return Constructed(tag, {}, pieces)
+
+
 class TestResultBuilder:
+    """Construction: :func:`content_pieces` into a :class:`Constructed`,
+    copied by :meth:`DocumentBuilder.append` when navigated."""
+
     def test_simple_construction(self):
-        builder = ResultBuilder()
-        builder.start_element("out", {"k": "v"})
-        builder.text("hello")
-        builder.end_element()
-        node = builder.finish()
+        node = Constructed("out", {"k": "v"}, ["hello"])
+        assert serialize(node) == '<out k="v">hello</out>'
+        node.materialise()
         assert serialize(node) == '<out k="v">hello</out>'
 
     def test_unbalanced_rejected(self):
-        builder = ResultBuilder()
+        builder = DocumentBuilder()
         builder.start_element("out")
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ValueError):
             builder.finish()
-        builder2 = ResultBuilder()
-        with pytest.raises(ExecutionError):
-            builder2.end_element()
+        with pytest.raises(ValueError):
+            DocumentBuilder().end_element()
 
     def test_add_item_copies_nodes(self, small_bib):
         title = small_bib.elements_by_tag("title")[0]
-        builder = ResultBuilder()
-        builder.start_element("wrap")
-        builder.add_item(title)
-        builder.end_element()
-        node = builder.finish()
-        inner = node.children[0]
+        inner = construct("wrap", title).children[0]
         assert inner.tag == "title"
         assert inner is not title and inner.doc is not small_bib
         assert inner.string_value() == title.string_value()
 
     def test_add_items_space_separates_atoms(self):
-        builder = ResultBuilder()
-        builder.start_element("n")
-        builder.add_items([1.0, 2.0, "three"])
-        builder.end_element()
-        assert builder.finish().string_value() == "1 2 three"
+        assert construct("n", 1.0, 2.0, "three").string_value() == "1 2 three"
 
     def test_attr_node_item_becomes_text(self, small_bib):
-        builder = ResultBuilder()
-        builder.start_element("y")
-        builder.add_item(AttrNode(small_bib.root, "k", "1994"))
-        builder.end_element()
-        assert builder.finish().string_value() == "1994"
+        node = construct("y", AttrNode(small_bib.root, "k", "1994"))
+        assert node.string_value() == "1994"
 
-    def test_copy_into_document_node(self, small_bib):
+    def test_append_copies_a_document_node(self, small_bib):
         builder = DocumentBuilder()
         builder.start_element("holder")
-        copy_into(builder, small_bib.document_node)
+        builder.append(small_bib.document_node)
         builder.end_element()
         doc = builder.finish()
         assert doc.root.children[0].tag == "bib"
