@@ -20,8 +20,7 @@ CASES = [(name, query.qid) for name, spec in DATASETS.items()
 def test_query_selectivity(benchmark, name, qid):
     prepared = dataset(name)
     query = prepared.spec.query(qid)
-    selectivity = benchmark(measure_selectivity, prepared.doc, query.text,
-                            prepared.stats.n_elements)
+    selectivity = benchmark(measure_selectivity, prepared.doc, query.text)
     benchmark.extra_info["category"] = query.category or "-"
     benchmark.extra_info["selectivity"] = f"{selectivity * 100:.2f}%"
 
@@ -37,8 +36,7 @@ def test_query_selectivity(benchmark, name, qid):
 def test_band_ordering(benchmark, name):
     def check():
         prepared = dataset(name)
-        sel = {q.qid: measure_selectivity(prepared.doc, q.text,
-                                          prepared.stats.n_elements)
+        sel = {q.qid: measure_selectivity(prepared.doc, q.text)
                for q in prepared.spec.queries}
         assert max(sel["Q1"], sel["Q2"]) < max(sel["Q3"], sel["Q4"])
         assert max(sel["Q3"], sel["Q4"]) < min(sel["Q5"], sel["Q6"]) * 1.5

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable
 
-from repro.xmlkit.stats import compute_stats
 from repro.xmlkit.tree import Document
 from repro.xpath.evaluator import evaluate_xpath
 from repro.datagen.dblp import generate_d5
@@ -132,11 +131,9 @@ DATASETS: dict[str, DatasetSpec] = {
 }
 
 
-def measure_selectivity(doc: Document, query: str,
-                        n_elements: int | None = None) -> float:
+def measure_selectivity(doc: Document, query: str) -> float:
     """Fraction of the document's elements a path query returns."""
-    if n_elements is None:
-        n_elements = compute_stats(doc, with_size=False).n_elements
+    n_elements = doc.derived.stats.n_elements
     if n_elements == 0:
         return 0.0
     return len(evaluate_xpath(doc, query)) / n_elements

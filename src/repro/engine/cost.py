@@ -7,8 +7,9 @@ currency — *expected nodes touched*, the same unit the runtime
 counters report — so the model's predictions are directly testable
 against measurements.
 
-Estimation rules (all per query, using document statistics and
-tag-index cardinalities):
+Estimation rules (all per query, using the document statistics: tag
+cardinalities are the structural pass's exact tag histogram, so pricing
+a plan never materialises the tag index):
 
 * **pipelined / stack merge** — one merged sequential scan of the
   document (``N`` nodes) plus a merge pass over each inter edge's two
@@ -61,14 +62,12 @@ class CostEstimate:
 
 class CostModel:
     """Ranks the physical strategies for one compiled query over
-    ``doc``, reading its statistics and tag-index cardinalities
-    (``doc.derived``).
+    ``doc``, reading its statistics (``doc.derived.stats``).
     """
 
     def __init__(self, doc: Document) -> None:
         self.doc = doc
         self.stats = doc.derived.stats
-        self.index = doc.derived.index
         self.n_nodes = len(doc.nodes)
 
     # ------------------------------------------------------------------
@@ -108,8 +107,8 @@ class CostModel:
 
         The scan touches every node (the access method is a full
         sequential pass); the output cardinality estimate is the root
-        tag's index cardinality — predicates and mandatory children can
-        only filter below that.
+        tag's cardinality (1 for the document root) — predicates and
+        mandatory children can only filter below that.
         """
         return self.scan_estimate(), float(self._cardinality(root_tag))
 
@@ -142,15 +141,17 @@ class CostModel:
     # ------------------------------------------------------------------
 
     def _cardinality(self, tag: str) -> int:
-        if tag == "*" or tag == "#root":
+        if tag == "#root":
+            return 1
+        if tag == "*":
             return max(1, self.stats.n_elements)
-        return self.index.cardinality(tag)
+        return self.stats.tag_histogram.get(tag, 0)
 
     def _avg_subtree(self, tag: str) -> float:
         """Average subtree size of a tag's elements.
 
         Uses the exact per-tag statistic when the document statistics
-        carry it (one extra dict in the single stats pass); otherwise
+        carry it (one extra dict in the single structural pass); otherwise
         falls back to a cardinality heuristic.  On recursive data the
         exact statistic already includes the nested rescan volume
         (nested same-tag subtrees are counted once per enclosing

@@ -302,19 +302,19 @@ class Engine:
         plan cache across document versions never alias entries — the
         atomic-invalidation contract of the serving layer.
 
-        With query lint enabled the structural summary's digest joins
-        the tuple: a QL-pruned plan is only valid for the exact document
-        shape it was pruned against, so the shape must key the cache.
-        So do the versions of the other documents ``doc(uri)`` can
-        resolve to: the chooser reads the statistics of whichever one a
-        pattern scans (:func:`~repro.engine.optimizer.pattern_document`).
+        The shape part is the structural summary's digest: a plan is
+        only valid for the document shape it was chosen (and, with query
+        lint, pruned) against.  So are the versions of the other
+        documents ``doc(uri)`` can resolve to: the chooser reads the
+        statistics of whichever one a pattern scans
+        (:func:`~repro.engine.optimizer.pattern_document`).
         """
         derived, memo = self.doc.derived, self._fingerprint
         if memo is None or memo[0] is not derived:
             version = (("snapshot", self.snapshot_id)
                        if self.snapshot_id is not None else (self.doc.version,))
             memo = self._fingerprint = (
-                derived, version + derived.fingerprint(self.analyze_queries))
+                derived, version + (derived.summary.fingerprint(),))
         return memo[1] + tuple((uri, other.version) for uri, other
                                in self.documents.items() if other is not self.doc)
 

@@ -1,14 +1,14 @@
 """The one owner of what is computed from one version of a document.
 
-Statistics, the DataGuide, tag postings and the arena file are
-materialised views of one document version (the paper's Section-2.1
-update problem).  They hang off ``doc.derived``, are each built by
-their first reader and at most once per version — a race builds an
-equal value twice; only the arena file write takes a lock, because a
-second file would leak — and :meth:`Document.drop_derived` drops them
-all.  Holders key memos on the *identity* of this object, so they have
-nothing to clear.  DESIGN.md ("Derived state") has the table of
-builders and readers.
+The structural summary (which carries the statistics), tag postings and
+the arena file are materialised views of one document version (the
+paper's Section-2.1 update problem).  They hang off ``doc.derived``,
+are each built by their first reader and at most once per version — a
+race builds an equal value twice; only the arena file write takes a
+lock, because a second file would leak — and
+:meth:`Document.drop_derived` drops them all.  Holders key memos on the
+*identity* of this object, so they have nothing to clear.  DESIGN.md
+("Derived state") has the table of builders and readers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import threading
 
 from repro.xmlkit.arena import DocumentArena
 from repro.xmlkit.index import TagIndex
-from repro.xmlkit.stats import DocumentStats, compute_stats
+from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.summary import StructuralSummary, build_summary
 from repro.xmlkit.tree import Document
 
@@ -31,36 +31,26 @@ _arena_lock = threading.Lock()
 class DerivedState:
     """Obtained as ``doc.derived``; never constructed by callers."""
 
-    __slots__ = ("doc", "index", "_statistics", "_dataguide", "_arena_path")
+    __slots__ = ("doc", "index", "_dataguide", "_arena_path")
 
     def __init__(self, doc: Document) -> None:
         self.doc = doc
         self.index = TagIndex(doc)      # lists materialize on use
-        self._statistics: DocumentStats | None = None
         self._dataguide: StructuralSummary | None = None
         self._arena_path: str | None = None
 
     @property
-    def stats(self) -> DocumentStats:
-        """Structural statistics (no serialized size)."""
-        if self._statistics is None:
-            self._statistics = compute_stats(self.doc, with_size=False)
-        return self._statistics
-
-    @property
     def summary(self) -> StructuralSummary:
-        """The DataGuide the query lint judges patterns against."""
+        """The DataGuide and the statistics: the version's one O(n)
+        structural pass."""
         if self._dataguide is None:
             self._dataguide = build_summary(self.doc)
         return self._dataguide
 
-    def fingerprint(self, with_summary: bool) -> tuple:
-        """The plan-cache key's shape part: what the optimizer decides
-        on, plus what the query lint (when on) prunes against."""
-        shape: tuple = self.stats.fingerprint()
-        if with_summary:
-            shape += (self.summary.fingerprint(),)
-        return shape
+    @property
+    def stats(self) -> DocumentStats:
+        """Read-through: the summary's statistics (no serialized size)."""
+        return self.summary.stats
 
     def arena_file(self) -> str:
         """Path of the serialized arena every ``processes:N`` scan of

@@ -1,14 +1,18 @@
 """Document statistics.
 
-Computes the per-document quantities the paper reports in Table 1
-(node count, average/maximum depth, distinct-tag count, serialized
-size) plus the two properties the optimizer needs:
+The per-document quantities the paper reports in Table 1 (node count,
+average/maximum depth, distinct-tag count, serialized size) plus the two
+properties the optimizer needs:
 
 * **recursiveness** — whether any element occurs as a descendant of a
   same-tag element (the paper's definition in Section 5.1), and
 * **recursion degree** — the maximum number of same-tag elements on any
   root-to-leaf path, which bounds the memory a pipelined ``//``-join
   needs to cache (Section 4.2 / reference [3]).
+
+They are aggregates of the structural summary's one loop over the
+document (:func:`repro.xmlkit.summary.build_summary`); a document
+version's copy is ``doc.derived.stats``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.xmlkit.serialize import serialize
-from repro.xmlkit.tree import ELEMENT, Document
+from repro.xmlkit.tree import Document
 
 __all__ = ["DocumentStats", "compute_stats"]
 
@@ -43,18 +47,6 @@ class DocumentStats:
         """Mean subtree size of a tag (whole document for unknown tags)."""
         return self.tag_subtree_avg.get(tag, float(max(1, self.n_nodes)))
 
-    def fingerprint(self) -> tuple[int, int, int, int, int]:
-        """A cheap structural summary for plan-cache keys.
-
-        Two documents (or two versions of one document) with different
-        fingerprints never share cached plans; the optimizer's decisions
-        depend exactly on these quantities, so matching fingerprints
-        mean the cached :class:`~repro.engine.optimizer.PlanChoice` is
-        still the choice the optimizer would make today.
-        """
-        return (self.n_nodes, self.n_elements, self.n_distinct_tags,
-                self.max_depth, self.recursion_degree)
-
     def table1_row(self, name: str) -> dict[str, object]:
         """Render this summary in the shape of a Table 1 row."""
         return {
@@ -69,50 +61,12 @@ class DocumentStats:
 
 
 def compute_stats(doc: Document, with_size: bool = True) -> DocumentStats:
-    """Compute :class:`DocumentStats` in a single document-order pass.
+    """A fresh structural pass's statistics (``build_summary(doc).stats``),
+    plus the serialized size unless ``with_size=False`` (serialization is
+    the expensive part; Table 1 is its only reader)."""
+    from repro.xmlkit.summary import build_summary  # summary imports this
 
-    ``with_size=False`` skips serialization (the only expensive part) for
-    callers that need only the structural statistics.
-    """
-    stats = DocumentStats()
-    depth_sum = 0
-    subtree_totals: dict[str, int] = {}
-    # Running root-to-current-path tag multiset, for recursion degree.
-    path_counts: dict[str, int] = {}
-    max_same_tag = 1 if doc.root is not None else 0
-
-    stack: list[tuple[object, bool]] = [(doc.root, False)] if doc.root else []
-    while stack:
-        node, leaving = stack.pop()
-        if node.kind != ELEMENT:  # type: ignore[union-attr]
-            stats.n_text += 1
-            continue
-        tag = node.tag  # type: ignore[union-attr]
-        if leaving:
-            path_counts[tag] -= 1
-            continue
-        subtree_totals[tag] = subtree_totals.get(tag, 0) + node.subtree_size()
-        stats.n_elements += 1
-        depth_sum += node.level  # type: ignore[union-attr]
-        if node.level > stats.max_depth:  # type: ignore[union-attr]
-            stats.max_depth = node.level  # type: ignore[union-attr]
-        count = path_counts.get(tag, 0) + 1
-        path_counts[tag] = count
-        if count > max_same_tag:
-            max_same_tag = count
-        stats.tag_histogram[tag] = stats.tag_histogram.get(tag, 0) + 1
-        stack.append((node, True))
-        for child in reversed(node.children):  # type: ignore[union-attr]
-            stack.append((child, False))
-
-    stats.n_nodes = stats.n_elements + stats.n_text
-    stats.n_distinct_tags = len(stats.tag_histogram)
-    for tag, total in subtree_totals.items():
-        stats.tag_subtree_avg[tag] = total / stats.tag_histogram[tag]
-    if stats.n_elements:
-        stats.avg_depth = depth_sum / stats.n_elements
-    stats.recursion_degree = max_same_tag
-    stats.recursive = max_same_tag > 1
+    stats = build_summary(doc).stats
     if with_size and doc.root is not None:
         stats.serialized_bytes = len(serialize(doc.root).encode())
     return stats

@@ -1,4 +1,4 @@
-"""DataGuide-style structural summary for static query analysis.
+"""DataGuide-style structural summary: the one pass over a document.
 
 A :class:`StructuralSummary` records every **distinct label path** that
 occurs in a document (root-to-element tag sequences), with occurrence
@@ -9,26 +9,33 @@ whose label never occurs — or never occurs under the ancestor the
 pattern requires — is statically unsatisfiable, so the compiler can cut
 the branch (or the whole plan) before a single node is scanned.
 
-The summary is built in one pass over the node arena (same traversal
-discipline as :func:`repro.xmlkit.stats.compute_stats`) and is strictly
-**conservative**: every query helper answers ``True`` ("may occur")
-unless the summary proves absence.  Wildcard and document-root tests
-are always satisfiable, and a summary truncated at :data:`MAX_PATHS`
-distinct paths answers ``True`` for everything — soundness over
-precision, because an over-approximation only costs a wasted scan
-while an under-approximation would drop answers.
+:func:`build_summary` is the only O(n) builder of a document version's
+structure: one loop over the pre-order ``doc.nodes`` list that keeps the
+open label path by ``node.level``.  The same loop fills the exact
+document aggregates (:class:`~repro.xmlkit.stats.DocumentStats`: tag
+histogram, depths, per-tag subtree sizes, recursion degree), carried as
+:attr:`StructuralSummary.stats`.  Only the path table is capped at
+:data:`MAX_PATHS`; the aggregates are per node and stay exact.
 
-A document version's one summary is ``doc.derived.summary``, keyed out
-of the plan cache by :meth:`fingerprint`.
+The path table is strictly **conservative**: every query helper answers
+``True`` ("may occur") unless the summary proves absence.  Wildcard and
+document-root tests are always satisfiable, and a summary truncated at
+:data:`MAX_PATHS` distinct paths answers ``True`` for everything —
+soundness over precision, because an over-approximation only costs a
+wasted scan while an under-approximation would drop answers.
+
+A document version's one summary is ``doc.derived.summary``; its
+:meth:`~StructuralSummary.fingerprint` is the shape part of the
+plan-cache key.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.xmlkit.tree import ELEMENT, Document, Node
+from repro.xmlkit.stats import DocumentStats
+from repro.xmlkit.tree import ELEMENT, Document
 
 __all__ = ["MAX_PATHS", "PathInfo", "StructuralSummary", "build_summary"]
 
@@ -57,9 +64,10 @@ class PathInfo:
 
 @dataclass
 class StructuralSummary:
-    """Distinct label paths of one document, with derived indexes.
+    """Distinct label paths of one document, with derived indexes and
+    the document's exact statistics.
 
-    The derived per-label maps (:attr:`label_counts` and friends) are
+    The derived per-label maps (:attr:`parent_labels` and friends) are
     computed from :attr:`paths` at construction time — they are pure
     accelerations of path-table lookups, never additional facts.
     """
@@ -69,8 +77,9 @@ class StructuralSummary:
     #: Whether the path table was cut off at :data:`MAX_PATHS` (every
     #: query helper then answers ``True``).
     truncated: bool = False
+    #: Exact per-document aggregates, never truncated.
+    stats: DocumentStats = field(default_factory=DocumentStats)
 
-    label_counts: dict[str, int] = field(init=False, default_factory=dict)
     #: label → labels observed as its direct parent (:data:`DOC_LABEL`
     #: for root-level elements).
     parent_labels: dict[str, set[str]] = field(init=False,
@@ -86,13 +95,16 @@ class StructuralSummary:
     def __post_init__(self) -> None:
         for path, info in self.paths.items():
             label = path[-1]
-            self.label_counts[label] = (self.label_counts.get(label, 0)
-                                        + info.count)
             parent = path[-2] if len(path) > 1 else DOC_LABEL
             self.parent_labels.setdefault(label, set()).add(parent)
             self.ancestor_labels.setdefault(label, set()).update(path[:-1])
             self.label_attributes.setdefault(label, set()).update(
                 info.attributes)
+
+    @property
+    def label_counts(self) -> dict[str, int]:
+        """label → exact element count (the statistics' tag histogram)."""
+        return self.stats.tag_histogram
 
     # -- query helpers (all conservative: True means "may occur") ------
 
@@ -138,16 +150,17 @@ class StructuralSummary:
     # -- identity -------------------------------------------------------
 
     def fingerprint(self) -> str:
-        """A stable digest of the full path table.
+        """A stable digest of the full path table and the text-node count.
 
-        Joins the plan-cache key (via ``Engine.stats_fingerprint``) so
-        plans pruned against one document shape can never serve another:
-        a summary rebuild after mutation keys every stale pruned plan
-        out even when the coarse :class:`DocumentStats` quantities
-        happen to coincide.
+        The shape part of the plan-cache key (``Engine.stats_fingerprint``):
+        plans decided or pruned against one document shape can never
+        serve another.  The path table fixes every element statistic the
+        optimizer reads; the text-node count is folded in because
+        ``n_nodes`` steers the parallel upgrade.
         """
         if self._digest is None:
             hasher = hashlib.blake2b(digest_size=8)
+            hasher.update(f"text#{self.stats.n_text}\x00".encode())
             if self.truncated:
                 hasher.update(b"truncated\x00")
             for path in sorted(self.paths):
@@ -169,47 +182,62 @@ class StructuralSummary:
                 + (", truncated" if self.truncated else "") + ">")
 
 
-def _iter_elements(doc: Document) -> Iterator[tuple[Node, bool]]:
-    """Yield ``(element, leaving)`` pairs in document order.
-
-    Same explicit-stack discipline as ``compute_stats`` — no recursion,
-    so arbitrarily deep documents cannot blow the interpreter stack.
-    """
-    stack: list[tuple[Node, bool]] = [(doc.root, False)]
-    while stack:
-        node, leaving = stack.pop()
-        if node.kind != ELEMENT:
-            continue
-        yield node, leaving
-        if not leaving:
-            stack.append((node, True))
-            for child in reversed(node.children):
-                stack.append((child, False))
-
-
 def build_summary(doc: Document, max_paths: int = MAX_PATHS
                   ) -> StructuralSummary:
-    """Build the structural summary in one pass over the node arena."""
+    """Build the summary and the document statistics in one loop over
+    the pre-order node list.
+
+    ``open_paths[level]`` is the label path of the open element at that
+    level (the document node's is ``()``): a node at ``level`` closes
+    everything at or below it.  No stack of nodes and no recursion, so
+    arbitrarily deep documents cannot blow the interpreter stack.
+    """
     paths: dict[tuple[str, ...], PathInfo] = {}
-    label_stack: list[str] = []
+    histogram: dict[str, int] = {}
+    subtree_totals: dict[str, int] = {}
+    open_paths: list[tuple[str, ...]] = [()]
+    depth_sum = max_depth = degree = 0
     truncated = False
-    for node, leaving in _iter_elements(doc):
-        if leaving:
-            label_stack.pop()
+    for node in doc.nodes:
+        if node.kind != ELEMENT:
             continue
-        label_stack.append(node.tag)
-        path = tuple(label_stack)
+        tag: str = node.tag  # type: ignore[assignment]
+        level = node.level
+        del open_paths[level:]
+        path = open_paths[-1] + (tag,)
+        open_paths.append(path)
+        histogram[tag] = histogram.get(tag, 0) + 1
+        subtree_totals[tag] = (subtree_totals.get(tag, 0)
+                               + (node.end - node.start + 1) // 2)
+        depth_sum += level
+        if level > max_depth:
+            max_depth = level
         info = paths.get(path)
         if info is None:
+            # Same-tag elements on this root-to-node path: one count per
+            # distinct path (every truncated occurrence pays it again).
+            same = path.count(tag)
+            if same > degree:
+                degree = same
             if len(paths) >= max_paths:
                 truncated = True
                 continue
             info = paths[path] = PathInfo()
-            if len(path) > 1:
-                parent = paths.get(path[:-1])
-                if parent is not None:
-                    parent.children.add(node.tag)
+            parent = paths.get(open_paths[-2])
+            if parent is not None:
+                parent.children.add(tag)
         info.count += 1
         if node.attrs:
             info.attributes.update(node.attrs)
-    return StructuralSummary(paths=paths, truncated=truncated)
+
+    n_elements = sum(histogram.values())
+    n_nodes = doc.root.subtree_size() if doc.root is not None else 0
+    stats = DocumentStats(
+        n_nodes=n_nodes, n_elements=n_elements, n_text=n_nodes - n_elements,
+        avg_depth=depth_sum / n_elements if n_elements else 0.0,
+        max_depth=max_depth, n_distinct_tags=len(histogram),
+        tag_histogram=histogram, recursive=degree > 1,
+        recursion_degree=degree,
+        tag_subtree_avg={tag: total / histogram[tag]
+                         for tag, total in subtree_totals.items()})
+    return StructuralSummary(paths=paths, truncated=truncated, stats=stats)

@@ -375,7 +375,8 @@ class Document:
         self.nodes: list[Node] = []
         self.root: Node | None = None  # document element
         doc_node = Node(self, 0, DOCUMENT, "#document")
-        doc_node.level = 0
+        # A rootless document's region; the builder moves ``end``.
+        doc_node.start, doc_node.end, doc_node.level = 0, 1, 0
         self.nodes.append(doc_node)
 
     @property

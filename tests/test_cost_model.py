@@ -80,6 +80,15 @@ class TestEstimates:
         costs = [e.cost for e in ranked]
         assert costs == sorted(costs)
 
+    def test_pricing_reads_the_histogram_not_the_tag_index(self):
+        doc = DATASETS["d2"].generate(scale=0.05)
+        model = CostModel(doc)
+        model.rank(build_from_path(parse_xpath("//address//zip_code")))
+        assert not doc.derived.index.built
+        assert model.cardinality("#root") == 1
+        for tag in ("address", "zip_code", "absent"):
+            assert model.cardinality(tag) == doc.derived.index.cardinality(tag)
+
     def test_str_rendering(self, flat):
         doc, stats = flat
         estimate = CostModel(doc).choose(

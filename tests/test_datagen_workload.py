@@ -95,8 +95,7 @@ class TestWorkload:
             if name == "d5":
                 continue
             doc = generated[name]
-            n = compute_stats(doc, with_size=False).n_elements
-            sel = {q.qid: measure_selectivity(doc, q.text, n)
+            sel = {q.qid: measure_selectivity(doc, q.text)
                    for q in spec.queries}
             high = max(sel["Q1"], sel["Q2"])
             moderate = max(sel["Q3"], sel["Q4"])

@@ -1,7 +1,7 @@
 """One owner for a document version's derived state.
 
-Statistics, structural summary, tag index and arena file hang off
-``doc.derived`` (:mod:`repro.xmlkit.derived`): built by their first
+The structural summary (with its statistics), tag index and arena file
+hang off ``doc.derived`` (:mod:`repro.xmlkit.derived`): built by their first
 reader, at most once per version, outside every shared lock, and
 dropped by :meth:`Document.drop_derived` alone.  The per-surface halves
 of that contract live with their surfaces (arena file across updates:
@@ -41,17 +41,13 @@ READS = ("//book/title",
 def builds(monkeypatch):
     """Every O(n) build of a derived structure, as ``(kind, doc)``."""
     log = []
+    real_summary = derived_module.build_summary
 
-    def counting(kind, builder):
-        def wrapper(doc, *args, **kwargs):
-            log.append((kind, doc))
-            return builder(doc, *args, **kwargs)
-        return wrapper
+    def build_summary(doc, *args, **kwargs):
+        log.append(("structure", doc))
+        return real_summary(doc, *args, **kwargs)
 
-    for kind, name in (("stats", "compute_stats"),
-                       ("summary", "build_summary")):
-        monkeypatch.setattr(derived_module, name,
-                            counting(kind, getattr(derived_module, name)))
+    monkeypatch.setattr(derived_module, "build_summary", build_summary)
     real_build = TagIndex.build
 
     def build(index):
@@ -82,8 +78,10 @@ def test_built_once_per_version_and_never_after_retirement(builds):
         assert served.snapshot.doc is batch.doc
         assert retired._derived is None
         by_kind = {kind: [doc for k, doc in builds if k == kind]
-                   for kind in ("stats", "summary", "index")}
-        assert by_kind["stats"] == by_kind["summary"] == [batch.doc]
+                   for kind in ("structure", "index")}
+        # One structural pass (summary + statistics) per version.
+        assert by_kind["structure"] == [batch.doc]
+        assert batch.doc.derived.stats is batch.doc.derived.summary.stats
         assert by_kind["index"] in ([], [batch.doc])
 
 
@@ -107,17 +105,25 @@ def test_service_close_releases_the_current_snapshots_arena_file(
         assert not list(tmp_path.glob("repro-arena-*.btra"))
 
 
-@pytest.mark.parametrize("builder", ["compute_stats", "build_summary"])
-def test_catalog_lock_is_not_held_during_an_o_n_build(monkeypatch, builder):
+@pytest.mark.parametrize("first_read", [
+    # The statistics (what ``compute_stats`` returns) and the summary
+    # come from the one structural pass; either reader may go first.
+    pytest.param(lambda derived: derived.stats, id="compute_stats"),
+    pytest.param(lambda derived: derived.summary, id="build_summary"),
+])
+def test_catalog_lock_is_not_held_during_an_o_n_build(monkeypatch,
+                                                      first_read):
     started, release = threading.Event(), threading.Event()
-    real = getattr(derived_module, builder)
+    real = derived_module.build_summary
+    passes = []
 
     def blocking(doc, *args, **kwargs):
+        passes.append(doc)
         started.set()
         assert release.wait(30)
         return real(doc, *args, **kwargs)
 
-    monkeypatch.setattr(derived_module, builder, blocking)
+    monkeypatch.setattr(derived_module, "build_summary", blocking)
     catalog = Catalog()
     first = catalog.register("one", "<r><a/></r>")
     catalog.register("two", "<r><b/></r>")
@@ -127,20 +133,24 @@ def test_catalog_lock_is_not_held_during_an_o_n_build(monkeypatch, builder):
         catalog.unpin(catalog.pin("two"))
         done.set()
 
-    reader = threading.Thread(
-        target=lambda: answers.append(
-            catalog.engine_for(first).query("//a").serialize()))
+    def read_then_query():
+        engine = catalog.engine_for(first)
+        first_read(engine.doc.derived)
+        answers.append(engine.query("//a").serialize())
+
+    reader = threading.Thread(target=read_then_query)
     other = threading.Thread(target=pin_unpin, daemon=True)
     reader.start()
     try:
         assert started.wait(30)
         other.start()
         assert done.wait(10), "pin/unpin of another document waited " \
-            "behind a statistics or summary pass"
+            "behind a structural pass"
     finally:
         release.set()
         reader.join(30)
     assert not reader.is_alive() and answers == ["<a/>"]
+    assert passes == [first.doc]
 
 
 def _terminal_name(node: ast.AST) -> str:

@@ -257,6 +257,16 @@ def test_explain_analyze_estimates_match_cost_model(paper_bib):
         assert f"{n_nodes:,}" in row
 
 
+def test_explain_analyze_document_root_scan_estimates_one_row(paper_bib):
+    # A #root NoK yields the one document node; it is not priced like `*`.
+    text = Engine(paper_bib).explain_analyze(PAPER_QUERY)
+    root_rows = [line.split() for line in text.splitlines()
+                 if line.startswith("scan NoK#") and "[#root]" in line]
+    assert root_rows
+    for row in root_rows:
+        assert row[-2:] == ["1", "1"]       # rows, est.rows
+
+
 def test_explain_analyze_naive_plan_reports_no_operator_rows(paper_bib):
     engine = Engine(paper_bib)
     text = engine.explain_analyze("1 + 1", strategy="naive")

@@ -144,11 +144,11 @@ class TestEngineIntegration:
         assert "static-empty" not in engine.last_plan
         assert not engine.cached_static_empty("//zzz/title")
 
-    def test_fingerprint_includes_summary_only_when_enabled(self, small_bib):
+    def test_fingerprint_is_the_summary_digest_lint_on_or_off(self, small_bib):
         on = Engine(small_bib).stats_fingerprint()
         off = Engine(small_bib, analyze_queries=False).stats_fingerprint()
-        assert on[:-1] == off
-        assert isinstance(on[-1], str)
+        assert on == off == (small_bib.version,
+                             small_bib.derived.summary.fingerprint())
 
     def test_baseline_strategies_bypass_lint(self, small_bib):
         engine = Engine(small_bib)

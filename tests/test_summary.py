@@ -1,8 +1,17 @@
 """The DataGuide-style structural summary (repro.xmlkit.summary)."""
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.datagen import DATASETS
+from repro.engine import Engine
+from repro.serve import Catalog
 from repro.xmlkit.parser import parse
-from repro.xmlkit.summary import (DOC_LABEL, StructuralSummary,
+from repro.xmlkit.stats import DocumentStats
+from repro.xmlkit.summary import (DOC_LABEL, PathInfo, StructuralSummary,
                                   build_summary)
+from repro.xmlkit.tree import ELEMENT, Document, DocumentBuilder
+from repro.xmlkit.update import DocumentUpdater
 
 DOC = """\
 <bib>
@@ -138,3 +147,144 @@ class TestFingerprint:
         assert len(s) == 0
         assert not s.label_occurs("a")
         assert s.fingerprint()
+
+
+# ----------------------------------------------------------------------
+# Exactness: the one pass against brute force from the definitions.
+# ----------------------------------------------------------------------
+
+
+def _element_chain(node):
+    """``node`` and its element ancestors, innermost first."""
+    chain = []
+    while node is not None and node.kind == ELEMENT:
+        chain.append(node)
+        node = node.parent
+    return chain
+
+
+def reference_stats(doc):
+    """Every statistic from its definition: parent chains for depth,
+    label paths and same-tag counts, materialised subtrees for sizes."""
+    nodes = list(doc.root.subtree()) if doc.root is not None else []
+    elements = [n for n in nodes if n.kind == ELEMENT]
+    histogram, sizes = {}, {}
+    for node in elements:
+        histogram[node.tag] = histogram.get(node.tag, 0) + 1
+        sizes[node.tag] = sizes.get(node.tag, 0) + len(list(node.subtree()))
+    depths = [len(_element_chain(n)) for n in elements]
+    degree = max((sum(1 for a in _element_chain(n) if a.tag == n.tag)
+                  for n in elements), default=0)
+    return DocumentStats(
+        n_nodes=len(nodes), n_elements=len(elements),
+        n_text=len(nodes) - len(elements),
+        avg_depth=sum(depths) / len(elements) if elements else 0.0,
+        max_depth=max(depths, default=0), n_distinct_tags=len(histogram),
+        tag_histogram=histogram, recursive=degree > 1,
+        recursion_degree=degree,
+        tag_subtree_avg={tag: sizes[tag] / histogram[tag]
+                         for tag in histogram})
+
+
+def reference_paths(doc):
+    table = {}
+    for node in doc.elements():
+        path = tuple(n.tag for n in reversed(_element_chain(node)))
+        info = table.setdefault(path, PathInfo())
+        info.count += 1
+        info.attributes.update(node.attrs)
+        if len(path) > 1:
+            table[path[:-1]].children.add(node.tag)
+    return table
+
+
+def assert_exact(doc):
+    summary = doc.derived.summary
+    assert doc.derived.stats is summary.stats
+    assert summary.stats == reference_stats(doc)
+    assert summary.label_counts is summary.stats.tag_histogram
+    assert not summary.truncated
+    assert summary.paths == reference_paths(doc)
+
+
+@st.composite
+def documents(draw, max_depth=6):
+    """Random trees over a three-tag alphabet: nesting and repeated
+    paths are common, with text and attributes mixed in."""
+    builder = DocumentBuilder()
+
+    def emit(depth):
+        names = draw(st.sets(st.sampled_from(("x", "y")), max_size=2))
+        builder.start_element(draw(st.sampled_from(("a", "b", "c"))),
+                              {name: "v" for name in names})
+        for _ in range(draw(st.integers(0, 3 if depth < max_depth else 0))):
+            if draw(st.integers(0, 2)) == 0:
+                builder.text(draw(st.sampled_from(("t", " ", "1"))))
+            else:
+                emit(depth + 1)
+        builder.end_element()
+
+    emit(1)
+    return builder.finish()
+
+
+LIBRARY = ("<lib>" + "".join(
+    f'<shelf g="{s}">' + "".join(
+        f"<book><title>t{s}{i}</title><note><note>n</note></note></book>"
+        for i in range(3)) + "</shelf>" for s in range(3)) + "</lib>")
+
+
+class TestExactness:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=documents())
+    def test_random_trees(self, doc):
+        assert_exact(doc)
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_datagen_corpora(self, name):
+        assert_exact(DATASETS[name].generate(scale=0.03))
+
+    def test_after_document_updater_insert_and_delete(self):
+        doc = parse(LIBRARY)
+        assert_exact(doc)
+        updater = DocumentUpdater(doc)
+        shelf = doc.root.children[1]
+        updater.insert_subtree(
+            shelf, parse('<book k="1"><book><title>deep</title></book>'
+                         "</book>").root, position=0)
+        assert_exact(doc)
+        updater.delete_subtree(doc.root.children[0])
+        assert_exact(doc)
+
+    def test_after_snapshot_updater_commit(self):
+        catalog = Catalog()
+        base = catalog.register("lib", LIBRARY)
+        assert_exact(base.doc)
+        with catalog.updater("lib") as batch:
+            batch.insert_subtree(batch.doc.root,
+                                 parse("<shelf><lib>x</lib></shelf>").root)
+            batch.delete_subtree(batch.doc.root.children[0])
+        assert catalog.current("lib").doc is batch.doc
+        assert_exact(batch.doc)
+
+    def test_truncated_summary_keeps_exact_stats(self):
+        doc = parse(LIBRARY)
+        summary = build_summary(doc, max_paths=3)
+        assert summary.truncated and len(summary.paths) == 3
+        assert summary.stats == reference_stats(doc)
+        reference = reference_paths(doc)
+        assert all(summary.paths[p].count == reference[p].count
+                   for p in summary.paths)
+        assert summary.label_occurs("zzz")
+        assert summary.occurs_under("title", "zzz")
+        assert summary.child_occurs("zzz", "title")
+        assert summary.attr_occurs("book", "zzz")
+
+    def test_rootless_document(self):
+        doc = Document()
+        assert_exact(doc)
+        assert doc.derived.summary.paths == {}
+        assert doc.derived.stats.recursion_degree == 0
+        for strategy in ("auto", "naive"):
+            assert Engine(doc).query("//a", strategy=strategy).serialize() == ""
