@@ -3,9 +3,10 @@
 The paper (citing Bar-Yossef et al. [3]) argues the memory needed to
 evaluate ``//`` joins over recursive input grows with the document's
 recursion degree.  We synthesize documents with controlled nesting
-depth and measure the caching merge join's peak ancestor-stack size:
-it must equal the recursion degree, while the strict pipelined join on
-flat data stays O(1).
+depth and measure the peak ancestor-stack size of the stack merge join
+(``stack_desc_join``, the paper's "modification with caching
+capability"): it must equal the recursion degree, while the strict
+pipelined join on flat data stays O(1).
 """
 
 import pytest
@@ -13,9 +14,9 @@ import pytest
 from repro.pattern import build_from_path, decompose
 from repro.physical import (
     NoKMatcher,
-    caching_desc_join,
     left_projection,
     pipelined_desc_join,
+    stack_desc_join,
 )
 from repro.xmlkit import parse
 from repro.xmlkit.storage import ScanCounters
@@ -44,7 +45,7 @@ def test_caching_join_memory_equals_degree(benchmark, degree):
         doc = nested_document(degree)
         projection, right, edge = join_inputs(doc)
         counters = ScanCounters()
-        result = caching_desc_join(projection, right, edge, counters)
+        result = stack_desc_join(projection, right, edge, counters)
         assert counters.peak_buffered == degree
         # every b joins with all `degree` enclosing a's
         assert result.pair_count() == degree * 20
@@ -72,7 +73,7 @@ def test_caching_join_timing(benchmark, degree):
 
     def run():
         counters = ScanCounters()
-        caching_desc_join(projection, right, edge, counters)
+        stack_desc_join(projection, right, edge, counters)
         return counters.peak_buffered
 
     peak = benchmark(run)

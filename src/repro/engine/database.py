@@ -26,11 +26,14 @@ and the engine's plan cache is subscribed, so repeated queries never
 run against a stale strategy choice.  Once :meth:`serve` is active,
 in-place updates are refused: all mutations must go through the
 service's snapshot updaters, so concurrent readers keep their isolated
-versions.
+versions, and the database's own reads follow the version the service
+serves.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -138,33 +141,60 @@ class Database:
         trips and expiries included) is recorded past the threshold.
         """
         log = self.slow_log
-        return self.engine._run(
-            text, QueryOptions(strategy, params, timeout_ms, executor,
-                               work_budget, trace),
-            counters=counters, tracer=tracer,
-            slow=None if log is None else (
-                lambda plan, elapsed_ms, delta, error: log.observe(
-                    text, strategy, plan or "?", elapsed_ms, delta)))
+        options = QueryOptions(strategy, params, timeout_ms, executor,
+                               work_budget, trace)
+        with self._reading() as engine:
+            return engine._run(
+                text, options, counters=counters, tracer=tracer,
+                slow=None if log is None else (
+                    lambda plan, elapsed_ms, delta, error: log.observe(
+                        text, strategy, plan or "?", elapsed_ms, delta)))
 
     def prepare(self, text: str, *, strategy: str = "auto",
                 executor: ExecutionBackend | str | None = None
                 ) -> PreparedQuery:
-        """Compile once for repeated execution (see :meth:`Engine.prepare`)."""
-        return self.engine.prepare(text, strategy=strategy,
-                                   executor=executor)
+        """Compile once for repeated execution (see :meth:`Engine.prepare`).
+
+        The prepared query keeps the document version it was prepared
+        on: one prepared while :meth:`serve` runs goes on reading that
+        snapshot after later commits — prepare again to read a newer one.
+        """
+        with self._reading() as engine:
+            return engine.prepare(text, strategy=strategy, executor=executor)
 
     def explain_analyze(self, text: str, strategy: str = "auto",
                         work_budget: int | None = None, *,
                         params: dict | None = None,
                         timeout_ms: float | None = None) -> str:
         """Per-operator measured-vs-estimated rows (see Engine)."""
-        return self.engine.explain_analyze(text, strategy,
-                                           work_budget=work_budget,
-                                           params=params,
-                                           timeout_ms=timeout_ms)
+        with self._reading() as engine:
+            return engine.explain_analyze(text, strategy,
+                                          work_budget=work_budget,
+                                          params=params,
+                                          timeout_ms=timeout_ms)
 
     def explain(self, text: str, strategy: str = "auto") -> str:
-        return self.engine.explain(text, strategy)
+        with self._reading() as engine:
+            return engine.explain(text, strategy)
+
+    @contextmanager
+    def _reading(self) -> Iterator[Engine]:
+        """The engine a read runs on: :attr:`engine` — or, while
+        :meth:`serve` runs, the serving catalog's engine for the version
+        the service serves, pinned for the read (the stored document is
+        the first version; the service's commits publish forks)."""
+        service = self._service
+        if service is None or service.closed:
+            yield self.engine
+            return
+        catalog = service.catalog
+        snapshot = catalog.pin("main")
+        try:
+            engine = catalog.engine_for(snapshot)
+            engine.scan_pools = self._scan_pools
+            yield engine
+        finally:
+            catalog.unpin(snapshot)
 
     @property
     def doc_stats(self) -> DocumentStats:
@@ -187,12 +217,20 @@ class Database:
         (shared with ``QueryService.stats()`` and the network ``stats``
         frame; the schema is documented in DESIGN.md and ``python -m
         repro.obs report`` refuses versions it does not know).  The
-        ``top`` default is 10 on every stats surface.
+        ``top`` default is 10 on every stats surface.  While
+        :meth:`serve` runs, ``document`` and the query-lint summary
+        describe the version the service serves, which :meth:`query`
+        reads too.
 
         .. note:: this used to be a property aliasing the document
            statistics; those now live at :attr:`doc_stats`.
         """
-        doc_stats = self.engine.stats
+        with self._reading() as reader:
+            doc_stats = reader.stats
+            fingerprint = "/".join(
+                str(part) for part in reader.stats_fingerprint())
+            summary = (reader.summary if self.engine.analyze_queries
+                       else None)
         return {
             "schema": 1,
             "document": {
@@ -202,8 +240,7 @@ class Database:
                 "max_depth": doc_stats.max_depth,
                 "recursive": doc_stats.recursive,
                 "recursion_degree": doc_stats.recursion_degree,
-                "fingerprint": "/".join(
-                    str(part) for part in self.engine.stats_fingerprint()),
+                "fingerprint": fingerprint,
             },
             "plan_cache": self.engine.plan_cache.stats(),
             "statstore": self.engine.stats_store.snapshot(top=top),
@@ -217,11 +254,9 @@ class Database:
                         and not self._service.closed else None),
             "querylint": {
                 "enabled": self.engine.analyze_queries,
-                "summary_paths": (len(self.engine.summary)
-                                  if self.engine.analyze_queries else None),
-                "summary_fingerprint": (
-                    self.engine.summary.fingerprint()
-                    if self.engine.analyze_queries else None),
+                "summary_paths": None if summary is None else len(summary),
+                "summary_fingerprint": (None if summary is None
+                                        else summary.fingerprint()),
             },
         }
 

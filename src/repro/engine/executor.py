@@ -65,7 +65,7 @@ from repro.physical.nested_loop import (
 )
 from repro.physical.nok_merge import merged_scan
 from repro.physical.parallel_scan import ScanPools, parallel_merged_scan
-from repro.physical.pipelined_join import caching_desc_join, pipelined_desc_join
+from repro.physical.pipelined_join import pipelined_desc_join
 from repro.physical.stack_join import stack_desc_join
 from repro.physical.structural import JoinResult, left_projection
 from repro.physical.twigstack import TwigStackOperator, twig_supported
@@ -83,7 +83,6 @@ __all__ = ["FLWORExecutor"]
 #: joins take the two ordered streams, rescanning joins the inner NoK.
 _JOIN_OPERATORS: dict[str, Callable[..., JoinResult]] = {
     "pipelined": pipelined_desc_join,
-    "caching": caching_desc_join,
     "stack": stack_desc_join,
     "bnlj": bounded_nested_loop_join,
     "nl": naive_nested_loop_join,
@@ -257,9 +256,9 @@ class FLWORExecutor:
         self.plan_notes: list[str] = []
         #: Observed NoK selectivities of this run — one
         #: ``(pattern root tag, match count)`` pair per NoK scanned
-        #: (or per twig output vertex).  The session feeds these into
-        #: the runtime statistics store after every execution, where
-        #: they become the observed cardinalities the re-coster uses.
+        #: (or per twig output vertex).  The session records these in
+        #: the runtime statistics store after every execution; no plan
+        #: decision reads them back.
         self.match_summary: list[tuple[str, int]] = []
 
     # ------------------------------------------------------------------

@@ -29,8 +29,8 @@ __all__ = ["render_explain", "render_explain_analyze"]
 def render_explain(engine: Engine, text: str | QueryExpr,
                    strategy: str) -> str:
     """The text of :meth:`Engine.explain`."""
-    compiled = compile_query(text)
     options = QueryOptions(strategy)
+    compiled = compile_query(text)
     plan = plan_query(compiled, QueryKey(text, options), options.executor,
                       engine)
     lines = [f"strategy: {plan.choice}"]

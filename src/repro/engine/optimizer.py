@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.passes import partition_unsafe_noks
 from repro.analysis.query import QueryLintResult, analyze_query
-from repro.errors import CompileError, UsageError
+from repro.errors import CompileError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
 from repro.pattern.blossom import MODE_OPTIONAL, BlossomTree, BlossomVertex
@@ -211,8 +211,9 @@ class CachedPlan:
 def plan_query(compiled: CompiledQuery, key: QueryKey,
                backend: ExecutionBackend, env: Engine,
                tracer: Tracer | NullTracer = NULL_TRACER) -> CachedPlan:
-    """The static decision sequence: requested strategy (validated,
-    ruled or costed) → query lint (static-empty / pruning rewrite) →
+    """The static decision sequence: requested strategy (ruled or
+    costed; :class:`~repro.engine.request.QueryOptions` validated the
+    name) → query lint (static-empty / pruning rewrite) →
     pattern artifacts → PL004 withdrawal → join pinning.
     The plan comes back unverified: the engine runs the invariant
     passes over it before it may be cached or executed.
@@ -221,9 +222,7 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
     (for ``cost``, the postings too) of the document the pattern
     resolves to, the primary document's summary (only when the lint
     runs), and the engine's lint switch."""
-    requested = STRATEGIES.get(key.strategy)
-    if requested is None or requested.family == "internal":
-        raise UsageError(f"unknown strategy {key.strategy!r}")
+    requested = STRATEGIES[key.strategy]
     choice = _requested(compiled, requested, backend.parallelism, env, tracer)
     # Query lint (QL rules): check the pattern against the document's
     # structural summary and rewrite provably-empty work away.

@@ -116,14 +116,6 @@ class PlanCache:
             CACHE_HITS.inc()
             return entry
 
-    def peek(self, key: Hashable) -> Any | None:
-        """The cached plan for ``key`` without touching recency or
-        counters — for introspection (the serving fast path asks "is
-        this a known statically-empty plan?" before deciding whether to
-        occupy a worker slot, which must not skew the hit ratio)."""
-        with self._lock:
-            return self._entries.get(key)
-
     def put(self, key: Hashable, plan: Any) -> None:
         """Insert (or refresh) a plan, evicting the LRU entry at capacity.
 

@@ -25,6 +25,7 @@ from typing import Any
 from repro.engine.backend import ExecutionBackend, resolve_backend
 from repro.engine.plancache import normalize_query_text
 from repro.errors import ProtocolError, UsageError
+from repro.strategy import STRATEGIES
 
 __all__ = ["QueryOptions", "QueryKey"]
 
@@ -46,7 +47,9 @@ class QueryOptions:
     """The per-request options, validated once where the request enters.
 
     ``strategy``
-        The physical plan (table in :mod:`repro.engine.session`).
+        The physical plan: a requestable row of
+        :data:`repro.strategy.STRATEGIES` (table in
+        :mod:`repro.engine.session`).
     ``params``
         Values for the query's external ``$parameters`` (free variables).
     ``timeout_ms``
@@ -83,6 +86,9 @@ class QueryOptions:
                  trace: bool = False) -> None:
         if not isinstance(strategy, str):
             raise _bad("strategy", "a strategy name", strategy)
+        row = STRATEGIES.get(strategy)
+        if row is None or row.family == "internal":
+            raise UsageError(f"unknown strategy {strategy!r}")
         if params is not None and not isinstance(params, Mapping):
             raise _bad("params", "a mapping", params)
         if timeout_ms is not None and not _number(timeout_ms, (int, float)):

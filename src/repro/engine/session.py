@@ -34,7 +34,6 @@ strategy      meaning
 ============= =========================================================
 ``auto``      optimizer picks per the Section-5.2 rules (default)
 ``pipelined`` BlossomTree with pipelined merge ``//``-joins (PL)
-``caching``   BlossomTree with the caching variant of the pipelined merge
 ``stack``     BlossomTree with stack-based merge joins
 ``bnlj``      BlossomTree with bounded nested-loop joins (the paper's NL)
 ``nl``        BlossomTree with naive nested-loop joins (Table 3's NL column)
@@ -317,26 +316,6 @@ class Engine:
                 derived, version + (derived.summary.fingerprint(),))
         return memo[1] + tuple((uri, other.version) for uri, other
                                in self.documents.items() if other is not self.doc)
-
-    def cached_static_empty(self, text: str, strategy: str = "auto",
-                            executor: ExecutionBackend | str = "serial",
-                            ) -> bool:
-        """Whether the cache already holds a static-empty plan for
-        ``text`` (exact key, current document shape).
-
-        A pure peek — no compile, no cache-counter side effects.  The
-        query service uses it to answer provably-empty queries inline
-        instead of occupying a worker slot.
-        """
-        options = QueryOptions(strategy, executor=executor)
-        return self._static_empty(QueryKey(text, options))
-
-    def _static_empty(self, key: QueryKey) -> bool:
-        """:meth:`cached_static_empty` for an identity already built."""
-        if not self.analyze_queries:
-            return False
-        plan = self.plan_cache.peek(key.plan(self.stats_fingerprint()))
-        return plan is not None and plan.static_empty
 
     # ------------------------------------------------------------------
     # The request path: one run context through a short stage list —

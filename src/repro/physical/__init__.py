@@ -9,8 +9,8 @@ from repro.physical.nested_loop import (
 from repro.physical.nok import NoKMatcher
 from repro.physical.nok_merge import merged_scan
 from repro.physical.pathstack import PathStackOperator, chain_supported
-from repro.physical.pipelined_join import caching_desc_join, pipelined_desc_join
-from repro.physical.stack_join import stack_desc_join, stack_join_pairs
+from repro.physical.pipelined_join import pipelined_desc_join
+from repro.physical.stack_join import stack_desc_join
 from repro.physical.streaming import StreamingNoKMatcher, stream_count
 from repro.physical.structural import JoinResult, axis_test, left_projection
 from repro.physical.twigstack import TwigStackOperator, twig_supported
@@ -22,7 +22,6 @@ __all__ = [
     "TwigStackOperator",
     "axis_test",
     "bounded_nested_loop_join",
-    "caching_desc_join",
     "chain_supported",
     "left_projection",
     "merged_scan",
@@ -30,7 +29,6 @@ __all__ = [
     "nested_loop_pairs",
     "pipelined_desc_join",
     "stack_desc_join",
-    "stack_join_pairs",
     "StreamingNoKMatcher",
     "stream_count",
     "twig_supported",

@@ -6,17 +6,12 @@ matches are emitted in document order of their roots.  The join then
 runs as a single merge pass, never materializing either input — the
 "pipelined NoK" technique whose I/O savings Section 4.2 argues for.
 
-Two variants:
-
-* :func:`pipelined_desc_join` — the strict merge of the paper's
-  GetNext pseudo-code, correct when left nodes do not nest (one tag
-  cannot contain itself: non-recursive documents, Theorem 2).  It keeps
-  exactly one candidate ancestor, i.e. O(1) buffering.
-* :func:`caching_desc_join` — the "modification with caching
-  capability" the paper sketches for recursive inputs: a stack of open
-  ancestors whose peak depth equals the document's recursion degree.
-  The peak is recorded in ``counters.peak_buffered``, which is what the
-  recursion-memory ablation measures (reference [3]'s bound).
+:func:`pipelined_desc_join` is the strict merge of the paper's GetNext
+pseudo-code, correct when left nodes do not nest (one tag cannot
+contain itself: non-recursive documents, Theorem 2).  It keeps exactly
+one candidate ancestor, i.e. O(1) buffering.  The "modification with
+caching capability" the paper sketches for recursive inputs is the
+ancestor-stack merge, :func:`~repro.physical.stack_join.stack_desc_join`.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from repro.xmlkit.tree import Node
 from repro.algebra.nested_list import NLEntry
 from repro.physical.structural import JoinResult, count_operator
 
-__all__ = ["pipelined_desc_join", "caching_desc_join"]
+__all__ = ["pipelined_desc_join"]
 
 
 def pipelined_desc_join(left_nodes: Sequence[Node],
@@ -82,46 +77,3 @@ def pipelined_desc_join(left_nodes: Sequence[Node],
     count_operator("pipelined_join", result.pair_count())
     return result
 
-
-def caching_desc_join(left_nodes: Iterable[Node],
-                      right_entries: Iterable[NLEntry],
-                      edge: InterEdge,
-                      counters: ScanCounters | None = None) -> JoinResult:
-    """Merge join with an ancestor stack — correct on recursive input.
-
-    The stack holds every left node whose region is still open at the
-    current right position, so each right entry pairs with *all* of its
-    stacked ancestors.  Peak stack depth (recorded in
-    ``counters.peak_buffered``) is bounded by the recursion degree of
-    the left tag — the memory requirement the paper trades off against
-    nested-loop I/O in Section 4.2.
-    """
-    if counters is None:
-        counters = ScanCounters()
-    result = JoinResult(edge)
-    left_iter = iter(left_nodes)
-    pending: Node | None = next(left_iter, None)
-    stack: list[Node] = []
-    token = counters.cancellation
-
-    for entry in right_entries:
-        if token is not None:
-            token.checkpoint()
-        node = entry.node
-        assert node is not None
-        # Open every left node that starts before this right node.
-        while pending is not None and pending.start < node.start:
-            while stack and stack[-1].end < pending.start:
-                stack.pop()
-            stack.append(pending)
-            counters.note_buffer(len(stack))
-            pending = next(left_iter, None)
-        # Close finished ancestors.
-        while stack and stack[-1].end < node.start:
-            stack.pop()
-        for ancestor in stack:
-            counters.comparisons += 1
-            if ancestor.start < node.start and node.end < ancestor.end:
-                result.add(ancestor, entry)
-    count_operator("caching_join", result.pair_count())
-    return result

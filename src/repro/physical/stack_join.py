@@ -3,12 +3,16 @@
 The general ancestor-descendant merge join over two document-ordered
 region-labeled inputs.  Unlike the strict pipelined merge it is correct
 when *both* sides nest (recursive documents), at the cost of a stack
-whose depth is bounded by the input tree depth — the memory behaviour
-Section 2.1 attributes to the advanced join-based algorithms.
+of open ancestors whose depth is bounded by the recursion degree of the
+left tag.  It is also the paper's "modification with caching
+capability" for recursive input (Section 4.2): the pipelined GetNext
+merge with every still-open ancestor cached on that stack.  The peak
+depth is recorded in ``counters.peak_buffered``, which is what the
+recursion-memory ablation measures (reference [3]'s bound).
 
-The engine's optimizer picks this join for ``//`` inter edges on
-recursive documents, where the pipelined merge is unsound and nested
-loops are too slow.
+The engine's optimizer picks this join for ``//`` inter edges whose left
+input can nest, where the pipelined merge is unsound and nested loops
+are too slow.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.xmlkit.tree import Node
 from repro.algebra.nested_list import NLEntry
 from repro.physical.structural import JoinResult, count_operator
 
-__all__ = ["stack_desc_join", "stack_join_pairs"]
+__all__ = ["stack_desc_join"]
 
 
 def stack_desc_join(left_nodes: Iterable[Node],
@@ -31,61 +35,36 @@ def stack_desc_join(left_nodes: Iterable[Node],
     """Ancestor-descendant stack merge producing join adjacency.
 
     Both inputs must be document-ordered; nesting is allowed on both
-    sides.  Equivalent output to
-    :func:`~repro.physical.pipelined_join.caching_desc_join` — the two
-    differ in provenance (this is the classic binary structural join,
-    that is the paper's pipelined GetNext with caching bolted on) and
-    are cross-checked in the tests.
+    sides.  Both are streamed: the stack holds every left node whose
+    region is still open at the current right position, so each right
+    entry pairs with *all* of its stacked ancestors, in stack order.
     """
     if counters is None:
         counters = ScanCounters()
     result = JoinResult(edge)
-    pairs = stack_join_pairs(
-        list(left_nodes),
-        [(e.node, e) for e in right_entries],
-        counters)
-    for ancestor, (_, entry) in pairs:
-        result.add(ancestor, entry)
-    count_operator("stack_join", result.pair_count())
-    return result
-
-
-def stack_join_pairs(ancestors: list[Node],
-                     descendants: list[tuple[Node, object]],
-                     counters: ScanCounters | None = None
-                     ) -> list[tuple[Node, tuple[Node, object]]]:
-    """Core stack merge over (node, payload) descendant items.
-
-    Returns (ancestor, descendant-item) pairs ordered by descendant,
-    then ancestor depth.  ``counters.peak_buffered`` records the maximum
-    stack depth.
-    """
-    if counters is None:
-        counters = ScanCounters()
-    out: list[tuple[Node, tuple[Node, object]]] = []
+    left_iter = iter(left_nodes)
+    pending: Node | None = next(left_iter, None)
     stack: list[Node] = []
-    ai = 0
-    n_anc = len(ancestors)
     token = counters.cancellation
 
-    for item in descendants:
+    for entry in right_entries:
         if token is not None:
             token.checkpoint()
-        node = item[0]
+        node = entry.node
         assert node is not None
-        # Push every ancestor that starts before this descendant,
+        # Push every left node that starts before this right node,
         # popping closed regions first.
-        while ai < n_anc and ancestors[ai].start < node.start:
-            candidate = ancestors[ai]
-            ai += 1
-            while stack and stack[-1].end < candidate.start:
+        while pending is not None and pending.start < node.start:
+            while stack and stack[-1].end < pending.start:
                 stack.pop()
-            stack.append(candidate)
+            stack.append(pending)
             counters.note_buffer(len(stack))
+            pending = next(left_iter, None)
         while stack and stack[-1].end < node.start:
             stack.pop()
         for ancestor in stack:
             counters.comparisons += 1
             if ancestor.start < node.start and node.end < ancestor.end:
-                out.append((ancestor, item))
-    return out
+                result.add(ancestor, entry)
+    count_operator("stack_join", result.pair_count())
+    return result

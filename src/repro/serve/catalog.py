@@ -183,19 +183,6 @@ class Catalog:
                 entry.engines[sid] = engine
             return engine
 
-    def cached_engine(self, snapshot: Snapshot) -> Engine | None:
-        """Pure peek: the snapshot's engine if one was already built.
-
-        Never constructs anything — the serve fast path uses this on
-        the submitting thread, which must not be the first reader of a
-        version's statistics or summary.
-        """
-        with self._lock:
-            entry = self._entries.get(snapshot.name)
-            if entry is None:
-                return None
-            return entry.engines.get(snapshot.snapshot_id)
-
     # ------------------------------------------------------------------
     # Writer protocol: copy-on-write batches.
     # ------------------------------------------------------------------

@@ -90,16 +90,12 @@ _UTILIZATION = REGISTRY.gauge(
 _SERVICE_TIMEOUTS = REGISTRY.counter(
     "repro_service_timeouts_total",
     "Served queries that missed their deadline (in queue or executing)")
-_QUERYLINT_FASTPATH = REGISTRY.counter(
-    "repro_querylint_fastpath_total",
-    "Statically-empty queries answered inline without a worker slot")
 
 #: Per-service telemetry counter names (the local mirror of the
 #: process-wide families above, so two services never mix numbers).
 _SERVICE_COUNTERS = ("submitted", "completed", "failed", "timeouts",
                      "rejections", "coalesced", "result_cache_hits",
-                     "result_cache_misses", "slow_queries",
-                     "static_empty_fastpath")
+                     "result_cache_misses", "slow_queries")
 
 
 @dataclass
@@ -282,11 +278,6 @@ class QueryService:
         Raises :class:`~repro.errors.ServiceOverloadedError` when the
         queue is full and :class:`~repro.errors.UsageError` after
         :meth:`close`.
-
-        A query the lint already proved statically empty (a cached
-        ``static-empty`` plan for the current snapshot) is answered
-        *inline* on the submitting thread — no queue slot, no worker:
-        provably-empty traffic can never crowd out real work.
         """
         return self._submit(text, doc, QueryOptions(
             strategy, params, timeout_ms, executor, trace=trace), client)
@@ -295,11 +286,7 @@ class QueryService:
                 client: str | None = None) -> Future:
         """:meth:`submit` for options already built and validated (the
         network server decodes them from the request frame)."""
-        request = self._request(text, doc, options, client)
-        fast = self._try_static_empty(request)
-        if fast is not None:
-            return fast
-        return self._enqueue([request])[0]
+        return self._enqueue([self._request(text, doc, options, client)])[0]
 
     def query(self, text: str, *, doc: str | None = None,
               strategy: str = "auto", params: Mapping | None = None,
@@ -468,7 +455,6 @@ class QueryService:
             "documents": documents,
             "querylint": {
                 "enabled": getattr(self.catalog, "analyze_queries", True),
-                "static_empty_fastpath": counts["static_empty_fastpath"],
             },
             "slow_queries": (
                 None if self.slow_log is None else {
@@ -492,53 +478,6 @@ class QueryService:
             options = options.with_timeout(self.default_timeout_ms)
         return _Request(text, doc or self.default_document, options,
                         QueryKey(text, options), client)
-
-    def _try_static_empty(self, request: _Request) -> Future | None:
-        """Answer a provably-empty query inline, if it is known to be.
-
-        Only un-parameterized, un-traced requests qualify (the same
-        population the result cache serves), and only when the shared
-        plan cache already holds a ``static-empty`` plan for this exact
-        (query, strategy, executor, snapshot shape) — a pure peek,
-        so clean queries pay one dictionary lookup.  The execution
-        itself is the engine's static-empty short-circuit: no scan, so
-        running it on the submitting thread is cheaper than the
-        queue/worker handoff it replaces.  Any surprise (a racing
-        publish, a failed lookup) falls back to normal admission.
-        """
-        if request.slot is None:
-            return None
-        with self._cond:
-            if self._closed:
-                raise UsageError("query service is closed")
-        started = time.perf_counter()
-        try:
-            snapshot = self.catalog.pin(request.doc)
-        except Exception:
-            return None   # unknown doc: the queue path raises properly
-        try:
-            # Pure peek: an engine the workers already built.  A first
-            # submission (no engine yet, so no cached plan either) just
-            # takes the queue path: this thread must not be the first
-            # reader of the version's statistics and summary.
-            engine = self.catalog.cached_engine(snapshot)
-            if engine is None or not engine._static_empty(request.key):
-                return None
-            result = engine._run(request.text, request.options, request.key)
-        except Exception:
-            return None   # let the worker path surface the real error
-        finally:
-            self.catalog.unpin(snapshot)
-        run_ms = (time.perf_counter() - started) * 1e3
-        _QUERYLINT_FASTPATH.inc()
-        self._count("submitted")
-        self._count("completed")
-        self._count("static_empty_fastpath")
-        _RUN_MS.observe(run_ms)
-        future: Future = Future()
-        future.set_result(ServeResult(result, snapshot, 0.0, run_ms,
-                                      attempts=1, cached=False))
-        return future
 
     def _enqueue(self, requests: list[_Request]) -> list[Future]:
         with self._cond:

@@ -81,9 +81,6 @@ STRATEGIES: dict[str, Strategy] = {row.name: row for row in (
              "BlossomTree with pipelined merge ``//``-joins (PL)",
              join="pipelined", theorem2=True, requires=_PIPELINE,
              label="PL"),
-    Strategy("caching", "pattern",
-             "BlossomTree with the caching variant of the pipelined merge",
-             join="caching", theorem2=True, requires=_PIPELINE),
     Strategy("stack", "pattern",
              "BlossomTree with stack-based merge joins",
              join="stack", requires=_PIPELINE),

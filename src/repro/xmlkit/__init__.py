@@ -5,9 +5,7 @@ engine) consumes XML exclusively through these interfaces; no external
 XML library is used anywhere in the repository.
 """
 
-from repro.xmlkit.binary import dump as dump_binary, load as load_binary
-from repro.xmlkit.index import TagIndex, TagStream
-from repro.xmlkit.labeling import Region, region_of
+from repro.xmlkit.index import TagIndex
 from repro.xmlkit.parser import parse, parse_file
 from repro.xmlkit.serialize import pretty, serialize
 from repro.xmlkit.stats import DocumentStats, compute_stats
@@ -33,20 +31,15 @@ __all__ = [
     "DocumentStats",
     "DocumentUpdater",
     "Node",
-    "Region",
     "ScanCounters",
     "SequentialScan",
     "TagIndex",
-    "TagStream",
     "UpdateReport",
     "compute_stats",
     "deep_equal",
-    "dump_binary",
-    "load_binary",
     "deep_equal_sequences",
     "parse",
     "parse_file",
     "pretty",
-    "region_of",
     "serialize",
 ]

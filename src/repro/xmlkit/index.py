@@ -1,10 +1,10 @@
-"""Tag-name index: per-tag, document-ordered element streams.
+"""Tag-name index: per-tag, document-ordered element lists.
 
 This is the access structure the join-based approaches assume
 (Section 2.1): for each tag name, a list of region-labeled elements in
-document order.  TwigStack consumes these lists through
-:class:`TagStream` cursors; the optimizer checks :meth:`TagIndex.has`
-to decide whether a holistic join is applicable at all.
+document order.  TwigStack and PathStack consume these lists directly
+(:meth:`TagIndex.nodes`); the optimizer checks :meth:`TagIndex.has` to
+decide whether a holistic join is applicable at all.
 
 The index also demonstrates the *update problem* the paper attributes
 to join-based evaluation: region labels are a materialization of
@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.obs.metrics import REGISTRY
 from repro.xmlkit.tree import Document, Node
 
-__all__ = ["TagIndex", "TagStream"]
+__all__ = ["TagIndex"]
 
 _BUILDS = REGISTRY.counter(
     "repro_tag_index_builds_total",
@@ -61,62 +61,7 @@ class TagIndex:
         self.build()
         return self._lists.get(tag, [])
 
-    def stream(self, tag: str) -> TagStream:
-        """Open a cursor over the tag's list."""
-        return TagStream(self.nodes(tag))
-
     def cardinality(self, tag: str) -> int:
         """Number of elements with the given tag."""
         return len(self.nodes(tag))
 
-
-class TagStream:
-    """A forward cursor over a document-ordered node list.
-
-    Provides exactly the operations holistic twig joins need: peek the
-    current head, advance past it, and skip forward to the first node
-    whose region starts at or after a given position (used to implement
-    TwigStack's ``advance`` efficiently via binary search).
-    """
-
-    __slots__ = ("nodes", "pos")
-
-    def __init__(self, nodes: list[Node]) -> None:
-        self.nodes = nodes
-        self.pos = 0
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.nodes)
-
-    def head(self) -> Node:
-        """Current node; callers must check :meth:`eof` first."""
-        return self.nodes[self.pos]
-
-    def peek(self) -> Node | None:
-        return None if self.eof() else self.nodes[self.pos]
-
-    def advance(self) -> None:
-        self.pos += 1
-
-    def skip_to_start(self, start: int) -> None:
-        """Advance to the first node with ``node.start >= start``."""
-        lo = self.pos
-        starts = self.nodes
-        # bisect on the start coordinate without building a key list
-        hi = len(starts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if starts[mid].start < start:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.pos = lo
-
-    def clone(self) -> TagStream:
-        """An independent cursor at the same position."""
-        fresh = TagStream(self.nodes)
-        fresh.pos = self.pos
-        return fresh
-
-    def remaining(self) -> int:
-        return len(self.nodes) - self.pos

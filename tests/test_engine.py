@@ -8,7 +8,7 @@ from repro.obs.metrics import REGISTRY
 from repro.xmlkit import parse
 from repro.xmlkit.storage import ScanCounters
 
-ALL_BLOSSOM = ["pipelined", "caching", "stack", "bnlj", "nl"]
+ALL_BLOSSOM = ["pipelined", "stack", "bnlj", "nl"]
 
 
 @pytest.fixture

@@ -119,7 +119,7 @@ class TestNestedLoopReconciliation:
         query = "//a[a]//a[//a]"
         reference = [n.nid for n in engine.query(query, strategy="naive").nodes()]
         assert reference == [4]
-        for strategy in ("bnlj", "nl", "stack", "caching", "twigstack"):
+        for strategy in ("bnlj", "nl", "stack", "twigstack"):
             got = [n.nid for n in engine.query(query, strategy=strategy).nodes()]
             assert got == reference, strategy
 

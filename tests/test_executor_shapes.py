@@ -27,7 +27,7 @@ DOC = """
 </shop>
 """
 
-STRATEGIES = ["pipelined", "caching", "stack", "bnlj", "nl", "cost"]
+STRATEGIES = ["pipelined", "stack", "bnlj", "nl", "cost"]
 
 
 @pytest.fixture(scope="module")

@@ -105,6 +105,25 @@ class TestDatabaseLifecycle:
             service.close()
             db.updater()  # allowed again once the service stops
 
+    def test_reads_follow_the_served_version(self):
+        with repro.connect(LIBRARY) as db:
+            service = db.serve(workers=1)
+            prepared = db.prepare("//book")
+            with service.updater() as batch:
+                batch.insert_subtree(batch.doc.root, parse("<book/>").root)
+            current = service.catalog.current("main")
+            assert len(service.query("//book")) == 4
+            assert len(db.query("//book")) == 4
+            assert "4 item(s)" in db.explain_analyze("//book")
+            document = db.stats()["document"]
+            assert document["n_elements"] \
+                == current.doc.derived.stats.n_elements
+            assert document["fingerprint"].startswith(
+                f"snapshot/{current.snapshot_id}/")
+            # A prepared query keeps the version it was prepared on.
+            assert len(prepared.execute()) == 3
+            assert service.catalog._entries["main"].pins == {}  # unpinned
+
 
 def _five_surfaces():
     from repro.engine.prepared import PreparedQuery

@@ -2,7 +2,8 @@
 
 All join algorithms must produce identical adjacency on identical
 inputs; the pipelined merge additionally refuses nesting input, and the
-caching/stack variants report their memory in ``peak_buffered``.
+stack merge (the paper's caching modification) reports its memory in
+``peak_buffered``.
 """
 
 import random
@@ -15,13 +16,11 @@ from repro.pattern import build_from_path, decompose
 from repro.physical import (
     NoKMatcher,
     bounded_nested_loop_join,
-    caching_desc_join,
     left_projection,
     naive_nested_loop_join,
     nested_loop_pairs,
     pipelined_desc_join,
     stack_desc_join,
-    stack_join_pairs,
 )
 from repro.xmlkit import parse
 from repro.xmlkit.storage import ScanCounters
@@ -62,7 +61,6 @@ class TestAlgorithmAgreement:
         tree, dec, edge, proj, right, right_nok = setup_join(flat_doc, "//a//b")
         results = {
             "pl": pipelined_desc_join(proj, right, edge),
-            "cache": caching_desc_join(proj, right, edge),
             "stack": stack_desc_join(proj, right, edge),
             "bnlj": bounded_nested_loop_join(proj, right_nok, flat_doc, edge,
                                              variables={}),
@@ -77,14 +75,13 @@ class TestAlgorithmAgreement:
     def test_nesting_algorithms_agree_recursive(self, nested_doc):
         tree, dec, edge, proj, right, right_nok = setup_join(nested_doc, "//a//b")
         results = {
-            "cache": caching_desc_join(proj, right, edge),
             "stack": stack_desc_join(proj, right, edge),
             "bnlj": bounded_nested_loop_join(proj, right_nok, nested_doc, edge,
                                              variables={}),
             "naive": naive_nested_loop_join(proj, right_nok, nested_doc, edge,
                                             variables={}),
         }
-        reference = adjacency_nids(results["cache"])
+        reference = adjacency_nids(results["stack"])
         for name, result in results.items():
             assert adjacency_nids(result) == reference, name
         # The inner b pairs with BOTH nested a ancestors.
@@ -188,11 +185,11 @@ class TestMemoryAccounting:
         assert counters.peak_buffered <= 1
 
     def test_caching_memory_tracks_recursion_degree(self):
-        # recursion degree 4: four nested a's.
+        # recursion degree 4: four nested a's on the ancestor stack.
         doc = parse("<r><a><a><a><a><b/></a></a></a></a></r>")
         tree, dec, edge, proj, right, _ = setup_join(doc, "//a//b")
         counters = ScanCounters()
-        caching_desc_join(proj, right, edge, counters)
+        stack_desc_join(proj, right, edge, counters)
         assert counters.peak_buffered == 4
 
     def test_bnlj_scans_are_bounded_by_subtrees(self, flat_doc):
@@ -216,13 +213,15 @@ class TestPairJoins:
         nested_loop_pairs([1, 2], [1, 2, 3], lambda a, b: True, counters)
         assert counters.comparisons == 6
 
-    def test_stack_join_pairs_payloads(self, flat_doc):
-        a_nodes = flat_doc.elements_by_tag("a")
-        b_nodes = [(n, f"payload{i}") for i, n in
-                   enumerate(flat_doc.elements_by_tag("b"))]
-        out = stack_join_pairs(a_nodes, b_nodes)
-        payloads = {p for _, (_, p) in out}
-        assert payloads == {"payload0", "payload1", "payload2"}
+    def test_stack_join_streams_and_keeps_right_entries(self, nested_doc):
+        # Both inputs may be one-shot iterators; every partner listed is
+        # the right input's own entry, paired with each open ancestor.
+        tree, dec, edge, proj, right, _ = setup_join(nested_doc, "//a//b")
+        result = stack_desc_join(iter(proj), iter(right), edge)
+        ids = {id(entry) for entry in right}
+        partners = [e for v in result.adjacency.values() for e in v]
+        assert partners and all(id(e) in ids for e in partners)
+        assert result.pair_count() == 4
 
 
 class TestOrderPreservation:

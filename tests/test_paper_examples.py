@@ -35,7 +35,7 @@ class TestExample1And2:
         assert result.serialize() == self.expected()
 
     @pytest.mark.parametrize("strategy",
-                             ["pipelined", "caching", "stack", "bnlj", "auto"])
+                             ["pipelined", "stack", "bnlj", "auto"])
     def test_blossom_engine(self, paper_bib, strategy):
         engine = Engine(paper_bib)
         result = engine.query(PAPER_QUERY, strategy=strategy)

@@ -17,7 +17,6 @@ from repro.pattern import build_from_path, decompose
 from repro.physical import (
     NoKMatcher,
     bounded_nested_loop_join,
-    caching_desc_join,
     left_projection,
     stack_desc_join,
 )
@@ -93,7 +92,7 @@ class TestStrategyAgreement:
         engine = Engine(doc)
         reference = engine.query(path, strategy="naive")
         ref_ids = [n.nid for n in reference.nodes()]
-        for strategy in ("stack", "caching", "bnlj", "xhive", "auto"):
+        for strategy in ("stack", "bnlj", "xhive", "auto"):
             got = engine.query(path, strategy=strategy)
             assert [n.nid for n in got.nodes()] == ref_ids, strategy
         try:
@@ -110,7 +109,7 @@ class TestStrategyAgreement:
         query = (f"for $x in {path}, $y in $x//{inner} "
                  f"return <p>{{ $y }}</p>")
         reference = engine.query(query, strategy="naive").serialize()
-        for strategy in ("stack", "caching", "bnlj"):
+        for strategy in ("stack", "bnlj"):
             assert engine.query(query, strategy=strategy).serialize() == \
                 reference, strategy
 
@@ -197,8 +196,7 @@ class TestStructuralInvariants:
             return {k: sorted(e.node.nid for e in v)
                     for k, v in result.adjacency.items()}
 
-        cached = norm(caching_desc_join(projection, right, edge))
         stacked = norm(stack_desc_join(projection, right, edge))
         bounded = norm(bounded_nested_loop_join(projection, right_nok, doc, edge,
                                                 variables={}))
-        assert cached == stacked == bounded
+        assert stacked == bounded

@@ -1,8 +1,6 @@
-"""Query-vs-data lint (QL rules), pruning rewrites and the serve fast path."""
+"""Query-vs-data lint (QL rules), pruning rewrites and static-empty serving."""
 
 import json
-
-import pytest
 
 from repro.analysis.query import analyze_query
 from repro.engine import Engine, compile_query
@@ -16,7 +14,6 @@ from tests.conftest import SMALL_BIB
 _FINDINGS = REGISTRY.counter("repro_querylint_findings_total", "")
 _REWRITES = REGISTRY.counter("repro_querylint_rewrites_total", "")
 _STATIC_EMPTY = REGISTRY.counter("repro_querylint_static_empty_total", "")
-_FASTPATH = REGISTRY.counter("repro_querylint_fastpath_total", "")
 
 
 def lint(text, doc_text=SMALL_BIB):
@@ -129,20 +126,20 @@ class TestEngineIntegration:
         assert result.serialize() == "<out/>"
         assert "static-empty" in engine.last_plan
 
-    def test_cached_static_empty(self, small_bib):
+    def test_static_empty_plan_is_cached(self, small_bib):
         engine = Engine(small_bib)
-        assert not engine.cached_static_empty("//zzz")     # not compiled yet
-        engine.query("//zzz")
-        assert engine.cached_static_empty("//zzz")
-        engine.query("//book/title")
-        assert not engine.cached_static_empty("//book/title")
+        first = engine.query("//zzz", trace=True)
+        again = engine.query("//zzz", trace=True)
+        assert "static-empty" in first.plan and again.plan == first.plan
+        assert [r.root.attrs["plan-cache"] for r in (first.trace, again.trace)] \
+            == ["miss", "hit"]
+        assert "static-empty" not in engine.query("//book/title").plan
 
     def test_escape_hatch_disables_lint(self, small_bib):
         engine = Engine(small_bib, analyze_queries=False)
         result = engine.query("//zzz/title")
         assert len(result) == 0
         assert "static-empty" not in engine.last_plan
-        assert not engine.cached_static_empty("//zzz/title")
 
     def test_fingerprint_is_the_summary_digest_lint_on_or_off(self, small_bib):
         on = Engine(small_bib).stats_fingerprint()
@@ -188,44 +185,27 @@ class TestEngineIntegration:
         assert off.stats()["querylint"]["enabled"] is False
 
 
-class TestServeFastPath:
-    def test_second_submission_skips_the_queue(self):
-        service = QueryService(SMALL_BIB, workers=1)
-        try:
-            before = _FASTPATH.value()
-            first = service.query("//zzz/title")        # compiles + caches
-            assert len(first) == 0
+class TestServeStaticEmpty:
+    def test_repeat_is_a_result_cache_hit(self):
+        # No inline probe: a static-empty text takes the queue like any
+        # other, scans nothing, and its repeat comes from the result cache.
+        with QueryService(SMALL_BIB, workers=1) as service:
+            first = service.query("//zzz/title")
             second = service.query("//zzz/title")
-            assert len(second) == 0
-            assert _FASTPATH.value() == before + 1
-            stats = service.stats()
-            assert stats["querylint"]["enabled"] is True
-            assert stats["querylint"]["static_empty_fastpath"] == 1
-            assert stats["counters"]["static_empty_fastpath"] == 1
-        finally:
-            service.close()
-
-    def test_fast_path_result_is_well_formed(self):
-        service = QueryService(SMALL_BIB, workers=1)
-        try:
-            service.query("//zzz")
-            result = service.query("//zzz")
-            assert result.serialize() == ""
-            assert result.attempts == 1
-            assert result.wait_ms == 0.0
-        finally:
-            service.close()
-
-    def test_fast_path_disabled_with_lint_off(self):
-        service = QueryService(SMALL_BIB, workers=1, analyze_queries=False)
-        try:
-            before = _FASTPATH.value()
-            service.query("//zzz")
-            service.query("//zzz")
-            assert _FASTPATH.value() == before
-            assert service.stats()["querylint"]["enabled"] is False
-        finally:
-            service.close()
+            assert first.serialize() == second.serialize() == ""
+            assert "static-empty" in first.result.plan
+            assert first.result.counters.nodes_scanned == 0
+            assert (first.cached, second.cached) == (False, True)
+            assert first.attempts == second.attempts == 1
+            counters = service.stats()["counters"]
+            assert counters["submitted"] == counters["completed"] == 2
+            assert counters["result_cache_hits"] == 1
+            assert service.stats()["querylint"] == {"enabled": True}
+        with QueryService(SMALL_BIB, workers=1, analyze_queries=False) as off:
+            served = off.query("//zzz/title")
+            assert served.serialize() == ""
+            assert "static-empty" not in served.result.plan
+            assert off.stats()["querylint"] == {"enabled": False}
 
 
 class TestCli:

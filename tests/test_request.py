@@ -18,7 +18,8 @@ from repro.engine.session import Engine
 from repro.errors import ProtocolError, ReproError, UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer
-from repro.serve import client as client_mod
+from repro.serve import QueryService, client as client_mod
+from repro.strategy import STRATEGIES
 from repro.xmlkit.parser import parse
 
 LIBRARY = """
@@ -148,6 +149,25 @@ class TestOptionValidation:
         for bad in (-1, 1.5, True, "lots"):
             with pytest.raises(UsageError, match="work_budget"):
                 QueryOptions(work_budget=bad)
+
+    @pytest.mark.parametrize("strategy", ["bogus", "static-empty"])
+    def test_unknown_strategy_is_refused_before_admission(self, strategy):
+        # The constructor checks the name (an ``internal`` row is not
+        # requestable), so a service never queues, counts or runs it.
+        with pytest.raises(UsageError, match="unknown strategy"):
+            QueryOptions(strategy)
+        with QueryService(LIBRARY, workers=1) as service:
+            with pytest.raises(UsageError, match="unknown strategy"):
+                service.submit("//book", strategy=strategy)
+            counters = service.stats()["counters"]
+            assert counters["submitted"] == counters["result_cache_misses"] == 0
+
+    def test_every_requestable_row_is_accepted(self):
+        requestable = [row.name for row in STRATEGIES.values()
+                       if row.family != "internal"]
+        assert [QueryOptions(name).strategy for name in requestable] \
+            == requestable
+        assert len(requestable) == 10 and "caching" not in requestable
 
 
 OPTIONS = st.builds(

@@ -306,6 +306,7 @@ class TestRobustness:
         ("timeout_ms", True, "USAGE"),
         ("strategy", ["x"], "PROTOCOL"),
         ("strategy", "bogus", "USAGE"),
+        ("strategy", "static-empty", "USAGE"),
         ("executor", 7, "PROTOCOL"),
         ("executor", "gpu", "USAGE"),
         ("executor", "threads:0", "USAGE"),

@@ -21,18 +21,18 @@ from tests.conftest import SMALL_BIB
 class TestEngineInvalidation:
     def test_static_empty_plan_dropped_after_insert(self):
         db = Database.from_xml(SMALL_BIB)
-        assert db.query("//appendix").serialize() == ""
-        assert db.engine.cached_static_empty("//appendix")
+        before = db.query("//appendix")
+        assert before.serialize() == ""
+        assert "static-empty" in before.plan
 
         db.updater().insert_subtree(
             db.doc.root, parse("<appendix>new</appendix>").root)
 
         # The update listener dropped stats + summary: the stale
         # static-empty plan must not answer the re-query.
-        assert not db.engine.cached_static_empty("//appendix")
         result = db.query("//appendix")
         assert result.string_values() == ["new"]
-        assert "static-empty" not in db.engine.last_plan
+        assert "static-empty" not in result.plan
 
     def test_summary_fingerprint_recomputed_after_batch(self):
         db = Database.from_xml(SMALL_BIB)
@@ -88,7 +88,7 @@ class TestSnapshotInvalidation:
         service = QueryService(SMALL_BIB, workers=1,
                                default_document="lib")
         try:
-            # Prime the static-empty plan (and the fast path) on the
+            # Prime the static-empty plan (and the result cache) on the
             # pre-update snapshot.
             assert service.query("//appendix", doc="lib").serialize() == ""
             assert service.query("//appendix", doc="lib").serialize() == ""

@@ -111,7 +111,7 @@ JOIN_TEMPLATES = [
            "return <p>{{$a/@id}}{{$b/@id}}</p>"),
 ]
 
-STRATEGIES = ["auto", "pipelined", "stack", "caching", "bnlj", "nl"]
+STRATEGIES = ["auto", "pipelined", "stack", "bnlj", "nl"]
 PARALLEL_EXECUTORS = ["threads:2", "processes:2"]
 
 

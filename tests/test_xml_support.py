@@ -10,18 +10,9 @@ from repro.xmlkit import (
     compute_stats,
     parse,
     pretty,
-    region_of,
     serialize,
 )
-from repro.xmlkit.labeling import (
-    Region,
-    axis_predicate,
-    before,
-    contains,
-    following,
-    is_parent,
-    preceding,
-)
+from repro.physical.structural import axis_test
 from repro.xmlkit.sax import ContentHandler, parse_string
 
 
@@ -50,37 +41,42 @@ class TestSerialize:
 
 
 class TestLabeling:
+    """The ``(start, end, level)`` labels every node carries."""
+
     def test_region_ordering_is_document_order(self, small_bib):
-        regions = [region_of(n) for n in small_bib.nodes]
-        assert regions == sorted(regions)
+        labels = [(n.start, n.end, n.level) for n in small_bib.nodes]
+        assert labels == sorted(labels)
+        assert [n.start for n in small_bib.nodes] \
+            == sorted({n.start for n in small_bib.nodes})
 
     def test_containment(self, small_bib):
-        bib = region_of(small_bib.root)
-        book = region_of(small_bib.elements_by_tag("book")[0])
-        last = region_of(small_bib.elements_by_tag("last")[0])
-        assert contains(bib, book) and contains(bib, last)
-        assert is_parent(bib, book)
-        assert not is_parent(bib, last)
-        assert not contains(book, bib)
+        bib = small_bib.root
+        book = small_bib.elements_by_tag("book")[0]
+        last = small_bib.elements_by_tag("last")[0]
+        assert bib.is_ancestor_of(book) and bib.is_ancestor_of(last)
+        assert bib.is_parent_of(book) and book.level == bib.level + 1
+        assert not bib.is_parent_of(last)
+        assert not book.is_ancestor_of(bib)
 
     def test_order_predicates(self, small_bib):
-        b0 = region_of(small_bib.elements_by_tag("book")[0])
-        b1 = region_of(small_bib.elements_by_tag("book")[1])
-        bib = region_of(small_bib.root)
-        assert before(b0, b1) and not before(b1, b0)
-        assert preceding(b0, b1)          # disjoint
-        assert not preceding(bib, b0)     # ancestor overlaps
-        assert before(bib, b0)            # but << holds for ancestors
-        assert following(b1, b0)
+        b0, b1 = small_bib.elements_by_tag("book")[:2]
+        bib = small_bib.root
+        assert b0.precedes(b1) and not b1.precedes(b0)
+        assert b0.end < b1.start              # disjoint
+        assert not bib.end < b0.start         # ancestor overlaps
+        assert bib.precedes(b0)               # but << holds for ancestors
+        assert axis_test("following", b0, b1)
+        assert axis_test("preceding", b1, b0)
+        assert not axis_test("following", bib, b0)
 
-    def test_axis_predicate_lookup(self):
-        up = Region(0, 9, 0)
-        down = Region(1, 2, 1)
-        assert axis_predicate("descendant")(up, down)
-        assert axis_predicate("child")(up, down)
-        assert axis_predicate("ancestor")(down, up)
-        with pytest.raises(KeyError):
-            axis_predicate("attribute")
+    def test_axis_predicate_lookup(self, small_bib):
+        up = small_bib.root
+        down = small_bib.elements_by_tag("book")[0]
+        assert axis_test("descendant", up, down)
+        assert axis_test("child", up, down)
+        assert not axis_test("descendant", down, up)
+        with pytest.raises(ValueError):
+            axis_test("attribute", up, down)
 
 
 class TestStats:
@@ -111,12 +107,7 @@ class TestStats:
 
 class TestTagIndex:
     def test_streams_are_document_ordered(self, small_bib):
-        index = TagIndex(small_bib)
-        stream = index.stream("author")
-        seen = []
-        while not stream.eof():
-            seen.append(stream.head().nid)
-            stream.advance()
+        seen = [node.nid for node in TagIndex(small_bib).nodes("author")]
         assert seen == sorted(seen)
         assert len(seen) == 3
 
@@ -124,15 +115,6 @@ class TestTagIndex:
         index = TagIndex(small_bib)
         assert index.has("book") and not index.has("nothing")
         assert index.cardinality("book") == 3
-
-    def test_skip_to_start(self, small_bib):
-        index = TagIndex(small_bib)
-        books = index.nodes("book")
-        stream = index.stream("book")
-        stream.skip_to_start(books[1].start)
-        assert stream.head() is books[1]
-        stream.skip_to_start(books[2].start + 1)
-        assert stream.eof()
 
     def test_invalidate(self, small_bib):
         index = small_bib.derived.index
@@ -142,13 +124,6 @@ class TestTagIndex:
         fresh = small_bib.derived.index
         assert fresh is not index and not fresh.built
         assert fresh.has("book")  # rebuilt on demand
-
-    def test_clone_is_independent(self, small_bib):
-        index = TagIndex(small_bib)
-        stream = index.stream("book")
-        clone = stream.clone()
-        stream.advance()
-        assert clone.pos == 0 and stream.pos == 1
 
 
 class TestSequentialScan:
