@@ -43,10 +43,11 @@ def main() -> None:
 
     print("\n== 3. Update, then query again ==")
     first_item = db.doc.elements_by_tag("item")[0]
-    report = db.updater().insert_subtree(
-        first_item, parse("<subtitle>fresh edition</subtitle>").root)
-    print(f"  inserted 1 element: {report.nodes_relabeled} nodes relabeled, "
-          f"{report.indexes_invalidated} index invalidated")
+    with db.updater() as up:     # copy-on-write: published on a clean exit
+        report = up.insert_subtree(
+            first_item, parse("<subtitle>fresh edition</subtitle>").root)
+    print(f"  inserted 1 element: {report.nodes_relabeled} nodes relabeled "
+          "in the new version")
     result = db.query("//item[//subtitle]//isbn")
     print(f"  //item[//subtitle]//isbn now: {len(result)} results")
 

@@ -12,7 +12,8 @@ Covers the PR 2 serving path:
 2. ``plan.execute(params={...})`` runs it repeatedly with external
    ``$parameter`` values substituted at execution time;
 3. plain ``engine.query(text)`` transparently reuses plans through the
-   engine's LRU plan cache, and updates invalidate it;
+   engine's LRU plan cache, and an update's commit purges the old
+   version's plans;
 4. the cache's hit/miss/eviction/invalidation counters show up in the
    Prometheus exposition alongside the other engine metrics.
 """
@@ -68,8 +69,9 @@ def main() -> None:
     db = Database.from_xml(BIB)
     db.query("//book/title")
     print(f"cached plans before update: {len(db.engine.plan_cache)}")
-    db.updater().insert_subtree(
-        db.doc.root, parse("<book><title>Fresh Arrival</title></book>").root)
+    with db.updater() as up:     # the commit retires the old version
+        up.insert_subtree(
+            db.doc.root, parse("<book><title>Fresh Arrival</title></book>").root)
     print(f"cached plans after update:  {len(db.engine.plan_cache)}")
     print(f"titles now: {db.query('//book/title').string_values()}")
 

@@ -3,11 +3,14 @@
 The paper's setting is a native XML database (its comparator X-Hive is
 one); this module provides the corresponding storage-backed entry
 point: a :class:`Database` bundles a document stored in the succinct
-binary format (:mod:`repro.xmlkit.binary`) with its statistics and a
-tag-name index.  The underlying
-:class:`~repro.engine.session.Engine` is an implementation detail —
-reachable as ``db.engine`` for diagnostics, but the supported surface
-is this class plus the serving layer behind :meth:`serve`.
+binary format (:mod:`repro.xmlkit.binary`) with everything derived
+from it.  It is a thin owner of a serving
+:class:`~repro.serve.catalog.Catalog` whose one document, ``"main"``,
+is the stored document: the catalog holds its versions, their shared
+plan cache and statistics store, and the scan pools.  The engine of
+the current version is reachable as ``db.engine`` for diagnostics, but
+the supported surface is this class plus the serving layer behind
+:meth:`serve`.
 
 Typical use::
 
@@ -19,15 +22,14 @@ Typical use::
         service = db.serve(workers=8)
         service.query("//book[author]//title", timeout_ms=100)
 
-Updates go through :meth:`updater`: every structural update drops the
-document's derived state (statistics, summary, tag index, arena file —
-the Section-2.1 maintenance story, wired in — and bumps its version),
-and the engine's plan cache is subscribed, so repeated queries never
-run against a stale strategy choice.  Once :meth:`serve` is active,
-in-place updates are refused: all mutations must go through the
-service's snapshot updaters, so concurrent readers keep their isolated
-versions, and the database's own reads follow the version the service
-serves.
+There is one version model — the Section-2.1 update problem answered
+with copy-on-write snapshots.  Every read (:meth:`query`,
+:meth:`prepare`d executions, :meth:`explain`, :meth:`stats`) pins the
+current snapshot for the call; :meth:`updater` returns the same
+copy-on-write batch ``service.updater()`` does, whose commit publishes
+the next version and retires the old one (plans purged, derived state
+dropped).  A running service and the database read and write the same
+versions, and a commit outlives the service.
 """
 
 from __future__ import annotations
@@ -40,13 +42,11 @@ from typing import TYPE_CHECKING
 from repro.errors import UsageError
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Tracer
-from repro.physical.parallel_scan import ScanPools
 from repro.xmlkit.binary import dump, load
 from repro.xmlkit.parser import parse
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document
-from repro.xmlkit.update import DocumentUpdater
 from repro.engine.backend import ExecutionBackend
 from repro.engine.prepared import PreparedQuery
 from repro.engine.request import QueryOptions
@@ -54,14 +54,16 @@ from repro.engine.result import QueryResult
 from repro.engine.session import Engine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve -> engine)
+    from repro.serve.catalog import Catalog
     from repro.serve.server import Server
     from repro.serve.service import QueryService
+    from repro.serve.snapshot import SnapshotUpdater
 
 __all__ = ["Database"]
 
 
 class Database:
-    """A stored document plus its engine, statistics and index.
+    """A stored document, versioned by the catalog it owns.
 
     ``slow_query_ms`` (or a later :meth:`configure_slow_log` call)
     enables the slow-query log: every query whose wall time crosses the
@@ -72,13 +74,12 @@ class Database:
     def __init__(self, doc: Document,
                  slow_query_ms: float | None = None,
                  analyze_queries: bool = True) -> None:
-        self.doc = doc
-        self.engine = Engine(doc, analyze_queries=analyze_queries)
-        #: Lazily-spawned scan executors (thread pool + process backend)
-        #: owned by this database; every parallel plan of ``self.engine``
-        #: rides them, and :meth:`close` shuts them down deterministically.
-        self._scan_pools = self.engine.scan_pools = ScanPools()
-        self._updater: DocumentUpdater | None = None
+        from repro.serve.catalog import Catalog
+
+        #: The one owner of the document's versions, their plan cache,
+        #: statistics store and scan pools; ``doc`` is snapshot 1.
+        self.catalog: Catalog = Catalog(analyze_queries=analyze_queries)
+        self.catalog.register("main", doc)
         self._service: QueryService | None = None
         self._server: Server | None = None
         self._closed = False
@@ -92,6 +93,29 @@ class Database:
         self.slow_log = SlowQueryLog(threshold_ms, path, max_entries)
         return self.slow_log
 
+    @property
+    def doc(self) -> Document:
+        """The current version's document (never mutate it in place:
+        write through :meth:`updater`)."""
+        return self.catalog.current("main").doc
+
+    @property
+    def engine(self) -> Engine:
+        """The current version's engine (its plan cache and statistics
+        store are the catalog's, shared by every version)."""
+        with self._reading() as engine:
+            return engine
+
+    @contextmanager
+    def _reading(self) -> Iterator[Engine]:
+        """The current snapshot's engine, pinned for one read."""
+        catalog = self.catalog
+        snapshot = catalog.pin("main")
+        try:
+            yield catalog.engine_for(snapshot)
+        finally:
+            catalog.unpin(snapshot)
+
     # ------------------------------------------------------------------
     # Construction / persistence.
     # ------------------------------------------------------------------
@@ -103,20 +127,15 @@ class Database:
 
     @classmethod
     def open(cls, path: str | Path) -> Database:
-        """Open a database stored with :meth:`save`.
-
-        The new instance's plan cache starts empty — compiled plans
-        never survive a save/open round-trip (only the document is
-        persisted); the explicit ``reopen`` invalidation records the
-        boundary in the cache counters.
-        """
-        db = cls(load(Path(path).read_bytes()))
-        db.engine.plan_cache.invalidate("reopen")
-        return db
+        """Open a database stored with :meth:`save` (only the document
+        is persisted: the plan cache starts empty)."""
+        return cls(load(Path(path).read_bytes()))
 
     def save(self, path: str | Path) -> int:
-        """Persist to the succinct binary format; returns bytes written."""
-        payload = dump(self.doc)
+        """Persist the current version to the succinct binary format;
+        returns bytes written."""
+        with self._reading() as engine:
+            payload = dump(engine.doc)
         Path(path).write_bytes(payload)
         return len(payload)
 
@@ -155,12 +174,14 @@ class Database:
                 ) -> PreparedQuery:
         """Compile once for repeated execution (see :meth:`Engine.prepare`).
 
-        The prepared query keeps the document version it was prepared
-        on: one prepared while :meth:`serve` runs goes on reading that
-        snapshot after later commits — prepare again to read a newer one.
+        Every execution runs on the version current at that call; after
+        a commit the first one re-plans through the shared plan cache.
         """
         with self._reading() as engine:
-            return engine.prepare(text, strategy=strategy, executor=executor)
+            prepared = engine.prepare(text, strategy=strategy,
+                                      executor=executor)
+        prepared._reading = self._reading
+        return prepared
 
     def explain_analyze(self, text: str, strategy: str = "auto",
                         work_budget: int | None = None, *,
@@ -177,50 +198,29 @@ class Database:
         with self._reading() as engine:
             return engine.explain(text, strategy)
 
-    @contextmanager
-    def _reading(self) -> Iterator[Engine]:
-        """The engine a read runs on: :attr:`engine` — or, while
-        :meth:`serve` runs, the serving catalog's engine for the version
-        the service serves, pinned for the read (the stored document is
-        the first version; the service's commits publish forks)."""
-        service = self._service
-        if service is None or service.closed:
-            yield self.engine
-            return
-        catalog = service.catalog
-        snapshot = catalog.pin("main")
-        try:
-            engine = catalog.engine_for(snapshot)
-            engine.scan_pools = self._scan_pools
-            yield engine
-        finally:
-            catalog.unpin(snapshot)
-
     @property
     def doc_stats(self) -> DocumentStats:
-        """Structural statistics of the stored document (Table 1 row)."""
-        return self.engine.stats
+        """Structural statistics of the current version (Table 1 row)."""
+        return self.doc.derived.stats
 
     def stats(self, top: int = 10) -> dict:
         """A structured JSON snapshot of the database's runtime state.
 
         One call, one dict — what an operator (or ``python -m
-        repro.obs report``) needs to see where time goes: the document
-        summary, plan-cache hit ratios, the runtime statistics store
-        (top ``top`` plans by accumulated time, per-strategy win/loss),
-        the slow-query log, and the serving
+        repro.obs report``) needs to see where time goes: the current
+        version's summary, the plan cache's hit ratios, the runtime
+        statistics store (top ``top`` plans by accumulated time,
+        per-strategy win/loss), the slow-query log, and the serving
         layer's own :meth:`QueryService.stats
         <repro.serve.service.QueryService.stats>` when :meth:`serve` is
-        active.
+        active.  The plan cache and the statistics store are the
+        catalog's, so they count the service's reads too.
 
         The payload is versioned: ``"schema": 1`` at the top level
         (shared with ``QueryService.stats()`` and the network ``stats``
         frame; the schema is documented in DESIGN.md and ``python -m
         repro.obs report`` refuses versions it does not know).  The
-        ``top`` default is 10 on every stats surface.  While
-        :meth:`serve` runs, ``document`` and the query-lint summary
-        describe the version the service serves, which :meth:`query`
-        reads too.
+        ``top`` default is 10 on every stats surface.
 
         .. note:: this used to be a property aliasing the document
            statistics; those now live at :attr:`doc_stats`.
@@ -229,8 +229,9 @@ class Database:
             doc_stats = reader.stats
             fingerprint = "/".join(
                 str(part) for part in reader.stats_fingerprint())
-            summary = (reader.summary if self.engine.analyze_queries
-                       else None)
+            summary = reader.summary if reader.analyze_queries else None
+            plan_cache = reader.plan_cache.stats()
+            statstore = reader.stats_store.snapshot(top=top)
         return {
             "schema": 1,
             "document": {
@@ -242,8 +243,8 @@ class Database:
                 "recursion_degree": doc_stats.recursion_degree,
                 "fingerprint": fingerprint,
             },
-            "plan_cache": self.engine.plan_cache.stats(),
-            "statstore": self.engine.stats_store.snapshot(top=top),
+            "plan_cache": plan_cache,
+            "statstore": statstore,
             "slow_queries": (
                 None if self.slow_log is None else {
                     "threshold_ms": self.slow_log.threshold_ms,
@@ -253,32 +254,19 @@ class Database:
                         if self._service is not None
                         and not self._service.closed else None),
             "querylint": {
-                "enabled": self.engine.analyze_queries,
+                "enabled": self.catalog.analyze_queries,
                 "summary_paths": None if summary is None else len(summary),
                 "summary_fingerprint": (None if summary is None
                                         else summary.fingerprint()),
             },
         }
 
-    def updater(self) -> DocumentUpdater:
-        """The document updater, wired for cache coherence: structural
-        updates drop the document's derived state (the tag index is
-        rebuilt lazily on the next join-based query) and the engine's
-        plan cache (stale statistics must not steer strategy choice).
-
-        Refused while :meth:`serve` is active: the service's readers
-        hold snapshots of this document, and an in-place mutation would
-        tear them — use ``service.updater()`` (copy-on-write) instead.
-        """
-        if self._service is not None and not self._service.closed:
-            raise UsageError(
-                "in-place updates are disabled while a query service is "
-                "running (its readers hold snapshots of this document); "
-                "use service.updater() for copy-on-write batches")
-        if self._updater is None:
-            self._updater = DocumentUpdater(self.doc)
-            self._updater.register_listener(self.engine.notify_update)
-        return self._updater
+    def updater(self) -> SnapshotUpdater:
+        """A copy-on-write update batch (see :meth:`Catalog.updater
+        <repro.serve.catalog.Catalog.updater>`): ``with db.updater() as
+        up:`` publishes the next version on a clean exit, the same way a
+        running service's ``updater()`` does."""
+        return self.catalog.updater("main")
 
     # ------------------------------------------------------------------
     # Serving and lifecycle.
@@ -291,29 +279,26 @@ class Database:
         """Start (or return) the concurrent query service for this
         database.
 
-        The document becomes snapshot 1 of a fresh serving
-        :class:`~repro.serve.catalog.Catalog` (registered as
-        ``"main"``); queries go through a bounded worker pool with
-        admission control and per-query deadlines, and updates through
-        copy-on-write snapshot batches — see :mod:`repro.serve`.
-        ``result_cache`` configures the byte-accounted result cache
-        (see :func:`repro.serve.cachepolicy.resolve_result_cache`).
-        The service is owned by the database:
-        :meth:`close` drains and stops it.  Calling ``serve()`` again
-        while the service runs returns the same instance (the knobs of
-        the first call win).
+        The service serves this database's catalog: queries go through
+        a bounded worker pool with admission control and per-query
+        deadlines, and updates through copy-on-write snapshot batches —
+        see :mod:`repro.serve`.  ``result_cache`` configures the
+        byte-accounted result cache (see
+        :func:`repro.serve.cachepolicy.resolve_result_cache`).  The
+        service is owned by the database: :meth:`close` drains and
+        stops it; closing it earlier leaves the catalog, and every
+        version it published, with the database.  Calling ``serve()``
+        again while the service runs returns the same instance (the
+        knobs of the first call win).
         """
         if self._closed:
             raise UsageError("database is closed")
         if self._service is not None and not self._service.closed:
             return self._service
-        from repro.serve.catalog import Catalog
         from repro.serve.service import QueryService
 
-        catalog = Catalog(analyze_queries=self.engine.analyze_queries)
-        catalog.register("main", self.doc)
         self._service = QueryService(
-            catalog, workers=workers, max_queue=max_queue,
+            self.catalog, workers=workers, max_queue=max_queue,
             default_timeout_ms=default_timeout_ms,
             result_cache=result_cache, slow_log=self.slow_log)
         return self._service
@@ -346,11 +331,11 @@ class Database:
 
     def close(self) -> None:
         """Drain and stop the network server and query service (if
-        any), shut down the database-owned scan executors (thread and
-        process pools), drop the document's derived state (its arena
-        file), and close the slow-query log.  Idempotent; the database
-        refuses new serving after close, but plain serial :meth:`query`
-        calls keep working (they hold no external resources)."""
+        any), close the catalog (its scan pools and the current
+        version's arena file), and close the slow-query log.
+        Idempotent; the database refuses new serving after close, but
+        plain serial :meth:`query` calls keep working (they hold no
+        external resources)."""
         if self._closed:
             return
         self._closed = True
@@ -358,12 +343,7 @@ class Database:
             self._server.close()
         if self._service is not None:
             self._service.close(drain=True)
-        # Deterministic worker-pool cleanup: drain and stop the scan
-        # executors this database owns, and unlink the document's arena
-        # file if process-backend queries materialized one.
-        self._scan_pools.close(wait=True)
-        self.engine.scan_pools = None
-        self.doc.drop_derived()
+        self.catalog.close()
         if self.slow_log is not None:
             self.slow_log.close()
 
@@ -372,13 +352,6 @@ class Database:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def refresh_stats(self) -> DocumentStats:
-        """Re-derive everything computed from the document (statistics,
-        structural summary, tag index, arena file, fingerprint, plans)
-        after a mutation that bypassed :meth:`updater`."""
-        self.engine.notify_update()
-        return self.engine.stats
 
     def __repr__(self) -> str:  # pragma: no cover
         stats = self.doc_stats

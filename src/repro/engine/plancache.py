@@ -11,7 +11,8 @@ where *normalized* collapses whitespace (so reformatted copies of one
 query share an entry) and the fingerprint ties a plan to the document
 version whose statistics the optimizer consulted — a structural update
 changes the fingerprint, so stale plans are never even looked up, and
-:meth:`PlanCache.invalidate` additionally drops them eagerly.
+the serving catalog drops a retired version's plans eagerly
+(:meth:`PlanCache.invalidate_where`).
 
 Counters (all exported through ``repro.obs``):
 
@@ -138,21 +139,6 @@ class PlanCache:
                 self.evictions += 1
                 CACHE_EVICTIONS.inc()
             self._entries[key] = plan
-
-    def invalidate(self, reason: str = "update") -> int:
-        """Drop every entry; returns how many were dropped.
-
-        ``reason`` labels the invalidation counter (``update`` for
-        document mutations, ``reopen`` for Database open/save
-        round-trips, ``manual`` for explicit clears).
-        """
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-        if dropped:
-            self.invalidations += dropped
-            CACHE_INVALIDATIONS.inc(dropped, reason=reason)
-        return dropped
 
     def invalidate_where(self, predicate: Any, reason: str = "manual") -> int:
         """Drop the entries ``predicate(key, plan)`` selects.

@@ -11,8 +11,10 @@ pushed where-conjuncts, per-tuple tests for the rest), so no
 recompilation happens between executions.
 
 A prepared query pins the document-statistics fingerprint it was
-planned against.  If the document mutates underneath it, the next
-``execute()`` transparently re-plans (through the engine's plan cache)
+planned against.  If the document moves underneath it — an in-place
+update, or a new version of a :class:`~repro.engine.database.Database`,
+whose prepared queries run on the current snapshot — the next
+``execute()`` transparently re-plans (through the shared plan cache)
 instead of running a choice the optimizer would no longer make —
 execution results were never at risk (plans are document-independent),
 but the *strategy* could have gone stale.
@@ -20,6 +22,9 @@ but the *strategy* could have gone stale.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from contextlib import AbstractContextManager, nullcontext
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import BindingError
@@ -30,7 +35,7 @@ from repro.xmlkit.tree import Node
 from repro.xpath.evaluator import AttrNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session -> prepared)
-    from repro.engine.session import _Run
+    from repro.engine.session import Engine, _Run
 
 __all__ = ["CachedPlan", "PreparedQuery", "normalize_bindings"]
 
@@ -90,9 +95,13 @@ class PreparedQuery:
     not constructed directly.
     """
 
-    def __init__(self, engine, source: str, options: QueryOptions,
+    def __init__(self, engine: Engine, source: str, options: QueryOptions,
                  key: QueryKey, plan: CachedPlan) -> None:
-        self._engine = engine
+        #: Where each call finds its engine: the preparing one, or —
+        #: for :meth:`Database.prepare` — the current snapshot's, pinned
+        #: for the call.
+        self._reading: Callable[[], AbstractContextManager[Engine]] = \
+            partial(nullcontext, engine)
         self.source = source
         self.strategy = options.strategy
         #: Execution backend pinned at prepare() time; ``execute()`` may
@@ -128,16 +137,16 @@ class PreparedQuery:
         options = QueryOptions(self.strategy, params, timeout_ms,
                                self.executor if pinned else executor,
                                work_budget, trace)
-        return self._engine._run(
-            self.source, options,
-            self._key if pinned else QueryKey(self.source, options),
-            counters=counters, tracer=tracer, prepared=self)
+        with self._reading() as engine:
+            return engine._run(
+                self.source, options,
+                self._key if pinned else QueryKey(self.source, options),
+                counters=counters, tracer=tracer, prepared=self)
 
-    def current_plan(self, run: _Run) -> CachedPlan:
-        """The plan stage of one ``execute`` (the engine's run loop asks):
-        the pinned plan, re-planned only if the document moved (or the
-        call overrides the pinned backend)."""
-        engine = self._engine
+    def current_plan(self, engine: Engine, run: _Run) -> CachedPlan:
+        """The plan stage of one ``execute`` on ``engine`` (its run loop
+        asks): the pinned plan, re-planned only if the document moved
+        (or the call overrides the pinned backend)."""
         fingerprint = engine.stats_fingerprint()
         pinned = run.options.executor == self.executor
         if pinned and self._fingerprint == fingerprint:
@@ -154,7 +163,8 @@ class PreparedQuery:
 
     def explain(self) -> str:
         """Describe the plan this prepared query runs."""
-        return self._engine.explain(self.source, strategy=self.strategy)
+        with self._reading() as engine:
+            return engine.explain(self.source, strategy=self.strategy)
 
     def __repr__(self) -> str:
         params = ", ".join(f"${p}" for p in sorted(self.parameters))

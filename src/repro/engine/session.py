@@ -19,10 +19,9 @@ Repeated traffic is served without recompilation two ways:
   plan and executes it many times, with external ``$parameter``
   bindings substituted per call.
 
-Document mutations (via :meth:`Database.updater`, or any caller of
-:meth:`Engine.notify_update`) invalidate the cache; a changed
-statistics fingerprint also keys stale plans out even without explicit
-invalidation.
+A document mutation ends the version: ``DocumentUpdater`` drops the
+document's derived state, so the statistics fingerprint moves and
+stale plans are keyed out without being told.
 
 ``Engine.query`` accepts bare path expressions, FLWOR expressions, and
 constructor-wrapped FLWORs; ``strategy`` selects the physical plan (the
@@ -203,8 +202,8 @@ class Engine:
         self.work_budget = work_budget
         #: :class:`~repro.physical.parallel_scan.ScanPools` the partition
         #: tasks of parallel plans run on (``None`` = the process-wide
-        #: fallback; Database / QueryService install the one they own,
-        #: so their ``close()`` shuts it down).
+        #: fallback; the serving catalog stamps the one it owns, so its
+        #: ``close()`` shuts it down).
         self.scan_pools: ScanPools | None = None
         #: Run the structural-summary query lint (QL rules) at compile
         #: time and apply its pruning rewrites.  ``False`` is the escape
@@ -280,19 +279,6 @@ class Engine:
         run = _Run(text, options, QueryKey(text, options))
         return PreparedQuery(self, text, options, run.key, self._plan(run))
 
-    def notify_update(self, report: object = None) -> None:
-        """Invalidate derived state after a document mutation.
-
-        :meth:`Database.updater` wires this into the
-        :class:`~repro.xmlkit.update.DocumentUpdater` listener hook;
-        call it directly when mutating the document through other
-        means.  Drops every cached plan and the document's derived
-        state (:meth:`Document.drop_derived`, which bumps its version:
-        fingerprints of old plans can never match again).
-        """
-        self.doc.drop_derived()
-        self.plan_cache.invalidate("update")
-
     def stats_fingerprint(self) -> tuple:
         """The plan-cache key component tied to the document state.
 
@@ -366,7 +352,7 @@ class Engine:
                         _TIMEOUTS.inc()
                         raise
                 plan = (self._plan(run) if prepared is None
-                        else prepared.current_plan(run))
+                        else prepared.current_plan(self, run))
                 qspan.set(**{"plan-cache": run.cache_status})
                 try:
                     result = self._execute(run, plan)

@@ -23,27 +23,33 @@ Most callers reach this through the top-level facade::
                            timeout_ms=100).serialize())
 """
 
-from repro.serve.cachepolicy import ResultCacheStorage, resolve_result_cache
-from repro.serve.catalog import Catalog
-from repro.serve.client import Client, ClientResult, RemotePrepared
-from repro.serve.server import Server, listen
-from repro.serve.service import QueryService, ServeResult
-from repro.serve.snapshot import Snapshot, SnapshotUpdater, fork_document
-from repro.serve.throttle import AdmissionController
+#: Every name is imported on first use (see ``__getattr__``): a
+#: ``Database`` owns a :class:`Catalog`, so ``repro.connect`` imports
+#: this package, and it must not pay for the network front end
+#: (``asyncio``, sockets) a caller may never start.
+_LAZY = {
+    "AdmissionController": "repro.serve.throttle",
+    "Catalog": "repro.serve.catalog",
+    "Client": "repro.serve.client",
+    "ClientResult": "repro.serve.client",
+    "QueryService": "repro.serve.service",
+    "RemotePrepared": "repro.serve.client",
+    "ResultCacheStorage": "repro.serve.cachepolicy",
+    "ServeResult": "repro.serve.service",
+    "Server": "repro.serve.server",
+    "Snapshot": "repro.serve.snapshot",
+    "SnapshotUpdater": "repro.serve.snapshot",
+    "fork_document": "repro.serve.snapshot",
+    "listen": "repro.serve.server",
+    "resolve_result_cache": "repro.serve.cachepolicy",
+}
+__all__ = sorted(_LAZY)
 
-__all__ = [
-    "AdmissionController",
-    "Catalog",
-    "Client",
-    "ClientResult",
-    "QueryService",
-    "RemotePrepared",
-    "ResultCacheStorage",
-    "ServeResult",
-    "Server",
-    "Snapshot",
-    "SnapshotUpdater",
-    "fork_document",
-    "listen",
-    "resolve_result_cache",
-]
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.serve' has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(module), name)

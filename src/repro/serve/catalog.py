@@ -19,6 +19,13 @@ id — the serving layer's unit of isolation:
   state is dropped, and retire listeners fire (the query service uses
   this to purge its result cache).
 
+The catalog is the one owner of what outlives a request: the versions,
+the per-document plan cache and statistics store, and the
+:class:`~repro.physical.parallel_scan.ScanPools` every engine it creates
+scans on.  A :class:`~repro.engine.database.Database` is its first
+document, and a query service only borrows it; :meth:`close` releases
+the pools and the current versions' derived state.
+
 All engines of one document share one plan cache; entries are keyed by
 the snapshot fingerprint (id + statistics), so plans compiled against
 different versions never alias — the PR-2 fingerprint mechanism carried
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from repro.engine.plancache import PlanCache
 from repro.engine.prepared import CachedPlan
@@ -37,6 +44,7 @@ from repro.engine.session import Engine
 from repro.errors import UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.statstore import StatsStore
+from repro.physical.parallel_scan import ScanPools
 from repro.serve.snapshot import Snapshot, SnapshotUpdater
 from repro.xmlkit.parser import parse
 from repro.xmlkit.tree import Document
@@ -92,6 +100,9 @@ class Catalog:
         #: catalog creates; ``False`` is the differential escape hatch.
         self.analyze_queries = analyze_queries
         self._retire_listeners: list[Callable[[Snapshot], None]] = []
+        #: The scan executors of every engine this catalog creates
+        #: (partitioned plans); spawned lazily, shut by :meth:`close`.
+        self.scan_pools = ScanPools()
 
     # ------------------------------------------------------------------
     # Registration and lookup.
@@ -180,6 +191,7 @@ class Catalog:
                                 stats_store=entry.stats_store,
                                 analyze_queries=self.analyze_queries)
                 engine.plan_gate = self._make_gate(entry)
+                engine.scan_pools = self.scan_pools
                 entry.engines[sid] = engine
             return engine
 
@@ -231,8 +243,10 @@ class Catalog:
         with self._lock:
             return frozenset(self._entry(name).dropped)
 
-    def on_retire(self, callback: Callable[[Snapshot], None]) -> None:
-        """Register a callback fired (outside the lock) per retirement.
+    def on_retire(self, callback: Callable[[Snapshot], None]
+                  ) -> Callable[[], None]:
+        """Register a callback fired (outside the lock) per retirement;
+        returns the call that deregisters it.
 
         Listeners run *synchronously* inside the retiring call
         (``unpin``/``commit``), so cleanup they perform — the query
@@ -242,6 +256,7 @@ class Catalog:
         never have them re-enter the catalog lock.
         """
         self._retire_listeners.append(callback)
+        return lambda: self._retire_listeners.remove(callback)
 
     def plan_cache(self, name: str) -> PlanCache:
         """The shared plan cache of one document (introspection/tests)."""
@@ -304,7 +319,7 @@ class Catalog:
         # No query can pin the snapshot again: its statistics, summary,
         # tag index and arena file (processes-backend scan image) go.
         snapshot.doc.drop_derived()
-        for listener in self._retire_listeners:
+        for listener in tuple(self._retire_listeners):
             listener(snapshot)
 
     def _live_count(self) -> int:
@@ -331,12 +346,16 @@ class Catalog:
                 verify_snapshot(plan, live)  # raises PlanInvariantError
         return gate
 
-    def snapshots(self) -> Iterator[Snapshot]:
-        """Current snapshot of every registered document."""
+    def close(self) -> None:
+        """Drain and stop the scan pools and drop the current versions'
+        derived state (their arena files; retired ones went at
+        retirement).  Idempotent, and the versions stay: a later reader
+        rebuilds what it needs."""
+        self.scan_pools.close(wait=True)
         with self._lock:
-            entries = list(self._entries.values())
-        for entry in entries:
-            yield entry.current
+            current = [entry.current for entry in self._entries.values()]
+        for snapshot in current:
+            snapshot.doc.drop_derived()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Catalog {self.names()}>"

@@ -38,7 +38,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import (
     ProtocolError,
@@ -48,6 +48,7 @@ from repro.errors import (
     UsageError,
     wire_code,
 )
+from repro.engine.database import Database
 from repro.engine.request import QueryOptions
 from repro.obs.metrics import REGISTRY
 from repro.serve.protocol import (
@@ -57,9 +58,6 @@ from repro.serve.protocol import (
     encode_item,
 )
 from repro.serve.service import QueryService, ServeResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.database import Database
 
 __all__ = ["Server", "listen"]
 
@@ -523,7 +521,7 @@ def listen(target, *, host: str = "127.0.0.1", port: int = 0,
     owns = False
     if isinstance(target, QueryService):
         service = target
-    elif hasattr(target, "serve") and hasattr(target, "engine"):
+    elif isinstance(target, Database):
         service = target.serve(workers=workers)
     else:
         service = QueryService(target, workers=workers)

@@ -51,7 +51,6 @@ from repro.errors import (
 )
 from repro.obs.metrics import REGISTRY
 from repro.obs.slowlog import SlowQueryLog
-from repro.physical.parallel_scan import ScanPools
 from repro.serve.cachepolicy import ResultCacheStorage, resolve_result_cache
 from repro.serve.catalog import Catalog
 from repro.serve.snapshot import Snapshot, SnapshotUpdater
@@ -96,6 +95,10 @@ _SERVICE_TIMEOUTS = REGISTRY.counter(
 _SERVICE_COUNTERS = ("submitted", "completed", "failed", "timeouts",
                      "rejections", "coalesced", "result_cache_hits",
                      "result_cache_misses", "slow_queries")
+
+#: What a :meth:`QueryService.query_batch` mapping item may carry.
+_BATCH_KEYS = frozenset({"text", "doc", "strategy", "params", "timeout_ms",
+                         "executor"})
 
 
 @dataclass
@@ -164,9 +167,12 @@ class QueryService:
     Parameters
     ----------
     source:
-        A :class:`~repro.serve.catalog.Catalog` (served as-is), or a
+        A :class:`~repro.serve.catalog.Catalog` (served as-is and left
+        open by :meth:`close`: its owner, e.g. a
+        :class:`~repro.engine.database.Database`, closes it), or a
         :class:`~repro.xmlkit.tree.Document` / XML text registered as
-        the default document name.
+        the default document name of a catalog the service builds and
+        closes.
     workers:
         Worker thread count (concurrent executions).
     max_queue:
@@ -207,6 +213,8 @@ class QueryService:
             raise UsageError(f"workers must be >= 1, got {workers}")
         if max_queue < 1:
             raise UsageError(f"max_queue must be >= 1, got {max_queue}")
+        #: :meth:`close` closes the catalog only when it was built here.
+        self._owns_catalog = not isinstance(source, Catalog)
         if isinstance(source, Catalog):
             self.catalog = source
         else:
@@ -221,19 +229,13 @@ class QueryService:
         self._inflight_count = 0
         self._inflight: dict[tuple, Future] = {}
         self._closed = False
-        #: Lazily created pool for intra-query partition scans.  It is
-        #: distinct from the serve workers on purpose: scheduling
-        #: partition tasks onto the bounded request pool could deadlock
-        #: (every worker blocked waiting for partitions no worker is
-        #: free to run).
-        self._scan_pools = ScanPools(thread_workers=max(2, workers))
 
         #: Byte-accounted result cache (``None`` when disabled).  The
         #: catalog's retire hook invalidates synchronously, so a retired
         #: snapshot's entries are gone before ``commit`` returns.
         self.result_cache: ResultCacheStorage | None = \
             resolve_result_cache(result_cache)
-        self.catalog.on_retire(self._purge_results)
+        self._stop_purging = self.catalog.on_retire(self._purge_results)
 
         self.slow_log = (slow_log if slow_log is not None
                          else SlowQueryLog(slow_query_ms)
@@ -270,14 +272,15 @@ class QueryService:
         An identical un-parameterized, un-traced request already queued
         or executing is *coalesced*: the same future is returned and the
         query runs once.  ``executor`` selects the intra-query execution
-        backend (see :meth:`Engine.query`); partition scans run on scan
-        pools the service owns, separate from the serve workers, so
+        backend (see :meth:`Engine.query`); partition scans run on the
+        catalog's scan pools, separate from the serve workers, so
         parallel queries never deadlock against admission control.
         ``client`` is an opaque caller identity (the network server
         passes connection#request ids) that tags slow-query records.
         Raises :class:`~repro.errors.ServiceOverloadedError` when the
-        queue is full and :class:`~repro.errors.UsageError` after
-        :meth:`close`.
+        queue is full and :class:`~repro.errors.UsageError` for an
+        unknown ``doc`` or after :meth:`close` (nothing is queued or
+        counted then).
         """
         return self._submit(text, doc, QueryOptions(
             strategy, params, timeout_ms, executor, trace=trace), client)
@@ -308,17 +311,26 @@ class QueryService:
 
         ``queries`` items are query strings or mappings with ``text``
         plus optional ``doc`` / ``strategy`` / ``params`` /
-        ``timeout_ms`` overrides.  Admission is all-or-nothing: either
-        the whole batch fits in the queue (duplicates coalesce into one
-        slot) or nothing is enqueued and
-        :class:`~repro.errors.ServiceOverloadedError` is raised.
-        Results come back in submission order; a failed query re-raises
-        its error here.
+        ``timeout_ms`` / ``executor`` overrides.  Admission is
+        all-or-nothing: either the whole batch fits in the queue
+        (duplicates coalesce into one slot) or nothing is enqueued and
+        :class:`~repro.errors.ServiceOverloadedError` is raised — and an
+        item of another type, without a ``text`` string or with any
+        other key raises :class:`~repro.errors.UsageError` before
+        anything is enqueued.  Results come back in submission order; a
+        failed query re-raises its error here.
         """
         requests = []
         for spec in queries:
             if isinstance(spec, str):
                 spec = {"text": spec}
+            if not isinstance(spec, Mapping) \
+                    or not isinstance(spec.get("text"), str) \
+                    or spec.keys() - _BATCH_KEYS:
+                raise UsageError(
+                    f"query_batch item {spec!r}: expected a query string, "
+                    "or a mapping with a 'text' string and only the keys "
+                    f"{sorted(_BATCH_KEYS)}")
             requests.append(self._request(
                 spec["text"], spec.get("doc", doc), QueryOptions(
                     spec.get("strategy", strategy), spec.get("params"),
@@ -350,18 +362,15 @@ class QueryService:
         submissions are admitted and the workers exit.
         """
         with self._cond:
-            if self._closed:
-                pending: list[_Request] = []
-            else:
-                self._closed = True
-                if drain:
-                    while self._queue or self._inflight_count:
-                        self._cond.wait()
-                    pending = []
-                else:
-                    pending = list(self._queue)
-                    self._queue.clear()
-                    _QUEUE_DEPTH.set(0)
+            first, self._closed = not self._closed, True
+            pending: list[_Request] = []
+            if first and drain:
+                while self._queue or self._inflight_count:
+                    self._cond.wait()
+            elif first:
+                pending = list(self._queue)
+                self._queue.clear()
+                _QUEUE_DEPTH.set(0)
             self._cond.notify_all()
         for request in pending:
             if request.future.set_running_or_notify_cancel():
@@ -369,14 +378,13 @@ class QueryService:
                     QueryCancelledError("service closed before execution"))
         for thread in self._workers:
             thread.join()
-        # Deterministic cleanup: drain and stop the service-owned scan
-        # executors (thread and process pools).  Arena files of retired
-        # snapshots were already released by the catalog's retire hook;
-        # the current ones (forks, after a commit, that no Database
-        # owns) go here — a later reader rebuilds what it needs.
-        self._scan_pools.close(wait=True)
-        for snapshot in self.catalog.snapshots():
-            snapshot.doc.drop_derived()
+        if first:
+            # The catalog and its versions outlive the service unless
+            # the service built it; either way, the catalog must not
+            # keep this dead result cache reachable.
+            self._stop_purging()
+            if self._owns_catalog:
+                self.catalog.close()
 
     @property
     def closed(self) -> bool:
@@ -454,7 +462,7 @@ class QueryService:
                 if self.result_cache is not None else {"enabled": False}),
             "documents": documents,
             "querylint": {
-                "enabled": getattr(self.catalog, "analyze_queries", True),
+                "enabled": self.catalog.analyze_queries,
             },
             "slow_queries": (
                 None if self.slow_log is None else {
@@ -473,11 +481,13 @@ class QueryService:
     def _request(self, text: str, doc: str | None, options: QueryOptions,
                  client: str | None = None) -> _Request:
         """Apply the service defaults and build the request identity —
-        once; the engine is handed both instead of re-deriving them."""
+        once; the engine is handed both instead of re-deriving them.
+        An unknown document raises here, before anything is queued."""
+        doc = doc or self.default_document
+        self.catalog.current(doc)           # UsageError: unknown document
         if options.timeout_ms is None and self.default_timeout_ms is not None:
             options = options.with_timeout(self.default_timeout_ms)
-        return _Request(text, doc or self.default_document, options,
-                        QueryKey(text, options), client)
+        return _Request(text, doc, options, QueryKey(text, options), client)
 
     def _enqueue(self, requests: list[_Request]) -> list[Future]:
         with self._cond:
@@ -593,7 +603,6 @@ class QueryService:
                         return ServeResult(cached, snapshot, wait_ms, run_ms,
                                            attempts, cached=True)
                 engine = self.catalog.engine_for(snapshot)
-                engine.scan_pools = self._scan_pools
                 options = request.options
                 if request.deadline is not None:
                     # Deadlines are measured from submission: the engine

@@ -25,6 +25,7 @@ immutable Python strings shared by reference between versions.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 from repro.xmlkit.stats import DocumentStats
@@ -110,6 +111,9 @@ class SnapshotUpdater:
             shelf = up.doc.root
             up.insert_subtree(shelf, new_book)
         # <- the new snapshot is published here
+
+    A batch collected with operations applied but neither committed nor
+    aborted emits a :class:`ResourceWarning`: its writes are lost.
     """
 
     catalog: object
@@ -184,3 +188,11 @@ class SnapshotUpdater:
             self.commit()
         else:
             self.abort()
+
+    def __del__(self) -> None:
+        if not getattr(self, "_done", True) and self.reports:
+            warnings.warn(
+                f"update batch on {self.name!r} dropped with "
+                f"{len(self.reports)} operation(s) applied and neither "
+                "commit() nor abort() called; its writes are lost",
+                ResourceWarning, stacklevel=2)

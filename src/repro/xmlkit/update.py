@@ -31,7 +31,6 @@ while navigational evaluation needs no maintenance at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable
 
 from repro.errors import UpdateError
 from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, DocumentBuilder, Node
@@ -61,16 +60,6 @@ class DocumentUpdater:
 
     def __init__(self, doc: Document) -> None:
         self.doc = doc
-        self._listeners: list[Callable[[UpdateReport], None]] = []
-
-    def register_listener(self, callback: Callable[[UpdateReport], None]) -> None:
-        """Register a callback fired after every structural update.
-
-        The engine layer uses this to invalidate what is keyed on the
-        document but not owned by it (the plan cache); the callback
-        receives the operation's :class:`UpdateReport`.
-        """
-        self._listeners.append(callback)
 
     # ------------------------------------------------------------------
     # Operations.
@@ -163,6 +152,3 @@ class DocumentUpdater:
             old = old_labels.get(id(node))
             if old is not None and old != (node.nid, node.start, node.end):
                 report.nodes_relabeled += 1
-
-        for listener in self._listeners:
-            listener(report)

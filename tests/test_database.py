@@ -1,5 +1,9 @@
 """Tests for the persistent Database facade."""
 
+import gc
+import warnings
+
+import pytest
 
 from repro.engine.database import Database
 from repro.xmlkit import serialize
@@ -30,35 +34,44 @@ class TestPersistence:
 
 class TestUpdateIntegration:
     def test_update_invalidates_index_and_stats_refresh(self):
+        """A committed batch is a new version: its fork has no tag index
+        to invalidate, and the next ``twigstack`` query builds the new
+        version's index exactly once."""
+        from repro.obs.metrics import REGISTRY
         from repro.xmlkit import parse
 
+        builds = REGISTRY.counter("repro_tag_index_builds_total", "")
         db = Database.from_xml(SMALL_BIB)
         db.engine.index.build()
         before = len(db.query("//book", strategy="twigstack"))
-        report = db.updater().insert_subtree(
-            db.doc.root, parse("<book><title>new</title></book>").root)
-        assert report.indexes_invalidated == 1
-        after = len(db.query("//book", strategy="twigstack"))
-        assert after == before + 1
+        with db.updater() as up:
+            report = up.insert_subtree(
+                db.doc.root, parse("<book><title>new</title></book>").root)
+        assert report.indexes_invalidated == 0
+        built = builds.value()
+        for _ in range(2):
+            assert len(db.query("//book", strategy="twigstack")) == before + 1
+        assert builds.value() == built + 1
 
-    def test_refresh_stats_after_update(self):
+    def test_stats_follow_a_committed_update(self):
         from repro.xmlkit import parse
 
         db = Database.from_xml("<r><a/></r>")
         assert not db.doc_stats.recursive
-        db.updater().insert_subtree(db.doc.elements_by_tag("a")[0],
-                                    parse("<a/>").root)
-        stats = db.refresh_stats()
-        assert stats.recursive  # a within a now
-        # the optimizer reads the refreshed stats
+        with db.updater() as up:
+            up.insert_subtree(db.doc.elements_by_tag("a")[0],
+                              parse("<a/>").root)
+        assert db.doc_stats.recursive  # a within a now
+        # the optimizer reads the new version's stats
         db.query("for $x in //a, $y in $x//a return $y")
         assert "stack" in db.engine.last_plan or "twigstack" in db.engine.last_plan
 
-    def test_refresh_stats_after_an_unwired_update_refreshes_everything(self):
-        """Regression: ``refresh_stats`` used to replace the statistics
-        only, so the fingerprint, the structural summary and the plan
-        cache still described the old document — and the QL001
-        static-empty plan cached for ``//magazine`` kept answering."""
+    def test_an_unwired_update_refreshes_everything(self):
+        """Regression: an updater the database never handed out still
+        ends the version — ``DocumentUpdater`` drops the derived state,
+        so the fingerprint, the structural summary and the plan key all
+        move, and the QL001 static-empty plan cached for ``//magazine``
+        no longer answers."""
         from repro.xmlkit import parse
         from repro.xmlkit.update import DocumentUpdater
 
@@ -66,15 +79,30 @@ class TestUpdateIntegration:
         assert len(db.query("//magazine")) == 0
         assert "static-empty" in db.engine.last_plan
         before = db.engine.stats_fingerprint()
-        # An updater the database never wired: nothing is invalidated.
         DocumentUpdater(db.doc).insert_subtree(
             db.doc.root, parse("<magazine><title>m</title></magazine>").root)
-        stats = db.refresh_stats()
-        assert stats is db.doc_stats and stats.n_elements == 19
+        assert db.doc_stats.n_elements == 19
         assert db.engine.stats_fingerprint() != before
         assert len(db.query("//magazine")) == 1
         assert len(db.query("//magazine", strategy="naive")) == 1
         assert len(db.query("//magazine/title", strategy="twigstack")) == 1
+
+    def test_a_dropped_batch_warns(self):
+        """``db.updater().insert_subtree(...)`` without ``with`` (the old
+        in-place spelling) builds a batch nobody commits: it warns."""
+        from repro.xmlkit import parse
+
+        db = Database.from_xml(SMALL_BIB)
+        with pytest.warns(ResourceWarning, match="'main'"):
+            db.updater().insert_subtree(db.doc.root, parse("<book/>").root)
+            gc.collect()
+        assert len(db.query("//book")) == 3         # nothing was published
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            db.updater().abort()                    # explicit: no warning
+            untouched = db.updater()                # no operation applied
+            del untouched
+            gc.collect()
 
     def test_explain_passthrough(self):
         db = Database.from_xml(SMALL_BIB)

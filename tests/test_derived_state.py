@@ -85,11 +85,11 @@ def test_built_once_per_version_and_never_after_retirement(builds):
         assert by_kind["index"] in ([], [batch.doc])
 
 
-def test_service_close_releases_the_current_snapshots_arena_file(
+def test_database_close_releases_the_current_snapshots_arena_file(
         monkeypatch, tmp_path):
-    """After a commit the current snapshot is a fork no ``Database``
-    owns: the arena file a ``processes:N`` scan wrote for it must go
-    when the service closes (``Database.close`` drops the base only)."""
+    """After a commit the current snapshot is a fork the database owns
+    (its catalog's): closing the service leaves the version and its
+    arena file with the database, and ``Database.close`` drops it."""
     monkeypatch.setattr(derived_module.tempfile, "tempdir", str(tmp_path))
     with repro.connect(LIBRARY) as db:
         service = db.serve(workers=1)
@@ -102,7 +102,9 @@ def test_service_close_releases_the_current_snapshots_arena_file(
         assert served.snapshot.doc is batch.doc and len(served.items) == 101
         assert len(list(tmp_path.glob("repro-arena-*.btra"))) == 1
         service.close()
-        assert not list(tmp_path.glob("repro-arena-*.btra"))
+        assert db.doc is batch.doc
+        assert len(list(tmp_path.glob("repro-arena-*.btra"))) == 1
+    assert not list(tmp_path.glob("repro-arena-*.btra"))
 
 
 @pytest.mark.parametrize("first_read", [

@@ -97,13 +97,19 @@ class TestDatabaseLifecycle:
             served = service.query("//book/title")
             assert served.serialize() == db.query("//book/title").serialize()
 
-    def test_in_place_updates_refused_while_serving(self):
+    def test_both_updaters_publish_into_one_catalog(self):
+        """One update path: ``db.updater()`` is the copy-on-write batch
+        ``service.updater()`` hands out, so both are safe while serving
+        and both publish the next version of the one catalog."""
         with repro.connect(LIBRARY) as db:
             service = db.serve(workers=1)
-            with pytest.raises(UsageError, match="query service"):
-                db.updater()
-            service.close()
-            db.updater()  # allowed again once the service stops
+            with db.updater() as batch:
+                batch.insert_subtree(batch.doc.root, parse("<book/>").root)
+            with service.updater() as batch:
+                batch.insert_subtree(batch.doc.root, parse("<book/>").root)
+            assert service.catalog is db.catalog
+            assert db.catalog.current("main").snapshot_id == 3
+            assert len(service.query("//book")) == len(db.query("//book")) == 5
 
     def test_reads_follow_the_served_version(self):
         with repro.connect(LIBRARY) as db:
@@ -120,9 +126,54 @@ class TestDatabaseLifecycle:
                 == current.doc.derived.stats.n_elements
             assert document["fingerprint"].startswith(
                 f"snapshot/{current.snapshot_id}/")
-            # A prepared query keeps the version it was prepared on.
-            assert len(prepared.execute()) == 3
+            # A prepared query runs on the current version, too.
+            assert len(prepared.execute()) == 4
             assert service.catalog._entries["main"].pins == {}  # unpinned
+
+    def test_prepared_queries_follow_every_commit(self):
+        with repro.connect(LIBRARY) as db:
+            prepared = db.prepare("//book", strategy="twigstack")
+            assert len(prepared.execute()) == 3
+            with db.updater() as batch:
+                batch.insert_subtree(batch.doc.root, parse("<book/>").root)
+            assert len(prepared.execute()) == 4
+            service = db.serve(workers=1)
+            with service.updater() as batch:
+                batch.insert_subtree(batch.doc.root, parse("<book/>").root)
+            assert len(prepared.execute()) == 5
+            assert "twigstack" in prepared.explain()
+            # The re-plan went through the shared cache: one miss per
+            # version, and the old versions' plans were purged.
+            assert db.engine.plan_cache.stats()["misses"] == 3
+
+    def test_a_commit_outlives_the_service(self, tmp_path):
+        with repro.connect(LIBRARY) as db:
+            service = db.serve(workers=1)
+            with service.updater() as batch:
+                batch.insert_subtree(batch.doc.root, parse("<book/>").root)
+            service.close()
+            assert len(db.query("//book")) == 4
+            assert len(db.doc.elements_by_tag("book")) == 4
+            assert len(db.engine.query("//book")) == 4
+            db.save(tmp_path / "lib.btx")
+            with repro.connect(tmp_path / "lib.btx") as again:
+                assert len(again.query("//book")) == 4
+            assert len(db.serve(workers=1).query("//book")) == 4
+
+    def test_one_read_path_counts_every_read(self):
+        with repro.connect(LIBRARY) as db:
+            service = db.serve(workers=1)
+            db.query("//book")
+            service.query("//book[title]")
+            db.query("//book")
+            assert db.engine.plan_cache is service.catalog.plan_cache("main")
+            assert db.engine.stats_store is service.catalog.stats_store("main")
+            stats = db.stats()
+            assert stats["plan_cache"]["misses"] == 2
+            assert stats["plan_cache"]["hits"] == 1
+            assert stats["statstore"]["records"] == 3
+            assert stats["plan_cache"] \
+                == stats["service"]["documents"]["main"]["plan_cache"]
 
 
 def _five_surfaces():

@@ -45,7 +45,7 @@ class TestPlanCacheUnit:
         cache.get("x")
         assert cache.stats()["misses"] == 1
         assert cache.stats()["hits"] == 1
-        assert cache.invalidate("manual") == 1
+        assert cache.invalidate_where(lambda key, plan: True) == 1
         assert cache.stats()["invalidations"] == 1
         assert len(cache) == 0
 
@@ -108,8 +108,9 @@ class TestInvalidation:
         db = Database.from_xml(SMALL_BIB)
         query = "//book/title"
         db.query(query)                   # plan now cached
-        db.updater().insert_subtree(
-            db.doc.root, parse("<book><title>Fresh</title></book>").root)
+        with db.updater() as up:
+            up.insert_subtree(
+                db.doc.root, parse("<book><title>Fresh</title></book>").root)
         after = db.query(query).serialize()
         # Differential: identical to a from-scratch engine over the
         # mutated document, and to the naive oracle.
@@ -121,19 +122,25 @@ class TestInvalidation:
         assert "Fresh" in after
 
     def test_update_invalidates_cached_plans(self):
+        # The commit retires the old version, whose plans go with it.
         db = Database.from_xml(SMALL_BIB)
         db.query("//book")
         assert len(db.engine.plan_cache) == 1
-        db.updater().delete_subtree(db.doc.elements_by_tag("book")[0])
+        with db.updater() as up:
+            up.delete_subtree(db.doc.elements_by_tag("book")[0])
         assert len(db.engine.plan_cache) == 0
         assert db.engine.plan_cache.invalidations == 1
 
     def test_fingerprint_keys_out_stale_plans_without_listener(self):
-        # Even a mutation the engine was never told about cannot serve
-        # a plan keyed under the old statistics once stats refresh.
+        # A mutation the engine is never told about cannot serve a plan
+        # keyed under the old version: the updater drops the derived
+        # state, and the fingerprint moves with it.
+        from repro.xmlkit.update import DocumentUpdater
+
         engine = Engine(parse(SMALL_BIB))
         engine.query("//book")
-        engine.notify_update()
+        DocumentUpdater(engine.doc).insert_subtree(
+            engine.doc.root, parse("<book/>").root)
         engine.query("//book", trace=True)
         assert engine.last_trace.root.attrs["plan-cache"] == "miss"
 
@@ -227,9 +234,12 @@ class TestPreparedQueries:
         db = Database.from_xml(SMALL_BIB)
         prepared = db.prepare("//book/title")
         before = prepared.execute().serialize()
-        db.updater().insert_subtree(
-            db.doc.root, parse("<book><title>Fresh</title></book>").root)
-        after = prepared.execute().serialize()
+        with db.updater() as up:
+            up.insert_subtree(
+                db.doc.root, parse("<book><title>Fresh</title></book>").root)
+        after = prepared.execute(trace=True)
+        assert after.trace.root.attrs["plan-cache"] == "prepared-miss"
+        after = after.serialize()
         assert "Fresh" in after and "Fresh" not in before
         from repro.xmlkit import serialize
 

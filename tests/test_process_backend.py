@@ -235,19 +235,22 @@ class TestResourceLifecycle:
         (stale,) = arena_files() - before
         shelf = db.doc.root.children[0]
         if mutation == "insert":
-            db.updater().insert_subtree(shelf, parse(
-                "<book><title>fresh</title><price>3</price></book>").root, 0)
+            with db.updater() as up:
+                up.insert_subtree(shelf, parse(
+                    "<book><title>fresh</title><price>3</price></book>"
+                ).root, 0)
             moved = "<title>fresh</title>"
         elif mutation == "delete":
-            db.updater().delete_subtree(db.doc.root.children[3])
+            with db.updater() as up:
+                up.delete_subtree(db.doc.root.children[3])
             moved = "<title>t3</title>"
-        else:   # a mutation the updater never saw, then refresh_stats()
+        else:   # a mutation no updater saw, then the one drop call
             node = db.doc.root.children[4].children[0].children[2].children[0]
             node.text = "3"
             while node is not None:
                 node._string_value = None
                 node = node.parent
-            db.refresh_stats()
+            db.doc.drop_derived()
             moved = "<title>t4</title>"
         unlinked_by_the_update = not os.path.exists(stale)
         after = scanned()

@@ -162,6 +162,35 @@ class TestOptionValidation:
             counters = service.stats()["counters"]
             assert counters["submitted"] == counters["result_cache_misses"] == 0
 
+    def test_unknown_document_is_refused_before_admission(self):
+        """Regression: ``doc="nope"`` used to be queued, hold a worker
+        and fail only in its future (``submitted`` 1, ``failed`` 1)."""
+        with QueryService(LIBRARY, workers=1) as service:
+            with pytest.raises(UsageError, match="unknown document 'nope'"):
+                service.submit("//book", doc="nope")
+            with pytest.raises(UsageError, match="unknown document"):
+                service.query_batch(["//book", {"text": "//b", "doc": "x"}])
+            with repro.listen(service) as server, \
+                    client_mod.connect(*server.address) as client:
+                with pytest.raises(UsageError, match="unknown document"):
+                    client.query("//book", doc="nope")
+                counters = service.stats()["counters"]
+                assert counters["submitted"] == counters["failed"] == 0
+                assert len(client.query("//book")) == 3
+
+    @pytest.mark.parametrize("item", [
+        {"txt": "//book"}, 42, {"text": 42},
+        {"text": "//book", "work_budget": 3}, {"text": "//book", "bogus": 1}],
+        ids=repr)
+    def test_query_batch_items_are_checked_all_or_nothing(self, item):
+        with QueryService(LIBRARY, workers=1) as service:
+            with pytest.raises(UsageError, match="query_batch item"):
+                service.query_batch(["//book", item])
+            assert service.stats()["counters"]["submitted"] == 0
+            assert len(service.query_batch(
+                ["//book", {"text": "//book/title", "timeout_ms": 1000,
+                            "executor": "serial"}])[1]) == 3
+
     def test_every_requestable_row_is_accepted(self):
         requestable = [row.name for row in STRATEGIES.values()
                        if row.family != "internal"]

@@ -489,6 +489,24 @@ class TestCloseSemantics:
         service.close(drain=True)
         assert [len(f.result()) for f in futures] == [3, 3, 2]
 
+    def test_close_leaves_a_borrowed_catalog_open_and_unhooked(self):
+        """A service over a catalog it did not build leaves it (and its
+        versions) with the owner, and deregisters its retire listener,
+        so serve/close cycles keep no dead result cache reachable."""
+        catalog = Catalog()
+        catalog.register("main", LIBRARY)
+        for _ in range(3):
+            with QueryService(catalog, workers=1) as service:
+                with service.updater() as up:
+                    up.insert_subtree(up.doc.root, parse("<shelf/>").root)
+                service.close()
+                service.close()                     # idempotent
+        assert catalog._retire_listeners == []
+        engine = catalog.engine_for(catalog.current("main"))
+        assert len(engine.query("//shelf")) == 5
+        assert engine.scan_pools is catalog.scan_pools
+        catalog.close()
+
 
 _INDEX_BUILDS = REGISTRY.counter("repro_tag_index_builds_total", "")
 
