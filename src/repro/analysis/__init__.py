@@ -9,8 +9,8 @@ stage of a compiled query against a catalogue of declared invariants
 location and a remediation hint.  The ``QL*`` family
 (:mod:`repro.analysis.query`) is different in kind: it checks the
 query against the *document's* structural summary, and its findings
-license rewrites (static-empty plans, pruned branches) rather than
-refusals.
+are reported rather than refused; one that proves no tuple can exist
+licenses the static-empty plan.
 
 Three consumers:
 
@@ -32,14 +32,13 @@ from repro.analysis.analyzer import (
     verify_snapshot,
     verify_tree,
 )
-from repro.analysis.query import PruneDecision, QueryLintResult, analyze_query
+from repro.analysis.query import QueryLintResult, analyze_query
 from repro.analysis.report import AnalysisReport, Finding
 from repro.analysis.rules import RULES, Rule, Severity, rule_table
 
 __all__ = [
     "AnalysisReport",
     "Finding",
-    "PruneDecision",
     "QueryLintResult",
     "RULES",
     "Rule",

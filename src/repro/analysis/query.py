@@ -13,13 +13,13 @@ document's :class:`~repro.xmlkit.summary.StructuralSummary` and finds
 * ``where`` clauses that fold to a constant (``QL004`` false /
   ``QL005`` true), and ``return`` paths the summary proves empty.
 
-Every finding carries rewrite-safe provenance as a
-:class:`PruneDecision`: either the whole plan is **statically empty**
-(the unsatisfiable vertex sits on a mandatory path to a pattern root,
-so no tuple can exist), or an optional branch is **prunable** (its
-match is provably the empty sequence, so cutting it cannot change any
-tuple).  The pruning rewriter in :mod:`repro.engine.optimizer` applies
-the decisions; the lint itself never raises.
+One finding licenses a rewrite: when an unsatisfiable vertex sits on
+a mandatory path to a pattern root (or ``where`` / ``return`` folds to
+empty), no tuple can exist and the plan is **statically empty** —
+:func:`repro.engine.optimizer.plan_query` answers it without a scan.
+A finding on an *optional* branch stays a finding: the plan keeps the
+branch, because a constraint outside it (a ``following-sibling``
+anchor) may reference it.  The lint itself never raises.
 
 Soundness discipline: the analysis is three-valued (true / false /
 unknown) and strictly conservative.  ``unknown`` never triggers a
@@ -46,14 +46,11 @@ from repro.xpath.ast import (BooleanExpr, Comparison, Conditional, Expr,
                              RootVariable, conjuncts)
 from repro.xquery.ast import FLWOR
 
-__all__ = ["PruneDecision", "QueryLintResult", "analyze_query"]
+__all__ = ["QueryLintResult", "analyze_query"]
 
 QUERYLINT_FINDINGS = REGISTRY.counter(
     "repro_querylint_findings_total",
     "Query-lint (QL) findings, labeled by rule ID")
-QUERYLINT_REWRITES = REGISTRY.counter(
-    "repro_querylint_rewrites_total",
-    "Pruning rewrite decisions, labeled by kind (static-empty/prune)")
 
 #: Label sentinel for variables bound inside a *foreign* pattern root —
 #: one whose ``doc("uri")`` resolves to a document other than the one
@@ -62,62 +59,19 @@ QUERYLINT_REWRITES = REGISTRY.counter(
 _FOREIGN = "#foreign"
 
 
-@dataclass(frozen=True)
-class PruneDecision:
-    """One rewrite the lint findings license.
-
-    ``static-empty`` — no tuple of the FLWOR can exist; the plan may
-    short-circuit to the empty sequence.  ``prune`` — the subtree
-    rooted at ``vid`` (an optional branch) provably matches the empty
-    sequence; the rewriter may cut whatever part of it is inert.
-    """
-
-    kind: str            # "static-empty" | "prune"
-    rule_id: str
-    location: str
-    reason: str
-    vid: int | None = None
-
-    def describe(self) -> str:
-        return f"{self.kind} [{self.location}]: {self.reason} ({self.rule_id})"
-
-
 @dataclass
 class QueryLintResult:
-    """Findings plus the rewrites they license, for one compilation.
-
-    Constructed once per compile and kept on the cached plan
-    (``CachedPlan.lint``); the summaries below (``static_empty``,
-    ``rules``, the prune list) are precomputed for its readers.
-    """
+    """Findings, and the static-empty rewrite they license, for one
+    compilation (kept on the cached plan as ``CachedPlan.lint``)."""
 
     report: AnalysisReport
-    decisions: list[PruneDecision]
-    #: Fingerprint of the summary the analysis ran against — stamped
-    #: into the plan-cache key so a summary rebuild keys stale pruned
-    #: plans out.
-    summary_fingerprint: str
-    #: Whether any decision short-circuits the whole plan.
-    static_empty: bool = field(init=False, default=False)
+    #: Why no tuple can exist (``"reason (rule)"``), or ``""``.
+    static_empty: str = ""
     #: Distinct rule IDs that fired, in firing order.
     rules: tuple[str, ...] = field(init=False, default=())
 
     def __post_init__(self) -> None:
-        self.static_empty = any(d.kind == "static-empty"
-                                for d in self.decisions)
         self.rules = tuple(self.report.rule_ids())
-        self._prune_vids = [d.vid for d in self.decisions
-                            if d.kind == "prune" and d.vid is not None]
-
-    def static_empty_reason(self) -> str:
-        for decision in self.decisions:
-            if decision.kind == "static-empty":
-                return f"{decision.reason} ({decision.rule_id})"
-        return ""
-
-    def prune_vids(self) -> list[int]:
-        """Vertex ids of prunable optional branches (topmost first)."""
-        return self._prune_vids
 
     def describe(self) -> list[str]:
         """Lint lines for ``explain`` output."""
@@ -135,7 +89,8 @@ def analyze_query(tree: BlossomTree, summary: StructuralSummary,
                   source: str = "<query>",
                   foreign_uris: frozenset[str] = frozenset()
                   ) -> QueryLintResult:
-    """Run the QL passes; returns findings + licensed rewrites.
+    """Run the QL passes; returns the findings and, when one proves
+    that no tuple can exist, the static-empty reason.
 
     ``foreign_uris`` names documents *other than* the one ``summary``
     describes (``Engine.documents`` entries): pattern roots bound to
@@ -144,18 +99,15 @@ def analyze_query(tree: BlossomTree, summary: StructuralSummary,
     """
     report = AnalysisReport(source=source)
     report.passes_run.append("query")
-    decisions: list[PruneDecision] = []
+    empty: list[str] = []
     foreign_vids = _foreign_vids(tree, foreign_uris)
     var_labels = _variable_labels(tree, foreign_vids)
-    _vertex_pass(tree, summary, report, decisions, foreign_vids)
+    _vertex_pass(tree, summary, report, empty, foreign_vids)
     if flwor is not None:
-        _flwor_pass(flwor, summary, var_labels, foreign_uris, report,
-                    decisions)
+        _flwor_pass(flwor, summary, var_labels, foreign_uris, report, empty)
     for finding in report.findings:
         QUERYLINT_FINDINGS.inc(rule=finding.rule_id)
-    for decision in decisions:
-        QUERYLINT_REWRITES.inc(kind=decision.kind)
-    return QueryLintResult(report, decisions, summary.fingerprint())
+    return QueryLintResult(report, empty[0] if empty else "")
 
 
 def _foreign_vids(tree: BlossomTree,
@@ -190,18 +142,15 @@ def _variable_labels(tree: BlossomTree,
 # ----------------------------------------------------------------------
 
 def _vertex_pass(tree: BlossomTree, summary: StructuralSummary,
-                 report: AnalysisReport,
-                 decisions: list[PruneDecision],
+                 report: AnalysisReport, empty: list[str],
                  foreign_vids: frozenset[int] = frozenset()) -> None:
-    handled: set[int] = set()
     for vertex in tree.vertices:
         if vertex.name == "#root" or vertex.vid in foreign_vids:
             continue
         unsat = _vertex_unsat(vertex, summary, report)
-        if unsat is None:
-            continue
-        rule_id, reason = unsat
-        _decide(tree, vertex, rule_id, reason, decisions, handled)
+        if unsat is not None and _mandatory_to_root(vertex):
+            rule_id, reason = unsat
+            empty.append(f"{reason} ({rule_id})")
 
 
 def _vertex_unsat(vertex: BlossomVertex, summary: StructuralSummary,
@@ -285,30 +234,17 @@ def _predicate_unsat(vertex: BlossomVertex, summary: StructuralSummary,
     return unsat
 
 
-def _decide(tree: BlossomTree, vertex: BlossomVertex, rule_id: str,
-            reason: str, decisions: list[PruneDecision],
-            handled: set[int]) -> None:
-    """Turn one unsatisfiable vertex into a rewrite decision.
-
-    Unsatisfiability propagates up every *mandatory* edge (a match of
-    the parent must have a matching child), so the decision anchors at
-    the topmost vertex the propagation reaches: a pattern root means
-    the whole plan is statically empty; otherwise the chain hangs off
-    an optional edge and only that branch is prunable.
-    """
-    top = vertex
-    while top.parent_edge is not None \
-            and top.parent_edge.mode == MODE_MANDATORY:
-        top = top.parent_edge.parent
-    if top.parent_edge is None:
-        decisions.append(PruneDecision(
-            "static-empty", rule_id, f"blossom:V{vertex.vid}", reason))
-        return
-    if top.vid in handled:
-        return
-    handled.add(top.vid)
-    decisions.append(PruneDecision(
-        "prune", rule_id, f"blossom:V{vertex.vid}", reason, vid=top.vid))
+def _mandatory_to_root(vertex: BlossomVertex) -> bool:
+    """Unsatisfiability propagates up every *mandatory* edge (a match of
+    the parent must have a matching child): reaching a pattern root
+    means no tuple can exist.  A chain that hangs off an optional edge
+    only empties that branch, and the plan keeps it."""
+    edge = vertex.parent_edge
+    while edge is not None:
+        if edge.mode != MODE_MANDATORY:
+            return False
+        edge = edge.parent.parent_edge
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -465,29 +401,26 @@ def _as_number(value: float | str | None) -> float | None:
 def _flwor_pass(flwor: FLWOR, summary: StructuralSummary,
                 var_labels: dict[str, str | None],
                 foreign_uris: frozenset[str],
-                report: AnalysisReport,
-                decisions: list[PruneDecision]) -> None:
+                report: AnalysisReport, empty: list[str]) -> None:
     if flwor.where is not None:
         folded = _fold(flwor.where, summary, var_labels,
                        foreign_uris=foreign_uris)
         if folded is False:
             reason = "where clause folds to constant false"
             report.add("QL004", "where", reason)
-            decisions.append(PruneDecision(
-                "static-empty", "QL004", "where", reason))
+            empty.append(f"{reason} (QL004)")
         elif folded is True:
             report.add("QL005", "where",
                        "where clause folds to constant true "
                        "(filters nothing)")
-    empty = (_path_provably_empty(flwor.return_expr, summary, var_labels,
+    unsat = (_path_provably_empty(flwor.return_expr, summary, var_labels,
                                   foreign_uris=foreign_uris)
              if isinstance(flwor.return_expr, LocationPath) else None)
-    if empty is not None:
-        rule_id, reason = empty
+    if unsat is not None:
+        rule_id, reason = unsat
         reason = f"return path matches nothing: {reason}"
         report.add(rule_id, "return", reason)
-        decisions.append(PruneDecision(
-            "static-empty", rule_id, "return", reason))
+        empty.append(f"{reason} ({rule_id})")
 
 
 # ----------------------------------------------------------------------

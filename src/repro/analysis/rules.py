@@ -178,15 +178,17 @@ _CATALOGUE: tuple[Rule, ...] = (
          "retries once"),
     # -- QL: query-vs-data satisfiability (structural-summary lint).
     # Unlike the stages above, a QL *error* does not mean the plan is
-    # broken — it means the query provably matches nothing on this
-    # document, so the engine rewrites it (static empty result or a
-    # pruned pattern) instead of refusing it.
+    # broken — it means part of the query provably matches nothing on
+    # this document.  The engine runs the plan as built; only a finding
+    # on a mandatory path to a pattern root (or a constant-false where /
+    # empty return) rewrites it, to the static empty result.
     Rule("QL001", Severity.ERROR, "query", "unsatisfiable step label",
          "A step's name test references an element label that never "
          "occurs in the document's structural summary, so the step — "
          "and every tuple that requires it — matches nothing.",
-         "drop the dead branch, or run with analyze_queries=False if "
-         "the document is about to gain the label"),
+         "drop the dead branch, or check the label's spelling against "
+         "the document; a commit that adds the label makes a new "
+         "snapshot, whose plans are linted afresh"),
     Rule("QL002", Severity.ERROR, "query", "label never under required ancestor",
          "The step's label occurs in the document, but never in the "
          "structural relationship the pattern requires (as a child of "

@@ -72,13 +72,12 @@ class Database:
     """
 
     def __init__(self, doc: Document,
-                 slow_query_ms: float | None = None,
-                 analyze_queries: bool = True) -> None:
+                 slow_query_ms: float | None = None) -> None:
         from repro.serve.catalog import Catalog
 
         #: The one owner of the document's versions, their plan cache,
         #: statistics store and scan pools; ``doc`` is snapshot 1.
-        self.catalog: Catalog = Catalog(analyze_queries=analyze_queries)
+        self.catalog: Catalog = Catalog()
         self.catalog.register("main", doc)
         self._service: QueryService | None = None
         self._server: Server | None = None
@@ -229,7 +228,6 @@ class Database:
             doc_stats = reader.stats
             fingerprint = "/".join(
                 str(part) for part in reader.stats_fingerprint())
-            summary = reader.summary if reader.analyze_queries else None
             plan_cache = reader.plan_cache.stats()
             statstore = reader.stats_store.snapshot(top=top)
         return {
@@ -253,12 +251,6 @@ class Database:
             "service": (self._service.stats()
                         if self._service is not None
                         and not self._service.closed else None),
-            "querylint": {
-                "enabled": self.catalog.analyze_queries,
-                "summary_paths": None if summary is None else len(summary),
-                "summary_fingerprint": (None if summary is None
-                                        else summary.fingerprint()),
-            },
         }
 
     def updater(self) -> SnapshotUpdater:

@@ -37,8 +37,9 @@ def render_explain(engine: Engine, text: str | QueryExpr,
     if plan.lint is not None and plan.lint.report.findings:
         lines.append("query lint:")
         lines.extend(f"  {line}" for line in plan.lint.describe())
-    for note in plan.rewrites:
-        lines.append(f"rewrite: {note}")
+    if plan.choice.strategy == "static-empty" and plan.lint is not None:
+        lines.append("rewrite: short-circuit to static empty result: "
+                     f"{plan.lint.static_empty}")
     correlations = (compiled.static.correlations
                     if compiled.static is not None else ())
     if correlations:

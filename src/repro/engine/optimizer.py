@@ -18,8 +18,8 @@ the decision rules its experiments support (Section 5.2):
 one function the engine calls per compile: it validates an explicitly
 requested strategy against its row of the strategy table
 (:mod:`repro.strategy`), or runs the rules / the Section-6 cost
-model; lets the query lint rewrite the pattern (static-empty, pruning);
-prepares the pattern artifacts; withdraws a parallel upgrade the
+model; lets the query lint short-circuit a provably empty plan
+(static-empty); prepares the pattern artifacts; withdraws a parallel upgrade the
 decomposition cannot carry (PL004); and pins which join each
 ``//``-edge runs (:func:`edge_join` is the per-edge half the executor
 asks).  ``explain`` reads the same decision without executing it.
@@ -32,7 +32,7 @@ same document version always gets the same plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.passes import partition_unsafe_noks
@@ -40,7 +40,7 @@ from repro.analysis.query import QueryLintResult, analyze_query
 from repro.errors import CompileError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
-from repro.pattern.blossom import MODE_OPTIONAL, BlossomTree, BlossomVertex
+from repro.pattern.blossom import BlossomTree
 from repro.pattern.decompose import InterEdge
 from repro.physical.twigstack import twig_supported
 from repro.xmlkit.stats import DocumentStats
@@ -55,8 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session -> optimizer
     from repro.engine.session import Engine
 
 __all__ = ["CachedPlan", "PlanChoice", "choose_strategy", "edge_join",
-           "pattern_document", "plan_query", "prune_pattern",
-           "PARALLEL_SCAN_THRESHOLD"]
+           "pattern_document", "plan_query", "PARALLEL_SCAN_THRESHOLD"]
 
 #: Minimum arena size (in nodes) before ``auto`` trades the serial
 #: merged scan for partition-parallel scans when the caller offers
@@ -191,16 +190,9 @@ class CachedPlan:
     #: outside the serving layer).  The catalog's SV001 gate compares
     #: it against the dropped-snapshot set before reusing the plan.
     snapshot_id: int | None = None
-    #: Query lint proved the pattern matches nothing on this document
-    #: shape: execution short-circuits to the empty sequence without
-    #: scanning (the artifacts slot is ``None``).
-    static_empty: bool = False
-    #: Human-readable notes of the pruning rewrites applied while
-    #: building this plan (empty when the plan runs the tree as
-    #: compiled); surfaced by ``explain``/``explain_analyze``.
-    rewrites: tuple[str, ...] = ()
-    #: The query lint's result for this compilation (findings and the
-    #: rewrites they licensed); ``None`` when the lint did not run.
+    #: The query lint's result for this compilation (its findings, and
+    #: the reason when it chose ``static-empty``); ``None`` when the
+    #: lint did not run.
     lint: QueryLintResult | None = None
     #: The join algorithm every ``//``-edge is pinned to; ``"auto"``
     #: lets each edge take the merge join sound for its left input
@@ -213,24 +205,25 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
                tracer: Tracer | NullTracer = NULL_TRACER) -> CachedPlan:
     """The static decision sequence: requested strategy (ruled or
     costed; :class:`~repro.engine.request.QueryOptions` validated the
-    name) → query lint (static-empty / pruning rewrite) →
-    pattern artifacts → PL004 withdrawal → join pinning.
+    name) → query lint (static-empty) → pattern artifacts → PL004
+    withdrawal → join pinning.
     The plan comes back unverified: the engine runs the invariant
     passes over it before it may be cached or executed.
 
     ``env`` is the engine planned for; the chooser reads the statistics
     (for ``cost``, the postings too) of the document the pattern
-    resolves to, the primary document's summary (only when the lint
-    runs), and the engine's lint switch."""
+    resolves to, and the primary document's summary (only when the lint
+    runs).  Every plan runs the tree ``compile_query`` built and
+    verified."""
     requested = STRATEGIES[key.strategy]
     choice = _requested(compiled, requested, backend.parallelism, env, tracer)
     # Query lint (QL rules): check the pattern against the document's
-    # structural summary and rewrite provably-empty work away.
+    # structural summary; a plan that provably matches nothing scans
+    # nothing.
     lint: QueryLintResult | None = None
-    rewrites: tuple[str, ...] = ()
     artifacts = None
     tree = compiled.tree
-    if env.analyze_queries and tree is not None and requested.lints \
+    if tree is not None and requested.lints \
             and STRATEGIES[choice.strategy].lints:
         with tracer.span("query-lint") as span:
             lint = analyze_query(
@@ -239,17 +232,10 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
                 source=compiled.source, foreign_uris=env.foreign_uris)
             span.set(findings=len(lint.report.findings),
                      rules=",".join(lint.rules) or "-",
-                     static_empty=lint.static_empty)
+                     static_empty=bool(lint.static_empty))
         if lint.static_empty:
-            reason = lint.static_empty_reason()
-            choice = PlanChoice("static-empty", f"query lint: {reason}")
-            rewrites = (f"short-circuit to static empty result: {reason}",)
-        else:
-            vids = lint.prune_vids()
-            if vids:
-                pruned, notes = prune_pattern(tree, vids)
-                if pruned is not None:
-                    tree, rewrites = pruned, notes
+            choice = PlanChoice("static-empty",
+                                f"query lint: {lint.static_empty}")
     chosen = STRATEGIES[choice.strategy]
     if tree is not None and chosen.patterned:
         with tracer.span("prepare-artifacts") as span:
@@ -274,9 +260,7 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
     join = (row.join if row.join is not None
             and (row is requested or not row.theorem2) else "auto")
     return CachedPlan(compiled, choice, artifacts, key.strategy,
-                      snapshot_id=env.snapshot_id,
-                      static_empty=choice.strategy == "static-empty",
-                      rewrites=rewrites, lint=lint, join=join)
+                      snapshot_id=env.snapshot_id, lint=lint, join=join)
 
 
 def _requested(compiled: CompiledQuery, row: Strategy, parallelism: int,
@@ -324,97 +308,3 @@ def _cheapest(compiled: CompiledQuery, model: CostModel) -> PlanChoice:
             continue  # holistic execution only covers bare paths
         return PlanChoice(estimate.strategy, f"cost model: {estimate}")
     return PlanChoice("naive", "cost model found no applicable strategy")
-
-
-# ----------------------------------------------------------------------
-# Query-lint pruning rewriter.
-# ----------------------------------------------------------------------
-
-def prune_pattern(tree: BlossomTree, prune_vids: list[int]
-                  ) -> tuple[BlossomTree | None, tuple[str, ...]]:
-    """Cut provably-empty optional branches out of a BlossomTree.
-
-    ``prune_vids`` anchors come from the query lint
-    (:func:`repro.analysis.query.analyze_query`): each names the
-    topmost vertex of an optional branch whose match is provably the
-    empty sequence.  A branch is *removable* only when cutting it
-    cannot change any tuple: no vertex in it binds a variable, is
-    returning (output / join endpoint / crossing endpoint), or anchors
-    a crossing edge.  After removal, parents left as inert optional
-    leaves (the BT006 shape) are cascaded away.
-
-    Returns ``(pruned copy, notes)`` — the input tree is never mutated
-    (cached compilations share it) — or ``(None, ())`` when no anchor
-    is removable.  The copy renumbers vertex ids densely and preserves
-    root order, variable bindings, crossing edges and where-conjunct
-    dispositions, so it passes the same BT/NK/DW verification as a
-    freshly built tree.
-    """
-    by_vid = {v.vid: v for v in tree.vertices}
-    removed: set[int] = set()
-    notes: list[str] = []
-    for vid in prune_vids:
-        anchor = by_vid.get(vid)
-        if anchor is None or anchor.parent_edge is None \
-                or vid in removed:
-            continue
-        subtree = list(tree.iter_subtree(anchor))
-        if any(v.variables or v.returning for v in subtree):
-            continue
-        removed.update(v.vid for v in subtree)
-        notes.append(f"pruned empty branch at V{anchor.vid} "
-                     f"('{anchor.name}', {len(subtree)} vertex(es))")
-    if not removed:
-        return None, ()
-    # Cascade: a parent reduced to an inert optional leaf goes too.
-    changed = True
-    while changed:
-        changed = False
-        for vertex in tree.vertices:
-            if vertex.vid in removed or vertex.parent_edge is None:
-                continue
-            if vertex.parent_edge.mode != MODE_OPTIONAL:
-                continue
-            if vertex.variables or vertex.returning \
-                    or vertex.value_predicates:
-                continue
-            if all(c.vid in removed for c in vertex.children()):
-                removed.add(vertex.vid)
-                notes.append(f"cascaded inert optional leaf V{vertex.vid} "
-                             f"('{vertex.name}')")
-                changed = True
-    pruned = BlossomTree()
-    mapping: dict[int, BlossomVertex] = {}
-    for root in tree.roots:
-        for vertex in tree.iter_subtree(root):
-            if vertex.vid in removed:
-                continue
-            copy = (pruned.new_root(vertex.name)
-                    if vertex.parent_edge is None
-                    else pruned.new_vertex(vertex.name))
-            copy.value_predicates = list(vertex.value_predicates)
-            mapping[vertex.vid] = copy
-    for edge in tree.tree_edges:
-        if edge.parent.vid in mapping and edge.child.vid in mapping:
-            pruned.add_edge(mapping[edge.parent.vid],
-                            mapping[edge.child.vid], edge.axis, edge.mode)
-    for vertex in tree.vertices:
-        if vertex.vid not in mapping:
-            continue
-        for name in vertex.variables:
-            pruned.bind_variable(name, mapping[vertex.vid],
-                                 vertex.var_kinds[name])
-    for crossing in tree.crossing_edges:
-        pruned.add_crossing(mapping[crossing.u.vid], mapping[crossing.v.vid],
-                            crossing.relation, crossing.negated)
-    for vertex in tree.vertices:          # returning flags last (upward
-        if vertex.vid in mapping:         # closure already held)
-            mapping[vertex.vid].returning = vertex.returning
-    # Each where-conjunct keeps its disposition, re-pointed at the copy.
-    moved: dict[int, object] = {
-        id(old): new for old, new in zip(tree.crossing_edges,
-                                         pruned.crossing_edges)}
-    moved.update((id(by_vid[vid]), copy) for vid, copy in mapping.items())
-    pruned.where = [replace(conjunct, target=moved.get(id(conjunct.target)))
-                    for conjunct in tree.where]
-    return pruned, tuple(notes)

@@ -55,7 +55,7 @@ import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
-from repro.analysis import verify_plan, verify_tree
+from repro.analysis import verify_plan
 from repro.errors import CompileError, DNFError, QueryTimeoutError
 from repro.obs.metrics import REGISTRY
 from repro.obs.statstore import StatsStore
@@ -189,8 +189,7 @@ class Engine:
                  plan_cache_capacity: int = 128,
                  plan_cache: PlanCache | None = None,
                  snapshot_id: int | None = None,
-                 stats_store: StatsStore | None = None,
-                 analyze_queries: bool = True) -> None:
+                 stats_store: StatsStore | None = None) -> None:
         self.doc = doc
         self.documents = dict(documents or {})
         #: Uris resolving to other documents, precomputed once (the
@@ -205,11 +204,6 @@ class Engine:
         #: fallback; the serving catalog stamps the one it owns, so its
         #: ``close()`` shuts it down).
         self.scan_pools: ScanPools | None = None
-        #: Run the structural-summary query lint (QL rules) at compile
-        #: time and apply its pruning rewrites.  ``False`` is the escape
-        #: hatch (and the differential-testing oracle): every query runs
-        #: its unrewritten plan.
-        self.analyze_queries = analyze_queries
         #: :meth:`stats_fingerprint`, memoized beside the derived object
         #: it was read from (a new version has a new object).
         self._fingerprint: tuple[object, tuple] | None = None
@@ -288,8 +282,8 @@ class Engine:
         atomic-invalidation contract of the serving layer.
 
         The shape part is the structural summary's digest: a plan is
-        only valid for the document shape it was chosen (and, with query
-        lint, pruned) against.  So are the versions of the other
+        only valid for the document shape it was chosen (and linted)
+        against.  So are the versions of the other
         documents ``doc(uri)`` can resolve to: the chooser reads the
         statistics of whichever one a pattern scans
         (:func:`~repro.engine.optimizer.pattern_document`).
@@ -428,13 +422,9 @@ class Engine:
         # Validate-on-compile: every stage of the compiled artifact is
         # checked against the invariant catalogue before the plan can be
         # cached or executed; error findings raise PlanInvariantError.
+        # The tree itself was verified by compile_query right after its
+        # build, and every plan runs that tree.
         with tracer.span("verify-plan") as span:
-            if plan.artifacts is not None \
-                    and plan.artifacts.tree is not compiled.tree:
-                # A pruned tree is a *new* object the compiler never
-                # saw, so it gets its own tree check; every other tree
-                # was verified by compile_query right after its build.
-                verify_tree(plan.artifacts.tree, source=compiled.source)
             report = verify_plan(
                 plan, recursive_document=pattern_document(
                     compiled.tree, self).derived.stats.recursive,
@@ -455,7 +445,7 @@ class Engine:
         run.strategy, run.plan_text = choice.strategy, str(choice)
         values = normalize_bindings(compiled.parameters, run.options.params)
 
-        if plan.static_empty:
+        if choice.strategy == "static-empty":
             # Query lint proved the pattern matches nothing on this
             # document shape: answer without scanning a single node.
             _QUERYLINT_EMPTY.inc()

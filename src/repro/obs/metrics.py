@@ -63,7 +63,6 @@ name                                           type       labels
 ``repro_service_worker_utilization``           gauge      —
 ``repro_service_timeouts_total``               counter    —
 ``repro_querylint_findings_total``             counter    ``rule``
-``repro_querylint_rewrites_total``             counter    ``kind``
 ``repro_querylint_static_empty_total``         counter    —
 =============================================  =========  ==============================
 

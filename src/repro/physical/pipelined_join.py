@@ -51,8 +51,8 @@ def pipelined_desc_join(left_nodes: Sequence[Node],
     if any(inner.start < outer.end
            for outer, inner in pairwise(left_nodes)):
         raise ExecutionError(
-            "pipelined //-join received nesting left input; use the "
-            "caching variant or a nested-loop join on recursive data")
+            "pipelined //-join received nesting left input; use "
+            "strategy='stack' or a nested-loop join on recursive data")
     left_iter = iter(left_nodes)
     current: Node | None = next(left_iter, None)
     token = counters.cancellation

@@ -90,15 +90,11 @@ class _Entry:
 class Catalog:
     """A registry of named documents with snapshot-isolated versions."""
 
-    def __init__(self, plan_cache_capacity: int = 128,
-                 analyze_queries: bool = True) -> None:
+    def __init__(self, plan_cache_capacity: int = 128) -> None:
         self._lock = threading.Lock()
         self._entries: dict[str, _Entry] = {}
         self._ids = itertools.count(1)
         self._plan_cache_capacity = plan_cache_capacity
-        #: Query lint + pruning rewrites for every snapshot engine this
-        #: catalog creates; ``False`` is the differential escape hatch.
-        self.analyze_queries = analyze_queries
         self._retire_listeners: list[Callable[[Snapshot], None]] = []
         #: The scan executors of every engine this catalog creates
         #: (partitioned plans); spawned lazily, shut by :meth:`close`.
@@ -188,8 +184,7 @@ class Catalog:
             if engine is None:
                 engine = Engine(snapshot.doc, plan_cache=entry.plan_cache,
                                 snapshot_id=sid,
-                                stats_store=entry.stats_store,
-                                analyze_queries=self.analyze_queries)
+                                stats_store=entry.stats_store)
                 engine.plan_gate = self._make_gate(entry)
                 engine.scan_pools = self.scan_pools
                 entry.engines[sid] = engine

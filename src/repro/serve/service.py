@@ -207,8 +207,7 @@ class QueryService:
                  result_cache=None,
                  default_document: str = "main",
                  slow_query_ms: float | None = None,
-                 slow_log: SlowQueryLog | None = None,
-                 analyze_queries: bool = True) -> None:
+                 slow_log: SlowQueryLog | None = None) -> None:
         if workers < 1:
             raise UsageError(f"workers must be >= 1, got {workers}")
         if max_queue < 1:
@@ -218,7 +217,7 @@ class QueryService:
         if isinstance(source, Catalog):
             self.catalog = source
         else:
-            self.catalog = Catalog(analyze_queries=analyze_queries)
+            self.catalog = Catalog()
             self.catalog.register(default_document, source)
         self.default_document = default_document
         self.default_timeout_ms = default_timeout_ms
@@ -461,9 +460,6 @@ class QueryService:
                 self.result_cache.stats()
                 if self.result_cache is not None else {"enabled": False}),
             "documents": documents,
-            "querylint": {
-                "enabled": self.catalog.analyze_queries,
-            },
             "slow_queries": (
                 None if self.slow_log is None else {
                     "threshold_ms": self.slow_log.threshold_ms,

@@ -67,7 +67,7 @@ class Strategy:
 
     @property
     def lints(self) -> bool:
-        """The query lint and its rewrites apply under this name."""
+        """The query lint (and its static-empty rewrite) applies here."""
         return self.family != "baseline"
 
 

@@ -153,7 +153,7 @@ class StructuralSummary:
         """A stable digest of the full path table and the text-node count.
 
         The shape part of the plan-cache key (``Engine.stats_fingerprint``):
-        plans decided or pruned against one document shape can never
+        plans decided or linted against one document shape can never
         serve another.  The path table fixes every element statistic the
         optimizer reads; the text-node count is folded in because
         ``n_nodes`` steers the parallel upgrade.

@@ -37,42 +37,36 @@ SHAPES = {
     "provably empty": "//a/zzz",
 }
 
-#: Decisions the small grid cannot reach: (label, document, engine
-#: options, query, query options).  ``wide`` is past the parallel-scan
+#: Decisions the small grid cannot reach: (label, document, query,
+#: query options).  ``wide`` is past the parallel-scan
 #: threshold, so ``auto`` upgrades under a parallel executor — and
 #: withdraws when the root NoK navigates (PL004).
 WIDE = "<r>" + "<a><b>1</b></a>" * 1400 + "</r>"
 EXTRAS = [
-    ("auto upgrades to parallel", WIDE, {}, "//a/b",
+    ("auto upgrades to parallel", WIDE, "//a/b", {"executor": "threads:2"}),
+    ("auto withdraws the upgrade (PL004)", WIDE, "/r/a/b",
      {"executor": "threads:2"}),
-    ("auto withdraws the upgrade (PL004)", WIDE, {}, "/r/a/b",
-     {"executor": "threads:2"}),
-    ("requested parallel is refused (PL004)", WIDE, {}, "/r/a/b",
+    ("requested parallel is refused (PL004)", WIDE, "/r/a/b",
      {"strategy": "parallel", "executor": "threads:2"}),
-    ("lint off: no static-empty plan", DOCUMENTS["flat"],
-     {"analyze_queries": False}, "//a/zzz", {}),
     ("lint reports an optional branch it cannot prune", DOCUMENTS["flat"],
-     {}, "for $a in //a let $z := $a/zzz/q return $a/b", {}),
-    ("auto takes stack under a * left vertex", "<r><a><c/></a></r>", {},
+     "for $a in //a let $z := $a/zzz/q return $a/b", {}),
+    ("auto takes stack under a * left vertex", "<r><a><c/></a></r>",
      "for $x in //* for $y in $x//c return $y", {}),
-    ("cost picks the cheapest bare path", DOCUMENTS["flat"], {},
-     "//a//c", {"strategy": "cost"}),
+    ("cost picks the cheapest bare path", DOCUMENTS["flat"], "//a//c",
+     {"strategy": "cost"}),
 ]
 
 
-def observe(xml: str, text: str, engine_options: dict | None = None,
-            **options) -> dict:
+def observe(xml: str, text: str, **options) -> dict:
     """What ``explain`` says and what one execution did."""
     seen: dict = {}
     explain_options = {k: v for k, v in options.items() if k == "strategy"}
     try:
-        seen["explain"] = Engine(parse(xml), **(engine_options or {})
-                                 ).explain(text, **explain_options)
+        seen["explain"] = Engine(parse(xml)).explain(text, **explain_options)
     except Exception as exc:
         seen["explain_error"] = [type(exc).__name__, str(exc)]
     try:
-        result = Engine(parse(xml), **(engine_options or {})
-                        ).query(text, **options)
+        result = Engine(parse(xml)).query(text, **options)
     except Exception as exc:
         seen["error"] = [type(exc).__name__, str(exc)]
     else:
@@ -87,8 +81,8 @@ def grid(names: list[str]) -> dict:
                          for shape, text in SHAPES.items()}
                    for doc, xml in DOCUMENTS.items()}
             for name in names}
-    extras = {label: observe(xml, text, engine_options, **options)
-              for label, xml, engine_options, text, options in EXTRAS}
+    extras = {label: observe(xml, text, **options)
+              for label, xml, text, options in EXTRAS}
     return {"rows": rows, "extras": extras}
 
 

@@ -1,18 +1,19 @@
-"""Query-vs-data lint (QL rules), pruning rewrites and static-empty serving."""
+"""Query-vs-data lint (QL rules) and static-empty serving."""
 
 import json
+
+import pytest
 
 from repro.analysis.query import analyze_query
 from repro.engine import Engine, compile_query
 from repro.engine.database import Database
 from repro.obs.metrics import REGISTRY
-from repro.serve import QueryService
+from repro.serve import Catalog, QueryService
 from repro.xmlkit.parser import parse
 from repro.xmlkit.summary import build_summary
 from tests.conftest import SMALL_BIB
 
 _FINDINGS = REGISTRY.counter("repro_querylint_findings_total", "")
-_REWRITES = REGISTRY.counter("repro_querylint_rewrites_total", "")
 _STATIC_EMPTY = REGISTRY.counter("repro_querylint_static_empty_total", "")
 
 
@@ -26,44 +27,42 @@ def lint(text, doc_text=SMALL_BIB):
         source="<test>")
 
 
+def fires(rule, text):
+    """Lint ``text``; ``rule`` is among its findings."""
+    result = lint(text)
+    assert rule in result.report.rule_ids()
+    return result
+
+
 class TestRuleMatrix:
-    """Which QL rule fires, and which rewrite it licenses."""
+    """Which QL rule fires, and whether it licenses the static-empty
+    plan."""
 
     def test_ql001_absent_label_is_static_empty(self):
-        result = lint("//zzz/title")
-        assert "QL001" in result.report.rule_ids()
-        assert result.static_empty
-        assert "zzz" in result.static_empty_reason()
+        reason = fires("QL001", "//zzz/title").static_empty
+        assert "zzz" in reason and reason.endswith("(QL001)")
 
     def test_ql002_wrong_child_relationship(self):
-        result = lint("//title/book")
-        assert "QL002" in result.report.rule_ids()
-        assert result.static_empty
+        assert fires("QL002", "//title/book").static_empty
 
     def test_ql002_wrong_descendant_relationship(self):
-        result = lint("//author//price")
-        assert "QL002" in result.report.rule_ids()
-        assert result.static_empty
+        assert fires("QL002", "//author//price").static_empty
 
     def test_ql003_contradictory_equalities(self):
-        result = lint('//book[@year = "1994" and @year = "2000"]/title')
-        assert "QL003" in result.report.rule_ids()
-        assert result.static_empty
+        assert fires("QL003", '//book[@year = "1994" and @year = "2000"]'
+                              '/title').static_empty
 
     def test_ql003_empty_numeric_range(self):
-        result = lint("//book[@year > 2005 and @year < 2000]/title")
-        assert "QL003" in result.report.rule_ids()
-        assert result.static_empty
+        assert fires("QL003", "//book[@year > 2005 and @year < 2000]"
+                              "/title").static_empty
 
     def test_ql004_constant_false_where(self):
-        result = lint("for $b in //book where 1 = 2 return $b/title")
-        assert "QL004" in result.report.rule_ids()
-        assert result.static_empty
+        assert fires("QL004", "for $b in //book where 1 = 2 "
+                              "return $b/title").static_empty
 
     def test_ql004_where_over_provably_empty_path(self):
-        result = lint("for $b in //book where $b/zzz return $b/title")
-        assert "QL004" in result.report.rule_ids()
-        assert result.static_empty
+        assert fires("QL004", "for $b in //book where $b/zzz "
+                              "return $b/title").static_empty
 
     def test_ql005_constant_true_where_is_warning_only(self):
         result = lint("for $b in //book where 1 = 1 return $b/title")
@@ -72,37 +71,32 @@ class TestRuleMatrix:
         assert not result.report.errors and result.report.warnings
 
     def test_ql005_negated_empty_path_is_not_empty(self):
-        # not(empty) is constant TRUE: filters nothing, prunes nothing.
-        result = lint("for $b in //book where not($b/zzz) return $b/title")
-        assert "QL005" in result.report.rule_ids()
-        assert not result.static_empty
+        # not(empty) is constant TRUE: filters nothing.
+        assert not fires("QL005", "for $b in //book where not($b/zzz) "
+                                  "return $b/title").static_empty
 
     def test_ql006_attribute_never_present(self):
-        result = lint('//book[@isbn = "1"]/title')
-        assert "QL006" in result.report.rule_ids()
-        assert result.static_empty
+        assert fires("QL006", '//book[@isbn = "1"]/title').static_empty
 
     def test_return_path_provably_empty(self):
-        result = lint("for $b in //book return $b/zzz")
-        assert "QL001" in result.report.rule_ids()
-        assert result.static_empty
+        assert fires("QL001", "for $b in //book return $b/zzz").static_empty
 
     def test_clean_query_has_no_findings(self):
         result = lint('//book[@year = "1994"]/title')
         assert result.report.clean
-        assert not result.decisions
+        assert result.static_empty == ""
 
-    def test_findings_carry_summary_fingerprint(self):
-        result = lint("//zzz")
-        assert result.summary_fingerprint \
-            == build_summary(parse(SMALL_BIB)).fingerprint()
+    def test_optional_branch_finding_is_reported_not_rewritten(self):
+        # The branch under ``let`` may be referenced from outside it (a
+        # following-sibling anchor), so the plan keeps it.
+        assert fires("QL001", "for $b in //book let $z := $b/zzz/"
+                              "following-sibling::price return $z"
+                     ).static_empty == ""
 
     def test_counters_move(self):
-        before = (_FINDINGS.value(rule="QL001"),
-                  _REWRITES.value(kind="static-empty"))
+        before = _FINDINGS.value(rule="QL001")
         lint("//zzz/title")
-        assert _FINDINGS.value(rule="QL001") > before[0]
-        assert _REWRITES.value(kind="static-empty") > before[1]
+        assert _FINDINGS.value(rule="QL001") > before
 
 
 class TestEngineIntegration:
@@ -135,17 +129,15 @@ class TestEngineIntegration:
             == ["miss", "hit"]
         assert "static-empty" not in engine.query("//book/title").plan
 
-    def test_escape_hatch_disables_lint(self, small_bib):
-        engine = Engine(small_bib, analyze_queries=False)
-        result = engine.query("//zzz/title")
-        assert len(result) == 0
-        assert "static-empty" not in engine.last_plan
+    @pytest.mark.parametrize("cls", [Engine, Database, Catalog, QueryService])
+    def test_the_lint_switch_is_gone(self, cls):
+        with pytest.raises(TypeError, match="analyze_queries"):
+            cls(SMALL_BIB, analyze_queries=False)
 
     def test_fingerprint_is_the_summary_digest_lint_on_or_off(self, small_bib):
-        on = Engine(small_bib).stats_fingerprint()
-        off = Engine(small_bib, analyze_queries=False).stats_fingerprint()
-        assert on == off == (small_bib.version,
-                             small_bib.derived.summary.fingerprint())
+        # The lint has no switch: the key is the version and the digest.
+        assert Engine(small_bib).stats_fingerprint() == (
+            small_bib.version, small_bib.derived.summary.fingerprint())
 
     def test_baseline_strategies_bypass_lint(self, small_bib):
         engine = Engine(small_bib)
@@ -154,7 +146,7 @@ class TestEngineIntegration:
 
     def test_foreign_documents_are_exempt(self, small_bib, recursive_doc):
         # `section` exists only in sections.xml: the primary document's
-        # summary has no authority over it, so nothing may be pruned.
+        # summary has no authority over it, so nothing may be rewritten.
         engine = Engine(small_bib,
                         documents={"sections.xml": recursive_doc})
         result = engine.query(
@@ -174,16 +166,6 @@ class TestEngineIntegration:
         engine = Engine(small_bib)
         assert "query lint:" not in engine.explain("//book/title")
 
-    def test_db_stats_subsection(self):
-        db = Database.from_xml(SMALL_BIB)
-        section = db.stats()["querylint"]
-        assert section["enabled"] is True
-        assert section["summary_paths"] > 0
-        assert isinstance(section["summary_fingerprint"], str)
-        off = Database.from_xml(SMALL_BIB).__class__(
-            parse(SMALL_BIB), analyze_queries=False)
-        assert off.stats()["querylint"]["enabled"] is False
-
 
 class TestServeStaticEmpty:
     def test_repeat_is_a_result_cache_hit(self):
@@ -200,12 +182,6 @@ class TestServeStaticEmpty:
             counters = service.stats()["counters"]
             assert counters["submitted"] == counters["completed"] == 2
             assert counters["result_cache_hits"] == 1
-            assert service.stats()["querylint"] == {"enabled": True}
-        with QueryService(SMALL_BIB, workers=1, analyze_queries=False) as off:
-            served = off.query("//zzz/title")
-            assert served.serialize() == ""
-            assert "static-empty" not in served.result.plan
-            assert off.stats()["querylint"] == {"enabled": False}
 
 
 class TestCli:

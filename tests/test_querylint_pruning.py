@@ -1,23 +1,19 @@
-"""Differential bit-identity of QL pruning rewrites.
-
-The soundness contract: for any query and any document, an engine with
-query analysis on (pruned BlossomTrees, static-empty short circuits)
-returns a result bit-identical to the same engine with analysis off
-(`analyze_queries=False`, the escape hatch).  This suite pins that over
-the datagen workloads — including scales where rare labels vanish and
-the lint legitimately fires — plus hand-written queries targeting each
-rewrite kind, across serial and parallel execution.
+"""Fixed cases of the generated differential (``test_where_pushdown``)
+for the query lint: every query answers as the navigational oracle
+(``strategy="naive"``, which never lints) does — static-empty plans,
+warning-only findings and a finding on an optional branch, on SMALL_BIB
+(bib/book@year/title/author/last/price) and on every workload query
+(at scale 0.02 the rare labels vanish and the rewrite fires), serially,
+in parallel and under explicit strategies.
 """
 
 import pytest
 
 from repro.datagen.workload import DATASETS
 from repro.engine import Engine
-from tests.conftest import SMALL_BIB
-from repro.xmlkit.parser import parse
 
-#: Queries engineered so the lint *does* rewrite on SMALL_BIB
-#: (bib/book@year/title/author/last/price).
+#: A finding on an optional branch: reported, the branch kept.
+OPTIONAL_BRANCH = "for $b in //book let $z := $b/zzz/qqq return $b/title"
 REWRITTEN_QUERIES = [
     "//zzz/title",                                         # QL001 s-empty
     "//title/book",                                        # QL002 s-empty
@@ -30,22 +26,28 @@ REWRITTEN_QUERIES = [
     "for $b in //book return $b/zzz",                      # return-empty
     "<out>{ for $b in //book where 1 = 2 "
     "return $b/title }</out>",                             # constructor
-    # Warning-only rewrites must not change anything either.
     "for $b in //book where 1 = 1 return $b/title",        # QL005
     "for $b in //book where not($b/zzz) return $b/title",  # QL005
-    # Prunable optional branch (let over a provably-empty path).
-    "for $b in //book let $z := $b/zzz/qqq "
-    "return $b/title",
+    OPTIONAL_BRANCH,
 ]
 
 
 def differential(doc, text, **kwargs):
-    """Serialize the query with lint on and off; both must agree."""
-    linted = Engine(doc).query(text, **kwargs).serialize()
-    plain = Engine(doc, analyze_queries=False).query(
-        text, **kwargs).serialize()
-    assert linted == plain
-    return linted
+    """The query under ``kwargs`` answers as the oracle does."""
+    answer = Engine(doc).query(text, **kwargs).serialize()
+    assert answer == Engine(doc).query(text, strategy="naive").serialize()
+
+
+def workload(name, scale, **kwargs):
+    dataset = DATASETS[name]
+    doc = dataset.generate(scale=scale)
+    for spec in dataset.queries:
+        differential(doc, spec.text, **kwargs)
+    return doc
+
+
+def plan_of(doc, text):
+    return Engine(doc).query(text).plan
 
 
 class TestHandWrittenRewrites:
@@ -58,61 +60,34 @@ class TestHandWrittenRewrites:
         differential(small_bib, text, executor="threads:2")
 
     def test_rewrites_actually_fired(self, small_bib):
-        # The suite is vacuous if nothing was rewritten: assert the
-        # static-empty queries really take the short circuit.
-        engine = Engine(small_bib)
-        engine.query("//zzz/title")
-        assert "static-empty" in engine.last_plan
+        # The suite is vacuous if nothing was rewritten.
+        assert "static-empty" in plan_of(small_bib, "//zzz/title")
+        assert "static-empty" not in plan_of(small_bib, OPTIONAL_BRANCH)
 
 
 class TestWorkloadDifferential:
-    """Every workload query, pruned vs unpruned, on its own dataset.
-
-    At scale 0.1 every label occurs (the lint stays quiet); at scale
-    0.02 the rare high-selectivity labels (``b4``, ``country_id``,
-    ``phdthesis`` ...) vanish from the generated documents, so the lint
-    legitimately rewrites real workload queries to static-empty plans —
-    both regimes must be bit-identical to the unpruned run.
-    """
-
     @pytest.mark.parametrize("scale", [0.1, 0.02])
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_serial(self, name, scale):
-        dataset = DATASETS[name]
-        doc = dataset.generate(scale=scale)
-        for spec in dataset.queries:
-            differential(doc, spec.text)
+        workload(name, scale)
 
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_parallel(self, name):
-        dataset = DATASETS[name]
-        doc = dataset.generate(scale=0.1)
-        for spec in dataset.queries:
-            differential(doc, spec.text, executor="threads:2")
+        workload(name, 0.1, executor="threads:2")
 
     def test_small_scale_rewrites_fire(self):
         # d1 Q1 targets the ~1% label b4: absent at scale 0.02.
-        doc = DATASETS["d1"].generate(scale=0.02)
-        engine = Engine(doc)
-        engine.query(DATASETS["d1"].queries[0].text)
-        assert "static-empty" in engine.last_plan
+        doc = workload("d1", 0.02)
+        assert "static-empty" in plan_of(doc, DATASETS["d1"].queries[0].text)
 
 
 class TestExplicitStrategies:
-    """Pruned plans must agree with lint-off across explicit strategies."""
+    @pytest.mark.parametrize("strategy",
+                             ["pipelined", "stack", "twigstack", "auto"])
+    def test_static_empty_across_strategies(self, small_bib, strategy):
+        differential(small_bib, "//zzz/title", strategy=strategy)
 
-    STRATEGIES = ["pipelined", "stack", "twigstack", "auto"]
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_static_empty_across_strategies(self, strategy):
-        doc = parse(SMALL_BIB)
-        differential(doc, "//zzz/title", strategy=strategy)
-
-    # twigstack refuses optional modes outright, lint on or off.
+    # twigstack refuses optional modes outright.
     @pytest.mark.parametrize("strategy", ["pipelined", "stack", "auto"])
-    def test_pruned_let_across_strategies(self, strategy):
-        doc = parse(SMALL_BIB)
-        differential(
-            doc,
-            "for $b in //book let $z := $b/zzz/qqq return $b/title",
-            strategy=strategy)
+    def test_pruned_let_across_strategies(self, small_bib, strategy):
+        differential(small_bib, OPTIONAL_BRANCH, strategy=strategy)

@@ -16,7 +16,6 @@ from repro.engine import optimizer as optimizer_mod
 from repro.engine.session import Engine
 from repro.errors import StaticError
 from repro.pattern.artifact import prepare_artifacts
-from repro.pattern.build import build_blossom_tree
 from repro.serve import client as client_mod
 from repro.xmlkit.parser import parse
 from repro.xquery import semantics as semantics_mod
@@ -25,9 +24,6 @@ from tests.conftest import SMALL_BIB
 FLWOR = "for $b in //book where $b/price > 30 return $b/title"
 BARE = "//book/title"
 STATIC_EMPTY = "for $b in //book where 1 = 2 return $b/title"
-#: The lint licenses a prune here (``zzz`` exists nowhere), so the
-#: engine's own control flow reaches the rewriter.
-PRUNABLE = "for $b in //book let $z := $b/zzz/qqq return $b/title"
 
 CHECKS = ("scope", "blossom_pass", "decomposition_pass", "dewey_pass",
           "plan_pass", "analyze_query")
@@ -93,24 +89,6 @@ class TestOncePerCompile:
         assert "static-empty" in result.plan
         assert counts(calls) == {**NONE, "scope": 1, "blossom_pass": 1,
                                  "analyze_query": 1}
-
-    def test_pruned_tree_is_verified_once_as_its_own_object(
-            self, calls, monkeypatch):
-        """A rewrite builds a tree the compiler never saw: it gets the
-        tree pass once — and the compiled tree is not checked again."""
-        def rebuild(tree, vids):
-            assert vids, "fixture query must reach the rewriter"
-            flwor = calls["scope"][0]       # what the compiler analyzed
-            return build_blossom_tree(flwor), ("rebuilt by a test double",)
-
-        monkeypatch.setattr(optimizer_mod, "prune_pattern", rebuild)
-        Engine(parse(SMALL_BIB)).query(PRUNABLE)
-        assert counts(calls) == {**ONCE, "blossom_pass": 2}
-        compiled_tree, rewritten_tree = calls["blossom_pass"]
-        assert compiled_tree is not rewritten_tree
-        # Decomposition and Dewey ran over the rewritten tree only.
-        assert calls["decomposition_pass"][0].tree is rewritten_tree
-        assert calls["dewey_pass"] == [rewritten_tree]
 
     def test_a_new_cache_key_is_a_new_compile(self, calls):
         engine = Engine(parse(SMALL_BIB))

@@ -51,9 +51,9 @@ def test_decision_is_byte_identical_to_the_parent(name, shape, document):
 @pytest.mark.parametrize("case", strategy_cases.EXTRAS,
                          ids=[case[0] for case in strategy_cases.EXTRAS])
 def test_decisions_the_grid_cannot_reach(case):
-    label, xml, engine_options, text, options = case
-    assert strategy_cases.observe(xml, text, engine_options,
-                                  **options) == GOLDEN["extras"][label]
+    label, xml, text, options = case
+    assert strategy_cases.observe(xml, text, **options) \
+        == GOLDEN["extras"][label]
 
 
 def test_session_docstring_table_is_the_rows():

@@ -1,6 +1,6 @@
-"""Stale-fingerprint regression: updates must invalidate pruned plans.
+"""Stale-fingerprint regression: updates must invalidate linted plans.
 
-A plan pruned against one document shape is only sound for that shape.
+A plan linted against one document shape is only sound for that shape.
 These tests pin the invalidation chain end to end: an update batch
 recomputes `DocumentStats` *and* the structural-summary fingerprint, so
 no plan-cache key built against pre-update structure can ever serve the

@@ -10,10 +10,12 @@ prices, repeated ids, and ``$p`` bound to every type
 ``normalize_bindings`` admits; and on two-variable value conjuncts
 (``$a/x = $b/y``: the bind phase's hash join on ``=`` crossing edges,
 next to every shape that must *not* join) over numeric and text
-spellings of one value.  The *deterministic guards* pin what the
-tentpole moved on the benchmark's own shapes: every bound tuple
-survives, the compiled where is gone, twin NoKs are matched once, and
-no engine path scans a late-bound plan without the request's bindings.
+spellings of one value; and on ``following-sibling`` chains over
+present, absent and misplaced labels in every clause position.  The
+*deterministic guards* pin what the tentpole moved on the benchmark's
+own shapes: every bound tuple survives, the compiled where is gone,
+twin NoKs are matched once, and no engine path scans a late-bound plan
+without the request's bindings.
 """
 
 from __future__ import annotations
@@ -207,22 +209,23 @@ def outcome(run) -> str:
         return f"<<{type(exc).__name__}>>"
 
 
-def check_example(db, text: str, params: dict | None) -> None:
-    """One example on every engine path against the oracle."""
+def check_example(db, text: str, params: dict | None = None,
+                  strategies=STRATEGIES, refusals=()) -> str:
+    """One example on every engine path against the oracle; returns the
+    oracle's answer.  A forced strategy may answer one of ``refusals``
+    (typed errors) instead; ``auto`` never refuses."""
     expected = outcome(lambda: db.query(text, params=params,
                                         strategy="naive"))
     where = f"{text!r} params={params!r}"
-    for strategy in STRATEGIES:
-        got = outcome(lambda: db.query(text, params=params,
-                                       strategy=strategy))
-        assert got == expected, f"strategy={strategy} {where}"
-    for executor in PARALLEL_EXECUTORS:
-        got = outcome(lambda: db.query(text, params=params,
-                                       strategy="parallel",
-                                       executor=executor))
-        assert got == expected, f"executor={executor} {where}"
+    for options in [{"strategy": name} for name in strategies] + [
+            {"strategy": "parallel", "executor": executor}
+            for executor in PARALLEL_EXECUTORS]:
+        got = outcome(lambda: db.query(text, params=params, **options))
+        assert got == expected or (options["strategy"] != "auto"
+                                   and got in refusals), f"{options} {where}"
     got = outcome(lambda: db.prepare(text).execute(params=params))
     assert got == expected, f"prepared {where}"
+    return expected
 
 
 #: Per document: literal texts, parameterised texts (each run under all
@@ -249,6 +252,77 @@ def test_generated_where_differential(seed):
             if swapped is not None:
                 assert outcome(lambda: db.query(swapped)) == \
                     outcome(lambda: db.query(text)), (text, swapped)
+
+
+# ----------------------------------------------------------------------
+# Sibling chains: ``following-sibling`` order constraints (Definition 1)
+# over present, absent (``zzz``) and misplaced (``$b/z``, ``$b/book``)
+# labels, in every clause position, on flat and recursive documents.
+# ----------------------------------------------------------------------
+
+CHAIN_LABELS = ["title", "author", "price", "x", "y", "z", "book", "zzz"]
+CHAIN_TEMPLATES = [
+    "for $b in //book for $z in $b/{C} return $z",
+    "for $b in //book let $z := $b/{C} return $z",
+    "for $b in //book let $z := $b/{C} return <r>{{$z}}</r>",
+    "for $b in //book where $b/{C} return $b/title",
+    "for $b in //book where not($b/{C}) return <r>{{$b/price}}</r>",
+    "for $b in //book[{C}] return $b/title",
+    "//book[{C}]/title",
+    "for $b in //book return <r>{{$b/{C}}}</r>",
+]
+#: Every strategy, of which a forced one may refuse with a typed error.
+CHAIN = {"strategies": [*STRATEGIES, "twigstack", "cost", "xhive"],
+         "refusals": ("<<CompileError>>", "<<ExecutionError>>")}
+
+
+def chain_document(rng: random.Random, recursive: bool) -> str:
+    """Books with shuffled children; ``recursive`` nests books (and an
+    ``x`` in an ``x``)."""
+    def book(depth: int) -> str:
+        parts = [f"<{tag}>{rng.randint(1, 5)}</{tag}>" for tag in
+                 ("title", "author", "price", "author", "price", "y")
+                 if rng.random() < 0.6]
+        inner = ["<y/>", "<z/>", "<price>2</price>",
+                 "<x><y/></x>"][:3 + recursive]
+        if rng.random() < 0.6:
+            parts.append("<x>" + "".join(
+                rng.sample(inner, rng.randint(1, len(inner)))) + "</x>")
+        if recursive and depth < 2 and rng.random() < 0.5:
+            parts.append(book(depth + 1))
+        rng.shuffle(parts)
+        return f"<book>{''.join(parts)}</book>"
+    return f"<bib>{''.join(book(0) for _ in range(rng.randint(5, 7)))}</bib>"
+
+
+@pytest.mark.parametrize("ret", ["$z", "<r>{$z}</r>"])
+@pytest.mark.parametrize("chain", [
+    "zzz/following-sibling::price", "y/following-sibling::price",
+    "z/following-sibling::book/following-sibling::author",
+    "x/zzz/following-sibling::y"])
+def test_sibling_chain_with_an_empty_predecessor(chain, ret):
+    """A rewriter that cut the absent (or misplaced) predecessor out of
+    the optional branch freed its successor on every non-naive plan."""
+    with repro.connect(
+            "<bib><book><title>t</title><author>a</author><price>3</price>"
+            "</book><book><title>u</title><author>b</author><price>5"
+            "</price><x><y/><z/></x></book></bib>") as db:
+        text = f"for $b in //book let $z := $b/{chain} return {ret}"
+        assert check_example(db, text, **CHAIN) in ("", "<r/><r/>")
+
+
+@pytest.mark.parametrize("recursive", [False, True],
+                         ids=["flat", "recursive"])
+@pytest.mark.parametrize("seed", range(8))
+def test_generated_sibling_chain_differential(seed, recursive):
+    rng = random.Random(f"sibling-chain:{seed}:{recursive}")
+    with repro.connect(chain_document(rng, recursive)) as db:
+        for _ in range(40):     # 1-3 steps; the first is a child step
+            chain = "/".join(
+                ("following-sibling::" if i and rng.random() < 0.5 else "")
+                + rng.choice(CHAIN_LABELS) for i in range(rng.randint(1, 3)))
+            check_example(db, rng.choice(CHAIN_TEMPLATES).format(C=chain),
+                          **CHAIN)
 
 
 # ----------------------------------------------------------------------
