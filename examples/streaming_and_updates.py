@@ -1,11 +1,11 @@
-"""Domain scenario 3: streaming matches and the update problem.
+"""Domain scenario 3: the stream context and the update problem.
 
 Two operational concerns the paper discusses but does not benchmark:
 
-1. **Streaming** (Section 5.2): match NoK patterns over raw XML text in
-   a single pass through SAX events, without building a tree — the
-   regime where the scan-based operators shine and index-based ones
-   cannot run at all.
+1. **The stream context** (Section 5.2): the paper prefers the
+   pipelined algorithm there — every NoK pattern is matched in one
+   sequential pass, and the ``//``-joins merge that pass's output
+   without reading the document again.
 2. **Updates** (Section 2.1): region labels and tag indexes are
    materializations of structure; insert one element and watch how much
    relabeling/rebuilding the join-based machinery needs, while the
@@ -18,35 +18,26 @@ Run with::
 
 from repro import Engine, parse
 from repro.datagen import generate_d3
-from repro.pattern import build_from_path, decompose
-from repro.physical.streaming import StreamingNoKMatcher
-from repro.xmlkit import DocumentUpdater, serialize
-from repro.xmlkit.sax import parse_string
-from repro.xpath import parse_xpath
-
-
-def single_nok(path_text):
-    dec = decompose(build_from_path(parse_xpath(path_text)))
-    [nok] = [n for n in dec.noks if n.root.name != "#root"]
-    return nok
+from repro.xmlkit import DocumentUpdater
+from repro.xmlkit.storage import ScanCounters
 
 
 def main() -> None:
     doc = generate_d3(scale=0.1)
-    text = serialize(doc.root)
-    print(f"corpus: {len(text):,} characters of raw XML\n")
+    engine = Engine(doc)
+    print(f"corpus: {len(doc.nodes):,} nodes\n")
 
-    print("== 1. Streaming NoK matching (one pass, no tree) ==")
+    print("== 1. The stream context: one sequential pass per query ==")
     for pattern in ("//item/attributes", "//author/name/last_name",
                     "//publisher/street_information/street_address"):
-        handler = StreamingNoKMatcher(single_nok(pattern))
-        parse_string(text, handler)
-        print(f"  {pattern:48s} {handler.count:4d} matches, "
-              f"peak state {handler.max_open}")
+        counters = ScanCounters()
+        result = engine.query(pattern, strategy="pipelined", counters=counters)
+        print(f"  {pattern:48s} {len(result):4d} matches, "
+              f"{counters.scans_started} pass over "
+              f"{counters.nodes_scanned:,} nodes")
     print()
 
     print("== 2. The update problem, quantified ==")
-    engine = Engine(doc)
     updater = DocumentUpdater(doc)
     engine.index.build()
 

@@ -1,17 +1,14 @@
-"""Algebraic layer: NestedList ADT, Env, logical operators (Section 3)."""
+"""Algebraic layer: NestedList ADT, Env and the σ the executor runs (Section 3)."""
 
 from repro.algebra.env import Env
 from repro.algebra.nested_list import NLEntry, project, project_entries, sexpr_sequence
-from repro.algebra.operators import Combined, join, project_sequence, select
+from repro.algebra.operators import select
 
 __all__ = [
-    "Combined",
     "Env",
     "NLEntry",
-    "join",
     "project",
     "project_entries",
-    "project_sequence",
     "select",
     "sexpr_sequence",
 ]

@@ -1,13 +1,11 @@
-"""Logical operators on NestedList sequences (paper Section 3.3).
+"""The σ of the NestedList algebra (paper Section 3.3).
 
-These are the algebra-level π / σ / ⋈ with exactly the semantics the
-paper defines; they operate on sequences of NestedLists and are
-parameterized by pattern vertices (the code-level face of Dewey IDs —
-:class:`~repro.pattern.dewey.DeweyAssignment` maps between the two).
-
-The physical operators in :mod:`repro.physical` implement the same
-semantics with specialized algorithms; the property-based tests check
-each physical operator against these definitions.
+``select`` filters the items matched to one pattern vertex with the
+paper's semantics: a NestedList whose mandatory vertex loses its last
+match leaves the sequence.  The executor runs it after each mandatory
+``//``-join, on the left vertices that found no partner.  The
+algebra's π is :func:`~repro.algebra.nested_list.project`; its ⋈
+exists only as the physical joins of :mod:`repro.physical`.
 """
 
 from __future__ import annotations
@@ -16,23 +14,9 @@ from collections.abc import Callable, Iterable
 
 from repro.xmlkit.tree import Node
 from repro.pattern.blossom import MODE_MANDATORY, BlossomVertex
-from repro.algebra.nested_list import NLEntry, project
+from repro.algebra.nested_list import NLEntry
 
-__all__ = ["project_sequence", "select", "join", "Combined"]
-
-
-def project_sequence(entries: Iterable[NLEntry], target: BlossomVertex) -> list[Node]:
-    """π: concatenated projection over a sequence of NestedLists.
-
-    The result of projecting a single NestedList is document-ordered
-    (Theorem 1); the concatenation over a sequential-scan result is also
-    document-ordered because scan matches are emitted in document order
-    of their root nodes.
-    """
-    out: list[Node] = []
-    for entry in entries:
-        out.extend(project(entry, target))
-    return out
+__all__ = ["select"]
 
 
 def select(entries: Iterable[NLEntry], target: BlossomVertex,
@@ -93,52 +77,3 @@ def _is_on_path(vertex: BlossomVertex, target: BlossomVertex) -> bool:
             return False
         node = edge.parent
     return False
-
-
-class Combined:
-    """The result of a logical join: one NestedList per joined pattern
-    tree, kept side by side (the paper "fills out the placeholders";
-    keeping the parts separate is the equivalent pointer-level move)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[NLEntry, ...]) -> None:
-        self.parts = parts
-
-    def project(self, target: BlossomVertex) -> list[Node]:
-        for part in self.parts:
-            try:
-                return project(part, target)
-            except KeyError:
-                continue
-        raise KeyError(f"V{target.vid} not reachable from any joined part")
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Combined {len(self.parts)} parts>"
-
-
-def join(left: Iterable, right: Iterable[NLEntry],
-         predicate: Callable[[list[Node], list[Node]], bool],
-         left_target: BlossomVertex, right_target: BlossomVertex) -> list[Combined]:
-    """⋈: combine NestedLists whose projections satisfy the predicate.
-
-    ``left`` items may be plain entries or :class:`Combined` results of
-    earlier joins, so joins compose into sequences the way Section 3.3's
-    "extended to a sequence of NestedLists" remark describes.  The
-    predicate receives the two projected node lists; pairs for which it
-    returns false produce the empty sequence (are dropped).
-    """
-    right_list = list(right)
-    output: list[Combined] = []
-    for litem in left:
-        if isinstance(litem, Combined):
-            lnodes = litem.project(left_target)
-            lparts = litem.parts
-        else:
-            lnodes = project(litem, left_target)
-            lparts = (litem,)
-        for ritem in right_list:
-            rnodes = project(ritem, right_target)
-            if predicate(lnodes, rnodes):
-                output.append(Combined(lparts + (ritem,)))
-    return output

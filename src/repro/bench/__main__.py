@@ -6,8 +6,8 @@ Regenerates the paper's tables from the command line::
     python -m repro.bench table2 [--scale S]
     python -m repro.bench table3 [--scale S] [--repeat N] [--datasets d1,d2]
 
-The pytest-benchmark suites under ``benchmarks/`` drive the same
-harness per cell; this entry point prints whole tables at once.
+``tests/test_bench_harness.py`` asserts the tables' shape (who wins,
+where the DNFs fall) on the same harness at a small scale.
 """
 
 from __future__ import annotations

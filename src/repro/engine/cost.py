@@ -26,10 +26,9 @@ a plan never materialises the tag index):
   a coarse model of per-step re-traversal.
 
 The model is deliberately simple — a handful of sufficient statistics,
-no per-query sampling — and the benchmark
-``benchmarks/test_cost_model.py`` measures its *regret*: how much
-slower the model's pick is than the best strategy found by exhaustive
-measurement.
+no per-query sampling — and ``tests/test_bench_harness.py`` bounds
+its *regret* over the Table-3 cells: how much more work the model's
+pick does than the best strategy found by exhaustive measurement.
 """
 
 from __future__ import annotations

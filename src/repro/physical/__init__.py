@@ -8,28 +8,22 @@ from repro.physical.nested_loop import (
 )
 from repro.physical.nok import NoKMatcher
 from repro.physical.nok_merge import merged_scan
-from repro.physical.pathstack import PathStackOperator, chain_supported
 from repro.physical.pipelined_join import pipelined_desc_join
 from repro.physical.stack_join import stack_desc_join
-from repro.physical.streaming import StreamingNoKMatcher, stream_count
 from repro.physical.structural import JoinResult, axis_test, left_projection
 from repro.physical.twigstack import TwigStackOperator, twig_supported
 
 __all__ = [
     "JoinResult",
     "NoKMatcher",
-    "PathStackOperator",
     "TwigStackOperator",
     "axis_test",
     "bounded_nested_loop_join",
-    "chain_supported",
     "left_projection",
     "merged_scan",
     "naive_nested_loop_join",
     "nested_loop_pairs",
     "pipelined_desc_join",
     "stack_desc_join",
-    "StreamingNoKMatcher",
-    "stream_count",
     "twig_supported",
 ]

@@ -126,11 +126,11 @@ def value_constraints_hold(vertex: BlossomVertex, node: Node,
                            counters: ScanCounters) -> bool:
     """Whether ``node`` satisfies every value predicate of ``vertex``.
 
-    The TwigStack and PathStack stream filters call it per stream node;
-    like the NoK matchers they count one comparison per predicate
-    evaluated and stop at the first failure.  The compiled predicates
-    are kept on the vertex — the stream operators know no NoK, and run
-    bare paths only: no where clause, so no late-bound test.
+    TwigStack's stream filter calls it per stream node; like the NoK
+    matchers it counts one comparison per predicate evaluated and stops
+    at the first failure.  The compiled predicates are kept on the
+    vertex — TwigStack knows no NoK, and runs bare paths only: no where
+    clause, so no late-bound test.
     """
     if vertex.tests is None:  # a race compiles an equal tuple twice
         vertex.tests = _compile_tests(vertex)[0]

@@ -2,7 +2,7 @@
 
 This is the access structure the join-based approaches assume
 (Section 2.1): for each tag name, a list of region-labeled elements in
-document order.  TwigStack and PathStack consume these lists directly
+document order.  TwigStack consumes these lists directly
 (:meth:`TagIndex.nodes`); the optimizer checks :meth:`TagIndex.has` to
 decide whether a holistic join is applicable at all.
 

@@ -3,10 +3,10 @@
 The NoK pattern-matching operator of the paper evaluates patterns "using
 a single scan of the input" (Section 2.1).  This module models that
 access method: a document-order node scan whose work is recorded in a
-shared :class:`ScanCounters`.  The counters are what the ablation
-benchmarks use to show that merging two NoK operators into one scan
-halves the I/O (Section 4.2, technique 1), and that a bounded
-nested-loop join touches far fewer nodes than a naive one (Section 4.3).
+shared :class:`ScanCounters`.  The counters are what the tests use
+to show that merging two NoK operators into one scan halves the I/O
+(Section 4.2, technique 1), and that a bounded nested-loop join touches
+far fewer nodes than a naive one (Section 4.3).
 
 Counting *nodes delivered by a scan* rather than wall-clock time gives a
 machine-independent proxy for the paper's I/O argument — the original

@@ -8,10 +8,9 @@ processing instructions, an optional XML declaration, and an internal
 DOCTYPE that is skipped.  Namespaces are treated as plain colonized
 names.
 
-The tokenizer is deliberately independent of the tree model: the
-streaming NoK scan in :mod:`repro.xmlkit.storage` and the SAX driver in
-:mod:`repro.xmlkit.sax` consume the same event stream without building a
-tree.
+The tokenizer is deliberately independent of the tree model: its one
+consumer, :mod:`repro.xmlkit.parser`, turns the event stream into a
+document.
 """
 
 from __future__ import annotations

@@ -188,8 +188,8 @@ def literal_test(op: str, literal: str | float) -> Callable[[str], bool]:
 
     The closure answers what ``_compare_atoms(op, typed, literal)``
     answers for the typed value of a node whose string value is the
-    argument — the one primitive behind vertex predicates, where
-    conjuncts and the streaming matcher's attribute / text tests.
+    argument — the one primitive behind vertex predicates and where
+    conjuncts.
     """
     compare = VALUE_OPERATORS[op]
     text = None if isinstance(literal, float) else literal.strip()

@@ -1,12 +1,15 @@
-"""Tests for the benchmark harness and the Table-3 shape claims.
+"""Tests for the Table 1-3 harness and the Table-3 shape claims.
 
 These run at a tiny scale so the *shape* assertions (who wins, where
-the DNFs fall) stay fast; the full regeneration lives under
-``benchmarks/``.
+the DNFs fall) stay fast, and assert them on work counters rather than
+wall-clock.  ``python -m repro.bench table3`` prints the timed table.
 """
 
 import pytest
 
+from repro.datagen import DATASETS
+from repro.engine.compiler import compile_query
+from repro.engine.cost import CostModel
 from repro.bench import (
     format_dict_table,
     format_table3,
@@ -118,13 +121,44 @@ class TestTable3Shape:
                 assert not any(cell.dnf for cell in row.cells.values()), \
                     (dataset, system)
 
-    def test_all_finishing_systems_agree_on_results(self):
-        for dataset in ("d2", "d3"):
-            prepared = prepare_dataset(dataset, SCALE)
-            for query in prepared.spec.queries:
-                counts = set()
-                for system in systems_for(dataset):
-                    cell = run_cell(prepared, query.text, system)
-                    if not cell.dnf:
-                        counts.add(cell.n_results)
-                assert len(counts) == 1, (dataset, query.qid)
+    def test_all_finishing_systems_agree_on_results(self, rows):
+        for name, spec in DATASETS.items():
+            for query in spec.queries:
+                counts = {rows[(name, system)].cells[query.qid].n_results
+                          for system in systems_for(name)
+                          if not rows[(name, system)].cells[query.qid].dnf}
+                assert len(counts) == 1, (name, query.qid)
+
+    def test_ts_io_grows_with_result_size_pl_stays_flat(self, rows):
+        """Ablation A4: TS reads more index entries on the
+        low-selectivity queries, PL reads one document pass on every
+        query, so TS's I/O advantage shrinks from h to l."""
+        for name in ("d2", "d3"):
+            ts = {qid: cell.counters["nodes_scanned"]
+                  for qid, cell in rows[(name, "TS")].cells.items()}
+            pl = {qid: cell.counters["nodes_scanned"]
+                  for qid, cell in rows[(name, "PL")].cells.items()}
+            assert len(set(pl.values())) == 1, name
+            assert max(ts["Q5"], ts["Q6"]) > max(ts["Q1"], ts["Q2"]), name
+            assert pl["Q1"] / ts["Q1"] > pl["Q5"] / ts["Q5"], name
+
+    def test_cost_model_regret_is_bounded(self, rows):
+        """Ablation A6: the cost model's pick always finishes and reads
+        at most 12x (in the median 4x) the nodes of the best system."""
+        system_of = {"xhive": "XH", "twigstack": "TS", "pipelined": "PL",
+                     "stack": "PL", "bnlj": "NL", "nl": "NL"}
+        regrets = []
+        for name, spec in DATASETS.items():
+            model = CostModel(prepare_dataset(name, SCALE).doc)
+            for query in spec.queries:
+                pick = model.choose(compile_query(query.text).tree)
+                work = {}
+                for system in systems_for(name):
+                    cell = rows[(name, system)].cells[query.qid]
+                    work[system] = (float("inf") if cell.dnf
+                                    else cell.counters["nodes_scanned"])
+                picked = work.get(system_of[pick.strategy], float("inf"))
+                assert picked != float("inf"), (name, query.qid, pick.strategy)
+                regrets.append(picked / max(1, min(work.values())))
+        assert max(regrets) < 12.0
+        assert sorted(regrets)[len(regrets) // 2] < 4.0

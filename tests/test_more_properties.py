@@ -1,17 +1,14 @@
-"""Additional property-based suites: updates, streaming, correlated FLWOR."""
+"""Additional property-based suites: updates, the single pass, correlated FLWOR."""
 
 from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
 from repro.engine import Engine
-from repro.pattern import build_from_path, decompose
-from repro.physical import NoKMatcher
-from repro.physical.streaming import StreamingNoKMatcher
-from repro.xmlkit import parse, serialize
-from repro.xmlkit.sax import parse_string
+from repro.xmlkit import parse
+from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.update import DocumentUpdater
-from repro.xpath import parse_xpath
+from repro.xpath import evaluate_xpath
 
 from tests.test_property_based import COMMON_SETTINGS, TAGS, xml_documents
 
@@ -22,16 +19,17 @@ def _chain_paths():
 
 
 class TestStreamingEquivalence:
+    """The stream-context plan: one sequential pass answers child
+    chains exactly as the navigational oracle, recursion included."""
+
     @COMMON_SETTINGS
     @given(doc=xml_documents(), path=_chain_paths())
     def test_stream_count_matches_tree_matcher(self, doc, path):
-        tree = build_from_path(parse_xpath(path))
-        dec = decompose(tree)
-        [nok] = [n for n in dec.noks if n.root.name != "#root"]
-        tree_matches = len(NoKMatcher(nok, doc, variables={}).matches())
-        handler = StreamingNoKMatcher(nok)
-        parse_string(serialize(doc.root), handler)
-        assert handler.count == tree_matches
+        counters = ScanCounters()
+        got = Engine(doc).query(path, strategy="pipelined", counters=counters)
+        assert [n.nid for n in got.nodes()] == \
+            [n.nid for n in evaluate_xpath(doc, path)]
+        assert counters.scans_started <= 1  # 0: a label the document lacks
 
 
 class TestUpdateInvariants:

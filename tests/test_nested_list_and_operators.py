@@ -1,10 +1,16 @@
-"""Unit tests for the NestedList ADT and the logical operators (Section 3)."""
+"""Unit tests for the NestedList ADT and the logical operators (Section 3).
+
+π and σ are the library's (:mod:`repro.algebra`).  The logical ⋈ lives
+here as the reference the physical ``//``-joins are checked against;
+no plan runs it.
+"""
 
 import pytest
 
-from repro.algebra import join, project, project_sequence, select
+from repro.algebra import project, select
+from repro.engine import Engine
 from repro.pattern import build_from_path, decompose
-from repro.physical import NoKMatcher
+from repro.physical import NoKMatcher, left_projection, stack_desc_join
 from repro.xmlkit import parse
 from repro.xpath import parse_xpath
 
@@ -17,6 +23,35 @@ def match_all(doc, path_text):
     for nok in dec.noks:
         matches[nok.nok_id] = NoKMatcher(nok, doc, variables={}).matches()
     return tree, dec, matches
+
+
+def project_parts(parts, target):
+    """π over one joined item: the part whose pattern tree holds ``target``."""
+    for part in parts:
+        try:
+            return project(part, target)
+        except KeyError:
+            continue
+    raise KeyError(f"V{target.vid} not reachable from any joined part")
+
+
+def join(left, right, predicate, left_target, right_target):
+    """⋈ (Section 3.3): combine NestedLists whose projections satisfy
+    ``predicate``.  A joined item is the tuple of its NestedLists, one
+    per pattern tree (the pointer-level form of "filling out the
+    placeholders"); ``left`` may hold earlier results, so joins compose."""
+    output = []
+    for item in left:
+        parts = item if isinstance(item, tuple) else (item,)
+        lnodes = project_parts(parts, left_target)
+        for entry in right:
+            if predicate(lnodes, project(entry, right_target)):
+                output.append(parts + (entry,))
+    return output
+
+
+def desc(lnodes, rnodes):
+    return any(l.is_ancestor_of(r) for l in lnodes for r in rnodes)
 
 
 @pytest.fixture
@@ -54,7 +89,8 @@ class TestProjection:
         tree, dec, matches = match_all(abcd_doc, "//b/d")
         b_nok = next(n for n in dec.noks if n.root.name == "b")
         d_vertex = tree.var_vertex["#result"]
-        nodes = project_sequence(matches[b_nok.nok_id], d_vertex)
+        nodes = [n for entry in matches[b_nok.nok_id]
+                 for n in project(entry, d_vertex)]
         assert [n.string_value() for n in nodes] == ["1", "2", "3"]
 
 
@@ -105,21 +141,22 @@ class TestSelect:
 class TestJoin:
     def test_join_combines_on_predicate(self, abcd_doc):
         tree, dec, matches = match_all(abcd_doc, "//a//d")
-        a_nok = next(n for n in dec.noks if n.root.name == "a")
-        d_nok = next(n for n in dec.noks if n.root.name == "d")
-        a_vertex = a_nok.root
-        d_vertex = d_nok.root
+        edge = next(e for e in dec.inter_edges if e.parent.name == "a")
+        a_vertex, d_vertex = edge.parent, edge.child
+        left, right = matches[edge.nok_from], matches[edge.nok_to]
 
-        def desc(lnodes, rnodes):
-            return any(l.is_ancestor_of(r) for l in lnodes for r in rnodes)
-
-        combined = join(matches[a_nok.nok_id], matches[d_nok.nok_id],
-                        desc, a_vertex, d_vertex)
+        combined = join(left, right, desc, a_vertex, d_vertex)
         # one a × three d's below it
         assert len(combined) == 3
         for item in combined:
-            assert len(item.project(a_vertex)) == 1
-            assert len(item.project(d_vertex)) == 1
+            assert len(project_parts(item, a_vertex)) == 1
+            assert len(project_parts(item, d_vertex)) == 1
+        # The physical //-join pairs exactly the nodes ⋈ combines.
+        physical = stack_desc_join(left_projection(left, edge), right, edge)
+        assert {(a, e.node.nid) for a, entries in physical.adjacency.items()
+                for e in entries} == \
+            {(project_parts(item, a_vertex)[0].nid,
+              project_parts(item, d_vertex)[0].nid) for item in combined}
 
     def test_join_composes_over_combined(self, abcd_doc):
         tree, dec, matches = match_all(abcd_doc, "//a//b//d")
@@ -127,18 +164,17 @@ class TestJoin:
         b_nok = next(n for n in dec.noks if n.root.name == "b")
         d_nok = next(n for n in dec.noks if n.root.name == "d")
 
-        def desc(lnodes, rnodes):
-            return any(l.is_ancestor_of(r) for l in lnodes for r in rnodes)
-
         step1 = join(matches[a_nok.nok_id], matches[b_nok.nok_id],
                      desc, a_nok.root, b_nok.root)
         step2 = join(step1, matches[d_nok.nok_id], desc,
                      b_nok.root, d_nok.root)
-        # (a,b1,d?) b with two d's + b with one d -> but join is at the
-        # NestedList level: each (a,b) pairs with d's below ANY b... the
-        # predicate projects b from the combined item, so pairs are
-        # (a,b2,d1) (a,b2,d2) (a,b3,d3) and cross pairs are filtered.
+        # The predicate projects b from the combined item, so the pairs
+        # are (a,b2,d1) (a,b2,d2) (a,b3,d3): cross pairs are filtered.
         assert len(step2) == 3
+        # The plan that joins with the physical operators agrees.
+        plan = Engine(abcd_doc).query("//a//b//d", strategy="stack")
+        assert [n.nid for n in plan.nodes()] == \
+            sorted(project_parts(item, d_nok.root)[0].nid for item in step2)
 
 
 class TestEntryBasics:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.algebra import project
 from repro.engine import Engine
 from repro.errors import CompileError
 from repro.pattern import build_from_path, decompose
@@ -170,8 +171,7 @@ class TestStructuralInvariants:
         roots_nest = any(m1.node.is_ancestor_of(m2.node)
                          for m1 in matches for m2 in matches)
         if not roots_nest:
-            from repro.algebra import project_sequence
-            nids = [n.nid for n in project_sequence(matches, a_vertex)]
+            nids = [n.nid for entry in matches for n in project(entry, a_vertex)]
             assert nids == sorted(nids)
         # The join-facing projection is document-ordered unconditionally.
         fake_edge = type("E", (), {"parent": a_vertex})

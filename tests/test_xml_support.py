@@ -1,4 +1,4 @@
-"""Unit tests for serialization, labeling, stats, index, storage, SAX."""
+"""Unit tests for serialization, labeling, stats, index, storage, events."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from repro.xmlkit import (
     serialize,
 )
 from repro.physical.structural import axis_test
-from repro.xmlkit.sax import ContentHandler, parse_string
+from repro.xmlkit.tokenizer import CHARS, END, START, tokenize
 
 
 class TestSerialize:
@@ -156,39 +156,18 @@ class TestSequentialScan:
         assert counters.snapshot()["peak_buffered"] == 3
 
 
-class _Recorder(ContentHandler):
-    def __init__(self):
-        self.events = []
-
-    def start_document(self):
-        self.events.append("start-doc")
-
-    def end_document(self):
-        self.events.append("end-doc")
-
-    def start_element(self, tag, attrs):
-        self.events.append(("s", tag, dict(attrs)))
-
-    def end_element(self, tag):
-        self.events.append(("e", tag))
-
-    def characters(self, text):
-        if text.strip():
-            self.events.append(("t", text))
-
-
 class TestSAX:
+    """The SAX-style event stream is the tokenizer's; the parser
+    enforces well-formedness over it."""
+
     def test_event_sequence(self):
-        handler = _Recorder()
-        parse_string('<a x="1"><b>hi</b></a>', handler)
-        assert handler.events == [
-            "start-doc", ("s", "a", {"x": "1"}), ("s", "b", {}),
-            ("t", "hi"), ("e", "b"), ("e", "a"), "end-doc"]
+        events = [(e.kind, e.value)
+                  for e in tokenize('<a x="1"><b>hi</b><c/></a>')]
+        assert events == [
+            (START, ("a", {"x": "1"})), (START, ("b", {})), (CHARS, "hi"),
+            (END, "b"), (START, ("c", {})), (END, "c"), (END, "a")]
 
     def test_well_formedness_enforced(self):
-        with pytest.raises(XMLSyntaxError):
-            parse_string("<a><b></a>", _Recorder())
-        with pytest.raises(XMLSyntaxError):
-            parse_string("<a/><b/>", _Recorder())
-        with pytest.raises(XMLSyntaxError):
-            parse_string("", _Recorder())
+        for text in ("<a><b></a>", "<a/><b/>", "", "<a>"):
+            with pytest.raises(XMLSyntaxError):
+                parse(text)
