@@ -9,9 +9,8 @@ surface the :mod:`repro.obs` package offers:
   cost model's estimates,
 * the process-wide metrics registry in Prometheus text exposition,
 * the slow-query log on a :class:`~repro.engine.database.Database`,
-* the runtime statistics store, which records every execution and is
-  read only by the introspection surface (``db.stats()``, the
-  per-strategy win/loss table, ``python -m repro.obs``).
+* per-strategy latency from the registry's
+  ``repro_query_latency_ms{strategy}`` histogram, beside ``db.stats()``.
 
 Run with::
 
@@ -56,24 +55,20 @@ def main() -> None:
     for record in db.slow_log.entries:
         print(f"  {record.describe()}")
 
-    print("\n== 6. The runtime statistics store ==")
+    print("\n== 6. Per-strategy latency ==")
     observed = Database(doc)
     for _ in range(3):                      # auto, then one rival strategy
         observed.query("//book[author]/title")
         observed.query("//book[author]/title", strategy="twigstack")
-    store = observed.engine.stats_store
-    for entry in store.top_queries(3):
-        print(f"  {entry['strategy']:<10} n={entry['executions']}"
-              f" mean={entry['mean_ms']:.3f}ms  {entry['query']}")
-    snapshot = observed.stats(top=3)
-    plan_cache = snapshot["plan_cache"]
+    latency = REGISTRY.get("repro_query_latency_ms")
+    for strategy in ("pipelined", "twigstack"):
+        print(f"  {strategy:<10} n={latency.count(strategy=strategy)}"
+              f" p50={latency.quantile(0.5, strategy=strategy):.3f}ms")
+    plan_cache = observed.stats()["plan_cache"]
     print(f"  plan cache: {plan_cache['hits']} hits,"
           f" {plan_cache['misses']} misses")
-    for row in snapshot["statstore"]["by_strategy"]:
-        print(f"  {row['strategy']:<10} wins={row['wins']}"
-              f" losses={row['losses']}")
-    print("  (the plan `auto` runs never reads these numbers; try"
-          " `python -m repro.obs demo` for the full rendered view)")
+    print("  (process-wide, every query above counted; the plan `auto`"
+          " runs never reads these numbers)")
 
 
 if __name__ == "__main__":

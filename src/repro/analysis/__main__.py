@@ -28,8 +28,7 @@ none of the queries we actually serve.
 
 ``--json`` payloads are versioned (``"schema": 1``, the convention
 shared with ``Database.stats()``); ``--check-report`` re-reads such a
-payload (the CI artifact) and refuses unknown schema versions the same
-way ``python -m repro.obs report`` does.
+payload (the CI artifact) and refuses unknown schema versions.
 """
 
 from __future__ import annotations
@@ -111,8 +110,7 @@ def _workload_queries() -> dict[str, str]:
 def _check_report(path: str) -> int:
     """Validate a ``--json`` report written by an earlier run.
 
-    Mirrors the schema gate in ``python -m repro.obs report``: an
-    unknown ``schema`` means a newer (or older) writer produced the
+    An unknown ``schema`` means a newer (or older) writer produced the
     payload and this reader must not guess at its shape.
     """
     try:

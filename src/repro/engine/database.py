@@ -7,7 +7,7 @@ binary format (:mod:`repro.xmlkit.binary`) with everything derived
 from it.  It is a thin owner of a serving
 :class:`~repro.serve.catalog.Catalog` whose one document, ``"main"``,
 is the stored document: the catalog holds its versions, their shared
-plan cache and statistics store, and the scan pools.  The engine of
+plan cache and the scan pools.  The engine of
 the current version is reachable as ``db.engine`` for diagnostics, but
 the supported surface is this class plus the serving layer behind
 :meth:`serve`.
@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import UsageError
+from repro.obs.metrics import STATS_SCHEMA
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Tracer
 from repro.xmlkit.binary import dump, load
@@ -75,8 +76,8 @@ class Database:
                  slow_query_ms: float | None = None) -> None:
         from repro.serve.catalog import Catalog
 
-        #: The one owner of the document's versions, their plan cache,
-        #: statistics store and scan pools; ``doc`` is snapshot 1.
+        #: The one owner of the document's versions, their plan cache
+        #: and scan pools; ``doc`` is snapshot 1.
         self.catalog: Catalog = Catalog()
         self.catalog.register("main", doc)
         self._service: QueryService | None = None
@@ -100,8 +101,8 @@ class Database:
 
     @property
     def engine(self) -> Engine:
-        """The current version's engine (its plan cache and statistics
-        store are the catalog's, shared by every version)."""
+        """The current version's engine (its plan cache is the
+        catalog's, shared by every version)."""
         with self._reading() as engine:
             return engine
 
@@ -202,24 +203,22 @@ class Database:
         """Structural statistics of the current version (Table 1 row)."""
         return self.doc.derived.stats
 
-    def stats(self, top: int = 10) -> dict:
+    def stats(self) -> dict:
         """A structured JSON snapshot of the database's runtime state.
 
-        One call, one dict — what an operator (or ``python -m
-        repro.obs report``) needs to see where time goes: the current
-        version's summary, the plan cache's hit ratios, the runtime
-        statistics store (top ``top`` plans by accumulated time,
-        per-strategy win/loss), the slow-query log, and the serving
+        One call, one dict: the current version's summary, the plan
+        cache's hit ratios, the slow-query log's state, and the serving
         layer's own :meth:`QueryService.stats
         <repro.serve.service.QueryService.stats>` when :meth:`serve` is
-        active.  The plan cache and the statistics store are the
-        catalog's, so they count the service's reads too.
+        active.  The plan cache is the catalog's, so it counts the
+        service's reads too.  Per-strategy latency lives in the metrics
+        registry (``repro_query_latency_ms{strategy}``), per-query
+        records in the slow log.
 
-        The payload is versioned: ``"schema": 1`` at the top level
-        (shared with ``QueryService.stats()`` and the network ``stats``
-        frame; the schema is documented in DESIGN.md and ``python -m
-        repro.obs report`` refuses versions it does not know).  The
-        ``top`` default is 10 on every stats surface.
+        The payload is versioned: ``"schema"`` at the top level is
+        :data:`~repro.obs.metrics.STATS_SCHEMA` (shared with
+        ``QueryService.stats()`` and the network ``stats`` frame; the
+        schema is documented in DESIGN.md).
 
         .. note:: this used to be a property aliasing the document
            statistics; those now live at :attr:`doc_stats`.
@@ -229,9 +228,8 @@ class Database:
             fingerprint = "/".join(
                 str(part) for part in reader.stats_fingerprint())
             plan_cache = reader.plan_cache.stats()
-            statstore = reader.stats_store.snapshot(top=top)
         return {
-            "schema": 1,
+            "schema": STATS_SCHEMA,
             "document": {
                 "n_nodes": doc_stats.n_nodes,
                 "n_elements": doc_stats.n_elements,
@@ -242,7 +240,6 @@ class Database:
                 "fingerprint": fingerprint,
             },
             "plan_cache": plan_cache,
-            "statstore": statstore,
             "slow_queries": (
                 None if self.slow_log is None else {
                     "threshold_ms": self.slow_log.threshold_ms,

@@ -254,12 +254,6 @@ class FLWORExecutor:
         self._variables: Bindings = {}
         #: filled during execute(), for explain()
         self.plan_notes: list[str] = []
-        #: Observed NoK selectivities of this run — one
-        #: ``(pattern root tag, match count)`` pair per NoK scanned
-        #: (or per twig output vertex).  The session records these in
-        #: the runtime statistics store after every execution; no plan
-        #: decision reads them back.
-        self.match_summary: list[tuple[str, int]] = []
 
     # ------------------------------------------------------------------
     # Entry point.
@@ -353,7 +347,6 @@ class FLWORExecutor:
                 counters=self.counters)
             output = tree.var_vertex[RESULT_VAR]
             nodes = list(operator.matching_nodes(output))
-            self.match_summary.append((output.name, len(nodes)))
             span.set(matches=len(nodes),
                      nodes_scanned=self.counters.nodes_scanned
                      - before["nodes_scanned"],
@@ -416,9 +409,6 @@ class FLWORExecutor:
                                      scan_nodes, wall_ms)
         for nok_id, entries in matches.items():
             self.counters.intermediate_results += len(entries)
-        self.match_summary.extend(
-            (nok.root.name, len(matches.get(nok.nok_id, [])))
-            for nok in dec.noks)
         return matches
 
     def _trace_noks(self, noks: list[NoKTree],

@@ -25,9 +25,8 @@ decomposition cannot carry (PL004); and pins which join each
 asks).  ``explain`` reads the same decision without executing it.
 
 The decision is static, as in the paper: it reads document statistics
-and the query, never the runtime
-:class:`~repro.obs.statstore.StatsStore`, so the same query over the
-same document version always gets the same plan.
+and the query, never a record of earlier runs, so the same query over
+the same document version always gets the same plan.
 """
 
 from __future__ import annotations

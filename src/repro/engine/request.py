@@ -157,10 +157,9 @@ class QueryKey:
     """The identity of one request: what makes two requests "the same".
 
     ``text`` is the whitespace-normalised query text — ``None`` for a
-    pre-parsed expression, which bypasses every text-keyed cache.  The
-    stats store and the advisor take the three fields as arguments;
-    each method is one cache's view and returns the plain tuple that
-    cache has always stored, so cache contents (and the ``stats()``
+    pre-parsed expression, which bypasses every text-keyed cache.  Each
+    method is one cache's view and returns the plain tuple that cache
+    has always stored, so cache contents (and the ``stats()``
     payload built from them) do not depend on this class.
     """
 

@@ -53,12 +53,11 @@ from __future__ import annotations
 import sys
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis import verify_plan
 from repro.errors import CompileError, DNFError, QueryTimeoutError
 from repro.obs.metrics import REGISTRY
-from repro.obs.statstore import StatsStore
 from repro.obs.trace import NULL_TRACER, NullTracer, QueryTrace, Tracer
 from repro.physical.parallel_scan import ScanPools
 from repro.xmlkit.index import TagIndex
@@ -138,9 +137,6 @@ class _Run:
     #: chosen) and its plan text; both leave on the result.
     strategy: str = ""
     plan_text: str | None = None
-    #: Observed NoK selectivities (``(root tag, matches)`` pairs), fed
-    #: to the stats store.
-    match_summary: list[tuple[str, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.strategy = self.options.strategy
@@ -168,11 +164,6 @@ class Engine:
         immutable :class:`~repro.serve.snapshot.Snapshot`: the id keys
         the shared plan cache (instead of the mutation counter) and is
         stamped into every plan this engine compiles.
-    stats_store:
-        The :class:`~repro.obs.statstore.StatsStore` every execution
-        records into (the serving catalog shares one per document, like
-        the plan cache; no plan decision reads it back); by default the
-        engine owns a private store.
     """
 
     #: Plan text and trace of the most recently *finished* call —
@@ -188,8 +179,7 @@ class Engine:
                  work_budget: int | None = None,
                  plan_cache_capacity: int = 128,
                  plan_cache: PlanCache | None = None,
-                 snapshot_id: int | None = None,
-                 stats_store: StatsStore | None = None) -> None:
+                 snapshot_id: int | None = None) -> None:
         self.doc = doc
         self.documents = dict(documents or {})
         #: Uris resolving to other documents, precomputed once (the
@@ -213,8 +203,6 @@ class Engine:
                            else PlanCache(plan_cache_capacity))
         #: Snapshot binding (serving layer); ``None`` for a plain engine.
         self.snapshot_id = snapshot_id
-        self.stats_store = (stats_store if stats_store is not None
-                            else StatsStore())
         #: Optional hook called with every plan served from the cache
         #: *before* execution; the serving catalog installs the SV001
         #: dropped-snapshot gate here.  Raise to refuse the plan.
@@ -329,7 +317,6 @@ class Engine:
             tracer = Tracer() if options.trace else NULL_TRACER
         run = _Run(source, options, key or QueryKey(source, options),
                    counters, tracer, budget, slow)
-        items: int | None = None
         before = counters.snapshot()
         started = time.perf_counter_ns()
         try:
@@ -364,12 +351,11 @@ class Engine:
                     _TIMEOUTS.inc()
                     exc.plan = run.plan_text
                     raise
-                items = len(result)
-                qspan.set(plan=run.plan_text, items=items)
+                qspan.set(plan=run.plan_text, items=len(result))
         finally:
             counters.cancellation = previous_token
             elapsed_ms = (time.perf_counter_ns() - started) / 1e6
-            self._record(run, before, elapsed_ms, items)
+            self._record(run, before, elapsed_ms)
             trace = tracer.finish() if tracer is not NULL_TRACER else None
             self.last_plan = run.plan_text
             self.last_trace = trace
@@ -494,7 +480,6 @@ class Engine:
             run.strategy, run.plan_text = "naive", "naive (late fallback)"
             return self._execute_naive(run, compiled, values, run.plan_text)
         run.plan_text = str(choice) + "; " + "; ".join(executor.plan_notes)
-        run.match_summary = executor.match_summary
 
         if compiled.query is compiled.flwor:
             return QueryResult(items)
@@ -523,17 +508,15 @@ class Engine:
     # Record stage.
     # ------------------------------------------------------------------
 
-    def _record(self, run: _Run, before: dict[str, int], elapsed_ms: float,
-                items: int | None) -> None:
-        """Feed the registry and the stats store with this run's actuals.
+    def _record(self, run: _Run, before: dict[str, int],
+                elapsed_ms: float) -> None:
+        """Feed the registry (and the slow log, when one listens) with
+        this run's actuals, labelled by the *executed* strategy.
 
         Counter *deltas* (not absolutes) because callers may reuse one
-        :class:`ScanCounters` across several queries.  The stats-store
-        row is keyed like the plan cache but under the *executed*
-        strategy; pre-parsed expressions (they bypass the cache too)
-        share the ``<expr>`` pseudo-text.
+        :class:`ScanCounters` across several queries.
         """
-        counters, strategy, key = run.counters, run.strategy, run.key
+        counters, strategy = run.counters, run.strategy
         _QUERIES.inc(strategy=strategy)
         _LATENCY.observe(elapsed_ms, strategy=strategy)
         delta = {name: getattr(counters, name) - before[name]
@@ -544,25 +527,11 @@ class Engine:
         _COMPARISONS.inc(delta["comparisons"])
         _INTERMEDIATE.inc(delta["intermediate_results"])
         _PEAK.max(counters.peak_buffered)
-        error = sys.exc_info()[0]
-        try:
-            self.stats_store.record(
-                "<expr>" if key.text is None else key.text, strategy,
-                self.stats_fingerprint(), key.executor,
-                elapsed_ms=elapsed_ms, counters=delta, items=items,
-                nok_matches=run.match_summary or None,
-                cache_status=run.cache_status,
-                error=error.__name__ if error is not None else None)
-        except Exception:
-            # Statistics are an observer: a recording failure must
-            # not mask the query's own outcome (we may already be
-            # unwinding a user-visible exception here).
-            pass
         if run.slow is not None:
             after = counters.snapshot()
             run.slow(run.plan_text, elapsed_ms,
                      {name: after[name] - before[name] for name in after},
-                     error)
+                     sys.exc_info()[0])
 
     def explain(self, text: str | QueryExpr, strategy: str = "auto") -> str:
         """Describe the plan that ``query`` would run (without running it)."""

@@ -16,11 +16,8 @@ executor stack and the physical operators:
 * :mod:`repro.obs.export` — JSON-lines trace export, Prometheus-style
   text exposition, and a pretty span-tree renderer.
 * :mod:`repro.obs.slowlog` — a configurable slow-query log used by
-  :class:`~repro.engine.database.Database`.
-* :mod:`repro.obs.statstore` — the runtime statistics store: per-plan
-  observed latencies, work counters and NoK selectivities, recorded on
-  every execution and read only by ``stats()`` and ``python -m
-  repro.obs``.
+  :class:`~repro.engine.database.Database` and the query service: the
+  one per-query record (text, plan, elapsed time, counter deltas).
 
 Nothing in here imports from the engine or operator layers, so every
 layer may depend on ``repro.obs`` without cycles.
@@ -30,7 +27,6 @@ from repro.obs.metrics import REGISTRY, Counter, Gauge, Histogram, MetricsRegist
 from repro.obs.trace import NULL_TRACER, NullTracer, QueryTrace, Span, Tracer
 from repro.obs.export import prometheus_text, render_span_tree, trace_to_jsonl
 from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
-from repro.obs.statstore import PlanStats, StatsStore
 
 __all__ = [
     "Counter",
@@ -39,13 +35,11 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "PlanStats",
     "QueryTrace",
     "REGISTRY",
     "SlowQueryLog",
     "SlowQueryRecord",
     "Span",
-    "StatsStore",
     "Tracer",
     "prometheus_text",
     "render_span_tree",

@@ -59,7 +59,6 @@ name                                           type       labels
 ``repro_partition_scans_total``                counter    —
 ``repro_partition_fallbacks_total``            counter    —
 ``repro_tag_index_builds_total``               counter    —
-``repro_stats_records_total``                  counter    —
 ``repro_service_worker_utilization``           gauge      —
 ``repro_service_timeouts_total``               counter    —
 ``repro_querylint_findings_total``             counter    ``rule``
@@ -89,9 +88,6 @@ splits of skewed documents) and :mod:`repro.physical.parallel_scan`
 scan); ``repro_tag_index_builds_total`` counts full-document tag-index
 materializations — a document version owns one index
 (``doc.derived``), so this should rise at most once per version.
-``repro_stats_records_total`` is registered by
-:mod:`repro.obs.statstore` and counts every execution recorded into a
-:class:`~repro.obs.statstore.StatsStore`.
 """
 
 from __future__ import annotations
@@ -101,7 +97,12 @@ from collections.abc import Iterable
 from typing import Any
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
-           "bucket_quantile", "get_registry"]
+           "STATS_SCHEMA", "bucket_quantile", "get_registry"]
+
+#: Version of the structured ``stats()`` payloads (``Database.stats``,
+#: ``QueryService.stats`` and the wire ``stats`` frame), stamped as their
+#: ``"schema"`` key; it moves when a documented key leaves or changes.
+STATS_SCHEMA = 2
 
 LabelKey = tuple[tuple[str, str], ...]
 

@@ -19,10 +19,12 @@ stream JSON lines to a file for post-mortem analysis::
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.errors import UsageError
 from repro.obs.metrics import REGISTRY
 
 __all__ = ["SlowQueryLog", "SlowQueryRecord"]
@@ -84,13 +86,26 @@ class SlowQueryRecord:
 
 
 class SlowQueryLog:
-    """Bounded in-memory slow-query ring with optional JSONL streaming."""
+    """Bounded in-memory slow-query ring with optional JSONL streaming.
+
+    ``threshold_ms`` must be a finite number >= 0 and ``max_entries`` an
+    int >= 1; anything else raises :class:`~repro.errors.UsageError`
+    (a NaN threshold would log every query, an empty ring would hand
+    back records it does not keep).
+    """
 
     def __init__(self, threshold_ms: float = 100.0,
                  path: str | Path | None = None,
                  max_entries: int = 1000) -> None:
-        if threshold_ms < 0:
-            raise ValueError("threshold_ms must be >= 0")
+        if (isinstance(threshold_ms, bool)
+                or not isinstance(threshold_ms, (int, float))
+                or not (math.isfinite(threshold_ms) and threshold_ms >= 0)):
+            raise UsageError("threshold_ms= expects a finite number >= 0, "
+                             f"got {threshold_ms!r}")
+        if (isinstance(max_entries, bool) or not isinstance(max_entries, int)
+                or max_entries < 1):
+            raise UsageError(
+                f"max_entries= expects an int >= 1, got {max_entries!r}")
         self.threshold_ms = threshold_ms
         self.path = Path(path) if path is not None else None
         if self.path is not None:

@@ -20,7 +20,7 @@ id — the serving layer's unit of isolation:
   this to purge its result cache).
 
 The catalog is the one owner of what outlives a request: the versions,
-the per-document plan cache and statistics store, and the
+the per-document plan cache, and the
 :class:`~repro.physical.parallel_scan.ScanPools` every engine it creates
 scans on.  A :class:`~repro.engine.database.Database` is its first
 document, and a query service only borrows it; :meth:`close` releases
@@ -43,7 +43,6 @@ from repro.engine.prepared import CachedPlan
 from repro.engine.session import Engine
 from repro.errors import UsageError
 from repro.obs.metrics import REGISTRY
-from repro.obs.statstore import StatsStore
 from repro.physical.parallel_scan import ScanPools
 from repro.serve.snapshot import Snapshot, SnapshotUpdater
 from repro.xmlkit.parser import parse
@@ -67,7 +66,7 @@ class _Entry:
     """Per-document state; all fields guarded by the catalog lock."""
 
     __slots__ = ("name", "current", "pins", "dropped", "plan_cache",
-                 "engines", "stats_store")
+                 "engines")
 
     def __init__(self, name: str, snapshot: Snapshot,
                  plan_cache_capacity: int) -> None:
@@ -79,10 +78,6 @@ class _Entry:
         self.dropped: set[int] = set()
         #: one plan cache shared by every version's engine.
         self.plan_cache = PlanCache(plan_cache_capacity)
-        #: one runtime statistics store shared the same way: recorded
-        #: actuals survive snapshot churn — entries are keyed by
-        #: fingerprint, so versions never mix.
-        self.stats_store = StatsStore()
         #: snapshot_id -> Engine bound to that version.
         self.engines: dict[int, Engine] = {}
 
@@ -183,8 +178,7 @@ class Catalog:
             engine = entry.engines.get(sid)
             if engine is None:
                 engine = Engine(snapshot.doc, plan_cache=entry.plan_cache,
-                                snapshot_id=sid,
-                                stats_store=entry.stats_store)
+                                snapshot_id=sid)
                 engine.plan_gate = self._make_gate(entry)
                 engine.scan_pools = self.scan_pools
                 entry.engines[sid] = engine
@@ -257,11 +251,6 @@ class Catalog:
         """The shared plan cache of one document (introspection/tests)."""
         with self._lock:
             return self._entry(name).plan_cache
-
-    def stats_store(self, name: str) -> StatsStore:
-        """The shared runtime statistics store of one document."""
-        with self._lock:
-            return self._entry(name).stats_store
 
     def purge_snapshot_plans(self, name: str, snapshot_id: int) -> int:
         """Eagerly drop plans compiled against one snapshot.

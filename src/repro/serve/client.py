@@ -209,11 +209,10 @@ class Client:
         return RemotePrepared(self, reply["prepared"], text,
                               list(reply.get("parameters", [])), options)
 
-    def stats(self, top: int = 10) -> dict:
+    def stats(self) -> dict:
         """The server's versioned ``service.stats()`` payload
         (including the ``server`` admission section)."""
-        reply = self._roundtrip({"type": "stats", "top": top},
-                                expect="stats")
+        reply = self._roundtrip({"type": "stats"}, expect="stats")
         return reply["stats"]
 
     def ping(self) -> bool:

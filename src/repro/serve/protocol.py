@@ -26,7 +26,9 @@ Request types (client → server)
     ``stats``
         The versioned :meth:`QueryService.stats
         <repro.serve.service.QueryService.stats>` payload (which
-        includes the server's admission-controller section).
+        includes the server's admission-controller section).  The
+        frame has no fields; a ``top`` key from an older client is
+        ignored like any other unknown key.
     ``ping``
         Liveness / round-trip probe.
 

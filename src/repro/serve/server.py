@@ -353,11 +353,8 @@ class Server:
                 await self._send(conn, {"type": "pong", "id": request_id})
                 return
             if frame_type == "stats":
-                top = frame.get("top", 10)
-                if not isinstance(top, int) or top < 0:
-                    raise ProtocolError(f"bad stats top {top!r}")
                 await self._send(conn, {"type": "stats", "id": request_id,
-                                        "stats": self.service.stats(top=top)})
+                                        "stats": self.service.stats()})
                 return
             if frame_type == "prepare":
                 await self._prepare(conn, request_id, frame)

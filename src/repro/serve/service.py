@@ -49,14 +49,14 @@ from repro.errors import (
     ServiceOverloadedError,
     UsageError,
 )
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, STATS_SCHEMA
 from repro.obs.slowlog import SlowQueryLog
 from repro.serve.cachepolicy import ResultCacheStorage, resolve_result_cache
 from repro.serve.catalog import Catalog
 from repro.serve.snapshot import Snapshot, SnapshotUpdater
 from repro.xmlkit.tree import Document
 
-__all__ = ["QueryService", "ServeResult"]
+__all__ = ["QueryService", "ServeResult", "STATS_KEYS"]
 
 _QUEUE_DEPTH = REGISTRY.gauge(
     "repro_service_queue_depth", "Requests waiting in the service queue")
@@ -95,6 +95,12 @@ _SERVICE_TIMEOUTS = REGISTRY.counter(
 _SERVICE_COUNTERS = ("submitted", "completed", "failed", "timeouts",
                      "rejections", "coalesced", "result_cache_hits",
                      "result_cache_misses", "slow_queries")
+
+#: The top-level keys :meth:`QueryService.stats` writes itself, in
+#: order; :meth:`QueryService.add_stats_section` refuses each of them.
+STATS_KEYS = ("schema", "queue_depth", "inflight", "result_cache_size",
+              "workers", "uptime_s", "worker_utilization", "counters",
+              "result_cache", "documents", "slow_queries")
 
 #: What a :meth:`QueryService.query_batch` mapping item may carry.
 _BATCH_KEYS = frozenset({"text", "doc", "strategy", "params", "timeout_ms",
@@ -401,10 +407,10 @@ class QueryService:
         """Register an extra :meth:`stats` section under ``name``.
 
         The network server uses this to publish its admission
-        controller's decisions inside ``service.stats()``.  Reserved
-        top-level keys cannot be shadowed.
+        controller's decisions inside ``service.stats()``.  The keys
+        :meth:`stats` writes itself (:data:`STATS_KEYS`) are reserved.
         """
-        if name in ("schema", "counters", "documents", "result_cache"):
+        if name in STATS_KEYS:
             raise UsageError(f"stats section name {name!r} is reserved")
         self._stats_sections[name] = provider
 
@@ -412,24 +418,23 @@ class QueryService:
         """Drop a section registered with :meth:`add_stats_section`."""
         self._stats_sections.pop(name, None)
 
-    def stats(self, top: int = 10) -> dict:
+    def stats(self) -> dict:
         """A structured JSON snapshot of the serving state.
 
-        The payload is versioned: ``"schema": 1`` at the top level (the
-        shape shared with :meth:`Database.stats
-        <repro.engine.database.Database.stats>` and the ``stats`` wire
-        frame; documented in DESIGN.md — ``python -m repro.obs report``
-        refuses unknown versions).  The legacy flat occupancy keys
-        (``queue_depth`` / ``inflight`` / ``result_cache_size`` /
-        ``workers``) stay at the top level; on top of them: service
-        uptime and worker utilization (busy worker-seconds over elapsed
-        worker-seconds), the per-service telemetry counters,
-        result-cache hit ratios, one section per registered document
-        with its current snapshot id, shared plan-cache statistics and
-        the runtime statistics store's snapshot (top ``top`` plans by
-        accumulated time), plus any sections registered via
+        The payload is versioned: ``"schema"`` at the top level is
+        :data:`~repro.obs.metrics.STATS_SCHEMA` (the shape shared with
+        :meth:`Database.stats <repro.engine.database.Database.stats>`
+        and the ``stats`` wire frame; documented in DESIGN.md).  The
+        legacy flat occupancy keys (``queue_depth`` / ``inflight`` /
+        ``result_cache_size`` / ``workers``) stay at the top level; on
+        top of them: service uptime and worker utilization (busy
+        worker-seconds over elapsed worker-seconds), the per-service
+        telemetry counters, result-cache hit ratios, one section per
+        registered document with its current snapshot id and shared
+        plan-cache statistics, plus any sections registered via
         :meth:`add_stats_section` (the network server's ``server``
         section, with the adaptive-admission state, appears here).
+        The built-in keys are exactly :data:`STATS_KEYS`, in order.
         """
         with self._cond:
             depth, inflight = len(self._queue), self._inflight_count
@@ -446,26 +451,19 @@ class QueryService:
             documents[name] = {
                 "snapshot_id": self.catalog.current(name).snapshot_id,
                 "plan_cache": self.catalog.plan_cache(name).stats(),
-                "statstore": self.catalog.stats_store(name).snapshot(top=top),
             }
-        payload = {
-            "schema": 1,
-            "queue_depth": depth, "inflight": inflight,
-            "result_cache_size": cached,
-            "workers": len(self._workers),
-            "uptime_s": round(uptime_s, 3),
-            "worker_utilization": round(utilization, 4),
-            "counters": counts,
-            "result_cache": (
-                self.result_cache.stats()
-                if self.result_cache is not None else {"enabled": False}),
-            "documents": documents,
-            "slow_queries": (
-                None if self.slow_log is None else {
-                    "threshold_ms": self.slow_log.threshold_ms,
-                    "entries": len(self.slow_log),
-                }),
-        }
+        payload = dict(zip(STATS_KEYS, (
+            STATS_SCHEMA,
+            depth, inflight, cached, len(self._workers),
+            round(uptime_s, 3), round(utilization, 4),
+            counts,
+            (self.result_cache.stats()
+             if self.result_cache is not None else {"enabled": False}),
+            documents,
+            (None if self.slow_log is None else {
+                "threshold_ms": self.slow_log.threshold_ms,
+                "entries": len(self.slow_log)}),
+        ), strict=True))
         for name, provider in list(self._stats_sections.items()):
             payload[name] = provider()
         return payload

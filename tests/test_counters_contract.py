@@ -76,12 +76,10 @@ def test_trip_budget_increments_field_and_metric():
 # ----------------------------------------------------------------------
 
 def test_stats_family_registered_with_stable_names():
-    import repro.obs.statstore  # noqa: F401  (registers the family)
     import repro.serve.service  # noqa: F401  (registers the gauges)
     from repro.obs.metrics import REGISTRY
 
     expected = {
-        "repro_stats_records_total": "counter",
         "repro_service_worker_utilization": "gauge",
         "repro_service_timeouts_total": "counter",
     }
@@ -108,16 +106,6 @@ def test_materialisation_counter_registered_with_its_consumer():
     node.materialise()
     node.materialise()
     assert metric.value() == before + 1
-
-
-def test_recording_feeds_the_records_counter():
-    from repro.obs.metrics import REGISTRY
-    from repro.obs.statstore import StatsStore
-
-    records = REGISTRY.get("repro_stats_records_total")
-    before = records.value()
-    StatsStore().record("q", "pipelined", ("fp",), 1, elapsed_ms=1.0)
-    assert records.value() == before + 1
 
 
 # ----------------------------------------------------------------------

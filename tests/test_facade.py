@@ -162,16 +162,19 @@ class TestDatabaseLifecycle:
 
     def test_one_read_path_counts_every_read(self):
         with repro.connect(LIBRARY) as db:
+            log = db.configure_slow_log(0.0)
             service = db.serve(workers=1)
             db.query("//book")
             service.query("//book[title]")
             db.query("//book")
             assert db.engine.plan_cache is service.catalog.plan_cache("main")
-            assert db.engine.stats_store is service.catalog.stats_store("main")
+            assert service.slow_log is log
             stats = db.stats()
             assert stats["plan_cache"]["misses"] == 2
             assert stats["plan_cache"]["hits"] == 1
-            assert stats["statstore"]["records"] == 3
+            assert [r.query for r in log.entries] == [
+                "//book", "//book[title]", "//book"]
+            assert stats["slow_queries"]["entries"] == 3
             assert stats["plan_cache"] \
                 == stats["service"]["documents"]["main"]["plan_cache"]
 

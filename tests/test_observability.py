@@ -7,18 +7,22 @@ import json
 
 import pytest
 
+import repro
 from repro.engine.database import Database
 from repro.engine.session import Engine
-from repro.errors import DNFError
+from repro.errors import DNFError, UsageError
 from repro.obs import (
     REGISTRY,
+    Histogram,
     MetricsRegistry,
     QueryTrace,
     SlowQueryLog,
     Tracer,
     prometheus_text,
 )
+from repro.obs.metrics import STATS_SCHEMA, bucket_quantile
 from repro.obs.trace import NULL_TRACER
+from repro.serve.service import STATS_KEYS
 from repro.xmlkit.storage import ScanCounters
 
 from tests.conftest import PAPER_QUERY
@@ -311,6 +315,171 @@ def test_slow_query_log_ring_bound():
     for i in range(5):
         log.observe(f"q{i}", "auto", "plan", elapsed_ms=1.0)
     assert [r.query for r in log.entries] == ["q2", "q3", "q4"]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"threshold_ms": float("nan")}, {"threshold_ms": float("inf")},
+    {"threshold_ms": -1.0}, {"threshold_ms": True}, {"threshold_ms": "5"},
+    {"max_entries": 0}, {"max_entries": -3}, {"max_entries": 2.0},
+    {"max_entries": False},
+], ids=repr)
+@pytest.mark.parametrize("surface", ["SlowQueryLog", "Database",
+                                     "QueryService"])
+def test_slow_query_log_refuses_settings_that_would_lie(surface, kwargs):
+    """A NaN threshold logged every query and an empty ring handed back
+    records it did not keep; every surface refuses them with
+    ``UsageError`` (still a ``ValueError`` for older callers)."""
+    with repro.connect("<a><b/></a>") as db:
+        configure = {"SlowQueryLog": lambda: SlowQueryLog,
+                     "Database": lambda: db.configure_slow_log,
+                     "QueryService": lambda: db.serve(
+                         workers=1).configure_slow_log}[surface]()
+        with pytest.raises(UsageError) as info:
+            configure(**kwargs)
+        assert isinstance(info.value, ValueError)
+        assert db.slow_log is None
+
+
+# ----------------------------------------------------------------------
+# Histogram quantiles (the per-strategy latency view) and exposition.
+# ----------------------------------------------------------------------
+
+class TestHistogramQuantile:
+    def test_empty_histogram_returns_none(self):
+        hist = Histogram("h", buckets=(1.0, 2.0))
+        assert hist.quantile(0.5) is None
+
+    def test_out_of_range_raises(self):
+        hist = Histogram("h", buckets=(1.0,))
+        hist.observe(0.5)
+        with pytest.raises(ValueError):
+            hist.quantile(-0.1)
+        with pytest.raises(ValueError):
+            hist.quantile(1.1)
+
+    def test_single_bucket_interpolates_from_zero(self):
+        hist = Histogram("h", buckets=(10.0,))
+        hist.observe(3.0)
+        hist.observe(7.0)
+        assert hist.quantile(0.5) == pytest.approx(5.0)   # rank 1 of 2
+
+    def test_overflow_bucket_reports_last_finite_bound(self):
+        hist = Histogram("h", buckets=(1.0, 2.0))
+        hist.observe(100.0)                   # beyond every finite bucket
+        assert hist.quantile(0.99) == pytest.approx(2.0)
+
+    def test_interpolation_inside_a_bucket(self):
+        hist = Histogram("h", buckets=(1.0, 2.0, 4.0))
+        for value in (0.5, 1.5, 3.5):
+            hist.observe(value)
+        assert hist.quantile(0.5) == pytest.approx(1.5)
+        assert hist.quantile(1.0) == pytest.approx(4.0)
+        assert 0.0 <= hist.quantile(0.0) <= 1.0
+
+    def test_bucket_quantile_degenerate_inputs(self):
+        assert bucket_quantile((), [], 0, 0.5) is None
+        # Empty leading bucket: the rank lands on its edge.
+        assert bucket_quantile((1.0, 2.0), [0, 2], 2, 0.5) == pytest.approx(1.5)
+
+    def test_prometheus_text_emits_quantile_lines(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("t_ms", "test", buckets=(1.0, 2.0))
+        hist.observe(0.5)
+        hist.observe(1.5)
+        text = prometheus_text(registry)
+        assert 't_ms_quantile{quantile="0.5"}' in text
+        assert 't_ms_quantile{quantile="0.99"}' in text
+        assert 't_ms_count 2' in text
+
+    def test_empty_histogram_emits_no_quantiles(self):
+        registry = MetricsRegistry()
+        registry.histogram("t_ms", "test", buckets=(1.0,))
+        assert "t_ms_quantile" not in prometheus_text(registry)
+
+
+# ----------------------------------------------------------------------
+# The stats() payloads: Database, QueryService and the wire frame.
+# ----------------------------------------------------------------------
+
+class TestDatabaseStats:
+    def test_stats_snapshot_shape(self):
+        db = Database.from_xml("<bib><book><title>t</title></book></bib>")
+        db.query("//book/title")
+        stats = db.stats()
+        assert set(stats) == {"schema", "document", "plan_cache",
+                              "slow_queries", "service"}
+        assert stats["document"]["n_elements"] == 3
+        assert "/" in stats["document"]["fingerprint"]
+        assert stats["plan_cache"]["misses"] >= 1
+        assert stats["slow_queries"] is None
+        assert stats["service"] is None
+        json.dumps(stats)
+
+    def test_doc_stats_still_exposes_document_statistics(self):
+        db = Database.from_xml("<a><b/></a>")
+        assert db.doc_stats.n_elements == 2
+
+
+class TestServiceStats:
+    def test_service_stats_and_slow_log_tagging(self):
+        with repro.connect("<bib><book><title>t</title></book></bib>") as db:
+            db.configure_slow_log(0.0)        # threshold 0: log everything
+            service = db.serve(workers=2)
+            service.query("//book/title")
+            service.query("//book/title")     # result-cache hit
+            stats = service.stats()
+            assert tuple(stats) == STATS_KEYS
+            assert stats["counters"]["submitted"] >= 2
+            assert stats["counters"]["completed"] >= 1
+            assert 0.0 <= stats["worker_utilization"] <= 1.0
+            assert stats["uptime_s"] > 0
+            main = stats["documents"]["main"]
+            assert set(main) == {"snapshot_id", "plan_cache"}
+            assert main["plan_cache"]["misses"] >= 1
+            # the slow log was routed through the service with tags
+            records = db.slow_log.entries
+            assert records
+            assert records[-1].snapshot_id is not None
+            assert records[-1].deadline_state in ("none", "ok")
+            assert "snapshot=" in records[-1].describe()
+            assert stats["counters"]["slow_queries"] >= 1
+            json.dumps(stats)
+
+    def test_database_stats_embeds_the_running_service(self):
+        with repro.connect("<a><b/></a>") as db:
+            db.serve(workers=1).query("//b")
+            stats = db.stats()
+            assert stats["service"] is not None
+            assert stats["service"]["counters"]["completed"] >= 1
+
+    def test_stats_payloads_declare_the_shared_schema(self):
+        """Schema 2: the runtime statistics store's key left both
+        payloads, and the wire frame lost its ``top`` field (an older
+        client's ``top`` is ignored like any unknown key)."""
+        from repro.serve.client import Client
+
+        assert STATS_SCHEMA == 2
+        with repro.connect("<a><b/></a>") as db:
+            assert db.stats()["schema"] == STATS_SCHEMA
+            service = db.serve(workers=1)
+            assert service.stats()["schema"] == STATS_SCHEMA
+            server = db.listen()
+            with Client(*server.address) as client:
+                assert client.stats()["schema"] == STATS_SCHEMA
+                reply = client._roundtrip({"type": "stats", "top": "x"},
+                                          expect="stats")
+                assert reply["stats"]["schema"] == STATS_SCHEMA
+
+    @pytest.mark.parametrize("name", STATS_KEYS)
+    def test_sections_cannot_shadow_built_in_keys(self, name):
+        """Only four of the keys stats() writes used to be reserved: a
+        ``workers`` or ``slow_queries`` section replaced the real
+        value."""
+        with repro.connect("<a><b/></a>") as db:
+            service = db.serve(workers=1)
+            with pytest.raises(UsageError, match="reserved"):
+                service.add_stats_section(name, lambda: "shadowed")
+            assert service.stats()[name] != "shadowed"
 
 
 # ----------------------------------------------------------------------

@@ -239,12 +239,3 @@ class TestCli:
         report.write_text(json.dumps(
             {"tool": "repro.analysis", "schema": 1, "errors": 3}))
         assert main(["--check-report", str(report)]) == 1
-
-    def test_obs_report_redirects_analysis_payloads(self, tmp_path, capsys):
-        from repro.obs.__main__ import main as obs_main
-
-        report = tmp_path / "lint.json"
-        report.write_text(json.dumps(
-            {"tool": "repro.analysis", "schema": 1, "errors": 0}))
-        assert obs_main(["report", "--stats", str(report)]) == 2
-        assert "repro.analysis --check-report" in capsys.readouterr().err

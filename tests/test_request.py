@@ -53,28 +53,23 @@ class TestPerRequestState:
     OUTER, INNER = "//book[author]/title", "//book/author"
 
     def test_reentrant_query_keeps_each_runs_own_state(self):
-        """Regression: the engine used to keep the executed strategy,
-        plan and match summary in instance fields, so the inner request
-        below made the outer one record (and count, and report) itself
-        as ``naive``."""
-        engine = Engine(parse(LIBRARY))
+        """Regression: the engine used to keep the executed strategy
+        and plan in instance fields, so the inner request below made
+        the outer one record (and count, and report) itself as
+        ``naive``."""
         queries = REGISTRY.get("repro_queries_total")
         before = {s: queries.value(strategy=s) for s in ("pipelined", "naive")}
-        tracer = ReenteringTracer(
-            lambda: engine.query(self.INNER, strategy="naive"))
-        outer = engine.query(self.OUTER, strategy="pipelined", tracer=tracer)
+        with repro.connect(LIBRARY) as db:
+            log = db.configure_slow_log(0.0)
+            tracer = ReenteringTracer(
+                lambda: db.query(self.INNER, strategy="naive"))
+            outer = db.query(self.OUTER, strategy="pipelined", tracer=tracer)
         inner = tracer.inner
 
-        fp = engine.stats_fingerprint()
-        store = engine.stats_store
-
-        def row(text, strategy):
-            return store.get(normalize_query_text(text), strategy, fp,
-                             "serial")
-
-        assert row(self.OUTER, "pipelined").executions == 1
-        assert row(self.OUTER, "naive") is None
-        assert row(self.INNER, "naive").executions == 1
+        # The inner run finishes, and records, first.
+        assert [(r.query, r.plan) for r in log.entries] == [
+            (self.INNER, inner.plan), (self.OUTER, outer.plan)]
+        assert "naive" not in log.entries[1].plan
         for strategy in ("pipelined", "naive"):
             assert queries.value(strategy=strategy) == before[strategy] + 1
         assert outer.strategy == "pipelined" and "pipelined" in outer.plan
@@ -274,16 +269,13 @@ class TestOneIdentity:
                 service.query(text)
             engine = service.catalog.engine_for(
                 service.catalog.current("main"))
-            store = service.catalog.stats_store("main")
             assert len(engine.plan_cache) == 1
             assert len(lints) == 1      # three variants, one compile
-            assert len(store) == 1
             assert len(service.result_cache) == 1
             assert service.stats()["counters"]["result_cache_hits"] == 2
 
             service.query(self.VARIANTS[0], executor="threads:2")
             assert len(engine.plan_cache) == 2
-            assert len(store) == 2
             assert len(service.result_cache) == 2
             # A new plan-cache key is a new compile and lints once — and
             # replaying either key does not lint again.

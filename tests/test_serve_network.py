@@ -176,7 +176,7 @@ class TestEndToEnd:
         _db, _server, cl = served
         cl.query("//book")
         stats = cl.stats()
-        assert stats["schema"] == 1
+        assert stats["schema"] == 2         # STATS_SCHEMA
         section = stats["server"]
         assert section["active_connections"] >= 1
         assert section["admission"]["window"] >= 1
