@@ -264,16 +264,17 @@ class Database:
     def serve(self, workers: int = 4, *,
               max_queue: int = 64,
               default_timeout_ms: float | None = None,
-              result_cache=None) -> QueryService:
+              result_cache: int | None = None) -> QueryService:
         """Start (or return) the concurrent query service for this
         database.
 
         The service serves this database's catalog: queries go through
         a bounded worker pool with admission control and per-query
         deadlines, and updates through copy-on-write snapshot batches —
-        see :mod:`repro.serve`.  ``result_cache`` configures the
-        byte-accounted result cache (see
-        :func:`repro.serve.cachepolicy.resolve_result_cache`).  The
+        see :mod:`repro.serve`.  ``result_cache`` is the result cache's
+        byte budget: ``None`` for the default 16 MiB, an ``int`` >= 0
+        for another, ``0`` for no cache (see
+        :class:`~repro.serve.cachepolicy.ResultCacheStorage`).  The
         service is owned by the database: :meth:`close` drains and
         stops it; closing it earlier leaves the catalog, and every
         version it published, with the database.  Calling ``serve()``

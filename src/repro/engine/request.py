@@ -27,7 +27,7 @@ from repro.engine.plancache import normalize_query_text
 from repro.errors import ProtocolError, UsageError
 from repro.strategy import STRATEGIES
 
-__all__ = ["QueryOptions", "QueryKey"]
+__all__ = ["QueryOptions", "QueryKey", "check_timeout_ms", "require"]
 
 _INF = float("inf")
 
@@ -41,6 +41,23 @@ def _number(value: Any, kind: type | tuple[type, ...]) -> bool:
 
 def _bad(name: str, wanted: str, value: object) -> UsageError:
     return UsageError(f"{name}= expects {wanted}, got {value!r}")
+
+
+def require(name: str, value: Any, wanted: str,
+            kind: type | tuple[type, ...] = int, minimum: int = 0) -> None:
+    """Refuse a constructor setting that is not a finite ``kind`` >=
+    ``minimum`` with a :class:`~repro.errors.UsageError` naming it."""
+    if not (_number(value, kind) and value >= minimum):
+        raise _bad(name, wanted, value)
+
+
+def check_timeout_ms(name: str, value: Any) -> None:
+    """The one deadline rule, for ``timeout_ms=`` and every
+    ``default_timeout_ms=``: ``None`` or a finite, non-negative number
+    of milliseconds."""
+    if value is not None:
+        require(name, value, "a finite, non-negative number of milliseconds",
+                (int, float))
 
 
 class QueryOptions:
@@ -91,11 +108,9 @@ class QueryOptions:
             raise UsageError(f"unknown strategy {strategy!r}")
         if params is not None and not isinstance(params, Mapping):
             raise _bad("params", "a mapping", params)
-        if timeout_ms is not None and not _number(timeout_ms, (int, float)):
-            raise _bad("timeout_ms", "a finite, non-negative number of "
-                       "milliseconds", timeout_ms)
-        if work_budget is not None and not _number(work_budget, int):
-            raise _bad("work_budget", "a non-negative node count", work_budget)
+        check_timeout_ms("timeout_ms", timeout_ms)
+        if work_budget is not None:
+            require("work_budget", work_budget, "a non-negative node count")
         self.strategy = strategy
         #: A private copy (the service queues requests; a caller mutating
         #: its dict meanwhile must not change the run); empty means none.

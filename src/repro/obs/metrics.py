@@ -53,7 +53,6 @@ name                                           type       labels
 ``repro_result_cache_misses_total``            counter    —
 ``repro_result_cache_bytes``                   gauge      —
 ``repro_result_cache_evictions_total``         counter    —
-``repro_result_cache_expirations_total``       counter    —
 ``repro_result_cache_invalidated_total``       counter    —
 ``repro_partition_splits_total``               counter    —
 ``repro_partition_scans_total``                counter    —
@@ -80,7 +79,7 @@ families (``repro_snapshot_*`` / ``repro_service_*`` /
 ``repro_result_cache_*`` plus the timeout and retry counters) are
 registered by :mod:`repro.serve` — the wait/run histograms split a
 served query's latency into queue time and execution time, and the
-result-cache byte/eviction/expiration/invalidation family is owned by
+result-cache hit/miss/byte/eviction/invalidation family is owned by
 the storage in :mod:`repro.serve.cachepolicy`.  The
 partition family comes from :mod:`repro.xmlkit.partition` (subtree
 splits of skewed documents) and :mod:`repro.physical.parallel_scan`
@@ -102,7 +101,7 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
 #: Version of the structured ``stats()`` payloads (``Database.stats``,
 #: ``QueryService.stats`` and the wire ``stats`` frame), stamped as their
 #: ``"schema"`` key; it moves when a documented key leaves or changes.
-STATS_SCHEMA = 2
+STATS_SCHEMA = 3
 
 LabelKey = tuple[tuple[str, str], ...]
 

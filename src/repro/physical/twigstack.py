@@ -25,6 +25,7 @@ Implementation notes
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError
@@ -61,16 +62,22 @@ def twig_supported(tree: BlossomTree) -> bool:
 
 @dataclass
 class _QNode:
-    """One twig query node with its stream and stack."""
+    """One twig query node with its stream and stack.  Only ``children``
+    is a strong link: :attr:`parent` is weak, so the query tree is
+    acyclic and is freed with its operator by reference counting."""
 
     vertex: BlossomVertex
-    parent: _QNode | None
+    _up: weakref.ref[_QNode] | None
     axis: str                    # edge axis from parent ("descendant" at root)
     children: list[_QNode] = field(default_factory=list)
     stream: list[Node] = field(default_factory=list)
     pos: int = 0
     # stack holds (node, parent_stack_size_at_push)
     stack: list[tuple[Node, int]] = field(default_factory=list)
+
+    @property
+    def parent(self) -> _QNode | None:
+        return None if self._up is None else self._up()
 
     # -- stream cursor --------------------------------------------------
 
@@ -146,7 +153,8 @@ class TwigStackOperator:
 
     def _make_qnode(self, vertex: BlossomVertex, parent: _QNode | None,
                     axis: str) -> _QNode:
-        qnode = _QNode(vertex, parent, axis)
+        qnode = _QNode(vertex, None if parent is None else weakref.ref(parent),
+                       axis)
         qnode.stream = self._stream_for(vertex)
         for edge in vertex.child_edges:
             qnode.children.append(self._make_qnode(edge.child, qnode, edge.axis))
@@ -178,11 +186,12 @@ class TwigStackOperator:
             if q.eof():
                 break  # no branch can make further progress
             head = q.head()
-            if q.parent is not None:
-                self._clean_stack(q.parent, head)
-            if q.parent is None or q.parent.stack:
+            parent = q.parent
+            if parent is not None:
+                self._clean_stack(parent, head)
+            if parent is None or parent.stack:
                 self._clean_stack(q, head)
-                parent_size = len(q.parent.stack) if q.parent is not None else 0
+                parent_size = len(parent.stack) if parent is not None else 0
                 q.stack.append((head, parent_size))
                 self.counters.note_buffer(sum(len(x.stack) for x in self._all_qnodes()))
                 if q.is_leaf():
@@ -279,10 +288,9 @@ class TwigStackOperator:
 
     def _bottom_up_valid(self) -> dict[int, set[int]]:
         valid: dict[int, set[int]] = {}
-
-        def visit(q: _QNode) -> None:
-            for child in q.children:
-                visit(child)
+        # Children follow their parent in ``_all_qnodes()`` order, so the
+        # reverse visits every child before its parent.
+        for q in reversed(self._all_qnodes()):
             nids = set(self._seen.get(q.vertex.vid, set()))
             for child in q.children:
                 key = (q.vertex.vid, child.vertex.vid)
@@ -291,23 +299,17 @@ class TwigStackOperator:
                              if c in child_valid}
                 nids &= witnesses
             valid[q.vertex.vid] = nids
-
-        visit(self.root_q)
         return valid
 
     def _top_down_reachable(self, valid: dict[int, set[int]]) -> dict[int, set[int]]:
         reachable: dict[int, set[int]] = {
             self.root_q.vertex.vid: set(valid.get(self.root_q.vertex.vid, set()))}
-
-        def visit(q: _QNode) -> None:
+        for q in self._all_qnodes():
+            parents = reachable.get(q.vertex.vid, set())
             for child in q.children:
                 key = (q.vertex.vid, child.vertex.vid)
-                parents = reachable.get(q.vertex.vid, set())
                 child_valid = valid.get(child.vertex.vid, set())
-                reach = {c for (p, c) in self._pairs.get(key, set())
-                         if p in parents and c in child_valid}
-                reachable[child.vertex.vid] = reach
-                visit(child)
-
-        visit(self.root_q)
+                reachable[child.vertex.vid] = {
+                    c for (p, c) in self._pairs.get(key, set())
+                    if p in parents and c in child_valid}
         return reachable

@@ -41,7 +41,6 @@ _LAZY = {
     "SnapshotUpdater": "repro.serve.snapshot",
     "fork_document": "repro.serve.snapshot",
     "listen": "repro.serve.server",
-    "resolve_result_cache": "repro.serve.cachepolicy",
 }
 __all__ = sorted(_LAZY)
 

@@ -49,7 +49,7 @@ from repro.errors import (
     wire_code,
 )
 from repro.engine.database import Database
-from repro.engine.request import QueryOptions
+from repro.engine.request import QueryOptions, check_timeout_ms, require
 from repro.obs.metrics import REGISTRY
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -117,14 +117,16 @@ class Server:
         Admission-controller knobs (see
         :class:`~repro.serve.throttle.AdmissionController`).
     default_timeout_ms:
-        Deadline applied to frames that carry none.
+        Deadline applied to frames that carry none (checked by the same
+        rule as ``timeout_ms``).
     max_frame_bytes:
-        Inbound frame-size bound; oversized frames are refused and the
-        connection closed.
+        Inbound frame-size bound, an ``int`` >= 1; oversized frames are
+        refused and the connection closed.
     chunk_items:
-        Result items per ``result_chunk`` frame.
+        Result items per ``result_chunk`` frame, an ``int`` >= 1.
     drain_timeout_s:
-        Bound on how long :meth:`close` waits for in-flight requests.
+        Bound on how long :meth:`close` waits for in-flight requests, a
+        finite number of seconds >= 0.
     chunk_delay_s:
         Artificial pause between result chunks — a test hook for
         exercising mid-stream deadline expiry; leave at 0 in production.
@@ -142,8 +144,11 @@ class Server:
                  owns_service: bool = False) -> None:
         from repro.serve.throttle import AdmissionController
 
-        if chunk_items < 1:
-            raise UsageError(f"chunk_items must be >= 1, got {chunk_items}")
+        require("max_frame_bytes", max_frame_bytes, "an int >= 1", minimum=1)
+        require("chunk_items", chunk_items, "an int >= 1", minimum=1)
+        check_timeout_ms("default_timeout_ms", default_timeout_ms)
+        require("drain_timeout_s", drain_timeout_s,
+                "a finite number of seconds >= 0", (int, float))
         self.service = service
         self.admission = AdmissionController(
             target_ms=target_ms, start_window=start_window,
@@ -523,5 +528,10 @@ def listen(target, *, host: str = "127.0.0.1", port: int = 0,
     else:
         service = QueryService(target, workers=workers)
         owns = True
-    return Server(service, host=host, port=port, owns_service=owns,
-                  **options)
+    try:
+        return Server(service, host=host, port=port, owns_service=owns,
+                      **options)
+    except BaseException:
+        if owns:                    # a refused setting or a failed bind
+            service.close()
+        raise

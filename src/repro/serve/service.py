@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.engine.backend import ExecutionBackend
-from repro.engine.request import QueryKey, QueryOptions
+from repro.engine.request import QueryKey, QueryOptions, check_timeout_ms, require
 from repro.engine.result import QueryResult
 from repro.errors import (
     PlanInvariantError,
@@ -51,7 +51,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import REGISTRY, STATS_SCHEMA
 from repro.obs.slowlog import SlowQueryLog
-from repro.serve.cachepolicy import ResultCacheStorage, resolve_result_cache
+from repro.serve.cachepolicy import DEFAULT_RESULT_CACHE_BYTES, ResultCacheStorage
 from repro.serve.catalog import Catalog
 from repro.serve.snapshot import Snapshot, SnapshotUpdater
 from repro.xmlkit.tree import Document
@@ -73,12 +73,6 @@ _RETRIES = REGISTRY.counter(
 _COALESCED = REGISTRY.counter(
     "repro_service_coalesced_total",
     "Submissions attached to an identical in-flight request")
-_RESULT_HITS = REGISTRY.counter(
-    "repro_result_cache_hits_total",
-    "Queries served from the snapshot-keyed result cache")
-_RESULT_MISSES = REGISTRY.counter(
-    "repro_result_cache_misses_total",
-    "Cacheable queries that executed (and filled the result cache)")
 _WAIT_MS = REGISTRY.histogram(
     "repro_service_wait_ms", "Queue wait before execution, milliseconds")
 _RUN_MS = REGISTRY.histogram(
@@ -93,8 +87,7 @@ _SERVICE_TIMEOUTS = REGISTRY.counter(
 #: Per-service telemetry counter names (the local mirror of the
 #: process-wide families above, so two services never mix numbers).
 _SERVICE_COUNTERS = ("submitted", "completed", "failed", "timeouts",
-                     "rejections", "coalesced", "result_cache_hits",
-                     "result_cache_misses", "slow_queries")
+                     "rejections", "coalesced", "slow_queries")
 
 #: The top-level keys :meth:`QueryService.stats` writes itself, in
 #: order; :meth:`QueryService.add_stats_section` refuses each of them.
@@ -180,20 +173,20 @@ class QueryService:
         the default document name of a catalog the service builds and
         closes.
     workers:
-        Worker thread count (concurrent executions).
+        Worker thread count (concurrent executions), an ``int`` >= 1.
     max_queue:
-        Admission bound on *waiting* requests; ``submit`` past it raises
+        Admission bound on *waiting* requests, an ``int`` >= 1;
+        ``submit`` past it raises
         :class:`~repro.errors.ServiceOverloadedError`.
     default_timeout_ms:
-        Deadline applied when a call does not pass ``timeout_ms``.
+        Deadline applied when a call does not pass ``timeout_ms``
+        (checked by the same rule as ``timeout_ms``).
     result_cache:
-        Spec for the snapshot-keyed result cache (see
-        :func:`repro.serve.cachepolicy.resolve_result_cache`):
-        ``None`` for the default byte-budgeted LRU, ``0``/``"off"`` to
-        disable, a byte budget (``int`` or ``"16mb"``), a knob mapping
-        (``max_bytes`` / ``max_entries`` / ``ttl_s`` /
-        ``max_entry_bytes``) or a prebuilt
-        :class:`~repro.serve.cachepolicy.ResultCacheStorage`.
+        The byte budget of the snapshot-keyed result cache
+        (:class:`~repro.serve.cachepolicy.ResultCacheStorage`): ``None``
+        for the default 16 MiB, an ``int`` >= 0 for another budget,
+        ``0`` for no cache.  Anything else is a
+        :class:`~repro.errors.UsageError`.
     default_document:
         Name used when calls omit ``doc`` (and for registering a
         non-catalog ``source``).
@@ -210,14 +203,17 @@ class QueryService:
     def __init__(self, source: Catalog | Document | str, *,
                  workers: int = 4, max_queue: int = 64,
                  default_timeout_ms: float | None = None,
-                 result_cache=None,
+                 result_cache: int | None = None,
                  default_document: str = "main",
                  slow_query_ms: float | None = None,
                  slow_log: SlowQueryLog | None = None) -> None:
-        if workers < 1:
-            raise UsageError(f"workers must be >= 1, got {workers}")
-        if max_queue < 1:
-            raise UsageError(f"max_queue must be >= 1, got {max_queue}")
+        require("workers", workers, "an int >= 1", minimum=1)
+        require("max_queue", max_queue, "an int >= 1", minimum=1)
+        check_timeout_ms("default_timeout_ms", default_timeout_ms)
+        if result_cache is None:
+            result_cache = DEFAULT_RESULT_CACHE_BYTES
+        require("result_cache", result_cache,
+                "None or a byte budget (an int >= 0)")
         #: :meth:`close` closes the catalog only when it was built here.
         self._owns_catalog = not isinstance(source, Catalog)
         if isinstance(source, Catalog):
@@ -238,8 +234,8 @@ class QueryService:
         #: Byte-accounted result cache (``None`` when disabled).  The
         #: catalog's retire hook invalidates synchronously, so a retired
         #: snapshot's entries are gone before ``commit`` returns.
-        self.result_cache: ResultCacheStorage | None = \
-            resolve_result_cache(result_cache)
+        self.result_cache: ResultCacheStorage | None = (
+            ResultCacheStorage(result_cache) if result_cache else None)
         self._stop_purging = self.catalog.on_retire(self._purge_results)
 
         self.slow_log = (slow_log if slow_log is not None
@@ -591,7 +587,7 @@ class QueryService:
                 if request.slot is not None and self.result_cache is not None:
                     cache_key = request.key.result(request.doc,
                                                    snapshot.snapshot_id)
-                    cached = self._result_get(cache_key)
+                    cached = self.result_cache.get(cache_key)
                     if cached is not None:
                         run_ms = (time.perf_counter() - started) * 1e3
                         return ServeResult(cached, snapshot, wait_ms, run_ms,
@@ -647,16 +643,6 @@ class QueryService:
     # ------------------------------------------------------------------
     # Snapshot-keyed result cache.
     # ------------------------------------------------------------------
-
-    def _result_get(self, key: tuple) -> QueryResult | None:
-        result = self.result_cache.get(key)
-        if result is None:
-            _RESULT_MISSES.inc()
-            self._count("result_cache_misses")
-            return None
-        _RESULT_HITS.inc()
-        self._count("result_cache_hits")
-        return result
 
     def _purge_results(self, snapshot: Snapshot) -> None:
         """Catalog retire hook: eagerly drop the snapshot's results.

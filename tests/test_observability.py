@@ -429,6 +429,11 @@ class TestServiceStats:
             service.query("//book/title")     # result-cache hit
             stats = service.stats()
             assert tuple(stats) == STATS_KEYS
+            assert set(stats["result_cache"]) == {
+                "size", "bytes", "capacity_bytes", "hits", "misses",
+                "hit_ratio", "evictions", "invalidated", "rejected", "audit"}
+            assert stats["result_cache"]["hits"] == 1
+            assert "result_cache_hits" not in stats["counters"]
             assert stats["counters"]["submitted"] >= 2
             assert stats["counters"]["completed"] >= 1
             assert 0.0 <= stats["worker_utilization"] <= 1.0
@@ -453,12 +458,14 @@ class TestServiceStats:
             assert stats["service"]["counters"]["completed"] >= 1
 
     def test_stats_payloads_declare_the_shared_schema(self):
-        """Schema 2: the runtime statistics store's key left both
-        payloads, and the wire frame lost its ``top`` field (an older
-        client's ``top`` is ignored like any unknown key)."""
+        """Schema 3: the result cache's ``ttl_s`` / ``max_entries`` /
+        ``max_entry_bytes`` / ``expirations`` keys and the duplicate
+        ``result_cache_hits`` / ``result_cache_misses`` counters left
+        (schema 2 dropped the statistics store's key and the wire
+        frame's ``top`` field, which an older client may still send)."""
         from repro.serve.client import Client
 
-        assert STATS_SCHEMA == 2
+        assert STATS_SCHEMA == 3
         with repro.connect("<a><b/></a>") as db:
             assert db.stats()["schema"] == STATS_SCHEMA
             service = db.serve(workers=1)

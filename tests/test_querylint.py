@@ -179,9 +179,10 @@ class TestServeStaticEmpty:
             assert first.result.counters.nodes_scanned == 0
             assert (first.cached, second.cached) == (False, True)
             assert first.attempts == second.attempts == 1
-            counters = service.stats()["counters"]
-            assert counters["submitted"] == counters["completed"] == 2
-            assert counters["result_cache_hits"] == 1
+            stats = service.stats()
+            assert stats["counters"]["submitted"] == 2
+            assert stats["counters"]["completed"] == 2
+            assert stats["result_cache"]["hits"] == 1
 
 
 class TestCli:

@@ -154,8 +154,9 @@ class TestOptionValidation:
         with QueryService(LIBRARY, workers=1) as service:
             with pytest.raises(UsageError, match="unknown strategy"):
                 service.submit("//book", strategy=strategy)
-            counters = service.stats()["counters"]
-            assert counters["submitted"] == counters["result_cache_misses"] == 0
+            stats = service.stats()
+            assert stats["counters"]["submitted"] == 0
+            assert stats["result_cache"]["misses"] == 0
 
     def test_unknown_document_is_refused_before_admission(self):
         """Regression: ``doc="nope"`` used to be queued, hold a worker
@@ -272,7 +273,7 @@ class TestOneIdentity:
             assert len(engine.plan_cache) == 1
             assert len(lints) == 1      # three variants, one compile
             assert len(service.result_cache) == 1
-            assert service.stats()["counters"]["result_cache_hits"] == 2
+            assert service.stats()["result_cache"]["hits"] == 2
 
             service.query(self.VARIANTS[0], executor="threads:2")
             assert len(engine.plan_cache) == 2

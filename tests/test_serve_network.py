@@ -4,6 +4,7 @@ suite (network client vs in-process service on the same snapshot)."""
 
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -176,7 +177,7 @@ class TestEndToEnd:
         _db, _server, cl = served
         cl.query("//book")
         stats = cl.stats()
-        assert stats["schema"] == 2         # STATS_SCHEMA
+        assert stats["schema"] == 3         # STATS_SCHEMA
         section = stats["server"]
         assert section["active_connections"] >= 1
         assert section["admission"]["window"] >= 1
@@ -253,6 +254,44 @@ class TestDifferentialBitIdentity:
 # ----------------------------------------------------------------------
 # Robustness: hostile bytes, vanishing peers, expiring deadlines.
 # ----------------------------------------------------------------------
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("surface, name, value", [
+    ("service", "workers", 2.5),
+    ("service", "workers", True),
+    ("service", "max_queue", _NAN),
+    ("service", "max_queue", 0),
+    ("service", "default_timeout_ms", -5),
+    ("service", "default_timeout_ms", _NAN),
+    ("service", "default_timeout_ms", "10"),
+    ("server", "default_timeout_ms", -1),
+    ("server", "max_frame_bytes", 0),
+    ("server", "max_frame_bytes", -1),
+    ("server", "chunk_items", 2.5),
+    ("server", "drain_timeout_s", _NAN),
+    ("server", "drain_timeout_s", -1.0),
+])
+def test_constructors_refuse_settings_every_request_would_fail(
+        surface, name, value):
+    """Each of these used to be accepted and then disable admission,
+    fail every query or make ``close()`` raise; the constructor names
+    the setting instead."""
+    if surface == "service":
+        with pytest.raises(UsageError, match=name):
+            QueryService(LIBRARY, **{name: value}).close()
+        return
+    with QueryService(LIBRARY, workers=1) as service:
+        with pytest.raises(UsageError, match=name):
+            Server(service, **{name: value}).close()
+    assert service.stats().get("server") is None
+    # ``listen`` closes the service it built for the refused server.
+    threads = threading.active_count()
+    with pytest.raises(UsageError, match=name):
+        listen(LIBRARY, workers=1, **{name: value}).close()
+    assert threading.active_count() == threads
 
 
 class TestRobustness:

@@ -17,7 +17,6 @@ from repro.obs.metrics import REGISTRY
 from repro.serve import (
     Catalog,
     QueryService,
-    ResultCacheStorage,
     ServeResult,
 )
 from repro.xmlkit.storage import CancellationToken, ScanCounters
@@ -314,8 +313,8 @@ class TestCoalescingAndResultCache:
 
 
 class TestCacheLifecycle:
-    """Storage-backed cache semantics: the retire audit, TTL expiry with
-    an injected clock, and the lifetime hit ratio across ``clear()``."""
+    """Storage-backed cache semantics: the retire audit, the lifetime hit
+    ratio across a commit, and admission under the byte budget."""
 
     def test_retire_drops_entries_eagerly_with_audit(self):
         """The lifecycle bugfix regression: a publish retires the old
@@ -352,20 +351,6 @@ class TestCacheLifecycle:
             fresh = service.query("//book/title")
             assert not fresh.cached and len(fresh) == 1
 
-    def test_ttl_expiry_with_injected_clock(self):
-        clock = {"now": 0.0}
-        storage = ResultCacheStorage(ttl_s=5.0, clock=lambda: clock["now"])
-        with make_service(workers=1, result_cache=storage) as service:
-            first = service.query("//book/title")
-            clock["now"] = 4.0
-            warm = service.query("//book/title")      # inside the TTL
-            clock["now"] = 6.0
-            cold = service.query("//book/title")      # past it: re-runs
-        assert not first.cached and warm.cached and not cold.cached
-        stats = storage.stats()
-        assert stats["expirations"] == 1
-        assert stats["size"] == 1                     # the re-admitted run
-
     def test_hit_ratio_is_lifetime_and_survives_clear(self):
         with make_service(workers=1) as service:
             storage = service.result_cache
@@ -376,16 +361,17 @@ class TestCacheLifecycle:
             assert storage.stats()["hit_ratio"] == pytest.approx(
                 2 / 3, abs=1e-4)
 
-            storage.clear()
+            with service.updater() as up:             # drops the entries
+                shelf = [c for c in up.doc.root.children
+                         if c.tag is not None][0]
+                up.delete_subtree(shelf)
             stats = storage.stats()
             assert stats["size"] == 0
             assert stats["hits"] == 2 and stats["misses"] == 1
             assert not service.query("//book/title").cached
 
     def test_oversized_results_are_rejected_not_admitted(self):
-        with make_service(
-                workers=1,
-                result_cache={"max_entry_bytes": 1}) as service:
+        with make_service(workers=1, result_cache=1) as service:
             first = service.query("//book/title")
             second = service.query("//book/title")
             stats = service.result_cache.stats()

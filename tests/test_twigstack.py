@@ -1,7 +1,11 @@
 """Unit tests for the TwigStack holistic twig join."""
 
+import gc
+
 import pytest
 
+from repro import Engine
+from repro.datagen.workload import DATASETS
 from repro.errors import ExecutionError
 from repro.pattern import build_from_path
 from repro.physical import TwigStackOperator, twig_supported
@@ -110,3 +114,24 @@ class TestCounters:
         operator = TwigStackOperator(tree, recursive_doc, counters=counters)
         operator.matching_nodes(tree.var_vertex["#result"])
         assert counters.peak_buffered >= 2  # nested sections stack up
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("dataset", ["d1", "d4"])
+    def test_auto_queries_leave_nothing_for_the_cycle_collector(
+            self, dataset):
+        # The query tree's parent links and the validity passes must not
+        # form reference cycles: every operator is freed by reference
+        # counting when its query returns.
+        spec = DATASETS[dataset]
+        engine = Engine(spec.generate(scale=0.02))
+        for query in spec.queries:                # warm the plan cache
+            engine.query(query.text)
+        gc.collect()
+        gc.disable()
+        try:
+            for query in spec.queries:
+                engine.query(query.text)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
