@@ -5,11 +5,15 @@ PR 4's result cache was a bare ``OrderedDict`` capped by *entry count*
 cost the same slot), and no proof that a retired snapshot's entries
 actually left.  :class:`ResultCacheStorage` replaces it:
 
-* every entry is charged its *serialized byte size* (plus a fixed
-  per-entry overhead, so a million empty results still account) — the
-  tree-pattern survey's observation that XML query results range from
-  scalars to whole subtrees is exactly why entries, not bytes, was the
-  wrong unit;
+* every entry holds its result **and each item's wire fragment** (the
+  compact JSON bytes :func:`~repro.serve.protocol.encode_fragment`
+  builds once, at admission, on the worker thread that produced the
+  result), and is charged that wire payload — the fragments' byte
+  lengths plus a fixed per-entry overhead, so a million empty results
+  still account.  The tree-pattern survey's observation that XML query
+  results range from scalars to whole subtrees is exactly why entries,
+  not bytes, was the wrong unit.  A hit hands the fragments back, so
+  neither the charge nor the hit path serializes anything;
 * a result larger than the whole budget is never cached (and counted
   as ``rejected``);
 * eviction is LRU **by bytes**: inserts evict least-recently-used
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from typing import Any
 
 from repro.errors import UsageError
@@ -73,28 +78,23 @@ _INVALIDATED = REGISTRY.counter(
 #: The byte budget of ``result_cache=None``.
 DEFAULT_RESULT_CACHE_BYTES = 16 * 1024 * 1024
 
-#: Fixed per-entry charge on top of the serialized payload (key tuple,
-#: dict slot, index membership) so zero-byte results still account.
+#: Fixed per-entry charge on top of the wire payload (key tuple, dict
+#: slot, index membership) so zero-item results still account.
 ENTRY_OVERHEAD_BYTES = 256
 
 
-def _charge(result: Any) -> int:
-    """Serialized UTF-8 size of one result plus the fixed overhead — the
-    unit entries are charged in.  Computed once at admission (on a
-    worker thread, where the result was just produced), never on the
-    hit path."""
-    return len(result.serialize().encode("utf-8")) + ENTRY_OVERHEAD_BYTES
-
-
 class CacheEntry:
-    """One stored result: payload, byte charge, snapshot."""
+    """One stored result: the result, its item fragments, the byte
+    charge and the snapshot."""
 
-    __slots__ = ("key", "result", "nbytes", "snapshot_key")
+    __slots__ = ("key", "result", "fragments", "nbytes", "snapshot_key")
 
-    def __init__(self, key: tuple, result: Any, nbytes: int,
+    def __init__(self, key: tuple, result: Any,
+                 fragments: Sequence[bytes], nbytes: int,
                  snapshot_key: tuple) -> None:
         self.key = key
         self.result = result
+        self.fragments = fragments
         self.nbytes = nbytes
         self.snapshot_key = snapshot_key
 
@@ -155,8 +155,9 @@ class ResultCacheStorage:
     # The data path.
     # ------------------------------------------------------------------
 
-    def get(self, key: tuple) -> Any | None:
-        """Look one key up, counting the hit or miss."""
+    def get(self, key: tuple) -> CacheEntry | None:
+        """Look one key up, counting the hit or miss; a hit is the
+        entry (``entry.result`` and ``entry.fragments``)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -168,22 +169,24 @@ class ResultCacheStorage:
             _MISSES.inc()
             return None
         _HITS.inc()
-        return entry.result
+        return entry
 
-    def put(self, key: tuple, result: Any) -> bool:
-        """Charge one result, then admit it if it fits; returns whether
-        it cached.
+    def put(self, key: tuple, result: Any,
+            fragments: Sequence[bytes]) -> bool:
+        """Charge one result its item fragments' bytes plus the fixed
+        overhead, then admit it if it fits; returns whether it cached.
 
         ``key[0]`` / ``key[1]`` are the document name and snapshot id
         (the serving layer's key layout) — they index the entry for
         per-snapshot invalidation.
         """
-        nbytes = _charge(result)
+        nbytes = sum(map(len, fragments)) + ENTRY_OVERHEAD_BYTES
         if nbytes > self.max_bytes:
             with self._lock:
                 self.rejected += 1
             return False
-        entry = CacheEntry(key, result, nbytes, (key[0], key[1]))
+        entry = CacheEntry(key, result, fragments, nbytes,
+                           (key[0], key[1]))
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:

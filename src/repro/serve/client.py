@@ -223,14 +223,17 @@ class Client:
     def close(self) -> None:
         """Close the connection.  Idempotent."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            try:
-                self._stream.close()
-            except OSError:  # pragma: no cover - best-effort close
-                pass
-            self._sock.close()
+            self._close_locked()
+
+    def _close_locked(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._stream.close()
+        except OSError:  # pragma: no cover - best-effort close
+            pass
+        self._sock.close()
 
     def __enter__(self) -> Client:
         return self
@@ -251,9 +254,19 @@ class Client:
         return request_id
 
     def _read_for(self, request_id: int) -> dict[str, Any]:
-        """Next frame addressed to ``request_id`` (raises on error)."""
+        """Next frame addressed to ``request_id`` (raises on error).
+
+        A frame this client refuses (oversized, truncated, undecodable)
+        or the peer hanging up leaves the byte stream out of step, so
+        the client closes itself: later calls raise "client is closed"
+        instead of reading body bytes as a length prefix.
+        """
         while True:
-            frame = read_frame(self._stream, self._max_frame_bytes)
+            try:
+                frame = read_frame(self._stream, self._max_frame_bytes)
+            except (ProtocolError, EOFError):
+                self._close_locked()
+                raise
             if frame.get("type") == "error":
                 if frame.get("id") in (request_id, None):
                     raise error_for_code(frame.get("code", "INTERNAL"),

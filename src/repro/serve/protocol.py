@@ -47,12 +47,25 @@ Items travel in a self-describing form (:func:`encode_item` /
 :meth:`QueryResult.serialize <repro.engine.result.QueryResult.serialize>`
 *bit-identically*: nodes as their compact XML serialization, attribute
 items as their value text, atoms as tagged JSON scalars.
+
+The server never builds a ``result_chunk`` from dicts.  Each item's
+compact JSON is encoded once, as a *fragment* (:func:`encode_fragment`:
+the bytes ``json.dumps`` would write for :func:`encode_item`), and a
+chunk is those fragments joined under a per-request prefix
+(:func:`chunk_prefix` / :func:`encode_chunk`) — the same bytes
+:func:`encode_frame` would produce.  A cached result keeps its
+fragments, so a result-cache hit serializes nothing.  The frame bound
+applies outbound too: the server cuts a chunk before it would pass its
+``max_frame_bytes``, and answers an item too large for any frame with a
+``PROTOCOL`` error instead of a frame the peer would refuse.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Sequence
+from json.encoder import encode_basestring
 from typing import Any, BinaryIO
 
 from repro.errors import ProtocolError
@@ -67,6 +80,9 @@ __all__ = [
     "read_frame",
     "encode_item",
     "decode_item",
+    "encode_fragment",
+    "chunk_prefix",
+    "encode_chunk",
     "FrameReader",
 ]
 
@@ -81,6 +97,12 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
 
 
+def _compact(value: Any) -> bytes:
+    """The compact UTF-8 JSON every frame is written in."""
+    return json.dumps(value, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
+
+
 def encode_frame(payload: dict[str, Any]) -> bytes:
     """Serialize one frame: length prefix + compact JSON body.
 
@@ -88,8 +110,7 @@ def encode_frame(payload: dict[str, Any]) -> bytes:
     """
     if "v" not in payload:
         payload = {"v": PROTOCOL_VERSION, **payload}
-    body = json.dumps(payload, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+    body = _compact(payload)
     return _LENGTH.pack(len(body)) + body
 
 
@@ -224,3 +245,29 @@ def decode_item(payload: dict[str, Any]) -> tuple[str, Any]:
             return "atom", float(value)
         raise ProtocolError("malformed atom item")
     raise ProtocolError(f"unknown item kind {kind!r}")
+
+
+def encode_fragment(item: Any) -> bytes:
+    """One result item as wire-ready bytes: exactly the compact JSON of
+    :func:`encode_item`, as :func:`encode_frame` would write it inside a
+    ``result_chunk``.  Nodes skip the dict and ``json.dumps``: their
+    serialization goes straight through the JSON string escaper."""
+    if isinstance(item, Node):
+        return ('{"kind":"node","xml":' + encode_basestring(serialize(item))
+                + "}").encode("utf-8")
+    return _compact(encode_item(item))
+
+
+def chunk_prefix(request_id: Any) -> bytes:
+    """The body of a ``result_chunk`` frame up to its first item."""
+    return (b'{"v":%d,"type":"result_chunk","id":%s,"items":['
+            % (PROTOCOL_VERSION, _compact(request_id)))
+
+
+def encode_chunk(prefix: bytes, fragments: Sequence[bytes]) -> bytes:
+    """One ``result_chunk`` frame from :func:`chunk_prefix` and item
+    fragments — byte for byte what :func:`encode_frame` writes for
+    ``{"type": "result_chunk", "id": …, "items": [encode_item(…), …]}``.
+    The body is the prefix, the comma-joined fragments and ``]}``."""
+    body = prefix + b",".join(fragments) + b"]}"
+    return _LENGTH.pack(len(body)) + body

@@ -16,7 +16,10 @@ in-process :class:`~repro.serve.service.QueryService` with
   enforced *between result chunks*, so a slow client cannot hold a
   worker past its budget;
 * **streaming results** — item sequences leave in bounded
-  ``result_chunk`` frames rather than one giant message;
+  ``result_chunk`` frames rather than one giant message: at most
+  ``chunk_items`` items, cut earlier when the frame would pass
+  ``max_frame_bytes``, and built by joining the items' wire fragments
+  (a cached result carries them, so a cache hit serializes nothing);
 * **graceful drain** — :meth:`Server.close` stops accepting, lets
   in-flight requests finish (bounded by ``drain_timeout_s``), then
   closes connections.
@@ -38,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections.abc import Sequence
 from typing import Any
 
 from repro.errors import (
@@ -53,9 +57,11 @@ from repro.engine.request import QueryOptions, check_timeout_ms, require
 from repro.obs.metrics import REGISTRY
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
+    chunk_prefix,
     decode_frame,
+    encode_chunk,
+    encode_fragment,
     encode_frame,
-    encode_item,
 )
 from repro.serve.service import QueryService, ServeResult
 
@@ -120,10 +126,12 @@ class Server:
         Deadline applied to frames that carry none (checked by the same
         rule as ``timeout_ms``).
     max_frame_bytes:
-        Inbound frame-size bound, an ``int`` >= 1; oversized frames are
-        refused and the connection closed.
+        Frame-size bound, an ``int`` >= 1.  Oversized inbound frames are
+        refused and the connection closed; outbound ``result_chunk``
+        frames are cut to fit it, and an item too large for any frame
+        answers a ``PROTOCOL`` error.
     chunk_items:
-        Result items per ``result_chunk`` frame, an ``int`` >= 1.
+        Most result items per ``result_chunk`` frame, an ``int`` >= 1.
     drain_timeout_s:
         Bound on how long :meth:`close` waits for in-flight requests, a
         finite number of seconds >= 0.
@@ -446,36 +454,68 @@ class Server:
     async def _stream_result(self, conn: _Connection, request_id: Any,
                              served: ServeResult, deadline: float | None,
                              started: float) -> None:
-        """Send header / chunks / footer, honoring the deadline."""
+        """Send header / chunks / footer, honoring the deadline.
+
+        Chunks join the items' wire fragments: a cacheable request's
+        come with it (built once at admission), any other is encoded
+        here, once.
+        """
         await self._send(conn, {
             "type": "result_header", "id": request_id,
             "snapshot_id": served.snapshot_id,
             "cached": served.cached, "attempts": served.attempts})
-        items = served.result.items
-        for offset in range(0, len(items), self.chunk_items):
+        fragments = served.fragments
+        if fragments is None:
+            fragments = [encode_fragment(item) for item in served.items]
+        prefix = chunk_prefix(request_id)
+        # Item bytes a chunk may carry: the bound less the prefix and
+        # the closing "]}".
+        budget = self.max_frame_bytes - len(prefix) - 2
+        offset = 0
+        while offset < len(fragments):
             if deadline is not None and time.perf_counter() >= deadline:
                 raise QueryTimeoutError(
                     "deadline expired while streaming the result",
                     timeout_ms=round((deadline - started) * 1e3, 3))
             if self.chunk_delay_s:
                 await asyncio.sleep(self.chunk_delay_s)
-            chunk = items[offset:offset + self.chunk_items]
-            await self._send(conn, {
-                "type": "result_chunk", "id": request_id,
-                "items": [encode_item(item) for item in chunk]})
+            end = self._chunk_end(fragments, offset, budget)
+            if end == offset:
+                raise ProtocolError(
+                    f"result item {offset} needs a frame of "
+                    f"{len(prefix) + len(fragments[offset]) + 2} bytes, "
+                    f"over the {self.max_frame_bytes}-byte limit")
+            await self._write(conn, encode_chunk(prefix,
+                                                 fragments[offset:end]))
+            offset = end
         await self._send(conn, {
             "type": "result_footer", "id": request_id,
-            "n_items": len(items),
+            "n_items": len(fragments),
             "wait_ms": round(served.wait_ms, 3),
             "run_ms": round(served.run_ms, 3),
             "total_ms": round((time.perf_counter() - started) * 1e3, 3)})
+
+    def _chunk_end(self, fragments: Sequence[bytes], offset: int,
+                   budget: int) -> int:
+        """End of the chunk starting at ``offset``: at most
+        ``chunk_items`` fragments whose bytes, comma-joined, fit
+        ``budget`` (``offset`` itself when the first alone does not)."""
+        end = min(offset + self.chunk_items, len(fragments))
+        size = sum(map(len, fragments[offset:end])) + end - offset - 1
+        while size > budget and end > offset:
+            end -= 1
+            size -= len(fragments[end]) + 1
+        return end
 
     # ------------------------------------------------------------------
     # Frame output.
     # ------------------------------------------------------------------
 
     async def _send(self, conn: _Connection, payload: dict[str, Any]) -> None:
-        data = encode_frame(payload)
+        await self._write(conn, encode_frame(payload))
+
+    async def _write(self, conn: _Connection, data: bytes) -> None:
+        """Write one encoded frame; every frame sent goes through here."""
         async with conn.send_lock:
             conn.writer.write(data)
             await conn.writer.drain()

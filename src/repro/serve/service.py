@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import Future
 from dataclasses import dataclass
 from functools import partial
@@ -53,6 +53,7 @@ from repro.obs.metrics import REGISTRY, STATS_SCHEMA
 from repro.obs.slowlog import SlowQueryLog
 from repro.serve.cachepolicy import DEFAULT_RESULT_CACHE_BYTES, ResultCacheStorage
 from repro.serve.catalog import Catalog
+from repro.serve.protocol import encode_fragment
 from repro.serve.snapshot import Snapshot, SnapshotUpdater
 from repro.xmlkit.tree import Document
 
@@ -107,6 +108,10 @@ class ServeResult:
     ``snapshot`` is the exact version the query ran against — callers
     can replay the query serially on ``snapshot.doc`` and must get a
     bit-identical result (the isolation contract the stress test pins).
+    ``fragments`` are the items' wire bytes
+    (:func:`~repro.serve.protocol.encode_fragment`) when the request was
+    cacheable — built once at admission, or the cache entry's own — and
+    ``None`` otherwise.
     """
 
     result: QueryResult
@@ -115,6 +120,7 @@ class ServeResult:
     run_ms: float
     attempts: int = 1
     cached: bool = False
+    fragments: Sequence[bytes] | None = None
 
     @property
     def items(self) -> list:
@@ -538,14 +544,30 @@ class QueryService:
                     self._busy_ns += busy
                     self._inflight_count -= 1
                     _INFLIGHT.set(self._inflight_count)
-                    if request.slot is not None and \
-                            self._inflight.get(request.slot) is request.future:
-                        del self._inflight[request.slot]
+                    self._release_slot_locked(request)
                     self._cond.notify_all()
 
+    def _release_slot_locked(self, request: _Request) -> None:
+        """Stop coalescing new submissions onto ``request`` (lock held)."""
+        if request.slot is not None and \
+                self._inflight.get(request.slot) is request.future:
+            del self._inflight[request.slot]
+
+    def _settle(self, request: _Request, served: ServeResult | None = None,
+                error: BaseException | None = None) -> None:
+        """Resolve the request's future once its coalescing slot is
+        released: an identical submission that arrives after the answer
+        exists then reads the result cache (a ``cached`` hit) instead of
+        attaching to the finished future."""
+        with self._cond:
+            self._release_slot_locked(request)
+        if error is not None:
+            request.future.set_exception(error)
+        else:
+            request.future.set_result(served)
+
     def _serve(self, request: _Request) -> None:
-        future = request.future
-        if not future.set_running_or_notify_cancel():
+        if not request.future.set_running_or_notify_cancel():
             return
         now = time.perf_counter()
         wait_ms = (now - request.submitted) * 1e3
@@ -559,7 +581,7 @@ class QueryService:
                     request.text, request.key.strategy, "(expired in queue)",
                     wait_ms, deadline_state="expired",
                     client=request.client)
-            future.set_exception(QueryTimeoutError(
+            self._settle(request, error=QueryTimeoutError(
                 "query expired in the service queue",
                 timeout_ms=request.options.timeout_ms))
             return
@@ -570,11 +592,11 @@ class QueryService:
                 _SERVICE_TIMEOUTS.inc()
                 self._count("timeouts")
             self._count("failed")
-            future.set_exception(exc)
+            self._settle(request, error=exc)
         else:
             self._count("completed")
             _RUN_MS.observe(served.run_ms)
-            future.set_result(served)
+            self._settle(request, served)
 
     def _execute(self, request: _Request, wait_ms: float) -> ServeResult:
         attempts = 0
@@ -587,11 +609,12 @@ class QueryService:
                 if request.slot is not None and self.result_cache is not None:
                     cache_key = request.key.result(request.doc,
                                                    snapshot.snapshot_id)
-                    cached = self.result_cache.get(cache_key)
-                    if cached is not None:
+                    entry = self.result_cache.get(cache_key)
+                    if entry is not None:
                         run_ms = (time.perf_counter() - started) * 1e3
-                        return ServeResult(cached, snapshot, wait_ms, run_ms,
-                                           attempts, cached=True)
+                        return ServeResult(entry.result, snapshot, wait_ms,
+                                           run_ms, attempts, cached=True,
+                                           fragments=entry.fragments)
                 engine = self.catalog.engine_for(snapshot)
                 options = request.options
                 if request.deadline is not None:
@@ -612,11 +635,15 @@ class QueryService:
                         self.catalog.purge_stale_plans(request.doc)
                         continue
                     raise
+                fragments = None
                 if cache_key is not None:
-                    self.result_cache.put(cache_key, result)
+                    fragments = [encode_fragment(item)
+                                 for item in result.items]
+                    self.result_cache.put(cache_key, result, fragments)
                 run_ms = (time.perf_counter() - started) * 1e3
                 return ServeResult(result, snapshot, wait_ms, run_ms,
-                                   attempts, cached=False)
+                                   attempts, cached=False,
+                                   fragments=fragments)
             finally:
                 self.catalog.unpin(snapshot)
 

@@ -5,7 +5,7 @@ eviction, admission, the snapshot-invalidation audit, and the
 
 The serving-layer integration (retire hooks, service stats threading)
 is covered in ``test_serve_service.py``; everything here drives the
-storage directly with fake results.
+storage directly with an opaque result and hand-made item fragments.
 """
 
 import pytest
@@ -17,17 +17,17 @@ from repro.serve.cachepolicy import (
     ENTRY_OVERHEAD_BYTES,
     ResultCacheStorage,
 )
+from repro.serve.protocol import encode_fragment
 from repro.serve.service import QueryService
 
+#: Stands in for a QueryResult: the storage never looks inside it.
+RESULT = object()
 
-class FakeResult:
-    """Stands in for a QueryResult: only ``serialize()`` matters."""
 
-    def __init__(self, payload: str) -> None:
-        self.payload = payload
-
-    def serialize(self) -> str:
-        return self.payload
+def wire(payload: str) -> list[bytes]:
+    """One fragment of ``payload``'s UTF-8 bytes (none for ``""``): the
+    charge is the fragments' byte lengths, whatever they encode."""
+    return [payload.encode("utf-8")] if payload else []
 
 
 def key(n: int, snapshot: int = 1, doc: str = "main") -> tuple:
@@ -41,63 +41,71 @@ def make_storage(max_bytes: int = 4096) -> ResultCacheStorage:
 class TestByteAccounting:
     def test_entries_charged_serialized_size_plus_overhead(self):
         storage = make_storage()
-        assert storage.put(key(1), FakeResult("x" * 100))
+        assert storage.put(key(1), RESULT, [b"x" * 60, b"y" * 40])
         assert storage.stats()["bytes"] == 100 + ENTRY_OVERHEAD_BYTES
-        assert storage.put(key(2), FakeResult(""))
-        # Zero-byte payloads still pay the fixed overhead.
+        assert storage.put(key(2), RESULT, [])
+        # Zero-item results still pay the fixed overhead.
         assert storage.stats()["bytes"] == 100 + 2 * ENTRY_OVERHEAD_BYTES
+        # A hit hands back the result with the very fragments admitted.
+        entry = storage.get(key(1))
+        assert entry.result is RESULT
+        assert entry.fragments == [b"x" * 60, b"y" * 40]
 
     def test_replacing_a_key_releases_the_old_charge(self):
         storage = make_storage()
-        storage.put(key(1), FakeResult("x" * 100))
-        storage.put(key(1), FakeResult("y" * 10))
+        storage.put(key(1), RESULT, wire("x" * 100))
+        storage.put(key(1), RESULT, wire("y" * 10))
         assert len(storage) == 1
         assert storage.stats()["bytes"] == 10 + ENTRY_OVERHEAD_BYTES
 
     def test_multibyte_text_is_charged_in_utf8_bytes(self):
         storage = make_storage()
-        storage.put(key(1), FakeResult("é" * 10))   # 2 bytes each
-        assert storage.stats()["bytes"] == 20 + ENTRY_OVERHEAD_BYTES
+        # The wire fragment keeps "é" as UTF-8 (2 bytes each), not as a
+        # 6-byte "\u00e9" escape.
+        storage.put(key(1), RESULT, [encode_fragment("é" * 10)])
+        frame = len(b'{"kind":"atom","value":""}')
+        assert storage.stats()["bytes"] == \
+            frame + 20 + ENTRY_OVERHEAD_BYTES
 
 
 class TestEviction:
     def test_lru_by_bytes_evicts_oldest_first(self):
         storage = make_storage(max_bytes=3 * ENTRY_OVERHEAD_BYTES)
         for n in (1, 2, 3):
-            assert storage.put(key(n), FakeResult(""))
+            assert storage.put(key(n), RESULT, wire(""))
         assert len(storage) == 3
-        storage.put(key(4), FakeResult(""))               # over budget
-        assert storage.get(key(1)) is None                # oldest left
+        storage.put(key(4), RESULT, wire(""))     # over budget
+        assert storage.get(key(1)) is None        # oldest left
         assert storage.get(key(4)) is not None
         assert storage.stats()["evictions"] == 1
 
     def test_get_refreshes_recency(self):
         storage = make_storage(max_bytes=2 * ENTRY_OVERHEAD_BYTES)
-        storage.put(key(1), FakeResult(""))
-        storage.put(key(2), FakeResult(""))
+        storage.put(key(1), RESULT, wire(""))
+        storage.put(key(2), RESULT, wire(""))
         storage.get(key(1))                               # 1 is now MRU
-        storage.put(key(3), FakeResult(""))
+        storage.put(key(3), RESULT, wire(""))
         assert storage.get(key(1)) is not None
         assert storage.get(key(2)) is None
 
     def test_one_large_entry_evicts_many_small(self):
         storage = make_storage(max_bytes=2048)
         for n in range(4):
-            storage.put(key(n), FakeResult("x" * 100))
-        storage.put(key(9), FakeResult("x" * 1500))
+            storage.put(key(n), RESULT, wire("x" * 100))
+        storage.put(key(9), RESULT, wire("x" * 1500))
         stats = storage.stats()
         assert stats["bytes"] <= stats["capacity_bytes"]
         assert storage.get(key(9)) is not None
 
     def test_entry_larger_than_budget_is_rejected(self):
         storage = make_storage(max_bytes=512)
-        assert not storage.put(key(1), FakeResult("x" * 4096))
+        assert not storage.put(key(1), RESULT, wire("x" * 4096))
         assert len(storage) == 0
         assert storage.stats()["rejected"] == 1
 
     def test_disabled_storage_never_admits(self):
         storage = make_storage(max_bytes=0)
-        assert not storage.put(key(1), FakeResult(""))
+        assert not storage.put(key(1), RESULT, wire(""))
         assert storage.get(key(1)) is None
         assert len(storage) == 0
 
@@ -112,8 +120,8 @@ class TestSnapshotInvalidation:
     def test_indexed_drop_with_clean_audit(self):
         storage = make_storage()
         for n in range(3):
-            storage.put(key(n, snapshot=1), FakeResult("x"))
-        storage.put(key(9, snapshot=2), FakeResult("y"))
+            storage.put(key(n, snapshot=1), RESULT, wire("x"))
+        storage.put(key(9, snapshot=2), RESULT, wire("y"))
         dropped = storage.invalidate_snapshot("main", 1)
         assert dropped == 3
         stats = storage.stats()
@@ -126,8 +134,8 @@ class TestSnapshotInvalidation:
 
     def test_invalidation_is_per_document(self):
         storage = make_storage()
-        storage.put(key(1, doc="a"), FakeResult("x"))
-        storage.put(key(1, doc="b"), FakeResult("x"))
+        storage.put(key(1, doc="a"), RESULT, wire("x"))
+        storage.put(key(1, doc="b"), RESULT, wire("x"))
         assert storage.invalidate_snapshot("a", 1) == 1
         assert storage.get(key(1, doc="b")) is not None
 
@@ -136,8 +144,8 @@ class TestSnapshotInvalidation:
         would (an entry the index forgot): the audit's full scan must
         still drop it and count the survivor."""
         storage = make_storage()
-        storage.put(key(1), FakeResult("x"))
-        storage.put(key(2), FakeResult("y"))
+        storage.put(key(1), RESULT, wire("x"))
+        storage.put(key(2), RESULT, wire("y"))
         storage._by_snapshot[("main", 1)].discard(key(2))  # the "bug"
         dropped = storage.invalidate_snapshot("main", 1)
         assert dropped == 2                               # audit caught it
@@ -147,7 +155,7 @@ class TestSnapshotInvalidation:
 
     def test_unknown_snapshot_is_a_noop_but_still_audited(self):
         storage = make_storage()
-        storage.put(key(1), FakeResult("x"))
+        storage.put(key(1), RESULT, wire("x"))
         assert storage.invalidate_snapshot("main", 777) == 0
         stats = storage.stats()
         assert stats["audit"]["snapshots_invalidated"] == 1

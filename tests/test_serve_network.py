@@ -2,6 +2,7 @@
 adaptive admission, robustness, and the differential bit-identity
 suite (network client vs in-process service on the same snapshot)."""
 
+import json
 import socket
 import struct
 import threading
@@ -27,9 +28,13 @@ from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameReader,
+    chunk_prefix,
     decode_frame,
     decode_item,
+    encode_chunk,
+    encode_fragment,
     encode_frame,
+    encode_item,
     read_frame,
 )
 from repro.serve.server import Server, listen
@@ -49,6 +54,25 @@ LIBRARY = """
   </shelf>
 </library>
 """
+
+#: The same shape, with text that needs JSON escaping on the wire:
+#: quotes, a backslash, markup characters, a non-ASCII letter, a tab.
+ESCAPES = """
+<library>
+  <shelf genre='say "hi" \\ bye'>
+    <book id="b1"><author>O"Brien &amp; Sons</author>
+      <title>Tabs\tand &lt;angles&gt; \\n</title><price>45</price></book>
+    <book id="b2"><author>Émile</author><title>Café "noir"</title>
+      <price>30</price></book>
+  </shelf>
+  <shelf genre="théorie">
+    <book id="b3"><title>Automata\t&amp;</title><price>55</price></book>
+  </shelf>
+</library>
+"""
+
+#: Request ids a client may choose; each must come back exactly.
+REQUEST_IDS = [7, 'an "id" with \\ quotes', None]
 
 
 @pytest.fixture
@@ -119,6 +143,26 @@ class TestFrames:
     def test_unknown_item_kind_is_refused(self):
         with pytest.raises(ProtocolError, match="kind"):
             decode_item({"kind": "blob", "value": "x"})
+
+    def test_fragments_are_the_compact_json_of_encode_item(self):
+        with repro.connect(ESCAPES) as db:
+            nodes = db.query("//book", strategy="naive").items
+            attrs = db.query("//shelf/@genre", strategy="naive").items
+        items = [*nodes, *attrs, 3, -0.5, float("inf"), True, False,
+                 'quote " backslash \\ tab \t é']
+        for item in items:
+            fragment = encode_fragment(item)
+            assert json.loads(fragment) == encode_item(item)
+            assert fragment == json.dumps(
+                encode_item(item), separators=(",", ":"),
+                ensure_ascii=False).encode("utf-8")
+        for request_id in REQUEST_IDS:
+            chunk = encode_chunk(chunk_prefix(request_id),
+                                 [encode_fragment(i) for i in items])
+            assert chunk == encode_frame({
+                "type": "result_chunk", "id": request_id,
+                "items": [encode_item(i) for i in items]})
+            assert decode_frame(chunk[4:])["id"] == request_id
 
 
 class TestWireCodes:
@@ -240,15 +284,59 @@ class TestDifferentialBitIdentity:
         "//book[price > $p]/title",
     ]
 
+    @staticmethod
+    def _assert_miss_then_hit(db, cl, query):
+        """Query twice over the wire: the first reply executes, the
+        second (unless parameterized) is a result-cache hit, and both
+        serialize exactly as the in-process service does."""
+        params = {"p": 30.0} if "$p" in query else None
+        first = cl.query(query, params=params)
+        second = cl.query(query, params=params)
+        local = db.serve().query(query, params=params)
+        assert not first.cached
+        assert second.cached is (params is None)
+        assert first.serialize() == local.serialize(), query
+        assert second.serialize() == local.serialize(), query
+        assert first.snapshot_id == local.snapshot_id
+
     @pytest.mark.parametrize("query", QUERIES)
     def test_wire_equals_in_process(self, served, query):
         db, _server, cl = served
-        params = {"p": 30.0} if "$p" in query else None
-        service = db.serve()
-        remote = cl.query(query, params=params)
-        local = service.query(query, params=params)
-        assert remote.serialize() == local.serialize()
-        assert remote.snapshot_id == local.snapshot_id
+        self._assert_miss_then_hit(db, cl, query)
+
+    @pytest.mark.parametrize("chunk_items", [1, 3, 256])
+    @pytest.mark.parametrize("xml", [LIBRARY, ESCAPES],
+                             ids=["library", "escapes"])
+    def test_wire_equals_in_process_per_chunk_size(self, xml, chunk_items):
+        with repro.connect(xml) as db:
+            server = db.listen(chunk_items=chunk_items)
+            with client_mod.connect(*server.address) as cl:
+                for query in self.QUERIES:
+                    self._assert_miss_then_hit(db, cl, query)
+
+    @pytest.mark.parametrize("request_id", REQUEST_IDS,
+                             ids=["int", "quoted", "none"])
+    def test_request_ids_echo_back_exactly(self, served, request_id):
+        db, server, _cl = served
+        sock, stream = _raw_connection(server)
+        try:
+            for cached in (False, True):
+                stream.write(encode_frame({"type": "query", "id": request_id,
+                                           "text": "//book"}))
+                stream.flush()
+                frames = [read_frame(stream)]
+                while frames[-1]["type"] != "result_footer":
+                    frames.append(read_frame(stream))
+                assert frames[0]["cached"] is cached
+                for frame in frames:
+                    assert frame["id"] == request_id
+                    assert type(frame["id"]) is type(request_id)
+                items = [decode_item(item) for frame in frames[1:-1]
+                         for item in frame["items"]]
+                assert "".join(xml for _kind, xml in items) == \
+                    db.query("//book").serialize()
+        finally:
+            sock.close()
 
 
 # ----------------------------------------------------------------------
@@ -411,17 +499,33 @@ class TestRobustness:
         assert len(cl.query("//book")) == 3
 
     def test_mid_stream_disconnect_leaves_server_healthy(self, served):
-        _db, server, cl = served
-        sock, stream = _raw_connection(server)
-        stream.write(encode_frame({"type": "query", "id": 1,
-                                   "text": "//book"}))
-        stream.flush()
-        header = read_frame(stream)
-        assert header["type"] == "result_header"
-        sock.close()                     # vanish mid result stream
-        # The server keeps serving other connections.
-        assert cl.ping()
-        assert len(cl.query("//book")) == 3
+        db, server, cl = served
+        # The first stream executes; the second replays cached bytes.
+        for cached in (False, True):
+            sock, stream = _raw_connection(server)
+            stream.write(encode_frame({"type": "query", "id": 1,
+                                       "text": "//book"}))
+            stream.flush()
+            header = read_frame(stream)
+            assert header["type"] == "result_header"
+            assert header["cached"] is cached
+            sock.close()                     # vanish mid result stream
+            # The server keeps serving other connections.
+            assert cl.ping()
+            assert len(cl.query("//book")) == 3
+        # After the abandoned cached stream the next answers match
+        # in-process, on this snapshot and on the next one (whose
+        # commit retires the cached entries under the audit).
+        assert cl.query("//book").serialize() == db.query("//book").serialize()
+        service = db.serve()
+        batch = service.updater()
+        batch.insert_subtree(batch.doc.root, repro.parse("<shelf/>").root)
+        batch.commit()
+        for query in ("//book", "//shelf"):
+            assert cl.query(query).serialize() == db.query(query).serialize()
+        audit = cl.stats()["result_cache"]["audit"]
+        assert audit["snapshots_invalidated"] >= 1
+        assert audit["survivors"] == 0
 
     def test_deadline_expires_mid_serialization(self):
         service = QueryService(LIBRARY, workers=2)
@@ -435,8 +539,68 @@ class TestRobustness:
                         cl.query("//book", timeout_ms=120)
                     # The connection survives a mid-stream abort.
                     assert cl.ping()
+                    # The expired request cached its answer: streaming
+                    # the cached bytes honours the deadline too.
+                    hits = service.stats()["result_cache"]["hits"]
+                    with pytest.raises(QueryTimeoutError):
+                        cl.query("//book", timeout_ms=120)
+                    assert service.stats()["result_cache"]["hits"] == \
+                        hits + 1
+                    assert cl.ping()
         finally:
             service.close()
+
+    def test_chunks_are_cut_to_the_frame_bound(self):
+        """A small ``max_frame_bytes`` splits a result into more chunks,
+        each within the bound, and the result arrives whole."""
+        bound = 160
+        with repro.connect(LIBRARY) as db:
+            server = db.listen(max_frame_bytes=bound)
+            sock, stream = _raw_connection(server)
+            try:
+                stream.write(encode_frame({"type": "query", "id": 1,
+                                           "text": "//book/title"}))
+                stream.flush()
+                frames = [read_frame(stream)]
+                while frames[-1]["type"] != "result_footer":
+                    # Reading under the bound is the assertion that
+                    # every frame fits it.
+                    frames.append(read_frame(stream, max_frame_bytes=bound))
+            finally:
+                sock.close()
+            chunks = [f for f in frames if f["type"] == "result_chunk"]
+            assert len(chunks) > 1          # all 3 fit one 256-item chunk
+            items = [decode_item(item) for chunk in chunks
+                     for item in chunk["items"]]
+            assert frames[-1]["n_items"] == len(items) == 3
+            with client_mod.connect(*server.address) as cl:
+                assert cl.query("//book/title").serialize() == \
+                    db.query("//book/title").serialize()
+
+    def test_item_too_large_for_any_frame_is_a_protocol_error(self):
+        with repro.connect(LIBRARY) as db:
+            server = db.listen(max_frame_bytes=160)
+            with client_mod.connect(*server.address) as cl:
+                with pytest.raises(ProtocolError, match="160-byte limit"):
+                    cl.query("//book")           # one <book> needs ~200
+                # The error frame kept the stream in step.
+                assert cl.ping()
+                assert len(cl.query("//book/title")) == 3
+
+    def test_client_refusing_a_frame_closes_itself(self, served):
+        """A refused frame leaves its body unread: the client must not
+        parse those bytes as the next length prefix."""
+        _db, server, _cl = served
+        cl = client_mod.Client(*server.address, max_frame_bytes=200)
+        try:
+            with pytest.raises(ProtocolError, match="exceeds the 200-byte"):
+                cl.query("//book")
+            with pytest.raises(ProtocolError, match="client is closed"):
+                cl.ping()
+            with pytest.raises(ProtocolError, match="client is closed"):
+                cl.query("//book/title")
+        finally:
+            cl.close()
 
     def test_server_close_is_idempotent_and_drains(self, served):
         _db, server, cl = served

@@ -1,5 +1,7 @@
 """Query service: deadlines, admission, caching, SV001 retry."""
 
+import os
+import sys
 import threading
 import time
 
@@ -281,6 +283,38 @@ class TestCoalescingAndResultCache:
         finally:
             release.set()
             service.close()
+
+    def test_a_repeat_after_the_answer_is_a_cache_hit(self):
+        """A submission made once an identical request has answered
+        reads the result cache: the coalescing slot is released before
+        the future resolves, so the repeat cannot attach to the finished
+        execution (which would answer ``cached=False``)."""
+        lanes = (os.cpu_count() or 1) + 2
+        failures: list[str] = []
+
+        def lane(n: int) -> None:
+            for k in range(25):
+                text = f"//book[author != 'x{n}-{k}']/title"
+                first = service.query(text)
+                second = service.query(text)
+                if first.cached or not second.cached:
+                    failures.append(f"{text}: {first.cached}, "
+                                    f"{second.cached}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_service(workers=lanes) as service:
+                threads = [threading.Thread(target=lane, args=(n,))
+                           for n in range(lanes)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
 
     def test_result_cache_replays_on_same_snapshot(self):
         before = _RESULT_HITS.value()
