@@ -12,10 +12,10 @@ Covers the PR 2 serving path:
 2. ``plan.execute(params={...})`` runs it repeatedly with external
    ``$parameter`` values substituted at execution time;
 3. plain ``engine.query(text)`` transparently reuses plans through the
-   engine's LRU plan cache, and an update's commit purges the old
-   version's plans;
-4. the cache's hit/miss/eviction/invalidation counters show up in the
-   Prometheus exposition alongside the other engine metrics.
+   engine's LRU plan cache, keyed by the document's shape: a commit
+   that keeps the shape keeps the plans, one that changes it re-plans;
+4. the cache's hit/miss/eviction counters show up in the Prometheus
+   exposition alongside the other engine metrics.
 """
 
 from repro import Database, Engine, parse
@@ -41,6 +41,12 @@ BIB = """
 </bib>
 """
 
+#: Shaped exactly like the ``Economics`` book, whitespace included.
+FRESH = """<book year="2001">
+    <title>Fresh Arrival</title>
+    <price>19.99</price>
+  </book>"""
+
 
 def main() -> None:
     engine = Engine(parse(BIB))
@@ -65,15 +71,21 @@ def main() -> None:
     print(f"query span plan-cache attribute: {span.attrs['plan-cache']}")
     print(f"titles: {result.string_values()}")
 
-    print("\n== 3. Updates invalidate cached plans ==")
+    print("\n== 3. Plans follow the document's shape ==")
     db = Database.from_xml(BIB)
     db.query("//book/title")
-    print(f"cached plans before update: {len(db.engine.plan_cache)}")
-    with db.updater() as up:     # the commit retires the old version
+    with db.updater() as up:     # swap Economics for a same-shaped book
+        up.insert_subtree(up.doc.root, parse(FRESH).root)
+        up.delete_subtree(up.doc.elements_by_tag("book")[2])
+    result = db.query("//book/title", trace=True)
+    print(f"shape kept:    plan-cache={result.trace.root.attrs['plan-cache']}"
+          f" titles={result.string_values()}")
+    with db.updater() as up:     # a book without a price: a new shape
         up.insert_subtree(
-            db.doc.root, parse("<book><title>Fresh Arrival</title></book>").root)
-    print(f"cached plans after update:  {len(db.engine.plan_cache)}")
-    print(f"titles now: {db.query('//book/title').string_values()}")
+            up.doc.root, parse("<book><title>Untitled</title></book>").root)
+    result = db.query("//book/title", trace=True)
+    print(f"shape changed: plan-cache={result.trace.root.attrs['plan-cache']}"
+          f" titles={result.string_values()}")
 
     print("\n== 4. Plan-cache counters in the Prometheus exposition ==")
     exposition = prometheus_text(REGISTRY)

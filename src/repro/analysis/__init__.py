@@ -4,7 +4,7 @@ The engine compiles once and replays cached plans many times, so a
 single malformed BlossomTree, NoK decomposition or Dewey assignment
 would corrupt every subsequent execution.  This package walks each
 stage of a compiled query against a catalogue of declared invariants
-(stable rule IDs ``AST*``/``BT*``/``NK*``/``DW*``/``PL*``/``SV*`` — see
+(stable rule IDs ``AST*``/``BT*``/``NK*``/``DW*``/``PL*`` — see
 :mod:`repro.analysis.rules`) and reports findings with severity,
 location and a remediation hint.  The ``QL*`` family
 (:mod:`repro.analysis.query`) is different in kind: it checks the
@@ -25,11 +25,9 @@ Three consumers:
 from repro.analysis.analyzer import (
     analyze_artifacts,
     analyze_plan,
-    analyze_snapshot,
     analyze_tree,
     verify_artifacts,
     verify_plan,
-    verify_snapshot,
     verify_tree,
 )
 from repro.analysis.query import QueryLintResult, analyze_query
@@ -46,11 +44,9 @@ __all__ = [
     "analyze_artifacts",
     "analyze_plan",
     "analyze_query",
-    "analyze_snapshot",
     "analyze_tree",
     "rule_table",
     "verify_artifacts",
     "verify_plan",
-    "verify_snapshot",
     "verify_tree",
 ]

@@ -26,7 +26,6 @@ from repro.analysis.passes import (
     decomposition_pass,
     dewey_pass,
     plan_pass,
-    snapshot_pass,
 )
 from repro.analysis.report import AnalysisReport
 from repro.analysis.rules import Severity
@@ -36,8 +35,6 @@ from repro.obs.metrics import REGISTRY
 from repro.pattern.blossom import BlossomTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> analysis)
-    from collections.abc import Collection
-
     from repro.engine.prepared import CachedPlan
     from repro.pattern.artifact import PatternArtifacts
     from repro.xquery.ast import FLWOR
@@ -46,11 +43,9 @@ __all__ = [
     "analyze_tree",
     "analyze_artifacts",
     "analyze_plan",
-    "analyze_snapshot",
     "verify_tree",
     "verify_artifacts",
     "verify_plan",
-    "verify_snapshot",
 ]
 
 VERIFY_RUNS = REGISTRY.counter(
@@ -127,20 +122,6 @@ def analyze_plan(plan: CachedPlan, source: str | None = None,
     return report
 
 
-def analyze_snapshot(plan: CachedPlan, live_snapshots: Collection[int],
-                     source: str | None = None) -> AnalysisReport:
-    """Run the serving-stage pass: is the plan's snapshot still live?
-
-    ``live_snapshots`` is the serving catalog's ground truth (current +
-    pinned snapshot ids of the plan's document) — see
-    :meth:`~repro.serve.catalog.Catalog.live_ids`.
-    """
-    name = source if source is not None else plan.compiled.source
-    report = AnalysisReport(source=name)
-    snapshot_pass(plan, live_snapshots, report)
-    return report
-
-
 # ----------------------------------------------------------------------
 # Enforcement gates (metrics + raise-on-error).
 # ----------------------------------------------------------------------
@@ -185,15 +166,3 @@ def verify_plan(plan: CachedPlan, source: str | None = None,
     return _enforce(analyze_plan(plan, source=source,
                                  recursive_document=recursive_document,
                                  tree_verified=tree_verified))
-
-
-def verify_snapshot(plan: CachedPlan, live_snapshots: Collection[int],
-                    source: str | None = None) -> AnalysisReport:
-    """Gate form of :func:`analyze_snapshot`; raises on SV001.
-
-    The serving catalog's plan gate calls this when a cached plan's
-    snapshot id is found in the dropped set, so the refusal carries the
-    full rule metadata (and feeds the verify counters) instead of an
-    ad-hoc exception.
-    """
-    return _enforce(analyze_snapshot(plan, live_snapshots, source=source))

@@ -17,9 +17,6 @@ and handed to its sub-checks.
 
 from __future__ import annotations
 
-from collections.abc import Collection
-from typing import TYPE_CHECKING
-
 from repro.analysis.report import AnalysisReport
 from repro.strategy import STRATEGIES, Strategy
 from repro.pattern.blossom import (
@@ -34,9 +31,6 @@ from repro.pattern.decompose import Decomposition, InterEdge, NoKTree
 from repro.pattern.dewey import DeweyAssignment
 from repro.xquery.ast import FLWOR
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> analysis)
-    from repro.engine.prepared import CachedPlan
-
 __all__ = [
     "ast_pass",
     "blossom_pass",
@@ -44,7 +38,6 @@ __all__ = [
     "dewey_pass",
     "plan_pass",
     "partition_unsafe_noks",
-    "snapshot_pass",
 ]
 
 #: Axes the pattern matcher models at all.
@@ -603,26 +596,3 @@ def _check_strategy(tree: BlossomTree, report: AnalysisReport, strategy: str,
                    "Theorem 2's non-containment precondition may fail "
                    "(Example 5) — ordered output is not guaranteed")
     return row
-
-
-# ----------------------------------------------------------------------
-# Serving stage.
-# ----------------------------------------------------------------------
-
-def snapshot_pass(plan: CachedPlan, live_snapshots: Collection[int],
-                  report: AnalysisReport) -> None:
-    """SV001: the plan's stamped snapshot must still be live.
-
-    ``live_snapshots`` is the serving catalog's ground truth — the ids
-    of the document's current and pinned versions.  Plans compiled
-    outside the serving layer (``snapshot_id is None``) always pass.
-    """
-    report.passes_run.append("serve")
-    snapshot_id = plan.snapshot_id
-    if snapshot_id is None:
-        return
-    if snapshot_id not in live_snapshots:
-        live = ", ".join(str(i) for i in sorted(live_snapshots)) or "-"
-        report.add("SV001", "serve",
-                   f"plan was compiled against snapshot {snapshot_id}, "
-                   f"which has been dropped (live snapshots: {live})")

@@ -11,9 +11,12 @@ prefix    stage
 ``NK``    the NoK decomposition (Algorithm 1 postconditions)
 ``DW``    the Dewey returning-node assignment (Theorems 1 and 2)
 ``PL``    the physical plan (operator/strategy applicability)
-``SV``    the serving layer (snapshot liveness of cached plans)
 ``QL``    query-vs-data satisfiability (structural-summary lint)
 ========  ==========================================================
+
+Retired: ``SV001`` (a cached plan stamped with a retired snapshot).
+Plans are keyed by document shape, not by version, so no plan can
+outlive the statistics it was chosen from; the id is never reused.
 
 Severities: an ``error`` means the artifact violates a correctness
 precondition — executing it may return wrong results, so
@@ -166,16 +169,6 @@ _CATALOGUE: tuple[Rule, ...] = (
          "per partition and duplicate matches.",
          "use strategy='auto' (the optimizer withdraws the parallel "
          "upgrade for such plans) or run the query serially"),
-    Rule("SV001", Severity.ERROR, "serve", "dropped-snapshot plan",
-         "A cached plan may only execute against a live snapshot: its "
-         "stamped snapshot id must be the serving catalog's current or "
-         "a pinned version of the document.  A plan referencing a "
-         "retired (dropped) snapshot raced an update-batch publish — "
-         "its artifacts were chosen from statistics of a version no "
-         "reader can pin anymore.",
-         "purge the snapshot's plans (Catalog.purge_snapshot_plans) and "
-         "recompile; the query service does this automatically and "
-         "retries once"),
     # -- QL: query-vs-data satisfiability (structural-summary lint).
     # Unlike the stages above, a QL *error* does not mean the plan is
     # broken — it means part of the query provably matches nothing on

@@ -27,8 +27,9 @@ with copy-on-write snapshots.  Every read (:meth:`query`,
 :meth:`prepare`d executions, :meth:`explain`, :meth:`stats`) pins the
 current snapshot for the call; :meth:`updater` returns the same
 copy-on-write batch ``service.updater()`` does, whose commit publishes
-the next version and retires the old one (plans purged, derived state
-dropped).  A running service and the database read and write the same
+the next version and retires the old one (its engine refuses further
+calls, its derived state is dropped; plans are keyed by document shape
+and stay).  A running service and the database read and write the same
 versions, and a commit outlives the service.
 """
 
@@ -102,7 +103,9 @@ class Database:
     @property
     def engine(self) -> Engine:
         """The current version's engine (its plan cache is the
-        catalog's, shared by every version)."""
+        catalog's, shared by every version).  It is valid until the next
+        commit: once that retires its version, every call on it raises
+        :class:`~repro.errors.UsageError` — read ``db.engine`` again."""
         with self._reading() as engine:
             return engine
 
@@ -175,7 +178,8 @@ class Database:
         """Compile once for repeated execution (see :meth:`Engine.prepare`).
 
         Every execution runs on the version current at that call; after
-        a commit the first one re-plans through the shared plan cache.
+        a commit that changes the document's shape the first one
+        re-plans through the shared plan cache.
         """
         with self._reading() as engine:
             prepared = engine.prepare(text, strategy=strategy,
@@ -225,8 +229,7 @@ class Database:
         """
         with self._reading() as reader:
             doc_stats = reader.stats
-            fingerprint = "/".join(
-                str(part) for part in reader.stats_fingerprint())
+            fingerprint = reader.summary.fingerprint()
             plan_cache = reader.plan_cache.stats()
         return {
             "schema": STATS_SCHEMA,

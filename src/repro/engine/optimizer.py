@@ -26,7 +26,8 @@ asks).  ``explain`` reads the same decision without executing it.
 
 The decision is static, as in the paper: it reads document statistics
 and the query, never a record of earlier runs, so the same query over
-the same document version always gets the same plan.
+documents of the same shape (one summary digest) always gets the same
+plan.
 """
 
 from __future__ import annotations
@@ -185,10 +186,6 @@ class CachedPlan:
     #: Set by the engine once the invariant analyzer accepted the plan;
     #: the plan cache refuses to store plans that never passed it.
     verified: bool = False
-    #: The serving snapshot this plan was compiled against (``None``
-    #: outside the serving layer).  The catalog's SV001 gate compares
-    #: it against the dropped-snapshot set before reusing the plan.
-    snapshot_id: int | None = None
     #: The query lint's result for this compilation (its findings, and
     #: the reason when it chose ``static-empty``); ``None`` when the
     #: lint did not run.
@@ -259,7 +256,7 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
     join = (row.join if row.join is not None
             and (row is requested or not row.theorem2) else "auto")
     return CachedPlan(compiled, choice, artifacts, key.strategy,
-                      snapshot_id=env.snapshot_id, lint=lint, join=join)
+                      lint=lint, join=join)
 
 
 def _requested(compiled: CompiledQuery, row: Strategy, parallelism: int,

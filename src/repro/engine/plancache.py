@@ -8,22 +8,20 @@ full compile pipeline keyed on
 ``(normalized query text, strategy, document-statistics fingerprint)``
 
 where *normalized* collapses whitespace (so reformatted copies of one
-query share an entry) and the fingerprint ties a plan to the document
-version whose statistics the optimizer consulted — a structural update
-changes the fingerprint, so stale plans are never even looked up, and
-the serving catalog drops a retired version's plans eagerly
-(:meth:`PlanCache.invalidate_where`).
+query share an entry) and the fingerprint is the structural summary's
+digest of the documents the plan reads — the statistics the optimizer
+consulted.  An update that changes the shape changes the fingerprint,
+so stale plans are never even looked up; one that keeps it (every
+version of one shape) shares the plans, and entries nothing asks for
+any more leave by LRU.  Nothing is invalidated by hand.
 
 Counters (all exported through ``repro.obs``):
 
-=========================================  ==============================
-``repro_plan_cache_hits_total``            lookups served from cache
-``repro_plan_cache_misses_total``          lookups that compiled fresh
-``repro_plan_cache_evictions_total``       LRU evictions at capacity
-``repro_plan_cache_invalidations_total``   entries dropped by
-                                           invalidation (label:
-                                           ``reason``)
-=========================================  ==============================
+=====================================  ==================================
+``repro_plan_cache_hits_total``        lookups served from cache
+``repro_plan_cache_misses_total``      lookups that compiled fresh
+``repro_plan_cache_evictions_total``   LRU evictions at capacity
+=====================================  ==================================
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ from repro.errors import UsageError
 from repro.obs.metrics import REGISTRY
 
 __all__ = ["PlanCache", "normalize_query_text",
-           "CACHE_HITS", "CACHE_MISSES", "CACHE_EVICTIONS",
-           "CACHE_INVALIDATIONS"]
+           "CACHE_HITS", "CACHE_MISSES", "CACHE_EVICTIONS"]
 
 CACHE_HITS = REGISTRY.counter(
     "repro_plan_cache_hits_total", "Plan-cache lookups served from cache")
@@ -47,9 +44,6 @@ CACHE_MISSES = REGISTRY.counter(
     "repro_plan_cache_misses_total", "Plan-cache lookups that compiled fresh")
 CACHE_EVICTIONS = REGISTRY.counter(
     "repro_plan_cache_evictions_total", "Plans evicted by LRU at capacity")
-CACHE_INVALIDATIONS = REGISTRY.counter(
-    "repro_plan_cache_invalidations_total",
-    "Plans dropped by explicit invalidation")
 
 DEFAULT_CAPACITY = 128
 
@@ -99,7 +93,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -140,25 +133,6 @@ class PlanCache:
                 CACHE_EVICTIONS.inc()
             self._entries[key] = plan
 
-    def invalidate_where(self, predicate: Any, reason: str = "manual") -> int:
-        """Drop the entries ``predicate(key, plan)`` selects.
-
-        The serving catalog uses this to purge a retired snapshot's
-        plans (``reason="snapshot-drop"``) without disturbing entries
-        belonging to live versions that share the cache.  Returns how
-        many entries were dropped.
-        """
-        with self._lock:
-            doomed = [key for key, plan in self._entries.items()
-                      if predicate(key, plan)]
-            for key in doomed:
-                del self._entries[key]
-        dropped = len(doomed)
-        if dropped:
-            self.invalidations += dropped
-            CACHE_INVALIDATIONS.inc(dropped, reason=reason)
-        return dropped
-
     def stats(self) -> dict[str, int | float | None]:
         """This cache's counters, for ``explain``-style introspection."""
         lookups = self.hits + self.misses
@@ -168,6 +142,5 @@ class PlanCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "invalidations": self.invalidations,
             "hit_ratio": round(self.hits / lookups, 4) if lookups else None,
         }

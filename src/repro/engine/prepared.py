@@ -10,14 +10,15 @@ compiled plan carries slots for them (late-bound vertex tests for
 pushed where-conjuncts, per-tuple tests for the rest), so no
 recompilation happens between executions.
 
-A prepared query pins the document-statistics fingerprint it was
-planned against.  If the document moves underneath it — an in-place
+A prepared query pins the document-shape fingerprint it was planned
+against.  If the document changes shape underneath it — an in-place
 update, or a new version of a :class:`~repro.engine.database.Database`,
 whose prepared queries run on the current snapshot — the next
 ``execute()`` transparently re-plans (through the shared plan cache)
 instead of running a choice the optimizer would no longer make —
 execution results were never at risk (plans are document-independent),
-but the *strategy* could have gone stale.
+but the *strategy* could have gone stale.  A shape-preserving update
+keeps the pinned plan.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ class PreparedQuery:
 
     def current_plan(self, engine: Engine, run: _Run) -> CachedPlan:
         """The plan stage of one ``execute`` on ``engine`` (its run loop
-        asks): the pinned plan, re-planned only if the document moved
-        (or the call overrides the pinned backend)."""
+        asks): the pinned plan, re-planned only if the document changed
+        shape (or the call overrides the pinned backend)."""
         fingerprint = engine.stats_fingerprint()
         pinned = run.options.executor == self.executor
         if pinned and self._fingerprint == fingerprint:

@@ -19,9 +19,10 @@ Repeated traffic is served without recompilation two ways:
   plan and executes it many times, with external ``$parameter``
   bindings substituted per call.
 
-A document mutation ends the version: ``DocumentUpdater`` drops the
-document's derived state, so the statistics fingerprint moves and
-stale plans are keyed out without being told.
+Plans are keyed by document shape, not version: ``DocumentUpdater``
+drops the document's derived state, the next read rebuilds the
+structural summary, and its digest decides whether the cached plans
+still apply.
 
 ``Engine.query`` accepts bare path expressions, FLWOR expressions, and
 constructor-wrapped FLWORs; ``strategy`` selects the physical plan (the
@@ -56,7 +57,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from repro.analysis import verify_plan
-from repro.errors import CompileError, DNFError, QueryTimeoutError
+from repro.errors import CompileError, DNFError, QueryTimeoutError, UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import NULL_TRACER, NullTracer, QueryTrace, Tracer
 from repro.physical.parallel_scan import ScanPools
@@ -159,11 +160,6 @@ class Engine:
         An externally owned :class:`PlanCache` to share (the serving
         catalog hands one cache to every snapshot's engine); by default
         the engine owns a private cache of ``plan_cache_capacity``.
-    snapshot_id:
-        Set by the serving catalog when this engine is bound to one
-        immutable :class:`~repro.serve.snapshot.Snapshot`: the id keys
-        the shared plan cache (instead of the mutation counter) and is
-        stamped into every plan this engine compiles.
     """
 
     #: Plan text and trace of the most recently *finished* call —
@@ -178,8 +174,7 @@ class Engine:
                  documents: dict[str, Document] | None = None,
                  work_budget: int | None = None,
                  plan_cache_capacity: int = 128,
-                 plan_cache: PlanCache | None = None,
-                 snapshot_id: int | None = None) -> None:
+                 plan_cache: PlanCache | None = None) -> None:
         self.doc = doc
         self.documents = dict(documents or {})
         #: Uris resolving to other documents, precomputed once (the
@@ -194,19 +189,13 @@ class Engine:
         #: fallback; the serving catalog stamps the one it owns, so its
         #: ``close()`` shuts it down).
         self.scan_pools: ScanPools | None = None
-        #: :meth:`stats_fingerprint`, memoized beside the derived object
-        #: it was read from (a new version has a new object).
-        self._fingerprint: tuple[object, tuple] | None = None
         #: LRU of compiled plans; keys include the statistics
-        #: fingerprint, so a mutated document never matches old entries.
+        #: fingerprint, so a reshaped document never matches old entries.
         self.plan_cache = (plan_cache if plan_cache is not None
                            else PlanCache(plan_cache_capacity))
-        #: Snapshot binding (serving layer); ``None`` for a plain engine.
-        self.snapshot_id = snapshot_id
-        #: Optional hook called with every plan served from the cache
-        #: *before* execution; the serving catalog installs the SV001
-        #: dropped-snapshot gate here.  Raise to refuse the plan.
-        self.plan_gate = None
+        #: Set by the serving catalog when it retires this engine's
+        #: snapshot (``"snapshot 3 of 'main'"``); every call then refuses.
+        self.retired: str | None = None
 
     # ------------------------------------------------------------------
     # Public API.
@@ -234,8 +223,8 @@ class Engine:
         inter-NoK join) and leaves on the result as ``result.trace``.
 
         Plans are served from :attr:`plan_cache` when an identical
-        (normalized) query was compiled before against the same
-        document version; the ``query`` span's ``plan-cache`` attribute
+        (normalized) query was compiled before against a document of
+        the same shape; the ``query`` span's ``plan-cache`` attribute
         says whether this call ``hit``, ``miss``-ed, or ``bypass``-ed
         the cache (pre-parsed expressions are never cached).
         """
@@ -257,37 +246,29 @@ class Engine:
         ``executor`` is pinned into the prepared plan (same semantics
         as :meth:`query`).
         """
+        self._check_live()
         options = QueryOptions(strategy, executor=executor)
         run = _Run(text, options, QueryKey(text, options))
         return PreparedQuery(self, text, options, run.key, self._plan(run))
 
     def stats_fingerprint(self) -> tuple:
-        """The plan-cache key component tied to the document state.
+        """The plan-cache key component tied to the documents: the
+        structural summary's digest of the primary document, then
+        ``(uri, digest)`` per other document ``doc(uri)`` resolves to.
 
-        A snapshot-bound engine keys by its (catalog-unique) snapshot id
-        instead of the document's version counter, so engines sharing one
-        plan cache across document versions never alias entries — the
-        atomic-invalidation contract of the serving layer.
-
-        The shape part is the structural summary's digest: a plan is
-        only valid for the document shape it was chosen (and linted)
-        against.  So are the versions of the other
-        documents ``doc(uri)`` can resolve to: the chooser reads the
-        statistics of whichever one a pattern scans
-        (:func:`~repro.engine.optimizer.pattern_document`).
+        A plan reads nothing of a document but the statistics and the
+        summary the digest covers (the chooser reads whichever document
+        a pattern scans, :func:`~repro.engine.optimizer.pattern_document`),
+        so every version of one shape shares a plan, and a version of
+        another shape never matches it.
         """
-        derived, memo = self.doc.derived, self._fingerprint
-        if memo is None or memo[0] is not derived:
-            version = (("snapshot", self.snapshot_id)
-                       if self.snapshot_id is not None else (self.doc.version,))
-            memo = self._fingerprint = (
-                derived, version + (derived.summary.fingerprint(),))
-        return memo[1] + tuple((uri, other.version) for uri, other
-                               in self.documents.items() if other is not self.doc)
+        return (self.doc.derived.summary.fingerprint(),) + tuple(
+            (uri, other.derived.summary.fingerprint())
+            for uri, other in self.documents.items() if other is not self.doc)
 
     # ------------------------------------------------------------------
     # The request path: one run context through a short stage list —
-    # plan (cached → gate, or compile → optimizer.plan_query → verify)
+    # plan (cached, or compile → optimizer.plan_query → verify)
     # → execute → record.  Every surface enters through _run.
     # ------------------------------------------------------------------
 
@@ -305,6 +286,7 @@ class Engine:
         ``slow`` receives this run's one measurement (a slow-query log
         is listening).
         """
+        self._check_live()
         counters = counters if counters is not None else ScanCounters()
         budget = (options.work_budget if options.work_budget is not None
                   else self.work_budget)
@@ -381,11 +363,6 @@ class Engine:
         cache_key = key.plan(self.stats_fingerprint())
         plan = self.plan_cache.get(cache_key)
         if plan is not None:
-            if self.plan_gate is not None:
-                # Serving gate (SV001): refuse plans compiled against a
-                # snapshot that raced retirement between key lookup and
-                # execution.  Raises PlanInvariantError.
-                self.plan_gate(plan)
             run.cache_status = "hit"
             return plan
         plan = self._build(run)
@@ -535,6 +512,7 @@ class Engine:
 
     def explain(self, text: str | QueryExpr, strategy: str = "auto") -> str:
         """Describe the plan that ``query`` would run (without running it)."""
+        self._check_live()
         return render_explain(self, text, strategy)
 
     def explain_analyze(self, text: str | QueryExpr,
@@ -568,6 +546,14 @@ class Engine:
     def index(self) -> TagIndex:
         """Read-through: the primary document's ``derived.index``."""
         return self.doc.derived.index
+
+    def _check_live(self) -> None:
+        """Refuse every call once the catalog retired this engine's
+        snapshot: its version is gone, and nothing would drop the
+        derived state a late read rebuilt."""
+        if self.retired is not None:
+            raise UsageError(f"{self.retired} has been retired: an "
+                             "engine is valid until the next commit")
 
     def resolve_doc(self, uri: str | None) -> Document:
         """The document ``doc(uri)`` names (the primary one by default)."""

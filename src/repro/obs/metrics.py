@@ -35,7 +35,6 @@ name                                           type       labels
 ``repro_plan_cache_hits_total``                counter    —
 ``repro_plan_cache_misses_total``              counter    —
 ``repro_plan_cache_evictions_total``           counter    —
-``repro_plan_cache_invalidations_total``       counter    ``reason``
 ``repro_plan_verify_total``                    counter    ``outcome``
 ``repro_plan_verify_findings_total``           counter    ``rule``
 ``repro_query_timeout_total``                  counter    —
@@ -48,7 +47,6 @@ name                                           type       labels
 ``repro_service_coalesced_total``              counter    —
 ``repro_service_wait_ms``                      histogram  —
 ``repro_service_run_ms``                       histogram  —
-``repro_plan_retries_total``                   counter    —
 ``repro_result_cache_hits_total``              counter    —
 ``repro_result_cache_misses_total``            counter    —
 ``repro_result_cache_bytes``                   gauge      —
@@ -76,7 +74,7 @@ raised) — and each compile opens a ``verify-plan`` span whose
 counters.  The operator pair is declared once, beside ``JoinResult``
 in :mod:`repro.physical.structural` (``count_operator``).  The serving
 families (``repro_snapshot_*`` / ``repro_service_*`` /
-``repro_result_cache_*`` plus the timeout and retry counters) are
+``repro_result_cache_*`` plus the timeout counter) are
 registered by :mod:`repro.serve` — the wait/run histograms split a
 served query's latency into queue time and execution time, and the
 result-cache hit/miss/byte/eviction/invalidation family is owned by
@@ -101,7 +99,7 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
 #: Version of the structured ``stats()`` payloads (``Database.stats``,
 #: ``QueryService.stats`` and the wire ``stats`` frame), stamped as their
 #: ``"schema"`` key; it moves when a documented key leaves or changes.
-STATS_SCHEMA = 3
+STATS_SCHEMA = 4
 
 LabelKey = tuple[tuple[str, str], ...]
 

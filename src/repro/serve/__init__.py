@@ -4,8 +4,8 @@ The serving layer on top of the engine: a :class:`Catalog` of named,
 versioned documents (immutable :class:`Snapshot` per published update
 batch, copy-on-write via :class:`SnapshotUpdater`), a
 :class:`QueryService` worker pool with admission control, per-query
-deadlines, snapshot-keyed plan/result caching and retry-once on
-invalidated plans — and the network front end over it: a
+deadlines, snapshot-keyed result caching and a plan cache keyed by
+document shape — and the network front end over it: a
 :class:`Server` speaking the length-prefixed JSON frame protocol of
 :mod:`repro.serve.protocol` with adaptive, latency-targeting admission
 (:mod:`repro.serve.throttle`), mirrored by the blocking

@@ -1,8 +1,8 @@
 """The document catalog: named documents, versioned by snapshot.
 
 A :class:`Catalog` maps names to their *current* :class:`Snapshot` and
-hands out per-snapshot engines whose plan caches are keyed by snapshot
-id — the serving layer's unit of isolation:
+hands out per-snapshot engines — the serving layer's unit of
+isolation:
 
 * **readers** ``pin()`` the current snapshot (a refcount, not a lock),
   query it through ``engine_for()``, and ``unpin()`` when done; a
@@ -13,11 +13,9 @@ id — the serving layer's unit of isolation:
   and is never held during query execution or an O(n) pass (statistics,
   summary, tag index: ``snapshot.doc.derived``, built by first reader);
 * a snapshot with no pins that is no longer current is **retired**: its
-  id joins the dropped set (the SV001 rule's ground truth), its engine
-  is released, its plans are purged from the shared per-document
-  :class:`~repro.engine.plancache.PlanCache`, its document's derived
-  state is dropped, and retire listeners fire (the query service uses
-  this to purge its result cache).
+  engine is released (and refuses every later call), its document's
+  derived state is dropped, and retire listeners fire (the query
+  service uses this to purge its result cache).
 
 The catalog is the one owner of what outlives a request: the versions,
 the per-document plan cache, and the
@@ -26,10 +24,11 @@ scans on.  A :class:`~repro.engine.database.Database` is its first
 document, and a query service only borrows it; :meth:`close` releases
 the pools and the current versions' derived state.
 
-All engines of one document share one plan cache; entries are keyed by
-the snapshot fingerprint (id + statistics), so plans compiled against
-different versions never alias — the PR-2 fingerprint mechanism carried
-over to multi-version serving.
+All engines of one document share one plan cache, keyed by the
+structural summary's digest (``Engine.stats_fingerprint``) and not by
+snapshot: a plan reads only the statistics the digest covers, so every
+version of one shape shares it, and a retire has no plan to purge.
+Results are what stays per snapshot (the query service's result cache).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import threading
 from collections.abc import Callable
 
 from repro.engine.plancache import PlanCache
-from repro.engine.prepared import CachedPlan
 from repro.engine.session import Engine
 from repro.errors import UsageError
 from repro.obs.metrics import REGISTRY
@@ -65,8 +63,7 @@ _LIVE = REGISTRY.gauge(
 class _Entry:
     """Per-document state; all fields guarded by the catalog lock."""
 
-    __slots__ = ("name", "current", "pins", "dropped", "plan_cache",
-                 "engines")
+    __slots__ = ("name", "current", "pins", "plan_cache", "engines")
 
     def __init__(self, name: str, snapshot: Snapshot,
                  plan_cache_capacity: int) -> None:
@@ -74,8 +71,6 @@ class _Entry:
         self.current = snapshot
         #: snapshot_id -> reader refcount.
         self.pins: dict[int, int] = {}
-        #: ids of retired snapshots (never reused, never resurrected).
-        self.dropped: set[int] = set()
         #: one plan cache shared by every version's engine.
         self.plan_cache = PlanCache(plan_cache_capacity)
         #: snapshot_id -> Engine bound to that version.
@@ -163,23 +158,21 @@ class Catalog:
             self._notify_retired(retired)
 
     def engine_for(self, snapshot: Snapshot) -> Engine:
-        """The engine bound to one snapshot (created once per version).
+        """The engine bound to one current or pinned snapshot (created
+        once per version).
 
-        The engine shares the document's plan cache and carries the
-        snapshot id (stamped into every plan it compiles); what it reads
-        of the document it reads through ``snapshot.doc.derived``.
+        The engine shares the document's plan cache; what it reads of
+        the document it reads through ``snapshot.doc.derived``.
         """
         with self._lock:
             entry = self._entry(snapshot.name)
             sid = snapshot.snapshot_id
-            if sid in entry.dropped:
+            if sid != entry.current.snapshot_id and sid not in entry.pins:
                 raise UsageError(
-                    f"snapshot {sid} of {snapshot.name!r} has been dropped")
+                    f"snapshot {sid} of {snapshot.name!r} has been retired")
             engine = entry.engines.get(sid)
             if engine is None:
-                engine = Engine(snapshot.doc, plan_cache=entry.plan_cache,
-                                snapshot_id=sid)
-                engine.plan_gate = self._make_gate(entry)
+                engine = Engine(snapshot.doc, plan_cache=entry.plan_cache)
                 engine.scan_pools = self.scan_pools
                 entry.engines[sid] = engine
             return engine
@@ -216,21 +209,8 @@ class Catalog:
         return snapshot
 
     # ------------------------------------------------------------------
-    # Liveness bookkeeping (the SV001 ground truth).
+    # Retirement listeners and introspection.
     # ------------------------------------------------------------------
-
-    def live_ids(self, name: str) -> frozenset[int]:
-        """Snapshot ids of ``name`` that are current or pinned."""
-        with self._lock:
-            entry = self._entry(name)
-            ids = set(entry.pins)
-            ids.add(entry.current.snapshot_id)
-            return frozenset(ids)
-
-    def dropped_ids(self, name: str) -> frozenset[int]:
-        """Snapshot ids of ``name`` that have been retired."""
-        with self._lock:
-            return frozenset(self._entry(name).dropped)
 
     def on_retire(self, callback: Callable[[Snapshot], None]
                   ) -> Callable[[], None]:
@@ -252,32 +232,6 @@ class Catalog:
         with self._lock:
             return self._entry(name).plan_cache
 
-    def purge_snapshot_plans(self, name: str, snapshot_id: int) -> int:
-        """Eagerly drop plans compiled against one snapshot.
-
-        Retirement does this automatically per retired snapshot.
-        """
-        with self._lock:
-            cache = self._entry(name).plan_cache
-        return cache.invalidate_where(
-            lambda key, plan: getattr(plan, "snapshot_id", None)
-            == snapshot_id,
-            reason="snapshot-drop")
-
-    def purge_stale_plans(self, name: str) -> int:
-        """Drop every plan stamped with a dropped snapshot of ``name``.
-
-        The query service calls this when the SV001 gate trips on a
-        cache entry that raced a publish, so its retry compiles fresh
-        instead of re-hitting the poisoned entry.
-        """
-        with self._lock:
-            entry = self._entry(name)
-            cache, dropped = entry.plan_cache, frozenset(entry.dropped)
-        return cache.invalidate_where(
-            lambda key, plan: getattr(plan, "snapshot_id", None) in dropped,
-            reason="snapshot-drop")
-
     # ------------------------------------------------------------------
     # Internals (callers hold the lock unless noted).
     # ------------------------------------------------------------------
@@ -290,16 +244,17 @@ class Catalog:
         return entry
 
     def _retire(self, entry: _Entry, snapshot: Snapshot) -> Snapshot:
-        sid = snapshot.snapshot_id
-        entry.dropped.add(sid)
-        entry.engines.pop(sid, None)
+        engine = entry.engines.pop(snapshot.snapshot_id, None)
+        if engine is not None:
+            engine.retired = (f"snapshot {snapshot.snapshot_id} "
+                              f"of {snapshot.name!r}")
         _RETIRES.inc()
         _LIVE.set(self._live_count())
         return snapshot
 
     def _notify_retired(self, snapshot: Snapshot) -> None:
-        """Purge plans and fire listeners — outside the catalog lock."""
-        self.purge_snapshot_plans(snapshot.name, snapshot.snapshot_id)
+        """Drop derived state and fire listeners — outside the catalog
+        lock."""
         # No query can pin the snapshot again: its statistics, summary,
         # tag index and arena file (processes-backend scan image) go.
         snapshot.doc.drop_derived()
@@ -313,22 +268,6 @@ class Catalog:
             ids.add(entry.current.snapshot_id)
             total += len(ids)
         return total
-
-    def _make_gate(self, entry: _Entry) -> Callable[[CachedPlan], None]:
-        """The plan gate installed on every snapshot engine: refuse
-        cached plans whose snapshot has been dropped (rule SV001)."""
-        def gate(plan: CachedPlan) -> None:
-            sid = getattr(plan, "snapshot_id", None)
-            if sid is None:
-                return
-            with self._lock:
-                dropped = sid in entry.dropped
-            if dropped:
-                from repro.analysis import verify_snapshot
-
-                live = self.live_ids(entry.name)
-                verify_snapshot(plan, live)  # raises PlanInvariantError
-        return gate
 
     def close(self) -> None:
         """Drain and stop the scan pools and drop the current versions'

@@ -71,12 +71,11 @@ class ClientResult:
     """
 
     def __init__(self, items: list[tuple[str, Any]], *,
-                 snapshot_id: int, cached: bool, attempts: int,
+                 snapshot_id: int, cached: bool,
                  wait_ms: float, run_ms: float, total_ms: float) -> None:
         self.items = items
         self.snapshot_id = snapshot_id
         self.cached = cached
-        self.attempts = attempts
         self.wait_ms = wait_ms
         self.run_ms = run_ms
         #: End-to-end server-side time (receipt to footer).
@@ -315,7 +314,6 @@ class Client:
                         items,
                         snapshot_id=header.get("snapshot_id"),
                         cached=bool(header.get("cached")),
-                        attempts=int(header.get("attempts", 1)),
                         wait_ms=float(frame.get("wait_ms", 0.0)),
                         run_ms=float(frame.get("run_ms", 0.0)),
                         total_ms=float(frame.get("total_ms", 0.0)))

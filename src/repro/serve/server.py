@@ -463,7 +463,7 @@ class Server:
         await self._send(conn, {
             "type": "result_header", "id": request_id,
             "snapshot_id": served.snapshot_id,
-            "cached": served.cached, "attempts": served.attempts})
+            "cached": served.cached})
         fragments = served.fragments
         if fragments is None:
             fragments = [encode_fragment(item) for item in served.items]

@@ -18,11 +18,9 @@ against the snapshot that was current at dequeue time, with
   concurrent requests share one execution) this is where the service's
   aggregate throughput on read-heavy workloads comes from — Python
   threads do not parallelize CPU-bound query evaluation, they
-  *deduplicate* it;
-* **retry-once on invalidated plans** — if a cached plan trips the
-  SV001 gate (compiled against a snapshot that got dropped while the
-  entry raced a publish), the service purges the stale plans and
-  retries the query once against a freshly pinned snapshot.
+  *deduplicate* it.  Plans, unlike results, are not per snapshot: the
+  catalog's plan cache is keyed by document shape, so a commit that
+  keeps the shape keeps every plan warm.
 
 Every submission returns a :class:`concurrent.futures.Future` resolving
 to a :class:`ServeResult` — the query result plus the snapshot it ran
@@ -43,7 +41,6 @@ from repro.engine.backend import ExecutionBackend
 from repro.engine.request import QueryKey, QueryOptions, check_timeout_ms, require
 from repro.engine.result import QueryResult
 from repro.errors import (
-    PlanInvariantError,
     QueryCancelledError,
     QueryTimeoutError,
     ServiceOverloadedError,
@@ -68,9 +65,6 @@ _REJECTIONS = REGISTRY.counter(
     "Submissions rejected by admission control (queue full)")
 _TIMEOUTS = REGISTRY.counter(
     "repro_query_timeout_total", "Queries aborted by deadline expiry")
-_RETRIES = REGISTRY.counter(
-    "repro_plan_retries_total",
-    "Queries retried after a stale-snapshot plan tripped the SV001 gate")
 _COALESCED = REGISTRY.counter(
     "repro_service_coalesced_total",
     "Submissions attached to an identical in-flight request")
@@ -118,7 +112,6 @@ class ServeResult:
     snapshot: Snapshot
     wait_ms: float
     run_ms: float
-    attempts: int = 1
     cached: bool = False
     fragments: Sequence[bytes] | None = None
 
@@ -599,53 +592,39 @@ class QueryService:
             self._settle(request, served)
 
     def _execute(self, request: _Request, wait_ms: float) -> ServeResult:
-        attempts = 0
-        while True:
-            attempts += 1
-            snapshot = self.catalog.pin(request.doc)
-            started = time.perf_counter()
-            try:
-                cache_key = None
-                if request.slot is not None and self.result_cache is not None:
-                    cache_key = request.key.result(request.doc,
-                                                   snapshot.snapshot_id)
-                    entry = self.result_cache.get(cache_key)
-                    if entry is not None:
-                        run_ms = (time.perf_counter() - started) * 1e3
-                        return ServeResult(entry.result, snapshot, wait_ms,
-                                           run_ms, attempts, cached=True,
-                                           fragments=entry.fragments)
-                engine = self.catalog.engine_for(snapshot)
-                options = request.options
-                if request.deadline is not None:
-                    # Deadlines are measured from submission: the engine
-                    # gets what the queue wait left of the budget.
-                    options = options.with_timeout(max(
-                        (request.deadline - time.perf_counter()) * 1e3, 0.0))
-                try:
-                    result = engine._run(
-                        request.text, options, request.key,
-                        slow=None if self.slow_log is None else partial(
-                            self._observe_slow, request, snapshot))
-                except PlanInvariantError as exc:
-                    if attempts == 1 and "SV001" in exc.rule_ids:
-                        # A cached plan raced a snapshot flip: purge the
-                        # stale entries and retry against a fresh pin.
-                        _RETRIES.inc()
-                        self.catalog.purge_stale_plans(request.doc)
-                        continue
-                    raise
-                fragments = None
-                if cache_key is not None:
-                    fragments = [encode_fragment(item)
-                                 for item in result.items]
-                    self.result_cache.put(cache_key, result, fragments)
-                run_ms = (time.perf_counter() - started) * 1e3
-                return ServeResult(result, snapshot, wait_ms, run_ms,
-                                   attempts, cached=False,
-                                   fragments=fragments)
-            finally:
-                self.catalog.unpin(snapshot)
+        snapshot = self.catalog.pin(request.doc)
+        started = time.perf_counter()
+        try:
+            cache_key = None
+            if request.slot is not None and self.result_cache is not None:
+                cache_key = request.key.result(request.doc,
+                                               snapshot.snapshot_id)
+                entry = self.result_cache.get(cache_key)
+                if entry is not None:
+                    run_ms = (time.perf_counter() - started) * 1e3
+                    return ServeResult(entry.result, snapshot, wait_ms,
+                                       run_ms, cached=True,
+                                       fragments=entry.fragments)
+            engine = self.catalog.engine_for(snapshot)
+            options = request.options
+            if request.deadline is not None:
+                # Deadlines are measured from submission: the engine
+                # gets what the queue wait left of the budget.
+                options = options.with_timeout(max(
+                    (request.deadline - time.perf_counter()) * 1e3, 0.0))
+            result = engine._run(
+                request.text, options, request.key,
+                slow=None if self.slow_log is None else partial(
+                    self._observe_slow, request, snapshot))
+            fragments = None
+            if cache_key is not None:
+                fragments = [encode_fragment(item) for item in result.items]
+                self.result_cache.put(cache_key, result, fragments)
+            run_ms = (time.perf_counter() - started) * 1e3
+            return ServeResult(result, snapshot, wait_ms, run_ms,
+                               cached=False, fragments=fragments)
+        finally:
+            self.catalog.unpin(snapshot)
 
     def _observe_slow(self, request: _Request, snapshot: Snapshot,
                       plan: str | None, elapsed_ms: float,

@@ -75,8 +75,8 @@ class Snapshot:
     """One published, immutable version of a named document.
 
     ``snapshot_id`` is unique within its catalog (monotonic across all
-    documents), so plan-cache keys and SV001 checks can reference a
-    version without carrying the document around.  The document behind
+    documents), so result-cache keys can reference a version without
+    carrying the document around.  The document behind
     a snapshot must never be mutated — all updates go through
     :class:`SnapshotUpdater`, which works on a private fork.
     """

@@ -25,7 +25,7 @@ soundness over precision, because an over-approximation only costs a
 wasted scan while an under-approximation would drop answers.
 
 A document version's one summary is ``doc.derived.summary``; its
-:meth:`~StructuralSummary.fingerprint` is the shape part of the
+:meth:`~StructuralSummary.fingerprint` is the document part of the
 plan-cache key.
 """
 
@@ -150,17 +150,25 @@ class StructuralSummary:
     # -- identity -------------------------------------------------------
 
     def fingerprint(self) -> str:
-        """A stable digest of the full path table and the text-node count.
+        """A stable digest of the full path table and of every
+        statistic except ``serialized_bytes`` (Table 1's alone).
 
-        The shape part of the plan-cache key (``Engine.stats_fingerprint``):
-        plans decided or linted against one document shape can never
-        serve another.  The path table fixes every element statistic the
-        optimizer reads; the text-node count is folded in because
-        ``n_nodes`` steers the parallel upgrade.
+        The plan-cache key (``Engine.stats_fingerprint``): the chooser,
+        the cost model and the lint read nothing else of a document, so
+        equal digests mean equal plan decisions, and every version of
+        one shape shares its plans.  The statistics are folded in
+        directly because the path table does not fix them: subtree
+        sizes count text, and a truncated table drops paths.
         """
         if self._digest is None:
             hasher = hashlib.blake2b(digest_size=8)
-            hasher.update(f"text#{self.stats.n_text}\x00".encode())
+            stats = self.stats
+            hasher.update(repr((
+                stats.n_nodes, stats.n_elements, stats.n_text,
+                stats.avg_depth, stats.max_depth, stats.n_distinct_tags,
+                sorted(stats.tag_histogram.items()), stats.recursive,
+                stats.recursion_degree,
+                sorted(stats.tag_subtree_avg.items()))).encode())
             if self.truncated:
                 hasher.update(b"truncated\x00")
             for path in sorted(self.paths):

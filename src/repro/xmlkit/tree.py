@@ -366,8 +366,6 @@ class Document:
     """An XML document: the node arena, plus everything computed from
     this version of it (:attr:`derived`)."""
 
-    #: Bumped by :meth:`drop_derived`; keys plan caches across versions.
-    version = 0
     _derived: DerivedState | None = None
     _readers: set[weakref.ref[Constructed]] | None = None
 
@@ -406,11 +404,10 @@ class Document:
 
     def drop_derived(self) -> bool:
         """The one invalidation call (the document changed, or will not
-        be read again): bumps :attr:`version`, unlinks the arena file,
-        forgets :attr:`derived`.  ``True`` iff a materialised tag index
-        went with it — the Section-2.1 maintenance cost of an update."""
+        be read again): unlinks the arena file, forgets :attr:`derived`.
+        ``True`` iff a materialised tag index went with it — the
+        Section-2.1 maintenance cost of an update."""
         state = vars(self).pop("_derived", None)
-        self.version += 1
         if state is None:
             return False
         state.unlink_arena()

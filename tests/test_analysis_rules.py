@@ -343,21 +343,22 @@ class TestEnforcementGates:
 class TestCatalogue:
     def test_every_rule_has_stage_severity_and_remediation(self):
         stages = {"ast", "blossom", "decomposition", "dewey", "plan",
-                  "serve", "query"}
+                  "query"}
         for rule in RULES.values():
             assert rule.stage in stages
             assert isinstance(rule.severity, Severity)
             assert rule.title and rule.description and rule.remediation
 
     def test_rule_ids_are_stable(self):
-        # Published IDs must never disappear or change meaning.
+        # Published IDs must never change meaning; a retired one
+        # (SV001, with the snapshot-stamped plans it guarded) is never
+        # reused.
         assert set(RULES) == {
             "AST001", "AST002",
             "BT001", "BT002", "BT003", "BT004", "BT005", "BT006",
             "NK001", "NK002", "NK003",
             "DW001", "DW002",
             "PL001", "PL002", "PL003", "PL004",
-            "SV001",
             "QL001", "QL002", "QL003", "QL004", "QL005", "QL006",
         }
 

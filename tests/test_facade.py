@@ -124,8 +124,8 @@ class TestDatabaseLifecycle:
             document = db.stats()["document"]
             assert document["n_elements"] \
                 == current.doc.derived.stats.n_elements
-            assert document["fingerprint"].startswith(
-                f"snapshot/{current.snapshot_id}/")
+            assert document["fingerprint"] \
+                == current.doc.derived.summary.fingerprint()
             # A prepared query runs on the current version, too.
             assert len(prepared.execute()) == 4
             assert service.catalog._entries["main"].pins == {}  # unpinned

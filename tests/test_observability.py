@@ -409,7 +409,8 @@ class TestDatabaseStats:
         assert set(stats) == {"schema", "document", "plan_cache",
                               "slow_queries", "service"}
         assert stats["document"]["n_elements"] == 3
-        assert "/" in stats["document"]["fingerprint"]
+        assert stats["document"]["fingerprint"] \
+            == db.doc.derived.summary.fingerprint()
         assert stats["plan_cache"]["misses"] >= 1
         assert stats["slow_queries"] is None
         assert stats["service"] is None
@@ -458,16 +459,21 @@ class TestServiceStats:
             assert stats["service"]["counters"]["completed"] >= 1
 
     def test_stats_payloads_declare_the_shared_schema(self):
-        """Schema 3: the result cache's ``ttl_s`` / ``max_entries`` /
-        ``max_entry_bytes`` / ``expirations`` keys and the duplicate
-        ``result_cache_hits`` / ``result_cache_misses`` counters left
-        (schema 2 dropped the statistics store's key and the wire
-        frame's ``top`` field, which an older client may still send)."""
+        """Schema 4: ``plan_cache.invalidations`` left (plans are keyed
+        by document shape; nothing purges them).  Schema 3 dropped the
+        result cache's ``ttl_s`` / ``max_entries`` / ``max_entry_bytes``
+        / ``expirations`` keys and the duplicate ``result_cache_hits`` /
+        ``result_cache_misses`` counters; schema 2 the statistics
+        store's key and the wire frame's ``top`` field, which an older
+        client may still send."""
         from repro.serve.client import Client
 
-        assert STATS_SCHEMA == 3
+        assert STATS_SCHEMA == 4
         with repro.connect("<a><b/></a>") as db:
             assert db.stats()["schema"] == STATS_SCHEMA
+            assert set(db.stats()["plan_cache"]) == {
+                "size", "capacity", "hits", "misses", "evictions",
+                "hit_ratio"}
             service = db.serve(workers=1)
             assert service.stats()["schema"] == STATS_SCHEMA
             server = db.listen()

@@ -135,9 +135,10 @@ class TestEngineIntegration:
             cls(SMALL_BIB, analyze_queries=False)
 
     def test_fingerprint_is_the_summary_digest_lint_on_or_off(self, small_bib):
-        # The lint has no switch: the key is the version and the digest.
+        # The lint has no switch, and plans are keyed by shape, not by
+        # version: the document part of the key is the digest alone.
         assert Engine(small_bib).stats_fingerprint() == (
-            small_bib.version, small_bib.derived.summary.fingerprint())
+            small_bib.derived.summary.fingerprint(),)
 
     def test_baseline_strategies_bypass_lint(self, small_bib):
         engine = Engine(small_bib)
@@ -178,7 +179,6 @@ class TestServeStaticEmpty:
             assert "static-empty" in first.result.plan
             assert first.result.counters.nodes_scanned == 0
             assert (first.cached, second.cached) == (False, True)
-            assert first.attempts == second.attempts == 1
             stats = service.stats()
             assert stats["counters"]["submitted"] == 2
             assert stats["counters"]["completed"] == 2

@@ -221,7 +221,7 @@ class TestEndToEnd:
         _db, _server, cl = served
         cl.query("//book")
         stats = cl.stats()
-        assert stats["schema"] == 3         # STATS_SCHEMA
+        assert stats["schema"] == 4         # STATS_SCHEMA
         section = stats["server"]
         assert section["active_connections"] >= 1
         assert section["admission"]["window"] >= 1

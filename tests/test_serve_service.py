@@ -1,4 +1,4 @@
-"""Query service: deadlines, admission, caching, SV001 retry."""
+"""Query service: deadlines, admission, caching."""
 
 import os
 import sys
@@ -9,7 +9,6 @@ import pytest
 
 from repro.engine.plancache import normalize_query_text
 from repro.errors import (
-    PlanInvariantError,
     QueryCancelledError,
     QueryTimeoutError,
     ServiceOverloadedError,
@@ -33,7 +32,6 @@ LIBRARY = """
 """
 
 _TIMEOUTS = REGISTRY.counter("repro_query_timeout_total", "")
-_RETRIES = REGISTRY.counter("repro_plan_retries_total", "")
 _REJECTIONS = REGISTRY.counter("repro_service_rejections_total", "")
 _COALESCED = REGISTRY.counter("repro_service_coalesced_total", "")
 _RESULT_HITS = REGISTRY.counter("repro_result_cache_hits_total", "")
@@ -108,7 +106,6 @@ class TestServiceBasics:
         assert len(served) == 3
         assert served.snapshot_id == 1
         assert served.wait_ms >= 0 and served.run_ms >= 0
-        assert served.attempts == 1
 
     def test_query_batch_in_order(self):
         with make_service() as service:
@@ -412,69 +409,6 @@ class TestCacheLifecycle:
         assert not first.cached and not second.cached
         assert stats["size"] == 0
         assert stats["rejected"] >= 1
-
-
-class TestPlanInvalidationRace:
-    def test_sv001_poisoned_cache_retries_once(self):
-        """A cached plan stamped with a dropped snapshot id must trip
-        the SV001 gate and be retried transparently, exactly once."""
-        catalog = Catalog()
-        catalog.register("main", LIBRARY)
-        with catalog.updater("main"):
-            pass                    # snapshot 1 is now dropped
-        snapshot = catalog.current("main")
-        engine = catalog.engine_for(snapshot)
-        text = "//book[author]/title"
-        # Compile a good plan, then poison the shared cache: restamp the
-        # entry as if it had been compiled against dropped snapshot 1 —
-        # exactly what an entry that raced a publish looks like.
-        engine.query(text)
-        cache = catalog.plan_cache("main")
-        key = (normalize_query_text(text), "auto", "serial",
-               engine.stats_fingerprint())
-        cache.get(key).snapshot_id = 1
-
-        before = _RETRIES.value()
-        service = QueryService(catalog, workers=1)
-        try:
-            served = service.query(text)
-        finally:
-            service.close()
-        assert len(served) == 3
-        assert served.attempts == 2
-        assert _RETRIES.value() == before + 1
-        # The retry purged the poisoned entry and cached a fresh plan.
-        assert cache.get(key).snapshot_id == snapshot.snapshot_id
-
-    def test_sv001_direct_engine_hit_raises(self):
-        catalog = Catalog()
-        catalog.register("main", LIBRARY)
-        with catalog.updater("main"):
-            pass
-        snapshot = catalog.current("main")
-        engine = catalog.engine_for(snapshot)
-        text = "//book/author"
-        engine.query(text)
-        key = (normalize_query_text(text), "auto", "serial",
-               engine.stats_fingerprint())
-        catalog.plan_cache("main").get(key).snapshot_id = 1
-        with pytest.raises(PlanInvariantError) as exc_info:
-            engine.query(text)
-        assert exc_info.value.rule_ids == ["SV001"]
-
-    def test_verify_snapshot_gate(self):
-        from repro.analysis import analyze_snapshot, verify_snapshot
-        from repro.engine.session import Engine
-
-        engine = Engine(parse(LIBRARY), snapshot_id=7)
-        engine.query("//book")
-        [key] = list(engine.plan_cache._entries)
-        plan = engine.plan_cache.get(key)
-        assert verify_snapshot(plan, {7}).errors == []
-        report = analyze_snapshot(plan, {8, 9})
-        assert report.rule_ids() == ["SV001"]
-        with pytest.raises(PlanInvariantError, match="SV001"):
-            verify_snapshot(plan, {8, 9})
 
 
 class TestCloseSemantics:

@@ -30,6 +30,12 @@ def elems(node):
     return [c for c in node.children if c.tag is not None]
 
 
+def live_ids(catalog, name):
+    """Snapshot ids of ``name`` that are current or pinned."""
+    entry = catalog._entries[name]
+    return {entry.current.snapshot_id, *entry.pins}
+
+
 def subtree(tag: str, **children) -> object:
     builder = DocumentBuilder()
     builder.start_element(tag)
@@ -149,24 +155,27 @@ class TestPinning:
         # The pinned version still answers with the old content.
         engine = catalog.engine_for(pinned)
         assert len(engine.query("//book")) == 3
-        assert catalog.live_ids("lib") == {1, 2}
+        assert live_ids(catalog, "lib") == {1, 2}
         catalog.unpin(pinned)
-        assert catalog.live_ids("lib") == {2}
-        assert catalog.dropped_ids("lib") == {1}
+        assert live_ids(catalog, "lib") == {2}
+        with pytest.raises(UsageError, match="snapshot 1 of 'lib'"):
+            engine.query("//book")
 
     def test_unpinned_superseded_snapshot_retires_on_publish(self):
         catalog = Catalog()
         catalog.register("lib", LIBRARY)
         with catalog.updater("lib"):
             pass
-        assert catalog.dropped_ids("lib") == {1}
+        assert live_ids(catalog, "lib") == {2}
+        assert catalog._entries["lib"].engines == {}
 
     def test_engine_for_dropped_snapshot_refused(self):
         catalog = Catalog()
         old = catalog.register("lib", LIBRARY)
         with catalog.updater("lib"):
             pass
-        with pytest.raises(UsageError, match="dropped"):
+        with pytest.raises(UsageError, match="snapshot 1 of 'lib' has been "
+                                             "retired"):
             catalog.engine_for(old)
 
     def test_unpin_without_pin_refused(self):
@@ -180,11 +189,11 @@ class TestPinning:
         retired = []
         catalog.on_retire(
             lambda s: retired.append((s.name, s.snapshot_id,
-                                      catalog.live_ids(s.name))))
+                                      catalog.current(s.name).snapshot_id)))
         catalog.register("lib", LIBRARY)
         with catalog.updater("lib"):
             pass
-        assert retired == [("lib", 1, frozenset({2}))]
+        assert retired == [("lib", 1, 2)]
 
     def test_resolve_maps_base_nodes_into_the_fork(self):
         catalog = Catalog()
@@ -196,6 +205,33 @@ class TestPinning:
         snap = up.commit()
         engine = catalog.engine_for(snap)
         assert len(engine.query("//book")) == 2
+
+
+class TestRetiredEngine:
+    def test_every_call_on_a_retired_engine_refuses(self):
+        from repro.engine.database import Database
+
+        with Database.from_xml(LIBRARY) as db:
+            engine = db.engine
+            prepared = engine.prepare("//book/title")
+            with db.updater() as up:
+                up.insert_subtree(up.doc.root, subtree("shelf"))
+            calls = {
+                "query": lambda: engine.query("//book"),
+                "query again": lambda: engine.query("//book"),
+                "prepare": lambda: engine.prepare("//book"),
+                "explain": lambda: engine.explain("//book"),
+                "explain_analyze": lambda: engine.explain_analyze("//book"),
+                "execute": prepared.execute,
+            }
+            for call in calls.values():
+                with pytest.raises(UsageError,
+                                   match="snapshot 1 of 'main' has been "
+                                         "retired"):
+                    call()
+            # Nothing rebuilt the retired version's derived state.
+            assert engine.doc._derived is None
+            assert len(db.engine.query("//book")) == 3
 
 
 class TestSnapshotPlanCache:
@@ -211,13 +247,13 @@ class TestSnapshotPlanCache:
         cache = catalog.plan_cache("lib")
         assert new_engine.plan_cache is cache
         assert old_engine.plan_cache is cache
-        # Different snapshot => different key => both results correct.
+        # Different shape => different key => both results correct.
         assert len(old_engine.query("//book/title")) == 3
         assert len(new_engine.query("//book/title")) == 1
         assert len(cache) == 2
         catalog.unpin(pinned)
 
-    def test_retirement_purges_the_snapshots_plans(self):
+    def test_retirement_keeps_the_shapes_plans(self):
         catalog = Catalog()
         catalog.register("lib", LIBRARY)
         pinned = catalog.pin("lib")
@@ -227,14 +263,18 @@ class TestSnapshotPlanCache:
         with catalog.updater("lib"):
             pass
         catalog.unpin(pinned)          # last unpin retires snapshot 1
-        assert len(cache) == 0
+        assert len(cache) == 1
+        engine = catalog.engine_for(catalog.current("lib"))
+        served = engine.query("//book/title", trace=True)
+        assert served.trace.root.attrs["plan-cache"] == "hit"
+        assert len(served) == 3
 
-    def test_plans_are_stamped_with_their_snapshot(self):
+    def test_plans_are_keyed_by_shape_not_snapshot(self):
         catalog = Catalog()
         snap = catalog.register("lib", LIBRARY)
         engine = catalog.engine_for(snap)
         engine.query("//book/title")
         cache = catalog.plan_cache("lib")
         [key] = list(cache._entries)
-        plan = cache.get(key)
-        assert plan.snapshot_id == snap.snapshot_id
+        assert key[-1] == (snap.doc.derived.summary.fingerprint(),)
+        assert not hasattr(cache.get(key), "snapshot_id")

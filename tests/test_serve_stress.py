@@ -151,7 +151,10 @@ def test_concurrent_readers_match_serial_replay_exactly():
     # leak: at most the current + currently pinned snapshots stay live.
     publishes = counts["writes"]
     assert catalog.current("main").snapshot_id >= publishes
-    assert len(catalog.live_ids("main")) <= 1 + N_READERS
+    entry = catalog._entries["main"]
+    live = {entry.current.snapshot_id, *entry.pins}
+    assert len(live) <= 1 + N_READERS
+    assert set(entry.engines) <= live
 
 
 def test_plan_and_result_caches_stay_coherent_under_churn():

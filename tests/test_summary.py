@@ -1,5 +1,9 @@
 """The DataGuide-style structural summary (repro.xmlkit.summary)."""
 
+import dataclasses
+import random
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -8,8 +12,8 @@ from repro.engine import Engine
 from repro.serve import Catalog
 from repro.xmlkit.parser import parse
 from repro.xmlkit.stats import DocumentStats
-from repro.xmlkit.summary import (DOC_LABEL, PathInfo, StructuralSummary,
-                                  build_summary)
+from repro.xmlkit.summary import (DOC_LABEL, MAX_PATHS, PathInfo,
+                                  StructuralSummary, build_summary)
 from repro.xmlkit.tree import ELEMENT, Document, DocumentBuilder
 from repro.xmlkit.update import DocumentUpdater
 
@@ -147,6 +151,42 @@ class TestFingerprint:
         assert len(s) == 0
         assert not s.label_occurs("a")
         assert s.fingerprint()
+
+    def test_subtree_sizes_are_in_the_digest(self):
+        # Same paths and text count; the text sits under another tag.
+        deep, shallow = (build_summary(parse(xml)) for xml in
+                         ("<r><a><b>t</b></a></r>", "<r><a><b/>t</a></r>"))
+        assert deep.stats.tag_subtree_avg != shallow.stats.tag_subtree_avg
+        assert deep.fingerprint() != shallow.fingerprint()
+
+    def test_recursion_is_in_a_truncated_digest(self):
+        # Both tables stop after r and r/x; only the statistics differ.
+        nested, flat = (build_summary(parse(xml), max_paths=2) for xml in
+                        ("<r><x><y/></x><a><a/></a></r>",
+                         "<r><x><y/></x><a><b/></a></r>"))
+        assert nested.truncated and flat.truncated
+        assert nested.stats.recursive and not flat.stats.recursive
+        assert nested.fingerprint() != flat.fingerprint()
+
+    @pytest.mark.parametrize("max_paths", [MAX_PATHS, 3])
+    def test_equal_digest_means_equal_stats(self, max_paths):
+        """Over the where-pushdown and sibling-chain generators'
+        documents, each also with every text replaced (same shape)."""
+        from tests.test_where_pushdown import chain_document, generate_document
+
+        by_digest: dict[str, list[dict]] = {}
+        for seed in range(12):
+            rng = random.Random(f"digest:{seed}")
+            for xml in (generate_document(rng),
+                        chain_document(rng, recursive=seed % 2 == 1)):
+                for text in (xml, re.sub(">[^<]+<", ">v<", xml)):
+                    s = build_summary(parse(text), max_paths=max_paths)
+                    stats = dataclasses.asdict(s.stats)
+                    del stats["serialized_bytes"]
+                    by_digest.setdefault(s.fingerprint(), []).append(stats)
+        assert all(len(group) >= 2 for group in by_digest.values())
+        for group in by_digest.values():
+            assert all(stats == group[0] for stats in group)
 
 
 # ----------------------------------------------------------------------

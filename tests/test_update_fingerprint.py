@@ -1,4 +1,5 @@
-"""Stale-fingerprint regression: updates must invalidate linted plans.
+"""Plans follow the document's shape: updates re-plan exactly when the
+shape changes.
 
 A plan linted against one document shape is only sound for that shape.
 These tests pin the invalidation chain end to end: an update batch
@@ -7,15 +8,43 @@ no plan-cache key built against pre-update structure can ever serve the
 post-update document — the scenario where a label was absent (query
 rewritten to a static-empty plan) and then inserted is the sharpest
 version, because serving the stale plan would silently drop answers.
+The other half of the contract: a commit that keeps the shape keeps
+every plan, because the key carries the shape's digest and no version.
 """
 
 import os
 
+import pytest
+
 from repro.engine import Engine
 from repro.engine.database import Database
+from repro.errors import CompileError
 from repro.serve import Catalog, QueryService
+from repro.strategy import STRATEGIES
 from repro.xmlkit.parser import parse
 from tests.conftest import SMALL_BIB
+
+QUERY = "for $b in //book where $b/price < 50 return $b/title"
+#: Same shape as the ``Economics`` book: one attribute, a title and a
+#: price, no whitespace between them.
+FRESH = '<book year="2001"><title>Fresh</title><price>12.50</price></book>'
+
+
+def commit_pair(db: Database, kind: str) -> None:
+    """Two commits that leave the document's shape as it was: insert a
+    book, then delete it again (``round-trip``) or delete the
+    same-shaped ``Economics`` book instead (``swap``)."""
+    with db.updater() as up:
+        up.insert_subtree(up.doc.root, parse(FRESH).root)
+    victim = "Fresh" if kind == "round-trip" else "Economics"
+    with db.updater() as up:
+        [book] = [b for b in up.doc.elements_by_tag("book")
+                  if b.children[0].string_value() == victim]
+        up.delete_subtree(book)
+
+
+def plan_cache_status(result) -> str:
+    return result.trace.root.attrs["plan-cache"]
 
 
 class TestEngineInvalidation:
@@ -50,9 +79,9 @@ class TestEngineInvalidation:
         after_summary = db.engine.summary.fingerprint()
         assert after_summary != before_summary
         assert after_fp != before_fp
-        # The summary digest is the fingerprint's last component: the
-        # plan-cache key changes even if coarse stats were to coincide.
-        assert after_fp[-1] == after_summary
+        # The summary digest is the whole fingerprint: no version rides
+        # beside it, and it covers every statistic the optimizer reads.
+        assert after_fp == (after_summary,)
 
     def test_delete_also_invalidates(self, small_bib):
         engine = Engine(small_bib)
@@ -138,3 +167,49 @@ class TestSnapshotInvalidation:
         assert pinned.snapshot_id not in entry.engines
         assert pinned.doc._derived is None and not os.path.exists(arena)
         catalog.current("lib").doc.drop_derived()
+
+
+class TestShapePreservingCommits:
+    @pytest.mark.parametrize("kind", ["round-trip", "swap"])
+    def test_next_read_is_a_plan_cache_hit(self, kind):
+        with Database.from_xml(SMALL_BIB) as db:
+            admitted = []
+            for strategy, row in STRATEGIES.items():
+                if row.family == "internal":        # not a request name
+                    continue
+                try:
+                    db.query(QUERY, strategy=strategy)
+                except CompileError:
+                    continue
+                admitted.append(strategy)
+            assert {"auto", "pipelined", "naive", "cost"} <= set(admitted)
+            before = db.doc.derived.summary.fingerprint()
+            commit_pair(db, kind)
+            assert db.doc.derived.summary.fingerprint() == before
+            naive = db.query(QUERY, strategy="naive").serialize()
+            assert ("Fresh" in naive) is (kind == "swap")
+            for strategy in admitted:
+                result = db.query(QUERY, strategy=strategy, trace=True)
+                assert plan_cache_status(result) == "hit", strategy
+                assert result.serialize() == naive, strategy
+
+    def test_shape_changing_commit_misses(self):
+        with Database.from_xml(SMALL_BIB) as db:
+            db.query(QUERY)
+            with db.updater() as up:
+                up.insert_subtree(up.doc.root, parse("<appendix/>").root)
+            assert plan_cache_status(db.query(QUERY, trace=True)) == "miss"
+
+    def test_prepared_query_keeps_its_plan_and_reads_the_new_version(self):
+        with Database.from_xml(SMALL_BIB) as db:
+            prepared = db.prepare(QUERY)
+            before = prepared.execute(trace=True)
+            assert plan_cache_status(before) == "prepared"
+            commit_pair(db, "swap")
+            after = prepared.execute(trace=True)
+            assert plan_cache_status(after) == "prepared"
+            assert "Economics" in before.serialize()
+            assert after.serialize() == db.query(
+                QUERY, strategy="naive").serialize()
+            assert "Fresh" in after.serialize()
+            assert "Economics" not in after.serialize()
