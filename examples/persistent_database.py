@@ -2,7 +2,7 @@
 
 Shows the storage-backed workflow: build a database from a generated
 corpus, persist it in the succinct binary format, reopen it, query
-with the cost-based optimizer, apply an update, and query again —
+with the rule-based optimizer, apply an update, and query again —
 the full native-XML-database loop the paper's setting assumes.
 
 Run with::
@@ -32,14 +32,13 @@ def main() -> None:
     print(f"  binary   : {written:,} bytes "
           f"({written * 100 // len(xml_text.encode('utf-8'))}% of the text)")
 
-    print("\n== 2. Reopen and query (cost-based plans) ==")
+    print("\n== 2. Reopen and query (the optimizer's plans) ==")
     db = repro.connect(path)  # sniffs the BTRX1 magic, loads the binary
     print(f"  {db!r}")
     for query in ("//item/attributes//length",
                   "//author[//last_name]/name/first_name"):
-        result = db.query(query, strategy="cost")
-        plan = db.engine.last_plan.split(";")[0]
-        print(f"  {query:42s} {len(result):4d} results  [{plan}]")
+        result = db.query(query)
+        print(f"  {query:42s} {len(result):4d} results  [{result.strategy}]")
 
     print("\n== 3. Update, then query again ==")
     first_item = db.doc.elements_by_tag("item")[0]

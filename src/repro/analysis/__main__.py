@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from repro.analysis.analyzer import analyze_artifacts
 from repro.analysis.corpus import EXAMPLE_QUERIES
@@ -43,6 +44,10 @@ from repro.analysis.passes import ast_pass
 from repro.analysis.report import AnalysisReport
 from repro.analysis.rules import rule_table
 from repro.errors import QuerySyntaxError
+
+if TYPE_CHECKING:  # pragma: no cover - the engine imports this package
+    from repro.engine.compiler import CompiledQuery
+    from repro.xmlkit.summary import StructuralSummary
 
 __all__ = ["main", "analyze_query_text"]
 
@@ -84,27 +89,24 @@ def analyze_query_text(text: str,
     :class:`~repro.errors.QuerySyntaxError` for unparseable input.
     """
     from repro.engine.compiler import compile_query
-    from repro.pattern.artifact import prepare_artifacts
 
     compiled = compile_query(text)
     if compiled.tree is None:
         return None
+    return _invariant_report(compiled, source)
+
+
+def _invariant_report(compiled: CompiledQuery,
+                      source: str) -> AnalysisReport:
+    """Every analyzer pass over one compiled query's artifacts."""
+    from repro.pattern.artifact import prepare_artifacts
+
     report = AnalysisReport(source=source)
     if compiled.flwor is not None:
         ast_pass(compiled.flwor, report, external=compiled.parameters)
     report.extend(analyze_artifacts(prepare_artifacts(compiled.tree),
                                     source=source))
     return report
-
-
-def _workload_queries() -> dict[str, str]:
-    from repro.datagen.workload import DATASETS
-
-    queries: dict[str, str] = {}
-    for name, dataset in DATASETS.items():
-        for spec in dataset.queries:
-            queries[f"{name}:{spec.qid}"] = spec.text
-    return queries
 
 
 def _check_report(path: str) -> int:
@@ -141,53 +143,57 @@ def _check_report(path: str) -> int:
     return 1 if errors else 0
 
 
-def _lint_groups(args: argparse.Namespace) -> list[tuple[str, str, object]]:
-    """Build ``(source, text, summary)`` triples for ``--lint`` mode.
+def _queries(args: argparse.Namespace
+             ) -> dict[str, tuple[str, StructuralSummary | None]]:
+    """``source -> (text, summary)`` for every query the command names.
 
-    Ad-hoc files and the examples corpus lint against the built-in
-    bibliography; each workload query lints against the structural
-    summary of its *own* generated dataset, so the lint judges the
-    query on the document it actually runs over.
+    Under ``--lint``, ad-hoc files and the examples corpus lint against
+    the built-in bibliography; each workload query lints against the
+    structural summary of its *own* generated dataset, so the lint
+    judges the query on the document it actually runs over.  The
+    invariant passes read no document (the summary is ``None``).
     """
     from repro.xmlkit.parser import parse
     from repro.xmlkit.summary import build_summary
 
-    groups: list[tuple[str, str, object]] = []
+    queries: dict[str, tuple[str, StructuralSummary | None]] = {}
     example_summary = None
-    if args.files or args.examples:
+    if args.lint and (args.files or args.examples):
         example_summary = build_summary(parse(_EXAMPLE_DOC))
     for path in args.files:
         with open(path, encoding="utf-8") as handle:
-            groups.append((path, handle.read(), example_summary))
+            queries[path] = (handle.read(), example_summary)
     if args.examples:
         for source, text in EXAMPLE_QUERIES.items():
-            groups.append((source, text, example_summary))
+            queries[source] = (text, example_summary)
     if args.workloads:
         from repro.datagen.workload import DATASETS
 
         for name, dataset in DATASETS.items():
-            summary = build_summary(dataset.generate(scale=args.scale))
+            summary = (build_summary(dataset.generate(scale=args.scale))
+                       if args.lint else None)
             for spec in dataset.queries:
-                groups.append((f"{name}:{spec.qid}", spec.text, summary))
-    return groups
+                queries[f"{name}:{spec.qid}"] = (spec.text, summary)
+    return queries
 
 
-def _run_lint(args: argparse.Namespace) -> int:
-    """``--lint``: the QL query-vs-data satisfiability lint."""
+def _run(args: argparse.Namespace) -> int:
+    """Analyze every query: the artifact invariants, or (``--lint``)
+    the QL query-vs-data satisfiability lint."""
     from repro.analysis.query import analyze_query
     from repro.engine.compiler import compile_query
 
     try:
-        groups = _lint_groups(args)
+        queries = _queries(args)
     except OSError as exc:
-        print(f"error: cannot read query file: {exc}", file=sys.stderr)
+        print(f"error: cannot read {exc.filename}: {exc}", file=sys.stderr)
         return 2
 
     reports: list[AnalysisReport] = []
     skipped: dict[str, str] = {}
     parse_failures = 0
     static_empty = 0
-    for source, text, summary in groups:
+    for source, (text, summary) in queries.items():
         try:
             compiled = compile_query(text)
         except QuerySyntaxError as exc:
@@ -195,40 +201,48 @@ def _run_lint(args: argparse.Namespace) -> int:
             print(f"{source}: parse error: {exc}", file=sys.stderr)
             continue
         if compiled.tree is None:
-            skipped[source] = "navigational fallback (no pattern to lint)"
+            skipped[source] = ("navigational fallback (no pattern to lint)"
+                               if args.lint else "navigational fallback "
+                               "(no pattern artifacts)")
             if not args.quiet:
                 print(f"{source}: skipped (outside the pattern-matching "
                       "subset)")
             continue
-        lint = analyze_query(
-            compiled.tree, summary,
-            flwor=None if compiled.is_bare_path else compiled.flwor,
-            source=source)
-        reports.append(lint.report)
-        if lint.static_empty:
-            static_empty += 1
-        for finding in lint.report.findings:
+        if args.lint:
+            lint = analyze_query(
+                compiled.tree, summary,
+                flwor=None if compiled.is_bare_path else compiled.flwor,
+                source=source)
+            report = lint.report
+            static_empty += bool(lint.static_empty)
+        else:
+            report = _invariant_report(compiled, source)
+        reports.append(report)
+        for finding in report.findings:
             print(finding.format(source))
-        if not args.quiet and lint.report.clean:
-            print(f"{source}: ok")
+        if not args.quiet and report.clean:
+            print(f"{source}: ok" if args.lint else
+                  f"{source}: ok ({', '.join(report.passes_run)})")
 
     errors = sum(len(r.errors) for r in reports)
     warnings = sum(len(r.warnings) for r in reports)
-    print(f"linted {len(reports)} quer{'y' if len(reports) == 1 else 'ies'}"
+    print(f"{'linted' if args.lint else 'analyzed'} {len(reports)} "
+          f"quer{'y' if len(reports) == 1 else 'ies'}"
           f" ({len(skipped)} skipped): {errors} error(s), "
-          f"{warnings} warning(s), {static_empty} statically empty")
+          f"{warnings} warning(s)"
+          + (f", {static_empty} statically empty" if args.lint else ""))
 
     if args.json:
         payload = {
             "tool": "repro.analysis",
             "schema": REPORT_SCHEMA,
-            "mode": "lint",
+            "mode": "lint" if args.lint else "invariants",
             "queries_analyzed": len(reports),
             "queries_skipped": len(skipped),
             "parse_failures": parse_failures,
             "errors": errors,
             "warnings": warnings,
-            "static_empty": static_empty,
+            **({"static_empty": static_empty} if args.lint else {}),
             "skipped": skipped,
             "reports": [report.to_dict() for report in reports],
         }
@@ -280,71 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.files or args.examples or args.workloads):
         parser.error("nothing to analyze: pass query files, --examples "
                      "and/or --workloads")
-    if args.lint:
-        return _run_lint(args)
-
-    queries: dict[str, str] = {}
-    for path in args.files:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                queries[path] = handle.read()
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
-    if args.examples:
-        queries.update(EXAMPLE_QUERIES)
-    if args.workloads:
-        queries.update(_workload_queries())
-
-    reports: list[AnalysisReport] = []
-    skipped: dict[str, str] = {}
-    parse_failures = 0
-    for source, text in queries.items():
-        try:
-            report = analyze_query_text(text, source=source)
-        except QuerySyntaxError as exc:
-            parse_failures += 1
-            print(f"{source}: parse error: {exc}", file=sys.stderr)
-            continue
-        if report is None:
-            skipped[source] = "navigational fallback (no pattern artifacts)"
-            if not args.quiet:
-                print(f"{source}: skipped (outside the pattern-matching "
-                      "subset)")
-            continue
-        reports.append(report)
-        for finding in report.findings:
-            print(finding.format(source))
-        if not args.quiet and report.clean:
-            print(f"{source}: ok ({', '.join(report.passes_run)})")
-
-    errors = sum(len(r.errors) for r in reports)
-    warnings = sum(len(r.warnings) for r in reports)
-    print(f"analyzed {len(reports)} quer{'y' if len(reports) == 1 else 'ies'}"
-          f" ({len(skipped)} skipped): {errors} error(s), "
-          f"{warnings} warning(s)")
-
-    if args.json:
-        payload = {
-            "tool": "repro.analysis",
-            "schema": REPORT_SCHEMA,
-            "mode": "invariants",
-            "queries_analyzed": len(reports),
-            "queries_skipped": len(skipped),
-            "parse_failures": parse_failures,
-            "errors": errors,
-            "warnings": warnings,
-            "skipped": skipped,
-            "reports": [report.to_dict() for report in reports],
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        if not args.quiet:
-            print(f"wrote JSON report to {args.json}")
-
-    if parse_failures:
-        return 2
-    return 1 if errors else 0
+    return _run(args)
 
 
 if __name__ == "__main__":

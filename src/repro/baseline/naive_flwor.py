@@ -3,9 +3,11 @@
 Section 1 of the paper describes the naive strategy: "follow the
 semantics of FLWOR expression and evaluate the path expressions for
 each iteration in the for-loop".  :class:`NaiveInterpreter` does
-exactly that — nested loops that re-evaluate every clause path per
-iteration of the enclosing loops, a where check per tuple, order-by
-over the surviving tuples, and return-clause construction per tuple.
+exactly that — nested loops that re-evaluate every correlated clause
+path (one naming a variable) per iteration of the enclosing loops, a
+where check per tuple, order-by over the surviving tuples, and
+return-clause construction per tuple.  A clause path naming no
+variable has one value per run, so it is evaluated once.
 
 This is deliberately redundant — that redundancy is what BlossomTree
 evaluation removes — but it is *obviously correct*, which makes it the

@@ -3,7 +3,7 @@ prepared queries and the plan cache."""
 
 from repro.engine.compiler import CompiledQuery, compile_query
 from repro.engine.construct import DirectEvaluator
-from repro.engine.cost import CostEstimate, CostModel
+from repro.engine.cost import CostModel
 from repro.engine.database import Database
 from repro.engine.executor import FLWORExecutor
 from repro.engine.optimizer import PlanChoice, choose_strategy
@@ -15,7 +15,6 @@ from repro.engine.session import Engine
 __all__ = [
     "CachedPlan",
     "CompiledQuery",
-    "CostEstimate",
     "CostModel",
     "Database",
     "DirectEvaluator",

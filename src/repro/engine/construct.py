@@ -16,7 +16,7 @@ from collections.abc import Callable
 
 from repro.errors import DNFError
 from repro.xmlkit.tree import Constructed, Document, DocumentBuilder, Node, parse_number
-from repro.xpath.ast import Expr
+from repro.xpath.ast import Expr, mentions_variable
 from repro.xpath.compile import compile_expr
 from repro.xpath.evaluator import EvalContext, XPathEvaluator, boolean_value
 from repro.xquery.ast import (
@@ -55,6 +55,10 @@ class DirectEvaluator:
         self.work_budget = work_budget
         self.tuples_examined = 0
         self.xpath = XPathEvaluator()
+        #: id(clause source) -> (source, its items): a source naming no
+        #: variable has one value per evaluator, whatever the loops
+        #: around it have bound.
+        self._invariant: dict[int, tuple[Expr, tuple]] = {}
 
     # ------------------------------------------------------------------
     # Expression dispatch.
@@ -109,7 +113,7 @@ class DirectEvaluator:
                 out.append(dict(bindings))
             return
         clause = clauses[index]
-        sequence = self.xpath.evaluate_path(clause.source, self.context(bindings))
+        sequence = self._clause_items(clause.source, bindings)
         if isinstance(clause, ForClause):
             for item in sequence:
                 bindings[clause.var] = [item]
@@ -120,6 +124,17 @@ class DirectEvaluator:
             bindings[clause.var] = sequence
             self._expand_clauses(clauses, index + 1, bindings, out, where)
             bindings.pop(clause.var, None)
+
+    def _clause_items(self, source: Expr, bindings: dict) -> list:
+        """A ``for``/``let`` source's items: evaluated once when it
+        names no variable, per iteration when it is correlated."""
+        cached = self._invariant.get(id(source))
+        if cached is not None:
+            return list(cached[1])
+        items = self.xpath.evaluate_path(source, self.context(bindings))
+        if not mentions_variable(source):
+            self._invariant[id(source)] = (source, tuple(items))
+        return items
 
     # ------------------------------------------------------------------
     # Ordering.

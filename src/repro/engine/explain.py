@@ -16,7 +16,7 @@ from repro.pattern.decompose import decompose
 from repro.xquery.ast import QueryExpr
 from repro.engine.compiler import compile_query
 from repro.engine.cost import CostModel
-from repro.engine.optimizer import pattern_document, plan_query
+from repro.engine.optimizer import plan_query
 from repro.engine.request import QueryKey, QueryOptions
 from repro.engine.result import QueryResult
 
@@ -53,10 +53,6 @@ def render_explain(engine: Engine, text: str | QueryExpr,
         lines.append(compiled.tree.describe())
         lines.append("decomposition:")
         lines.append(decompose(compiled.tree).describe())
-        target = pattern_document(compiled.tree, engine)
-        lines.append("cost estimates (expected nodes touched):")
-        for estimate in CostModel(target).rank(compiled.tree):
-            lines.append(f"  {estimate}")
     elif compiled.compile_error:
         lines.append(f"fallback reason: {compiled.compile_error}")
     return "\n".join(lines)

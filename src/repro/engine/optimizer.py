@@ -9,18 +9,20 @@ the decision rules its experiments support (Section 5.2):
 * on **recursive** documents the pipelined join is unsound (Example 5 /
   Theorem 2's precondition fails), so a stack-based merge (bounded
   memory) or bounded nested loop is used instead;
-* TwigStack is the choice when a tag-name index exists and the whole
-  query is a ``//``-twig — optimal for all-``//`` patterns;
+* TwigStack is the paper's holistic *baseline* (Table 3's TS column):
+  requestable by name, never chosen — ``stack`` answers every
+  ``//``-twig on a recursive document identically and, on the Table-3
+  cells, faster;
 * the naive per-iteration interpreter is the fallback for constructs
   outside the pattern-matching subset.
 
 :func:`choose_strategy` encodes those rules.  :func:`plan_query` is the
 one function the engine calls per compile: it validates an explicitly
 requested strategy against its row of the strategy table
-(:mod:`repro.strategy`), or runs the rules / the Section-6 cost
-model; lets the query lint short-circuit a provably empty plan
-(static-empty); prepares the pattern artifacts; withdraws a parallel upgrade the
-decomposition cannot carry (PL004); and pins which join each
+(:mod:`repro.strategy`), or runs the rules; lets the query lint
+short-circuit a provably empty plan (static-empty); prepares the
+pattern artifacts; withdraws a parallel upgrade the decomposition
+cannot carry (PL004); and pins which join each
 ``//``-edge runs (:func:`edge_join` is the per-edge half the executor
 asks).  ``explain`` reads the same decision without executing it.
 
@@ -46,7 +48,6 @@ from repro.physical.twigstack import twig_supported
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.tree import Document
 from repro.engine.backend import ExecutionBackend
-from repro.engine.cost import CostModel
 from repro.engine.request import QueryKey
 from repro.strategy import STRATEGIES, Strategy
 
@@ -89,11 +90,9 @@ def choose_strategy(stats: DocumentStats, tree: BlossomTree | None,
     tree:
         The BlossomTree, or ``None`` when compilation failed (forces the
         naive fallback).
-    is_bare_path:
-        Whether the query is a single path expression (TwigStack is only
-        applicable there).
-    has_index:
-        Whether a tag-name index is available (TwigStack requires one).
+    is_bare_path, has_index:
+        Unread since ``auto`` stopped choosing TwigStack; kept only
+        because the benchmark's compile probes still pass them.
     tracer:
         Optional tracer; records an ``optimize`` span whose attributes
         carry the decision and its reasoning.
@@ -103,28 +102,22 @@ def choose_strategy(stats: DocumentStats, tree: BlossomTree | None,
         :data:`PARALLEL_SCAN_THRESHOLD`, the non-recursive merged-scan
         plan upgrades to the ``parallel`` strategy (partition-parallel
         scans, Theorem 1 concatenation); recursive documents keep
-        their stack/twigstack choice — the parallel upgrade only
-        replaces the pipelined outcome.
+        ``stack`` — the parallel upgrade only replaces the pipelined
+        outcome.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span("optimize") as span:
-        choice = _rules(stats, tree, is_bare_path, has_index, parallelism)
+        choice = _rules(stats, tree, parallelism)
         span.set(strategy=choice.strategy, reason=choice.reason,
                  recursive=stats.recursive)
     return choice
 
 
 def _rules(stats: DocumentStats, tree: BlossomTree | None,
-           is_bare_path: bool, has_index: bool,
-           parallelism: int = 1) -> PlanChoice:
+           parallelism: int) -> PlanChoice:
     if tree is None:
         return PlanChoice("naive", "query outside the pattern-matching subset")
     if stats.recursive:
-        if is_bare_path and has_index and twig_supported(tree):
-            return PlanChoice(
-                "twigstack",
-                f"recursive document (degree {stats.recursion_degree}); "
-                "holistic twig join is optimal for //-twigs")
         return PlanChoice(
             "stack",
             f"recursive document (degree {stats.recursion_degree}); "
@@ -199,17 +192,16 @@ class CachedPlan:
 def plan_query(compiled: CompiledQuery, key: QueryKey,
                backend: ExecutionBackend, env: Engine,
                tracer: Tracer | NullTracer = NULL_TRACER) -> CachedPlan:
-    """The static decision sequence: requested strategy (ruled or
-    costed; :class:`~repro.engine.request.QueryOptions` validated the
-    name) → query lint (static-empty) → pattern artifacts → PL004
-    withdrawal → join pinning.
+    """The static decision sequence: requested strategy (ruled;
+    :class:`~repro.engine.request.QueryOptions` validated the name) →
+    query lint (static-empty) → pattern artifacts → PL004 withdrawal →
+    join pinning.
     The plan comes back unverified: the engine runs the invariant
     passes over it before it may be cached or executed.
 
     ``env`` is the engine planned for; the chooser reads the statistics
-    (for ``cost``, the postings too) of the document the pattern
-    resolves to, and the primary document's summary (only when the lint
-    runs).  Every plan runs the tree ``compile_query`` built and
+    of the document the pattern resolves to, and the primary document's
+    summary (only when the lint runs).  Every plan runs the tree ``compile_query`` built and
     verified."""
     requested = STRATEGIES[key.strategy]
     choice = _requested(compiled, requested, backend.parallelism, env, tracer)
@@ -249,8 +241,8 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
             "pipelined",
             "parallel upgrade withdrawn: plan has non-partition-"
             "safe NoKs (PL004); serial merged scan instead")
-    # Only a *requested* Theorem-2 merge is pinned.  Chosen (rules or
-    # cost), ``pipelined`` names the merge-join family and every edge
+    # Only a *requested* Theorem-2 merge is pinned.  Chosen by the
+    # rules, ``pipelined`` names the merge-join family and every edge
     # takes the member that is sound for its left input.
     row = STRATEGIES[choice.strategy]
     join = (row.join if row.join is not None
@@ -263,10 +255,8 @@ def _requested(compiled: CompiledQuery, row: Strategy, parallelism: int,
                env: Engine, tracer: Tracer | NullTracer) -> PlanChoice:
     """The choice a ``strategy=`` request stands for, or the typed
     refusal when the name does not apply to this query."""
-    if row.name in ("auto", "cost"):
+    if row.name == "auto":
         target = pattern_document(compiled.tree, env)
-        if row.name == "cost":
-            return _cheapest(compiled, CostModel(target))
         return choose_strategy(target.derived.stats, compiled.tree,
                                compiled.is_bare_path, has_index=True,
                                tracer=tracer, parallelism=parallelism)
@@ -290,17 +280,3 @@ def _requested(compiled: CompiledQuery, row: Strategy, parallelism: int,
         reason += f" ({max(2, parallelism)} partitions)"
     return PlanChoice(row.name, reason)
 
-
-def _cheapest(compiled: CompiledQuery, model: CostModel) -> PlanChoice:
-    """Pick by the Section-6 cost model (expected nodes touched)."""
-    if compiled.tree is None:
-        return PlanChoice("naive",
-                          compiled.compile_error or "no pattern tree")
-    for estimate in model.rank(compiled.tree):
-        if estimate.cost == float("inf"):
-            continue
-        if STRATEGIES[estimate.strategy].family == "holistic" \
-                and not compiled.is_bare_path:
-            continue  # holistic execution only covers bare paths
-        return PlanChoice(estimate.strategy, f"cost model: {estimate}")
-    return PlanChoice("naive", "cost model found no applicable strategy")

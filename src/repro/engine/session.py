@@ -41,7 +41,6 @@ strategy      meaning
 ``parallel``  BlossomTree with partition-parallel merged NoK scans
 ``naive``     direct per-iteration FLWOR semantics (the Section-1 strawman)
 ``xhive``     simulated commercial navigational engine (XH stand-in)
-``cost``      pick by the Section-6 cost model (expected nodes touched)
 ============= =========================================================
 
 Strategies that do not apply to a query (e.g. ``twigstack`` on a FLWOR
@@ -525,8 +524,8 @@ class Engine:
         Each NoK scan and each inter-NoK join gets one row showing
         measured wall time, nodes scanned, comparisons and output
         cardinality next to the cost model's estimates (both in the
-        model's currency, expected nodes touched), so the optimizer's
-        predictions are directly auditable against the run.
+        model's currency, expected nodes touched), so every estimate is
+        directly auditable against the run.
         """
         return render_explain_analyze(self, self.query(
             text, strategy=strategy, work_budget=work_budget, trace=True,

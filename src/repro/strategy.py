@@ -101,8 +101,6 @@ STRATEGIES: dict[str, Strategy] = {row.name: row for row in (
     Strategy("xhive", "baseline",
              "simulated commercial navigational engine (XH stand-in)",
              label="XH"),
-    Strategy("cost", "meta",
-             "pick by the Section-6 cost model (expected nodes touched)"),
     Strategy("static-empty", "internal",
              "query lint proved the result empty: answered without a scan"),
 )}

@@ -9,6 +9,13 @@ the commit *before* the table existed (PR 21) by running this module
 with that commit's ``src`` on the path::
 
     PYTHONPATH=<parent>/src python tests/strategy_cases.py name... > golden
+
+It has been regenerated once, for an intended decision change: ``auto``
+stopped choosing TwigStack on recursive documents (``stack`` answers
+the same) and the ``cost`` strategy was deleted.  The diff was the two
+recursive ``auto`` path rows (now ``stack``), the ``cost`` entries
+(gone) and the ``explain`` texts, which lost their ranked cost
+estimates; no answer changed.
 """
 
 from __future__ import annotations
@@ -52,8 +59,6 @@ EXTRAS = [
      "for $a in //a let $z := $a/zzz/q return $a/b", {}),
     ("auto takes stack under a * left vertex", "<r><a><c/></a></r>",
      "for $x in //* for $y in $x//c return $y", {}),
-    ("cost picks the cheapest bare path", DOCUMENTS["flat"], "//a//c",
-     {"strategy": "cost"}),
 ]
 
 

@@ -8,8 +8,6 @@ wall-clock.  ``python -m repro.bench table3`` prints the timed table.
 import pytest
 
 from repro.datagen import DATASETS
-from repro.engine.compiler import compile_query
-from repro.engine.cost import CostModel
 from repro.bench import (
     format_dict_table,
     format_table3,
@@ -141,24 +139,3 @@ class TestTable3Shape:
             assert len(set(pl.values())) == 1, name
             assert max(ts["Q5"], ts["Q6"]) > max(ts["Q1"], ts["Q2"]), name
             assert pl["Q1"] / ts["Q1"] > pl["Q5"] / ts["Q5"], name
-
-    def test_cost_model_regret_is_bounded(self, rows):
-        """Ablation A6: the cost model's pick always finishes and reads
-        at most 12x (in the median 4x) the nodes of the best system."""
-        system_of = {"xhive": "XH", "twigstack": "TS", "pipelined": "PL",
-                     "stack": "PL", "bnlj": "NL", "nl": "NL"}
-        regrets = []
-        for name, spec in DATASETS.items():
-            model = CostModel(prepare_dataset(name, SCALE).doc)
-            for query in spec.queries:
-                pick = model.choose(compile_query(query.text).tree)
-                work = {}
-                for system in systems_for(name):
-                    cell = rows[(name, system)].cells[query.qid]
-                    work[system] = (float("inf") if cell.dnf
-                                    else cell.counters["nodes_scanned"])
-                picked = work.get(system_of[pick.strategy], float("inf"))
-                assert picked != float("inf"), (name, query.qid, pick.strategy)
-                regrets.append(picked / max(1, min(work.values())))
-        assert max(regrets) < 12.0
-        assert sorted(regrets)[len(regrets) // 2] < 4.0

@@ -186,12 +186,6 @@ class TestSessionMachinery:
         engine.query("for $s in //section, $t in $s//title return $t")
         assert "stack" in engine.last_plan
 
-    def test_auto_picks_twigstack_on_recursive_path(self, recursive_doc):
-        engine = Engine(recursive_doc)
-        result = engine.query("//section//title")
-        assert "twigstack" in engine.last_plan
-        assert len(result) == 4
-
     def test_multi_document_join(self, small_bib, recursive_doc):
         engine = Engine(small_bib, documents={"sections.xml": recursive_doc})
         result = engine.query(
@@ -205,8 +199,8 @@ class TestSessionMachinery:
     def test_plan_reads_the_document_the_pattern_resolves_to(
             self, primary, other):
         """The Section-5.2 rule is about the document a NoK scans, not
-        the engine's primary one: ``auto`` / ``cost`` neither raise nor
-        pin the wrong merge on ``doc("other.xml")``."""
+        the engine's primary one: ``auto`` neither raises nor pins the
+        wrong merge on ``doc("other.xml")``."""
         docs = {"flat": parse("<r><a><b>y</b></a><a><c/><b>x</b></a></r>"),
                 "rec": parse("<r><a><a><b>y</b></a><b>x</b></a></r>")}
         engine = Engine(docs[primary], documents={"other.xml": docs[other]})
@@ -217,11 +211,9 @@ class TestSessionMachinery:
                       'for $a in doc("other.xml")//a where $a//b = "y" '
                       'return $a'):
             expected = engine.query(query, strategy="naive").serialize()
-            for strategy in ("auto", "cost"):
-                result = engine.query(query, strategy=strategy)
-                assert result.serialize() == expected, (query, strategy)
-                assert (f"V2: {merge}" in result.plan
-                        or result.strategy == "twigstack"), result.plan
+            result = engine.query(query)
+            assert result.serialize() == expected, query
+            assert f"V2: {merge}" in result.plan, result.plan
         # TwigStack reads the other document's own index: built once.
         builds = REGISTRY.counter("repro_tag_index_builds_total", "")
         docs[other].drop_derived()
@@ -234,7 +226,7 @@ class TestSessionMachinery:
     def test_cached_plan_follows_an_update_of_the_other_document(self):
         """The plan-cache key's document part fingerprinted the primary
         document only; it also carries the versions of the other
-        documents a pattern can resolve to: a merge-vs-twigstack choice
+        documents a pattern can resolve to: a pipelined-vs-stack choice
         made on a flat ``other.xml`` must not survive the update that
         makes it recursive (text and prepared alike)."""
         from repro.xmlkit.update import DocumentUpdater
@@ -249,10 +241,10 @@ class TestSessionMachinery:
         DocumentUpdater(other).insert_subtree(
             other.elements_by_tag("c")[0], parse("<a><b>z</b></a>").root)
         fresh = Engine(parse("<r/>"), documents={"other.xml": other})
-        assert fresh.query(query).strategy == "twigstack"
+        assert fresh.query(query).strategy == "stack"
         moved = engine.query(query, trace=True)
         assert moved.trace.root.attrs["plan-cache"] == "miss"
-        assert moved.strategy == prepared.execute().strategy == "twigstack"
+        assert moved.strategy == prepared.execute().strategy == "stack"
         assert moved.serialize() == prepared.execute().serialize() \
             == engine.query(query, strategy="naive").serialize()
         # Re-planned once: the new plan is a hit while the version stands.

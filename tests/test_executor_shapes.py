@@ -27,7 +27,7 @@ DOC = """
 </shop>
 """
 
-STRATEGIES = ["pipelined", "stack", "bnlj", "nl", "cost"]
+STRATEGIES = ["pipelined", "stack", "bnlj", "nl"]
 
 
 @pytest.fixture(scope="module")

@@ -142,7 +142,7 @@ class TestTheorem2Guard:
                 assert got is None or got == engine.query(
                     query, strategy="naive").serialize(), (query, xml)
 
-    @pytest.mark.parametrize("strategy", ["auto", "cost", "parallel"])
+    @pytest.mark.parametrize("strategy", ["auto", "parallel"])
     def test_a_chosen_plan_never_meets_the_guard(self, strategy):
         # Only a *requested* ``pipelined`` is refused.  ``*`` on the left
         # of a ``//`` edge nests on any document with depth >= 2 — the

@@ -4,6 +4,8 @@ import pytest
 
 from repro.algebra.env import Env
 from repro.algebra.nested_list import NLEntry
+from repro.datagen import DATASETS
+from repro.engine import Engine
 from repro.engine.optimizer import PlanChoice, choose_strategy
 from repro.pattern import build_from_path
 from repro.xmlkit import compute_stats
@@ -33,11 +35,6 @@ class TestRuleBasedOptimizer:
         assert choice.strategy == "pipelined"
         assert "Theorem 2" in choice.reason
 
-    def test_recursive_path_with_index_gets_twigstack(self, deep_stats):
-        tree = build_from_path(parse_xpath("//section//title"))
-        choice = choose_strategy(deep_stats, tree, True, True)
-        assert choice.strategy == "twigstack"
-
     def test_recursive_without_index_gets_stack(self, deep_stats):
         tree = build_from_path(parse_xpath("//section//title"))
         choice = choose_strategy(deep_stats, tree, True, False)
@@ -48,6 +45,23 @@ class TestRuleBasedOptimizer:
             "for $s in //section let $t := $s/title return $t"))
         choice = choose_strategy(deep_stats, tree, False, True)
         assert choice.strategy == "stack"
+
+    @pytest.mark.parametrize("name", ["d1", "d4"])
+    def test_auto_plans_stack_on_recursive_table3_documents(self, name):
+        """TwigStack is Table 3's holistic baseline, not ``auto``'s
+        choice: on the recursive datasets every Table-3 path plans the
+        stack merge and answers what TwigStack and the oracle answer."""
+        spec = DATASETS[name]
+        engine = Engine(spec.generate(scale=0.1))
+        assert engine.stats.recursive
+        for query in spec.queries:
+            result = engine.query(query.text)
+            assert result.strategy == "stack", (query.qid, result.plan)
+            answer = result.serialize()
+            for oracle in ("twigstack", "naive"):
+                assert answer == engine.query(
+                    query.text, strategy=oracle).serialize(), \
+                    (query.qid, oracle)
 
     def test_plan_choice_str(self):
         assert "because" not in str(PlanChoice("x", "a reason"))

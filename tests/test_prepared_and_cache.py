@@ -93,7 +93,7 @@ class TestTransparentCache:
 
     def test_every_strategy_agrees_warm_and_cold(self):
         for strategy in ("auto", "pipelined", "stack", "bnlj", "naive",
-                         "xhive", "twigstack", "cost"):
+                         "xhive", "twigstack"):
             engine = Engine(parse(SMALL_BIB))
             cold = engine.query("//book//last", strategy=strategy).serialize()
             warm = engine.query("//book//last", strategy=strategy).serialize()

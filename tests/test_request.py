@@ -97,6 +97,7 @@ BAD_OPTIONS = [
     {"timeout_ms": "soon"}, {"timeout_ms": float("nan")},
     {"timeout_ms": float("inf")}, {"timeout_ms": -1}, {"timeout_ms": True},
     {"params": [("who", "Gray")]}, {"strategy": ["naive"]},
+    {"strategy": "cost"},   # a deleted chooser is an unknown name
 ]
 
 
@@ -192,7 +193,7 @@ class TestOptionValidation:
                        if row.family != "internal"]
         assert [QueryOptions(name).strategy for name in requestable] \
             == requestable
-        assert len(requestable) == 10 and "caching" not in requestable
+        assert len(requestable) == 9 and "cost" not in requestable
 
 
 OPTIONS = st.builds(

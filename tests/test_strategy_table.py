@@ -5,7 +5,8 @@
   grid cannot reach — and compares executed strategy, plan text,
   ``explain`` and refusals (error type + message) with what the commit
   before the table (PR 21) produced: the refactor moved the decision,
-  not one byte of it.
+  not one byte of it.  The golden changes only with an intended
+  decision change (see ``strategy_cases``).
 * The *documentation* test checks the ``strategy`` table in
   ``engine/session.py``'s docstring against the rows.
 * The *spelled once* test walks the ``src`` tree's ASTs: no module but

@@ -182,7 +182,7 @@ class TestShapePreservingCommits:
                 except CompileError:
                     continue
                 admitted.append(strategy)
-            assert {"auto", "pipelined", "naive", "cost"} <= set(admitted)
+            assert {"auto", "pipelined", "naive"} <= set(admitted)
             before = db.doc.derived.summary.fingerprint()
             commit_pair(db, kind)
             assert db.doc.derived.summary.fingerprint() == before

@@ -272,7 +272,7 @@ CHAIN_TEMPLATES = [
     "for $b in //book return <r>{{$b/{C}}}</r>",
 ]
 #: Every strategy, of which a forced one may refuse with a typed error.
-CHAIN = {"strategies": [*STRATEGIES, "twigstack", "cost", "xhive"],
+CHAIN = {"strategies": [*STRATEGIES, "twigstack", "xhive"],
          "refusals": ("<<CompileError>>", "<<ExecutionError>>")}
 
 
