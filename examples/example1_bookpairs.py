@@ -5,6 +5,8 @@ against the document of Example 2, showing:
 
 * the BlossomTree built from the FLWOR (Figure 1),
 * its decomposition into NoK pattern trees + inter edges (Algorithm 1),
+* each NoK's returning vertices — the names Section 3.3 gives global
+  Dewey IDs; here the pattern vertex itself is the name,
 * the final result — identical to the paper's printed output — under
   several physical strategies.
 
@@ -14,7 +16,7 @@ Run with::
 """
 
 from repro import Engine, parse
-from repro.pattern import assign_dewey, build_blossom_tree, decompose
+from repro.pattern import build_blossom_tree, decompose
 from repro.xquery import parse_flwor
 
 DOCUMENT = """
@@ -74,10 +76,12 @@ def main() -> None:
     decomposition = decompose(tree)
     print(decomposition.describe())
 
-    print("\n== Global Dewey IDs of the returning nodes (Section 3.3) ==")
-    dewey = assign_dewey(tree)
-    for var in ("book1", "book2", "aut1", "aut2"):
-        print(f"  ${var:6s} -> {dewey.format(dewey.variable_dewey(tree, var))}")
+    print("\n== Returning vertices per NoK (Section 3.3's named nodes) ==")
+    for nok in decomposition.noks:
+        names = ", ".join(
+            f"V{v.vid}:{v.name}" + "".join(f" ${var}" for var in v.variables)
+            for v in nok.vertices if v.returning)
+        print(f"  NoK{nok.nok_id}: {names}")
 
     print("\n== Query result (identical under every strategy) ==")
     engine = Engine(doc)

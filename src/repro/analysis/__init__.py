@@ -1,10 +1,9 @@
 """Plan invariant analysis: a static verifier for compiled query artifacts.
 
 The engine compiles once and replays cached plans many times, so a
-single malformed BlossomTree, NoK decomposition or Dewey assignment
-would corrupt every subsequent execution.  This package walks each
+single malformed BlossomTree or NoK decomposition would corrupt every subsequent execution.  This package walks each
 stage of a compiled query against a catalogue of declared invariants
-(stable rule IDs ``AST*``/``BT*``/``NK*``/``DW*``/``PL*`` — see
+(stable rule IDs ``AST*``/``BT*``/``NK*``/``PL*`` — see
 :mod:`repro.analysis.rules`) and reports findings with severity,
 location and a remediation hint.  The ``QL*`` family
 (:mod:`repro.analysis.query`) is different in kind: it checks the

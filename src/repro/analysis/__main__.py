@@ -10,12 +10,12 @@ Usage::
     python -m repro.analysis --rules
 
 Default mode: each query is compiled (parse → BlossomTree → NoK
-decomposition → Dewey assignment) and every analyzer pass runs over
-the artifacts.  Findings print lint style (``source:RULE: severity:
-message``); the process exits non-zero when any error-severity finding
-fired, so the command slots directly into CI.  Queries outside the
-pattern-matching subset compile to no artifacts and are reported as
-skipped — that is the engine's navigational fallback, not a defect.
+decomposition) and every analyzer pass runs over the artifacts.
+Findings print lint style (``source:RULE: severity: message``); the
+process exits non-zero when any error-severity finding fired, so the
+command slots directly into CI.  Queries outside the pattern-matching
+subset compile to no artifacts and are reported as skipped — that is
+the engine's navigational fallback, not a defect.
 
 ``--lint`` switches to the QL query-vs-data satisfiability lint: each
 query is checked against the structural summary of a representative

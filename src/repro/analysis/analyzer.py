@@ -5,7 +5,7 @@ Three granularities, matching what callers hold:
 * :func:`analyze_tree` — just a BlossomTree (the compiler's
   validate-on-compile hook, before decomposition exists);
 * :func:`analyze_artifacts` — a full :class:`PatternArtifacts` bundle
-  (tree + NoK decomposition + Dewey assignment), the executor/CLI view;
+  (tree + NoK decomposition), the executor/CLI view;
 * :func:`analyze_plan` — a cached plan (compiled query + strategy
   choice + artifacts), the engine/plan-cache view, which also runs the
   AST pass and the strategy checks.
@@ -24,7 +24,6 @@ from repro.analysis.passes import (
     ast_pass,
     blossom_pass,
     decomposition_pass,
-    dewey_pass,
     plan_pass,
 )
 from repro.analysis.report import AnalysisReport
@@ -91,9 +90,7 @@ def _artifact_passes(artifacts: PatternArtifacts, report: AnalysisReport,
     if not tree_verified:
         blossom_pass(artifacts.tree, report)
     decomposition_pass(artifacts.decomposition, report)
-    dewey_pass(artifacts.tree, artifacts.dewey, report)
-    plan_pass(artifacts.tree, artifacts.decomposition, artifacts.dewey,
-              report, strategy=strategy,
+    plan_pass(artifacts.decomposition, report, strategy=strategy,
               recursive_document=recursive_document)
 
 

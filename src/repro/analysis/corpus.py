@@ -5,7 +5,7 @@ exercise — bare paths with predicates, multi-variable FLWORs with
 crossing edges, let-bound sequences, external ``$parameters``.  The CLI
 (``python -m repro.analysis --examples``), the ``analyze`` CI job and
 the corpus-clean test all iterate this table, so a regression in the
-builder/decomposer/Dewey assigner that produces a malformed artifact
+builder or decomposer that produces a malformed artifact
 for any of these shapes fails loudly with a rule ID.
 """
 

@@ -1,8 +1,8 @@
 """The analyzer's verification passes, one per compilation stage.
 
 Each pass inspects one artifact of the compile pipeline — the FLWOR
-AST, the BlossomTree, the NoK decomposition, the Dewey assignment, the
-physical-plan choice — and appends :class:`~repro.analysis.report.Finding`
+AST, the BlossomTree, the NoK decomposition, the physical-plan
+choice — and appends :class:`~repro.analysis.report.Finding`
 objects to a shared report.  Passes never mutate what they check and
 never raise for an invariant violation (that is the caller's policy);
 they are total functions over arbitrarily corrupted inputs, which is
@@ -28,14 +28,12 @@ from repro.pattern.blossom import (
     TreeEdge,
 )
 from repro.pattern.decompose import Decomposition, InterEdge, NoKTree
-from repro.pattern.dewey import DeweyAssignment
 from repro.xquery.ast import FLWOR
 
 __all__ = [
     "ast_pass",
     "blossom_pass",
     "decomposition_pass",
-    "dewey_pass",
     "plan_pass",
     "partition_unsafe_noks",
 ]
@@ -394,126 +392,6 @@ def _check_inter_forest(dec: Decomposition, report: AnalysisReport) -> None:
 
 
 # ----------------------------------------------------------------------
-# Dewey stage.
-# ----------------------------------------------------------------------
-
-def dewey_pass(tree: BlossomTree, dewey: DeweyAssignment,
-               report: AnalysisReport) -> None:
-    """DW001/DW002: Theorem 1/2 preconditions on the global assignment."""
-    report.passes_run.append("dewey")
-    _check_dewey_staleness(tree, dewey, report)
-    _check_dewey_order(tree, dewey, report)
-
-
-def _check_dewey_staleness(tree: BlossomTree, dewey: DeweyAssignment,
-                           report: AnalysisReport) -> None:
-    live = {v.vid: v for v in tree.vertices}
-    of_vertex, vertex_of = dewey.of_vertex, dewey.vertex_of
-    for vid, ident in of_vertex.items():
-        vertex = live.get(vid)
-        if vertex is None:
-            report.add("DW002", f"dewey:{dewey.format(ident)}",
-                       f"Dewey ID assigned to vertex id {vid}, which does "
-                       "not exist in this tree (stale assignment)")
-            continue
-        if vertex_of.get(ident) is not vertex:
-            report.add("DW002", f"dewey:{dewey.format(ident)}",
-                       f"vertex->Dewey and Dewey->vertex maps disagree for "
-                       f"V{vid}")
-        if not vertex.returning and vertex not in tree.roots:
-            report.add("DW002", f"dewey:{dewey.format(ident)}",
-                       f"Dewey ID assigned to non-returning vertex V{vid}")
-    for ident, vertex in vertex_of.items():
-        if live.get(vertex.vid) is not vertex:
-            report.add("DW002", f"dewey:{dewey.format(ident)}",
-                       f"Dewey->vertex map references a vertex (V{vertex.vid}) "
-                       "that is not part of this tree")
-        elif of_vertex.get(vertex.vid) != ident:
-            report.add("DW002", f"dewey:{dewey.format(ident)}",
-                       f"Dewey->vertex map gives V{vertex.vid} ID "
-                       f"{dewey.format(ident)}, but the vertex->Dewey map "
-                       "disagrees")
-
-
-def _closest_returning_ancestor(vertex: BlossomVertex) -> BlossomVertex | None:
-    node = vertex
-    while node.parent_edge is not None:
-        node = node.parent_edge.parent
-        if node.returning:
-            return node
-    return None
-
-
-def _check_dewey_order(tree: BlossomTree, dewey: DeweyAssignment,
-                       report: AnalysisReport) -> None:
-    of_vertex = dewey.of_vertex
-    unique = len(set(of_vertex.values())) == len(of_vertex)
-    if not unique:
-        report.add("DW001", "dewey",
-                   "Dewey IDs are not unique across the returning tree")
-    for ordinal, root in enumerate(tree.roots, start=1):
-        assigned = of_vertex.get(root.vid)
-        if assigned != (1, ordinal):
-            report.add("DW001", _at(root),
-                       f"pattern root #{ordinal} must carry Dewey ID "
-                       f"1.{ordinal}, found "
-                       f"{dewey.format(assigned) if assigned else 'none'}")
-    for vertex in tree.vertices:
-        if not vertex.returning:
-            continue
-        assigned = of_vertex.get(vertex.vid)
-        if assigned is None:
-            report.add("DW001", _at(vertex),
-                       f"returning vertex V{vertex.vid} ({vertex.name!r}) "
-                       "has no Dewey ID — the assignment is not global")
-            continue
-        if len(assigned) < 2 or min(assigned) < 1:
-            report.add("DW001", _at(vertex),
-                       f"malformed Dewey ID {dewey.format(assigned)}")
-            continue
-        ancestor = _closest_returning_ancestor(vertex)
-        if ancestor is None:
-            continue  # pattern roots handled above
-        parent_id = of_vertex.get(ancestor.vid)
-        if parent_id is None:
-            continue  # already reported as missing on the ancestor
-        if assigned[:-1] != parent_id:
-            report.add("DW001", _at(vertex),
-                       f"Dewey ID {dewey.format(assigned)} does not extend "
-                       f"its closest returning ancestor V{ancestor.vid} "
-                       f"({dewey.format(parent_id)}) by one component")
-        recorded = dewey.returning_parent.get(vertex.vid)
-        if recorded != ancestor.vid:
-            report.add("DW001", _at(vertex),
-                       f"returning-parent map records V{recorded}, but the "
-                       f"closest returning ancestor is V{ancestor.vid}")
-    # Sibling ordinals dense 1..k under every prefix.  Distinct positive
-    # ordinals (unique IDs share no prefix + ordinal) are dense exactly
-    # when the largest equals their count, so the sort that words the
-    # finding runs only for a prefix that fails that or on duplicate IDs.
-    counts: dict[tuple[int, ...], int] = {}
-    largest: dict[tuple[int, ...], int] = {}
-    positive = True
-    for ident in of_vertex.values():
-        if len(ident) >= 2:
-            prefix, last = ident[:-1], ident[-1]
-            counts[prefix] = counts.get(prefix, 0) + 1
-            if last > largest.get(prefix, 0):
-                largest[prefix] = last
-            elif last < 1:
-                positive = False
-    if unique and positive and largest == counts:
-        return
-    for prefix, count in counts.items():
-        ordinals = sorted(ident[-1] for ident in of_vertex.values()
-                          if ident[:-1] == prefix and len(ident) >= 2)
-        if ordinals != list(range(1, count + 1)):
-            report.add("DW001", f"dewey:{dewey.format(prefix)}",
-                       f"sibling ordinals under {dewey.format(prefix)} are "
-                       f"{ordinals}, expected dense 1..k")
-
-
-# ----------------------------------------------------------------------
 # Physical-plan stage.
 # ----------------------------------------------------------------------
 
@@ -535,8 +413,8 @@ def partition_unsafe_noks(dec: Decomposition) -> list[NoKTree]:
             and (len(nok.vertices) > 1 or nok.root.value_predicates)]
 
 
-def plan_pass(tree: BlossomTree, dec: Decomposition, dewey: DeweyAssignment,
-              report: AnalysisReport, strategy: str | None = None,
+def plan_pass(dec: Decomposition, report: AnalysisReport,
+              strategy: str | None = None,
               recursive_document: bool | None = None) -> None:
     """PL001-PL004: operator applicability over the compiled artifacts.
 
@@ -545,28 +423,14 @@ def plan_pass(tree: BlossomTree, dec: Decomposition, dewey: DeweyAssignment,
     when they are unknown.
     """
     report.passes_run.append("plan")
-    of_vertex = dewey.of_vertex
     for inter in dec.inter_edges:
-        parent_id = of_vertex.get(inter.parent.vid)
-        if parent_id is None:
+        if not inter.parent.returning:
             report.add("PL001", _along("inter", inter),
-                       f"join parent V{inter.parent.vid} has no Dewey ID — "
-                       "operands disagree on the returning-node schema")
-            continue
-        if inter.child.returning:
-            child_id = of_vertex.get(inter.child.vid)
-            if child_id is None:
-                report.add("PL001", _along("inter", inter),
-                           f"returning join child V{inter.child.vid} has no "
-                           "Dewey ID")
-            elif child_id[:-1] != parent_id:
-                report.add("PL001", _along("inter", inter),
-                           f"join child Dewey ID "
-                           f"{dewey.format(child_id)} does not extend the "
-                           f"parent's ({dewey.format(parent_id)}) — the "
-                           "merge cannot nest their NestedLists")
+                       f"join parent V{inter.parent.vid} is not returning — "
+                       "its matches are not kept, so the join's left "
+                       "projection finds none")
     if strategy is not None:
-        row = _check_strategy(tree, report, strategy, recursive_document)
+        row = _check_strategy(dec.tree, report, strategy, recursive_document)
         if row is not None and row.partitions:
             for nok in partition_unsafe_noks(dec):
                 report.add("PL004", f"nok:{nok.nok_id}",

@@ -9,14 +9,21 @@ prefix    stage
 ``AST``   the parsed FLWOR expression (variable scoping)
 ``BT``    the BlossomTree (Definition 1 well-formedness)
 ``NK``    the NoK decomposition (Algorithm 1 postconditions)
-``DW``    the Dewey returning-node assignment (Theorems 1 and 2)
 ``PL``    the physical plan (operator/strategy applicability)
 ``QL``    query-vs-data satisfiability (structural-summary lint)
 ========  ==========================================================
 
-Retired: ``SV001`` (a cached plan stamped with a retired snapshot).
-Plans are keyed by document shape, not by version, so no plan can
-outlive the statistics it was chosen from; the id is never reused.
+Retired ids are never reused:
+
+* ``SV001`` (a cached plan stamped with a retired snapshot).  Plans are
+  keyed by document shape, not by version, so no plan can outlive the
+  statistics it was chosen from.
+* ``DW001`` / ``DW002`` (the global Dewey assignment's order and
+  staleness).  Returning nodes are named by their pattern vertex, so
+  there is no assignment to check; what the joins read of it is PL001,
+  and :class:`~repro.pattern.artifact.PatternArtifacts` reads its tree
+  through its decomposition, so the two cannot come from different
+  compiles.
 
 Severities: an ``error`` means the artifact violates a correctness
 precondition — executing it may return wrong results, so
@@ -47,7 +54,7 @@ class Rule:
 
     rule_id: str
     severity: Severity
-    stage: str           # "ast" | "blossom" | "decomposition" | "dewey" | "plan"
+    stage: str           # "ast" | "blossom" | "decomposition" | "plan" | "query"
     title: str
     description: str
     remediation: str
@@ -119,31 +126,13 @@ _CATALOGUE: tuple[Rule, ...] = (
          "child endpoint must be its NoK's root, and every non-root NoK "
          "must be reachable (no cycles, no unreachable fragments).",
          "re-run decompose(); check for manual edits to inter_edges"),
-    Rule("DW001", Severity.ERROR, "dewey", "global Dewey order",
-         "Theorem 1/2 precondition: Dewey IDs are assigned globally over "
-         "the returning tree — every returning vertex has an ID, the "
-         "closest returning ancestor's ID is the immediate prefix, "
-         "sibling ordinals are dense starting at 1, and pattern roots "
-         "are numbered (1, i) in declaration order.  Without this, "
-         "document-order projection and order-preserving //-joins are "
-         "not guaranteed.",
-         "re-run assign_dewey() after decompose() (decomposition marks "
-         "join endpoints returning)"),
-    Rule("DW002", Severity.ERROR, "dewey", "Dewey map staleness",
-         "The vertex->Dewey and Dewey->vertex maps must be mutually "
-         "inverse and reference only live vertices of this tree — a "
-         "stale assignment (e.g. replayed after the tree changed) maps "
-         "IDs to vertices that no longer exist or are no longer "
-         "returning.",
-         "invalidate cached PatternArtifacts when the query's tree is "
-         "rebuilt; never mix artifacts across compilations"),
-    Rule("PL001", Severity.ERROR, "plan", "join Dewey schema agreement",
-         "Each inter-NoK join's operands must agree on the returning-node "
-         "Dewey schema: the parent endpoint carries a Dewey ID, and a "
-         "returning child endpoint's ID extends the parent's by exactly "
-         "one component (the join merges their NestedLists under that "
-         "prefix).",
-         "assign Dewey IDs globally (assign_dewey) after decomposition"),
+    Rule("PL001", Severity.ERROR, "plan", "join parent is returning",
+         "Every inter-NoK edge's parent vertex must be returning: the "
+         "match phase keeps only returning vertices' matches, and the "
+         "join's left projection reads the parent's.  A non-returning "
+         "parent leaves the join nothing to project, so it drops every "
+         "tuple.",
+         "re-run decompose(), which marks join endpoints returning"),
     Rule("PL002", Severity.ERROR, "plan", "strategy applicability",
          "The chosen strategy must exist and be executable for this "
          "artifact: BlossomTree strategies need a tree and pattern "
@@ -160,7 +149,7 @@ _CATALOGUE: tuple[Rule, ...] = (
          "recursive documents)"),
     Rule("PL004", Severity.ERROR, "plan", "partition-unsafe NoK under parallel scan",
          "The parallel strategy executes every scannable NoK by cutting "
-         "the document's sequential scan into Dewey-contiguous "
+         "the document's sequential scan into subtree-aligned "
          "partitions (Theorem 1 makes concatenation order-correct).  A "
          "non-trivial #root NoK — an all-local-axis chain like "
          "/bib/book, or a predicated root — is matched navigationally "

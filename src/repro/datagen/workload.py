@@ -40,10 +40,6 @@ class QuerySpec:
     text: str
 
     @property
-    def selectivity_class(self) -> str:
-        return self.category[0] if self.category else ""
-
-    @property
     def topology(self) -> str:
         return self.category[1] if self.category else ""
 

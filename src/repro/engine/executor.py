@@ -266,7 +266,7 @@ class FLWORExecutor:
         constructs (callers fall back to direct evaluation).
 
         ``artifacts`` replays a precomputed pattern compilation (tree +
-        NoK decomposition + Dewey IDs) instead of rebuilding it — the
+        NoK decomposition) instead of rebuilding it — the
         prepared-query / plan-cache hot path.  ``bindings`` supplies
         values for the query's external ``$parameters``; the scans read
         them for late-bound vertex tests, and they are merged under
@@ -277,8 +277,6 @@ class FLWORExecutor:
         if artifacts is None:
             external = frozenset(bindings) if bindings else frozenset()
             tree = build_blossom_tree(flwor, external=external)
-            # Dewey IDs are global (Theorem 2 precondition); prepare_
-            # artifacts assigns them alongside the decomposition.
             artifacts = prepare_artifacts(tree)
         tree = artifacts.tree
         dec = artifacts.decomposition

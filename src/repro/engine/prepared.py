@@ -1,10 +1,9 @@
 """Prepared queries: the compile-once / execute-many serving path.
 
 ``engine.prepare(text)`` runs the full compile pipeline once — parse →
-BlossomTree → NoK decomposition (Algorithm 1) → Dewey assignment →
-strategy choice — and hands back a :class:`PreparedQuery` whose
-``execute(params=None)`` replays the compiled plan any number of
-times.  External ``$parameters`` (variables the query references but
+BlossomTree → NoK decomposition (Algorithm 1) → strategy choice — and
+hands back a :class:`PreparedQuery` whose ``execute(params=None)``
+replays the compiled plan any number of times.  External ``$parameters`` (variables the query references but
 never binds) get their values from ``params`` at execution time; the
 compiled plan carries slots for them (late-bound vertex tests for
 pushed where-conjuncts, per-tuple tests for the rest), so no

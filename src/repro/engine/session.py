@@ -11,9 +11,10 @@ Typical use::
 Repeated traffic is served without recompilation two ways:
 
 * transparently — every ``query(text)`` goes through an LRU plan cache
-  keyed on (normalized text, strategy, document-statistics
-  fingerprint), so the second arrival of the same query skips parse,
-  BlossomTree construction, NoK decomposition and the optimizer;
+  keyed on (normalized text, strategy, executor key, structural-summary
+  digest) — :meth:`~repro.engine.request.QueryKey.plan` — so the second
+  arrival of the same query skips parse, BlossomTree construction, NoK
+  decomposition and the optimizer;
 * explicitly — ``prepare(text)`` returns a
   :class:`~repro.engine.prepared.PreparedQuery` that pins the compiled
   plan and executes it many times, with external ``$parameter``
@@ -188,8 +189,10 @@ class Engine:
         #: fallback; the serving catalog stamps the one it owns, so its
         #: ``close()`` shuts it down).
         self.scan_pools: ScanPools | None = None
-        #: LRU of compiled plans; keys include the statistics
-        #: fingerprint, so a reshaped document never matches old entries.
+        #: LRU of compiled plans, keyed by (text, strategy, executor
+        #: key, structural-summary digest) — ``QueryKey.plan`` over
+        #: :meth:`stats_fingerprint` — so a reshaped document never
+        #: matches old entries.
         self.plan_cache = (plan_cache if plan_cache is not None
                            else PlanCache(plan_cache_capacity))
         #: Set by the serving catalog when it retires this engine's
@@ -238,7 +241,7 @@ class Engine:
         """Compile ``text`` once for repeated execution.
 
         The full pipeline (parse → BlossomTree → NoK decomposition →
-        Dewey assignment → strategy choice) runs now; the returned
+        strategy choice) runs now; the returned
         :class:`~repro.engine.prepared.PreparedQuery` replays the plan
         on every ``execute(params=...)``.  Free ``$variables`` in the
         query become external parameters that ``execute`` must bind.
@@ -375,7 +378,7 @@ class Engine:
         the semantic analysis and the tree verifier inside
         ``compile_query``, the lint inside the chooser
         (:func:`~repro.engine.optimizer.plan_query` — the whole static
-        decision is that one call), the decomposition/Dewey/plan passes
+        decision is that one call), the decomposition and plan passes
         below."""
         tracer = run.tracer
         compiled = compile_query(run.source, tracer=tracer)

@@ -94,7 +94,7 @@ from collections.abc import Iterable
 from typing import Any
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
-           "STATS_SCHEMA", "bucket_quantile", "get_registry"]
+           "STATS_SCHEMA", "bucket_quantile"]
 
 #: Version of the structured ``stats()`` payloads (``Database.stats``,
 #: ``QueryService.stats`` and the wire ``stats`` frame), stamped as their
@@ -303,7 +303,3 @@ class MetricsRegistry:
 
 #: The process-wide registry every engine component writes to.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return REGISTRY

@@ -1,4 +1,4 @@
-"""Pattern layer: BlossomTree, construction, decomposition, Dewey IDs."""
+"""Pattern layer: BlossomTree, construction, decomposition."""
 
 from repro.pattern.blossom import (
     MODE_MANDATORY,
@@ -11,7 +11,6 @@ from repro.pattern.blossom import (
 from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
 from repro.pattern.build import build_blossom_tree, build_from_path, path_as_flwor
 from repro.pattern.decompose import Decomposition, InterEdge, NoKTree, decompose
-from repro.pattern.dewey import DeweyAssignment, assign_dewey
 
 __all__ = [
     "MODE_MANDATORY",
@@ -20,12 +19,10 @@ __all__ = [
     "BlossomVertex",
     "CrossingEdge",
     "Decomposition",
-    "DeweyAssignment",
     "InterEdge",
     "NoKTree",
     "PatternArtifacts",
     "TreeEdge",
-    "assign_dewey",
     "build_blossom_tree",
     "build_from_path",
     "decompose",

@@ -1,11 +1,17 @@
 """Reusable pattern-compilation artifacts.
 
-Building a BlossomTree, decomposing it into NoK pattern trees
-(Algorithm 1) and assigning Dewey IDs are pure functions of the query —
-no document is consulted — so their outputs can be computed once at
-``prepare()`` time and replayed across executions.  This module bundles
-them into one value object, :class:`PatternArtifacts`, which the plan
-cache stores and the executor accepts in place of rebuilding.
+Building a BlossomTree and decomposing it into NoK pattern trees
+(Algorithm 1) are pure functions of the query — no document is
+consulted — so their outputs can be computed once at ``prepare()`` time
+and replayed across executions.  This module bundles them into one
+value object, :class:`PatternArtifacts`, which the plan cache stores and
+the executor accepts in place of rebuilding.
+
+Returning nodes are named by their :class:`BlossomVertex` (the paper's
+global Dewey IDs of Section 3.3 play that role there) and ordered by
+document node ``nid`` and region labels, so the decomposition is the
+whole artifact: the tree is read through it, and a tree and a
+decomposition from different compiles cannot be paired.
 
 Reuse safety: the executor's match phase only *reads* the pattern tree
 (``select`` filters produce copies, merged scans allocate fresh entry
@@ -19,7 +25,6 @@ from dataclasses import dataclass
 
 from repro.pattern.blossom import BlossomTree
 from repro.pattern.decompose import Decomposition, decompose
-from repro.pattern.dewey import DeweyAssignment, assign_dewey
 
 __all__ = ["PatternArtifacts", "prepare_artifacts"]
 
@@ -28,13 +33,14 @@ __all__ = ["PatternArtifacts", "prepare_artifacts"]
 class PatternArtifacts:
     """Everything the pattern layer derives from one query."""
 
-    tree: BlossomTree
     decomposition: Decomposition
-    dewey: DeweyAssignment
+
+    @property
+    def tree(self) -> BlossomTree:
+        """The BlossomTree the decomposition was computed from."""
+        return self.decomposition.tree
 
 
 def prepare_artifacts(tree: BlossomTree) -> PatternArtifacts:
-    """Run decomposition and Dewey assignment once, for replay."""
-    return PatternArtifacts(tree=tree,
-                            decomposition=decompose(tree),
-                            dewey=assign_dewey(tree))
+    """Run the decomposition once, for replay."""
+    return PatternArtifacts(decompose(tree))

@@ -92,7 +92,7 @@ class InterEdge:
 
 @dataclass
 class Decomposition:
-    """The result of Algorithm 1 plus Dewey bookkeeping hooks."""
+    """The result of Algorithm 1: NoK trees and the inter-NoK edges."""
 
     tree: BlossomTree
     noks: list[NoKTree]

@@ -1,6 +1,6 @@
 """Partition-parallel merged NoK evaluation: one kernel, three drivers.
 
-The document is cut into Dewey-contiguous subtree partitions
+The document is cut into subtree-aligned partitions
 (:mod:`repro.xmlkit.partition`); every partition runs
 :func:`~repro.physical.nok_merge.scan_range` — the serial merged scan's
 own dispatch loop — on its nid range, and the per-NoK match lists are

@@ -83,7 +83,6 @@ __all__ = [
     "encode_fragment",
     "chunk_prefix",
     "encode_chunk",
-    "FrameReader",
 ]
 
 #: Version stamped into (and required of) every frame.
@@ -132,36 +131,6 @@ def decode_frame(body: bytes) -> dict[str, Any]:
     if not isinstance(payload.get("type"), str):
         raise ProtocolError("malformed frame: missing 'type'")
     return payload
-
-
-class FrameReader:
-    """Incremental frame decoder over a byte stream (client side).
-
-    ``feed()`` raw bytes in, ``frames()`` complete frames out; partial
-    frames stay buffered.  Raises :class:`~repro.errors.ProtocolError`
-    on an oversized length prefix or an undecodable body.
-    """
-
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
-        self._buffer = bytearray()
-        self._max = max_frame_bytes
-
-    def feed(self, data: bytes) -> list[dict[str, Any]]:
-        self._buffer.extend(data)
-        frames = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                return frames
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > self._max:
-                raise ProtocolError(
-                    f"frame of {length} bytes exceeds the "
-                    f"{self._max}-byte limit")
-            if len(self._buffer) < _LENGTH.size + length:
-                return frames
-            body = bytes(self._buffer[_LENGTH.size:_LENGTH.size + length])
-            del self._buffer[:_LENGTH.size + length]
-            frames.append(decode_frame(body))
 
 
 def read_frame(stream: BinaryIO,

@@ -62,7 +62,7 @@ class Strategy:
 
     @property
     def patterned(self) -> bool:
-        """Executes over pattern artifacts (decomposition + Dewey IDs)."""
+        """Executes over pattern artifacts (the NoK decomposition)."""
         return self.family in ("pattern", "holistic")
 
     @property

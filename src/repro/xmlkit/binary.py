@@ -151,17 +151,16 @@ def dump(doc: Document) -> bytes:
 
 def _events(doc: Document) -> Iterator[tuple[Node, bool]]:
     """(node, entering) pairs in document order, element scope nested."""
-    def visit(node: Node) -> Iterator[tuple[Node, bool]]:
-        yield node, True
-        for child in node.children:
-            yield from visit(child)
-        if node.kind == ELEMENT:
-            yield node, False
-
     root = doc.root
     if root is None:
         raise StorageError("document has no root element")
-    yield from visit(root)
+    stack = [(root, True)]
+    while stack:
+        node, entering = stack.pop()
+        yield node, entering
+        if entering and node.kind == ELEMENT:
+            stack.append((node, False))
+            stack.extend((child, True) for child in reversed(node.children))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dewey-contiguous subtree partitioning for parallel scans.
+"""Subtree-aligned partitioning for parallel scans.
 
 Theorem 1 of the paper guarantees that NoK pattern matching over a
 sequential scan emits matches in document order.  Because the node
@@ -9,9 +9,9 @@ partition independently and concatenating the per-NoK match lists in
 partition order therefore reproduces the serial result bit for bit,
 with no re-sort (see DESIGN.md, "Subtree partitioning").
 
-The partitioner aligns cuts to subtree boundaries (Dewey-contiguous
-runs): a partition never starts in the middle of a top-level subtree
-unless that subtree was explicitly *split*.  Splitting is the skew
+The partitioner aligns cuts to subtree boundaries (runs of whole
+top-level subtrees): a partition never starts in the middle of a
+top-level subtree unless that subtree was explicitly *split*.  Splitting is the skew
 escape hatch — a document whose root has a single giant child (one
 top-level subtree holding nearly every node) would otherwise collapse
 to one partition; an oversized subtree is opened up and its child runs

@@ -243,21 +243,6 @@ class Node:
         number = parse_number(raw)
         return raw if number is None else number
 
-    def dewey(self) -> tuple[int, ...]:
-        """Dewey label of this node: 1-based child ordinals from the root.
-
-        The paper uses Dewey IDs to address *pattern-tree* returning nodes;
-        document-node Dewey labels are provided for diagnostics, examples
-        and tests.
-        """
-        path: list[int] = []
-        node: Node | None = self
-        while node is not None and node.parent is not None:
-            path.append(node.parent.children.index(node) + 1)
-            node = node.parent
-        path.reverse()
-        return tuple(path)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = _KIND_NAMES[self.kind]
         if self.kind == TEXT:
@@ -332,21 +317,25 @@ def deep_equal(a: Node | None, b: Node | None) -> bool:
     deep-equal.  Whitespace-only text nodes are ignored, matching how the
     paper's Example 2 compares ``author`` subtrees.
     """
-    if a is None and b is None:
-        return True
     if a is None or b is None:
-        return False
-    if a.kind != b.kind:
-        return False
-    if a.kind == TEXT:
-        return (a.text or "").strip() == (b.text or "").strip()
-    if a.tag != b.tag or a.attrs != b.attrs:
-        return False
-    a_kids = [c for c in a.children if not _ignorable(c)]
-    b_kids = [c for c in b.children if not _ignorable(c)]
-    if len(a_kids) != len(b_kids):
-        return False
-    return all(deep_equal(x, y) for x, y in zip(a_kids, b_kids, strict=True))
+        return a is b
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if x.kind != y.kind:
+            return False
+        if x.kind == TEXT:
+            if (x.text or "").strip() != (y.text or "").strip():
+                return False
+            continue
+        if x.tag != y.tag or x.attrs != y.attrs:
+            return False
+        x_kids = [c for c in x.children if not _ignorable(c)]
+        y_kids = [c for c in y.children if not _ignorable(c)]
+        if len(x_kids) != len(y_kids):
+            return False
+        pairs.extend(zip(x_kids, y_kids))
+    return True
 
 
 def deep_equal_sequences(xs: Iterable[Node | None], ys: Iterable[Node | None]) -> bool:
@@ -519,16 +508,21 @@ class DocumentBuilder:
 
     def append(self, piece: str | Node) -> None:
         """Deep-copy ``piece`` (text, or any node) under the open element."""
-        if isinstance(piece, str) or piece.kind == TEXT:
-            self.text(piece if isinstance(piece, str) else piece.text or "")
-            return
-        if piece.kind == ELEMENT:
-            self.start_element(piece.tag or "", piece.attrs or None)
-        content = piece.content
-        for child in piece.children if content is None else content:
-            self.append(child)
-        if piece.kind == ELEMENT:
-            self.end_element()
+        # ``None`` on the stack closes the element opened before it.
+        stack: list[str | Node | None] = [piece]
+        while stack:
+            item = stack.pop()
+            if item is None:
+                self.end_element()
+            elif isinstance(item, str) or item.kind == TEXT:
+                self.text(item if isinstance(item, str) else item.text or "")
+            else:
+                if item.kind == ELEMENT:
+                    self.start_element(item.tag or "", item.attrs or None)
+                    stack.append(None)
+                content = item.content
+                stack.extend(reversed(item.children if content is None
+                                      else content))
 
     def element(self, tag: str, text: str | None = None,
                 attrs: dict[str, str] | None = None) -> Node:

@@ -122,33 +122,49 @@ class DocumentUpdater:
         keeps its labels; the splice point's ancestors keep ``start``
         but change ``end`` — all of that falls out of one full pass
         that simply compares old and new values.
+
+        The pass is a pre-order walk with an explicit stack (any depth).
+        The region counter steps once entering and once leaving a node,
+        so a node entered after ``nid`` entries and ``nid - level`` exits
+        (every earlier node but its ancestors) starts at ``2 * nid -
+        level``; a second, reverse pass ends each node one step after
+        its last child, or after its own start.  A node from another
+        document is an inserted copy: it has no old labels to compare.
         """
         doc = self.doc
-        old_labels = {id(n): (n.nid, n.start, n.end) for n in doc.nodes}
-
+        relabeled = 0
         nodes: list[Node] = []
-        counter = 0
-
-        def visit(node: Node, level: int) -> None:
-            nonlocal counter
-            node.nid = len(nodes)
+        # Per node: one of this document's, with nid and start unchanged.
+        kept: list[bool] = []
+        stack = [doc.nodes[0]]
+        stack[0].level = 0
+        while stack:
+            node = stack.pop()
+            nid = len(nodes)
+            start = 2 * nid - node.level
+            ours = node.doc is doc
+            same = ours and node.nid == nid and node.start == start
+            if ours and not same:
+                relabeled += 1
+            kept.append(same)
+            node.nid = nid
             node.doc = doc
-            node.level = level
-            node.start = counter
-            counter += 1
-            nodes.append(node)
+            node.start = start
             node._string_value = None
-            for child in node.children:
-                visit(child, level + 1)
-            node.end = counter
-            counter += 1
-
-        visit(doc.nodes[0], 0)
+            nodes.append(node)
+            children = node.children
+            if children:
+                level = node.level + 1
+                for child in children:
+                    child.level = level
+                stack.extend(reversed(children))
+        for node, same in zip(reversed(nodes), reversed(kept)):
+            children = node.children
+            end = children[-1].end + 1 if children else node.start + 1
+            if same and node.end != end:
+                relabeled += 1
+            node.end = end
         doc.nodes = nodes
         doc.root = next((c for c in nodes[0].children if c.kind == ELEMENT), None)
         report.indexes_invalidated = int(doc.drop_derived())
-
-        for node in nodes:
-            old = old_labels.get(id(node))
-            if old is not None and old != (node.nid, node.start, node.end):
-                report.nodes_relabeled += 1
+        report.nodes_relabeled += relabeled

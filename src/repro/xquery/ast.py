@@ -30,7 +30,6 @@ __all__ = [
     "ElementConstructor",
     "Sequence",
     "QueryExpr",
-    "iter_clause_paths",
     "locate_flwor",
 ]
 
@@ -145,11 +144,6 @@ class FLWOR:
 
 #: Anything that can appear where the XQuery grammar expects one expression.
 QueryExpr = FLWOR | ElementConstructor | Sequence | Expr
-
-
-def iter_clause_paths(flwor: FLWOR) -> list[tuple[str, LocationPath]]:
-    """All (variable, path) pairs bound by for/let clauses, in order."""
-    return [(c.var, c.source) for c in flwor.clauses]
 
 
 def locate_flwor(expr: QueryExpr) -> FLWOR | None:

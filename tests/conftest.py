@@ -15,7 +15,7 @@ def _verify_every_compiled_plan(monkeypatch):
     The engine already verifies trees at compile time and plans before
     caching; this fixture closes the remaining gap by wrapping
     ``prepare_artifacts`` where the engine calls it, so any test that
-    drives the executor also exercises the decomposition/Dewey/plan
+    drives the executor also exercises the decomposition and plan
     passes.  A suite-wide invariant regression then fails loudly at its
     source instead of as a wrong query result three layers later.
     """

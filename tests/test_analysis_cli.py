@@ -27,7 +27,7 @@ class TestCorpora:
         for name, text in EXAMPLE_QUERIES.items():
             report = analyze_query_text(text, source=name)
             passes.update(report.passes_run)
-        assert passes == {"ast", "blossom", "decomposition", "dewey", "plan"}
+        assert passes == {"ast", "blossom", "decomposition", "plan"}
 
     def test_workloads_analyze_clean(self):
         from repro.datagen.workload import DATASETS

@@ -2,12 +2,16 @@
 
 Each test takes a clean compiled artifact bundle, breaks exactly one
 invariant the way a real bug would (a builder that leaks a partial
-chain, a cache that replays stale Dewey IDs after an update, a flipped
-cut flag), and asserts that the analyzer fires the *exact* rule ID the
+chain, a join parent left non-returning, a flipped cut flag), and
+asserts that the analyzer fires the *exact* rule ID the
 catalogue promises for that corruption.
 """
 
 from __future__ import annotations
+
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -187,59 +191,31 @@ class TestDecompositionRules:
         assert "NK003" in report.rule_ids()
 
 
-class TestDeweyRules:
-    def test_dw001_returning_vertex_without_id(self):
-        artifacts = artifacts_for(TWIG)
-        book = artifacts.tree.var_vertex["a"]
-        ident = artifacts.dewey.of_vertex.pop(book.vid)
-        del artifacts.dewey.vertex_of[ident]
-        artifacts.dewey.returning_parent.pop(book.vid, None)
-        report = gated(analyze_artifacts, artifacts)
-        assert "DW001" in report.rule_ids()
-
-    def test_dw001_non_dense_sibling_ordinals(self):
-        artifacts = artifacts_for(TWIG)
-        book = artifacts.tree.var_vertex["a"]
-        old = artifacts.dewey.of_vertex[book.vid]
-        skewed = old[:-1] + (old[-1] + 5,)
-        artifacts.dewey.of_vertex[book.vid] = skewed
-        artifacts.dewey.vertex_of[skewed] = artifacts.dewey.vertex_of.pop(old)
-        report = gated(analyze_artifacts, artifacts)
-        assert "DW001" in report.rule_ids()
-
-    def test_dw002_stale_assignment_after_simulated_update(self):
-        # A structural update invalidates plans; recompiling rebuilds the
-        # tree.  Replaying the OLD Dewey assignment against the NEW tree
-        # (the bug a broken cache would have) must be caught.
-        old = artifacts_for(TWIG)
-        new = artifacts_for(TWIG)
-        stale = PatternArtifacts(tree=new.tree,
-                                 decomposition=new.decomposition,
-                                 dewey=old.dewey)
-        report = gated(analyze_artifacts, stale)
-        assert "DW002" in report.rule_ids()
-
-
 class TestPlanRules:
-    def test_pl001_join_child_id_does_not_extend_parent(self):
-        artifacts = artifacts_for(TWIG)
+    def test_pl001_join_parent_not_returning(self):
+        # The match phase keeps only returning vertices' matches, so a
+        # non-returning join parent leaves left_projection nothing.
+        compiled = compile_query(TWIG)
+        artifacts = prepare_artifacts(compiled.tree)
         inter = artifacts.decomposition.inter_edges[0]
-        artifacts.dewey.of_vertex[inter.child.vid] = (9, 9, 9)
+        inter.parent.returning = False
         report = AnalysisReport()
-        plan_pass(artifacts.tree, artifacts.decomposition, artifacts.dewey,
-                  report)
+        plan_pass(artifacts.decomposition, report)
         assert report.rule_ids() == ["PL001"]
+        plan = CachedPlan(compiled, PlanChoice("pipelined", "test"),
+                          artifacts, "pipelined")
+        with pytest.raises(PlanInvariantError) as excinfo:
+            verify_plan(plan, tree_verified=True)
+        assert excinfo.value.rule_ids == ["PL001"]
         assert "PL001" in gated(analyze_artifacts, artifacts).rule_ids()
 
-    def test_pl001_join_parent_without_id(self):
+    def test_artifacts_read_their_tree_through_the_decomposition(self):
+        # The decomposition is the one field, so a tree cannot be paired
+        # with another compile's decomposition (the staleness DW002
+        # guarded).
         artifacts = artifacts_for(TWIG)
-        inter = artifacts.decomposition.inter_edges[0]
-        del artifacts.dewey.of_vertex[inter.parent.vid]
-        report = AnalysisReport()
-        plan_pass(artifacts.tree, artifacts.decomposition, artifacts.dewey,
-                  report)
-        assert report.rule_ids() == ["PL001"]
-        assert "PL001" in gated(analyze_artifacts, artifacts).rule_ids()
+        assert [f.name for f in fields(PatternArtifacts)] == ["decomposition"]
+        assert artifacts.tree is artifacts.decomposition.tree
 
     def test_pl002_twigstack_on_non_twig(self):
         artifacts = artifacts_for(CROSS)
@@ -342,25 +318,33 @@ class TestEnforcementGates:
 
 class TestCatalogue:
     def test_every_rule_has_stage_severity_and_remediation(self):
-        stages = {"ast", "blossom", "decomposition", "dewey", "plan",
-                  "query"}
+        stages = {"ast", "blossom", "decomposition", "plan", "query"}
         for rule in RULES.values():
             assert rule.stage in stages
             assert isinstance(rule.severity, Severity)
             assert rule.title and rule.description and rule.remediation
 
     def test_rule_ids_are_stable(self):
-        # Published IDs must never change meaning; a retired one
-        # (SV001, with the snapshot-stamped plans it guarded) is never
-        # reused.
+        # Published IDs must never change meaning; a retired one (SV001,
+        # with the snapshot-stamped plans it guarded; DW001 / DW002, with
+        # the Dewey assignment they checked) is never reused.
         assert set(RULES) == {
             "AST001", "AST002",
             "BT001", "BT002", "BT003", "BT004", "BT005", "BT006",
             "NK001", "NK002", "NK003",
-            "DW001", "DW002",
             "PL001", "PL002", "PL003", "PL004",
             "QL001", "QL002", "QL003", "QL004", "QL005", "QL006",
         }
+
+    def test_readme_rule_table_matches_catalogue(self):
+        # README's rule table is edited by hand; its (id, severity, stage)
+        # rows must stay the catalogue's, in catalogue order.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = [tuple(cell.strip() for cell in line.split("|")[1:4])
+                for line in readme.read_text(encoding="utf-8").splitlines()
+                if re.match(r"\| [A-Z]+\d{3} \|", line)]
+        assert rows == [(rule.rule_id, rule.severity.value, rule.stage)
+                        for rule in RULES.values()]
 
     def test_warning_rules(self):
         warnings = [r.rule_id for r in RULES.values()

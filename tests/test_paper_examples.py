@@ -8,7 +8,7 @@ import pytest
 
 from repro.baseline import NaiveInterpreter
 from repro.engine import Engine
-from repro.pattern import assign_dewey, build_blossom_tree, decompose
+from repro.pattern import build_blossom_tree, decompose
 from repro.physical import NoKMatcher, nested_loop_pairs
 from repro.xmlkit import parse
 from repro.xquery import parse_flwor
@@ -142,15 +142,15 @@ class TestExample5:
 
 
 class TestSection33Dewey:
-    """Section 3.3's global Dewey assignment for Example 1's tree."""
+    """Section 3.3 names Example 1's returning nodes by global Dewey IDs
+    ($book1 = 1.1, $book2 = 1.2, $aut1 = 1.1.1); the reproduction names
+    them by BlossomTree vertex, and the same relationships hold."""
 
     def test_books_get_sibling_ids(self):
         tree = build_blossom_tree(parse_flwor(PAPER_QUERY))
-        dewey = assign_dewey(tree)
-        b1 = dewey.variable_dewey(tree, "book1")
-        b2 = dewey.variable_dewey(tree, "book2")
-        assert len(b1) == len(b2)
-        assert b1[:-1] == b2[:-1]          # siblings in the returning tree
-        assert b1[-1] + 1 == b2[-1]        # consecutive ordinals
-        a1 = dewey.variable_dewey(tree, "aut1")
-        assert a1[:len(b1)] == b1          # author below its book
+        b1, b2 = tree.var_vertex["book1"], tree.var_vertex["book2"]
+        assert b1.returning and b2.returning
+        assert b1.parent_edge.parent is b2.parent_edge.parent   # siblings
+        assert b1.vid + 1 == b2.vid        # consecutive, declaration order
+        a1 = tree.var_vertex["aut1"]
+        assert a1.returning and a1.parent_edge.parent is b1   # below its book

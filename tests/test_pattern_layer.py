@@ -1,4 +1,4 @@
-"""Unit tests for BlossomTree construction, decomposition and Dewey IDs."""
+"""Unit tests for BlossomTree construction and decomposition."""
 
 import gc
 import pickle
@@ -10,7 +10,6 @@ from repro.errors import CompileError
 from repro.pattern import (
     MODE_MANDATORY,
     MODE_OPTIONAL,
-    assign_dewey,
     build_blossom_tree,
     build_from_path,
     decompose,
@@ -192,39 +191,3 @@ class TestDecompose:
         dec = decompose(tree)
         assert len(dec.noks) == 3
         assert len(dec.inter_edges) == 2
-
-
-class TestDewey:
-    def test_example_assignment_matches_paper(self):
-        # Section 3.3 assigns $b1=1.1, $b2=1.2, $aut1=1.1.1 ... modulo
-        # the artificial super-root; with a shared document-root vertex
-        # our IDs gain one extra level: root=1.1, books 1.1.1 / 1.1.2.
-        tree = build_blossom_tree(parse_flwor(EXAMPLE1))
-        dewey = assign_dewey(tree)
-        assert dewey.dewey(tree.roots[0]) == (1, 1)
-        b1 = dewey.variable_dewey(tree, "book1")
-        b2 = dewey.variable_dewey(tree, "book2")
-        a1 = dewey.variable_dewey(tree, "aut1")
-        assert b1 == (1, 1, 1) and b2 == (1, 1, 2)
-        assert a1 == b1 + (1,)
-
-    def test_returning_tree_skips_non_returning(self):
-        # //a[b/c]//d : b and c are existential, d is returning; d's
-        # Dewey parent is a.
-        tree = build_from_path(parse_xpath("//a[b/c]//d"))
-        dewey = assign_dewey(tree)
-        a = tree.var_vertex["#result"].parent_edge.parent
-        d = tree.var_vertex["#result"]
-        assert dewey.returning_parent[d.vid] == a.vid
-
-    def test_format(self):
-        tree = build_from_path(parse_xpath("//a"))
-        dewey = assign_dewey(tree)
-        a = tree.var_vertex["#result"]
-        assert dewey.format(dewey.dewey(a)) == "1.1.1"
-
-    def test_vertex_lookup_roundtrip(self):
-        tree = build_blossom_tree(parse_flwor(EXAMPLE1))
-        dewey = assign_dewey(tree)
-        for vid, dew in dewey.of_vertex.items():
-            assert dewey.vertex_of[dew].vid == vid

@@ -27,7 +27,6 @@ from repro.serve import client as client_mod
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    FrameReader,
     chunk_prefix,
     decode_frame,
     decode_item,
@@ -122,19 +121,6 @@ class TestFrames:
     def test_missing_type_is_refused(self):
         with pytest.raises(ProtocolError, match="type"):
             decode_frame(b'{"v": 1}')
-
-    def test_reader_reassembles_partial_feeds(self):
-        data = encode_frame({"type": "ping"}) + encode_frame({"type": "pong"})
-        reader = FrameReader()
-        frames = []
-        for i in range(0, len(data), 3):     # drip 3 bytes at a time
-            frames.extend(reader.feed(data[i:i + 3]))
-        assert [f["type"] for f in frames] == ["ping", "pong"]
-
-    def test_reader_refuses_oversized_length(self):
-        reader = FrameReader(max_frame_bytes=16)
-        with pytest.raises(ProtocolError, match="exceeds"):
-            reader.feed(struct.pack(">I", 17) + b"x" * 17)
 
     def test_atom_items_widen_ints_to_float(self):
         assert decode_item({"kind": "atom", "value": 3}) == ("atom", 3.0)

@@ -1,8 +1,8 @@
 """Every static check runs exactly once per compile, through its one
 implementation: the scoping walk ahead of pattern build (one traversal
 yields the external parameters *and* the static report), the tree
-verifier right after it, the query lint, and the decomposition / Dewey /
-plan passes over the chosen plan.  Nothing is memoized behind the plan
+verifier right after it, the query lint, and the decomposition / plan
+passes over the chosen plan.  Nothing is memoized behind the plan
 cache, so a plan-cache hit and a prepared ``execute`` run none of
 them."""
 
@@ -25,14 +25,14 @@ FLWOR = "for $b in //book where $b/price > 30 return $b/title"
 BARE = "//book/title"
 STATIC_EMPTY = "for $b in //book where 1 = 2 return $b/title"
 
-CHECKS = ("scope", "blossom_pass", "decomposition_pass", "dewey_pass",
-          "plan_pass", "analyze_query")
+CHECKS = ("scope", "blossom_pass", "decomposition_pass", "plan_pass",
+          "analyze_query")
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """``{check name: [first positional argument of each call]}`` over
-    every name the compile path resolves the six checks through."""
+    every name the compile path resolves the five checks through."""
     seen = {name: [] for name in CHECKS}
 
     def counted(name, fn):
@@ -46,7 +46,7 @@ def calls(monkeypatch):
     scope = counted("scope", semantics_mod.scope)
     monkeypatch.setattr(semantics_mod, "scope", scope)
     monkeypatch.setattr(compiler_mod, "scope", scope)
-    for name in CHECKS[1:5]:
+    for name in CHECKS[1:4]:
         monkeypatch.setattr(analyzer_mod, name,
                             counted(name, getattr(analyzer_mod, name)))
     monkeypatch.setattr(optimizer_mod, "analyze_query",

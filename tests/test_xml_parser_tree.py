@@ -109,13 +109,6 @@ class TestTreeStructure:
         assert not bib.is_parent_of(last)
         assert book.precedes(last)
 
-    def test_dewey_labels(self):
-        doc = parse("<a><b/><c><d/></c></a>")
-        assert doc.root.dewey() == (1,)
-        assert doc.elements_by_tag("b")[0].dewey() == (1, 1)
-        assert doc.elements_by_tag("c")[0].dewey() == (1, 2)
-        assert doc.elements_by_tag("d")[0].dewey() == (1, 2, 1)
-
 
 class TestValues:
     def test_string_value_concatenates_text(self):
