@@ -35,7 +35,6 @@ __all__ = [
     "blossom_pass",
     "decomposition_pass",
     "plan_pass",
-    "partition_unsafe_noks",
 ]
 
 #: Axes the pattern matcher models at all.
@@ -395,24 +394,6 @@ def _check_inter_forest(dec: Decomposition, report: AnalysisReport) -> None:
 # Physical-plan stage.
 # ----------------------------------------------------------------------
 
-def partition_unsafe_noks(dec: Decomposition) -> list[NoKTree]:
-    """The NoKs partition-parallel scan execution cannot cover.
-
-    Every absolute path anchors at a synthetic ``#root`` vertex.  When
-    that vertex's NoK is *trivial* (the single anchor vertex, no value
-    predicates) the coordinator matches it once against the document
-    node and the remaining NoKs scan in partitions — safe.  But a
-    ``#root`` NoK with more vertices (an all-local-axis chain like
-    ``/bib/book``, kept whole by Algorithm 1) or with predicates is
-    matched *navigationally* from the document node, never by the
-    sequential scan the partitioner cuts up — partitioning it would
-    re-run the navigation once per partition and multiply its matches.
-    """
-    return [nok for nok in dec.noks
-            if nok.root.name == "#root"
-            and (len(nok.vertices) > 1 or nok.root.value_predicates)]
-
-
 def plan_pass(dec: Decomposition, report: AnalysisReport,
               strategy: str | None = None,
               recursive_document: bool | None = None) -> None:
@@ -432,7 +413,17 @@ def plan_pass(dec: Decomposition, report: AnalysisReport,
     if strategy is not None:
         row = _check_strategy(dec.tree, report, strategy, recursive_document)
         if row is not None and row.partitions:
-            for nok in partition_unsafe_noks(dec):
+            # Every absolute path anchors at a synthetic ``#root``
+            # vertex.  A trivial ``#root`` NoK (the anchor alone, no
+            # value predicates) is matched once against the document
+            # node and the rest scan in partitions — safe.  A larger one
+            # (an all-local-axis chain like ``/bib/book``, kept whole by
+            # Algorithm 1) or a predicated one is matched navigationally
+            # from the document node, never by the scan the partitioner
+            # cuts: partitioning would re-run it once per partition.
+            unsafe = [nok for nok in dec.noks if nok.root.name == "#root"
+                      and (len(nok.vertices) > 1 or nok.root.value_predicates)]
+            for nok in unsafe:
                 report.add("PL004", f"nok:{nok.nok_id}",
                            f"parallel strategy chosen, but NoK {nok.nok_id} "
                            "anchors at #root with local navigation — it is "

@@ -156,8 +156,7 @@ _CATALOGUE: tuple[Rule, ...] = (
          "from the document node, never by that scan, so a partitioned "
          "execution would either skip it or re-run its navigation once "
          "per partition and duplicate matches.",
-         "use strategy='auto' (the optimizer withdraws the parallel "
-         "upgrade for such plans) or run the query serially"),
+         "use strategy='auto', whose plans scan serially"),
     # -- QL: query-vs-data satisfiability (structural-summary lint).
     # Unlike the stages above, a QL *error* does not mean the plan is
     # broken — it means part of the query provably matches nothing on

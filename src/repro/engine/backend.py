@@ -6,14 +6,14 @@ names *how* the scan phase executes — ``"serial"``, ``"threads"`` or
 thread count through every layer and leaving the backend choice
 implicit.
 
-:class:`ExecutionBackend` is a frozen dataclass so it can sit directly
-in plan-cache, result-cache and stats-store keys; :attr:`ExecutionBackend.key`
+It decides where a scan runs, never what the plan is: no plan, cache
+or coalescing key reads it, since Theorem 1 makes a partitioned scan
+answer exactly what the serial one does.  :attr:`ExecutionBackend.key`
 is its canonical string form (``"serial"``, ``"threads:4"``,
 ``"processes:4"``) and is what the v1 wire protocol carries.
 
-This module deliberately imports nothing from the rest of the engine
-(the strategy table, a leaf itself, aside) so the serving layer can use
-it without cycles.
+This module deliberately imports nothing from the rest of the engine so
+the serving layer can use it without cycles.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import UsageError
-from repro.strategy import STRATEGIES
 
 __all__ = ["ExecutionBackend", "BACKEND_KINDS", "DEFAULT_PARALLEL_WORKERS",
            "resolve_backend"]
@@ -69,8 +68,12 @@ class ExecutionBackend:
     def from_key(cls, key: str) -> "ExecutionBackend":
         """Parse the canonical string form back into a spec."""
         kind, sep, count = key.partition(":")
-        if kind == "serial" and not sep:
-            return cls()
+        if kind == "serial":
+            if sep:
+                raise UsageError(
+                    f"malformed execution backend key {key!r}: the "
+                    "serial backend takes no worker count")
+            return _SERIAL
         if not sep:
             return cls(kind=kind, workers=DEFAULT_PARALLEL_WORKERS)
         try:
@@ -81,25 +84,19 @@ class ExecutionBackend:
         return cls(kind=kind, workers=workers)
 
 
-#: The two ``executor=None`` defaults (frozen, so safely shared).
+#: The ``executor=None`` default (frozen, so safely shared).
 _SERIAL = ExecutionBackend()
-_PARALLEL_DEFAULT = ExecutionBackend("threads", DEFAULT_PARALLEL_WORKERS)
 
 
-def resolve_backend(executor: "ExecutionBackend | str | None",
-                    strategy: str = "auto") -> ExecutionBackend:
+def resolve_backend(executor: "ExecutionBackend | str | None"
+                    ) -> ExecutionBackend:
     """Normalize an ``executor=`` argument into an :class:`ExecutionBackend`.
 
     Accepts the dataclass itself, a kind name (``"threads"``), a full
-    key (``"processes:8"``), or ``None`` — which defaults to a
-    four-worker thread backend when the caller explicitly asked for a
-    partitioning strategy (``parallel``; preserving the pre-redesign
-    default) and to serial otherwise.
+    key (``"processes:8"``), or ``None`` — serial.
     """
     if executor is None:
-        row = STRATEGIES.get(strategy)
-        return (_PARALLEL_DEFAULT if row is not None and row.partitions
-                else _SERIAL)
+        return _SERIAL
     if isinstance(executor, ExecutionBackend):
         return executor
     if isinstance(executor, str):

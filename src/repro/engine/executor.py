@@ -50,6 +50,7 @@ from repro.pattern.blossom import (MODE_MANDATORY, BlossomTree,
                                    BlossomVertex, CrossingEdge)
 from repro.pattern.build import RESULT_VAR, build_blossom_tree
 from repro.pattern.decompose import Decomposition, InterEdge, NoKTree
+from repro.xmlkit.partition import partition_document
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Constructed, Document
 from repro.xpath.ast import BooleanExpr
@@ -365,9 +366,12 @@ class FLWORExecutor:
         backend = self.backend
         parallelism = backend.parallelism if backend is not None else 1
         for doc, noks in by_doc.values():
+            partitions = (partition_document(doc, parallelism)
+                          if backend is not None else [])
             self.plan_notes.append(
-                f"{'partition-parallel' if backend else 'merged'} scan: "
-                f"{len(noks)} NoK(s) in one pass over "
+                (f"partition-parallel scan over {len(partitions)} partitions"
+                 if len(partitions) > 1 else "merged scan")
+                + f": {len(noks)} NoK(s) in one pass over "
                 f"{len(doc.nodes)} nodes")
             with self.tracer.span("merged-scan", noks=len(noks),
                                   doc_nodes=len(doc.nodes),
@@ -382,6 +386,7 @@ class FLWORExecutor:
                         noks, doc, self.counters, per_nok,
                         variables=self._variables,
                         backend=backend, pools=self.scan_pools,
+                        partitions=partitions,
                         tracer=self.tracer if self._tracing else None)
                 else:
                     result = merged_scan(noks, doc, self.counters, per_nok,

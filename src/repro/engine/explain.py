@@ -31,8 +31,7 @@ def render_explain(engine: Engine, text: str | QueryExpr,
     """The text of :meth:`Engine.explain`."""
     options = QueryOptions(strategy)
     compiled = compile_query(text)
-    plan = plan_query(compiled, QueryKey(text, options), options.executor,
-                      engine)
+    plan = plan_query(compiled, QueryKey(text, options), engine)
     lines = [f"strategy: {plan.choice}"]
     if plan.lint is not None and plan.lint.report.findings:
         lines.append("query lint:")

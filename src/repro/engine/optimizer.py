@@ -21,15 +21,14 @@ one function the engine calls per compile: it validates an explicitly
 requested strategy against its row of the strategy table
 (:mod:`repro.strategy`), or runs the rules; lets the query lint
 short-circuit a provably empty plan (static-empty); prepares the
-pattern artifacts; withdraws a parallel upgrade the decomposition
-cannot carry (PL004); and pins which join each
-``//``-edge runs (:func:`edge_join` is the per-edge half the executor
-asks).  ``explain`` reads the same decision without executing it.
+pattern artifacts; and pins which join each ``//``-edge runs
+(:func:`edge_join` is the per-edge half the executor asks).
+``explain`` reads the same decision without executing it.
 
 The decision is static, as in the paper: it reads document statistics
-and the query, never a record of earlier runs, so the same query over
-documents of the same shape (one summary digest) always gets the same
-plan.
+and the query — never the ``executor=`` a request names, nor a record
+of earlier runs — so the same query over documents of the same shape
+(one summary digest) always gets the same plan.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.analysis.passes import partition_unsafe_noks
 from repro.analysis.query import QueryLintResult, analyze_query
 from repro.errors import CompileError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -47,7 +45,6 @@ from repro.pattern.decompose import InterEdge
 from repro.physical.twigstack import twig_supported
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.tree import Document
-from repro.engine.backend import ExecutionBackend
 from repro.engine.request import QueryKey
 from repro.strategy import STRATEGIES, Strategy
 
@@ -56,14 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session -> optimizer
     from repro.engine.session import Engine
 
 __all__ = ["CachedPlan", "PlanChoice", "choose_strategy", "edge_join",
-           "pattern_document", "plan_query", "PARALLEL_SCAN_THRESHOLD"]
-
-#: Minimum arena size (in nodes) before ``auto`` trades the serial
-#: merged scan for partition-parallel scans when the caller offers
-#: ``parallelism > 1``.  Below this the per-partition hand-off costs
-#: more than the scan itself; the threshold sits near where the
-#: partitioner's own minimum partition size stops cutting anyway.
-PARALLEL_SCAN_THRESHOLD = 4_096
+           "pattern_document", "plan_query"]
 
 
 @dataclass(frozen=True)
@@ -79,8 +69,7 @@ class PlanChoice:
 
 def choose_strategy(stats: DocumentStats, tree: BlossomTree | None,
                     is_bare_path: bool, has_index: bool,
-                    tracer: Tracer | NullTracer | None = None,
-                    parallelism: int = 1) -> PlanChoice:
+                    tracer: Tracer | NullTracer | None = None) -> PlanChoice:
     """Pick the physical strategy for a compiled query.
 
     Parameters
@@ -96,25 +85,16 @@ def choose_strategy(stats: DocumentStats, tree: BlossomTree | None,
     tracer:
         Optional tracer; records an ``optimize`` span whose attributes
         carry the decision and its reasoning.
-    parallelism:
-        Partition budget the caller is willing to spend on the match
-        phase.  With ``parallelism > 1`` and a document past
-        :data:`PARALLEL_SCAN_THRESHOLD`, the non-recursive merged-scan
-        plan upgrades to the ``parallel`` strategy (partition-parallel
-        scans, Theorem 1 concatenation); recursive documents keep
-        ``stack`` — the parallel upgrade only replaces the pipelined
-        outcome.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span("optimize") as span:
-        choice = _rules(stats, tree, parallelism)
+        choice = _rules(stats, tree)
         span.set(strategy=choice.strategy, reason=choice.reason,
                  recursive=stats.recursive)
     return choice
 
 
-def _rules(stats: DocumentStats, tree: BlossomTree | None,
-           parallelism: int) -> PlanChoice:
+def _rules(stats: DocumentStats, tree: BlossomTree | None) -> PlanChoice:
     if tree is None:
         return PlanChoice("naive", "query outside the pattern-matching subset")
     if stats.recursive:
@@ -122,12 +102,6 @@ def _rules(stats: DocumentStats, tree: BlossomTree | None,
             "stack",
             f"recursive document (degree {stats.recursion_degree}); "
             "pipelined merge is unsound, stack merge bounds memory by depth")
-    if parallelism > 1 and stats.n_nodes >= PARALLEL_SCAN_THRESHOLD:
-        return PlanChoice(
-            "parallel",
-            f"non-recursive document of {stats.n_nodes} nodes >= "
-            f"{PARALLEL_SCAN_THRESHOLD}; partition-parallel merged scan "
-            f"across {parallelism} partitions (Theorem 1 concatenation)")
     return PlanChoice(
         "pipelined",
         "non-recursive document; index-free merge joins over ordered "
@@ -189,13 +163,11 @@ class CachedPlan:
     join: str = "auto"
 
 
-def plan_query(compiled: CompiledQuery, key: QueryKey,
-               backend: ExecutionBackend, env: Engine,
+def plan_query(compiled: CompiledQuery, key: QueryKey, env: Engine,
                tracer: Tracer | NullTracer = NULL_TRACER) -> CachedPlan:
     """The static decision sequence: requested strategy (ruled;
     :class:`~repro.engine.request.QueryOptions` validated the name) →
-    query lint (static-empty) → pattern artifacts → PL004 withdrawal →
-    join pinning.
+    query lint (static-empty) → pattern artifacts → join pinning.
     The plan comes back unverified: the engine runs the invariant
     passes over it before it may be cached or executed.
 
@@ -204,7 +176,7 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
     summary (only when the lint runs).  Every plan runs the tree ``compile_query`` built and
     verified."""
     requested = STRATEGIES[key.strategy]
-    choice = _requested(compiled, requested, backend.parallelism, env, tracer)
+    choice = _requested(compiled, requested, env, tracer)
     # Query lint (QL rules): check the pattern against the document's
     # structural summary; a plan that provably matches nothing scans
     # nothing.
@@ -224,42 +196,29 @@ def plan_query(compiled: CompiledQuery, key: QueryKey,
         if lint.static_empty:
             choice = PlanChoice("static-empty",
                                 f"query lint: {lint.static_empty}")
-    chosen = STRATEGIES[choice.strategy]
-    if tree is not None and chosen.patterned:
+    row = STRATEGIES[choice.strategy]
+    if tree is not None and row.patterned:
         with tracer.span("prepare-artifacts") as span:
             artifacts = prepare_artifacts(tree)
             span.set(noks=len(artifacts.decomposition.noks))
-    if chosen.partitions and chosen is not requested \
-            and artifacts is not None \
-            and partition_unsafe_noks(artifacts.decomposition):
-        # The decomposition (only now available) revealed a NoK whose
-        # match work bypasses the partitioned scan (rule PL004), so the
-        # upgrade quietly steps back to the serial plan.  An *explicit*
-        # strategy="parallel" request keeps the choice and lets the
-        # verifier refuse it with PL004.
-        choice = PlanChoice(
-            "pipelined",
-            "parallel upgrade withdrawn: plan has non-partition-"
-            "safe NoKs (PL004); serial merged scan instead")
     # Only a *requested* Theorem-2 merge is pinned.  Chosen by the
     # rules, ``pipelined`` names the merge-join family and every edge
     # takes the member that is sound for its left input.
-    row = STRATEGIES[choice.strategy]
     join = (row.join if row.join is not None
             and (row is requested or not row.theorem2) else "auto")
     return CachedPlan(compiled, choice, artifacts, key.strategy,
                       lint=lint, join=join)
 
 
-def _requested(compiled: CompiledQuery, row: Strategy, parallelism: int,
-               env: Engine, tracer: Tracer | NullTracer) -> PlanChoice:
+def _requested(compiled: CompiledQuery, row: Strategy, env: Engine,
+               tracer: Tracer | NullTracer) -> PlanChoice:
     """The choice a ``strategy=`` request stands for, or the typed
     refusal when the name does not apply to this query."""
     if row.name == "auto":
         target = pattern_document(compiled.tree, env)
         return choose_strategy(target.derived.stats, compiled.tree,
                                compiled.is_bare_path, has_index=True,
-                               tracer=tracer, parallelism=parallelism)
+                               tracer=tracer)
     tree = compiled.tree
     if "tree" in row.requires and tree is None:
         reason = compiled.compile_error
@@ -275,8 +234,5 @@ def _requested(compiled: CompiledQuery, row: Strategy, parallelism: int,
             f"{row.name} strategy unavailable: pattern is not a "
             "single //-twig (crossing edges, optional modes or "
             "sibling constraints present)")
-    reason = "explicitly requested"
-    if row.partitions:
-        reason += f" ({max(2, parallelism)} partitions)"
-    return PlanChoice(row.name, reason)
+    return PlanChoice(row.name, "explicitly requested")
 

@@ -17,7 +17,9 @@ whose prepared queries run on the current snapshot — the next
 instead of running a choice the optimizer would no longer make —
 execution results were never at risk (plans are document-independent),
 but the *strategy* could have gone stale.  A shape-preserving update
-keeps the pinned plan.
+keeps the pinned plan, and so does an ``execute(executor=...)``
+override: the executor decides where a partitioned scan runs, never
+which plan runs.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class PreparedQuery:
         self.source = source
         self.strategy = options.strategy
         #: Execution backend pinned at prepare() time; ``execute()`` may
-        #: override it per call (which re-plans through the plan cache).
+        #: override it per call (the plan stays).
         self.executor = options.executor
         self._key = key
         self._plan = plan
@@ -130,26 +132,22 @@ class PreparedQuery:
         :class:`~repro.engine.request.QueryOptions` minus the pinned
         ``strategy``.  ``params`` maps parameter names (without ``$``)
         to values.  ``executor`` overrides the backend pinned at
-        prepare() time for this call (which re-plans through the plan
-        cache).
+        prepare() time for this call.
         """
-        pinned = executor is None
         options = QueryOptions(self.strategy, params, timeout_ms,
-                               self.executor if pinned else executor,
-                               work_budget, trace)
+                               self.executor if executor is None
+                               else executor, work_budget, trace)
         with self._reading() as engine:
-            return engine._run(
-                self.source, options,
-                self._key if pinned else QueryKey(self.source, options),
-                counters=counters, tracer=tracer, prepared=self)
+            return engine._run(self.source, options, self._key,
+                               counters=counters, tracer=tracer,
+                               prepared=self)
 
     def current_plan(self, engine: Engine, run: _Run) -> CachedPlan:
         """The plan stage of one ``execute`` on ``engine`` (its run loop
         asks): the pinned plan, re-planned only if the document changed
-        shape (or the call overrides the pinned backend)."""
+        shape."""
         fingerprint = engine.stats_fingerprint()
-        pinned = run.options.executor == self.executor
-        if pinned and self._fingerprint == fingerprint:
+        if self._fingerprint == fingerprint:
             run.cache_status = "prepared"
             return self._plan
         # The pinned plan is still *correct* (plans are document-
@@ -157,8 +155,7 @@ class PreparedQuery:
         # through the cache.
         plan = engine._plan(run)
         run.cache_status = f"prepared-{run.cache_status}"
-        if pinned:
-            self._plan, self._fingerprint = plan, fingerprint
+        self._plan, self._fingerprint = plan, fingerprint
         return plan
 
     def explain(self) -> str:

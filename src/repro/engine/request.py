@@ -12,6 +12,8 @@ two objects once and hands them down unchanged:
   names (:class:`~repro.errors.ProtocolError` for a malformed field).
 * :class:`QueryKey` — the request identity, normalised once, with one
   named view per consumer so no cache knows another's tuple layout.
+  It is ``(text, strategy)``: the executor changes where a scan runs,
+  never what it answers, so it is not part of the identity.
 
 Like :mod:`repro.engine.backend`, nothing here imports engine modules
 the serving layer could cycle through.
@@ -78,11 +80,10 @@ class QueryOptions:
         The execution backend for the match phase — ``"serial"``,
         ``"threads"``, ``"processes"``, a ``"<kind>:<workers>"`` key or
         an :class:`~repro.engine.backend.ExecutionBackend` (held
-        resolved).  A parallel backend offers the optimizer a partition
-        budget: under ``strategy="auto"`` large non-recursive documents
-        upgrade to the ``parallel`` strategy (partition-parallel merged
-        scans, bit-identical to the serial scan by Theorem 1);
-        ``strategy="parallel"`` forces it.  Its key joins every cache key.
+        resolved; ``None`` is serial).  Only ``strategy="parallel"``
+        plans read it: their partitioned scans run on its pool, and are
+        bit-identical to the serial scan by Theorem 1.  No plan choice
+        and no cache key depends on it.
     ``work_budget``
         A cap on scanned nodes (DNF emulation), in-process only.
     ``trace``
@@ -116,7 +117,7 @@ class QueryOptions:
         #: its dict meanwhile must not change the run); empty means none.
         self.params = dict(params) if params else None
         self.timeout_ms = timeout_ms
-        self.executor = resolve_backend(executor, strategy)
+        self.executor = resolve_backend(executor)
         self.work_budget = work_budget
         self.trace = trace
 
@@ -178,25 +179,22 @@ class QueryKey:
     payload built from them) do not depend on this class.
     """
 
-    __slots__ = ("text", "strategy", "executor")
+    __slots__ = ("text", "strategy")
 
     def __init__(self, source: object, options: QueryOptions) -> None:
         self.text = (normalize_query_text(source)
                      if isinstance(source, str) else None)
         self.strategy = options.strategy
-        self.executor = options.executor.key
 
     def plan(self, fingerprint: tuple[Any, ...]) -> tuple[Any, ...]:
         """Plan-cache entry."""
-        return (self.text, self.strategy, self.executor, fingerprint)
+        return (self.text, self.strategy, fingerprint)
 
     def coalescing(self, doc: str) -> tuple[Any, ...]:
-        """The service's in-flight slot.  The executor is part of it: a
-        serial and a parallel run return identical items but differ in
-        trace/counters, so they never share an execution."""
-        return (doc, self.text, self.strategy, self.executor)
+        """The service's in-flight slot."""
+        return (doc, self.text, self.strategy)
 
     def result(self, doc: str, snapshot_id: int) -> tuple[Any, ...]:
         """Result-cache entry (document and snapshot lead: the storage
         indexes per-snapshot invalidation on them)."""
-        return (doc, snapshot_id, self.text, self.strategy, self.executor)
+        return (doc, snapshot_id, self.text, self.strategy)

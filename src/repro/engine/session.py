@@ -11,8 +11,8 @@ Typical use::
 Repeated traffic is served without recompilation two ways:
 
 * transparently — every ``query(text)`` goes through an LRU plan cache
-  keyed on (normalized text, strategy, executor key, structural-summary
-  digest) — :meth:`~repro.engine.request.QueryKey.plan` — so the second
+  keyed on (normalized text, strategy, structural-summary digest) —
+  :meth:`~repro.engine.request.QueryKey.plan` — so the second
   arrival of the same query skips parse, BlossomTree construction, NoK
   decomposition and the optimizer;
 * explicitly — ``prepare(text)`` returns a
@@ -67,7 +67,7 @@ from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xmlkit.summary import StructuralSummary
 from repro.xmlkit.tree import Document
 from repro.xquery.ast import QueryExpr
-from repro.engine.backend import ExecutionBackend
+from repro.engine.backend import DEFAULT_PARALLEL_WORKERS, ExecutionBackend
 from repro.engine.compiler import CompiledQuery, compile_query
 from repro.engine.construct import DirectEvaluator, SubstitutingEvaluator
 from repro.engine.executor import FLWORExecutor
@@ -92,6 +92,10 @@ __all__ = ["Engine"]
 #: what only it knows — client, snapshot, deadline state.
 SlowObserver = Callable[[str | None, float, Mapping[str, int],
                          type[BaseException] | None], None]
+
+#: What a ``parallel`` plan runs on when the request's backend cannot
+#: partition (``executor=None`` is serial).
+_PARTITIONED_DEFAULT = ExecutionBackend("threads", DEFAULT_PARALLEL_WORKERS)
 
 _QUERIES = REGISTRY.counter("repro_queries_total", "Queries executed")
 _LATENCY = REGISTRY.histogram("repro_query_latency_ms",
@@ -189,8 +193,8 @@ class Engine:
         #: fallback; the serving catalog stamps the one it owns, so its
         #: ``close()`` shuts it down).
         self.scan_pools: ScanPools | None = None
-        #: LRU of compiled plans, keyed by (text, strategy, executor
-        #: key, structural-summary digest) — ``QueryKey.plan`` over
+        #: LRU of compiled plans, keyed by (text, strategy,
+        #: structural-summary digest) — ``QueryKey.plan`` over
         #: :meth:`stats_fingerprint` — so a reshaped document never
         #: matches old entries.
         self.plan_cache = (plan_cache if plan_cache is not None
@@ -245,8 +249,8 @@ class Engine:
         :class:`~repro.engine.prepared.PreparedQuery` replays the plan
         on every ``execute(params=...)``.  Free ``$variables`` in the
         query become external parameters that ``execute`` must bind.
-        ``executor`` is pinned into the prepared plan (same semantics
-        as :meth:`query`).
+        ``executor`` is the backend every ``execute`` runs on unless
+        it names another (same semantics as :meth:`query`).
         """
         self._check_live()
         options = QueryOptions(strategy, executor=executor)
@@ -382,8 +386,7 @@ class Engine:
         below."""
         tracer = run.tracer
         compiled = compile_query(run.source, tracer=tracer)
-        plan = plan_query(compiled, run.key, run.options.executor, self,
-                          tracer)
+        plan = plan_query(compiled, run.key, self, tracer)
         # Validate-on-compile: every stage of the compiled artifact is
         # checked against the invariant catalogue before the plan can be
         # cached or executed; error findings raise PlanInvariantError.
@@ -432,16 +435,15 @@ class Engine:
 
         assert compiled.flwor is not None and compiled.tree is not None
         row = STRATEGIES[choice.strategy]
-        backend = run.options.executor
+        backend = run.options.executor if row.partitions else None
+        if backend is not None and backend.parallelism < 2:
+            # A partitioned plan always partitions: under a spec that
+            # cannot (serial, or one worker) it runs on the default
+            # thread fan-out.
+            backend = _PARTITIONED_DEFAULT
         executor = FLWORExecutor(
             self.doc, self.resolve_doc, join_algorithm=plan.join,
-            counters=counters, tracer=tracer,
-            # A partitioned plan always partitions: under the serial
-            # spec (or one worker) it still cuts two ways, on threads.
-            backend=(ExecutionBackend(
-                "processes" if backend.kind == "processes" else "threads",
-                max(2, backend.parallelism))
-                if row.partitions else None),
+            counters=counters, tracer=tracer, backend=backend,
             scan_pools=self.scan_pools)
         try:
             with tracer.span("execute", plan=choice.strategy):

@@ -16,6 +16,13 @@ the same) and the ``cost`` strategy was deleted.  The diff was the two
 recursive ``auto`` path rows (now ``stack``), the ``cost`` entries
 (gone) and the ``explain`` texts, which lost their ranked cost
 estimates; no answer changed.
+
+It was regenerated a second time when ``auto`` stopped reading the
+executor: the two ``auto``-under-``threads:2`` extras plan ``pipelined``
+(no upgrade, no withdrawal), ``parallel``'s reason lost its
+``(N partitions)`` suffix, its scan note on the grid's small documents
+names the one merged scan that ran, and PL004's hint no longer mentions
+a withdrawal.  No answer changed.
 """
 
 from __future__ import annotations
@@ -45,9 +52,11 @@ SHAPES = {
 }
 
 #: Decisions the small grid cannot reach: (label, document, query,
-#: query options).  ``wide`` is past the parallel-scan
-#: threshold, so ``auto`` upgrades under a parallel executor — and
-#: withdraws when the root NoK navigates (PL004).
+#: query options).  ``wide`` is large enough to cut into partitions.
+#: The first two labels name the executor-driven ``parallel`` upgrade
+#: (and its PL004 withdrawal) that ``auto`` once performed; they stay
+#: as stable test ids and now pin its absence — both plan
+#: ``pipelined``, exactly as without an executor.
 WIDE = "<r>" + "<a><b>1</b></a>" * 1400 + "</r>"
 EXTRAS = [
     ("auto upgrades to parallel", WIDE, "//a/b", {"executor": "threads:2"}),

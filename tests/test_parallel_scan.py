@@ -25,6 +25,7 @@ from repro.xmlkit.partition import (
 )
 from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xpath import parse_xpath
+from tests.strategy_cases import DOCUMENTS, WIDE
 
 
 def wide_doc(n_books: int = 200) -> str:
@@ -343,23 +344,32 @@ class TestMergedScanEdges:
 
 
 class TestEngineParallelStrategy:
-    def make_engine(self, xml):
+    def make_engine(self, xml, pools=None):
         from repro.engine.session import Engine
 
-        return Engine(parse(xml))
+        engine = Engine(parse(xml))
+        engine.scan_pools = pools
+        return engine
 
-    def test_auto_upgrade_and_bit_identity(self):
-        engine = self.make_engine(wide_doc(600))
-        serial = engine.query("//book[price > 10]/title").items
-        parallel = engine.query("//book[price > 10]/title",
-                                executor="threads:4").items
-        assert "parallel" in engine.last_plan
-        assert [n.nid for n in serial] == [n.nid for n in parallel]
-
-    def test_auto_stays_serial_below_threshold(self):
-        engine = self.make_engine(wide_doc(20))
-        engine.query("//book", executor="threads:4")
-        assert "parallel" not in engine.last_plan
+    @pytest.mark.parametrize("xml", [WIDE, DOCUMENTS["recursive"]],
+                             ids=["wide", "recursive"])
+    def test_auto_never_plans_parallel(self, pools, xml):
+        # A plan reads the query and the document, never the executor:
+        # explain agrees with every run, and one plan serves them all.
+        engine = self.make_engine(xml, pools)
+        text = "//a/b"
+        explained = engine.explain(text).splitlines()[0]
+        results = [engine.query(text, executor=executor) for executor in
+                   ("serial", "threads:4", "processes:2")]
+        assert {result.strategy for result in results} \
+            == {explained.split()[1]}
+        assert results[0].strategy != "parallel"
+        assert len({result.serialize() for result in results}) == 1
+        assert len(engine.plan_cache) == 1
+        prepared = engine.prepare(text)
+        override = prepared.execute(executor="threads:4", trace=True)
+        assert override.trace.root.attrs["plan-cache"] == "prepared"
+        assert override.strategy == results[0].strategy
 
     def test_explicit_parallel_strategy(self):
         engine = self.make_engine(wide_doc(100))
@@ -374,18 +384,12 @@ class TestEngineParallelStrategy:
         serial = engine.query("//book/title").items
         result = engine.query("//book/title", strategy="parallel",
                               executor="serial", trace=True)
-        assert "2 partitions" in engine.last_plan
+        assert "partition-parallel scan over 4 partitions" in result.plan
         assert [n.nid for n in result.items] == [n.nid for n in serial]
         spans = [span for _, span in result.trace.walk()
                  if span.name == "partition-scan"]
-        assert len(spans) == 2
+        assert len(spans) == 4
         assert {span.attrs["backend"] for span in spans} == {"threads"}
-
-    def test_auto_withdraws_for_partition_unsafe_plan(self):
-        engine = self.make_engine(wide_doc(600))
-        engine.query("/bib/shelf", executor="threads:4")
-        assert "withdrawn" in engine.last_plan
-        assert "PL004" in engine.last_plan
 
     def test_explicit_parallel_refused_with_pl004(self):
         engine = self.make_engine(wide_doc(100))
@@ -393,25 +397,23 @@ class TestEngineParallelStrategy:
             engine.query("/bib/shelf", strategy="parallel")
         assert "PL004" in excinfo.value.rule_ids
 
-    def test_plan_cache_keys_include_executor(self):
-        engine = self.make_engine(wide_doc(600))
-        engine.query("//book")
-        engine.query("//book")
-        engine.query("//book", executor="threads:4")  # distinct key: a miss
-        engine.query("//book", executor="threads:4")  # now a hit
-        stats = engine.plan_cache.stats()
-        assert stats["size"] >= 2
-
-    def test_prepared_query_pins_executor(self):
-        engine = self.make_engine(wide_doc(600))
-        prepared = engine.prepare("//book", executor="threads:4")
+    def test_prepared_query_pins_executor(self, pools):
+        engine = self.make_engine(wide_doc(600), pools)
+        prepared = engine.prepare("//book", strategy="parallel",
+                                  executor="threads:4")
         assert prepared.executor.key == "threads:4"
-        assert prepared.executor.parallelism == 4
-        parallel = prepared.execute().items
-        assert "parallel" in engine.last_plan
-        serial = prepared.execute(executor="serial").items
-        assert "parallel" not in engine.last_plan
-        assert [n.nid for n in serial] == [n.nid for n in parallel]
+        pinned = prepared.execute(trace=True)
+        # An override changes where the partitions run, not the plan.
+        override = prepared.execute(executor="processes:2", trace=True)
+        for result, backend, k in ((pinned, "threads", 4),
+                                   (override, "processes", 2)):
+            assert result.trace.root.attrs["plan-cache"] == "prepared"
+            assert result.strategy == "parallel"
+            spans = [span for _, span in result.trace.walk()
+                     if span.name == "partition-scan"]
+            assert [span.attrs["backend"] for span in spans] == [backend] * k
+        assert [n.nid for n in override.items] == \
+            [n.nid for n in pinned.items]
 
     def test_parallelism_kwarg_is_removed(self):
         # The one-release parallelism= → executor= shim is gone; the
@@ -425,12 +427,15 @@ class TestEngineParallelStrategy:
     def test_skewed_document_through_the_engine(self):
         engine = self.make_engine(skewed_doc(900))
         serial = engine.query("//item/name").items
-        parallel = engine.query("//item/name", executor="threads:4").items
-        assert "parallel" in engine.last_plan
-        assert [n.nid for n in serial] == [n.nid for n in parallel]
+        parallel = engine.query("//item/name", strategy="parallel",
+                                executor="threads:4")
+        assert parallel.strategy == "parallel"
+        assert [n.nid for n in serial] == [n.nid for n in parallel.items]
 
     def test_partition_spans_in_trace(self):
         engine = self.make_engine(wide_doc(600))
-        result = engine.query("//book", executor="threads:4", trace=True)
+        result = engine.query("//book", strategy="parallel",
+                              executor="threads:4", trace=True)
+        assert result.strategy == "parallel"
         names = [span.name for _, span in result.trace.walk()]
         assert "partition-scan" in names

@@ -61,7 +61,8 @@ def scan_on(pools, doc, path_text, k=4):
 class TestWorkloadDifferential:
     """Every datagen workload query under all three backends, end to
     end through the engine (plan choice, scan, FLWOR pipeline,
-    serialization)."""
+    serialization): ``auto`` on the serial leg, ``strategy="parallel"``
+    (a partitioned scan, whatever the document size) on the other two."""
 
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_three_backends_serialize_identically(self, name):
@@ -73,11 +74,13 @@ class TestWorkloadDifferential:
                 engine = Engine(doc)
                 engine.scan_pools = pools
                 serial = engine.query(spec.text).serialize()
-                threads = engine.query(
-                    spec.text, executor="threads:2").serialize()
-                processes = engine.query(
-                    spec.text, executor="processes:2").serialize()
-                assert serial == threads == processes, (name, spec.text)
+                threads, processes = (
+                    engine.query(spec.text, strategy="parallel",
+                                 executor=executor)
+                    for executor in ("threads:2", "processes:2"))
+                assert threads.strategy == processes.strategy == "parallel"
+                assert serial == threads.serialize() \
+                    == processes.serialize(), (name, spec.text)
         finally:
             pools.close(wait=True)
 

@@ -135,7 +135,8 @@ class TestOptionValidation:
         # ...and the surface (the client's connection included) survives.
         assert len(surfaces[surface]()) == 3
 
-    @pytest.mark.parametrize("executor", ["gpu", "threads:x", "threads:0", 7])
+    @pytest.mark.parametrize("executor", ["gpu", "threads:x", "threads:0",
+                                          "serial:4", 7])
     def test_backend_argument_errors_are_usage_errors(self, executor):
         with pytest.raises(UsageError) as info:
             resolve_backend(executor)
@@ -250,17 +251,15 @@ class TestOneIdentity:
     def test_key_views_have_the_documented_contents(self):
         options = QueryOptions("auto", executor="threads:2")
         key = QueryKey(" //a  /b ", options)
-        assert key.plan(("fp",)) == ("//a /b", "auto", "threads:2", ("fp",))
-        assert (key.text, key.strategy, key.executor) == (
-            "//a /b", "auto", "threads:2")
-        assert key.coalescing("main") == ("main", "//a /b", "auto",
-                                          "threads:2")
-        assert key.result("main", 3) == ("main", 3, "//a /b", "auto",
-                                         "threads:2")
+        assert key.plan(("fp",)) == ("//a /b", "auto", ("fp",))
+        assert (key.text, key.strategy) == ("//a /b", "auto")
+        assert QueryKey.__slots__ == ("text", "strategy")
+        assert key.coalescing("main") == ("main", "//a /b", "auto")
+        assert key.result("main", 3) == ("main", 3, "//a /b", "auto")
         assert QueryKey(object(), options).text is None     # bypasses caches
 
-    def test_whitespace_variants_share_and_executor_separates(self,
-                                                              monkeypatch):
+    def test_whitespace_variants_and_executors_share_one_key(self,
+                                                             monkeypatch):
         lints = []
         monkeypatch.setattr(
             optimizer_mod, "analyze_query",
@@ -276,15 +275,15 @@ class TestOneIdentity:
             assert len(service.result_cache) == 1
             assert service.stats()["result_cache"]["hits"] == 2
 
-            service.query(self.VARIANTS[0], executor="threads:2")
-            assert len(engine.plan_cache) == 2
-            assert len(service.result_cache) == 2
-            # A new plan-cache key is a new compile and lints once — and
-            # replaying either key does not lint again.
-            assert len(lints) == 2
-            for executor in ("serial", "threads:2"):
+            # The executor is not part of the identity: no new plan,
+            # no new result, no second lint.
+            assert service.query(self.VARIANTS[0],
+                                 executor="threads:2").cached
+            for executor in ("serial", "threads:2", "processes:2"):
                 engine.query(self.VARIANTS[1], executor=executor)
-            assert len(lints) == 2
+            assert len(engine.plan_cache) == 1
+            assert len(service.result_cache) == 1
+            assert len(lints) == 1
 
     def test_coalescing_slot_follows_the_same_identity(self):
         from repro.serve.service import QueryService
@@ -294,8 +293,11 @@ class TestOneIdentity:
             slots = {service._request(text, None, QueryOptions()).slot
                      for text in self.VARIANTS}
             assert len(slots) == 1
+            assert service._request(
+                self.VARIANTS[0], None,
+                QueryOptions(executor="threads:2")).slot in slots
             other = service._request(
-                self.VARIANTS[0], None, QueryOptions(executor="threads:2"))
+                self.VARIANTS[0], None, QueryOptions("pipelined"))
             assert other.slot not in slots
             assert service._request(
                 self.VARIANTS[0], None, QueryOptions(trace=True)).slot is None

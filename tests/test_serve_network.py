@@ -423,6 +423,7 @@ class TestRobustness:
         ("executor", 7, "PROTOCOL"),
         ("executor", "gpu", "USAGE"),
         ("executor", "threads:0", "USAGE"),
+        ("executor", "serial:4", "USAGE"),
         ("doc", 5, "PROTOCOL"),
         ("params", [1], "PROTOCOL"),
     ], ids=lambda v: repr(v) if not isinstance(v, str) else v)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.engine.plancache import normalize_query_text
+from repro.engine.request import QueryKey, QueryOptions
 from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
@@ -360,9 +360,8 @@ class TestCacheLifecycle:
                 service.query(text)
             retired_id = service.catalog.current("main").snapshot_id
             assert len(storage) == len(queries)
-            stale_key = ("main", retired_id,
-                         normalize_query_text("//book/title"),
-                         "auto", "serial")
+            stale_key = QueryKey("//book/title", QueryOptions()).result(
+                "main", retired_id)
             assert storage.get(stale_key) is not None
 
             with service.updater() as up:
@@ -477,21 +476,25 @@ class TestParallelismAndIndexLifecycle:
     def test_parallel_request_bit_identical_to_serial(self):
         with QueryService(big_library(), workers=2) as service:
             serial = service.query("//book/title")
-            parallel = service.query("//book/title", executor="threads:4")
+            parallel = service.query("//book/title", strategy="parallel",
+                                     executor="threads:4")
+        assert parallel.result.strategy == "parallel"
         assert serial.snapshot_id == parallel.snapshot_id
         assert [n.nid for n in serial.items] == \
             [n.nid for n in parallel.items]
 
-    def test_result_cache_key_separates_executor(self):
+    def test_result_cache_key_ignores_executor(self):
+        # The executor decides where a scan runs, never what it answers
+        # (Theorem 1), so a result cached under one answers every other.
         with make_service(workers=1) as service:
             serial = service.query("//book/title")
-            parallel = service.query("//book/title", executor="threads:4")
-            again = service.query("//book/title", executor="threads:4")
-        assert not serial.cached
-        # A serially-computed cached result must not answer a request
-        # asking for a different execution backend: the keys differ.
-        assert not parallel.cached
-        assert again.cached
+            threads = service.query("//book/title", executor="threads:4")
+            parallel = service.query("//book/title", strategy="parallel",
+                                     executor="processes:2")
+            again = service.query("//book/title", strategy="parallel",
+                                  executor="threads:4")
+        assert not serial.cached and threads.cached
+        assert not parallel.cached and again.cached    # strategy separates
         assert [n.nid for n in serial.items] == \
             [n.nid for n in parallel.items]
 
@@ -499,8 +502,10 @@ class TestParallelismAndIndexLifecycle:
         with QueryService(big_library(), workers=2) as service:
             plain, parallel = service.query_batch([
                 {"text": "//book/author"},
-                {"text": "//book/author", "executor": "threads:4"},
+                {"text": "//book/author", "strategy": "parallel",
+                 "executor": "threads:4"},
             ])
+        assert parallel.result.strategy == "parallel"
         assert [n.nid for n in plain.items] == \
             [n.nid for n in parallel.items]
 

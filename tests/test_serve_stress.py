@@ -9,8 +9,8 @@ or cache aliasing shows up as a serialization mismatch.
 ``REPRO_STRESS_SECONDS`` (default 5) bounds the wall time; CI runs the
 same test under ``PYTHONDEVMODE=1`` in the concurrency-smoke job.
 ``REPRO_STRESS_PARALLELISM`` > 1 makes every read request ask for
-intra-query partition-parallel scans over a larger corpus (the
-parallel-smoke job runs with 4): the serial-replay comparison then
+``strategy="parallel"`` on that many threads over a larger corpus (the
+scan-driver jobs run with 4): the serial-replay comparison then
 doubles as the Theorem-1 bit-identity check under concurrent publishes.
 """
 
@@ -25,6 +25,10 @@ from repro.xmlkit.tree import DocumentBuilder
 
 STRESS_SECONDS = float(os.environ.get("REPRO_STRESS_SECONDS", "5"))
 STRESS_PARALLELISM = int(os.environ.get("REPRO_STRESS_PARALLELISM", "1"))
+#: What every read asks for: partitioned scans, or the defaults.
+PARALLEL_OPTIONS = ({"strategy": "parallel",
+                     "executor": f"threads:{STRESS_PARALLELISM}"}
+                    if STRESS_PARALLELISM > 1 else {})
 N_WRITERS = 4
 N_READERS = 8
 
@@ -71,7 +75,7 @@ def elems(node, tag=None):
 def test_concurrent_readers_match_serial_replay_exactly():
     catalog = Catalog()
     # With intra-query parallelism requested, use a corpus big enough
-    # to clear the optimizer's parallel-scan threshold.
+    # for the partitioner to cut.
     catalog.register("main", build_library() if STRESS_PARALLELISM <= 1
                      else build_library(shelves=40, books=30))
     service = QueryService(catalog, workers=N_READERS,
@@ -111,9 +115,12 @@ def test_concurrent_readers_match_serial_replay_exactly():
             text = rng.choice(QUERIES)
             try:
                 served = service.query(
-                    text, timeout_ms=30_000,
-                    executor=f"threads:{STRESS_PARALLELISM}"
-                    if STRESS_PARALLELISM > 1 else None)
+                    text, timeout_ms=30_000, **PARALLEL_OPTIONS)
+                if PARALLEL_OPTIONS \
+                        and served.result.strategy != "parallel":
+                    violations.append(f"{text!r} ran "
+                                      f"{served.result.strategy}")
+                    return
                 # Differential check: replay serially on the *pinned*
                 # snapshot the service claims it used.  Snapshots are
                 # immutable, so the replay must be bit-identical.
