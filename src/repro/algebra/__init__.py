@@ -1,4 +1,10 @@
-"""Algebraic layer: NestedList ADT, Env and the σ the executor runs (Section 3)."""
+"""Algebraic layer: NestedList ADT, Env and the σ the executor runs (Section 3).
+
+The NestedList entries and the Env chain are what a query keeps alive
+from its match phase to its finish, so both hold as few Python objects
+as they can: a leaf entry shares one empty ``groups``, a binding is one
+slotted Env link.
+"""
 
 from repro.algebra.env import Env
 from repro.algebra.nested_list import NLEntry, project, project_entries, sexpr_sequence

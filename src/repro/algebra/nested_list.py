@@ -12,7 +12,9 @@ Each match entry (:class:`NLEntry`) holds the matched XML node and one
 group (Python list) per pattern child, which realizes exactly the
 paper's design: sibling pointers become list adjacency, child-pointer
 arrays become the per-child group lists, and the "pointer to the last
-child" becomes ``list.append``.  Insertions happen at group tails
+child" becomes ``list.append``.  An entry of a vertex without pattern
+children — most entries: every leaf match — shares one empty, immutable
+``groups`` instead of allocating its own.  Insertions happen at group tails
 during the depth-first scan, which is what makes projections
 document-ordered (Theorem 1).
 
@@ -22,7 +24,7 @@ The textual ``(a1,[(b1,()),...])`` rendering of Figure 4 is produced by
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.xmlkit.tree import Node
 from repro.pattern.blossom import BlossomVertex
@@ -37,7 +39,9 @@ class NLEntry:
     entries matched to ``vertex.children()[i]`` *within this match* —
     the paper's ``[]`` grouping.  Entries for non-kept vertices (purely
     existential subtrees) are represented by ``None`` placeholders to
-    save memory; their existence was verified during matching.
+    save memory; their existence was verified during matching.  With no
+    groups, ``groups`` is the shared empty tuple: replace it, never
+    append to it.
     """
 
     __slots__ = ("vertex", "node", "groups")
@@ -46,8 +50,8 @@ class NLEntry:
                  n_groups: int) -> None:
         self.vertex = vertex
         self.node = node
-        self.groups: list[list[NLEntry | None]] = (
-            [[] for _ in range(n_groups)] if n_groups else [])
+        self.groups: Sequence[list[NLEntry | None]] = (
+            [[] for _ in range(n_groups)] if n_groups else ())
 
     # ------------------------------------------------------------------
     # Navigation.

@@ -43,13 +43,13 @@ def _filter_entry(entry: NLEntry, target: BlossomVertex,
         if entry.node is not None and predicate(entry.node):
             return entry
         return None
-    copy = NLEntry(entry.vertex, entry.node, len(entry.groups))
+    copy = NLEntry(entry.vertex, entry.node, 0)
+    groups: list[list[NLEntry | None]] = []
     children = entry.vertex.children()
     for index, group in enumerate(entry.groups):
         child_vertex = children[index] if index < len(children) else None
-        on_path = child_vertex is not None and _is_on_path(child_vertex, target)
-        if not on_path:
-            copy.groups[index] = list(group)
+        if child_vertex is None or not _is_on_path(child_vertex, target):
+            groups.append(list(group))
             continue
         new_group: list[NLEntry | None] = []
         for sub in group:
@@ -62,7 +62,9 @@ def _filter_entry(entry: NLEntry, target: BlossomVertex,
         edge = child_vertex.parent_edge
         if edge is not None and edge.mode == MODE_MANDATORY and not new_group:
             return None
-        copy.groups[index] = new_group
+        groups.append(new_group)
+    if groups:
+        copy.groups = groups
     return copy
 
 

@@ -301,24 +301,30 @@ class FLWORExecutor:
             envs = self._bind_phase(program, dec, matches, span)
 
         # Finish: where verification, order by, return construction.
+        # Without order by a tuple is emitted as soon as where accepts
+        # it, so its variable mapping dies with it.
         with self.tracer.span("finish-phase") as span:
             where, order, emit = program.where, program.order, program.emit
             item, resolve = self.doc.document_node, self.resolve_doc
-            surviving: list[dict] = []
+            items: list[Item] = []
+            survivors = 0
+            to_sort: list[dict] = []
             for env in envs:
                 self.counters.comparisons += 1
                 merged = {**base, **env.as_variables()} if base \
                     else env.as_variables()
                 if where is None or where(item, merged, resolve):
-                    surviving.append(merged)
+                    survivors += 1
+                    if order:
+                        to_sort.append(merged)
+                    else:
+                        items.extend(emit(self._direct, merged))
             if order:
-                surviving = sort_tuples(surviving, lambda merged: [
-                    order_key(key(item, merged, resolve), descending)
-                    for key, descending in order])
-            items: list[Item] = []
-            for merged in surviving:
-                items.extend(emit(self._direct, merged))
-            span.set(surviving=len(surviving), items=len(items),
+                for merged in sort_tuples(to_sort, lambda merged: [
+                        order_key(key(item, merged, resolve), descending)
+                        for key, descending in order]):
+                    items.extend(emit(self._direct, merged))
+            span.set(surviving=survivors, items=len(items),
                      where_conjuncts=program.where_conjuncts,
                      constructed=sum(type(item) is Constructed
                                      for item in items))
@@ -548,10 +554,10 @@ class FLWORExecutor:
             outer, envs = envs, []
             for env in outer:
                 candidates = fixed if fixed is not None else self._candidates(
-                    env.anchors.get(anchor, []), hops)  # type: ignore[arg-type]
+                    env.anchor(anchor), hops)  # type: ignore[arg-type]
                 if join is not None:
                     hits = [table[key] for key in _join_keys(
-                        env.anchors[join.probe][0], join.probe_side)
+                        env.anchor(join.probe)[0], join.probe_side)
                         if key in table]
                     candidates = [candidates[position] for position in (
                         hits[0] if len(hits) == 1

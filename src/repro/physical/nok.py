@@ -184,14 +184,20 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
     never = 1 << len(local)  # a predecessor that is no local sibling
     mandatory = 0
     # Per edge: tag, (group index, child matcher, its bit, the bit that
-    # must be set first, returning).
-    edges = []
+    # must be set first, returning).  An existential child without
+    # tests or local children has no matcher (``None``): the tag test
+    # that selected the edge is its whole match, so the edge's one
+    # comparison is charged, its bit set and nothing is built.
+    edges: list[tuple[str, tuple[int, Matcher | None, int, int, bool]]] = []
     for index, edge in local:
         child = edge.child
         if edge.mode == MODE_MANDATORY:
             mandatory |= bit_of[child.vid]
+        leaf = not child.returning and not child.value_predicates \
+            and all(sub.cut for sub in child.child_edges)
         edges.append((child.name, (
-            index, compile_matcher(child), bit_of[child.vid],
+            index, None if leaf else compile_matcher(child),
+            bit_of[child.vid],
             0 if child.after_vid is None
             else bit_of.get(child.after_vid, never), child.returning)))
     # One lookup per child element instead of a loop over the pattern
@@ -223,6 +229,9 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                 continue
             for index, child_match, bit, _after, returning in applicable:
                 counters.comparisons += 1
+                if child_match is None:
+                    matched |= bit
+                    continue
                 sub = child_match(child_node, counters, variables)
                 if sub is None:
                     continue
@@ -273,13 +282,14 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                 if after and not before & after:
                     continue
                 counters.comparisons += 1
-                sub = child_match(child_node, counters, variables)
-                if sub is None:
-                    continue
+                if child_match is not None:
+                    sub = child_match(child_node, counters, variables)
+                    if sub is None:
+                        continue
+                    if returning:
+                        groups[index].append(sub)
                 matched |= bit
                 positions.setdefault(bit, []).append(position)
-                if returning:
-                    groups[index].append(sub)
         if matched & mandatory != mandatory:
             return None
         for predecessor, successor in ordered:

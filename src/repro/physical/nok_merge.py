@@ -59,6 +59,8 @@ def relabel_twins(twins: list[NoKTree],
 def _relabel(entry: NLEntry, vertex: BlossomVertex) -> NLEntry:
     """A copy of ``entry`` over the equal-shaped subtree at ``vertex``."""
     copy = NLEntry(vertex, entry.node, 0)
+    if not entry.groups:
+        return copy  # a leaf match: the shared empty groups
     copy.groups = [[None if sub is None else _relabel(sub, edge.child)
                     for sub in group]
                    for group, edge in zip(entry.groups, vertex.child_edges)]

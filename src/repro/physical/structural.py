@@ -69,8 +69,14 @@ def left_projection(left_entries: Iterable[NLEntry], edge: InterEdge) -> list[No
     the cost is counted against the operators that need it.)
     """
     nodes: list[Node] = []
+    parent = edge.parent
     for entry in left_entries:
-        nodes.extend(project(entry, edge.parent))
+        if entry.vertex is parent:
+            # The entry is the u match itself: no projection lists.
+            if entry.node is not None:
+                nodes.append(entry.node)
+        else:
+            nodes.extend(project(entry, parent))
     nodes.sort(key=lambda n: n.nid)
     out: list[Node] = []
     last = -1

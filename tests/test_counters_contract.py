@@ -359,3 +359,100 @@ def test_a_document_version_builds_its_postings_once():
     scan_range(named_noks("for $x in //*, $y in //a return $x"), fresh,
                ScanCounters(), None, 0, None, {})
     assert builds.value() == before + 1
+
+
+# ----------------------------------------------------------------------
+# The allocation contract: what the match phase builds, and so what a
+# query keeps alive until its finish.
+# ----------------------------------------------------------------------
+
+from collections import Counter  # noqa: E402
+
+from repro.algebra.nested_list import NLEntry  # noqa: E402
+from repro.algebra.operators import select  # noqa: E402
+from repro.physical import nok as nok_module  # noqa: E402
+from repro.physical.nok_merge import merged_scan  # noqa: E402
+from repro.physical.process_scan import (  # noqa: E402
+    _decode_match_list, _encode_match_list)
+
+#: Four ``book`` candidates, three with an ``author``; five ``title``s.
+#: (``title`` is the last pattern child in every query below.)
+SHELF = ("<lib><book><author>a</author><title>t1</title></book>"
+         "<book><title>t2</title></book>"
+         "<book><author>b</author><author>c</author>"
+         "<title>t3</title><title>t4</title></book>"
+         "<shelf><book><author>d</author><title>t5</title></book></shelf>"
+         "</lib>")
+
+
+def titles_of(books):
+    return [[sub.node.string_value()
+             for sub in book.groups[-1]] for book in books]
+
+
+def test_leaf_entries_share_one_empty_groups():
+    doc = parse(SHELF)
+    (nok,) = named_noks("for $t in //book/title return $t")
+    books = scan_range([nok], doc, ScanCounters(), None, 0, None, {})[
+        nok.nok_id]
+    leaves = [title for book in books for title in book.groups[0]]
+    assert len(leaves) == 5
+    assert all(leaf.groups is leaves[0].groups for leaf in leaves)
+    assert leaves[0].groups == ()
+    # σ copies an entry without touching the shared leaf groups.
+    kept = select(books, nok.root.children()[0],
+                  lambda node: node.string_value() != "t3")
+    assert titles_of(kept) == [["t1"], ["t2"], ["t4"], ["t5"]]
+    assert all(title.groups == () for book in kept
+               for title in book.groups[0])
+    # The process-scan wire format decodes leaves onto the shared groups.
+    decoded = _decode_match_list(nok.root, _encode_match_list(books),
+                                 doc.nodes)
+    assert titles_of(decoded) == titles_of(books)
+    assert all(title.groups is leaves[0].groups for book in decoded
+               for title in book.groups[0])
+
+
+def test_twin_relabel_copies_leaves_without_recursing():
+    doc = parse(SHELF)
+    noks = named_noks("for $a in //book/title, $b in //book/title "
+                      "return $a")
+    first, twin = noks
+    assert twin.twin_of == first.nok_id
+    results = merged_scan(noks, doc, variables={})
+    original, relabelled = results[first.nok_id], results[twin.nok_id]
+    assert titles_of(relabelled) == titles_of(original)
+    for book in relabelled:
+        assert book.vertex is twin.root
+        for title in book.groups[0]:
+            assert title.vertex is twin.root.children()[0]
+            assert title.groups == ()
+    assert not {id(t) for b in original for t in b.groups[0]} & \
+        {id(t) for b in relabelled for t in b.groups[0]}
+
+
+def test_match_phase_builds_no_entry_for_an_existential_leaf(monkeypatch):
+    """On ``//book[author]/title`` the scan builds one entry per
+    ``book`` it tries and one per ``title`` below it, none for the
+    existential ``author``.
+
+    Counter contract (ROADMAP item 5): charging does not change — the
+    ``comparisons`` literal is what the matcher that called a child
+    matcher per ``author`` counted."""
+    built: Counter = Counter()
+
+    class CountingEntry(NLEntry):
+        __slots__ = ()
+
+        def __init__(self, vertex, node, n_groups):
+            built[vertex.name] += 1
+            super().__init__(vertex, node, n_groups)
+
+    monkeypatch.setattr(nok_module, "NLEntry", CountingEntry)
+    doc = parse(SHELF)
+    (nok,) = named_noks("for $t in //book[author]/title return $t")
+    counters = ScanCounters()
+    books = scan_range([nok], doc, counters, None, 0, None, {})[nok.nok_id]
+    assert titles_of(books) == [["t1"], ["t3", "t4"], ["t5"]]
+    assert built == {"book": 4, "title": 5}
+    assert counters.comparisons == 9  # 4 authors + 5 titles offered

@@ -79,29 +79,36 @@ class TestEnv:
         base = Env()
         entry = self._entry(small_bib, "book")
         bound = base.bind_for("b", entry)
-        assert "b" not in base.values
-        assert bound.values["b"] == [entry.node]
-        assert bound.anchors["b"] == [entry]
+        assert base.as_variables() == {}
+        assert base.anchor("b") == []
+        assert bound.parent is base
+        assert bound.as_variables() == {"b": [entry.node]}
+        assert bound.anchor("b") == [entry]
 
     def test_bind_let_empty_sequence(self, small_bib):
         env = Env().bind_let("a", [])
-        assert env.values["a"] == []
-        assert env.node_of("a") is None
+        assert env.as_variables() == {"a": []}
+        assert env.anchor("a") == []
 
-    def test_node_of(self, small_bib):
+    def test_for_variable_reads_its_node(self, small_bib):
         entry = self._entry(small_bib, "title", 1)
         env = Env().bind_for("t", entry)
-        assert env.node_of("t").string_value() == "Data on the Web"
+        [node] = env.as_variables()["t"]
+        assert node.string_value() == "Data on the Web"
 
     def test_as_variables_shape(self, small_bib):
         entry = self._entry(small_bib, "price")
         env = Env().bind_for("p", entry).bind_let("q", [entry])
         variables = env.as_variables()
-        assert set(variables) == {"p", "q"}
-        assert variables["p"] == variables["q"]
+        assert list(variables) == ["p", "q"]
+        assert variables["p"] == variables["q"] == [entry.node]
+        assert env.anchor("q") == [entry]
+        assert variables is not env.as_variables()  # a fresh dict per read
 
     def test_rebinding_shadows(self, small_bib):
         first = self._entry(small_bib, "book", 0)
         second = self._entry(small_bib, "book", 1)
         env = Env().bind_for("b", first).bind_for("b", second)
-        assert env.values["b"] == [second.node]
+        assert env.as_variables() == {"b": [second.node]}
+        assert env.anchor("b") == [second]
+        assert env.parent.anchor("b") == [first]

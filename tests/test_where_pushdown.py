@@ -229,9 +229,15 @@ def check_example(db, text: str, params: dict | None = None,
 
 
 #: Per document: literal texts, parameterised texts (each run under all
-#: ten bindings) and two-variable texts — 24 × (14 + 7 × 10 + 6) =
-#: 2,160 examples.
+#: ten bindings), two-variable texts and the streamed-finish text — 24 ×
+#: (14 + 7 × 10 + 6 + 1) = 2,184 examples.
 N_DOCUMENTS, N_LITERAL, N_LATE, N_JOIN = 24, 14, 7, 6
+
+#: Two for-variables, a where whose ``<<`` rejects tuples in the finish,
+#: a constructor return and no order by: the finish emits each tuple as
+#: the where accepts it, which must be the oracle's order.
+STREAMED = ("for $s in //shelf, $b in //book[title] where $s << $b "
+            "and $b/price > 1 return <p>{$s/@genre}{$b/title}</p>")
 
 
 @pytest.mark.parametrize("seed", range(N_DOCUMENTS))
@@ -252,6 +258,13 @@ def test_generated_where_differential(seed):
             if swapped is not None:
                 assert outcome(lambda: db.query(swapped)) == \
                     outcome(lambda: db.query(text)), (text, swapped)
+        expected = check_example(db, STREAMED)
+        trace = db.query(STREAMED, trace=True).trace
+        bind = trace.find("bind-phase").attrs
+        finish = trace.find("finish-phase").attrs
+        assert 0 < finish["surviving"] < bind["tuples"]
+        assert finish["items"] == finish["constructed"] \
+            == finish["surviving"] == expected.count("<p>")
 
 
 # ----------------------------------------------------------------------
