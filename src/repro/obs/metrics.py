@@ -84,7 +84,8 @@ splits of skewed documents) and :mod:`repro.physical.parallel_scan`
 (per-partition scan tasks and single-partition fallbacks to the serial
 scan); ``repro_tag_index_builds_total`` counts full-document tag-index
 materializations — a document version owns one index
-(``doc.derived``), so this should rise at most once per version.
+(``doc.derived``), built at most once, and a version whose predecessor
+had one inherits it patched, so a commit adds none.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ isolation:
   publishes the fork as the next snapshot atomically under the catalog
   lock — the only synchronization point; it covers dictionary work
   and is never held during query execution or an O(n) pass (statistics,
-  summary, tag index: ``snapshot.doc.derived``, built by first reader);
+  summary, tag index: ``snapshot.doc.derived``, carried forward by the
+  batch or built by first reader);
 * a snapshot with no pins that is no longer current is **retired**: its
   engine is released (and refuses every later call), its document's
   derived state is dropped, and retire listeners fire (the query

@@ -16,18 +16,23 @@ document at all:
   to the private fork, and publishes the fork as a *new* snapshot on
   commit — in-flight queries keep reading their pinned snapshot.
 
-The fork is asymptotically free: the in-place updater already pays a
-full O(n) arena rebuild per operation to recompute region labels, so
-copying the arena once per *batch* costs the same order of work while
-buying lock-free readers.  Tag names, text and attribute values are
-immutable Python strings shared by reference between versions.
+The fork is the one O(n) step of a batch: each operation then shifts
+only the labels after its splice point and patches the derived state,
+and the fork copies the node arena once per *batch* to buy lock-free
+readers.  It starts with what the base has computed — the summary
+object, the postings mapped onto the clones, every node's cached string
+value — so a commit rebuilds nothing the update did not change.  Tag
+names, text and attribute values are immutable Python strings shared
+by reference between versions.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from types import TracebackType
 
+from repro.xmlkit.derived import carry_fork
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.tree import Document, Node
 from repro.xmlkit.update import DocumentUpdater, UpdateReport
@@ -38,10 +43,11 @@ __all__ = ["Snapshot", "SnapshotUpdater", "fork_document"]
 def fork_document(doc: Document) -> Document:
     """Deep-copy a document, preserving every label verbatim.
 
-    Unlike :class:`~repro.xmlkit.update.DocumentUpdater`'s rebuild this
-    never recomputes labels — nids, regions and levels are copied, so
-    the fork is indistinguishable from the original (the snapshot tests
-    assert byte-identical serialization) at one O(n) pass.
+    Nids, regions, levels and cached string values are copied, so the
+    fork is indistinguishable from the original (the snapshot tests
+    assert byte-identical serialization) at one O(n) pass; the summary
+    and postings the original has built carry over
+    (:func:`~repro.xmlkit.derived.carry_fork`).
     """
     fork = Document()
     src_nodes = doc.nodes
@@ -50,6 +56,7 @@ def fork_document(doc: Document) -> Document:
     doc_node.start = src_nodes[0].start
     doc_node.end = src_nodes[0].end
     doc_node.level = src_nodes[0].level
+    doc_node._string_value = src_nodes[0]._string_value
     # Pre-order arena: every parent precedes its children, so the
     # parent's clone always exists by the time a child is copied.
     for src in src_nodes[1:]:
@@ -59,6 +66,7 @@ def fork_document(doc: Document) -> Document:
         clone.start = src.start
         clone.end = src.end
         clone.level = src.level
+        clone._string_value = src._string_value
         assert src.parent is not None
         parent = clones[src.parent.nid]
         clone.parent = parent
@@ -67,6 +75,7 @@ def fork_document(doc: Document) -> Document:
         fork.nodes.append(clone)
     if doc.root is not None:
         fork.root = clones[doc.root.nid]
+    carry_fork(doc, fork, clones)
     return fork
 
 
@@ -181,7 +190,9 @@ class SnapshotUpdater:
     def __enter__(self) -> SnapshotUpdater:
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 exc: BaseException | None,
+                 tb: TracebackType | None) -> None:
         if self._done:
             return
         if exc_type is None:

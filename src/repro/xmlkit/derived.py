@@ -2,13 +2,16 @@
 
 The structural summary (which carries the statistics), tag postings and
 the arena file are materialised views of one document version (the
-paper's Section-2.1 update problem).  They hang off ``doc.derived``,
-are each built by their first reader and at most once per version — a
-race builds an equal value twice; only the arena file write takes a
-lock, because a second file would leak — and
-:meth:`Document.drop_derived` drops them all.  Holders key memos on the
-*identity* of this object, so they have nothing to clear.  DESIGN.md
-("Derived state") has the table of builders and readers.
+paper's Section-2.1 update problem).  They hang off ``doc.derived``.
+A version *inherits* the summary and the postings its predecessor had
+built: a fork takes them over (:func:`carry_fork`), and each update
+patches them (:func:`carry_splice`).  Whatever was not inherited is
+built by its first reader — a race builds an equal value twice; only
+the arena file write takes a lock, because a second file would leak.
+:meth:`Document.drop_derived` drops them all.  Every version gets a new
+state object, and holders key memos on the *identity* of this object,
+so they have nothing to clear.  DESIGN.md ("Derived state") has the
+table of builders and readers.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from repro.xmlkit.arena import DocumentArena
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.summary import StructuralSummary, build_summary
-from repro.xmlkit.tree import Document
+from repro.xmlkit.tree import ELEMENT, Document, Node
 
-__all__ = ["DerivedState"]
+__all__ = ["DerivedState", "carry_fork", "carry_splice"]
 
 _arena_lock = threading.Lock()
 
@@ -41,8 +44,8 @@ class DerivedState:
 
     @property
     def summary(self) -> StructuralSummary:
-        """The DataGuide and the statistics: the version's one O(n)
-        structural pass."""
+        """The DataGuide and the statistics: inherited from the previous
+        version, else the version's one O(n) structural pass."""
         if self._dataguide is None:
             self._dataguide = build_summary(self.doc)
         return self._dataguide
@@ -79,3 +82,44 @@ class DerivedState:
                 os.unlink(path)
             except OSError:
                 pass
+
+
+def carry_fork(base: Document, fork: Document, clones: list[Node]) -> None:
+    """Start ``fork``, a copy of ``base`` whose node ``nid`` is
+    ``clones[nid]``, with the summary and postings ``base`` has built.
+
+    Read now: ``base`` drops its state when it retires.  The summary is
+    shared (never mutated; a patch copies), the postings are remapped.
+    """
+    state = base._derived
+    if state is None:
+        return
+    carried = DerivedState(fork)
+    carried._dataguide = state._dataguide
+    if state.index.built:
+        carried.index = state.index.remapped(fork, clones)
+    fork._derived = carried
+
+
+def carry_splice(doc: Document, parent: Node, run: list[Node],
+                 sign: int) -> bool:
+    """Replace ``doc``'s state by its patched successor after the
+    pre-order ``run`` of one subtree was spliced in (``sign`` 1) or cut
+    out (-1) under ``parent`` and the document relabeled.
+
+    The old state (and its arena file) is dropped.  Nothing is carried
+    over a splice under the document node, and a summary past the path
+    cap is rebuilt by the next reader.  Returns whether the old state
+    had materialised postings: the ones this update maintained.
+    """
+    state = doc._derived
+    maintained = doc.drop_derived()
+    if state is None or parent.kind != ELEMENT:
+        return maintained
+    carried = DerivedState(doc)
+    if state._dataguide is not None:
+        carried._dataguide = state._dataguide.patched(parent, run, sign)
+    if maintained:
+        carried.index = state.index.patched(run, sign)
+    doc._derived = carried
+    return maintained

@@ -15,7 +15,10 @@ open label path by ``node.level``.  The same loop fills the exact
 document aggregates (:class:`~repro.xmlkit.stats.DocumentStats`: tag
 histogram, depths, per-tag subtree sizes, recursion degree), carried as
 :attr:`StructuralSummary.stats`.  Only the path table is capped at
-:data:`MAX_PATHS`; the aggregates are per node and stay exact.
+:data:`MAX_PATHS`; the aggregates are per node and stay exact.  An
+update does not rebuild: :meth:`StructuralSummary.patched` runs the same
+loop over the spliced subtree alone and moves a copy of the summary by
+it, equal to a rebuild in every field and in the digest.
 
 The path table is strictly **conservative**: every query helper answers
 ``True`` ("may occur") unless the summary proves absence.  Wildcard and
@@ -32,10 +35,11 @@ plan-cache key.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.xmlkit.stats import DocumentStats
-from repro.xmlkit.tree import ELEMENT, Document
+from repro.xmlkit.tree import ELEMENT, Document, Node
 
 __all__ = ["MAX_PATHS", "PathInfo", "StructuralSummary", "build_summary"]
 
@@ -60,6 +64,10 @@ class PathInfo:
     children: set[str] = field(default_factory=set)
     #: Attribute names observed on elements at this path.
     attributes: set[str] = field(default_factory=set)
+    #: Attribute name -> elements at this path carrying it (what lets a
+    #: deletion retract a name from :attr:`attributes`).
+    attr_counts: dict[str, int] = field(default_factory=dict,
+                                        compare=False, repr=False)
 
 
 @dataclass
@@ -79,6 +87,11 @@ class StructuralSummary:
     truncated: bool = False
     #: Exact per-document aggregates, never truncated.
     stats: DocumentStats = field(default_factory=DocumentStats)
+    #: The integer sums behind :attr:`stats`' two means (element depths;
+    #: per-tag subtree sizes), kept so a patch can move them exactly.
+    depth_sum: int = field(default=0, compare=False, repr=False)
+    subtree_totals: dict[str, int] = field(default_factory=dict,
+                                           compare=False, repr=False)
 
     #: label → labels observed as its direct parent (:data:`DOC_LABEL`
     #: for root-level elements).
@@ -90,7 +103,8 @@ class StructuralSummary:
     #: label → attribute names ever observed on an element of that label.
     label_attributes: dict[str, set[str]] = field(init=False,
                                                   default_factory=dict)
-    _digest: str | None = field(init=False, default=None, repr=False)
+    _digest: str | None = field(init=False, default=None, repr=False,
+                                compare=False)
 
     def __post_init__(self) -> None:
         for path, info in self.paths.items():
@@ -181,6 +195,94 @@ class StructuralSummary:
             self._digest = hasher.hexdigest()
         return self._digest
 
+    # -- maintenance ----------------------------------------------------
+
+    def patched(self, parent: Node, run: list[Node], sign: int
+                ) -> StructuralSummary | None:
+        """This summary after the pre-order ``run`` of one subtree was
+        spliced in under the element ``parent`` (``sign`` 1) or cut out
+        from under it (``sign`` -1; its labels are the pre-cut ones).
+
+        :func:`_scan` tallies the run alone, with ``parent``'s label
+        path as its prefix, and the tally moves a copy of this summary
+        that shares every :class:`PathInfo` the run does not touch.  A
+        path left with no element goes, with its tag from its parent's
+        children; only then are the maximum depth and the recursion
+        degree recomputed, over the path table (an element's level is
+        its label path's length).  ``None`` when only a rebuild can
+        say: this table or the patched one is past :data:`MAX_PATHS`.
+        """
+        if self.truncated:
+            return None
+        tags: list[str] = []
+        node: Node | None = parent
+        while node is not None and node.kind == ELEMENT:
+            tags.append(node.tag)  # type: ignore[arg-type]
+            node = node.parent
+        prefix = tuple(reversed(tags))
+        # A run has no more distinct paths than nodes: never truncated.
+        delta = _scan(run, [prefix] * (parent.level + 1), len(run))
+        paths = dict(self.paths)
+        owned: dict[tuple[str, ...], PathInfo] = {}
+
+        def own(path: tuple[str, ...]) -> PathInfo:
+            info = owned.get(path)
+            if info is None:
+                base = paths.get(path) or PathInfo()
+                info = owned[path] = paths[path] = PathInfo(
+                    base.count, set(base.children), set(base.attributes),
+                    dict(base.attr_counts))
+            return info
+
+        emptied: list[tuple[str, ...]] = []
+        for path, moved in delta.paths.items():
+            info = own(path)
+            if not info.count:
+                own(path[:-1]).children.add(path[-1])
+            info.count += sign * moved.count
+            if moved.attr_counts:
+                counts = info.attr_counts
+                for name, count in moved.attr_counts.items():
+                    left = counts.get(name, 0) + sign * count
+                    if left:
+                        counts[name] = left
+                    else:
+                        del counts[name]
+                info.attributes = set(counts)
+            if not info.count:
+                emptied.append(path)
+        for path in emptied:        # pre-order: a parent path goes first
+            del paths[path]
+            if path[:-1] in paths:
+                own(path[:-1]).children.discard(path[-1])
+        if len(paths) > MAX_PATHS:
+            return None
+
+        stats = self.stats
+        histogram = dict(stats.tag_histogram)
+        totals = dict(self.subtree_totals)
+        for tag in prefix:      # every ancestor's subtree moved by the run
+            totals[tag] += sign * len(run)
+        for tag, count in delta.histogram.items():
+            left = histogram.get(tag, 0) + sign * count
+            if left:
+                histogram[tag] = left
+                totals[tag] = (totals.get(tag, 0)
+                               + sign * delta.subtree_totals[tag])
+            else:
+                del histogram[tag], totals[tag]
+        max_depth, degree = stats.max_depth, stats.recursion_degree
+        if sign > 0:
+            max_depth = max(max_depth, delta.max_depth)
+            degree = max(degree, delta.degree)
+        elif emptied:
+            max_depth = max(map(len, paths), default=0)
+            degree = max((path.count(path[-1]) for path in paths),
+                         default=0)
+        return _Tally(paths, histogram, totals,
+                      self.depth_sum + sign * delta.depth_sum, max_depth,
+                      degree, False).summary(stats.n_nodes + sign * len(run))
+
     def __len__(self) -> int:
         return len(self.paths)
 
@@ -193,20 +295,57 @@ class StructuralSummary:
 def build_summary(doc: Document, max_paths: int = MAX_PATHS
                   ) -> StructuralSummary:
     """Build the summary and the document statistics in one loop over
-    the pre-order node list.
+    the pre-order node list (:func:`_scan`)."""
+    n_nodes = doc.root.subtree_size() if doc.root is not None else 0
+    return _scan(doc.nodes, [()], max_paths).summary(n_nodes)
+
+
+@dataclass
+class _Tally:
+    """The integer aggregates of one pass over a pre-order node run."""
+
+    paths: dict[tuple[str, ...], PathInfo]
+    histogram: dict[str, int]
+    subtree_totals: dict[str, int]
+    depth_sum: int
+    max_depth: int
+    degree: int
+    truncated: bool
+
+    def summary(self, n_nodes: int) -> StructuralSummary:
+        histogram, totals = self.histogram, self.subtree_totals
+        n_elements = sum(histogram.values())
+        stats = DocumentStats(
+            n_nodes=n_nodes, n_elements=n_elements,
+            n_text=n_nodes - n_elements,
+            avg_depth=self.depth_sum / n_elements if n_elements else 0.0,
+            max_depth=self.max_depth, n_distinct_tags=len(histogram),
+            tag_histogram=histogram, recursive=self.degree > 1,
+            recursion_degree=self.degree,
+            tag_subtree_avg={tag: total / histogram[tag]
+                             for tag, total in totals.items()})
+        return StructuralSummary(paths=self.paths, truncated=self.truncated,
+                                 stats=stats, depth_sum=self.depth_sum,
+                                 subtree_totals=totals)
+
+
+def _scan(nodes: Iterable[Node], open_paths: list[tuple[str, ...]],
+          max_paths: int) -> _Tally:
+    """Tally the elements of a pre-order node run.
 
     ``open_paths[level]`` is the label path of the open element at that
-    level (the document node's is ``()``): a node at ``level`` closes
-    everything at or below it.  No stack of nodes and no recursion, so
-    arbitrarily deep documents cannot blow the interpreter stack.
+    level (the document node's is ``()``; a subtree's run starts with
+    its parent's path at every level above it): a node at ``level``
+    closes everything at or below it.  No stack of nodes and no
+    recursion, so arbitrarily deep documents cannot blow the
+    interpreter stack.
     """
     paths: dict[tuple[str, ...], PathInfo] = {}
     histogram: dict[str, int] = {}
     subtree_totals: dict[str, int] = {}
-    open_paths: list[tuple[str, ...]] = [()]
     depth_sum = max_depth = degree = 0
     truncated = False
-    for node in doc.nodes:
+    for node in nodes:
         if node.kind != ELEMENT:
             continue
         tag: str = node.tag  # type: ignore[assignment]
@@ -235,17 +374,13 @@ def build_summary(doc: Document, max_paths: int = MAX_PATHS
             if parent is not None:
                 parent.children.add(tag)
         info.count += 1
-        if node.attrs:
-            info.attributes.update(node.attrs)
-
-    n_elements = sum(histogram.values())
-    n_nodes = doc.root.subtree_size() if doc.root is not None else 0
-    stats = DocumentStats(
-        n_nodes=n_nodes, n_elements=n_elements, n_text=n_nodes - n_elements,
-        avg_depth=depth_sum / n_elements if n_elements else 0.0,
-        max_depth=max_depth, n_distinct_tags=len(histogram),
-        tag_histogram=histogram, recursive=degree > 1,
-        recursion_degree=degree,
-        tag_subtree_avg={tag: total / histogram[tag]
-                         for tag, total in subtree_totals.items()})
-    return StructuralSummary(paths=paths, truncated=truncated, stats=stats)
+        attrs = node.attrs
+        if attrs:
+            counts = info.attr_counts
+            for name in attrs:
+                counts[name] = counts.get(name, 0) + 1
+    for info in paths.values():
+        if info.attr_counts:
+            info.attributes = set(info.attr_counts)
+    return _Tally(paths, histogram, subtree_totals, depth_sum, max_depth,
+                  degree, truncated)

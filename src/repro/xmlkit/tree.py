@@ -381,7 +381,8 @@ class Document:
     @property
     def derived(self) -> DerivedState:
         """This version's statistics, summary, tag index and arena file
-        (:mod:`repro.xmlkit.derived`), each built on first read."""
+        (:mod:`repro.xmlkit.derived`), each inherited from the previous
+        version or built on first read."""
         state = self._derived
         if state is None:
             from repro.xmlkit.derived import DerivedState

@@ -10,22 +10,25 @@ approach discovers structure dynamically and pays nothing.
 This module provides subtree insertion and deletion over the tree
 model, with exact accounting of the relabeling work:
 
-* ``insert_subtree`` / ``delete_subtree`` splice a subtree in or out,
-  rebuild the node arena, and reassign pre-order ranks and region
-  labels from the update point onward;
+* ``insert_subtree`` / ``delete_subtree`` splice a subtree in or out
+  and shift the labels from the splice point onward;
 * before the splice, constructed results that still read this document
   by reference are copied out (:meth:`Document.materialise_readers`);
 * each operation returns an :class:`UpdateReport` with the number of
   nodes whose labels changed — the quantity the update-cost ablation
-  measures — and drops everything derived from the old version
-  (:meth:`Document.drop_derived`: statistics, summary, tag index, arena
-  file), so no holder can read a stale view and none has to be told.
+  measures — and replaces the document's derived state with a patched
+  successor (:func:`~repro.xmlkit.derived.carry_splice`: the summary
+  with its statistics, and the tag postings; the arena file goes), so
+  no holder can read a stale view and none has to be told.
 
-The implementation recomputes labels with a single pass from the
-splice point (labels before it are provably unchanged), which is the
-best a region-encoding scheme can do without gaps; the point of the
-ablation is precisely that this cost is linear in the document tail
-while navigational evaluation needs no maintenance at all.
+Labels are maintained in a single pass from the splice point (labels
+before it are provably unchanged): splicing ``k`` nodes in or out at
+pre-order position ``at`` moves every later node by ``±k`` in ``nid``
+and ``±2k`` in ``start`` and ``end``, and every ancestor's ``end`` by
+``±2k``.  That is the best a region-encoding scheme can do without
+gaps; the point of the ablation is precisely that this cost is linear
+in the document tail while navigational evaluation needs no
+maintenance at all.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import UpdateError
+from repro.xmlkit.derived import carry_splice
 from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, DocumentBuilder, Node
 
 __all__ = ["UpdateReport", "DocumentUpdater", "UpdateError"]
@@ -45,16 +49,16 @@ class UpdateReport:
     nodes_added: int = 0
     nodes_removed: int = 0
     nodes_relabeled: int = 0      # existing nodes whose (nid/start/end) changed
-    #: 1 when the replaced version had materialised its tag index (a
-    #: join-based query must rebuild it), else 0.
+    #: 1 when the replaced version had materialised its tag index (the
+    #: update maintained its postings), else 0.
     indexes_invalidated: int = 0
 
 
 class DocumentUpdater:
     """Applies structural updates to a document, maintaining labels.
 
-    Every update drops the document's derived state; its tag index must
-    be rebuilt before the next join-based query — the materialized-view
+    Every update gives the document a new derived state: the summary
+    and postings the old one had, patched — the materialized-view
     maintenance cost.
     """
 
@@ -84,17 +88,31 @@ class DocumentUpdater:
         holder.start_element("")
         holder.append(subtree_root)
         holder.end_element()
-        (copied,) = holder.finish().nodes[1].children
-        index = len(parent.children) if position is None else position
-        if not 0 <= index <= len(parent.children):
+        copy = holder.finish()
+        # The one copied subtree's nodes, in pre-order, under the "".
+        (copied,) = copy.nodes[1].children
+        run = copy.nodes[2:]
+        siblings = parent.children
+        index = len(siblings) if position is None else position
+        if not 0 <= index <= len(siblings):
             raise UpdateError(f"child position {position} out of range")
         self.doc.materialise_readers()
-        parent.children.insert(index, copied)
+        at = (siblings[index].nid if index < len(siblings)
+              else parent.nid + parent.subtree_size())
+        siblings.insert(index, copied)
         copied.parent = parent
-
-        report = UpdateReport(nodes_added=copied.subtree_size())
-        self._rebuild(report, first_dirty=parent)
-        return report
+        # Holder ids start at 2 and levels at 2; a region start is
+        # 2 * nid - level in any document, and a span does not move.
+        doc, shift = self.doc, parent.level - 1
+        for node in run:
+            span = node.end - node.start
+            node.doc = doc
+            node.nid += at - 2
+            node.level += shift
+            node.start = 2 * node.nid - node.level
+            node.end = node.start + span
+        return self._splice(UpdateReport(nodes_added=len(run)),
+                            parent, at, run, 1)
 
     def delete_subtree(self, node: Node) -> UpdateReport:
         """Remove ``node`` and its whole subtree from the document."""
@@ -106,65 +124,42 @@ class DocumentUpdater:
             raise UpdateError("cannot delete the document element")
         self.doc.materialise_readers()
         node.parent.children.remove(node)
-
-        report = UpdateReport(nodes_removed=node.subtree_size())
-        self._rebuild(report, first_dirty=node.parent)
-        return report
+        run = self.doc.nodes[node.nid:node.nid + node.subtree_size()]
+        return self._splice(UpdateReport(nodes_removed=len(run)),
+                            node.parent, node.nid, run, -1)
 
     # ------------------------------------------------------------------
     # Label maintenance.
     # ------------------------------------------------------------------
 
-    def _rebuild(self, report: UpdateReport, first_dirty: Node) -> None:
-        """Recompute nids, regions and levels; count changed labels.
+    def _splice(self, report: UpdateReport, parent: Node, at: int,
+                run: list[Node], sign: int) -> UpdateReport:
+        """Put ``run`` (``sign`` 1) at ``nid`` ``at``, or take it out
+        (-1); shift the tail after it and the ancestors' ends.
 
-        Everything strictly before the splice point in document order
-        keeps its labels; the splice point's ancestors keep ``start``
-        but change ``end`` — all of that falls out of one full pass
-        that simply compares old and new values.
-
-        The pass is a pre-order walk with an explicit stack (any depth).
-        The region counter steps once entering and once leaving a node,
-        so a node entered after ``nid`` entries and ``nid - level`` exits
-        (every earlier node but its ancestors) starts at ``2 * nid -
-        level``; a second, reverse pass ends each node one step after
-        its last child, or after its own start.  A node from another
-        document is an inserted copy: it has no old labels to compare.
+        The relabeled nodes are the tail (new ``nid`` and ``start``)
+        plus the ancestors, document node included (new ``end``; their
+        string values are the only ones the splice changes).
         """
         doc = self.doc
-        relabeled = 0
-        nodes: list[Node] = []
-        # Per node: one of this document's, with nid and start unchanged.
-        kept: list[bool] = []
-        stack = [doc.nodes[0]]
-        stack[0].level = 0
-        while stack:
-            node = stack.pop()
-            nid = len(nodes)
-            start = 2 * nid - node.level
-            ours = node.doc is doc
-            same = ours and node.nid == nid and node.start == start
-            if ours and not same:
-                relabeled += 1
-            kept.append(same)
-            node.nid = nid
-            node.doc = doc
-            node.start = start
-            node._string_value = None
-            nodes.append(node)
-            children = node.children
-            if children:
-                level = node.level + 1
-                for child in children:
-                    child.level = level
-                stack.extend(reversed(children))
-        for node, same in zip(reversed(nodes), reversed(kept)):
-            children = node.children
-            end = children[-1].end + 1 if children else node.start + 1
-            if same and node.end != end:
-                relabeled += 1
-            node.end = end
-        doc.nodes = nodes
-        doc.root = next((c for c in nodes[0].children if c.kind == ELEMENT), None)
-        report.indexes_invalidated = int(doc.drop_derived())
-        report.nodes_relabeled += relabeled
+        nodes = doc.nodes
+        moved = sign * len(run)
+        region = 2 * moved
+        tail = nodes[at:] if sign > 0 else nodes[at + len(run):]
+        for node in tail:
+            node.nid += moved
+            node.start += region
+            node.end += region
+        ancestors = 0
+        above: Node | None = parent
+        while above is not None:
+            above.end += region
+            above._string_value = None
+            ancestors += 1
+            above = above.parent
+        doc.nodes = nodes[:at] + run + tail if sign > 0 else nodes[:at] + tail
+        doc.root = next((c for c in doc.nodes[0].children
+                         if c.kind == ELEMENT), None)
+        report.nodes_relabeled = len(tail) + ancestors
+        report.indexes_invalidated = int(carry_splice(doc, parent, run, sign))
+        return report

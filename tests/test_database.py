@@ -34,9 +34,10 @@ class TestPersistence:
 
 class TestUpdateIntegration:
     def test_update_invalidates_index_and_stats_refresh(self):
-        """A committed batch is a new version: its fork has no tag index
-        to invalidate, and the next ``twigstack`` query builds the new
-        version's index exactly once."""
+        """A committed batch is a new version: its fork starts with the
+        base's postings and summary, the update maintains them (the
+        index it invalidates is the fork's), and no later ``twigstack``
+        query builds either."""
         from repro.obs.metrics import REGISTRY
         from repro.xmlkit import parse
 
@@ -44,14 +45,16 @@ class TestUpdateIntegration:
         db = Database.from_xml(SMALL_BIB)
         db.engine.index.build()
         before = len(db.query("//book", strategy="twigstack"))
+        built = builds.value()
         with db.updater() as up:
             report = up.insert_subtree(
                 db.doc.root, parse("<book><title>new</title></book>").root)
-        assert report.indexes_invalidated == 0
-        built = builds.value()
+        assert report.indexes_invalidated == 1
+        assert db.doc._derived._dataguide is not None
         for _ in range(2):
             assert len(db.query("//book", strategy="twigstack")) == before + 1
-        assert builds.value() == built + 1
+        assert builds.value() == built
+        assert db.doc_stats is db.doc.derived.summary.stats
 
     def test_stats_follow_a_committed_update(self):
         from repro.xmlkit import parse

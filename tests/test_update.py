@@ -1,9 +1,16 @@
-"""Tests for document updates and the index-invalidation contract."""
+"""Tests for document updates and the derived-state maintenance contract."""
+
+from functools import cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.datagen import DATASETS
 from repro.engine import Engine
+from repro.serve import Catalog
 from repro.xmlkit import TagIndex, parse, serialize
+from repro.xmlkit.summary import MAX_PATHS, build_summary
+from repro.xmlkit.tree import ELEMENT, Document, DocumentBuilder
 from repro.xmlkit.update import DocumentUpdater, UpdateError
 
 
@@ -105,8 +112,8 @@ class TestIndexInvalidation:
         report = updater.insert_subtree(doc.elements_by_tag("c")[0],
                                         parse("<y/>").root)
         assert report.indexes_invalidated == 1
-        # The document's index is a new one, rebuilt on demand with
-        # fresh content; an update that finds none built drops none.
+        # The document's index is a new one, its postings maintained by
+        # the update; an update that finds none built maintains none.
         assert doc.derived.index is not index
         assert doc.derived.index.cardinality("y") == 2
         doc.drop_derived()
@@ -126,3 +133,291 @@ class TestIndexInvalidation:
         # The node object survived but its labels moved: a join using
         # the stale list's cached order could now be wrong.
         assert index.built      # asserting staleness itself
+
+
+# ----------------------------------------------------------------------
+# Patched == rebuilt: the labels an update shifts and the derived state
+# it carries forward, against independent oracles after every operation.
+# ----------------------------------------------------------------------
+
+def reference_relabel(doc):
+    """The whole-document relabel: every nid, region and level from one
+    pre-order walk, then every end from a reverse one.  Returns how many
+    of the document's own nodes changed a label (an inserted copy has no
+    old labels to compare)."""
+    relabeled = 0
+    nodes, kept = [], []
+    stack = [doc.nodes[0]]
+    stack[0].level = 0
+    while stack:
+        node = stack.pop()
+        nid = len(nodes)
+        start = 2 * nid - node.level
+        ours = node.doc is doc
+        same = ours and node.nid == nid and node.start == start
+        if ours and not same:
+            relabeled += 1
+        kept.append(same)
+        node.nid, node.doc, node.start = nid, doc, start
+        node._string_value = None
+        nodes.append(node)
+        for child in node.children:
+            child.level = node.level + 1
+        stack.extend(reversed(node.children))
+    for node, same in zip(reversed(nodes), reversed(kept)):
+        children = node.children
+        end = children[-1].end + 1 if children else node.start + 1
+        if same and node.end != end:
+            relabeled += 1
+        node.end = end
+    doc.nodes = nodes
+    doc.root = next((c for c in nodes[0].children if c.kind == ELEMENT),
+                    None)
+    return relabeled
+
+
+def fragment(text):
+    """A subtree to insert: an element, or a bare text node."""
+    if text.startswith("<"):
+        return parse(text).root
+    return parse(f"<w>{text}</w>").root.children[0]
+
+
+def apply(updater, doc, op):
+    """One operation through the updater under test."""
+    if op[0] == "delete":
+        return updater.delete_subtree(doc.nodes[op[1]])
+    _, nid, text, position = op
+    return updater.insert_subtree(doc.nodes[nid], fragment(text), position)
+
+
+def apply_reference(ref, op):
+    """The same operation on a twin document, splice then full relabel:
+    ``(nodes_added, nodes_removed, nodes_relabeled)``."""
+    if op[0] == "delete":
+        node = ref.nodes[op[1]]
+        node.parent.children.remove(node)
+        return 0, node.subtree_size(), reference_relabel(ref)
+    _, nid, text, position = op
+    parent = ref.nodes[nid]
+    holder = DocumentBuilder()
+    holder.start_element("")
+    holder.append(fragment(text))
+    holder.end_element()
+    (copied,) = holder.finish().nodes[1].children
+    index = len(parent.children) if position is None else position
+    parent.children.insert(index, copied)
+    copied.parent = parent
+    return copied.subtree_size(), 0, reference_relabel(ref)
+
+
+def labels(doc):
+    return [(n.nid, n.kind, n.tag, n.text, n.attrs, n.start, n.end, n.level,
+             n.parent.nid if n.parent is not None else None)
+            for n in doc.nodes]
+
+
+def postings(index):
+    return {tag: index.nodes(tag) for tag in index.tags()}
+
+
+def assert_matches_rebuild(doc, ref):
+    assert labels(doc) == labels(ref)
+    assert all(node.doc is doc for node in doc.nodes)
+    assert doc.root is doc.nodes[0].children[0]
+    for node, twin in zip(doc.nodes, ref.nodes):   # no stale cached value
+        if node._string_value is not None:
+            assert node._string_value == twin.string_value()
+    summary, rebuilt = doc.derived.summary, build_summary(doc)
+    assert summary.paths.keys() == rebuilt.paths.keys()
+    for path, info in summary.paths.items():
+        assert vars(info) == vars(rebuilt.paths[path]), path
+    assert summary.truncated == rebuilt.truncated
+    assert summary.stats == rebuilt.stats
+    assert doc.derived.stats is summary.stats
+    assert (summary.depth_sum, summary.subtree_totals) == \
+        (rebuilt.depth_sum, rebuilt.subtree_totals)
+    assert (summary.parent_labels, summary.ancestor_labels,
+            summary.label_attributes) == (rebuilt.parent_labels,
+                                          rebuilt.ancestor_labels,
+                                          rebuilt.label_attributes)
+    assert summary.fingerprint() == rebuilt.fingerprint()
+    maintained = postings(doc.derived.index)
+    fresh = postings(TagIndex(doc).build())
+    assert maintained.keys() == fresh.keys()
+    for tag, nodes in maintained.items():
+        assert len(nodes) == len(fresh[tag]), tag
+        assert all(a is b for a, b in zip(nodes, fresh[tag])), tag
+    assert [n.string_value() for n in doc.nodes] == \
+        [n.string_value() for n in ref.nodes]
+
+
+def check(updater, doc, ref, op, carried=("summary", "postings")):
+    """Apply ``op`` to ``doc`` and its twin; assert which derived state
+    exists without a build (``carried``), then compare everything."""
+    before = doc._derived
+    maintained = int(before is not None and before.index.built)
+    report = apply(updater, doc, op)
+    added, removed, relabeled = apply_reference(ref, op)
+    assert (report.nodes_added, report.nodes_removed,
+            report.nodes_relabeled, report.indexes_invalidated) == \
+        (added, removed, relabeled, maintained)
+    state = doc._derived
+    assert ("summary" in carried) == (
+        state is not None and state._dataguide is not None)
+    assert ("postings" in carried) == (
+        state is not None and state.index.built)
+    assert_matches_rebuild(doc, ref)
+    return report
+
+
+def warm(doc):
+    doc.derived.summary
+    doc.derived.index.build()
+
+
+LIBRARY = ("<lib>" + "".join(
+    f'<shelf g="{s}">' + "".join(
+        f'<book id="b{s}{i}"><title>t{s}{i}</title><price>{i}</price></book>'
+        for i in range(3)) + "</shelf>" for s in range(3)) + "</lib>")
+FRAGMENTS = ('<book id="n"><title>new</title><price>5</price></book>',
+             '<note k="1"><note>deep</note></note>',
+             "<fresh/>",
+             '<a><a><b x="1">t</b></a></a>',
+             "loose text")
+
+
+@cache
+def shape_xml(shape):
+    """A library, a recursive (d1) and a deep (d4) document."""
+    if shape == "library":
+        return LIBRARY
+    return serialize(DATASETS[shape].generate(scale=0.005).root)
+
+
+def draw_op(data, doc):
+    deletable = [n for n in doc.nodes[1:] if n.parent.kind == ELEMENT]
+    if deletable and data.draw(st.booleans(), label="delete"):
+        return ("delete", data.draw(st.sampled_from(deletable)).nid)
+    parent = data.draw(st.sampled_from(
+        [n for n in doc.nodes if n.kind == ELEMENT]))
+    position = data.draw(st.one_of(
+        st.none(), st.integers(0, len(parent.children))), label="position")
+    return ("insert", parent.nid, data.draw(st.sampled_from(FRAGMENTS)),
+            position)
+
+
+GENERATED = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestPatchedEqualsRebuilt:
+    @pytest.mark.parametrize("shape", ["library", "d1", "d4"])
+    @GENERATED
+    @given(data=st.data())
+    def test_generated_in_place(self, shape, data):
+        doc, ref = parse(shape_xml(shape)), parse(shape_xml(shape))
+        warm(doc)
+        updater = DocumentUpdater(doc)
+        for _ in range(data.draw(st.integers(1, 6), label="operations")):
+            check(updater, doc, ref, draw_op(data, doc))
+
+    @pytest.mark.parametrize("shape", ["library", "d1", "d4"])
+    @GENERATED
+    @given(data=st.data())
+    def test_generated_snapshot_batches(self, shape, data):
+        catalog = Catalog()
+        catalog.register("doc", shape_xml(shape))
+        ref = parse(shape_xml(shape))
+        warm(catalog.current("doc").doc)
+        for _ in range(data.draw(st.integers(1, 3), label="batches")):
+            base = catalog.current("doc").doc
+            frozen = (labels(base), [n._string_value for n in base.nodes],
+                      base.derived.summary.fingerprint(),
+                      postings(base.derived.index))
+            batch = catalog.updater("doc")
+            # The fork starts with the base's state: the same summary,
+            # the postings on its clones, every cached string value.
+            assert batch.doc._derived._dataguide is base.derived.summary
+            assert all(n.doc is batch.doc for nodes in
+                       postings(batch.doc._derived.index).values()
+                       for n in nodes)
+            assert [n._string_value for n in batch.doc.nodes] == frozen[1]
+            for _ in range(data.draw(st.integers(1, 3), label="ops")):
+                check(batch, batch.doc, ref, draw_op(data, batch.doc))
+                assert (labels(base), [n._string_value for n in base.nodes],
+                        base.derived.summary.fingerprint(),
+                        postings(base.derived.index)) == frozen
+            batch.commit()
+            assert base._derived is None            # retired
+
+    @pytest.mark.parametrize("position", [0, 1, None])
+    def test_insert_at_start_middle_and_end(self, position):
+        doc, ref = parse(LIBRARY), parse(LIBRARY)
+        warm(doc)
+        shelf = doc.root.children[1]
+        report = check(DocumentUpdater(doc), doc, ref,
+                       ("insert", shelf.nid, FRAGMENTS[0], position))
+        assert report.nodes_added == 5
+
+    def test_an_emptied_path_takes_its_attribute_and_child_label(self):
+        xml = ('<lib><shelf><book x="1"><note k="1">n</note></book>'
+               '<book y="2"/></shelf></lib>')
+        doc, ref = parse(xml), parse(xml)
+        warm(doc)
+        updater = DocumentUpdater(doc)
+        book = ("lib", "shelf", "book")
+        check(updater, doc, ref, ("delete", doc.elements_by_tag("note")[0].nid))
+        summary = doc.derived.summary
+        assert book + ("note",) not in summary.paths
+        assert summary.paths[book].children == set()
+        assert not summary.label_occurs("note")
+        assert not summary.attr_occurs("note", "k")
+        # The path stays, one of its attributes goes with its only carrier.
+        check(updater, doc, ref, ("delete", doc.elements_by_tag("book")[0].nid))
+        assert doc.derived.summary.paths[book].attributes == {"y"}
+        assert doc.derived.summary.paths[book].attr_counts == {"y": 1}
+        assert not doc.derived.summary.attr_occurs("book", "x")
+
+    def test_recursion_degree_and_max_depth_fall(self):
+        xml = "<r><a><a><a><b/></a></a></a><b/></r>"
+        doc, ref = parse(xml), parse(xml)
+        warm(doc)
+        stats = doc.derived.stats
+        assert (stats.recursion_degree, stats.max_depth) == (3, 5)
+        check(DocumentUpdater(doc), doc, ref, ("delete", doc.root.children[0].nid))
+        stats = doc.derived.stats
+        assert (stats.recursion_degree, stats.max_depth, stats.recursive) \
+            == (1, 2, False)
+
+    def test_a_truncated_summary_is_rebuilt_by_the_next_reader(self):
+        # MAX_PATHS distinct paths: the table is full, not truncated.
+        xml = "<r>" + "".join(f"<t{i}/>" for i in range(MAX_PATHS - 1)) \
+            + "</r>"
+        doc, ref = parse(xml), parse(xml)
+        warm(doc)
+        assert not doc.derived.summary.truncated
+        updater = DocumentUpdater(doc)
+        for _ in range(2):   # past the cap, then from a truncated table
+            check(updater, doc, ref, ("insert", doc.root.nid,
+                                      "<fresh><more/></fresh>", 0),
+                  carried=("postings",))
+            assert doc.derived.summary.truncated
+
+    def test_a_splice_under_the_document_node_carries_nothing(self):
+        doc, ref = parse("<r><a/></r>"), parse("<r><a/></r>")
+        warm(doc)
+        updater = DocumentUpdater(doc)
+        check(updater, doc, ref, ("insert", 0, "loose text", None),
+              carried=())
+        warm(doc)
+        check(updater, doc, ref, ("delete", doc.nodes[-1].nid), carried=())
+        rootless = Document()
+        warm(rootless)
+        report = DocumentUpdater(rootless).insert_subtree(
+            rootless.document_node, parse("<r><a/></r>").root)
+        assert report.indexes_invalidated == 1 and rootless._derived is None
+        assert rootless.root.tag == "r"
+        # Equality ignores the memoised digest.
+        assert rootless.derived.summary.fingerprint()
+        assert rootless.derived.summary == build_summary(rootless)
