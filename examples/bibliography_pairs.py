@@ -32,7 +32,7 @@ def main() -> None:
         "for $t in //phdthesis where empty($t/school) return $t/title")
     for title in result.string_values():
         print("  missing school:", title)
-    print(f"  plan: {engine.last_plan}\n")
+    print(f"  plan: {result.plan}\n")
 
     print("== 2. Same-editor proceedings pairs (deep-equal correlation) ==")
     result = engine.query(

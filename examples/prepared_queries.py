@@ -67,7 +67,7 @@ def main() -> None:
     print(f"cache after three query() calls: {stats}")
 
     result = engine.query("//book[author]/title", trace=True)
-    span = engine.last_trace.root
+    span = result.trace.root
     print(f"query span plan-cache attribute: {span.attrs['plan-cache']}")
     print(f"titles: {result.string_values()}")
 

@@ -42,7 +42,7 @@ from repro.xmlkit.summary import DOC_LABEL, StructuralSummary
 from repro.xmlkit.tree import parse_number
 from repro.xpath.ast import (BooleanExpr, Comparison, Conditional, Expr,
                              FunctionCall, Literal, LocationPath, NameTest,
-                             NotExpr, NumberLiteral, RootContext, RootDoc,
+                             NotExpr, NumberLiteral, RootContext,
                              RootVariable, conjuncts)
 from repro.xquery.ast import FLWOR
 
@@ -51,12 +51,6 @@ __all__ = ["QueryLintResult", "analyze_query"]
 QUERYLINT_FINDINGS = REGISTRY.counter(
     "repro_querylint_findings_total",
     "Query-lint (QL) findings, labeled by rule ID")
-
-#: Label sentinel for variables bound inside a *foreign* pattern root —
-#: one whose ``doc("uri")`` resolves to a document other than the one
-#: the summary describes.  Paths rooted at such variables are never
-#: judged (the summary has no authority over other documents).
-_FOREIGN = "#foreign"
 
 
 @dataclass
@@ -86,55 +80,26 @@ class QueryLintResult:
 
 def analyze_query(tree: BlossomTree, summary: StructuralSummary,
                   flwor: FLWOR | None = None,
-                  source: str = "<query>",
-                  foreign_uris: frozenset[str] = frozenset()
-                  ) -> QueryLintResult:
+                  source: str = "<query>") -> QueryLintResult:
     """Run the QL passes; returns the findings and, when one proves
-    that no tuple can exist, the static-empty reason.
-
-    ``foreign_uris`` names documents *other than* the one ``summary``
-    describes (``Engine.documents`` entries): pattern roots bound to
-    them — and any path reaching into them — are exempt from every
-    check, because the summary cannot speak for their shape.
-    """
+    that no tuple can exist, the static-empty reason.  ``summary``
+    describes the one document every pattern root (``doc(uri)`` or
+    not) scans."""
     report = AnalysisReport(source=source)
     report.passes_run.append("query")
     empty: list[str] = []
-    foreign_vids = _foreign_vids(tree, foreign_uris)
-    var_labels = _variable_labels(tree, foreign_vids)
-    _vertex_pass(tree, summary, report, empty, foreign_vids)
+    _vertex_pass(tree, summary, report, empty)
     if flwor is not None:
-        _flwor_pass(flwor, summary, var_labels, foreign_uris, report, empty)
+        _flwor_pass(flwor, summary, _variable_labels(tree), report, empty)
     for finding in report.findings:
         QUERYLINT_FINDINGS.inc(rule=finding.rule_id)
     return QueryLintResult(report, empty[0] if empty else "")
 
 
-def _foreign_vids(tree: BlossomTree,
-                  foreign_uris: frozenset[str]) -> frozenset[int]:
-    """Vertex ids living under pattern roots of foreign documents."""
-    if not foreign_uris:
-        return frozenset()
-    vids: set[int] = set()
-    for root in tree.roots:
-        if (root.doc_uri or "") in foreign_uris:
-            vids.update(v.vid for v in tree.iter_subtree(root))
-    return frozenset(vids)
-
-
-def _variable_labels(tree: BlossomTree,
-                     foreign_vids: frozenset[int] = frozenset()
-                     ) -> dict[str, str | None]:
-    """Variable name → element label of its vertex (None if wildcard,
-    the :data:`_FOREIGN` sentinel for foreign-document bindings)."""
-    labels: dict[str, str | None] = {}
-    for name, vertex in tree.var_vertex.items():
-        if vertex.vid in foreign_vids:
-            labels[name] = _FOREIGN
-        else:
-            labels[name] = (vertex.name
-                            if vertex.name not in ("#root", "*") else None)
-    return labels
+def _variable_labels(tree: BlossomTree) -> dict[str, str | None]:
+    """Variable name → element label of its vertex (None if wildcard)."""
+    return {name: vertex.name if vertex.name not in ("#root", "*") else None
+            for name, vertex in tree.var_vertex.items()}
 
 
 # ----------------------------------------------------------------------
@@ -142,10 +107,9 @@ def _variable_labels(tree: BlossomTree,
 # ----------------------------------------------------------------------
 
 def _vertex_pass(tree: BlossomTree, summary: StructuralSummary,
-                 report: AnalysisReport, empty: list[str],
-                 foreign_vids: frozenset[int] = frozenset()) -> None:
+                 report: AnalysisReport, empty: list[str]) -> None:
     for vertex in tree.vertices:
-        if vertex.name == "#root" or vertex.vid in foreign_vids:
+        if vertex.name == "#root":
             continue
         unsat = _vertex_unsat(vertex, summary, report)
         if unsat is not None and _mandatory_to_root(vertex):
@@ -400,11 +364,9 @@ def _as_number(value: float | str | None) -> float | None:
 
 def _flwor_pass(flwor: FLWOR, summary: StructuralSummary,
                 var_labels: dict[str, str | None],
-                foreign_uris: frozenset[str],
                 report: AnalysisReport, empty: list[str]) -> None:
     if flwor.where is not None:
-        folded = _fold(flwor.where, summary, var_labels,
-                       foreign_uris=foreign_uris)
+        folded = _fold(flwor.where, summary, var_labels)
         if folded is False:
             reason = "where clause folds to constant false"
             report.add("QL004", "where", reason)
@@ -413,8 +375,7 @@ def _flwor_pass(flwor: FLWOR, summary: StructuralSummary,
             report.add("QL005", "where",
                        "where clause folds to constant true "
                        "(filters nothing)")
-    unsat = (_path_provably_empty(flwor.return_expr, summary, var_labels,
-                                  foreign_uris=foreign_uris)
+    unsat = (_path_provably_empty(flwor.return_expr, summary, var_labels)
              if isinstance(flwor.return_expr, LocationPath) else None)
     if unsat is not None:
         rule_id, reason = unsat
@@ -429,8 +390,7 @@ def _flwor_pass(flwor: FLWOR, summary: StructuralSummary,
 
 def _fold(expr: Expr, summary: StructuralSummary,
           var_labels: dict[str, str | None],
-          context_label: str | None = None,
-          foreign_uris: frozenset[str] = frozenset()) -> bool | None:
+          context_label: str | None = None) -> bool | None:
     """Effective-boolean-value folding; None when not statically known."""
     if isinstance(expr, Literal):
         return bool(expr.value)
@@ -443,17 +403,15 @@ def _fold(expr: Expr, summary: StructuralSummary,
             return False
         return None
     if isinstance(expr, LocationPath):
-        if _path_provably_empty(expr, summary, var_labels, context_label,
-                                foreign_uris) is not None:
+        if _path_provably_empty(expr, summary, var_labels,
+                                context_label) is not None:
             return False
         return None
     if isinstance(expr, NotExpr):
-        inner = _fold(expr.operand, summary, var_labels, context_label,
-                      foreign_uris)
+        inner = _fold(expr.operand, summary, var_labels, context_label)
         return None if inner is None else not inner
     if isinstance(expr, BooleanExpr):
-        folded = [_fold(op, summary, var_labels, context_label,
-                        foreign_uris)
+        folded = [_fold(op, summary, var_labels, context_label)
                   for op in expr.operands]
         if expr.op == "and":
             if any(value is False for value in folded):
@@ -468,29 +426,24 @@ def _fold(expr: Expr, summary: StructuralSummary,
         return None
     if isinstance(expr, Conditional):
         condition = _fold(expr.condition, summary, var_labels,
-                          context_label, foreign_uris)
+                          context_label)
         if condition is None:
             return None
         branch = expr.then_branch if condition else expr.else_branch
-        return _fold(branch, summary, var_labels, context_label,
-                     foreign_uris)
+        return _fold(branch, summary, var_labels, context_label)
     if isinstance(expr, Comparison):
-        return _fold_comparison(expr, summary, var_labels, context_label,
-                                foreign_uris)
+        return _fold_comparison(expr, summary, var_labels, context_label)
     return None
 
 
 def _fold_comparison(cmp: Comparison, summary: StructuralSummary,
                      var_labels: dict[str, str | None],
-                     context_label: str | None,
-                     foreign_uris: frozenset[str] = frozenset()
-                     ) -> bool | None:
+                     context_label: str | None) -> bool | None:
     # Existential semantics: any comparison over an empty sequence is
     # false, whatever the operator.
     for side in (cmp.left, cmp.right):
         if isinstance(side, LocationPath) and _path_provably_empty(
-                side, summary, var_labels, context_label,
-                foreign_uris) is not None:
+                side, summary, var_labels, context_label) is not None:
             return False
     left = _literal_value(cmp.left)
     right = _literal_value(cmp.right)
@@ -522,8 +475,7 @@ def _fold_comparison(cmp: Comparison, summary: StructuralSummary,
 
 def _path_provably_empty(path: LocationPath, summary: StructuralSummary,
                          var_labels: dict[str, str | None],
-                         context_label: str | None = None,
-                         foreign_uris: frozenset[str] = frozenset()
+                         context_label: str | None = None
                          ) -> tuple[str, str] | None:
     """(rule, reason) when the summary proves the path empty, else None.
 
@@ -531,9 +483,7 @@ def _path_provably_empty(path: LocationPath, summary: StructuralSummary,
     path that is empty without them is empty with them.  The context
     label is tracked through child/descendant/self steps and reset to
     unknown on anything else — unknown contexts fall back to
-    document-global checks.  Paths reaching into a *foreign* document
-    (a ``doc()`` uri in ``foreign_uris``, or a variable bound there)
-    are never judged: the summary has no authority over them.
+    document-global checks.
     """
     label: str | None
     at_document = False
@@ -541,10 +491,6 @@ def _path_provably_empty(path: LocationPath, summary: StructuralSummary,
         if path.root.name not in var_labels:
             return None
         label = var_labels.get(path.root.name)
-        if label == _FOREIGN:
-            return None
-    elif isinstance(path.root, RootDoc) and path.root.uri in foreign_uris:
-        return None
     elif isinstance(path.root, RootContext) and not path.root.absolute:
         label = (context_label
                  if context_label not in ("#root", "*") else None)

@@ -1,13 +1,7 @@
-"""Baselines: the naive FLWOR interpreter (oracle) and the simulated
-commercial navigational engine (X-Hive stand-in)."""
+"""Baselines: the simulated commercial navigational engine (X-Hive
+stand-in).  The naive oracle is
+:class:`~repro.engine.construct.DirectEvaluator` (``strategy="naive"``)."""
 
-from repro.baseline.naive_flwor import NaiveInterpreter
+from repro.baseline.xhive import XHiveSimulator
 
-__all__ = ["NaiveInterpreter", "XHiveSimulator"]
-
-
-def __getattr__(name):
-    if name == "XHiveSimulator":
-        from repro.baseline.xhive import XHiveSimulator
-        return XHiveSimulator
-    raise AttributeError(f"module 'repro.baseline' has no attribute {name!r}")
+__all__ = ["XHiveSimulator"]

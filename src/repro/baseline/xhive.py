@@ -18,8 +18,6 @@ same way the other systems' runs do.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.errors import DNFError
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document
@@ -38,19 +36,15 @@ class XHiveSimulator:
     Parameters
     ----------
     doc:
-        Primary document.
-    resolve_doc:
-        Optional URI resolver (defaults to the primary document).
+        The document every path reads (``doc("uri")`` included).
     counters:
         Work counters; candidate-node examinations charge
         ``nodes_scanned`` and the budget is enforced.
     """
 
     def __init__(self, doc: Document,
-                 resolve_doc: Callable[[str], Document] | None = None,
                  counters: ScanCounters | None = None) -> None:
         self.doc = doc
-        self.resolve_doc = resolve_doc if resolve_doc is not None else (lambda uri: doc)
         self.counters = counters if counters is not None else ScanCounters()
 
     def run(self, query: str | QueryExpr,
@@ -60,7 +54,7 @@ class XHiveSimulator:
         ``bindings`` supplies values for external ``$parameters``.
         """
         expr = parse_query(query) if isinstance(query, str) else query
-        evaluator = DirectEvaluator(self.doc, self.resolve_doc)
+        evaluator = DirectEvaluator(self.doc)
         # Swap in a counting XPath evaluator: every candidate node a
         # step examines is charged, which models the materialize-and-
         # filter execution of a navigational engine.

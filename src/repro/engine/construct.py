@@ -37,21 +37,39 @@ __all__ = ["DirectEvaluator", "Emitter", "compile_emitter", "order_key",
 
 
 class DirectEvaluator:
-    """Evaluates any query expression under a given binding environment.
+    """Evaluates any query expression under a given binding environment
+    — the paper's strawman and the engine's oracle (``strategy="naive"``).
 
-    FLWOR expressions are expanded by direct iteration (the Section 1
-    semantics); the BlossomTree executor uses this class only for the
-    *inner* pieces (where/order-by/return of an already-enumerated
-    tuple), while the oracle uses it for everything.
+    Section 1 of the paper describes the naive strategy: "follow the
+    semantics of FLWOR expression and evaluate the path expressions for
+    each iteration in the for-loop".  :meth:`eval_flwor` does exactly
+    that — nested loops that re-evaluate every correlated clause path
+    (one naming a variable) per iteration of the enclosing loops, a
+    where check per tuple, order-by over the surviving tuples, and
+    return-clause construction per tuple.  A clause path naming no
+    variable has one value per evaluator, so it is evaluated once.
 
-    Parameters mirror :class:`repro.baseline.naive_flwor.NaiveInterpreter`.
+    This is deliberately redundant — that redundancy is what BlossomTree
+    evaluation removes — but it is *obviously correct*, which makes it
+    the differential-testing oracle for the whole engine and the
+    performance strawman the Section 1 motivation refers to.  The
+    BlossomTree executor uses this class only for the *inner* pieces
+    (where/order-by/return of an already-enumerated tuple).
+
+    Parameters
+    ----------
+    doc:
+        The document every path reads; ``doc("uri")`` resolves to it.
+    work_budget:
+        Optional cap on examined for-loop tuples; exceeding it raises
+        :class:`~repro.errors.DNFError`, which the benchmark harness
+        reports as a ``DNF`` entry (the paper's 15-minute timeouts).
     """
 
-    def __init__(self, doc: Document,
-                 resolve_doc: Callable[[str], Document] | None = None,
-                 work_budget: int | None = None) -> None:
+    def __init__(self, doc: Document, work_budget: int | None = None) -> None:
         self.doc = doc
-        self.resolve_doc = resolve_doc if resolve_doc is not None else (lambda uri: doc)
+        #: The XPath layer's ``doc(uri)`` resolver: this one document.
+        self.resolve: Callable[[str], Document] = lambda uri: doc
         self.work_budget = work_budget
         self.tuples_examined = 0
         self.xpath = XPathEvaluator()
@@ -81,7 +99,7 @@ class DirectEvaluator:
 
     def context(self, bindings: dict) -> EvalContext:
         return EvalContext(self.doc.document_node, variables=bindings,
-                           resolve_doc=self.resolve_doc)
+                           resolve_doc=self.resolve)
 
     def check_where(self, where: Expr | None, bindings: dict) -> bool:
         """Effective boolean value of a where clause under bindings."""
@@ -166,9 +184,9 @@ class SubstitutingEvaluator(DirectEvaluator):
     specific FLWOR node (the one the BlossomTree executor ran) while it
     evaluates the expression around it."""
 
-    def __init__(self, doc: Document, resolve_doc: Callable[[str], Document],
-                 target: FLWOR | None, items: list[Item]) -> None:
-        super().__init__(doc, resolve_doc)
+    def __init__(self, doc: Document, target: FLWOR | None,
+                 items: list[Item]) -> None:
+        super().__init__(doc)
         self._target = target
         self._items = items
 
@@ -243,7 +261,7 @@ def compile_emitter(expr: QueryExpr) -> Emitter:
     value = compile_expr(expr)
 
     def items(direct: DirectEvaluator, bindings: dict) -> list[Item]:
-        result = value(direct.doc.document_node, bindings, direct.resolve_doc)
+        result = value(direct.doc.document_node, bindings, direct.resolve)
         return list(result) if isinstance(result, list) else [result]
     return items
 

@@ -51,7 +51,7 @@ from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document
 from repro.engine.backend import ExecutionBackend
 from repro.engine.prepared import PreparedQuery
-from repro.engine.request import QueryOptions
+from repro.engine.request import DEFAULT_DOCUMENT, QueryOptions
 from repro.engine.result import QueryResult
 from repro.engine.session import Engine
 
@@ -80,7 +80,7 @@ class Database:
         #: The one owner of the document's versions, their plan cache
         #: and scan pools; ``doc`` is snapshot 1.
         self.catalog: Catalog = Catalog()
-        self.catalog.register("main", doc)
+        self.catalog.register(DEFAULT_DOCUMENT, doc)
         self._service: QueryService | None = None
         self._server: Server | None = None
         self._closed = False
@@ -98,7 +98,7 @@ class Database:
     def doc(self) -> Document:
         """The current version's document (never mutate it in place:
         write through :meth:`updater`)."""
-        return self.catalog.current("main").doc
+        return self.catalog.current(DEFAULT_DOCUMENT).doc
 
     @property
     def engine(self) -> Engine:
@@ -113,7 +113,7 @@ class Database:
     def _reading(self) -> Iterator[Engine]:
         """The current snapshot's engine, pinned for one read."""
         catalog = self.catalog
-        snapshot = catalog.pin("main")
+        snapshot = catalog.pin(DEFAULT_DOCUMENT)
         try:
             yield catalog.engine_for(snapshot)
         finally:
@@ -258,7 +258,7 @@ class Database:
         <repro.serve.catalog.Catalog.updater>`): ``with db.updater() as
         up:`` publishes the next version on a clean exit, the same way a
         running service's ``updater()`` does."""
-        return self.catalog.updater("main")
+        return self.catalog.updater(DEFAULT_DOCUMENT)
 
     # ------------------------------------------------------------------
     # Serving and lifecycle.

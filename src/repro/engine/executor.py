@@ -3,10 +3,10 @@
 Execution pipeline (Figure 2's data flow, made concrete):
 
 1. **Match** — every NoK pattern tree is evaluated with the merged
-   sequential scan (one document pass per distinct document, Section
-   4.2 technique 1), producing per-NoK NestedList sequences in document
-   order.  The request's bindings go with every scan and re-scan:
-   pushed ``$v/path op $p`` where-conjuncts are decided here.
+   sequential scan (one pass over the document, Section 4.2 technique
+   1), producing per-NoK NestedList sequences in document order.  The
+   request's bindings go with every scan and re-scan: pushed
+   ``$v/path op $p`` where-conjuncts are decided here.
 2. **Join** — every inter-NoK edge is evaluated with the physical join
    the optimizer picked (pipelined merge, stack merge, or bounded
    nested loop), producing ancestor→matches adjacency.  Mandatory
@@ -146,7 +146,10 @@ def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
                 break
         binds.append((
             clause.var, isinstance(clause, ForClause),
-            anchor.variables[0] if anchor.variables else anchor.vid,
+            # A variable bound at a pattern root (``$d in doc("x")``)
+            # walks from that root's own matches.
+            anchor.variables[0] if chain and anchor.variables
+            else anchor.vid,
             tuple((None if edge.cut else
                    next(i for i, e in enumerate(edge.parent.child_edges)
                         if e is edge),
@@ -201,17 +204,13 @@ class FLWORExecutor:
     Parameters
     ----------
     doc:
-        Default document (``doc(uri)`` resolves to it unless
-        ``resolve_doc`` is given).
-    resolve_doc:
-        Optional URI resolver for multi-document queries (``None``, a
-        pattern root without ``doc()``, resolves to ``doc`` too).
+        The document every pattern root scans, ``doc(uri)`` or not.
     join_algorithm:
         The join a strategy row pins on every ``//``-edge, or ``"auto"``
         to ask the optimizer per edge
         (:func:`~repro.engine.optimizer.edge_join`: pipelined where the
-        left input cannot nest — by the statistics of the document the
-        edge's NoKs scan — stack merge otherwise).
+        left input cannot nest — by the document's statistics — stack
+        merge otherwise).
     counters:
         Shared work counters (created if omitted; exposed as
         ``self.counters``).
@@ -231,14 +230,12 @@ class FLWORExecutor:
     """
 
     def __init__(self, doc: Document,
-                 resolve_doc: Callable[[str | None], Document] | None = None,
                  join_algorithm: str = "auto",
                  counters: ScanCounters | None = None,
                  tracer: Tracer | None = None,
                  *, backend: ExecutionBackend | None = None,
                  scan_pools: ScanPools | None = None) -> None:
         self.doc = doc
-        self.resolve_doc = resolve_doc if resolve_doc is not None else (lambda uri: doc)
         if join_algorithm != "auto" and join_algorithm not in _JOIN_OPERATORS:
             raise UsageError(f"unknown join algorithm {join_algorithm!r}")
         self.join_algorithm = join_algorithm
@@ -247,7 +244,7 @@ class FLWORExecutor:
         self._tracing = self.tracer is not NULL_TRACER
         self.backend = backend
         self.scan_pools = scan_pools
-        self._direct = DirectEvaluator(doc, self.resolve_doc)
+        self._direct = DirectEvaluator(doc)
         #: (parent_vid, child_vid) -> JoinResult, filled during execute()
         self._adjacency: dict[tuple[int, int], JoinResult] = {}
         #: The request's bindings, as every scan and re-scan is given them
@@ -305,7 +302,7 @@ class FLWORExecutor:
         # it, so its variable mapping dies with it.
         with self.tracer.span("finish-phase") as span:
             where, order, emit = program.where, program.order, program.emit
-            item, resolve = self.doc.document_node, self.resolve_doc
+            item, resolve = self.doc.document_node, self._direct.resolve
             items: list[Item] = []
             survivors = 0
             to_sort: list[dict] = []
@@ -347,9 +344,8 @@ class FLWORExecutor:
             raise CompileError("TwigStack strategy only runs bare path queries")
         with self.tracer.span("twigstack") as span:
             before = self.counters.snapshot()
-            operator = TwigStackOperator(
-                tree, self.resolve_doc(tree.roots[0].doc_uri),
-                counters=self.counters)
+            operator = TwigStackOperator(tree, self.doc,
+                                         counters=self.counters)
             output = tree.var_vertex[RESULT_VAR]
             nodes = list(operator.matching_nodes(output))
             span.set(matches=len(nodes),
@@ -364,59 +360,51 @@ class FLWORExecutor:
     # ------------------------------------------------------------------
 
     def _match_phase(self, dec: Decomposition) -> dict[int, list[NLEntry]]:
-        by_doc: dict[int, tuple[Document, list[NoKTree]]] = {}
-        for nok in dec.noks:
-            doc = self._doc_for_nok(dec, nok)
-            by_doc.setdefault(id(doc), (doc, []))[1].append(nok)
-        matches: dict[int, list[NLEntry]] = {}
-        backend = self.backend
+        noks, doc, backend = dec.noks, self.doc, self.backend
         parallelism = backend.parallelism if backend is not None else 1
-        for doc, noks in by_doc.values():
-            partitions = (partition_document(doc, parallelism)
-                          if backend is not None else [])
-            self.plan_notes.append(
-                (f"partition-parallel scan over {len(partitions)} partitions"
-                 if len(partitions) > 1 else "merged scan")
-                + f": {len(noks)} NoK(s) in one pass over "
-                f"{len(doc.nodes)} nodes")
-            with self.tracer.span("merged-scan", noks=len(noks),
-                                  doc_nodes=len(doc.nodes),
-                                  parallelism=parallelism) as scan_span:
-                before_nodes = self.counters.nodes_scanned
-                before_cmp = self.counters.comparisons
-                per_nok: dict[int, ScanCounters] | None = (
-                    {} if self._tracing else None)
-                started = time.perf_counter_ns()
-                if backend is not None:
-                    result = parallel_merged_scan(
-                        noks, doc, self.counters, per_nok,
-                        variables=self._variables,
-                        backend=backend, pools=self.scan_pools,
-                        partitions=partitions,
-                        tracer=self.tracer if self._tracing else None)
-                else:
-                    result = merged_scan(noks, doc, self.counters, per_nok,
-                                         self._variables)
-                wall_ms = (time.perf_counter_ns() - started) / 1e6
-                scan_nodes = self.counters.nodes_scanned - before_nodes
-                scan_span.set(
-                    nodes_scanned=scan_nodes,
-                    comparisons=self.counters.comparisons - before_cmp)
-                roots = sorted({nok.root.name for nok in noks} - {"#root"})
-                if roots and "*" not in roots:
-                    # Every root a name test: the scan walked postings,
-                    # and over the whole document delivered all of them.
-                    found = [doc.derived.index.cardinality(tag)
-                             for tag in roots]
-                    scan_span.set(candidates=sum(found))
-                    self.plan_notes.append(
-                        "candidates from postings: " + ", ".join(
-                            f"{tag}\u00d7{n}" for tag, n in zip(roots, found)))
-                matches.update(result)
-                if self._tracing:
-                    self._trace_noks(noks, result, per_nok or {},
-                                     scan_nodes, wall_ms)
-        for nok_id, entries in matches.items():
+        partitions = (partition_document(doc, parallelism)
+                      if backend is not None else [])
+        self.plan_notes.append(
+            (f"partition-parallel scan over {len(partitions)} partitions"
+             if len(partitions) > 1 else "merged scan")
+            + f": {len(noks)} NoK(s) in one pass over "
+            f"{len(doc.nodes)} nodes")
+        with self.tracer.span("merged-scan", noks=len(noks),
+                              doc_nodes=len(doc.nodes),
+                              parallelism=parallelism) as scan_span:
+            before_nodes = self.counters.nodes_scanned
+            before_cmp = self.counters.comparisons
+            per_nok: dict[int, ScanCounters] | None = (
+                {} if self._tracing else None)
+            started = time.perf_counter_ns()
+            if backend is not None:
+                matches = parallel_merged_scan(
+                    noks, doc, self.counters, per_nok,
+                    variables=self._variables,
+                    backend=backend, pools=self.scan_pools,
+                    partitions=partitions,
+                    tracer=self.tracer if self._tracing else None)
+            else:
+                matches = merged_scan(noks, doc, self.counters, per_nok,
+                                      self._variables)
+            wall_ms = (time.perf_counter_ns() - started) / 1e6
+            scan_nodes = self.counters.nodes_scanned - before_nodes
+            scan_span.set(
+                nodes_scanned=scan_nodes,
+                comparisons=self.counters.comparisons - before_cmp)
+            roots = sorted({nok.root.name for nok in noks} - {"#root"})
+            if roots and "*" not in roots:
+                # Every root a name test: the scan walked postings, and
+                # over the whole document delivered all of them.
+                found = [doc.derived.index.cardinality(tag) for tag in roots]
+                scan_span.set(candidates=sum(found))
+                self.plan_notes.append(
+                    "candidates from postings: " + ", ".join(
+                        f"{tag}\u00d7{n}" for tag, n in zip(roots, found)))
+            if self._tracing:
+                self._trace_noks(noks, matches, per_nok or {},
+                                 scan_nodes, wall_ms)
+        for entries in matches.values():
             self.counters.intermediate_results += len(entries)
         return matches
 
@@ -445,9 +433,6 @@ class FLWORExecutor:
                          wall_ms=round(wall_ms, 3))
                 if nok.twin_of is not None:
                     span.set(shared_with=nok.twin_of)
-
-    def _doc_for_nok(self, dec: Decomposition, nok: NoKTree) -> Document:
-        return self.resolve_doc(dec.tree.pattern_root_of(nok.root).doc_uri)
 
     # ------------------------------------------------------------------
     # Phase 2: structural joins + bottom-up semi-join reduction.
@@ -508,8 +493,7 @@ class FLWORExecutor:
                 span.set(algorithm="vacuous")
             return result
 
-        doc = self._doc_for_nok(dec, dec.noks[edge.nok_from])
-        algorithm = edge_join(self.join_algorithm, doc, edge)
+        algorithm = edge_join(self.join_algorithm, self.doc, edge)
         self.plan_notes.append(
             f"join V{edge.parent.vid}->V{edge.child.vid}: {algorithm}")
         _JOIN_SELECTED.inc(algorithm=algorithm)
@@ -524,7 +508,7 @@ class FLWORExecutor:
         # canonical map reconciles them with the bottom-up-reduced right
         # entries so deeper mandatory joins stay enforced.
         canonical = {e.node.nid: e for e in right if e.node is not None}
-        return operator(projection, inner_nok, doc, edge, self.counters,
+        return operator(projection, inner_nok, self.doc, edge, self.counters,
                         canonical, variables=self._variables)
 
     # ------------------------------------------------------------------

@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session -> optimizer
     from repro.engine.session import Engine
 
 __all__ = ["CachedPlan", "PlanChoice", "choose_strategy", "edge_join",
-           "pattern_document", "plan_query"]
+           "plan_query"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def choose_strategy(stats: DocumentStats, tree: BlossomTree | None,
     Parameters
     ----------
     stats:
-        Statistics of the document the pattern runs on.
+        Statistics of the engine's document.
     tree:
         The BlossomTree, or ``None`` when compilation failed (forces the
         naive fallback).
@@ -120,16 +120,6 @@ def edge_join(pinned: str, doc: Document, edge: InterEdge) -> str:
     return "stack" if nests else "pipelined"
 
 
-def pattern_document(tree: BlossomTree | None, env: Engine) -> Document:
-    """The document whose statistics and postings decide a plan for
-    ``tree``: the one its roots resolve to — of several, a recursive
-    one, since a plan sound for it is sound for the others."""
-    docs = [env.resolve_doc(root.doc_uri)
-            for root in (tree.roots if tree is not None else ())]
-    return next((doc for doc in docs if doc.derived.stats.recursive),
-                docs[0] if docs else env.doc)
-
-
 # ----------------------------------------------------------------------
 # The static decision, start to finish.
 # ----------------------------------------------------------------------
@@ -171,10 +161,9 @@ def plan_query(compiled: CompiledQuery, key: QueryKey, env: Engine,
     The plan comes back unverified: the engine runs the invariant
     passes over it before it may be cached or executed.
 
-    ``env`` is the engine planned for; the chooser reads the statistics
-    of the document the pattern resolves to, and the primary document's
-    summary (only when the lint runs).  Every plan runs the tree ``compile_query`` built and
-    verified."""
+    ``env`` is the engine planned for; the chooser reads its document's
+    statistics, and its summary (only when the lint runs).  Every plan
+    runs the tree ``compile_query`` built and verified."""
     requested = STRATEGIES[key.strategy]
     choice = _requested(compiled, requested, env, tracer)
     # Query lint (QL rules): check the pattern against the document's
@@ -189,7 +178,7 @@ def plan_query(compiled: CompiledQuery, key: QueryKey, env: Engine,
             lint = analyze_query(
                 tree, env.summary,
                 flwor=None if compiled.is_bare_path else compiled.flwor,
-                source=compiled.source, foreign_uris=env.foreign_uris)
+                source=compiled.source)
             span.set(findings=len(lint.report.findings),
                      rules=",".join(lint.rules) or "-",
                      static_empty=bool(lint.static_empty))
@@ -215,8 +204,7 @@ def _requested(compiled: CompiledQuery, row: Strategy, env: Engine,
     """The choice a ``strategy=`` request stands for, or the typed
     refusal when the name does not apply to this query."""
     if row.name == "auto":
-        target = pattern_document(compiled.tree, env)
-        return choose_strategy(target.derived.stats, compiled.tree,
+        return choose_strategy(env.stats, compiled.tree,
                                compiled.is_bare_path, has_index=True,
                                tracer=tracer)
     tree = compiled.tree

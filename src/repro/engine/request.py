@@ -29,7 +29,12 @@ from repro.engine.plancache import normalize_query_text
 from repro.errors import ProtocolError, UsageError
 from repro.strategy import STRATEGIES
 
-__all__ = ["QueryOptions", "QueryKey", "check_timeout_ms", "require"]
+__all__ = ["DEFAULT_DOCUMENT", "QueryOptions", "QueryKey",
+           "check_timeout_ms", "require"]
+
+#: The catalog name a request reads when it names no document: the one
+#: a :class:`~repro.engine.database.Database` registers its document as.
+DEFAULT_DOCUMENT = "main"
 
 _INF = float("inf")
 

@@ -36,7 +36,7 @@ strategy      meaning
 ``auto``      optimizer picks per the Section-5.2 rules (default)
 ``pipelined`` BlossomTree with pipelined merge ``//``-joins (PL)
 ``stack``     BlossomTree with stack-based merge joins
-``bnlj``      BlossomTree with bounded nested-loop joins (the paper's NL)
+``bnlj``      BlossomTree with bounded nested-loop joins (BNLJ)
 ``nl``        BlossomTree with naive nested-loop joins (Table 3's NL column)
 ``twigstack`` holistic twig join over the tag index (TS)
 ``parallel``  BlossomTree with partition-parallel merged NoK scans
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from repro.analysis import verify_plan
 from repro.errors import CompileError, DNFError, QueryTimeoutError, UsageError
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import NULL_TRACER, NullTracer, QueryTrace, Tracer
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.physical.parallel_scan import ScanPools
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.stats import DocumentStats
@@ -72,7 +72,7 @@ from repro.engine.compiler import CompiledQuery, compile_query
 from repro.engine.construct import DirectEvaluator, SubstitutingEvaluator
 from repro.engine.executor import FLWORExecutor
 from repro.engine.explain import render_explain, render_explain_analyze
-from repro.engine.optimizer import pattern_document, plan_query
+from repro.engine.optimizer import plan_query
 from repro.engine.plancache import PlanCache
 from repro.engine.prepared import (
     CachedPlan,
@@ -148,45 +148,33 @@ class _Run:
 
 
 class Engine:
-    """A query engine bound to one primary document.
+    """A query engine bound to one document.
 
     Parameters
     ----------
     doc:
-        The primary document; ``doc("uri")`` references resolve to it
-        unless ``documents`` maps the uri elsewhere.
-    documents:
-        Optional ``{uri: Document}`` mapping for multi-document queries.
+        The document every query reads: a path with or without
+        ``doc("uri")`` scans it, whatever the uri, as on every serving
+        surface (the request names its document, not the query).
     work_budget:
         Optional cap on scanned nodes per query (DNF emulation); can be
         overridden per call.
     plan_cache:
         An externally owned :class:`PlanCache` to share (the serving
         catalog hands one cache to every snapshot's engine); by default
-        the engine owns a private cache of ``plan_cache_capacity``.
+        the engine owns a private cache of 128 plans.
+
+    What ran is on the result (``result.plan`` / ``result.trace``); a
+    run that raised :class:`~repro.errors.DNFError` or
+    :class:`~repro.errors.QueryTimeoutError` carries them on the error
+    (``exc.plan``, and ``exc.trace`` when traced).  Nothing about a run
+    stays on the engine, which the serving catalog shares.
     """
 
-    #: Plan text and trace of the most recently *finished* call —
-    #: single-caller conveniences (the trace is also set when the query
-    #: aborted on a budget trip, so DNFs stay diagnosable).  Under
-    #: concurrency they are whichever request finished last: read
-    #: ``result.plan`` / ``result.trace`` instead.
-    last_plan: str | None = None
-    last_trace: QueryTrace | None = None
-
     def __init__(self, doc: Document,
-                 documents: dict[str, Document] | None = None,
                  work_budget: int | None = None,
-                 plan_cache_capacity: int = 128,
                  plan_cache: PlanCache | None = None) -> None:
         self.doc = doc
-        self.documents = dict(documents or {})
-        #: Uris resolving to other documents, precomputed once (the
-        #: document map is fixed for an engine's lifetime) — the query
-        #: lint must not judge paths into these against the primary
-        #: document's structural summary.
-        self.foreign_uris: frozenset[str] = frozenset(
-            uri for uri, d in self.documents.items() if d is not doc)
         self.work_budget = work_budget
         #: :class:`~repro.physical.parallel_scan.ScanPools` the partition
         #: tasks of parallel plans run on (``None`` = the process-wide
@@ -198,7 +186,7 @@ class Engine:
         #: :meth:`stats_fingerprint` — so a reshaped document never
         #: matches old entries.
         self.plan_cache = (plan_cache if plan_cache is not None
-                           else PlanCache(plan_cache_capacity))
+                           else PlanCache())
         #: Set by the serving catalog when it retires this engine's
         #: snapshot (``"snapshot 3 of 'main'"``); every call then refuses.
         self.retired: str | None = None
@@ -258,19 +246,14 @@ class Engine:
         return PreparedQuery(self, text, options, run.key, self._plan(run))
 
     def stats_fingerprint(self) -> tuple:
-        """The plan-cache key component tied to the documents: the
-        structural summary's digest of the primary document, then
-        ``(uri, digest)`` per other document ``doc(uri)`` resolves to.
+        """The plan-cache key component tied to the document: its
+        structural summary's digest.
 
-        A plan reads nothing of a document but the statistics and the
-        summary the digest covers (the chooser reads whichever document
-        a pattern scans, :func:`~repro.engine.optimizer.pattern_document`),
-        so every version of one shape shares a plan, and a version of
-        another shape never matches it.
+        A plan reads nothing of the document but the statistics and the
+        summary the digest covers, so every version of one shape shares
+        a plan, and a version of another shape never matches it.
         """
-        return (self.doc.derived.summary.fingerprint(),) + tuple(
-            (uri, other.derived.summary.fingerprint())
-            for uri, other in self.documents.items() if other is not self.doc)
+        return (self.doc.derived.summary.fingerprint(),)
 
     # ------------------------------------------------------------------
     # The request path: one run context through a short stage list —
@@ -345,8 +328,9 @@ class Engine:
             elapsed_ms = (time.perf_counter_ns() - started) / 1e6
             self._record(run, before, elapsed_ms)
             trace = tracer.finish() if tracer is not NULL_TRACER else None
-            self.last_plan = run.plan_text
-            self.last_trace = trace
+            failure = sys.exc_info()[1]
+            if isinstance(failure, (DNFError, QueryTimeoutError)):
+                failure.trace = trace
         result.trace = trace
         result.counters = counters
         result.plan = run.plan_text
@@ -394,8 +378,7 @@ class Engine:
         # build, and every plan runs that tree.
         with tracer.span("verify-plan") as span:
             report = verify_plan(
-                plan, recursive_document=pattern_document(
-                    compiled.tree, self).derived.stats.recursive,
+                plan, recursive_document=self.stats.recursive,
                 tree_verified=True)
             span.set(findings=len(report.findings),
                      rules=",".join(report.rule_ids()) or "-")
@@ -430,7 +413,7 @@ class Engine:
             from repro.baseline.xhive import XHiveSimulator
 
             with tracer.span("execute", plan="xhive"):
-                simulator = XHiveSimulator(self.doc, self.resolve_doc, counters)
+                simulator = XHiveSimulator(self.doc, counters)
                 return simulator.run(compiled.query, values)
 
         assert compiled.flwor is not None and compiled.tree is not None
@@ -442,7 +425,7 @@ class Engine:
             # thread fan-out.
             backend = _PARTITIONED_DEFAULT
         executor = FLWORExecutor(
-            self.doc, self.resolve_doc, join_algorithm=plan.join,
+            self.doc, join_algorithm=plan.join,
             counters=counters, tracer=tracer, backend=backend,
             scan_pools=self.scan_pools)
         try:
@@ -471,8 +454,7 @@ class Engine:
                        values: dict, label: str) -> QueryResult:
         """Direct per-iteration evaluation (the Section-1 strawman)."""
         with run.tracer.span("execute", plan=label):
-            evaluator = DirectEvaluator(self.doc, self.resolve_doc,
-                                        work_budget=run.budget)
+            evaluator = DirectEvaluator(self.doc, work_budget=run.budget)
             return QueryResult(
                 evaluator.eval_query_expr(compiled.query, dict(values)))
 
@@ -480,8 +462,7 @@ class Engine:
               values: dict) -> QueryResult:
         """Evaluate the expression enclosing the FLWOR core around the
         core's precomputed ``items``."""
-        wrapper = SubstitutingEvaluator(self.doc, self.resolve_doc,
-                                        compiled.flwor, items)
+        wrapper = SubstitutingEvaluator(self.doc, compiled.flwor, items)
         return QueryResult(
             wrapper.eval_query_expr(compiled.query, dict(values)))
 
@@ -538,17 +519,17 @@ class Engine:
 
     @property
     def stats(self) -> DocumentStats:
-        """Read-through: the primary document's ``derived.stats``."""
+        """Read-through: the document's ``derived.stats``."""
         return self.doc.derived.stats
 
     @property
     def summary(self) -> StructuralSummary:
-        """Read-through: the primary document's ``derived.summary``."""
+        """Read-through: the document's ``derived.summary``."""
         return self.doc.derived.summary
 
     @property
     def index(self) -> TagIndex:
-        """Read-through: the primary document's ``derived.index``."""
+        """Read-through: the document's ``derived.index``."""
         return self.doc.derived.index
 
     def _check_live(self) -> None:
@@ -558,7 +539,3 @@ class Engine:
         if self.retired is not None:
             raise UsageError(f"{self.retired} has been retired: an "
                              "engine is valid until the next commit")
-
-    def resolve_doc(self, uri: str | None) -> Document:
-        """The document ``doc(uri)`` names (the primary one by default)."""
-        return self.documents.get(uri, self.doc)

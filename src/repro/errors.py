@@ -21,6 +21,12 @@ identically against an in-process service and a remote one.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.obs.trace import QueryTrace
+
+
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
 
@@ -134,9 +140,11 @@ class UpdateError(ReproError):
 class ExecutionError(ReproError):
     """Raised when a physical operator fails at run time."""
 
-    #: Text of the plan that was executing, stamped by the engine on
-    #: budget trips and deadline expiries (no result carries it then).
+    #: Text of the plan that was executing, and the run's trace when it
+    #: was traced, stamped by the engine on budget trips and deadline
+    #: expiries (no result carries them then).
     plan: str | None = None
+    trace: QueryTrace | None = None
 
 
 class QueryTimeoutError(ExecutionError):

@@ -66,14 +66,13 @@ class _Entry:
 
     __slots__ = ("name", "current", "pins", "plan_cache", "engines")
 
-    def __init__(self, name: str, snapshot: Snapshot,
-                 plan_cache_capacity: int) -> None:
+    def __init__(self, name: str, snapshot: Snapshot) -> None:
         self.name = name
         self.current = snapshot
         #: snapshot_id -> reader refcount.
         self.pins: dict[int, int] = {}
         #: one plan cache shared by every version's engine.
-        self.plan_cache = PlanCache(plan_cache_capacity)
+        self.plan_cache = PlanCache()
         #: snapshot_id -> Engine bound to that version.
         self.engines: dict[int, Engine] = {}
 
@@ -81,11 +80,10 @@ class _Entry:
 class Catalog:
     """A registry of named documents with snapshot-isolated versions."""
 
-    def __init__(self, plan_cache_capacity: int = 128) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[str, _Entry] = {}
         self._ids = itertools.count(1)
-        self._plan_cache_capacity = plan_cache_capacity
         self._retire_listeners: list[Callable[[Snapshot], None]] = []
         #: The scan executors of every engine this catalog creates
         #: (partitioned plans); spawned lazily, shut by :meth:`close`.
@@ -107,8 +105,7 @@ class Catalog:
             if name in self._entries:
                 raise UsageError(f"document {name!r} is already registered")
             snapshot = Snapshot(name, next(self._ids), doc)
-            self._entries[name] = _Entry(name, snapshot,
-                                         self._plan_cache_capacity)
+            self._entries[name] = _Entry(name, snapshot)
             _LIVE.set(self._live_count())
         return snapshot
 

@@ -53,7 +53,8 @@ from repro.errors import (
     wire_code,
 )
 from repro.engine.database import Database
-from repro.engine.request import QueryOptions, check_timeout_ms, require
+from repro.engine.request import (DEFAULT_DOCUMENT, QueryOptions,
+                                  check_timeout_ms, require)
 from repro.obs.metrics import REGISTRY
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -395,8 +396,7 @@ class Server:
         # Validate the query and learn its external parameters by
         # compiling once against the current snapshot; executions go
         # through the service (and hit the shared plan cache).
-        snapshot = self.service.catalog.pin(
-            doc or self.service.default_document)
+        snapshot = self.service.catalog.pin(doc or DEFAULT_DOCUMENT)
         try:
             engine = self.service.catalog.engine_for(snapshot)
             prepared = engine.prepare(text, strategy=options.strategy,

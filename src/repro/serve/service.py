@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.engine.backend import ExecutionBackend
-from repro.engine.request import QueryKey, QueryOptions, check_timeout_ms, require
+from repro.engine.request import (DEFAULT_DOCUMENT, QueryKey, QueryOptions,
+                                  check_timeout_ms, require)
 from repro.engine.result import QueryResult
 from repro.errors import (
     QueryCancelledError,
@@ -169,8 +170,9 @@ class QueryService:
         open by :meth:`close`: its owner, e.g. a
         :class:`~repro.engine.database.Database`, closes it), or a
         :class:`~repro.xmlkit.tree.Document` / XML text registered as
-        the default document name of a catalog the service builds and
-        closes.
+        ``"main"`` (:data:`~repro.engine.request.DEFAULT_DOCUMENT`, the
+        name calls that omit ``doc`` read) in a catalog the service
+        builds and closes.
     workers:
         Worker thread count (concurrent executions), an ``int`` >= 1.
     max_queue:
@@ -186,9 +188,6 @@ class QueryService:
         for the default 16 MiB, an ``int`` >= 0 for another budget,
         ``0`` for no cache.  Anything else is a
         :class:`~repro.errors.UsageError`.
-    default_document:
-        Name used when calls omit ``doc`` (and for registering a
-        non-catalog ``source``).
     slow_query_ms / slow_log:
         Route served queries through a slow-query log: either a
         threshold for a service-owned log, or an existing
@@ -203,7 +202,6 @@ class QueryService:
                  workers: int = 4, max_queue: int = 64,
                  default_timeout_ms: float | None = None,
                  result_cache: int | None = None,
-                 default_document: str = "main",
                  slow_query_ms: float | None = None,
                  slow_log: SlowQueryLog | None = None) -> None:
         require("workers", workers, "an int >= 1", minimum=1)
@@ -219,8 +217,7 @@ class QueryService:
             self.catalog = source
         else:
             self.catalog = Catalog()
-            self.catalog.register(default_document, source)
-        self.default_document = default_document
+            self.catalog.register(DEFAULT_DOCUMENT, source)
         self.default_timeout_ms = default_timeout_ms
         self.max_queue = max_queue
 
@@ -341,7 +338,7 @@ class QueryService:
 
     def updater(self, doc: str | None = None) -> SnapshotUpdater:
         """A copy-on-write update batch (see :meth:`Catalog.updater`)."""
-        return self.catalog.updater(doc or self.default_document)
+        return self.catalog.updater(doc or DEFAULT_DOCUMENT)
 
     def configure_slow_log(self, threshold_ms: float = 100.0,
                            path=None, max_entries: int = 1000) -> SlowQueryLog:
@@ -472,7 +469,7 @@ class QueryService:
         """Apply the service defaults and build the request identity —
         once; the engine is handed both instead of re-deriving them.
         An unknown document raises here, before anything is queued."""
-        doc = doc or self.default_document
+        doc = doc or DEFAULT_DOCUMENT
         self.catalog.current(doc)           # UsageError: unknown document
         if options.timeout_ms is None and self.default_timeout_ms is not None:
             options = options.with_timeout(self.default_timeout_ms)

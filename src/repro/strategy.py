@@ -85,7 +85,7 @@ STRATEGIES: dict[str, Strategy] = {row.name: row for row in (
              "BlossomTree with stack-based merge joins",
              join="stack", requires=_PIPELINE),
     Strategy("bnlj", "pattern",
-             "BlossomTree with bounded nested-loop joins (the paper's NL)",
+             "BlossomTree with bounded nested-loop joins (BNLJ)",
              join="bnlj", rescans="subtree", requires=_PIPELINE),
     Strategy("nl", "pattern",
              "BlossomTree with naive nested-loop joins (Table 3's NL column)",

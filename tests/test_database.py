@@ -66,8 +66,8 @@ class TestUpdateIntegration:
                               parse("<a/>").root)
         assert db.doc_stats.recursive  # a within a now
         # the optimizer reads the new version's stats
-        db.query("for $x in //a, $y in $x//a return $y")
-        assert "stack" in db.engine.last_plan or "twigstack" in db.engine.last_plan
+        result = db.query("for $x in //a, $y in $x//a return $y")
+        assert "stack" in result.plan or "twigstack" in result.plan
 
     def test_an_unwired_update_refreshes_everything(self):
         """Regression: an updater the database never handed out still
@@ -79,8 +79,9 @@ class TestUpdateIntegration:
         from repro.xmlkit.update import DocumentUpdater
 
         db = Database.from_xml(SMALL_BIB)
-        assert len(db.query("//magazine")) == 0
-        assert "static-empty" in db.engine.last_plan
+        result = db.query("//magazine")
+        assert len(result) == 0
+        assert "static-empty" in result.plan
         before = db.engine.stats_fingerprint()
         DocumentUpdater(db.doc).insert_subtree(
             db.doc.root, parse("<magazine><title>m</title></magazine>").root)

@@ -85,7 +85,6 @@ def test_query_trace_has_phase_nok_and_join_spans(paper_bib):
     result = engine.query(PAPER_QUERY, trace=True)
     trace = result.trace
     assert isinstance(trace, QueryTrace)
-    assert trace is engine.last_trace
     assert trace.root.name == "query"
     assert trace.root.attrs["items"] == len(result)
 
@@ -507,7 +506,7 @@ def test_budget_trip_reported_in_trace_and_metrics(paper_bib):
     before_dnf = dnf.value(strategy="pipelined")
 
     counters = ScanCounters()
-    with pytest.raises(DNFError):
+    with pytest.raises(DNFError) as excinfo:
         engine.query(PAPER_QUERY, strategy="pipelined", counters=counters,
                      work_budget=3, trace=True)
 
@@ -516,9 +515,9 @@ def test_budget_trip_reported_in_trace_and_metrics(paper_bib):
     # ...the process metrics saw both the trip and the DNF...
     assert trips.value() == before_trips + 1
     assert dnf.value(strategy="pipelined") == before_dnf + 1
-    # ...and the trace (kept on the engine despite the raise) carries
-    # the budget attributes on the root query span.
-    trace = engine.last_trace
+    # ...and the trace (carried on the error, as no result is returned)
+    # carries the budget attributes on the root query span.
+    trace = excinfo.value.trace
     assert trace is not None
     root = trace.root
     assert root.attrs["budget_tripped"] is True

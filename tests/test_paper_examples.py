@@ -6,7 +6,6 @@ come straight from the paper text.
 
 import pytest
 
-from repro.baseline import NaiveInterpreter
 from repro.engine import Engine
 from repro.pattern import build_blossom_tree, decompose
 from repro.physical import NoKMatcher, nested_loop_pairs
@@ -31,7 +30,7 @@ class TestExample1And2:
                 "</bib>")
 
     def test_naive_interpreter(self, paper_bib):
-        result = NaiveInterpreter(paper_bib).run(PAPER_QUERY)
+        result = Engine(paper_bib).query(PAPER_QUERY, strategy="naive")
         assert result.serialize() == self.expected()
 
     @pytest.mark.parametrize("strategy",

@@ -374,7 +374,7 @@ class TestEngineParallelStrategy:
     def test_explicit_parallel_strategy(self):
         engine = self.make_engine(wide_doc(100))
         result = engine.query("//book", strategy="parallel")
-        assert "parallel" in engine.last_plan
+        assert "parallel" in result.plan
         assert len(result.items) == 100
 
     def test_explicit_parallel_under_the_serial_executor(self):

@@ -77,18 +77,18 @@ class TestTransparentCache:
 
     def test_span_attribute_records_hit_and_miss(self):
         engine = Engine(parse(SMALL_BIB))
-        engine.query("//book", trace=True)
-        assert engine.last_trace.root.attrs["plan-cache"] == "miss"
-        engine.query("//book", trace=True)
-        assert engine.last_trace.root.attrs["plan-cache"] == "hit"
+        first = engine.query("//book", trace=True)
+        assert first.trace.root.attrs["plan-cache"] == "miss"
+        again = engine.query("//book", trace=True)
+        assert again.trace.root.attrs["plan-cache"] == "hit"
 
     def test_preparsed_expressions_bypass_the_cache(self):
         from repro.xquery.parser import parse_query
 
         engine = Engine(parse(SMALL_BIB))
         expr = parse_query("//book/title")
-        engine.query(expr, trace=True)
-        assert engine.last_trace.root.attrs["plan-cache"] == "bypass"
+        result = engine.query(expr, trace=True)
+        assert result.trace.root.attrs["plan-cache"] == "bypass"
         assert len(engine.plan_cache) == 0
 
     def test_every_strategy_agrees_warm_and_cold(self):
@@ -143,8 +143,8 @@ class TestInvalidation:
         engine.query("//book")
         DocumentUpdater(engine.doc).insert_subtree(
             engine.doc.root, parse("<book/>").root)
-        engine.query("//book", trace=True)
-        assert engine.last_trace.root.attrs["plan-cache"] == "miss"
+        result = engine.query("//book", trace=True)
+        assert result.trace.root.attrs["plan-cache"] == "miss"
 
     def test_open_starts_with_an_empty_cache(self, tmp_path):
         db = Database.from_xml(SMALL_BIB)
@@ -181,8 +181,7 @@ class TestPreparedQueries:
         prepared = engine.prepare(PARAM_QUERY)
         misses_after_prepare = engine.plan_cache.misses
         tracer = Tracer()
-        prepared.execute(params={"max": 40.0}, tracer=tracer)
-        trace = engine.last_trace
+        trace = prepared.execute(params={"max": 40.0}, tracer=tracer).trace
         assert trace.root.attrs["plan-cache"] == "prepared"
         assert trace.find("compile") is None        # no re-parse/re-build
         assert engine.plan_cache.misses == misses_after_prepare

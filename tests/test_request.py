@@ -75,7 +75,7 @@ class TestPerRequestState:
         assert outer.strategy == "pipelined" and "pipelined" in outer.plan
         assert inner.strategy == "naive" and "naive" in inner.plan
         # A traced outer result carries its own trace, an untraced inner
-        # one none — whatever ``engine.last_trace`` says by now.
+        # one none.
         assert outer.trace.root.attrs["strategy"] == "pipelined"
         assert outer.trace.root.attrs["plan"] == outer.plan
         assert inner.trace is None
@@ -85,6 +85,18 @@ class TestPerRequestState:
         with pytest.raises(repro.DNFError) as info:
             engine.query("//book/title", strategy="pipelined", work_budget=1)
         assert "pipelined" in info.value.plan
+        assert info.value.trace is None
+        # ...and, when the run was traced, its trace.
+        with pytest.raises(repro.DNFError) as info:
+            engine.query("//book/title", strategy="pipelined", work_budget=1,
+                         trace=True)
+        root = info.value.trace.root
+        assert root.attrs["budget_tripped"] is True
+        assert root.attrs["plan-cache"] == "hit"
+        assert root.attrs.get("error") == "DNFError"
+        with pytest.raises(repro.QueryTimeoutError) as info:
+            engine.query("//book/title", timeout_ms=0, trace=True)
+        assert info.value.trace.root.attrs["timed_out"] is True
 
 
 # ----------------------------------------------------------------------
@@ -103,24 +115,37 @@ BAD_OPTIONS = [
 
 @pytest.fixture(scope="module")
 def surfaces():
-    """The five query surfaces as ``call(**options)`` closures."""
-    text = "//book/title"
+    """The five query surfaces as ``call(text=..., **options)`` closures
+    (``//book/title`` unless a text is given)."""
+    title = "//book/title"
     with repro.connect(LIBRARY) as db:
         server = db.listen()
         with client_mod.connect(*server.address) as client:
             yield {
-                "Engine.query": lambda **o: db.engine.query(text, **o),
-                "Database.query": lambda **o: db.query(text, **o),
+                "Engine.query":
+                    lambda text=title, **o: db.engine.query(text, **o),
+                "Database.query": lambda text=title, **o: db.query(text, **o),
                 "PreparedQuery.execute":
-                    lambda **o: db.prepare(text).execute(**o),
-                "QueryService.submit":
-                    lambda **o: db.serve().submit(text, **o).result(),
-                "Client.query": lambda **o: client.query(text, **o),
+                    lambda text=title, **o: db.prepare(text).execute(**o),
+                "QueryService.submit": lambda text=title, **o:
+                    db.serve().submit(text, **o).result(),
+                "Client.query":
+                    lambda text=title, **o: client.query(text, **o),
             }
 
 
 SURFACES = ["Engine.query", "Database.query", "PreparedQuery.execute",
             "QueryService.submit", "Client.query"]
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_every_doc_uri_reads_the_requests_document(surfaces, surface):
+    # A query names no document: ``doc(uri)`` reads the one the request
+    # reads, whatever the uri, on every surface alike.
+    plain = surfaces[surface]().serialize()
+    assert plain.count("<title>") == 3
+    assert surfaces[surface](
+        text='doc("elsewhere.xml")//book/title').serialize() == plain
 
 
 class TestOptionValidation:

@@ -149,9 +149,9 @@ class TestSlowLogOnASharedEngine:
     def test_each_record_logs_its_own_requests_plan(self):
         """The serving twin of the re-entrant engine regression: two
         workers share one snapshot engine, so a slow-log record built
-        from ``engine.last_plan`` could show the *other* worker's plan.
-        Each record's plan comes from its own result, so the assertion
-        holds under any interleaving."""
+        from state kept on the engine could show the *other* worker's
+        plan.  Each record's plan comes from its own run, so the
+        assertion holds under any interleaving."""
         with make_service(workers=2, slow_query_ms=0.0,
                           result_cache=0) as service:
             futures = [service.submit(f'//book[author != "a{i}"]/title',

@@ -95,8 +95,9 @@ class TestEngineInvalidation:
         for node in list(small_bib.elements_by_tag("price")):
             updater.delete_subtree(node)
         assert engine.summary.fingerprint() != before
-        assert engine.query("//price").serialize() == ""
-        assert "static-empty" in engine.last_plan
+        result = engine.query("//price")
+        assert result.serialize() == ""
+        assert "static-empty" in result.plan
 
 
 class TestSnapshotInvalidation:
@@ -116,19 +117,18 @@ class TestSnapshotInvalidation:
         assert fresh.summary.fingerprint() != old_summary.fingerprint()
 
     def test_service_sees_inserted_label_after_update(self):
-        service = QueryService(SMALL_BIB, workers=1,
-                               default_document="lib")
+        service = QueryService(SMALL_BIB, workers=1)
         try:
             # Prime the static-empty plan (and the result cache) on the
             # pre-update snapshot.
-            assert service.query("//appendix", doc="lib").serialize() == ""
-            assert service.query("//appendix", doc="lib").serialize() == ""
+            assert service.query("//appendix", doc="main").serialize() == ""
+            assert service.query("//appendix").serialize() == ""
 
-            with service.updater("lib") as up:
+            with service.updater("main") as up:
                 up.insert_subtree(up.doc.root,
                                   parse("<appendix>new</appendix>").root)
 
-            result = service.query("//appendix", doc="lib")
+            result = service.query("//appendix")
             assert len(result) == 1
         finally:
             service.close()

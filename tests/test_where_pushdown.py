@@ -29,6 +29,7 @@ import pytest
 
 import repro
 from repro.engine import Engine, compile_query
+from repro.engine import executor as executor_module
 from repro.engine.executor import FLWORExecutor
 from repro.errors import ReproError
 from repro.pattern.artifact import prepare_artifacts
@@ -669,6 +670,16 @@ class TestBindingsReachEveryScan:
         assert plan.execute(params={"p": 35}).serialize() == expected
 
 
+class Unwritable(dict):
+    """Request bindings that fail the test on any write."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a scan wrote into the request's bindings")
+
+    __setitem__ = __delitem__ = setdefault = update = pop = popitem = \
+        clear = _refuse
+
+
 class TestOnePlanManyBindings:
     """(e) — bindings are call arguments, never state of the plan."""
 
@@ -718,26 +729,37 @@ class TestOnePlanManyBindings:
         assert plan.execute(params=params).serialize() == expected
         assert sorted(coerced, key=str) == [35.0, "title-5"]
 
-    def test_request_bindings_are_never_written(self):
-        # A two-document FLWOR on ``processes:2``: the first document is
-        # too small to cut and is scanned in-process, the second goes to
-        # the workers — with the request's bindings as they came in
-        # (what a scan coerces stays with that scan, or it would be
-        # pickled here).
-        text = ('for $a in doc("few.xml")//book, $b in doc("lib.xml")//book '
+    def test_request_bindings_are_never_written(self, monkeypatch):
+        # Every scan, in-process and on the worker processes, is handed
+        # the request's bindings as they came in: what a scan coerces
+        # stays with that scan (written into the bindings, it would be
+        # pickled for the workers).  These bindings refuse every write.
+        text = ("for $a in //book, $b in //book "
                 "where $a/price < $p and $b/price < $p "
                 "return <pair>{$a/price}{$b/title}</pair>")
-        few = parse("<r><book><price>1</price></book></r>")
-        engine = Engine(few, documents={
-            "lib.xml": parse(library_xml(0, 4, 25))})
+        engine = Engine(parse(library_xml(0, 4, 25)))
         expected = engine.query(text, params={"p": 3},
                                 strategy="naive").serialize()
         assert expected
-        got = engine.query(text, params={"p": 3}, strategy="parallel",
-                           executor="processes:2", trace=True)
-        assert got.serialize() == expected
-        scans = got.trace.find_all("merged-scan")
-        assert [len(s.find_all("partition-scan")) for s in scans] == [0, 2]
+        scanned = []
+
+        def guarded(real):
+            def scan(noks, doc, counters, per_nok, variables=None,
+                     **options):
+                scanned.append(real.__name__)
+                return real(noks, doc, counters, per_nok,
+                            variables=Unwritable(variables), **options)
+            return scan
+        for name in ("merged_scan", "parallel_merged_scan"):
+            monkeypatch.setattr(executor_module, name,
+                                guarded(getattr(executor_module, name)))
+        runs = [engine.query(text, params={"p": 3}, trace=True),
+                engine.query(text, params={"p": 3}, strategy="parallel",
+                             executor="processes:2", trace=True)]
+        assert [run.serialize() for run in runs] == [expected, expected]
+        assert scanned == ["merged_scan", "parallel_merged_scan"]
+        assert [len(run.trace.find_all("partition-scan"))
+                for run in runs] == [0, 2]
 
     def test_serial_processes_serial(self, library):
         text, _ = SHAPES["F1p"]
