@@ -5,12 +5,11 @@ one); this module provides the corresponding storage-backed entry
 point: a :class:`Database` bundles a document stored in the succinct
 binary format (:mod:`repro.xmlkit.binary`) with everything derived
 from it.  It is a thin owner of a serving
-:class:`~repro.serve.catalog.Catalog` whose one document, ``"main"``,
-is the stored document: the catalog holds its versions, their shared
-plan cache and the scan pools.  The engine of
-the current version is reachable as ``db.engine`` for diagnostics, but
-the supported surface is this class plus the serving layer behind
-:meth:`serve`.
+:class:`~repro.serve.catalog.Catalog` of the stored document: the
+catalog holds its versions, their shared plan cache and the scan
+pools.  The engine of the current version is reachable as
+``db.engine`` for diagnostics, but the supported surface is this class
+plus the serving layer behind :meth:`serve`.
 
 Typical use::
 
@@ -51,7 +50,7 @@ from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document
 from repro.engine.backend import ExecutionBackend
 from repro.engine.prepared import PreparedQuery
-from repro.engine.request import DEFAULT_DOCUMENT, QueryOptions
+from repro.engine.request import QueryOptions
 from repro.engine.result import QueryResult
 from repro.engine.session import Engine
 
@@ -79,8 +78,7 @@ class Database:
 
         #: The one owner of the document's versions, their plan cache
         #: and scan pools; ``doc`` is snapshot 1.
-        self.catalog: Catalog = Catalog()
-        self.catalog.register(DEFAULT_DOCUMENT, doc)
+        self.catalog: Catalog = Catalog(doc)
         self._service: QueryService | None = None
         self._server: Server | None = None
         self._closed = False
@@ -98,7 +96,7 @@ class Database:
     def doc(self) -> Document:
         """The current version's document (never mutate it in place:
         write through :meth:`updater`)."""
-        return self.catalog.current(DEFAULT_DOCUMENT).doc
+        return self.catalog.current().doc
 
     @property
     def engine(self) -> Engine:
@@ -112,12 +110,8 @@ class Database:
     @contextmanager
     def _reading(self) -> Iterator[Engine]:
         """The current snapshot's engine, pinned for one read."""
-        catalog = self.catalog
-        snapshot = catalog.pin(DEFAULT_DOCUMENT)
-        try:
-            yield catalog.engine_for(snapshot)
-        finally:
-            catalog.unpin(snapshot)
+        with self.catalog.reading() as (_, engine):
+            yield engine
 
     # ------------------------------------------------------------------
     # Construction / persistence.
@@ -258,7 +252,7 @@ class Database:
         <repro.serve.catalog.Catalog.updater>`): ``with db.updater() as
         up:`` publishes the next version on a clean exit, the same way a
         running service's ``updater()`` does."""
-        return self.catalog.updater(DEFAULT_DOCUMENT)
+        return self.catalog.updater()
 
     # ------------------------------------------------------------------
     # Serving and lifecycle.

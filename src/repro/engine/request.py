@@ -29,12 +29,7 @@ from repro.engine.plancache import normalize_query_text
 from repro.errors import ProtocolError, UsageError
 from repro.strategy import STRATEGIES
 
-__all__ = ["DEFAULT_DOCUMENT", "QueryOptions", "QueryKey",
-           "check_timeout_ms", "require"]
-
-#: The catalog name a request reads when it names no document: the one
-#: a :class:`~repro.engine.database.Database` registers its document as.
-DEFAULT_DOCUMENT = "main"
+__all__ = ["QueryOptions", "QueryKey", "check_timeout_ms", "require"]
 
 _INF = float("inf")
 
@@ -132,29 +127,27 @@ class QueryOptions:
         return QueryOptions(self.strategy, self.params, timeout_ms,
                             self.executor, self.work_budget, self.trace)
 
-    def to_frame(self, doc: str | None = None) -> dict[str, Any]:
+    def to_frame(self) -> dict[str, Any]:
         """The option fields of a v1 request frame.  ``strategy`` and
         ``executor`` (as its canonical key) always travel, so what the
         peer decodes never depends on its defaults; ``work_budget`` and
         ``trace`` are in-process only."""
         frame = {"strategy": self.strategy, "executor": self.executor.key,
-                 "doc": doc, "params": self.params,
-                 "timeout_ms": self.timeout_ms}
+                 "params": self.params, "timeout_ms": self.timeout_ms}
         return {name: value for name, value in frame.items()
                 if value is not None}
 
     @classmethod
     def from_frame(cls, frame: Mapping[str, Any],
                    pinned: QueryOptions | None = None,
-                   doc: str | None = None, timeout_ms: float | None = None,
-                   ) -> tuple[QueryOptions, str | None]:
-        """Decode a request frame's option fields into ``(options, doc)``.
+                   timeout_ms: float | None = None) -> QueryOptions:
+        """Decode a request frame's option fields.
 
         Absent (or ``null``) fields fall back to ``pinned`` — the options
         of the prepared handle an ``execute`` frame names — and to the
-        ``doc`` / ``timeout_ms`` defaults.  A field of the wrong JSON
-        type is a :class:`~repro.errors.ProtocolError`; a well-typed but
-        invalid value is the constructor's
+        ``timeout_ms`` default; other fields are ignored.  A field of
+        the wrong JSON type is a :class:`~repro.errors.ProtocolError`; a
+        well-typed but invalid value is the constructor's
         :class:`~repro.errors.UsageError`.
         """
         def field(name: str, kind: type | tuple[type, ...],
@@ -171,7 +164,7 @@ class QueryOptions:
                               else (pinned.strategy, pinned.executor))
         return cls(field("strategy", str, strategy), field("params", dict),
                    field("timeout_ms", (int, float), timeout_ms),
-                   field("executor", str, executor)), field("doc", str, doc)
+                   field("executor", str, executor))
 
 
 class QueryKey:
@@ -195,11 +188,11 @@ class QueryKey:
         """Plan-cache entry."""
         return (self.text, self.strategy, fingerprint)
 
-    def coalescing(self, doc: str) -> tuple[Any, ...]:
+    def coalescing(self) -> tuple[Any, ...]:
         """The service's in-flight slot."""
-        return (doc, self.text, self.strategy)
+        return (self.text, self.strategy)
 
-    def result(self, doc: str, snapshot_id: int) -> tuple[Any, ...]:
-        """Result-cache entry (document and snapshot lead: the storage
-        indexes per-snapshot invalidation on them)."""
-        return (doc, snapshot_id, self.text, self.strategy)
+    def result(self, snapshot_id: int) -> tuple[Any, ...]:
+        """Result-cache entry (the snapshot id leads: the storage
+        indexes per-snapshot invalidation on it)."""
+        return (snapshot_id, self.text, self.strategy)

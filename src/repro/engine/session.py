@@ -155,7 +155,8 @@ class Engine:
     doc:
         The document every query reads: a path with or without
         ``doc("uri")`` scans it, whatever the uri, as on every serving
-        surface (the request names its document, not the query).
+        surface (a catalog serves one document; neither the request nor
+        the query names another).
     work_budget:
         Optional cap on scanned nodes per query (DNF emulation); can be
         overridden per call.
@@ -188,7 +189,7 @@ class Engine:
         self.plan_cache = (plan_cache if plan_cache is not None
                            else PlanCache())
         #: Set by the serving catalog when it retires this engine's
-        #: snapshot (``"snapshot 3 of 'main'"``); every call then refuses.
+        #: snapshot (``"snapshot 3"``); every call then refuses.
         self.retired: str | None = None
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """``repro.serve`` — snapshot-isolated concurrent query serving.
 
-The serving layer on top of the engine: a :class:`Catalog` of named,
-versioned documents (immutable :class:`Snapshot` per published update
+The serving layer on top of the engine: a :class:`Catalog` of one
+versioned document (immutable :class:`Snapshot` per published update
 batch, copy-on-write via :class:`SnapshotUpdater`), a
 :class:`QueryService` worker pool with admission control, per-query
 deadlines, snapshot-keyed result caching and a plan cache keyed by

@@ -18,8 +18,8 @@ actually left.  :class:`ResultCacheStorage` replaces it:
   as ``rejected``);
 * eviction is LRU **by bytes**: inserts evict least-recently-used
   entries until the byte budget fits;
-* a per-snapshot index maps ``(document, snapshot id)`` to the entry
-  keys under it, so :meth:`~ResultCacheStorage.invalidate_snapshot` is
+* a per-snapshot index maps a snapshot id to the entry keys under it,
+  so :meth:`~ResultCacheStorage.invalidate_snapshot` is
   proportional to the snapshot's entries, not the cache — and every
   invalidation *audits*: after the indexed drop it scans for survivors
   and counts them (the count must be zero; the serving tests pin it).
@@ -87,16 +87,16 @@ class CacheEntry:
     """One stored result: the result, its item fragments, the byte
     charge and the snapshot."""
 
-    __slots__ = ("key", "result", "fragments", "nbytes", "snapshot_key")
+    __slots__ = ("key", "result", "fragments", "nbytes", "snapshot_id")
 
     def __init__(self, key: tuple, result: Any,
                  fragments: Sequence[bytes], nbytes: int,
-                 snapshot_key: tuple) -> None:
+                 snapshot_id: int) -> None:
         self.key = key
         self.result = result
         self.fragments = fragments
         self.nbytes = nbytes
-        self.snapshot_key = snapshot_key
+        self.snapshot_id = snapshot_id
 
 
 class ResultCacheStorage:
@@ -113,8 +113,8 @@ class ResultCacheStorage:
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
-        #: (document name, snapshot id) -> keys cached under it.
-        self._by_snapshot: dict[tuple, set[tuple]] = {}
+        #: snapshot id -> keys cached under it.
+        self._by_snapshot: dict[int, set[tuple]] = {}
         self.current_bytes = 0
         # Lifetime counters (never reset while the storage lives).
         self.hits = 0
@@ -176,17 +176,15 @@ class ResultCacheStorage:
         """Charge one result its item fragments' bytes plus the fixed
         overhead, then admit it if it fits; returns whether it cached.
 
-        ``key[0]`` / ``key[1]`` are the document name and snapshot id
-        (the serving layer's key layout) — they index the entry for
-        per-snapshot invalidation.
+        ``key[0]`` is the snapshot id (the serving layer's key layout) —
+        it indexes the entry for per-snapshot invalidation.
         """
         nbytes = sum(map(len, fragments)) + ENTRY_OVERHEAD_BYTES
         if nbytes > self.max_bytes:
             with self._lock:
                 self.rejected += 1
             return False
-        entry = CacheEntry(key, result, fragments, nbytes,
-                           (key[0], key[1]))
+        entry = CacheEntry(key, result, fragments, nbytes, key[0])
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
@@ -197,8 +195,7 @@ class ResultCacheStorage:
                 self.evictions += 1
                 _EVICTIONS.inc()
             self._entries[key] = entry
-            self._by_snapshot.setdefault(entry.snapshot_key,
-                                         set()).add(key)
+            self._by_snapshot.setdefault(entry.snapshot_id, set()).add(key)
             self.current_bytes += nbytes
             _CACHE_BYTES.set(self.current_bytes)
         return True
@@ -207,7 +204,7 @@ class ResultCacheStorage:
     # Snapshot invalidation.
     # ------------------------------------------------------------------
 
-    def invalidate_snapshot(self, name: str, snapshot_id: int) -> int:
+    def invalidate_snapshot(self, snapshot_id: int) -> int:
         """Synchronously drop every entry of one retired snapshot.
 
         Runs inside the catalog's retire notification, so by the time
@@ -217,9 +214,8 @@ class ResultCacheStorage:
         then scans the full cache for survivors — the count is kept and
         must stay zero (the regression test asserts it).
         """
-        snapshot_key = (name, snapshot_id)
         with self._lock:
-            keys = self._by_snapshot.pop(snapshot_key, set())
+            keys = self._by_snapshot.pop(snapshot_id, set())
             dropped = 0
             for key in keys:
                 entry = self._entries.pop(key, None)
@@ -231,7 +227,7 @@ class ResultCacheStorage:
             # lifecycle bug the counter makes visible instead of letting
             # LRU pressure quietly paper over it.
             survivors = [key for key, entry in self._entries.items()
-                         if entry.snapshot_key == snapshot_key]
+                         if entry.snapshot_id == snapshot_id]
             for key in survivors:
                 entry = self._entries.pop(key)
                 self.current_bytes -= entry.nbytes
@@ -247,9 +243,9 @@ class ResultCacheStorage:
     def _unindex_locked(self, entry: CacheEntry) -> None:
         """Release the charge and index slot of an entry already popped
         from the entry map (lock held)."""
-        keys = self._by_snapshot.get(entry.snapshot_key)
+        keys = self._by_snapshot.get(entry.snapshot_id)
         if keys is not None:
             keys.discard(entry.key)
             if not keys:
-                del self._by_snapshot[entry.snapshot_key]
+                del self._by_snapshot[entry.snapshot_id]
         self.current_bytes -= entry.nbytes

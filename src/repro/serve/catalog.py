@@ -1,11 +1,11 @@
-"""The document catalog: named documents, versioned by snapshot.
+"""The document catalog: one document, versioned by snapshot.
 
-A :class:`Catalog` maps names to their *current* :class:`Snapshot` and
-hands out per-snapshot engines — the serving layer's unit of
+A :class:`Catalog` holds its document's *current* :class:`Snapshot`
+and hands out per-snapshot engines — the serving layer's unit of
 isolation:
 
-* **readers** ``pin()`` the current snapshot (a refcount, not a lock),
-  query it through ``engine_for()``, and ``unpin()`` when done; a
+* **readers** pin the current snapshot (a refcount, not a lock) and
+  query it through its engine for the span of one :meth:`reading`; a
   pinned snapshot survives any number of publishes;
 * **writers** run copy-on-write batches via ``updater()``; commit
   publishes the fork as the next snapshot atomically under the catalog
@@ -19,24 +19,25 @@ isolation:
   service uses this to purge its result cache).
 
 The catalog is the one owner of what outlives a request: the versions,
-the per-document plan cache, and the
+the plan cache, and the
 :class:`~repro.physical.parallel_scan.ScanPools` every engine it creates
-scans on.  A :class:`~repro.engine.database.Database` is its first
-document, and a query service only borrows it; :meth:`close` releases
-the pools and the current versions' derived state.
+scans on.  A :class:`~repro.engine.database.Database` owns one, and a
+query service only borrows it; :meth:`close` releases the pools and the
+current version's derived state.
 
-All engines of one document share one plan cache, keyed by the
-structural summary's digest (``Engine.stats_fingerprint``) and not by
-snapshot: a plan reads only the statistics the digest covers, so every
-version of one shape shares it, and a retire has no plan to purge.
-Results are what stays per snapshot (the query service's result cache).
+All engines share one plan cache, keyed by the structural summary's
+digest (``Engine.stats_fingerprint``) and not by snapshot: a plan reads
+only the statistics the digest covers, so every version of one shape
+shares it, and a retire has no plan to purge.  Results are what stays
+per snapshot (the query service's result cache).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 
 from repro.engine.plancache import PlanCache
 from repro.engine.session import Engine
@@ -58,100 +59,76 @@ _RETIRES = REGISTRY.counter(
     "Snapshots retired (unpinned and superseded)")
 _LIVE = REGISTRY.gauge(
     "repro_snapshots_live",
-    "Currently live (current or pinned) snapshots across the catalog")
-
-
-class _Entry:
-    """Per-document state; all fields guarded by the catalog lock."""
-
-    __slots__ = ("name", "current", "pins", "plan_cache", "engines")
-
-    def __init__(self, name: str, snapshot: Snapshot) -> None:
-        self.name = name
-        self.current = snapshot
-        #: snapshot_id -> reader refcount.
-        self.pins: dict[int, int] = {}
-        #: one plan cache shared by every version's engine.
-        self.plan_cache = PlanCache()
-        #: snapshot_id -> Engine bound to that version.
-        self.engines: dict[int, Engine] = {}
+    "Currently live (current or pinned) snapshots of the catalog")
 
 
 class Catalog:
-    """A registry of named documents with snapshot-isolated versions."""
+    """One document with snapshot-isolated versions.
 
-    def __init__(self) -> None:
+    ``doc`` (a parsed tree or XML text) becomes snapshot 1 *without* a
+    fork: the catalog takes ownership, so the caller must not mutate it
+    afterwards (use :meth:`updater`).
+    """
+
+    def __init__(self, doc: Document | str) -> None:
         self._lock = threading.Lock()
-        self._entries: dict[str, _Entry] = {}
         self._ids = itertools.count(1)
+        #: The current version; the fields below are guarded by the lock.
+        self._current = Snapshot(next(self._ids),
+                                 parse(doc) if isinstance(doc, str) else doc)
+        #: snapshot_id -> reader refcount.
+        self._pins: dict[int, int] = {}
+        #: snapshot_id -> Engine bound to that version.
+        self._engines: dict[int, Engine] = {}
         self._retire_listeners: list[Callable[[Snapshot], None]] = []
+        #: One plan cache shared by every version's engine.
+        self.plan_cache = PlanCache()
         #: The scan executors of every engine this catalog creates
         #: (partitioned plans); spawned lazily, shut by :meth:`close`.
         self.scan_pools = ScanPools()
+        _LIVE.set(1)
 
-    # ------------------------------------------------------------------
-    # Registration and lookup.
-    # ------------------------------------------------------------------
-
-    def register(self, name: str, source: Document | str) -> Snapshot:
-        """Register a document (a parsed tree or XML text) under ``name``.
-
-        The document becomes snapshot 1 of the name *without* a fork:
-        the catalog takes ownership, so the caller must not mutate it
-        afterwards (use :meth:`updater`).
-        """
-        doc = parse(source) if isinstance(source, str) else source
+    def current(self) -> Snapshot:
+        """The current snapshot (not pinned — may retire underneath the
+        caller; use :meth:`reading` around query work)."""
         with self._lock:
-            if name in self._entries:
-                raise UsageError(f"document {name!r} is already registered")
-            snapshot = Snapshot(name, next(self._ids), doc)
-            self._entries[name] = _Entry(name, snapshot)
-            _LIVE.set(self._live_count())
-        return snapshot
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._entries
-
-    def current(self, name: str) -> Snapshot:
-        """The current snapshot of ``name`` (not pinned — may retire
-        underneath the caller; use :meth:`pin` around query work)."""
-        with self._lock:
-            return self._entry(name).current
+            return self._current
 
     # ------------------------------------------------------------------
     # Reader protocol: pin / query / unpin.
     # ------------------------------------------------------------------
 
-    def pin(self, name: str) -> Snapshot:
+    @contextmanager
+    def reading(self) -> Iterator[tuple[Snapshot, Engine]]:
+        """The current snapshot and its engine, pinned for one read."""
+        snapshot = self.pin()
+        try:
+            yield snapshot, self.engine_for(snapshot)
+        finally:
+            self.unpin(snapshot)
+
+    def pin(self) -> Snapshot:
         """Pin the current snapshot for reading; pairs with :meth:`unpin`."""
         with self._lock:
-            entry = self._entry(name)
-            snapshot = entry.current
-            entry.pins[snapshot.snapshot_id] = \
-                entry.pins.get(snapshot.snapshot_id, 0) + 1
+            snapshot = self._current
+            sid = snapshot.snapshot_id
+            self._pins[sid] = self._pins.get(sid, 0) + 1
             return snapshot
 
     def unpin(self, snapshot: Snapshot) -> None:
         """Release a pin; the last unpin of a superseded snapshot retires it."""
         retired: Snapshot | None = None
         with self._lock:
-            entry = self._entry(snapshot.name)
             sid = snapshot.snapshot_id
-            count = entry.pins.get(sid, 0)
+            count = self._pins.get(sid, 0)
             if count <= 0:
-                raise UsageError(
-                    f"snapshot {sid} of {snapshot.name!r} is not pinned")
+                raise UsageError(f"snapshot {sid} is not pinned")
             if count == 1:
-                del entry.pins[sid]
-                if entry.current.snapshot_id != sid:
-                    retired = self._retire(entry, snapshot)
+                del self._pins[sid]
+                if self._current.snapshot_id != sid:
+                    retired = self._retire(snapshot)
             else:
-                entry.pins[sid] = count - 1
+                self._pins[sid] = count - 1
         if retired is not None:
             self._notify_retired(retired)
 
@@ -159,47 +136,43 @@ class Catalog:
         """The engine bound to one current or pinned snapshot (created
         once per version).
 
-        The engine shares the document's plan cache; what it reads of
+        The engine shares the catalog's plan cache; what it reads of
         the document it reads through ``snapshot.doc.derived``.
         """
         with self._lock:
-            entry = self._entry(snapshot.name)
             sid = snapshot.snapshot_id
-            if sid != entry.current.snapshot_id and sid not in entry.pins:
-                raise UsageError(
-                    f"snapshot {sid} of {snapshot.name!r} has been retired")
-            engine = entry.engines.get(sid)
+            if sid != self._current.snapshot_id and sid not in self._pins:
+                raise UsageError(f"snapshot {sid} has been retired")
+            engine = self._engines.get(sid)
             if engine is None:
-                engine = Engine(snapshot.doc, plan_cache=entry.plan_cache)
+                engine = Engine(snapshot.doc, plan_cache=self.plan_cache)
                 engine.scan_pools = self.scan_pools
-                entry.engines[sid] = engine
+                self._engines[sid] = engine
             return engine
 
     # ------------------------------------------------------------------
     # Writer protocol: copy-on-write batches.
     # ------------------------------------------------------------------
 
-    def updater(self, name: str) -> SnapshotUpdater:
-        """Start a copy-on-write update batch against ``name``.
+    def updater(self) -> SnapshotUpdater:
+        """Start a copy-on-write update batch.
 
         The batch forks the current snapshot's document; ``commit()``
         (or a clean ``with`` exit) publishes the fork as the next
         snapshot.  Concurrent batches are last-committer-wins: each
         forks the snapshot current at *its* start.
         """
-        return SnapshotUpdater(self, self.current(name))
+        return SnapshotUpdater(self, self.current())
 
-    def _publish(self, name: str, doc: Document,
+    def _publish(self, doc: Document,
                  reports: list[UpdateReport]) -> Snapshot:
         """Atomically swap in a new version (SnapshotUpdater.commit)."""
         retired: Snapshot | None = None
         with self._lock:
-            entry = self._entry(name)
-            snapshot = Snapshot(name, next(self._ids), doc)
-            previous = entry.current
-            entry.current = snapshot
-            if entry.pins.get(previous.snapshot_id, 0) == 0:
-                retired = self._retire(entry, previous)
+            snapshot = Snapshot(next(self._ids), doc)
+            previous, self._current = self._current, snapshot
+            if self._pins.get(previous.snapshot_id, 0) == 0:
+                retired = self._retire(previous)
             _PUBLISHES.inc()
             _LIVE.set(self._live_count())
         if retired is not None:
@@ -207,7 +180,7 @@ class Catalog:
         return snapshot
 
     # ------------------------------------------------------------------
-    # Retirement listeners and introspection.
+    # Retirement listeners.
     # ------------------------------------------------------------------
 
     def on_retire(self, callback: Callable[[Snapshot], None]
@@ -225,27 +198,14 @@ class Catalog:
         self._retire_listeners.append(callback)
         return lambda: self._retire_listeners.remove(callback)
 
-    def plan_cache(self, name: str) -> PlanCache:
-        """The shared plan cache of one document (introspection/tests)."""
-        with self._lock:
-            return self._entry(name).plan_cache
-
     # ------------------------------------------------------------------
     # Internals (callers hold the lock unless noted).
     # ------------------------------------------------------------------
 
-    def _entry(self, name: str) -> _Entry:
-        entry = self._entries.get(name)
-        if entry is None:
-            raise UsageError(f"unknown document {name!r} "
-                             f"(registered: {sorted(self._entries) or '-'})")
-        return entry
-
-    def _retire(self, entry: _Entry, snapshot: Snapshot) -> Snapshot:
-        engine = entry.engines.pop(snapshot.snapshot_id, None)
+    def _retire(self, snapshot: Snapshot) -> Snapshot:
+        engine = self._engines.pop(snapshot.snapshot_id, None)
         if engine is not None:
-            engine.retired = (f"snapshot {snapshot.snapshot_id} "
-                              f"of {snapshot.name!r}")
+            engine.retired = f"snapshot {snapshot.snapshot_id}"
         _RETIRES.inc()
         _LIVE.set(self._live_count())
         return snapshot
@@ -260,23 +220,15 @@ class Catalog:
             listener(snapshot)
 
     def _live_count(self) -> int:
-        total = 0
-        for entry in self._entries.values():
-            ids = set(entry.pins)
-            ids.add(entry.current.snapshot_id)
-            total += len(ids)
-        return total
+        return len(self._pins.keys() | {self._current.snapshot_id})
 
     def close(self) -> None:
-        """Drain and stop the scan pools and drop the current versions'
-        derived state (their arena files; retired ones went at
+        """Drain and stop the scan pools and drop the current version's
+        derived state (its arena file; retired ones went at
         retirement).  Idempotent, and the versions stay: a later reader
         rebuilds what it needs."""
         self.scan_pools.close(wait=True)
-        with self._lock:
-            current = [entry.current for entry in self._entries.values()]
-        for snapshot in current:
-            snapshot.doc.drop_derived()
+        self.current().doc.drop_derived()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Catalog {self.names()}>"
+        return f"<Catalog current={self.current()!r}>"

@@ -185,8 +185,8 @@ class Client:
     # The query surface (mirrors QueryService).
     # ------------------------------------------------------------------
 
-    def query(self, text: str, *, doc: str | None = None,
-              strategy: str = "auto", params: dict | None = None,
+    def query(self, text: str, *, strategy: str = "auto",
+              params: dict | None = None,
               timeout_ms: float | None = None,
               executor: ExecutionBackend | str | None = None
               ) -> ClientResult:
@@ -195,7 +195,7 @@ class Client:
         (identical keyword-only kwargs)."""
         options = QueryOptions(strategy, params, timeout_ms, executor)
         return self._roundtrip_result(
-            {"type": "query", "text": text, **options.to_frame(doc)})
+            {"type": "query", "text": text, **options.to_frame()})
 
     def prepare(self, text: str, *, strategy: str = "auto",
                 executor: ExecutionBackend | str | None = None

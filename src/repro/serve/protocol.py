@@ -9,8 +9,8 @@ responses of pipelined requests without ambiguity.
 Request types (client → server)
     ``query``
         One-shot evaluation: ``text`` plus the unified optional kwargs
-        (``doc`` / ``strategy`` / ``params`` / ``timeout_ms`` /
-        ``executor``) — the exact spelling of
+        (``strategy`` / ``params`` / ``timeout_ms`` / ``executor``) —
+        the exact spelling of
         :meth:`QueryService.submit <repro.serve.service.QueryService.submit>`,
         encoded, decoded and type-checked only by
         :class:`~repro.engine.request.QueryOptions`.
@@ -18,7 +18,8 @@ Request types (client → server)
         (``"serial"`` / ``"threads:4"`` / ``"processes:4"``, see
         :class:`~repro.engine.backend.ExecutionBackend`).  The
         pre-redesign ``parallelism`` integer field had its one-release
-        acceptance window and is now ignored.
+        acceptance window and is now ignored, as is a ``doc`` field: a
+        server serves one document.
     ``prepare`` / ``execute``
         Compile-once / execute-many over the wire: ``prepare`` answers
         with a server-side handle and the external ``$parameter``

@@ -53,8 +53,7 @@ from repro.errors import (
     wire_code,
 )
 from repro.engine.database import Database
-from repro.engine.request import (DEFAULT_DOCUMENT, QueryOptions,
-                                  check_timeout_ms, require)
+from repro.engine.request import QueryOptions, check_timeout_ms, require
 from repro.obs.metrics import REGISTRY
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -102,9 +101,9 @@ class _Connection:
         self.writer = writer
         self.send_lock = asyncio.Lock()
         self.tasks: set[asyncio.Task] = set()
-        #: prepared-statement handles — ``(text, options, doc)`` — live
-        #: for the connection's lifetime.
-        self.prepared: dict[int, tuple[str, QueryOptions, str | None]] = {}
+        #: prepared-statement handles — ``(text, options)`` — live for
+        #: the connection's lifetime.
+        self.prepared: dict[int, tuple[str, QueryOptions]] = {}
         self.next_prepared = 1
 
 
@@ -392,24 +391,19 @@ class Server:
         text = frame.get("text")
         if not isinstance(text, str):
             raise ProtocolError("prepare frame carries no query text")
-        options, doc = QueryOptions.from_frame(frame)
+        options = QueryOptions.from_frame(frame)
         # Validate the query and learn its external parameters by
         # compiling once against the current snapshot; executions go
         # through the service (and hit the shared plan cache).
-        snapshot = self.service.catalog.pin(doc or DEFAULT_DOCUMENT)
-        try:
-            engine = self.service.catalog.engine_for(snapshot)
+        with self.service.catalog.reading() as (_, engine):
             prepared = engine.prepare(text, strategy=options.strategy,
                                       executor=options.executor)
-            parameters = sorted(prepared.parameters)
-        finally:
-            self.service.catalog.unpin(snapshot)
         handle = conn.next_prepared
         conn.next_prepared += 1
-        conn.prepared[handle] = (text, options, doc)
+        conn.prepared[handle] = (text, options)
         await self._send(conn, {
             "type": "prepared", "id": request_id, "prepared": handle,
-            "parameters": parameters})
+            "parameters": sorted(prepared.parameters)})
 
     async def _serve_query(self, conn: _Connection, request_id: Any,
                            frame: dict[str, Any], started: float) -> None:
@@ -418,7 +412,7 @@ class Server:
         outcome_timed_out = False
         latency_ms: float | None = None
         try:
-            spec = (frame.get("text"), None, None)
+            spec = (frame.get("text"), None)
             if frame["type"] == "execute":
                 handle = frame.get("prepared")
                 spec = (conn.prepared.get(handle)
@@ -427,14 +421,14 @@ class Server:
                     raise UsageError(
                         f"unknown prepared handle {handle!r} (prepared "
                         "statements are scoped to their connection)")
-            text, pinned, doc = spec
+            text, pinned = spec
             if not isinstance(text, str):
                 raise ProtocolError("query frame carries no query text")
-            options, doc = QueryOptions.from_frame(
-                frame, pinned, doc, self.default_timeout_ms)
+            options = QueryOptions.from_frame(frame, pinned,
+                                              self.default_timeout_ms)
             deadline = (started + options.timeout_ms / 1000.0
                         if options.timeout_ms is not None else None)
-            future = self.service._submit(text, doc, options,
+            future = self.service._submit(text, options,
                                           f"{conn.cid}#{request_id}")
             served: ServeResult = await asyncio.wrap_future(future)
             await self._stream_result(conn, request_id, served, deadline,

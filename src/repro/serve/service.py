@@ -1,8 +1,8 @@
 """The concurrent query service: a bounded worker pool over a catalog.
 
 :class:`QueryService` is the serving front end the ROADMAP's north star
-asks for: many queries in flight against many documents, each executing
-against the snapshot that was current at dequeue time, with
+asks for: many queries in flight against one versioned document, each
+executing against the snapshot that was current at dequeue time, with
 
 * **admission control** — a bounded queue; submissions past
   ``max_queue`` fail fast with
@@ -12,7 +12,7 @@ against the snapshot that was current at dequeue time, with
   request never runs) and cooperatively during execution via the
   cancellation checkpoints in the physical operators' scan loops;
 * **snapshot-sound result caching** — snapshots are immutable, so a
-  result keyed by ``(document, snapshot id, query, strategy)`` can be
+  result keyed by ``(snapshot id, query, strategy)`` can be
   replayed verbatim until that snapshot retires (retirement purges the
   entries).  Combined with in-flight **coalescing** (identical
   concurrent requests share one execution) this is where the service's
@@ -32,14 +32,17 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import Future
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
+from types import TracebackType
+from typing import Any
 
 from repro.engine.backend import ExecutionBackend
-from repro.engine.request import (DEFAULT_DOCUMENT, QueryKey, QueryOptions,
-                                  check_timeout_ms, require)
+from repro.engine.request import (QueryKey, QueryOptions, check_timeout_ms,
+                                  require)
 from repro.engine.result import QueryResult
 from repro.errors import (
     QueryCancelledError,
@@ -92,7 +95,7 @@ STATS_KEYS = ("schema", "queue_depth", "inflight", "result_cache_size",
               "result_cache", "documents", "slow_queries")
 
 #: What a :meth:`QueryService.query_batch` mapping item may carry.
-_BATCH_KEYS = frozenset({"text", "doc", "strategy", "params", "timeout_ms",
+_BATCH_KEYS = frozenset({"text", "strategy", "params", "timeout_ms",
                          "executor"})
 
 
@@ -130,20 +133,19 @@ class ServeResult:
     def __len__(self) -> int:
         return len(self.result)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Any]:
         return iter(self.result.items)
 
 
 class _Request:
     """One queued execution (one future; possibly many submitters)."""
 
-    __slots__ = ("text", "doc", "options", "key", "client", "slot",
+    __slots__ = ("text", "options", "key", "client", "slot",
                  "deadline", "submitted", "future")
 
-    def __init__(self, text: str, doc: str, options: QueryOptions,
+    def __init__(self, text: str, options: QueryOptions,
                  key: QueryKey, client: str | None = None) -> None:
         self.text = text
-        self.doc = doc
         self.options = options
         self.key = key
         #: Caller identity (network connection + request id); tags the
@@ -155,7 +157,7 @@ class _Request:
         self.future: Future = Future()
         #: Coalescing slot; ``None`` disables coalescing and result
         #: caching (parameterized or traced requests are never shared).
-        self.slot = (key.coalescing(doc)
+        self.slot = (key.coalescing()
                      if options.params is None and not options.trace
                      else None)
 
@@ -169,10 +171,8 @@ class QueryService:
         A :class:`~repro.serve.catalog.Catalog` (served as-is and left
         open by :meth:`close`: its owner, e.g. a
         :class:`~repro.engine.database.Database`, closes it), or a
-        :class:`~repro.xmlkit.tree.Document` / XML text registered as
-        ``"main"`` (:data:`~repro.engine.request.DEFAULT_DOCUMENT`, the
-        name calls that omit ``doc`` read) in a catalog the service
-        builds and closes.
+        :class:`~repro.xmlkit.tree.Document` / XML text for a catalog
+        the service builds and closes.
     workers:
         Worker thread count (concurrent executions), an ``int`` >= 1.
     max_queue:
@@ -188,21 +188,21 @@ class QueryService:
         for the default 16 MiB, an ``int`` >= 0 for another budget,
         ``0`` for no cache.  Anything else is a
         :class:`~repro.errors.UsageError`.
-    slow_query_ms / slow_log:
-        Route served queries through a slow-query log: either a
-        threshold for a service-owned log, or an existing
-        :class:`~repro.obs.slowlog.SlowQueryLog` to share (what
+    slow_log:
+        Route served queries through an existing
+        :class:`~repro.obs.slowlog.SlowQueryLog` (what
         :meth:`Database.serve <repro.engine.database.Database.serve>`
-        passes).  Served records are tagged with the snapshot id, the
-        executed strategy and the deadline state (``none``/``ok``/
-        ``expired``).
+        passes).  A standalone service enables its own with
+        :meth:`configure_slow_log`; there is no ``slow_query_ms=``
+        threshold setting, so the service has six settings.  Served
+        records are tagged with the snapshot id, the executed strategy
+        and the deadline state (``none``/``ok``/``expired``).
     """
 
     def __init__(self, source: Catalog | Document | str, *,
                  workers: int = 4, max_queue: int = 64,
                  default_timeout_ms: float | None = None,
                  result_cache: int | None = None,
-                 slow_query_ms: float | None = None,
                  slow_log: SlowQueryLog | None = None) -> None:
         require("workers", workers, "an int >= 1", minimum=1)
         require("max_queue", max_queue, "an int >= 1", minimum=1)
@@ -213,11 +213,8 @@ class QueryService:
                 "None or a byte budget (an int >= 0)")
         #: :meth:`close` closes the catalog only when it was built here.
         self._owns_catalog = not isinstance(source, Catalog)
-        if isinstance(source, Catalog):
-            self.catalog = source
-        else:
-            self.catalog = Catalog()
-            self.catalog.register(DEFAULT_DOCUMENT, source)
+        self.catalog = (source if isinstance(source, Catalog)
+                        else Catalog(source))
         self.default_timeout_ms = default_timeout_ms
         self.max_queue = max_queue
 
@@ -234,9 +231,7 @@ class QueryService:
             ResultCacheStorage(result_cache) if result_cache else None)
         self._stop_purging = self.catalog.on_retire(self._purge_results)
 
-        self.slow_log = (slow_log if slow_log is not None
-                         else SlowQueryLog(slow_query_ms)
-                         if slow_query_ms is not None else None)
+        self.slow_log = slow_log
         #: Extra ``stats()`` sections registered by collaborators (the
         #: network server publishes its admission controller here).
         self._stats_sections: dict[str, Callable[[], dict]] = {}
@@ -258,8 +253,8 @@ class QueryService:
     # Public API.
     # ------------------------------------------------------------------
 
-    def submit(self, text: str, *, doc: str | None = None,
-               strategy: str = "auto", params: Mapping | None = None,
+    def submit(self, text: str, *, strategy: str = "auto",
+               params: Mapping | None = None,
                timeout_ms: float | None = None,
                trace: bool = False,
                executor: ExecutionBackend | str | None = None,
@@ -275,40 +270,39 @@ class QueryService:
         ``client`` is an opaque caller identity (the network server
         passes connection#request ids) that tags slow-query records.
         Raises :class:`~repro.errors.ServiceOverloadedError` when the
-        queue is full and :class:`~repro.errors.UsageError` for an
-        unknown ``doc`` or after :meth:`close` (nothing is queued or
-        counted then).
+        queue is full and :class:`~repro.errors.UsageError` after
+        :meth:`close` (nothing is queued or counted then).
         """
-        return self._submit(text, doc, QueryOptions(
+        return self._submit(text, QueryOptions(
             strategy, params, timeout_ms, executor, trace=trace), client)
 
-    def _submit(self, text: str, doc: str | None, options: QueryOptions,
+    def _submit(self, text: str, options: QueryOptions,
                 client: str | None = None) -> Future:
         """:meth:`submit` for options already built and validated (the
         network server decodes them from the request frame)."""
-        return self._enqueue([self._request(text, doc, options, client)])[0]
+        return self._enqueue([self._request(text, options, client)])[0]
 
-    def query(self, text: str, *, doc: str | None = None,
-              strategy: str = "auto", params: Mapping | None = None,
+    def query(self, text: str, *, strategy: str = "auto",
+              params: Mapping | None = None,
               timeout_ms: float | None = None,
               trace: bool = False,
               executor: ExecutionBackend | str | None = None,
               client: str | None = None) -> ServeResult:
         """Synchronous :meth:`submit` — blocks for the result."""
-        return self.submit(text, doc=doc, strategy=strategy, params=params,
+        return self.submit(text, strategy=strategy, params=params,
                            timeout_ms=timeout_ms, trace=trace,
                            executor=executor, client=client).result()
 
     def query_batch(self, queries: Iterable[str | Mapping], *,
-                    doc: str | None = None, strategy: str = "auto",
+                    strategy: str = "auto",
                     timeout_ms: float | None = None,
                     executor: ExecutionBackend | str | None = None
                     ) -> list[ServeResult]:
         """Submit a batch atomically and wait for every result.
 
         ``queries`` items are query strings or mappings with ``text``
-        plus optional ``doc`` / ``strategy`` / ``params`` /
-        ``timeout_ms`` / ``executor`` overrides.  Admission is
+        plus optional ``strategy`` / ``params`` / ``timeout_ms`` /
+        ``executor`` overrides.  Admission is
         all-or-nothing: either the whole batch fits in the queue
         (duplicates coalesce into one slot) or nothing is enqueued and
         :class:`~repro.errors.ServiceOverloadedError` is raised — and an
@@ -329,19 +323,20 @@ class QueryService:
                     "or a mapping with a 'text' string and only the keys "
                     f"{sorted(_BATCH_KEYS)}")
             requests.append(self._request(
-                spec["text"], spec.get("doc", doc), QueryOptions(
+                spec["text"], QueryOptions(
                     spec.get("strategy", strategy), spec.get("params"),
                     spec.get("timeout_ms", timeout_ms),
                     spec.get("executor", executor))))
         futures = self._enqueue(requests)
         return [future.result() for future in futures]
 
-    def updater(self, doc: str | None = None) -> SnapshotUpdater:
+    def updater(self) -> SnapshotUpdater:
         """A copy-on-write update batch (see :meth:`Catalog.updater`)."""
-        return self.catalog.updater(doc or DEFAULT_DOCUMENT)
+        return self.catalog.updater()
 
     def configure_slow_log(self, threshold_ms: float = 100.0,
-                           path=None, max_entries: int = 1000) -> SlowQueryLog:
+                           path: str | Path | None = None,
+                           max_entries: int = 1000) -> SlowQueryLog:
         """Enable (or reconfigure) the service's slow-query log."""
         self.slow_log = SlowQueryLog(threshold_ms, path, max_entries)
         return self.slow_log
@@ -391,7 +386,9 @@ class QueryService:
     def __enter__(self) -> QueryService:
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 exc: BaseException | None,
+                 tb: TracebackType | None) -> None:
         self.close()
 
     def add_stats_section(self, name: str,
@@ -421,9 +418,9 @@ class QueryService:
         ``result_cache_size`` / ``workers``) stay at the top level; on
         top of them: service uptime and worker utilization (busy
         worker-seconds over elapsed worker-seconds), the per-service
-        telemetry counters, result-cache hit ratios, one section per
-        registered document with its current snapshot id and shared
-        plan-cache statistics, plus any sections registered via
+        telemetry counters, result-cache hit ratios, the document's
+        section (labelled ``"main"``) with its current snapshot id and
+        shared plan-cache statistics, plus any sections registered via
         :meth:`add_stats_section` (the network server's ``server``
         section, with the adaptive-admission state, appears here).
         The built-in keys are exactly :data:`STATS_KEYS`, in order.
@@ -438,12 +435,10 @@ class QueryService:
         utilization = min(
             busy_ns / 1e9 / (uptime_s * len(self._workers)), 1.0)
         _UTILIZATION.set(utilization)
-        documents = {}
-        for name in self.catalog.names():
-            documents[name] = {
-                "snapshot_id": self.catalog.current(name).snapshot_id,
-                "plan_cache": self.catalog.plan_cache(name).stats(),
-            }
+        documents = {"main": {
+            "snapshot_id": self.catalog.current().snapshot_id,
+            "plan_cache": self.catalog.plan_cache.stats(),
+        }}
         payload = dict(zip(STATS_KEYS, (
             STATS_SCHEMA,
             depth, inflight, cached, len(self._workers),
@@ -464,16 +459,13 @@ class QueryService:
     # Admission.
     # ------------------------------------------------------------------
 
-    def _request(self, text: str, doc: str | None, options: QueryOptions,
+    def _request(self, text: str, options: QueryOptions,
                  client: str | None = None) -> _Request:
         """Apply the service defaults and build the request identity —
-        once; the engine is handed both instead of re-deriving them.
-        An unknown document raises here, before anything is queued."""
-        doc = doc or DEFAULT_DOCUMENT
-        self.catalog.current(doc)           # UsageError: unknown document
+        once; the engine is handed both instead of re-deriving them."""
         if options.timeout_ms is None and self.default_timeout_ms is not None:
             options = options.with_timeout(self.default_timeout_ms)
-        return _Request(text, doc, options, QueryKey(text, options), client)
+        return _Request(text, options, QueryKey(text, options), client)
 
     def _enqueue(self, requests: list[_Request]) -> list[Future]:
         with self._cond:
@@ -589,20 +581,17 @@ class QueryService:
             self._settle(request, served)
 
     def _execute(self, request: _Request, wait_ms: float) -> ServeResult:
-        snapshot = self.catalog.pin(request.doc)
-        started = time.perf_counter()
-        try:
-            cache_key = None
-            if request.slot is not None and self.result_cache is not None:
-                cache_key = request.key.result(request.doc,
-                                               snapshot.snapshot_id)
-                entry = self.result_cache.get(cache_key)
+        with self.catalog.reading() as (snapshot, engine):
+            started = time.perf_counter()
+            cache = self.result_cache if request.slot is not None else None
+            if cache is not None:
+                cache_key = request.key.result(snapshot.snapshot_id)
+                entry = cache.get(cache_key)
                 if entry is not None:
                     run_ms = (time.perf_counter() - started) * 1e3
                     return ServeResult(entry.result, snapshot, wait_ms,
                                        run_ms, cached=True,
                                        fragments=entry.fragments)
-            engine = self.catalog.engine_for(snapshot)
             options = request.options
             if request.deadline is not None:
                 # Deadlines are measured from submission: the engine
@@ -614,14 +603,12 @@ class QueryService:
                 slow=None if self.slow_log is None else partial(
                     self._observe_slow, request, snapshot))
             fragments = None
-            if cache_key is not None:
+            if cache is not None:
                 fragments = [encode_fragment(item) for item in result.items]
-                self.result_cache.put(cache_key, result, fragments)
+                cache.put(cache_key, result, fragments)
             run_ms = (time.perf_counter() - started) * 1e3
             return ServeResult(result, snapshot, wait_ms, run_ms,
                                cached=False, fragments=fragments)
-        finally:
-            self.catalog.unpin(snapshot)
 
     def _observe_slow(self, request: _Request, snapshot: Snapshot,
                       plan: str | None, elapsed_ms: float,
@@ -655,8 +642,7 @@ class QueryService:
         survives past this call.
         """
         if self.result_cache is not None:
-            self.result_cache.invalidate_snapshot(
-                snapshot.name, snapshot.snapshot_id)
+            self.result_cache.invalidate_snapshot(snapshot.snapshot_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = self.stats()

@@ -9,7 +9,7 @@ tree.  Instead of locking, the serving layer never mutates a published
 document at all:
 
 * a :class:`Snapshot` is an immutable-by-convention document with a
-  name and a catalog-unique id (what is computed from it hangs off the
+  catalog-unique id (what is computed from it hangs off the
   document, ``snapshot.doc.derived``, until the snapshot retires);
 * an update batch forks the current snapshot's document once
   (:func:`fork_document`, copy-on-first-write), applies every operation
@@ -81,16 +81,15 @@ def fork_document(doc: Document) -> Document:
 
 @dataclass(frozen=True, eq=False)
 class Snapshot:
-    """One published, immutable version of a named document.
+    """One published, immutable version of the catalog's document.
 
-    ``snapshot_id`` is unique within its catalog (monotonic across all
-    documents), so result-cache keys can reference a version without
-    carrying the document around.  The document behind
+    ``snapshot_id`` is unique and monotonic within its catalog, so
+    result-cache keys can reference a version without carrying the
+    document around.  The document behind
     a snapshot must never be mutated — all updates go through
     :class:`SnapshotUpdater`, which works on a private fork.
     """
 
-    name: str
     snapshot_id: int
     doc: Document
 
@@ -100,13 +99,13 @@ class Snapshot:
         return self.doc.derived.stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Snapshot {self.name!r} id={self.snapshot_id} "
+        return (f"<Snapshot id={self.snapshot_id} "
                 f"{len(self.doc.nodes)} nodes>")
 
 
 @dataclass
 class SnapshotUpdater:
-    """One copy-on-write update batch against a named document.
+    """One copy-on-write update batch against the catalog's document.
 
     Obtained from :meth:`~repro.serve.catalog.Catalog.updater`; applies
     the same operations as :class:`~repro.xmlkit.update.DocumentUpdater`
@@ -116,7 +115,7 @@ class SnapshotUpdater:
     discards it.  Usable as a context manager (commit on clean exit,
     abort on exception)::
 
-        with catalog.updater("library") as up:
+        with catalog.updater() as up:
             shelf = up.doc.root
             up.insert_subtree(shelf, new_book)
         # <- the new snapshot is published here
@@ -134,10 +133,6 @@ class SnapshotUpdater:
         self.doc = fork_document(self.base.doc)
         self._updater = DocumentUpdater(self.doc)
         self._done = False
-
-    @property
-    def name(self) -> str:
-        return self.base.name
 
     def resolve(self, node: Node) -> Node:
         """Map a node of the base snapshot to its clone in the fork.
@@ -180,7 +175,7 @@ class SnapshotUpdater:
             raise RuntimeError("update batch already committed or aborted")
         self._done = True
         publish = getattr(self.catalog, "_publish")
-        snapshot: Snapshot = publish(self.base.name, self.doc, self.reports)
+        snapshot: Snapshot = publish(self.doc, self.reports)
         return snapshot
 
     def abort(self) -> None:
@@ -203,7 +198,7 @@ class SnapshotUpdater:
     def __del__(self) -> None:
         if not getattr(self, "_done", True) and self.reports:
             warnings.warn(
-                f"update batch on {self.name!r} dropped with "
-                f"{len(self.reports)} operation(s) applied and neither "
+                f"update batch on snapshot {self.base.snapshot_id} dropped "
+                f"with {len(self.reports)} operation(s) applied and neither "
                 "commit() nor abort() called; its writes are lost",
                 ResourceWarning, stacklevel=2)

@@ -180,7 +180,7 @@ class LocationPath:
                 sep = "/"
             parts.append(f"{sep}{_strip_axis_for_display(step)}")
         text = "".join(parts)
-        return text or "."
+        return text or ("/" if self.is_absolute() else ".")
 
 
 def _strip_axis_for_display(step: Step) -> str:

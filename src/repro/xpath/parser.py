@@ -18,6 +18,12 @@ Grammar (see :mod:`repro.xpath.ast` for the semantic notes)::
                  | 'is' | 'isnot'
     value      ::= STRING | NUMBER | functionCall | path | '(' expr ')'
 
+A lone ``/`` is the document node.  As in XQuery's leading-lone-slash
+rule, a ``/`` followed by a token that can start a step (a name, ``*``,
+``@``, ``.``, ``..``) begins a longer path: ``for $d in / return $d``
+reads ``return`` as a step, while ``for $d in /, $b in $d//b return $b``
+binds ``$d`` to the document node.
+
 Paths inside predicates are relative to the context node even when they
 start with ``/`` or ``//`` (the convention the paper's Appendix A
 queries use).
@@ -60,6 +66,7 @@ from repro.xpath.lexer import (
     STRING,
     SYMBOL,
     VARIABLE,
+    Token,
     TokenCursor,
 )
 
@@ -168,6 +175,9 @@ class XPathParser:
 
         if cur.current.is_symbol("/") or cur.current.is_symbol("//"):
             root = RootContext(absolute=top_level)
+            if cur.current.is_symbol("/") and not self._at_step(cur.peek()):
+                cur.advance()           # a lone '/': the document node
+                return LocationPath(root, ())
             steps.extend(self._parse_rel_steps())
             return LocationPath(root, tuple(steps))
 
@@ -175,6 +185,13 @@ class XPathParser:
         steps.append(self._parse_step())
         steps.extend(self._parse_rel_steps(optional=True))
         return LocationPath(root, tuple(steps))
+
+    @staticmethod
+    def _at_step(token: Token) -> bool:
+        """Whether ``token`` can start a step (what follows a '/' that
+        is not the whole path)."""
+        return token.kind == NAME or token.kind == SYMBOL \
+            and token.value in (".", "..", "@", "*")
 
     def _parse_rel_steps(self, optional: bool = False) -> list[Step]:
         """Parse ``(('/'|'//') step)*``; requires one step unless optional."""

@@ -2,6 +2,8 @@
 per-iteration evaluation by ``DirectEvaluator``) and the X-Hive
 simulator."""
 
+from collections import Counter
+
 import pytest
 
 from repro.baseline import XHiveSimulator
@@ -9,6 +11,7 @@ from repro.engine import Engine
 from repro.errors import DNFError
 from repro.xmlkit import parse
 from repro.xmlkit.storage import ScanCounters
+from repro.xpath.evaluator import XPathEvaluator
 
 
 def naive(doc, text, **options):
@@ -16,11 +19,26 @@ def naive(doc, text, **options):
 
 
 class TestNaiveInterpreter:
-    def test_re_evaluates_paths_per_iteration(self, small_bib):
-        """The defining (intentionally wasteful) behaviour: the inner
-        for-path is evaluated once per outer tuple."""
-        result = naive(small_bib, "for $a in //book, $b in //book return <p/>")
+    def test_re_evaluates_paths_per_iteration(self, small_bib, monkeypatch):
+        """The defining (intentionally wasteful) behaviour: a correlated
+        inner for-path is evaluated once per outer tuple; one that names
+        no variable is evaluated once in total."""
+        calls = Counter()
+        real = XPathEvaluator.evaluate_path
+
+        def counting(self, path, context):
+            calls[str(path)] += 1
+            return real(self, path, context)
+
+        monkeypatch.setattr(XPathEvaluator, "evaluate_path", counting)
+        result = naive(small_bib,
+                       "for $a in //book, $b in $a/author return <p/>")
+        assert len(result) == 3         # 1 + 2 + 0 authors
+        assert calls["$a/author"] == 3  # one per book
+        calls.clear()
+        result = naive(small_bib, "for $a in //book, $b in //title return <p/>")
         assert len(result) == 9
+        assert calls["//title"] == 1
 
     def test_work_budget(self, small_bib):
         with pytest.raises(DNFError):

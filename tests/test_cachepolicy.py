@@ -30,8 +30,8 @@ def wire(payload: str) -> list[bytes]:
     return [payload.encode("utf-8")] if payload else []
 
 
-def key(n: int, snapshot: int = 1, doc: str = "main") -> tuple:
-    return (doc, snapshot, f"//q{n}", "auto", "serial")
+def key(n: int, snapshot: int = 1) -> tuple:
+    return (snapshot, f"//q{n}", "auto")
 
 
 def make_storage(max_bytes: int = 4096) -> ResultCacheStorage:
@@ -122,7 +122,7 @@ class TestSnapshotInvalidation:
         for n in range(3):
             storage.put(key(n, snapshot=1), RESULT, wire("x"))
         storage.put(key(9, snapshot=2), RESULT, wire("y"))
-        dropped = storage.invalidate_snapshot("main", 1)
+        dropped = storage.invalidate_snapshot(1)
         assert dropped == 3
         stats = storage.stats()
         assert stats["size"] == 1                         # snapshot 2 stays
@@ -132,13 +132,6 @@ class TestSnapshotInvalidation:
         assert storage.get(key(0, snapshot=1)) is None
         assert storage.get(key(9, snapshot=2)) is not None
 
-    def test_invalidation_is_per_document(self):
-        storage = make_storage()
-        storage.put(key(1, doc="a"), RESULT, wire("x"))
-        storage.put(key(1, doc="b"), RESULT, wire("x"))
-        assert storage.invalidate_snapshot("a", 1) == 1
-        assert storage.get(key(1, doc="b")) is not None
-
     def test_audit_catches_an_index_hole(self):
         """Sabotage the snapshot index the way the pre-split bug class
         would (an entry the index forgot): the audit's full scan must
@@ -146,8 +139,8 @@ class TestSnapshotInvalidation:
         storage = make_storage()
         storage.put(key(1), RESULT, wire("x"))
         storage.put(key(2), RESULT, wire("y"))
-        storage._by_snapshot[("main", 1)].discard(key(2))  # the "bug"
-        dropped = storage.invalidate_snapshot("main", 1)
+        storage._by_snapshot[1].discard(key(2))  # the "bug"
+        dropped = storage.invalidate_snapshot(1)
         assert dropped == 2                               # audit caught it
         stats = storage.stats()
         assert stats["audit"]["survivors"] == 1
@@ -156,7 +149,7 @@ class TestSnapshotInvalidation:
     def test_unknown_snapshot_is_a_noop_but_still_audited(self):
         storage = make_storage()
         storage.put(key(1), RESULT, wire("x"))
-        assert storage.invalidate_snapshot("main", 777) == 0
+        assert storage.invalidate_snapshot(777) == 0
         stats = storage.stats()
         assert stats["audit"]["snapshots_invalidated"] == 1
         assert stats["audit"]["survivors"] == 0

@@ -97,7 +97,7 @@ class TestUpdateIntegration:
         from repro.xmlkit import parse
 
         db = Database.from_xml(SMALL_BIB)
-        with pytest.warns(ResourceWarning, match="'main'"):
+        with pytest.warns(ResourceWarning, match="update batch on snapshot 1"):
             db.updater().insert_subtree(db.doc.root, parse("<book/>").root)
             gc.collect()
         assert len(db.query("//book")) == 3         # nothing was published

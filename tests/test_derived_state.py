@@ -128,13 +128,13 @@ def test_catalog_lock_is_not_held_during_an_o_n_build(monkeypatch,
         return real(doc, *args, **kwargs)
 
     monkeypatch.setattr(derived_module, "build_summary", blocking)
-    catalog = Catalog()
-    first = catalog.register("one", "<r><a/></r>")
-    catalog.register("two", "<r><b/></r>")
+    catalog = Catalog("<r><a/></r>")
+    first = catalog.current()
     answers, done = [], threading.Event()
 
     def pin_unpin():
-        catalog.unpin(catalog.pin("two"))
+        with catalog.reading() as (snapshot, _engine):
+            assert snapshot is first
         done.set()
 
     def read_then_query():
@@ -148,7 +148,7 @@ def test_catalog_lock_is_not_held_during_an_o_n_build(monkeypatch,
     try:
         assert started.wait(30)
         other.start()
-        assert done.wait(10), "pin/unpin of another document waited " \
+        assert done.wait(10), "a second reader's pin/unpin waited " \
             "behind a structural pass"
     finally:
         release.set()

@@ -54,17 +54,28 @@ class TestBarePaths:
 
 
 class TestFLWOR:
+    #: The ``/`` spellings of the root, each with its ``doc()`` twin.
+    LONE_SLASH = {
+        '/': 'doc("bib.xml")',
+        'for $d in /, $b in $d//book return $b/title':
+            'for $d in doc("bib.xml"), $b in $d//book return $b/title'}
+
     @pytest.mark.parametrize("text", [
         'doc("bib.xml")',
         'for $d in doc("bib.xml") return $d/bib/book/title',
         'let $d := doc("bib.xml") return $d//last',
-        'for $d in doc("bib.xml"), $b in $d//book return $b/title'])
+        'for $d in doc("bib.xml"), $b in $d//book return $b/title',
+        *LONE_SLASH])
     def test_variable_bound_to_the_document_node(self, engine, text):
         """Regression: a variable bound at a pattern root anchored its
         candidate walk on itself and bound nothing on every BlossomTree
-        strategy, while ``naive`` answered."""
+        strategy, while ``naive`` answered.  A lone ``/`` is the same
+        root: it used to be a syntax error."""
         expected = engine.query(text, strategy="naive").serialize()
         assert expected
+        if text in self.LONE_SLASH:
+            assert expected == engine.query(
+                self.LONE_SLASH[text], strategy="naive").serialize()
         for strategy in ALL_BLOSSOM + ["auto", "parallel"]:
             got = engine.query(text, strategy=strategy)
             assert got.strategy != "naive"

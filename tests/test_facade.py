@@ -108,7 +108,7 @@ class TestDatabaseLifecycle:
             with service.updater() as batch:
                 batch.insert_subtree(batch.doc.root, parse("<book/>").root)
             assert service.catalog is db.catalog
-            assert db.catalog.current("main").snapshot_id == 3
+            assert db.catalog.current().snapshot_id == 3
             assert len(service.query("//book")) == len(db.query("//book")) == 5
 
     def test_reads_follow_the_served_version(self):
@@ -117,7 +117,7 @@ class TestDatabaseLifecycle:
             prepared = db.prepare("//book")
             with service.updater() as batch:
                 batch.insert_subtree(batch.doc.root, parse("<book/>").root)
-            current = service.catalog.current("main")
+            current = service.catalog.current()
             assert len(service.query("//book")) == 4
             assert len(db.query("//book")) == 4
             assert "4 item(s)" in db.explain_analyze("//book")
@@ -128,7 +128,7 @@ class TestDatabaseLifecycle:
                 == current.doc.derived.summary.fingerprint()
             # A prepared query runs on the current version, too.
             assert len(prepared.execute()) == 4
-            assert service.catalog._entries["main"].pins == {}  # unpinned
+            assert service.catalog._pins == {}  # unpinned
 
     def test_prepared_queries_follow_every_commit(self):
         with repro.connect(LIBRARY) as db:
@@ -167,7 +167,7 @@ class TestDatabaseLifecycle:
             db.query("//book")
             service.query("//book[title]")
             db.query("//book")
-            assert db.engine.plan_cache is service.catalog.plan_cache("main")
+            assert db.engine.plan_cache is service.catalog.plan_cache
             assert service.slow_log is log
             stats = db.stats()
             assert stats["plan_cache"]["misses"] == 2
@@ -208,8 +208,8 @@ class TestUnifiedKeywords:
         "Engine.query": {"counters", "tracer"},
         "Database.query": {"counters", "tracer"},
         "PreparedQuery.execute": {"counters", "tracer"},
-        "QueryService.submit": {"doc", "client"},
-        "Client.query": {"doc"},
+        "QueryService.submit": {"client"},
+        "Client.query": set(),
     }
     #: ...and the fields it leaves out, with the reason.
     OMITS = {
@@ -243,7 +243,7 @@ class TestUnifiedKeywords:
             f"{where} still absorbs positional options"
 
     def test_the_wire_carries_every_option_the_client_accepts(self):
-        wire = set(QueryOptions(params={"p": 1}, timeout_ms=5).to_frame("d"))
+        wire = set(QueryOptions(params={"p": 1}, timeout_ms=5).to_frame())
         assert wire == (set(QueryOptions.__slots__)
                         - self.OMITS["Client.query"]) \
             | self.EXTRAS["Client.query"]
@@ -254,8 +254,8 @@ class TestUnifiedKeywords:
 
         fields = set(QueryOptions.__slots__)
         for function, extras in (
-                (QueryService.query, {"doc", "client"}),
-                (QueryService.query_batch, {"doc"}),
+                (QueryService.query, {"client"}),
+                (QueryService.query_batch, set()),
                 (Engine.prepare, set()), (Database.prepare, set()),
                 (Client.prepare, set()), (RemotePrepared.execute, set())):
             keywords = {

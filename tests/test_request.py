@@ -186,20 +186,22 @@ class TestOptionValidation:
             assert stats["result_cache"]["misses"] == 0
 
     def test_unknown_document_is_refused_before_admission(self):
-        """Regression: ``doc="nope"`` used to be queued, hold a worker
-        and fail only in its future (``submitted`` 1, ``failed`` 1)."""
+        """A request names no document: an in-process ``"doc"`` key is
+        an unknown batch key, refused before anything is queued or
+        counted, and a wire frame's ``doc`` field is ignored like any
+        other unknown field."""
         with QueryService(LIBRARY, workers=1) as service:
-            with pytest.raises(UsageError, match="unknown document 'nope'"):
-                service.submit("//book", doc="nope")
-            with pytest.raises(UsageError, match="unknown document"):
+            with pytest.raises(UsageError, match="query_batch item"):
                 service.query_batch(["//book", {"text": "//b", "doc": "x"}])
+            counters = service.stats()["counters"]
+            assert counters["submitted"] == counters["failed"] == 0
             with repro.listen(service) as server, \
                     client_mod.connect(*server.address) as client:
-                with pytest.raises(UsageError, match="unknown document"):
-                    client.query("//book", doc="nope")
-                counters = service.stats()["counters"]
-                assert counters["submitted"] == counters["failed"] == 0
-                assert len(client.query("//book")) == 3
+                plain = client.query("//book").serialize()
+                named = client._roundtrip_result(
+                    {"type": "query", "text": "//book", "doc": "nope"})
+                assert named.serialize() == plain
+                assert plain.count("<book") == 3
 
     @pytest.mark.parametrize("item", [
         {"txt": "//book"}, 42, {"text": 42},
@@ -237,29 +239,26 @@ OPTIONS = st.builds(
 
 
 class TestFrameCodec:
-    @given(options=OPTIONS, doc=st.none() | st.text(min_size=1, max_size=8))
-    def test_round_trip(self, options, doc):
+    @given(options=OPTIONS)
+    def test_round_trip(self, options):
         import json
 
-        frame = json.loads(json.dumps(options.to_frame(doc)))
-        decoded, decoded_doc = QueryOptions.from_frame(frame)
-        assert decoded_doc == doc
+        frame = json.loads(json.dumps(options.to_frame()))
+        decoded = QueryOptions.from_frame(frame)
         for name in ("strategy", "params", "timeout_ms", "executor"):
             assert getattr(decoded, name) == getattr(options, name)
 
     def test_absent_fields_fall_back_to_the_pinned_handle(self):
         pinned = QueryOptions("parallel", executor="processes:2")
-        options, doc = QueryOptions.from_frame(
-            {"params": {"p": 1}}, pinned, "main", 250.0)
-        assert (options.strategy, options.executor.key, doc,
-                options.timeout_ms) == ("parallel", "processes:2", "main",
-                                        250.0)
-        override, _ = QueryOptions.from_frame({"executor": "serial"}, pinned)
+        options = QueryOptions.from_frame({"params": {"p": 1}}, pinned, 250.0)
+        assert (options.strategy, options.executor.key,
+                options.timeout_ms) == ("parallel", "processes:2", 250.0)
+        override = QueryOptions.from_frame({"executor": "serial"}, pinned)
         assert override.executor.key == "serial"
 
     @pytest.mark.parametrize("field, value", [
         ("timeout_ms", "soon"), ("strategy", ["x"]), ("executor", 7),
-        ("doc", 5), ("params", [1])])
+        ("params", "p"), ("params", [1])])
     def test_wrongly_typed_field_is_a_protocol_error(self, field, value):
         with pytest.raises(ProtocolError, match=field):
             QueryOptions.from_frame({field: value})
@@ -279,8 +278,8 @@ class TestOneIdentity:
         assert key.plan(("fp",)) == ("//a /b", "auto", ("fp",))
         assert (key.text, key.strategy) == ("//a /b", "auto")
         assert QueryKey.__slots__ == ("text", "strategy")
-        assert key.coalescing("main") == ("main", "//a /b", "auto")
-        assert key.result("main", 3) == ("main", 3, "//a /b", "auto")
+        assert key.coalescing() == ("//a /b", "auto")
+        assert key.result(3) == (3, "//a /b", "auto")
         assert QueryKey(object(), options).text is None     # bypasses caches
 
     def test_whitespace_variants_and_executors_share_one_key(self,
@@ -294,7 +293,7 @@ class TestOneIdentity:
             for text in self.VARIANTS:
                 service.query(text)
             engine = service.catalog.engine_for(
-                service.catalog.current("main"))
+                service.catalog.current())
             assert len(engine.plan_cache) == 1
             assert len(lints) == 1      # three variants, one compile
             assert len(service.result_cache) == 1
@@ -315,17 +314,17 @@ class TestOneIdentity:
 
         service = QueryService(LIBRARY, workers=1)
         try:
-            slots = {service._request(text, None, QueryOptions()).slot
+            slots = {service._request(text, QueryOptions()).slot
                      for text in self.VARIANTS}
             assert len(slots) == 1
             assert service._request(
-                self.VARIANTS[0], None,
+                self.VARIANTS[0],
                 QueryOptions(executor="threads:2")).slot in slots
             other = service._request(
-                self.VARIANTS[0], None, QueryOptions("pipelined"))
+                self.VARIANTS[0], QueryOptions("pipelined"))
             assert other.slot not in slots
             assert service._request(
-                self.VARIANTS[0], None, QueryOptions(trace=True)).slot is None
+                self.VARIANTS[0], QueryOptions(trace=True)).slot is None
         finally:
             service.close()
 

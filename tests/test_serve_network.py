@@ -424,7 +424,6 @@ class TestRobustness:
         ("executor", "gpu", "USAGE"),
         ("executor", "threads:0", "USAGE"),
         ("executor", "serial:4", "USAGE"),
-        ("doc", 5, "PROTOCOL"),
         ("params", [1], "PROTOCOL"),
     ], ids=lambda v: repr(v) if not isinstance(v, str) else v)
     def test_malformed_option_field_keeps_the_connection(

@@ -152,8 +152,8 @@ class TestSlowLogOnASharedEngine:
         from state kept on the engine could show the *other* worker's
         plan.  Each record's plan comes from its own run, so the
         assertion holds under any interleaving."""
-        with make_service(workers=2, slow_query_ms=0.0,
-                          result_cache=0) as service:
+        with make_service(workers=2, result_cache=0) as service:
+            service.configure_slow_log(0.0)
             futures = [service.submit(f'//book[author != "a{i}"]/title',
                                       strategy=strategy)
                        for i in range(20)
@@ -196,8 +196,7 @@ class TestAdmissionControl:
         gate = threading.Event()
         release = threading.Event()
 
-        catalog = Catalog()
-        catalog.register("main", LIBRARY)
+        catalog = Catalog(LIBRARY)
         service = QueryService(catalog, workers=1, max_queue=2)
         try:
             # Occupy the single worker with a slow request.
@@ -228,8 +227,7 @@ class TestAdmissionControl:
     def test_batch_admission_is_all_or_nothing(self):
         gate = threading.Event()
         release = threading.Event()
-        catalog = Catalog()
-        catalog.register("main", LIBRARY)
+        catalog = Catalog(LIBRARY)
         service = QueryService(catalog, workers=1, max_queue=2)
         try:
             original = catalog.engine_for
@@ -256,8 +254,7 @@ class TestCoalescingAndResultCache:
     def test_identical_requests_coalesce(self):
         gate = threading.Event()
         release = threading.Event()
-        catalog = Catalog()
-        catalog.register("main", LIBRARY)
+        catalog = Catalog(LIBRARY)
         service = QueryService(catalog, workers=1)
         try:
             original = catalog.engine_for
@@ -358,10 +355,10 @@ class TestCacheLifecycle:
             queries = ("//book/title", "//book/author", "//shelf[book]")
             for text in queries:
                 service.query(text)
-            retired_id = service.catalog.current("main").snapshot_id
+            retired_id = service.catalog.current().snapshot_id
             assert len(storage) == len(queries)
-            stale_key = QueryKey("//book/title", QueryOptions()).result(
-                "main", retired_id)
+            stale_key = QueryKey("//book/title",
+                                 QueryOptions()).result(retired_id)
             assert storage.get(stale_key) is not None
 
             with service.updater() as up:
@@ -414,8 +411,7 @@ class TestCloseSemantics:
     def test_close_without_drain_cancels_queued(self):
         gate = threading.Event()
         release = threading.Event()
-        catalog = Catalog()
-        catalog.register("main", LIBRARY)
+        catalog = Catalog(LIBRARY)
         service = QueryService(catalog, workers=1)
         original = catalog.engine_for
 
@@ -446,8 +442,7 @@ class TestCloseSemantics:
         """A service over a catalog it did not build leaves it (and its
         versions) with the owner, and deregisters its retire listener,
         so serve/close cycles keep no dead result cache reachable."""
-        catalog = Catalog()
-        catalog.register("main", LIBRARY)
+        catalog = Catalog(LIBRARY)
         for _ in range(3):
             with QueryService(catalog, workers=1) as service:
                 with service.updater() as up:
@@ -455,7 +450,7 @@ class TestCloseSemantics:
                 service.close()
                 service.close()                     # idempotent
         assert catalog._retire_listeners == []
-        engine = catalog.engine_for(catalog.current("main"))
+        engine = catalog.engine_for(catalog.current())
         assert len(engine.query("//shelf")) == 5
         assert engine.scan_pools is catalog.scan_pools
         catalog.close()

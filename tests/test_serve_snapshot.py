@@ -30,10 +30,9 @@ def elems(node):
     return [c for c in node.children if c.tag is not None]
 
 
-def live_ids(catalog, name):
-    """Snapshot ids of ``name`` that are current or pinned."""
-    entry = catalog._entries[name]
-    return {entry.current.snapshot_id, *entry.pins}
+def live_ids(catalog):
+    """Snapshot ids that are current or pinned."""
+    return {catalog.current().snapshot_id, *catalog._pins}
 
 
 def subtree(tag: str, **children) -> object:
@@ -81,125 +80,100 @@ class TestForkDocument:
 
 class TestCatalogVersioning:
     def test_register_and_query_current(self):
-        catalog = Catalog()
-        snap = catalog.register("lib", LIBRARY)
+        catalog = Catalog(LIBRARY)
+        snap = catalog.current()
         assert snap.snapshot_id == 1
-        assert catalog.current("lib") is snap
-        assert "lib" in catalog and "other" not in catalog
-
-    def test_duplicate_registration_refused(self):
-        catalog = Catalog()
-        catalog.register("lib", LIBRARY)
-        with pytest.raises(UsageError, match="already registered"):
-            catalog.register("lib", LIBRARY)
+        assert catalog.current() is snap
+        assert len(catalog.engine_for(snap).query("//book")) == 3
+        doc = parse(LIBRARY)            # a parsed tree is taken, not forked
+        assert Catalog(doc).current().doc is doc
 
     def test_commit_publishes_next_snapshot(self):
-        catalog = Catalog()
-        catalog.register("lib", LIBRARY)
-        with catalog.updater("lib") as up:
+        catalog = Catalog(LIBRARY)
+        with catalog.updater() as up:
             shelf = elems(up.doc.root)[0]
             up.insert_subtree(shelf, subtree("book", author="Knuth",
                                              title="TAOCP"))
-        current = catalog.current("lib")
+        current = catalog.current()
         assert current.snapshot_id == 2
         engine = catalog.engine_for(current)
         assert len(engine.query("//book")) == 4
 
     def test_abort_discards_the_fork(self):
-        catalog = Catalog()
-        catalog.register("lib", LIBRARY)
-        up = catalog.updater("lib")
+        catalog = Catalog(LIBRARY)
+        up = catalog.updater()
         up.delete_subtree(elems(up.doc.root)[0])
         up.abort()
-        assert catalog.current("lib").snapshot_id == 1
+        assert catalog.current().snapshot_id == 1
 
     def test_exception_inside_with_aborts(self):
-        catalog = Catalog()
-        catalog.register("lib", LIBRARY)
+        catalog = Catalog(LIBRARY)
         with pytest.raises(RuntimeError, match="boom"):
-            with catalog.updater("lib") as up:
+            with catalog.updater() as up:
                 up.delete_subtree(elems(up.doc.root)[0])
                 raise RuntimeError("boom")
-        assert catalog.current("lib").snapshot_id == 1
+        assert catalog.current().snapshot_id == 1
 
     def test_double_commit_refused(self):
-        catalog = Catalog()
-        catalog.register("lib", LIBRARY)
-        up = catalog.updater("lib")
+        catalog = Catalog(LIBRARY)
+        up = catalog.updater()
         up.commit()
         with pytest.raises(RuntimeError, match="already committed"):
             up.commit()
 
-    def test_snapshot_ids_monotonic_across_documents(self):
-        catalog = Catalog()
-        catalog.register("a", LIBRARY)
-        catalog.register("b", LIBRARY)
-        with catalog.updater("a"):
-            pass
-        assert catalog.current("b").snapshot_id == 2
-        assert catalog.current("a").snapshot_id == 3
-
-    def test_unknown_document(self):
-        catalog = Catalog()
-        with pytest.raises(UsageError, match="unknown document"):
-            catalog.current("nope")
 
 
 class TestPinning:
     def test_pinned_snapshot_survives_publish(self):
-        catalog = Catalog()
-        catalog.register("lib", LIBRARY)
-        pinned = catalog.pin("lib")
-        with catalog.updater("lib") as up:
+        catalog = Catalog(LIBRARY)
+        pinned = catalog.pin()
+        with catalog.updater() as up:
             up.delete_subtree(elems(up.doc.root)[0])
         # The pinned version still answers with the old content.
         engine = catalog.engine_for(pinned)
         assert len(engine.query("//book")) == 3
-        assert live_ids(catalog, "lib") == {1, 2}
+        assert live_ids(catalog) == {1, 2}
         catalog.unpin(pinned)
-        assert live_ids(catalog, "lib") == {2}
-        with pytest.raises(UsageError, match="snapshot 1 of 'lib'"):
+        assert live_ids(catalog) == {2}
+        with pytest.raises(UsageError, match="snapshot 1 has been retired"):
             engine.query("//book")
 
     def test_unpinned_superseded_snapshot_retires_on_publish(self):
-        catalog = Catalog()
-        catalog.register("lib", LIBRARY)
-        with catalog.updater("lib"):
+        catalog = Catalog(LIBRARY)
+        with catalog.updater():
             pass
-        assert live_ids(catalog, "lib") == {2}
-        assert catalog._entries["lib"].engines == {}
+        assert live_ids(catalog) == {2}
+        assert catalog._engines == {}
 
     def test_engine_for_dropped_snapshot_refused(self):
-        catalog = Catalog()
-        old = catalog.register("lib", LIBRARY)
-        with catalog.updater("lib"):
+        catalog = Catalog(LIBRARY)
+        old = catalog.current()
+        with catalog.updater():
             pass
-        with pytest.raises(UsageError, match="snapshot 1 of 'lib' has been "
-                                             "retired"):
+        with pytest.raises(UsageError, match="snapshot 1 has been retired"):
             catalog.engine_for(old)
 
     def test_unpin_without_pin_refused(self):
-        catalog = Catalog()
-        snap = catalog.register("lib", LIBRARY)
+        catalog = Catalog(LIBRARY)
+        snap = catalog.current()
         with pytest.raises(UsageError, match="not pinned"):
             catalog.unpin(snap)
 
     def test_retire_listener_fires_outside_lock(self):
-        catalog = Catalog()
+        catalog = Catalog(LIBRARY)
         retired = []
         catalog.on_retire(
-            lambda s: retired.append((s.name, s.snapshot_id,
-                                      catalog.current(s.name).snapshot_id)))
-        catalog.register("lib", LIBRARY)
-        with catalog.updater("lib"):
+            lambda s: retired.append((s.snapshot_id,
+                                      catalog.current().snapshot_id)))
+        with catalog.updater():
             pass
-        assert retired == [("lib", 1, 2)]
+        assert retired == [(1, 2)]
 
     def test_resolve_maps_base_nodes_into_the_fork(self):
-        catalog = Catalog()
-        base = catalog.register("lib", LIBRARY)
+        catalog = Catalog(LIBRARY)
+        base = catalog.current()
         first_book = elems(elems(base.doc.root)[0])[0]
-        up = catalog.updater("lib")
+        up = catalog.updater()
         assert isinstance(up, SnapshotUpdater)
         up.delete_subtree(first_book)      # base node, resolved into fork
         snap = up.commit()
@@ -226,8 +200,7 @@ class TestRetiredEngine:
             }
             for call in calls.values():
                 with pytest.raises(UsageError,
-                                   match="snapshot 1 of 'main' has been "
-                                         "retired"):
+                                   match="snapshot 1 has been retired"):
                     call()
             # Nothing rebuilt the retired version's derived state.
             assert engine.doc._derived is None
@@ -236,15 +209,14 @@ class TestRetiredEngine:
 
 class TestSnapshotPlanCache:
     def test_versions_share_one_cache_without_aliasing(self):
-        catalog = Catalog()
-        catalog.register("lib", LIBRARY)
-        pinned = catalog.pin("lib")
+        catalog = Catalog(LIBRARY)
+        pinned = catalog.pin()
         old_engine = catalog.engine_for(pinned)
         old_engine.query("//book/title")
-        with catalog.updater("lib") as up:
+        with catalog.updater() as up:
             up.delete_subtree(elems(up.doc.root)[0])
-        new_engine = catalog.engine_for(catalog.current("lib"))
-        cache = catalog.plan_cache("lib")
+        new_engine = catalog.engine_for(catalog.current())
+        cache = catalog.plan_cache
         assert new_engine.plan_cache is cache
         assert old_engine.plan_cache is cache
         # Different shape => different key => both results correct.
@@ -254,27 +226,26 @@ class TestSnapshotPlanCache:
         catalog.unpin(pinned)
 
     def test_retirement_keeps_the_shapes_plans(self):
-        catalog = Catalog()
-        catalog.register("lib", LIBRARY)
-        pinned = catalog.pin("lib")
+        catalog = Catalog(LIBRARY)
+        pinned = catalog.pin()
         catalog.engine_for(pinned).query("//book/title")
-        cache = catalog.plan_cache("lib")
+        cache = catalog.plan_cache
         assert len(cache) == 1
-        with catalog.updater("lib"):
+        with catalog.updater():
             pass
         catalog.unpin(pinned)          # last unpin retires snapshot 1
         assert len(cache) == 1
-        engine = catalog.engine_for(catalog.current("lib"))
+        engine = catalog.engine_for(catalog.current())
         served = engine.query("//book/title", trace=True)
         assert served.trace.root.attrs["plan-cache"] == "hit"
         assert len(served) == 3
 
     def test_plans_are_keyed_by_shape_not_snapshot(self):
-        catalog = Catalog()
-        snap = catalog.register("lib", LIBRARY)
+        catalog = Catalog(LIBRARY)
+        snap = catalog.current()
         engine = catalog.engine_for(snap)
         engine.query("//book/title")
-        cache = catalog.plan_cache("lib")
+        cache = catalog.plan_cache
         [key] = list(cache._entries)
         assert key[-1] == (snap.doc.derived.summary.fingerprint(),)
         assert not hasattr(cache.get(key), "snapshot_id")

@@ -73,11 +73,10 @@ def elems(node, tag=None):
 
 
 def test_concurrent_readers_match_serial_replay_exactly():
-    catalog = Catalog()
     # With intra-query parallelism requested, use a corpus big enough
     # for the partitioner to cut.
-    catalog.register("main", build_library() if STRESS_PARALLELISM <= 1
-                     else build_library(shelves=40, books=30))
+    catalog = Catalog(build_library() if STRESS_PARALLELISM <= 1
+                      else build_library(shelves=40, books=30))
     service = QueryService(catalog, workers=N_READERS,
                            max_queue=256,
                            result_cache=512 * 1024)
@@ -93,7 +92,7 @@ def test_concurrent_readers_match_serial_replay_exactly():
         while not stop.is_set():
             serial += 1
             try:
-                with catalog.updater("main") as up:
+                with catalog.updater() as up:
                     shelves = elems(up.doc.root, "shelf")
                     shelf = rng.choice(shelves)
                     books = elems(shelf, "book")
@@ -157,18 +156,16 @@ def test_concurrent_readers_match_serial_replay_exactly():
     # Every commit published a snapshot; liveness bookkeeping must not
     # leak: at most the current + currently pinned snapshots stay live.
     publishes = counts["writes"]
-    assert catalog.current("main").snapshot_id >= publishes
-    entry = catalog._entries["main"]
-    live = {entry.current.snapshot_id, *entry.pins}
+    assert catalog.current().snapshot_id >= publishes
+    live = {catalog.current().snapshot_id, *catalog._pins}
     assert len(live) <= 1 + N_READERS
-    assert set(entry.engines) <= live
+    assert set(catalog._engines) <= live
 
 
 def test_plan_and_result_caches_stay_coherent_under_churn():
     """Tight loop over one query while writers churn: every answer must
     match its snapshot even when served from the result cache."""
-    catalog = Catalog()
-    catalog.register("main", build_library())
+    catalog = Catalog(build_library())
     service = QueryService(catalog, workers=4,
                            result_cache=256 * 1024)
     stop = threading.Event()
@@ -178,7 +175,7 @@ def test_plan_and_result_caches_stay_coherent_under_churn():
         serial = 0
         while not stop.is_set():
             serial += 1
-            with catalog.updater("main") as up:
+            with catalog.updater() as up:
                 up.insert_subtree(elems(up.doc.root, "shelf")[0],
                                   make_book(serial))
 
@@ -209,8 +206,7 @@ def test_cache_churn_under_byte_pressure():
     answer, only a recomputation.  The storage's audit counters must
     show zero entries surviving any snapshot retire.
     """
-    catalog = Catalog()
-    catalog.register("main", build_library())
+    catalog = Catalog(build_library())
     # A budget of ~4 entries' bytes: LRU eviction stays hot.
     service = QueryService(catalog, workers=4, result_cache=2048)
     storage = service.result_cache
@@ -221,7 +217,7 @@ def test_cache_churn_under_byte_pressure():
         serial = 0
         while not stop.is_set():
             serial += 1
-            with catalog.updater("main") as up:
+            with catalog.updater() as up:
                 up.insert_subtree(elems(up.doc.root, "shelf")[0],
                                   make_book(serial))
             time.sleep(0.002)

@@ -298,14 +298,14 @@ class TestExactness:
         assert_exact(doc)
 
     def test_after_snapshot_updater_commit(self):
-        catalog = Catalog()
-        base = catalog.register("lib", LIBRARY)
+        catalog = Catalog(LIBRARY)
+        base = catalog.current()
         assert_exact(base.doc)
-        with catalog.updater("lib") as batch:
+        with catalog.updater() as batch:
             batch.insert_subtree(batch.doc.root,
                                  parse("<shelf><lib>x</lib></shelf>").root)
             batch.delete_subtree(batch.doc.root.children[0])
-        assert catalog.current("lib").doc is batch.doc
+        assert catalog.current().doc is batch.doc
         assert_exact(batch.doc)
 
     def test_truncated_summary_keeps_exact_stats(self):

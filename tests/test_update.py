@@ -326,16 +326,15 @@ class TestPatchedEqualsRebuilt:
     @GENERATED
     @given(data=st.data())
     def test_generated_snapshot_batches(self, shape, data):
-        catalog = Catalog()
-        catalog.register("doc", shape_xml(shape))
+        catalog = Catalog(shape_xml(shape))
         ref = parse(shape_xml(shape))
-        warm(catalog.current("doc").doc)
+        warm(catalog.current().doc)
         for _ in range(data.draw(st.integers(1, 3), label="batches")):
-            base = catalog.current("doc").doc
+            base = catalog.current().doc
             frozen = (labels(base), [n._string_value for n in base.nodes],
                       base.derived.summary.fingerprint(),
                       postings(base.derived.index))
-            batch = catalog.updater("doc")
+            batch = catalog.updater()
             # The fork starts with the base's state: the same summary,
             # the postings on its clones, every cached string value.
             assert batch.doc._derived._dataguide is base.derived.summary

@@ -102,16 +102,16 @@ class TestEngineInvalidation:
 
 class TestSnapshotInvalidation:
     def test_new_snapshot_gets_fresh_summary(self):
-        catalog = Catalog()
-        snap = catalog.register("lib", SMALL_BIB)
+        catalog = Catalog(SMALL_BIB)
+        snap = catalog.current()
         engine = catalog.engine_for(snap)
         old_summary = engine.summary
 
-        with catalog.updater("lib") as up:
+        with catalog.updater() as up:
             up.insert_subtree(up.doc.root,
                               parse("<appendix>new</appendix>").root)
 
-        current = catalog.current("lib")
+        current = catalog.current()
         assert current.snapshot_id != snap.snapshot_id
         fresh = catalog.engine_for(current)
         assert fresh.summary.fingerprint() != old_summary.fingerprint()
@@ -121,10 +121,9 @@ class TestSnapshotInvalidation:
         try:
             # Prime the static-empty plan (and the result cache) on the
             # pre-update snapshot.
-            assert service.query("//appendix", doc="main").serialize() == ""
             assert service.query("//appendix").serialize() == ""
 
-            with service.updater("main") as up:
+            with service.updater() as up:
                 up.insert_subtree(up.doc.root,
                                   parse("<appendix>new</appendix>").root)
 
@@ -136,9 +135,8 @@ class TestSnapshotInvalidation:
     def test_retire_drops_cached_summary(self):
         """A retired snapshot's engine, derived state and arena file are
         gone; a pinned one keeps all three until its last unpin."""
-        catalog = Catalog()
-        snap = catalog.register("lib", SMALL_BIB)
-        entry = catalog._entries["lib"]
+        catalog = Catalog(SMALL_BIB)
+        snap = catalog.current()
 
         def warm(snapshot):
             catalog.engine_for(snapshot).stats_fingerprint()
@@ -146,27 +144,27 @@ class TestSnapshotInvalidation:
             return derived, derived.summary, derived.arena_file()
 
         derived, summary, arena = warm(snap)
-        assert snap.snapshot_id in entry.engines
+        assert snap.snapshot_id in catalog._engines
 
-        with catalog.updater("lib") as up:
+        with catalog.updater() as up:
             up.insert_subtree(up.doc.root, parse("<x/>").root)
 
         # The base snapshot is unpinned: retired on publish.
-        assert snap.snapshot_id not in entry.engines
+        assert snap.snapshot_id not in catalog._engines
         assert snap.doc._derived is None and not os.path.exists(arena)
         assert snap.doc.derived is not derived        # nothing survived
 
-        pinned = catalog.pin("lib")
+        pinned = catalog.pin()
         derived, summary, arena = warm(pinned)
-        with catalog.updater("lib") as up:
+        with catalog.updater() as up:
             up.insert_subtree(up.doc.root, parse("<y/>").root)
-        assert pinned.snapshot_id in entry.engines
+        assert pinned.snapshot_id in catalog._engines
         assert pinned.doc.derived is derived and derived.summary is summary
         assert os.path.exists(arena)
         catalog.unpin(pinned)
-        assert pinned.snapshot_id not in entry.engines
+        assert pinned.snapshot_id not in catalog._engines
         assert pinned.doc._derived is None and not os.path.exists(arena)
-        catalog.current("lib").doc.drop_derived()
+        catalog.current().doc.drop_derived()
 
 
 class TestShapePreservingCommits:
