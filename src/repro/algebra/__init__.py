@@ -2,8 +2,9 @@
 
 The NestedList entries and the Env chain are what a query keeps alive
 from its match phase to its finish, so both hold as few Python objects
-as they can: a leaf entry shares one empty ``groups``, a binding is one
-slotted Env link.
+as they can: an entry with no filled slot shares one empty ``groups``
+tuple, a slot gets a list only when a match goes in, σ returns what it
+does not change, and a binding is one slotted Env link.
 """
 
 from repro.algebra.env import Env

@@ -9,14 +9,23 @@ given parent match — and nesting follows the pattern-tree structure.
 Physical layout (Figure 6)
 --------------------------
 Each match entry (:class:`NLEntry`) holds the matched XML node and one
-group (Python list) per pattern child, which realizes exactly the
-paper's design: sibling pointers become list adjacency, child-pointer
-arrays become the per-child group lists, and the "pointer to the last
-child" becomes ``list.append``.  An entry of a vertex without pattern
-children — most entries: every leaf match — shares one empty, immutable
-``groups`` instead of allocating its own.  Insertions happen at group tails
-during the depth-first scan, which is what makes projections
-document-ordered (Theorem 1).
+child-pointer slot per pattern child, which realizes exactly the
+paper's design: sibling pointers become list adjacency, the slots of
+the child-pointer array become the per-child groups, and the "pointer
+to the last child" becomes ``list.append``.  A slot holds a list only
+once a match went into it.  Most slots never do: every slot of a leaf
+match, a cut ``//`` child's (its partners live in the join adjacency)
+and an existential child's (only the fact of its match counts).  An
+empty slot is ``()``, and an entry none of whose slots was filled
+shares the one immutable groups tuple of its width (:func:`no_groups`)
+instead of allocating its own.  Insertions happen at group tails during
+the depth-first scan, which is what makes projections document-ordered
+(Theorem 1).
+
+Nothing mutates an entry once it is built: σ copies the entries on the
+path to its target whose group lost a member and shares the rest
+(:mod:`repro.algebra.operators`), and π reads groups along a path
+compiled once per (entry vertex, target), :func:`group_path`.
 
 The textual ``(a1,[(b1,()),...])`` rendering of Figure 4 is produced by
 :meth:`NLEntry.sexpr` and is used verbatim in the paper-example tests.
@@ -25,43 +34,55 @@ The textual ``(a1,[(b1,()),...])`` rendering of Figure 4 is produced by
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import cache
 
 from repro.xmlkit.tree import Node
-from repro.pattern.blossom import BlossomVertex
+from repro.pattern.blossom import MODE_MANDATORY, BlossomVertex
 
-__all__ = ["NLEntry", "project", "project_entries", "sexpr_sequence"]
+__all__ = ["NLEntry", "group_path", "no_groups", "project",
+           "project_entries", "sexpr_sequence", "walk"]
+
+#: An entry's child-pointer slots: per pattern child, ``()`` or the
+#: list of its matches.
+Groups = Sequence[Sequence["NLEntry | None"]]
+
+
+@cache
+def no_groups(width: int) -> tuple[tuple[()], ...]:
+    """The groups of an entry none of whose ``width`` slots is filled:
+    one shared immutable tuple per width."""
+    return ((),) * width
 
 
 class NLEntry:
     """One match of a pattern vertex: the XML node plus child groups.
 
-    ``groups[i]`` is the (possibly empty) document-ordered list of
-    entries matched to ``vertex.children()[i]`` *within this match* —
-    the paper's ``[]`` grouping.  Entries for non-kept vertices (purely
-    existential subtrees) are represented by ``None`` placeholders to
-    save memory; their existence was verified during matching.  With no
-    groups, ``groups`` is the shared empty tuple: replace it, never
-    append to it.
+    ``groups[i]`` is the (possibly empty) document-ordered sequence of
+    entries matched to ``vertex.child_edges[i].child`` *within this
+    match* — the paper's ``[]`` grouping.  A slot nothing went into is
+    ``()``; an entry with no filled slot holds :func:`no_groups` of its
+    width.  Entries for non-kept vertices (purely existential subtrees)
+    are never stored; their existence was verified during matching.
+    The groups are read-only once the entry is built.
     """
 
     __slots__ = ("vertex", "node", "groups")
 
     def __init__(self, vertex: BlossomVertex, node: Node | None,
-                 n_groups: int) -> None:
+                 groups: Groups) -> None:
         self.vertex = vertex
         self.node = node
-        self.groups: Sequence[list[NLEntry | None]] = (
-            [[] for _ in range(n_groups)] if n_groups else ())
+        self.groups = groups
 
     # ------------------------------------------------------------------
     # Navigation.
     # ------------------------------------------------------------------
 
-    def group_for(self, child_vertex: BlossomVertex) -> list[NLEntry | None]:
+    def group_for(self, child_vertex: BlossomVertex
+                  ) -> Sequence[NLEntry | None]:
         """The group of a specific pattern child."""
-        children = self.vertex.children()
-        for index, child in enumerate(children):
-            if child is child_vertex:
+        for index, edge in enumerate(self.vertex.child_edges):
+            if edge.child is child_vertex:
                 return self.groups[index]
         raise KeyError(f"V{child_vertex.vid} is not a child of V{self.vertex.vid}")
 
@@ -97,38 +118,49 @@ class NLEntry:
         return f"<NLEntry V{self.vertex.vid}:{tag}>"
 
 
+def group_path(vertex: BlossomVertex, target: BlossomVertex
+               ) -> tuple[tuple[int, bool], ...]:
+    """The path from ``vertex`` down to ``target`` inside one NoK: per
+    step, the slot index of the child on the way and whether its edge
+    is mandatory.  ``()`` when ``target`` is ``vertex``; ``KeyError``
+    when ``target`` is not below it or the path crosses a cut edge
+    (projections across NoKs go through join adjacency instead)."""
+    steps: list[tuple[int, bool]] = []
+    node = target
+    while node is not vertex:
+        edge = node.parent_edge
+        if edge is None:
+            raise KeyError(f"V{target.vid} is not below V{vertex.vid}")
+        if edge.cut:
+            raise KeyError(
+                f"projection from V{vertex.vid} to V{target.vid} crosses a "
+                "NoK boundary; use the join adjacency instead")
+        parent = edge.parent
+        index = next(i for i, e in enumerate(parent.child_edges) if e is edge)
+        steps.append((index, edge.mode == MODE_MANDATORY))
+        node = parent
+    steps.reverse()
+    return tuple(steps)
+
+
 def project_entries(entry: NLEntry, target: BlossomVertex) -> list[NLEntry]:
     """Project an entry onto a descendant pattern vertex (π of Section 3.3).
 
     Returns the document-ordered entries matched to ``target`` inside
     this NestedList.  ``target`` must lie in the same NoK pattern tree
-    (projections across NoKs go through join adjacency instead).
+    (see :func:`group_path`).
     """
-    if entry.vertex is target:
-        return [entry]
-    # Walk the vertex path from entry.vertex down to target.
-    path: list[BlossomVertex] = []
-    node = target
-    while node is not entry.vertex:
-        edge = node.parent_edge
-        if edge is None:
-            raise KeyError(f"V{target.vid} is not below V{entry.vertex.vid}")
-        if edge.cut:
-            raise KeyError(
-                f"projection from V{entry.vertex.vid} to V{target.vid} crosses a "
-                "NoK boundary; use the join adjacency instead")
-        path.append(node)
-        node = edge.parent
-    path.reverse()
+    return walk(entry, group_path(entry.vertex, target))
 
+
+def walk(entry: NLEntry, steps: tuple[tuple[int, bool], ...]
+         ) -> list[NLEntry]:
+    """The entries a :func:`group_path` reaches from ``entry``, in
+    document order."""
     current = [entry]
-    for vertex in path:
-        next_level: list[NLEntry] = []
-        for item in current:
-            for sub in item.group_for(vertex):
-                if sub is not None:
-                    next_level.append(sub)
-        current = next_level
+    for index, _ in steps:
+        current = [sub for item in current for sub in item.groups[index]
+                   if sub is not None]
     return current
 
 

@@ -13,10 +13,14 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 
 from repro.xmlkit.tree import Node
-from repro.pattern.blossom import MODE_MANDATORY, BlossomVertex
-from repro.algebra.nested_list import NLEntry
+from repro.pattern.blossom import BlossomVertex
+from repro.algebra.nested_list import NLEntry, group_path, no_groups
 
 __all__ = ["select"]
+
+#: A compiled σ: the entry itself when nothing under it changed, a
+#: copy when a group on the path lost a member, ``None`` when it leaves.
+_Keep = Callable[[NLEntry], "NLEntry | None"]
 
 
 def select(entries: Iterable[NLEntry], target: BlossomVertex,
@@ -26,56 +30,73 @@ def select(entries: Iterable[NLEntry], target: BlossomVertex,
     Items failing the predicate are removed from their group; if a
     removal leaves a mandatory vertex without matches, the whole
     NestedList is removed from the sequence (the paper's "not a valid
-    match anymore" rule).  The input entries are not mutated — filtered
-    copies are produced.
+    match anymore" rule).
+
+    σ is compiled once per entry vertex into the slot path down to
+    ``target`` (:func:`~repro.algebra.nested_list.group_path`) with the
+    mandatory flag per step.  An entry nothing under which changed — or
+    whose NoK subtree does not hold ``target`` — is returned itself.
+    Otherwise only the entries on that path whose group lost a member
+    are copied; every other group is shared with the input.  The input
+    entries are never mutated.
     """
     result: list[NLEntry] = []
+    vertex: BlossomVertex | None = None
+    keep: _Keep = _untouched
     for entry in entries:
-        filtered = _filter_entry(entry, target, predicate)
-        if filtered is not None:
-            result.append(filtered)
+        if entry.vertex is not vertex:
+            vertex = entry.vertex
+            keep = _compile(vertex, target, predicate)
+        kept = keep(entry)
+        if kept is not None:
+            result.append(kept)
     return result
 
 
-def _filter_entry(entry: NLEntry, target: BlossomVertex,
-                  predicate: Callable[[Node], bool]) -> NLEntry | None:
-    if entry.vertex is target:
-        if entry.node is not None and predicate(entry.node):
-            return entry
-        return None
-    copy = NLEntry(entry.vertex, entry.node, 0)
-    groups: list[list[NLEntry | None]] = []
-    children = entry.vertex.children()
-    for index, group in enumerate(entry.groups):
-        child_vertex = children[index] if index < len(children) else None
-        if child_vertex is None or not _is_on_path(child_vertex, target):
-            groups.append(list(group))
-            continue
-        new_group: list[NLEntry | None] = []
-        for sub in group:
+def _compile(vertex: BlossomVertex, target: BlossomVertex,
+             predicate: Callable[[Node], bool]) -> _Keep:
+    try:
+        steps = group_path(vertex, target)
+    except KeyError:
+        return _untouched
+    keep = _keep_target(predicate)
+    for index, mandatory in reversed(steps):
+        keep = _keep_step(index, mandatory, keep)
+    return keep
+
+
+def _untouched(entry: NLEntry) -> NLEntry:
+    return entry
+
+
+def _keep_target(predicate: Callable[[Node], bool]) -> _Keep:
+    def keep(entry: NLEntry) -> NLEntry | None:
+        node = entry.node
+        return entry if node is not None and predicate(node) else None
+    return keep
+
+
+def _keep_step(index: int, mandatory: bool, below: _Keep) -> _Keep:
+    """σ at one step of the path: filter slot ``index`` through
+    ``below``."""
+    def keep(entry: NLEntry) -> NLEntry | None:
+        kept: list[NLEntry | None] = []
+        changed = False
+        for sub in entry.groups[index]:
             if sub is None:
-                new_group.append(None)
+                kept.append(sub)
                 continue
-            filtered = _filter_entry(sub, target, predicate)
-            if filtered is not None:
-                new_group.append(filtered)
-        edge = child_vertex.parent_edge
-        if edge is not None and edge.mode == MODE_MANDATORY and not new_group:
+            survivor = below(sub)
+            if survivor is not sub:
+                changed = True
+            if survivor is not None:
+                kept.append(survivor)
+        if mandatory and not kept:
             return None
-        groups.append(new_group)
-    if groups:
-        copy.groups = groups
-    return copy
-
-
-def _is_on_path(vertex: BlossomVertex, target: BlossomVertex) -> bool:
-    """True iff ``target`` equals or lies below ``vertex`` via uncut edges."""
-    node = target
-    while node is not None:
-        if node is vertex:
-            return True
-        edge = node.parent_edge
-        if edge is None or edge.cut:
-            return False
-        node = edge.parent
-    return False
+        if not changed:
+            return entry
+        groups = list(entry.groups)
+        groups[index] = kept or ()
+        return NLEntry(entry.vertex, entry.node,
+                       groups if any(groups) else no_groups(len(groups)))
+    return keep

@@ -458,7 +458,7 @@ class FLWORExecutor:
                 before_cmp = self.counters.comparisons
                 result = self._run_join(dec, edge, left, right, span)
                 span.set(left=len(left), right=len(right),
-                         pairs=result.pair_count(),
+                         pairs=result.pairs,
                          nodes_scanned=self.counters.nodes_scanned
                          - before_nodes,
                          comparisons=self.counters.comparisons - before_cmp)
@@ -482,11 +482,9 @@ class FLWORExecutor:
 
         # Vacuous join: everything is a descendant of the document node.
         if edge.parent.name == "#root":
-            result = JoinResult(edge)
             doc_node = left[0].node
             assert doc_node is not None
-            for entry in right:
-                result.add(doc_node, entry)
+            result = JoinResult(edge, {doc_node.nid: list(right)}, len(right))
             self.plan_notes.append(
                 f"join V{edge.parent.vid}->V{edge.child.vid}: vacuous (document root)")
             if span is not None:

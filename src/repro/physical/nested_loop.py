@@ -69,6 +69,7 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
     if counters is None:
         counters = ScanCounters()
     result = JoinResult(edge)
+    adjacency = result.adjacency
     token = counters.cancellation
     for outer in left_nodes:
         if token is not None:
@@ -80,8 +81,9 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
         for entry in matcher.iter_matches():
             entry = _reconcile(entry, canonical)
             if entry is not None:
-                result.add(outer, entry)
-    count_operator("bnlj", result.pair_count())
+                adjacency.setdefault(outer.nid, []).append(entry)
+                result.pairs += 1
+    count_operator("bnlj", result.pairs)
     return result
 
 
@@ -99,6 +101,7 @@ def naive_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
     if counters is None:
         counters = ScanCounters()
     result = JoinResult(edge)
+    adjacency = result.adjacency
     token = counters.cancellation
     for outer in left_nodes:
         if token is not None:
@@ -112,8 +115,9 @@ def naive_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
                 continue
             reconciled = _reconcile(entry, canonical)
             if reconciled is not None:
-                result.add(outer, reconciled)
-    count_operator("nl", result.pair_count())
+                adjacency.setdefault(outer.nid, []).append(reconciled)
+                result.pairs += 1
+    count_operator("nl", result.pairs)
     return result
 
 

@@ -37,7 +37,7 @@ Differences from the pseudo-code, for exactness:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from typing import cast
 
 from repro.pattern.blossom import MODE_MANDATORY, BlossomVertex
@@ -46,7 +46,7 @@ from repro.xmlkit.storage import ScanCounters, SequentialScan, postings_scan
 from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, Node
 from repro.xpath.ast import mentions_variable
 from repro.xpath.compile import Bindings, ScanBindings, Test, compile_test
-from repro.algebra.nested_list import NLEntry
+from repro.algebra.nested_list import NLEntry, no_groups
 
 __all__ = ["Matcher", "NoKMatcher", "compile_matcher", "matcher_for",
            "value_constraints_hold"]
@@ -167,14 +167,20 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
 
     The closure alone holds what is compiled here (the tests too), so
     all of it is freed with the closure's owner.
+
+    An entry is built only for a candidate that passed its tests and
+    its mandatory and sibling checks.  It holds the vertex's one shared
+    groups tuple of empty slots until a returning local child appends
+    its first match; only then does it get its own groups list, and
+    that slot its own list.  A cut ``//`` child's slot and an
+    existential child's slot stay ``()``.
     """
     tests, late = _compile_tests(vertex)
-    n_groups = len(vertex.child_edges)
+    empty = no_groups(len(vertex.child_edges))
     local = [(index, edge) for index, edge in enumerate(vertex.child_edges)
              if not edge.cut]
     if not local and not tests and not late:
-        return lambda node, counters, variables: \
-            NLEntry(vertex, node, n_groups)
+        return lambda node, counters, variables: NLEntry(vertex, node, empty)
 
     # The matched mask drives the mandatory check and the first half of
     # the following-sibling rule (a child with an ``after_vid``
@@ -220,8 +226,7 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                     counters.comparisons += 1
                     if not test(node, variables, None):
                         return None
-        entry = NLEntry(vertex, node, n_groups)
-        groups = entry.groups
+        groups: list[Sequence[NLEntry]] | None = None
         matched = 0
         for child_node in node.children:
             applicable = table.get(child_node.tag, anywhere)
@@ -239,8 +244,16 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                 # Non-kept (purely existential) children record only the
                 # fact of the match; their subtrees are discarded.
                 if returning:
-                    groups[index].append(sub)
-        return entry if matched & mandatory == mandatory else None
+                    if groups is None:
+                        groups = [*empty]
+                    slot = groups[index]
+                    if isinstance(slot, list):
+                        slot.append(sub)
+                    else:
+                        groups[index] = [sub]
+        if matched & mandatory != mandatory:
+            return None
+        return NLEntry(vertex, node, empty if groups is None else groups)
 
     if not any(after for _, (_, _, _, after, _) in edges):
         return match
@@ -265,8 +278,7 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                 counters.comparisons += 1
                 if not test(node, bound, None):
                     return None
-        entry = NLEntry(vertex, node, n_groups)
-        groups = entry.groups
+        groups: list[Sequence[NLEntry]] | None = None
         matched = 0
         #: edge bit -> child positions of its matches, ascending
         positions: dict[int, list[int]] = {}
@@ -287,7 +299,13 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                     if sub is None:
                         continue
                     if returning:
-                        groups[index].append(sub)
+                        if groups is None:
+                            groups = [*empty]
+                        slot = groups[index]
+                        if isinstance(slot, list):
+                            slot.append(sub)
+                        else:
+                            groups[index] = [sub]
                 matched |= bit
                 positions.setdefault(bit, []).append(position)
         if matched & mandatory != mandatory:
@@ -299,7 +317,9 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
             kept = positions[predecessor]
             keep = bisect_left(kept, positions[successor][-1])
             del kept[keep:]
-            if predecessor in group_of:
-                del groups[group_of[predecessor]][keep:]
-        return entry
+            if groups is not None and predecessor in group_of:
+                slot = groups[group_of[predecessor]]
+                if isinstance(slot, list):  # never a shared ``()``
+                    del slot[keep:]
+        return NLEntry(vertex, node, empty if groups is None else groups)
     return match_in_sibling_order

@@ -58,13 +58,13 @@ def relabel_twins(twins: list[NoKTree],
 
 def _relabel(entry: NLEntry, vertex: BlossomVertex) -> NLEntry:
     """A copy of ``entry`` over the equal-shaped subtree at ``vertex``."""
-    copy = NLEntry(vertex, entry.node, 0)
-    if not entry.groups:
-        return copy  # a leaf match: the shared empty groups
-    copy.groups = [[None if sub is None else _relabel(sub, edge.child)
-                    for sub in group]
-                   for group, edge in zip(entry.groups, vertex.child_edges)]
-    return copy
+    groups = entry.groups
+    if not any(groups):
+        return NLEntry(vertex, entry.node, groups)  # shared empty slots
+    return NLEntry(vertex, entry.node, [
+        [None if sub is None else _relabel(sub, edge.child) for sub in group]
+        if group else ()
+        for group, edge in zip(groups, vertex.child_edges)])
 
 
 def merged_scan(noks: list[NoKTree], doc: Document,

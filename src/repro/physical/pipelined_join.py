@@ -53,6 +53,8 @@ def pipelined_desc_join(left_nodes: Sequence[Node],
         raise ExecutionError(
             "pipelined //-join received nesting left input; use "
             "strategy='stack' or a nested-loop join on recursive data")
+    adjacency = result.adjacency
+    pairs = 0
     left_iter = iter(left_nodes)
     current: Node | None = next(left_iter, None)
     token = counters.cancellation
@@ -70,10 +72,12 @@ def pipelined_desc_join(left_nodes: Sequence[Node],
             break
         counters.comparisons += 1
         if current.start < node.start and node.end < current.end:
-            result.add(current, entry)
+            adjacency.setdefault(current.nid, []).append(entry)
+            pairs += 1
         # else: node precedes the current candidate; skip it (the
         # n << m branch — advance the right side).
     counters.note_buffer(1)
-    count_operator("pipelined_join", result.pair_count())
+    result.pairs = pairs
+    count_operator("pipelined_join", pairs)
     return result
 

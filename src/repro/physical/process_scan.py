@@ -40,13 +40,14 @@ import threading
 import time
 from array import array
 from collections import OrderedDict
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.algebra.nested_list import NLEntry
+from repro.algebra.nested_list import NLEntry, no_groups
 from repro.errors import ExecutionError
 from repro.obs.metrics import REGISTRY
 from repro.pattern.decompose import NoKTree
@@ -275,19 +276,23 @@ def _decode_match_list(vertex: Any, data: array, nodes: Any
 
 def _decode_entry(vertex: Any, data: array, pos: int, nodes: Any
                   ) -> tuple[NLEntry, int]:
-    nid = data[pos]
+    node = nodes[data[pos]]
     pos += 1
-    entry = NLEntry(vertex, nodes[nid], len(vertex.child_edges))
+    empty = no_groups(len(vertex.child_edges))
+    groups: list[Sequence[NLEntry]] | None = None
     for index, edge in enumerate(vertex.child_edges):
         count = data[pos]
         pos += 1
         if count:
-            group = entry.groups[index]
+            if groups is None:
+                groups = [*empty]
+            group = []
             child = edge.child
             for _ in range(count):
                 sub, pos = _decode_entry(child, data, pos, nodes)
                 group.append(sub)
-    return entry, pos
+            groups[index] = group
+    return NLEntry(vertex, node, empty if groups is None else groups), pos
 
 
 # ----------------------------------------------------------------------

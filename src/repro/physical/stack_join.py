@@ -42,6 +42,8 @@ def stack_desc_join(left_nodes: Iterable[Node],
     if counters is None:
         counters = ScanCounters()
     result = JoinResult(edge)
+    adjacency = result.adjacency
+    pairs = 0
     left_iter = iter(left_nodes)
     pending: Node | None = next(left_iter, None)
     stack: list[Node] = []
@@ -65,6 +67,8 @@ def stack_desc_join(left_nodes: Iterable[Node],
         for ancestor in stack:
             counters.comparisons += 1
             if ancestor.start < node.start and node.end < ancestor.end:
-                result.add(ancestor, entry)
-    count_operator("stack_join", result.pair_count())
+                adjacency.setdefault(ancestor.nid, []).append(entry)
+                pairs += 1
+    result.pairs = pairs
+    count_operator("stack_join", pairs)
     return result

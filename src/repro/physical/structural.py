@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from repro.obs.metrics import REGISTRY
+from repro.pattern.blossom import BlossomVertex
 from repro.pattern.decompose import InterEdge
 from repro.xmlkit.tree import Node
-from repro.algebra.nested_list import NLEntry, project
+from repro.algebra.nested_list import NLEntry, group_path, walk
 
 __all__ = ["JoinResult", "count_operator", "left_projection", "axis_test"]
 
@@ -42,20 +43,20 @@ class JoinResult:
     ``adjacency[u_nid]`` lists the right-side NestedList entries whose
     root node stands in the edge's axis relationship to the left node
     with pre-order rank ``u_nid``.  Nodes with no partners simply do not
-    appear — mandatory-edge filtering reads that absence.
+    appear — mandatory-edge filtering reads that absence.  A join fills
+    ``adjacency`` through a local reference and counts each pair it
+    appends in ``pairs``.
     """
 
     edge: InterEdge
     adjacency: dict[int, list[NLEntry]] = field(default_factory=dict)
+    pairs: int = 0
 
     def partners(self, u: Node) -> list[NLEntry]:
         return self.adjacency.get(u.nid, [])
 
-    def add(self, u: Node, entry: NLEntry) -> None:
-        self.adjacency.setdefault(u.nid, []).append(entry)
-
     def pair_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values())
+        return self.pairs
 
 
 def left_projection(left_entries: Iterable[NLEntry], edge: InterEdge) -> list[Node]:
@@ -63,20 +64,35 @@ def left_projection(left_entries: Iterable[NLEntry], edge: InterEdge) -> list[No
 
     Theorem 1 makes each per-entry projection document-ordered; entries
     arrive in document order of their roots, and child-axis chains give
-    each u node a unique root, so a single merge-free concatenation plus
-    a linear dedup pass yields the global document order.  (On recursive
-    documents entry subtrees can interleave, so we sort defensively —
-    the cost is counted against the operators that need it.)
+    each u node a unique root, so the concatenation is already in
+    document order and free of duplicates.  π walks the slot path from
+    the entry vertex to ``edge.parent`` compiled once per entry vertex
+    (:func:`~repro.algebra.nested_list.group_path`).  Only on recursive
+    documents can entry subtrees interleave; the concatenation is
+    sorted and deduplicated only when a node arrives out of order.
     """
     nodes: list[Node] = []
     parent = edge.parent
+    vertex: BlossomVertex | None = None
+    path: tuple[tuple[int, bool], ...] = ()
     for entry in left_entries:
-        if entry.vertex is parent:
+        if entry.vertex is not vertex:
+            vertex = entry.vertex
+            path = group_path(vertex, parent)
+        if not path:
             # The entry is the u match itself: no projection lists.
             if entry.node is not None:
                 nodes.append(entry.node)
-        else:
-            nodes.extend(project(entry, parent))
+            continue
+        nodes.extend(item.node for item in walk(entry, path)
+                     if item.node is not None)
+    last = -1
+    for node in nodes:
+        if node.nid <= last:
+            break
+        last = node.nid
+    else:
+        return nodes
     nodes.sort(key=lambda n: n.nid)
     out: list[Node] = []
     last = -1

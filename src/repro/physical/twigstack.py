@@ -43,12 +43,15 @@ _INF = float("inf")
 def twig_supported(tree: BlossomTree) -> bool:
     """Can this BlossomTree run as a single holistic twig?
 
-    Requires one pattern root, no crossing edges, and only child /
-    descendant tree edges — i.e. a classic twig query.  (Mandatory-mode
-    information is ignored: TwigStack treats every branch as required,
-    which matches bare-path queries where all edges are mandatory.)
+    Requires one pattern root with exactly one child edge (the twig
+    root; a step-less path such as ``/`` has none), no crossing edges,
+    and only child / descendant tree edges — i.e. a classic twig query.
+    (Mandatory-mode information is ignored: TwigStack treats every
+    branch as required, which matches bare-path queries where all edges
+    are mandatory.)
     """
-    if len(tree.roots) != 1 or tree.crossing_edges or tree.where:
+    if len(tree.roots) != 1 or tree.crossing_edges or tree.where \
+            or len(tree.roots[0].child_edges) != 1:
         return False
     for edge in tree.tree_edges:
         if edge.axis not in ("child", "descendant"):
@@ -139,13 +142,11 @@ class TwigStackOperator:
 
     def _build_query_tree(self) -> _QNode:
         root_vertex = self.tree.roots[0]
-        # The #root vertex maps to the document node; its (single) child
-        # becomes the twig root.  A child-axis edge from #root means the
-        # twig root must be the document element (level == 1).
-        edges = root_vertex.child_edges
-        if len(edges) != 1:
-            raise ExecutionError("TwigStack requires a single twig root")
-        top_edge = edges[0]
+        # The #root vertex maps to the document node; its single child
+        # (twig_supported) becomes the twig root.  A child-axis edge from
+        # #root means the twig root must be the document element
+        # (level == 1).
+        top_edge = root_vertex.child_edges[0]
         root_q = self._make_qnode(top_edge.child, None, top_edge.axis)
         if top_edge.axis == "child":
             root_q.stream = [n for n in root_q.stream if n.level == 1]

@@ -433,8 +433,8 @@ def test_twin_relabel_copies_leaves_without_recursing():
 
 def test_match_phase_builds_no_entry_for_an_existential_leaf(monkeypatch):
     """On ``//book[author]/title`` the scan builds one entry per
-    ``book`` it tries and one per ``title`` below it, none for the
-    existential ``author``.
+    ``book`` that matches and one per ``title`` below it, none for the
+    existential ``author`` and none for the ``book`` without one.
 
     Counter contract (ROADMAP item 5): charging does not change — the
     ``comparisons`` literal is what the matcher that called a child
@@ -444,9 +444,9 @@ def test_match_phase_builds_no_entry_for_an_existential_leaf(monkeypatch):
     class CountingEntry(NLEntry):
         __slots__ = ()
 
-        def __init__(self, vertex, node, n_groups):
+        def __init__(self, vertex, node, groups):
             built[vertex.name] += 1
-            super().__init__(vertex, node, n_groups)
+            super().__init__(vertex, node, groups)
 
     monkeypatch.setattr(nok_module, "NLEntry", CountingEntry)
     doc = parse(SHELF)
@@ -454,5 +454,112 @@ def test_match_phase_builds_no_entry_for_an_existential_leaf(monkeypatch):
     counters = ScanCounters()
     books = scan_range([nok], doc, counters, None, 0, None, {})[nok.nok_id]
     assert titles_of(books) == [["t1"], ["t3", "t4"], ["t5"]]
-    assert built == {"book": 4, "title": 5}
+    assert built == {"book": 3, "title": 5}
     assert counters.comparisons == 9  # 4 authors + 5 titles offered
+
+
+# ----------------------------------------------------------------------
+# The Figure-6 layout: a slot gets a list only when a match goes in.
+# ----------------------------------------------------------------------
+
+from repro.algebra.nested_list import no_groups  # noqa: E402
+
+
+def test_cut_and_existential_slots_share_the_empty_groups():
+    """``book`` has an existential ``author`` slot and a cut ``//title``
+    slot: no ``book`` entry fills either, so all of them hold the one
+    shared groups tuple of width 2 — no list per entry or per slot."""
+    doc = parse(SHELF)
+    noks = named_noks("for $b in //book[author], $t in $b//title return $t")
+    book = next(nok for nok in noks if nok.root.name == "book")
+    assert [edge.cut for edge in book.root.child_edges] == [False, True]
+    books = scan_range([book], doc, ScanCounters(), None, 0, None, {})[
+        book.nok_id]
+    assert len(books) == 3
+    assert all(entry.groups is no_groups(2) for entry in books)
+
+
+def test_only_filled_slots_get_a_list():
+    """``//book[author]/title``: ``title`` is returning, ``author``
+    existential — the ``title`` slot is a list, the ``author`` slot the
+    shared ``()``."""
+    doc = parse(SHELF)
+    (nok,) = named_noks("for $t in //book[author]/title return $t")
+    books = scan_range([nok], doc, ScanCounters(), None, 0, None, {})[
+        nok.nok_id]
+    for entry in books:
+        assert isinstance(entry.groups, list)
+        assert entry.groups[0] == () and isinstance(entry.groups[1], list)
+
+
+@pytest.mark.parametrize("text", [
+    "for $t in //book[author]/title return $t",
+    "for $b in //book[author/following-sibling::title] return $b",
+])
+def test_a_candidate_failing_its_checks_builds_no_entry(monkeypatch, text):
+    """The book without an ``author`` (and, with the sibling rule, the
+    one whose ``title`` precedes its ``author``) is rejected before any
+    entry exists: one entry per ``book`` that matched, none else."""
+    built: Counter = Counter()
+
+    class CountingEntry(NLEntry):
+        __slots__ = ()
+
+        def __init__(self, vertex, node, groups):
+            built[vertex.name] += 1
+            super().__init__(vertex, node, groups)
+
+    monkeypatch.setattr(nok_module, "NLEntry", CountingEntry)
+    doc = parse(SHELF.replace("<book><author>d</author><title>t5</title>",
+                              "<book><title>t5</title><author>d</author>"))
+    (nok,) = named_noks(text)
+    books = scan_range([nok], doc, ScanCounters(), None, 0, None, {})[
+        nok.nok_id]
+    assert built["book"] == len(books)
+    assert len(books) == (3 if "following" not in text else 2)
+
+
+def layout(entry):
+    """An entry's node and slot kinds, recursively: the shared empty
+    groups, or per slot ``()`` or the list of its sub-entries."""
+    if entry.groups is no_groups(len(entry.vertex.child_edges)):
+        return entry.node.nid, "shared"
+    return entry.node.nid, tuple(
+        [layout(sub) for sub in group] if isinstance(group, list) else group
+        for group in entry.groups)
+
+
+def test_select_returns_untouched_entries_and_never_mutates():
+    """σ returns an entry nothing under which changed itself; a copy is
+    made only for an entry whose group lost a member, and it shares
+    every group it did not change; the input is never mutated."""
+    doc = parse("<r><a><b>1</b><b>2</b><c/></a><a><b>3</b><c/></a></r>")
+    noks = named_noks("for $a in //a, $b in $a/b, $c in $a/c return $b")
+    (nok,) = noks
+    entries = scan_range([nok], doc, ScanCounters(), None, 0, None, {})[
+        nok.nok_id]
+    b_vertex = nok.root.child_edges[0].child
+    before = [layout(entry) for entry in entries]
+    kept = select(entries, b_vertex, lambda node: True)
+    assert all(out is entry for out, entry in zip(kept, entries, strict=True))
+    # One b of the first a fails: that a is copied, the second is not.
+    kept = select(entries, b_vertex, lambda node: node.string_value() != "2")
+    assert kept[0] is not entries[0] and kept[1] is entries[1]
+    assert kept[0].groups[0] == [entries[0].groups[0][0]]
+    assert kept[0].groups[1] is entries[0].groups[1]     # the c group
+    # Every b of the second a fails, and b is mandatory: it leaves.
+    kept = select(entries, b_vertex, lambda node: node.string_value() != "3")
+    assert kept == [entries[0]]
+    assert [layout(entry) for entry in entries] == before
+
+
+def test_process_decoder_yields_the_serial_layout():
+    doc = parse(SHELF)
+    for text in ("for $t in //book[author]/title return $t",
+                 "for $b in //book[author], $t in $b//title return $t"):
+        for nok in named_noks(text):
+            serial = scan_range([nok], doc, ScanCounters(), None, 0, None,
+                                {})[nok.nok_id]
+            decoded = _decode_match_list(
+                nok.root, _encode_match_list(serial), doc.nodes)
+            assert [layout(e) for e in decoded] == [layout(e) for e in serial]

@@ -73,7 +73,7 @@ class TestEnv:
         tree = build_from_path(parse_xpath(f"//{tag}"))
         vertex = tree.var_vertex["#result"]
         node = small_bib.elements_by_tag(tag)[index]
-        return NLEntry(vertex, node, 0)
+        return NLEntry(vertex, node, ())
 
     def test_bind_for_is_persistent(self, small_bib):
         base = Env()

@@ -1,0 +1,229 @@
+"""Compiled σ and π against the per-entry walks they replaced.
+
+``reference_select`` and ``reference_project_entries`` are the σ and π
+of the NestedList algebra as they were first written: σ interprets the
+pattern per entry (``children()`` per level, an ``_is_on_path`` walk per
+child) and copies every entry and group on its way; π looks each group
+up by child vertex.  The library compiles both once per (entry vertex,
+target) and copies only what σ changed.  Both must give the same
+NestedLists on the Table-3 patterns and on the sibling-chain family of
+``tests/test_where_pushdown.py``, and every NestedList must keep the
+Figure-6 layout: a slot is ``()`` or a non-empty list, and an entry
+with no filled slot holds its width's shared ``no_groups`` tuple.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.algebra.nested_list import NLEntry, no_groups, project_entries
+from repro.algebra.operators import select
+from repro.datagen import DATASETS
+from repro.engine import compile_query
+from repro.errors import ReproError
+from repro.pattern.artifact import prepare_artifacts
+from repro.pattern.blossom import MODE_MANDATORY
+from repro.physical.nok_merge import merged_scan
+from repro.physical.structural import left_projection
+from repro.xmlkit import parse
+from tests.test_where_pushdown import (CHAIN_LABELS, CHAIN_TEMPLATES,
+                                       chain_document)
+
+
+# ----------------------------------------------------------------------
+# The references.
+# ----------------------------------------------------------------------
+
+def reference_select(entries, target, predicate):
+    result = []
+    for entry in entries:
+        filtered = _reference_filter(entry, target, predicate)
+        if filtered is not None:
+            result.append(filtered)
+    return result
+
+
+def _reference_filter(entry, target, predicate):
+    if entry.vertex is target:
+        if entry.node is not None and predicate(entry.node):
+            return entry
+        return None
+    groups = []
+    children = entry.vertex.children()
+    for index, group in enumerate(entry.groups):
+        child_vertex = children[index] if index < len(children) else None
+        if child_vertex is None or not _is_on_path(child_vertex, target):
+            groups.append(list(group))
+            continue
+        new_group = []
+        for sub in group:
+            if sub is None:
+                new_group.append(None)
+                continue
+            filtered = _reference_filter(sub, target, predicate)
+            if filtered is not None:
+                new_group.append(filtered)
+        edge = child_vertex.parent_edge
+        if edge is not None and edge.mode == MODE_MANDATORY and not new_group:
+            return None
+        groups.append(new_group)
+    return NLEntry(entry.vertex, entry.node, groups)
+
+
+def _is_on_path(vertex, target):
+    node = target
+    while node is not None:
+        if node is vertex:
+            return True
+        edge = node.parent_edge
+        if edge is None or edge.cut:
+            return False
+        node = edge.parent
+    return False
+
+
+def reference_project_entries(entry, target):
+    if entry.vertex is target:
+        return [entry]
+    path = []
+    node = target
+    while node is not entry.vertex:
+        edge = node.parent_edge
+        if edge is None or edge.cut:
+            raise KeyError(target.vid)
+        path.append(node)
+        node = edge.parent
+    current = [entry]
+    for vertex in reversed(path):
+        current = [sub for item in current for sub in item.group_for(vertex)
+                   if sub is not None]
+    return current
+
+
+# ----------------------------------------------------------------------
+# Comparison helpers.
+# ----------------------------------------------------------------------
+
+def shape(entry):
+    """A NestedList as plain data: vertex, node and groups, recursively."""
+    return (entry.vertex.vid, entry.node.nid,
+            tuple(tuple(None if sub is None else shape(sub) for sub in group)
+                  for group in entry.groups))
+
+
+def assert_layout(entry):
+    groups = entry.groups
+    if not any(groups):
+        assert groups is no_groups(len(entry.vertex.child_edges))
+        return
+    assert isinstance(groups, list)
+    assert len(groups) == len(entry.vertex.child_edges)
+    for group in groups:
+        assert group == () or (isinstance(group, list) and group)
+        for sub in group:
+            if sub is not None:
+                assert_layout(sub)
+
+
+def nok_vertices(nok):
+    """Every vertex of one NoK pattern tree (uncut edges only)."""
+    out, todo = [], [nok.root]
+    while todo:
+        vertex = todo.pop()
+        out.append(vertex)
+        todo.extend(edge.child for edge in vertex.child_edges if not edge.cut)
+    return out
+
+
+def check_query(doc, text, rng):
+    """Scan the query's NoKs over ``doc`` and compare σ and π with the
+    references on every vertex of every NoK; returns the entries seen."""
+    try:
+        tree = compile_query(text).tree
+    except ReproError:
+        return 0
+    if tree is None:
+        return 0
+    dec = prepare_artifacts(tree).decomposition
+    matches = merged_scan(dec.noks, doc, variables={})
+    seen = 0
+    for nok in dec.noks:
+        entries = matches[nok.nok_id]
+        before = [shape(entry) for entry in entries]
+        for entry in entries:
+            assert_layout(entry)
+        seen += len(entries)
+        for target in nok_vertices(nok):
+            for entry in entries:
+                assert project_entries(entry, target) == \
+                    reference_project_entries(entry, target)
+            keep = {node.nid for node in doc.nodes if rng.random() < 0.6}
+            predicate = keep.__contains__
+            compiled = select(entries, target,
+                              lambda node: predicate(node.nid))
+            reference = reference_select(entries, target,
+                                         lambda node: predicate(node.nid))
+            assert [shape(e) for e in compiled] == \
+                [shape(e) for e in reference], (text, target.vid)
+            by_node = {entry.node.nid: entry for entry in entries}
+            for out in compiled:
+                assert_layout(out)
+                original = by_node[out.node.nid]
+                if shape(out) == shape(original):
+                    assert out is original     # untouched: not copied
+                    continue
+                for mine, theirs in zip(out.groups, original.groups):
+                    if [shape(e) for e in mine] == [shape(e) for e in theirs]:
+                        assert mine is theirs  # unchanged groups shared
+        for edge in dec.inter_edges:
+            if edge.nok_from == nok.nok_id:
+                want = sorted({e.node.nid for entry in entries
+                               for e in reference_project_entries(
+                                   entry, edge.parent)})
+                assert [node.nid for node in left_projection(
+                    entries, edge)] == want
+        # σ never mutates its input.
+        assert [shape(entry) for entry in entries] == before
+    return seen
+
+
+# ----------------------------------------------------------------------
+# The two families.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_compiled_select_and_project_match_the_reference_on_table3(name):
+    dataset = DATASETS[name]
+    doc = dataset.generate(scale=0.05)
+    rng = random.Random(f"sigma-pi:{name}")
+    seen = sum(check_query(doc, spec.text, rng) for spec in dataset.queries)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("recursive", [False, True],
+                         ids=["flat", "recursive"])
+@pytest.mark.parametrize("seed", range(4))
+def test_compiled_select_and_project_match_the_reference_on_sibling_chains(
+        seed, recursive):
+    rng = random.Random(f"sigma-pi-chain:{seed}:{recursive}")
+    doc = parse(chain_document(rng, recursive))
+    for _ in range(30):
+        chain = "/".join(
+            ("following-sibling::" if i and rng.random() < 0.5 else "")
+            + rng.choice(CHAIN_LABELS) for i in range(rng.randint(1, 3)))
+        check_query(doc, rng.choice(CHAIN_TEMPLATES).format(C=chain), rng)
+
+
+def test_select_on_a_vertex_outside_the_nok_returns_every_entry():
+    doc = parse("<r><a><b/></a><a/></r>")
+    dec = prepare_artifacts(
+        compile_query("for $a in //a, $b in $a//b return $b").tree
+    ).decomposition
+    noks = {nok.root.name: nok for nok in dec.noks}
+    entries = merged_scan([noks["a"]], doc, variables={})[noks["a"].nok_id]
+    kept = select(entries, noks["b"].root, lambda node: False)
+    assert all(out is entry for out, entry in zip(kept, entries))
+    assert len(kept) == len(entries) == 2
+

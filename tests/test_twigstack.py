@@ -4,9 +4,11 @@ import gc
 
 import pytest
 
+import repro
 from repro import Engine
 from repro.datagen.workload import DATASETS
-from repro.errors import ExecutionError
+from repro.errors import CompileError, ExecutionError, wire_code
+from repro.serve import client as client_mod
 from repro.pattern import build_from_path
 from repro.physical import TwigStackOperator, twig_supported
 from repro.xmlkit import parse
@@ -40,6 +42,21 @@ class TestSupport:
         tree = build_blossom_tree(parse_flwor(
             "for $a in //x let $l := $a/y return $a"))
         assert not twig_supported(tree)
+
+    @pytest.mark.parametrize("text", ["/", 'doc("bib.xml")'])
+    def test_step_less_path_is_refused_at_compile_time(self, text):
+        """No step under the pattern root: no twig root.  Refused like a
+        FLWOR, with ``CompileError`` (wire ``COMPILE``) on every surface,
+        never ``ExecutionError`` from the operator at run time."""
+        with repro.connect("<r><a/></r>") as db:
+            with pytest.raises(CompileError):
+                db.query(text, strategy="twigstack")
+            server = db.listen()
+            with client_mod.connect(*server.address) as client:
+                with pytest.raises(CompileError) as refused:
+                    client.query(text, strategy="twigstack")
+                assert wire_code(refused.value) == "COMPILE"
+                assert client.query(text).items     # auto still answers
 
     def test_operator_rejects_unsupported(self, small_bib):
         tree = build_blossom_tree(parse_flwor(
