@@ -25,7 +25,7 @@ def main() -> None:
     xml_text = serialize(corpus.root)
 
     print("== 1. Build and persist ==")
-    db = Database.from_xml(xml_text)
+    db = Database(xml_text)
     path = os.path.join(tempfile.mkdtemp(), "catalog.btx")
     written = db.save(path)
     print(f"  XML text : {len(xml_text.encode('utf-8')):,} bytes")

@@ -72,7 +72,7 @@ def main() -> None:
     print(f"titles: {result.string_values()}")
 
     print("\n== 3. Plans follow the document's shape ==")
-    db = Database.from_xml(BIB)
+    db = Database(BIB)
     db.query("//book/title")
     with db.updater() as up:     # swap Economics for a same-shaped book
         up.insert_subtree(up.doc.root, parse(FRESH).root)

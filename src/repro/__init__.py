@@ -28,6 +28,11 @@ For concurrent traffic, start the snapshot-isolated query service::
         with service.updater() as up:      # copy-on-write update batch
             up.delete_subtree(up.doc.root.children[0])
 
+The database is the one owner of the document's versions, plan cache
+and slow-query log: ``db.updater()`` publishes into the same versions
+as ``service.updater()``, a commit outlives the service, and direct and
+served queries record into one log.
+
 For remote traffic, put the network front end on a socket — adaptive
 latency-targeting admission, per-request deadlines, streamed results::
 
@@ -95,7 +100,6 @@ __all__ = [
     "PreparedQuery",
     "QueryResult",
     # serving layer
-    "Catalog",
     "QueryService",
     "ServeResult",
     "Snapshot",
@@ -117,7 +121,6 @@ _LAZY = {
     "Database": ("repro.engine.database", "Database"),
     "PreparedQuery": ("repro.engine.prepared", "PreparedQuery"),
     "QueryResult": ("repro.engine.result", "QueryResult"),
-    "Catalog": ("repro.serve.catalog", "Catalog"),
     "QueryService": ("repro.serve.service", "QueryService"),
     "ServeResult": ("repro.serve.service", "ServeResult"),
     "Snapshot": ("repro.serve.snapshot", "Snapshot"),
@@ -156,7 +159,7 @@ def connect(source, *, slow_query_ms: float | None = None):
     from pathlib import Path
 
     from repro.engine.database import Database
-    from repro.xmlkit.binary import MAGIC
+    from repro.xmlkit.binary import MAGIC, load
     from repro.xmlkit.tree import Document
 
     if isinstance(source, Document):
@@ -171,9 +174,8 @@ def connect(source, *, slow_query_ms: float | None = None):
         with path.open("rb") as handle:
             magic = handle.read(len(MAGIC))
         if magic == MAGIC:
-            db = Database.open(path)
-            db.slow_log = None if slow_query_ms is None else \
-                db.configure_slow_log(slow_query_ms)
+            db = Database(load(path.read_bytes()),
+                          slow_query_ms=slow_query_ms)
         else:
             db = Database(parse(path.read_text(encoding="utf-8")),
                           slow_query_ms=slow_query_ms)

@@ -18,7 +18,7 @@ and handed to its sub-checks.
 from __future__ import annotations
 
 from repro.analysis.report import AnalysisReport
-from repro.strategy import STRATEGIES, Strategy
+from repro.strategy import STRATEGIES
 from repro.pattern.blossom import (
     MODE_MANDATORY,
     MODE_OPTIONAL,
@@ -397,7 +397,7 @@ def _check_inter_forest(dec: Decomposition, report: AnalysisReport) -> None:
 def plan_pass(dec: Decomposition, report: AnalysisReport,
               strategy: str | None = None,
               recursive_document: bool | None = None) -> None:
-    """PL001-PL004: operator applicability over the compiled artifacts.
+    """PL001-PL003: operator applicability over the compiled artifacts.
 
     ``strategy`` / ``recursive_document`` are optional because the CLI
     analyzes artifacts without an engine; strategy checks are skipped
@@ -411,36 +411,18 @@ def plan_pass(dec: Decomposition, report: AnalysisReport,
                        "its matches are not kept, so the join's left "
                        "projection finds none")
     if strategy is not None:
-        row = _check_strategy(dec.tree, report, strategy, recursive_document)
-        if row is not None and row.partitions:
-            # Every absolute path anchors at a synthetic ``#root``
-            # vertex.  A trivial ``#root`` NoK (the anchor alone, no
-            # value predicates) is matched once against the document
-            # node and the rest scan in partitions — safe.  A larger one
-            # (an all-local-axis chain like ``/bib/book``, kept whole by
-            # Algorithm 1) or a predicated one is matched navigationally
-            # from the document node, never by the scan the partitioner
-            # cuts: partitioning would re-run it once per partition.
-            unsafe = [nok for nok in dec.noks if nok.root.name == "#root"
-                      and (len(nok.vertices) > 1 or nok.root.value_predicates)]
-            for nok in unsafe:
-                report.add("PL004", f"nok:{nok.nok_id}",
-                           f"parallel strategy chosen, but NoK {nok.nok_id} "
-                           "anchors at #root with local navigation — it is "
-                           "matched from the document node, not by the "
-                           "sequential scan the partitioner cuts, so "
-                           "partition-parallel execution cannot cover it")
+        _check_strategy(dec.tree, report, strategy, recursive_document)
 
 
 def _check_strategy(tree: BlossomTree, report: AnalysisReport, strategy: str,
-                    recursive_document: bool | None) -> Strategy | None:
-    """PL002 / PL003 against the strategy's row (``None``: unknown)."""
+                    recursive_document: bool | None) -> None:
+    """PL002 / PL003 against the strategy's row."""
     from repro.physical.twigstack import twig_supported
 
     row = STRATEGIES.get(strategy)
     if row is None or not row.executable:
         report.add("PL002", "plan", f"unknown strategy {strategy!r}")
-        return None
+        return
     if "twig" in row.requires and not twig_supported(tree):
         report.add("PL002", "plan",
                    f"{strategy} strategy chosen for a pattern that is not a "
@@ -450,4 +432,3 @@ def _check_strategy(tree: BlossomTree, report: AnalysisReport, strategy: str,
                    f"{strategy} merge join on a recursive document: "
                    "Theorem 2's non-containment precondition may fail "
                    "(Example 5) — ordered output is not guaranteed")
-    return row

@@ -24,6 +24,10 @@ Retired ids are never reused:
   and :class:`~repro.pattern.artifact.PatternArtifacts` reads its tree
   through its decomposition, so the two cannot come from different
   compiles.
+* ``PL004`` (a ``#root``-anchored local chain under the parallel
+  strategy).  The partitioned scan matches a ``#root`` NoK only in the
+  partition that starts at slot 0 — once per document — so such plans
+  answer exactly like the serial scan and nothing is left to refuse.
 
 Severities: an ``error`` means the artifact violates a correctness
 precondition — executing it may return wrong results, so
@@ -147,16 +151,6 @@ _CATALOGUE: tuple[Rule, ...] = (
          "instead.",
          "use strategy='auto' (the optimizer picks stack merge on "
          "recursive documents)"),
-    Rule("PL004", Severity.ERROR, "plan", "partition-unsafe NoK under parallel scan",
-         "The parallel strategy executes every scannable NoK by cutting "
-         "the document's sequential scan into subtree-aligned "
-         "partitions (Theorem 1 makes concatenation order-correct).  A "
-         "non-trivial #root NoK — an all-local-axis chain like "
-         "/bib/book, or a predicated root — is matched navigationally "
-         "from the document node, never by that scan, so a partitioned "
-         "execution would either skip it or re-run its navigation once "
-         "per partition and duplicate matches.",
-         "use strategy='auto', whose plans scan serially"),
     # -- QL: query-vs-data satisfiability (structural-summary lint).
     # Unlike the stages above, a QL *error* does not mean the plan is
     # broken — it means part of the query provably matches nothing on

@@ -218,9 +218,12 @@ def _requested(compiled: CompiledQuery, row: Strategy, env: Engine,
     # plan over a non-twig tree.
     if "twig" in row.requires and tree is not None \
             and not twig_supported(tree):
+        stepless = len(tree.roots) == 1 and not tree.roots[0].child_edges
         raise CompileError(
-            f"{row.name} strategy unavailable: pattern is not a "
-            "single //-twig (crossing edges, optional modes or "
-            "sibling constraints present)")
+            f"{row.name} strategy unavailable: " + (
+                "the path has no step under the document node, so there "
+                "is no twig root" if stepless else
+                "pattern is not a single //-twig (crossing edges, "
+                "optional modes or sibling constraints present)"))
     return PlanChoice(row.name, "explicitly requested")
 

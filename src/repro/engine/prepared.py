@@ -99,11 +99,12 @@ class PreparedQuery:
 
     def __init__(self, engine: Engine, source: str, options: QueryOptions,
                  key: QueryKey, plan: CachedPlan) -> None:
-        #: Where each call finds its engine: the preparing one, or —
-        #: for :meth:`Database.prepare` — the current snapshot's, pinned
-        #: for the call.
-        self._reading: Callable[[], AbstractContextManager[Engine]] = \
-            partial(nullcontext, engine)
+        #: Where each call finds its engine, as ``(version, engine)``:
+        #: the preparing one, or — for :meth:`Database.prepare` — the
+        #: current snapshot's, pinned for the call.
+        self._reading: Callable[
+            [], AbstractContextManager[tuple[object, Engine]]] = \
+            partial(nullcontext, (None, engine))
         self.source = source
         self.strategy = options.strategy
         #: Execution backend pinned at prepare() time; ``execute()`` may
@@ -137,7 +138,7 @@ class PreparedQuery:
         options = QueryOptions(self.strategy, params, timeout_ms,
                                self.executor if executor is None
                                else executor, work_budget, trace)
-        with self._reading() as engine:
+        with self._reading() as (_, engine):
             return engine._run(self.source, options, self._key,
                                counters=counters, tracer=tracer,
                                prepared=self)
@@ -160,7 +161,7 @@ class PreparedQuery:
 
     def explain(self) -> str:
         """Describe the plan this prepared query runs."""
-        with self._reading() as engine:
+        with self._reading() as (_, engine):
             return engine.explain(self.source, strategy=self.strategy)
 
     def __repr__(self) -> str:

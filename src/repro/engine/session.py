@@ -124,7 +124,7 @@ class _Run:
     """The per-call run context the stage functions read and fill.
 
     It lives on the stack of one :meth:`Engine._run` call, never on the
-    engine: the serving catalog hands *one* engine per snapshot to
+    engine: the database hands *one* engine per snapshot to
     every worker, so request-scoped state kept on ``self`` would be
     another request's by the time the record stage read it.
     """
@@ -155,21 +155,21 @@ class Engine:
     doc:
         The document every query reads: a path with or without
         ``doc("uri")`` scans it, whatever the uri, as on every serving
-        surface (a catalog serves one document; neither the request nor
+        surface (a database holds one document; neither the request nor
         the query names another).
     work_budget:
         Optional cap on scanned nodes per query (DNF emulation); can be
         overridden per call.
     plan_cache:
         An externally owned :class:`PlanCache` to share (the serving
-        catalog hands one cache to every snapshot's engine); by default
+        database hands one cache to every snapshot's engine); by default
         the engine owns a private cache of 128 plans.
 
     What ran is on the result (``result.plan`` / ``result.trace``); a
     run that raised :class:`~repro.errors.DNFError` or
     :class:`~repro.errors.QueryTimeoutError` carries them on the error
     (``exc.plan``, and ``exc.trace`` when traced).  Nothing about a run
-    stays on the engine, which the serving catalog shares.
+    stays on the engine, which the database shares.
     """
 
     def __init__(self, doc: Document,
@@ -179,7 +179,7 @@ class Engine:
         self.work_budget = work_budget
         #: :class:`~repro.physical.parallel_scan.ScanPools` the partition
         #: tasks of parallel plans run on (``None`` = the process-wide
-        #: fallback; the serving catalog stamps the one it owns, so its
+        #: fallback; the database stamps the one it owns, so its
         #: ``close()`` shuts it down).
         self.scan_pools: ScanPools | None = None
         #: LRU of compiled plans, keyed by (text, strategy,
@@ -188,7 +188,7 @@ class Engine:
         #: matches old entries.
         self.plan_cache = (plan_cache if plan_cache is not None
                            else PlanCache())
-        #: Set by the serving catalog when it retires this engine's
+        #: Set by the database when it retires this engine's
         #: snapshot (``"snapshot 3"``); every call then refuses.
         self.retired: str | None = None
 
@@ -534,7 +534,7 @@ class Engine:
         return self.doc.derived.index
 
     def _check_live(self) -> None:
-        """Refuse every call once the catalog retired this engine's
+        """Refuse every call once the database retired this engine's
         snapshot: its version is gone, and nothing would drop the
         derived state a late read rebuilt."""
         if self.retired is not None:

@@ -33,10 +33,8 @@ Deviations from the serial operator, by design:
   the cap can overshoot by at most ``partitions × stride`` nodes —
   bounded, unlike a per-partition cap, which could overshoot by
   ``partitions × budget``.
-* Plans that reach this operator through the ``parallel`` strategy are
-  refused by analyzer rule PL004 when they contain ``#root``-rooted
-  NoKs; calling the operator directly with them is still correct (the
-  partition that starts at slot 0 matches them).
+* A ``#root``-anchored NoK (``/r/a/b``) is matched only by the
+  partition that starts at slot 0, so it matches once per document.
 
 Cancellation stays cooperative: a deadline or cancel is observed within
 one stride in every partition.

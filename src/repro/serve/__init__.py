@@ -1,8 +1,9 @@
 """``repro.serve`` — snapshot-isolated concurrent query serving.
 
-The serving layer on top of the engine: a :class:`Catalog` of one
-versioned document (immutable :class:`Snapshot` per published update
-batch, copy-on-write via :class:`SnapshotUpdater`), a
+The serving layer on top of a
+:class:`~repro.engine.database.Database` — the owner of one versioned
+document (immutable :class:`Snapshot` per published update batch,
+copy-on-write via :class:`SnapshotUpdater`): a
 :class:`QueryService` worker pool with admission control, per-query
 deadlines, snapshot-keyed result caching and a plan cache keyed by
 document shape — and the network front end over it: a
@@ -24,12 +25,11 @@ Most callers reach this through the top-level facade::
 """
 
 #: Every name is imported on first use (see ``__getattr__``): a
-#: ``Database`` owns a :class:`Catalog`, so ``repro.connect`` imports
-#: this package, and it must not pay for the network front end
-#: (``asyncio``, sockets) a caller may never start.
+#: ``Database`` versions its document with :class:`Snapshot`, so
+#: ``repro.connect`` imports this package, and it must not pay for the
+#: network front end (``asyncio``, sockets) a caller may never start.
 _LAZY = {
     "AdmissionController": "repro.serve.throttle",
-    "Catalog": "repro.serve.catalog",
     "Client": "repro.serve.client",
     "ClientResult": "repro.serve.client",
     "QueryService": "repro.serve.service",

@@ -207,7 +207,7 @@ class ResultCacheStorage:
     def invalidate_snapshot(self, snapshot_id: int) -> int:
         """Synchronously drop every entry of one retired snapshot.
 
-        Runs inside the catalog's retire notification, so by the time
+        Runs inside the database's retire notification, so by the time
         ``unpin``/``commit`` returns there is no window in which a
         retired snapshot's results can still be served.  The drop is
         indexed (proportional to the snapshot's entries); the **audit**

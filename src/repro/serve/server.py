@@ -395,7 +395,7 @@ class Server:
         # Validate the query and learn its external parameters by
         # compiling once against the current snapshot; executions go
         # through the service (and hit the shared plan cache).
-        with self.service.catalog.reading() as (_, engine):
+        with self.service.database.reading() as (_, engine):
             prepared = engine.prepare(text, strategy=options.strategy,
                                       executor=options.executor)
         handle = conn.next_prepared
@@ -549,10 +549,9 @@ def listen(target, *, host: str = "127.0.0.1", port: int = 0,
     ``target`` may be a running :class:`QueryService` (served as-is), a
     :class:`~repro.engine.database.Database` (its :meth:`serve
     <repro.engine.database.Database.serve>` service is used), or
-    anything :class:`QueryService` accepts as a source (a
-    :class:`~repro.serve.catalog.Catalog`, a parsed document, XML
-    text) — in which case the server builds, owns and eventually
-    closes the service.  Remaining ``options`` go to :class:`Server`.
+    anything else :class:`QueryService` accepts as a source (a parsed
+    document, XML text) — in which case the server builds, owns and
+    eventually closes the service.  Remaining ``options`` go to :class:`Server`.
     """
     owns = False
     if isinstance(target, QueryService):

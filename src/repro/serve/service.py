@@ -1,4 +1,4 @@
-"""The concurrent query service: a bounded worker pool over a catalog.
+"""The concurrent query service: a bounded worker pool over a database.
 
 :class:`QueryService` is the serving front end the ROADMAP's north star
 asks for: many queries in flight against one versioned document, each
@@ -19,7 +19,7 @@ executing against the snapshot that was current at dequeue time, with
   aggregate throughput on read-heavy workloads comes from — Python
   threads do not parallelize CPU-bound query evaluation, they
   *deduplicate* it.  Plans, unlike results, are not per snapshot: the
-  catalog's plan cache is keyed by document shape, so a commit that
+  database's plan cache is keyed by document shape, so a commit that
   keeps the shape keeps every plan warm.
 
 Every submission returns a :class:`concurrent.futures.Future` resolving
@@ -36,11 +36,11 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import Future
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from types import TracebackType
 from typing import Any
 
 from repro.engine.backend import ExecutionBackend
+from repro.engine.database import Database
 from repro.engine.request import (QueryKey, QueryOptions, check_timeout_ms,
                                   require)
 from repro.engine.result import QueryResult
@@ -51,9 +51,7 @@ from repro.errors import (
     UsageError,
 )
 from repro.obs.metrics import REGISTRY, STATS_SCHEMA
-from repro.obs.slowlog import SlowQueryLog
 from repro.serve.cachepolicy import DEFAULT_RESULT_CACHE_BYTES, ResultCacheStorage
-from repro.serve.catalog import Catalog
 from repro.serve.protocol import encode_fragment
 from repro.serve.snapshot import Snapshot, SnapshotUpdater
 from repro.xmlkit.tree import Document
@@ -163,15 +161,14 @@ class _Request:
 
 
 class QueryService:
-    """A bounded worker pool serving queries over catalog snapshots.
+    """A bounded worker pool serving queries over database snapshots.
 
     Parameters
     ----------
     source:
-        A :class:`~repro.serve.catalog.Catalog` (served as-is and left
-        open by :meth:`close`: its owner, e.g. a
-        :class:`~repro.engine.database.Database`, closes it), or a
-        :class:`~repro.xmlkit.tree.Document` / XML text for a catalog
+        A :class:`~repro.engine.database.Database` (served as-is and
+        left open by :meth:`close`: its owner closes it), or a
+        :class:`~repro.xmlkit.tree.Document` / XML text for a database
         the service builds and closes.
     workers:
         Worker thread count (concurrent executions), an ``int`` >= 1.
@@ -188,22 +185,18 @@ class QueryService:
         for the default 16 MiB, an ``int`` >= 0 for another budget,
         ``0`` for no cache.  Anything else is a
         :class:`~repro.errors.UsageError`.
-    slow_log:
-        Route served queries through an existing
-        :class:`~repro.obs.slowlog.SlowQueryLog` (what
-        :meth:`Database.serve <repro.engine.database.Database.serve>`
-        passes).  A standalone service enables its own with
-        :meth:`configure_slow_log`; there is no ``slow_query_ms=``
-        threshold setting, so the service has six settings.  Served
-        records are tagged with the snapshot id, the executed strategy
-        and the deadline state (``none``/``ok``/``expired``).
+
+    Served queries record into the database's slow-query log, read at
+    record time: ``service.database.configure_slow_log(...)`` enables
+    or replaces it for direct and served queries alike.  Served records
+    are tagged with the snapshot id, the executed strategy and the
+    deadline state (``none``/``ok``/``expired``).
     """
 
-    def __init__(self, source: Catalog | Document | str, *,
+    def __init__(self, source: Database | Document | str, *,
                  workers: int = 4, max_queue: int = 64,
                  default_timeout_ms: float | None = None,
-                 result_cache: int | None = None,
-                 slow_log: SlowQueryLog | None = None) -> None:
+                 result_cache: int | None = None) -> None:
         require("workers", workers, "an int >= 1", minimum=1)
         require("max_queue", max_queue, "an int >= 1", minimum=1)
         check_timeout_ms("default_timeout_ms", default_timeout_ms)
@@ -211,10 +204,10 @@ class QueryService:
             result_cache = DEFAULT_RESULT_CACHE_BYTES
         require("result_cache", result_cache,
                 "None or a byte budget (an int >= 0)")
-        #: :meth:`close` closes the catalog only when it was built here.
-        self._owns_catalog = not isinstance(source, Catalog)
-        self.catalog = (source if isinstance(source, Catalog)
-                        else Catalog(source))
+        #: :meth:`close` closes the database only when it was built here.
+        self._owns_database = not isinstance(source, Database)
+        self.database = (source if isinstance(source, Database)
+                         else Database(source))
         self.default_timeout_ms = default_timeout_ms
         self.max_queue = max_queue
 
@@ -225,13 +218,12 @@ class QueryService:
         self._closed = False
 
         #: Byte-accounted result cache (``None`` when disabled).  The
-        #: catalog's retire hook invalidates synchronously, so a retired
+        #: database's retire hook invalidates synchronously, so a retired
         #: snapshot's entries are gone before ``commit`` returns.
         self.result_cache: ResultCacheStorage | None = (
             ResultCacheStorage(result_cache) if result_cache else None)
-        self._stop_purging = self.catalog.on_retire(self._purge_results)
+        self._stop_purging = self.database.on_retire(self._purge_results)
 
-        self.slow_log = slow_log
         #: Extra ``stats()`` sections registered by collaborators (the
         #: network server publishes its admission controller here).
         self._stats_sections: dict[str, Callable[[], dict]] = {}
@@ -265,7 +257,7 @@ class QueryService:
         or executing is *coalesced*: the same future is returned and the
         query runs once.  ``executor`` selects the intra-query execution
         backend (see :meth:`Engine.query`); partition scans run on the
-        catalog's scan pools, separate from the serve workers, so
+        database's scan pools, separate from the serve workers, so
         parallel queries never deadlock against admission control.
         ``client`` is an opaque caller identity (the network server
         passes connection#request ids) that tags slow-query records.
@@ -331,15 +323,9 @@ class QueryService:
         return [future.result() for future in futures]
 
     def updater(self) -> SnapshotUpdater:
-        """A copy-on-write update batch (see :meth:`Catalog.updater`)."""
-        return self.catalog.updater()
-
-    def configure_slow_log(self, threshold_ms: float = 100.0,
-                           path: str | Path | None = None,
-                           max_entries: int = 1000) -> SlowQueryLog:
-        """Enable (or reconfigure) the service's slow-query log."""
-        self.slow_log = SlowQueryLog(threshold_ms, path, max_entries)
-        return self.slow_log
+        """A copy-on-write update batch (see :meth:`Database.updater
+        <repro.engine.database.Database.updater>`)."""
+        return self.database.updater()
 
     def _count(self, name: str, amount: int = 1) -> None:
         with self._count_lock:
@@ -371,12 +357,12 @@ class QueryService:
         for thread in self._workers:
             thread.join()
         if first:
-            # The catalog and its versions outlive the service unless
-            # the service built it; either way, the catalog must not
+            # The database and its versions outlive the service unless
+            # the service built it; either way, the database must not
             # keep this dead result cache reachable.
             self._stop_purging()
-            if self._owns_catalog:
-                self.catalog.close()
+            if self._owns_database:
+                self.database.close()
 
     @property
     def closed(self) -> bool:
@@ -436,9 +422,10 @@ class QueryService:
             busy_ns / 1e9 / (uptime_s * len(self._workers)), 1.0)
         _UTILIZATION.set(utilization)
         documents = {"main": {
-            "snapshot_id": self.catalog.current().snapshot_id,
-            "plan_cache": self.catalog.plan_cache.stats(),
+            "snapshot_id": self.database.current().snapshot_id,
+            "plan_cache": self.database.plan_cache.stats(),
         }}
+        log = self.database.slow_log
         payload = dict(zip(STATS_KEYS, (
             STATS_SCHEMA,
             depth, inflight, cached, len(self._workers),
@@ -447,9 +434,8 @@ class QueryService:
             (self.result_cache.stats()
              if self.result_cache is not None else {"enabled": False}),
             documents,
-            (None if self.slow_log is None else {
-                "threshold_ms": self.slow_log.threshold_ms,
-                "entries": len(self.slow_log)}),
+            (None if log is None else {
+                "threshold_ms": log.threshold_ms, "entries": len(log)}),
         ), strict=True))
         for name, provider in list(self._stats_sections.items()):
             payload[name] = provider()
@@ -558,8 +544,9 @@ class QueryService:
             _TIMEOUTS.inc()
             _SERVICE_TIMEOUTS.inc()
             self._count("timeouts")
-            if self.slow_log is not None:
-                self.slow_log.observe(
+            log = self.database.slow_log
+            if log is not None:
+                log.observe(
                     request.text, request.key.strategy, "(expired in queue)",
                     wait_ms, deadline_state="expired",
                     client=request.client)
@@ -581,7 +568,7 @@ class QueryService:
             self._settle(request, served)
 
     def _execute(self, request: _Request, wait_ms: float) -> ServeResult:
-        with self.catalog.reading() as (snapshot, engine):
+        with self.database.reading() as (snapshot, engine):
             started = time.perf_counter()
             cache = self.result_cache if request.slot is not None else None
             if cache is not None:
@@ -600,7 +587,7 @@ class QueryService:
                     (request.deadline - time.perf_counter()) * 1e3, 0.0))
             result = engine._run(
                 request.text, options, request.key,
-                slow=None if self.slow_log is None else partial(
+                slow=None if self.database.slow_log is None else partial(
                     self._observe_slow, request, snapshot))
             fragments = None
             if cache is not None:
@@ -618,9 +605,10 @@ class QueryService:
         own plan, time and counter deltas) to the slow-query log.  Only
         answers and expiries are logged; other failures never were."""
         expired = error is not None and issubclass(error, QueryTimeoutError)
-        if self.slow_log is None or (error is not None and not expired):
+        log = self.database.slow_log
+        if log is None or (error is not None and not expired):
             return
-        record = self.slow_log.observe(
+        record = log.observe(
             request.text, request.key.strategy, plan or "?",
             elapsed_ms, counters,
             snapshot_id=snapshot.snapshot_id,
@@ -635,7 +623,7 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def _purge_results(self, snapshot: Snapshot) -> None:
-        """Catalog retire hook: eagerly drop the snapshot's results.
+        """Database retire hook: eagerly drop the snapshot's results.
 
         Runs synchronously inside the retire notification — the audit
         counters in the storage prove no entry of the retired snapshot

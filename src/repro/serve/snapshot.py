@@ -9,7 +9,7 @@ tree.  Instead of locking, the serving layer never mutates a published
 document at all:
 
 * a :class:`Snapshot` is an immutable-by-convention document with a
-  catalog-unique id (what is computed from it hangs off the
+  database-unique id (what is computed from it hangs off the
   document, ``snapshot.doc.derived``, until the snapshot retires);
 * an update batch forks the current snapshot's document once
   (:func:`fork_document`, copy-on-first-write), applies every operation
@@ -81,9 +81,9 @@ def fork_document(doc: Document) -> Document:
 
 @dataclass(frozen=True, eq=False)
 class Snapshot:
-    """One published, immutable version of the catalog's document.
+    """One published, immutable version of the database's document.
 
-    ``snapshot_id`` is unique and monotonic within its catalog, so
+    ``snapshot_id`` is unique and monotonic within its database, so
     result-cache keys can reference a version without carrying the
     document around.  The document behind
     a snapshot must never be mutated — all updates go through
@@ -105,9 +105,9 @@ class Snapshot:
 
 @dataclass
 class SnapshotUpdater:
-    """One copy-on-write update batch against the catalog's document.
+    """One copy-on-write update batch against the database's document.
 
-    Obtained from :meth:`~repro.serve.catalog.Catalog.updater`; applies
+    Obtained from :meth:`~repro.engine.database.Database.updater`; applies
     the same operations as :class:`~repro.xmlkit.update.DocumentUpdater`
     but to a private fork of the base snapshot's document, so concurrent
     readers never observe intermediate states.  :meth:`commit` publishes
@@ -115,7 +115,7 @@ class SnapshotUpdater:
     discards it.  Usable as a context manager (commit on clean exit,
     abort on exception)::
 
-        with catalog.updater() as up:
+        with db.updater() as up:
             shelf = up.doc.root
             up.insert_subtree(shelf, new_book)
         # <- the new snapshot is published here
@@ -124,7 +124,7 @@ class SnapshotUpdater:
     aborted emits a :class:`ResourceWarning`: its writes are lost.
     """
 
-    catalog: object
+    database: object
     base: Snapshot
     doc: Document = field(init=False)
     reports: list[UpdateReport] = field(init=False, default_factory=list)
@@ -174,12 +174,12 @@ class SnapshotUpdater:
         if self._done:
             raise RuntimeError("update batch already committed or aborted")
         self._done = True
-        publish = getattr(self.catalog, "_publish")
+        publish = getattr(self.database, "_publish")
         snapshot: Snapshot = publish(self.doc, self.reports)
         return snapshot
 
     def abort(self) -> None:
-        """Discard the fork; the catalog never sees this batch."""
+        """Discard the fork; the database never sees this batch."""
         self._done = True
 
     def __enter__(self) -> SnapshotUpdater:

@@ -23,6 +23,14 @@ executor: the two ``auto``-under-``threads:2`` extras plan ``pipelined``
 ``(N partitions)`` suffix, its scan note on the grid's small documents
 names the one merged scan that ran, and PL004's hint no longer mentions
 a withdrawal.  No answer changed.
+
+It was regenerated a third time, for one row only, when analyzer rule
+PL004 was retired: ``requested parallel is refused (PL004)`` (the label
+stays as a stable id) now answers — a partitioned scan over 2
+partitions, byte-identical to ``naive`` and to the ``pipelined`` answer
+of the row above it — where it raised ``PlanInvariantError``.  The
+partitioned scan matches the ``#root`` NoK of ``/r/a/b`` only in the
+partition that starts at slot 0, so there was nothing to refuse.
 """
 
 from __future__ import annotations
@@ -56,7 +64,8 @@ SHAPES = {
 #: The first two labels name the executor-driven ``parallel`` upgrade
 #: (and its PL004 withdrawal) that ``auto`` once performed; they stay
 #: as stable test ids and now pin its absence — both plan
-#: ``pipelined``, exactly as without an executor.
+#: ``pipelined``, exactly as without an executor.  The third names the
+#: retired rule PL004's refusal and now pins the partitioned answer.
 WIDE = "<r>" + "<a><b>1</b></a>" * 1400 + "</r>"
 EXTRAS = [
     ("auto upgrades to parallel", WIDE, "//a/b", {"executor": "threads:2"}),

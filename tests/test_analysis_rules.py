@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -27,18 +28,25 @@ from repro.analysis.analyzer import VERIFY_RUNS
 from repro.analysis.passes import ast_pass, plan_pass
 from repro.analysis.report import AnalysisReport
 from repro.analysis.rules import RULES, Severity
+import repro.engine.executor as executor_module
 from repro.engine.compiler import compile_query
 from repro.engine.optimizer import PlanChoice
 from repro.engine.plancache import PlanCache
 from repro.engine.prepared import CachedPlan
+from repro.engine.session import Engine
 from repro.errors import PlanInvariantError, UsageError
 from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
 from repro.pattern.blossom import MODE_OPTIONAL
+from repro.xmlkit.partition import partition_document
 from repro.xquery.parser import parse_query
 
 TWIG = "for $a in //book return $a"
 CHAIN = "for $a in //book/title return $a"
 CROSS = "for $a in //book, $b in //book where $a << $b return $a"
+#: Root-anchored local chains (a #root NoK that holds navigation).
+ROOT_ANCHORED = ("for $a in /bib/book return $a", "/bib/book/title",
+                 "/bib/book[author]/title", "/bib/book[price = 39.95]/title",
+                 "for $b in /bib/book, $l in $b//last return $l")
 
 
 def artifacts_for(text: str) -> PatternArtifacts:
@@ -247,15 +255,36 @@ class TestPlanRules:
                        recursive_document=False)
         assert report.clean
 
-    def test_pl004_parallel_on_partition_unsafe_plan(self):
-        # /bib/book keeps its all-child-axis chain inside the #root NoK
-        # (matched navigationally, never by the sequential scan), so the
-        # parallel strategy must be refused with exactly PL004.
-        artifacts = artifacts_for("for $a in /bib/book return $a")
-        report = gated(analyze_artifacts, artifacts, strategy="parallel",
-                       recursive_document=False)
-        assert report.rule_ids() == ["PL004"]
-        assert not report.ok    # error severity: validate-on-compile blocks
+    def test_parallel_on_root_anchored_chains_analyzes_clean(self):
+        # The retired PL004 refused these: each keeps a local chain in
+        # its #root NoK.  The partitioned scan matches that NoK once, in
+        # the partition at slot 0, so the analysis reports nothing.
+        for text in ROOT_ANCHORED:
+            report = gated(analyze_artifacts, artifacts_for(text),
+                           strategy="parallel", recursive_document=False)
+            assert report.clean, text
+            assert report.ok, text
+
+    def test_parallel_on_root_anchored_chains_verifies_and_answers(
+            self, monkeypatch, small_bib):
+        # The verify gate lets the same plans through, and they answer
+        # like the serial ones, cut into partitions of any size.
+        monkeypatch.setattr(executor_module, "partition_document",
+                            partial(partition_document, min_nodes=1))
+        engine = Engine(small_bib)
+        for text in ROOT_ANCHORED:
+            report = verify_artifacts(artifacts_for(text), strategy="parallel",
+                                      recursive_document=False)
+            assert report.clean, text
+            naive = engine.query(text, strategy="naive").serialize()
+            assert naive, text
+            assert engine.query(text, strategy="pipelined").serialize() \
+                == naive, text
+            for executor in ("threads:2", "processes:2"):
+                result = engine.query(text, strategy="parallel",
+                                      executor=executor)
+                assert "partition-parallel scan over 2" in result.plan
+                assert result.serialize() == naive, (text, executor)
 
     def test_pl004_silent_on_partition_safe_plan(self):
         # //book decomposes into a trivial #root anchor plus a scannable
@@ -264,13 +293,6 @@ class TestPlanRules:
         report = gated(analyze_artifacts, artifacts, strategy="parallel",
                        recursive_document=False)
         assert report.clean
-
-    def test_pl004_verify_gate_raises(self):
-        artifacts = artifacts_for("for $a in /bib/book return $a")
-        with pytest.raises(PlanInvariantError) as excinfo:
-            verify_artifacts(artifacts, strategy="parallel",
-                             recursive_document=False)
-        assert "PL004" in excinfo.value.rule_ids
 
 
 class TestEnforcementGates:
@@ -327,12 +349,13 @@ class TestCatalogue:
     def test_rule_ids_are_stable(self):
         # Published IDs must never change meaning; a retired one (SV001,
         # with the snapshot-stamped plans it guarded; DW001 / DW002, with
-        # the Dewey assignment they checked) is never reused.
+        # the Dewey assignment they checked; PL004, with the partitioned
+        # plans it refused) is never reused.
         assert set(RULES) == {
             "AST001", "AST002",
             "BT001", "BT002", "BT003", "BT004", "BT005", "BT006",
             "NK001", "NK002", "NK003",
-            "PL001", "PL002", "PL003", "PL004",
+            "PL001", "PL002", "PL003",
             "QL001", "QL002", "QL003", "QL004", "QL005", "QL006",
         }
 

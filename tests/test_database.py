@@ -12,14 +12,14 @@ from tests.conftest import SMALL_BIB
 
 class TestPersistence:
     def test_save_open_round_trip(self, tmp_path):
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         written = db.save(tmp_path / "lib.btx")
         assert written > 0
         again = Database.open(tmp_path / "lib.btx")
         assert serialize(again.doc.root) == serialize(db.doc.root)
 
     def test_queries_identical_after_reload(self, tmp_path):
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         db.save(tmp_path / "lib.btx")
         again = Database.open(tmp_path / "lib.btx")
         for query in ("//book[author]/title", "//book[price > 30]//last"):
@@ -27,7 +27,7 @@ class TestPersistence:
                 db.query(query).serialize()
 
     def test_stats_available(self):
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         assert db.doc_stats.n_elements == 17
         assert not db.doc_stats.recursive
 
@@ -42,7 +42,7 @@ class TestUpdateIntegration:
         from repro.xmlkit import parse
 
         builds = REGISTRY.counter("repro_tag_index_builds_total", "")
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         db.engine.index.build()
         before = len(db.query("//book", strategy="twigstack"))
         built = builds.value()
@@ -59,7 +59,7 @@ class TestUpdateIntegration:
     def test_stats_follow_a_committed_update(self):
         from repro.xmlkit import parse
 
-        db = Database.from_xml("<r><a/></r>")
+        db = Database("<r><a/></r>")
         assert not db.doc_stats.recursive
         with db.updater() as up:
             up.insert_subtree(db.doc.elements_by_tag("a")[0],
@@ -78,7 +78,7 @@ class TestUpdateIntegration:
         from repro.xmlkit import parse
         from repro.xmlkit.update import DocumentUpdater
 
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         result = db.query("//magazine")
         assert len(result) == 0
         assert "static-empty" in result.plan
@@ -96,7 +96,7 @@ class TestUpdateIntegration:
         in-place spelling) builds a batch nobody commits: it warns."""
         from repro.xmlkit import parse
 
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         with pytest.warns(ResourceWarning, match="update batch on snapshot 1"):
             db.updater().insert_subtree(db.doc.root, parse("<book/>").root)
             gc.collect()
@@ -109,5 +109,5 @@ class TestUpdateIntegration:
             gc.collect()
 
     def test_explain_passthrough(self):
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         assert "strategy:" in db.explain("//book//last")

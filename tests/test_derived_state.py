@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.serve import Catalog
+from repro.engine.database import Database
 from repro.xmlkit import derived as derived_module
 from repro.xmlkit import parse
 from repro.xmlkit.index import TagIndex
@@ -89,8 +89,8 @@ def test_built_once_per_version_and_never_after_retirement(builds):
 
 def test_database_close_releases_the_current_snapshots_arena_file(
         monkeypatch, tmp_path):
-    """After a commit the current snapshot is a fork the database owns
-    (its catalog's): closing the service leaves the version and its
+    """After a commit the current snapshot is a fork the database owns:
+    closing the service leaves the version and its
     arena file with the database, and ``Database.close`` drops it."""
     monkeypatch.setattr(derived_module.tempfile, "tempdir", str(tmp_path))
     with repro.connect(LIBRARY) as db:
@@ -128,17 +128,17 @@ def test_catalog_lock_is_not_held_during_an_o_n_build(monkeypatch,
         return real(doc, *args, **kwargs)
 
     monkeypatch.setattr(derived_module, "build_summary", blocking)
-    catalog = Catalog("<r><a/></r>")
-    first = catalog.current()
+    db = Database("<r><a/></r>")
+    first = db.current()
     answers, done = [], threading.Event()
 
     def pin_unpin():
-        with catalog.reading() as (snapshot, _engine):
+        with db.reading() as (snapshot, _engine):
             assert snapshot is first
         done.set()
 
     def read_then_query():
-        engine = catalog.engine_for(first)
+        engine = db.engine_for(first)
         first_read(engine.doc.derived)
         answers.append(engine.query("//a").serialize())
 

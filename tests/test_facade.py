@@ -45,14 +45,14 @@ class TestConnect:
 
     def test_binary_file_path(self, tmp_path):
         path = tmp_path / "library.btx"
-        Database.from_xml(LIBRARY).save(path)
+        Database(LIBRARY).save(path)
         with repro.connect(str(path)) as db:
             assert len(db.query("//book[author]")) == 2
 
     def test_binary_magic_is_sniffed_not_suffixed(self, tmp_path):
         # Extension is irrelevant; only the magic bytes decide.
         path = tmp_path / "library.xml"
-        Database.from_xml(LIBRARY).save(path)
+        Database(LIBRARY).save(path)
         with repro.connect(path) as db:
             assert len(db.query("//book")) == 3
 
@@ -100,15 +100,15 @@ class TestDatabaseLifecycle:
     def test_both_updaters_publish_into_one_catalog(self):
         """One update path: ``db.updater()`` is the copy-on-write batch
         ``service.updater()`` hands out, so both are safe while serving
-        and both publish the next version of the one catalog."""
+        and both publish the next version of the one database."""
         with repro.connect(LIBRARY) as db:
             service = db.serve(workers=1)
             with db.updater() as batch:
                 batch.insert_subtree(batch.doc.root, parse("<book/>").root)
             with service.updater() as batch:
                 batch.insert_subtree(batch.doc.root, parse("<book/>").root)
-            assert service.catalog is db.catalog
-            assert db.catalog.current().snapshot_id == 3
+            assert service.database is db
+            assert db.current().snapshot_id == 3
             assert len(service.query("//book")) == len(db.query("//book")) == 5
 
     def test_reads_follow_the_served_version(self):
@@ -117,7 +117,7 @@ class TestDatabaseLifecycle:
             prepared = db.prepare("//book")
             with service.updater() as batch:
                 batch.insert_subtree(batch.doc.root, parse("<book/>").root)
-            current = service.catalog.current()
+            current = db.current()
             assert len(service.query("//book")) == 4
             assert len(db.query("//book")) == 4
             assert "4 item(s)" in db.explain_analyze("//book")
@@ -128,7 +128,7 @@ class TestDatabaseLifecycle:
                 == current.doc.derived.summary.fingerprint()
             # A prepared query runs on the current version, too.
             assert len(prepared.execute()) == 4
-            assert service.catalog._pins == {}  # unpinned
+            assert db._pins == {}  # unpinned
 
     def test_prepared_queries_follow_every_commit(self):
         with repro.connect(LIBRARY) as db:
@@ -167,8 +167,8 @@ class TestDatabaseLifecycle:
             db.query("//book")
             service.query("//book[title]")
             db.query("//book")
-            assert db.engine.plan_cache is service.catalog.plan_cache
-            assert service.slow_log is log
+            assert db.engine.plan_cache is service.database.plan_cache
+            assert service.database.slow_log is log
             stats = db.stats()
             assert stats["plan_cache"]["misses"] == 2
             assert stats["plan_cache"]["hits"] == 1

@@ -327,12 +327,13 @@ def test_slow_query_log_ring_bound():
 def test_slow_query_log_refuses_settings_that_would_lie(surface, kwargs):
     """A NaN threshold logged every query and an empty ring handed back
     records it did not keep; every surface refuses them with
-    ``UsageError`` (still a ``ValueError`` for older callers)."""
+    ``UsageError`` (still a ``ValueError`` for older callers).  A
+    service records into its database's log and configures it there."""
     with repro.connect("<a><b/></a>") as db:
         configure = {"SlowQueryLog": lambda: SlowQueryLog,
                      "Database": lambda: db.configure_slow_log,
                      "QueryService": lambda: db.serve(
-                         workers=1).configure_slow_log}[surface]()
+                         workers=1).database.configure_slow_log}[surface]()
         with pytest.raises(UsageError) as info:
             configure(**kwargs)
         assert isinstance(info.value, ValueError)
@@ -402,7 +403,7 @@ class TestHistogramQuantile:
 
 class TestDatabaseStats:
     def test_stats_snapshot_shape(self):
-        db = Database.from_xml("<bib><book><title>t</title></book></bib>")
+        db = Database("<bib><book><title>t</title></book></bib>")
         db.query("//book/title")
         stats = db.stats()
         assert set(stats) == {"schema", "document", "plan_cache",
@@ -416,7 +417,7 @@ class TestDatabaseStats:
         json.dumps(stats)
 
     def test_doc_stats_still_exposes_document_statistics(self):
-        db = Database.from_xml("<a><b/></a>")
+        db = Database("<a><b/></a>")
         assert db.doc_stats.n_elements == 2
 
 
@@ -449,6 +450,20 @@ class TestServiceStats:
             assert "snapshot=" in records[-1].describe()
             assert stats["counters"]["slow_queries"] >= 1
             json.dumps(stats)
+
+    def test_a_log_configured_after_serve_takes_served_queries(self):
+        """The service reads its database's log when it records, so a
+        log configured after ``serve()`` takes served and direct
+        queries alike, and both stats payloads describe that one log."""
+        with repro.connect("<a><b/></a>") as db:
+            service = db.serve(workers=1)
+            log = db.configure_slow_log(0.0)
+            service.query("//b")
+            db.query("//a")
+            assert [r.query for r in log.entries] == ["//b", "//a"]
+            stats = db.stats()
+            assert stats["slow_queries"]["entries"] == 2
+            assert stats["service"]["slow_queries"] == stats["slow_queries"]
 
     def test_database_stats_embeds_the_running_service(self):
         with repro.connect("<a><b/></a>") as db:

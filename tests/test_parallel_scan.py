@@ -11,9 +11,9 @@ serial scan exactly.
 
 import pytest
 
+import repro.engine.executor as executor_module
 from repro.engine.backend import ExecutionBackend
-from repro.errors import (DNFError, PlanInvariantError, QueryCancelledError,
-                          QueryTimeoutError)
+from repro.errors import DNFError, QueryCancelledError, QueryTimeoutError
 from repro.pattern import build_from_path, decompose
 from repro.physical import NoKMatcher, merged_scan
 from repro.physical.parallel_scan import ScanPools, parallel_merged_scan
@@ -88,7 +88,10 @@ class TestPartitioner:
 
 
 QUERIES = ["//book", "//book/author", "//shelf//title",
-           "//book[@year = '1995']", "//book[price > 25]/title", "//*"]
+           "//book[@year = '1995']", "//book[price > 25]/title", "//*",
+           # root-anchored: the #root NoK holds the chain and is matched
+           # once, by the partition that starts at slot 0
+           "/bib/shelf/book", "/bib/shelf/book[price > 25]/title"]
 SKEW_QUERIES = ["//item", "//item/name", "//item[price = 3]", "//giant//name"]
 
 
@@ -391,11 +394,27 @@ class TestEngineParallelStrategy:
         assert len(spans) == 4
         assert {span.attrs["backend"] for span in spans} == {"threads"}
 
-    def test_explicit_parallel_refused_with_pl004(self):
-        engine = self.make_engine(wide_doc(100))
-        with pytest.raises(PlanInvariantError) as excinfo:
-            engine.query("/bib/shelf", strategy="parallel")
-        assert "PL004" in excinfo.value.rule_ids
+    def test_explicit_parallel_on_root_anchored_chains(
+            self, pools, monkeypatch):
+        # The retired PL004 refused these: the #root NoK holds a local
+        # chain.  The partition at slot 0 matches it once, so every cut
+        # answers like the serial plans, on both drivers.
+        monkeypatch.setattr(executor_module, "partition_document",
+                            fine_partitions)
+        engine = self.make_engine("<r>" + "".join(
+            f"<a><b>{i % 5}</b><c><b>{i}</b></c></a>"
+            for i in range(40)) + "</r>", pools)
+        for text in ("/r/a/b", "/r/a[b]/c//b", "/r/a[b = '3']/b",
+                     "for $a in /r/a, $b in $a//b return $b"):
+            naive = engine.query(text, strategy="naive").serialize()
+            assert naive, text
+            assert engine.query(text, strategy="pipelined").serialize() \
+                == naive, text
+            for executor in ("threads:2", "processes:2", "threads:4"):
+                result = engine.query(text, strategy="parallel",
+                                      executor=executor)
+                assert "partition-parallel scan over" in result.plan
+                assert result.serialize() == naive, (text, executor)
 
     def test_prepared_query_pins_executor(self, pools):
         engine = self.make_engine(wide_doc(600), pools)

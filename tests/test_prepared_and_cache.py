@@ -103,7 +103,7 @@ class TestTransparentCache:
 
 class TestInvalidation:
     def test_update_never_serves_stale_results(self):
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         query = "//book/title"
         db.query(query)                   # plan now cached
         with db.updater() as up:
@@ -122,7 +122,7 @@ class TestInvalidation:
     def test_update_invalidates_cached_plans(self):
         # A shape-changing commit moves the key: the old version's plan
         # is never looked up again (it leaves by LRU, not by a purge).
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         db.query("//book")
         assert len(db.engine.plan_cache) == 1
         with db.updater() as up:
@@ -147,7 +147,7 @@ class TestInvalidation:
         assert result.trace.root.attrs["plan-cache"] == "miss"
 
     def test_open_starts_with_an_empty_cache(self, tmp_path):
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         db.query("//book")
         assert len(db.engine.plan_cache) == 1
         db.save(tmp_path / "lib.btx")
@@ -232,7 +232,7 @@ class TestPreparedQueries:
             engine.query(PARAM_QUERY)
 
     def test_prepared_replans_after_update(self):
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         prepared = db.prepare("//book/title")
         before = prepared.execute().serialize()
         with db.updater() as up:
@@ -247,7 +247,7 @@ class TestPreparedQueries:
         assert after == fresh_result(serialize(db.doc.root), "//book/title")
 
     def test_database_facade_mirrors_engine(self):
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         prepared = db.prepare(PARAM_QUERY, strategy="auto")
         got = prepared.execute(params={"max": 40.0}).serialize()
         assert got == fresh_result(SMALL_BIB,

@@ -8,7 +8,7 @@ from repro.analysis.query import analyze_query
 from repro.engine import Engine, compile_query
 from repro.engine.database import Database
 from repro.obs.metrics import REGISTRY
-from repro.serve import Catalog, QueryService
+from repro.serve import QueryService
 from repro.xmlkit.parser import parse
 from repro.xmlkit.summary import build_summary
 from tests.conftest import SMALL_BIB
@@ -129,7 +129,7 @@ class TestEngineIntegration:
             == ["miss", "hit"]
         assert "static-empty" not in engine.query("//book/title").plan
 
-    @pytest.mark.parametrize("cls", [Engine, Database, Catalog, QueryService])
+    @pytest.mark.parametrize("cls", [Engine, Database, QueryService])
     def test_the_lint_switch_is_gone(self, cls):
         with pytest.raises(TypeError, match="analyze_queries"):
             cls(SMALL_BIB, analyze_queries=False)

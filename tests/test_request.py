@@ -292,8 +292,8 @@ class TestOneIdentity:
             service = db.serve(workers=1)
             for text in self.VARIANTS:
                 service.query(text)
-            engine = service.catalog.engine_for(
-                service.catalog.current())
+            engine = service.database.engine_for(
+                service.database.current())
             assert len(engine.plan_cache) == 1
             assert len(lints) == 1      # three variants, one compile
             assert len(service.result_cache) == 1

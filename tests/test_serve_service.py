@@ -15,8 +15,8 @@ from repro.errors import (
     UsageError,
 )
 from repro.obs.metrics import REGISTRY
+from repro.engine.database import Database
 from repro.serve import (
-    Catalog,
     QueryService,
     ServeResult,
 )
@@ -153,14 +153,14 @@ class TestSlowLogOnASharedEngine:
         plan.  Each record's plan comes from its own run, so the
         assertion holds under any interleaving."""
         with make_service(workers=2, result_cache=0) as service:
-            service.configure_slow_log(0.0)
+            log = service.database.configure_slow_log(0.0)
             futures = [service.submit(f'//book[author != "a{i}"]/title',
                                       strategy=strategy)
                        for i in range(20)
                        for strategy in ("naive", "pipelined")]
             results = [future.result() for future in futures]
             assert {r.snapshot_id for r in results} == {1}
-            records = service.slow_log.entries
+            records = log.entries
             assert len(records) == len(futures)
             for record in records:
                 assert record.plan.startswith(record.strategy), record
@@ -196,18 +196,18 @@ class TestAdmissionControl:
         gate = threading.Event()
         release = threading.Event()
 
-        catalog = Catalog(LIBRARY)
-        service = QueryService(catalog, workers=1, max_queue=2)
+        db = Database(LIBRARY)
+        service = QueryService(db, workers=1, max_queue=2)
         try:
             # Occupy the single worker with a slow request.
-            original = catalog.engine_for
+            original = db.engine_for
 
             def slow_engine_for(snapshot):
                 gate.set()
                 release.wait(timeout=10)
                 return original(snapshot)
 
-            catalog.engine_for = slow_engine_for
+            db.engine_for = slow_engine_for
             blocker = service.submit("//book/author")
             assert gate.wait(timeout=10)
             # Fill the queue (distinct texts: coalescing must not merge).
@@ -221,23 +221,23 @@ class TestAdmissionControl:
         finally:
             release.set()
             blocker.result(timeout=10)
-            catalog.engine_for = original
+            db.engine_for = original
             service.close()
 
     def test_batch_admission_is_all_or_nothing(self):
         gate = threading.Event()
         release = threading.Event()
-        catalog = Catalog(LIBRARY)
-        service = QueryService(catalog, workers=1, max_queue=2)
+        db = Database(LIBRARY)
+        service = QueryService(db, workers=1, max_queue=2)
         try:
-            original = catalog.engine_for
+            original = db.engine_for
 
             def slow_engine_for(snapshot):
                 gate.set()
                 release.wait(timeout=10)
                 return original(snapshot)
 
-            catalog.engine_for = slow_engine_for
+            db.engine_for = slow_engine_for
             blocker = service.submit("//book/author")
             assert gate.wait(timeout=10)
             with pytest.raises(ServiceOverloadedError):
@@ -246,7 +246,7 @@ class TestAdmissionControl:
         finally:
             release.set()
             blocker.result(timeout=10)
-            catalog.engine_for = original
+            db.engine_for = original
             service.close()
 
 
@@ -254,20 +254,20 @@ class TestCoalescingAndResultCache:
     def test_identical_requests_coalesce(self):
         gate = threading.Event()
         release = threading.Event()
-        catalog = Catalog(LIBRARY)
-        service = QueryService(catalog, workers=1)
+        db = Database(LIBRARY)
+        service = QueryService(db, workers=1)
         try:
-            original = catalog.engine_for
+            original = db.engine_for
 
             def slow_engine_for(snapshot):
                 gate.set()
                 release.wait(timeout=10)
                 return original(snapshot)
 
-            catalog.engine_for = slow_engine_for
+            db.engine_for = slow_engine_for
             first = service.submit("//book/title")
             assert gate.wait(timeout=10)
-            catalog.engine_for = original
+            db.engine_for = original
             before = _COALESCED.value()
             # Queue an identical and a whitespace-variant request.
             second = service.submit("//book/title")
@@ -355,7 +355,7 @@ class TestCacheLifecycle:
             queries = ("//book/title", "//book/author", "//shelf[book]")
             for text in queries:
                 service.query(text)
-            retired_id = service.catalog.current().snapshot_id
+            retired_id = service.database.current().snapshot_id
             assert len(storage) == len(queries)
             stale_key = QueryKey("//book/title",
                                  QueryOptions()).result(retired_id)
@@ -411,19 +411,19 @@ class TestCloseSemantics:
     def test_close_without_drain_cancels_queued(self):
         gate = threading.Event()
         release = threading.Event()
-        catalog = Catalog(LIBRARY)
-        service = QueryService(catalog, workers=1)
-        original = catalog.engine_for
+        db = Database(LIBRARY)
+        service = QueryService(db, workers=1)
+        original = db.engine_for
 
         def slow_engine_for(snapshot):
             gate.set()
             release.wait(timeout=10)
             return original(snapshot)
 
-        catalog.engine_for = slow_engine_for
+        db.engine_for = slow_engine_for
         blocker = service.submit("//book/author")
         assert gate.wait(timeout=10)
-        catalog.engine_for = original
+        db.engine_for = original
         queued = service.submit("//book/title")
         release.set()
         service.close(drain=False)
@@ -439,21 +439,21 @@ class TestCloseSemantics:
         assert [len(f.result()) for f in futures] == [3, 3, 2]
 
     def test_close_leaves_a_borrowed_catalog_open_and_unhooked(self):
-        """A service over a catalog it did not build leaves it (and its
+        """A service over a database it did not build leaves it (and its
         versions) with the owner, and deregisters its retire listener,
         so serve/close cycles keep no dead result cache reachable."""
-        catalog = Catalog(LIBRARY)
+        db = Database(LIBRARY)
         for _ in range(3):
-            with QueryService(catalog, workers=1) as service:
+            with QueryService(db, workers=1) as service:
                 with service.updater() as up:
                     up.insert_subtree(up.doc.root, parse("<shelf/>").root)
                 service.close()
                 service.close()                     # idempotent
-        assert catalog._retire_listeners == []
-        engine = catalog.engine_for(catalog.current())
+        assert db._retire_listeners == []
+        engine = db.engine_for(db.current())
         assert len(engine.query("//shelf")) == 5
-        assert engine.scan_pools is catalog.scan_pools
-        catalog.close()
+        assert engine.scan_pools is db.scan_pools
+        db.close()
 
 
 _INDEX_BUILDS = REGISTRY.counter("repro_tag_index_builds_total", "")

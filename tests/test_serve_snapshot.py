@@ -1,9 +1,10 @@
-"""Snapshot layer: fork fidelity, catalog versioning, pin/retire."""
+"""Snapshot layer: fork fidelity, database versioning, pin/retire."""
 
 import pytest
 
+from repro.engine.database import Database
 from repro.errors import UsageError
-from repro.serve import Catalog, fork_document
+from repro.serve import fork_document
 from repro.serve.snapshot import SnapshotUpdater
 from repro.xmlkit.parser import parse
 from repro.xmlkit.serialize import serialize
@@ -30,9 +31,9 @@ def elems(node):
     return [c for c in node.children if c.tag is not None]
 
 
-def live_ids(catalog):
+def live_ids(db):
     """Snapshot ids that are current or pinned."""
-    return {catalog.current().snapshot_id, *catalog._pins}
+    return {db.current().snapshot_id, *db._pins}
 
 
 def subtree(tag: str, **children) -> object:
@@ -80,43 +81,43 @@ class TestForkDocument:
 
 class TestCatalogVersioning:
     def test_register_and_query_current(self):
-        catalog = Catalog(LIBRARY)
-        snap = catalog.current()
+        db = Database(LIBRARY)
+        snap = db.current()
         assert snap.snapshot_id == 1
-        assert catalog.current() is snap
-        assert len(catalog.engine_for(snap).query("//book")) == 3
+        assert db.current() is snap
+        assert len(db.engine_for(snap).query("//book")) == 3
         doc = parse(LIBRARY)            # a parsed tree is taken, not forked
-        assert Catalog(doc).current().doc is doc
+        assert Database(doc).current().doc is doc
 
     def test_commit_publishes_next_snapshot(self):
-        catalog = Catalog(LIBRARY)
-        with catalog.updater() as up:
+        db = Database(LIBRARY)
+        with db.updater() as up:
             shelf = elems(up.doc.root)[0]
             up.insert_subtree(shelf, subtree("book", author="Knuth",
                                              title="TAOCP"))
-        current = catalog.current()
+        current = db.current()
         assert current.snapshot_id == 2
-        engine = catalog.engine_for(current)
+        engine = db.engine_for(current)
         assert len(engine.query("//book")) == 4
 
     def test_abort_discards_the_fork(self):
-        catalog = Catalog(LIBRARY)
-        up = catalog.updater()
+        db = Database(LIBRARY)
+        up = db.updater()
         up.delete_subtree(elems(up.doc.root)[0])
         up.abort()
-        assert catalog.current().snapshot_id == 1
+        assert db.current().snapshot_id == 1
 
     def test_exception_inside_with_aborts(self):
-        catalog = Catalog(LIBRARY)
+        db = Database(LIBRARY)
         with pytest.raises(RuntimeError, match="boom"):
-            with catalog.updater() as up:
+            with db.updater() as up:
                 up.delete_subtree(elems(up.doc.root)[0])
                 raise RuntimeError("boom")
-        assert catalog.current().snapshot_id == 1
+        assert db.current().snapshot_id == 1
 
     def test_double_commit_refused(self):
-        catalog = Catalog(LIBRARY)
-        up = catalog.updater()
+        db = Database(LIBRARY)
+        up = db.updater()
         up.commit()
         with pytest.raises(RuntimeError, match="already committed"):
             up.commit()
@@ -125,67 +126,65 @@ class TestCatalogVersioning:
 
 class TestPinning:
     def test_pinned_snapshot_survives_publish(self):
-        catalog = Catalog(LIBRARY)
-        pinned = catalog.pin()
-        with catalog.updater() as up:
+        db = Database(LIBRARY)
+        pinned = db.pin()
+        with db.updater() as up:
             up.delete_subtree(elems(up.doc.root)[0])
         # The pinned version still answers with the old content.
-        engine = catalog.engine_for(pinned)
+        engine = db.engine_for(pinned)
         assert len(engine.query("//book")) == 3
-        assert live_ids(catalog) == {1, 2}
-        catalog.unpin(pinned)
-        assert live_ids(catalog) == {2}
+        assert live_ids(db) == {1, 2}
+        db.unpin(pinned)
+        assert live_ids(db) == {2}
         with pytest.raises(UsageError, match="snapshot 1 has been retired"):
             engine.query("//book")
 
     def test_unpinned_superseded_snapshot_retires_on_publish(self):
-        catalog = Catalog(LIBRARY)
-        with catalog.updater():
+        db = Database(LIBRARY)
+        with db.updater():
             pass
-        assert live_ids(catalog) == {2}
-        assert catalog._engines == {}
+        assert live_ids(db) == {2}
+        assert db._engines == {}
 
     def test_engine_for_dropped_snapshot_refused(self):
-        catalog = Catalog(LIBRARY)
-        old = catalog.current()
-        with catalog.updater():
+        db = Database(LIBRARY)
+        old = db.current()
+        with db.updater():
             pass
         with pytest.raises(UsageError, match="snapshot 1 has been retired"):
-            catalog.engine_for(old)
+            db.engine_for(old)
 
     def test_unpin_without_pin_refused(self):
-        catalog = Catalog(LIBRARY)
-        snap = catalog.current()
+        db = Database(LIBRARY)
+        snap = db.current()
         with pytest.raises(UsageError, match="not pinned"):
-            catalog.unpin(snap)
+            db.unpin(snap)
 
     def test_retire_listener_fires_outside_lock(self):
-        catalog = Catalog(LIBRARY)
+        db = Database(LIBRARY)
         retired = []
-        catalog.on_retire(
+        db.on_retire(
             lambda s: retired.append((s.snapshot_id,
-                                      catalog.current().snapshot_id)))
-        with catalog.updater():
+                                      db.current().snapshot_id)))
+        with db.updater():
             pass
         assert retired == [(1, 2)]
 
     def test_resolve_maps_base_nodes_into_the_fork(self):
-        catalog = Catalog(LIBRARY)
-        base = catalog.current()
+        db = Database(LIBRARY)
+        base = db.current()
         first_book = elems(elems(base.doc.root)[0])[0]
-        up = catalog.updater()
+        up = db.updater()
         assert isinstance(up, SnapshotUpdater)
         up.delete_subtree(first_book)      # base node, resolved into fork
         snap = up.commit()
-        engine = catalog.engine_for(snap)
+        engine = db.engine_for(snap)
         assert len(engine.query("//book")) == 2
 
 
 class TestRetiredEngine:
     def test_every_call_on_a_retired_engine_refuses(self):
-        from repro.engine.database import Database
-
-        with Database.from_xml(LIBRARY) as db:
+        with Database(LIBRARY) as db:
             engine = db.engine
             prepared = engine.prepare("//book/title")
             with db.updater() as up:
@@ -209,43 +208,43 @@ class TestRetiredEngine:
 
 class TestSnapshotPlanCache:
     def test_versions_share_one_cache_without_aliasing(self):
-        catalog = Catalog(LIBRARY)
-        pinned = catalog.pin()
-        old_engine = catalog.engine_for(pinned)
+        db = Database(LIBRARY)
+        pinned = db.pin()
+        old_engine = db.engine_for(pinned)
         old_engine.query("//book/title")
-        with catalog.updater() as up:
+        with db.updater() as up:
             up.delete_subtree(elems(up.doc.root)[0])
-        new_engine = catalog.engine_for(catalog.current())
-        cache = catalog.plan_cache
+        new_engine = db.engine_for(db.current())
+        cache = db.plan_cache
         assert new_engine.plan_cache is cache
         assert old_engine.plan_cache is cache
         # Different shape => different key => both results correct.
         assert len(old_engine.query("//book/title")) == 3
         assert len(new_engine.query("//book/title")) == 1
         assert len(cache) == 2
-        catalog.unpin(pinned)
+        db.unpin(pinned)
 
     def test_retirement_keeps_the_shapes_plans(self):
-        catalog = Catalog(LIBRARY)
-        pinned = catalog.pin()
-        catalog.engine_for(pinned).query("//book/title")
-        cache = catalog.plan_cache
+        db = Database(LIBRARY)
+        pinned = db.pin()
+        db.engine_for(pinned).query("//book/title")
+        cache = db.plan_cache
         assert len(cache) == 1
-        with catalog.updater():
+        with db.updater():
             pass
-        catalog.unpin(pinned)          # last unpin retires snapshot 1
+        db.unpin(pinned)          # last unpin retires snapshot 1
         assert len(cache) == 1
-        engine = catalog.engine_for(catalog.current())
+        engine = db.engine_for(db.current())
         served = engine.query("//book/title", trace=True)
         assert served.trace.root.attrs["plan-cache"] == "hit"
         assert len(served) == 3
 
     def test_plans_are_keyed_by_shape_not_snapshot(self):
-        catalog = Catalog(LIBRARY)
-        snap = catalog.current()
-        engine = catalog.engine_for(snap)
+        db = Database(LIBRARY)
+        snap = db.current()
+        engine = db.engine_for(snap)
         engine.query("//book/title")
-        cache = catalog.plan_cache
+        cache = db.plan_cache
         [key] = list(cache._entries)
         assert key[-1] == (snap.doc.derived.summary.fingerprint(),)
         assert not hasattr(cache.get(key), "snapshot_id")

@@ -20,7 +20,8 @@ import threading
 import time
 
 from repro.engine.session import Engine
-from repro.serve import Catalog, QueryService
+from repro.engine.database import Database
+from repro.serve import QueryService
 from repro.xmlkit.tree import DocumentBuilder
 
 STRESS_SECONDS = float(os.environ.get("REPRO_STRESS_SECONDS", "5"))
@@ -75,10 +76,9 @@ def elems(node, tag=None):
 def test_concurrent_readers_match_serial_replay_exactly():
     # With intra-query parallelism requested, use a corpus big enough
     # for the partitioner to cut.
-    catalog = Catalog(build_library() if STRESS_PARALLELISM <= 1
-                      else build_library(shelves=40, books=30))
-    service = QueryService(catalog, workers=N_READERS,
-                           max_queue=256,
+    db = Database(build_library() if STRESS_PARALLELISM <= 1
+                  else build_library(shelves=40, books=30))
+    service = QueryService(db, workers=N_READERS, max_queue=256,
                            result_cache=512 * 1024)
     deadline = time.monotonic() + STRESS_SECONDS
     stop = threading.Event()
@@ -92,7 +92,7 @@ def test_concurrent_readers_match_serial_replay_exactly():
         while not stop.is_set():
             serial += 1
             try:
-                with catalog.updater() as up:
+                with db.updater() as up:
                     shelves = elems(up.doc.root, "shelf")
                     shelf = rng.choice(shelves)
                     books = elems(shelf, "book")
@@ -156,18 +156,17 @@ def test_concurrent_readers_match_serial_replay_exactly():
     # Every commit published a snapshot; liveness bookkeeping must not
     # leak: at most the current + currently pinned snapshots stay live.
     publishes = counts["writes"]
-    assert catalog.current().snapshot_id >= publishes
-    live = {catalog.current().snapshot_id, *catalog._pins}
+    assert db.current().snapshot_id >= publishes
+    live = {db.current().snapshot_id, *db._pins}
     assert len(live) <= 1 + N_READERS
-    assert set(catalog._engines) <= live
+    assert set(db._engines) <= live
 
 
 def test_plan_and_result_caches_stay_coherent_under_churn():
     """Tight loop over one query while writers churn: every answer must
     match its snapshot even when served from the result cache."""
-    catalog = Catalog(build_library())
-    service = QueryService(catalog, workers=4,
-                           result_cache=256 * 1024)
+    db = Database(build_library())
+    service = QueryService(db, workers=4, result_cache=256 * 1024)
     stop = threading.Event()
     violations: list[str] = []
 
@@ -175,7 +174,7 @@ def test_plan_and_result_caches_stay_coherent_under_churn():
         serial = 0
         while not stop.is_set():
             serial += 1
-            with catalog.updater() as up:
+            with db.updater() as up:
                 up.insert_subtree(elems(up.doc.root, "shelf")[0],
                                   make_book(serial))
 
@@ -206,9 +205,9 @@ def test_cache_churn_under_byte_pressure():
     answer, only a recomputation.  The storage's audit counters must
     show zero entries surviving any snapshot retire.
     """
-    catalog = Catalog(build_library())
+    db = Database(build_library())
     # A budget of ~4 entries' bytes: LRU eviction stays hot.
-    service = QueryService(catalog, workers=4, result_cache=2048)
+    service = QueryService(db, workers=4, result_cache=2048)
     storage = service.result_cache
     stop = threading.Event()
     violations: list[str] = []
@@ -217,7 +216,7 @@ def test_cache_churn_under_byte_pressure():
         serial = 0
         while not stop.is_set():
             serial += 1
-            with catalog.updater() as up:
+            with db.updater() as up:
                 up.insert_subtree(elems(up.doc.root, "shelf")[0],
                                   make_book(serial))
             time.sleep(0.002)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datagen import DATASETS
 from repro.engine import Engine
-from repro.serve import Catalog
+from repro.engine.database import Database
 from repro.xmlkit.parser import parse
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.summary import (DOC_LABEL, MAX_PATHS, PathInfo,
@@ -298,14 +298,14 @@ class TestExactness:
         assert_exact(doc)
 
     def test_after_snapshot_updater_commit(self):
-        catalog = Catalog(LIBRARY)
-        base = catalog.current()
+        db = Database(LIBRARY)
+        base = db.current()
         assert_exact(base.doc)
-        with catalog.updater() as batch:
+        with db.updater() as batch:
             batch.insert_subtree(batch.doc.root,
                                  parse("<shelf><lib>x</lib></shelf>").root)
             batch.delete_subtree(batch.doc.root.children[0])
-        assert catalog.current().doc is batch.doc
+        assert db.current().doc is batch.doc
         assert_exact(batch.doc)
 
     def test_truncated_summary_keeps_exact_stats(self):

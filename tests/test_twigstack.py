@@ -47,13 +47,16 @@ class TestSupport:
     def test_step_less_path_is_refused_at_compile_time(self, text):
         """No step under the pattern root: no twig root.  Refused like a
         FLWOR, with ``CompileError`` (wire ``COMPILE``) on every surface,
-        never ``ExecutionError`` from the operator at run time."""
+        never ``ExecutionError`` from the operator at run time — and the
+        message names the missing step, not a non-twig cause."""
+        cause = "no step under the document node"
         with repro.connect("<r><a/></r>") as db:
-            with pytest.raises(CompileError):
+            with pytest.raises(CompileError, match=cause) as refused:
                 db.query(text, strategy="twigstack")
+            assert "crossing edges" not in str(refused.value)
             server = db.listen()
             with client_mod.connect(*server.address) as client:
-                with pytest.raises(CompileError) as refused:
+                with pytest.raises(CompileError, match=cause) as refused:
                     client.query(text, strategy="twigstack")
                 assert wire_code(refused.value) == "COMPILE"
                 assert client.query(text).items     # auto still answers

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datagen import DATASETS
 from repro.engine import Engine
-from repro.serve import Catalog
+from repro.engine.database import Database
 from repro.xmlkit import TagIndex, parse, serialize
 from repro.xmlkit.summary import MAX_PATHS, build_summary
 from repro.xmlkit.tree import ELEMENT, Document, DocumentBuilder
@@ -326,15 +326,15 @@ class TestPatchedEqualsRebuilt:
     @GENERATED
     @given(data=st.data())
     def test_generated_snapshot_batches(self, shape, data):
-        catalog = Catalog(shape_xml(shape))
+        db = Database(shape_xml(shape))
         ref = parse(shape_xml(shape))
-        warm(catalog.current().doc)
+        warm(db.current().doc)
         for _ in range(data.draw(st.integers(1, 3), label="batches")):
-            base = catalog.current().doc
+            base = db.current().doc
             frozen = (labels(base), [n._string_value for n in base.nodes],
                       base.derived.summary.fingerprint(),
                       postings(base.derived.index))
-            batch = catalog.updater()
+            batch = db.updater()
             # The fork starts with the base's state: the same summary,
             # the postings on its clones, every cached string value.
             assert batch.doc._derived._dataguide is base.derived.summary

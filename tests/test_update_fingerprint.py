@@ -19,7 +19,7 @@ import pytest
 from repro.engine import Engine
 from repro.engine.database import Database
 from repro.errors import CompileError
-from repro.serve import Catalog, QueryService
+from repro.serve import QueryService
 from repro.strategy import STRATEGIES
 from repro.xmlkit.parser import parse
 from tests.conftest import SMALL_BIB
@@ -49,7 +49,7 @@ def plan_cache_status(result) -> str:
 
 class TestEngineInvalidation:
     def test_static_empty_plan_dropped_after_insert(self):
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         before = db.query("//appendix")
         assert before.serialize() == ""
         assert "static-empty" in before.plan
@@ -65,7 +65,7 @@ class TestEngineInvalidation:
         assert "static-empty" not in result.plan
 
     def test_summary_fingerprint_recomputed_after_batch(self):
-        db = Database.from_xml(SMALL_BIB)
+        db = Database(SMALL_BIB)
         before_fp = db.engine.stats_fingerprint()
         before_summary = db.engine.summary.fingerprint()
 
@@ -102,18 +102,18 @@ class TestEngineInvalidation:
 
 class TestSnapshotInvalidation:
     def test_new_snapshot_gets_fresh_summary(self):
-        catalog = Catalog(SMALL_BIB)
-        snap = catalog.current()
-        engine = catalog.engine_for(snap)
+        db = Database(SMALL_BIB)
+        snap = db.current()
+        engine = db.engine_for(snap)
         old_summary = engine.summary
 
-        with catalog.updater() as up:
+        with db.updater() as up:
             up.insert_subtree(up.doc.root,
                               parse("<appendix>new</appendix>").root)
 
-        current = catalog.current()
+        current = db.current()
         assert current.snapshot_id != snap.snapshot_id
-        fresh = catalog.engine_for(current)
+        fresh = db.engine_for(current)
         assert fresh.summary.fingerprint() != old_summary.fingerprint()
 
     def test_service_sees_inserted_label_after_update(self):
@@ -135,42 +135,42 @@ class TestSnapshotInvalidation:
     def test_retire_drops_cached_summary(self):
         """A retired snapshot's engine, derived state and arena file are
         gone; a pinned one keeps all three until its last unpin."""
-        catalog = Catalog(SMALL_BIB)
-        snap = catalog.current()
+        db = Database(SMALL_BIB)
+        snap = db.current()
 
         def warm(snapshot):
-            catalog.engine_for(snapshot).stats_fingerprint()
+            db.engine_for(snapshot).stats_fingerprint()
             derived = snapshot.doc.derived
             return derived, derived.summary, derived.arena_file()
 
         derived, summary, arena = warm(snap)
-        assert snap.snapshot_id in catalog._engines
+        assert snap.snapshot_id in db._engines
 
-        with catalog.updater() as up:
+        with db.updater() as up:
             up.insert_subtree(up.doc.root, parse("<x/>").root)
 
         # The base snapshot is unpinned: retired on publish.
-        assert snap.snapshot_id not in catalog._engines
+        assert snap.snapshot_id not in db._engines
         assert snap.doc._derived is None and not os.path.exists(arena)
         assert snap.doc.derived is not derived        # nothing survived
 
-        pinned = catalog.pin()
+        pinned = db.pin()
         derived, summary, arena = warm(pinned)
-        with catalog.updater() as up:
+        with db.updater() as up:
             up.insert_subtree(up.doc.root, parse("<y/>").root)
-        assert pinned.snapshot_id in catalog._engines
+        assert pinned.snapshot_id in db._engines
         assert pinned.doc.derived is derived and derived.summary is summary
         assert os.path.exists(arena)
-        catalog.unpin(pinned)
-        assert pinned.snapshot_id not in catalog._engines
+        db.unpin(pinned)
+        assert pinned.snapshot_id not in db._engines
         assert pinned.doc._derived is None and not os.path.exists(arena)
-        catalog.current().doc.drop_derived()
+        db.current().doc.drop_derived()
 
 
 class TestShapePreservingCommits:
     @pytest.mark.parametrize("kind", ["round-trip", "swap"])
     def test_next_read_is_a_plan_cache_hit(self, kind):
-        with Database.from_xml(SMALL_BIB) as db:
+        with Database(SMALL_BIB) as db:
             admitted = []
             for strategy, row in STRATEGIES.items():
                 if row.family == "internal":        # not a request name
@@ -192,14 +192,14 @@ class TestShapePreservingCommits:
                 assert result.serialize() == naive, strategy
 
     def test_shape_changing_commit_misses(self):
-        with Database.from_xml(SMALL_BIB) as db:
+        with Database(SMALL_BIB) as db:
             db.query(QUERY)
             with db.updater() as up:
                 up.insert_subtree(up.doc.root, parse("<appendix/>").root)
             assert plan_cache_status(db.query(QUERY, trace=True)) == "miss"
 
     def test_prepared_query_keeps_its_plan_and_reads_the_new_version(self):
-        with Database.from_xml(SMALL_BIB) as db:
+        with Database(SMALL_BIB) as db:
             prepared = db.prepare(QUERY)
             before = prepared.execute(trace=True)
             assert plan_cache_status(before) == "prepared"
