@@ -2,9 +2,10 @@
 
 The NestedList entries and the Env chain are what a query keeps alive
 from its match phase to its finish, so both hold as few Python objects
-as they can: an entry with no filled slot shares one empty ``groups``
-tuple, a slot gets a list only when a match goes in, σ returns what it
-does not change, and a binding is one slotted Env link.
+as they can: a match of a vertex with no slot to fill is its node, an
+entry with no filled slot shares one empty ``groups`` tuple, a slot
+gets a list only when a match goes in, σ returns what it does not
+change, and a binding is one slotted Env link.
 """
 
 from repro.algebra.env import Env

@@ -14,78 +14,88 @@ from collections.abc import Callable, Iterable
 
 from repro.xmlkit.tree import Node
 from repro.pattern.blossom import BlossomVertex
-from repro.algebra.nested_list import NLEntry, group_path, no_groups
+from repro.algebra.nested_list import Match, NLEntry, group_path, no_groups
 
 __all__ = ["select"]
 
-#: A compiled σ: the entry itself when nothing under it changed, a
+#: A compiled σ: the match itself when nothing under it changed, a
 #: copy when a group on the path lost a member, ``None`` when it leaves.
-_Keep = Callable[[NLEntry], "NLEntry | None"]
+_Keep = Callable[[Match], "Match | None"]
 
 
-def select(entries: Iterable[NLEntry], target: BlossomVertex,
-           predicate: Callable[[Node], bool]) -> list[NLEntry]:
-    """σ: filter the items matched to ``target`` by a node predicate.
+def select(matches: Iterable[Match], vertex: BlossomVertex,
+           target: BlossomVertex, predicate: Callable[[Node], bool]
+           ) -> list[Match]:
+    """σ over ``vertex``'s matches: filter the items matched to
+    ``target`` by a node predicate.
 
     Items failing the predicate are removed from their group; if a
     removal leaves a mandatory vertex without matches, the whole
     NestedList is removed from the sequence (the paper's "not a valid
     match anymore" rule).
 
-    σ is compiled once per entry vertex into the slot path down to
-    ``target`` (:func:`~repro.algebra.nested_list.group_path`) with the
-    mandatory flag per step.  An entry nothing under which changed — or
-    whose NoK subtree does not hold ``target`` — is returned itself.
+    σ is compiled once, from ``vertex`` and ``target``, into the slot
+    path down to ``target``
+    (:func:`~repro.algebra.nested_list.group_path`) with the mandatory
+    flag per step, reading each vertex's representation on the way.  A
+    match nothing under which changed — or every match, when ``vertex``'s
+    NoK subtree does not hold ``target`` — is returned itself.
     Otherwise only the entries on that path whose group lost a member
     are copied; every other group is shared with the input.  The input
-    entries are never mutated.
+    is never mutated.
     """
-    result: list[NLEntry] = []
-    vertex: BlossomVertex | None = None
-    keep: _Keep = _untouched
-    for entry in entries:
-        if entry.vertex is not vertex:
-            vertex = entry.vertex
-            keep = _compile(vertex, target, predicate)
-        kept = keep(entry)
+    keep = _compile(vertex, target, predicate)
+    if keep is None:
+        return list(matches)
+    result: list[Match] = []
+    for match in matches:
+        kept = keep(match)
         if kept is not None:
             result.append(kept)
     return result
 
 
 def _compile(vertex: BlossomVertex, target: BlossomVertex,
-             predicate: Callable[[Node], bool]) -> _Keep:
+             predicate: Callable[[Node], bool]) -> _Keep | None:
     try:
         steps = group_path(vertex, target)
     except KeyError:
-        return _untouched
-    keep = _keep_target(predicate)
+        return None
+    if steps and not vertex.grouped:
+        # ``target`` is not kept, so the first slot on the path is
+        # always empty: a mandatory one fails every match.
+        return _leaves if steps[0][1] else None
+    keep = _keep_entry(predicate) if target.grouped \
+        else _keep_node(predicate)
     for index, mandatory in reversed(steps):
         keep = _keep_step(index, mandatory, keep)
     return keep
 
 
-def _untouched(entry: NLEntry) -> NLEntry:
-    return entry
+def _leaves(match: Match) -> None:
+    return None
 
 
-def _keep_target(predicate: Callable[[Node], bool]) -> _Keep:
-    def keep(entry: NLEntry) -> NLEntry | None:
-        node = entry.node
-        return entry if node is not None and predicate(node) else None
+def _keep_node(predicate: Callable[[Node], bool]) -> _Keep:
+    def keep(node: Match) -> Match | None:
+        return node if predicate(node) else None  # type: ignore[arg-type]
+    return keep
+
+
+def _keep_entry(predicate: Callable[[Node], bool]) -> _Keep:
+    def keep(entry: Match) -> Match | None:
+        return entry if predicate(entry.node) else None  # type: ignore[union-attr]
     return keep
 
 
 def _keep_step(index: int, mandatory: bool, below: _Keep) -> _Keep:
     """σ at one step of the path: filter slot ``index`` through
     ``below``."""
-    def keep(entry: NLEntry) -> NLEntry | None:
-        kept: list[NLEntry | None] = []
+    def keep(match: Match) -> Match | None:
+        entry: NLEntry = match  # type: ignore[assignment]
+        kept: list[Match] = []
         changed = False
         for sub in entry.groups[index]:
-            if sub is None:
-                kept.append(sub)
-                continue
             survivor = below(sub)
             if survivor is not sub:
                 changed = True

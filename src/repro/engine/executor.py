@@ -52,13 +52,13 @@ from repro.pattern.build import RESULT_VAR, build_blossom_tree
 from repro.pattern.decompose import Decomposition, InterEdge, NoKTree
 from repro.xmlkit.partition import partition_document
 from repro.xmlkit.storage import ScanCounters
-from repro.xmlkit.tree import Constructed, Document
+from repro.xmlkit.tree import Constructed, Document, Node
 from repro.xpath.ast import BooleanExpr
 from repro.xpath.compile import (Bindings, Compiled, Test, compile_expr,
                                  compile_test)
 from repro.xquery.ast import FLWOR, ForClause
 from repro.algebra.env import Env
-from repro.algebra.nested_list import NLEntry, project
+from repro.algebra.nested_list import Match, compile_projection, match_nodes
 from repro.algebra.operators import select
 from repro.physical.nested_loop import (
     bounded_nested_loop_join,
@@ -94,30 +94,33 @@ _JOIN_SELECTED = REGISTRY.counter(
     "Per-edge physical join algorithm selections")
 
 
-#: One clause variable's candidate walk ``(var, iterates, anchor, hops)``,
-#: resolved from the pattern: ``iterates`` tells ``for`` from ``let``;
-#: the walk starts at the entries of the earlier variable ``anchor`` (a
-#: name) or at the root NoK matches of vertex ``anchor`` (a vid), then
-#: takes one ``(group, edge)`` hop per chain vertex — through NestedList
-#: group ``group``, or (``None``: a cut edge) through the adjacency of
-#: the join keyed ``edge`` = (parent vid, child vid).
-_Bind = tuple[str, bool, str | int,
-              tuple[tuple[int | None, tuple[int, int]], ...]]
+#: One clause variable's candidate walk ``(var, vertex, iterates, anchor,
+#: hops)``, resolved from the pattern: ``vertex`` is the variable's;
+#: ``iterates`` tells ``for`` from ``let``; the walk starts at the
+#: matches of the earlier variable ``anchor`` (a name) or at the root
+#: NoK matches of vertex ``anchor`` (a vid), then takes one ``(group,
+#: edge, parent)`` hop per chain vertex — through NestedList group
+#: ``group``, or (``None``: a cut edge) through the adjacency of the
+#: join keyed ``edge`` = (parent vid, child vid), from the nodes of the
+#: matches of vertex ``parent``.
+_Bind = tuple[str, BlossomVertex, bool, str | int,
+              tuple[tuple[int | None, tuple[int, int], BlossomVertex], ...]]
 
 
 class _ValueJoin(NamedTuple):
     """A non-negated ``=`` crossing edge, hash-joined while the later of
     its two for-variables — root-anchored: one candidate list per
     execution, the build side — is bound.  A side's atoms are the typed
-    values of its endpoint's matches inside its variable's entry; key
-    equality is ``=`` on such atoms and general comparison is
-    existential, so a candidate sharing no key cannot satisfy the
-    conjunct (which the finish verifies all the same)."""
+    values of its endpoint's matches inside its variable's match (π
+    compiled per side); key equality is ``=`` on such atoms and general
+    comparison is existential, so a candidate sharing no key cannot
+    satisfy the conjunct (which the finish verifies all the same)."""
 
     text: str
-    probe: str                  # the earlier variable
-    probe_side: BlossomVertex   # the edge's endpoint under it
-    build_side: BlossomVertex
+    probe: str          # the earlier variable
+    #: A match of the probe (build) variable -> its side's nodes.
+    probe_side: Callable[[Match], list[Node]]
+    build_side: Callable[[Match], list[Node]]
 
 
 class _Program(NamedTuple):
@@ -145,7 +148,8 @@ def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
             if anchor.variables:
                 break
         binds.append((
-            clause.var, isinstance(clause, ForClause),
+            clause.var, tree.var_vertex[clause.var],
+            isinstance(clause, ForClause),
             # A variable bound at a pattern root (``$d in doc("x")``)
             # walks from that root's own matches.
             anchor.variables[0] if chain and anchor.variables
@@ -153,7 +157,7 @@ def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
             tuple((None if edge.cut else
                    next(i for i, e in enumerate(edge.parent.child_edges)
                         if e is edge),
-                   (edge.parent.vid, edge.child.vid))
+                   (edge.parent.vid, edge.child.vid), edge.parent)
                   for edge in reversed(chain))))
     position = {bind[0]: at for at, bind in enumerate(binds)}
     joins: dict[int, _ValueJoin] = {}
@@ -165,10 +169,12 @@ def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
                            for side in (edge.u, edge.v)
                            for var in (_owner(side),) if var)
             if len(sides) == 2 and sides[0][0] < sides[1][0] \
-                    and isinstance(binds[sides[1][0]][2], int):
-                (_, probe, _, probe_side), (at, _, _, build_side) = sides
+                    and isinstance(binds[sides[1][0]][3], int):
+                (_, probe, _, probe_side), (at, build, _, build_side) = sides
                 joins.setdefault(at, _ValueJoin(
-                    str(conjunct.expr), probe, probe_side, build_side))
+                    str(conjunct.expr), probe,
+                    compile_projection(tree.var_vertex[probe], probe_side),
+                    compile_projection(tree.var_vertex[build], build_side)))
     verify = [c.expr for c in tree.where if c.disposition != "pushed-exact"]
     return _Program(
         tuple(binds), joins,
@@ -193,9 +199,11 @@ def _owner(vertex: BlossomVertex) -> str | None:
         and vertex.var_kinds[var] == "for" else None
 
 
-def _join_keys(entry: NLEntry, side: BlossomVertex) -> set[object]:
-    """The atoms a value-join side compares, for one entry of its variable."""
-    return {node.typed_value() for node in project(entry, side)}
+def _join_keys(match: Match, side: Callable[[Match], list[Node]]
+               ) -> set[object]:
+    """The atoms a value-join side compares, for one match of its
+    variable."""
+    return {node.typed_value() for node in side(match)}
 
 
 class FLWORExecutor:
@@ -359,7 +367,7 @@ class FLWORExecutor:
     # Phase 1: NoK matching (merged scans, Section 4.2 technique 1).
     # ------------------------------------------------------------------
 
-    def _match_phase(self, dec: Decomposition) -> dict[int, list[NLEntry]]:
+    def _match_phase(self, dec: Decomposition) -> dict[int, list[Match]]:
         noks, doc, backend = dec.noks, self.doc, self.backend
         parallelism = backend.parallelism if backend is not None else 1
         partitions = (partition_document(doc, parallelism)
@@ -409,7 +417,7 @@ class FLWORExecutor:
         return matches
 
     def _trace_noks(self, noks: list[NoKTree],
-                    result: dict[int, list[NLEntry]],
+                    result: dict[int, list[Match]],
                     per_nok: dict[int, ScanCounters],
                     scan_nodes: int, wall_ms: float) -> None:
         """One child span per NoK tree under the merged-scan span.
@@ -439,7 +447,7 @@ class FLWORExecutor:
     # ------------------------------------------------------------------
 
     def _join_phase(self, dec: Decomposition,
-                    matches: dict[int, list[NLEntry]]) -> dict[int, list[NLEntry]]:
+                    matches: dict[int, list[Match]]) -> dict[int, list[Match]]:
         self._adjacency = {}
         depth = _nok_depths(dec)
         # Deepest NoKs first, so every edge sees an already-reduced
@@ -466,11 +474,12 @@ class FLWORExecutor:
             if edge.mode == MODE_MANDATORY:
                 adjacency = result.adjacency
                 matches[edge.nok_from] = select(
-                    left, edge.parent, lambda node: node.nid in adjacency)
+                    left, dec.noks[edge.nok_from].root, edge.parent,
+                    lambda node: node.nid in adjacency)
         return matches
 
     def _run_join(self, dec: Decomposition, edge: InterEdge,
-                  left: list[NLEntry], right: list[NLEntry],
+                  left: list[Match], right: list[Match],
                   span: Span | None = None) -> JoinResult:
         if edge.axis != "descendant":
             raise CompileError(f"inter-NoK axis {edge.axis!r} has no join "
@@ -482,9 +491,8 @@ class FLWORExecutor:
 
         # Vacuous join: everything is a descendant of the document node.
         if edge.parent.name == "#root":
-            doc_node = left[0].node
-            assert doc_node is not None
-            result = JoinResult(edge, {doc_node.nid: list(right)}, len(right))
+            result = JoinResult(edge, {self.doc.document_node.nid: list(right)},
+                                len(right))
             self.plan_notes.append(
                 f"join V{edge.parent.vid}->V{edge.child.vid}: vacuous (document root)")
             if span is not None:
@@ -505,7 +513,8 @@ class FLWORExecutor:
         # The nested loops re-discover inner matches by scanning; the
         # canonical map reconciles them with the bottom-up-reduced right
         # entries so deeper mandatory joins stay enforced.
-        canonical = {e.node.nid: e for e in right if e.node is not None}
+        canonical = {node.nid: match for node, match
+                     in zip(match_nodes(edge.child, right), right)}
         return operator(projection, inner_nok, self.doc, edge, self.counters,
                         canonical, variables=self._variables)
 
@@ -514,17 +523,18 @@ class FLWORExecutor:
     # ------------------------------------------------------------------
 
     def _bind_phase(self, program: _Program, dec: Decomposition,
-                    matches: dict[int, list[NLEntry]], span: Span
+                    matches: dict[int, list[Match]], span: Span
                     ) -> list[Env]:
         """Tuples in clause order, one clause variable per level."""
         roots = {nok.root.vid: matches.get(nok.nok_id, [])
                  for nok in dec.root_noks()}
         tallies = []
         envs = [Env()]
-        for at, (var, iterates, anchor, hops) in enumerate(program.binds):
+        for at, (var, vertex, iterates, anchor, hops) in enumerate(
+                program.binds):
             # A root-anchored variable has one candidate list, whatever
             # the outer tuple; a value join hashes it once, by atom.
-            fixed = (self._candidates(roots.get(anchor, []), hops)
+            fixed = (self._candidates(roots.get(anchor, []), hops, vertex)
                      if isinstance(anchor, int) else None)
             join = program.joins.get(at)
             table: dict[object, list[int]] = {}
@@ -536,7 +546,7 @@ class FLWORExecutor:
             outer, envs = envs, []
             for env in outer:
                 candidates = fixed if fixed is not None else self._candidates(
-                    env.anchor(anchor), hops)  # type: ignore[arg-type]
+                    env.anchor(anchor), hops, vertex)  # type: ignore[arg-type]
                 if join is not None:
                     hits = [table[key] for key in _join_keys(
                         env.anchor(join.probe)[0], join.probe_side)
@@ -545,10 +555,10 @@ class FLWORExecutor:
                         hits[0] if len(hits) == 1
                         else sorted(set().union(*hits)))]
                 if iterates:
-                    envs.extend(env.bind_for(var, entry)
-                                for entry in candidates)
+                    envs.extend(env.bind_for(var, vertex, match)
+                                for match in candidates)
                 else:
-                    envs.append(env.bind_let(var, candidates))
+                    envs.append(env.bind_let(var, vertex, candidates))
             if join is not None:
                 tallies.append({"build": len(fixed or ()),
                                 "probe": len(outer), "pairs": len(envs)})
@@ -558,38 +568,29 @@ class FLWORExecutor:
         span.set(tuples=len(envs), value_joins=tallies)
         return envs
 
-    def _candidates(self, frontier: list[NLEntry], hops: tuple
-                    ) -> list[NLEntry]:
-        """Walk a variable's vertex chain from its anchor's entries,
-        producing the document-ordered, deduplicated candidate entries."""
-        for group, edge in hops:
-            next_frontier: list[NLEntry] = []
+    def _candidates(self, frontier: list[Match], hops: tuple,
+                    vertex: BlossomVertex) -> list[Match]:
+        """Walk a variable's vertex chain from its anchor's matches,
+        producing the document-ordered, deduplicated candidate matches
+        of its ``vertex``."""
+        for group, edge, parent in hops:
+            next_frontier: list[Match] = []
             if group is None:
                 adjacency = self._adjacency.get(edge)
                 if adjacency is not None:
-                    for entry in frontier:
-                        if entry.node is not None:
-                            next_frontier.extend(
-                                adjacency.partners(entry.node))
+                    for node in match_nodes(parent, frontier):
+                        next_frontier.extend(adjacency.partners(node))
             else:
                 for entry in frontier:
-                    for sub in entry.groups[group]:
-                        if sub is not None:
-                            next_frontier.append(sub)
+                    next_frontier.extend(entry.groups[group])  # type: ignore[union-attr]
             frontier = next_frontier
 
         # Deduplicate by node and restore document order (descendant
         # hops can reach the same node through different ancestors).
-        seen: set[int] = set()
-        unique: list[NLEntry] = []
-        for entry in frontier:
-            node = entry.node
-            if node is not None and node.nid not in seen:
-                seen.add(node.nid)
-                unique.append(entry)
-        if len(unique) > 1:
-            unique.sort(key=lambda e: e.node.nid)  # type: ignore[union-attr]
-        return unique
+        unique: dict[int, Match] = {}
+        for node, match in zip(match_nodes(vertex, frontier), frontier):
+            unique.setdefault(node.nid, match)
+        return [unique[nid] for nid in sorted(unique)]
 
 
 def _nok_depths(dec: Decomposition) -> dict[int, int]:

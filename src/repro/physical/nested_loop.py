@@ -32,7 +32,7 @@ from repro.physical.structural import JoinResult, axis_test, count_operator
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
 from repro.xpath.compile import Bindings
-from repro.algebra.nested_list import NLEntry
+from repro.algebra.nested_list import Match
 
 __all__ = [
     "bounded_nested_loop_join",
@@ -47,7 +47,7 @@ R = TypeVar("R")
 def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
                              doc: Document, edge: InterEdge,
                              counters: ScanCounters | None = None,
-                             canonical: dict[int, NLEntry] | None = None,
+                             canonical: dict[int, Match] | None = None,
                              *, variables: Bindings) -> JoinResult:
     """BNLJ: per outer node, re-match the inner NoK within its subtree.
 
@@ -59,7 +59,7 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
     ``nodes_scanned``.
 
     ``canonical`` reconciles the rediscovered matches with the
-    executor's already-reduced right-side entries (keyed by root nid):
+    executor's already-reduced right-side matches (keyed by root nid):
     a rematch whose root is absent there was eliminated by a deeper
     mandatory join and must not resurface, and present ones must map to
     the *filtered* entry so downstream navigation sees reduced groups.
@@ -71,6 +71,7 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
     result = JoinResult(edge)
     adjacency = result.adjacency
     token = counters.cancellation
+    grouped = edge.child.grouped    # the inner matches' representation
     for outer in left_nodes:
         if token is not None:
             token.checkpoint()
@@ -78,11 +79,14 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
         stop = outer.nid + outer.subtree_size()
         matcher = NoKMatcher(inner_nok, doc, counters, start, stop,
                              variables=variables)
-        for entry in matcher.iter_matches():
-            entry = _reconcile(entry, canonical)
-            if entry is not None:
-                adjacency.setdefault(outer.nid, []).append(entry)
-                result.pairs += 1
+        for match in matcher.iter_matches():
+            if canonical is not None:
+                node: Node = match.node if grouped else match  # type: ignore
+                match = canonical.get(node.nid)  # type: ignore[assignment]
+                if match is None:
+                    continue
+            adjacency.setdefault(outer.nid, []).append(match)
+            result.pairs += 1
     count_operator("bnlj", result.pairs)
     return result
 
@@ -90,7 +94,7 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
 def naive_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
                            doc: Document, edge: InterEdge,
                            counters: ScanCounters | None = None,
-                           canonical: dict[int, NLEntry] | None = None,
+                           canonical: dict[int, Match] | None = None,
                            *, variables: Bindings) -> JoinResult:
     """Unbounded nested loop: full inner scan per outer node.
 
@@ -103,31 +107,24 @@ def naive_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
     result = JoinResult(edge)
     adjacency = result.adjacency
     token = counters.cancellation
+    grouped = edge.child.grouped    # the inner matches' representation
     for outer in left_nodes:
         if token is not None:
             token.checkpoint()
         matcher = NoKMatcher(inner_nok, doc, counters, variables=variables)
-        for entry in matcher.iter_matches():
-            node = entry.node
-            assert node is not None
+        for match in matcher.iter_matches():
+            node: Node = match.node if grouped else match  # type: ignore
             counters.comparisons += 1
             if not axis_test(edge.axis, outer, node):
                 continue
-            reconciled = _reconcile(entry, canonical)
-            if reconciled is not None:
-                adjacency.setdefault(outer.nid, []).append(reconciled)
-                result.pairs += 1
+            if canonical is not None:
+                match = canonical.get(node.nid)  # type: ignore[assignment]
+                if match is None:
+                    continue
+            adjacency.setdefault(outer.nid, []).append(match)
+            result.pairs += 1
     count_operator("nl", result.pairs)
     return result
-
-
-def _reconcile(entry: NLEntry,
-               canonical: dict[int, NLEntry] | None) -> NLEntry | None:
-    """Map a rediscovered match onto the canonical (reduced) entry."""
-    if canonical is None:
-        return entry
-    assert entry.node is not None
-    return canonical.get(entry.node.nid)
 
 
 def nested_loop_pairs(left_items: Iterable[L], right_items: Iterable[R],

@@ -46,16 +46,16 @@ from repro.xmlkit.storage import ScanCounters, SequentialScan, postings_scan
 from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, Node
 from repro.xpath.ast import mentions_variable
 from repro.xpath.compile import Bindings, ScanBindings, Test, compile_test
-from repro.algebra.nested_list import NLEntry, no_groups
+from repro.algebra.nested_list import Match, NLEntry, no_groups
 
 __all__ = ["Matcher", "NoKMatcher", "compile_matcher", "matcher_for",
            "value_constraints_hold"]
 
 #: A compiled pattern vertex: ``fn(node, counters, variables)`` is the
-#: NestedList entry of the vertex's NoK subtree matched at ``node``
-#: (whose tag the caller has tested) under the request's bindings, or
-#: ``None``.
-Matcher = Callable[[Node, ScanCounters, "Bindings | None"], "NLEntry | None"]
+#: match of the vertex's NoK subtree at ``node`` (whose tag the caller
+#: has tested) under the request's bindings — an entry for a grouped
+#: vertex, ``node`` itself for any other — or ``None``.
+Matcher = Callable[[Node, ScanCounters, "Bindings | None"], "Match | None"]
 
 #: What a predicate that mentions no variable is given (never written).
 _NO_VARIABLES: Bindings = {}
@@ -96,11 +96,11 @@ class NoKMatcher:
     # Evaluation.
     # ------------------------------------------------------------------
 
-    def matches(self) -> list[NLEntry]:
+    def matches(self) -> list[Match]:
         """All matches, in document order of their root nodes."""
         return list(self.iter_matches())
 
-    def iter_matches(self) -> Iterator[NLEntry]:
+    def iter_matches(self) -> Iterator[Match]:
         """Pipelined form: the GetNext interface of Section 4.2 is
         ``next()`` on this generator."""
         root = self.nok.root
@@ -168,19 +168,24 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
     The closure alone holds what is compiled here (the tests too), so
     all of it is freed with the closure's owner.
 
-    An entry is built only for a candidate that passed its tests and
-    its mandatory and sibling checks.  It holds the vertex's one shared
-    groups tuple of empty slots until a returning local child appends
-    its first match; only then does it get its own groups list, and
-    that slot its own list.  A cut ``//`` child's slot and an
-    existential child's slot stay ``()``.
+    The representation is the vertex's
+    (:attr:`~repro.pattern.blossom.BlossomVertex.grouped`): a vertex
+    without a slot to fill matches as the node itself, so nothing is
+    built for it.  A grouped vertex's entry is built only for a
+    candidate that passed its tests and its mandatory and sibling
+    checks.  It holds the vertex's one shared groups tuple of empty
+    slots until a returning local child appends its first match; only
+    then does it get its own groups list, and that slot its own list.
+    A cut ``//`` child's slot and an existential child's slot stay
+    ``()``.
     """
     tests, late = _compile_tests(vertex)
+    grouped = vertex.grouped
     empty = no_groups(len(vertex.child_edges))
     local = [(index, edge) for index, edge in enumerate(vertex.child_edges)
              if not edge.cut]
     if not local and not tests and not late:
-        return lambda node, counters, variables: NLEntry(vertex, node, empty)
+        return _the_node
 
     # The matched mask drives the mandatory check and the first half of
     # the following-sibling rule (a child with an ``after_vid``
@@ -215,7 +220,7 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
              for tag, _ in edges if tag not in ("*", "#root")}
 
     def match(node: Node, counters: ScanCounters,
-              variables: Bindings | None) -> NLEntry | None:
+              variables: Bindings | None) -> Match | None:
         if node.kind != DOCUMENT:
             for test in tests:
                 counters.comparisons += 1
@@ -226,7 +231,7 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                     counters.comparisons += 1
                     if not test(node, variables, None):
                         return None
-        groups: list[Sequence[NLEntry]] | None = None
+        groups: list[Sequence[Match]] | None = None
         matched = 0
         for child_node in node.children:
             applicable = table.get(child_node.tag, anywhere)
@@ -253,7 +258,9 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                         groups[index] = [sub]
         if matched & mandatory != mandatory:
             return None
-        return NLEntry(vertex, node, empty if groups is None else groups)
+        if groups is not None:
+            return NLEntry(vertex, node, groups)
+        return NLEntry(vertex, node, empty) if grouped else node
 
     if not any(after for _, (_, _, _, after, _) in edges):
         return match
@@ -271,14 +278,14 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                 if returning}
 
     def match_in_sibling_order(node: Node, counters: ScanCounters,
-                               variables: Bindings | None) -> NLEntry | None:
+                               variables: Bindings | None) -> Match | None:
         if node.kind != DOCUMENT:
             bound = _NO_VARIABLES if variables is None else variables
             for test in tests if variables is None else tests + late:
                 counters.comparisons += 1
                 if not test(node, bound, None):
                     return None
-        groups: list[Sequence[NLEntry]] | None = None
+        groups: list[Sequence[Match]] | None = None
         matched = 0
         #: edge bit -> child positions of its matches, ascending
         positions: dict[int, list[int]] = {}
@@ -321,5 +328,14 @@ def compile_matcher(vertex: BlossomVertex) -> Matcher:
                 slot = groups[group_of[predecessor]]
                 if isinstance(slot, list):  # never a shared ``()``
                     del slot[keep:]
-        return NLEntry(vertex, node, empty if groups is None else groups)
+        if groups is not None:
+            return NLEntry(vertex, node, groups)
+        return NLEntry(vertex, node, empty) if grouped else node
     return match_in_sibling_order
+
+
+def _the_node(node: Node, counters: ScanCounters,
+              variables: Bindings | None) -> Node:
+    """The matcher of a vertex with no test and no local child: the
+    tag test that selected ``node`` is its whole match."""
+    return node

@@ -25,13 +25,13 @@ from repro.physical.structural import count_operator
 from repro.xmlkit.storage import ScanCounters, SequentialScan, postings_scan
 from repro.xmlkit.tree import Document
 from repro.xpath.compile import Bindings, ScanBindings
-from repro.algebra.nested_list import NLEntry
+from repro.algebra.nested_list import Match, NLEntry
 
 __all__ = ["matched_once", "merged_scan", "relabel_twins", "scan_range"]
 
 #: One dispatch-table entry: a NoK's compiled root matcher, the list
 #: its matches go to, and the counters its match work is charged to.
-_Target = tuple[Matcher, list[NLEntry], ScanCounters]
+_Target = tuple[Matcher, list[Match], ScanCounters]
 
 
 def matched_once(noks: list[NoKTree]
@@ -46,14 +46,19 @@ def matched_once(noks: list[NoKTree]
 
 
 def relabel_twins(twins: list[NoKTree],
-                  results: dict[int, list[NLEntry]]) -> None:
+                  results: dict[int, list[Match]]) -> None:
     """Each twin's list: the first's, re-labelled onto its own vertices
-    (π, σ and the joins find ``entry.vertex`` by identity and reduce each
-    list separately, so the two lists share no entry)."""
+    (σ reduces each list separately and an entry names its vertex, so
+    the two lists share no entry; a node names none, so a vertex that
+    is not grouped shares its matches)."""
     for nok in twins:
         assert nok.twin_of is not None
-        results[nok.nok_id] = [_relabel(entry, nok.root)
-                               for entry in results[nok.twin_of]]
+        matches = results[nok.twin_of]
+        if nok.root.grouped:
+            results[nok.nok_id] = [
+                _relabel(entry, nok.root) for entry in matches]  # type: ignore[arg-type]
+        else:
+            results[nok.nok_id] = list(matches)
 
 
 def _relabel(entry: NLEntry, vertex: BlossomVertex) -> NLEntry:
@@ -62,8 +67,8 @@ def _relabel(entry: NLEntry, vertex: BlossomVertex) -> NLEntry:
     if not any(groups):
         return NLEntry(vertex, entry.node, groups)  # shared empty slots
     return NLEntry(vertex, entry.node, [
-        [None if sub is None else _relabel(sub, edge.child) for sub in group]
-        if group else ()
+        [_relabel(sub, edge.child) for sub in group]  # type: ignore[arg-type]
+        if group and edge.child.grouped else group
         for group, edge in zip(groups, vertex.child_edges)])
 
 
@@ -71,7 +76,7 @@ def merged_scan(noks: list[NoKTree], doc: Document,
                 counters: ScanCounters | None = None,
                 per_nok: dict[int, ScanCounters] | None = None,
                 variables: Bindings | None = None
-                ) -> dict[int, list[NLEntry]]:
+                ) -> dict[int, list[Match]]:
     """Evaluate several NoK pattern trees over one document in one scan.
 
     Returns ``{nok_id: matches}`` with each match list in document order
@@ -103,7 +108,7 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
                per_nok: dict[int, ScanCounters] | None = None,
                start_nid: int = 0, stop_nid: int | None = None,
                variables: Bindings | None = None
-               ) -> dict[int, list[NLEntry]]:
+               ) -> dict[int, list[Match]]:
     """The match phase's only dispatch loop, over ``[start_nid, stop_nid)``.
 
     :func:`merged_scan` runs it over the whole document; a partition of
@@ -114,7 +119,7 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
     (:func:`~repro.xmlkit.storage.postings_scan`), else from
     :class:`SequentialScan`; the pass charged is the same.
     """
-    results: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
+    results: dict[int, list[Match]] = {nok.nok_id: [] for nok in noks}
     if variables is not None:
         # This scan's own view: what its late-bound tests coerce a
         # scalar into is kept beside the bindings, never in the request's.

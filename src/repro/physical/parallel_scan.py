@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.errors import DNFError, QueryCancelledError, ReproError
+from repro.errors import DNFError, QueryCancelledError, ReproError, UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Span, Tracer
 from repro.pattern.decompose import NoKTree
@@ -64,7 +64,7 @@ from repro.xmlkit.partition import Partition, partition_document
 from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xmlkit.tree import Document
 from repro.xpath.compile import Bindings
-from repro.algebra.nested_list import NLEntry
+from repro.algebra.nested_list import Match
 
 if TYPE_CHECKING:
     from repro.engine.backend import ExecutionBackend
@@ -151,7 +151,7 @@ class PartitionOutcome:
 
     #: ``{nok_id: matches}`` over the coordinator's document (empty
     #: when the partition aborted).
-    matches: dict[int, list[NLEntry]] = field(default_factory=dict)
+    matches: dict[int, list[Match]] = field(default_factory=dict)
     #: The partition's private work, per-NoK work already folded in.
     counters: ScanCounters = field(default_factory=ScanCounters)
     per_nok: dict[int, ScanCounters] | None = None
@@ -231,7 +231,9 @@ class ScanPools:
     Engines, databases and query services each hold one; ``close()``
     drains and shuts down whatever was actually spawned (satisfying the
     deterministic-cleanup contract without paying for pools that were
-    never used).
+    never used).  Closed pools spawn nothing again: asking for one
+    raises :class:`~repro.errors.UsageError`, so no thread or worker
+    process outlives its owner's ``close()``.
     """
 
     def __init__(self, thread_workers: int | None = None,
@@ -241,9 +243,16 @@ class ScanPools:
         self._lock = threading.Lock()
         self._threads: ThreadPoolExecutor | None = None
         self._processes: ProcessScanBackend | None = None
+        self._closed = False
+
+    def _refuse_if_closed(self) -> None:
+        if self._closed:
+            raise UsageError("scan pools are closed: a partitioned scan "
+                             "needs an open database or engine")
 
     def thread_pool(self) -> ThreadPoolExecutor:
         with self._lock:
+            self._refuse_if_closed()
             if self._threads is None:
                 workers = self._thread_workers or min(8, os.cpu_count() or 4)
                 self._threads = ThreadPoolExecutor(
@@ -254,6 +263,7 @@ class ScanPools:
         from repro.physical.process_scan import ProcessScanBackend
 
         with self._lock:
+            self._refuse_if_closed()
             if self._processes is None:
                 workers = self._process_workers or min(4, os.cpu_count() or 1)
                 self._processes = ProcessScanBackend(max_workers=workers)
@@ -261,6 +271,7 @@ class ScanPools:
 
     def close(self, wait: bool = True) -> None:
         with self._lock:
+            self._closed = True
             threads, self._threads = self._threads, None
             processes, self._processes = self._processes, None
         if threads is not None:
@@ -289,7 +300,7 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
                          pools: ScanPools | None = None,
                          partitions: list[Partition] | None = None,
                          tracer: Tracer | None = None,
-                         ) -> dict[int, list[NLEntry]]:
+                         ) -> dict[int, list[Match]]:
     """Evaluate several NoK pattern trees over partition-parallel scans.
 
     Same contract as :func:`~repro.physical.nok_merge.merged_scan`
@@ -359,7 +370,7 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
                 span.start_ns, span.end_ns = outcome.times
                 parent.children.append(span)
 
-    results: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
+    results: dict[int, list[Match]] = {nok.nok_id: [] for nok in noks}
     for outcome in outcomes:
         for nok_id, entries in outcome.matches.items():
             results[nok_id].extend(entries)

@@ -23,14 +23,14 @@ from repro.errors import ExecutionError
 from repro.pattern.decompose import InterEdge
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Node
-from repro.algebra.nested_list import NLEntry
+from repro.algebra.nested_list import Match
 from repro.physical.structural import JoinResult, count_operator
 
 __all__ = ["pipelined_desc_join"]
 
 
 def pipelined_desc_join(left_nodes: Sequence[Node],
-                        right_entries: Iterable[NLEntry],
+                        right_entries: Iterable[Match],
                         edge: InterEdge,
                         counters: ScanCounters | None = None) -> JoinResult:
     """Strict merge join for a ``//`` inter edge on non-nesting input.
@@ -38,7 +38,8 @@ def pipelined_desc_join(left_nodes: Sequence[Node],
     ``left_nodes`` (``left_projection``'s list: it is read twice) must
     be document-ordered and non-nesting — a chosen plan only runs this
     join on a non-recursive document under a left vertex that is not
-    ``*``; ``right_entries`` must be document-ordered by root.  Raises
+    ``*``; ``right_entries``, the matches of ``edge.child`` in its
+    representation, must be document-ordered by root.  Raises
     :class:`~repro.errors.ExecutionError` if the left input nests
     anywhere — also behind the last right entry, where the merge itself
     never looks — because silently producing partial output here is
@@ -58,12 +59,12 @@ def pipelined_desc_join(left_nodes: Sequence[Node],
     left_iter = iter(left_nodes)
     current: Node | None = next(left_iter, None)
     token = counters.cancellation
+    grouped = edge.child.grouped    # the right side's representation
 
     for entry in right_entries:
         if token is not None:
             token.checkpoint()
-        node = entry.node
-        assert node is not None
+        node: Node = entry.node if grouped else entry  # type: ignore
         # Advance the left cursor past ancestors that end before the
         # right node starts (the m << n branch of the GetNext code).
         while current is not None and current.end < node.start:

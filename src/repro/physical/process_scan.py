@@ -14,9 +14,10 @@ partition body (:func:`~repro.physical.parallel_scan.run_partition`) in
   request's bindings (never a pickled node; the NoK blob, which the
   workers cache their compiled matchers under, does not depend on them);
 * results come back as **compact nid arrays** (a pre-order flattening of
-  each NestedList: root nid, then per-child-group counts and entries,
-  recursively).  They are decoded against the *real* document's nodes,
-  so downstream joins see ordinary identity-stable
+  each NestedList: root nid, then — for an entry of a grouped vertex —
+  per-child-group counts and matches, recursively; a vertex without
+  groups is its nids alone).  They are decoded against the *real*
+  document's nodes, so downstream joins see ordinary identity-stable
   :class:`~repro.xmlkit.tree.Node` objects and the concatenated output
   is bit-identical to the serial scan (Theorem 1 — the order argument
   is representation-independent);
@@ -47,16 +48,17 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.algebra.nested_list import NLEntry, no_groups
+from repro.algebra.nested_list import Match, NLEntry, no_groups
 from repro.errors import ExecutionError
 from repro.obs.metrics import REGISTRY
+from repro.pattern.blossom import BlossomVertex
 from repro.pattern.decompose import NoKTree
 from repro.physical.parallel_scan import (PartitionOutcome, SharedAbort,
                                           run_partition)
 from repro.xmlkit.arena import ArenaDocument, DocumentArena
 from repro.xmlkit.partition import Partition
 from repro.xmlkit.storage import ScanCounters
-from repro.xmlkit.tree import Document
+from repro.xmlkit.tree import Document, Node
 from repro.xpath.compile import Bindings, atomized
 
 __all__ = ["ProcessScanBackend"]
@@ -249,48 +251,67 @@ class ProcessScanBackend:
 # Match-list wire format: a pre-order flattening of each NestedList.
 # ----------------------------------------------------------------------
 
-def _encode_match_list(entries: list[NLEntry]) -> array:
-    out = array("i", [len(entries)])
-    for entry in entries:
-        _encode_entry(entry, out)
+def _encode_match_list(vertex: BlossomVertex, matches: list[Match]
+                       ) -> array:
+    """``vertex``'s matches as ``[count, match...]``: a match is its
+    node's nid, followed — for a grouped vertex only — by per slot the
+    count of its matches and each of them, recursively."""
+    out = array("i", [len(matches)])
+    if vertex.grouped:
+        for entry in matches:
+            _encode_entry(entry, vertex, out)  # type: ignore[arg-type]
+    else:
+        out.extend(node.nid for node in matches)  # type: ignore[union-attr]
     return out
 
 
-def _encode_entry(entry: NLEntry, out: array) -> None:
+def _encode_entry(entry: NLEntry, vertex: BlossomVertex, out: array) -> None:
     out.append(entry.node.nid)
-    for group in entry.groups:
+    for group, edge in zip(entry.groups, vertex.child_edges):
         out.append(len(group))
-        for sub in group:
-            _encode_entry(sub, out)
+        child = edge.child
+        if child.grouped:
+            for sub in group:
+                _encode_entry(sub, child, out)  # type: ignore[arg-type]
+        else:
+            out.extend(node.nid for node in group)  # type: ignore[union-attr]
 
 
-def _decode_match_list(vertex: Any, data: array, nodes: Any
-                       ) -> list[NLEntry]:
-    entries: list[NLEntry] = []
+def _decode_match_list(vertex: BlossomVertex, data: array,
+                       nodes: Sequence[Node]) -> list[Match]:
+    """:func:`_encode_match_list` read back onto ``nodes``."""
+    if not vertex.grouped:
+        return [nodes[nid] for nid in data[1:]]
+    matches: list[Match] = []
     pos = 1
     for _ in range(data[0]):
         entry, pos = _decode_entry(vertex, data, pos, nodes)
-        entries.append(entry)
-    return entries
+        matches.append(entry)
+    return matches
 
 
-def _decode_entry(vertex: Any, data: array, pos: int, nodes: Any
-                  ) -> tuple[NLEntry, int]:
+def _decode_entry(vertex: BlossomVertex, data: array, pos: int,
+                  nodes: Sequence[Node]) -> tuple[NLEntry, int]:
     node = nodes[data[pos]]
     pos += 1
     empty = no_groups(len(vertex.child_edges))
-    groups: list[Sequence[NLEntry]] | None = None
+    groups: list[Sequence[Match]] | None = None
     for index, edge in enumerate(vertex.child_edges):
         count = data[pos]
         pos += 1
         if count:
             if groups is None:
                 groups = [*empty]
-            group = []
             child = edge.child
-            for _ in range(count):
-                sub, pos = _decode_entry(child, data, pos, nodes)
-                group.append(sub)
+            group: list[Match]
+            if child.grouped:
+                group = []
+                for _ in range(count):
+                    sub, pos = _decode_entry(child, data, pos, nodes)
+                    group.append(sub)
+            else:
+                group = [nodes[nid] for nid in data[pos:pos + count]]
+                pos += count
             groups[index] = group
     return NLEntry(vertex, node, empty if groups is None else groups), pos
 
@@ -349,16 +370,18 @@ def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
     wall-clock bounds widened to the whole task.
     """
     started = time.perf_counter_ns()
+    noks: list[NoKTree] = _cached(_worker_noks, noks_blob, pickle.loads)
     outcome = run_partition(
-        _cached(_worker_noks, noks_blob, pickle.loads),
-        _cached(_worker_arenas, path, _attach), start_nid, stop_nid,
+        noks, _cached(_worker_arenas, path, _attach), start_nid, stop_nid,
         SharedAbort(budget, deadline, timeout_ms,
                     cancelled=lambda: bool(_worker_cancel[slot]),
                     cells=_worker_budget, index=slot,
                     lock=_worker_budget.get_lock()),
         want_per_nok, variables)
-    outcome.matches = {nok_id: _encode_match_list(entries)  # type: ignore[misc]
-                       for nok_id, entries in outcome.matches.items()}
+    roots = {nok.nok_id: nok.root for nok in noks}
+    outcome.matches = {  # type: ignore[misc]
+        nok_id: _encode_match_list(roots[nok_id], matches)
+        for nok_id, matches in outcome.matches.items()}
     outcome.counters.cancellation = None
     outcome.times = (started, time.perf_counter_ns())
     return outcome

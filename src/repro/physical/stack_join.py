@@ -22,20 +22,21 @@ from collections.abc import Iterable
 from repro.pattern.decompose import InterEdge
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Node
-from repro.algebra.nested_list import NLEntry
+from repro.algebra.nested_list import Match
 from repro.physical.structural import JoinResult, count_operator
 
 __all__ = ["stack_desc_join"]
 
 
 def stack_desc_join(left_nodes: Iterable[Node],
-                    right_entries: Iterable[NLEntry],
+                    right_entries: Iterable[Match],
                     edge: InterEdge,
                     counters: ScanCounters | None = None) -> JoinResult:
     """Ancestor-descendant stack merge producing join adjacency.
 
-    Both inputs must be document-ordered; nesting is allowed on both
-    sides.  Both are streamed: the stack holds every left node whose
+    Both inputs must be document-ordered (the right one: the matches
+    of ``edge.child``, in its representation); nesting is allowed on
+    both sides.  Both are streamed: the stack holds every left node whose
     region is still open at the current right position, so each right
     entry pairs with *all* of its stacked ancestors, in stack order.
     """
@@ -48,12 +49,12 @@ def stack_desc_join(left_nodes: Iterable[Node],
     pending: Node | None = next(left_iter, None)
     stack: list[Node] = []
     token = counters.cancellation
+    grouped = edge.child.grouped    # the right side's representation
 
     for entry in right_entries:
         if token is not None:
             token.checkpoint()
-        node = entry.node
-        assert node is not None
+        node: Node = entry.node if grouped else entry  # type: ignore
         # Push every left node that starts before this right node,
         # popping closed regions first.
         while pending is not None and pending.start < node.start:

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from repro.obs.metrics import REGISTRY
-from repro.pattern.blossom import BlossomVertex
 from repro.pattern.decompose import InterEdge
 from repro.xmlkit.tree import Node
-from repro.algebra.nested_list import NLEntry, group_path, walk
+from repro.algebra.nested_list import Match, compile_projection, nok_root
 
 __all__ = ["JoinResult", "count_operator", "left_projection", "axis_test"]
 
@@ -40,8 +39,8 @@ def count_operator(operator: str, emitted: int) -> None:
 class JoinResult:
     """Adjacency form of one structural join's output.
 
-    ``adjacency[u_nid]`` lists the right-side NestedList entries whose
-    root node stands in the edge's axis relationship to the left node
+    ``adjacency[u_nid]`` lists the right-side matches (of
+    ``edge.child``, in its representation) whose node stands in the edge's axis relationship to the left node
     with pre-order rank ``u_nid``.  Nodes with no partners simply do not
     appear — mandatory-edge filtering reads that absence.  A join fills
     ``adjacency`` through a local reference and counts each pair it
@@ -49,43 +48,41 @@ class JoinResult:
     """
 
     edge: InterEdge
-    adjacency: dict[int, list[NLEntry]] = field(default_factory=dict)
+    adjacency: dict[int, list[Match]] = field(default_factory=dict)
     pairs: int = 0
 
-    def partners(self, u: Node) -> list[NLEntry]:
+    def partners(self, u: Node) -> list[Match]:
         return self.adjacency.get(u.nid, [])
 
     def pair_count(self) -> int:
         return self.pairs
 
 
-def left_projection(left_entries: Iterable[NLEntry], edge: InterEdge) -> list[Node]:
-    """Document-ordered distinct u-nodes projected from the left stream.
+def left_projection(left_entries: Iterable[Match], edge: InterEdge) -> list[Node]:
+    """Document-ordered distinct u-nodes projected from the left stream,
+    the matches of ``edge.parent``'s NoK root.
 
-    Theorem 1 makes each per-entry projection document-ordered; entries
+    Theorem 1 makes each per-match projection document-ordered; matches
     arrive in document order of their roots, and child-axis chains give
     each u node a unique root, so the concatenation is already in
-    document order and free of duplicates.  π walks the slot path from
-    the entry vertex to ``edge.parent`` compiled once per entry vertex
-    (:func:`~repro.algebra.nested_list.group_path`).  Only on recursive
-    documents can entry subtrees interleave; the concatenation is
-    sorted and deduplicated only when a node arrives out of order.
+    document order and free of duplicates.  π is compiled once, from
+    the NoK root to ``edge.parent``
+    (:func:`~repro.algebra.nested_list.compile_projection`).  Only on
+    recursive documents can match subtrees interleave; the
+    concatenation is sorted and deduplicated only when a node arrives
+    out of order.
     """
-    nodes: list[Node] = []
     parent = edge.parent
-    vertex: BlossomVertex | None = None
-    path: tuple[tuple[int, bool], ...] = ()
-    for entry in left_entries:
-        if entry.vertex is not vertex:
-            vertex = entry.vertex
-            path = group_path(vertex, parent)
-        if not path:
-            # The entry is the u match itself: no projection lists.
-            if entry.node is not None:
-                nodes.append(entry.node)
-            continue
-        nodes.extend(item.node for item in walk(entry, path)
-                     if item.node is not None)
+    root = nok_root(parent)
+    nodes: list[Node]
+    if root is not parent:
+        project = compile_projection(root, parent)
+        nodes = [node for match in left_entries for node in project(match)]
+    elif root.grouped:
+        # The match is the u match itself: no projection lists.
+        nodes = [match.node for match in left_entries]  # type: ignore[union-attr]
+    else:
+        nodes = list(left_entries)  # type: ignore[arg-type]
     last = -1
     for node in nodes:
         if node.nid <= last:

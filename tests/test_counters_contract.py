@@ -173,8 +173,10 @@ def sequential_dispatch(noks, doc, counters, start=0, stop=None):
 
 
 def nids(results):
-    return {nok_id: [entry.node.nid for entry in entries]
-            for nok_id, entries in results.items()}
+    """Per NoK, the nids of its matches (each list is the matches of one
+    vertex, so its first item tells the representation)."""
+    return {nok_id: [getattr(match, "node", match).nid for match in matches]
+            for nok_id, matches in results.items()}
 
 
 def counted(counters):
@@ -315,15 +317,14 @@ def test_bounded_nested_loop_rescans_count_the_same(flavour):
                     [inner], doc, expect, outer.nid + 1,
                     outer.nid + outer.subtree_size())[inner.nok_id]
                 if found:
-                    pairs[outer.nid] = [e.node.nid for e in found]
+                    pairs[outer.nid] = nids({0: found})[0]
         except DNFError:
             pairs = None
         try:
             joined = bounded_nested_loop_join(
                 [walked.nodes[o.nid] for o in outers], inner, walked, edge,
                 got, variables={})
-            joined = {nid: [e.node.nid for e in entries]
-                      for nid, entries in joined.adjacency.items()}
+            joined = nids(joined.adjacency)
         except DNFError:
             joined = None
         assert joined == pairs, budget
@@ -339,8 +340,7 @@ def test_single_nok_matcher_walks_postings_too(flavour):
         expect, got = ScanCounters(), ScanCounters()
         reference = sequential_dispatch([nok], doc, expect, 5, 90)
         matches = NoKMatcher(nok, walked, got, 5, 90, variables={}).matches()
-        assert [e.node.nid for e in matches] == \
-            nids(reference)[nok.nok_id]
+        assert nids({0: matches})[0] == nids(reference)[nok.nok_id]
         assert counted(got) == counted(expect)
 
 
@@ -362,18 +362,27 @@ def test_a_document_version_builds_its_postings_once():
 
 
 # ----------------------------------------------------------------------
-# The allocation contract: what the match phase builds, and so what a
-# query keeps alive until its finish.
+# The representation contract: a match is an ``NLEntry`` only where
+# Figure 6 has a child pointer to fill — a returning child under an
+# uncut edge; every other vertex's match is its node.  What the match
+# phase builds is what a query keeps alive until its finish.
 # ----------------------------------------------------------------------
 
 from collections import Counter  # noqa: E402
+from functools import partial  # noqa: E402
 
-from repro.algebra.nested_list import NLEntry  # noqa: E402
+from repro.algebra.nested_list import NLEntry, no_groups  # noqa: E402
 from repro.algebra.operators import select  # noqa: E402
-from repro.physical import nok as nok_module  # noqa: E402
+from repro.datagen import DATASETS  # noqa: E402
+from repro.engine import Engine  # noqa: E402
+from repro.engine.backend import ExecutionBackend  # noqa: E402
 from repro.physical.nok_merge import merged_scan  # noqa: E402
+from repro.physical.parallel_scan import (  # noqa: E402
+    ScanPools, parallel_merged_scan)
 from repro.physical.process_scan import (  # noqa: E402
     _decode_match_list, _encode_match_list)
+from repro.xmlkit.partition import partition_document  # noqa: E402
+from repro.xmlkit.tree import Node  # noqa: E402
 
 #: Four ``book`` candidates, three with an ``author``; five ``title``s.
 #: (``title`` is the last pattern child in every query below.)
@@ -385,35 +394,86 @@ SHELF = ("<lib><book><author>a</author><title>t1</title></book>"
          "</lib>")
 
 
+def has_slot_to_fill(vertex):
+    """Figure 6's rule, restated from the pattern: a returning child
+    under an uncut edge."""
+    return any(edge.child.returning and not edge.cut
+               for edge in vertex.child_edges)
+
+
+def layout(vertex, match):
+    """A match of ``vertex`` as plain data, asserting the vertex's
+    representation all the way down: the nid of a node where no slot
+    can be filled; else an entry, as ``(nid, "shared")`` when it holds
+    the shared empty groups of its width, or ``(nid, slots)`` with per
+    slot ``()`` or the list of its matches' layouts."""
+    assert vertex.grouped == has_slot_to_fill(vertex)
+    if not vertex.grouped:
+        assert isinstance(match, Node), (vertex, match)
+        return match.nid
+    assert type(match) is NLEntry and match.vertex.vid == vertex.vid
+    if match.groups is no_groups(len(vertex.child_edges)):
+        return match.node.nid, "shared"
+    assert isinstance(match.groups, list) and any(match.groups)
+    slots = []
+    for group, edge in zip(match.groups, vertex.child_edges, strict=True):
+        if group == ():
+            slots.append(())
+            continue
+        assert isinstance(group, list) and group
+        assert edge.child.returning and not edge.cut
+        slots.append([layout(edge.child, sub) for sub in group])
+    return match.node.nid, tuple(slots)
+
+
+def layouts(nok, matches):
+    return [layout(nok.root, match) for match in matches]
+
+
 def titles_of(books):
-    return [[sub.node.string_value()
-             for sub in book.groups[-1]] for book in books]
+    return [[title.string_value() for title in book.groups[-1]]
+            for book in books]
 
 
-def test_leaf_entries_share_one_empty_groups():
+@pytest.fixture
+def built(monkeypatch):
+    """``NLEntry`` constructions by vertex name, wherever they happen
+    (matcher, σ, twin relabel, process decoder)."""
+    counts: Counter = Counter()
+    init = NLEntry.__init__
+
+    def counting(self, vertex, node, groups):
+        counts[vertex.name] += 1
+        init(self, vertex, node, groups)
+    monkeypatch.setattr(NLEntry, "__init__", counting)
+    return counts
+
+
+def test_leaf_matches_are_their_nodes():
+    """``//book/title``: ``book`` has a slot to fill, ``title`` none —
+    a ``title`` match is the ``title`` node itself, in its group."""
     doc = parse(SHELF)
     (nok,) = named_noks("for $t in //book/title return $t")
+    title = nok.root.children()[0]
+    assert nok.root.grouped and not title.grouped
     books = scan_range([nok], doc, ScanCounters(), None, 0, None, {})[
         nok.nok_id]
-    leaves = [title for book in books for title in book.groups[0]]
-    assert len(leaves) == 5
-    assert all(leaf.groups is leaves[0].groups for leaf in leaves)
-    assert leaves[0].groups == ()
-    # σ copies an entry without touching the shared leaf groups.
-    kept = select(books, nok.root.children()[0],
+    leaves = [leaf for book in books for leaf in book.groups[0]]
+    assert leaves == doc.elements_by_tag("title")
+    # σ copies an entry and shares the nodes below it.
+    kept = select(books, nok.root, title,
                   lambda node: node.string_value() != "t3")
     assert titles_of(kept) == [["t1"], ["t2"], ["t4"], ["t5"]]
-    assert all(title.groups == () for book in kept
-               for title in book.groups[0])
-    # The process-scan wire format decodes leaves onto the shared groups.
-    decoded = _decode_match_list(nok.root, _encode_match_list(books),
-                                 doc.nodes)
-    assert titles_of(decoded) == titles_of(books)
-    assert all(title.groups is leaves[0].groups for book in decoded
-               for title in book.groups[0])
+    assert all(leaf in leaves for book in kept for leaf in book.groups[0])
+    # The process-scan wire format decodes leaves onto the nodes.
+    decoded = _decode_match_list(
+        nok.root, _encode_match_list(nok.root, books), doc.nodes)
+    assert layouts(nok, decoded) == layouts(nok, books)
 
 
 def test_twin_relabel_copies_leaves_without_recursing():
+    """A grouped twin's entries are relabelled onto its own vertices; a
+    group of nodes names no vertex, so the twins share it."""
     doc = parse(SHELF)
     noks = named_noks("for $a in //book/title, $b in //book/title "
                       "return $a")
@@ -421,40 +481,47 @@ def test_twin_relabel_copies_leaves_without_recursing():
     assert twin.twin_of == first.nok_id
     results = merged_scan(noks, doc, variables={})
     original, relabelled = results[first.nok_id], results[twin.nok_id]
-    assert titles_of(relabelled) == titles_of(original)
-    for book in relabelled:
-        assert book.vertex is twin.root
-        for title in book.groups[0]:
-            assert title.vertex is twin.root.children()[0]
-            assert title.groups == ()
-    assert not {id(t) for b in original for t in b.groups[0]} & \
-        {id(t) for b in relabelled for t in b.groups[0]}
+    assert layouts(twin, relabelled) == layouts(first, original)
+    for book, twin_book in zip(original, relabelled, strict=True):
+        assert twin_book is not book and twin_book.vertex is twin.root
+        assert twin_book.groups[0] is book.groups[0]
+    # σ on one twin's list leaves the other's whole.
+    before = layouts(first, original)
+    assert select(relabelled, twin.root, twin.root.children()[0],
+                  lambda node: False) == []
+    assert layouts(first, original) == before
 
 
-def test_match_phase_builds_no_entry_for_an_existential_leaf(monkeypatch):
+def test_flat_twins_share_nodes_and_sigma_leaves_the_other_whole():
+    doc = parse(SHELF)
+    first, twin = named_noks("for $a in //book[author], $b in "
+                             "//book[author] return $a")
+    assert twin.twin_of == first.nok_id and not first.root.grouped
+    results = merged_scan([first, twin], doc, variables={})
+    original, copied = results[first.nok_id], results[twin.nok_id]
+    assert original == copied == [
+        b for b in doc.elements_by_tag("book") if b.children[0].tag == "author"]
+    assert original is not copied
+    assert select(copied, twin.root, twin.root,
+                  lambda node: node is original[0]) == original[:1]
+    assert len(results[first.nok_id]) == 3
+
+
+def test_match_phase_builds_no_entry_for_an_existential_leaf(built):
     """On ``//book[author]/title`` the scan builds one entry per
-    ``book`` that matches and one per ``title`` below it, none for the
-    existential ``author`` and none for the ``book`` without one.
+    ``book`` that matches, none for the existential ``author``, none
+    for the ``book`` without one, and none for a ``title``: its match
+    is its node.
 
     Counter contract (ROADMAP item 5): charging does not change — the
     ``comparisons`` literal is what the matcher that called a child
     matcher per ``author`` counted."""
-    built: Counter = Counter()
-
-    class CountingEntry(NLEntry):
-        __slots__ = ()
-
-        def __init__(self, vertex, node, groups):
-            built[vertex.name] += 1
-            super().__init__(vertex, node, groups)
-
-    monkeypatch.setattr(nok_module, "NLEntry", CountingEntry)
     doc = parse(SHELF)
     (nok,) = named_noks("for $t in //book[author]/title return $t")
     counters = ScanCounters()
     books = scan_range([nok], doc, counters, None, 0, None, {})[nok.nok_id]
     assert titles_of(books) == [["t1"], ["t3", "t4"], ["t5"]]
-    assert built == {"book": 3, "title": 5}
+    assert built == {"book": 3}
     assert counters.comparisons == 9  # 4 authors + 5 titles offered
 
 
@@ -462,21 +529,28 @@ def test_match_phase_builds_no_entry_for_an_existential_leaf(monkeypatch):
 # The Figure-6 layout: a slot gets a list only when a match goes in.
 # ----------------------------------------------------------------------
 
-from repro.algebra.nested_list import no_groups  # noqa: E402
-
-
 def test_cut_and_existential_slots_share_the_empty_groups():
-    """``book`` has an existential ``author`` slot and a cut ``//title``
-    slot: no ``book`` entry fills either, so all of them hold the one
-    shared groups tuple of width 2 — no list per entry or per slot."""
+    """``book`` has an existential ``author`` slot, a cut ``//title``
+    slot and an optional ``price`` one: no ``book`` entry fills any
+    (none has a price), so all of them hold the one shared groups tuple
+    of width 3 — no list per entry or per slot.  Without ``price`` no
+    slot can be filled at all: a ``book`` match is its node."""
     doc = parse(SHELF)
-    noks = named_noks("for $b in //book[author], $t in $b//title return $t")
+    noks = named_noks("for $b in //book[author], $t in $b//title "
+                      "let $p := $b/price return $t")
     book = next(nok for nok in noks if nok.root.name == "book")
-    assert [edge.cut for edge in book.root.child_edges] == [False, True]
+    assert [(edge.child.name, edge.cut) for edge in book.root.child_edges] \
+        == [("author", False), ("title", True), ("price", False)]
     books = scan_range([book], doc, ScanCounters(), None, 0, None, {})[
         book.nok_id]
     assert len(books) == 3
-    assert all(entry.groups is no_groups(2) for entry in books)
+    assert all(entry.groups is no_groups(3) for entry in books)
+
+    noks = named_noks("for $b in //book[author], $t in $b//title return $t")
+    book = next(nok for nok in noks if nok.root.name == "book")
+    assert not book.root.grouped
+    assert scan_range([book], doc, ScanCounters(), None, 0, None, {})[
+        book.nok_id] == [entry.node for entry in books]
 
 
 def test_only_filled_slots_get_a_list():
@@ -496,37 +570,19 @@ def test_only_filled_slots_get_a_list():
     "for $t in //book[author]/title return $t",
     "for $b in //book[author/following-sibling::title] return $b",
 ])
-def test_a_candidate_failing_its_checks_builds_no_entry(monkeypatch, text):
+def test_a_candidate_failing_its_checks_builds_no_entry(built, text):
     """The book without an ``author`` (and, with the sibling rule, the
     one whose ``title`` precedes its ``author``) is rejected before any
-    entry exists: one entry per ``book`` that matched, none else."""
-    built: Counter = Counter()
-
-    class CountingEntry(NLEntry):
-        __slots__ = ()
-
-        def __init__(self, vertex, node, groups):
-            built[vertex.name] += 1
-            super().__init__(vertex, node, groups)
-
-    monkeypatch.setattr(nok_module, "NLEntry", CountingEntry)
+    entry exists: one entry per ``book`` that matched, none else — and
+    none at all where ``book`` has no slot to fill."""
     doc = parse(SHELF.replace("<book><author>d</author><title>t5</title>",
                               "<book><title>t5</title><author>d</author>"))
     (nok,) = named_noks(text)
     books = scan_range([nok], doc, ScanCounters(), None, 0, None, {})[
         nok.nok_id]
-    assert built["book"] == len(books)
     assert len(books) == (3 if "following" not in text else 2)
-
-
-def layout(entry):
-    """An entry's node and slot kinds, recursively: the shared empty
-    groups, or per slot ``()`` or the list of its sub-entries."""
-    if entry.groups is no_groups(len(entry.vertex.child_edges)):
-        return entry.node.nid, "shared"
-    return entry.node.nid, tuple(
-        [layout(sub) for sub in group] if isinstance(group, list) else group
-        for group in entry.groups)
+    assert built["book"] == (len(books) if nok.root.grouped else 0)
+    layouts(nok, books)
 
 
 def test_select_returns_untouched_entries_and_never_mutates():
@@ -538,28 +594,116 @@ def test_select_returns_untouched_entries_and_never_mutates():
     (nok,) = noks
     entries = scan_range([nok], doc, ScanCounters(), None, 0, None, {})[
         nok.nok_id]
-    b_vertex = nok.root.child_edges[0].child
-    before = [layout(entry) for entry in entries]
-    kept = select(entries, b_vertex, lambda node: True)
+    a_vertex = nok.root
+    b_vertex = a_vertex.child_edges[0].child
+    before = layouts(nok, entries)
+    kept = select(entries, a_vertex, b_vertex, lambda node: True)
     assert all(out is entry for out, entry in zip(kept, entries, strict=True))
     # One b of the first a fails: that a is copied, the second is not.
-    kept = select(entries, b_vertex, lambda node: node.string_value() != "2")
+    kept = select(entries, a_vertex, b_vertex,
+                  lambda node: node.string_value() != "2")
     assert kept[0] is not entries[0] and kept[1] is entries[1]
     assert kept[0].groups[0] == [entries[0].groups[0][0]]
     assert kept[0].groups[1] is entries[0].groups[1]     # the c group
     # Every b of the second a fails, and b is mandatory: it leaves.
-    kept = select(entries, b_vertex, lambda node: node.string_value() != "3")
+    kept = select(entries, a_vertex, b_vertex,
+                  lambda node: node.string_value() != "3")
     assert kept == [entries[0]]
-    assert [layout(entry) for entry in entries] == before
+    assert layouts(nok, entries) == before
 
 
-def test_process_decoder_yields_the_serial_layout():
+@pytest.fixture(scope="module")
+def pools():
+    owned = ScanPools(thread_workers=2, process_workers=2)
+    yield owned
+    owned.close(wait=True)
+
+
+def test_process_decoder_yields_the_serial_layout(pools):
+    """The wire format round-trips every representation, and both
+    partitioned drivers hand back the serial scan's, match for match."""
     doc = parse(SHELF)
+    cut = partial(partition_document, min_nodes=1)
     for text in ("for $t in //book[author]/title return $t",
-                 "for $b in //book[author], $t in $b//title return $t"):
-        for nok in named_noks(text):
-            serial = scan_range([nok], doc, ScanCounters(), None, 0, None,
-                                {})[nok.nok_id]
+                 "for $b in //book[author], $t in $b//title return $t",
+                 "for $b in //book[author], $t in $b//title "
+                 "let $p := $b/price return $t",
+                 "for $a in //book/title, $b in //book/title return $a"):
+        noks = named_noks(text)
+        serial = merged_scan(noks, doc, variables={})
+        for nok in noks:
+            want = layouts(nok, serial[nok.nok_id])
             decoded = _decode_match_list(
-                nok.root, _encode_match_list(serial), doc.nodes)
-            assert [layout(e) for e in decoded] == [layout(e) for e in serial]
+                nok.root, _encode_match_list(nok.root, serial[nok.nok_id]),
+                doc.nodes)
+            assert layouts(nok, decoded) == want, text
+        for driver in ("threads", "processes"):
+            parallel = parallel_merged_scan(
+                noks, doc, variables={}, pools=pools,
+                backend=ExecutionBackend(driver, 3),
+                partitions=cut(doc, 3))
+            for nok in noks:
+                assert layouts(nok, parallel[nok.nok_id]) == \
+                    layouts(nok, serial[nok.nok_id]), (text, driver)
+
+
+# ----------------------------------------------------------------------
+# The representation over Table 3: entries only where a slot can be
+# filled, and the same counters the all-entry representation charged.
+# ----------------------------------------------------------------------
+
+#: Per dataset and strategy, over its six Appendix-A paths at scale
+#: 0.05: ``comparisons``, ``nodes_scanned``, ``intermediate_results``,
+#: ``peak_buffered``, bind tuples, finish survivors and items — the
+#: figures the representation with an entry per match produced.
+TABLE3_COUNTERS = {
+    ("d1", "auto"): (3092, 2404, 1642, 16, 419, 419, 419),
+    ("d1", "stack"): (3092, 2404, 1642, 16, 419, 419, 419),
+    ("d2", "auto"): (477, 1440, 495, 4, 138, 138, 138),
+    ("d2", "stack"): (439, 1440, 495, 4, 138, 138, 138),
+    ("d3", "auto"): (517, 3765, 274, 5, 179, 179, 179),
+    ("d3", "stack"): (513, 3765, 274, 5, 179, 179, 179),
+    ("d4", "auto"): (2070, 6894, 1271, 49, 322, 322, 322),
+    ("d4", "stack"): (2070, 6894, 1271, 49, 322, 322, 322),
+    ("d5", "auto"): (289, 6052, 355, 4, 14, 14, 14),
+    ("d5", "stack"): (48, 6052, 355, 4, 14, 14, 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_table3_builds_entries_only_where_a_slot_can_be_filled(
+        name, monkeypatch):
+    slotted: Counter = Counter()
+    init = NLEntry.__init__
+
+    def counting(self, vertex, node, groups):
+        slotted[has_slot_to_fill(vertex)] += 1
+        init(self, vertex, node, groups)
+    monkeypatch.setattr(NLEntry, "__init__", counting)
+    dataset = DATASETS[name]
+    doc = dataset.generate(scale=0.05)
+    assert len(dataset.queries) == 6
+    for spec in dataset.queries:
+        noks = prepare_artifacts(compile_query(spec.text).tree
+                                 ).decomposition.noks
+        matches = merged_scan(noks, doc, variables={})
+        for nok in noks:
+            layouts(nok, matches[nok.nok_id])
+    engine = Engine(doc)
+    for strategy in ("auto", "stack"):
+        totals = [0] * 7
+        for spec in dataset.queries:
+            result = engine.query(spec.text, strategy=strategy, trace=True)
+            bind = result.trace.find("bind-phase")
+            finish = result.trace.find("finish-phase")
+            for at, value in enumerate((
+                    result.counters.comparisons,
+                    result.counters.nodes_scanned,
+                    result.counters.intermediate_results,
+                    result.counters.peak_buffered,
+                    bind.attrs["tuples"] if bind else 0,
+                    finish.attrs["surviving"] if finish else 0,
+                    len(result))):
+                totals[at] += value
+        assert tuple(totals) == TABLE3_COUNTERS[name, strategy], strategy
+    assert slotted[False] == 0

@@ -111,3 +111,39 @@ class TestUpdateIntegration:
     def test_explain_passthrough(self):
         db = Database(SMALL_BIB)
         assert "strategy:" in db.explain("//book//last")
+
+
+class TestClosedScanPools:
+    """``close()`` shuts the database's scan pools for good: a later
+    partitioned scan is refused instead of spawning them again."""
+
+    @pytest.mark.parametrize("executor", ["threads:2", "processes:2"])
+    def test_parallel_query_after_close_spawns_nothing(self, executor,
+                                                      monkeypatch):
+        import multiprocessing
+        import threading
+        from functools import partial
+
+        from repro.engine import executor as executor_module
+        from repro.errors import UsageError
+        from repro.xmlkit.partition import partition_document
+
+        monkeypatch.setattr(executor_module, "partition_document",
+                            partial(partition_document, min_nodes=1))
+        threads = set(threading.enumerate())
+        children = set(multiprocessing.active_children())
+        db = Database("<r>" + "<a><b>1</b></a>" * 200 + "</r>")
+        text = "//a/b"
+        answer = db.query(text, strategy="naive").serialize()
+        result = db.query(text, strategy="parallel", executor=executor)
+        assert "partition-parallel scan over 2 partitions" in result.plan
+        assert result.serialize() == answer
+        db.close()
+        for _ in range(2):
+            with pytest.raises(UsageError, match="scan pools are closed"):
+                db.query(text, strategy="parallel", executor=executor)
+            db.close()
+        # Serial reads keep working on a closed database.
+        assert db.query(text).serialize() == answer
+        assert set(threading.enumerate()) <= threads
+        assert set(multiprocessing.active_children()) <= children

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.algebra.nested_list import match_nodes
 from repro.engine import Engine
 from repro.errors import ExecutionError
 from repro.pattern import build_from_path, decompose
@@ -41,7 +42,7 @@ def setup_join(doc, path_text):
 
 
 def adjacency_nids(result):
-    return {k: sorted(e.node.nid for e in v)
+    return {k: sorted(n.nid for n in match_nodes(result.edge.child, v))
             for k, v in result.adjacency.items()}
 
 
@@ -233,8 +234,8 @@ class TestOrderPreservation:
         result = pipelined_desc_join(proj, right, edge)
         flattened = []
         for node in proj:
-            for entry in result.partners(node):
-                flattened.append(entry.node.nid)
+            for partner in match_nodes(edge.child, result.partners(node)):
+                flattened.append(partner.nid)
         assert flattened == sorted(flattened)
 
     def test_example5_order_violation(self, paper_bib):

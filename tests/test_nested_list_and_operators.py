@@ -8,6 +8,7 @@ no plan runs it.
 import pytest
 
 from repro.algebra import project, select
+from repro.algebra.nested_list import compile_projection, match_nodes, nok_root
 from repro.engine import Engine
 from repro.pattern import build_from_path, decompose
 from repro.physical import NoKMatcher, left_projection, stack_desc_join
@@ -27,9 +28,9 @@ def match_all(doc, path_text):
 
 def project_parts(parts, target):
     """π over one joined item: the part whose pattern tree holds ``target``."""
-    for part in parts:
+    for vertex, match in parts:
         try:
-            return project(part, target)
+            return compile_projection(vertex, target)(match)
         except KeyError:
             continue
     raise KeyError(f"V{target.vid} not reachable from any joined part")
@@ -38,15 +39,19 @@ def project_parts(parts, target):
 def join(left, right, predicate, left_target, right_target):
     """⋈ (Section 3.3): combine NestedLists whose projections satisfy
     ``predicate``.  A joined item is the tuple of its NestedLists, one
-    per pattern tree (the pointer-level form of "filling out the
-    placeholders"); ``left`` may hold earlier results, so joins compose."""
+    ``(NoK root, match)`` per pattern tree (the pointer-level form of
+    "filling out the placeholders"); ``left`` may hold earlier results,
+    so joins compose."""
+    right_root = nok_root(right_target)
+    right_project = compile_projection(right_root, right_target)
     output = []
     for item in left:
-        parts = item if isinstance(item, tuple) else (item,)
+        parts = item if isinstance(item, tuple) \
+            else ((nok_root(left_target), item),)
         lnodes = project_parts(parts, left_target)
-        for entry in right:
-            if predicate(lnodes, project(entry, right_target)):
-                output.append(parts + (entry,))
+        for match in right:
+            if predicate(lnodes, right_project(match)):
+                output.append(parts + ((right_root, match),))
     return output
 
 
@@ -82,8 +87,9 @@ class TestProjection:
         a_nok = next(n for n in dec.noks if n.root.name == "a")
         [a_entry] = [e for e in matches[a_nok.nok_id]]
         d_vertex = tree.var_vertex["#result"]
+        assert a_entry is abcd_doc.elements_by_tag("a")[0]  # no groups
         with pytest.raises(KeyError):
-            project(a_entry, d_vertex)
+            compile_projection(a_nok.root, d_vertex)
 
     def test_project_sequence_concatenates(self, abcd_doc):
         tree, dec, matches = match_all(abcd_doc, "//b/d")
@@ -118,7 +124,7 @@ class TestSelect:
     def test_select_filters_items(self, abcd_doc):
         tree, dec, matches = match_all(abcd_doc, "/r/a/b/d")
         d_vertex = tree.var_vertex["#result"]
-        kept = select(matches[0], d_vertex,
+        kept = select(matches[0], dec.noks[0].root, d_vertex,
                       lambda n: n.string_value() != "2")
         [entry] = kept
         assert [n.string_value() for n in project(entry, d_vertex)] == ["1", "3"]
@@ -128,13 +134,14 @@ class TestSelect:
         d_vertex = tree.var_vertex["#result"]
         # Removing every d invalidates every b (mandatory), then a, then
         # the whole NestedList.
-        assert select(matches[0], d_vertex, lambda n: False) == []
+        assert select(matches[0], dec.noks[0].root, d_vertex,
+                      lambda n: False) == []
 
     def test_select_does_not_mutate_input(self, abcd_doc):
         tree, dec, matches = match_all(abcd_doc, "/r/a/b/d")
         d_vertex = tree.var_vertex["#result"]
         before = project(matches[0][0], d_vertex)
-        select(matches[0], d_vertex, lambda n: False)
+        select(matches[0], dec.noks[0].root, d_vertex, lambda n: False)
         assert project(matches[0][0], d_vertex) == before
 
 
@@ -153,8 +160,8 @@ class TestJoin:
             assert len(project_parts(item, d_vertex)) == 1
         # The physical //-join pairs exactly the nodes ⋈ combines.
         physical = stack_desc_join(left_projection(left, edge), right, edge)
-        assert {(a, e.node.nid) for a, entries in physical.adjacency.items()
-                for e in entries} == \
+        assert {(a, n.nid) for a, partners in physical.adjacency.items()
+                for n in match_nodes(edge.child, partners)} == \
             {(project_parts(item, a_vertex)[0].nid,
               project_parts(item, d_vertex)[0].nid) for item in combined}
 

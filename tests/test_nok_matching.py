@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algebra import project
+from repro.algebra.nested_list import match_nodes
 from repro.pattern import build_from_path, decompose
 from repro.physical import NoKMatcher, merged_scan
 from repro.xmlkit import parse
@@ -39,7 +40,8 @@ class TestMatching:
         nok = next(n for n in dec.noks if n.root.name == "book")
         matches = NoKMatcher(nok, small_bib, variables={}).matches()
         assert len(matches) == 1
-        assert matches[0].node.attrs["year"] == "2000"
+        # A match with no slot to fill is its node.
+        assert matches[0].attrs["year"] == "2000"
 
     def test_multiple_matches_grouped(self, small_bib):
         tree, dec = single_nok("//book/author/last")
@@ -54,7 +56,7 @@ class TestMatching:
         tree, dec = single_nok("//section")
         nok = next(n for n in dec.noks if n.root.name == "section")
         matches = NoKMatcher(nok, recursive_doc, variables={}).matches()
-        nids = [m.node.nid for m in matches]
+        nids = [m.nid for m in match_nodes(nok.root, matches)]
         assert nids == sorted(nids)
         assert len(matches) == 4  # nested sections matched too
 
@@ -79,7 +81,7 @@ class TestMatching:
         nok = next(n for n in dec.noks if n.root.name == "book")
         iterator = NoKMatcher(nok, small_bib, variables={}).iter_matches()
         first = next(iterator)
-        assert first.node.tag == "book"
+        assert first.tag == "book"
 
     def test_optional_edges_keep_entry(self, paper_bib):
         # let-style optional author: books without authors still match.
@@ -139,8 +141,8 @@ class TestMergedScan:
             for nok in dec.noks:
                 individual = NoKMatcher(nok, doc, variables={}).matches()
                 got = merged[nok.nok_id]
-                assert [m.node.nid for m in got] == \
-                    [m.node.nid for m in individual]
+                assert [m.nid for m in match_nodes(nok.root, got)] == \
+                    [m.nid for m in match_nodes(nok.root, individual)]
 
     def test_separate_scans_cost_double(self, small_bib):
         tree, dec = single_nok("//book//author")

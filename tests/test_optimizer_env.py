@@ -7,7 +7,7 @@ from repro.algebra.nested_list import NLEntry
 from repro.datagen import DATASETS
 from repro.engine import Engine
 from repro.engine.optimizer import PlanChoice, choose_strategy
-from repro.pattern import build_from_path
+from repro.pattern import build_from_path, decompose
 from repro.xmlkit import compute_stats
 from repro.xpath import parse_xpath
 from repro.xquery import parse_flwor
@@ -69,46 +69,61 @@ class TestRuleBasedOptimizer:
 
 
 class TestEnv:
-    def _entry(self, small_bib, tag, index=0):
+    def _match(self, small_bib, tag, index=0):
+        """``(vertex, match)``: the ``index``-th ``tag`` as a match of
+        ``//tag``'s vertex, which has no child groups — its match is the
+        node itself."""
         tree = build_from_path(parse_xpath(f"//{tag}"))
+        decompose(tree)
         vertex = tree.var_vertex["#result"]
-        node = small_bib.elements_by_tag(tag)[index]
-        return NLEntry(vertex, node, ())
+        assert not vertex.grouped
+        return vertex, small_bib.elements_by_tag(tag)[index]
 
     def test_bind_for_is_persistent(self, small_bib):
         base = Env()
-        entry = self._entry(small_bib, "book")
-        bound = base.bind_for("b", entry)
+        vertex, node = self._match(small_bib, "book")
+        bound = base.bind_for("b", vertex, node)
         assert base.as_variables() == {}
         assert base.anchor("b") == []
         assert bound.parent is base
-        assert bound.as_variables() == {"b": [entry.node]}
-        assert bound.anchor("b") == [entry]
+        assert bound.as_variables() == {"b": [node]}
+        assert bound.anchor("b") == [node]
 
     def test_bind_let_empty_sequence(self, small_bib):
-        env = Env().bind_let("a", [])
+        vertex, _ = self._match(small_bib, "author")
+        env = Env().bind_let("a", vertex, [])
         assert env.as_variables() == {"a": []}
         assert env.anchor("a") == []
 
     def test_for_variable_reads_its_node(self, small_bib):
-        entry = self._entry(small_bib, "title", 1)
-        env = Env().bind_for("t", entry)
-        [node] = env.as_variables()["t"]
-        assert node.string_value() == "Data on the Web"
+        vertex, node = self._match(small_bib, "title", 1)
+        env = Env().bind_for("t", vertex, node)
+        [read] = env.as_variables()["t"]
+        assert read.string_value() == "Data on the Web"
+        # A grouped vertex's binding is its entry; the node is read off it.
+        tree = build_from_path(parse_xpath("//book/title"))
+        decompose(tree)
+        book = tree.var_vertex["#result"].parent_edge.parent
+        assert book.grouped
+        entry = NLEntry(book, node.parent, [[node]])
+        env = Env().bind_for("b", book, entry).bind_let("l", book, [entry])
+        assert env.as_variables() == {"b": [node.parent], "l": [node.parent]}
+        assert env.anchor("b") == env.anchor("l") == [entry]
 
     def test_as_variables_shape(self, small_bib):
-        entry = self._entry(small_bib, "price")
-        env = Env().bind_for("p", entry).bind_let("q", [entry])
+        vertex, node = self._match(small_bib, "price")
+        env = Env().bind_for("p", vertex, node).bind_let("q", vertex, [node])
         variables = env.as_variables()
         assert list(variables) == ["p", "q"]
-        assert variables["p"] == variables["q"] == [entry.node]
-        assert env.anchor("q") == [entry]
+        assert variables["p"] == variables["q"] == [node]
+        assert env.anchor("q") == [node]
         assert variables is not env.as_variables()  # a fresh dict per read
+        assert variables["q"] is not env.anchor("q")  # a copy, not the binding
 
     def test_rebinding_shadows(self, small_bib):
-        first = self._entry(small_bib, "book", 0)
-        second = self._entry(small_bib, "book", 1)
-        env = Env().bind_for("b", first).bind_for("b", second)
-        assert env.as_variables() == {"b": [second.node]}
+        vertex, first = self._match(small_bib, "book", 0)
+        _, second = self._match(small_bib, "book", 1)
+        env = Env().bind_for("b", vertex, first).bind_for("b", vertex, second)
+        assert env.as_variables() == {"b": [second]}
         assert env.anchor("b") == [second]
         assert env.parent.anchor("b") == [first]

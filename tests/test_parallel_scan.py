@@ -26,6 +26,7 @@ from repro.xmlkit.partition import (
 from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xpath import parse_xpath
 from tests.strategy_cases import DOCUMENTS, WIDE
+from tests.test_counters_contract import layouts
 
 
 def wide_doc(n_books: int = 200) -> str:
@@ -95,10 +96,11 @@ QUERIES = ["//book", "//book/author", "//shelf//title",
 SKEW_QUERIES = ["//item", "//item/name", "//item[price = 3]", "//giant//name"]
 
 
-def nested(entry):
-    """An entry's full NestedList shape as plain data (nids, by group)."""
-    return (entry.node.nid,
-            [[nested(sub) for sub in group] for group in entry.groups])
+def nested(nok, matches):
+    """A match list's full NestedList shapes as plain data, each vertex
+    asserted to hold its own representation (entries only where a slot
+    can be filled, nodes elsewhere)."""
+    return layouts(nok, matches)
 
 
 class LateToken(CancellationToken):
@@ -142,11 +144,11 @@ class TestDriverBitIdentity:
         serial = merged_scan(noks, doc)
         parallel = partitioned(driver, pools, doc, path_text, k)
         assert set(serial) == set(parallel) == {n.nok_id for n in noks}
-        for nok_id, entries in serial.items():
+        for nok in noks:
             # Sequences compare order as well as membership, and the
             # nested groups under every root match.
-            assert [nested(e) for e in parallel[nok_id]] == \
-                [nested(e) for e in entries], (path_text, nok_id, k)
+            assert nested(nok, parallel[nok.nok_id]) == \
+                nested(nok, serial[nok.nok_id]), (path_text, nok.nok_id, k)
 
     @pytest.mark.parametrize("path_text", QUERIES)
     def test_wide_document(self, driver, pools, path_text):
@@ -186,9 +188,9 @@ class TestDriverBitIdentity:
             pools=pools, variables={})
         assert counters.scans_started == 1     # fallback path
         serial = merged_scan(noks, doc)
-        book_id = next(n.nok_id for n in noks if n.root.name == "book")
-        assert [e.node.nid for e in results[book_id]] == \
-            [e.node.nid for e in serial[book_id]]
+        book = next(n for n in noks if n.root.name == "book")
+        assert nested(book, results[book.nok_id]) == \
+            nested(book, serial[book.nok_id])
 
     def test_per_nok_attribution_folds_into_shared(self, driver, pools):
         doc = parse(wide_doc(150))
@@ -291,8 +293,8 @@ def test_root_named_and_wildcard_noks_share_one_scan(driver, pools):
     assert counters.nodes_scanned == len(doc.nodes)
     for nok in noks:
         want = NoKMatcher(nok, doc, variables={}).matches()
-        assert [nested(e) for e in results[nok.nok_id]] == \
-            [nested(e) for e in want], nok.root.name
+        assert nested(nok, results[nok.nok_id]) == nested(nok, want), \
+            nok.root.name
 
 
 class TestMergedScanEdges:
@@ -310,8 +312,8 @@ class TestMergedScanEdges:
         assert counters.scans_started == 1
         # Dispatch must offer a "book" element to BOTH the named and the
         # wildcard NoK, and each list must stay in document order.
-        book_nids = [e.node.nid for e in results[book_nok.nok_id]]
-        star_nids = [e.node.nid for e in results[star_nok.nok_id]]
+        book_nids = nested(book_nok, results[book_nok.nok_id])
+        star_nids = nested(star_nok, results[star_nok.nok_id])
         assert book_nids == sorted(book_nids)
         assert star_nids == sorted(star_nids)
         assert len(book_nids) == 30
@@ -319,8 +321,8 @@ class TestMergedScanEdges:
         # Individual NoKMatcher runs over the same NoKs agree exactly.
         for nok in (book_nok, star_nok):
             solo = merged_scan([nok], doc)
-            assert [e.node.nid for e in solo[nok.nok_id]] == \
-                [e.node.nid for e in results[nok.nok_id]]
+            assert nested(nok, solo[nok.nok_id]) == \
+                nested(nok, results[nok.nok_id])
 
     def test_wildcard_only_dispatch(self):
         doc = parse("<a><b/><c/></a>")

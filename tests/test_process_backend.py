@@ -17,6 +17,7 @@ import tempfile
 
 import pytest
 
+from repro.algebra.nested_list import sexpr
 from repro.datagen.workload import DATASETS
 from repro.engine import Engine
 from repro.engine.backend import ExecutionBackend
@@ -28,6 +29,7 @@ from repro.physical.parallel_scan import ScanPools, parallel_merged_scan
 from repro.xmlkit import parse
 from repro.xmlkit.partition import partition_document
 from repro.xpath import parse_xpath
+from tests.test_counters_contract import layouts
 
 
 def wide_doc(n_books: int = 300) -> str:
@@ -105,9 +107,11 @@ class TestCompiledPlansCrossTheProcessBoundary:
                     noks, doc, backend=ExecutionBackend("processes", 2),
                     pools=pools, partitions=fine_partitions(doc, 4), variables={})
                 outputs += [serial, shipped]
-            rendered = [{nok_id: [e.sexpr(lambda n: str(n.nid))
-                                  for e in entries]
-                         for nok_id, entries in out.items()}
+            roots = {nok.nok_id: nok.root for nok in noks}
+            rendered = [{nok_id: [sexpr(match, roots[nok_id],
+                                        lambda n: str(n.nid))
+                                  for match in matches]
+                         for nok_id, matches in out.items()}
                         for out in outputs]
             assert rendered == [rendered[0]] * 4
             assert len(rendered[0][1]) > 5
@@ -167,9 +171,9 @@ class TestWorkerCrash:
         results = scan_on(pools, doc, "//book")
         noks = noks_for("//book")
         serial = merged_scan(noks, doc)
-        book_id = next(n.nok_id for n in noks if n.root.name == "book")
-        assert [e.node.nid for e in results[book_id]] == \
-            [e.node.nid for e in serial[book_id]]
+        book = next(n for n in noks if n.root.name == "book")
+        assert layouts(book, results[book.nok_id]) == \
+            layouts(book, serial[book.nok_id])
         pools.close(wait=True)
 
     def test_task_that_raises_fails_the_query(self):

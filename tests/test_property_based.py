@@ -12,6 +12,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra import project
+from repro.algebra.nested_list import match_nodes
 from repro.engine import Engine
 from repro.errors import CompileError
 from repro.pattern import build_from_path, decompose
@@ -193,7 +194,7 @@ class TestStructuralInvariants:
         projection = left_projection(left, edge)
 
         def norm(result):
-            return {k: sorted(e.node.nid for e in v)
+            return {k: sorted(n.nid for n in match_nodes(edge.child, v))
                     for k, v in result.adjacency.items()}
 
         stacked = norm(stack_desc_join(projection, right, edge))

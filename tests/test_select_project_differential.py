@@ -4,12 +4,14 @@
 of the NestedList algebra as they were first written: σ interprets the
 pattern per entry (``children()`` per level, an ``_is_on_path`` walk per
 child) and copies every entry and group on its way; π looks each group
-up by child vertex.  The library compiles both once per (entry vertex,
-target) and copies only what σ changed.  Both must give the same
-NestedLists on the Table-3 patterns and on the sibling-chain family of
-``tests/test_where_pushdown.py``, and every NestedList must keep the
-Figure-6 layout: a slot is ``()`` or a non-empty list, and an entry
-with no filled slot holds its width's shared ``no_groups`` tuple.
+up by child vertex.  They run on the form that form was written for —
+an ``NLEntry`` per match of every vertex (:func:`full`), built from the
+same scan.  The library compiles both once per (vertex, target), copies
+only what σ changed, and keeps an entry only where a slot can be
+filled.  Both must give the same NestedLists on the Table-3 patterns
+and on the sibling-chain family of ``tests/test_where_pushdown.py``, on
+every vertex, and every match list must keep the Figure-6 layout
+(``tests.test_counters_contract.layout``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import random
 
 import pytest
 
-from repro.algebra.nested_list import NLEntry, no_groups, project_entries
+from repro.algebra.nested_list import (NLEntry, compile_projection,
+                                       project_entries)
 from repro.algebra.operators import select
 from repro.datagen import DATASETS
 from repro.engine import compile_query
@@ -28,6 +31,7 @@ from repro.pattern.blossom import MODE_MANDATORY
 from repro.physical.nok_merge import merged_scan
 from repro.physical.structural import left_projection
 from repro.xmlkit import parse
+from tests.test_counters_contract import layouts
 from tests.test_where_pushdown import (CHAIN_LABELS, CHAIN_TEMPLATES,
                                        chain_document)
 
@@ -59,9 +63,6 @@ def _reference_filter(entry, target, predicate):
             continue
         new_group = []
         for sub in group:
-            if sub is None:
-                new_group.append(None)
-                continue
             filtered = _reference_filter(sub, target, predicate)
             if filtered is not None:
                 new_group.append(filtered)
@@ -97,8 +98,7 @@ def reference_project_entries(entry, target):
         node = edge.parent
     current = [entry]
     for vertex in reversed(path):
-        current = [sub for item in current for sub in item.group_for(vertex)
-                   if sub is not None]
+        current = [sub for item in current for sub in item.group_for(vertex)]
     return current
 
 
@@ -106,25 +106,22 @@ def reference_project_entries(entry, target):
 # Comparison helpers.
 # ----------------------------------------------------------------------
 
+def full(vertex, match):
+    """A match of ``vertex`` in the form the references were written
+    for: an ``NLEntry`` per match, with one list per slot."""
+    if not vertex.grouped:
+        return NLEntry(vertex, match, [[] for _ in vertex.child_edges])
+    return NLEntry(vertex, match.node, [
+        [full(edge.child, sub) for sub in group]
+        for group, edge in zip(match.groups, vertex.child_edges)])
+
+
 def shape(entry):
-    """A NestedList as plain data: vertex, node and groups, recursively."""
+    """A full-form NestedList as plain data: vertex, node and groups,
+    recursively."""
     return (entry.vertex.vid, entry.node.nid,
-            tuple(tuple(None if sub is None else shape(sub) for sub in group)
+            tuple(tuple(shape(sub) for sub in group)
                   for group in entry.groups))
-
-
-def assert_layout(entry):
-    groups = entry.groups
-    if not any(groups):
-        assert groups is no_groups(len(entry.vertex.child_edges))
-        return
-    assert isinstance(groups, list)
-    assert len(groups) == len(entry.vertex.child_edges)
-    for group in groups:
-        assert group == () or (isinstance(group, list) and group)
-        for sub in group:
-            if sub is not None:
-                assert_layout(sub)
 
 
 def nok_vertices(nok):
@@ -139,7 +136,7 @@ def nok_vertices(nok):
 
 def check_query(doc, text, rng):
     """Scan the query's NoKs over ``doc`` and compare σ and π with the
-    references on every vertex of every NoK; returns the entries seen."""
+    references on every vertex of every NoK; returns the matches seen."""
     try:
         tree = compile_query(text).tree
     except ReproError:
@@ -150,42 +147,47 @@ def check_query(doc, text, rng):
     matches = merged_scan(dec.noks, doc, variables={})
     seen = 0
     for nok in dec.noks:
-        entries = matches[nok.nok_id]
-        before = [shape(entry) for entry in entries]
-        for entry in entries:
-            assert_layout(entry)
+        root, entries = nok.root, matches[nok.nok_id]
+        before = layouts(nok, entries)
+        references = [full(root, match) for match in entries]
         seen += len(entries)
         for target in nok_vertices(nok):
-            for entry in entries:
-                assert project_entries(entry, target) == \
-                    reference_project_entries(entry, target)
+            project = compile_projection(root, target)
+            for match, reference in zip(entries, references, strict=True):
+                want = reference_project_entries(reference, target)
+                assert project(match) == [e.node for e in want]
+                if root.grouped:
+                    assert [shape(full(target, e)) for e in
+                            project_entries(match, target)] == \
+                        [shape(e) for e in want]
             keep = {node.nid for node in doc.nodes if rng.random() < 0.6}
             predicate = keep.__contains__
-            compiled = select(entries, target,
+            compiled = select(entries, root, target,
                               lambda node: predicate(node.nid))
-            reference = reference_select(entries, target,
+            reference = reference_select(references, target,
                                          lambda node: predicate(node.nid))
-            assert [shape(e) for e in compiled] == \
+            assert [shape(full(root, m)) for m in compiled] == \
                 [shape(e) for e in reference], (text, target.vid)
-            by_node = {entry.node.nid: entry for entry in entries}
+            layouts(nok, compiled)
+            by_node = {shape(e)[1]: match
+                       for e, match in zip(references, entries)}
             for out in compiled:
-                assert_layout(out)
-                original = by_node[out.node.nid]
-                if shape(out) == shape(original):
+                original = by_node[shape(full(root, out))[1]]
+                if shape(full(root, out)) == shape(full(root, original)):
                     assert out is original     # untouched: not copied
                     continue
                 for mine, theirs in zip(out.groups, original.groups):
-                    if [shape(e) for e in mine] == [shape(e) for e in theirs]:
+                    if mine == theirs:
                         assert mine is theirs  # unchanged groups shared
         for edge in dec.inter_edges:
             if edge.nok_from == nok.nok_id:
-                want = sorted({e.node.nid for entry in entries
+                want = sorted({e.node.nid for entry in references
                                for e in reference_project_entries(
                                    entry, edge.parent)})
                 assert [node.nid for node in left_projection(
                     entries, edge)] == want
         # σ never mutates its input.
-        assert [shape(entry) for entry in entries] == before
+        assert layouts(nok, entries) == before
     return seen
 
 
@@ -223,7 +225,7 @@ def test_select_on_a_vertex_outside_the_nok_returns_every_entry():
     ).decomposition
     noks = {nok.root.name: nok for nok in dec.noks}
     entries = merged_scan([noks["a"]], doc, variables={})[noks["a"].nok_id]
-    kept = select(entries, noks["b"].root, lambda node: False)
+    kept = select(entries, noks["a"].root, noks["b"].root, lambda node: False)
     assert all(out is entry for out, entry in zip(kept, entries))
     assert len(kept) == len(entries) == 2
 

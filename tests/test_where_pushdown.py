@@ -33,6 +33,7 @@ from repro.engine import executor as executor_module
 from repro.engine.executor import FLWORExecutor
 from repro.errors import ReproError
 from repro.pattern.artifact import prepare_artifacts
+from repro.algebra.nested_list import match_nodes
 from repro.algebra.operators import select
 from repro.physical import nok
 from repro.physical.nok_merge import merged_scan
@@ -526,11 +527,13 @@ class TestVerifyOnce:
         ]
 
 
-def entries_below(entries):
-    for entry in entries:
-        yield entry
-        for group in entry.groups:
-            yield from entries_below(e for e in group if e is not None)
+def entries_below(vertex, matches):
+    """``(vertex, match)`` for every match in ``matches`` and below."""
+    for match in matches:
+        yield vertex, match
+        if vertex.grouped:
+            for group, edge in zip(match.groups, vertex.child_edges):
+                yield from entries_below(edge.child, group)
 
 
 class TestMatchOnce:
@@ -555,22 +558,25 @@ class TestMatchOnce:
         results = merged_scan(noks, library.doc, ScanCounters(), per_nok, {})
         assert len(calls) == 2000           # was 4,000
         first, second = (results[t.nok_id] for t in twins)
+        assert twins[0].root.grouped
         assert [e.node for e in first] == [e.node for e in second]
         assert len(first) == 41
         assert per_nok[twins[0].nok_id].comparisons == 6000
         assert twins[1].nok_id not in per_nok   # charged nothing: not scanned
         # Each list is labelled with its own NoK's vertices, all the
         # way down, and shares no entry with its twin's ...
+        # (a node names no vertex: the twins share their node matches).
         for twin, entries in zip(twins, (first, second)):
             assert all(e.vertex is twin.root for e in entries)
-            assert {id(e.vertex) for e in entries_below(entries)} <= {
-                id(v) for v in twin.vertices}
-        assert not ({id(e) for e in entries_below(first)}
-                    & {id(e) for e in entries_below(second)})
-        # ... so reducing one (σ finds its vertex by identity) leaves
-        # the other whole.
+            assert {id(e.vertex) for v, e in entries_below(twin.root, entries)
+                    if v.grouped} <= {id(v) for v in twin.vertices}
+        assert not ({id(e) for v, e in entries_below(twins[0].root, first)
+                     if v.grouped}
+                    & {id(e) for v, e in entries_below(twins[1].root, second)
+                       if v.grouped})
+        # ... so reducing one leaves the other whole.
         author = twins[1].root.child_edges[1].child
-        reduced = select(second, author, lambda node: False)
+        reduced = select(second, twins[1].root, author, lambda node: False)
         assert not any(e.groups[1] for e in reduced)
         assert all(e.groups[1] for e in first)
         assert all(e.groups[1] for e in second)
@@ -625,8 +631,9 @@ class TestBindingsReachEveryScan:
         book_nok = next(n for n in noks if n.root.name == "book")
         for args in ((), (ScanCounters(),)):
             results = merged_scan(noks, library.doc, *args)
-            assert [e.node for e in results[book_nok.nok_id]] == books
-            assert [e.node for e in results[0]] == [
+            assert match_nodes(book_nok.root,
+                               results[book_nok.nok_id]) == books
+            assert match_nodes(noks[0].root, results[0]) == [
                 library.doc.document_node]
         bound = merged_scan(noks, library.doc, variables={"p": 35.0})
         assert len(bound[book_nok.nok_id]) == 734

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
+from repro.algebra.nested_list import sexpr
 from repro.analysis.corpus import EXAMPLE_QUERIES
 from repro.engine import Engine
 from repro.engine.compiler import compile_query
@@ -305,8 +306,9 @@ def test_compiled_matcher_matches_definition_1(text, view):
     noks = prepare_artifacts(compile_query(text).tree).decomposition.noks
     counters = ScanCounters()
     result = merged_scan(noks, doc, counters)
-    rendered = {nok.nok_id: [entry.sexpr(lambda n: f"{n.tag}{n.nid}")
-                             for entry in result[nok.nok_id]]
+    rendered = {nok.nok_id: [sexpr(match, nok.root,
+                                   lambda n: f"{n.tag}{n.nid}")
+                             for match in result[nok.nok_id]]
                 for nok in noks}
     assert (rendered, counters.comparisons) == MATCH_CASES[text]
     assert counters.nodes_scanned == 23
