@@ -411,10 +411,10 @@ def plan_pass(dec: Decomposition, report: AnalysisReport,
                        "its matches are not kept, so the join's left "
                        "projection finds none")
     if strategy is not None:
-        _check_strategy(dec.tree, report, strategy, recursive_document)
+        _check_strategy(dec, report, strategy, recursive_document)
 
 
-def _check_strategy(tree: BlossomTree, report: AnalysisReport, strategy: str,
+def _check_strategy(dec: Decomposition, report: AnalysisReport, strategy: str,
                     recursive_document: bool | None) -> None:
     """PL002 / PL003 against the strategy's row."""
     from repro.physical.twigstack import twig_supported
@@ -423,12 +423,22 @@ def _check_strategy(tree: BlossomTree, report: AnalysisReport, strategy: str,
     if row is None or not row.executable:
         report.add("PL002", "plan", f"unknown strategy {strategy!r}")
         return
-    if "twig" in row.requires and not twig_supported(tree):
+    if "twig" in row.requires and not twig_supported(dec.tree):
         report.add("PL002", "plan",
                    f"{strategy} strategy chosen for a pattern that is not a "
                    "single //-twig")
-    if row.theorem2 and recursive_document:
+    if not row.theorem2:
+        return
+    if recursive_document:
         report.add("PL003", "plan",
                    f"{strategy} merge join on a recursive document: "
                    "Theorem 2's non-containment precondition may fail "
                    "(Example 5) — ordered output is not guaranteed")
+    # ``*`` nests on any document with an element below an element.
+    for inter in dec.inter_edges:
+        if inter.parent.name == "*":
+            report.add("PL003", _along("inter", inter),
+                       f"{strategy} merge join under the wildcard "
+                       f"V{inter.parent.vid}: its matches nest on any "
+                       "document, so Theorem 2's non-containment "
+                       "precondition may fail (Example 5)")

@@ -146,11 +146,11 @@ _CATALOGUE: tuple[Rule, ...] = (
     Rule("PL003", Severity.WARNING, "plan", "order-preservation runtime precondition",
          "A pipelined merge join claims ordered output only when distinct "
          "matches of the ancestor pattern do not contain one another "
-         "(Theorem 2 / Example 5); on a recursive document that "
-         "precondition can fail and the stack merge join should run "
-         "instead.",
-         "use strategy='auto' (the optimizer picks stack merge on "
-         "recursive documents)"),
+         "(Theorem 2 / Example 5); on a recursive document, or under a "
+         "``*`` join parent (which nests on any document), that "
+         "precondition can fail and the range join should run instead.",
+         "use strategy='auto' (the optimizer runs the range join, sound "
+         "on nesting input)"),
     # -- QL: query-vs-data satisfiability (structural-summary lint).
     # Unlike the stages above, a QL *error* does not mean the plan is
     # broken — it means part of the query provably matches nothing on

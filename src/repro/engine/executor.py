@@ -8,15 +8,15 @@ Execution pipeline (Figure 2's data flow, made concrete):
    request's bindings go with every scan and re-scan: pushed
    ``$v/path op $p`` where-conjuncts are decided here.
 2. **Join** — every inter-NoK edge is evaluated with the physical join
-   the optimizer picked (pipelined merge, stack merge, or bounded
-   nested loop), producing ancestor→matches adjacency.  Mandatory
+   the plan pins (the range join unless a strategy row names another),
+   producing one run of the right input per ancestor.  Mandatory
    inter edges then run a bottom-up semi-join reduction: nodes without
    a partner are σ-filtered out of their NestedLists, cascading through
    the mandatory-edge rules.
 3. **Bind** — tuples are enumerated in clause order.  A for-variable's
    candidates are found by walking its vertex chain from its anchor
    (the variable it dereferences, or the document root), moving through
-   NestedList groups on local edges and through join adjacency on cut
+   NestedList groups on local edges and through join runs on cut
    edges; a let-variable binds the whole candidate sequence.  This
    walk-based enumeration deduplicates by node, reproducing XPath's
    set semantics exactly.  An ``=`` crossing edge between two
@@ -73,7 +73,6 @@ from repro.physical.twigstack import TwigStackOperator, twig_supported
 from repro.engine.backend import ExecutionBackend
 from repro.engine.construct import (DirectEvaluator, Emitter, compile_emitter,
                                     order_key, sort_tuples)
-from repro.engine.optimizer import edge_join
 from repro.engine.result import Item
 from repro.strategy import STRATEGIES
 
@@ -100,7 +99,7 @@ _JOIN_SELECTED = REGISTRY.counter(
 #: matches of the earlier variable ``anchor`` (a name) or at the root
 #: NoK matches of vertex ``anchor`` (a vid), then takes one ``(group,
 #: edge, parent)`` hop per chain vertex — through NestedList group
-#: ``group``, or (``None``: a cut edge) through the adjacency of the
+#: ``group``, or (``None``: a cut edge) through the runs of the
 #: join keyed ``edge`` = (parent vid, child vid), from the nodes of the
 #: matches of vertex ``parent``.
 _Bind = tuple[str, BlossomVertex, bool, str | int,
@@ -214,11 +213,8 @@ class FLWORExecutor:
     doc:
         The document every pattern root scans, ``doc(uri)`` or not.
     join_algorithm:
-        The join a strategy row pins on every ``//``-edge, or ``"auto"``
-        to ask the optimizer per edge
-        (:func:`~repro.engine.optimizer.edge_join`: pipelined where the
-        left input cannot nest — by the document's statistics — stack
-        merge otherwise).
+        The join every ``//``-edge runs (a strategy row's ``join``); the
+        default, ``stack``, is the range join, sound on any input.
     counters:
         Shared work counters (created if omitted; exposed as
         ``self.counters``).
@@ -238,13 +234,13 @@ class FLWORExecutor:
     """
 
     def __init__(self, doc: Document,
-                 join_algorithm: str = "auto",
+                 join_algorithm: str = "stack",
                  counters: ScanCounters | None = None,
                  tracer: Tracer | None = None,
                  *, backend: ExecutionBackend | None = None,
                  scan_pools: ScanPools | None = None) -> None:
         self.doc = doc
-        if join_algorithm != "auto" and join_algorithm not in _JOIN_OPERATORS:
+        if join_algorithm not in _JOIN_OPERATORS:
             raise UsageError(f"unknown join algorithm {join_algorithm!r}")
         self.join_algorithm = join_algorithm
         self.counters = counters if counters is not None else ScanCounters()
@@ -254,7 +250,7 @@ class FLWORExecutor:
         self.scan_pools = scan_pools
         self._direct = DirectEvaluator(doc)
         #: (parent_vid, child_vid) -> JoinResult, filled during execute()
-        self._adjacency: dict[tuple[int, int], JoinResult] = {}
+        self._joins: dict[tuple[int, int], JoinResult] = {}
         #: The request's bindings, as every scan and re-scan is given them
         #: (late-bound vertex tests read them); set by execute().
         self._variables: Bindings = {}
@@ -448,7 +444,7 @@ class FLWORExecutor:
 
     def _join_phase(self, dec: Decomposition,
                     matches: dict[int, list[Match]]) -> dict[int, list[Match]]:
-        self._adjacency = {}
+        self._joins = {}
         depth = _nok_depths(dec)
         # Deepest NoKs first, so every edge sees an already-reduced
         # right side and reductions cascade toward the roots.
@@ -470,12 +466,12 @@ class FLWORExecutor:
                          nodes_scanned=self.counters.nodes_scanned
                          - before_nodes,
                          comparisons=self.counters.comparisons - before_cmp)
-            self._adjacency[(edge.parent.vid, edge.child.vid)] = result
+            self._joins[(edge.parent.vid, edge.child.vid)] = result
             if edge.mode == MODE_MANDATORY:
-                adjacency = result.adjacency
+                ranges = result.ranges
                 matches[edge.nok_from] = select(
                     left, dec.noks[edge.nok_from].root, edge.parent,
-                    lambda node: node.nid in adjacency)
+                    lambda node: node.nid in ranges)
         return matches
 
     def _run_join(self, dec: Decomposition, edge: InterEdge,
@@ -491,7 +487,8 @@ class FLWORExecutor:
 
         # Vacuous join: everything is a descendant of the document node.
         if edge.parent.name == "#root":
-            result = JoinResult(edge, {self.doc.document_node.nid: list(right)},
+            result = JoinResult(edge, right,
+                                {self.doc.document_node.nid: (0, len(right))},
                                 len(right))
             self.plan_notes.append(
                 f"join V{edge.parent.vid}->V{edge.child.vid}: vacuous (document root)")
@@ -499,7 +496,7 @@ class FLWORExecutor:
                 span.set(algorithm="vacuous")
             return result
 
-        algorithm = edge_join(self.join_algorithm, self.doc, edge)
+        algorithm = self.join_algorithm
         self.plan_notes.append(
             f"join V{edge.parent.vid}->V{edge.child.vid}: {algorithm}")
         _JOIN_SELECTED.inc(algorithm=algorithm)
@@ -509,14 +506,11 @@ class FLWORExecutor:
         operator = _JOIN_OPERATORS[algorithm]
         if STRATEGIES[algorithm].rescans is None:
             return operator(projection, right, edge, self.counters)
-        inner_nok = dec.nok_of(edge.child)
-        # The nested loops re-discover inner matches by scanning; the
-        # canonical map reconciles them with the bottom-up-reduced right
-        # entries so deeper mandatory joins stay enforced.
-        canonical = {node.nid: match for node, match
-                     in zip(match_nodes(edge.child, right), right)}
-        return operator(projection, inner_nok, self.doc, edge, self.counters,
-                        canonical, variables=self._variables)
+        # The nested loops re-discover inner matches by scanning and keep
+        # those the bottom-up-reduced right entries hold, so deeper
+        # mandatory joins stay enforced.
+        return operator(projection, right, dec.nok_of(edge.child), self.doc,
+                        edge, self.counters, variables=self._variables)
 
     # ------------------------------------------------------------------
     # Phase 3: tuple enumeration (variable binding).
@@ -576,10 +570,10 @@ class FLWORExecutor:
         for group, edge, parent in hops:
             next_frontier: list[Match] = []
             if group is None:
-                adjacency = self._adjacency.get(edge)
-                if adjacency is not None:
+                joined = self._joins.get(edge)
+                if joined is not None:
                     for node in match_nodes(parent, frontier):
-                        next_frontier.extend(adjacency.partners(node))
+                        next_frontier.extend(joined.partners(node))
             else:
                 for entry in frontier:
                     next_frontier.extend(entry.groups[group])  # type: ignore[union-attr]

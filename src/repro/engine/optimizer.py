@@ -7,8 +7,17 @@ the decision rules its experiments support (Section 5.2):
   they are index-free, scan-friendly and comparable to or faster than
   TwigStack there;
 * on **recursive** documents the pipelined join is unsound (Example 5 /
-  Theorem 2's precondition fails), so a stack-based merge (bounded
-  memory) or bounded nested loop is used instead;
+  Theorem 2's precondition fails), so a merge with caching (bounded
+  memory) or bounded nested loop is used instead.
+
+Here the first two rules are one, a deliberate deviation: ``auto`` runs
+the region range join (``stack``,
+:func:`~repro.physical.stack_join.stack_desc_join`) on every ``//``
+inter edge, flat documents too.  It is sound whether or not either
+input nests, so no edge needs the recursion bit or a ``*`` test.  The
+pipelined merge stays available by name (``strategy="pipelined"``,
+Table 3's PL column; it refuses nesting input).  Further:
+
 * TwigStack is the paper's holistic *baseline* (Table 3's TS column):
   requestable by name, never chosen — ``stack`` answers every
   ``//``-twig on a recursive document identically and, on the Table-3
@@ -21,14 +30,14 @@ one function the engine calls per compile: it validates an explicitly
 requested strategy against its row of the strategy table
 (:mod:`repro.strategy`), or runs the rules; lets the query lint
 short-circuit a provably empty plan (static-empty); prepares the
-pattern artifacts; and pins which join each ``//``-edge runs
-(:func:`edge_join` is the per-edge half the executor asks).
+pattern artifacts; and pins which join every ``//``-edge runs.
 ``explain`` reads the same decision without executing it.
 
-The decision is static, as in the paper: it reads document statistics
-and the query — never the ``executor=`` a request names, nor a record
-of earlier runs — so the same query over documents of the same shape
-(one summary digest) always gets the same plan.
+The decision is static, as in the paper: it reads the query and (for
+the lint) the document's structural summary — never the ``executor=``
+a request names, nor a record of earlier runs — so the same query over
+documents of the same shape (one summary digest) always gets the same
+plan.
 """
 
 from __future__ import annotations
@@ -41,10 +50,8 @@ from repro.errors import CompileError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
 from repro.pattern.blossom import BlossomTree
-from repro.pattern.decompose import InterEdge
 from repro.physical.twigstack import twig_supported
 from repro.xmlkit.stats import DocumentStats
-from repro.xmlkit.tree import Document
 from repro.engine.request import QueryKey
 from repro.strategy import STRATEGIES, Strategy
 
@@ -52,8 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session -> optimizer
     from repro.engine.compiler import CompiledQuery
     from repro.engine.session import Engine
 
-__all__ = ["CachedPlan", "PlanChoice", "choose_strategy", "edge_join",
-           "plan_query"]
+__all__ = ["CachedPlan", "PlanChoice", "choose_strategy", "plan_query"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,10 @@ def choose_strategy(stats: DocumentStats, tree: BlossomTree | None,
     Parameters
     ----------
     stats:
-        Statistics of the engine's document.
+        Statistics of the engine's document: read only for the span's
+        ``recursive`` attribute (no rule needs them since ``auto`` runs
+        the range join everywhere), kept because the benchmark's
+        compile probes pass them.
     tree:
         The BlossomTree, or ``None`` when compilation failed (forces the
         naive fallback).
@@ -88,36 +97,19 @@ def choose_strategy(stats: DocumentStats, tree: BlossomTree | None,
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span("optimize") as span:
-        choice = _rules(stats, tree)
+        choice = _rules(tree)
         span.set(strategy=choice.strategy, reason=choice.reason,
                  recursive=stats.recursive)
     return choice
 
 
-def _rules(stats: DocumentStats, tree: BlossomTree | None) -> PlanChoice:
+def _rules(tree: BlossomTree | None) -> PlanChoice:
     if tree is None:
         return PlanChoice("naive", "query outside the pattern-matching subset")
-    if stats.recursive:
-        return PlanChoice(
-            "stack",
-            f"recursive document (degree {stats.recursion_degree}); "
-            "pipelined merge is unsound, stack merge bounds memory by depth")
     return PlanChoice(
-        "pipelined",
-        "non-recursive document; index-free merge joins over ordered "
-        "NoK streams (Theorem 2)")
-
-
-def edge_join(pinned: str, doc: Document, edge: InterEdge) -> str:
-    """The join one ``//``-edge runs: the plan's pinned algorithm, or
-    (``"auto"``) the merge join that is sound for this edge's left
-    input.  Theorem 2 needs a left input that cannot nest: no ``*``,
-    which nests on any document — and no tag inside itself (``doc``,
-    the document the edge's NoKs scan, is recursive)."""
-    if pinned != "auto":
-        return pinned
-    nests = edge.parent.name == "*" or doc.derived.stats.recursive
-    return "stack" if nests else "pipelined"
+        "stack",
+        "region range joins over ordered NoK streams, sound whether or "
+        "not either side nests")
 
 
 # ----------------------------------------------------------------------
@@ -147,10 +139,9 @@ class CachedPlan:
     #: the reason when it chose ``static-empty``); ``None`` when the
     #: lint did not run.
     lint: QueryLintResult | None = None
-    #: The join algorithm every ``//``-edge is pinned to; ``"auto"``
-    #: lets each edge take the merge join sound for its left input
-    #: (:func:`~repro.engine.optimizer.edge_join`).
-    join: str = "auto"
+    #: The join algorithm every ``//``-edge runs: the strategy row's
+    #: ``join``, else the range join.
+    join: str = "stack"
 
 
 def plan_query(compiled: CompiledQuery, key: QueryKey, env: Engine,
@@ -162,8 +153,9 @@ def plan_query(compiled: CompiledQuery, key: QueryKey, env: Engine,
     passes over it before it may be cached or executed.
 
     ``env`` is the engine planned for; the chooser reads its document's
-    statistics, and its summary (only when the lint runs).  Every plan
-    runs the tree ``compile_query`` built and verified."""
+    statistics (for the ``optimize`` span) and its summary (only when
+    the lint runs).  Every plan runs the tree ``compile_query`` built
+    and verified."""
     requested = STRATEGIES[key.strategy]
     choice = _requested(compiled, requested, env, tracer)
     # Query lint (QL rules): check the pattern against the document's
@@ -190,13 +182,10 @@ def plan_query(compiled: CompiledQuery, key: QueryKey, env: Engine,
         with tracer.span("prepare-artifacts") as span:
             artifacts = prepare_artifacts(tree)
             span.set(noks=len(artifacts.decomposition.noks))
-    # Only a *requested* Theorem-2 merge is pinned.  Chosen by the
-    # rules, ``pipelined`` names the merge-join family and every edge
-    # takes the member that is sound for its left input.
-    join = (row.join if row.join is not None
-            and (row is requested or not row.theorem2) else "auto")
-    return CachedPlan(compiled, choice, artifacts, key.strategy,
-                      lint=lint, join=join)
+    plan = CachedPlan(compiled, choice, artifacts, key.strategy, lint=lint)
+    if row.join is not None:
+        plan.join = row.join
+    return plan
 
 
 def _requested(compiled: CompiledQuery, row: Strategy, env: Engine,

@@ -35,7 +35,7 @@ strategy      meaning
 ============= =========================================================
 ``auto``      optimizer picks per the Section-5.2 rules (default)
 ``pipelined`` BlossomTree with pipelined merge ``//``-joins (PL)
-``stack``     BlossomTree with stack-based merge joins
+``stack``     BlossomTree with region range joins, sound on nesting input
 ``bnlj``      BlossomTree with bounded nested-loop joins (BNLJ)
 ``nl``        BlossomTree with naive nested-loop joins (Table 3's NL column)
 ``twigstack`` holistic twig join over the tag index (TS)

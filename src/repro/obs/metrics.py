@@ -62,10 +62,12 @@ name                                           type       labels
 ``repro_querylint_static_empty_total``         counter    —
 =============================================  =========  ==============================
 
-The plan-cache family is registered by :mod:`repro.engine.plancache`
-(imported with the engine), and the ``query`` span carries a
-``plan-cache`` attribute (``hit`` / ``miss`` / ``bypass`` /
-``prepared``) tying individual traces to the counters.  The
+``repro_peak_buffered`` is the largest ``peak_buffered`` of any query
+(PL, TwigStack; the range join buffers nothing).  The plan-cache family
+is registered by :mod:`repro.engine.plancache` (imported with the
+engine), and the ``query`` span carries a ``plan-cache`` attribute
+(``hit`` / ``miss`` / ``bypass`` / ``prepared``) tying individual
+traces to the counters.  The
 plan-verify family is registered by :mod:`repro.analysis.analyzer`:
 every ``verify_*`` gate run moves exactly one ``outcome`` cell —
 ``ok``, ``warning`` (findings, none blocking) or ``error`` (the gate

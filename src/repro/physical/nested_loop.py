@@ -23,7 +23,8 @@ large recursive data in Table 3 — the scans charge
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TypeVar
 
 from repro.pattern.decompose import InterEdge, NoKTree
@@ -32,7 +33,7 @@ from repro.physical.structural import JoinResult, axis_test, count_operator
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
 from repro.xpath.compile import Bindings
-from repro.algebra.nested_list import Match
+from repro.algebra.nested_list import Match, match_nodes
 
 __all__ = [
     "bounded_nested_loop_join",
@@ -44,10 +45,11 @@ L = TypeVar("L")
 R = TypeVar("R")
 
 
-def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
-                             doc: Document, edge: InterEdge,
+def bounded_nested_loop_join(left_nodes: Iterable[Node],
+                             right_entries: Sequence[Match],
+                             inner_nok: NoKTree, doc: Document,
+                             edge: InterEdge,
                              counters: ScanCounters | None = None,
-                             canonical: dict[int, Match] | None = None,
                              *, variables: Bindings) -> JoinResult:
     """BNLJ: per outer node, re-match the inner NoK within its subtree.
 
@@ -58,73 +60,74 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
     heavily and the repeated scanning shows up directly in
     ``nodes_scanned``.
 
-    ``canonical`` reconciles the rediscovered matches with the
-    executor's already-reduced right-side matches (keyed by root nid):
-    a rematch whose root is absent there was eliminated by a deeper
-    mandatory join and must not resurface, and present ones must map to
-    the *filtered* entry so downstream navigation sees reduced groups.
+    ``right_entries`` are the executor's already-reduced right-side
+    matches, document-ordered: a rematch absent there was eliminated by
+    a deeper mandatory join and must not resurface, and an outer node's
+    partners are the run of ``right_entries`` from the first to the last
+    rematch found there (the descendants of one node are contiguous in
+    document order), so downstream navigation sees the reduced entries.
     ``variables`` are the request's bindings, for the inner NoK's
     late-bound vertex tests.
     """
-    if counters is None:
-        counters = ScanCounters()
-    result = JoinResult(edge)
-    adjacency = result.adjacency
-    token = counters.cancellation
-    grouped = edge.child.grouped    # the inner matches' representation
-    for outer in left_nodes:
-        if token is not None:
-            token.checkpoint()
-        start = outer.nid + 1
-        stop = outer.nid + outer.subtree_size()
-        matcher = NoKMatcher(inner_nok, doc, counters, start, stop,
-                             variables=variables)
-        for match in matcher.iter_matches():
-            if canonical is not None:
-                node: Node = match.node if grouped else match  # type: ignore
-                match = canonical.get(node.nid)  # type: ignore[assignment]
-                if match is None:
-                    continue
-            adjacency.setdefault(outer.nid, []).append(match)
-            result.pairs += 1
-    count_operator("bnlj", result.pairs)
-    return result
+    counters = counters if counters is not None else ScanCounters()
+
+    def rematch(outer: Node) -> Sequence[Node]:
+        return match_nodes(edge.child, NoKMatcher(
+            inner_nok, doc, counters, outer.nid + 1,
+            outer.nid + outer.subtree_size(), variables=variables).matches())
+    return _rematch_join("bnlj", left_nodes, right_entries, edge, counters,
+                         rematch)
 
 
-def naive_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
-                           doc: Document, edge: InterEdge,
+def naive_nested_loop_join(left_nodes: Iterable[Node],
+                           right_entries: Sequence[Match],
+                           inner_nok: NoKTree, doc: Document,
+                           edge: InterEdge,
                            counters: ScanCounters | None = None,
-                           canonical: dict[int, Match] | None = None,
                            *, variables: Bindings) -> JoinResult:
     """Unbounded nested loop: full inner scan per outer node.
 
     The ablation baseline for BNLJ's range optimization and the
     harness's "NL" system.  See :func:`bounded_nested_loop_join` for
-    the ``canonical`` reconciliation contract and ``variables``.
+    the ``right_entries`` contract and ``variables``.
     """
-    if counters is None:
-        counters = ScanCounters()
-    result = JoinResult(edge)
-    adjacency = result.adjacency
-    token = counters.cancellation
+    counters = counters if counters is not None else ScanCounters()
     grouped = edge.child.grouped    # the inner matches' representation
+
+    def rematch(outer: Node) -> Iterator[Node]:
+        for match in NoKMatcher(inner_nok, doc, counters,
+                                variables=variables).iter_matches():
+            node: Node = match.node if grouped else match  # type: ignore
+            counters.comparisons += 1
+            if axis_test(edge.axis, outer, node):
+                yield node
+    return _rematch_join("nl", left_nodes, right_entries, edge, counters,
+                         rematch)
+
+
+def _rematch_join(operator: str, left_nodes: Iterable[Node],
+                  right_entries: Sequence[Match], edge: InterEdge,
+                  counters: ScanCounters,
+                  rematch: Callable[[Node], Iterable[Node]]) -> JoinResult:
+    """The loop both nested loops share: an outer node's partners run
+    from the first to the last of its document-ordered ``rematch`` nodes
+    that ``right_entries`` holds (found by a bisect of their ``start``
+    column)."""
+    starts = [node.start for node in match_nodes(edge.child, right_entries)]
+    ranges: dict[int, tuple[int, int]] = {}
+    pairs = 0
+    token = counters.cancellation
     for outer in left_nodes:
         if token is not None:
             token.checkpoint()
-        matcher = NoKMatcher(inner_nok, doc, counters, variables=variables)
-        for match in matcher.iter_matches():
-            node: Node = match.node if grouped else match  # type: ignore
-            counters.comparisons += 1
-            if not axis_test(edge.axis, outer, node):
-                continue
-            if canonical is not None:
-                match = canonical.get(node.nid)  # type: ignore[assignment]
-                if match is None:
-                    continue
-            adjacency.setdefault(outer.nid, []).append(match)
-            result.pairs += 1
-    count_operator("nl", result.pairs)
-    return result
+        held = [at for node in rematch(outer)
+                if (at := bisect_left(starts, node.start)) < len(starts)
+                and starts[at] == node.start]
+        if held:
+            ranges[outer.nid] = (held[0], held[-1] + 1)
+            pairs += len(held)
+    count_operator(operator, pairs)
+    return JoinResult(edge, right_entries, ranges, pairs)
 
 
 def nested_loop_pairs(left_items: Iterable[L], right_items: Iterable[R],

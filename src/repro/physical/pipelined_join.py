@@ -9,14 +9,15 @@ runs as a single merge pass, never materializing either input — the
 :func:`pipelined_desc_join` is the strict merge of the paper's GetNext
 pseudo-code, correct when left nodes do not nest (one tag cannot
 contain itself: non-recursive documents, Theorem 2).  It keeps exactly
-one candidate ancestor, i.e. O(1) buffering.  The "modification with
-caching capability" the paper sketches for recursive inputs is the
-ancestor-stack merge, :func:`~repro.physical.stack_join.stack_desc_join`.
+one candidate ancestor, i.e. O(1) buffering.  It is Table 3's PL
+column and runs only by name (``strategy="pipelined"``): ``auto`` runs
+the range join, :func:`~repro.physical.stack_join.stack_desc_join`,
+which is sound on nesting input too.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import pairwise
 
 from repro.errors import ExecutionError
@@ -30,16 +31,16 @@ __all__ = ["pipelined_desc_join"]
 
 
 def pipelined_desc_join(left_nodes: Sequence[Node],
-                        right_entries: Iterable[Match],
+                        right_entries: Sequence[Match],
                         edge: InterEdge,
                         counters: ScanCounters | None = None) -> JoinResult:
     """Strict merge join for a ``//`` inter edge on non-nesting input.
 
     ``left_nodes`` (``left_projection``'s list: it is read twice) must
-    be document-ordered and non-nesting — a chosen plan only runs this
-    join on a non-recursive document under a left vertex that is not
-    ``*``; ``right_entries``, the matches of ``edge.child`` in its
-    representation, must be document-ordered by root.  Raises
+    be document-ordered and non-nesting; ``right_entries``, the matches
+    of ``edge.child`` in its representation, must be document-ordered
+    by root.  Each left node's partners are the run of right positions
+    it pairs (contiguous: the left nodes do not nest).  Raises
     :class:`~repro.errors.ExecutionError` if the left input nests
     anywhere — also behind the last right entry, where the merge itself
     never looks — because silently producing partial output here is
@@ -47,21 +48,21 @@ def pipelined_desc_join(left_nodes: Sequence[Node],
     """
     if counters is None:
         counters = ScanCounters()
-    result = JoinResult(edge)
     # In document order some pair nests iff an adjacent pair does.
     if any(inner.start < outer.end
            for outer, inner in pairwise(left_nodes)):
         raise ExecutionError(
             "pipelined //-join received nesting left input; use "
             "strategy='stack' or a nested-loop join on recursive data")
-    adjacency = result.adjacency
-    pairs = 0
+    ranges: dict[int, tuple[int, int]] = {}
+    pairs = lo = 0
     left_iter = iter(left_nodes)
     current: Node | None = next(left_iter, None)
+    owner: Node | None = None       # the left node the open run belongs to
     token = counters.cancellation
     grouped = edge.child.grouped    # the right side's representation
 
-    for entry in right_entries:
+    for at, entry in enumerate(right_entries):
         if token is not None:
             token.checkpoint()
         node: Node = entry.node if grouped else entry  # type: ignore
@@ -73,12 +74,13 @@ def pipelined_desc_join(left_nodes: Sequence[Node],
             break
         counters.comparisons += 1
         if current.start < node.start and node.end < current.end:
-            adjacency.setdefault(current.nid, []).append(entry)
+            if current is not owner:
+                owner, lo = current, at
+            ranges[current.nid] = (lo, at + 1)
             pairs += 1
         # else: node precedes the current candidate; skip it (the
         # n << m branch — advance the right side).
     counters.note_buffer(1)
-    result.pairs = pairs
     count_operator("pipelined_join", pairs)
-    return result
+    return JoinResult(edge, right_entries, ranges, pairs)
 

@@ -1,18 +1,21 @@
 """Shared machinery for structural joins over NestedList streams.
 
-Every structural join in this repository — pipelined merge, stack-based
-merge, bounded and naive nested loops, TwigStack — produces the same
-logical thing: for one inter-NoK edge ``u --axis--> v``, the set of
-(ancestor-node, descendant-match) pairs.  :class:`JoinResult` is that
-set in adjacency-list form, keyed by the ancestor node's pre-order rank
-so the executor's tuple enumeration can look up "which matches of the
-child NoK hang under this particular u node" in O(1).
+Every structural join in this repository — the range join, the
+pipelined merge, bounded and naive nested loops — produces the same
+logical thing: for one inter-NoK edge ``u --descendant--> v``, the set
+of (ancestor-node, descendant-match) pairs.  Under region labels the
+partners of one ``u`` are a single contiguous run of the
+document-ordered right input (the matches of ``v`` whose ``start``
+falls inside ``u``'s region), so :class:`JoinResult` is that set as one
+``(lo, hi)`` run per left node, keyed by the node's pre-order rank:
+the executor's tuple enumeration looks up "which matches of the child
+NoK hang under this particular u node" as one slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from repro.obs.metrics import REGISTRY
 from repro.pattern.decompose import InterEdge
@@ -37,25 +40,25 @@ def count_operator(operator: str, emitted: int) -> None:
 
 @dataclass
 class JoinResult:
-    """Adjacency form of one structural join's output.
+    """Range form of one structural join's output.
 
-    ``adjacency[u_nid]`` lists the right-side matches (of
-    ``edge.child``, in its representation) whose node stands in the edge's axis relationship to the left node
-    with pre-order rank ``u_nid``.  Nodes with no partners simply do not
-    appear — mandatory-edge filtering reads that absence.  A join fills
-    ``adjacency`` through a local reference and counts each pair it
-    appends in ``pairs``.
+    ``right`` is the join's right input, the document-ordered matches of
+    ``edge.child`` in its representation; ``ranges[u_nid] = (lo, hi)``
+    says that ``right[lo:hi]`` are exactly the matches whose node is a
+    descendant of the left node with pre-order rank ``u_nid``.  Only
+    non-empty runs are kept — nodes with no partners simply do not
+    appear, and mandatory-edge filtering reads that absence.  ``pairs``
+    is the number of (u, match) pairs, the sum of the run lengths.
     """
 
     edge: InterEdge
-    adjacency: dict[int, list[Match]] = field(default_factory=dict)
+    right: Sequence[Match] = ()
+    ranges: dict[int, tuple[int, int]] = field(default_factory=dict)
     pairs: int = 0
 
-    def partners(self, u: Node) -> list[Match]:
-        return self.adjacency.get(u.nid, [])
-
-    def pair_count(self) -> int:
-        return self.pairs
+    def partners(self, u: Node) -> Sequence[Match]:
+        run = self.ranges.get(u.nid)
+        return () if run is None else self.right[run[0]:run[1]]
 
 
 def left_projection(left_entries: Iterable[Match], edge: InterEdge) -> list[Node]:

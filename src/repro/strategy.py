@@ -38,7 +38,7 @@ class Strategy:
     #: The row of the ``strategy`` table in the documentation.
     meaning: str
     #: The join algorithm this row pins on every ``//``-edge; ``None``:
-    #: no ``//``-joins of its own, or picked per edge.
+    #: no ``//``-joins of its own.
     join: str | None = None
     #: What the pinned join re-reads per outer match — ``None`` (a merge
     #: of the two ordered streams), ``"subtree"`` or ``"document"``.
@@ -82,7 +82,7 @@ STRATEGIES: dict[str, Strategy] = {row.name: row for row in (
              join="pipelined", theorem2=True, requires=_PIPELINE,
              label="PL"),
     Strategy("stack", "pattern",
-             "BlossomTree with stack-based merge joins",
+             "BlossomTree with region range joins, sound on nesting input",
              join="stack", requires=_PIPELINE),
     Strategy("bnlj", "pattern",
              "BlossomTree with bounded nested-loop joins (BNLJ)",
@@ -95,7 +95,7 @@ STRATEGIES: dict[str, Strategy] = {row.name: row for row in (
              requires=("tree", "twig"), label="TS"),
     Strategy("parallel", "pattern",
              "BlossomTree with partition-parallel merged NoK scans",
-             requires=_PIPELINE, partitions=True),
+             join="stack", requires=_PIPELINE, partitions=True),
     Strategy("naive", "baseline",
              "direct per-iteration FLWOR semantics (the Section-1 strawman)"),
     Strategy("xhive", "baseline",

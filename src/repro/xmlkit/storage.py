@@ -109,7 +109,7 @@ class ScanCounters:
     scans_started: int = 0       # number of full or partial scans opened
     comparisons: int = 0         # structural/value predicate evaluations
     intermediate_results: int = 0  # NestedLists buffered between operators
-    peak_buffered: int = 0       # max NestedLists held in memory at once
+    peak_buffered: int = 0       # max items held beyond the inputs (PL, TwigStack)
     budget_trips: int = 0        # scans aborted by the budget (DNF)
     budget: int | None = None  # DNF threshold on nodes_scanned
     #: Cooperative deadline/cancel token; operators checkpoint it from

@@ -31,6 +31,14 @@ partitions, byte-identical to ``naive`` and to the ``pipelined`` answer
 of the row above it — where it raised ``PlanInvariantError``.  The
 partitioned scan matches the ``#root`` NoK of ``/r/a/b`` only in the
 partition that starts at slot 0, so there was nothing to refuse.
+
+It was regenerated a fourth time when ``auto`` began running the region
+range join on every ``//`` edge: the flat-document ``auto`` rows and
+extras plan ``stack`` instead of ``pipelined``, every ``auto`` reason
+(the recursive rows' too, since the chooser no longer reads the
+recursion bit) is the range join's, the flat rows' join notes say
+``stack``, and so do the ``parallel`` rows' (the row pins the range
+join).  No answer changed.
 """
 
 from __future__ import annotations
@@ -63,8 +71,8 @@ SHAPES = {
 #: query options).  ``wide`` is large enough to cut into partitions.
 #: The first two labels name the executor-driven ``parallel`` upgrade
 #: (and its PL004 withdrawal) that ``auto`` once performed; they stay
-#: as stable test ids and now pin its absence — both plan
-#: ``pipelined``, exactly as without an executor.  The third names the
+#: as stable test ids and now pin its absence — both plan ``stack``,
+#: exactly as without an executor.  The third names the
 #: retired rule PL004's refusal and now pins the partitioned answer.
 WIDE = "<r>" + "<a><b>1</b></a>" * 1400 + "</r>"
 EXTRAS = [

@@ -255,6 +255,18 @@ class TestPlanRules:
                        recursive_document=False)
         assert report.clean
 
+    def test_pl003_pipelined_under_a_wildcard_parent_warns(self):
+        # ``*`` nests on any document with an element below an element:
+        # over the flat <r><a><b/><c><b/></c></a><d><b/></d></r> the
+        # merge would refuse its left input after the scan.
+        artifacts = artifacts_for("//*//b")
+        report = gated(analyze_artifacts, artifacts, strategy="pipelined",
+                       recursive_document=False)
+        assert report.rule_ids() == ["PL003"]
+        assert report.findings[0].location == "inter:V1->V2"
+        assert gated(analyze_artifacts, artifacts, strategy="stack",
+                     recursive_document=False).clean
+
     def test_parallel_on_root_anchored_chains_analyzes_clean(self):
         # The retired PL004 refused these: each keeps a local chain in
         # its #root NoK.  The partitioned scan matches that NoK once, in

@@ -126,6 +126,8 @@ from repro.physical.nested_loop import (  # noqa: E402
     bounded_nested_loop_join)
 from repro.physical.nok import NoKMatcher, matcher_for  # noqa: E402
 from repro.physical.nok_merge import scan_range  # noqa: E402
+from repro.physical.stack_join import stack_desc_join  # noqa: E402
+from repro.physical.structural import left_projection  # noqa: E402
 from repro.xmlkit import parse  # noqa: E402
 from repro.xmlkit.arena import DocumentArena  # noqa: E402
 from repro.xmlkit.storage import (CancellationToken,  # noqa: E402
@@ -305,6 +307,7 @@ def test_bounded_nested_loop_rescans_count_the_same(flavour):
     inner = dec.noks[edge.nok_to]
     outers = [node for node in doc.nodes if node.tag == "a"]
     assert len(outers) > 20
+    right = NoKMatcher(inner, walked, variables={}).matches()
     for budget in (None, 40, 10 ** 6):
         expect, got = ScanCounters(budget=budget), ScanCounters(budget=budget)
         expect.cancellation = CancellationToken(stride=STRIDE)
@@ -322,14 +325,43 @@ def test_bounded_nested_loop_rescans_count_the_same(flavour):
             pairs = None
         try:
             joined = bounded_nested_loop_join(
-                [walked.nodes[o.nid] for o in outers], inner, walked, edge,
-                got, variables={})
-            joined = nids(joined.adjacency)
+                [walked.nodes[o.nid] for o in outers], right, inner, walked,
+                edge, got, variables={})
+            joined = nids({nid: joined.right[lo:hi]
+                           for nid, (lo, hi) in joined.ranges.items()})
         except DNFError:
             joined = None
         assert joined == pairs, budget
         assert (pairs is None) == (budget == 40)
         assert counted(got) == counted(expect), budget
+
+
+# ----------------------------------------------------------------------
+# The range join's charge: two bisects per left node, nothing per pair,
+# one token check, no buffer — on flat and on recursive input alike.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("xml", [
+    "<r><a><b/><c><b/></c></a><a><x/></a><a><b/></a></r>",
+    "<r><a><a><b/><a><b/><b/></a></a><b/></a><a><b/></a><b/></r>",
+])
+@pytest.mark.parametrize("text", ["//a//b", "//*//b"])
+def test_range_join_charges_two_comparisons_per_left_node(xml, text):
+    doc = parse(xml)
+    dec = prepare_artifacts(compile_query(text).tree).decomposition
+    edge = next(e for e in dec.inter_edges if e.parent.name != "#root")
+    left = left_projection(NoKMatcher(dec.noks[edge.nok_from], doc,
+                                      variables={}).matches(), edge)
+    right = NoKMatcher(dec.noks[edge.nok_to], doc, variables={}).matches()
+    counters = ScanCounters()
+    counters.cancellation = CountingToken(stride=1 << 30)
+    joined = stack_desc_join(left, right, edge, counters)
+    assert joined.pairs and len(left) > 2
+    assert counters.comparisons == 2 * len(left)
+    assert counters.cancellation.checks == 1
+    assert counters.peak_buffered == 0
+    assert counters.snapshot() == {**ScanCounters().snapshot(),
+                                   "comparisons": 2 * len(left)}
 
 
 def test_single_nok_matcher_walks_postings_too(flavour):
@@ -655,18 +687,20 @@ def test_process_decoder_yields_the_serial_layout(pools):
 #: Per dataset and strategy, over its six Appendix-A paths at scale
 #: 0.05: ``comparisons``, ``nodes_scanned``, ``intermediate_results``,
 #: ``peak_buffered``, bind tuples, finish survivors and items — the
-#: figures the representation with an entry per match produced.
+#: figures the representation with an entry per match produced.  The
+#: joins' share is the range join's: two ``comparisons`` per left node
+#: and no ``peak_buffered``.
 TABLE3_COUNTERS = {
-    ("d1", "auto"): (3092, 2404, 1642, 16, 419, 419, 419),
-    ("d1", "stack"): (3092, 2404, 1642, 16, 419, 419, 419),
-    ("d2", "auto"): (477, 1440, 495, 4, 138, 138, 138),
-    ("d2", "stack"): (439, 1440, 495, 4, 138, 138, 138),
-    ("d3", "auto"): (517, 3765, 274, 5, 179, 179, 179),
-    ("d3", "stack"): (513, 3765, 274, 5, 179, 179, 179),
-    ("d4", "auto"): (2070, 6894, 1271, 49, 322, 322, 322),
-    ("d4", "stack"): (2070, 6894, 1271, 49, 322, 322, 322),
-    ("d5", "auto"): (289, 6052, 355, 4, 14, 14, 14),
-    ("d5", "stack"): (48, 6052, 355, 4, 14, 14, 14),
+    ("d1", "auto"): (2979, 2404, 1642, 0, 419, 419, 419),
+    ("d1", "stack"): (2979, 2404, 1642, 0, 419, 419, 419),
+    ("d2", "auto"): (768, 1440, 495, 0, 138, 138, 138),
+    ("d2", "stack"): (768, 1440, 495, 0, 138, 138, 138),
+    ("d3", "auto"): (593, 3765, 274, 0, 179, 179, 179),
+    ("d3", "stack"): (593, 3765, 274, 0, 179, 179, 179),
+    ("d4", "auto"): (1909, 6894, 1271, 0, 322, 322, 322),
+    ("d4", "stack"): (1909, 6894, 1271, 0, 322, 322, 322),
+    ("d5", "auto"): (94, 6052, 355, 0, 14, 14, 14),
+    ("d5", "stack"): (94, 6052, 355, 0, 14, 14, 14),
 }
 
 

@@ -202,9 +202,13 @@ class TestSessionMachinery:
         assert counters.nodes_scanned == len(small_bib.nodes)
         assert counters.scans_started == 1
 
-    def test_auto_picks_pipelined_on_flat(self, engine):
-        result = engine.query("for $b in //book return $b/title")
-        assert "pipelined" in result.plan
+    def test_auto_picks_stack_on_flat(self, engine):
+        # The range join is sound on any input: auto runs it on flat
+        # documents too, and the pipelined merge only by name.
+        result = engine.query("for $b in //book, $l in $b//last return $l")
+        assert result.strategy == "stack"
+        assert "join V1->V2: stack" in result.plan
+        assert "pipelined" not in result.plan
 
     def test_auto_picks_stack_on_recursive(self, recursive_doc):
         engine = Engine(recursive_doc)

@@ -31,9 +31,9 @@ class TestPhases:
         flwor = parse_flwor("for $x in //a//c return $x")
         items = executor.execute(flwor)
         assert len(items) == 1
-        # adjacency recorded for the a->c edge
-        assert any(result.pair_count() == 1
-                   for result in executor._adjacency.values())
+        # one run recorded for the a->c edge
+        assert any(result.pairs == 1 and len(result.ranges) == 1
+                   for result in executor._joins.values())
 
     def test_vacuous_root_join_noted(self, doc):
         executor = FLWORExecutor(doc, join_algorithm="stack")
@@ -47,17 +47,21 @@ class TestPhases:
             assert any(algorithm in note for note in executor.plan_notes), \
                 algorithm
 
-    def test_auto_algorithm_uses_recursion_hint(self, doc):
-        """The hint is the scanned document's own statistic."""
+    def test_default_algorithm_ignores_recursion(self, doc):
+        """The default join is the range join, recursive document or
+        not; ``auto`` names a strategy, not a join."""
         nested = parse("<r><a><a><b/></a></a></r>")
         assert nested.derived.stats.recursive
-        executor = FLWORExecutor(nested, join_algorithm="auto")
-        executor.execute(parse_flwor("for $x in //a//b return $x"))
-        assert any("stack" in note for note in executor.plan_notes)
         assert not doc.derived.stats.recursive
-        executor = FLWORExecutor(doc, join_algorithm="auto")
-        executor.execute(parse_flwor("for $x in //a//b return $x"))
-        assert any("pipelined" in note for note in executor.plan_notes)
+        for document in (nested, doc):
+            executor = FLWORExecutor(document)
+            executor.execute(parse_flwor("for $x in //a//b return $x"))
+            assert any(note.endswith(": stack")
+                       for note in executor.plan_notes)
+            assert not any("pipelined" in note
+                           for note in executor.plan_notes)
+        with pytest.raises(ValueError):
+            FLWORExecutor(doc, join_algorithm="auto")
 
     def test_unknown_algorithm_rejected(self, doc):
         with pytest.raises(ValueError):

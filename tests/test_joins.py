@@ -1,9 +1,9 @@
 """Unit tests for the structural join operators (Section 4.2 / 4.3).
 
-All join algorithms must produce identical adjacency on identical
-inputs; the pipelined merge additionally refuses nesting input, and the
-stack merge (the paper's caching modification) reports its memory in
-``peak_buffered``.
+All join algorithms must produce identical partner runs on identical
+inputs; the pipelined merge additionally refuses nesting input and
+reports its O(1) memory in ``peak_buffered``, and the range join
+charges two ``comparisons`` per left node.
 """
 
 import random
@@ -41,9 +41,10 @@ def setup_join(doc, path_text):
     return tree, dec, edge, projection, right, right_nok
 
 
-def adjacency_nids(result):
-    return {k: sorted(n.nid for n in match_nodes(result.edge.child, v))
-            for k, v in result.adjacency.items()}
+def partner_nids(result):
+    return {k: [n.nid for n in match_nodes(result.edge.child,
+                                            result.right[lo:hi])]
+            for k, (lo, hi) in result.ranges.items()}
 
 
 @pytest.fixture
@@ -63,28 +64,28 @@ class TestAlgorithmAgreement:
         results = {
             "pl": pipelined_desc_join(proj, right, edge),
             "stack": stack_desc_join(proj, right, edge),
-            "bnlj": bounded_nested_loop_join(proj, right_nok, flat_doc, edge,
-                                             variables={}),
-            "naive": naive_nested_loop_join(proj, right_nok, flat_doc, edge,
-                                            variables={}),
+            "bnlj": bounded_nested_loop_join(proj, right, right_nok, flat_doc,
+                                             edge, variables={}),
+            "naive": naive_nested_loop_join(proj, right, right_nok, flat_doc,
+                                            edge, variables={}),
         }
-        reference = adjacency_nids(results["pl"])
+        reference = partner_nids(results["pl"])
         assert reference  # non-empty join
         for name, result in results.items():
-            assert adjacency_nids(result) == reference, name
+            assert partner_nids(result) == reference, name
 
     def test_nesting_algorithms_agree_recursive(self, nested_doc):
         tree, dec, edge, proj, right, right_nok = setup_join(nested_doc, "//a//b")
         results = {
             "stack": stack_desc_join(proj, right, edge),
-            "bnlj": bounded_nested_loop_join(proj, right_nok, nested_doc, edge,
-                                             variables={}),
-            "naive": naive_nested_loop_join(proj, right_nok, nested_doc, edge,
-                                            variables={}),
+            "bnlj": bounded_nested_loop_join(proj, right, right_nok,
+                                             nested_doc, edge, variables={}),
+            "naive": naive_nested_loop_join(proj, right, right_nok,
+                                            nested_doc, edge, variables={}),
         }
-        reference = adjacency_nids(results["stack"])
+        reference = partner_nids(results["stack"])
         for name, result in results.items():
-            assert adjacency_nids(result) == reference, name
+            assert partner_nids(result) == reference, name
         # The inner b pairs with BOTH nested a ancestors.
         inner_b = [nid for nid, partners in reference.items()
                    if len(partners) >= 1]
@@ -185,21 +186,13 @@ class TestMemoryAccounting:
         pipelined_desc_join(proj, right, edge, counters)
         assert counters.peak_buffered <= 1
 
-    def test_caching_memory_tracks_recursion_degree(self):
-        # recursion degree 4: four nested a's on the ancestor stack.
-        doc = parse("<r><a><a><a><a><b/></a></a></a></a></r>")
-        tree, dec, edge, proj, right, _ = setup_join(doc, "//a//b")
-        counters = ScanCounters()
-        stack_desc_join(proj, right, edge, counters)
-        assert counters.peak_buffered == 4
-
     def test_bnlj_scans_are_bounded_by_subtrees(self, flat_doc):
         tree, dec, edge, proj, right, right_nok = setup_join(flat_doc, "//a//b")
         bounded = ScanCounters()
-        bounded_nested_loop_join(proj, right_nok, flat_doc, edge, bounded,
-                                 variables={})
+        bounded_nested_loop_join(proj, right, right_nok, flat_doc, edge,
+                                 bounded, variables={})
         naive = ScanCounters()
-        naive_nested_loop_join(proj, right_nok, flat_doc, edge, naive,
+        naive_nested_loop_join(proj, right, right_nok, flat_doc, edge, naive,
                                variables={})
         assert bounded.nodes_scanned < naive.nodes_scanned
 
@@ -215,14 +208,16 @@ class TestPairJoins:
         assert counters.comparisons == 6
 
     def test_stack_join_streams_and_keeps_right_entries(self, nested_doc):
-        # Both inputs may be one-shot iterators; every partner listed is
-        # the right input's own entry, paired with each open ancestor.
+        # The range join reads both lists by position (no one-shot
+        # iterators); every partner is the right input's own entry, and
+        # each nested ancestor gets its own run of it.
         tree, dec, edge, proj, right, _ = setup_join(nested_doc, "//a//b")
-        result = stack_desc_join(iter(proj), iter(right), edge)
-        ids = {id(entry) for entry in right}
-        partners = [e for v in result.adjacency.values() for e in v]
-        assert partners and all(id(e) in ids for e in partners)
-        assert result.pair_count() == 4
+        result = stack_desc_join(proj, right, edge)
+        assert result.right is right
+        partners = [e for u in proj for e in result.partners(u)]
+        assert partners and all(
+            any(e is entry for entry in right) for e in partners)
+        assert result.pairs == len(partners) == 4
 
 
 class TestOrderPreservation:

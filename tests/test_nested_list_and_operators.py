@@ -160,8 +160,8 @@ class TestJoin:
             assert len(project_parts(item, d_vertex)) == 1
         # The physical //-join pairs exactly the nodes ⋈ combines.
         physical = stack_desc_join(left_projection(left, edge), right, edge)
-        assert {(a, n.nid) for a, partners in physical.adjacency.items()
-                for n in match_nodes(edge.child, partners)} == \
+        assert {(a, n.nid) for a, (lo, hi) in physical.ranges.items()
+                for n in match_nodes(edge.child, physical.right[lo:hi])} == \
             {(project_parts(item, a_vertex)[0].nid,
               project_parts(item, d_vertex)[0].nid) for item in combined}
 

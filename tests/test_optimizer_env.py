@@ -29,11 +29,11 @@ class TestRuleBasedOptimizer:
         choice = choose_strategy(flat_stats, None, True, True)
         assert choice.strategy == "naive"
 
-    def test_flat_document_gets_pipelined(self, flat_stats):
+    def test_flat_document_gets_stack(self, flat_stats):
         tree = build_from_path(parse_xpath("//book//last"))
         choice = choose_strategy(flat_stats, tree, True, True)
-        assert choice.strategy == "pipelined"
-        assert "Theorem 2" in choice.reason
+        assert choice.strategy == "stack"
+        assert "range join" in choice.reason
 
     def test_recursive_without_index_gets_stack(self, deep_stats):
         tree = build_from_path(parse_xpath("//section//title"))

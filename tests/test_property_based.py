@@ -20,6 +20,8 @@ from repro.physical import (
     NoKMatcher,
     bounded_nested_loop_join,
     left_projection,
+    naive_nested_loop_join,
+    pipelined_desc_join,
     stack_desc_join,
 )
 from repro.xmlkit import parse, serialize
@@ -180,24 +182,48 @@ class TestStructuralInvariants:
         assert nids == sorted(nids)
         assert len(nids) == len(set(nids))
 
-    @COMMON_SETTINGS
-    @given(doc=xml_documents(), outer=st.sampled_from(TAGS),
-           inner=st.sampled_from(TAGS))
-    def test_join_algorithms_equivalent(self, doc, outer, inner):
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=xml_documents(), outer=st.sampled_from(TAGS + ["*"]),
+           inner=st.sampled_from(TAGS + ["*", "b/c", "a[b]"]),
+           rng=st.randoms(use_true_random=False))
+    def test_join_algorithms_equivalent(self, doc, outer, inner, rng):
+        """Every ``//``-join operator pairs the same (u, right entry)
+        set, over the whole right input and over a reduced one (what a
+        deeper mandatory join leaves): the range join; both nested
+        loops, whose runs rest on one node's descendants being
+        contiguous in document order; and the pipelined merge where the
+        left input does not nest.  Recursive documents and ``*`` parents
+        make the left input nest."""
         tree = build_from_path(parse_xpath(f"//{outer}//{inner}"))
         dec = decompose(tree)
-        edge = next(e for e in dec.inter_edges if e.parent.name == outer)
-        left_nok = dec.noks[edge.nok_from]
+        edge = next(e for e in dec.inter_edges if e.parent.name != "#root")
+        left = NoKMatcher(dec.noks[edge.nok_from], doc, variables={}).matches()
         right_nok = dec.noks[edge.nok_to]
-        left = NoKMatcher(left_nok, doc, variables={}).matches()
         right = NoKMatcher(right_nok, doc, variables={}).matches()
         projection = left_projection(left, edge)
+        nests = any(later.start < earlier.end
+                    for earlier, later in zip(projection, projection[1:]))
 
-        def norm(result):
-            return {k: sorted(n.nid for n in match_nodes(edge.child, v))
-                    for k, v in result.adjacency.items()}
+        def pairs(result):
+            return {(u.nid, id(entry)) for u in projection
+                    for entry in result.partners(u)}
 
-        stacked = norm(stack_desc_join(projection, right, edge))
-        bounded = norm(bounded_nested_loop_join(projection, right_nok, doc, edge,
-                                                variables={}))
-        assert stacked == bounded
+        for entries in (right, [m for m in right if rng.random() < 0.7]):
+            expected = {(u.nid, id(entry)) for u in projection
+                        for entry, node in zip(
+                            entries, match_nodes(edge.child, entries))
+                        if u.is_ancestor_of(node)}
+            joins = {
+                "range": stack_desc_join(projection, entries, edge),
+                "bnlj": bounded_nested_loop_join(
+                    projection, entries, right_nok, doc, edge, variables={}),
+                "nl": naive_nested_loop_join(
+                    projection, entries, right_nok, doc, edge, variables={}),
+            }
+            if not nests:
+                joins["pipelined"] = pipelined_desc_join(projection, entries,
+                                                         edge)
+            for name, result in joins.items():
+                assert pairs(result) == expected, name
+                assert result.pairs == len(expected), name
