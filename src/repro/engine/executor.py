@@ -17,11 +17,14 @@ Execution pipeline (Figure 2's data flow, made concrete):
    candidates are found by walking its vertex chain from its anchor
    (the variable it dereferences, or the document root), moving through
    NestedList groups on local edges and through join runs on cut
-   edges; a let-variable binds the whole candidate sequence.  This
-   walk-based enumeration deduplicates by node, reproducing XPath's
-   set semantics exactly.  An ``=`` crossing edge between two
-   for-variables is a hash value join here (:class:`_ValueJoin`), so
-   only joined pairs are bound.
+   edges; a let-variable binds the whole candidate sequence.  A cut
+   hop yields the union of its left nodes' runs, unique and in document
+   order; only a walk ending in a group hop deduplicates by node
+   (XPath's set semantics).  An ``=`` crossing edge between two
+   for-variables is a hash value join (:class:`_ValueJoin`), so only
+   joined pairs are bound.  A *projection* (one root-anchored ``for``
+   returning its variable, nothing to verify, join or order: every
+   bare path) binds no tuple: π of its candidates is the answer.
 4. **Finish** — the where-conjuncts the scan did not decide exactly
    are verified per tuple (every crossing edge is, joined or not:
    ``<<``/``!=``/``deep-equal`` pairs are found by enumeration, the
@@ -39,7 +42,7 @@ the comparison rules, order key and result builder with them.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import NamedTuple, cast
 
 from repro.errors import CompileError, UsageError
@@ -53,7 +56,7 @@ from repro.pattern.decompose import Decomposition, InterEdge, NoKTree
 from repro.xmlkit.partition import partition_document
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Constructed, Document, Node
-from repro.xpath.ast import BooleanExpr
+from repro.xpath.ast import BooleanExpr, LocationPath, RootVariable
 from repro.xpath.compile import (Bindings, Compiled, Test, compile_expr,
                                  compile_test)
 from repro.xquery.ast import FLWOR, ForClause
@@ -134,6 +137,9 @@ class _Program(NamedTuple):
     where_conjuncts: int
     order: tuple[tuple[Compiled, bool], ...]
     emit: Emitter
+    #: One root-anchored ``for`` returning its variable, with nothing to
+    #: verify, join or order: the answer is π of its candidates.
+    projection: bool
 
 
 def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
@@ -175,6 +181,7 @@ def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
                     compile_projection(tree.var_vertex[probe], probe_side),
                     compile_projection(tree.var_vertex[build], build_side)))
     verify = [c.expr for c in tree.where if c.disposition != "pushed-exact"]
+    var, _, iterates, anchor, _ = binds[0]
     return _Program(
         tuple(binds), joins,
         None if not verify else compile_test(
@@ -182,7 +189,10 @@ def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
             else BooleanExpr("and", tuple(verify))),
         len(verify),
         tuple((compile_expr(s.key), s.descending) for s in flwor.order_by),
-        compile_emitter(flwor.return_expr))
+        compile_emitter(flwor.return_expr),
+        len(binds) == 1 and iterates and isinstance(anchor, int)
+        and flwor.return_expr == LocationPath(RootVariable(var), ())
+        and not verify and not flwor.order_by and not joins)
 
 
 def _owner(vertex: BlossomVertex) -> str | None:
@@ -298,13 +308,27 @@ class FLWORExecutor:
         with self.tracer.span("join-phase") as span:
             matches = self._join_phase(dec, matches)
             span.set(edges=len(dec.inter_edges))
+        roots = {nok.root.vid: matches.get(nok.nok_id, [])
+                 for nok in dec.root_noks()}
         with self.tracer.span("bind-phase") as span:
-            envs = self._bind_phase(program, dec, matches, span)
+            if program.projection:
+                # Theorem 1: the candidates are ordered, once each.
+                (_, vertex, _, anchor, hops), = program.binds
+                answer = cast("list[Item]", match_nodes(vertex, self._candidates(
+                    roots.get(anchor, []), hops, vertex)))
+                span.set(tuples=len(answer), value_joins=[])
+            else:
+                envs = self._bind_phase(program, roots, span)
 
         # Finish: where verification, order by, return construction.
         # Without order by a tuple is emitted as soon as where accepts
         # it, so its variable mapping dies with it.
         with self.tracer.span("finish-phase") as span:
+            if program.projection:
+                self.counters.comparisons += len(answer)
+                span.set(surviving=len(answer), items=len(answer),
+                         where_conjuncts=0, constructed=0)
+                return answer
             where, order, emit = program.where, program.order, program.emit
             item, resolve = self.doc.document_node, self._direct.resolve
             items: list[Item] = []
@@ -516,12 +540,9 @@ class FLWORExecutor:
     # Phase 3: tuple enumeration (variable binding).
     # ------------------------------------------------------------------
 
-    def _bind_phase(self, program: _Program, dec: Decomposition,
-                    matches: dict[int, list[Match]], span: Span
-                    ) -> list[Env]:
+    def _bind_phase(self, program: _Program,
+                    roots: dict[int, list[Match]], span: Span) -> list[Env]:
         """Tuples in clause order, one clause variable per level."""
-        roots = {nok.root.vid: matches.get(nok.nok_id, [])
-                 for nok in dec.root_noks()}
         tallies = []
         envs = [Env()]
         for at, (var, vertex, iterates, anchor, hops) in enumerate(
@@ -567,24 +588,42 @@ class FLWORExecutor:
         """Walk a variable's vertex chain from its anchor's matches,
         producing the document-ordered, deduplicated candidate matches
         of its ``vertex``."""
+        ordered = True
         for group, edge, parent in hops:
-            next_frontier: list[Match] = []
             if group is None:
-                joined = self._joins.get(edge)
-                if joined is not None:
-                    for node in match_nodes(parent, frontier):
-                        next_frontier.extend(joined.partners(node))
+                frontier = _run_union(self._joins[edge],
+                                      match_nodes(parent, frontier), ordered)
             else:
-                for entry in frontier:
-                    next_frontier.extend(entry.groups[group])  # type: ignore[union-attr]
-            frontier = next_frontier
+                frontier = [match for entry in frontier
+                            for match in entry.groups[group]]  # type: ignore[union-attr]
+            ordered = group is None
+        if ordered:
+            return frontier
 
-        # Deduplicate by node and restore document order (descendant
-        # hops can reach the same node through different ancestors).
+        # Child and sibling groups out of a recursive document can be
+        # out of order or overlap: deduplicate by node, restore order.
         unique: dict[int, Match] = {}
         for node, match in zip(match_nodes(vertex, frontier), frontier):
             unique.setdefault(node.nid, match)
         return [unique[nid] for nid in sorted(unique)]
+
+
+def _run_union(joined: JoinResult, nodes: Sequence[Node], ordered: bool
+               ) -> list[Match]:
+    """The right matches of ``joined`` under any of ``nodes``, once each
+    and in document order: two runs nest or are disjoint, so in ``lo``
+    order (unsorted only after a group hop) a running end skips repeats."""
+    ranges, right = joined.ranges, joined.right
+    runs = list(filter(None, map(ranges.get, [node.nid for node in nodes])))
+    if not ordered:
+        runs.sort()
+    union: list[Match] = []
+    end = 0
+    for lo, hi in runs:
+        if hi > end:
+            union.extend(right[max(lo, end):hi])
+            end = hi
+    return union
 
 
 def _nok_depths(dec: Decomposition) -> dict[int, int]:

@@ -10,14 +10,13 @@ from repro.physical.nok import NoKMatcher
 from repro.physical.nok_merge import merged_scan
 from repro.physical.pipelined_join import pipelined_desc_join
 from repro.physical.stack_join import stack_desc_join
-from repro.physical.structural import JoinResult, axis_test, left_projection
+from repro.physical.structural import JoinResult, left_projection
 from repro.physical.twigstack import TwigStackOperator, twig_supported
 
 __all__ = [
     "JoinResult",
     "NoKMatcher",
     "TwigStackOperator",
-    "axis_test",
     "bounded_nested_loop_join",
     "left_projection",
     "merged_scan",

@@ -29,7 +29,7 @@ from typing import TypeVar
 
 from repro.pattern.decompose import InterEdge, NoKTree
 from repro.physical.nok import NoKMatcher
-from repro.physical.structural import JoinResult, axis_test, count_operator
+from repro.physical.structural import JoinResult, count_operator
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
 from repro.xpath.compile import Bindings
@@ -99,7 +99,7 @@ def naive_nested_loop_join(left_nodes: Iterable[Node],
                                 variables=variables).iter_matches():
             node: Node = match.node if grouped else match  # type: ignore
             counters.comparisons += 1
-            if axis_test(edge.axis, outer, node):
+            if outer.is_ancestor_of(node):
                 yield node
     return _rematch_join("nl", left_nodes, right_entries, edge, counters,
                          rematch)

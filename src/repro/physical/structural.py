@@ -22,7 +22,7 @@ from repro.pattern.decompose import InterEdge
 from repro.xmlkit.tree import Node
 from repro.algebra.nested_list import Match, compile_projection, nok_root
 
-__all__ = ["JoinResult", "count_operator", "left_projection", "axis_test"]
+__all__ = ["JoinResult", "count_operator", "left_projection"]
 
 _INVOCATIONS = REGISTRY.counter("repro_operator_invocations_total",
                                 "Physical operator invocations")
@@ -102,21 +102,3 @@ def left_projection(left_entries: Iterable[Match], edge: InterEdge) -> list[Node
             last = node.nid
     return out
 
-
-def axis_test(axis: str, up: Node, down: Node) -> bool:
-    """Does ``down`` stand in ``axis`` relationship below ``up``?
-
-    ``up`` may be the document node (vacuously an ancestor of every
-    element), which arises for ``doc(...)//x`` inter edges.
-    """
-    if axis == "descendant":
-        return up.start < down.start and down.end < up.end
-    if axis == "descendant-or-self":
-        return up is down or (up.start < down.start and down.end < up.end)
-    if axis == "child":
-        return down.parent is up
-    if axis == "following":
-        return down.start > up.end
-    if axis == "preceding":
-        return down.end < up.start
-    raise ValueError(f"no structural test for axis {axis!r}")

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.engine.executor import FLWORExecutor, _nok_depths
+from repro.obs.trace import Tracer
 from repro.pattern import decompose
+from repro.pattern.artifact import prepare_artifacts
 from repro.xmlkit import parse
 from repro.xmlkit.storage import ScanCounters
 from repro.xpath import parse_xpath
 from repro.xquery import parse_flwor
-from repro.pattern.build import build_from_path
+from repro.pattern.build import (build_blossom_tree, build_from_path,
+                                 path_as_flwor)
 
 
 @pytest.fixture
@@ -108,6 +111,63 @@ class TestTupleEnumeration:
         items = executor.execute(parse_flwor(
             "for $a in //a let $bs := $a/b return <n>{ count($bs) }</n>"))
         assert [n.string_value() for n in items] == ["2", "1"]
+
+
+class TestProjection:
+    """A lone root-anchored ``for`` that returns its variable, with
+    nothing to verify, join or order, answers with π of its candidates
+    and binds no tuple; every other shape keeps the tuple route, and
+    both routes report the same spans and counters."""
+
+    DOC = ("<r><a><b>x</b><a><b>y</b><c/></a><b>x</b></a>"
+           "<a><b>y</b></a></r>")
+    PROJECTED = [
+        "//a//b",
+        "for $v in //a//b return $v",
+        'for $v in //a where $v/b = "x" return $v',
+    ]
+    TUPLES = [
+        "for $v in //a return $v/b",
+        "for $v in //a return <r>{ $v }</r>",
+        "for $v in //a order by $v/b return $v",
+        'for $v in //a where contains($v/b, "x") return $v',
+        "let $v := //a return $v",
+        "for $u in //a, $v in //b return $v",
+        "for $u in //a, $v in //a where $u/b = $v/b return $v",
+        "for $u in //a, $v in $u//b return $v",
+    ]
+
+    @staticmethod
+    def run(query, artifacts=None):
+        flwor = parse_flwor(query) if query.startswith(("for", "let")) \
+            else path_as_flwor(parse_xpath(query))
+        if artifacts is None:
+            artifacts = prepare_artifacts(build_blossom_tree(flwor))
+        tracer = Tracer()
+        executor = FLWORExecutor(parse(TestProjection.DOC), tracer=tracer)
+        items = executor.execute(flwor, artifacts)
+        trace = tracer.finish()
+        spans = {name: trace.find(name).attrs
+                 for name in ("bind-phase", "finish-phase")}
+        return artifacts, [n.nid for n in items], spans, \
+            executor.counters.comparisons
+
+    @pytest.mark.parametrize("query", PROJECTED + TUPLES)
+    def test_which_shapes_take_the_projection(self, query):
+        artifacts = self.run(query)[0]
+        assert artifacts.tree.compiled.projection == (query in self.PROJECTED)
+
+    @pytest.mark.parametrize("query", PROJECTED)
+    def test_projection_reports_what_the_tuple_route_does(self, query):
+        artifacts, items, spans, comparisons = self.run(query)
+        tree = artifacts.tree
+        tree.compiled = tree.compiled._replace(projection=False)
+        _, tuple_items, tuple_spans, tuple_comparisons = \
+            self.run(query, artifacts)
+        assert items and items == tuple_items
+        assert spans == tuple_spans
+        assert spans["bind-phase"]["tuples"] == len(items)
+        assert comparisons == tuple_comparisons
 
 
 class TestNestedLoopReconciliation:

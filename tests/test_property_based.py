@@ -9,12 +9,15 @@ preservation, and join-algorithm equivalence.
 from __future__ import annotations
 
 
+from unittest import mock
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra import project
 from repro.algebra.nested_list import match_nodes
 from repro.engine import Engine
-from repro.errors import CompileError
+from repro.engine import executor
+from repro.errors import CompileError, ExecutionError
 from repro.pattern import build_from_path, decompose
 from repro.physical import (
     NoKMatcher,
@@ -79,6 +82,39 @@ def twig_paths(draw, max_steps=3):
     return path if path.startswith("/") else "//" + path
 
 
+@st.composite
+def disordering_paths(draw):
+    """A recursive document and a path ``//X<local>Y//Z`` over it whose
+    ``X`` to ``Y`` group hop yields a frontier out of document order.
+
+    The local step is ``/`` or ``/W/following-sibling::``; ``Z`` may be
+    ``*``.  Among random recursive subtrees the document holds
+    ``<X><X>W<Y>..L..</Y></X>W<Y>..L..</Y></X>``: the outer ``X``'s
+    ``Y`` group comes first but follows the inner ``X``'s, and both
+    ``Y`` hold a ``Z`` match ``L``, so their runs are disjoint and out
+    of ``lo`` order."""
+    x, y, w = (draw(st.sampled_from(TAGS)) for _ in range(3))
+    z = draw(st.sampled_from(TAGS + ["*"]))
+    sibling = draw(st.booleans())
+    leaf = f"<{z if z != '*' else draw(st.sampled_from(TAGS))}/>"
+
+    def subtree(depth):
+        tag = draw(st.sampled_from(TAGS))
+        kids = "" if depth >= 3 else "".join(
+            subtree(depth + 1) for _ in range(draw(st.integers(0, 2))))
+        return f"<{tag}>{kids}</{tag}>"
+
+    def forest():
+        return "".join(subtree(1) for _ in range(draw(st.integers(0, 2))))
+
+    pre = f"<{w}/>" if sibling else ""
+    motif = (f"<{x}>{forest()}<{x}>{pre}<{y}>{forest()}{leaf}</{y}></{x}>"
+             f"{pre}<{y}>{leaf}{forest()}</{y}></{x}>")
+    parts = [forest(), motif, forest()]
+    local = f"/{w}/following-sibling::" if sibling else "/"
+    return parse(f"<r>{''.join(parts)}</r>"), f"//{x}{local}{y}//{z}"
+
+
 COMMON_SETTINGS = settings(
     max_examples=60, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
@@ -104,6 +140,35 @@ class TestStrategyAgreement:
         except CompileError:
             return
         assert [n.nid for n in got.nodes()] == ref_ids, "twigstack"
+
+    @COMMON_SETTINGS
+    @given(case=disordering_paths())
+    def test_run_union_after_disordered_group_hop(self, case):
+        """A cut hop after a group hop unions runs whose left nodes came
+        out of document order: bare paths and a hand-written ``for``
+        over them answer like the oracle under every join."""
+        doc, path = case
+        engine = Engine(doc)
+        reference = [n.nid for n in engine.query(path, strategy="naive").nodes()]
+        calls = []
+        real = executor._run_union
+
+        def spy(joined, nodes, ordered):
+            calls.append((ordered, [node.nid for node in nodes]))
+            return real(joined, nodes, ordered)
+
+        with mock.patch.object(executor, "_run_union", spy):
+            for query in (path, f"for $v in {path} return $v"):
+                for strategy in ("auto", "stack", "pipelined", "bnlj", "nl"):
+                    try:
+                        got = engine.query(query, strategy=strategy)
+                    except ExecutionError:
+                        assert strategy == "pipelined"
+                        continue
+                    assert [n.nid for n in got.nodes()] == reference, \
+                        (query, strategy)
+        assert any(not ordered and nids != sorted(nids)
+                   for ordered, nids in calls)
 
     @COMMON_SETTINGS
     @given(doc=xml_documents(), path=twig_paths(max_steps=2),

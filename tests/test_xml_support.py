@@ -12,7 +12,6 @@ from repro.xmlkit import (
     pretty,
     serialize,
 )
-from repro.physical.structural import axis_test
 from repro.xmlkit.tokenizer import CHARS, END, START, tokenize
 
 
@@ -65,18 +64,18 @@ class TestLabeling:
         assert b0.end < b1.start              # disjoint
         assert not bib.end < b0.start         # ancestor overlaps
         assert bib.precedes(b0)               # but << holds for ancestors
-        assert axis_test("following", b0, b1)
-        assert axis_test("preceding", b1, b0)
-        assert not axis_test("following", bib, b0)
+        assert b1.start > b0.end              # b1 follows b0
+        assert not b0.start > bib.end         # b0 does not follow bib
 
     def test_axis_predicate_lookup(self, small_bib):
         up = small_bib.root
         down = small_bib.elements_by_tag("book")[0]
-        assert axis_test("descendant", up, down)
-        assert axis_test("child", up, down)
-        assert not axis_test("descendant", down, up)
-        with pytest.raises(ValueError):
-            axis_test("attribute", up, down)
+        assert up.start < down.start and down.end < up.end
+        assert up.is_ancestor_of(down) and down.level == up.level + 1
+        assert not down.is_ancestor_of(up)
+        document = small_bib.document_node
+        assert all(document.is_ancestor_of(node)
+                   for node in small_bib.nodes[1:])
 
 
 class TestStats:
