@@ -1,64 +1,82 @@
 """NoK pattern-tree matching (paper Algorithm 2 / Section 4.1).
 
-The matcher evaluates one NoK pattern tree — only local axes — against
-a document with a single sequential scan, producing a sequence of
-NestedLists ordered by the document order of their root matches.  That
-emission order is what Theorem 1's order-preservation proof rests on,
-and the pipelined join relies on it.
+A NoK pattern tree — only local axes — is evaluated against a document
+with a single sequential pass, producing a sequence of NestedLists
+ordered by the document order of their root matches.  That emission
+order is what Theorem 1's order-preservation proof rests on, and the
+joins rely on it.
 
-Differences from the pseudo-code, for exactness:
+Differences from the pseudo-code, for exactness and for speed:
 
-* Algorithm 2 interleaves result construction with frontier deletion;
-  we construct the child groups with a recursive depth-first match that
-  implements the declared Definition-1 semantics directly (mandatory
-  children need at least one match, optional children may be empty, all
-  matches of a child are grouped).  The produced physical structure is
-  the Figure-6 layout (see :mod:`repro.algebra.nested_list`).
-* ``following-sibling`` edges are handled as the frontier mechanism
-  does: a sibling-constrained child only becomes eligible after its
-  predecessor has matched among the same parent's children.
-* Value constraints run as closures compiled once per vertex
-  (:mod:`repro.xpath.compile`, which delegates what it does not
-  specialise to the XPath interpreter) with the candidate element as
-  context node, so constraints like ``[. = "Smith"]``,
+* Algorithm 2 walks the document one node at a time and interleaves
+  result construction with frontier deletion.  Here the pattern is
+  matched one *vertex* at a time over candidate lists (set-at-a-time):
+  a vertex filters its whole candidate list one predicate at a time,
+  collects the children of the survivors per local edge, hands each
+  child vertex all of them in one call, drops each candidate that lacks
+  a mandatory child (found through the ``parent`` of each child match)
+  and builds the survivors' groups in child order.  The work per
+  scanned node is still constant — per candidate, one step per
+  predicate and one per (child, applicable edge) — but it is paid in
+  comprehensions per vertex instead of Python calls per node.  The
+  declared Definition-1 semantics are implemented directly (mandatory
+  children need at least one match, optional children may be empty,
+  all matches of a child are grouped); the produced physical structure
+  is the Figure-6 layout (see :mod:`repro.algebra.nested_list`).
+* ``following-sibling`` edges are decided by nid order within one
+  parent, as the frontier mechanism does: a successor child is a
+  candidate only after its predecessor's first match among the same
+  parent's children.
+* Value constraints run as filters compiled once per vertex
+  (:func:`repro.xpath.compile.compile_filter`, which delegates what it
+  does not specialise to the XPath interpreter) with each candidate
+  element as context node, so constraints like ``[. = "Smith"]``,
   ``[@year = "2000"]`` or ``[not(author)]`` behave identically in every
-  engine in this repository.
-* The per-candidate work is a closure built once per NoK
-  (:func:`matcher_for`): per vertex the compiled predicates, a ``tag ->
-  applicable pattern edges`` table and the mandatory-edge mask are
-  resolved when the plan first executes, not per scanned node.
+  engine in this repository.  Each evaluated predicate counts one
+  comparison per candidate it is asked about, as before.
 * A predicate that mentions a variable is *late-bound* (a pushed
   where-conjunct ``. op $p``): it reads the request's bindings, an
-  argument of every matcher call and never state of the shared plan.
+  argument of every batch call and never state of the shared plan.
   Without bindings — no request: a tool scanning a decomposition — a
-  matcher skips those tests and yields the structural superset.
+  batch skips those filters and yields the structural superset.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterator, Sequence
+from operator import attrgetter
 from typing import cast
 
 from repro.pattern.blossom import MODE_MANDATORY, BlossomVertex
 from repro.pattern.decompose import NoKTree
-from repro.xmlkit.storage import ScanCounters, SequentialScan, postings_scan
-from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, Node
+from repro.xmlkit.storage import ScanCounters, scan_candidates
+from repro.xmlkit.tree import ELEMENT, Document, Node
 from repro.xpath.ast import mentions_variable
-from repro.xpath.compile import Bindings, ScanBindings, Test, compile_test
+from repro.xpath.compile import Bindings, Filter, compile_filter
 from repro.algebra.nested_list import Match, NLEntry, no_groups
 
-__all__ = ["Matcher", "NoKMatcher", "compile_matcher", "matcher_for",
-           "value_constraints_hold"]
+__all__ = ["Batch", "NoKMatcher", "compile_matcher", "filtered",
+           "matcher_for", "scan_range"]
 
-#: A compiled pattern vertex: ``fn(node, counters, variables)`` is the
-#: match of the vertex's NoK subtree at ``node`` (whose tag the caller
-#: has tested) under the request's bindings — an entry for a grouped
-#: vertex, ``node`` itself for any other — or ``None``.
-Matcher = Callable[[Node, ScanCounters, "Bindings | None"], "Match | None"]
+#: A compiled pattern vertex: ``fn(candidates, counters, variables)`` is
+#: the matches of the vertex's NoK subtree among ``candidates`` (whose
+#: tag the caller has tested), in their order, under the request's
+#: bindings — an entry for a grouped vertex, the node itself for any
+#: other.
+Batch = Callable[[list[Node], ScanCounters, "Bindings | None"], list[Match]]
 
 #: What a predicate that mentions no variable is given (never written).
 _NO_VARIABLES: Bindings = {}
+#: The ``after`` of a successor whose predecessor is no local sibling:
+#: it never becomes a candidate.
+_NEVER = -1
+_PARENT = attrgetter("parent")
+_ENTRY_PARENT = attrgetter("node.parent")
+
+
+def _match_nid(match: Match) -> int:
+    return match.nid if isinstance(match, Node) else match.node.nid
 
 
 class NoKMatcher:
@@ -90,252 +108,254 @@ class NoKMatcher:
         self.counters = counters if counters is not None else ScanCounters()
         self.start_nid = start_nid
         self.stop_nid = stop_nid
-        self.variables = ScanBindings(variables)
-
-    # ------------------------------------------------------------------
-    # Evaluation.
-    # ------------------------------------------------------------------
+        self.variables = variables
 
     def matches(self) -> list[Match]:
         """All matches, in document order of their root nodes."""
-        return list(self.iter_matches())
+        return scan_range([self.nok], self.doc, self.counters, None,
+                          self.start_nid, self.stop_nid,
+                          self.variables)[self.nok.nok_id]
 
     def iter_matches(self) -> Iterator[Match]:
-        """Pipelined form: the GetNext interface of Section 4.2 is
-        ``next()`` on this generator."""
-        root = self.nok.root
-        match = matcher_for(self.nok)
-        if root.name == "#root":
-            # Pattern-tree roots match the document node itself.
-            entry = match(self.doc.document_node, self.counters,
-                          self.variables)
-            if entry is not None:
-                yield entry
-            return
-        for node in (SequentialScan(self.doc, self.counters,
-                                    self.start_nid, self.stop_nid)
-                     if root.name == "*" else
-                     postings_scan(self.doc, self.counters, (root.name,),
-                                   self.start_nid, self.stop_nid)):
-            entry = match(node, self.counters, self.variables)
-            if entry is not None:
-                yield entry
+        """:meth:`matches` one at a time (the GetNext interface of
+        Section 4.2)."""
+        return iter(self.matches())
 
 
-def value_constraints_hold(vertex: BlossomVertex, node: Node,
-                           counters: ScanCounters) -> bool:
-    """Whether ``node`` satisfies every value predicate of ``vertex``.
+def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
+               per_nok: dict[int, ScanCounters] | None = None,
+               start_nid: int = 0, stop_nid: int | None = None,
+               variables: Bindings | None = None
+               ) -> dict[int, list[Match]]:
+    """The match phase's only scan, over ``[start_nid, stop_nid)``.
 
-    TwigStack's stream filter calls it per stream node; like the NoK
-    matchers it counts one comparison per predicate evaluated and stops
-    at the first failure.  The compiled predicates are kept on the
+    :class:`NoKMatcher` runs it for one NoK, the merged scan
+    (:func:`~repro.physical.nok_merge.merged_scan`) over the whole
+    document for several; a partition of the parallel scan — thread or
+    worker process — runs it over its own nid range, and Theorem 1
+    makes the per-range lists concatenate to the whole-document answer.
+    Each NoK's root batch gets its candidates as one list per pass
+    (:func:`~repro.xmlkit.storage.scan_candidates`: the root tag's
+    postings, or every element for a ``*`` root), one per stride when a
+    budget or a cancellation token paces the pass.
+
+    ``per_nok`` optionally maps ``nok_id`` to a private
+    :class:`ScanCounters` charged with that NoK's match work; the
+    private counters are folded back into ``counters`` before
+    returning, even when the scan aborts (DNF).  ``variables`` are the
+    request's bindings, read by late-bound vertex filters; without a
+    request (``None``) those filters are not applied.
+    """
+    results: dict[int, list[Match]] = {nok.nok_id: [] for nok in noks}
+    tags: list[str] = []
+    targets: list[tuple[Batch, list[Match], ScanCounters]] = []
+    try:
+        for nok in noks:
+            batch = matcher_for(nok)
+            charged = (counters if per_nok is None
+                       else per_nok.setdefault(nok.nok_id, ScanCounters()))
+            if nok.root.name == "#root":
+                # Pattern-tree-root NoKs match the document node, not a
+                # scanned element.  It is slot 0, so the range starting
+                # there owns it — once per document however it is cut.
+                if start_nid == 0:
+                    results[nok.nok_id] += batch(
+                        [doc.document_node], charged, variables)
+            else:
+                tags.append(nok.root.name)
+                targets.append((batch, results[nok.nok_id], charged))
+        if targets:
+            for lists in scan_candidates(doc, counters, tags, start_nid,
+                                         stop_nid):
+                for (batch, matched, charged), candidates in zip(
+                        targets, lists):
+                    if candidates:
+                        matched += batch(candidates, charged, variables)
+    finally:
+        if per_nok is not None:
+            for private in per_nok.values():
+                counters.merge(private)
+    return results
+
+
+def filtered(vertex: BlossomVertex, nodes: list[Node],
+             counters: ScanCounters) -> list[Node]:
+    """``nodes`` that satisfy every value predicate of ``vertex``.
+
+    TwigStack's stream filter: like a NoK batch it counts one
+    comparison per predicate evaluated on each node, and a node failing
+    one is not asked the next.  The compiled filters are kept on the
     vertex — TwigStack knows no NoK, and runs bare paths only: no where
     clause, so no late-bound test.
     """
     if vertex.tests is None:  # a race compiles an equal tuple twice
-        vertex.tests = _compile_tests(vertex)[0]
-    if node.kind == DOCUMENT:
-        return True
-    for test in vertex.tests:
-        counters.comparisons += 1
-        if not test(node, _NO_VARIABLES, None):
-            return False
-    return True
+        vertex.tests = _compile_filters(vertex)[0]
+    return _apply(vertex.tests, nodes, counters, _NO_VARIABLES)
 
 
-def _compile_tests(vertex: BlossomVertex
-                   ) -> tuple[tuple[Test, ...], tuple[Test, ...]]:
-    """The vertex's predicates compiled: (static, late-bound)."""
-    static: list[Test] = []
-    late: list[Test] = []
-    for predicate in vertex.value_predicates:
-        (late if mentions_variable(predicate) else static).append(
-            compile_test(predicate))
+def _apply(filters: tuple[Filter, ...], nodes: list[Node],
+           counters: ScanCounters, variables: Bindings) -> list[Node]:
+    for keep in filters:
+        if not nodes:
+            break
+        counters.comparisons += len(nodes)
+        nodes = keep(nodes, variables)
+    return nodes
+
+
+def _compile_filters(vertex: BlossomVertex
+                     ) -> tuple[tuple[Filter, ...], tuple[Filter, ...]]:
+    """The vertex's predicates compiled: (static, late-bound).  A
+    ``#root`` vertex matches the document node, which is tested by
+    nothing."""
+    static: list[Filter] = []
+    late: list[Filter] = []
+    if vertex.name != "#root":
+        for predicate in vertex.value_predicates:
+            (late if mentions_variable(predicate) else static).append(
+                compile_filter(predicate))
     return tuple(static), tuple(late)
 
 
-def matcher_for(nok: NoKTree) -> Matcher:
-    """The NoK's compiled root matcher, built on first use and kept on
-    the NoK — fetch it once per scan, call it per candidate."""
-    if nok.matcher is None:  # a race compiles an equal matcher twice
+def matcher_for(nok: NoKTree) -> Batch:
+    """The NoK's compiled root batch, built on first use and kept on
+    the NoK — fetch it once per scan, call it per candidate list."""
+    if nok.matcher is None:  # a race compiles an equal batch twice
         nok.matcher = compile_matcher(nok.root)
-    return cast(Matcher, nok.matcher)
+    return cast(Batch, nok.matcher)
 
 
-def compile_matcher(vertex: BlossomVertex) -> Matcher:
-    """Compile ``vertex`` and the NoK subtree below it (uncut edges).
+def compile_matcher(vertex: BlossomVertex) -> Batch:
+    """Compile ``vertex`` and the NoK subtree below it (uncut edges)
+    into one batch.
 
-    The closure alone holds what is compiled here (the tests too), so
-    all of it is freed with the closure's owner.
+    The closure alone holds what is compiled here (the filters too),
+    so all of it is freed with the closure's owner.
 
     The representation is the vertex's
     (:attr:`~repro.pattern.blossom.BlossomVertex.grouped`): a vertex
     without a slot to fill matches as the node itself, so nothing is
     built for it.  A grouped vertex's entry is built only for a
-    candidate that passed its tests and its mandatory and sibling
+    candidate that passed its filters and its mandatory and sibling
     checks.  It holds the vertex's one shared groups tuple of empty
-    slots until a returning local child appends its first match; only
-    then does it get its own groups list, and that slot its own list.
-    A cut ``//`` child's slot and an existential child's slot stay
-    ``()``.
+    slots unless a returning local child matched below it; then it has
+    its own groups list, and each filled slot its own list.  A cut
+    ``//`` child's slot and an existential child's slot stay ``()``.
     """
-    tests, late = _compile_tests(vertex)
+    static, late = _compile_filters(vertex)
     grouped = vertex.grouped
     empty = no_groups(len(vertex.child_edges))
     local = [(index, edge) for index, edge in enumerate(vertex.child_edges)
              if not edge.cut]
-    if not local and not tests and not late:
-        return _the_node
-
-    # The matched mask drives the mandatory check and the first half of
-    # the following-sibling rule (a child with an ``after_vid``
-    # constraint joins the frontier only once its predecessor matched).
-    bit_of = {edge.child.vid: 1 << position
-              for position, (_, edge) in enumerate(local)}
-    never = 1 << len(local)  # a predecessor that is no local sibling
-    mandatory = 0
-    # Per edge: tag, (group index, child matcher, its bit, the bit that
-    # must be set first, returning).  An existential child without
-    # tests or local children has no matcher (``None``): the tag test
-    # that selected the edge is its whole match, so the edge's one
-    # comparison is charged, its bit set and nothing is built.
-    edges: list[tuple[str, tuple[int, Matcher | None, int, int, bool]]] = []
+    position = {edge.child.vid: at for at, (_, edge) in enumerate(local)}
+    # Per local edge, in edge order: the child tag, its batch (``None``
+    # for a child without filters or local children: the tag test is
+    # its whole match), whether it is mandatory, the position of the
+    # edge it must follow (``None``: no sibling constraint) and how a
+    # child match names its parent.
+    edges: list[tuple[str, Batch | None, bool, int | None,
+                      Callable[[Match], Node]]] = []
     for index, edge in local:
         child = edge.child
-        if edge.mode == MODE_MANDATORY:
-            mandatory |= bit_of[child.vid]
-        leaf = not child.returning and not child.value_predicates \
+        plain = not child.value_predicates \
             and all(sub.cut for sub in child.child_edges)
-        edges.append((child.name, (
-            index, None if leaf else compile_matcher(child),
-            bit_of[child.vid],
-            0 if child.after_vid is None
-            else bit_of.get(child.after_vid, never), child.returning)))
-    # One lookup per child element instead of a loop over the pattern
-    # edges: per tag, the edges that apply to it, in edge order (a
-    # wildcard edge applies to every tag, in its place among the named
-    # ones; a ``#root`` vertex matches no element).
-    anywhere = tuple(e for name, e in edges if name == "*")
-    table = {tag: tuple(e for name, e in edges if name in (tag, "*"))
-             for tag, _ in edges if tag not in ("*", "#root")}
+        edges.append((
+            child.name, None if plain else compile_matcher(child),
+            edge.mode == MODE_MANDATORY,
+            None if child.after_vid is None
+            else position.get(child.after_vid, _NEVER),
+            _ENTRY_PARENT if child.grouped else _PARENT))
+    # Per successor edge, (its position, its predecessor's).
+    sequenced = [(at, before) for at, e in enumerate(edges)
+                 if (before := e[3]) is not None]
+    # Definition 1 cuts a predecessor's matches after the last match of
+    # a mandatory successor.  Per such successor, (its predecessor, it),
+    # successors of successors first: chains compose.
+    ordered = [(before, at) for at, before in reversed(sequenced)
+               if edges[at][2]]
+    # Per returning edge, (its position, the group it fills).
+    filled = [(at, index) for at, (index, edge) in enumerate(local)
+              if edge.child.returning]
+    # The edges whose matches are needed per parent, not only the
+    # parents that have one: returning edges, successors, predecessors.
+    per_parent = {at for at, _ in filled} | {at for pair in sequenced
+                                             for at in pair}
 
-    def match(node: Node, counters: ScanCounters,
-              variables: Bindings | None) -> Match | None:
-        if node.kind != DOCUMENT:
-            for test in tests:
-                counters.comparisons += 1
-                if not test(node, _NO_VARIABLES, None):
-                    return None
-            if late and variables is not None:
-                for test in late:
-                    counters.comparisons += 1
-                    if not test(node, variables, None):
-                        return None
-        groups: list[Sequence[Match]] | None = None
-        matched = 0
-        for child_node in node.children:
-            applicable = table.get(child_node.tag, anywhere)
-            if not applicable or child_node.kind != ELEMENT:
-                continue
-            for index, child_match, bit, _after, returning in applicable:
-                counters.comparisons += 1
-                if child_match is None:
-                    matched |= bit
-                    continue
-                sub = child_match(child_node, counters, variables)
-                if sub is None:
-                    continue
-                matched |= bit
-                # Non-kept (purely existential) children record only the
-                # fact of the match; their subtrees are discarded.
-                if returning:
+    def batch(nodes: list[Node], counters: ScanCounters,
+              variables: Bindings | None) -> list[Match]:
+        nodes = _apply(static, nodes, counters, _NO_VARIABLES)
+        if late and variables is not None:
+            nodes = _apply(late, nodes, counters, variables)
+        if not edges or not nodes:
+            return nodes  # type: ignore[return-value]
+        kept = nodes
+        # Per edge that needs them: parent -> its matches under the
+        # edge, in child order (a predecessor that is no local sibling
+        # has none).
+        runs: dict[int, dict[Node, list[Match]]] = {_NEVER: {}}
+        for at, (name, child_batch, mandatory, after, parent_of) in \
+                enumerate(edges):
+            if after is None:
+                children = ([c for p in nodes for c in p.children
+                             if c.kind == ELEMENT] if name == "*" else
+                            [c for p in nodes for c in p.children
+                             if c.tag == name])
+            else:
+                # A successor child is a candidate once a predecessor
+                # matched among its earlier siblings.
+                since = [(p, _match_nid(run[0]))
+                         for p, run in runs[after].items()]
+                children = ([c for p, nid in since for c in p.children
+                             if c.kind == ELEMENT and c.nid > nid]
+                            if name == "*" else
+                            [c for p, nid in since for c in p.children
+                             if c.tag == name and c.nid > nid])
+            counters.comparisons += len(children)
+            matches = cast("list[Match]", children) if child_batch is None \
+                else child_batch(children, counters, variables)
+            if at in per_parent:
+                runs[at] = _by_parent(matches, parent_of)
+            if mandatory:
+                have = runs[at] if at in runs else set(map(parent_of,
+                                                           matches))
+                kept = [p for p in kept if p in have]
+        if not grouped:
+            return kept  # type: ignore[return-value]
+        if ordered:
+            for p in kept:
+                for before, after in ordered:
+                    # Predecessor matches after the last successor
+                    # match (which survived its own cut) leave.
+                    cut = runs[before][p]
+                    last = _match_nid(runs[after][p][-1])
+                    del cut[bisect_left(cut, last, key=_match_nid):]
+        slots = [(index, runs[at]) for at, index in filled]
+        out: list[Match] = []
+        for p in kept:
+            groups: list[Sequence[Match]] | None = None
+            for index, of_parent in slots:
+                run = of_parent.get(p)
+                if run is not None:
                     if groups is None:
                         groups = [*empty]
-                    slot = groups[index]
-                    if isinstance(slot, list):
-                        slot.append(sub)
-                    else:
-                        groups[index] = [sub]
-        if matched & mandatory != mandatory:
-            return None
-        if groups is not None:
-            return NLEntry(vertex, node, groups)
-        return NLEntry(vertex, node, empty) if grouped else node
-
-    if not any(after for _, (_, _, _, after, _) in edges):
-        return match
-
-    # Sibling order.  Definition 1 needs positions, not bits: a successor
-    # match counts only after a predecessor match, a predecessor match
-    # only before the last successor match that itself survived.  Per
-    # mandatory successor edge, (its predecessor's bit, its own bit);
-    # a successor's edge is built after its predecessor's, so in reverse
-    # edge order successors of successors come first and chains compose.
-    ordered = tuple((after, bit) for _, (_, _, bit, after, _)
-                    in reversed(edges)
-                    if after and after != never and mandatory & bit)
-    group_of = {bit: index for _, (index, _, bit, _, returning) in edges
-                if returning}
-
-    def match_in_sibling_order(node: Node, counters: ScanCounters,
-                               variables: Bindings | None) -> Match | None:
-        if node.kind != DOCUMENT:
-            bound = _NO_VARIABLES if variables is None else variables
-            for test in tests if variables is None else tests + late:
-                counters.comparisons += 1
-                if not test(node, bound, None):
-                    return None
-        groups: list[Sequence[Match]] | None = None
-        matched = 0
-        #: edge bit -> child positions of its matches, ascending
-        positions: dict[int, list[int]] = {}
-        for position, child_node in enumerate(node.children):
-            applicable = table.get(child_node.tag, anywhere)
-            if not applicable or child_node.kind != ELEMENT:
-                continue
-            # A successor is eligible against the mask as it stood
-            # *before* this child: never on the very child that set its
-            # predecessor's bit.
-            before = matched
-            for index, child_match, bit, after, returning in applicable:
-                if after and not before & after:
-                    continue
-                counters.comparisons += 1
-                if child_match is not None:
-                    sub = child_match(child_node, counters, variables)
-                    if sub is None:
-                        continue
-                    if returning:
-                        if groups is None:
-                            groups = [*empty]
-                        slot = groups[index]
-                        if isinstance(slot, list):
-                            slot.append(sub)
-                        else:
-                            groups[index] = [sub]
-                matched |= bit
-                positions.setdefault(bit, []).append(position)
-        if matched & mandatory != mandatory:
-            return None
-        for predecessor, successor in ordered:
-            # The successor matched (it is mandatory) and its first
-            # match had a predecessor match before it: the cut keeps
-            # at least that one.
-            kept = positions[predecessor]
-            keep = bisect_left(kept, positions[successor][-1])
-            del kept[keep:]
-            if groups is not None and predecessor in group_of:
-                slot = groups[group_of[predecessor]]
-                if isinstance(slot, list):  # never a shared ``()``
-                    del slot[keep:]
-        if groups is not None:
-            return NLEntry(vertex, node, groups)
-        return NLEntry(vertex, node, empty) if grouped else node
-    return match_in_sibling_order
+                    groups[index] = run
+            out.append(NLEntry(vertex, p, empty if groups is None
+                               else groups))
+        return out
+    return batch
 
 
-def _the_node(node: Node, counters: ScanCounters,
-              variables: Bindings | None) -> Node:
-    """The matcher of a vertex with no test and no local child: the
-    tag test that selected ``node`` is its whole match."""
-    return node
+def _by_parent(matches: list[Match], parent_of: Callable[[Match], Node]
+               ) -> dict[Node, list[Match]]:
+    """``matches`` of one edge, which come parent by parent, as
+    parent -> its matches in child order."""
+    runs: dict[Node, list[Match]] = {}
+    last = None
+    for match in matches:
+        parent = parent_of(match)
+        if parent is last:
+            run.append(match)
+        else:
+            run = runs[parent] = [match]
+            last = parent
+    return runs

@@ -2,8 +2,8 @@
 
 The document is cut into subtree-aligned partitions
 (:mod:`repro.xmlkit.partition`); every partition runs
-:func:`~repro.physical.nok_merge.scan_range` — the serial merged scan's
-own dispatch loop — on its nid range, and the per-NoK match lists are
+:func:`~repro.physical.nok.scan_range` — the serial merged scan's own
+scan — on its nid range, and the per-NoK match lists are
 concatenated in partition order.
 
 Correctness rests on Theorem 1's order argument: the serial scan emits
@@ -57,8 +57,8 @@ from repro.errors import DNFError, QueryCancelledError, ReproError, UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Span, Tracer
 from repro.pattern.decompose import NoKTree
-from repro.physical.nok_merge import (matched_once, merged_scan,
-                                      relabel_twins, scan_range)
+from repro.physical.nok import scan_range
+from repro.physical.nok_merge import matched_once, merged_scan, relabel_twins
 from repro.physical.structural import count_operator
 from repro.xmlkit.partition import Partition, partition_document
 from repro.xmlkit.storage import CancellationToken, ScanCounters

@@ -1,7 +1,7 @@
 """Process driver for the partition-parallel merged scan.
 
 Threads bought the Theorem-1 architecture but not the speed — the GIL
-serializes the per-node dispatch loop.  This module runs the same
+serializes the scan.  This module runs the same
 partition body (:func:`~repro.physical.parallel_scan.run_partition`) in
 **worker processes** over the mmap-shared flat arena
 (:mod:`repro.xmlkit.arena`), and holds only what is specific to that:

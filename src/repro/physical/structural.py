@@ -56,10 +56,6 @@ class JoinResult:
     ranges: dict[int, tuple[int, int]] = field(default_factory=dict)
     pairs: int = 0
 
-    def partners(self, u: Node) -> Sequence[Match]:
-        run = self.ranges.get(u.nid)
-        return () if run is None else self.right[run[0]:run[1]]
-
 
 def left_projection(left_entries: Iterable[Match], edge: InterEdge) -> list[Node]:
     """Document-ordered distinct u-nodes projected from the left stream,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError
 from repro.pattern.blossom import BlossomTree, BlossomVertex
-from repro.physical.nok import value_constraints_hold
+from repro.physical.nok import filtered
 from repro.physical.structural import count_operator
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
@@ -169,8 +169,7 @@ class TwigStackOperator:
         self.counters.nodes_scanned += len(nodes)
         if not vertex.value_predicates:
             return nodes
-        return [node for node in nodes
-                if value_constraints_hold(vertex, node, self.counters)]
+        return filtered(vertex, nodes, self.counters)
 
     # ------------------------------------------------------------------
     # The TwigStack main loop.

@@ -1,11 +1,13 @@
 """The one owner of what is computed from one version of a document.
 
-The structural summary (which carries the statistics), tag postings and
-the arena file are materialised views of one document version (the
-paper's Section-2.1 update problem).  They hang off ``doc.derived``.
-A version *inherits* the summary and the postings its predecessor had
-built: a fork takes them over (:func:`carry_fork`), and each update
-patches them (:func:`carry_splice`).  Whatever was not inherited is
+The structural summary (which carries the statistics), tag postings,
+the typed-value column and the arena file are materialised views of one
+document version (the paper's Section-2.1 update problem).  They hang
+off ``doc.derived``.  A version *inherits* the summary and the postings
+its predecessor had built: a fork takes them over (:func:`carry_fork`),
+and each update patches them (:func:`carry_splice`).  The typed-value
+column is never inherited: it is indexed by nid, and an update shifts
+nids.  Whatever was not inherited is
 built by its first reader — a race builds an equal value twice; only
 the arena file write takes a lock, because a second file would leak.
 :meth:`Document.drop_derived` drops them all.  Every version gets a new
@@ -34,12 +36,13 @@ _arena_lock = threading.Lock()
 class DerivedState:
     """Obtained as ``doc.derived``; never constructed by callers."""
 
-    __slots__ = ("doc", "index", "_dataguide", "_arena_path")
+    __slots__ = ("doc", "index", "_dataguide", "_numbers", "_arena_path")
 
     def __init__(self, doc: Document) -> None:
         self.doc = doc
         self.index = TagIndex(doc)      # lists materialize on use
         self._dataguide: StructuralSummary | None = None
+        self._numbers: list[float | None] | None = None
         self._arena_path: str | None = None
 
     @property
@@ -49,6 +52,16 @@ class DerivedState:
         if self._dataguide is None:
             self._dataguide = build_summary(self.doc)
         return self._dataguide
+
+    @property
+    def numbers(self) -> list[float | None]:
+        """The typed-value column: per nid, the node's string value as a
+        number (NaN for text that is none), or ``None`` until the first
+        numeric vertex filter (:mod:`repro.xpath.compile`) reads the
+        node and fills the slot."""
+        if self._numbers is None:  # a race builds an equal list twice
+            self._numbers = [None] * len(self.doc.nodes)
+        return self._numbers
 
     @property
     def stats(self) -> DocumentStats:

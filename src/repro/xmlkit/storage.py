@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from collections.abc import Collection, Iterable, Iterator
-from itertools import chain
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from operator import attrgetter
 
 from repro.errors import DNFError, QueryCancelledError, QueryTimeoutError
@@ -26,7 +26,9 @@ from repro.obs.metrics import REGISTRY
 from repro.xmlkit.tree import ELEMENT, Document, Node
 
 __all__ = ["CancellationToken", "ScanCounters", "SequentialScan",
-           "postings_scan"]
+           "scan_candidates"]
+
+_NID = attrgetter("nid")
 
 _BUDGET_TRIPS = REGISTRY.counter(
     "repro_budget_trips_total",
@@ -191,47 +193,55 @@ class SequentialScan:
                 yield node
 
 
-def postings_scan(doc: Document, counters: ScanCounters,
-                  tags: Collection[str], start_nid: int = 0,
-                  stop_nid: int | None = None) -> Iterable[Node]:
-    """The named-root access method: the elements of ``[start_nid,
-    stop_nid)`` named in ``tags``, in document order, from the
-    document's tag postings (:meth:`Document.postings`).
+def scan_candidates(doc: Document, counters: ScanCounters,
+                    tags: Sequence[str], start_nid: int = 0,
+                    stop_nid: int | None = None) -> Iterator[list[list[Node]]]:
+    """The NoK access method over ``[start_nid, stop_nid)``: per name in
+    ``tags``, its elements in document order (``"*"``: every element),
+    from the document's tag postings (:meth:`Document.postings`) unless
+    some name is ``"*"``.  Yields the lists, in the order of ``tags``,
+    once for the whole range.
 
     The I/O model is :class:`SequentialScan`'s, one pass over the range:
-    every slot is charged to ``nodes_scanned`` whether or not a posting
-    names it — a stride at a time, one token checkpoint per stride — and
-    the budget trips at the slot the pass would trip at, after the
-    candidates before that slot were delivered.
+    every slot is charged to ``nodes_scanned`` whether or not a list
+    names it.  With a budget or a cancellation token the pass goes a
+    stride at a time — one token checkpoint per stride, one yield of
+    the lists cut to the slots charged — and the budget trips at the
+    slot the pass would trip at, after the candidates before that slot
+    were delivered.
     """
     counters.scans_started += 1
     stop = len(doc.nodes) if stop_nid is None \
         else min(stop_nid, len(doc.nodes))
-    runs = [doc.postings(tag, start_nid, stop) for tag in tags]
-    found = (runs[0] if len(runs) == 1 else
-             sorted(chain.from_iterable(runs), key=attrgetter("nid")))
-    if counters.budget is None and counters.cancellation is None:
-        counters.nodes_scanned += max(0, stop - start_nid)
-        return found
-    return _paced(found, counters, start_nid, stop)
-
-
-def _paced(found: list[Node], counters: ScanCounters, start: int,
-           stop: int) -> Iterator[Node]:
+    if "*" in tags:
+        elements = [node for node in doc.nodes[start_nid:stop]
+                    if node.kind == ELEMENT]
+        lists = {tag: elements if tag == "*" else
+                 [node for node in elements if node.tag == tag]
+                 for tag in tags}
+    else:
+        lists = {tag: doc.postings(tag, start_nid, stop) for tag in tags}
+    found = [lists[tag] for tag in tags]
     token, budget = counters.cancellation, counters.budget
-    stride = token.stride if token is not None else max(1, stop - start)
-    delivered = 0
-    for low in range(start, stop, stride):
+    if budget is None and token is None:
+        counters.nodes_scanned += max(0, stop - start_nid)
+        yield found
+        return
+    stride = token.stride if token is not None else max(1, stop - start_nid)
+    delivered = [0] * len(found)
+    for low in range(start_nid, stop, stride):
         size = min(stride, stop - low)
         room = size if budget is None else budget - counters.nodes_scanned
         charged = max(0, min(size, room))
         counters.nodes_scanned += charged
         if token is not None:
             token.checkpoint(charged)
-        while delivered < len(found) \
-                and found[delivered].nid < low + charged:
-            yield found[delivered]
-            delivered += 1
+        chunk = []
+        for at, run in enumerate(found):
+            first = delivered[at]
+            delivered[at] = bisect_left(run, low + charged, first, key=_NID)
+            chunk.append(run[first:delivered[at]])
+        yield chunk
         if room < size:     # the next slot's charge exceeds the budget
             counters.nodes_scanned += 1
             counters.trip_budget()

@@ -425,7 +425,7 @@ class Document:
     def postings(self, tag: str, start_nid: int, stop_nid: int) -> list[Node]:
         """:meth:`elements_by_tag` within node ids ``[start_nid,
         stop_nid)`` — what a named-root scan walks
-        (:func:`~repro.xmlkit.storage.postings_scan`)."""
+        (:func:`~repro.xmlkit.storage.scan_candidates`)."""
         nodes = self.derived.index.nodes(tag)
         return nodes[bisect_left(nodes, start_nid, key=_NID):
                      bisect_left(nodes, stop_nid, key=_NID)]

@@ -17,27 +17,34 @@ interpreter, not re-spelled; it stays the reference semantics and runs
 nothing from this module.  The closures hold no per-call state (the
 item, bindings and resolver are arguments; position and size are 1, as
 for every top-level predicate): one serves all threads and bindings.
-The one thing kept between calls is kept by the scan, beside its view of
-the bindings (:class:`ScanBindings`), not here: the test a vertex
-predicate ``. op $p`` coerces a scalar ``$p`` into.
+
+A vertex predicate is compiled instead into a *filter* over a whole
+candidate list (:func:`compile_filter`), which the NoK matcher calls
+once per pattern vertex and scan.  ``. op literal``, ``. op $p``,
+``@name op literal|$p`` and any other context-relative ``path op
+literal|$p`` are specialised: the scalar is coerced once per call
+(:func:`scalar_filter`), and ``. op number`` reads the version's
+typed-value column (``doc.derived.numbers``) instead of parsing each
+candidate's text.  Every other predicate is its compiled test per node.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.xmlkit.tree import ELEMENT, Document, Node
-from repro.xpath.ast import (BooleanExpr, Comparison, Expr, Literal,
-                             LocationPath, NameTest, NotExpr, NumberLiteral,
-                             RootContext, RootVariable, Step)
+from repro.xmlkit.tree import ELEMENT, Document, Node, parse_number
+from repro.xpath.ast import (AnyKindTest, BooleanExpr, Comparison, Expr,
+                             Literal, LocationPath, NameTest, NotExpr,
+                             NumberLiteral, RootContext, RootVariable, Step)
 from repro.xpath.evaluator import (VALUE_OPERATORS, AnyNode, AttrNode,
                                    EvalContext, Value, XPathEvaluator,
                                    _atomize, _compare_atoms,
                                    _document_order_key, _single_node,
-                                   _StringItem, boolean_value, parse_number)
+                                   _StringItem, boolean_value)
 
-__all__ = ["Bindings", "Compiled", "Resolver", "ScanBindings", "Test",
-           "atomized", "compile_expr", "compile_test", "literal_test"]
+__all__ = ["Bindings", "Compiled", "Filter", "Resolver", "Test",
+           "atomized", "compile_expr", "compile_filter", "compile_test",
+           "literal_test", "scalar_filter"]
 
 Resolver = Callable[[str], Document]
 #: One evaluation's variables: the request's parameters, and under them
@@ -49,6 +56,11 @@ Compiled = Callable[[AnyNode, Bindings, Resolver | None], Value]
 Test = Callable[[AnyNode, Bindings, Resolver | None], bool]
 #: One predicate-free step applied to one non-attribute node.
 _Select = Callable[[Node], list[AnyNode]]
+#: A compiled vertex predicate: ``fn(candidates, variables)`` is the
+#: candidates that satisfy it, in their order.
+Filter = Callable[[list[Node], Bindings], list[Node]]
+#: A filter whose scalar operand is already coerced.
+_Kernel = Callable[[list[Node]], list[Node]]
 
 _NODE_OPERATORS: dict[str, Callable[[AnyNode, AnyNode], bool]] = {
     "<<": lambda a, b: a.nid < b.nid, ">>": lambda a, b: a.nid > b.nid,
@@ -212,17 +224,6 @@ def literal_test(op: str, literal: str | float) -> Callable[[str], bool]:
     return test
 
 
-class ScanBindings(Bindings):
-    """One scan's view of the request's bindings, and beside them —
-    never in them: the request's dict is not written — the tests its
-    late-bound predicates coerced a scalar ``$name`` into, by
-    ``(name, op)``: a scan coerces once, not once per candidate."""
-
-    def __init__(self, variables: Bindings) -> None:
-        super().__init__(variables)
-        self.coerced: dict[tuple[str, str], Callable[[str], bool]] = {}
-
-
 def atomized(variables: Bindings) -> Bindings:
     """``variables`` with every node replaced by its atom — all a value
     comparison reads of a binding — so a scan in another process is
@@ -239,29 +240,6 @@ def _any_node(test: Callable[[str], bool], nodes: list[AnyNode]) -> bool:
         if test(node.string_value()):
             return True
     return False
-
-
-def _late_bound(name: str, op: str, nodes: Compiled, own: bool,
-                general: Compiled) -> Compiled:
-    """``path op $name`` (``$name op path`` flipped), ``path`` relative
-    to the context node (``own``: the node itself): the vertex test of a
-    where-conjunct pushed on a parameter, which a scan calls per
-    candidate with one :class:`ScanBindings`.  Bound to one string or
-    number it is the literal primitive, coerced once per scan."""
-    key = (name, op)
-
-    def late_bound(item: AnyNode, variables: Bindings,
-                   resolve: Resolver | None) -> Value:
-        value = variables.get(name)
-        if not (isinstance(variables, ScanBindings)
-                and isinstance(value, (float, str))):
-            return general(item, variables, resolve)
-        test = variables.coerced.get(key)
-        if test is None:
-            test = variables.coerced[key] = literal_test(op, value)
-        return test(item.string_value()) if own else _any_node(
-            test, nodes(item, variables, resolve))  # type: ignore[arg-type]
-    return late_bound
 
 
 def _compile_comparison(expr: Comparison) -> Compiled:
@@ -314,11 +292,109 @@ def _compile_comparison(expr: Comparison) -> Compiled:
                     return True
         return False
 
-    for path, operand, nodes, test_op in sides:
-        if isinstance(path, LocationPath) and path.root == _SELF.root \
-                and isinstance(operand, LocationPath) \
-                and isinstance(operand.root, RootVariable) \
-                and not operand.steps:
-            return _late_bound(operand.root.name, test_op, nodes,
-                               not path.steps, comparison)
     return comparison
+
+
+# ----------------------------------------------------------------------
+# Vertex filters: one call per pattern vertex and candidate list.
+# ----------------------------------------------------------------------
+
+_NAN = float("nan")
+_NO_VARIABLES: Bindings = {}
+
+
+def _typed_column(nodes: list[Node]) -> list[float | None]:
+    """The typed-value column of the nodes' document version, with a
+    slot filled for each of ``nodes`` (the first reader of a node fills
+    it: a race writes an equal float twice)."""
+    column = nodes[0].doc.derived.numbers
+    for node in [n for n in nodes if column[n.nid] is None]:
+        number = parse_number(node.string_value())
+        column[node.nid] = _NAN if number is None else number
+    return column
+
+
+def scalar_filter(op: str, value: float | str,
+                  operand: str | Compiled | None) -> _Kernel:
+    """``operand op value`` over a candidate list, ``value`` coerced
+    here, once: ``operand`` is ``None`` for the candidate itself (``.``),
+    an attribute's name, or a compiled context-relative path."""
+    if operand is None and isinstance(value, float):
+        # NaN — text that is no number — compares false under every
+        # operator but ``!=``: what literal_test answers for such text.
+        compare = VALUE_OPERATORS[op]
+
+        def numeric(nodes: list[Node]) -> list[Node]:
+            column = _typed_column(nodes) if nodes else []
+            return [n for n in nodes if compare(column[n.nid], value)]
+        return numeric
+    test = literal_test(op, value)
+    if operand is None:
+        return lambda nodes: [n for n in nodes if test(n.string_value())]
+    if isinstance(operand, str):
+        return lambda nodes: [n for n in nodes if (
+            seen := n.attrs.get(operand)) is not None and test(seen)]
+    path = operand
+    return lambda nodes: [n for n in nodes if _any_node(
+        test, path(n, _NO_VARIABLES, None))]  # type: ignore[arg-type]
+
+
+def _scalar_shape(expr: Expr
+                  ) -> tuple[str, str | Compiled | None,
+                             Literal | NumberLiteral | str] | None:
+    """``(op, operand, scalar)`` when ``expr`` compares a
+    context-relative path with a literal or a ``$name`` (either order,
+    the operator flipped to put the path left); ``scalar`` is the
+    literal or the variable's name."""
+    if not isinstance(expr, Comparison) or expr.op not in _FLIPPED:
+        return None
+    for path, other, op in ((expr.left, expr.right, expr.op),
+                            (expr.right, expr.left, _FLIPPED[expr.op])):
+        if not (isinstance(path, LocationPath)
+                and path.root == _SELF.root):
+            continue
+        if isinstance(other, (Literal, NumberLiteral)):
+            scalar: Literal | NumberLiteral | str = other
+        elif isinstance(other, LocationPath) and not other.steps \
+                and isinstance(other.root, RootVariable):
+            scalar = other.root.name
+        else:
+            continue
+        # ``self::node()`` of an element is the element.
+        steps = [step for step in path.steps if step.predicates
+                 or step.axis != "self" or not isinstance(step.test,
+                                                          AnyKindTest)]
+        if not steps:
+            return op, None, scalar
+        step = steps[0]
+        if len(steps) == 1 and step.axis == "attribute" \
+                and not step.predicates and isinstance(step.test, NameTest) \
+                and step.test.name != "*":
+            return op, step.test.name, scalar
+        return op, _compile_path(path), scalar
+    return None
+
+
+def compile_filter(expr: Expr) -> Filter:
+    """``expr``, a vertex predicate, as a filter over candidate lists:
+    the candidates whose compiled test (:func:`compile_test`) holds,
+    in their order.  Compiled once; a ``$name`` is read and coerced once
+    per call, and when it is bound to no string or number the filter
+    runs the general comparison per candidate."""
+    shape = _scalar_shape(expr)
+    if shape is None:
+        test = compile_test(expr)
+        return lambda nodes, variables: [
+            n for n in nodes if test(n, variables, None)]
+    op, operand, scalar = shape
+    if not isinstance(scalar, str):
+        kernel = scalar_filter(op, scalar.value, operand)
+        return lambda nodes, variables: kernel(nodes)
+    name, general = scalar, compile_test(expr)
+
+    def bound(nodes: list[Node], variables: Bindings) -> list[Node]:
+        value = variables.get(name)
+        if isinstance(value, (float, str)):
+            return scalar_filter(op, value, operand)(nodes)
+        return [n for n in nodes if general(n, variables, None)]
+    return bound

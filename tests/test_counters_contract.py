@@ -124,14 +124,15 @@ from repro.errors import (DNFError, QueryCancelledError,  # noqa: E402
 from repro.pattern.artifact import prepare_artifacts  # noqa: E402
 from repro.physical.nested_loop import (  # noqa: E402
     bounded_nested_loop_join)
-from repro.physical.nok import NoKMatcher, matcher_for  # noqa: E402
-from repro.physical.nok_merge import scan_range  # noqa: E402
+from repro.physical.nok import (NoKMatcher, matcher_for,  # noqa: E402
+                                scan_range)
 from repro.physical.stack_join import stack_desc_join  # noqa: E402
 from repro.physical.structural import left_projection  # noqa: E402
 from repro.xmlkit import parse  # noqa: E402
 from repro.xmlkit.arena import DocumentArena  # noqa: E402
 from repro.xmlkit.storage import (CancellationToken,  # noqa: E402
                                   SequentialScan)
+from repro.xmlkit.tree import ELEMENT  # noqa: E402
 
 STRIDE = 16
 ROOT_SETS = [
@@ -163,14 +164,13 @@ def named_noks(text: str):
 
 def sequential_dispatch(noks, doc, counters, start=0, stop=None):
     """The loop the postings walk replaced: every slot of the range
-    through ``SequentialScan``, a tag test per element and NoK."""
+    through ``SequentialScan``, a tag test per element and NoK, and the
+    NoK's batch run on that one node."""
     results = {nok.nok_id: [] for nok in noks}
     for node in SequentialScan(doc, counters, start, stop):
         for nok in noks:
             if nok.root.matches_tag(node.tag):
-                entry = matcher_for(nok)(node, counters, {})
-                if entry is not None:
-                    results[nok.nok_id].append(entry)
+                results[nok.nok_id] += matcher_for(nok)([node], counters, {})
     return results
 
 
@@ -246,6 +246,51 @@ def test_postings_walk_counts_what_the_sequential_dispatch_counts(
                         assert got.nodes_scanned == budget + 1, where
 
 
+#: Texts for the chunk-invariance property beyond ``ROOT_SETS``: a
+#: grouped root, a following-sibling chain, a ``*`` after a named edge
+#: and a late-bound test.
+SPLIT_TEXTS = [
+    "for $x in //a, $y in $x/b, $z in $x/c return $y",
+    "for $x in //a[b/following-sibling::c] return $x",
+    "for $x in //b, $y in $x/*, $z in $x/a return $y",
+    "for $x in //a where $x/b < $p return $x",
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_batch_is_the_concatenation_of_its_splits(seed):
+    """Theorem 1 for the batch: a NoK's batch over its whole candidate
+    list equals the concatenation of its batches over a random split of
+    that list — the same matches and the same counters — so no state
+    leaks between candidates or between parents."""
+    from repro.algebra.nested_list import sexpr
+    from tests.test_xpath_compile import MATCH_CASES, MATCH_DOC
+
+    rng = random.Random(f"split:{seed}")
+    for xml in (generated_document(seed), MATCH_DOC):
+        doc = parse(xml)
+        for text in ROOT_SETS + SPLIT_TEXTS + list(MATCH_CASES):
+            for nok in named_noks(text):
+                candidates = [node for node in doc.nodes
+                              if node.kind == ELEMENT
+                              and nok.root.matches_tag(node.tag)]
+                batch = matcher_for(nok)
+                variables = {"p": float(rng.randint(0, 3))}
+                whole_counters, split_counters = ScanCounters(), \
+                    ScanCounters()
+                whole = batch(candidates, whole_counters, variables)
+                cuts = sorted(rng.randrange(len(candidates) + 1)
+                              for _ in range(rng.randint(1, 4)))
+                split = []
+                for lo, hi in zip([0, *cuts], [*cuts, len(candidates)]):
+                    split += batch(candidates[lo:hi], split_counters,
+                                   variables)
+                assert [sexpr(match, nok.root) for match in split] == \
+                    [sexpr(match, nok.root) for match in whole], (seed, text)
+                assert split_counters.snapshot() == \
+                    whole_counters.snapshot(), (seed, text)
+
+
 class CountingToken(CancellationToken):
     checks = 0
 
@@ -281,20 +326,20 @@ def test_tripped_token_is_seen_within_one_stride(how, flavour):
     seen = []
     compiled = matcher_for(nok)
 
-    def tripping(node, charged, variables):
+    def tripping(nodes, charged, variables):
         if len(seen) == 3:
             if how == "cancelled":
                 token.cancel()
             else:
                 token.deadline = 0.0
         seen.append(counters.nodes_scanned)
-        return compiled(node, charged, variables)
+        return compiled(nodes, charged, variables)
     nok.matcher = tripping
     with pytest.raises(QueryCancelledError if how == "cancelled"
                        else QueryTimeoutError):
         scan_range([nok], doc, counters, None, 0, None, {})
-    # Candidates of the stride already charged are still delivered; the
-    # next stride's checkpoint ends the scan.
+    # The batch of the stride already charged is still run; the next
+    # stride's checkpoint ends the scan.
     assert counters.nodes_scanned - seen[3] <= STRIDE
     assert counters.nodes_scanned < len(doc.nodes)
 

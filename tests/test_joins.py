@@ -214,7 +214,8 @@ class TestPairJoins:
         tree, dec, edge, proj, right, _ = setup_join(nested_doc, "//a//b")
         result = stack_desc_join(proj, right, edge)
         assert result.right is right
-        partners = [e for u in proj for e in result.partners(u)]
+        partners = [e for lo, hi in result.ranges.values()
+                    for e in result.right[lo:hi]]
         assert partners and all(
             any(e is entry for entry in right) for e in partners)
         assert result.pairs == len(partners) == 4
@@ -229,7 +230,8 @@ class TestOrderPreservation:
         result = pipelined_desc_join(proj, right, edge)
         flattened = []
         for node in proj:
-            for partner in match_nodes(edge.child, result.partners(node)):
+            lo, hi = result.ranges.get(node.nid, (0, 0))
+            for partner in match_nodes(edge.child, result.right[lo:hi]):
                 flattened.append(partner.nid)
         assert flattened == sorted(flattened)
 

@@ -272,7 +272,8 @@ class TestStructuralInvariants:
 
         def pairs(result):
             return {(u.nid, id(entry)) for u in projection
-                    for entry in result.partners(u)}
+                    for lo, hi in [result.ranges.get(u.nid, (0, 0))]
+                    for entry in result.right[lo:hi]}
 
         for entries in (right, [m for m in right if rng.random() < 0.7]):
             expected = {(u.nid, id(entry)) for u in projection

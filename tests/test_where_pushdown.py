@@ -550,13 +550,14 @@ class TestMatchOnce:
         for twin in twins:
             compiled = nok.matcher_for(twin)
 
-            def counting(node, counters, variables, compiled=compiled):
-                calls.append(node)
-                return compiled(node, counters, variables)
+            def counting(nodes, counters, variables, compiled=compiled):
+                calls.append(list(nodes))
+                return compiled(nodes, counters, variables)
             twin.matcher = counting
         per_nok: dict = {}
         results = merged_scan(noks, library.doc, ScanCounters(), per_nok, {})
-        assert len(calls) == 2000           # was 4,000
+        # One batch, handed every book once (two matchers: 4,000).
+        assert [len(nodes) for nodes in calls] == [2000]
         first, second = (results[t.nok_id] for t in twins)
         assert twins[0].root.grouped
         assert [e.node for e in first] == [e.node for e in second]
@@ -646,10 +647,10 @@ class TestBindingsReachEveryScan:
         scans = []
 
         def guarded(compiled):
-            def match(node, counters, variables):
+            def match(nodes, counters, variables):
                 assert variables is not None, "scan without bindings"
-                scans.append(node)
-                return compiled(node, counters, variables)
+                scans.append(nodes)
+                return compiled(nodes, counters, variables)
             return match
         real = nok.compile_matcher
         monkeypatch.setattr(nok, "compile_matcher",
@@ -718,8 +719,8 @@ class TestOnePlanManyBindings:
             assert not failures
 
     def test_two_parameters_one_operator(self, library, monkeypatch):
-        # One coerced test per (parameter, operator), kept by the scan:
-        # two ``<`` conjuncts do not evict each other per candidate.
+        # One coercion per (parameter, operator) and scan: each
+        # vertex filter coerces its parameter once per candidate list.
         text = ("for $b in //book where $b/price < $p and $b/title < $q "
                 "return $b/title")
         params = {"p": 35, "q": "title-5"}
@@ -729,10 +730,10 @@ class TestOnePlanManyBindings:
         plan = library.prepare(text)
         assert plan.execute(params=params).serialize() == expected
         coerced = []
-        real = compile_module.literal_test
-        monkeypatch.setattr(compile_module, "literal_test",
-                            lambda op, literal: coerced.append(literal)
-                            or real(op, literal))
+        real = compile_module.scalar_filter
+        monkeypatch.setattr(compile_module, "scalar_filter",
+                            lambda op, value, operand: coerced.append(value)
+                            or real(op, value, operand))
         assert plan.execute(params=params).serialize() == expected
         assert sorted(coerced, key=str) == [35.0, "title-5"]
 

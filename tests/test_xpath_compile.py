@@ -38,7 +38,8 @@ from repro.xmlkit.arena import DocumentArena
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import ELEMENT, DocumentBuilder, Node
 from repro.xpath.ast import LocationPath, RootVariable, walk
-from repro.xpath.compile import compile_expr, literal_test
+from repro.xpath.compile import (compile_expr, compile_filter, compile_test,
+                                 literal_test)
 from repro.xpath.evaluator import (AttrNode, EvalContext, XPathEvaluator,
                                    _compare_atoms)
 from repro.xpath.parser import parse_expr
@@ -252,6 +253,71 @@ def test_literal_test_is_compare_atoms(op):
             typed = parse(f"<a>{observed}</a>").root.typed_value()
             assert test(observed) == _compare_atoms(op, typed, literal), \
                 (observed, op, literal)
+
+
+#: Texts a vertex filter meets, numeric and not: blanks, a fraction,
+#: a signed zero, an exponent, the words ``float()`` reads, a digit
+#: group, non-ASCII digits, nothing, a word.
+OBSERVED = [" 35 ", "35.0", "-0", "1e3", "NaN", "inf", "1_0", "\u0661\u0662",
+            "", "abc"]
+FILTER_DOC = "<r>" + "".join(f'<v k="{text}"><c>{text}</c></v>'
+                             for text in OBSERVED) + "</r>"
+#: (right side, bindings): a number, a numeric-looking string, a word,
+#: and ``$p`` bound to each of those.
+RIGHT_SIDES = [("35", {}), ("'35'", {}), ("'abc'", {}), ("$p", {"p": 35.0}),
+               ("$p", {"p": "35"}), ("$p", {"p": "abc"})]
+FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+@pytest.mark.parametrize("view", ["tree", "arena"])
+@pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+def test_vertex_filter_keeps_what_the_compiled_test_keeps(op, view):
+    """A vertex filter over a candidate list keeps exactly the nodes the
+    per-node compiled test keeps — ``. op``, ``@k op`` and ``c op``,
+    either operand order, literal or ``$p`` — and a second call, which
+    reads the typed-value column the first one filled, agrees too."""
+    doc = parse(FILTER_DOC)
+    if view == "arena":
+        doc = DocumentArena.from_document(doc).document()
+    nodes = [node for node in doc.nodes if node.tag == "v"]
+    for operand in (".", "@k", "c"):
+        for right, variables in RIGHT_SIDES:
+            for text in (f"{operand} {op} {right}",
+                         f"{right} {FLIPPED[op]} {operand}"):
+                expr = parse_expr(text)
+                test = compile_test(expr)
+                expected = [n for n in nodes if test(n, variables, None)]
+                keep = compile_filter(expr)
+                assert keep(nodes, variables) == expected, (text, variables)
+                assert keep(nodes[::-1], variables) == expected[::-1]
+    column = doc.derived.numbers
+    assert [column[n.nid] for n in nodes][:4] == [35.0, 35.0, 0.0, 1000.0]
+    assert all(column[n.nid] != column[n.nid] for n in nodes[4:])  # NaN
+
+
+def test_typed_column_is_built_per_version():
+    """A commit that inserts a book ahead of a shelf's others shifts
+    every later nid: the new version reads its own typed column, never
+    its predecessor's."""
+    text = F1.format("$p")
+    with repro.connect(library(3, 5)) as db:
+        before = db.query(text, params={"p": 35})
+        assert before.serialize() == db.query(
+            text, params={"p": 35}, strategy="naive").serialize()
+        assert db.doc.derived._numbers is not None
+        shelf = db.doc.elements_by_tag("shelf")[1]
+        with db.updater() as up:
+            up.insert_subtree(up.resolve(shelf), parse(
+                "<book id='new'><author>a</author><title>new</title>"
+                "<price>7</price></book>").root, position=0)
+        assert db.doc.derived._numbers is None
+        for query, params in ((text, {"p": 35}), (F1.format(35), None),
+                              (text, {"p": 60})):
+            got = db.query(query, params=params).serialize()
+            assert got == db.query(query, params=params,
+                                   strategy="naive").serialize()
+            assert "<title>new</title>" in got
+        assert len(db.query(text, params={"p": 35})) == len(before) + 1
 
 
 # ----------------------------------------------------------------------
