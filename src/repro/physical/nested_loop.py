@@ -96,7 +96,7 @@ def naive_nested_loop_join(left_nodes: Iterable[Node],
 
     def rematch(outer: Node) -> Iterator[Node]:
         for match in NoKMatcher(inner_nok, doc, counters,
-                                variables=variables).iter_matches():
+                                variables=variables).matches():
             node: Node = match.node if grouped else match  # type: ignore
             counters.comparisons += 1
             if outer.is_ancestor_of(node):

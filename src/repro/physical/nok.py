@@ -12,7 +12,9 @@ Differences from the pseudo-code, for exactness and for speed:
   result construction with frontier deletion.  Here the pattern is
   matched one *vertex* at a time over candidate lists (set-at-a-time):
   a vertex filters its whole candidate list one predicate at a time,
-  collects the children of the survivors per local edge, hands each
+  collects the children of the survivors per local edge (two or more
+  named edges without a sibling constraint share one pass filling a
+  list per tag), hands each
   child vertex all of them in one call, drops each candidate that lacks
   a mandatory child (found through the ``parent`` of each child match)
   and builds the survivors' groups in child order.  The work per
@@ -44,7 +46,7 @@ Differences from the pseudo-code, for exactness and for speed:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from operator import attrgetter
 from typing import cast
 
@@ -115,11 +117,6 @@ class NoKMatcher:
         return scan_range([self.nok], self.doc, self.counters, None,
                           self.start_nid, self.stop_nid,
                           self.variables)[self.nok.nok_id]
-
-    def iter_matches(self) -> Iterator[Match]:
-        """:meth:`matches` one at a time (the GetNext interface of
-        Section 4.2)."""
-        return iter(self.matches())
 
 
 def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
@@ -265,6 +262,11 @@ def compile_matcher(vertex: BlossomVertex) -> Batch:
             None if child.after_vid is None
             else position.get(child.after_vid, _NEVER),
             _ENTRY_PARENT if child.grouped else _PARENT))
+    # The named edges without a sibling constraint: two or more share
+    # one pass over the children, filling a list per tag.
+    named = [name for name, _, _, after, _ in edges
+             if name != "*" and after is None]
+    shared = frozenset(named) if len(named) > 1 else frozenset()
     # Per successor edge, (its position, its predecessor's).
     sequenced = [(at, before) for at, e in enumerate(edges)
                  if (before := e[3]) is not None]
@@ -293,9 +295,20 @@ def compile_matcher(vertex: BlossomVertex) -> Batch:
         # edge, in child order (a predecessor that is no local sibling
         # has none).
         runs: dict[int, dict[Node, list[Match]]] = {_NEVER: {}}
+        if shared:
+            by_tag: dict[str | None, list[Node]] = {
+                name: [] for name in shared}
+            bucket_of = by_tag.get
+            for p in nodes:
+                for c in p.children:
+                    bucket = bucket_of(c.tag)
+                    if bucket is not None:
+                        bucket.append(c)
         for at, (name, child_batch, mandatory, after, parent_of) in \
                 enumerate(edges):
-            if after is None:
+            if name in shared and after is None:
+                children = by_tag[name]
+            elif after is None:
                 children = ([c for p in nodes for c in p.children
                              if c.kind == ELEMENT] if name == "*" else
                             [c for p in nodes for c in p.children

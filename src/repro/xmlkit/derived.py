@@ -1,13 +1,15 @@
 """The one owner of what is computed from one version of a document.
 
 The structural summary (which carries the statistics), tag postings,
-the typed-value column and the arena file are materialised views of one
-document version (the paper's Section-2.1 update problem).  They hang
-off ``doc.derived``.  A version *inherits* the summary and the postings
+the serialized-text column, the typed-value column and the arena file
+are materialised views of one document version (the paper's
+Section-2.1 update problem).  They hang off ``doc.derived``.  A version
+*inherits* the summary, the postings and the serialized-text column
 its predecessor had built: a fork takes them over (:func:`carry_fork`),
 and each update patches them (:func:`carry_splice`).  The typed-value
-column is never inherited: it is indexed by nid, and an update shifts
-nids.  Whatever was not inherited is
+column and the arena file are never inherited: the column is filled
+slot by slot at nids an update shifts, and the file is one version's
+image.  Whatever was not inherited is
 built by its first reader — a race builds an equal value twice; only
 the arena file write takes a lock, because a second file would leak.
 :meth:`Document.drop_derived` drops them all.  Every version gets a new
@@ -24,6 +26,7 @@ import threading
 
 from repro.xmlkit.arena import DocumentArena
 from repro.xmlkit.index import TagIndex
+from repro.xmlkit.serialize import TextColumn, patched_column, text_column
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.summary import StructuralSummary, build_summary
 from repro.xmlkit.tree import ELEMENT, Document, Node
@@ -36,12 +39,14 @@ _arena_lock = threading.Lock()
 class DerivedState:
     """Obtained as ``doc.derived``; never constructed by callers."""
 
-    __slots__ = ("doc", "index", "_dataguide", "_numbers", "_arena_path")
+    __slots__ = ("doc", "index", "_dataguide", "_xml", "_numbers",
+                 "_arena_path")
 
     def __init__(self, doc: Document) -> None:
         self.doc = doc
         self.index = TagIndex(doc)      # lists materialize on use
         self._dataguide: StructuralSummary | None = None
+        self._xml: TextColumn | None = None
         self._numbers: list[float | None] | None = None
         self._arena_path: str | None = None
 
@@ -52,6 +57,16 @@ class DerivedState:
         if self._dataguide is None:
             self._dataguide = build_summary(self.doc)
         return self._dataguide
+
+    @property
+    def xml(self) -> TextColumn:
+        """The serialized-text column, which ``serialize`` slices:
+        inherited from the previous version, else one flat pass over
+        ``doc.nodes`` (:func:`~repro.xmlkit.serialize.text_column`)."""
+        column = self._xml
+        if column is None:  # a race builds an equal column twice
+            column = self._xml = text_column(self.doc.nodes)
+        return column
 
     @property
     def numbers(self) -> list[float | None]:
@@ -99,16 +114,19 @@ class DerivedState:
 
 def carry_fork(base: Document, fork: Document, clones: list[Node]) -> None:
     """Start ``fork``, a copy of ``base`` whose node ``nid`` is
-    ``clones[nid]``, with the summary and postings ``base`` has built.
+    ``clones[nid]``, with the summary, postings and serialized-text
+    column ``base`` has built.
 
-    Read now: ``base`` drops its state when it retires.  The summary is
-    shared (never mutated; a patch copies), the postings are remapped.
+    Read now: ``base`` drops its state when it retires.  The summary and
+    the column are shared (never mutated; a patch copies), the postings
+    are remapped.
     """
     state = base._derived
     if state is None:
         return
     carried = DerivedState(fork)
     carried._dataguide = state._dataguide
+    carried._xml = state._xml
     if state.index.built:
         carried.index = state.index.remapped(fork, clones)
     fork._derived = carried
@@ -121,8 +139,9 @@ def carry_splice(doc: Document, parent: Node, run: list[Node],
     out (-1) under ``parent`` and the document relabeled.
 
     The old state (and its arena file) is dropped.  Nothing is carried
-    over a splice under the document node, and a summary past the path
-    cap is rebuilt by the next reader.  Returns whether the old state
+    over a splice under the document node; a summary past the path cap,
+    and a column whose ``parent`` changed form, are rebuilt by the next
+    reader.  Returns whether the old state
     had materialised postings: the ones this update maintained.
     """
     state = doc._derived
@@ -132,6 +151,8 @@ def carry_splice(doc: Document, parent: Node, run: list[Node],
     carried = DerivedState(doc)
     if state._dataguide is not None:
         carried._dataguide = state._dataguide.patched(parent, run, sign)
+    if state._xml is not None:
+        carried._xml = patched_column(state._xml, parent, run, sign)
     if maintained:
         carried.index = state.index.patched(run, sign)
     doc._derived = carried

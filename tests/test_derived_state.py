@@ -87,6 +87,32 @@ def test_built_once_per_version_and_never_after_retirement(builds):
         assert batch.doc.derived.index.built
 
 
+def test_a_fork_shares_the_base_serialized_text_column():
+    with repro.connect(LIBRARY) as db:
+        base = db.doc
+        text = db.query("//book/title").serialize()
+        column = base._derived._xml
+        assert column is not None           # built by the first serializer
+        batch = db.updater()
+        assert batch.doc._derived._xml is column
+        assert db.query("//book/title").serialize() == text
+        batch.abort()
+
+
+def test_a_result_serialized_after_its_snapshot_retired_rebuilds_nothing():
+    with repro.connect(LIBRARY) as db:
+        result = db.query("for $b in //book[price < 3] return "
+                          "<r>{$b/title}{$b/@id}</r>")
+        plain = db.query("//shelf[@genre = 'g1']/book[price < 30]")
+        texts = (result.serialize(), plain.serialize())
+        retired = db.doc
+        with db.updater() as batch:
+            batch.delete_subtree(batch.doc.root.children[0])
+        assert retired._derived is None
+        assert (result.serialize(), plain.serialize()) == texts
+        assert retired._derived is None
+
+
 def test_database_close_releases_the_current_snapshots_arena_file(
         monkeypatch, tmp_path):
     """After a commit the current snapshot is a fork the database owns:

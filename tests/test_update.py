@@ -9,6 +9,7 @@ from repro.datagen import DATASETS
 from repro.engine import Engine
 from repro.engine.database import Database
 from repro.xmlkit import TagIndex, parse, serialize
+from repro.xmlkit.serialize import text_column
 from repro.xmlkit.summary import MAX_PATHS, build_summary
 from repro.xmlkit.tree import ELEMENT, Document, DocumentBuilder
 from repro.xmlkit.update import DocumentUpdater, UpdateError
@@ -250,13 +251,27 @@ def assert_matches_rebuild(doc, ref):
         assert all(a is b for a, b in zip(nodes, fresh[tag])), tag
     assert [n.string_value() for n in doc.nodes] == \
         [n.string_value() for n in ref.nodes]
+    # The patched column, or the one the next reader builds after a
+    # splice dropped it, is a fresh build; each slice is what the raw
+    # writer gives for the rebuilt twin (which has no derived state).
+    assert doc.derived.xml == text_column(doc.nodes)
+    assert ref._derived is None
+    assert [serialize(n) for n in doc.nodes] == \
+        [serialize(n) for n in ref.nodes]
 
 
 def check(updater, doc, ref, op, carried=("summary", "postings")):
     """Apply ``op`` to ``doc`` and its twin; assert which derived state
-    exists without a build (``carried``), then compare everything."""
+    exists without a build (``carried``; the serialized-text column is
+    carried unless the parent changes form or is the document node),
+    then compare everything."""
     before = doc._derived
     maintained = int(before is not None and before.index.built)
+    parent = (doc.nodes[op[1]].parent if op[0] == "delete"
+              else doc.nodes[op[1]])
+    reforms = len(parent.children) == int(op[0] == "delete")
+    patched = (before is not None and before._xml is not None
+               and parent.kind == ELEMENT and not reforms)
     report = apply(updater, doc, op)
     added, removed, relabeled = apply_reference(ref, op)
     assert (report.nodes_added, report.nodes_removed,
@@ -267,6 +282,7 @@ def check(updater, doc, ref, op, carried=("summary", "postings")):
         state is not None and state._dataguide is not None)
     assert ("postings" in carried) == (
         state is not None and state.index.built)
+    assert patched == (state is not None and state._xml is not None)
     assert_matches_rebuild(doc, ref)
     return report
 
@@ -274,6 +290,7 @@ def check(updater, doc, ref, op, carried=("summary", "postings")):
 def warm(doc):
     doc.derived.summary
     doc.derived.index.build()
+    doc.derived.xml
 
 
 LIBRARY = ("<lib>" + "".join(
@@ -338,6 +355,7 @@ class TestPatchedEqualsRebuilt:
             # The fork starts with the base's state: the same summary,
             # the postings on its clones, every cached string value.
             assert batch.doc._derived._dataguide is base.derived.summary
+            assert batch.doc._derived._xml is base.derived.xml
             assert all(n.doc is batch.doc for nodes in
                        postings(batch.doc._derived.index).values()
                        for n in nodes)
@@ -402,6 +420,24 @@ class TestPatchedEqualsRebuilt:
                                       "<fresh><more/></fresh>", 0),
                   carried=("postings",))
             assert doc.derived.summary.truncated
+
+    def test_the_column_is_rebuilt_where_the_parent_changes_form(self):
+        xml = '<r><a k="&amp;"/><b><c>x</c></b><d>t<e/>u</d></r>'
+        doc, ref = parse(xml), parse(xml)
+        warm(doc)
+        updater = DocumentUpdater(doc)
+        a, b, d = doc.root.children
+        # <a/> becomes <a>…</a>: nothing to patch, the reader builds.
+        check(updater, doc, ref, ("insert", a.nid, FRAGMENTS[1], None))
+        # Beside a sibling, first and last: patched.
+        check(updater, doc, ref, ("insert", b.nid, "<f>&lt;</f>", 0))
+        check(updater, doc, ref, ("insert", d.nid, "loose text", None))
+        check(updater, doc, ref, ("delete", d.children[1].nid))
+        # b's two children go: the first delete is patched, the second
+        # empties b (<b></b> would be <b/>), so the reader rebuilds.
+        for _ in range(2):
+            check(updater, doc, ref, ("delete", b.children[-1].nid))
+        assert serialize(b) == "<b/>"
 
     def test_a_splice_under_the_document_node_carries_nothing(self):
         doc, ref = parse("<r><a/></r>"), parse("<r><a/></r>")
