@@ -5,7 +5,8 @@ Walks through the internal representations step by step:
 * the NoK pattern tree of Figure 3(a) and its matching against the
   Figure 3(b)-style XML tree,
 * the NestedList notation of Figure 4 (rendered exactly),
-* the physical pointer structure of Figure 6 (as group lists),
+* the physical pointer structure of Figure 6 (every match is its node;
+  a child pointer is a run table per pattern vertex),
 * the two query plans of Figures 5 and 7 (merge vs nested-loop joins),
 * Example 5's order-preservation counterexample.
 
@@ -15,7 +16,8 @@ Run with::
 """
 
 from repro import parse
-from repro.algebra import project
+from repro.algebra import project, projection_path
+from repro.algebra.nested_list import sexpr
 from repro.pattern import build_blossom_tree, decompose
 from repro.physical import NoKMatcher, nested_loop_pairs
 from repro.xquery import parse_flwor
@@ -41,17 +43,20 @@ def main() -> None:
     print(tree.describe())
 
     dec = decompose(tree)
-    [match] = NoKMatcher(dec.noks[0], doc, variables={}).matches()
-    a_entry = match.group_for(tree.var_vertex["a"])[0]
+    matcher = NoKMatcher(dec.noks[0], doc, variables={})
+    [match] = matcher.matches()
+    groups = matcher.groups
+    a_vertex = tree.var_vertex["a"]
+    [a_node] = groups[a_vertex.vid][match]
 
     print("\n== Figure 4: the NestedList in the paper's notation ==")
-    print(" ", a_entry.sexpr(labeller()))
+    print(" ", sexpr(a_node, a_vertex, groups, labeller()))
 
     print("\n== Figure 6: group lists (sibling/child pointers) ==")
     b_vertex = tree.var_vertex["b"]
-    d_vertex = tree.var_vertex["d"]
-    for i, b_entry in enumerate(a_entry.group_for(b_vertex), 1):
-        ds = project(b_entry, d_vertex)
+    d_path = projection_path(b_vertex, tree.var_vertex["d"])
+    for i, b_node in enumerate(groups[b_vertex.vid][a_node], 1):
+        ds = project([b_node], d_path, groups)
         print(f"  b{i}: {len(ds)} d-children "
               f"(nids {[d.nid for d in ds]})")
 

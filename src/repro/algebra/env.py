@@ -9,16 +9,15 @@ enumeration at it), and every let-variable to a match sequence.
 An Env is a persistent chain, one slotted link per binding: binding a
 variable allocates one object and shares the whole outer tuple, so the
 bind phase keeps one object alive per binding rather than a copy of
-every earlier binding.  Node sequences are read off the matches only
-when the finish phase asks (:meth:`Env.as_variables`), in the
-representation of the vertex the link names.
+every earlier binding.  A match is its node, so the finish phase reads
+node sequences straight off the links (:meth:`Env.as_variables`).
 """
 
 from __future__ import annotations
 
+from typing import cast
+
 from repro.xmlkit.tree import Node
-from repro.pattern.blossom import BlossomVertex
-from repro.algebra.nested_list import Match
 
 __all__ = ["Env"]
 
@@ -26,36 +25,30 @@ __all__ = ["Env"]
 class Env:
     """One binding tuple: this link's binding plus the tuple it extends.
 
-    ``Env()`` is the empty tuple.  A for-binding holds one match of
-    ``vertex``, a let-binding its (possibly empty) match list — an
-    :class:`~repro.algebra.nested_list.NLEntry` per match of a grouped
-    vertex, the node itself for any other; a later binding of a name
-    shadows an earlier one.
+    ``Env()`` is the empty tuple.  A for-binding holds one matched
+    node, a let-binding its (possibly empty) node list; a later binding
+    of a name shadows an earlier one.
     """
 
-    __slots__ = ("parent", "name", "vertex", "binding")
+    __slots__ = ("parent", "name", "binding")
 
     def __init__(self, parent: Env | None = None, name: str = "",
-                 vertex: BlossomVertex | None = None,
-                 binding: Match | list[Match] | None = None) -> None:
+                 binding: Node | list[Node] | None = None) -> None:
         self.parent = parent
         self.name = name
-        self.vertex = vertex
         self.binding = binding
 
-    def bind_for(self, name: str, vertex: BlossomVertex, match: Match) -> Env:
-        """Extend with a for-binding to one match of ``vertex`` (this
-        tuple is not changed)."""
-        return Env(self, name, vertex, match)
+    def bind_for(self, name: str, node: Node) -> Env:
+        """Extend with a for-binding to one node (this tuple is not
+        changed)."""
+        return Env(self, name, node)
 
-    def bind_let(self, name: str, vertex: BlossomVertex,
-                 matches: list[Match]) -> Env:
-        """Extend with a let-binding over a (possibly empty) list of
-        ``vertex``'s matches."""
-        return Env(self, name, vertex, matches)
+    def bind_let(self, name: str, nodes: list[Node]) -> Env:
+        """Extend with a let-binding over a (possibly empty) node list."""
+        return Env(self, name, nodes)
 
-    def anchor(self, name: str) -> list[Match]:
-        """The matches ``name`` is bound to (one for a for-variable),
+    def anchor(self, name: str) -> list[Node]:
+        """The nodes ``name`` is bound to (one for a for-variable),
         where the executor starts a dependent variable's walk; ``[]``
         when ``name`` is unbound."""
         env = self
@@ -63,7 +56,7 @@ class Env:
             if env.name == name:
                 binding = env.binding
                 return binding if isinstance(binding, list) \
-                    else [binding]  # type: ignore[list-item]
+                    else [cast(Node, binding)]
             env = env.parent
         return []
 
@@ -79,11 +72,6 @@ class Env:
         variables: dict[str, list[Node]] = {}
         for link in reversed(links):
             binding = link.binding
-            grouped = link.vertex.grouped  # type: ignore[union-attr]
-            nodes: list[Node]
-            if isinstance(binding, list):
-                nodes = [e.node for e in binding] if grouped else binding[:]  # type: ignore
-            else:
-                nodes = [binding.node] if grouped else [binding]  # type: ignore
-            variables[link.name] = nodes
+            variables[link.name] = (binding[:] if isinstance(binding, list)
+                                    else [cast(Node, binding)])
         return variables

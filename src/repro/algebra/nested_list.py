@@ -9,34 +9,29 @@ given parent match — and nesting follows the pattern-tree structure.
 Physical layout (Figure 6)
 --------------------------
 Figure 6 stores a match as a node pointer plus one child-pointer slot
-per pattern child.  Sibling pointers become list adjacency, the slots
-become per-child groups, and the "pointer to the last child" becomes
-``list.append``.  Insertions happen at group tails during the
-depth-first scan, which is what makes projections document-ordered
-(Theorem 1).
+per pattern child.  Here every match of every pattern vertex is its
+:class:`~repro.xmlkit.tree.Node` — the node pointer — and a slot is a
+*run table*, one per pattern vertex per execution, keyed by the node
+pointer: ``groups[child.vid][parent_node]`` is the document-ordered
+run of ``child``'s matches under that parent match (:data:`Groups`).
+Sibling pointers become list adjacency, and the "pointer to the last
+child" becomes ``list.append`` during the depth-first scan, which is
+what makes projections document-ordered (Theorem 1).
 
 Only a slot that holds a returning child under an uncut edge can ever
 be filled: a cut ``//`` child's partners live in the join adjacency, and
-an existential child counts only by the fact of its match.  Which
-vertices have such a slot is decided once per pattern vertex by the
-decomposition (:attr:`~repro.pattern.blossom.BlossomVertex.grouped`):
+an existential child counts only by the fact of its match.  So only
+those vertices get a table — once a run is filled — and a table holds
+exactly the parent matches with a non-empty run; a reader takes a
+missing table as empty (``groups.get(vid, {})``).  A NoK's result is its root list — the
+root matches in document order — plus the tables of its vertices; the
+tables of one scan sit in one dict, whose parents never overlap between
+scan strides or partitions, so concatenating scans is ``dict.update``.
 
-* a *grouped* vertex's match is an :class:`NLEntry` — the node pointer
-  and its slots.  A slot nothing went into is ``()``, and an entry none
-  of whose slots was filled shares the one immutable groups tuple of
-  its width (:func:`no_groups`);
-* every other vertex's match is the node pointer itself, the matched
-  :class:`~repro.xmlkit.tree.Node`, with no wrapper: its slots would
-  all stay empty.
-
-A list of matches is always the matches of one vertex, so every reader
-knows which of the two it holds without looking at an item
-(:func:`match_nodes`, :func:`compile_projection`, :func:`sexpr`).
-
-Nothing mutates an entry once it is built: σ copies the entries on the
-path to its target whose group lost a member and shares the rest
-(:mod:`repro.algebra.operators`), and π reads groups along a path
-compiled once per (entry vertex, target), :func:`group_path`.
+Nothing mutates a table or a run once the scan has built it: σ replaces
+the tables on the path to its target (:mod:`repro.algebra.operators`),
+and π reads them along a path compiled once per (entry vertex, target),
+:func:`projection_path`.
 
 The textual ``(a1,[(b1,()),...])`` rendering of Figure 4 is produced by
 :func:`sexpr` and is used verbatim in the paper-example tests.
@@ -44,77 +39,33 @@ The textual ``(a1,[(b1,()),...])`` rendering of Figure 4 is produced by
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from functools import cache
+from collections.abc import Callable, Iterable, Sequence
 from typing import TypeAlias
 
 from repro.xmlkit.tree import Node
 from repro.pattern.blossom import MODE_MANDATORY, BlossomVertex
 
-__all__ = ["Match", "NLEntry", "compile_projection", "group_path",
-           "match_nodes", "no_groups", "nok_root", "project",
-           "project_entries", "sexpr", "sexpr_sequence", "walk"]
+__all__ = ["Groups", "add_table", "group_path", "nok_root", "project",
+           "projection_path", "sexpr"]
 
-#: One match of a pattern vertex: an :class:`NLEntry` for a grouped
-#: vertex, the matched node itself for any other.
-Match: TypeAlias = "NLEntry | Node"
-
-#: An entry's child-pointer slots: per pattern child, ``()`` or the
-#: list of its matches.
-Groups: TypeAlias = "Sequence[Sequence[Match]]"
+#: The child-pointer slots of one execution: per vertex that has them,
+#: by vid, parent match -> the run of the vertex's matches under it.
+Groups: TypeAlias = "dict[int, dict[Node, list[Node]]]"
 
 
-@cache
-def no_groups(width: int) -> tuple[tuple[()], ...]:
-    """The groups of an entry none of whose ``width`` slots is filled:
-    one shared immutable tuple per width."""
-    return ((),) * width
-
-
-class NLEntry:
-    """One match of a grouped pattern vertex: the XML node plus child
-    groups.
-
-    ``groups[i]`` is the (possibly empty) document-ordered sequence of
-    matches of ``vertex.child_edges[i].child`` *within this match* — the
-    paper's ``[]`` grouping.  A slot nothing went into is ``()``; an
-    entry with no filled slot holds :func:`no_groups` of its width.
-    Matches of non-kept vertices (purely existential subtrees) are
-    never stored; their existence was verified during matching.  The
-    groups are read-only once the entry is built.
-    """
-
-    __slots__ = ("vertex", "node", "groups")
-
-    def __init__(self, vertex: BlossomVertex, node: Node,
-                 groups: Groups) -> None:
-        self.vertex = vertex
-        self.node = node
-        self.groups = groups
-
-    def group_for(self, child_vertex: BlossomVertex
-                  ) -> Sequence[Match]:
-        """The group of a specific pattern child."""
-        for index, edge in enumerate(self.vertex.child_edges):
-            if edge.child is child_vertex:
-                return self.groups[index]
-        raise KeyError(f"V{child_vertex.vid} is not a child of V{self.vertex.vid}")
-
-    def sexpr(self, label: Callable[[Node], str] | None = None) -> str:
-        """Figure-4 notation of this entry (see :func:`sexpr`)."""
-        return sexpr(self, self.vertex, label)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<NLEntry V{self.vertex.vid}:{self.node.tag or '·'}>"
-
-
-def match_nodes(vertex: BlossomVertex, matches: Sequence[Match]
-                ) -> Sequence[Node]:
-    """The matched nodes of a list of ``vertex``'s matches, in order:
-    the list itself when ``vertex`` is not grouped."""
-    if vertex.grouped:
-        return [entry.node for entry in matches]  # type: ignore[union-attr]
-    return matches  # type: ignore[return-value]
+def add_table(groups: Groups, vid: int, table: dict[Node, list[Node]]
+              ) -> None:
+    """Merge one scan stride's or partition's table for ``vid`` into
+    ``groups`` (adopting it where ``groups`` has none yet): no two of
+    them share a parent, so the merge is ``dict.update``.  An empty
+    table is not kept, so a table is present only where a run is."""
+    if not table:
+        return
+    into = groups.get(vid)
+    if into:
+        into.update(table)
+    else:
+        groups[vid] = table
 
 
 def nok_root(vertex: BlossomVertex) -> BlossomVertex:
@@ -129,11 +80,11 @@ def nok_root(vertex: BlossomVertex) -> BlossomVertex:
 def group_path(vertex: BlossomVertex, target: BlossomVertex
                ) -> tuple[tuple[int, bool], ...]:
     """The path from ``vertex`` down to ``target`` inside one NoK: per
-    step, the slot index of the child on the way and whether its edge
-    is mandatory.  ``()`` when ``target`` is ``vertex``; ``KeyError``
-    when ``target`` is not below it or the path crosses a cut edge
+    step, the vid of the child on the way and whether its edge is
+    mandatory.  ``()`` when ``target`` is ``vertex``; ``KeyError`` when
+    ``target`` is not below it or the path crosses a cut edge
     (projections across NoKs go through join adjacency instead).  Every
-    vertex the path leaves is grouped when ``target`` is returning."""
+    vertex on the path has a table when ``target`` is returning."""
     steps: list[tuple[int, bool]] = []
     node = target
     while node is not vertex:
@@ -144,103 +95,61 @@ def group_path(vertex: BlossomVertex, target: BlossomVertex
             raise KeyError(
                 f"projection from V{vertex.vid} to V{target.vid} crosses a "
                 "NoK boundary; use the join adjacency instead")
-        parent = edge.parent
-        index = next(i for i, e in enumerate(parent.child_edges) if e is edge)
-        steps.append((index, edge.mode == MODE_MANDATORY))
-        node = parent
+        steps.append((node.vid, edge.mode == MODE_MANDATORY))
+        node = edge.parent
     steps.reverse()
     return tuple(steps)
 
 
-def walk(entry: Match, steps: tuple[tuple[int, bool], ...]
-         ) -> list[Match]:
-    """The matches a :func:`group_path` reaches from ``entry``, in
-    document order."""
-    current = [entry]
-    for index, _ in steps:
-        current = [sub for item in current
-                   for sub in item.groups[index]]  # type: ignore[union-attr]
-    return current
+def projection_path(vertex: BlossomVertex, target: BlossomVertex
+                    ) -> tuple[int, ...]:
+    """π compiled once per (entry vertex, target): the vids of the
+    tables :func:`project` reads (``target`` in the same NoK, see
+    :func:`group_path`)."""
+    return tuple(vid for vid, _ in group_path(vertex, target))
 
 
-def compile_projection(vertex: BlossomVertex, target: BlossomVertex
-                       ) -> Callable[[Match], list[Node]]:
-    """π compiled once per (entry vertex, target): a match of
-    ``vertex`` to the document-ordered nodes matched to ``target``
-    inside it (``target`` in the same NoK, see :func:`group_path`)."""
-    steps = group_path(vertex, target)
-    if not steps:
-        if vertex.grouped:
-            return lambda entry: [entry.node]  # type: ignore[union-attr]
-        return lambda node: [node]  # type: ignore
-    if not vertex.grouped:
-        # No slot of ``vertex`` is ever filled: ``target`` is not kept.
-        return lambda match: []
-    grouped = target.grouped
-
-    def project_match(entry: Match) -> list[Node]:
-        found = walk(entry, steps)
-        if grouped:
-            return [e.node for e in found]  # type: ignore[union-attr]
-        return found  # type: ignore[return-value]
-    return project_match
+def project(nodes: Iterable[Node], path: Sequence[int], groups: Groups
+            ) -> list[Node]:
+    """π of Section 3.3: the nodes matched to the end of ``path`` inside
+    the matches ``nodes``, in document order (Theorem 1: each match's
+    projection is, and the runs of a level come parent by parent).  A
+    vertex without a table — one that is not returning — keeps no
+    match, so π onto or through it is empty."""
+    out = list(nodes)
+    for vid in path:
+        table = groups.get(vid, {})
+        out = [sub for node in out for sub in table.get(node, ())]
+    return out
 
 
-def project_entries(entry: NLEntry, target: BlossomVertex
-                    ) -> list[Match]:
-    """Project an entry onto a descendant pattern vertex (π of Section 3.3).
-
-    Returns the document-ordered matches of ``target`` inside this
-    NestedList (entries or nodes, as ``target`` is grouped or not).
-    ``target`` must lie in the same NoK pattern tree (see
-    :func:`group_path`).
-    """
-    return walk(entry, group_path(entry.vertex, target))
-
-
-def project(entry: NLEntry, target: BlossomVertex) -> list[Node]:
-    """Node-level projection: matched XML nodes of ``target``, in
-    document order (Theorem 1 guarantees the order)."""
-    return compile_projection(entry.vertex, target)(entry)
-
-
-def sexpr(match: Match, vertex: BlossomVertex,
+def sexpr(node: Node, vertex: BlossomVertex, groups: Groups,
           label: Callable[[Node], str] | None = None) -> str:
-    """Figure-4 notation of a match of ``vertex``: ``()`` nests, ``[]``
-    groups.
+    """Figure-4 notation of the match ``node`` of ``vertex``: ``()``
+    nests, ``[]`` groups.
 
     ``label`` renders a matched node (default: ``tag`` + 1-based
     occurrence index is *not* known here, so the default is the tag
-    name; tests pass a labeller built from the document).  A match
-    without an entry renders as an entry whose slots are all empty.
+    name; tests pass a labeller built from the document).  A slot with
+    no table — a cut or existential child — renders empty.
     """
     render = label if label is not None else (lambda n: n.tag or "#text")
-    return _sexpr(match, vertex, render)
+    return _sexpr(node, vertex, groups, render)
 
 
-def _sexpr(match: Match, vertex: BlossomVertex,
+def _sexpr(node: Node, vertex: BlossomVertex, groups: Groups,
            render: Callable[[Node], str]) -> str:
-    if not vertex.grouped:
-        name = render(match)  # type: ignore[arg-type]
-        return "(" + ",".join(([name] if name else [])
-                              + ["()"] * len(vertex.child_edges)) + ")"
-    assert isinstance(match, NLEntry)
-    name = render(match.node)
+    name = render(node)
     parts = [name] if name else []
-    for group, edge in zip(match.groups, vertex.child_edges):
+    for edge in vertex.child_edges:
         child = edge.child
-        if not group:
+        run = groups.get(child.vid, {}).get(node)
+        if not run:
             parts.append("()")
-        elif len(group) == 1:
-            parts.append(_sexpr(group[0], child, render))
+        elif len(run) == 1:
+            parts.append(_sexpr(run[0], child, groups, render))
         else:
-            parts.append("[" + ",".join(_sexpr(e, child, render)
-                                        for e in group) + "]")
+            parts.append("[" + ",".join(_sexpr(sub, child, groups, render)
+                                        for sub in run) + "]")
     return "(" + ",".join(parts) + ")"
 
-
-def sexpr_sequence(matches: Sequence[Match], vertex: BlossomVertex,
-                   label: Callable[[Node], str] | None = None) -> str:
-    """Render a sequence of ``vertex``'s NestedLists the way the paper
-    lists results."""
-    return "[" + ",\n ".join(sexpr(m, vertex, label) for m in matches) + "]"

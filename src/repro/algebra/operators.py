@@ -12,101 +12,77 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
+from repro.errors import UsageError
 from repro.xmlkit.tree import Node
 from repro.pattern.blossom import BlossomVertex
-from repro.algebra.nested_list import Match, NLEntry, group_path, no_groups
+from repro.algebra.nested_list import Groups, group_path
 
 __all__ = ["select"]
 
-#: A compiled σ: the match itself when nothing under it changed, a
-#: copy when a group on the path lost a member, ``None`` when it leaves.
-_Keep = Callable[[Match], "Match | None"]
 
-
-def select(matches: Iterable[Match], vertex: BlossomVertex,
+def select(roots: list[Node], groups: Groups, vertex: BlossomVertex,
            target: BlossomVertex, predicate: Callable[[Node], bool]
-           ) -> list[Match]:
-    """σ over ``vertex``'s matches: filter the items matched to
-    ``target`` by a node predicate.
+           ) -> list[Node]:
+    """σ over the NoK rooted at ``vertex`` (its root list ``roots`` and
+    its tables in ``groups``): filter the items matched to ``target``
+    by a node predicate.
 
-    Items failing the predicate are removed from their group; if a
-    removal leaves a mandatory vertex without matches, the whole
-    NestedList is removed from the sequence (the paper's "not a valid
-    match anymore" rule).
+    Items failing the predicate are removed from their run; if a
+    removal leaves a mandatory vertex without matches, its parent match
+    leaves the run above, up to the root list (the paper's "not a valid
+    match anymore" rule).  Returns the root list: ``roots`` itself
+    when no root leaves.
 
-    σ is compiled once, from ``vertex`` and ``target``, into the slot
-    path down to ``target``
-    (:func:`~repro.algebra.nested_list.group_path`) with the mandatory
-    flag per step, reading each vertex's representation on the way.  A
-    match nothing under which changed — or every match, when ``vertex``'s
-    NoK subtree does not hold ``target`` — is returned itself.
-    Otherwise only the entries on that path whose group lost a member
-    are copied; every other group is shared with the input.  The input
-    is never mutated.
+    The target is found by its path from ``vertex``
+    (:func:`~repro.algebra.nested_list.group_path`); when ``vertex``'s
+    NoK does not hold it, nothing changes.  A target below the root
+    that is not returning keeps no match — it has no runs to filter —
+    so σ on it raises :class:`~repro.errors.UsageError` (the executor
+    filters join endpoints, which are returning).  When ``target`` is the root,
+    the root list is filtered in one comprehension.  Otherwise each
+    table on the path whose runs changed is replaced in ``groups`` by a
+    new one that shares every run it did not change; no table and no
+    run is ever mutated, so another holder of the old tables (a twin
+    NoK) keeps them whole.
     """
-    keep = _compile(vertex, target, predicate)
-    if keep is None:
-        return list(matches)
-    result: list[Match] = []
-    for match in matches:
-        kept = keep(match)
-        if kept is not None:
-            result.append(kept)
-    return result
-
-
-def _compile(vertex: BlossomVertex, target: BlossomVertex,
-             predicate: Callable[[Node], bool]) -> _Keep | None:
     try:
         steps = group_path(vertex, target)
     except KeyError:
-        return None
-    if steps and not vertex.grouped:
-        # ``target`` is not kept, so the first slot on the path is
-        # always empty: a mandatory one fails every match.
-        return _leaves if steps[0][1] else None
-    keep = _keep_entry(predicate) if target.grouped \
-        else _keep_node(predicate)
-    for index, mandatory in reversed(steps):
-        keep = _keep_step(index, mandatory, keep)
-    return keep
+        return roots
+    if steps and not target.returning:
+        raise UsageError(f"σ on V{target.vid}: it keeps no match (it is "
+                         "not returning), so it has no runs to filter")
+    keep = predicate
+    parents: Iterable[Node] | None = None   # to revisit; ``None``: all
+    for vid, mandatory in reversed(steps):
+        table = groups.get(vid, {})
+        replaced: dict[Node, list[Node]] | None = None
+        emptied: set[Node] = set()
+        for parent in table if parents is None else parents:
+            run = table.get(parent)
+            if run is None:
+                continue
+            kept = [node for node in run if keep(node)]
+            if len(kept) < len(run):
+                if replaced is None:
+                    replaced = dict(table)
+                if kept:
+                    replaced[parent] = kept
+                else:
+                    del replaced[parent]
+                    emptied.add(parent)
+        if replaced is None:
+            return roots
+        groups[vid] = replaced
+        if not mandatory or not emptied:
+            return roots
+        # The emptied parents leave the run of their own parent.
+        keep = _not_in(emptied)
+        parents = {up for node in emptied
+                   if (up := node.parent) is not None}
+    kept = [node for node in roots if keep(node)]
+    return roots if len(kept) == len(roots) else kept
 
 
-def _leaves(match: Match) -> None:
-    return None
-
-
-def _keep_node(predicate: Callable[[Node], bool]) -> _Keep:
-    def keep(node: Match) -> Match | None:
-        return node if predicate(node) else None  # type: ignore[arg-type]
-    return keep
-
-
-def _keep_entry(predicate: Callable[[Node], bool]) -> _Keep:
-    def keep(entry: Match) -> Match | None:
-        return entry if predicate(entry.node) else None  # type: ignore[union-attr]
-    return keep
-
-
-def _keep_step(index: int, mandatory: bool, below: _Keep) -> _Keep:
-    """σ at one step of the path: filter slot ``index`` through
-    ``below``."""
-    def keep(match: Match) -> Match | None:
-        entry: NLEntry = match  # type: ignore[assignment]
-        kept: list[Match] = []
-        changed = False
-        for sub in entry.groups[index]:
-            survivor = below(sub)
-            if survivor is not sub:
-                changed = True
-            if survivor is not None:
-                kept.append(survivor)
-        if mandatory and not kept:
-            return None
-        if not changed:
-            return entry
-        groups = list(entry.groups)
-        groups[index] = kept or ()
-        return NLEntry(entry.vertex, entry.node,
-                       groups if any(groups) else no_groups(len(groups)))
-    return keep
+def _not_in(gone: set[Node]) -> Callable[[Node], bool]:
+    return lambda node: node not in gone

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from repro.datagen.workload import DATASETS
-from repro.xmlkit.serialize import serialize
+from repro.xmlkit.writer import serialize
 from repro.xmlkit.stats import compute_stats
 
 

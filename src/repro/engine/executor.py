@@ -16,7 +16,7 @@ Execution pipeline (Figure 2's data flow, made concrete):
 3. **Bind** — tuples are enumerated in clause order.  A for-variable's
    candidates are found by walking its vertex chain from its anchor
    (the variable it dereferences, or the document root), moving through
-   NestedList groups on local edges and through join runs on cut
+   NestedList run tables on local edges and through join runs on cut
    edges; a let-variable binds the whole candidate sequence.  A cut
    hop yields the union of its left nodes' runs, unique and in document
    order; only a walk ending in a group hop deduplicates by node
@@ -61,7 +61,7 @@ from repro.xpath.compile import (Bindings, Compiled, Test, compile_expr,
                                  compile_test)
 from repro.xquery.ast import FLWOR, ForClause
 from repro.algebra.env import Env
-from repro.algebra.nested_list import Match, compile_projection, match_nodes
+from repro.algebra.nested_list import Groups, project, projection_path
 from repro.algebra.operators import select
 from repro.physical.nested_loop import (
     bounded_nested_loop_join,
@@ -96,17 +96,14 @@ _JOIN_SELECTED = REGISTRY.counter(
     "Per-edge physical join algorithm selections")
 
 
-#: One clause variable's candidate walk ``(var, vertex, iterates, anchor,
-#: hops)``, resolved from the pattern: ``vertex`` is the variable's;
-#: ``iterates`` tells ``for`` from ``let``; the walk starts at the
-#: matches of the earlier variable ``anchor`` (a name) or at the root
-#: NoK matches of vertex ``anchor`` (a vid), then takes one ``(group,
-#: edge, parent)`` hop per chain vertex — through NestedList group
-#: ``group``, or (``None``: a cut edge) through the runs of the
-#: join keyed ``edge`` = (parent vid, child vid), from the nodes of the
-#: matches of vertex ``parent``.
-_Bind = tuple[str, BlossomVertex, bool, str | int,
-              tuple[tuple[int | None, tuple[int, int], BlossomVertex], ...]]
+#: One clause variable's candidate walk ``(var, iterates, anchor,
+#: hops)``, resolved from the pattern: ``iterates`` tells ``for`` from
+#: ``let``; the walk starts at the matches of the earlier variable
+#: ``anchor`` (a name) or at the root NoK matches of vertex ``anchor``
+#: (a vid), then takes one ``(cut, edge)`` hop per chain vertex, ``edge``
+#: = (parent vid, child vid) — through the join keyed ``edge`` on a cut
+#: edge, else through the child's run table.
+_Bind = tuple[str, bool, str | int, tuple[tuple[bool, tuple[int, int]], ...]]
 
 
 class _ValueJoin(NamedTuple):
@@ -114,15 +111,16 @@ class _ValueJoin(NamedTuple):
     its two for-variables — root-anchored: one candidate list per
     execution, the build side — is bound.  A side's atoms are the typed
     values of its endpoint's matches inside its variable's match (π
-    compiled per side); key equality is ``=`` on such atoms and general
-    comparison is existential, so a candidate sharing no key cannot
-    satisfy the conjunct (which the finish verifies all the same)."""
+    compiled per side into a table path); key equality is ``=`` on such
+    atoms and general comparison is existential, so a candidate sharing
+    no key cannot satisfy the conjunct (which the finish verifies all
+    the same)."""
 
     text: str
     probe: str          # the earlier variable
-    #: A match of the probe (build) variable -> its side's nodes.
-    probe_side: Callable[[Match], list[Node]]
-    build_side: Callable[[Match], list[Node]]
+    #: From a match of the probe (build) variable to its side's nodes.
+    probe_side: tuple[int, ...]
+    build_side: tuple[int, ...]
 
 
 class _Program(NamedTuple):
@@ -153,16 +151,12 @@ def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
             if anchor.variables:
                 break
         binds.append((
-            clause.var, tree.var_vertex[clause.var],
-            isinstance(clause, ForClause),
+            clause.var, isinstance(clause, ForClause),
             # A variable bound at a pattern root (``$d in doc("x")``)
             # walks from that root's own matches.
             anchor.variables[0] if chain and anchor.variables
             else anchor.vid,
-            tuple((None if edge.cut else
-                   next(i for i, e in enumerate(edge.parent.child_edges)
-                        if e is edge),
-                   (edge.parent.vid, edge.child.vid), edge.parent)
+            tuple((edge.cut, (edge.parent.vid, edge.child.vid))
                   for edge in reversed(chain))))
     position = {bind[0]: at for at, bind in enumerate(binds)}
     joins: dict[int, _ValueJoin] = {}
@@ -174,14 +168,14 @@ def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
                            for side in (edge.u, edge.v)
                            for var in (_owner(side),) if var)
             if len(sides) == 2 and sides[0][0] < sides[1][0] \
-                    and isinstance(binds[sides[1][0]][3], int):
+                    and isinstance(binds[sides[1][0]][2], int):
                 (_, probe, _, probe_side), (at, build, _, build_side) = sides
                 joins.setdefault(at, _ValueJoin(
                     str(conjunct.expr), probe,
-                    compile_projection(tree.var_vertex[probe], probe_side),
-                    compile_projection(tree.var_vertex[build], build_side)))
+                    projection_path(tree.var_vertex[probe], probe_side),
+                    projection_path(tree.var_vertex[build], build_side)))
     verify = [c.expr for c in tree.where if c.disposition != "pushed-exact"]
-    var, _, iterates, anchor, _ = binds[0]
+    var, iterates, anchor, _ = binds[0]
     return _Program(
         tuple(binds), joins,
         None if not verify else compile_test(
@@ -208,11 +202,11 @@ def _owner(vertex: BlossomVertex) -> str | None:
         and vertex.var_kinds[var] == "for" else None
 
 
-def _join_keys(match: Match, side: Callable[[Match], list[Node]]
+def _join_keys(node: Node, side: tuple[int, ...], groups: Groups
                ) -> set[object]:
     """The atoms a value-join side compares, for one match of its
     variable."""
-    return {node.typed_value() for node in side(match)}
+    return {match.typed_value() for match in project((node,), side, groups)}
 
 
 class FLWORExecutor:
@@ -261,6 +255,9 @@ class FLWORExecutor:
         self._direct = DirectEvaluator(doc)
         #: (parent_vid, child_vid) -> JoinResult, filled during execute()
         self._joins: dict[tuple[int, int], JoinResult] = {}
+        #: The run tables of every NoK, filled by the match phase of
+        #: execute() and replaced in part by σ.
+        self._groups: Groups = {}
         #: The request's bindings, as every scan and re-scan is given them
         #: (late-bound vertex tests read them); set by execute().
         self._variables: Bindings = {}
@@ -313,9 +310,9 @@ class FLWORExecutor:
         with self.tracer.span("bind-phase") as span:
             if program.projection:
                 # Theorem 1: the candidates are ordered, once each.
-                (_, vertex, _, anchor, hops), = program.binds
-                answer = cast("list[Item]", match_nodes(vertex, self._candidates(
-                    roots.get(anchor, []), hops, vertex)))
+                (_, _, anchor, hops), = program.binds
+                answer = cast("list[Item]", self._candidates(
+                    roots.get(anchor, []), hops))
                 span.set(tuples=len(answer), value_joins=[])
             else:
                 envs = self._bind_phase(program, roots, span)
@@ -387,7 +384,7 @@ class FLWORExecutor:
     # Phase 1: NoK matching (merged scans, Section 4.2 technique 1).
     # ------------------------------------------------------------------
 
-    def _match_phase(self, dec: Decomposition) -> dict[int, list[Match]]:
+    def _match_phase(self, dec: Decomposition) -> dict[int, list[Node]]:
         noks, doc, backend = dec.noks, self.doc, self.backend
         parallelism = backend.parallelism if backend is not None else 1
         partitions = (partition_document(doc, parallelism)
@@ -405,16 +402,19 @@ class FLWORExecutor:
             per_nok: dict[int, ScanCounters] | None = (
                 {} if self._tracing else None)
             started = time.perf_counter_ns()
+            self._groups = groups = {}
             if backend is not None:
                 matches = parallel_merged_scan(
                     noks, doc, self.counters, per_nok,
                     variables=self._variables,
                     backend=backend, pools=self.scan_pools,
                     partitions=partitions,
-                    tracer=self.tracer if self._tracing else None)
+                    tracer=self.tracer if self._tracing else None,
+                    groups=groups)
             else:
                 matches = merged_scan(noks, doc, self.counters, per_nok,
-                                      self._variables)
+                                      variables=self._variables,
+                                      groups=groups)
             wall_ms = (time.perf_counter_ns() - started) / 1e6
             scan_nodes = self.counters.nodes_scanned - before_nodes
             scan_span.set(
@@ -437,7 +437,7 @@ class FLWORExecutor:
         return matches
 
     def _trace_noks(self, noks: list[NoKTree],
-                    result: dict[int, list[Match]],
+                    result: dict[int, list[Node]],
                     per_nok: dict[int, ScanCounters],
                     scan_nodes: int, wall_ms: float) -> None:
         """One child span per NoK tree under the merged-scan span.
@@ -467,7 +467,7 @@ class FLWORExecutor:
     # ------------------------------------------------------------------
 
     def _join_phase(self, dec: Decomposition,
-                    matches: dict[int, list[Match]]) -> dict[int, list[Match]]:
+                    matches: dict[int, list[Node]]) -> dict[int, list[Node]]:
         self._joins = {}
         depth = _nok_depths(dec)
         # Deepest NoKs first, so every edge sees an already-reduced
@@ -494,12 +494,12 @@ class FLWORExecutor:
             if edge.mode == MODE_MANDATORY:
                 ranges = result.ranges
                 matches[edge.nok_from] = select(
-                    left, dec.noks[edge.nok_from].root, edge.parent,
-                    lambda node: node.nid in ranges)
+                    left, self._groups, dec.noks[edge.nok_from].root,
+                    edge.parent, lambda node: node.nid in ranges)
         return matches
 
     def _run_join(self, dec: Decomposition, edge: InterEdge,
-                  left: list[Match], right: list[Match],
+                  left: list[Node], right: list[Node],
                   span: Span | None = None) -> JoinResult:
         if edge.axis != "descendant":
             raise CompileError(f"inter-NoK axis {edge.axis!r} has no join "
@@ -526,7 +526,7 @@ class FLWORExecutor:
         _JOIN_SELECTED.inc(algorithm=algorithm)
         if span is not None:
             span.set(algorithm=algorithm)
-        projection = left_projection(left, edge)
+        projection = left_projection(left, edge, self._groups)
         operator = _JOIN_OPERATORS[algorithm]
         if STRATEGIES[algorithm].rescans is None:
             return operator(projection, right, edge, self.counters)
@@ -541,39 +541,39 @@ class FLWORExecutor:
     # ------------------------------------------------------------------
 
     def _bind_phase(self, program: _Program,
-                    roots: dict[int, list[Match]], span: Span) -> list[Env]:
+                    roots: dict[int, list[Node]], span: Span) -> list[Env]:
         """Tuples in clause order, one clause variable per level."""
         tallies = []
         envs = [Env()]
-        for at, (var, vertex, iterates, anchor, hops) in enumerate(
-                program.binds):
+        groups = self._groups
+        for at, (var, iterates, anchor, hops) in enumerate(program.binds):
             # A root-anchored variable has one candidate list, whatever
             # the outer tuple; a value join hashes it once, by atom.
-            fixed = (self._candidates(roots.get(anchor, []), hops, vertex)
+            fixed = (self._candidates(roots.get(anchor, []), hops)
                      if isinstance(anchor, int) else None)
             join = program.joins.get(at)
             table: dict[object, list[int]] = {}
             if join is not None:
                 assert fixed is not None    # _compile's condition
-                for position, entry in enumerate(fixed):
-                    for key in _join_keys(entry, join.build_side):
+                for position, node in enumerate(fixed):
+                    for key in _join_keys(node, join.build_side, groups):
                         table.setdefault(key, []).append(position)
             outer, envs = envs, []
             for env in outer:
                 candidates = fixed if fixed is not None else self._candidates(
-                    env.anchor(anchor), hops, vertex)  # type: ignore[arg-type]
+                    env.anchor(cast(str, anchor)), hops)
                 if join is not None:
                     hits = [table[key] for key in _join_keys(
-                        env.anchor(join.probe)[0], join.probe_side)
+                        env.anchor(join.probe)[0], join.probe_side, groups)
                         if key in table]
                     candidates = [candidates[position] for position in (
                         hits[0] if len(hits) == 1
                         else sorted(set().union(*hits)))]
                 if iterates:
-                    envs.extend(env.bind_for(var, vertex, match)
-                                for match in candidates)
+                    envs.extend(env.bind_for(var, node)
+                                for node in candidates)
                 else:
-                    envs.append(env.bind_let(var, vertex, candidates))
+                    envs.append(env.bind_let(var, candidates))
             if join is not None:
                 tallies.append({"build": len(fixed or ()),
                                 "probe": len(outer), "pairs": len(envs)})
@@ -583,33 +583,31 @@ class FLWORExecutor:
         span.set(tuples=len(envs), value_joins=tallies)
         return envs
 
-    def _candidates(self, frontier: list[Match], hops: tuple,
-                    vertex: BlossomVertex) -> list[Match]:
+    def _candidates(self, frontier: list[Node], hops: tuple[
+            tuple[bool, tuple[int, int]], ...]) -> list[Node]:
         """Walk a variable's vertex chain from its anchor's matches,
         producing the document-ordered, deduplicated candidate matches
-        of its ``vertex``."""
+        of its vertex."""
         ordered = True
-        for group, edge, parent in hops:
-            if group is None:
-                frontier = _run_union(self._joins[edge],
-                                      match_nodes(parent, frontier), ordered)
+        for cut, edge in hops:
+            if cut:
+                frontier = _run_union(self._joins[edge], frontier, ordered)
             else:
-                frontier = [match for entry in frontier
-                            for match in entry.groups[group]]  # type: ignore[union-attr]
-            ordered = group is None
+                table = self._groups.get(edge[1], {})
+                frontier = [node for parent in frontier
+                            for node in table.get(parent, ())]
+            ordered = cut
         if ordered:
             return frontier
 
         # Child and sibling groups out of a recursive document can be
         # out of order or overlap: deduplicate by node, restore order.
-        unique: dict[int, Match] = {}
-        for node, match in zip(match_nodes(vertex, frontier), frontier):
-            unique.setdefault(node.nid, match)
+        unique = {node.nid: node for node in frontier}
         return [unique[nid] for nid in sorted(unique)]
 
 
 def _run_union(joined: JoinResult, nodes: Sequence[Node], ordered: bool
-               ) -> list[Match]:
+               ) -> list[Node]:
     """The right matches of ``joined`` under any of ``nodes``, once each
     and in document order: two runs nest or are disjoint, so in ``lo``
     order (unsorted only after a group hop) a running end skips repeats."""
@@ -617,7 +615,7 @@ def _run_union(joined: JoinResult, nodes: Sequence[Node], ordered: bool
     runs = list(filter(None, map(ranges.get, [node.nid for node in nodes])))
     if not ordered:
         runs.sort()
-    union: list[Match] = []
+    union: list[Node] = []
     end = 0
     for lo, hi in runs:
         if hi > end:

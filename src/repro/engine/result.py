@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from repro.xmlkit.serialize import pretty, serialize
+from repro.xmlkit.writer import pretty, serialize
 from repro.xmlkit.tree import DOCUMENT, TEXT, Node
 from repro.xpath.evaluator import AttrNode, string_value
 

@@ -90,12 +90,6 @@ class BlossomVertex:
 
     # Filled in by BlossomTree bookkeeping:
     child_edges: list[TreeEdge] = field(default_factory=list)
-    #: Set by :func:`~repro.pattern.decompose.decompose`: whether a
-    #: match of this vertex has a child-pointer slot to fill — a
-    #: returning child under an uncut edge.  Such a match is an
-    #: :class:`~repro.algebra.nested_list.NLEntry`; any other vertex's
-    #: match is its matched node itself.
-    grouped: bool = field(default=False, compare=False)
     #: ``value_predicates`` compiled, lazily, by :mod:`repro.physical.nok`
     #: (closures over the expressions alone; never pickled).
     tests: tuple | None = field(default=None, repr=False, compare=False)

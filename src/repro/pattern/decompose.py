@@ -178,13 +178,6 @@ def decompose(tree: BlossomTree) -> Decomposition:
                 edge.parent.returning = True
                 changed = True
 
-    # The NestedList representation, once per vertex: only a vertex
-    # with a slot some match can fill gets entries (Figure 6's child
-    # pointers); every other vertex's matches are its nodes.
-    for vertex in tree.vertices:
-        vertex.grouped = any(edge.child.returning and not edge.cut
-                             for edge in vertex.child_edges)
-
     # Twins (the shapes are final only now: ``returning`` is part of
     # one).  Distinct root tags leave nothing to compare.
     if len({nok.root.name for nok in result.noks}) < len(result.noks):

@@ -33,7 +33,6 @@ from repro.physical.structural import JoinResult, count_operator
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
 from repro.xpath.compile import Bindings
-from repro.algebra.nested_list import Match, match_nodes
 
 __all__ = [
     "bounded_nested_loop_join",
@@ -46,7 +45,7 @@ R = TypeVar("R")
 
 
 def bounded_nested_loop_join(left_nodes: Iterable[Node],
-                             right_entries: Sequence[Match],
+                             right: Sequence[Node],
                              inner_nok: NoKTree, doc: Document,
                              edge: InterEdge,
                              counters: ScanCounters | None = None,
@@ -60,27 +59,27 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node],
     heavily and the repeated scanning shows up directly in
     ``nodes_scanned``.
 
-    ``right_entries`` are the executor's already-reduced right-side
-    matches, document-ordered: a rematch absent there was eliminated by
-    a deeper mandatory join and must not resurface, and an outer node's
-    partners are the run of ``right_entries`` from the first to the last
-    rematch found there (the descendants of one node are contiguous in
-    document order), so downstream navigation sees the reduced entries.
+    ``right`` are the executor's already-reduced right-side matches,
+    document-ordered: a rematch absent there was eliminated by a deeper
+    mandatory join and must not resurface, and an outer node's partners
+    are the run of ``right`` from the first to the last rematch found
+    there (the descendants of one node are contiguous in document
+    order), so downstream navigation sees the reduced matches.
     ``variables`` are the request's bindings, for the inner NoK's
     late-bound vertex tests.
     """
     counters = counters if counters is not None else ScanCounters()
 
     def rematch(outer: Node) -> Sequence[Node]:
-        return match_nodes(edge.child, NoKMatcher(
+        return NoKMatcher(
             inner_nok, doc, counters, outer.nid + 1,
-            outer.nid + outer.subtree_size(), variables=variables).matches())
-    return _rematch_join("bnlj", left_nodes, right_entries, edge, counters,
+            outer.nid + outer.subtree_size(), variables=variables).matches()
+    return _rematch_join("bnlj", left_nodes, right, edge, counters,
                          rematch)
 
 
 def naive_nested_loop_join(left_nodes: Iterable[Node],
-                           right_entries: Sequence[Match],
+                           right: Sequence[Node],
                            inner_nok: NoKTree, doc: Document,
                            edge: InterEdge,
                            counters: ScanCounters | None = None,
@@ -89,31 +88,29 @@ def naive_nested_loop_join(left_nodes: Iterable[Node],
 
     The ablation baseline for BNLJ's range optimization and the
     harness's "NL" system.  See :func:`bounded_nested_loop_join` for
-    the ``right_entries`` contract and ``variables``.
+    the ``right`` contract and ``variables``.
     """
     counters = counters if counters is not None else ScanCounters()
-    grouped = edge.child.grouped    # the inner matches' representation
 
     def rematch(outer: Node) -> Iterator[Node]:
-        for match in NoKMatcher(inner_nok, doc, counters,
-                                variables=variables).matches():
-            node: Node = match.node if grouped else match  # type: ignore
+        for node in NoKMatcher(inner_nok, doc, counters,
+                               variables=variables).matches():
             counters.comparisons += 1
             if outer.is_ancestor_of(node):
                 yield node
-    return _rematch_join("nl", left_nodes, right_entries, edge, counters,
+    return _rematch_join("nl", left_nodes, right, edge, counters,
                          rematch)
 
 
 def _rematch_join(operator: str, left_nodes: Iterable[Node],
-                  right_entries: Sequence[Match], edge: InterEdge,
+                  right: Sequence[Node], edge: InterEdge,
                   counters: ScanCounters,
                   rematch: Callable[[Node], Iterable[Node]]) -> JoinResult:
     """The loop both nested loops share: an outer node's partners run
     from the first to the last of its document-ordered ``rematch`` nodes
-    that ``right_entries`` holds (found by a bisect of their ``start``
+    that ``right`` holds (found by a bisect of their ``start``
     column)."""
-    starts = [node.start for node in match_nodes(edge.child, right_entries)]
+    starts = [node.start for node in right]
     ranges: dict[int, tuple[int, int]] = {}
     pairs = 0
     token = counters.cancellation
@@ -127,7 +124,7 @@ def _rematch_join(operator: str, left_nodes: Iterable[Node],
             ranges[outer.nid] = (held[0], held[-1] + 1)
             pairs += len(held)
     count_operator(operator, pairs)
-    return JoinResult(edge, right_entries, ranges, pairs)
+    return JoinResult(edge, right, ranges, pairs)
 
 
 def nested_loop_pairs(left_items: Iterable[L], right_items: Iterable[R],

@@ -24,7 +24,9 @@ Differences from the pseudo-code, for exactness and for speed:
   declared Definition-1 semantics are implemented directly (mandatory
   children need at least one match, optional children may be empty,
   all matches of a child are grouped); the produced physical structure
-  is the Figure-6 layout (see :mod:`repro.algebra.nested_list`).
+  is the Figure-6 layout (see :mod:`repro.algebra.nested_list`): a
+  vertex's matches are its nodes, and the runs of a returning local
+  child go into that child's run table, keyed by the parent match.
 * ``following-sibling`` edges are decided by nid order within one
   parent, as the frontier mechanism does: a successor child is a
   candidate only after its predecessor's first match among the same
@@ -46,7 +48,7 @@ Differences from the pseudo-code, for exactness and for speed:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from operator import attrgetter
 from typing import cast
 
@@ -56,17 +58,18 @@ from repro.xmlkit.storage import ScanCounters, scan_candidates
 from repro.xmlkit.tree import ELEMENT, Document, Node
 from repro.xpath.ast import mentions_variable
 from repro.xpath.compile import Bindings, Filter, compile_filter
-from repro.algebra.nested_list import Match, NLEntry, no_groups
+from repro.algebra.nested_list import Groups, add_table
 
 __all__ = ["Batch", "NoKMatcher", "compile_matcher", "filtered",
            "matcher_for", "scan_range"]
 
-#: A compiled pattern vertex: ``fn(candidates, counters, variables)`` is
-#: the matches of the vertex's NoK subtree among ``candidates`` (whose
-#: tag the caller has tested), in their order, under the request's
-#: bindings — an entry for a grouped vertex, the node itself for any
-#: other.
-Batch = Callable[[list[Node], ScanCounters, "Bindings | None"], list[Match]]
+#: A compiled pattern vertex: ``fn(candidates, counters, variables,
+#: groups)`` is the matches of the vertex's NoK subtree among
+#: ``candidates`` (whose tag the caller has tested), in their order,
+#: under the request's bindings; the runs of the returning vertices
+#: below go into ``groups``.
+Batch = Callable[[list[Node], ScanCounters, "Bindings | None", Groups],
+                 list[Node]]
 
 #: What a predicate that mentions no variable is given (never written).
 _NO_VARIABLES: Bindings = {}
@@ -74,11 +77,7 @@ _NO_VARIABLES: Bindings = {}
 #: it never becomes a candidate.
 _NEVER = -1
 _PARENT = attrgetter("parent")
-_ENTRY_PARENT = attrgetter("node.parent")
-
-
-def _match_nid(match: Match) -> int:
-    return match.nid if isinstance(match, Node) else match.node.nid
+_NID = attrgetter("nid")
 
 
 class NoKMatcher:
@@ -99,31 +98,36 @@ class NoKMatcher:
     variables:
         The request's bindings, for late-bound vertex tests (``{}``
         outside a request: a plan with such a test then fails loudly).
+    groups:
+        Receives the run tables of the NoK's returning vertices (a
+        fresh dict by default, kept as ``self.groups``).
     """
 
     def __init__(self, nok: NoKTree, doc: Document,
                  counters: ScanCounters | None = None,
                  start_nid: int = 0, stop_nid: int | None = None,
-                 *, variables: Bindings) -> None:
+                 *, variables: Bindings, groups: Groups | None = None
+                 ) -> None:
         self.nok = nok
         self.doc = doc
         self.counters = counters if counters is not None else ScanCounters()
         self.start_nid = start_nid
         self.stop_nid = stop_nid
         self.variables = variables
+        self.groups: Groups = groups if groups is not None else {}
 
-    def matches(self) -> list[Match]:
-        """All matches, in document order of their root nodes."""
+    def matches(self) -> list[Node]:
+        """All root matches, in document order."""
         return scan_range([self.nok], self.doc, self.counters, None,
                           self.start_nid, self.stop_nid,
-                          self.variables)[self.nok.nok_id]
+                          self.variables, self.groups)[self.nok.nok_id]
 
 
 def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
                per_nok: dict[int, ScanCounters] | None = None,
                start_nid: int = 0, stop_nid: int | None = None,
-               variables: Bindings | None = None
-               ) -> dict[int, list[Match]]:
+               variables: Bindings | None = None,
+               groups: Groups | None = None) -> dict[int, list[Node]]:
     """The match phase's only scan, over ``[start_nid, stop_nid)``.
 
     :class:`NoKMatcher` runs it for one NoK, the merged scan
@@ -142,10 +146,16 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
     returning, even when the scan aborts (DNF).  ``variables`` are the
     request's bindings, read by late-bound vertex filters; without a
     request (``None``) those filters are not applied.
+
+    Returns each NoK's root list; ``groups`` (a fresh dict by default)
+    receives the run table of each returning vertex under an uncut edge
+    of the NoKs that has a non-empty run under some kept parent.
     """
-    results: dict[int, list[Match]] = {nok.nok_id: [] for nok in noks}
+    results: dict[int, list[Node]] = {nok.nok_id: [] for nok in noks}
+    if groups is None:
+        groups = {}
     tags: list[str] = []
-    targets: list[tuple[Batch, list[Match], ScanCounters]] = []
+    targets: list[tuple[Batch, list[Node], ScanCounters]] = []
     try:
         for nok in noks:
             batch = matcher_for(nok)
@@ -157,7 +167,7 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
                 # there owns it — once per document however it is cut.
                 if start_nid == 0:
                     results[nok.nok_id] += batch(
-                        [doc.document_node], charged, variables)
+                        [doc.document_node], charged, variables, groups)
             else:
                 tags.append(nok.root.name)
                 targets.append((batch, results[nok.nok_id], charged))
@@ -167,7 +177,8 @@ def scan_range(noks: list[NoKTree], doc: Document, counters: ScanCounters,
                 for (batch, matched, charged), candidates in zip(
                         targets, lists):
                     if candidates:
-                        matched += batch(candidates, charged, variables)
+                        matched += batch(candidates, charged, variables,
+                                         groups)
     finally:
         if per_nok is not None:
             for private in per_nok.values():
@@ -229,30 +240,22 @@ def compile_matcher(vertex: BlossomVertex) -> Batch:
     The closure alone holds what is compiled here (the filters too),
     so all of it is freed with the closure's owner.
 
-    The representation is the vertex's
-    (:attr:`~repro.pattern.blossom.BlossomVertex.grouped`): a vertex
-    without a slot to fill matches as the node itself, so nothing is
-    built for it.  A grouped vertex's entry is built only for a
-    candidate that passed its filters and its mandatory and sibling
-    checks.  It holds the vertex's one shared groups tuple of empty
-    slots unless a returning local child matched below it; then it has
-    its own groups list, and each filled slot its own list.  A cut
-    ``//`` child's slot and an existential child's slot stay ``()``.
+    A match is its node, so nothing is built per match.  The runs of a
+    returning local child — its matches per parent, which the batch
+    collects anyway to drop the candidates a mandatory child misses —
+    become that child's run table in ``groups``, restricted to the
+    candidates the batch kept.  A cut ``//`` child and an existential
+    child get no table.
     """
     static, late = _compile_filters(vertex)
-    grouped = vertex.grouped
-    empty = no_groups(len(vertex.child_edges))
-    local = [(index, edge) for index, edge in enumerate(vertex.child_edges)
-             if not edge.cut]
-    position = {edge.child.vid: at for at, (_, edge) in enumerate(local)}
+    local = [edge for edge in vertex.child_edges if not edge.cut]
+    position = {edge.child.vid: at for at, edge in enumerate(local)}
     # Per local edge, in edge order: the child tag, its batch (``None``
     # for a child without filters or local children: the tag test is
-    # its whole match), whether it is mandatory, the position of the
-    # edge it must follow (``None``: no sibling constraint) and how a
-    # child match names its parent.
-    edges: list[tuple[str, Batch | None, bool, int | None,
-                      Callable[[Match], Node]]] = []
-    for index, edge in local:
+    # its whole match), whether it is mandatory and the position of the
+    # edge it must follow (``None``: no sibling constraint).
+    edges: list[tuple[str, Batch | None, bool, int | None]] = []
+    for edge in local:
         child = edge.child
         plain = not child.value_predicates \
             and all(sub.cut for sub in child.child_edges)
@@ -260,11 +263,10 @@ def compile_matcher(vertex: BlossomVertex) -> Batch:
             child.name, None if plain else compile_matcher(child),
             edge.mode == MODE_MANDATORY,
             None if child.after_vid is None
-            else position.get(child.after_vid, _NEVER),
-            _ENTRY_PARENT if child.grouped else _PARENT))
+            else position.get(child.after_vid, _NEVER)))
     # The named edges without a sibling constraint: two or more share
     # one pass over the children, filling a list per tag.
-    named = [name for name, _, _, after, _ in edges
+    named = [name for name, _, _, after in edges
              if name != "*" and after is None]
     shared = frozenset(named) if len(named) > 1 else frozenset()
     # Per successor edge, (its position, its predecessor's).
@@ -275,8 +277,8 @@ def compile_matcher(vertex: BlossomVertex) -> Batch:
     # successors of successors first: chains compose.
     ordered = [(before, at) for at, before in reversed(sequenced)
                if edges[at][2]]
-    # Per returning edge, (its position, the group it fills).
-    filled = [(at, index) for at, (index, edge) in enumerate(local)
+    # Per returning edge, (its position, the vid of its table).
+    filled = [(at, edge.child.vid) for at, edge in enumerate(local)
               if edge.child.returning]
     # The edges whose matches are needed per parent, not only the
     # parents that have one: returning edges, successors, predecessors.
@@ -284,17 +286,17 @@ def compile_matcher(vertex: BlossomVertex) -> Batch:
                                              for at in pair}
 
     def batch(nodes: list[Node], counters: ScanCounters,
-              variables: Bindings | None) -> list[Match]:
+              variables: Bindings | None, groups: Groups) -> list[Node]:
         nodes = _apply(static, nodes, counters, _NO_VARIABLES)
         if late and variables is not None:
             nodes = _apply(late, nodes, counters, variables)
         if not edges or not nodes:
-            return nodes  # type: ignore[return-value]
+            return nodes
         kept = nodes
         # Per edge that needs them: parent -> its matches under the
         # edge, in child order (a predecessor that is no local sibling
         # has none).
-        runs: dict[int, dict[Node, list[Match]]] = {_NEVER: {}}
+        runs: dict[int, dict[Node, list[Node]]] = {_NEVER: {}}
         if shared:
             by_tag: dict[str | None, list[Node]] = {
                 name: [] for name in shared}
@@ -304,8 +306,7 @@ def compile_matcher(vertex: BlossomVertex) -> Batch:
                     bucket = bucket_of(c.tag)
                     if bucket is not None:
                         bucket.append(c)
-        for at, (name, child_batch, mandatory, after, parent_of) in \
-                enumerate(edges):
+        for at, (name, child_batch, mandatory, after) in enumerate(edges):
             if name in shared and after is None:
                 children = by_tag[name]
             elif after is None:
@@ -316,59 +317,51 @@ def compile_matcher(vertex: BlossomVertex) -> Batch:
             else:
                 # A successor child is a candidate once a predecessor
                 # matched among its earlier siblings.
-                since = [(p, _match_nid(run[0]))
-                         for p, run in runs[after].items()]
+                since = [(p, run[0].nid) for p, run in runs[after].items()]
                 children = ([c for p, nid in since for c in p.children
                              if c.kind == ELEMENT and c.nid > nid]
                             if name == "*" else
                             [c for p, nid in since for c in p.children
                              if c.tag == name and c.nid > nid])
             counters.comparisons += len(children)
-            matches = cast("list[Match]", children) if child_batch is None \
-                else child_batch(children, counters, variables)
+            matches = children if child_batch is None \
+                else child_batch(children, counters, variables, groups)
             if at in per_parent:
-                runs[at] = _by_parent(matches, parent_of)
+                runs[at] = _by_parent(matches)
             if mandatory:
-                have = runs[at] if at in runs else set(map(parent_of,
-                                                           matches))
+                have = runs[at] if at in runs else set(map(_PARENT, matches))
                 kept = [p for p in kept if p in have]
-        if not grouped:
-            return kept  # type: ignore[return-value]
+        if not filled:
+            return kept
+        dropped = len(kept) < len(nodes)
         if ordered:
             for p in kept:
                 for before, after in ordered:
                     # Predecessor matches after the last successor
                     # match (which survived its own cut) leave.
                     cut = runs[before][p]
-                    last = _match_nid(runs[after][p][-1])
-                    del cut[bisect_left(cut, last, key=_match_nid):]
-        slots = [(index, runs[at]) for at, index in filled]
-        out: list[Match] = []
-        for p in kept:
-            groups: list[Sequence[Match]] | None = None
-            for index, of_parent in slots:
-                run = of_parent.get(p)
-                if run is not None:
-                    if groups is None:
-                        groups = [*empty]
-                    groups[index] = run
-            out.append(NLEntry(vertex, p, empty if groups is None
-                               else groups))
-        return out
+                    del cut[bisect_left(cut, runs[after][p][-1].nid,
+                                        key=_NID):]
+        for at, vid in filled:
+            table = runs[at]
+            if dropped:
+                table = {p: run for p in kept
+                         if (run := table.get(p)) is not None}
+            add_table(groups, vid, table)
+        return kept
     return batch
 
 
-def _by_parent(matches: list[Match], parent_of: Callable[[Match], Node]
-               ) -> dict[Node, list[Match]]:
+def _by_parent(matches: list[Node]) -> dict[Node, list[Node]]:
     """``matches`` of one edge, which come parent by parent, as
     parent -> its matches in child order."""
-    runs: dict[Node, list[Match]] = {}
+    runs: dict[Node | None, list[Node]] = {}
     last = None
     for match in matches:
-        parent = parent_of(match)
+        parent = match.parent
         if parent is last:
             run.append(match)
         else:
             run = runs[parent] = [match]
             last = parent
-    return runs
+    return cast("dict[Node, list[Node]]", runs)

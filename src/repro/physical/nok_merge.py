@@ -19,16 +19,18 @@ NoKs of one scan that are structurally identical (``for $a in
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from repro.pattern.blossom import BlossomVertex
 from repro.pattern.decompose import NoKTree
 from repro.physical.nok import scan_range
 from repro.physical.structural import count_operator
 from repro.xmlkit.storage import ScanCounters
-from repro.xmlkit.tree import Document
+from repro.xmlkit.tree import Document, Node
 from repro.xpath.compile import Bindings
-from repro.algebra.nested_list import Match, NLEntry
+from repro.algebra.nested_list import Groups
 
-__all__ = ["matched_once", "merged_scan", "relabel_twins"]
+__all__ = ["matched_once", "merged_scan", "share_twins"]
 
 
 def matched_once(noks: list[NoKTree]
@@ -36,49 +38,49 @@ def matched_once(noks: list[NoKTree]
     """``noks`` split into those a scan matches and their twins
     (:attr:`~repro.pattern.decompose.NoKTree.twin_of` names one of the
     former).  A twin is not matched — by no partition either: the scan's
-    caller gives it the first's list afterwards (:func:`relabel_twins`)."""
+    caller gives it the first's result afterwards (:func:`share_twins`)."""
     scanned = {nok.nok_id for nok in noks}
     return ([nok for nok in noks if nok.twin_of not in scanned],
             [nok for nok in noks if nok.twin_of in scanned])
 
 
-def relabel_twins(twins: list[NoKTree],
-                  results: dict[int, list[Match]]) -> None:
-    """Each twin's list: the first's, re-labelled onto its own vertices
-    (σ reduces each list separately and an entry names its vertex, so
-    the two lists share no entry; a node names none, so a vertex that
-    is not grouped shares its matches)."""
+def share_twins(twins: list[NoKTree], noks: list[NoKTree],
+                results: dict[int, list[Node]], groups: Groups) -> None:
+    """Each twin's result: a copy of the first's root list, and the
+    first's tables under the twin's own vertices.  σ replaces the tables
+    it changes and never mutates one, so reducing one twin leaves the
+    other whole."""
+    by_id = {nok.nok_id: nok for nok in noks}
     for nok in twins:
         assert nok.twin_of is not None
-        matches = results[nok.twin_of]
-        if nok.root.grouped:
-            results[nok.nok_id] = [
-                _relabel(entry, nok.root) for entry in matches]  # type: ignore[arg-type]
-        else:
-            results[nok.nok_id] = list(matches)
+        first = by_id[nok.twin_of]
+        results[nok.nok_id] = list(results[first.nok_id])
+        for mine, theirs in _alike(nok.root, first.root):
+            if theirs.vid in groups:
+                groups[mine.vid] = groups[theirs.vid]
 
 
-def _relabel(entry: NLEntry, vertex: BlossomVertex) -> NLEntry:
-    """A copy of ``entry`` over the equal-shaped subtree at ``vertex``."""
-    groups = entry.groups
-    if not any(groups):
-        return NLEntry(vertex, entry.node, groups)  # shared empty slots
-    return NLEntry(vertex, entry.node, [
-        [_relabel(sub, edge.child) for sub in group]  # type: ignore[arg-type]
-        if group and edge.child.grouped else group
-        for group, edge in zip(groups, vertex.child_edges)])
+def _alike(vertex: BlossomVertex, twin: BlossomVertex
+           ) -> Iterator[tuple[BlossomVertex, BlossomVertex]]:
+    """The vertices of two equal-shaped NoK subtrees, pair by pair."""
+    yield vertex, twin
+    for edge, other in zip(vertex.child_edges, twin.child_edges):
+        if not edge.cut:
+            yield from _alike(edge.child, other.child)
 
 
 def merged_scan(noks: list[NoKTree], doc: Document,
                 counters: ScanCounters | None = None,
                 per_nok: dict[int, ScanCounters] | None = None,
-                variables: Bindings | None = None
-                ) -> dict[int, list[Match]]:
+                variables: Bindings | None = None,
+                groups: Groups | None = None
+                ) -> dict[int, list[Node]]:
     """Evaluate several NoK pattern trees over one document in one scan.
 
-    Returns ``{nok_id: matches}`` with each match list in document order
-    of its root nodes — the same order-preservation contract as the
-    single-NoK scan, so downstream merge joins work unchanged.
+    Returns ``{nok_id: roots}`` with each root list in document order —
+    the same order-preservation contract as the single-NoK scan, so
+    downstream merge joins work unchanged — and fills ``groups`` (a
+    fresh dict by default) with the run tables of every NoK.
 
     ``per_nok`` optionally maps ``nok_id`` to a private
     :class:`ScanCounters` charged with that NoK's match work
@@ -94,8 +96,11 @@ def merged_scan(noks: list[NoKTree], doc: Document,
     """
     if counters is None:
         counters = ScanCounters()
-    noks, twins = matched_once(noks)
-    results = scan_range(noks, doc, counters, per_nok, variables=variables)
-    relabel_twins(twins, results)
+    if groups is None:
+        groups = {}
+    scanned, twins = matched_once(noks)
+    results = scan_range(scanned, doc, counters, per_nok,
+                         variables=variables, groups=groups)
+    share_twins(twins, scanned, results, groups)
     count_operator("merged_scan", sum(map(len, results.values())))
     return results

@@ -3,8 +3,10 @@
 The document is cut into subtree-aligned partitions
 (:mod:`repro.xmlkit.partition`); every partition runs
 :func:`~repro.physical.nok.scan_range` — the serial merged scan's own
-scan — on its nid range, and the per-NoK match lists are
-concatenated in partition order.
+scan — on its nid range into its own run tables; the per-NoK root
+lists are concatenated in partition order, and the tables merged in
+that order with ``dict.update`` (a parent match belongs to one
+partition, so no two tables share a parent).
 
 Correctness rests on Theorem 1's order argument: the serial scan emits
 matches in document order, each partition is a contiguous slice of that
@@ -58,13 +60,13 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Span, Tracer
 from repro.pattern.decompose import NoKTree
 from repro.physical.nok import scan_range
-from repro.physical.nok_merge import matched_once, merged_scan, relabel_twins
+from repro.physical.nok_merge import matched_once, merged_scan, share_twins
 from repro.physical.structural import count_operator
 from repro.xmlkit.partition import Partition, partition_document
 from repro.xmlkit.storage import CancellationToken, ScanCounters
-from repro.xmlkit.tree import Document
+from repro.xmlkit.tree import Document, Node
 from repro.xpath.compile import Bindings
-from repro.algebra.nested_list import Match
+from repro.algebra.nested_list import Groups, add_table
 
 if TYPE_CHECKING:
     from repro.engine.backend import ExecutionBackend
@@ -149,9 +151,11 @@ class PartitionToken(CancellationToken):
 class PartitionOutcome:
     """What a driver hands the coordinator for one partition."""
 
-    #: ``{nok_id: matches}`` over the coordinator's document (empty
+    #: ``{nok_id: roots}`` over the coordinator's document (empty
     #: when the partition aborted).
-    matches: dict[int, list[Match]] = field(default_factory=dict)
+    matches: dict[int, list[Node]] = field(default_factory=dict)
+    #: The partition's run tables, over the same nodes.
+    groups: Groups = field(default_factory=dict)
     #: The partition's private work, per-NoK work already folded in.
     counters: ScanCounters = field(default_factory=ScanCounters)
     per_nok: dict[int, ScanCounters] | None = None
@@ -183,7 +187,7 @@ def run_partition(noks: list[NoKTree], doc: Document, start_nid: int,
     try:
         outcome.matches = scan_range(noks, doc, outcome.counters,
                                      outcome.per_nok, start_nid, stop_nid,
-                                     variables)
+                                     variables, outcome.groups)
         # The tail shorter than a stride still counts against the
         # budget, and a query already cancelled must not report success.
         if token is not None:
@@ -300,11 +304,13 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
                          pools: ScanPools | None = None,
                          partitions: list[Partition] | None = None,
                          tracer: Tracer | None = None,
-                         ) -> dict[int, list[Match]]:
+                         groups: Groups | None = None,
+                         ) -> dict[int, list[Node]]:
     """Evaluate several NoK pattern trees over partition-parallel scans.
 
     Same contract as :func:`~repro.physical.nok_merge.merged_scan`
-    (per-NoK match lists in document order; optional ``per_nok`` work
+    (per-NoK root lists in document order, run tables into ``groups``,
+    a fresh dict by default; optional ``per_nok`` work
     attribution folded back into the shared ``counters``; ``variables``
     the request's bindings, required here: a partitioned scan always
     serves a request), evaluated as one scan task per partition.
@@ -319,11 +325,13 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
     """
     if counters is None:
         counters = ScanCounters()
+    if groups is None:
+        groups = {}
     if partitions is None:
         partitions = partition_document(doc, backend.parallelism)
     if len(partitions) <= 1:
         _PARTITION_FALLBACKS.inc()
-        return merged_scan(noks, doc, counters, per_nok, variables)
+        return merged_scan(noks, doc, counters, per_nok, variables, groups)
 
     # A token tripped before dispatch must fail the query up front —
     # the serial scan would raise at its first checkpoint.
@@ -331,11 +339,11 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
         counters.cancellation.check()
     if pools is None:
         pools = _SHARED_POOLS
-    noks, twins = matched_once(noks)    # no partition matches a twin
+    scanned, twins = matched_once(noks)    # no partition matches a twin
     driver = (pools.process_backend().scan if backend.kind == "processes"
               else partial(_scan_on_threads, pools.thread_pool()))
-    outcomes = driver(noks, doc, partitions, counters, per_nok is not None,
-                      variables)
+    outcomes = driver(scanned, doc, partitions, counters,
+                      per_nok is not None, variables)
 
     try:
         # Surface the first failure in partition order (deterministic
@@ -370,10 +378,12 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
                 span.start_ns, span.end_ns = outcome.times
                 parent.children.append(span)
 
-    results: dict[int, list[Match]] = {nok.nok_id: [] for nok in noks}
+    results: dict[int, list[Node]] = {nok.nok_id: [] for nok in scanned}
     for outcome in outcomes:
-        for nok_id, entries in outcome.matches.items():
-            results[nok_id].extend(entries)
-    relabel_twins(twins, results)
+        for nok_id, roots in outcome.matches.items():
+            results[nok_id].extend(roots)
+        for vid, table in outcome.groups.items():
+            add_table(groups, vid, table)
+    share_twins(twins, scanned, results, groups)
     count_operator("parallel_scan", sum(map(len, results.values())))
     return results

@@ -24,25 +24,24 @@ from repro.errors import ExecutionError
 from repro.pattern.decompose import InterEdge
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Node
-from repro.algebra.nested_list import Match
 from repro.physical.structural import JoinResult, count_operator
 
 __all__ = ["pipelined_desc_join"]
 
 
 def pipelined_desc_join(left_nodes: Sequence[Node],
-                        right_entries: Sequence[Match],
+                        right: Sequence[Node],
                         edge: InterEdge,
                         counters: ScanCounters | None = None) -> JoinResult:
     """Strict merge join for a ``//`` inter edge on non-nesting input.
 
     ``left_nodes`` (``left_projection``'s list: it is read twice) must
-    be document-ordered and non-nesting; ``right_entries``, the matches
-    of ``edge.child`` in its representation, must be document-ordered
-    by root.  Each left node's partners are the run of right positions
-    it pairs (contiguous: the left nodes do not nest).  Raises
+    be document-ordered and non-nesting; ``right``, the matches of
+    ``edge.child``, must be document-ordered.  Each left node's
+    partners are the run of right positions it pairs (contiguous: the
+    left nodes do not nest).  Raises
     :class:`~repro.errors.ExecutionError` if the left input nests
-    anywhere — also behind the last right entry, where the merge itself
+    anywhere — also behind the last right node, where the merge itself
     never looks — because silently producing partial output here is
     exactly the Example-5 trap the paper warns about.
     """
@@ -60,12 +59,10 @@ def pipelined_desc_join(left_nodes: Sequence[Node],
     current: Node | None = next(left_iter, None)
     owner: Node | None = None       # the left node the open run belongs to
     token = counters.cancellation
-    grouped = edge.child.grouped    # the right side's representation
 
-    for at, entry in enumerate(right_entries):
+    for at, node in enumerate(right):
         if token is not None:
             token.checkpoint()
-        node: Node = entry.node if grouped else entry  # type: ignore
         # Advance the left cursor past ancestors that end before the
         # right node starts (the m << n branch of the GetNext code).
         while current is not None and current.end < node.start:
@@ -82,5 +79,5 @@ def pipelined_desc_join(left_nodes: Sequence[Node],
         # n << m branch — advance the right side).
     counters.note_buffer(1)
     count_operator("pipelined_join", pairs)
-    return JoinResult(edge, right_entries, ranges, pairs)
+    return JoinResult(edge, right, ranges, pairs)
 

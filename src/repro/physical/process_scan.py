@@ -13,11 +13,10 @@ partition body (:func:`~repro.physical.parallel_scan.run_partition`) in
   pickled NoK trees, four integers per partition and the atoms of the
   request's bindings (never a pickled node; the NoK blob, which the
   workers cache their compiled matchers under, does not depend on them);
-* results come back as **compact nid arrays** (a pre-order flattening of
-  each NestedList: root nid, then — for an entry of a grouped vertex —
-  per-child-group counts and matches, recursively; a vertex without
-  groups is its nids alone).  They are decoded against the *real*
-  document's nodes, so downstream joins see ordinary identity-stable
+* results come back as **compact nid arrays**: per NoK its root nids,
+  and per run table ``(parent nid, count, child nids…)`` for each
+  parent.  They are decoded against the *real* document's nodes, so
+  downstream joins see ordinary identity-stable
   :class:`~repro.xmlkit.tree.Node` objects and the concatenated output
   is bit-identical to the serial scan (Theorem 1 — the order argument
   is representation-independent);
@@ -46,12 +45,10 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Iterator, cast
 
-from repro.algebra.nested_list import Match, NLEntry, no_groups
 from repro.errors import ExecutionError
 from repro.obs.metrics import REGISTRY
-from repro.pattern.blossom import BlossomVertex
 from repro.pattern.decompose import NoKTree
 from repro.physical.parallel_scan import (PartitionOutcome, SharedAbort,
                                           run_partition)
@@ -177,7 +174,6 @@ class ProcessScanBackend:
         """
         path = doc.derived.arena_file()
         blob = pickle.dumps(noks, protocol=pickle.HIGHEST_PROTOCOL)
-        roots = {nok.nok_id: nok.root for nok in noks}
         atoms = atomized(variables)
         token = counters.cancellation
         deadline = token.deadline if token is not None else None
@@ -211,10 +207,15 @@ class ProcessScanBackend:
                         # Matches travel as nid arrays; rebuild them on
                         # the real document's nodes.
                         outcome = future.result()
+                        nodes = doc.nodes
+                        roots = cast("dict[int, array]", outcome.matches)
+                        tables = cast("dict[int, array]", outcome.groups)
                         outcome.matches = {
-                            nok_id: _decode_match_list(roots[nok_id], data,
-                                                       doc.nodes)
-                            for nok_id, data in outcome.matches.items()}
+                            nok_id: [nodes[nid] for nid in data]
+                            for nok_id, data in roots.items()}
+                        outcome.groups = {
+                            vid: _decode_table(data, nodes)
+                            for vid, data in tables.items()}
                     else:
                         # A task that died of a bug has its traceback in
                         # another process; never drop its partition.
@@ -248,72 +249,31 @@ class ProcessScanBackend:
 
 
 # ----------------------------------------------------------------------
-# Match-list wire format: a pre-order flattening of each NestedList.
+# Wire format: nid arrays, decoded onto the coordinator's nodes.
 # ----------------------------------------------------------------------
 
-def _encode_match_list(vertex: BlossomVertex, matches: list[Match]
-                       ) -> array:
-    """``vertex``'s matches as ``[count, match...]``: a match is its
-    node's nid, followed — for a grouped vertex only — by per slot the
-    count of its matches and each of them, recursively."""
-    out = array("i", [len(matches)])
-    if vertex.grouped:
-        for entry in matches:
-            _encode_entry(entry, vertex, out)  # type: ignore[arg-type]
-    else:
-        out.extend(node.nid for node in matches)  # type: ignore[union-attr]
+def _encode_table(table: dict[Node, list[Node]]) -> array:
+    """A run table as ``[parent nid, count, child nids..., ...]``."""
+    out = array("i")
+    for parent, run in table.items():
+        out.append(parent.nid)
+        out.append(len(run))
+        out.extend(node.nid for node in run)
     return out
 
 
-def _encode_entry(entry: NLEntry, vertex: BlossomVertex, out: array) -> None:
-    out.append(entry.node.nid)
-    for group, edge in zip(entry.groups, vertex.child_edges):
-        out.append(len(group))
-        child = edge.child
-        if child.grouped:
-            for sub in group:
-                _encode_entry(sub, child, out)  # type: ignore[arg-type]
-        else:
-            out.extend(node.nid for node in group)  # type: ignore[union-attr]
-
-
-def _decode_match_list(vertex: BlossomVertex, data: array,
-                       nodes: Sequence[Node]) -> list[Match]:
-    """:func:`_encode_match_list` read back onto ``nodes``."""
-    if not vertex.grouped:
-        return [nodes[nid] for nid in data[1:]]
-    matches: list[Match] = []
-    pos = 1
-    for _ in range(data[0]):
-        entry, pos = _decode_entry(vertex, data, pos, nodes)
-        matches.append(entry)
-    return matches
-
-
-def _decode_entry(vertex: BlossomVertex, data: array, pos: int,
-                  nodes: Sequence[Node]) -> tuple[NLEntry, int]:
-    node = nodes[data[pos]]
-    pos += 1
-    empty = no_groups(len(vertex.child_edges))
-    groups: list[Sequence[Match]] | None = None
-    for index, edge in enumerate(vertex.child_edges):
-        count = data[pos]
-        pos += 1
-        if count:
-            if groups is None:
-                groups = [*empty]
-            child = edge.child
-            group: list[Match]
-            if child.grouped:
-                group = []
-                for _ in range(count):
-                    sub, pos = _decode_entry(child, data, pos, nodes)
-                    group.append(sub)
-            else:
-                group = [nodes[nid] for nid in data[pos:pos + count]]
-                pos += count
-            groups[index] = group
-    return NLEntry(vertex, node, empty if groups is None else groups), pos
+def _decode_table(data: array, nodes: Sequence[Node]
+                  ) -> dict[Node, list[Node]]:
+    """:func:`_encode_table` read back onto ``nodes``."""
+    table: dict[Node, list[Node]] = {}
+    pos, end = 0, len(data)
+    while pos < end:
+        count = data[pos + 1]
+        pos += 2
+        table[nodes[data[pos - 2]]] = [nodes[nid]
+                                       for nid in data[pos:pos + count]]
+        pos += count
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +325,7 @@ def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
     The scan itself is :func:`~repro.physical.parallel_scan.run_partition`
     over the attached :class:`ArenaDocument`, whose column postings
     materialize node views only for elements a NoK is rooted at.  The
-    outcome goes back small and picklable: the matches as nid arrays,
+    outcome goes back small and picklable: roots and tables as nid arrays,
     the counters without their token (it holds the shared arrays), the
     wall-clock bounds widened to the whole task.
     """
@@ -378,10 +338,11 @@ def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
                     cells=_worker_budget, index=slot,
                     lock=_worker_budget.get_lock()),
         want_per_nok, variables)
-    roots = {nok.nok_id: nok.root for nok in noks}
     outcome.matches = {  # type: ignore[misc]
-        nok_id: _encode_match_list(roots[nok_id], matches)
-        for nok_id, matches in outcome.matches.items()}
+        nok_id: array("i", [node.nid for node in roots])
+        for nok_id, roots in outcome.matches.items()}
+    outcome.groups = {  # type: ignore[misc]
+        vid: _encode_table(table) for vid, table in outcome.groups.items()}
     outcome.counters.cancellation = None
     outcome.times = (started, time.perf_counter_ns())
     return outcome

@@ -29,27 +29,26 @@ from itertools import repeat
 from repro.pattern.decompose import InterEdge
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Node
-from repro.algebra.nested_list import Match, match_nodes
 from repro.physical.structural import JoinResult, count_operator
 
 __all__ = ["stack_desc_join"]
 
 
 def stack_desc_join(left_nodes: Sequence[Node],
-                    right_entries: Sequence[Match],
+                    right: Sequence[Node],
                     edge: InterEdge,
                     counters: ScanCounters | None = None) -> JoinResult:
     """Ancestor-descendant range join producing one run per left node.
 
-    ``left_nodes`` (``left_projection``'s list) and ``right_entries``
-    (the matches of ``edge.child``, in its representation) must be
-    document-ordered; nesting is allowed on both sides.
+    ``left_nodes`` (``left_projection``'s list) and ``right`` (the
+    matches of ``edge.child``) must be document-ordered; nesting is
+    allowed on both sides.
     """
     if counters is None:
         counters = ScanCounters()
     if counters.cancellation is not None:
         counters.cancellation.check()
-    starts = [node.start for node in match_nodes(edge.child, right_entries)]
+    starts = [node.start for node in right]
     los = list(map(bisect_right, repeat(starts),
                    [u.start for u in left_nodes]))
     # A run ends no earlier than it starts (``lo`` bounds the second
@@ -61,4 +60,4 @@ def stack_desc_join(left_nodes: Sequence[Node],
     counters.comparisons += 2 * len(left_nodes)
     pairs = sum(his) - sum(los)
     count_operator("stack_join", pairs)
-    return JoinResult(edge, right_entries, ranges, pairs)
+    return JoinResult(edge, right, ranges, pairs)

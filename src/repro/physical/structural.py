@@ -15,12 +15,13 @@ NoK hang under this particular u node" as one slice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.obs.metrics import REGISTRY
 from repro.pattern.decompose import InterEdge
 from repro.xmlkit.tree import Node
-from repro.algebra.nested_list import Match, compile_projection, nok_root
+from repro.algebra.nested_list import (Groups, nok_root, project,
+                                       projection_path)
 
 __all__ = ["JoinResult", "count_operator", "left_projection"]
 
@@ -43,7 +44,7 @@ class JoinResult:
     """Range form of one structural join's output.
 
     ``right`` is the join's right input, the document-ordered matches of
-    ``edge.child`` in its representation; ``ranges[u_nid] = (lo, hi)``
+    ``edge.child``; ``ranges[u_nid] = (lo, hi)``
     says that ``right[lo:hi]`` are exactly the matches whose node is a
     descendant of the left node with pre-order rank ``u_nid``.  Only
     non-empty runs are kept — nodes with no partners simply do not
@@ -52,36 +53,29 @@ class JoinResult:
     """
 
     edge: InterEdge
-    right: Sequence[Match] = ()
+    right: Sequence[Node] = ()
     ranges: dict[int, tuple[int, int]] = field(default_factory=dict)
     pairs: int = 0
 
 
-def left_projection(left_entries: Iterable[Match], edge: InterEdge) -> list[Node]:
+def left_projection(left: Sequence[Node], edge: InterEdge,
+                    groups: Groups) -> list[Node]:
     """Document-ordered distinct u-nodes projected from the left stream,
-    the matches of ``edge.parent``'s NoK root.
+    the root list of ``edge.parent``'s NoK (whose tables are in
+    ``groups``).
 
     Theorem 1 makes each per-match projection document-ordered; matches
     arrive in document order of their roots, and child-axis chains give
     each u node a unique root, so the concatenation is already in
     document order and free of duplicates.  π is compiled once, from
     the NoK root to ``edge.parent``
-    (:func:`~repro.algebra.nested_list.compile_projection`).  Only on
+    (:func:`~repro.algebra.nested_list.projection_path`).  Only on
     recursive documents can match subtrees interleave; the
     concatenation is sorted and deduplicated only when a node arrives
     out of order.
     """
     parent = edge.parent
-    root = nok_root(parent)
-    nodes: list[Node]
-    if root is not parent:
-        project = compile_projection(root, parent)
-        nodes = [node for match in left_entries for node in project(match)]
-    elif root.grouped:
-        # The match is the u match itself: no projection lists.
-        nodes = [match.node for match in left_entries]  # type: ignore[union-attr]
-    else:
-        nodes = list(left_entries)  # type: ignore[arg-type]
+    nodes = project(left, projection_path(nok_root(parent), parent), groups)
     last = -1
     for node in nodes:
         if node.nid <= last:
@@ -97,4 +91,3 @@ def left_projection(left_entries: Iterable[Match], edge: InterEdge) -> list[Node
             out.append(node)
             last = node.nid
     return out
-

@@ -70,7 +70,7 @@ from json.encoder import encode_basestring
 from typing import Any, BinaryIO
 
 from repro.errors import ProtocolError
-from repro.xmlkit.serialize import serialize
+from repro.xmlkit.writer import serialize
 from repro.xmlkit.tree import Node
 
 __all__ = [

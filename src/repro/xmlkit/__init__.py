@@ -7,7 +7,7 @@ XML library is used anywhere in the repository.
 
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.parser import parse, parse_file
-from repro.xmlkit.serialize import pretty, serialize
+from repro.xmlkit.writer import pretty, serialize
 from repro.xmlkit.stats import DocumentStats, compute_stats
 from repro.xmlkit.storage import ScanCounters, SequentialScan
 from repro.xmlkit.update import DocumentUpdater, UpdateReport

@@ -26,7 +26,7 @@ import threading
 
 from repro.xmlkit.arena import DocumentArena
 from repro.xmlkit.index import TagIndex
-from repro.xmlkit.serialize import TextColumn, patched_column, text_column
+from repro.xmlkit.writer import TextColumn, patched_column, text_column
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.summary import StructuralSummary, build_summary
 from repro.xmlkit.tree import ELEMENT, Document, Node
@@ -62,7 +62,7 @@ class DerivedState:
     def xml(self) -> TextColumn:
         """The serialized-text column, which ``serialize`` slices:
         inherited from the previous version, else one flat pass over
-        ``doc.nodes`` (:func:`~repro.xmlkit.serialize.text_column`)."""
+        ``doc.nodes`` (:func:`~repro.xmlkit.writer.text_column`)."""
         column = self._xml
         if column is None:  # a race builds an equal column twice
             column = self._xml = text_column(self.doc.nodes)

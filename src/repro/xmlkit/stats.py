@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.xmlkit.serialize import serialize
+from repro.xmlkit.writer import serialize
 from repro.xmlkit.tree import Document
 
 __all__ = ["DocumentStats", "compute_stats"]

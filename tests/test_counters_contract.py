@@ -162,23 +162,32 @@ def named_noks(text: str):
     return [nok for nok in noks if nok.root.name != "#root"]
 
 
-def sequential_dispatch(noks, doc, counters, start=0, stop=None):
+def sequential_dispatch(noks, doc, counters, start=0, stop=None,
+                        groups=None):
     """The loop the postings walk replaced: every slot of the range
     through ``SequentialScan``, a tag test per element and NoK, and the
     NoK's batch run on that one node."""
     results = {nok.nok_id: [] for nok in noks}
+    groups = {} if groups is None else groups
     for node in SequentialScan(doc, counters, start, stop):
         for nok in noks:
             if nok.root.matches_tag(node.tag):
-                results[nok.nok_id] += matcher_for(nok)([node], counters, {})
+                results[nok.nok_id] += matcher_for(nok)([node], counters, {},
+                                                        groups)
     return results
 
 
 def nids(results):
-    """Per NoK, the nids of its matches (each list is the matches of one
-    vertex, so its first item tells the representation)."""
-    return {nok_id: [getattr(match, "node", match).nid for match in matches]
+    """Per NoK, the nids of its root matches."""
+    return {nok_id: [match.nid for match in matches]
             for nok_id, matches in results.items()}
+
+
+def table_nids(groups):
+    """The non-empty run tables as nids: vid -> parent nid -> run nids."""
+    return {vid: {parent.nid: [node.nid for node in run]
+                  for parent, run in table.items()}
+            for vid, table in groups.items() if table}
 
 
 def counted(counters):
@@ -195,15 +204,17 @@ def ranges(doc, rng):
 
 
 def run(scan, noks, doc, counters, start, stop):
-    """``(match nids, error class)`` of one scan."""
+    """``(root nids, table nids, error class)`` of one scan."""
+    groups = {}
     try:
-        return nids(scan(noks, doc, counters, start, stop)), None
+        roots = nids(scan(noks, doc, counters, start, stop, groups))
+        return roots, table_nids(groups), None
     except (DNFError, QueryCancelledError, QueryTimeoutError) as exc:
-        return None, type(exc)
+        return None, None, type(exc)
 
 
-def postings_walk(noks, doc, counters, start, stop):
-    return scan_range(noks, doc, counters, None, start, stop, {})
+def postings_walk(noks, doc, counters, start, stop, groups=None):
+    return scan_range(noks, doc, counters, None, start, stop, {}, groups)
 
 
 @pytest.fixture(params=["tree", "arena"])
@@ -261,8 +272,9 @@ SPLIT_TEXTS = [
 def test_a_batch_is_the_concatenation_of_its_splits(seed):
     """Theorem 1 for the batch: a NoK's batch over its whole candidate
     list equals the concatenation of its batches over a random split of
-    that list — the same matches and the same counters — so no state
-    leaks between candidates or between parents."""
+    that list — the same matches, the same run tables merged with
+    ``dict.update`` (no two splits share a parent) and the same counters
+    — so no state leaks between candidates or between parents."""
     from repro.algebra.nested_list import sexpr
     from tests.test_xpath_compile import MATCH_CASES, MATCH_DOC
 
@@ -278,15 +290,25 @@ def test_a_batch_is_the_concatenation_of_its_splits(seed):
                 variables = {"p": float(rng.randint(0, 3))}
                 whole_counters, split_counters = ScanCounters(), \
                     ScanCounters()
-                whole = batch(candidates, whole_counters, variables)
+                whole_groups, merged = {}, {}
+                whole = batch(candidates, whole_counters, variables,
+                              whole_groups)
                 cuts = sorted(rng.randrange(len(candidates) + 1)
                               for _ in range(rng.randint(1, 4)))
                 split = []
                 for lo, hi in zip([0, *cuts], [*cuts, len(candidates)]):
+                    groups = {}
                     split += batch(candidates[lo:hi], split_counters,
-                                   variables)
-                assert [sexpr(match, nok.root) for match in split] == \
-                    [sexpr(match, nok.root) for match in whole], (seed, text)
+                                   variables, groups)
+                    for vid, table in groups.items():
+                        assert not table.keys() & merged.get(vid, {}).keys()
+                        merged.setdefault(vid, {}).update(table)
+                assert split == whole, (seed, text)
+                assert table_nids(merged) == table_nids(whole_groups), \
+                    (seed, text)
+                assert [sexpr(match, nok.root, merged) for match in split] \
+                    == [sexpr(match, nok.root, whole_groups)
+                        for match in whole], (seed, text)
                 assert split_counters.snapshot() == \
                     whole_counters.snapshot(), (seed, text)
 
@@ -326,14 +348,14 @@ def test_tripped_token_is_seen_within_one_stride(how, flavour):
     seen = []
     compiled = matcher_for(nok)
 
-    def tripping(nodes, charged, variables):
+    def tripping(nodes, charged, variables, groups):
         if len(seen) == 3:
             if how == "cancelled":
                 token.cancel()
             else:
                 token.deadline = 0.0
         seen.append(counters.nodes_scanned)
-        return compiled(nodes, charged, variables)
+        return compiled(nodes, charged, variables, groups)
     nok.matcher = tripping
     with pytest.raises(QueryCancelledError if how == "cancelled"
                        else QueryTimeoutError):
@@ -395,8 +417,8 @@ def test_range_join_charges_two_comparisons_per_left_node(xml, text):
     doc = parse(xml)
     dec = prepare_artifacts(compile_query(text).tree).decomposition
     edge = next(e for e in dec.inter_edges if e.parent.name != "#root")
-    left = left_projection(NoKMatcher(dec.noks[edge.nok_from], doc,
-                                      variables={}).matches(), edge)
+    outer = NoKMatcher(dec.noks[edge.nok_from], doc, variables={})
+    left = left_projection(outer.matches(), edge, outer.groups)
     right = NoKMatcher(dec.noks[edge.nok_to], doc, variables={}).matches()
     counters = ScanCounters()
     counters.cancellation = CountingToken(stride=1 << 30)
@@ -439,16 +461,16 @@ def test_a_document_version_builds_its_postings_once():
 
 
 # ----------------------------------------------------------------------
-# The representation contract: a match is an ``NLEntry`` only where
-# Figure 6 has a child pointer to fill — a returning child under an
-# uncut edge; every other vertex's match is its node.  What the match
-# phase builds is what a query keeps alive until its finish.
+# The representation contract (Figure 6): every match is its node, and
+# only a vertex returning under an uncut edge has a run table — one per
+# execution, present once a run is filled, parent match -> its non-empty
+# run.  What the
+# match phase builds is what a query keeps alive until its finish.
 # ----------------------------------------------------------------------
 
-from collections import Counter  # noqa: E402
 from functools import partial  # noqa: E402
 
-from repro.algebra.nested_list import NLEntry, no_groups  # noqa: E402
+from repro.algebra.nested_list import sexpr  # noqa: E402
 from repro.algebra.operators import select  # noqa: E402
 from repro.datagen import DATASETS  # noqa: E402
 from repro.engine import Engine  # noqa: E402
@@ -457,7 +479,7 @@ from repro.physical.nok_merge import merged_scan  # noqa: E402
 from repro.physical.parallel_scan import (  # noqa: E402
     ScanPools, parallel_merged_scan)
 from repro.physical.process_scan import (  # noqa: E402
-    _decode_match_list, _encode_match_list)
+    _decode_table, _encode_table)
 from repro.xmlkit.partition import partition_document  # noqa: E402
 from repro.xmlkit.tree import Node  # noqa: E402
 
@@ -471,222 +493,241 @@ SHELF = ("<lib><book><author>a</author><title>t1</title></book>"
          "</lib>")
 
 
-def has_slot_to_fill(vertex):
-    """Figure 6's rule, restated from the pattern: a returning child
-    under an uncut edge."""
-    return any(edge.child.returning and not edge.cut
-               for edge in vertex.child_edges)
+def has_table(vertex):
+    """Figure 6's rule, restated from the pattern: returning, under an
+    uncut edge."""
+    edge = vertex.parent_edge
+    return vertex.returning and edge is not None and not edge.cut
 
 
-def layout(vertex, match):
-    """A match of ``vertex`` as plain data, asserting the vertex's
-    representation all the way down: the nid of a node where no slot
-    can be filled; else an entry, as ``(nid, "shared")`` when it holds
-    the shared empty groups of its width, or ``(nid, slots)`` with per
-    slot ``()`` or the list of its matches' layouts."""
-    assert vertex.grouped == has_slot_to_fill(vertex)
-    if not vertex.grouped:
-        assert isinstance(match, Node), (vertex, match)
-        return match.nid
-    assert type(match) is NLEntry and match.vertex.vid == vertex.vid
-    if match.groups is no_groups(len(vertex.child_edges)):
-        return match.node.nid, "shared"
-    assert isinstance(match.groups, list) and any(match.groups)
+def layout(vertex, node, groups):
+    """A match of ``vertex`` as plain data, asserting the representation
+    all the way down: the nid where no child of ``vertex`` has a table;
+    else ``(nid, slots)`` with per child ``()`` (no run) or the list of
+    its run's layouts."""
+    assert isinstance(node, Node), (vertex, node)
     slots = []
-    for group, edge in zip(match.groups, vertex.child_edges, strict=True):
-        if group == ():
+    for edge in vertex.child_edges:
+        child = edge.child
+        run = groups.get(child.vid, {}).get(node)
+        if run is None:
             slots.append(())
             continue
-        assert isinstance(group, list) and group
-        assert edge.child.returning and not edge.cut
-        slots.append([layout(edge.child, sub) for sub in group])
-    return match.node.nid, tuple(slots)
+        assert has_table(child) and type(run) is list and run, child
+        slots.append([layout(child, sub, groups) for sub in run])
+    if not any(has_table(edge.child) for edge in vertex.child_edges):
+        return node.nid
+    return node.nid, tuple(slots)
 
 
-def layouts(nok, matches):
-    return [layout(nok.root, match) for match in matches]
+def layouts(nok, roots, groups):
+    """The NoK's NestedLists (root list and tables) as plain data; a
+    table that is present belongs to a vertex that may have one and
+    holds non-empty runs only."""
+    for vertex in nok.vertices:
+        table = groups.get(vertex.vid)
+        if table is not None:
+            assert has_table(vertex), vertex
+            assert all(type(run) is list and run for run in table.values())
+    return [layout(nok.root, node, groups) for node in roots]
 
 
-def titles_of(books):
-    return [[title.string_value() for title in book.groups[-1]]
-            for book in books]
+def contents(groups):
+    """Every table's content, copied (to see a mutation in place)."""
+    return {vid: {parent: list(run) for parent, run in table.items()}
+            for vid, table in groups.items()}
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """``NLEntry`` constructions by vertex name, wherever they happen
-    (matcher, σ, twin relabel, process decoder)."""
-    counts: Counter = Counter()
-    init = NLEntry.__init__
-
-    def counting(self, vertex, node, groups):
-        counts[vertex.name] += 1
-        init(self, vertex, node, groups)
-    monkeypatch.setattr(NLEntry, "__init__", counting)
-    return counts
+def scanned(text, xml=SHELF):
+    """The named NoKs of ``text`` scanned over ``xml``: (doc, noks,
+    root lists, tables)."""
+    doc = parse(xml)
+    noks = named_noks(text)
+    groups = {}
+    return doc, noks, merged_scan(noks, doc, variables={}, groups=groups), \
+        groups
 
 
 def test_leaf_matches_are_their_nodes():
-    """``//book/title``: ``book`` has a slot to fill, ``title`` none —
-    a ``title`` match is the ``title`` node itself, in its group."""
-    doc = parse(SHELF)
-    (nok,) = named_noks("for $t in //book/title return $t")
+    """``//book/title``: a ``title`` match is the ``title`` node itself,
+    in its run under its ``book``; so is a ``book`` match."""
+    doc, (nok,), results, groups = scanned("for $t in //book/title return $t")
     title = nok.root.children()[0]
-    assert nok.root.grouped and not title.grouped
-    books = scan_range([nok], doc, ScanCounters(), None, 0, None, {})[
-        nok.nok_id]
-    leaves = [leaf for book in books for leaf in book.groups[0]]
+    assert set(groups) == {title.vid}
+    books = results[nok.nok_id]
+    assert books == doc.elements_by_tag("book")
+    table = groups[title.vid]
+    leaves = [leaf for book in books for leaf in table[book]]
     assert leaves == doc.elements_by_tag("title")
-    # σ copies an entry and shares the nodes below it.
-    kept = select(books, nok.root, title,
+    # σ replaces the table and shares the runs it did not change.
+    kept = select(books, groups, nok.root, title,
                   lambda node: node.string_value() != "t3")
-    assert titles_of(kept) == [["t1"], ["t2"], ["t4"], ["t5"]]
-    assert all(leaf in leaves for book in kept for leaf in book.groups[0])
-    # The process-scan wire format decodes leaves onto the nodes.
-    decoded = _decode_match_list(
-        nok.root, _encode_match_list(nok.root, books), doc.nodes)
-    assert layouts(nok, decoded) == layouts(nok, books)
+    assert kept is books and groups[title.vid] is not table
+    assert [[t.string_value() for t in groups[title.vid][b]] for b in kept] \
+        == [["t1"], ["t2"], ["t4"], ["t5"]]
+    assert all(groups[title.vid][b] is table[b] for b in books if b is not
+               books[2])
+    # The process-scan wire format decodes runs onto the nodes.
+    assert _decode_table(_encode_table(table), doc.nodes) == table
 
 
-def test_twin_relabel_copies_leaves_without_recursing():
-    """A grouped twin's entries are relabelled onto its own vertices; a
-    group of nodes names no vertex, so the twins share it."""
-    doc = parse(SHELF)
-    noks = named_noks("for $a in //book/title, $b in //book/title "
-                      "return $a")
+def test_twin_tables_are_shared_and_sigma_leaves_the_other_whole():
+    """A twin gets a copy of the first's root list and the first's
+    tables under its own vertices; σ on the twin replaces the twin's
+    tables and leaves the first's root list, tables and runs as they
+    were — the same objects with the same content."""
+    doc, noks, results, groups = scanned(
+        "for $a in //book/title, $b in //book/title return $a")
     first, twin = noks
     assert twin.twin_of == first.nok_id
-    results = merged_scan(noks, doc, variables={})
-    original, relabelled = results[first.nok_id], results[twin.nok_id]
-    assert layouts(twin, relabelled) == layouts(first, original)
-    for book, twin_book in zip(original, relabelled, strict=True):
-        assert twin_book is not book and twin_book.vertex is twin.root
-        assert twin_book.groups[0] is book.groups[0]
-    # σ on one twin's list leaves the other's whole.
-    before = layouts(first, original)
-    assert select(relabelled, twin.root, twin.root.children()[0],
-                  lambda node: False) == []
-    assert layouts(first, original) == before
+    original, copied = results[first.nok_id], results[twin.nok_id]
+    assert copied == original and copied is not original
+    assert layouts(twin, copied, groups) == layouts(first, original, groups)
+    title, twin_title = first.root.children()[0], twin.root.children()[0]
+    table = groups[title.vid]
+    assert groups[twin_title.vid] is table
+    runs, before = dict(table), contents(groups)
+    for predicate in (lambda node: node.string_value() != "t3",
+                      lambda node: False):
+        reduced = select(copied, groups, twin.root, twin_title, predicate)
+        assert results[first.nok_id] is original
+        assert groups[title.vid] is table
+        assert all(table[book] is run for book, run in runs.items())
+        assert contents({title.vid: table}) == {title.vid: before[title.vid]}
+        assert original == doc.elements_by_tag("book")
+        groups[twin_title.vid] = table      # undo for the next predicate
+    assert reduced == []
 
 
 def test_flat_twins_share_nodes_and_sigma_leaves_the_other_whole():
-    doc = parse(SHELF)
-    first, twin = named_noks("for $a in //book[author], $b in "
-                             "//book[author] return $a")
-    assert twin.twin_of == first.nok_id and not first.root.grouped
-    results = merged_scan([first, twin], doc, variables={})
+    doc, (first, twin), results, groups = scanned(
+        "for $a in //book[author], $b in //book[author] return $a")
+    assert twin.twin_of == first.nok_id and groups == {}
     original, copied = results[first.nok_id], results[twin.nok_id]
     assert original == copied == [
         b for b in doc.elements_by_tag("book") if b.children[0].tag == "author"]
     assert original is not copied
-    assert select(copied, twin.root, twin.root,
+    assert select(copied, groups, twin.root, twin.root,
                   lambda node: node is original[0]) == original[:1]
     assert len(results[first.nok_id]) == 3
 
 
-def test_match_phase_builds_no_entry_for_an_existential_leaf(built):
-    """On ``//book[author]/title`` the scan builds one entry per
-    ``book`` that matches, none for the existential ``author``, none
-    for the ``book`` without one, and none for a ``title``: its match
-    is its node.
+def test_match_phase_builds_no_entry_for_an_existential_leaf():
+    """On ``//book[author]/title`` the scan keeps one ``book`` per match,
+    a run of ``title``s per kept ``book`` and no table for the
+    existential ``author``.
 
     Counter contract (ROADMAP item 5): charging does not change — the
     ``comparisons`` literal is what the matcher that called a child
     matcher per ``author`` counted."""
     doc = parse(SHELF)
     (nok,) = named_noks("for $t in //book[author]/title return $t")
-    counters = ScanCounters()
-    books = scan_range([nok], doc, counters, None, 0, None, {})[nok.nok_id]
-    assert titles_of(books) == [["t1"], ["t3", "t4"], ["t5"]]
-    assert built == {"book": 3}
+    author, title = nok.root.children()
+    counters, groups = ScanCounters(), {}
+    books = scan_range([nok], doc, counters, None, 0, None, {}, groups)[
+        nok.nok_id]
+    assert set(groups) == {title.vid} and not has_table(author)
+    assert [[t.string_value() for t in groups[title.vid][b]]
+            for b in books] == [["t1"], ["t3", "t4"], ["t5"]]
     assert counters.comparisons == 9  # 4 authors + 5 titles offered
 
 
 # ----------------------------------------------------------------------
-# The Figure-6 layout: a slot gets a list only when a match goes in.
+# The Figure-6 layout: a table only where a run can be filled.
 # ----------------------------------------------------------------------
 
 def test_cut_and_existential_slots_share_the_empty_groups():
-    """``book`` has an existential ``author`` slot, a cut ``//title``
-    slot and an optional ``price`` one: no ``book`` entry fills any
-    (none has a price), so all of them hold the one shared groups tuple
-    of width 3 — no list per entry or per slot.  Without ``price`` no
-    slot can be filled at all: a ``book`` match is its node."""
-    doc = parse(SHELF)
+    """``book`` has an existential ``author`` child, a cut ``//title``
+    one and an optional ``price`` one: only ``price`` may have a table,
+    and it has none, since no book has a price — no list per book or
+    per slot.  Without ``price`` the NoK cannot have a table at all."""
     noks = named_noks("for $b in //book[author], $t in $b//title "
                       "let $p := $b/price return $t")
     book = next(nok for nok in noks if nok.root.name == "book")
     assert [(edge.child.name, edge.cut) for edge in book.root.child_edges] \
         == [("author", False), ("title", True), ("price", False)]
-    books = scan_range([book], doc, ScanCounters(), None, 0, None, {})[
-        book.nok_id]
-    assert len(books) == 3
-    assert all(entry.groups is no_groups(3) for entry in books)
+    price = book.root.child_edges[2].child
+    doc, groups = parse(SHELF), {}
+    books = scan_range([book], doc, ScanCounters(), None, 0, None, {},
+                       groups)[book.nok_id]
+    assert has_table(price) and len(books) == 3 and groups == {}
+    assert [sexpr(b, book.root, groups) for b in books] == \
+        ["(book,(),(),())"] * 3
 
     noks = named_noks("for $b in //book[author], $t in $b//title return $t")
     book = next(nok for nok in noks if nok.root.name == "book")
-    assert not book.root.grouped
-    assert scan_range([book], doc, ScanCounters(), None, 0, None, {})[
-        book.nok_id] == [entry.node for entry in books]
+    groups = {}
+    assert scan_range([book], doc, ScanCounters(), None, 0, None, {},
+                      groups)[book.nok_id] == books
+    assert groups == {}
 
 
 def test_only_filled_slots_get_a_list():
     """``//book[author]/title``: ``title`` is returning, ``author``
-    existential — the ``title`` slot is a list, the ``author`` slot the
-    shared ``()``."""
-    doc = parse(SHELF)
-    (nok,) = named_noks("for $t in //book[author]/title return $t")
-    books = scan_range([nok], doc, ScanCounters(), None, 0, None, {})[
-        nok.nok_id]
-    for entry in books:
-        assert isinstance(entry.groups, list)
-        assert entry.groups[0] == () and isinstance(entry.groups[1], list)
+    existential — each kept ``book`` has its own ``title`` run, and
+    ``author`` has no table."""
+    doc, (nok,), results, groups = scanned(
+        "for $t in //book[author]/title return $t")
+    author, title = nok.root.children()
+    assert author.vid not in groups
+    runs = list(groups[title.vid].values())
+    assert len(runs) == len(results[nok.nok_id]) == 3
+    assert all(type(run) is list and run for run in runs)
+    assert len({id(run) for run in runs}) == 3
 
 
 @pytest.mark.parametrize("text", [
     "for $t in //book[author]/title return $t",
     "for $b in //book[author/following-sibling::title] return $b",
 ])
-def test_a_candidate_failing_its_checks_builds_no_entry(built, text):
+def test_a_candidate_failing_its_checks_builds_no_entry(text):
     """The book without an ``author`` (and, with the sibling rule, the
-    one whose ``title`` precedes its ``author``) is rejected before any
-    entry exists: one entry per ``book`` that matched, none else — and
-    none at all where ``book`` has no slot to fill."""
-    doc = parse(SHELF.replace("<book><author>d</author><title>t5</title>",
-                              "<book><title>t5</title><author>d</author>"))
-    (nok,) = named_noks(text)
-    books = scan_range([nok], doc, ScanCounters(), None, 0, None, {})[
-        nok.nok_id]
+    one whose ``title`` precedes its ``author``) is rejected: a table
+    holds exactly the kept parents that have a non-empty run, so the
+    rejected books have none although each has a ``title``."""
+    doc, (nok,), results, groups = scanned(text, SHELF.replace(
+        "<book><author>d</author><title>t5</title>",
+        "<book><title>t5</title><author>d</author>"))
+    books = results[nok.nok_id]
     assert len(books) == (3 if "following" not in text else 2)
-    assert built["book"] == (len(books) if nok.root.grouped else 0)
-    layouts(nok, books)
+    title = nok.root.children()[-1]
+    if has_table(title):
+        assert list(groups[title.vid]) == books
+    else:
+        assert groups == {}
+    layouts(nok, books, groups)
 
 
 def test_select_returns_untouched_entries_and_never_mutates():
-    """σ returns an entry nothing under which changed itself; a copy is
-    made only for an entry whose group lost a member, and it shares
-    every group it did not change; the input is never mutated."""
-    doc = parse("<r><a><b>1</b><b>2</b><c/></a><a><b>3</b><c/></a></r>")
-    noks = named_noks("for $a in //a, $b in $a/b, $c in $a/c return $b")
-    (nok,) = noks
-    entries = scan_range([nok], doc, ScanCounters(), None, 0, None, {})[
-        nok.nok_id]
+    """σ returns the root list and the tables it did not change
+    themselves; a table on the path whose runs changed is replaced by
+    one that shares every run it did not change; no table and no run is
+    ever mutated."""
+    doc, (nok,), results, groups = scanned(
+        "for $a in //a, $b in $a/b, $c in $a/c return $b",
+        "<r><a><b>1</b><b>2</b><c/></a><a><b>3</b><c/></a></r>")
+    roots = results[nok.nok_id]
     a_vertex = nok.root
-    b_vertex = a_vertex.child_edges[0].child
-    before = layouts(nok, entries)
-    kept = select(entries, a_vertex, b_vertex, lambda node: True)
-    assert all(out is entry for out, entry in zip(kept, entries, strict=True))
-    # One b of the first a fails: that a is copied, the second is not.
-    kept = select(entries, a_vertex, b_vertex,
+    b_vertex, c_vertex = a_vertex.children()
+    before, tables = contents(groups), dict(groups)
+    assert select(roots, groups, a_vertex, b_vertex, lambda n: True) is roots
+    assert groups == tables and all(groups[v] is tables[v] for v in tables)
+    # One b of the first a fails: the b table is replaced, the second
+    # a's run and the c table are shared.
+    first, second = roots
+    kept = select(roots, groups, a_vertex, b_vertex,
                   lambda node: node.string_value() != "2")
-    assert kept[0] is not entries[0] and kept[1] is entries[1]
-    assert kept[0].groups[0] == [entries[0].groups[0][0]]
-    assert kept[0].groups[1] is entries[0].groups[1]     # the c group
+    assert kept is roots
+    assert groups[b_vertex.vid] is not tables[b_vertex.vid]
+    assert groups[b_vertex.vid][first] == [tables[b_vertex.vid][first][0]]
+    assert groups[b_vertex.vid][second] is tables[b_vertex.vid][second]
+    assert groups[c_vertex.vid] is tables[c_vertex.vid]
     # Every b of the second a fails, and b is mandatory: it leaves.
-    kept = select(entries, a_vertex, b_vertex,
+    groups = dict(tables)
+    kept = select(roots, groups, a_vertex, b_vertex,
                   lambda node: node.string_value() != "3")
-    assert kept == [entries[0]]
-    assert layouts(nok, entries) == before
+    assert kept == [first]
+    assert contents(tables) == before
 
 
 @pytest.fixture(scope="module")
@@ -697,8 +738,8 @@ def pools():
 
 
 def test_process_decoder_yields_the_serial_layout(pools):
-    """The wire format round-trips every representation, and both
-    partitioned drivers hand back the serial scan's, match for match."""
+    """The wire format round-trips every table, and both partitioned
+    drivers hand back the serial scan's root lists and tables."""
     doc = parse(SHELF)
     cut = partial(partition_document, min_nodes=1)
     for text in ("for $t in //book[author]/title return $t",
@@ -707,25 +748,28 @@ def test_process_decoder_yields_the_serial_layout(pools):
                  "let $p := $b/price return $t",
                  "for $a in //book/title, $b in //book/title return $a"):
         noks = named_noks(text)
-        serial = merged_scan(noks, doc, variables={})
+        groups = {}
+        serial = merged_scan(noks, doc, variables={}, groups=groups)
+        decoded = {vid: _decode_table(_encode_table(table), doc.nodes)
+                   for vid, table in groups.items()}
+        assert decoded == groups, text
         for nok in noks:
-            want = layouts(nok, serial[nok.nok_id])
-            decoded = _decode_match_list(
-                nok.root, _encode_match_list(nok.root, serial[nok.nok_id]),
-                doc.nodes)
-            assert layouts(nok, decoded) == want, text
+            assert layouts(nok, serial[nok.nok_id], decoded) == \
+                layouts(nok, serial[nok.nok_id], groups), text
         for driver in ("threads", "processes"):
+            shipped = {}
             parallel = parallel_merged_scan(
                 noks, doc, variables={}, pools=pools,
                 backend=ExecutionBackend(driver, 3),
-                partitions=cut(doc, 3))
+                partitions=cut(doc, 3), groups=shipped)
+            assert table_nids(shipped) == table_nids(groups)
             for nok in noks:
-                assert layouts(nok, parallel[nok.nok_id]) == \
-                    layouts(nok, serial[nok.nok_id]), (text, driver)
+                assert layouts(nok, parallel[nok.nok_id], shipped) == \
+                    layouts(nok, serial[nok.nok_id], groups), (text, driver)
 
 
 # ----------------------------------------------------------------------
-# The representation over Table 3: entries only where a slot can be
+# The representation over Table 3: tables only where a run can be
 # filled, and the same counters the all-entry representation charged.
 # ----------------------------------------------------------------------
 
@@ -750,24 +794,21 @@ TABLE3_COUNTERS = {
 
 
 @pytest.mark.parametrize("name", sorted(DATASETS))
-def test_table3_builds_entries_only_where_a_slot_can_be_filled(
-        name, monkeypatch):
-    slotted: Counter = Counter()
-    init = NLEntry.__init__
-
-    def counting(self, vertex, node, groups):
-        slotted[has_slot_to_fill(vertex)] += 1
-        init(self, vertex, node, groups)
-    monkeypatch.setattr(NLEntry, "__init__", counting)
+def test_table3_builds_entries_only_where_a_slot_can_be_filled(name):
     dataset = DATASETS[name]
     doc = dataset.generate(scale=0.05)
     assert len(dataset.queries) == 6
     for spec in dataset.queries:
         noks = prepare_artifacts(compile_query(spec.text).tree
                                  ).decomposition.noks
-        matches = merged_scan(noks, doc, variables={})
+        groups = {}
+        matches = merged_scan(noks, doc, variables={}, groups=groups)
+        assert set(groups) <= {vertex.vid for nok in noks
+                               for vertex in nok.vertices
+                               if has_table(vertex)}
+        assert all(groups.values())
         for nok in noks:
-            layouts(nok, matches[nok.nok_id])
+            layouts(nok, matches[nok.nok_id], groups)
     engine = Engine(doc)
     for strategy in ("auto", "stack"):
         totals = [0] * 7
@@ -785,4 +826,3 @@ def test_table3_builds_entries_only_where_a_slot_can_be_filled(
                     len(result))):
                 totals[at] += value
         assert tuple(totals) == TABLE3_COUNTERS[name, strategy], strategy
-    assert slotted[False] == 0

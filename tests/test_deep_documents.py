@@ -11,7 +11,7 @@ import sys
 
 import repro
 from repro.engine.database import Database
-from repro.xmlkit.serialize import pretty
+from repro.xmlkit.writer import pretty
 from repro.xmlkit.tree import deep_equal
 from repro.xmlkit.update import DocumentUpdater
 

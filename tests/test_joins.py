@@ -10,7 +10,6 @@ import random
 
 import pytest
 
-from repro.algebra.nested_list import match_nodes
 from repro.engine import Engine
 from repro.errors import ExecutionError
 from repro.pattern import build_from_path, decompose
@@ -35,15 +34,14 @@ def setup_join(doc, path_text):
     edge = next(e for e in dec.inter_edges if e.parent.name != "#root")
     left_nok = dec.noks[edge.nok_from]
     right_nok = dec.noks[edge.nok_to]
-    left = NoKMatcher(left_nok, doc, variables={}).matches()
+    outer = NoKMatcher(left_nok, doc, variables={})
     right = NoKMatcher(right_nok, doc, variables={}).matches()
-    projection = left_projection(left, edge)
+    projection = left_projection(outer.matches(), edge, outer.groups)
     return tree, dec, edge, projection, right, right_nok
 
 
 def partner_nids(result):
-    return {k: [n.nid for n in match_nodes(result.edge.child,
-                                            result.right[lo:hi])]
+    return {k: [n.nid for n in result.right[lo:hi]]
             for k, (lo, hi) in result.ranges.items()}
 
 
@@ -231,7 +229,7 @@ class TestOrderPreservation:
         flattened = []
         for node in proj:
             lo, hi = result.ranges.get(node.nid, (0, 0))
-            for partner in match_nodes(edge.child, result.right[lo:hi]):
+            for partner in result.right[lo:hi]:
                 flattened.append(partner.nid)
         assert flattened == sorted(flattened)
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.algebra import project
-from repro.algebra.nested_list import match_nodes
+from repro.algebra import project, projection_path
 from repro.pattern import build_from_path, decompose
 from repro.physical import NoKMatcher, merged_scan
 from repro.xmlkit import parse
@@ -19,14 +18,22 @@ def single_nok(path_text):
     return tree, dec
 
 
+def matched(nok, doc, target):
+    """The NoK's root matches over ``doc``, and π of one of them onto
+    ``target`` (over the scan's run tables)."""
+    matcher = NoKMatcher(nok, doc, variables={})
+    path = projection_path(nok.root, target)
+    return matcher.matches(), \
+        lambda match: project([match], path, matcher.groups)
+
+
 class TestMatching:
     def test_root_pattern_matches_document_node(self, small_bib):
         tree, dec = single_nok("/bib/book")
         [nok] = dec.noks
-        matches = NoKMatcher(nok, small_bib, variables={}).matches()
+        matches, books = matched(nok, small_bib, tree.var_vertex["#result"])
         assert len(matches) == 1  # one document-node match
-        book_vertex = tree.var_vertex["#result"]
-        assert len(project(matches[0], book_vertex)) == 3
+        assert len(books(matches[0])) == 3
 
     def test_mandatory_child_prunes(self, small_bib):
         tree, dec = single_nok("//book/author")
@@ -40,23 +47,21 @@ class TestMatching:
         nok = next(n for n in dec.noks if n.root.name == "book")
         matches = NoKMatcher(nok, small_bib, variables={}).matches()
         assert len(matches) == 1
-        # A match with no slot to fill is its node.
+        # A match is its node.
         assert matches[0].attrs["year"] == "2000"
 
     def test_multiple_matches_grouped(self, small_bib):
         tree, dec = single_nok("//book/author/last")
         nok = next(n for n in dec.noks if n.root.name == "book")
-        matches = NoKMatcher(nok, small_bib, variables={}).matches()
-        last_vertex = tree.var_vertex["#result"]
-        per_book = [ [n.string_value() for n in project(m, last_vertex)]
-                     for m in matches ]
+        matches, lasts = matched(nok, small_bib, tree.var_vertex["#result"])
+        per_book = [[n.string_value() for n in lasts(m)] for m in matches]
         assert per_book == [["Stevens"], ["Abiteboul", "Buneman"]]
 
     def test_matches_emitted_in_document_order(self, recursive_doc):
         tree, dec = single_nok("//section")
         nok = next(n for n in dec.noks if n.root.name == "section")
         matches = NoKMatcher(nok, recursive_doc, variables={}).matches()
-        nids = [m.nid for m in match_nodes(nok.root, matches)]
+        nids = [m.nid for m in matches]
         assert nids == sorted(nids)
         assert len(matches) == 4  # nested sections matched too
 
@@ -84,10 +89,9 @@ class TestMatching:
         tree = build_blossom_tree(flwor)
         dec = decompose(tree)
         nok = next(n for n in dec.noks if n.root.name == "book")
-        matches = NoKMatcher(nok, paper_bib, variables={}).matches()
+        matches, authors = matched(nok, paper_bib, tree.var_vertex["a"])
         assert len(matches) == 4
-        author_vertex = tree.var_vertex["a"]
-        per_book = [len(project(m, author_vertex)) for m in matches]
+        per_book = [len(authors(m)) for m in matches]
         assert per_book == [0, 1, 0, 1]
 
     def test_following_sibling_constraint(self):
@@ -97,11 +101,10 @@ class TestMatching:
         tree = build_from_path(parse_xpath("//x/a/following-sibling::b"))
         dec = decompose(tree)
         nok = next(n for n in dec.noks if n.root.name == "x")
-        matches = NoKMatcher(nok, doc, variables={}).matches()
+        matches, bs = matched(nok, doc, tree.var_vertex["#result"])
         # Only the second x has a b AFTER an a.
         assert len(matches) == 1
-        b_vertex = tree.var_vertex["#result"]
-        assert len(project(matches[0], b_vertex)) == 1
+        assert len(bs(matches[0])) == 1
 
     def test_following_sibling_after_descendant_rejected(self):
         from repro.errors import CompileError
@@ -111,9 +114,8 @@ class TestMatching:
     def test_wildcard_tag(self, small_bib):
         tree, dec = single_nok("//book/*")
         nok = next(n for n in dec.noks if n.root.name == "book")
-        matches = NoKMatcher(nok, small_bib, variables={}).matches()
-        star_vertex = tree.var_vertex["#result"]
-        assert sum(len(project(m, star_vertex)) for m in matches) == 9
+        matches, stars = matched(nok, small_bib, tree.var_vertex["#result"])
+        assert sum(len(stars(m)) for m in matches) == 9
 
 
 class TestMergedScan:
@@ -135,8 +137,7 @@ class TestMergedScan:
             for nok in dec.noks:
                 individual = NoKMatcher(nok, doc, variables={}).matches()
                 got = merged[nok.nok_id]
-                assert [m.nid for m in match_nodes(nok.root, got)] == \
-                    [m.nid for m in match_nodes(nok.root, individual)]
+                assert [m.nid for m in got] == [m.nid for m in individual]
 
     def test_separate_scans_cost_double(self, small_bib):
         tree, dec = single_nok("//book//author")

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.algebra.env import Env
-from repro.algebra.nested_list import NLEntry
 from repro.datagen import DATASETS
 from repro.engine import Engine
 from repro.engine.optimizer import PlanChoice, choose_strategy
-from repro.pattern import build_from_path, decompose
+from repro.pattern import build_from_path
 from repro.xmlkit import compute_stats
 from repro.xpath import parse_xpath
 from repro.xquery import parse_flwor
@@ -70,19 +69,13 @@ class TestRuleBasedOptimizer:
 
 class TestEnv:
     def _match(self, small_bib, tag, index=0):
-        """``(vertex, match)``: the ``index``-th ``tag`` as a match of
-        ``//tag``'s vertex, which has no child groups — its match is the
-        node itself."""
-        tree = build_from_path(parse_xpath(f"//{tag}"))
-        decompose(tree)
-        vertex = tree.var_vertex["#result"]
-        assert not vertex.grouped
-        return vertex, small_bib.elements_by_tag(tag)[index]
+        """The ``index``-th ``tag`` element: a match is its node."""
+        return small_bib.elements_by_tag(tag)[index]
 
     def test_bind_for_is_persistent(self, small_bib):
         base = Env()
-        vertex, node = self._match(small_bib, "book")
-        bound = base.bind_for("b", vertex, node)
+        node = self._match(small_bib, "book")
+        bound = base.bind_for("b", node)
         assert base.as_variables() == {}
         assert base.anchor("b") == []
         assert bound.parent is base
@@ -90,29 +83,25 @@ class TestEnv:
         assert bound.anchor("b") == [node]
 
     def test_bind_let_empty_sequence(self, small_bib):
-        vertex, _ = self._match(small_bib, "author")
-        env = Env().bind_let("a", vertex, [])
+        env = Env().bind_let("a", [])
         assert env.as_variables() == {"a": []}
         assert env.anchor("a") == []
 
     def test_for_variable_reads_its_node(self, small_bib):
-        vertex, node = self._match(small_bib, "title", 1)
-        env = Env().bind_for("t", vertex, node)
+        node = self._match(small_bib, "title", 1)
+        env = Env().bind_for("t", node)
         [read] = env.as_variables()["t"]
         assert read.string_value() == "Data on the Web"
-        # A grouped vertex's binding is its entry; the node is read off it.
-        tree = build_from_path(parse_xpath("//book/title"))
-        decompose(tree)
-        book = tree.var_vertex["#result"].parent_edge.parent
-        assert book.grouped
-        entry = NLEntry(book, node.parent, [[node]])
-        env = Env().bind_for("b", book, entry).bind_let("l", book, [entry])
+        # A vertex with child runs binds its node all the same: the
+        # runs live in the execution's tables, not on the binding.
+        env = Env().bind_for("b", node.parent).bind_let("l", [node.parent])
         assert env.as_variables() == {"b": [node.parent], "l": [node.parent]}
-        assert env.anchor("b") == env.anchor("l") == [entry]
+        assert env.anchor("b") == env.anchor("l") == [node.parent]
+        assert Env.__slots__ == ("parent", "name", "binding")
 
     def test_as_variables_shape(self, small_bib):
-        vertex, node = self._match(small_bib, "price")
-        env = Env().bind_for("p", vertex, node).bind_let("q", vertex, [node])
+        node = self._match(small_bib, "price")
+        env = Env().bind_for("p", node).bind_let("q", [node])
         variables = env.as_variables()
         assert list(variables) == ["p", "q"]
         assert variables["p"] == variables["q"] == [node]
@@ -121,9 +110,9 @@ class TestEnv:
         assert variables["q"] is not env.anchor("q")  # a copy, not the binding
 
     def test_rebinding_shadows(self, small_bib):
-        vertex, first = self._match(small_bib, "book", 0)
-        _, second = self._match(small_bib, "book", 1)
-        env = Env().bind_for("b", vertex, first).bind_for("b", vertex, second)
+        first = self._match(small_bib, "book", 0)
+        second = self._match(small_bib, "book", 1)
+        env = Env().bind_for("b", first).bind_for("b", second)
         assert env.as_variables() == {"b": [second]}
         assert env.anchor("b") == [second]
         assert env.parent.anchor("b") == [first]

@@ -6,6 +6,7 @@ come straight from the paper text.
 
 import pytest
 
+from repro.algebra.nested_list import sexpr
 from repro.engine import Engine
 from repro.pattern import build_blossom_tree, decompose
 from repro.physical import NoKMatcher, nested_loop_pairs
@@ -80,12 +81,12 @@ class TestExample3And4:
         tree2 = build_blossom_tree(flwor2)
         dec = decompose(tree2)
         nok = next(n for n in dec.noks if n.root.name == "a")
-        matches = NoKMatcher(nok, figure3_doc, variables={}).matches()
+        matcher = NoKMatcher(nok, figure3_doc, variables={})
+        matches = matcher.matches()
         assert len(matches) == 2
         # Second a: three b's grouped, two c's... our figure encodes
         # b-d-c shape; check the grouping notation of Figure 4.
-        second = matches[1]
-        text = second.sexpr()
+        text = sexpr(matches[1], nok.root, matcher.groups)
         assert "[" in text and "]" in text  # grouping occurred
 
     def test_figure4_notation_exact(self):
@@ -98,8 +99,10 @@ class TestExample3And4:
         tree = build_blossom_tree(flwor)
         dec = decompose(tree)
         nok = dec.noks[0]
-        [match] = NoKMatcher(nok, doc, variables={}).matches()
-        a_entry = match.group_for(tree.var_vertex["a"])[0]
+        matcher = NoKMatcher(nok, doc, variables={})
+        [match] = matcher.matches()
+        a_vertex = tree.var_vertex["a"]
+        [a_node] = matcher.groups[a_vertex.vid][match]
 
         counters = {}
 
@@ -108,7 +111,7 @@ class TestExample3And4:
             return f"{node.tag}{counters[node.tag]}"
 
         # Figure 4: (a1,[(b1,()),(b2,[(d1),(d2)]),(b3,(d3))],[(c1),(c2)])
-        assert a_entry.sexpr(label) == \
+        assert sexpr(a_node, a_vertex, matcher.groups, label) == \
             "(a1,[(b1,()),(b2,[(d1),(d2)]),(b3,(d3))],[(c1),(c2)])"
 
     def test_example4_join_result(self, paper_bib):

@@ -3,10 +3,10 @@
 The differential tests here are the operator's acceptance gate: for
 every generated document (including skewed single-subtree shapes),
 every query and either parallel driver — threads over the object tree,
-worker processes over the mmap-shared arena — the per-NoK match lists
-must equal the serial merged scan's, order and nested groups included,
-because Theorem 1 makes partition-order concatenation reproduce the
-serial scan exactly.
+worker processes over the mmap-shared arena — the per-NoK root lists
+and the run tables must equal the serial merged scan's, order and
+nested runs included, because Theorem 1 makes partition-order
+concatenation reproduce the serial scan exactly.
 """
 
 import pytest
@@ -96,11 +96,17 @@ QUERIES = ["//book", "//book/author", "//shelf//title",
 SKEW_QUERIES = ["//item", "//item/name", "//item[price = 3]", "//giant//name"]
 
 
-def nested(nok, matches):
-    """A match list's full NestedList shapes as plain data, each vertex
-    asserted to hold its own representation (entries only where a slot
-    can be filled, nodes elsewhere)."""
-    return layouts(nok, matches)
+def nested(nok, scan):
+    """A scan's NestedLists of ``nok`` as plain data, each vertex
+    asserted to keep the representation (a table only where a run can
+    be filled); ``scan`` is ``(root lists, tables)``."""
+    results, groups = scan
+    return layouts(nok, results[nok.nok_id], groups)
+
+
+def serial_scan(noks, doc, counters=None):
+    groups = {}
+    return merged_scan(noks, doc, counters, groups=groups), groups
 
 
 class LateToken(CancellationToken):
@@ -126,12 +132,13 @@ def pools():
 
 
 def partitioned(driver, pools, doc, path_text, k=4, counters=None,
-                per_nok=None, partitions=None):
+                per_nok=None, partitions=None, groups=None):
     return parallel_merged_scan(
         noks_for(path_text), doc, counters, per_nok,
         backend=ExecutionBackend(driver, k), pools=pools,
         partitions=(partitions if partitions is not None
-                    else fine_partitions(doc, k)), variables={})
+                    else fine_partitions(doc, k)), variables={},
+        groups=groups)
 
 
 @pytest.mark.parametrize("driver", ["threads", "processes"])
@@ -141,14 +148,17 @@ class TestDriverBitIdentity:
 
     def assert_identical(self, driver, pools, doc, path_text, k):
         noks = noks_for(path_text)
-        serial = merged_scan(noks, doc)
-        parallel = partitioned(driver, pools, doc, path_text, k)
-        assert set(serial) == set(parallel) == {n.nok_id for n in noks}
+        serial = serial_scan(noks, doc)
+        groups = {}
+        parallel = partitioned(driver, pools, doc, path_text, k,
+                               groups=groups), groups
+        assert set(serial[0]) == set(parallel[0]) == {n.nok_id for n in noks}
+        assert set(serial[1]) == set(groups)
         for nok in noks:
             # Sequences compare order as well as membership, and the
-            # nested groups under every root match.
-            assert nested(nok, parallel[nok.nok_id]) == \
-                nested(nok, serial[nok.nok_id]), (path_text, nok.nok_id, k)
+            # nested runs under every root match.
+            assert nested(nok, parallel) == nested(nok, serial), \
+                (path_text, nok.nok_id, k)
 
     @pytest.mark.parametrize("path_text", QUERIES)
     def test_wide_document(self, driver, pools, path_text):
@@ -183,14 +193,14 @@ class TestDriverBitIdentity:
         doc = parse(wide_doc(20))
         counters = ScanCounters()
         noks = noks_for("//book")
+        groups = {}
         results = parallel_merged_scan(
             noks, doc, counters, backend=ExecutionBackend(driver, 4),
-            pools=pools, variables={})
+            pools=pools, variables={}, groups=groups)
         assert counters.scans_started == 1     # fallback path
-        serial = merged_scan(noks, doc)
         book = next(n for n in noks if n.root.name == "book")
-        assert nested(book, results[book.nok_id]) == \
-            nested(book, serial[book.nok_id])
+        assert nested(book, (results, groups)) == \
+            nested(book, serial_scan(noks, doc))
 
     def test_per_nok_attribution_folds_into_shared(self, driver, pools):
         doc = parse(wide_doc(150))
@@ -285,16 +295,18 @@ def test_root_named_and_wildcard_noks_share_one_scan(driver, pools):
     assert sorted(n.root.name for n in noks) == ["#root", "*", "book"]
     counters = ScanCounters()
     if driver == "serial":
-        results = merged_scan(noks, doc, counters)
+        scan = serial_scan(noks, doc, counters)
     else:
-        results = parallel_merged_scan(
+        groups = {}
+        scan = parallel_merged_scan(
             noks, doc, counters, backend=ExecutionBackend(driver, 3),
-            pools=pools, partitions=fine_partitions(doc, 3), variables={})
+            pools=pools, partitions=fine_partitions(doc, 3), variables={},
+            groups=groups), groups
     assert counters.nodes_scanned == len(doc.nodes)
     for nok in noks:
-        want = NoKMatcher(nok, doc, variables={}).matches()
-        assert nested(nok, results[nok.nok_id]) == nested(nok, want), \
-            nok.root.name
+        matcher = NoKMatcher(nok, doc, variables={})
+        want = {nok.nok_id: matcher.matches()}, matcher.groups
+        assert nested(nok, scan) == nested(nok, want), nok.root.name
 
 
 class TestMergedScanEdges:
@@ -308,21 +320,19 @@ class TestMergedScanEdges:
         book_nok = next(n for n in noks if n.root.name == "book")
         star_nok = next(n for n in noks if n.root.name == "*")
         counters = ScanCounters()
-        results = merged_scan(noks, doc, counters)
+        scan = serial_scan(noks, doc, counters)
         assert counters.scans_started == 1
         # Dispatch must offer a "book" element to BOTH the named and the
         # wildcard NoK, and each list must stay in document order.
-        book_nids = nested(book_nok, results[book_nok.nok_id])
-        star_nids = nested(star_nok, results[star_nok.nok_id])
+        book_nids = nested(book_nok, scan)
+        star_nids = nested(star_nok, scan)
         assert book_nids == sorted(book_nids)
         assert star_nids == sorted(star_nids)
         assert len(book_nids) == 30
         assert set(book_nids) <= set(star_nids)
         # Individual NoKMatcher runs over the same NoKs agree exactly.
         for nok in (book_nok, star_nok):
-            solo = merged_scan([nok], doc)
-            assert nested(nok, solo[nok.nok_id]) == \
-                nested(nok, results[nok.nok_id])
+            assert nested(nok, serial_scan([nok], doc)) == nested(nok, scan)
 
     def test_wildcard_only_dispatch(self):
         doc = parse("<a><b/><c/></a>")

@@ -101,18 +101,21 @@ class TestCompiledPlansCrossTheProcessBoundary:
         try:
             outputs = []
             for _ in range(2):
-                serial = merged_scan(noks, doc)
+                serial_groups, shipped_groups = {}, {}
+                serial = merged_scan(noks, doc, groups=serial_groups)
                 assert all(nok.matcher is not None for nok in noks)
                 shipped = parallel_merged_scan(
                     noks, doc, backend=ExecutionBackend("processes", 2),
-                    pools=pools, partitions=fine_partitions(doc, 4), variables={})
-                outputs += [serial, shipped]
+                    pools=pools, partitions=fine_partitions(doc, 4),
+                    variables={}, groups=shipped_groups)
+                outputs += [(serial, serial_groups),
+                            (shipped, shipped_groups)]
             roots = {nok.nok_id: nok.root for nok in noks}
-            rendered = [{nok_id: [sexpr(match, roots[nok_id],
+            rendered = [{nok_id: [sexpr(match, roots[nok_id], groups,
                                         lambda n: str(n.nid))
                                   for match in matches]
                          for nok_id, matches in out.items()}
-                        for out in outputs]
+                        for out, groups in outputs]
             assert rendered == [rendered[0]] * 4
             assert len(rendered[0][1]) > 5
             copies = pickle.loads(pickle.dumps(noks))
@@ -172,8 +175,8 @@ class TestWorkerCrash:
         noks = noks_for("//book")
         serial = merged_scan(noks, doc)
         book = next(n for n in noks if n.root.name == "book")
-        assert layouts(book, results[book.nok_id]) == \
-            layouts(book, serial[book.nok_id])
+        assert layouts(book, results[book.nok_id], {}) == \
+            layouts(book, serial[book.nok_id], {})
         pools.close(wait=True)
 
     def test_task_that_raises_fails_the_query(self):

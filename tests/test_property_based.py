@@ -13,8 +13,7 @@ from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.algebra import project
-from repro.algebra.nested_list import match_nodes
+from repro.algebra import project, projection_path
 from repro.engine import Engine
 from repro.engine import executor
 from repro.errors import CompileError, ExecutionError
@@ -234,16 +233,19 @@ class TestStructuralInvariants:
         tree = build_from_path(parse_xpath(f"//{tag}/a"))
         dec = decompose(tree)
         nok = next(n for n in dec.noks if n.root.name == tag)
-        matches = NoKMatcher(nok, doc, variables={}).matches()
+        matcher = NoKMatcher(nok, doc, variables={})
+        matches = matcher.matches()
         a_vertex = tree.var_vertex["#result"]
-        roots_nest = any(m1.node.is_ancestor_of(m2.node)
+        roots_nest = any(m1.is_ancestor_of(m2)
                          for m1 in matches for m2 in matches)
         if not roots_nest:
-            nids = [n.nid for entry in matches for n in project(entry, a_vertex)]
+            path = projection_path(nok.root, a_vertex)
+            nids = [n.nid for n in project(matches, path, matcher.groups)]
             assert nids == sorted(nids)
         # The join-facing projection is document-ordered unconditionally.
         fake_edge = type("E", (), {"parent": a_vertex})
-        nids = [n.nid for n in left_projection(matches, fake_edge)]
+        nids = [n.nid for n in left_projection(matches, fake_edge,
+                                               matcher.groups)]
         assert nids == sorted(nids)
         assert len(nids) == len(set(nids))
 
@@ -263,10 +265,11 @@ class TestStructuralInvariants:
         tree = build_from_path(parse_xpath(f"//{outer}//{inner}"))
         dec = decompose(tree)
         edge = next(e for e in dec.inter_edges if e.parent.name != "#root")
-        left = NoKMatcher(dec.noks[edge.nok_from], doc, variables={}).matches()
+        outer_scan = NoKMatcher(dec.noks[edge.nok_from], doc, variables={})
+        left = outer_scan.matches()
         right_nok = dec.noks[edge.nok_to]
         right = NoKMatcher(right_nok, doc, variables={}).matches()
-        projection = left_projection(left, edge)
+        projection = left_projection(left, edge, outer_scan.groups)
         nests = any(later.start < earlier.end
                     for earlier, later in zip(projection, projection[1:]))
 
@@ -277,9 +280,7 @@ class TestStructuralInvariants:
 
         for entries in (right, [m for m in right if rng.random() < 0.7]):
             expected = {(u.nid, id(entry)) for u in projection
-                        for entry, node in zip(
-                            entries, match_nodes(edge.child, entries))
-                        if u.is_ancestor_of(node)}
+                        for entry in entries if u.is_ancestor_of(entry)}
             joins = {
                 "range": stack_desc_join(projection, entries, edge),
                 "bnlj": bounded_nested_loop_join(

@@ -5,13 +5,16 @@ of the NestedList algebra as they were first written: σ interprets the
 pattern per entry (``children()`` per level, an ``_is_on_path`` walk per
 child) and copies every entry and group on its way; π looks each group
 up by child vertex.  They run on the form that form was written for —
-an ``NLEntry`` per match of every vertex (:func:`full`), built from the
-same scan.  The library compiles both once per (vertex, target), copies
-only what σ changed, and keeps an entry only where a slot can be
-filled.  Both must give the same NestedLists on the Table-3 patterns
-and on the sibling-chain family of ``tests/test_where_pushdown.py``, on
-every vertex, and every match list must keep the Figure-6 layout
-(``tests.test_counters_contract.layout``).
+an :class:`Entry` per match of every vertex, with one list per slot
+(:func:`full`), built from the same scan.  The library keeps a match as
+its node and a slot as one run table per vertex, compiles both once per
+(vertex, target), and σ replaces only the tables it changed.  Both must
+give the same NestedLists on the Table-3 patterns and on the
+sibling-chain family of ``tests/test_where_pushdown.py``: π on every
+vertex, σ on every vertex that keeps its matches (the NoK root and each
+returning vertex), and every result must keep the Figure-6 layout
+(``tests.test_counters_contract.layout``).  σ on a vertex that keeps no
+match has no runs to filter, and must raise.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ import random
 
 import pytest
 
-from repro.algebra.nested_list import (NLEntry, compile_projection,
-                                       project_entries)
+from repro.algebra.nested_list import project, projection_path
 from repro.algebra.operators import select
 from repro.datagen import DATASETS
 from repro.engine import compile_query
-from repro.errors import ReproError
+from repro.errors import ReproError, UsageError
 from repro.pattern.artifact import prepare_artifacts
 from repro.pattern.blossom import MODE_MANDATORY
 from repro.physical.nok_merge import merged_scan
@@ -37,8 +39,26 @@ from tests.test_where_pushdown import (CHAIN_LABELS, CHAIN_TEMPLATES,
 
 
 # ----------------------------------------------------------------------
-# The references.
+# The references, and the all-entry form they read.
 # ----------------------------------------------------------------------
+
+class Entry:
+    """One match in the all-entry form: the node plus, per pattern
+    child, the list of its matches' entries (empty where no run)."""
+
+    __slots__ = ("vertex", "node", "groups")
+
+    def __init__(self, vertex, node, groups):
+        self.vertex = vertex
+        self.node = node
+        self.groups = groups
+
+    def group_for(self, child_vertex):
+        for index, edge in enumerate(self.vertex.child_edges):
+            if edge.child is child_vertex:
+                return self.groups[index]
+        raise KeyError(child_vertex.vid)
+
 
 def reference_select(entries, target, predicate):
     result = []
@@ -70,7 +90,7 @@ def _reference_filter(entry, target, predicate):
         if edge is not None and edge.mode == MODE_MANDATORY and not new_group:
             return None
         groups.append(new_group)
-    return NLEntry(entry.vertex, entry.node, groups)
+    return Entry(entry.vertex, entry.node, groups)
 
 
 def _is_on_path(vertex, target):
@@ -106,14 +126,13 @@ def reference_project_entries(entry, target):
 # Comparison helpers.
 # ----------------------------------------------------------------------
 
-def full(vertex, match):
-    """A match of ``vertex`` in the form the references were written
-    for: an ``NLEntry`` per match, with one list per slot."""
-    if not vertex.grouped:
-        return NLEntry(vertex, match, [[] for _ in vertex.child_edges])
-    return NLEntry(vertex, match.node, [
-        [full(edge.child, sub) for sub in group]
-        for group, edge in zip(match.groups, vertex.child_edges)])
+def full(vertex, node, groups):
+    """The match ``node`` of ``vertex`` in the form the references were
+    written for, read off the run tables ``groups``."""
+    return Entry(vertex, node, [
+        [full(edge.child, sub, groups)
+         for sub in groups.get(edge.child.vid, {}).get(node, ())]
+        for edge in vertex.child_edges])
 
 
 def shape(entry):
@@ -134,9 +153,17 @@ def nok_vertices(nok):
     return out
 
 
+def snapshot(groups):
+    """Every table's content, copied."""
+    return {vid: {parent: list(run) for parent, run in table.items()}
+            for vid, table in groups.items()}
+
+
 def check_query(doc, text, rng):
-    """Scan the query's NoKs over ``doc`` and compare σ and π with the
-    references on every vertex of every NoK; returns the matches seen."""
+    """Scan the query's NoKs over ``doc`` and compare π with the
+    reference on every vertex of every NoK, and σ on every vertex that
+    keeps its matches (σ on one that keeps none must raise); returns
+    the matches seen."""
     try:
         tree = compile_query(text).tree
     except ReproError:
@@ -144,50 +171,57 @@ def check_query(doc, text, rng):
     if tree is None:
         return 0
     dec = prepare_artifacts(tree).decomposition
-    matches = merged_scan(dec.noks, doc, variables={})
+    groups = {}
+    matches = merged_scan(dec.noks, doc, variables={}, groups=groups)
+    content = snapshot(groups)
     seen = 0
     for nok in dec.noks:
-        root, entries = nok.root, matches[nok.nok_id]
-        before = layouts(nok, entries)
-        references = [full(root, match) for match in entries]
-        seen += len(entries)
+        root, roots = nok.root, matches[nok.nok_id]
+        before = layouts(nok, roots, groups)
+        references = [full(root, node, groups) for node in roots]
+        seen += len(roots)
         for target in nok_vertices(nok):
-            project = compile_projection(root, target)
-            for match, reference in zip(entries, references, strict=True):
+            path = projection_path(root, target)
+            for node, reference in zip(roots, references, strict=True):
                 want = reference_project_entries(reference, target)
-                assert project(match) == [e.node for e in want]
-                if root.grouped:
-                    assert [shape(full(target, e)) for e in
-                            project_entries(match, target)] == \
-                        [shape(e) for e in want]
+                assert project([node], path, groups) == [e.node for e in want]
+                assert [shape(full(target, n, groups))
+                        for n in project([node], path, groups)] == \
+                    [shape(e) for e in want]
+            if target is not root and not target.returning:
+                # σ's domain is a vertex that keeps its matches.
+                with pytest.raises(UsageError):
+                    select(roots, dict(groups), root, target,
+                           lambda node: True)
+                continue
             keep = {node.nid for node in doc.nodes if rng.random() < 0.6}
             predicate = keep.__contains__
-            compiled = select(entries, root, target,
+            trial = dict(groups)
+            compiled = select(roots, trial, root, target,
                               lambda node: predicate(node.nid))
             reference = reference_select(references, target,
                                          lambda node: predicate(node.nid))
-            assert [shape(full(root, m)) for m in compiled] == \
+            assert [shape(full(root, n, trial)) for n in compiled] == \
                 [shape(e) for e in reference], (text, target.vid)
-            layouts(nok, compiled)
-            by_node = {shape(e)[1]: match
-                       for e, match in zip(references, entries)}
-            for out in compiled:
-                original = by_node[shape(full(root, out))[1]]
-                if shape(full(root, out)) == shape(full(root, original)):
-                    assert out is original     # untouched: not copied
-                    continue
-                for mine, theirs in zip(out.groups, original.groups):
-                    if mine == theirs:
-                        assert mine is theirs  # unchanged groups shared
+            layouts(nok, compiled, trial)
+            if compiled == roots:
+                assert compiled is roots       # untouched: not copied
+            for vid, table in trial.items():
+                if table == groups[vid]:
+                    assert table is groups[vid]     # unchanged: shared
+                for parent, run in table.items():
+                    if run == groups[vid].get(parent):
+                        assert run is groups[vid][parent]
         for edge in dec.inter_edges:
             if edge.nok_from == nok.nok_id:
                 want = sorted({e.node.nid for entry in references
                                for e in reference_project_entries(
                                    entry, edge.parent)})
                 assert [node.nid for node in left_projection(
-                    entries, edge)] == want
+                    roots, edge, groups)] == want
         # σ never mutates its input.
-        assert layouts(nok, entries) == before
+        assert layouts(nok, roots, groups) == before
+    assert snapshot(groups) == content
     return seen
 
 
@@ -224,8 +258,11 @@ def test_select_on_a_vertex_outside_the_nok_returns_every_entry():
         compile_query("for $a in //a, $b in $a//b return $b").tree
     ).decomposition
     noks = {nok.root.name: nok for nok in dec.noks}
-    entries = merged_scan([noks["a"]], doc, variables={})[noks["a"].nok_id]
-    kept = select(entries, noks["a"].root, noks["b"].root, lambda node: False)
-    assert all(out is entry for out, entry in zip(kept, entries))
-    assert len(kept) == len(entries) == 2
-
+    groups = {}
+    roots = merged_scan([noks["a"]], doc, variables={}, groups=groups)[
+        noks["a"].nok_id]
+    tables = dict(groups)
+    kept = select(roots, groups, noks["a"].root, noks["b"].root,
+                  lambda node: False)
+    assert kept is roots and len(kept) == 2
+    assert groups == tables

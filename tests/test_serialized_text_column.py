@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.xmlkit import parse, serialize
-from repro.xmlkit.serialize import text_column
+from repro.xmlkit.writer import text_column
 from repro.xmlkit.tree import Constructed, DocumentBuilder
 from repro.xmlkit.update import DocumentUpdater
 

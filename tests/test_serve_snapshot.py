@@ -7,7 +7,7 @@ from repro.errors import UsageError
 from repro.serve import fork_document
 from repro.serve.snapshot import SnapshotUpdater
 from repro.xmlkit.parser import parse
-from repro.xmlkit.serialize import serialize
+from repro.xmlkit.writer import serialize
 from repro.xmlkit.tree import DocumentBuilder
 
 LIBRARY = """

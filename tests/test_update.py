@@ -9,7 +9,7 @@ from repro.datagen import DATASETS
 from repro.engine import Engine
 from repro.engine.database import Database
 from repro.xmlkit import TagIndex, parse, serialize
-from repro.xmlkit.serialize import text_column
+from repro.xmlkit.writer import text_column
 from repro.xmlkit.summary import MAX_PATHS, build_summary
 from repro.xmlkit.tree import ELEMENT, Document, DocumentBuilder
 from repro.xmlkit.update import DocumentUpdater, UpdateError

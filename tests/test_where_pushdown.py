@@ -33,7 +33,6 @@ from repro.engine import executor as executor_module
 from repro.engine.executor import FLWORExecutor
 from repro.errors import ReproError
 from repro.pattern.artifact import prepare_artifacts
-from repro.algebra.nested_list import match_nodes
 from repro.algebra.operators import select
 from repro.physical import nok
 from repro.physical.nok_merge import merged_scan
@@ -527,15 +526,6 @@ class TestVerifyOnce:
         ]
 
 
-def entries_below(vertex, matches):
-    """``(vertex, match)`` for every match in ``matches`` and below."""
-    for match in matches:
-        yield vertex, match
-        if vertex.grouped:
-            for group, edge in zip(match.groups, vertex.child_edges):
-                yield from entries_below(edge.child, group)
-
-
 class TestMatchOnce:
     """(c) — F3l's two ``book`` NoKs are one matcher call per book."""
 
@@ -550,37 +540,34 @@ class TestMatchOnce:
         for twin in twins:
             compiled = nok.matcher_for(twin)
 
-            def counting(nodes, counters, variables, compiled=compiled):
+            def counting(nodes, counters, variables, groups,
+                         compiled=compiled):
                 calls.append(list(nodes))
-                return compiled(nodes, counters, variables)
+                return compiled(nodes, counters, variables, groups)
             twin.matcher = counting
         per_nok: dict = {}
-        results = merged_scan(noks, library.doc, ScanCounters(), per_nok, {})
+        groups: dict = {}
+        results = merged_scan(noks, library.doc, ScanCounters(), per_nok, {},
+                              groups)
         # One batch, handed every book once (two matchers: 4,000).
         assert [len(nodes) for nodes in calls] == [2000]
         first, second = (results[t.nok_id] for t in twins)
-        assert twins[0].root.grouped
-        assert [e.node for e in first] == [e.node for e in second]
+        assert first == second and first is not second
         assert len(first) == 41
         assert per_nok[twins[0].nok_id].comparisons == 6000
         assert twins[1].nok_id not in per_nok   # charged nothing: not scanned
-        # Each list is labelled with its own NoK's vertices, all the
-        # way down, and shares no entry with its twin's ...
-        # (a node names no vertex: the twins share their node matches).
-        for twin, entries in zip(twins, (first, second)):
-            assert all(e.vertex is twin.root for e in entries)
-            assert {id(e.vertex) for v, e in entries_below(twin.root, entries)
-                    if v.grouped} <= {id(v) for v in twin.vertices}
-        assert not ({id(e) for v, e in entries_below(twins[0].root, first)
-                     if v.grouped}
-                    & {id(e) for v, e in entries_below(twins[1].root, second)
-                       if v.grouped})
-        # ... so reducing one leaves the other whole.
-        author = twins[1].root.child_edges[1].child
-        reduced = select(second, twins[1].root, author, lambda node: False)
-        assert not any(e.groups[1] for e in reduced)
-        assert all(e.groups[1] for e in first)
-        assert all(e.groups[1] for e in second)
+        # The twin's vertices name the first's tables ...
+        theirs, mine = (t.root.child_edges[1].child for t in twins)
+        assert mine.vid != theirs.vid
+        assert groups[mine.vid] is groups[theirs.vid]
+        assert all(groups[mine.vid][book] for book in first)
+        # ... and σ replaces tables, so reducing one leaves the other whole.
+        table = groups[theirs.vid]
+        reduced = select(second, groups, twins[1].root, mine,
+                         lambda node: False)
+        assert reduced is second and groups[mine.vid] == {}
+        assert groups[theirs.vid] is table
+        assert all(table[book] for book in first)
 
     def test_twin_is_legible_from_outside(self, library):
         text, _ = SHAPES["F3l"]
@@ -632,10 +619,8 @@ class TestBindingsReachEveryScan:
         book_nok = next(n for n in noks if n.root.name == "book")
         for args in ((), (ScanCounters(),)):
             results = merged_scan(noks, library.doc, *args)
-            assert match_nodes(book_nok.root,
-                               results[book_nok.nok_id]) == books
-            assert match_nodes(noks[0].root, results[0]) == [
-                library.doc.document_node]
+            assert results[book_nok.nok_id] == books
+            assert results[0] == [library.doc.document_node]
         bound = merged_scan(noks, library.doc, variables={"p": 35.0})
         assert len(bound[book_nok.nok_id]) == 734
 
@@ -647,10 +632,10 @@ class TestBindingsReachEveryScan:
         scans = []
 
         def guarded(compiled):
-            def match(nodes, counters, variables):
+            def match(nodes, counters, variables, groups):
                 assert variables is not None, "scan without bindings"
                 scans.append(nodes)
-                return compiled(nodes, counters, variables)
+                return compiled(nodes, counters, variables, groups)
             return match
         real = nok.compile_matcher
         monkeypatch.setattr(nok, "compile_matcher",

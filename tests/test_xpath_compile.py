@@ -370,9 +370,9 @@ def test_compiled_matcher_matches_definition_1(text, view):
     if view == "arena":
         doc = DocumentArena.from_document(doc).document()
     noks = prepare_artifacts(compile_query(text).tree).decomposition.noks
-    counters = ScanCounters()
-    result = merged_scan(noks, doc, counters)
-    rendered = {nok.nok_id: [sexpr(match, nok.root,
+    counters, groups = ScanCounters(), {}
+    result = merged_scan(noks, doc, counters, groups=groups)
+    rendered = {nok.nok_id: [sexpr(match, nok.root, groups,
                                    lambda n: f"{n.tag}{n.nid}")
                              for match in result[nok.nok_id]]
                 for nok in noks}
