@@ -9,8 +9,12 @@ enumeration at it), and every let-variable to a match sequence.
 An Env is a persistent chain, one slotted link per binding: binding a
 variable allocates one object and shares the whole outer tuple, so the
 bind phase keeps one object alive per binding rather than a copy of
-every earlier binding.  A match is its node, so the finish phase reads
-node sequences straight off the links (:meth:`Env.as_variables`).
+every earlier binding.  Every clause adds one link to each tuple, so
+the executor reads a clause variable's binding a fixed number of links
+up; a match is its node, so the finish reads node sequences straight
+off the links, and builds the variable mapping the XPath evaluator
+takes (:meth:`Env.as_variables`) only for a tuple an expression needs
+it for.
 """
 
 from __future__ import annotations
@@ -46,19 +50,6 @@ class Env:
     def bind_let(self, name: str, nodes: list[Node]) -> Env:
         """Extend with a let-binding over a (possibly empty) node list."""
         return Env(self, name, nodes)
-
-    def anchor(self, name: str) -> list[Node]:
-        """The nodes ``name`` is bound to (one for a for-variable),
-        where the executor starts a dependent variable's walk; ``[]``
-        when ``name`` is unbound."""
-        env = self
-        while env.parent is not None:
-            if env.name == name:
-                binding = env.binding
-                return binding if isinstance(binding, list) \
-                    else [cast(Node, binding)]
-            env = env.parent
-        return []
 
     def as_variables(self) -> dict[str, list[Node]]:
         """The mapping handed to the XPath evaluator for residual checks,

@@ -4,20 +4,23 @@
 runs clause expansion, where checks, order-by keys and return-clause
 construction through it, on the XPath interpreter.  The BlossomTree
 executor runs the same finish steps as closures compiled once per FLWOR
-(:func:`compile_emitter`); both sides share :func:`order_key`,
-:func:`sort_tuples`, :func:`~repro.engine.result.content_pieces` and
-every comparison rule, so the engines cannot drift apart in anything
-except how they find the binding tuples.
+(:func:`compile_emitter`), whose leaves read pattern-vertex runs where
+the pattern holds the path; both sides share the order-key tuple
+(:func:`order_key`, :func:`run_key`), :func:`sort_tuples`,
+:func:`~repro.engine.result.content_pieces` and every comparison rule,
+so the engines cannot drift apart in anything except how they find the
+binding tuples and the nodes their paths select.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import Any, TypeVar
 
 from repro.errors import DNFError
 from repro.xmlkit.tree import Constructed, Document, DocumentBuilder, Node, parse_number
 from repro.xpath.ast import Expr, mentions_variable
-from repro.xpath.compile import compile_expr
+from repro.xpath.compile import typed_number
 from repro.xpath.evaluator import EvalContext, XPathEvaluator, boolean_value
 from repro.xquery.ast import (
     ElementConstructor,
@@ -33,7 +36,9 @@ from repro.xquery.ast import (
 from repro.engine.result import Item, content_pieces
 
 __all__ = ["DirectEvaluator", "Emitter", "compile_emitter", "order_key",
-           "sort_tuples", "SubstitutingEvaluator"]
+           "run_key", "sort_tuples", "SubstitutingEvaluator"]
+
+_Row = TypeVar("_Row")
 
 
 class DirectEvaluator:
@@ -196,12 +201,11 @@ class SubstitutingEvaluator(DirectEvaluator):
         return super().eval_query_expr(expr, bindings)
 
 
-def sort_tuples(tuples: list[dict],
-                keys_of: Callable[[dict], list]) -> list[dict]:
-    """``tuples`` ordered by their key lists; ties keep their place."""
-    keys = [keys_of(bindings) for bindings in tuples]
-    order = sorted(range(len(tuples)), key=lambda index: (keys[index], index))
-    return [tuples[index] for index in order]
+def sort_tuples(tuples: list[_Row],
+                keys_of: Callable[[_Row], Any]) -> list[_Row]:
+    """``tuples`` ordered by their keys (a key list, or one key);
+    ties keep their place (the sort is stable)."""
+    return sorted(tuples, key=keys_of)
 
 
 class _Descending:
@@ -225,8 +229,8 @@ def order_key(value: object, descending: bool) -> object:
 
     Numbers sort numerically and before other strings, which sort
     lexicographically (the empty key first among them); a leading type
-    tag keeps mixed keys comparable.  A descending key is the same key
-    under the reversed comparison.
+    tag keeps mixed keys comparable — ``(0, number)`` or ``(1, text)``.
+    A descending key is the same key under the reversed comparison.
     """
     if isinstance(value, list):
         text = value[0].string_value() if value else ""
@@ -236,38 +240,54 @@ def order_key(value: object, descending: bool) -> object:
         text = str(value)
     text = text.strip()
     number = parse_number(text)
-    key = (1, 0.0, text) if number is None else (0, number, "")
+    key = (1, text) if number is None else (0, number)
     return _Descending(key) if descending else key
 
 
-#: A compiled return expression: ``emit(direct, bindings)`` is the items
-#: one binding tuple contributes.  The evaluator supplies the context
-#: document, the ``doc()`` resolver and, for a nested FLWOR, iteration.
-Emitter = Callable[[DirectEvaluator, dict], list[Item]]
+#: The key of an empty sequence: the empty string's.
+_EMPTY_KEY = (1, "")
 
 
-def compile_emitter(expr: QueryExpr) -> Emitter:
+def run_key(run: list[Node], descending: bool) -> object:
+    """:func:`order_key` of a key path's nodes, a pattern vertex's run:
+    the same tuple, the number read off the typed-value column of the
+    first node's version (NaN: text, keyed by its stripped string)."""
+    if not run:
+        key: tuple = _EMPTY_KEY
+    else:
+        first = run[0]
+        number = typed_number(first)
+        key = (0, number) if number == number \
+            else (1, first.string_value().strip())
+    return _Descending(key) if descending else key
+
+
+#: A compiled return expression: ``emit(direct, row)`` is the items one
+#: binding tuple contributes.  The evaluator supplies the context
+#: document, the ``doc()`` resolver and, for a nested FLWOR, iteration;
+#: what the row is — a variable mapping, a tuple of pattern matches — is
+#: the leaves' business.
+Emitter = Callable[[DirectEvaluator, Any], list[Item]]
+
+
+def compile_emitter(expr: QueryExpr,
+                    leaf: Callable[[QueryExpr], Emitter]) -> Emitter:
     """:meth:`DirectEvaluator.eval_query_expr` with the dispatch done
-    once, over compiled XPath expressions."""
-    if isinstance(expr, FLWOR):
-        return lambda direct, bindings: direct.eval_flwor(expr, bindings)
+    once: sequences and constructors here, every other expression —
+    a path, a nested FLWOR — by ``leaf``."""
     if isinstance(expr, Sequence):
-        parts = [compile_emitter(sub) for sub in expr.exprs]
-        return parts[0] if len(parts) == 1 else lambda direct, bindings: [
-            item for part in parts for item in part(direct, bindings)]
+        parts = [compile_emitter(sub, leaf) for sub in expr.exprs]
+        return parts[0] if len(parts) == 1 else lambda direct, row: [
+            item for part in parts for item in part(direct, row)]
     if isinstance(expr, ElementConstructor):
-        construct = _constructor(expr, compile_emitter)
-        return lambda direct, bindings: [construct(direct, bindings)]
-    value = compile_expr(expr)
-
-    def items(direct: DirectEvaluator, bindings: dict) -> list[Item]:
-        result = value(direct.doc.document_node, bindings, direct.resolve)
-        return list(result) if isinstance(result, list) else [result]
-    return items
+        construct = _constructor(
+            expr, lambda sub: compile_emitter(sub, leaf))
+        return lambda direct, row: [construct(direct, row)]
+    return leaf(expr)
 
 
 def _constructor(expr: ElementConstructor, part: Callable[[QueryExpr], Emitter]
-                 ) -> Callable[[DirectEvaluator, dict], Constructed]:
+                 ) -> Callable[[DirectEvaluator, Any], Constructed]:
     """The element ``expr`` builds, by reference; ``part`` emits each
     enclosed expression as one content sequence (atoms space-separated)."""
     tag, attrs = expr.tag, dict(expr.attrs)
@@ -276,12 +296,12 @@ def _constructor(expr: ElementConstructor, part: Callable[[QueryExpr], Emitter]
                for item in expr.content
                if not isinstance(item, TextItem) or item.text]
 
-    def construct(direct: DirectEvaluator, bindings: dict) -> Constructed:
+    def construct(direct: DirectEvaluator, row: Any) -> Constructed:
         pieces: list[str | Node] = []
         for piece in content:
             if isinstance(piece, str):
                 pieces.append(piece)
             else:
-                content_pieces(piece(direct, bindings), pieces)
+                content_pieces(piece(direct, row), pieces)
         return Constructed(tag, dict(attrs), pieces)
     return construct

@@ -19,17 +19,23 @@ Execution pipeline (Figure 2's data flow, made concrete):
    NestedList run tables on local edges and through join runs on cut
    edges; a let-variable binds the whole candidate sequence.  A cut
    hop yields the union of its left nodes' runs, unique and in document
-   order; only a walk ending in a group hop deduplicates by node
-   (XPath's set semantics).  An ``=`` crossing edge between two
+   order; only a group hop from nodes that may nest deduplicates by
+   node (XPath's set semantics).  An ``=`` crossing edge between two
    for-variables is a hash value join (:class:`_ValueJoin`), so only
    joined pairs are bound.  A *projection* (one root-anchored ``for``
-   returning its variable, nothing to verify, join or order: every
-   bare path) binds no tuple: π of its candidates is the answer.
+   returning its variable or a path off it that is a pattern vertex,
+   nothing to verify, join or order: every bare path) binds no tuple:
+   its answer is the concatenation of its candidates' runs.
 4. **Finish** — the where-conjuncts the scan did not decide exactly
    are verified per tuple (every crossing edge is, joined or not:
    ``<<``/``!=``/``deep-equal`` pairs are found by enumeration, the
    paper's nested-loop value join; ``pushed-exact`` conjuncts are not
    evaluated again), then order by and return-clause construction run.
+   Return-clause paths and ``order by`` keys off a clause variable are
+   optional vertices of the pattern (``BlossomTree.path_vertex``): the
+   finish reads their runs off the tuple, walked like a let, and keys
+   numbers off the typed-value column; only a residual where or a
+   leaf that stays XPath builds the tuple's variable mapping.
 
 Nothing in the loops of phases 1, 3 and 4 interprets the plan: the NoK
 matchers (:func:`~repro.physical.nok.matcher_for`), each variable's
@@ -43,23 +49,24 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
-from typing import NamedTuple, cast
+from operator import attrgetter
+from typing import Any, NamedTuple, cast
 
 from repro.errors import CompileError, UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
 from repro.pattern.blossom import (MODE_MANDATORY, BlossomTree,
-                                   BlossomVertex, CrossingEdge)
+                                   BlossomVertex, CrossingEdge, TreeEdge)
 from repro.pattern.build import RESULT_VAR, build_blossom_tree
 from repro.pattern.decompose import Decomposition, InterEdge, NoKTree
 from repro.xmlkit.partition import partition_document
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Constructed, Document, Node
 from repro.xpath.ast import BooleanExpr, LocationPath, RootVariable
-from repro.xpath.compile import (Bindings, Compiled, Test, compile_expr,
-                                 compile_test)
-from repro.xquery.ast import FLWOR, ForClause
+from repro.xpath.compile import (Bindings, Test, compile_expr, compile_test,
+                                 typed_number)
+from repro.xquery.ast import FLWOR, ForClause, OrderSpec, QueryExpr
 from repro.algebra.env import Env
 from repro.algebra.nested_list import Groups, project, projection_path
 from repro.algebra.operators import select
@@ -75,7 +82,7 @@ from repro.physical.structural import JoinResult, left_projection
 from repro.physical.twigstack import TwigStackOperator, twig_supported
 from repro.engine.backend import ExecutionBackend
 from repro.engine.construct import (DirectEvaluator, Emitter, compile_emitter,
-                                    order_key, sort_tuples)
+                                    order_key, run_key, sort_tuples)
 from repro.engine.result import Item
 from repro.strategy import STRATEGIES
 
@@ -96,14 +103,20 @@ _JOIN_SELECTED = REGISTRY.counter(
     "Per-edge physical join algorithm selections")
 
 
+#: A walk down a vertex chain: one ``(cut, edge)`` hop per chain
+#: vertex, ``edge`` = (parent vid, child vid) — through the join keyed
+#: ``edge`` on a cut edge, else through the child's run table.
+_Hops = tuple[tuple[bool, tuple[int, int]], ...]
+_Joins = dict[tuple[int, int], JoinResult]
+#: A clause variable's nodes in a tuple, walked down a vertex chain:
+#: ``fn(env, groups, joins)``, unique and in document order.
+_Nodes = Callable[[Env, Groups, _Joins], list[Node]]
 #: One clause variable's candidate walk ``(var, iterates, anchor,
 #: hops)``, resolved from the pattern: ``iterates`` tells ``for`` from
-#: ``let``; the walk starts at the matches of the earlier variable
-#: ``anchor`` (a name) or at the root NoK matches of vertex ``anchor``
-#: (a vid), then takes one ``(cut, edge)`` hop per chain vertex, ``edge``
-#: = (parent vid, child vid) — through the join keyed ``edge`` on a cut
-#: edge, else through the child's run table.
-_Bind = tuple[str, bool, str | int, tuple[tuple[bool, tuple[int, int]], ...]]
+#: ``let``; ``anchor`` walks ``hops`` from an earlier variable's nodes
+#: in the outer tuple, or is the vid of the root NoK whose matches the
+#: walk starts at.
+_Bind = tuple[str, bool, "_Nodes | int", _Hops]
 
 
 class _ValueJoin(NamedTuple):
@@ -117,10 +130,30 @@ class _ValueJoin(NamedTuple):
     the same)."""
 
     text: str
-    probe: str          # the earlier variable
+    #: The earlier variable's node in an outer tuple.
+    probe: Callable[[Env], Node]
     #: From a match of the probe (build) variable to its side's nodes.
     probe_side: tuple[int, ...]
     build_side: tuple[int, ...]
+
+
+class _Finish(DirectEvaluator):
+    """The finish's evaluator: the oracle's, plus the run tables and
+    joins of this execution, which the compiled leaves read."""
+
+    def __init__(self, doc: Document, groups: Groups, joins: _Joins
+                 ) -> None:
+        super().__init__(doc)
+        self.groups = groups
+        self.joins = joins
+
+
+#: One surviving tuple as the finish's leaves read it: its links, and
+#: its variables over the request's (``None`` when neither the where
+#: test nor any leaf reads them).
+_Row = tuple[Env, "Bindings | None"]
+#: A compiled ``order by``: the sortable key of one tuple.
+_Key = Callable[[_Finish, _Row], object]
 
 
 class _Program(NamedTuple):
@@ -133,32 +166,38 @@ class _Program(NamedTuple):
     #: The conjuncts the scan did not decide exactly; ``None``: none.
     where: Test | None
     where_conjuncts: int
-    order: tuple[tuple[Compiled, bool], ...]
+    #: ``None``: no order by.
+    order: _Key | None
     emit: Emitter
-    #: One root-anchored ``for`` returning its variable, with nothing to
-    #: verify, join or order: the answer is π of its candidates.
+    #: Whether the where test or a leaf of the finish reads the tuple's
+    #: variable mapping (:meth:`Env.as_variables`).
+    variables: bool
+    #: One root-anchored ``for`` returning its variable or a path off it
+    #: that is a pattern vertex, with nothing to verify, join or order:
+    #: the answer is the concatenation of each candidate's run.
     projection: bool
+    #: From a candidate to the nodes its tuple returns (``()``: itself).
+    output: _Hops
 
 
 def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
     binds: list[_Bind] = []
-    for clause in flwor.clauses:
-        chain = []
-        anchor = tree.var_vertex[clause.var]
-        while anchor.parent_edge is not None:
-            chain.append(anchor.parent_edge)
-            anchor = anchor.parent_edge.parent
-            if anchor.variables:
+    position: dict[str, int] = {}
+    for at, clause in enumerate(flwor.clauses):
+        vertex = tree.var_vertex[clause.var]
+        top = vertex
+        while top.parent_edge is not None:
+            top = top.parent_edge.parent
+            if top.variables:
                 break
+        hops = _hops(vertex, top)
         binds.append((
             clause.var, isinstance(clause, ForClause),
             # A variable bound at a pattern root (``$d in doc("x")``)
             # walks from that root's own matches.
-            anchor.variables[0] if chain and anchor.variables
-            else anchor.vid,
-            tuple((edge.cut, (edge.parent.vid, edge.child.vid))
-                  for edge in reversed(chain))))
-    position = {bind[0]: at for at, bind in enumerate(binds)}
+            _nodes(binds, position[top.variables[0]], at, hops)
+            if hops and top.variables else top.vid, hops))
+        position[clause.var] = at
     joins: dict[int, _ValueJoin] = {}
     for conjunct in tree.where:
         edge = conjunct.target
@@ -169,24 +208,113 @@ def _compile(flwor: FLWOR, tree: BlossomTree) -> _Program:
                            for var in (_owner(side),) if var)
             if len(sides) == 2 and sides[0][0] < sides[1][0] \
                     and isinstance(binds[sides[1][0]][2], int):
-                (_, probe, _, probe_side), (at, build, _, build_side) = sides
+                (k, probe, _, probe_side), (at, build, _, build_side) = sides
                 joins.setdefault(at, _ValueJoin(
-                    str(conjunct.expr), probe,
+                    str(conjunct.expr), _link(at - 1 - k),
                     projection_path(tree.var_vertex[probe], probe_side),
                     projection_path(tree.var_vertex[build], build_side)))
     verify = [c.expr for c in tree.where if c.disposition != "pushed-exact"]
+
+    def reads(expr: object) -> tuple[int, _Hops] | None:
+        """``(clause index, hops)`` when ``expr`` is a clause variable,
+        or a path off one whose leaf is a pattern vertex: the finish
+        reads the variable's nodes, walked down ``hops``."""
+        if not isinstance(expr, LocationPath) \
+                or not isinstance(expr.root, RootVariable) \
+                or expr.root.name not in position:
+            return None
+        var = expr.root.name
+        if not expr.steps:
+            return position[var], ()
+        leaf = tree.path_vertex.get(expr)
+        return None if leaf is None \
+            else (position[var], _hops(leaf, tree.var_vertex[var]))
+
+    mapped = bool(verify)
+
+    def leaf(expr: QueryExpr) -> Emitter:
+        nonlocal mapped
+        read = reads(expr)
+        if read is not None:
+            nodes = _nodes(binds, read[0], len(binds), read[1])
+            return lambda direct, row: nodes(row[0], direct.groups,
+                                             direct.joins)
+        mapped = True
+        if isinstance(expr, FLWOR):
+            return lambda direct, row: direct.eval_flwor(expr, row[1])
+        value = compile_expr(expr)
+
+        def items(direct: DirectEvaluator, row: _Row) -> list[Item]:
+            result = value(direct.doc.document_node,
+                           cast(Bindings, row[1]), direct.resolve)
+            return list(result) if isinstance(result, list) else [result]
+        return items
+
+    def key(spec: OrderSpec) -> _Key:
+        nonlocal mapped
+        read, descending = reads(spec.key), spec.descending
+        if read is not None:
+            nodes = _nodes(binds, read[0], len(binds), read[1])
+            return lambda direct, row: run_key(
+                nodes(row[0], direct.groups, direct.joins), descending)
+        mapped = True
+        value = compile_expr(spec.key)
+        return lambda direct, row: order_key(value(
+            direct.doc.document_node, cast(Bindings, row[1]),
+            direct.resolve), descending)
+
+    keys = [key(spec) for spec in flwor.order_by]
+    # One key sorts as itself, several as a list.
+    order: _Key | None = None if not keys else keys[0] if len(keys) == 1 \
+        else lambda direct, row: [each(direct, row) for each in keys]
+    emit = compile_emitter(flwor.return_expr, leaf)
     var, iterates, anchor, _ = binds[0]
+    output = reads(flwor.return_expr)
     return _Program(
         tuple(binds), joins,
         None if not verify else compile_test(
             verify[0] if len(verify) == 1
             else BooleanExpr("and", tuple(verify))),
-        len(verify),
-        tuple((compile_expr(s.key), s.descending) for s in flwor.order_by),
-        compile_emitter(flwor.return_expr),
+        len(verify), order, emit, mapped,
         len(binds) == 1 and iterates and isinstance(anchor, int)
-        and flwor.return_expr == LocationPath(RootVariable(var), ())
-        and not verify and not flwor.order_by and not joins)
+        and output is not None and not verify and not keys and not joins,
+        output[1] if output is not None else ())
+
+
+def _hops(vertex: BlossomVertex, top: BlossomVertex) -> _Hops:
+    """The walk from ``top``'s matches down to ``vertex``'s."""
+    hops = []
+    while vertex is not top:
+        edge = cast(TreeEdge, vertex.parent_edge)
+        hops.append((edge.cut, (edge.parent.vid, vertex.vid)))
+        vertex = edge.parent
+    return tuple(reversed(hops))
+
+
+def _link(depth: int) -> Callable[[Env], Any]:
+    """The binding ``depth`` links up a tuple: every clause adds one
+    link to each tuple, so a clause variable sits at a fixed depth."""
+    return attrgetter("parent." * depth + "binding")
+
+
+def _nodes(binds: list[_Bind], at: int, below: int, hops: _Hops) -> _Nodes:
+    """Clause ``at``'s nodes in a tuple of ``below`` clauses, walked
+    down ``hops``."""
+    binding = _link(below - 1 - at)
+    if not binds[at][1]:
+        return lambda env, groups, joins: _walk(groups, joins,
+                                                binding(env), hops)
+    if len(hops) == 1 and not hops[0][0]:
+        # One group hop from one node: its run.
+        vid = hops[0][1][1]
+        return lambda env, groups, joins: groups.get(vid, _NO_RUNS).get(
+            binding(env)) or []
+    return lambda env, groups, joins: _walk(groups, joins, [binding(env)],
+                                            hops)
+
+
+#: What a vertex without a run table reads (never written).
+_NO_RUNS: dict[Node, list[Node]] = {}
 
 
 def _owner(vertex: BlossomVertex) -> str | None:
@@ -205,8 +333,14 @@ def _owner(vertex: BlossomVertex) -> str | None:
 def _join_keys(node: Node, side: tuple[int, ...], groups: Groups
                ) -> set[object]:
     """The atoms a value-join side compares, for one match of its
-    variable."""
-    return {match.typed_value() for match in project((node,), side, groups)}
+    variable: each match's typed value, read off the typed-value column
+    (NaN: text, its stripped string)."""
+    keys: set[object] = set()
+    for match in project((node,), side, groups):
+        number = typed_number(match)
+        keys.add(number if number == number
+                 else match.string_value().strip())
+    return keys
 
 
 class FLWORExecutor:
@@ -252,9 +386,8 @@ class FLWORExecutor:
         self._tracing = self.tracer is not NULL_TRACER
         self.backend = backend
         self.scan_pools = scan_pools
-        self._direct = DirectEvaluator(doc)
         #: (parent_vid, child_vid) -> JoinResult, filled during execute()
-        self._joins: dict[tuple[int, int], JoinResult] = {}
+        self._joins: _Joins = {}
         #: The run tables of every NoK, filled by the match phase of
         #: execute() and replaced in part by σ.
         self._groups: Groups = {}
@@ -311,41 +444,49 @@ class FLWORExecutor:
             if program.projection:
                 # Theorem 1: the candidates are ordered, once each.
                 (_, _, anchor, hops), = program.binds
-                answer = cast("list[Item]", self._candidates(
-                    roots.get(anchor, []), hops))
-                span.set(tuples=len(answer), value_joins=[])
+                candidates = _walk(self._groups, self._joins,
+                                   roots.get(cast(int, anchor), []), hops)
+                span.set(tuples=len(candidates), value_joins=[])
             else:
                 envs = self._bind_phase(program, roots, span)
 
         # Finish: where verification, order by, return construction.
         # Without order by a tuple is emitted as soon as where accepts
-        # it, so its variable mapping dies with it.
+        # it.  Return and order-by paths that are pattern vertices read
+        # the tuple's runs; only a where test or another leaf needs the
+        # variable mapping.
         with self.tracer.span("finish-phase") as span:
             if program.projection:
-                self.counters.comparisons += len(answer)
-                span.set(surviving=len(answer), items=len(answer),
+                self.counters.comparisons += len(candidates)
+                answer = cast("list[Item]", self._concatenation(
+                    candidates, program.output))
+                span.set(surviving=len(candidates), items=len(answer),
                          where_conjuncts=0, constructed=0)
                 return answer
             where, order, emit = program.where, program.order, program.emit
-            item, resolve = self.doc.document_node, self._direct.resolve
+            mapped = program.variables
+            direct = _Finish(self.doc, self._groups, self._joins)
+            item, resolve = self.doc.document_node, direct.resolve
             items: list[Item] = []
             survivors = 0
-            to_sort: list[dict] = []
+            rows: list[_Row] = []
+            merged = None
             for env in envs:
                 self.counters.comparisons += 1
-                merged = {**base, **env.as_variables()} if base \
-                    else env.as_variables()
-                if where is None or where(item, merged, resolve):
-                    survivors += 1
-                    if order:
-                        to_sort.append(merged)
-                    else:
-                        items.extend(emit(self._direct, merged))
-            if order:
-                for merged in sort_tuples(to_sort, lambda merged: [
-                        order_key(key(item, merged, resolve), descending)
-                        for key, descending in order]):
-                    items.extend(emit(self._direct, merged))
+                if mapped:
+                    merged = {**base, **env.as_variables()} if base \
+                        else env.as_variables()
+                    if where is not None \
+                            and not where(item, merged, resolve):
+                        continue
+                survivors += 1
+                if order is None:
+                    items.extend(emit(direct, (env, merged)))
+                else:
+                    rows.append((env, merged))
+            if order is not None:
+                for row in sort_tuples(rows, lambda row: order(direct, row)):
+                    items.extend(emit(direct, row))
             span.set(surviving=survivors, items=len(items),
                      where_conjuncts=program.where_conjuncts,
                      constructed=sum(type(item) is Constructed
@@ -545,11 +686,11 @@ class FLWORExecutor:
         """Tuples in clause order, one clause variable per level."""
         tallies = []
         envs = [Env()]
-        groups = self._groups
+        groups, joins = self._groups, self._joins
         for at, (var, iterates, anchor, hops) in enumerate(program.binds):
             # A root-anchored variable has one candidate list, whatever
             # the outer tuple; a value join hashes it once, by atom.
-            fixed = (self._candidates(roots.get(anchor, []), hops)
+            fixed = (_walk(groups, joins, roots.get(anchor, []), hops)
                      if isinstance(anchor, int) else None)
             join = program.joins.get(at)
             table: dict[object, list[int]] = {}
@@ -560,11 +701,11 @@ class FLWORExecutor:
                         table.setdefault(key, []).append(position)
             outer, envs = envs, []
             for env in outer:
-                candidates = fixed if fixed is not None else self._candidates(
-                    env.anchor(cast(str, anchor)), hops)
+                candidates = fixed if fixed is not None \
+                    else cast(_Nodes, anchor)(env, groups, joins)
                 if join is not None:
                     hits = [table[key] for key in _join_keys(
-                        env.anchor(join.probe)[0], join.probe_side, groups)
+                        join.probe(env), join.probe_side, groups)
                         if key in table]
                     candidates = [candidates[position] for position in (
                         hits[0] if len(hits) == 1
@@ -583,27 +724,46 @@ class FLWORExecutor:
         span.set(tuples=len(envs), value_joins=tallies)
         return envs
 
-    def _candidates(self, frontier: list[Node], hops: tuple[
-            tuple[bool, tuple[int, int]], ...]) -> list[Node]:
-        """Walk a variable's vertex chain from its anchor's matches,
-        producing the document-ordered, deduplicated candidate matches
-        of its vertex."""
-        ordered = True
-        for cut, edge in hops:
-            if cut:
-                frontier = _run_union(self._joins[edge], frontier, ordered)
-            else:
-                table = self._groups.get(edge[1], {})
-                frontier = [node for parent in frontier
-                            for node in table.get(parent, ())]
-            ordered = cut
-        if ordered:
-            return frontier
+    def _concatenation(self, nodes: list[Node], hops: _Hops) -> list[Node]:
+        """Each node's walk down ``hops``, concatenated (no dedup across
+        nodes: a ``for``'s tuples each return their own)."""
+        groups, joins = self._groups, self._joins
+        if any(cut for cut, _ in hops):
+            return [node for parent in nodes
+                    for node in _walk(groups, joins, [parent], hops)]
+        # Group hops from one node stay disjoint and unique: walking
+        # them from all nodes at once is the concatenation.
+        for _, (_, vid) in hops:
+            table = groups.get(vid, _NO_RUNS)
+            nodes = [node for parent in nodes for node in table.get(parent, ())]
+        return nodes
 
-        # Child and sibling groups out of a recursive document can be
-        # out of order or overlap: deduplicate by node, restore order.
-        unique = {node.nid: node for node in frontier}
-        return [unique[nid] for nid in sorted(unique)]
+
+def _walk(groups: Groups, joins: _Joins, frontier: list[Node], hops: _Hops
+          ) -> list[Node]:
+    """Walk a vertex chain from the ordered, unique matches ``frontier``
+    through run tables and joins, producing the document-ordered,
+    deduplicated matches of its last vertex."""
+    ordered = True
+    # Pairwise unnested nodes in document order: so are the runs of
+    # their children, parent by parent.
+    disjoint = len(frontier) <= 1
+    for cut, edge in hops:
+        if cut:
+            frontier = _run_union(joins[edge], frontier, ordered)
+            ordered, disjoint = True, len(frontier) <= 1
+        else:
+            table = groups.get(edge[1], _NO_RUNS)
+            frontier = [node for parent in frontier
+                        for node in table.get(parent, ())]
+            ordered = disjoint
+    if ordered:
+        return frontier
+
+    # Child and sibling groups out of a recursive document can be
+    # out of order or overlap: deduplicate by node, restore order.
+    unique = {node.nid: node for node in frontier}
+    return [unique[nid] for nid in sorted(unique)]
 
 
 def _run_union(joined: JoinResult, nodes: Sequence[Node], ordered: bool

@@ -26,7 +26,7 @@ import weakref
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 
-from repro.xpath.ast import Expr
+from repro.xpath.ast import Expr, LocationPath
 
 __all__ = [
     "MODE_MANDATORY",
@@ -260,6 +260,9 @@ class BlossomTree:
         self.crossing_edges: list[CrossingEdge] = []
         #: variable name -> vertex bound to it
         self.var_vertex: dict[str, BlossomVertex] = {}
+        #: return-clause path or ``order by`` key -> the leaf of its
+        #: optional chain under its variable's vertex
+        self.path_vertex: dict[LocationPath, BlossomVertex] = {}
         #: One entry per distinct top-level where-conjunct, in clause
         #: order; the executor compiles its per-tuple test from those
         #: that are not ``pushed-exact``.
@@ -338,6 +341,8 @@ class BlossomTree:
         self.roots = [r for r in self.roots if id(r) not in dropped]
         self.var_vertex = {name: v for name, v in self.var_vertex.items()
                            if id(v) not in dropped}
+        self.path_vertex = {path: v for path, v in self.path_vertex.items()
+                            if id(v) not in dropped}
         del self.crossing_edges[mark.n_crossing_edges:]
         for vertex, count in zip(self.vertices, mark.predicate_counts,
                                  strict=True):

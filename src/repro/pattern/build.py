@@ -11,6 +11,13 @@ Construction rules
 * Edge modes: for-clause steps are mandatory (``f``), let-clause steps
   optional (``l``) — see the mode-policy note in
   :mod:`repro.pattern.blossom`.
+* A return-clause path or ``order by`` key rooted at a clause variable
+  (``_finish_paths``) gets an optional returning chain under that
+  variable's vertex, built as a ``let`` chain is (the paper draws the
+  return clause's paths into the tree too) and recorded in
+  ``BlossomTree.path_vertex``, so the finish reads the leaf's runs
+  instead of walking the path per tuple.  A path the pattern subset
+  rejects is rolled back and stays with the XPath evaluator.
 * Step predicates become: value predicates on the vertex (comparisons
   against literals on ``.``, ``text()`` or ``@attr``), existential
   mandatory subtrees (bare relative paths), or a combination (path
@@ -65,7 +72,7 @@ from repro.xpath.ast import (
     mentions_variable,
     walk,
 )
-from repro.xquery.ast import FLWOR, ForClause, LetClause
+from repro.xquery.ast import FLWOR, ForClause, LetClause, emitted_leaves
 from repro.pattern.blossom import (
     MODE_MANDATORY,
     MODE_OPTIONAL,
@@ -121,8 +128,25 @@ def build_blossom_tree(flwor: FLWOR,
             builder.add_clause_path(clause.var, clause.source, "let")
     if flwor.where is not None:
         builder.add_where(flwor.where)
+    for path in _finish_paths(flwor):
+        builder.add_finish_path(path)
     builder.finalize()
     return builder.tree
+
+
+def _finish_paths(flwor: FLWOR) -> list[LocationPath]:
+    """The paths the finish reads per tuple that may be pattern
+    vertices: every path the return clause emits (not one inside a
+    nested FLWOR or another expression) and every ``order by`` key that
+    is a path, when rooted at a clause variable and with steps — once
+    each, in that order."""
+    bound = {clause.var for clause in flwor.clauses}
+    found = [*emitted_leaves(flwor.return_expr),
+             *(spec.key for spec in flwor.order_by)]
+    return list(dict.fromkeys(
+        path for path in found
+        if isinstance(path, LocationPath) and path.steps
+        and isinstance(path.root, RootVariable) and path.root.name in bound))
 
 
 class _Builder:
@@ -147,6 +171,23 @@ class _Builder:
             raise CompileError("variable aliasing without steps is not "
                                "supported by the pattern matcher")
         self.tree.bind_variable(var, leaf, kind)
+
+    def add_finish_path(self, path: LocationPath) -> None:
+        """An optional returning chain for ``path``, or — when a step is
+        outside the pattern subset — nothing."""
+        mark = self.tree.checkpoint()
+        anchor = self._anchor_vertex(path)
+        try:
+            leaf = self._extend_chain(anchor, path.steps, MODE_OPTIONAL)
+        except CompileError:
+            leaf = anchor
+        if leaf is anchor:
+            # Rejected, or only ``self`` steps, whose predicates would
+            # have landed on the variable's own vertex.
+            self.tree.rollback(mark)
+            return
+        leaf.returning = True
+        self.tree.path_vertex[path] = leaf
 
     def _anchor_vertex(self, path: LocationPath) -> BlossomVertex:
         root = path.root

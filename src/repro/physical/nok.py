@@ -17,7 +17,11 @@ Differences from the pseudo-code, for exactness and for speed:
   list per tag), hands each
   child vertex all of them in one call, drops each candidate that lacks
   a mandatory child (found through the ``parent`` of each child match)
-  and builds the survivors' groups in child order.  The work per
+  and builds the survivors' groups in child order.  The mandatory
+  edges without a sibling constraint run first; every other edge — an
+  optional ``let``, where-endpoint, return or order-by branch — only
+  collects children under the candidates they kept, and is charged
+  only for those.  The work per
   scanned node is still constant — per candidate, one step per
   predicate and one per (child, applicable edge) — but it is paid in
   comprehensions per vertex instead of Python calls per node.  The
@@ -264,11 +268,20 @@ def compile_matcher(vertex: BlossomVertex) -> Batch:
             edge.mode == MODE_MANDATORY,
             None if child.after_vid is None
             else position.get(child.after_vid, _NEVER)))
-    # The named edges without a sibling constraint: two or more share
-    # one pass over the children, filling a list per tag.
-    named = [name for name, _, _, after in edges
-             if name != "*" and after is None]
-    shared = frozenset(named) if len(named) > 1 else frozenset()
+    # Two phases: the mandatory edges without a sibling constraint run
+    # over every candidate, the other edges only over the candidates
+    # those kept.  Per phase, the named edges without a sibling
+    # constraint — two or more — share one pass over the children,
+    # filling a list per tag.
+    first = [at for at, (_, _, mandatory, after) in enumerate(edges)
+             if mandatory and after is None]
+    phases: list[tuple[list[int], frozenset[str]]] = []
+    for ats in (first, [at for at in range(len(edges)) if at not in first]):
+        named = [edges[at][0] for at in ats
+                 if edges[at][0] != "*" and edges[at][3] is None]
+        if ats:
+            phases.append((ats, frozenset(named) if len(named) > 1
+                           else frozenset()))
     # Per successor edge, (its position, its predecessor's).
     sequenced = [(at, before) for at, e in enumerate(edges)
                  if (before := e[3]) is not None]
@@ -297,43 +310,53 @@ def compile_matcher(vertex: BlossomVertex) -> Batch:
         # edge, in child order (a predecessor that is no local sibling
         # has none).
         runs: dict[int, dict[Node, list[Node]]] = {_NEVER: {}}
-        if shared:
-            by_tag: dict[str | None, list[Node]] = {
-                name: [] for name in shared}
-            bucket_of = by_tag.get
-            for p in nodes:
-                for c in p.children:
-                    bucket = bucket_of(c.tag)
-                    if bucket is not None:
-                        bucket.append(c)
-        for at, (name, child_batch, mandatory, after) in enumerate(edges):
-            if name in shared and after is None:
-                children = by_tag[name]
-            elif after is None:
-                children = ([c for p in nodes for c in p.children
-                             if c.kind == ELEMENT] if name == "*" else
-                            [c for p in nodes for c in p.children
-                             if c.tag == name])
-            else:
-                # A successor child is a candidate once a predecessor
-                # matched among its earlier siblings.
-                since = [(p, run[0].nid) for p, run in runs[after].items()]
-                children = ([c for p, nid in since for c in p.children
-                             if c.kind == ELEMENT and c.nid > nid]
-                            if name == "*" else
-                            [c for p, nid in since for c in p.children
-                             if c.tag == name and c.nid > nid])
-            counters.comparisons += len(children)
-            matches = children if child_batch is None \
-                else child_batch(children, counters, variables, groups)
-            if at in per_parent:
-                runs[at] = _by_parent(matches)
-            if mandatory:
-                have = runs[at] if at in runs else set(map(_PARENT, matches))
-                kept = [p for p in kept if p in have]
+        # Per edge in ``runs``: how many parents it ran over.
+        over: dict[int, int] = {}
+        for ats, shared in phases:
+            parents = kept
+            if not parents:
+                return kept
+            if shared:
+                by_tag: dict[str | None, list[Node]] = {
+                    name: [] for name in shared}
+                bucket_of = by_tag.get
+                for p in parents:
+                    for c in p.children:
+                        bucket = bucket_of(c.tag)
+                        if bucket is not None:
+                            bucket.append(c)
+            for at in ats:
+                name, child_batch, mandatory, after = edges[at]
+                if name in shared and after is None:
+                    children = by_tag[name]
+                elif after is None:
+                    children = ([c for p in parents for c in p.children
+                                 if c.kind == ELEMENT] if name == "*" else
+                                [c for p in parents for c in p.children
+                                 if c.tag == name])
+                else:
+                    # A successor child is a candidate once a
+                    # predecessor matched among its earlier siblings.
+                    before = runs[after]
+                    since = [(p, before[p][0].nid) for p in parents
+                             if p in before]
+                    children = ([c for p, nid in since for c in p.children
+                                 if c.kind == ELEMENT and c.nid > nid]
+                                if name == "*" else
+                                [c for p, nid in since for c in p.children
+                                 if c.tag == name and c.nid > nid])
+                counters.comparisons += len(children)
+                matches = children if child_batch is None \
+                    else child_batch(children, counters, variables, groups)
+                if at in per_parent:
+                    runs[at] = _by_parent(matches)
+                    over[at] = len(parents)
+                if mandatory:
+                    have = runs[at] if at in runs \
+                        else set(map(_PARENT, matches))
+                    kept = [p for p in kept if p in have]
         if not filled:
             return kept
-        dropped = len(kept) < len(nodes)
         if ordered:
             for p in kept:
                 for before, after in ordered:
@@ -344,7 +367,7 @@ def compile_matcher(vertex: BlossomVertex) -> Batch:
                                         key=_NID):]
         for at, vid in filled:
             table = runs[at]
-            if dropped:
+            if len(kept) < over[at]:
                 table = {p: run for p in kept
                          if (run := table.get(p)) is not None}
             add_table(groups, vid, table)

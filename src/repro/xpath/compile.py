@@ -44,7 +44,7 @@ from repro.xpath.evaluator import (VALUE_OPERATORS, AnyNode, AttrNode,
 
 __all__ = ["Bindings", "Compiled", "Filter", "Resolver", "Test",
            "atomized", "compile_expr", "compile_filter", "compile_test",
-           "literal_test", "scalar_filter"]
+           "literal_test", "scalar_filter", "typed_number"]
 
 Resolver = Callable[[str], Document]
 #: One evaluation's variables: the request's parameters, and under them
@@ -312,6 +312,19 @@ def _typed_column(nodes: list[Node]) -> list[float | None]:
         number = parse_number(node.string_value())
         column[node.nid] = _NAN if number is None else number
     return column
+
+
+def typed_number(node: Node) -> float:
+    """The node's slot of its version's typed-value column, filled on
+    first read: its typed value as a number, NaN for text that is no
+    number."""
+    column = node.doc.derived.numbers
+    number = column[node.nid]
+    if number is None:
+        parsed = parse_number(node.string_value())
+        number = _NAN if parsed is None else parsed
+        column[node.nid] = number
+    return number
 
 
 def scalar_filter(op: str, value: float | str,

@@ -30,6 +30,7 @@ __all__ = [
     "ElementConstructor",
     "Sequence",
     "QueryExpr",
+    "emitted_leaves",
     "locate_flwor",
 ]
 
@@ -165,3 +166,17 @@ def locate_flwor(expr: QueryExpr) -> FLWOR | None:
                 return None
             found = inner
     return found
+
+
+def emitted_leaves(expr: QueryExpr) -> Iterator[QueryExpr]:
+    """The expressions a return clause emits, in order: ``expr`` itself,
+    or — through sequences and constructors — each expression inside
+    that is neither (an XPath expression or a nested FLWOR)."""
+    if isinstance(expr, Sequence):
+        for sub in expr.exprs:
+            yield from emitted_leaves(sub)
+    elif isinstance(expr, ElementConstructor):
+        for sub in expr.subqueries():
+            yield from emitted_leaves(sub)
+    else:
+        yield expr

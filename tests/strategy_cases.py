@@ -39,6 +39,13 @@ extras plan ``stack`` instead of ``pipelined``, every ``auto`` reason
 recursion bit) is the range join's, the flat rows' join notes say
 ``stack``, and so do the ``parallel`` rows' (the row pins the range
 join).  No answer changed.
+
+It was regenerated a fifth time when return-clause paths became
+pattern vertices: only ``explain`` texts changed, in the ``flwor`` and
+``crossing flwor`` rows and the optional-branch extra — each gained the
+optional ``-child,l->`` vertex of its ``return $a/c`` / ``$x/b`` /
+``$y/b`` / ``$a/b`` and lists it in its NoK.  No strategy, plan text or
+answer changed.
 """
 
 from __future__ import annotations

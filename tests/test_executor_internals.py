@@ -114,10 +114,11 @@ class TestTupleEnumeration:
 
 
 class TestProjection:
-    """A lone root-anchored ``for`` that returns its variable, with
-    nothing to verify, join or order, answers with π of its candidates
-    and binds no tuple; every other shape keeps the tuple route, and
-    both routes report the same spans and counters."""
+    """A lone root-anchored ``for`` that returns its variable or a path
+    off it that is a pattern vertex, with nothing to verify, join or
+    order, answers with the concatenation of its candidates' runs and
+    binds no tuple; every other shape keeps the tuple route, and both
+    routes report the same spans and counters."""
 
     DOC = ("<r><a><b>x</b><a><b>y</b><c/></a><b>x</b></a>"
            "<a><b>y</b></a></r>")
@@ -125,9 +126,12 @@ class TestProjection:
         "//a//b",
         "for $v in //a//b return $v",
         'for $v in //a where $v/b = "x" return $v',
+        "for $v in //a return $v/b",
+        "for $v in //a return $v//b",
+        "for $v in //a[b] return $v/a/b",
     ]
     TUPLES = [
-        "for $v in //a return $v/b",
+        "for $v in //a return $v/@k",
         "for $v in //a return <r>{ $v }</r>",
         "for $v in //a order by $v/b return $v",
         'for $v in //a where contains($v/b, "x") return $v',
@@ -166,7 +170,9 @@ class TestProjection:
             self.run(query, artifacts)
         assert items and items == tuple_items
         assert spans == tuple_spans
-        assert spans["bind-phase"]["tuples"] == len(items)
+        assert spans["finish-phase"]["items"] == len(items)
+        assert spans["bind-phase"]["tuples"] == \
+            spans["finish-phase"]["surviving"]
         assert comparisons == tuple_comparisons
 
 

@@ -77,15 +77,15 @@ class TestEnv:
         node = self._match(small_bib, "book")
         bound = base.bind_for("b", node)
         assert base.as_variables() == {}
-        assert base.anchor("b") == []
+        assert base.parent is None
         assert bound.parent is base
         assert bound.as_variables() == {"b": [node]}
-        assert bound.anchor("b") == [node]
+        assert bound.binding is node
 
     def test_bind_let_empty_sequence(self, small_bib):
         env = Env().bind_let("a", [])
         assert env.as_variables() == {"a": []}
-        assert env.anchor("a") == []
+        assert env.binding == []
 
     def test_for_variable_reads_its_node(self, small_bib):
         node = self._match(small_bib, "title", 1)
@@ -96,7 +96,8 @@ class TestEnv:
         # runs live in the execution's tables, not on the binding.
         env = Env().bind_for("b", node.parent).bind_let("l", [node.parent])
         assert env.as_variables() == {"b": [node.parent], "l": [node.parent]}
-        assert env.anchor("b") == env.anchor("l") == [node.parent]
+        assert env.parent.binding is node.parent
+        assert env.binding == [node.parent]
         assert Env.__slots__ == ("parent", "name", "binding")
 
     def test_as_variables_shape(self, small_bib):
@@ -105,14 +106,14 @@ class TestEnv:
         variables = env.as_variables()
         assert list(variables) == ["p", "q"]
         assert variables["p"] == variables["q"] == [node]
-        assert env.anchor("q") == [node]
+        assert env.binding == [node]
         assert variables is not env.as_variables()  # a fresh dict per read
-        assert variables["q"] is not env.anchor("q")  # a copy, not the binding
+        assert variables["q"] is not env.binding  # a copy, not the binding
 
     def test_rebinding_shadows(self, small_bib):
         first = self._match(small_bib, "book", 0)
         second = self._match(small_bib, "book", 1)
         env = Env().bind_for("b", first).bind_for("b", second)
         assert env.as_variables() == {"b": [second]}
-        assert env.anchor("b") == [second]
-        assert env.parent.anchor("b") == [first]
+        assert env.binding is second
+        assert env.parent.binding is first

@@ -1,11 +1,13 @@
 """Unit tests for result construction, QueryResult and order keys."""
 
+from xml.sax.saxutils import escape
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine.construct import DirectEvaluator, order_key
+from repro.engine.construct import DirectEvaluator, order_key, run_key
 from repro.engine.result import QueryResult, atom_text, content_pieces
-from repro.xmlkit import serialize
+from repro.xmlkit import parse, serialize
 from repro.xmlkit.tree import Constructed, DocumentBuilder
 from repro.xpath.evaluator import AttrNode
 
@@ -131,6 +133,16 @@ class TestOrderKey:
         assert ascending == ["9", "10", "", "Nan", "a", "ab", "b"]
         assert sorted(keys, key=lambda k: order_key(k, True)) == \
             ascending[::-1]
+
+    @given(s=ORDER_VALUES)
+    def test_run_key_is_the_order_key_of_its_nodes(self, s):
+        """The finish keys a vertex's run off the typed-value column;
+        the oracle parses the first node's string value."""
+        doc = parse(f"<r><a>{escape(str(s))}</a><b/></r>")
+        run = doc.root.children
+        for descending in (False, True):
+            assert run_key(run, descending) == order_key(run, descending)
+            assert run_key([], descending) == order_key([], descending)
 
     @given(s=ORDER_VALUES, t=ORDER_VALUES)
     def test_descending_is_the_reversed_comparison(self, s, t):

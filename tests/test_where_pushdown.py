@@ -10,8 +10,10 @@ prices, repeated ids, and ``$p`` bound to every type
 ``normalize_bindings`` admits; and on two-variable value conjuncts
 (``$a/x = $b/y``: the bind phase's hash join on ``=`` crossing edges,
 next to every shape that must *not* join) over numeric and text
-spellings of one value; and on ``following-sibling`` chains over
-present, absent and misplaced labels in every clause position.  The
+spellings of one value; on ``following-sibling`` chains over
+present, absent and misplaced labels in every clause position; and on
+return-clause paths and ``order by`` keys, which the finish reads as
+pattern-vertex runs.  The
 *deterministic guards* pin what the tentpole moved on the benchmark's
 own shapes: every bound tuple survives, the compiled where is gone,
 twin NoKs are matched once, and no engine path scans a late-bound plan
@@ -33,6 +35,7 @@ from repro.engine import executor as executor_module
 from repro.engine.executor import FLWORExecutor
 from repro.errors import ReproError
 from repro.pattern.artifact import prepare_artifacts
+from repro.pattern.blossom import BlossomTree
 from repro.algebra.operators import select
 from repro.physical import nok
 from repro.physical.nok_merge import merged_scan
@@ -340,6 +343,132 @@ def test_generated_sibling_chain_differential(seed, recursive):
 
 
 # ----------------------------------------------------------------------
+# Finish paths: return-clause paths and ``order by`` keys off a clause
+# variable are optional pattern vertices whose runs the finish reads —
+# child, ``//``, predicate and sibling steps, next to the steps that stay
+# with the XPath evaluator (``text()``, a position, an attribute), in
+# concatenations, sequences, constructors and keys of both directions,
+# with and without a let, a where and a nested FLWOR.
+# ----------------------------------------------------------------------
+
+FINISH_STEPS = ["title", "author", "price", "x/y", "x", "//price", "//y",
+                "//book/title", "price[. > 2]", "author[. = 3]", "zzz", "*",
+                "x/following-sibling::price", "title/text()", "price[2]",
+                "x[y]"]
+FINISH_WHERES = ["", "", " where $v/price > 2",
+                 " where $v/price > 2 and count($v/author) < 2"]
+
+
+def finish_query(rng: random.Random) -> str:
+    def path() -> str:
+        return f"$v/{rng.choice(FINISH_STEPS)}"
+
+    def key() -> str:
+        return path() + rng.choice(["", " descending"])
+    clauses = rng.choice(["for $v in //book", "for $v in //bib//book",
+                          "for $b in //bib, $v in $b/book",
+                          # A let sequence of books, nested or not.
+                          "for $b in //bib let $v := $b//book"])
+    let = rng.random() < 0.4
+    if let:
+        clauses += f" let $t := {path()}"
+    returns = [path(), f"({path()}, {path()})", f"<r>{{{path()}}}</r>",
+               f'<r a="1">{{{path()}}}<s>{{{path()}, $v}}</s></r>',
+               f"<r>{{for $a in $v/author return $a}}{{{path()}}}</r>"]
+    if let:
+        returns += ["$t", "<r>{$t}</r>"]
+    order = ""
+    if rng.random() < 0.5:
+        keys = [key() for _ in range(rng.randint(1, 2))]
+        if let and rng.random() < 0.5:
+            keys.insert(0, "$t" + rng.choice(["", " descending"]))
+        order = " order by " + ", ".join(keys)
+    return (f"{clauses}{rng.choice(FINISH_WHERES)}{order} "
+            f"return {rng.choice(returns)}")
+
+
+@pytest.mark.parametrize("recursive", [False, True],
+                         ids=["flat", "recursive"])
+@pytest.mark.parametrize("seed", range(8))
+def test_generated_finish_path_differential(seed, recursive):
+    rng = random.Random(f"finish-path:{seed}:{recursive}")
+    with repro.connect(chain_document(rng, recursive)) as db:
+        for _ in range(40):
+            check_example(db, finish_query(rng), **CHAIN)
+
+
+FINISH_DOC = ("<bib><book><title>b</title><author>2</author>"
+              "<author>x</author></book>"
+              "<book><title>a</title></book>"
+              "<book><title>c</title><author>10</author></book>"
+              "<book><title>d</title><author> 2 </author></book>"
+              "<book><title>e</title><author>ab</author></book>"
+              "<book><title>f</title><author></author></book></bib>")
+
+
+class TestFinishPaths:
+    """Hand cases of the finish reading pattern-vertex runs."""
+
+    @staticmethod
+    def answer(text: str) -> tuple[str, BlossomTree]:
+        with repro.connect(FINISH_DOC) as db:
+            tree = compile_query(text).tree
+            return check_example(db, text, **CHAIN), tree
+
+    def titles(self, text: str) -> str:
+        answer, _ = self.answer(text)
+        return "".join(answer.replace("<title>", "").split("</title>"))
+
+    def test_order_keys_are_vertices(self):
+        text = "for $b in //book order by $b/author return $b/title"
+        _, tree = self.answer(text)
+        [vertex] = [v for p, v in tree.path_vertex.items()
+                    if str(p) == "$b/author"]
+        assert vertex.parent_edge.mode == "l" and vertex.returning
+        assert vertex.parent_edge.parent is tree.var_vertex["b"]
+
+    def test_empty_run_sorts_first_among_strings(self):
+        # Numbers first (2, 2, 10), then text: the empty key ("a" has no
+        # author, "f" an empty one) before "ab"; ties keep their place.
+        assert self.titles("for $b in //book order by $b/author "
+                           "return $b/title") == "bdcafe"
+
+    def test_descending_is_the_mirror(self):
+        assert self.titles("for $b in //book order by $b/author descending "
+                           "return $b/title") == "eafcbd"
+
+    def test_several_matches_under_one_tuple(self):
+        answer, tree = self.answer(
+            "for $b in //book[title = 'b'] return ($b/author, $b/title)")
+        assert answer == "<author>2</author><author>x</author><title>b</title>"
+        assert len(tree.path_vertex) == 2
+
+    def test_a_computed_key_beside_a_vertex_key(self):
+        # count: a 0, then c d e f 1 (by author, descending: text "ab",
+        # "", then numbers 10, 2), then b 2.
+        assert self.titles("for $b in //book order by count($b/author), "
+                           "$b/author descending return $b/title") \
+            == "aefcdb"
+
+    def test_let_key_reads_the_binding(self):
+        assert self.titles("for $b in //book let $a := $b/author "
+                           "order by $a return $b/title") == "bdcafe"
+
+    def test_nested_flwor_stays_on_the_emitter(self):
+        text = ("for $b in //book[author] return <r>{for $a in $b/author "
+                "return <a>{$a/text()}</a>}{$b/title}</r>")
+        answer, tree = self.answer(text)
+        assert answer.startswith("<r><a>2</a><a>x</a><title>b</title></r>")
+        assert [str(p) for p in tree.path_vertex] == ["$b/title"]
+
+    def test_a_path_outside_the_subset_keeps_the_evaluator(self):
+        answer, tree = self.answer(
+            "for $b in //book order by $b/author[2] return $b/title/text()")
+        assert tree.path_vertex == {}
+        assert answer == "acdefb"   # only b has a second author
+
+
+# ----------------------------------------------------------------------
 # Deterministic guards on the benchmark's own shapes.
 # ----------------------------------------------------------------------
 
@@ -554,7 +683,9 @@ class TestMatchOnce:
         first, second = (results[t.nok_id] for t in twins)
         assert first == second and first is not second
         assert len(first) == 41
-        assert per_nok[twins[0].nok_id].comparisons == 6000
+        # 2,000 price children and their 2,000 tests; the optional
+        # author and title children only under the 41 books kept.
+        assert per_nok[twins[0].nok_id].comparisons == 4000 + 2 * 41
         assert twins[1].nok_id not in per_nok   # charged nothing: not scanned
         # The twin's vertices name the first's tables ...
         theirs, mine = (t.root.child_edges[1].child for t in twins)
