@@ -98,8 +98,9 @@ class Database:
     """One document with snapshot-isolated versions.
 
     ``doc`` (a parsed tree or XML text) becomes snapshot 1 *without* a
-    fork: the database takes ownership, so the caller must not mutate
-    it afterwards (use :meth:`updater`).
+    fork: the database takes ownership.  No update edits it: a batch
+    (:meth:`updater`, like any ``DocumentUpdater``) edits its own fork
+    and publishes that as the next snapshot.
 
     ``slow_query_ms`` (or a later :meth:`configure_slow_log` call)
     enables the slow-query log: every query whose wall time crosses the
@@ -142,8 +143,8 @@ class Database:
 
     @property
     def doc(self) -> Document:
-        """The current version's document (never mutate it in place:
-        write through :meth:`updater`)."""
+        """The current version's document (an update never edits it:
+        :meth:`updater` publishes a fork)."""
         return self.current().doc
 
     @property

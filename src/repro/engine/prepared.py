@@ -10,9 +10,9 @@ pushed where-conjuncts, per-tuple tests for the rest), so no
 recompilation happens between executions.
 
 A prepared query pins the document-shape fingerprint it was planned
-against.  If the document changes shape underneath it — an in-place
-update, or a new version of a :class:`~repro.engine.database.Database`,
-whose prepared queries run on the current snapshot — the next
+against.  If the document changes shape underneath it — a new version of a
+:class:`~repro.engine.database.Database`, whose prepared queries run
+on the current snapshot — the next
 ``execute()`` transparently re-plans (through the shared plan cache)
 instead of running a choice the optimizer would no longer make —
 execution results were never at risk (plans are document-independent),

@@ -8,8 +8,8 @@ disagreement about *matching*, never about output formatting.
 
 A constructed element references its content and is copied into a
 document of its own (XQuery constructor semantics: constructed content
-is a copy, detached from the input document) only when navigated or
-before a source it reads changes in place.
+is a copy, detached from the input document) only when navigated: no
+update edits a document it reads (an update batch edits a fork).
 """
 
 from __future__ import annotations

@@ -20,10 +20,10 @@ Repeated traffic is served without recompilation two ways:
   plan and executes it many times, with external ``$parameter``
   bindings substituted per call.
 
-Plans are keyed by document shape, not version: ``DocumentUpdater``
-drops the document's derived state, the next read rebuilds the
-structural summary, and its digest decides whether the cached plans
-still apply.
+Plans are keyed by document shape, not version: a ``DocumentUpdater``
+edits its own fork of the document and patches the fork's structural
+summary, and that summary's digest decides whether the cached plans
+apply to the new version; the base version's plans never move.
 
 ``Engine.query`` accepts bare path expressions, FLWOR expressions, and
 constructor-wrapped FLWORs; ``strategy`` selects the physical plan (the

@@ -2,19 +2,19 @@
 
 The serving story (ROADMAP: "heavy traffic from millions of users")
 needs readers and writers to coexist without locks on the query hot
-path.  The region-label encoding makes in-place structural updates
-global events — ``DocumentUpdater`` relabels the arena from the splice
-point onward — so a reader racing a writer could observe a half-applied
-tree.  Instead of locking, the serving layer never mutates a published
-document at all:
+path.  The region-label encoding makes a structural update a global
+event — a splice relabels the arena from the splice point onward — so a
+reader racing it could observe a half-applied tree.  Instead of
+locking, no document anyone can read is ever edited:
 
-* a :class:`Snapshot` is an immutable-by-convention document with a
-  database-unique id (what is computed from it hangs off the
-  document, ``snapshot.doc.derived``, until the snapshot retires);
-* an update batch forks the current snapshot's document once
-  (:func:`fork_document`, copy-on-first-write), applies every operation
-  to the private fork, and publishes the fork as a *new* snapshot on
-  commit — in-flight queries keep reading their pinned snapshot.
+* a :class:`Snapshot` is an immutable document with a database-unique
+  id (what is computed from it hangs off the document,
+  ``snapshot.doc.derived``, until the snapshot retires);
+* an update batch (:class:`SnapshotUpdater`) forks the current
+  snapshot's document once (:func:`fork_document`, re-exported here),
+  applies every operation to the private fork, and publishes the fork
+  as a *new* snapshot on commit — in-flight queries keep reading their
+  pinned snapshot.
 
 The fork is the one O(n) step of a batch: each operation then shifts
 only the labels after its splice point and patches the derived state,
@@ -29,54 +29,15 @@ by reference between versions.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import TracebackType
 
-from repro.xmlkit.derived import carry_fork
+from repro.errors import UsageError
 from repro.xmlkit.stats import DocumentStats
-from repro.xmlkit.tree import Document, Node
-from repro.xmlkit.update import DocumentUpdater, UpdateReport
+from repro.xmlkit.tree import Document
+from repro.xmlkit.update import DocumentUpdater, fork_document
 
 __all__ = ["Snapshot", "SnapshotUpdater", "fork_document"]
-
-
-def fork_document(doc: Document) -> Document:
-    """Deep-copy a document, preserving every label verbatim.
-
-    Nids, regions, levels and cached string values are copied, so the
-    fork is indistinguishable from the original (the snapshot tests
-    assert byte-identical serialization) at one O(n) pass; the summary
-    and postings the original has built carry over
-    (:func:`~repro.xmlkit.derived.carry_fork`).
-    """
-    fork = Document()
-    src_nodes = doc.nodes
-    clones: list[Node] = [fork.document_node]
-    doc_node = clones[0]
-    doc_node.start = src_nodes[0].start
-    doc_node.end = src_nodes[0].end
-    doc_node.level = src_nodes[0].level
-    doc_node._string_value = src_nodes[0]._string_value
-    # Pre-order arena: every parent precedes its children, so the
-    # parent's clone always exists by the time a child is copied.
-    for src in src_nodes[1:]:
-        clone = Node(fork, src.nid, src.kind, src.tag, src.text)
-        if src.attrs:
-            clone.attrs = dict(src.attrs)
-        clone.start = src.start
-        clone.end = src.end
-        clone.level = src.level
-        clone._string_value = src._string_value
-        assert src.parent is not None
-        parent = clones[src.parent.nid]
-        clone.parent = parent
-        parent.children.append(clone)
-        clones.append(clone)
-        fork.nodes.append(clone)
-    if doc.root is not None:
-        fork.root = clones[doc.root.nid]
-    carry_fork(doc, fork, clones)
-    return fork
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +46,9 @@ class Snapshot:
 
     ``snapshot_id`` is unique and monotonic within its database, so
     result-cache keys can reference a version without carrying the
-    document around.  The document behind
-    a snapshot must never be mutated — all updates go through
-    :class:`SnapshotUpdater`, which works on a private fork.
+    document around.  The document behind a snapshot is never edited:
+    an update batch works on a private fork and publishes it as the
+    next snapshot.
     """
 
     snapshot_id: int
@@ -103,16 +64,15 @@ class Snapshot:
                 f"{len(self.doc.nodes)} nodes>")
 
 
-@dataclass
-class SnapshotUpdater:
+class SnapshotUpdater(DocumentUpdater):
     """One copy-on-write update batch against the database's document.
 
-    Obtained from :meth:`~repro.engine.database.Database.updater`; applies
-    the same operations as :class:`~repro.xmlkit.update.DocumentUpdater`
-    but to a private fork of the base snapshot's document, so concurrent
-    readers never observe intermediate states.  :meth:`commit` publishes
-    the fork as the document's next snapshot atomically; :meth:`abort`
-    discards it.  Usable as a context manager (commit on clean exit,
+    Obtained from :meth:`~repro.engine.database.Database.updater`: a
+    :class:`~repro.xmlkit.update.DocumentUpdater` over the base
+    snapshot's document whose :meth:`commit` publishes the fork as the
+    next snapshot atomically and :meth:`abort` discards it.  Either
+    finishes the batch: any later operation, commit or abort raises
+    ``UsageError``.  Usable as a context manager (commit on clean exit,
     abort on exception)::
 
         with db.updater() as up:
@@ -124,63 +84,26 @@ class SnapshotUpdater:
     aborted emits a :class:`ResourceWarning`: its writes are lost.
     """
 
-    database: object
-    base: Snapshot
-    doc: Document = field(init=False)
-    reports: list[UpdateReport] = field(init=False, default_factory=list)
+    def __init__(self, database: object, snapshot: Snapshot) -> None:
+        super().__init__(snapshot.doc)
+        self.database = database
+        self.snapshot = snapshot
 
-    def __post_init__(self) -> None:
-        self.doc = fork_document(self.base.doc)
-        self._updater = DocumentUpdater(self.doc)
-        self._done = False
-
-    def resolve(self, node: Node) -> Node:
-        """Map a node of the base snapshot to its clone in the fork.
-
-        Valid for nodes addressed *before* the batch's first operation
-        (later operations renumber the fork's arena); address nodes
-        found mid-batch through :attr:`doc` directly.
-        """
-        return self.doc.nodes[node.nid]
-
-    def insert_subtree(self, parent: Node, subtree_root: Node,
-                       position: int | None = None) -> UpdateReport:
-        """Insert a subtree (see ``DocumentUpdater.insert_subtree``).
-
-        ``parent`` may belong to the base snapshot (it is resolved into
-        the fork when the batch has not restructured the tree yet) or to
-        :attr:`doc` itself.
-        """
-        report = self._updater.insert_subtree(self._local(parent),
-                                              subtree_root, position)
-        self.reports.append(report)
-        return report
-
-    def delete_subtree(self, node: Node) -> UpdateReport:
-        """Delete a subtree (see ``DocumentUpdater.delete_subtree``)."""
-        report = self._updater.delete_subtree(self._local(node))
-        self.reports.append(report)
-        return report
-
-    def _local(self, node: Node) -> Node:
-        if node.doc is self.doc:
-            return node
-        if node.doc is self.base.doc and not self.reports:
-            return self.resolve(node)
-        return node  # let DocumentUpdater raise its precise UpdateError
+    def _finish(self) -> None:
+        if self._done:
+            raise UsageError("update batch already committed or aborted")
+        self._done = True
 
     def commit(self) -> Snapshot:
         """Publish the fork as the document's next snapshot."""
-        if self._done:
-            raise RuntimeError("update batch already committed or aborted")
-        self._done = True
+        self._finish()
         publish = getattr(self.database, "_publish")
         snapshot: Snapshot = publish(self.doc, self.reports)
         return snapshot
 
     def abort(self) -> None:
         """Discard the fork; the database never sees this batch."""
-        self._done = True
+        self._finish()
 
     def __enter__(self) -> SnapshotUpdater:
         return self
@@ -198,7 +121,7 @@ class SnapshotUpdater:
     def __del__(self) -> None:
         if not getattr(self, "_done", True) and self.reports:
             warnings.warn(
-                f"update batch on snapshot {self.base.snapshot_id} dropped "
+                f"update batch on snapshot {self.snapshot.snapshot_id} dropped "
                 f"with {len(self.reports)} operation(s) applied and neither "
                 "commit() nor abort() called; its writes are lost",
                 ResourceWarning, stacklevel=2)

@@ -23,7 +23,6 @@ Design notes
 from __future__ import annotations
 
 import threading
-import weakref
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from operator import attrgetter
@@ -55,8 +54,8 @@ _KIND_NAMES = {DOCUMENT: "document", ELEMENT: "element", TEXT: "text"}
 _NID = attrgetter("nid")
 _MATERIALISED = REGISTRY.counter(
     "repro_constructed_materialised_total",
-    "Constructed elements copied when navigated or before an in-place "
-    "update (the copies deferral did not avoid; never the oracle's)")
+    "Constructed elements copied when navigated (the copies deferral "
+    "did not avoid; never the oracle's)")
 _MATERIALISE = threading.RLock()
 _PENDING = frozenset(("doc", "parent", "children", "end"))
 
@@ -260,19 +259,13 @@ class Constructed(Node):
     whose root is this node; ``<<`` and ``is`` read the preset label.
     """
 
-    __slots__ = ("content", "__weakref__")
+    __slots__ = ("content",)
 
     def __init__(self, tag: str, attrs: dict[str, str], content: list[str | Node]) -> None:
         # Not Node.__init__: the _PENDING slots stay unset until read.
         self.nid = self.start = self.level = 1
         self.kind, self.tag, self.text, self.attrs = ELEMENT, tag, None, attrs
         self._string_value, self.content = None, content
-        read: Document | None = None
-        for piece in content:
-            if type(piece) is not str and piece.content is None \
-                    and piece.doc is not read:
-                read = piece.doc
-                read.add_reader(self)
 
     def __getattr__(self, name: str) -> object:
         if name not in _PENDING:
@@ -356,7 +349,6 @@ class Document:
     this version of it (:attr:`derived`)."""
 
     _derived: DerivedState | None = None
-    _readers: set[weakref.ref[Constructed]] | None = None
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
@@ -393,8 +385,9 @@ class Document:
         return state
 
     def drop_derived(self) -> bool:
-        """The one invalidation call (the document changed, or will not
-        be read again): unlinks the arena file, forgets :attr:`derived`.
+        """The one invalidation call (an update batch spliced its fork,
+        or a version will not be read again): unlinks the arena file,
+        forgets :attr:`derived`.
         ``True`` iff a materialised tag index went with it — the
         Section-2.1 maintenance cost of an update."""
         state = vars(self).pop("_derived", None)
@@ -402,20 +395,6 @@ class Document:
             return False
         state.unlink_arena()
         return state.index.built
-
-    def add_reader(self, node: Constructed) -> None:
-        """Note, weakly, a constructed node that reads this document."""
-        readers = self._readers
-        if readers is None:
-            readers = vars(self).setdefault("_readers", set())
-        readers.add(weakref.ref(node, readers.discard))
-
-    def materialise_readers(self) -> None:
-        """Copy out every live reader (before an in-place change)."""
-        for ref in tuple(vars(self).pop("_readers", ())):
-            node = ref()
-            if node is not None:
-                node.materialise()
 
     def elements_by_tag(self, tag: str) -> list[Node]:
         """Document-ordered list of elements with the given tag — the

@@ -8,12 +8,13 @@ tag-name indexes built over them, while the navigational/hybrid
 approach discovers structure dynamically and pays nothing.
 
 This module provides subtree insertion and deletion over the tree
-model, with exact accounting of the relabeling work:
+model, with exact accounting of the relabeling work.  A document
+anyone can read is never edited: :class:`DocumentUpdater` forks its
+base once (:func:`fork_document`) and edits only the fork, so nothing
+reading the base has to be told or copied out:
 
-* ``insert_subtree`` / ``delete_subtree`` splice a subtree in or out
-  and shift the labels from the splice point onward;
-* before the splice, constructed results that still read this document
-  by reference are copied out (:meth:`Document.materialise_readers`);
+* ``insert_subtree`` / ``delete_subtree`` splice a subtree into or out
+  of the fork and shift the labels from the splice point onward;
 * each operation returns an :class:`UpdateReport` with the number of
   nodes whose labels changed — the quantity the update-cost ablation
   measures — and replaces the document's derived state with a patched
@@ -35,11 +36,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import UpdateError
-from repro.xmlkit.derived import carry_splice
+from repro.errors import UpdateError, UsageError
+from repro.xmlkit.derived import carry_fork, carry_splice
 from repro.xmlkit.tree import DOCUMENT, ELEMENT, Document, DocumentBuilder, Node
 
-__all__ = ["UpdateReport", "DocumentUpdater", "UpdateError"]
+__all__ = ["UpdateReport", "DocumentUpdater", "UpdateError", "fork_document"]
+
+
+def fork_document(doc: Document) -> Document:
+    """Deep-copy a document, preserving every label verbatim.
+
+    Nids, regions, levels and cached string values are copied, so the
+    fork is indistinguishable from the original (the snapshot tests
+    assert byte-identical serialization) at one O(n) pass; the summary
+    and postings the original has built carry over
+    (:func:`~repro.xmlkit.derived.carry_fork`).
+    """
+    fork = Document()
+    clones = fork.nodes                 # node ``nid`` is ``clones[nid]``
+    top, src = clones[0], doc.nodes[0]
+    top.start, top.end, top.level = src.start, src.end, src.level
+    top._string_value = src._string_value
+    # Pre-order arena: every parent precedes its children, so the
+    # parent's clone always exists by the time a child is copied.
+    for src in doc.nodes[1:]:
+        clone = Node(fork, src.nid, src.kind, src.tag, src.text)
+        if src.attrs:
+            clone.attrs = dict(src.attrs)
+        clone.start, clone.end, clone.level = src.start, src.end, src.level
+        clone._string_value = src._string_value
+        assert src.parent is not None
+        parent = clones[src.parent.nid]
+        clone.parent = parent
+        parent.children.append(clone)
+        clones.append(clone)
+    if doc.root is not None:
+        fork.root = clones[doc.root.nid]
+    carry_fork(doc, fork, clones)
+    return fork
 
 
 @dataclass
@@ -55,15 +89,34 @@ class UpdateReport:
 
 
 class DocumentUpdater:
-    """Applies structural updates to a document, maintaining labels.
-
-    Every update gives the document a new derived state: the summary
+    """One update batch: ``base`` is forked once, here, and every
+    operation edits only the fork, :attr:`doc` (query it with
+    ``Engine(updater.doc)``), giving it a new derived state: the summary
     and postings the old one had, patched — the materialized-view
-    maintenance cost.
+    maintenance cost.  :attr:`reports` has one entry per operation.
     """
 
-    def __init__(self, doc: Document) -> None:
-        self.doc = doc
+    def __init__(self, base: Document) -> None:
+        self.base = base
+        self.doc = fork_document(base)
+        self.reports: list[UpdateReport] = []
+        self._done = False          # a finished batch (commit / abort)
+
+    def resolve(self, node: Node) -> Node:
+        """Map a node of the base to its clone in the fork.
+
+        Valid for nodes addressed *before* the batch's first operation
+        (later operations renumber the fork's arena); address nodes
+        found mid-batch through :attr:`doc` directly.
+        """
+        return self.doc.nodes[node.nid]
+
+    def _local(self, node: Node) -> Node:
+        if self._done:
+            raise UsageError("update batch already committed or aborted")
+        if node.doc is self.base and not self.reports:
+            return self.resolve(node)
+        return node
 
     # ------------------------------------------------------------------
     # Operations.
@@ -74,8 +127,9 @@ class DocumentUpdater:
         """Insert a (detached or foreign) subtree under ``parent``.
 
         ``position`` is the child index (default: append).  The subtree
-        is deep-copied into this document; the source is not modified.
+        is deep-copied into the fork; the source is not modified.
         """
+        parent = self._local(parent)
         if parent.doc is not self.doc:
             raise UpdateError("parent node belongs to a different document")
         if parent.kind not in (ELEMENT, DOCUMENT):
@@ -96,7 +150,6 @@ class DocumentUpdater:
         index = len(siblings) if position is None else position
         if not 0 <= index <= len(siblings):
             raise UpdateError(f"child position {position} out of range")
-        self.doc.materialise_readers()
         at = (siblings[index].nid if index < len(siblings)
               else parent.nid + parent.subtree_size())
         siblings.insert(index, copied)
@@ -115,14 +168,14 @@ class DocumentUpdater:
                             parent, at, run, 1)
 
     def delete_subtree(self, node: Node) -> UpdateReport:
-        """Remove ``node`` and its whole subtree from the document."""
+        """Remove ``node`` and its whole subtree from the fork."""
+        node = self._local(node)
         if node.doc is not self.doc:
             raise UpdateError("node belongs to a different document")
         if node.parent is None:
             raise UpdateError("cannot delete the document node")
         if node is self.doc.root:
             raise UpdateError("cannot delete the document element")
-        self.doc.materialise_readers()
         node.parent.children.remove(node)
         run = self.doc.nodes[node.nid:node.nid + node.subtree_size()]
         return self._splice(UpdateReport(nodes_removed=len(run)),
@@ -162,4 +215,5 @@ class DocumentUpdater:
                          if c.kind == ELEMENT), None)
         report.nodes_relabeled = len(tail) + ancestors
         report.indexes_invalidated = int(carry_splice(doc, parent, run, sign))
+        self.reports.append(report)
         return report

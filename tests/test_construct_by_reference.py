@@ -138,22 +138,32 @@ def first_leaf_element(doc):
 @pytest.mark.parametrize("name, uri", [("reference", None), ("nested", None),
                                        ("document nodes", "other.xml")])
 def test_in_place_updates_leave_constructed_results_unchanged(name, uri):
+    """An update edits its updater's fork, never the document a lazy
+    result reads: the results, the base's bytes and the base's answers
+    stay, and nothing is copied out (the counter does not move)."""
     db = engine()
     doc = db.doc
     if uri is not None:     # doc(uri) reads the engine's one document
         assert db.query(f'doc("{uri}")/*').items == [doc.root]
+    text = serialize(doc.document_node)
     for change in ("insert", "delete"):
         result = db.query(SHAPES[name])
         expected = result.serialize()
         assert expected == db.query(SHAPES[name], strategy="naive").serialize()
         assert all(item.content is not None for item in result)
-        leaf = first_leaf_element(doc)
+        copied = MATERIALISED.value()
+        updater = DocumentUpdater(doc)
+        leaf = first_leaf_element(doc)      # resolved into the fork
         if change == "insert":
-            DocumentUpdater(doc).insert_subtree(leaf, parse("<x>new</x>").root)
+            updater.insert_subtree(leaf, parse("<x>new</x>").root)
         else:
-            DocumentUpdater(doc).delete_subtree(leaf)
+            updater.delete_subtree(leaf)
+        assert MATERIALISED.value() == copied, change
+        assert all(item.content is not None for item in result)
         assert result.serialize() == expected, change
-        assert db.query(SHAPES[name]).serialize() != expected
+        assert serialize(doc.document_node) == text
+        assert db.query(SHAPES[name]).serialize() == expected
+        assert Engine(updater.doc).query(SHAPES[name]).serialize() != expected
 
 
 def test_serializing_copies_nothing_and_navigation_copies_once():

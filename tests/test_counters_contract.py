@@ -91,11 +91,12 @@ def test_stats_family_registered_with_stable_names():
 
 def test_materialisation_counter_registered_with_its_consumer():
     """``repro_constructed_materialised_total`` counts the copies that
-    construction by reference still makes: on navigation or before an
-    in-place update, never the oracle's eager copies.  Its consumer is
-    the copy-count contract in ``tests/test_construct_by_reference.py``:
-    a serialize-only run counts 0, navigating one result root counts 1,
-    navigating it again still 1, a naive run counts 0."""
+    construction by reference still makes: on navigation only (an
+    update edits a fork and copies nothing out), never the oracle's
+    eager copies.  Its consumer is the copy-count contract in
+    ``tests/test_construct_by_reference.py``: a serialize-only run
+    counts 0, navigating one result root counts 1, navigating it again
+    still 1, a naive run counts 0, an update counts 0."""
     from repro.obs.metrics import REGISTRY
     from repro.xmlkit.tree import Constructed
 

@@ -70,11 +70,13 @@ class TestUpdateIntegration:
         assert "stack" in result.plan or "twigstack" in result.plan
 
     def test_an_unwired_update_refreshes_everything(self):
-        """Regression: an updater the database never handed out still
-        ends the version — ``DocumentUpdater`` drops the derived state,
-        so the fingerprint, the structural summary and the plan key all
-        move, and the QL001 static-empty plan cached for ``//magazine``
-        no longer answers."""
+        """Regression: an updater the database never handed out leaves
+        the database's version alone — ``DocumentUpdater`` edits its own
+        fork — while an engine over that fork sees the new shape: its
+        fingerprint, structural summary and plan key all differ, so the
+        QL001 static-empty plan cached for ``//magazine`` does not
+        answer there, even from the shared plan cache."""
+        from repro.engine import Engine
         from repro.xmlkit import parse
         from repro.xmlkit.update import DocumentUpdater
 
@@ -83,13 +85,20 @@ class TestUpdateIntegration:
         assert len(result) == 0
         assert "static-empty" in result.plan
         before = db.engine.stats_fingerprint()
-        DocumentUpdater(db.doc).insert_subtree(
+        updater = DocumentUpdater(db.doc)
+        updater.insert_subtree(
             db.doc.root, parse("<magazine><title>m</title></magazine>").root)
-        assert db.doc_stats.n_elements == 19
-        assert db.engine.stats_fingerprint() != before
-        assert len(db.query("//magazine")) == 1
-        assert len(db.query("//magazine", strategy="naive")) == 1
-        assert len(db.query("//magazine/title", strategy="twigstack")) == 1
+        assert db.doc_stats.n_elements == 17
+        assert db.engine.stats_fingerprint() == before
+        again = db.query("//magazine", trace=True)
+        assert len(again) == 0 and again.trace.root.attrs["plan-cache"] == "hit"
+        fork = Engine(updater.doc, plan_cache=db.plan_cache)
+        assert fork.stats.n_elements == 19
+        assert fork.stats_fingerprint() != before
+        moved = fork.query("//magazine", trace=True)
+        assert len(moved) == 1 and moved.trace.root.attrs["plan-cache"] == "miss"
+        assert len(fork.query("//magazine", strategy="naive")) == 1
+        assert len(fork.query("//magazine/title", strategy="twigstack")) == 1
 
     def test_a_dropped_batch_warns(self):
         """``db.updater().insert_subtree(...)`` without ``with`` (the old

@@ -48,6 +48,7 @@ def test_deep_document_through_every_layer(tmp_path):
         assert deep_equal(reopened.doc.root, doc.root)
 
     updater = DocumentUpdater(doc)
+    base, doc = doc, updater.doc
     leaf = doc.elements_by_tag("leaf")[0]
     updater.insert_subtree(leaf.parent, repro.parse("<new/>").root)
     updater.insert_subtree(doc.root, repro.parse(XML).root)
@@ -59,3 +60,4 @@ def test_deep_document_through_every_layer(tmp_path):
     updater.delete_subtree(doc.elements_by_tag("new")[0])
     assert labels_are_consistent(doc)
     assert deep_equal(doc.root, repro.parse(XML).root)
+    assert len(base.nodes) == len(doc.nodes) and labels_are_consistent(base)

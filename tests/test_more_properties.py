@@ -38,6 +38,7 @@ class TestUpdateInvariants:
            tag=st.sampled_from(TAGS))
     def test_labels_valid_after_random_delete_and_insert(self, doc, victim, tag):
         updater = DocumentUpdater(doc)
+        doc = updater.doc
         elements = [n for n in doc.elements() if n is not doc.root]
         if elements:
             updater.delete_subtree(elements[victim % len(elements)])
@@ -56,7 +57,7 @@ class TestUpdateInvariants:
     def test_queries_agree_after_update(self, doc, tag):
         updater = DocumentUpdater(doc)
         updater.insert_subtree(doc.root, parse(f"<{tag}><a/></{tag}>").root)
-        engine = Engine(doc)
+        engine = Engine(updater.doc)
         query = f"//{tag}/a"
         reference = [n.nid for n in engine.query(query, strategy="naive").nodes()]
         for strategy in ("stack", "bnlj", "twigstack"):

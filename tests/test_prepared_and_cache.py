@@ -134,17 +134,24 @@ class TestInvalidation:
         assert "invalidations" not in db.engine.plan_cache.stats()
 
     def test_fingerprint_keys_out_stale_plans_without_listener(self):
-        # A mutation the engine is never told about cannot serve a plan
-        # keyed under the old version: the updater drops the derived
-        # state, and the fingerprint moves with it.
+        # The engine is never told about an update, and needs not be:
+        # the updater edits its own fork, so the engine's version keeps
+        # its plan, while the fork's own fingerprint keys that plan out
+        # of a shared cache.
         from repro.xmlkit.update import DocumentUpdater
 
         engine = Engine(parse(SMALL_BIB))
         engine.query("//book")
-        DocumentUpdater(engine.doc).insert_subtree(
-            engine.doc.root, parse("<book/>").root)
-        result = engine.query("//book", trace=True)
+        before = engine.stats_fingerprint()
+        updater = DocumentUpdater(engine.doc)
+        updater.insert_subtree(engine.doc.root, parse("<book/>").root)
+        assert engine.stats_fingerprint() == before
+        same = engine.query("//book", trace=True)
+        assert same.trace.root.attrs["plan-cache"] == "hit" and len(same) == 3
+        fork = Engine(updater.doc, plan_cache=engine.plan_cache)
+        result = fork.query("//book", trace=True)
         assert result.trace.root.attrs["plan-cache"] == "miss"
+        assert len(result) == 4
 
     def test_open_starts_with_an_empty_cache(self, tmp_path):
         db = Database(SMALL_BIB)

@@ -6,6 +6,7 @@ from repro.engine.database import Database
 from repro.errors import UsageError
 from repro.serve import fork_document
 from repro.serve.snapshot import SnapshotUpdater
+from repro.xmlkit.update import DocumentUpdater
 from repro.xmlkit.parser import parse
 from repro.xmlkit.writer import serialize
 from repro.xmlkit.tree import DocumentBuilder
@@ -71,10 +72,10 @@ class TestForkDocument:
     def test_mutating_fork_leaves_original_alone(self):
         doc = parse(LIBRARY)
         before = serialize(doc.document_node)
-        fork = fork_document(doc)
-        from repro.xmlkit.update import DocumentUpdater
-
-        DocumentUpdater(fork).delete_subtree(elems(fork.root)[0])
+        updater = DocumentUpdater(doc)      # forks at construction
+        fork = updater.doc
+        assert serialize(fork.document_node) == before
+        updater.delete_subtree(elems(fork.root)[0])
         assert serialize(doc.document_node) == before
         assert serialize(fork.document_node) != before
 
@@ -119,8 +120,43 @@ class TestCatalogVersioning:
         db = Database(LIBRARY)
         up = db.updater()
         up.commit()
-        with pytest.raises(RuntimeError, match="already committed"):
+        with pytest.raises(UsageError, match="already committed"):
             up.commit()
+        with pytest.raises(UsageError, match="already committed"):
+            up.abort()
+        aborted = db.updater()
+        aborted.abort()
+        for finish in (aborted.abort, aborted.commit):
+            with pytest.raises(UsageError, match="or aborted"):
+                finish()
+        assert db.current().snapshot_id == 2
+
+    @pytest.mark.parametrize("finish", ["commit", "abort"])
+    def test_a_finished_batch_refuses_edits(self, finish):
+        # A committed batch's fork *is* the published snapshot: an edit
+        # through it would change that version under its id, and the
+        # served answer (result-cached by id) would part from the direct
+        # one.  An aborted batch has nothing left to edit.
+        with Database("<r><t>a</t><t>b</t></r>") as db:
+            service = db.serve(workers=1)
+            up = service.updater()
+            up.insert_subtree(up.doc.root, parse("<t>c</t>").root)
+            getattr(up, finish)()
+            snapshot = db.current()
+            text = serialize(snapshot.doc.document_node)
+            served = service.query("//t")
+            with pytest.raises(UsageError, match="already committed"):
+                up.insert_subtree(up.doc.root, parse("<t>d</t>").root)
+            with pytest.raises(UsageError, match="already committed"):
+                up.delete_subtree(up.doc.root.children[0])
+            assert db.current() is snapshot
+            assert serialize(snapshot.doc.document_node) == text
+            again = service.query("//t")
+            assert again.cached and again.snapshot_id == served.snapshot_id
+            assert again.serialize() == served.serialize() == \
+                db.query("//t").serialize()
+            assert served.serialize().count("<t>") == \
+                (3 if finish == "commit" else 2)
 
 
 

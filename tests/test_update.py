@@ -1,4 +1,9 @@
-"""Tests for document updates and the derived-state maintenance contract."""
+"""Tests for document updates and the derived-state maintenance contract.
+
+An updater forks its base at construction and edits only the fork,
+``updater.doc``; every test reads the fork and, where it matters, checks
+that the base did not move.
+"""
 
 from functools import cache
 
@@ -15,9 +20,12 @@ from repro.xmlkit.tree import ELEMENT, Document, DocumentBuilder
 from repro.xmlkit.update import DocumentUpdater, UpdateError
 
 
+BASE = "<r><a><x>1</x></a><b/><c><y/></c></r>"
+
+
 @pytest.fixture
 def doc():
-    return parse("<r><a><x>1</x></a><b/><c><y/></c></r>")
+    return parse(BASE)
 
 
 class TestInsert:
@@ -26,18 +34,23 @@ class TestInsert:
         fragment = parse("<new><leaf/></new>").root
         report = updater.insert_subtree(doc.elements_by_tag("b")[0], fragment)
         assert report.nodes_added == 2
-        assert serialize(doc.root) == \
+        assert updater.reports == [report]
+        assert serialize(updater.doc.root) == \
             "<r><a><x>1</x></a><b><new><leaf/></new></b><c><y/></c></r>"
+        assert serialize(doc.root) == BASE
 
     def test_insert_at_position(self, doc):
         updater = DocumentUpdater(doc)
         fragment = parse("<z/>").root
         updater.insert_subtree(doc.root, fragment, position=0)
-        assert [c.tag for c in doc.root.children] == ["z", "a", "b", "c"]
+        assert [c.tag for c in updater.doc.root.children] == \
+            ["z", "a", "b", "c"]
+        assert [c.tag for c in doc.root.children] == ["a", "b", "c"]
 
     def test_labels_valid_after_insert(self, doc):
         updater = DocumentUpdater(doc)
         updater.insert_subtree(doc.elements_by_tag("a")[0], parse("<k/>").root)
+        doc = updater.doc
         nids = [n.nid for n in doc.nodes]
         assert nids == list(range(len(doc.nodes)))
         for node in doc.nodes:
@@ -63,6 +76,7 @@ class TestInsert:
         updater = DocumentUpdater(doc)
         updater.insert_subtree(doc.root, fragment_doc.root)
         assert fragment_doc.root.parent is fragment_doc.document_node
+        assert serialize(fragment_doc.root) == "<new/>"
 
     def test_reject_foreign_parent(self, doc):
         other = parse("<o/>")
@@ -73,7 +87,8 @@ class TestInsert:
     def test_reject_second_root(self, doc):
         updater = DocumentUpdater(doc)
         with pytest.raises(UpdateError):
-            updater.insert_subtree(doc.document_node, parse("<k/>").root)
+            updater.insert_subtree(updater.doc.document_node,
+                                   parse("<k/>").root)
 
     def test_reject_bad_position(self, doc):
         updater = DocumentUpdater(doc)
@@ -86,9 +101,11 @@ class TestDelete:
         updater = DocumentUpdater(doc)
         report = updater.delete_subtree(doc.elements_by_tag("a")[0])
         assert report.nodes_removed == 3  # a, x, text
-        assert serialize(doc.root) == "<r><b/><c><y/></c></r>"
-        nids = [n.nid for n in doc.nodes]
-        assert nids == list(range(len(doc.nodes)))
+        fork = updater.doc
+        assert serialize(fork.root) == "<r><b/><c><y/></c></r>"
+        nids = [n.nid for n in fork.nodes]
+        assert nids == list(range(len(fork.nodes)))
+        assert serialize(doc.root) == BASE
 
     def test_cannot_delete_root(self, doc):
         updater = DocumentUpdater(doc)
@@ -96,41 +113,64 @@ class TestDelete:
             updater.delete_subtree(doc.root)
 
     def test_queries_correct_after_update(self, doc):
+        base = Engine(doc)
         updater = DocumentUpdater(doc)
         updater.delete_subtree(doc.elements_by_tag("b")[0])
-        updater.insert_subtree(doc.elements_by_tag("c")[0], parse("<y/>").root)
-        engine = Engine(doc)
+        fork = updater.doc
+        updater.insert_subtree(fork.elements_by_tag("c")[0], parse("<y/>").root)
+        engine = Engine(fork)
         for strategy in ("naive", "pipelined", "twigstack"):
             result = engine.query("//c//y", strategy=strategy)
             assert len(result) == 2, strategy
+            assert len(base.query("//c//y", strategy=strategy)) == 1
+
+
+class TestFork:
+    def test_base_nodes_resolve_only_before_the_first_operation(self, doc):
+        updater = DocumentUpdater(doc)
+        b = doc.elements_by_tag("b")[0]
+        assert updater.resolve(b) is updater.doc.elements_by_tag("b")[0]
+        updater.delete_subtree(doc.elements_by_tag("a")[0])
+        # The fork's arena is renumbered now: a base node is refused.
+        with pytest.raises(UpdateError, match="different document"):
+            updater.delete_subtree(b)
+        assert len(updater.reports) == 1
+        assert serialize(doc.root) == BASE
 
 
 class TestIndexInvalidation:
     def test_registered_index_invalidated(self, doc):
-        index = doc.derived.index
-        assert index.cardinality("y") == 1
+        doc.derived.index.build()
         updater = DocumentUpdater(doc)
-        report = updater.insert_subtree(doc.elements_by_tag("c")[0],
+        fork = updater.doc
+        index = fork.derived.index         # carried onto the clones
+        assert index.cardinality("y") == 1
+        report = updater.insert_subtree(fork.elements_by_tag("c")[0],
                                         parse("<y/>").root)
         assert report.indexes_invalidated == 1
-        # The document's index is a new one, its postings maintained by
-        # the update; an update that finds none built maintains none.
-        assert doc.derived.index is not index
-        assert doc.derived.index.cardinality("y") == 2
-        doc.drop_derived()
-        report = updater.delete_subtree(doc.root.children[-1])
+        # The fork's index is a new one, its postings maintained by the
+        # update; an update that finds none built maintains none.  The
+        # base keeps its own.
+        assert fork.derived.index is not index
+        assert fork.derived.index.cardinality("y") == 2
+        assert doc.derived.index.cardinality("y") == 1
+        fork.drop_derived()
+        report = updater.delete_subtree(fork.root.children[-1])
         assert report.indexes_invalidated == 0
 
     def test_stale_index_is_the_update_problem(self, doc):
         """The Section-2.1 argument: an unregistered (stale) index keeps
         nodes with outdated labels — exactly why join-based approaches
         must pay maintenance costs."""
-        index = TagIndex(doc)
+        updater = DocumentUpdater(doc)
+        fork = updater.doc
+        index = TagIndex(fork)
         stale_nodes = index.nodes("y")
-        DocumentUpdater(doc).insert_subtree(doc.root, parse("<q/>").root,
-                                            position=0)
-        fresh = doc.elements_by_tag("y")
+        start = stale_nodes[0].start
+        updater.insert_subtree(fork.root, parse("<q/>").root, position=0)
+        fresh = fork.elements_by_tag("y")
         assert stale_nodes[0] is fresh[0]
+        assert fresh[0].start != start
         # The node object survived but its labels moved: a join using
         # the stale list's cached order could now be wrong.
         assert index.built      # asserting staleness itself
@@ -333,11 +373,16 @@ class TestPatchedEqualsRebuilt:
     @GENERATED
     @given(data=st.data())
     def test_generated_in_place(self, shape, data):
-        doc, ref = parse(shape_xml(shape)), parse(shape_xml(shape))
-        warm(doc)
-        updater = DocumentUpdater(doc)
+        # One batch on a plain document: every operation edits the
+        # updater's fork; the base keeps every label and its state.
+        base, ref = parse(shape_xml(shape)), parse(shape_xml(shape))
+        warm(base)
+        frozen = labels(base), base.derived.summary.fingerprint()
+        updater = DocumentUpdater(base)
+        doc = updater.doc
         for _ in range(data.draw(st.integers(1, 6), label="operations")):
             check(updater, doc, ref, draw_op(data, doc))
+        assert (labels(base), base.derived.summary.fingerprint()) == frozen
 
     @pytest.mark.parametrize("shape", ["library", "d1", "d4"])
     @GENERATED
@@ -370,19 +415,22 @@ class TestPatchedEqualsRebuilt:
 
     @pytest.mark.parametrize("position", [0, 1, None])
     def test_insert_at_start_middle_and_end(self, position):
-        doc, ref = parse(LIBRARY), parse(LIBRARY)
-        warm(doc)
+        base, ref = parse(LIBRARY), parse(LIBRARY)
+        warm(base)
+        updater = DocumentUpdater(base)
+        doc = updater.doc
         shelf = doc.root.children[1]
-        report = check(DocumentUpdater(doc), doc, ref,
+        report = check(updater, doc, ref,
                        ("insert", shelf.nid, FRAGMENTS[0], position))
         assert report.nodes_added == 5
 
     def test_an_emptied_path_takes_its_attribute_and_child_label(self):
         xml = ('<lib><shelf><book x="1"><note k="1">n</note></book>'
                '<book y="2"/></shelf></lib>')
-        doc, ref = parse(xml), parse(xml)
-        warm(doc)
-        updater = DocumentUpdater(doc)
+        base, ref = parse(xml), parse(xml)
+        warm(base)
+        updater = DocumentUpdater(base)
+        doc = updater.doc
         book = ("lib", "shelf", "book")
         check(updater, doc, ref, ("delete", doc.elements_by_tag("note")[0].nid))
         summary = doc.derived.summary
@@ -398,23 +446,27 @@ class TestPatchedEqualsRebuilt:
 
     def test_recursion_degree_and_max_depth_fall(self):
         xml = "<r><a><a><a><b/></a></a></a><b/></r>"
-        doc, ref = parse(xml), parse(xml)
-        warm(doc)
+        base, ref = parse(xml), parse(xml)
+        warm(base)
+        updater = DocumentUpdater(base)
+        doc = updater.doc
         stats = doc.derived.stats
         assert (stats.recursion_degree, stats.max_depth) == (3, 5)
-        check(DocumentUpdater(doc), doc, ref, ("delete", doc.root.children[0].nid))
+        check(updater, doc, ref, ("delete", doc.root.children[0].nid))
         stats = doc.derived.stats
         assert (stats.recursion_degree, stats.max_depth, stats.recursive) \
             == (1, 2, False)
+        assert base.derived.stats.recursion_degree == 3
 
     def test_a_truncated_summary_is_rebuilt_by_the_next_reader(self):
         # MAX_PATHS distinct paths: the table is full, not truncated.
         xml = "<r>" + "".join(f"<t{i}/>" for i in range(MAX_PATHS - 1)) \
             + "</r>"
-        doc, ref = parse(xml), parse(xml)
-        warm(doc)
-        assert not doc.derived.summary.truncated
-        updater = DocumentUpdater(doc)
+        base, ref = parse(xml), parse(xml)
+        warm(base)
+        assert not base.derived.summary.truncated
+        updater = DocumentUpdater(base)
+        doc = updater.doc
         for _ in range(2):   # past the cap, then from a truncated table
             check(updater, doc, ref, ("insert", doc.root.nid,
                                       "<fresh><more/></fresh>", 0),
@@ -423,9 +475,10 @@ class TestPatchedEqualsRebuilt:
 
     def test_the_column_is_rebuilt_where_the_parent_changes_form(self):
         xml = '<r><a k="&amp;"/><b><c>x</c></b><d>t<e/>u</d></r>'
-        doc, ref = parse(xml), parse(xml)
-        warm(doc)
-        updater = DocumentUpdater(doc)
+        base, ref = parse(xml), parse(xml)
+        warm(base)
+        updater = DocumentUpdater(base)
+        doc = updater.doc
         a, b, d = doc.root.children
         # <a/> becomes <a>…</a>: nothing to patch, the reader builds.
         check(updater, doc, ref, ("insert", a.nid, FRAGMENTS[1], None))
@@ -440,18 +493,22 @@ class TestPatchedEqualsRebuilt:
         assert serialize(b) == "<b/>"
 
     def test_a_splice_under_the_document_node_carries_nothing(self):
-        doc, ref = parse("<r><a/></r>"), parse("<r><a/></r>")
-        warm(doc)
-        updater = DocumentUpdater(doc)
+        base, ref = parse("<r><a/></r>"), parse("<r><a/></r>")
+        warm(base)
+        updater = DocumentUpdater(base)
+        doc = updater.doc
         check(updater, doc, ref, ("insert", 0, "loose text", None),
               carried=())
         warm(doc)
         check(updater, doc, ref, ("delete", doc.nodes[-1].nid), carried=())
-        rootless = Document()
-        warm(rootless)
-        report = DocumentUpdater(rootless).insert_subtree(
+        empty = Document()
+        warm(empty)
+        updater = DocumentUpdater(empty)
+        rootless = updater.doc
+        report = updater.insert_subtree(
             rootless.document_node, parse("<r><a/></r>").root)
         assert report.indexes_invalidated == 1 and rootless._derived is None
+        assert empty.root is None
         assert rootless.root.tag == "r"
         # Equality ignores the memoised digest.
         assert rootless.derived.summary.fingerprint()

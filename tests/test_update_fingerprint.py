@@ -89,13 +89,18 @@ class TestEngineInvalidation:
         assert len(engine.query("//price")) == 3
         from repro.xmlkit.update import DocumentUpdater
 
-        # No listener: the updater's drop of the derived state alone
-        # moves the summary digest, which keys the stale plan out.
+        # No listener: the updater edits its own fork, whose patched
+        # summary digest keys the base's plan out of the shared cache;
+        # the base engine keeps its digest, plan and answers.
         updater = DocumentUpdater(small_bib)
-        for node in list(small_bib.elements_by_tag("price")):
+        for node in list(updater.doc.elements_by_tag("price")):
             updater.delete_subtree(node)
-        assert engine.summary.fingerprint() != before
-        result = engine.query("//price")
+        assert engine.summary.fingerprint() == before
+        assert len(engine.query("//price")) == 3
+        fork = Engine(updater.doc, plan_cache=engine.plan_cache)
+        assert fork.summary.fingerprint() != before
+        result = fork.query("//price", trace=True)
+        assert result.trace.root.attrs["plan-cache"] == "miss"
         assert result.serialize() == ""
         assert "static-empty" in result.plan
 
